@@ -95,17 +95,11 @@ let repo =
     (* Files whose [@hot] roots seed A1, and which therefore must have a
        .cmt available when the typed tier runs: the µproxy packet path,
        the codec peek path and its XDR primitives, and the engine's
-       event dispatch (plus the heap it leans on). *)
+       event dispatch. *)
     a1_scope =
       (fun f ->
         List.mem f
-          [
-            "lib/core/proxy.ml";
-            "lib/nfs/codec.ml";
-            "lib/xdr/xdr.ml";
-            "lib/sim/engine.ml";
-            "lib/util/heap.ml";
-          ]);
+          [ "lib/core/proxy.ml"; "lib/nfs/codec.ml"; "lib/xdr/xdr.ml"; "lib/sim/engine.ml" ]);
     (* The fenced server modules of PR 6: every dispatch path that
        reaches the WAL, the buffer cache or the allocator must be
        dominated by the wedge/lease-epoch check. *)

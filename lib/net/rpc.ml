@@ -23,6 +23,25 @@ type t = {
   mutable completed : int;
 }
 
+(* One record per outstanding call holds everything a retransmission
+   needs, so its timer closure is built once per call, not per attempt. *)
+type call = {
+  rpc : t;
+  xid : int;
+  payload : bytes;
+  dst : Packet.addr;
+  dport : int;
+  extra_size : int;
+  ep : ep;
+  retries : int;
+  backoff : float;
+  cap : float;
+  mutable attempt : int; (* 0 = the first send *)
+  mutable cur : float; (* this attempt's timeout, before jitter *)
+  mutable wake : outcome -> unit;
+  mutable timer : unit -> unit;
+}
+
 let on_packet t (pkt : Packet.t) =
   if Bytes.length pkt.payload >= 4 then begin
     let xid = Int32.to_int (Bytes.get_int32_be pkt.payload 0) land 0xFFFFFFFF in
@@ -76,6 +95,39 @@ let fresh_xid t = Net.fresh_xid t.net
    endpoints that lost packets together does not retransmit in lockstep. *)
 let jitter_frac = 0.1
 
+(* Send the current attempt unless a reply already completed the call. A
+   fresh packet per attempt: an interposed filter may have rewritten the
+   previous copy in place. *)
+let transmit c =
+  let t = c.rpc in
+  if Hashtbl.mem t.pending c.xid then begin
+    if c.attempt > 0 then begin
+      t.retransmits <- t.retransmits + 1;
+      c.ep.ep_retransmits <- c.ep.ep_retransmits + 1
+    end;
+    Net.send t.net
+      (Packet.make ~src:t.addr ~dst:c.dst ~sport:t.port ~dport:c.dport ~extra_size:c.extra_size
+         (Bytes.copy c.payload));
+    let wait = c.cur *. (1.0 +. (jitter_frac *. Slice_util.Prng.float t.prng 1.0)) in
+    Engine.schedule t.eng wait c.timer
+  end
+
+let expire c =
+  let t = c.rpc in
+  if Hashtbl.mem t.pending c.xid then
+    if c.attempt < c.retries then begin
+      let next = c.cur *. c.backoff in
+      c.attempt <- c.attempt + 1;
+      c.cur <- (if next > c.cap then c.cap else next);
+      transmit c
+    end
+    else begin
+      Hashtbl.remove t.pending c.xid;
+      t.timeouts <- t.timeouts + 1;
+      c.ep.ep_timeouts <- c.ep.ep_timeouts + 1;
+      c.wake Timed_out
+    end
+
 let call t ?(timeout = 0.1) ?(retries = 8) ?(backoff = 2.0) ?(max_timeout = 2.0)
     ?(span = Trace.null) ~dst ~dport ?(extra_size = 0) payload =
   let xid = Int32.to_int (Bytes.get_int32_be payload 0) land 0xFFFFFFFF in
@@ -84,38 +136,16 @@ let call t ?(timeout = 0.1) ?(retries = 8) ?(backoff = 2.0) ?(max_timeout = 2.0)
   ep.ep_calls <- ep.ep_calls + 1;
   let sp = Trace.child span ~hop:"rpc" ~site:(Net.node_name t.net t.addr) () in
   Trace.bind_xid sp xid;
+  let c =
+    { rpc = t; xid; payload; dst; dport; extra_size; ep; retries; backoff; cap; attempt = 0;
+      cur = timeout; wake = ignore; timer = ignore }
+  in
+  c.timer <- (fun () -> expire c);
   let outcome =
     Engine.suspend (fun wake ->
+        c.wake <- wake;
         Hashtbl.replace t.pending xid wake;
-        let rec attempt n cur =
-          if Hashtbl.mem t.pending xid then begin
-            if n > 0 then begin
-              t.retransmits <- t.retransmits + 1;
-              ep.ep_retransmits <- ep.ep_retransmits + 1
-            end;
-            (* Fresh packet per attempt: an interposed filter may have
-               rewritten the previous copy in place. *)
-            let pkt =
-              Packet.make ~src:t.addr ~dst ~sport:t.port ~dport ~extra_size
-                (Bytes.copy payload)
-            in
-            Net.send t.net pkt;
-            let wait = cur *. (1.0 +. (jitter_frac *. Slice_util.Prng.float t.prng 1.0)) in
-            Engine.schedule t.eng wait (fun () ->
-                if Hashtbl.mem t.pending xid then
-                  if n < retries then begin
-                    let next = cur *. backoff in
-                    attempt (n + 1) (if next > cap then cap else next)
-                  end
-                  else begin
-                    Hashtbl.remove t.pending xid;
-                    t.timeouts <- t.timeouts + 1;
-                    ep.ep_timeouts <- ep.ep_timeouts + 1;
-                    wake Timed_out
-                  end)
-          end
-        in
-        attempt 0 timeout)
+        transmit c)
   in
   Trace.unbind_xid sp xid;
   match outcome with

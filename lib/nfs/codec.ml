@@ -8,12 +8,15 @@ let nfs_version = 3
 
 (* ---- primitive helpers ---- *)
 
-let enc_fh e fh = Enc.opaque e (Fh.encode fh)
+(* Handles are written into the encoder and read from the decoder's span
+   in place: no intermediate 32-byte string either way. *)
+let enc_fh e fh = Enc.opaque_with e Fh.wire_length Fh.write_into fh
 
-let dec_fh d =
-  match Fh.decode (Dec.opaque d) with
-  | Some fh -> fh
-  | None -> raise (Malformed "bad file handle")
+let dec_fh d buf =
+  Dec.opaque_span d;
+  let off = Dec.span_off d in
+  if not (Fh.peek_valid buf off (Dec.span_len d)) then raise (Malformed "bad file handle");
+  Fh.read_at buf off
 
 let enc_time e (t : Nfs.time) =
   let secs = int_of_float (Float.floor t) in
@@ -120,9 +123,20 @@ let dec_fattr d : Nfs.fattr =
 
 (* AUTH_UNIX credential: stamp, machine name, uid, gid, gid list. The
    variable-length machine name and gid list are what make call headers
-   variable-length (the paper's decode-cost culprit). *)
+   variable-length (the paper's decode-cost culprit). The body is the
+   same on every call, so it is encoded once. *)
 let machine_name = "slice-client"
 let aux_gids = [ 0; 10; 100 ]
+
+let cred_body =
+  let e = Enc.create ~size:64 () in
+  Enc.u32 e 0 (* stamp *);
+  Enc.str e machine_name;
+  Enc.u32 e 0 (* uid *);
+  Enc.u32 e 0 (* gid *);
+  Enc.u32 e (List.length aux_gids);
+  List.iter (Enc.u32 e) aux_gids;
+  Bytes.unsafe_to_string (Enc.to_bytes e)
 
 let enc_call_header e ~xid ~proc =
   Enc.u32 e xid;
@@ -133,19 +147,13 @@ let enc_call_header e ~xid ~proc =
   Enc.u32 e proc;
   (* cred *)
   Enc.u32 e 1 (* AUTH_UNIX *);
-  let body = Enc.create ~size:64 () in
-  Enc.u32 body 0 (* stamp *);
-  Enc.str body machine_name;
-  Enc.u32 body 0 (* uid *);
-  Enc.u32 body 0 (* gid *);
-  Enc.u32 body (List.length aux_gids);
-  List.iter (Enc.u32 body) aux_gids;
-  Enc.opaque e (Bytes.to_string (Enc.to_bytes body));
+  Enc.opaque e cred_body;
   (* verf *)
   Enc.u32 e 0;
   Enc.u32 e 0
 
-(* Returns (xid, proc) with the decoder positioned at the args. *)
+(* Returns (xid, proc) with the decoder positioned at the args. The
+   credential and verifier bodies are skipped as spans. *)
 let dec_call_header d =
   let xid = Dec.u32 d in
   let mtype = Dec.u32 d in
@@ -157,9 +165,9 @@ let dec_call_header d =
   if prog <> nfs_program || vers <> nfs_version then raise (Malformed "not NFSv3");
   let proc = Dec.u32 d in
   let _cred_flavor = Dec.u32 d in
-  let _cred_body = Dec.opaque d in
+  Dec.opaque_span d;
   let _verf_flavor = Dec.u32 d in
-  let _verf_body = Dec.opaque d in
+  Dec.opaque_span d;
   (xid, proc)
 
 (* ---- calls ---- *)
@@ -219,59 +227,59 @@ let decode_call buf =
     let call : Nfs.call =
       match proc with
       | 0 -> Null
-      | 1 -> Getattr (dec_fh d)
+      | 1 -> Getattr (dec_fh d buf)
       | 2 ->
-          let fh = dec_fh d in
+          let fh = dec_fh d buf in
           Setattr (fh, dec_sattr d)
       | 3 ->
-          let fh = dec_fh d in
+          let fh = dec_fh d buf in
           Lookup (fh, Dec.str d)
       | 4 ->
-          let fh = dec_fh d in
+          let fh = dec_fh d buf in
           Access (fh, Dec.u32 d)
-      | 5 -> Readlink (dec_fh d)
+      | 5 -> Readlink (dec_fh d buf)
       | 6 ->
-          let fh = dec_fh d in
+          let fh = dec_fh d buf in
           let off = Dec.u64 d in
           Read (fh, off, Dec.u32 d)
       | 7 ->
-          let fh = dec_fh d in
+          let fh = dec_fh d buf in
           let off = Dec.u64 d in
           let _count = Dec.u32 d in
           let stable = stable_of_int (Dec.u32 d) in
           Write (fh, off, stable, dec_wdata d)
       | 8 ->
-          let fh = dec_fh d in
+          let fh = dec_fh d buf in
           Create (fh, Dec.str d)
       | 9 ->
-          let fh = dec_fh d in
+          let fh = dec_fh d buf in
           Mkdir (fh, Dec.str d)
       | 10 ->
-          let fh = dec_fh d in
+          let fh = dec_fh d buf in
           let n = Dec.str d in
           Symlink (fh, n, Dec.str d)
       | 12 ->
-          let fh = dec_fh d in
+          let fh = dec_fh d buf in
           Remove (fh, Dec.str d)
       | 13 ->
-          let fh = dec_fh d in
+          let fh = dec_fh d buf in
           Rmdir (fh, Dec.str d)
       | 14 ->
-          let fh1 = dec_fh d in
+          let fh1 = dec_fh d buf in
           let n1 = Dec.str d in
-          let fh2 = dec_fh d in
+          let fh2 = dec_fh d buf in
           Rename (fh1, n1, fh2, Dec.str d)
       | 15 ->
-          let file = dec_fh d in
-          let dir = dec_fh d in
+          let file = dec_fh d buf in
+          let dir = dec_fh d buf in
           Link (file, dir, Dec.str d)
       | 16 ->
-          let fh = dec_fh d in
+          let fh = dec_fh d buf in
           let cookie = Dec.u64 d in
           Readdir (fh, cookie, Dec.u32 d)
-      | 18 -> Fsstat (dec_fh d)
+      | 18 -> Fsstat (dec_fh d buf)
       | 21 ->
-          let fh = dec_fh d in
+          let fh = dec_fh d buf in
           let off = Dec.u64 d in
           Commit (fh, off, Dec.u32 d)
       | n -> raise (Malformed (Printf.sprintf "unsupported proc %d" n))
@@ -420,7 +428,7 @@ let decode_reply buf =
           | 0 -> RNull
           | 1 -> RGetattr (need_attr "getattr")
           | 2 -> RSetattr (need_attr "setattr")
-          | 3 -> RLookup (dec_fh d, need_attr "lookup")
+          | 3 -> RLookup (dec_fh d buf, need_attr "lookup")
           | 4 -> RAccess (Dec.u32 d, need_attr "access")
           | 5 -> RReadlink (Dec.str d, need_attr "readlink")
           | 6 ->
@@ -430,9 +438,9 @@ let decode_reply buf =
           | 7 ->
               let count = Dec.u32 d in
               RWrite (count, stable_of_int (Dec.u32 d), need_attr "write")
-          | 8 -> RCreate (dec_fh d, need_attr "create")
-          | 9 -> RMkdir (dec_fh d, need_attr "mkdir")
-          | 10 -> RSymlink (dec_fh d, need_attr "symlink")
+          | 8 -> RCreate (dec_fh d buf, need_attr "create")
+          | 9 -> RMkdir (dec_fh d buf, need_attr "mkdir")
+          | 10 -> RSymlink (dec_fh d buf, need_attr "symlink")
           | 12 -> RRemove
           | 13 -> RRmdir
           | 14 -> RRename
@@ -494,25 +502,25 @@ let peek_call buf =
     let p =
       match proc with
       | 0 -> base
-      | 1 | 5 | 18 -> { base with fh = Some (dec_fh d) }
+      | 1 | 5 | 18 -> { base with fh = Some (dec_fh d buf) }
       | 2 ->
-          let fh = dec_fh d in
+          let fh = dec_fh d buf in
           let s = dec_sattr d in
           { base with fh = Some fh; set_size = s.Nfs.set_size }
       | 3 | 8 | 9 | 12 | 13 ->
-          let fh = dec_fh d in
+          let fh = dec_fh d buf in
           { base with fh = Some fh; name = Some (Dec.str d) }
       | 4 ->
-          let fh = dec_fh d in
+          let fh = dec_fh d buf in
           { base with fh = Some fh; access_mask = Some (Dec.u32 d) }
       | 6 ->
-          let fh = dec_fh d in
+          let fh = dec_fh d buf in
           let fpos = Dec.pos d in
           let off = Dec.u64 d in
           { base with fh = Some fh; offset = Some off; offset_field_off = Some fpos;
             count = Some (Dec.u32 d) }
       | 7 ->
-          let fh = dec_fh d in
+          let fh = dec_fh d buf in
           let fpos = Dec.pos d in
           let off = Dec.u64 d in
           let count = Dec.u32 d in
@@ -520,26 +528,26 @@ let peek_call buf =
           { base with fh = Some fh; offset = Some off; offset_field_off = Some fpos;
             count = Some count; write_stable = Some stable }
       | 10 ->
-          let fh = dec_fh d in
+          let fh = dec_fh d buf in
           { base with fh = Some fh; name = Some (Dec.str d) }
       | 14 ->
-          let fh1 = dec_fh d in
+          let fh1 = dec_fh d buf in
           let n1 = Dec.str d in
-          let fh2 = dec_fh d in
+          let fh2 = dec_fh d buf in
           { base with fh = Some fh1; name = Some n1; fh2 = Some fh2;
             name2 = Some (Dec.str d) }
       | 15 ->
-          let file = dec_fh d in
-          let dir = dec_fh d in
+          let file = dec_fh d buf in
+          let dir = dec_fh d buf in
           { base with fh = Some file; fh2 = Some dir; name = Some (Dec.str d) }
       | 16 ->
-          let fh = dec_fh d in
+          let fh = dec_fh d buf in
           let fpos = Dec.pos d in
           let cookie = Dec.u64 d in
           { base with fh = Some fh; offset = Some cookie; offset_field_off = Some fpos;
             count = Some (Dec.u32 d) }
       | 21 ->
-          let fh = dec_fh d in
+          let fh = dec_fh d buf in
           let fpos = Dec.pos d in
           let off = Dec.u64 d in
           { base with fh = Some fh; offset = Some off; offset_field_off = Some fpos;

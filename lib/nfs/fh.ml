@@ -14,37 +14,26 @@ let wire_length = 32
 let magic = 0x534C4943 (* "SLIC" *)
 
 let int_of_ftype = function Reg -> 1 | Dir -> 2 | Lnk -> 5
-let ftype_of_int = function 1 -> Some Reg | 2 -> Some Dir | 5 -> Some Lnk | _ -> None
+
+(* Total over the codes [peek_valid] admits (1, 2, 5). *)
+let ftype_of_code = function 1 -> Reg | 2 -> Dir | _ -> Lnk
+
+(* Wire layout: magic(4) file_id(8) gen(4) ftype(1) mirrored(1)
+   attr_site(4) cap(8), zero-padded to 32 bytes. *)
+let write_into b off t =
+  Bytes.set_int32_be b off (Int32.of_int magic);
+  Bytes.set_int64_be b (off + 4) t.file_id;
+  Bytes.set_int32_be b (off + 12) (Int32.of_int t.gen);
+  Bytes.set b (off + 16) (Char.chr (int_of_ftype t.ftype));
+  Bytes.set b (off + 17) (if t.mirrored then '\001' else '\000');
+  Bytes.set_int32_be b (off + 18) (Int32.of_int t.attr_site);
+  Bytes.set_int64_be b (off + 22) t.cap;
+  Bytes.set_uint16_be b (off + 30) 0
 
 let encode t =
-  let b = Bytes.make wire_length '\000' in
-  Bytes.set_int32_be b 0 (Int32.of_int magic);
-  Bytes.set_int64_be b 4 t.file_id;
-  Bytes.set_int32_be b 12 (Int32.of_int t.gen);
-  Bytes.set b 16 (Char.chr (int_of_ftype t.ftype));
-  Bytes.set b 17 (if t.mirrored then '\001' else '\000');
-  Bytes.set_int32_be b 18 (Int32.of_int t.attr_site);
-  Bytes.set_int64_be b 22 t.cap;
+  let b = Bytes.create wire_length in
+  write_into b 0 t;
   Bytes.unsafe_to_string b
-
-let decode s =
-  if String.length s <> wire_length then None
-  else
-    let b = Bytes.unsafe_of_string s in
-    if Int32.to_int (Bytes.get_int32_be b 0) <> magic then None
-    else
-      match ftype_of_int (Char.code (Bytes.get b 16)) with
-      | None -> None
-      | Some ftype ->
-          Some
-            {
-              file_id = Bytes.get_int64_be b 4;
-              gen = Int32.to_int (Bytes.get_int32_be b 12);
-              ftype;
-              mirrored = Bytes.get b 17 = '\001';
-              attr_site = Int32.to_int (Bytes.get_int32_be b 18);
-              cap = Bytes.get_int64_be b 22;
-            }
 
 let key t = encode t
 
@@ -69,9 +58,22 @@ let[@hot] peek_ftype_code buf off = Char.code (Bytes.get buf (off + 16))
 let[@hot] peek_mirrored buf off = Char.code (Bytes.get buf (off + 17)) = 1
 let[@hot] peek_attr_site buf off = Int32.to_int (Bytes.get_int32_be buf (off + 18))
 
+let read_at b off =
+  {
+    file_id = Bytes.get_int64_be b (off + 4);
+    gen = Int32.to_int (Bytes.get_int32_be b (off + 12));
+    ftype = ftype_of_code (Char.code (Bytes.get b (off + 16)));
+    mirrored = Bytes.get b (off + 17) = '\001';
+    attr_site = Int32.to_int (Bytes.get_int32_be b (off + 18));
+    cap = Bytes.get_int64_be b (off + 22);
+  }
+
 (* Cold-path materialization of a peeked span (intent logs, writeback,
    commit orchestration — places that outlive the packet buffer). *)
-let decode_at buf off = decode (Bytes.sub_string buf off wire_length)
+let decode_at buf off = if peek_valid buf off wire_length then Some (read_at buf off) else None
+
+let decode s =
+  if String.length s <> wire_length then None else decode_at (Bytes.unsafe_of_string s) 0
 
 (* Keyed equality: exactly the (file_id, gen) identity, via the scalar
    equalities — never polymorphic compare over the whole record (policy

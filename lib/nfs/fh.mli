@@ -31,6 +31,10 @@ val encode : t -> string
 val decode : string -> t option
 (** [None] when the magic or length is wrong (a stale/garbage handle). *)
 
+val write_into : bytes -> int -> t -> unit
+(** [write_into buf off t] renders the 32 wire bytes of [t] at
+    [buf.[off, off+32)]: {!encode} without the intermediate string. *)
+
 val key : t -> string
 (** Canonical byte string for hashing a handle (routing fingerprints).
     Equal to {!encode} — exactly the 32 wire bytes — so routing hashes
@@ -56,6 +60,10 @@ val peek_ftype_code : bytes -> int -> int
 
 val peek_mirrored : bytes -> int -> bool
 val peek_attr_site : bytes -> int -> int
+
+val read_at : bytes -> int -> t
+(** The handle whose wire bytes sit at [buf.[off, off+32)]; requires
+    [peek_valid buf off wire_length]. *)
 
 val decode_at : bytes -> int -> t option
 (** Materialize a peeked span as a record (cold paths that outlive the

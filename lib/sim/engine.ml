@@ -8,19 +8,45 @@
    timestamp: the clock is written once per distinct instant and every
    event carrying it drains in one inner loop, preserving exact
    (time, seq) order (same-instant events scheduled during the batch get
-   larger seqs and are picked up by the same inner loop). *)
+   larger seqs and are picked up by the same inner loop).
+
+   Sleeping is the commonest way a fiber parks (every CPU and resource
+   booking), so it bypasses the generic [suspend]: a dedicated effect,
+   whose handler answer is built once per engine, puts the fiber's
+   continuation straight into an event cell — no register closure, no
+   waker, no thunk. *)
 
 let nop () = ()
+
+type _ Effect.t += Placeholder : unit Effect.t
+
+(* A real continuation that is never resumed, captured once at start-up:
+   the [k] of every event cell that carries a thunk rather than a fiber. *)
+let no_k : (unit, unit) Effect.Deep.continuation =
+  let captured : (unit, unit) Effect.Deep.continuation option ref = ref None in
+  Effect.Deep.match_with Effect.perform Placeholder
+    {
+      retc = (fun () -> ());
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Placeholder ->
+              Some (fun (k : (a, unit) Effect.Deep.continuation) -> captured := Some k)
+          | _ -> None);
+    };
+  match !captured with Some k -> k | None -> assert false
 
 type event = {
   mutable time : float;
   mutable seq : int;
   mutable fn : unit -> unit;
+  mutable k : (unit, unit) Effect.Deep.continuation; (* a sleeping fiber, or [no_k] *)
   mutable next_free : event;
 }
 
 (* Cyclic sentinel: terminates the freelist without an option. *)
-let rec nil = { time = 0.0; seq = 0; fn = nop; next_free = nil }
+let rec nil = { time = 0.0; seq = 0; fn = nop; k = no_k; next_free = nil }
 
 type t = {
   mutable clock : float;
@@ -28,9 +54,14 @@ type t = {
   mutable data : event array;
   mutable size : int;
   mutable free : event;
+  wake_at : float array; (* one cell: a sleeper's wake time, stored unboxed *)
+  sleep : unit Effect.t; (* [Sleep t], built once *)
+  on_sleep : ((unit, unit) Effect.Deep.continuation -> unit) option;
+      (* the handler's answer to [sleep], built once *)
 }
 
-let create () = { clock = 0.0; seq = 0; data = [||]; size = 0; free = nil }
+type _ Effect.t += Sleep : t -> unit Effect.t
+
 let now t = t.clock
 
 (* Earlier event first: primary key time, tie-break by scheduling order. *)
@@ -69,16 +100,17 @@ let[@hot] pop_min t =
   end;
   top
 
-(* Return a cell to the pool; clearing the thunk drops the only reference
-   the engine holds to the caller's closure. *)
+(* Return a cell to the pool; clearing the thunk and the continuation
+   drops the only references the engine holds to the caller's state. *)
 let[@hot] release t ev =
   ev.fn <- nop;
+  ev.k <- no_k;
   ev.next_free <- t.free;
   t.free <- ev
 
 (* Allocates only on pool miss — steady state recycles. *)
 let acquire t =
-  if t.free == nil then { time = 0.0; seq = 0; fn = nop; next_free = nil }
+  if t.free == nil then { time = 0.0; seq = 0; fn = nop; k = no_k; next_free = nil }
   else begin
     let ev = t.free in
     t.free <- ev.next_free;
@@ -98,16 +130,33 @@ let push t ev =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let schedule_at t time fn =
+let enqueue t time fn k =
   let time = if time < t.clock then t.clock else time in
   t.seq <- t.seq + 1;
   let ev = acquire t in
   ev.time <- time;
   ev.seq <- t.seq;
   ev.fn <- fn;
+  ev.k <- k;
   push t ev
 
+let schedule_at t time fn = enqueue t time fn no_k
 let schedule t delay fn = schedule_at t (t.clock +. if delay < 0.0 then 0.0 else delay) fn
+
+let create () =
+  let rec t =
+    {
+      clock = 0.0;
+      seq = 0;
+      data = [||];
+      size = 0;
+      free = nil;
+      wake_at = [| 0.0 |];
+      sleep = Sleep t;
+      on_sleep = Some (fun k -> enqueue t t.wake_at.(0) nop k);
+    }
+  in
+  t
 
 type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
 
@@ -119,8 +168,9 @@ let handler =
     retc = (fun () -> ());
     exnc = (fun e -> raise e);
     effc =
-      (fun (type a) (eff : a Effect.t) ->
+      (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
         match eff with
+        | Sleep e -> e.on_sleep
         | Suspend register ->
             Some
               (fun (k : (a, unit) continuation) ->
@@ -137,11 +187,22 @@ let handler =
 
 let spawn t fn = schedule t 0.0 (fun () -> Effect.Deep.match_with fn () handler)
 
-let sleep t d =
-  if d > 0.0 then suspend (fun waker -> schedule t d (fun () -> waker ()))
+(* Inlined so the wake time reaches its cell unboxed. *)
+let[@inline] park t time =
+  t.wake_at.(0) <- time;
+  Effect.perform t.sleep
 
-let sleep_until t time =
-  if time > t.clock then suspend (fun waker -> schedule_at t time (fun () -> waker ()))
+(* A positive duration always yields, even when [now + d] rounds to
+   [now]: the sleeper then resumes after the events already queued for
+   this instant. *)
+let sleep t d = if d > 0.0 then park t (t.clock +. d)
+let sleep_until t time = if time > t.clock then park t time
+
+(* Run a popped cell: resume its fiber, or call its thunk. *)
+let[@inline] fire t ev =
+  let f = ev.fn and k = ev.k in
+  release t ev;
+  if k == no_k then f () else Effect.Deep.continue k ()
 
 (* Not a lint root: the indirect dispatch of the event thunk cannot be
    typed allocation-free statically (the closure was charged where it was
@@ -153,9 +214,7 @@ let step t =
   else begin
     let ev = pop_min t in
     t.clock <- ev.time;
-    let f = ev.fn in
-    release t ev;
-    f ();
+    fire t ev;
     true
   end
 
@@ -166,10 +225,7 @@ let run ?until t =
     let bt = t.data.(0).time in
     t.clock <- bt;
     while t.size > 0 && t.data.(0).time = bt do
-      let ev = pop_min t in
-      let f = ev.fn in
-      release t ev;
-      f ()
+      fire t (pop_min t)
     done
   done;
   match until with

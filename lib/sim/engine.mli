@@ -30,7 +30,10 @@ val spawn : t -> (unit -> unit) -> unit
 (** {2 Fiber operations (only valid inside a spawned fiber)} *)
 
 val sleep : t -> float -> unit
-(** Park the calling fiber for a simulated duration. *)
+(** Park the calling fiber for a simulated duration. A positive duration
+    always yields, even one too small to move the clock. Sleeping is the
+    cheapest way to park: the fiber's continuation goes straight into the
+    event queue, with no closure allocated. *)
 
 val sleep_until : t -> float -> unit
 (** Park the calling fiber until an absolute simulated time. *)

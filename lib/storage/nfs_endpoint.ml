@@ -4,6 +4,8 @@ module Net = Slice_net.Net
 module Nfs = Slice_nfs.Nfs
 module Codec = Slice_nfs.Codec
 module Trace = Slice_trace.Trace
+module Lru = Slice_util.Lru
+module Wfq = Slice_qos.Wfq
 
 type cost = { per_op : float; per_byte : float }
 
@@ -33,66 +35,87 @@ let estimate_cost cost (call : Nfs.call) =
   in
   cost.per_op +. (cost.per_byte *. float_of_int data)
 
+type server = {
+  host : Host.t;
+  cost : cost;
+  alive : unit -> bool;
+  trace : Trace.t option;
+  qos : Wfq.t option;
+  handler : Trace.span -> Nfs.call -> Nfs.response;
+  drc : (int, Nfs.response) Lru.t;
+  in_flight : (int, unit) Hashtbl.t;
+}
+
+(* Run the handler, then encode its reply once and send it. *)
+let execute s (pkt : Packet.t) xid call =
+  let span =
+    Trace.child (Trace.span_of_xid s.trace xid) ~op:(Nfs.call_name call) ~hop:"server"
+      ~site:(Host.name s.host) ()
+  in
+  let in_bytes = request_data_bytes call in
+  Host.cpu s.host (s.cost.per_op +. (s.cost.per_byte *. float_of_int in_bytes));
+  let resp = s.handler span call in
+  let out_bytes = response_data_bytes resp in
+  if out_bytes > 0 then Host.cpu s.host (s.cost.per_byte *. float_of_int out_bytes);
+  let outcome = match resp with Ok _ -> "ok" | Error e -> Nfs.status_name e in
+  Trace.finish ~outcome span;
+  let payload = Codec.encode_reply ~xid resp in
+  Hashtbl.remove s.in_flight xid;
+  Lru.add s.drc xid resp;
+  reply_to s.host pkt ~extra_size:(Codec.extra_size_of_response resp) payload
+
+let receive s (pkt : Packet.t) =
+  (* A crashed service is silent: no decode, no error reply — the client's
+     end-to-end retransmission is the recovery. *)
+  if s.alive () && Slice_net.Cksum.verify pkt then
+    match Codec.decode_call pkt.payload with
+    | exception Codec.Malformed _ -> () (* garbage: drop; client retransmits *)
+    | xid, call -> (
+        match Lru.find s.drc xid with
+        | Some resp ->
+            (* retransmission of a completed request: the encoder is
+               deterministic, so re-encoding resends the original bytes *)
+            Host.cpu s.host s.cost.per_op;
+            reply_to s.host pkt ~extra_size:(Codec.extra_size_of_response resp)
+              (Codec.encode_reply ~xid resp)
+        | None ->
+            if not (Hashtbl.mem s.in_flight xid) then begin
+              (* a retransmission racing the original execution is dropped;
+                 the eventual reply satisfies both — and the mark goes in
+                 before any WFQ wait, so a request parked in a tenant queue
+                 is already deduplicated *)
+              Hashtbl.replace s.in_flight xid ();
+              match s.qos with
+              | None -> execute s pkt xid call
+              | Some q ->
+                  (* Fair queueing replaces FIFO dispatch: the request waits
+                     its turn in its tenant's queue; the done_ continuation
+                     fires after the reply is sent, so [depth] bounds true
+                     concurrent service. *)
+                  let tenant = Wfq.tenant_of q pkt.src in
+                  Wfq.submit q ~tenant ~cost:(estimate_cost s.cost call) (fun done_ ->
+                      execute s pkt xid call;
+                      done_ ())
+            end)
+
 let serve (host : Host.t) ~port ~cost ?(alive = fun () -> true) ?trace ?qos ~handler () =
-  (* Duplicate request cache: a retransmitted non-idempotent call (create,
-     remove, rename, ...) whose reply was lost must get the cached reply,
-     not a re-execution. Keyed by XID (globally unique here). *)
-  let drc : (int, bytes * int) Slice_util.Lru.t = Slice_util.Lru.create ~capacity:512 () in
-  (* lint: bounded — one row per request being executed; removed with the reply *)
-  let in_flight : (int, unit) Hashtbl.t = Hashtbl.create 32 in
-  Net.listen host.net host.addr ~port (fun pkt ->
-      Engine.spawn host.eng (fun () ->
-          (* A crashed service is silent: no decode, no error reply —
-             the client's end-to-end retransmission is the recovery. *)
-          if alive () && Slice_net.Cksum.verify pkt then
-            match (try Some (Codec.decode_call pkt.payload) with Codec.Malformed _ -> None) with
-            | None -> () (* garbage: drop; client retransmits *)
-            | Some (xid, call) -> (
-                match Slice_util.Lru.find drc xid with
-                | Some (payload, extra_size) ->
-                    (* retransmission of a completed request *)
-                    Host.cpu host cost.per_op;
-                    reply_to host pkt ~extra_size (Bytes.copy payload)
-                | None ->
-                    if not (Hashtbl.mem in_flight xid) then begin
-                      (* a retransmission racing the original execution is
-                         dropped; the eventual reply satisfies both — and the
-                         mark goes in before any WFQ wait, so a request parked
-                         in a tenant queue is already deduplicated *)
-                      Hashtbl.replace in_flight xid ();
-                      let execute () =
-                        let span =
-                          Trace.child (Trace.span_of_xid trace xid)
-                            ~op:(Nfs.call_name call) ~hop:"server" ~site:(Host.name host) ()
-                        in
-                        let in_bytes = request_data_bytes call in
-                        Host.cpu host (cost.per_op +. (cost.per_byte *. float_of_int in_bytes));
-                        let resp = handler span call in
-                        let out_bytes = response_data_bytes resp in
-                        if out_bytes > 0 then
-                          Host.cpu host (cost.per_byte *. float_of_int out_bytes);
-                        let outcome =
-                          match resp with Ok _ -> "ok" | Error e -> Nfs.status_name e
-                        in
-                        Trace.finish ~outcome span;
-                        let payload = Codec.encode_reply ~xid resp in
-                        let extra_size = Codec.extra_size_of_response resp in
-                        Hashtbl.remove in_flight xid;
-                        Slice_util.Lru.add drc xid (payload, extra_size);
-                        reply_to host pkt ~extra_size (Bytes.copy payload)
-                      in
-                      match qos with
-                      | None -> execute ()
-                      | Some q ->
-                          (* Fair queueing replaces FIFO dispatch: the request
-                             waits its turn in its tenant's queue; the done_
-                             continuation fires after the reply is sent, so
-                             [depth] bounds true concurrent service. *)
-                          let tenant = Slice_qos.Wfq.tenant_of q pkt.src in
-                          Slice_qos.Wfq.submit q ~tenant
-                            ~cost:(estimate_cost cost call) (fun done_ ->
-                              execute ();
-                              done_ ())
-                    end)))
+  let s =
+    {
+      host;
+      cost;
+      alive;
+      trace;
+      qos;
+      handler;
+      (* Duplicate request cache: a retransmitted non-idempotent call
+         (create, remove, rename, ...) whose reply was lost must get the
+         cached reply, not a re-execution. Keyed by XID (globally unique
+         here). It holds the response, not its bytes: a hit re-encodes. *)
+      drc = Lru.create ~capacity:512 ();
+      (* lint: bounded — one row per request being executed; removed with the reply *)
+      in_flight = Hashtbl.create 32;
+    }
+  in
+  Net.listen host.net host.addr ~port (fun pkt -> Engine.spawn host.eng (fun () -> receive s pkt))
 
 let serve_raw (host : Host.t) ~port ~handler = Net.listen host.net host.addr ~port handler

@@ -1,18 +1,23 @@
-(* Doubly-linked list threaded through a hashtable: O(1) find/add/evict. *)
+(* Doubly-linked list threaded through a hashtable: O(1) find/add/evict.
+   Nodes link through an inline-record variant with a [Nil] end marker
+   rather than [node option], so relinking an entry on a hit allocates
+   nothing. *)
 
-type ('k, 'v) node = {
-  key : 'k;
-  mutable value : 'v;
-  mutable weight : int;
-  mutable expires_at : float;
-  mutable prev : ('k, 'v) node option;
-  mutable next : ('k, 'v) node option;
-}
+type ('k, 'v) node =
+  | Nil
+  | Node of {
+      key : 'k;
+      value : 'v;
+      weight : int;
+      expires_at : float;
+      mutable prev : ('k, 'v) node;
+      mutable next : ('k, 'v) node;
+    }
 
 type ('k, 'v) t = {
   tbl : ('k, ('k, 'v) node) Hashtbl.t;
-  mutable head : ('k, 'v) node option; (* most recently used *)
-  mutable tail : ('k, 'v) node option; (* least recently used *)
+  mutable head : ('k, 'v) node; (* most recently used *)
+  mutable tail : ('k, 'v) node; (* least recently used *)
   mutable total : int;
   capacity : int;
   on_evict : 'k -> 'v -> unit;
@@ -23,76 +28,92 @@ type 'v ttl_lookup = Fresh of 'v | Stale | Miss
 let create ?(on_evict = fun _ _ -> ()) ~capacity () =
   if capacity <= 0 then invalid_arg "Lru.create: capacity must be positive";
   (* lint: bounded — mirrors the intrusive list; add evicts down to capacity *)
-  { tbl = Hashtbl.create 64; head = None; tail = None; total = 0; capacity; on_evict }
+  { tbl = Hashtbl.create 64; head = Nil; tail = Nil; total = 0; capacity; on_evict }
 
-let unlink t node =
-  (match node.prev with Some p -> p.next <- node.next | None -> t.head <- node.next);
-  (match node.next with Some n -> n.prev <- node.prev | None -> t.tail <- node.prev);
-  node.prev <- None;
-  node.next <- None
+let unlink t = function
+  | Nil -> ()
+  | Node r ->
+      (match r.prev with Node p -> p.next <- r.next | Nil -> t.head <- r.next);
+      (match r.next with Node n -> n.prev <- r.prev | Nil -> t.tail <- r.prev);
+      r.prev <- Nil;
+      r.next <- Nil
 
 let push_front t node =
-  node.next <- t.head;
-  node.prev <- None;
-  (match t.head with Some h -> h.prev <- Some node | None -> t.tail <- Some node);
-  t.head <- Some node
+  match node with
+  | Nil -> ()
+  | Node r ->
+      r.next <- t.head;
+      r.prev <- Nil;
+      (match t.head with Node h -> h.prev <- node | Nil -> t.tail <- node);
+      t.head <- node
+
+let promote t node =
+  unlink t node;
+  push_front t node
 
 let find t k =
-  match Hashtbl.find_opt t.tbl k with
-  | None -> None
-  | Some node ->
-      unlink t node;
-      push_front t node;
-      Some node.value
+  match Hashtbl.find t.tbl k with
+  | Node r as node ->
+      promote t node;
+      Some r.value
+  | Nil -> None
+  | exception Not_found -> None
 
 let mem t k = Hashtbl.mem t.tbl k
 
-let remove_node t node =
-  unlink t node;
-  Hashtbl.remove t.tbl node.key;
-  t.total <- t.total - node.weight
+let remove_node t = function
+  | Nil -> ()
+  | Node r as node ->
+      unlink t node;
+      Hashtbl.remove t.tbl r.key;
+      t.total <- t.total - r.weight
 
 let find_ttl t k ~now =
-  match Hashtbl.find_opt t.tbl k with
-  | None -> Miss
-  | Some node when node.expires_at <= now ->
+  match Hashtbl.find t.tbl k with
+  | Node r as node when r.expires_at <= now ->
       (* A lapsed lease is dead data, not displaced data: drop it without
          the eviction hook (which models write-back of live state). *)
       remove_node t node;
       Stale
-  | Some node ->
-      unlink t node;
-      push_front t node;
-      Fresh node.value
+  | Node r as node ->
+      promote t node;
+      Fresh r.value
+  | Nil -> Miss
+  | exception Not_found -> Miss
 
-let evict_until_fits t =
-  while t.total > t.capacity && t.tail <> None do
+(* Evict from the LRU end until the weights fit. The entry just added
+   goes last; reaching it means it alone outweighs the whole cache, and
+   it leaves without the hook: it was never cached, so nothing was
+   displaced. *)
+let rec evict_until_fits t added =
+  if t.total > t.capacity then
     match t.tail with
-    | None -> ()
-    | Some victim ->
+    | Nil -> ()
+    | Node r as victim ->
         remove_node t victim;
-        t.on_evict victim.key victim.value
-  done
+        if victim != added then t.on_evict r.key r.value;
+        evict_until_fits t added
 
 let add t ?(weight = 1) ?(expires_at = infinity) k v =
   (* Replacing a live entry displaces its value just like pressure does:
      the eviction hook must see it (a dirty cached attribute silently
      replaced would otherwise lose its write-back). *)
-  (match Hashtbl.find_opt t.tbl k with
-  | Some old ->
-      remove_node t old;
+  (match Hashtbl.find t.tbl k with
+  | Node old as node ->
+      remove_node t node;
       t.on_evict old.key old.value
-  | None -> ());
-  let node = { key = k; value = v; weight; expires_at; prev = None; next = None } in
+  | Nil -> ()
+  | exception Not_found -> ());
+  let node = Node { key = k; value = v; weight; expires_at; prev = Nil; next = Nil } in
   Hashtbl.replace t.tbl k node;
   t.total <- t.total + weight;
   push_front t node;
-  evict_until_fits t
+  evict_until_fits t node
 
 let remove t k =
-  match Hashtbl.find_opt t.tbl k with
-  | None -> ()
-  | Some node -> remove_node t node
+  match Hashtbl.find t.tbl k with
+  | node -> remove_node t node
+  | exception Not_found -> ()
 
 let size t = t.total
 let entry_count t = Hashtbl.length t.tbl
@@ -100,17 +121,17 @@ let capacity t = t.capacity
 
 let iter t f =
   let rec loop = function
-    | None -> ()
-    | Some node ->
-        f node.key node.value;
-        loop node.next
+    | Nil -> ()
+    | Node r ->
+        f r.key r.value;
+        loop r.next
   in
   loop t.head
 
 let clear t =
   Hashtbl.reset t.tbl;
-  t.head <- None;
-  t.tail <- None;
+  t.head <- Nil;
+  t.tail <- Nil;
   t.total <- 0
 
 let flush t =

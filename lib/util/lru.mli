@@ -34,7 +34,8 @@ val mem : ('k, 'v) t -> 'k -> bool
 val add : ('k, 'v) t -> ?weight:int -> ?expires_at:float -> 'k -> 'v -> unit
 (** [add t k v] inserts or replaces, then evicts LRU items until within
     capacity. Default [weight] is 1. An item heavier than the total
-    capacity is rejected silently after evicting everything else.
+    capacity is rejected silently after evicting everything else: the
+    displaced items fire [on_evict], the rejected one does not.
     [expires_at] (absolute time, default [infinity]) is the entry's lease
     deadline, consulted only by {!find_ttl}. *)
 

@@ -2,32 +2,104 @@ exception Truncated
 
 let[@hot] pad_len n = (4 - (n land 3)) land 3
 
-module Enc = struct
-  type t = { buf : Buffer.t }
+(* Unchecked big-endian stores: callers reserve the room first, and the
+   int32/int64 argument goes straight into the primitive, so it is never
+   boxed. *)
+external set32u : bytes -> int -> int32 -> unit = "%caml_bytes_set32u"
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external bswap64 : int64 -> int64 = "%bswap_int64"
 
-  let create ?(size = 256) () = { buf = Buffer.create size }
-  let length t = Buffer.length t.buf
+module Enc = struct
+  (* Messages are encoded one at a time and copied out by [to_bytes], so
+     one process-wide scratch buffer serves every encoder: [create] claims
+     it and [to_bytes] releases it. An encoder created while the scratch
+     is claimed (one message built inside another) gets a private buffer
+     instead. The scratch grows by doubling and is never shrunk, so a
+     warmed-up encode allocates only the result of [to_bytes]. *)
+  type t = { mutable buf : bytes; mutable len : int; mutable shared : bool }
+
+  let scratch = ref (Bytes.create 1024)
+  let claimed = ref false
+
+  let create ?(size = 256) () =
+    if !claimed then { buf = Bytes.create (max size 16); len = 0; shared = false }
+    else begin
+      claimed := true;
+      { buf = !scratch; len = 0; shared = true }
+    end
+
+  let length t = t.len
+
+  (* A finished encoder holds an empty buffer with a positive length, so a
+     write after [to_bytes] lands here and is refused. *)
+  let grow t n =
+    if Bytes.length t.buf = 0 && t.len > 0 then invalid_arg "Xdr.Enc: write after to_bytes";
+    let cap = ref (max 16 (2 * Bytes.length t.buf)) in
+    while !cap < t.len + n do
+      cap := 2 * !cap
+    done;
+    let nb = Bytes.create !cap in
+    Bytes.blit t.buf 0 nb 0 t.len;
+    t.buf <- nb;
+    if t.shared then scratch := nb
+
+  let[@inline] reserve t n = if t.len + n > Bytes.length t.buf then grow t n
 
   let u32 t v =
-    Buffer.add_int32_be t.buf (Int32.of_int (v land 0xFFFFFFFF))
+    reserve t 4;
+    if Sys.big_endian then set32u t.buf t.len (Int32.of_int v)
+    else set32u t.buf t.len (bswap32 (Int32.of_int v));
+    t.len <- t.len + 4
 
-  let i32 t v = Buffer.add_int32_be t.buf v
-  let u64 t v = Buffer.add_int64_be t.buf v
+  let i32 t v =
+    reserve t 4;
+    if Sys.big_endian then set32u t.buf t.len v else set32u t.buf t.len (bswap32 v);
+    t.len <- t.len + 4
+
+  let u64 t v =
+    reserve t 8;
+    if Sys.big_endian then set64u t.buf t.len v else set64u t.buf t.len (bswap64 v);
+    t.len <- t.len + 8
+
   let bool t b = u32 t (if b then 1 else 0)
   let enum t v = u32 t v
 
+  (* The scratch holds earlier messages' bytes: padding is written, not
+     assumed. *)
+  let zero_pad t n =
+    let p = pad_len n in
+    Bytes.unsafe_fill t.buf t.len p '\000';
+    t.len <- t.len + p
+
   let opaque_fixed t s =
-    Buffer.add_string t.buf s;
-    for _ = 1 to pad_len (String.length s) do
-      Buffer.add_char t.buf '\000'
-    done
+    let n = String.length s in
+    reserve t (n + 3);
+    Bytes.unsafe_blit_string s 0 t.buf t.len n;
+    t.len <- t.len + n;
+    zero_pad t n
 
   let opaque t s =
     u32 t (String.length s);
     opaque_fixed t s
 
+  let opaque_with t n write v =
+    u32 t n;
+    reserve t (n + 3);
+    write t.buf t.len v;
+    t.len <- t.len + n;
+    zero_pad t n
+
   let str = opaque
-  let to_bytes t = Buffer.to_bytes t.buf
+
+  let to_bytes t =
+    let out = Bytes.sub t.buf 0 t.len in
+    if t.shared then begin
+      claimed := false;
+      t.shared <- false
+    end;
+    t.buf <- Bytes.empty;
+    out
 end
 
 module Dec = struct

@@ -9,6 +9,12 @@ module Enc : sig
   type t
 
   val create : ?size:int -> unit -> t
+  (** Claim the process-wide scratch buffer, reused from message to
+      message so a warmed-up encode allocates only {!to_bytes}'s copy.
+      While another encoder holds it (one message built inside another,
+      or an encoder never finished), the new one gets a private buffer of
+      [size] bytes (default 256). *)
+
   val length : t -> int
 
   val u32 : t -> int -> unit
@@ -26,11 +32,19 @@ module Enc : sig
   val opaque : t -> string -> unit
   (** Length-prefixed variable opaque, padded. *)
 
+  val opaque_with : t -> int -> (bytes -> int -> 'a -> unit) -> 'a -> unit
+  (** [opaque_with t n write v] encodes a length-prefixed opaque of exactly
+      [n] bytes that [write buf off v] renders in place at
+      [buf.[off, off+n)], padded: [opaque]'s wire form without the
+      intermediate string. *)
+
   val str : t -> string -> unit
   (** XDR string (same wire form as variable opaque). *)
 
   val to_bytes : t -> bytes
-  (** A fresh copy of the encoded contents. *)
+  (** A fresh copy of the encoded contents. This finishes the encoder:
+      it releases the shared scratch buffer (see {!create}), and a later
+      write raises [Invalid_argument]. *)
 end
 
 module Dec : sig

@@ -291,8 +291,141 @@ let mirror_sites_distinct =
       let r0, r1 = Routekey.mirror_sites ~nsites:8 fh in
       r0 <> r1 && r0 >= 0 && r0 < 8 && r1 >= 0 && r1 < 8)
 
+(* ---- wire goldens ---- *)
+
+(* MD5 of one call and one reply encoding per NFS procedure, plus two
+   error replies, recorded from the Buffer-based encoder this codec had
+   before it moved onto a reused scratch buffer. Packet sizes drive
+   simulated transfer times, so an encoder change that moves one byte
+   fails here. *)
+let golden_fh =
+  { Fh.file_id = 0x0102030405L; gen = 7; ftype = Fh.Reg; mirrored = true; attr_site = 3;
+    cap = 0x1122334455667788L }
+
+let golden_dir = { Fh.root with Fh.file_id = 99L; attr_site = 1 }
+
+let golden_sattr =
+  { Nfs.set_mode = Some 0o600; set_uid = Some 5; set_gid = Some 6; set_size = Some 4096L;
+    set_atime = Some 12.75; set_mtime = Some 13.5 }
+
+let golden_calls =
+  [
+    ("null", Nfs.Null);
+    ("getattr", Nfs.Getattr golden_fh);
+    ("setattr", Nfs.Setattr (golden_fh, golden_sattr));
+    ("lookup", Nfs.Lookup (golden_dir, "abc"));
+    ("access", Nfs.Access (golden_fh, 0x1F));
+    ("readlink", Nfs.Readlink golden_fh);
+    ("read", Nfs.Read (golden_fh, 65536L, 8192));
+    ("write", Nfs.Write (golden_fh, 3L, Nfs.Data_sync, Nfs.Data "hello"));
+    ("write synthetic", Nfs.Write (golden_fh, 0L, Nfs.Unstable, Nfs.Synthetic 32768));
+    ("create", Nfs.Create (golden_dir, "newfile"));
+    ("mkdir", Nfs.Mkdir (golden_dir, "d"));
+    ("symlink", Nfs.Symlink (golden_dir, "ln", "../target"));
+    ("remove", Nfs.Remove (golden_dir, "gone"));
+    ("rmdir", Nfs.Rmdir (golden_dir, "dd"));
+    ("rename", Nfs.Rename (golden_dir, "a", golden_fh, "bcde"));
+    ("link", Nfs.Link (golden_fh, golden_dir, "hard"));
+    ("readdir", Nfs.Readdir (golden_dir, 5L, 4096));
+    ("fsstat", Nfs.Fsstat golden_dir);
+    ("commit", Nfs.Commit (golden_fh, 0L, 0));
+  ]
+
+let golden_replies : (string * Nfs.response) list =
+  [
+    ("null", Ok Nfs.RNull);
+    ("getattr", Ok (Nfs.RGetattr sample_attr));
+    ("setattr", Ok (Nfs.RSetattr sample_attr));
+    ("lookup", Ok (Nfs.RLookup (golden_fh, sample_attr)));
+    ("access", Ok (Nfs.RAccess (0x3F, sample_attr)));
+    ("readlink", Ok (Nfs.RReadlink ("../t", sample_attr)));
+    ("read", Ok (Nfs.RRead (Nfs.Data "xyz", true, sample_attr)));
+    ("read synthetic", Ok (Nfs.RRead (Nfs.Synthetic 8192, false, sample_attr)));
+    ("write", Ok (Nfs.RWrite (5, Nfs.File_sync, sample_attr)));
+    ("create", Ok (Nfs.RCreate (golden_fh, sample_attr)));
+    ("mkdir", Ok (Nfs.RMkdir (golden_dir, sample_attr)));
+    ("symlink", Ok (Nfs.RSymlink (golden_fh, sample_attr)));
+    ("remove", Ok Nfs.RRemove);
+    ("rmdir", Ok Nfs.RRmdir);
+    ("rename", Ok Nfs.RRename);
+    ("link", Ok (Nfs.RLink sample_attr));
+    ( "readdir",
+      Ok
+        (Nfs.RReaddir
+           ( [
+               { Nfs.entry_id = 1L; entry_name = "a"; entry_cookie = 1L };
+               { Nfs.entry_id = 2L; entry_name = "bcdef"; entry_cookie = 2L };
+             ],
+             2L,
+             true )) );
+    ( "fsstat",
+      Ok
+        (Nfs.RFsstat
+           { Nfs.total_bytes = 1_000_000L; free_bytes = 250_000L; total_files = 1000L;
+             free_files = 10L }) );
+    ("commit", Ok (Nfs.RCommit sample_attr));
+    ("error noent", Error Nfs.ERR_NOENT);
+    ("error misdirected", Error Nfs.ERR_MISDIRECTED);
+  ]
+
+let golden_md5 =
+  [
+    ("call null", "d7fd109edabe99c2b2bbadb25f0307f1");
+    ("call getattr", "f5b64a25f2cbc5fc3c47357162476be1");
+    ("call setattr", "e2af7be281b2c69562019e799e2b6318");
+    ("call lookup", "13d47fe72d3c3c7a42f22157ff3e70e3");
+    ("call access", "9d618d5f563aa75b8934f72863389485");
+    ("call readlink", "f4f18c83795aa5c89656b2d74cad711c");
+    ("call read", "a5a8fde5eda29d1f3031649002d50363");
+    ("call write", "8f395cfb9d9931205a9517c7ab387634");
+    ("call write synthetic", "16db4029efc7b4334b44f389f54f63b4");
+    ("call create", "7a013bf2ec5c81bbc8fdc6f9d9531353");
+    ("call mkdir", "7f8958bb9bc8f768dd7ea03b81d9b2a9");
+    ("call symlink", "17abf9cf69f1df2543f24634150a75e9");
+    ("call remove", "6a1bb65ecc93aef512e80cfc5485978e");
+    ("call rmdir", "57bffb83ceb066b72e8cf74d9dbb9f1d");
+    ("call rename", "44941048b2ff739e286594901aaa3b7b");
+    ("call link", "e9bf03f69632723330d6d57312af42b7");
+    ("call readdir", "384afc33e86886f1eeda0c5f42f448b6");
+    ("call fsstat", "5b3128771af6d83d40f04299d100c08d");
+    ("call commit", "70d5ac377f96811d015c3369872e911d");
+    ("reply null", "e76525050a29ab2316ce5fbabadfd058");
+    ("reply getattr", "ec4192dc1675589fbdd450bd8831795a");
+    ("reply setattr", "01ce638e4043fb9c502143ad3994e661");
+    ("reply lookup", "b68597b1933cf47c2d52834005e190ed");
+    ("reply access", "ea9624c79c0d2749e0386b4ba237ed8c");
+    ("reply readlink", "915955e06ed66792504094bc45d55123");
+    ("reply read", "3458ade1950597bb05e088984de992b1");
+    ("reply read synthetic", "d2a110c72dedffccd4e61778d9ce8d7e");
+    ("reply write", "0fd03c62e2aea6faf1df2ccc56c95d5d");
+    ("reply create", "d84276be26e98dda30d234a7f83076c8");
+    ("reply mkdir", "d0185c2a5a9ff69f449454fdf96cd56a");
+    ("reply symlink", "9fd5987d76ee1bcbf5816c9dda9a9a32");
+    ("reply remove", "48c3e4ec8b5f8829712a3dd33fe59d9c");
+    ("reply rmdir", "2b7e4f0c9e813bf97b3814c55a794544");
+    ("reply rename", "5d8d56b5d23e7a24a860e87f89abe9db");
+    ("reply link", "3341546f3526cef060066f792c8cda20");
+    ("reply readdir", "8e91c9174a5dd4f2257bc5bea224bd53");
+    ("reply fsstat", "ab3170cf61e8706aa0af42817a69e3f1");
+    ("reply commit", "101e8fed8c8f6985b455385706b6eb99");
+    ("reply error noent", "f3d921686484e5dfa007898549f664a8");
+    ("reply error misdirected", "92ba0d53c88dbbafaea8543acd526773");
+  ]
+
+let wire_goldens () =
+  let check name b =
+    match List.assoc_opt name golden_md5 with
+    | Some want -> check_string name want (Digest.to_hex (Digest.bytes b))
+    | None -> Alcotest.failf "no golden digest for %s" name
+  in
+  List.iter (fun (n, c) -> check ("call " ^ n) (Codec.encode_call ~xid:0x89ABCDEF c)) golden_calls;
+  List.iter
+    (fun (n, r) -> check ("reply " ^ n) (Codec.encode_reply ~xid:0x01234567 r))
+    golden_replies
+
 let suite =
   [
+    ("wire goldens", `Quick, wire_goldens);
     fh_roundtrip;
     ("fh wire length", `Quick, fh_wire_length);
     ("fh bad magic", `Quick, fh_bad_magic);

@@ -184,9 +184,45 @@ let parallel_window_order () =
 let parallel_window_zero () =
   run_fiber (fun eng -> Fiber.parallel_window eng ~window:4 0 (fun _ -> Alcotest.fail "no items"))
 
+(* A positive sleep always yields, even when [now + d] rounds to [now]:
+   an event queued at the same instant runs before the sleeper resumes. *)
+let tiny_sleep_yields () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  Engine.schedule eng 1e6 (fun () ->
+      Engine.spawn eng (fun () ->
+          Engine.sleep eng 1e-12;
+          log := `Fiber :: !log);
+      Engine.schedule eng 0.0 (fun () -> log := `Event :: !log));
+  Engine.run eng;
+  check_bool "same-instant event ran while the fiber slept" true
+    (List.rev !log = [ `Event; `Fiber ])
+
+(* A sleep parks the fiber through its own effect: only the runtime's
+   continuation and the boxed wake time, where the generic [suspend]
+   also built a register closure, a ref, a waker and a thunk. *)
+let sleep_allocation_budget () =
+  let eng = Engine.create () in
+  let per_sleep = ref infinity in
+  Engine.spawn eng (fun () ->
+      for _ = 1 to 64 do
+        Engine.sleep eng 0.001
+      done;
+      let n = 1024 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        Engine.sleep eng 0.001
+      done;
+      per_sleep := (Gc.minor_words () -. w0) /. float_of_int n);
+  Engine.run eng;
+  check_bool (Printf.sprintf "one sleep allocates %.1f words (budget 8)" !per_sleep) true
+    (!per_sleep <= 8.0)
+
 let suite =
   [
     ("event ordering", `Quick, event_ordering);
+    ("tiny sleep still yields", `Quick, tiny_sleep_yields);
+    ("sleep allocation budget", `Quick, sleep_allocation_budget);
     ("schedule past clamps", `Quick, schedule_past_clamps);
     ("run ~until", `Quick, run_until);
     ("run ~until advances clock", `Quick, run_until_advances_clock);

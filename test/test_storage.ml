@@ -9,6 +9,8 @@ module Host = Slice_storage.Host
 module Obsd = Slice_storage.Obsd
 module Coordinator = Slice_storage.Coordinator
 module Ctrl = Slice_storage.Ctrl
+module Packet = Slice_net.Packet
+module Nfs_endpoint = Slice_storage.Nfs_endpoint
 
 let reg_fh id =
   { Fh.file_id = Int64.of_int id; gen = 1; ftype = Fh.Reg; mirrored = false; attr_site = 0; cap = 0L }
@@ -284,8 +286,50 @@ let coord_block_maps () =
           check_int "one map entry" 1 (Coordinator.map_entries rig.coord)
       | _ -> Alcotest.fail "get_map")
 
+(* ---- duplicate-request cache ---- *)
+
+(* A Create whose reply is lost: the retransmission must get the original
+   reply bytes from the cache, and the handler must not run again (a
+   second create of the name would be a different operation). *)
+let drc_replays_lost_reply () =
+  let eng = Engine.create () in
+  let net = Net.create eng () in
+  let server = Host.create net ~name:"srv" () in
+  let client = Host.create net ~name:"cli" () in
+  let runs = ref 0 in
+  let made = reg_fh 21 in
+  Nfs_endpoint.serve server ~port:2049
+    ~cost:{ Nfs_endpoint.per_op = 10e-6; per_byte = 0.0 }
+    ~handler:(fun _ call ->
+      incr runs;
+      match call with
+      | Nfs.Create _ ->
+          Ok (Nfs.RCreate (made, Nfs.default_attr ~ftype:Fh.Reg ~fileid:21L ~now:(Engine.now eng)))
+      | _ -> Error Nfs.ERR_IO)
+    ();
+  let lost = ref None in
+  Net.add_ingress_filter net client.Host.addr (fun pkt ->
+      match !lost with
+      | None when pkt.Packet.src = server.Host.addr ->
+          lost := Some (Bytes.copy pkt.Packet.payload);
+          None
+      | _ -> Some pkt);
+  let rpc = Rpc.create net client.Host.addr ~port:1000 in
+  let reply =
+    run_on eng (fun () ->
+        let xid = Rpc.fresh_xid rpc in
+        Rpc.call rpc ~dst:server.Host.addr ~dport:2049
+          (Codec.encode_call ~xid (Nfs.Create (Fh.root, "f"))))
+  in
+  check_int "handler ran once" 1 !runs;
+  check_int "one retransmission" 1 (Rpc.retransmissions rpc);
+  match !lost with
+  | Some first -> check_bool "replayed reply is byte-identical" true (Bytes.equal first reply)
+  | None -> Alcotest.fail "no reply was dropped"
+
 let suite =
   [
+    ("nfs endpoint DRC replays a lost reply", `Quick, drc_replays_lost_reply);
     ("obsd write/read roundtrip", `Quick, obsd_write_read_roundtrip);
     ("obsd synthetic and clip", `Quick, obsd_synthetic_and_clip);
     ("obsd sparse blocks independent", `Quick, obsd_offset_windows_are_independent);

@@ -1,64 +1,8 @@
 open Helpers
-module Heap = Slice_util.Heap
 module Prng = Slice_util.Prng
 module Stats = Slice_util.Stats
 module Lru = Slice_util.Lru
 module Json = Slice_util.Json
-
-(* ---- Heap ---- *)
-
-let heap_basic () =
-  let h = Heap.create ~cmp:compare in
-  check_bool "empty" true (Heap.is_empty h);
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2 ];
-  check_int "length" 6 (Heap.length h);
-  check_int "peek min" 1 (Option.get (Heap.peek h));
-  check_int "pop 1" 1 (Heap.pop_exn h);
-  check_int "pop 2" 2 (Heap.pop_exn h);
-  Heap.push h 0;
-  check_int "pop 0" 0 (Heap.pop_exn h);
-  check_int "length after" 4 (Heap.length h)
-
-let heap_pop_empty () =
-  let h = Heap.create ~cmp:compare in
-  check_bool "pop none" true (Heap.pop h = None);
-  Alcotest.check_raises "pop_exn" (Invalid_argument "Heap.pop_exn: empty") (fun () ->
-      ignore (Heap.pop_exn h))
-
-let heap_clear () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 3; 1; 2 ];
-  Heap.clear h;
-  check_bool "cleared" true (Heap.is_empty h)
-
-let heap_sorts =
-  qtest "heap yields sorted order" QCheck2.Gen.(list int) (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-      drain [] = List.sort compare xs)
-
-let heap_interleaved =
-  qtest "heap min under interleaved push/pop"
-    QCheck2.Gen.(list (pair bool small_int))
-    (fun ops ->
-      let h = Heap.create ~cmp:compare in
-      let model = ref [] in
-      List.for_all
-        (fun (is_push, v) ->
-          if is_push then begin
-            Heap.push h v;
-            model := List.sort compare (v :: !model);
-            true
-          end
-          else
-            match (Heap.pop h, !model) with
-            | None, [] -> true
-            | Some x, m :: rest ->
-                model := rest;
-                x = m
-            | _ -> false)
-        ops)
 
 (* ---- Prng ---- *)
 
@@ -220,6 +164,17 @@ let lru_weights () =
   check_bool "1 evicted" true (Lru.find l 1 = None);
   check_int "size after" 70 (Lru.size l)
 
+(* An item heavier than the whole cache displaces everything else (their
+   hooks fire) but is never cached itself, so no hook fires for it. *)
+let lru_rejects_oversized () =
+  let evicted = ref [] in
+  let l = Lru.create ~on_evict:(fun k _ -> evicted := k :: !evicted) ~capacity:3 () in
+  Lru.add l 1 "a";
+  Lru.add l 2 "b" ~weight:5;
+  check_bool "only the displaced entry hits on_evict" true (!evicted = [ 1 ]);
+  check_bool "oversized item not cached" true (Lru.find l 2 = None);
+  check_int "nothing left" 0 (Lru.size l)
+
 let lru_replace () =
   let l = Lru.create ~capacity:10 () in
   Lru.add l 1 "a" ~weight:4;
@@ -376,11 +331,6 @@ let json_accessors () =
 
 let suite =
   [
-    ("heap basic", `Quick, heap_basic);
-    ("heap pop empty", `Quick, heap_pop_empty);
-    ("heap clear", `Quick, heap_clear);
-    heap_sorts;
-    heap_interleaved;
     ("prng deterministic", `Quick, prng_deterministic);
     ("prng seeds differ", `Quick, prng_seeds_differ);
     prng_int_range;
@@ -398,6 +348,7 @@ let suite =
     ("lru eviction callback", `Quick, lru_eviction_callback);
     ("lru replace fires evict", `Quick, lru_replace_fires_evict);
     ("lru weights", `Quick, lru_weights);
+    ("lru rejects oversized item silently", `Quick, lru_rejects_oversized);
     ("lru replace", `Quick, lru_replace);
     ("lru mem does not promote", `Quick, lru_mem_no_promote);
     lru_model;

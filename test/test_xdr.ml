@@ -99,7 +99,9 @@ let alignment_invariant =
   qtest "encoded length is 4-aligned" QCheck2.Gen.(string_size (int_range 0 64)) (fun s ->
       let e = Xdr.Enc.create () in
       Xdr.Enc.opaque e s;
-      Xdr.Enc.length e mod 4 = 0)
+      let n = Xdr.Enc.length e in
+      (* finish the encoder: an open one keeps the shared scratch claimed *)
+      Bytes.length (Xdr.Enc.to_bytes e) = n && n mod 4 = 0)
 
 let span_peeks_match_materializing () =
   let e = Xdr.Enc.create () in
@@ -175,6 +177,66 @@ let u64_int_matches_u64 =
       let d = Xdr.Dec.of_bytes (Xdr.Enc.to_bytes e) in
       Xdr.Dec.u64_int d = v)
 
+(* ---- the shared scratch buffer ---- *)
+
+(* One message built inside another: the inner encoder gets its own
+   buffer, so neither overwrites the other; a finished encoder refuses
+   further writes. *)
+let nested_encoders () =
+  let outer = Xdr.Enc.create () in
+  Xdr.Enc.u32 outer 1;
+  let inner = Xdr.Enc.create () in
+  Xdr.Enc.str inner "inner";
+  Xdr.Enc.u32 outer 2;
+  let ib = Xdr.Enc.to_bytes inner in
+  Xdr.Enc.u32 outer 3;
+  let d = Xdr.Dec.of_bytes (Xdr.Enc.to_bytes outer) in
+  List.iter (fun v -> check_int "outer word" v (Xdr.Dec.u32 d)) [ 1; 2; 3 ];
+  check_int "outer consumed" 0 (Xdr.Dec.remaining d);
+  check_string "inner" "inner" (Xdr.Dec.str (Xdr.Dec.of_bytes ib));
+  Alcotest.check_raises "write after to_bytes" (Invalid_argument "Xdr.Enc: write after to_bytes")
+    (fun () -> Xdr.Enc.u32 outer 4)
+
+let opaque_with_matches_opaque =
+  qtest "opaque_with has opaque's wire form" QCheck2.Gen.(string_size (int_range 0 40)) (fun s ->
+      let a = Xdr.Enc.create () in
+      Xdr.Enc.opaque a s;
+      let a = Xdr.Enc.to_bytes a in
+      let b = Xdr.Enc.create () in
+      Xdr.Enc.opaque_with b (String.length s)
+        (fun buf off s -> Bytes.blit_string s 0 buf off (String.length s))
+        s;
+      Bytes.equal a (Xdr.Enc.to_bytes b))
+
+let fill4 b off c = Bytes.fill b off 4 c
+
+(* After warm-up the primitives write into the reused scratch without
+   allocating: the copy [to_bytes] returns is an encode's only
+   allocation. Any per-call allocation would show as thousands of words. *)
+let enc_primitives_allocate_nothing () =
+  let write_all e =
+    for _ = 1 to 256 do
+      Xdr.Enc.u32 e 0xDEADBEEF;
+      Xdr.Enc.i32 e (-5l);
+      Xdr.Enc.u64 e 0x1122334455667788L;
+      Xdr.Enc.bool e true;
+      Xdr.Enc.enum e 3;
+      Xdr.Enc.opaque_fixed e "abc";
+      Xdr.Enc.opaque e "hello";
+      Xdr.Enc.str e "name";
+      Xdr.Enc.opaque_with e 4 fill4 'x'
+    done
+  in
+  let warm = Xdr.Enc.create () in
+  write_all warm;
+  ignore (Xdr.Enc.to_bytes warm);
+  let e = Xdr.Enc.create () in
+  let w0 = Gc.minor_words () in
+  write_all e;
+  let dw = Gc.minor_words () -. w0 in
+  ignore (Xdr.Enc.to_bytes e);
+  check_bool (Printf.sprintf "2304 primitive calls allocated %.0f words" dw) true (dw < 8.0)
+
 let suite =
   [
     ("roundtrip primitives", `Quick, roundtrip_primitives);
@@ -189,4 +251,7 @@ let suite =
     alignment_invariant;
     span_bounds_fuzz;
     u64_int_matches_u64;
+    ("nested encoders", `Quick, nested_encoders);
+    opaque_with_matches_opaque;
+    ("encoder primitives allocate nothing", `Quick, enc_primitives_allocate_nothing);
   ]
