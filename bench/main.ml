@@ -1,26 +1,16 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation, plus Bechamel microbenchmarks of the µproxy hot paths and
-   ablations of the design choices called out in DESIGN.md.
+(* Bechamel microbenchmarks of the µproxy hot paths: the real code on the
+   critical path behind each exhibit, grouped by the exhibit that leans
+   on it. The exhibits themselves (and the design-choice ablations) are
+   `slice_sim` subcommands; the repository benchmark is `perfbench/`.
 
-   Usage:
-     dune exec bench/main.exe                 -- everything, bench scale
-     dune exec bench/main.exe -- table2       -- one exhibit
-     dune exec bench/main.exe -- all --full   -- slower, larger scales
+   Usage: dune exec bench/main.exe *)
 
-   Scales shrink file sizes / op counts / file sets (and, for SPECsfs,
-   the server caches by the same rule) so the whole run finishes in
-   minutes; shapes are scale-invariant (see EXPERIMENTS.md). *)
-
-module E = Slice_experiments
 module Nfs = Slice_nfs.Nfs
 module Fh = Slice_nfs.Fh
 module Codec = Slice_nfs.Codec
 module Packet = Slice_net.Packet
 module Cksum = Slice_net.Cksum
 module Routekey = Slice_nfs.Routekey
-
-(* ---- Bechamel microbenchmarks: the real code on the µproxy's critical
-   path, one group per exhibit that leans on it ---- *)
 
 let sample_fh =
   { Fh.file_id = 424242L; gen = 1; ftype = Fh.Reg; mirrored = false; attr_site = 0; cap = 0L }
@@ -34,9 +24,10 @@ let micro_tests =
   let open Bechamel in
   Test.make_grouped ~name:"uproxy"
     [
-      (* Table 3: packet decode *)
-      Test.make ~name:"table3/peek-call"
-        (Staged.stage (fun () -> ignore (Codec.peek_call sample_call)));
+      (* Table 3: packet decode — the µproxy's cursor peek vs a full decode *)
+      (let cur = Codec.cursor () in
+       Test.make ~name:"table3/peek-call"
+         (Staged.stage (fun () -> ignore (Codec.peek_call_into cur sample_call))));
       Test.make ~name:"table3/full-decode"
         (Staged.stage (fun () -> ignore (Codec.decode_call sample_call)));
       (* Table 3: redirection/rewriting — incremental checksum vs naive *)
@@ -86,13 +77,11 @@ let micro_tests =
          (Staged.stage (fun () -> ignore (Slice_util.Stats.percentile s 99.0))));
     ]
 
-(* Returns (name, ns_per_op) rows for the JSON artifact; NaN when Bechamel
-   produced no estimate. *)
-let run_micro ?(quota = 0.25) () =
+let run_micro () =
   let open Bechamel in
-  print_endline "\n== Microbenchmarks (Bechamel, ns/op) ==";
+  print_endline "== Microbenchmarks (Bechamel, ns/op) ==";
   print_endline "the real hot-path code behind each exhibit:";
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:None () in
+  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
   let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] micro_tests in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
@@ -101,973 +90,11 @@ let run_micro ?(quota = 0.25) () =
       (fun (a, _) (b, _) -> String.compare a b)
       (Hashtbl.fold (fun name v acc -> (name, v) :: acc) results [])
   in
-  List.map
+  List.iter
     (fun (name, v) ->
       match Analyze.OLS.estimates v with
-      | Some (t :: _) ->
-          Printf.printf "  %-44s %10.1f ns/op\n" name t;
-          (name, t)
-      | _ ->
-          Printf.printf "  %-44s %10s\n" name "n/a";
-          (name, Float.nan))
-      rows
+      | Some (t :: _) -> Printf.printf "  %-44s %10.1f ns/op\n" name t
+      | _ -> Printf.printf "  %-44s %10s\n" name "n/a")
+    rows
 
-(* ---- machine-readable perf artifact (BENCH_PR2.json) ---- *)
-
-module Json = Slice_util.Json
-
-let bench_json_path = "BENCH_PR2.json"
-
-let bench_json ~micro ~exhibits =
-  Json.Obj
-    [
-      ("schema_version", Json.Num 1.0);
-      ( "micro",
-        Json.Arr
-          (List.map
-             (fun (name, ns) ->
-               Json.Obj [ ("name", Json.Str name); ("ns_per_op", Json.Num ns) ])
-             micro) );
-      ( "exhibits",
-        Json.Arr
-          (List.map
-             (fun (p : E.Offload.point) ->
-               Json.Obj
-                 [
-                   ("name", Json.Str p.E.Offload.label);
-                   ("ops_per_sec", Json.Num p.E.Offload.delivered_ops_s);
-                   ("p50_ms", Json.Num p.E.Offload.p50_ms);
-                   ("p95_ms", Json.Num p.E.Offload.p95_ms);
-                   ("p99_ms", Json.Num p.E.Offload.p99_ms);
-                   ("dir_ops", Json.Num (float_of_int p.E.Offload.dir_ops));
-                 ])
-             exhibits) );
-    ]
-
-(* Schema check over the re-parsed file: the smoke alias runs this so the
-   artifact can't silently rot into a shape downstream tooling rejects. *)
-let validate_bench_json txt =
-  let problem = ref None in
-  let fail msg = problem := Some msg in
-  let is_num k o = match Json.member k o with Some (Json.Num _) -> true | _ -> false in
-  let is_str k o = match Json.member k o with Some (Json.Str _) -> true | _ -> false in
-  (match Json.of_string txt with
-  | exception Json.Parse_error m -> fail ("parse error: " ^ m)
-  | j -> (
-      match (Json.member "schema_version" j, Json.member "micro" j, Json.member "exhibits" j) with
-      | Some (Json.Num _), Some (Json.Arr micro), Some (Json.Arr exhibits) ->
-          if micro = [] then fail "micro is empty";
-          if exhibits = [] then fail "exhibits is empty";
-          List.iter
-            (fun m ->
-              if not (is_str "name" m && is_num "ns_per_op" m) then
-                fail "bad micro row: want {name, ns_per_op}")
-            micro;
-          List.iter
-            (fun e ->
-              if
-                not
-                  (is_str "name" e && is_num "ops_per_sec" e && is_num "p50_ms" e
-                 && is_num "p95_ms" e && is_num "p99_ms" e && is_num "dir_ops" e)
-              then fail "bad exhibit row: want {name, ops_per_sec, p50/p95/p99_ms, dir_ops}")
-            exhibits
-      | _ -> fail "missing top-level keys {schema_version, micro, exhibits}"));
-  match !problem with
-  | None -> true
-  | Some msg ->
-      Printf.eprintf "%s: schema validation failed: %s\n" bench_json_path msg;
-      false
-
-let write_bench_json ~micro ~exhibits =
-  let oc = open_out bench_json_path in
-  output_string oc (Json.to_string (bench_json ~micro ~exhibits));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote %s (%d micro, %d exhibit rows)\n" bench_json_path (List.length micro)
-    (List.length exhibits)
-
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* ---- scale-out perf artifact (BENCH_PR5.json): delivered throughput
-   before/after adding one server of each class under live load ---- *)
-
-let bench_pr5_path = "BENCH_PR5.json"
-
-let scale_bench_json (t : E.Scale.t) =
-  Json.Obj
-    [
-      ("schema_version", Json.Num 1.0);
-      ( "phases",
-        Json.Arr
-          (List.map
-             (fun (p : E.Scale.phase) ->
-               Json.Obj
-                 [
-                   ("name", Json.Str p.E.Scale.ph_label);
-                   ("ops", Json.Num (float_of_int p.E.Scale.ph_ops));
-                   ("ops_per_sec", Json.Num p.E.Scale.ph_ops_s);
-                 ])
-             t.E.Scale.phases) );
-      ("sites_moved", Json.Num (float_of_int t.E.Scale.sites_moved));
-      ("bytes_copied", Json.Num (Int64.to_float t.E.Scale.bytes_copied));
-      ("audit_lost", Json.Num (float_of_int t.E.Scale.audit.E.Scale.aud_lost));
-      ( "audit_ownership_violations",
-        Json.Num
-          (float_of_int t.E.Scale.audit.E.Scale.aud_ownership_violations) );
-    ]
-
-(* Same re-parse-and-gate discipline as BENCH_PR2.json, plus the
-   substantive checks: the audit must be clean and throughput must rise
-   after every server addition. *)
-let validate_scale_json txt =
-  let problem = ref None in
-  let fail msg = problem := Some msg in
-  let num k o = match Json.member k o with Some (Json.Num v) -> Some v | _ -> None in
-  let is_str k o = match Json.member k o with Some (Json.Str _) -> true | _ -> false in
-  (match Json.of_string txt with
-  | exception Json.Parse_error m -> fail ("parse error: " ^ m)
-  | j -> (
-      match (Json.member "schema_version" j, Json.member "phases" j) with
-      | Some (Json.Num _), Some (Json.Arr phases) ->
-          if List.length phases < 2 then fail "want at least 2 phases";
-          List.iter
-            (fun p ->
-              if not (is_str "name" p && num "ops" p <> None && num "ops_per_sec" p <> None)
-              then fail "bad phase row: want {name, ops, ops_per_sec}")
-            phases;
-          (match (num "audit_lost" j, num "audit_ownership_violations" j) with
-          | Some 0.0, Some 0.0 -> ()
-          | Some _, Some _ -> fail "audit not clean: updates lost or duplicated"
-          | _ -> fail "missing audit keys");
-          (match num "sites_moved" j with
-          | Some v when v > 0.0 -> ()
-          | Some _ -> fail "no sites moved"
-          | None -> fail "missing sites_moved");
-          if num "bytes_copied" j = None then fail "missing bytes_copied";
-          let rates = List.filter_map (num "ops_per_sec") phases in
-          let rec monotone = function
-            | a :: (b :: _ as rest) -> a < b && monotone rest
-            | _ -> true
-          in
-          if not (monotone rates) then
-            fail "throughput did not rise after every server addition"
-      | _ -> fail "missing top-level keys {schema_version, phases}"));
-  match !problem with
-  | None -> true
-  | Some msg ->
-      Printf.eprintf "%s: validation failed: %s\n" bench_pr5_path msg;
-      false
-
-let write_scale_json t =
-  let oc = open_out bench_pr5_path in
-  output_string oc (Json.to_string (scale_bench_json t));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote %s (%d phases)\n" bench_pr5_path
-    (List.length t.E.Scale.phases)
-
-(* ---- failover perf artifact (BENCH_PR6.json): takeover MTTR per
-   manager class plus the zero-requests-lost gate ---- *)
-
-let bench_pr6_path = "BENCH_PR6.json"
-
-let failover_bench_json (t : E.Failover.t) =
-  Json.Obj
-    [
-      ("schema_version", Json.Num 1.0);
-      ( "takeovers",
-        Json.Arr
-          (List.map
-             (fun (tk : E.Failover.takeover) ->
-               Json.Obj
-                 [
-                   ("class", Json.Str tk.E.Failover.tk_class);
-                   ("detect_ms", Json.Num (tk.E.Failover.tk_detect *. 1e3));
-                   ("mttr_ms", Json.Num (tk.E.Failover.tk_mttr *. 1e3));
-                   ("sites", Json.Num (float_of_int tk.E.Failover.tk_sites));
-                 ])
-             t.E.Failover.takeovers) );
-      ("requests_lost", Json.Num (float_of_int t.E.Failover.audit.E.Failover.aud_lost));
-      ("audit_checked", Json.Num (float_of_int t.E.Failover.audit.E.Failover.aud_checked));
-      ( "audit_ownership_violations",
-        Json.Num (float_of_int t.E.Failover.audit.E.Failover.aud_ownership_violations) );
-      ( "zombies_fenced",
-        Json.Num
-          (float_of_int
-             (List.length
-                (List.filter
-                   (fun (z : E.Failover.zombie) -> z.E.Failover.z_update_blocked)
-                   t.E.Failover.zombies))) );
-      ("zombies_probed", Json.Num (float_of_int (List.length t.E.Failover.zombies)));
-    ]
-
-(* The substantive gates: the exhibit killed one manager of each class,
-   so three takeovers with positive bounded MTTR; the post-run audit
-   found every acked update (zero requests lost — the PR's headline
-   claim); every revived zombie was fenced. *)
-let validate_failover_json txt =
-  let problem = ref None in
-  let fail msg = problem := Some msg in
-  let num k o = match Json.member k o with Some (Json.Num v) -> Some v | _ -> None in
-  let is_str k o = match Json.member k o with Some (Json.Str _) -> true | _ -> false in
-  (match Json.of_string txt with
-  | exception Json.Parse_error m -> fail ("parse error: " ^ m)
-  | j -> (
-      match (Json.member "schema_version" j, Json.member "takeovers" j) with
-      | Some (Json.Num _), Some (Json.Arr takeovers) ->
-          if List.length takeovers <> 3 then fail "want exactly 3 takeovers (one per class)";
-          List.iter
-            (fun tk ->
-              if not (is_str "class" tk) then fail "takeover row missing class";
-              match (num "detect_ms" tk, num "mttr_ms" tk, num "sites" tk) with
-              | Some d, Some m, Some s ->
-                  if not (d > 0.0 && m >= d && Float.is_finite m) then
-                    fail "takeover MTTR not positive/bounded";
-                  if s <= 0.0 then fail "takeover claimed no sites"
-              | _ -> fail "takeover row missing detect_ms/mttr_ms/sites")
-            takeovers;
-          (match num "requests_lost" j with
-          | Some 0.0 -> ()
-          | Some _ -> fail "requests lost: failover dropped acked updates"
-          | None -> fail "missing requests_lost");
-          (match num "audit_checked" j with
-          | Some v when v > 0.0 -> ()
-          | _ -> fail "audit checked nothing");
-          (match num "audit_ownership_violations" j with
-          | Some 0.0 -> ()
-          | _ -> fail "ownership not exclusive after failover");
-          (match (num "zombies_fenced" j, num "zombies_probed" j) with
-          | Some f, Some p when f = p && p > 0.0 -> ()
-          | _ -> fail "a revived zombie was not fenced")
-      | _ -> fail "missing top-level keys {schema_version, takeovers}"));
-  match !problem with
-  | None -> true
-  | Some msg ->
-      Printf.eprintf "%s: validation failed: %s\n" bench_pr6_path msg;
-      false
-
-let write_failover_json t =
-  let oc = open_out bench_pr6_path in
-  output_string oc (Json.to_string (failover_bench_json t));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote %s (%d takeovers)\n" bench_pr6_path
-    (List.length t.E.Failover.takeovers)
-
-(* ---- hot-path allocation baseline (BENCH_PR8.json): words-allocated
-   and nanoseconds per intercepted packet through the µproxy under the
-   SPECsfs mix, plus per-op figures for the packet-peek primitives the
-   typed lint tier (A1) guards. These are the "before" numbers ROADMAP
-   item 3 must beat. ---- *)
-
-module Specsfs = Slice_workload.Specsfs
-
-let bench_pr8_path = "BENCH_PR8.json"
-
-(* Per-op allocation and CPU cost of a tight loop over [f]. Gc counters
-   are process-wide, so the loop runs nothing but [f]; the clock is real
-   CPU time because this measures the harness's own code, not the
-   simulation. *)
-let words_and_ns ~n f =
-  for _ = 1 to 256 do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  let w0 = Gc.minor_words () in
-  (* lint: D1 ok — real CPU time is the measurement here, not part of the simulated world *)
-  let t0 = Sys.time () in
-  for _ = 1 to n do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  (* lint: D1 ok — real CPU time is the measurement here, not part of the simulated world *)
-  let dt = Sys.time () -. t0 in
-  let dw = Gc.minor_words () -. w0 in
-  (dw /. float_of_int n, dt *. 1e9 /. float_of_int n)
-
-let pr8_micro () =
-  let pkt = sample_pkt () in
-  let d = ref 0 in
-  List.map
-    (fun (name, f) ->
-      let words, ns = words_and_ns ~n:200_000 f in
-      Printf.printf "  %-28s %8.2f words/op %10.1f ns/op\n" name words ns;
-      (name, words, ns))
-    [
-      ("peek/is-call", (fun () -> ignore (Codec.is_call sample_call)));
-      ("peek/xid-of", (fun () -> ignore (Codec.xid_of sample_call)));
-      ("peek/peek-call", (fun () -> ignore (Codec.peek_call sample_call)));
-      ( "rewrite/dst-incremental",
-        fun () ->
-          d := (!d + 1) land 0xFF;
-          Cksum.rewrite_dst pkt !d );
-      ("reply/status", (fun () -> ignore (Slice.Proxy.reply_status sample_call)));
-    ]
-
-(* One small SPECsfs mix through a full Slice ensemble, Gc counters and
-   CPU clock around the proxy loop; packets come from the µproxies'
-   interception counters so the denominator is real routed traffic. *)
-let specsfs_packet_baseline ~scale =
-  let ens =
-    Slice.Ensemble.create
-      {
-        Slice.Ensemble.default_config with
-        storage_nodes = 2;
-        dir_servers = 1;
-        smallfile_servers = 2;
-      }
-  in
-  let eng = Slice.Ensemble.engine ens in
-  let clients =
-    Array.init 2 (fun i ->
-        let host, _ = Slice.Ensemble.add_client ens ~name:(Printf.sprintf "sfs%d" i) in
-        Slice_workload.Client.create host ~server:(Slice.Ensemble.virtual_addr ens)
-          ~port:(1000 + i) ())
-  in
-  let cfg =
-    {
-      Specsfs.default_config with
-      offered_iops = 300.0;
-      processes = 4;
-      duration = 2.0;
-      warmup = 0.5;
-      bytes_per_iops = 1e7 *. scale;
-      seed = 11;
-    }
-  in
-  let w0 = Gc.minor_words () in
-  (* lint: D1 ok — real CPU time is the measurement here, not part of the simulated world *)
-  let t0 = Sys.time () in
-  let r = Specsfs.run eng ~clients ~root:Slice.Ensemble.root cfg in
-  (* lint: D1 ok — real CPU time is the measurement here, not part of the simulated world *)
-  let dt = Sys.time () -. t0 in
-  let dw = Gc.minor_words () -. w0 in
-  let packets =
-    List.fold_left
-      (fun acc p -> acc + Slice.Proxy.packets_intercepted p)
-      0
-      (Slice.Ensemble.client_proxies ens)
-  in
-  let denom = float_of_int (max 1 packets) in
-  (r, packets, dw /. denom, dt *. 1e9 /. denom)
-
-let pr8_json ~specsfs:((r : Specsfs.result), packets, wpp, nspp) ~micro =
-  Json.Obj
-    [
-      ("schema_version", Json.Num 1.0);
-      ( "specsfs",
-        Json.Obj
-          [
-            ("delivered_ops_s", Json.Num r.Specsfs.delivered);
-            ("ops_measured", Json.Num (float_of_int r.Specsfs.ops_measured));
-            ("packets", Json.Num (float_of_int packets));
-            ("words_per_packet", Json.Num wpp);
-            ("ns_per_packet", Json.Num nspp);
-          ] );
-      ( "micro",
-        Json.Arr
-          (List.map
-             (fun (name, words, ns) ->
-               Json.Obj
-                 [
-                   ("name", Json.Str name);
-                   ("words_per_op", Json.Num words);
-                   ("ns_per_op", Json.Num ns);
-                 ])
-             micro) );
-    ]
-
-(* The gates: a packet actually flowed, both per-packet figures are
-   finite (words may be zero — that is the goal state), and every micro
-   row is complete. *)
-let validate_pr8_json txt =
-  let problem = ref None in
-  let fail msg = problem := Some msg in
-  let num k o = match Json.member k o with Some (Json.Num v) -> Some v | _ -> None in
-  let is_str k o = match Json.member k o with Some (Json.Str _) -> true | _ -> false in
-  (match Json.of_string txt with
-  | exception Json.Parse_error m -> fail ("parse error: " ^ m)
-  | j -> (
-      match (Json.member "schema_version" j, Json.member "specsfs" j, Json.member "micro" j) with
-      | Some (Json.Num _), Some sfs, Some (Json.Arr micro) ->
-          (match num "packets" sfs with
-          | Some p when p > 0.0 -> ()
-          | Some _ -> fail "no packets intercepted"
-          | None -> fail "missing packets");
-          (match num "words_per_packet" sfs with
-          | Some w when Float.is_finite w && w >= 0.0 -> ()
-          | _ -> fail "words_per_packet not a finite non-negative number");
-          (match num "ns_per_packet" sfs with
-          | Some n when Float.is_finite n && n >= 0.0 -> ()
-          | _ -> fail "ns_per_packet not a finite non-negative number");
-          if num "delivered_ops_s" sfs = None || num "ops_measured" sfs = None then
-            fail "missing delivered_ops_s/ops_measured";
-          if micro = [] then fail "micro is empty";
-          List.iter
-            (fun m ->
-              if not (is_str "name" m && num "words_per_op" m <> None && num "ns_per_op" m <> None)
-              then fail "bad micro row: want {name, words_per_op, ns_per_op}")
-            micro
-      | _ -> fail "missing top-level keys {schema_version, specsfs, micro}"));
-  match !problem with
-  | None -> true
-  | Some msg ->
-      Printf.eprintf "%s: validation failed: %s\n" bench_pr8_path msg;
-      false
-
-let write_pr8_json ~specsfs ~micro =
-  let oc = open_out bench_pr8_path in
-  output_string oc (Json.to_string (pr8_json ~specsfs ~micro));
-  output_char oc '\n';
-  close_out oc;
-  let _, packets, wpp, nspp = specsfs in
-  Printf.printf "\nwrote %s (%d packets, %.1f words/packet, %.0f ns/packet)\n" bench_pr8_path
-    packets wpp nspp
-
-(* ---- zero-allocation packet path (BENCH_PR9.json): the ratchet on the
-   PR 8 baseline. A direct-drive harness pushes a SPECsfs-shaped mix of
-   calls and replies through a fully installed µproxy — egress/ingress
-   filters, cursor peeks, pending pool, forwarding, reply patching — and
-   gates the steady-state allocation under 64 words/packet (the PR 8
-   artifact recorded 5963). The full-ensemble SPECsfs figures ride along
-   so the per-packet cost of the complete system is recorded in the same
-   artifact and the ns gate compares like with like on one machine. ---- *)
-
-module Net = Slice_net.Net
-module Host = Slice_storage.Host
-module Engine = Slice_sim.Engine
-
-let bench_pr9_path = "BENCH_PR9.json"
-let pr9_words_budget = 64.0
-let pr9_baseline_words = 5963.0 (* BENCH_PR8.json as recorded before this ratchet *)
-
-let pr9_fh i =
-  { Fh.file_id = Int64.of_int (1000 + i); gen = 1; ftype = Fh.Reg; mirrored = false;
-    attr_site = 0; cap = 0L }
-
-let pr9_mix i =
-  let fh = pr9_fh (i mod 8) in
-  let attr = Nfs.default_attr ~ftype:Fh.Reg ~fileid:fh.Fh.file_id ~now:0.0 in
-  match i mod 5 with
-  | 0 -> (Nfs.Lookup (Fh.root, Printf.sprintf "f%d" (i mod 8)), Ok (Nfs.RLookup (fh, attr)))
-  | 1 -> (Nfs.Getattr fh, Ok (Nfs.RGetattr attr))
-  | 2 -> (Nfs.Access (fh, 1), Ok (Nfs.RAccess (1, attr)))
-  | 3 ->
-      ( Nfs.Read (fh, Int64.of_int (i mod 32 * 8192), 8192),
-        Ok (Nfs.RRead (Nfs.Synthetic 8192, false, attr)) )
-  | _ ->
-      ( Nfs.Write (fh, Int64.of_int (i mod 32 * 8192), Nfs.Unstable, Nfs.Synthetic 4096),
-        Ok (Nfs.RWrite (4096, Nfs.Unstable, attr)) )
-
-(* Words and nanoseconds per packet through the installed µproxy, meta
-   fast path off (it would answer from cache and skip forwarding) and the
-   expiry sweep off (idle timers would pollute the Gc window). *)
-let pr9_packet_path () =
-  let eng = Engine.create () in
-  let net = Net.create eng () in
-  let chost = Host.create net ~name:"client" () in
-  let dhost = Host.create net ~name:"dir" () in
-  let s0 = Host.create net ~name:"s0" () in
-  let s1 = Host.create net ~name:"s1" () in
-  let vaddr = Net.add_node net ~name:"virt" in
-  let params =
-    {
-      Slice.Params.default with
-      threshold = 0;
-      meta_cache_enabled = false;
-      pending_sweep_interval = 0.0;
-    }
-  in
-  let proxy =
-    Slice.Proxy.install chost ~params
-      {
-        Slice.Proxy.virtual_addr = vaddr;
-        dir_table = Slice.Table.create [| dhost.Host.addr |];
-        smallfile_table = None;
-        storage = Some (Slice.Table.create [| s0.Host.addr; s1.Host.addr |]);
-        coordinator = (fun () -> None);
-      }
-  in
-  let n = 2048 in
-  let pkts =
-    Array.init n (fun i ->
-        Packet.make ~src:chost.Host.addr ~dst:vaddr ~sport:1000 ~dport:2049
-          (Codec.encode_call ~xid:(0x100000 + i) (fst (pr9_mix i))))
-  in
-  let rpkts =
-    Array.init n (fun i ->
-        Packet.make ~src:dhost.Host.addr ~dst:chost.Host.addr ~sport:2049 ~dport:1000
-          (Codec.encode_reply ~xid:(0x100000 + i) (snd (pr9_mix i))))
-  in
-  let batch = 128 in
-  let run_batch b =
-    Engine.spawn eng (fun () ->
-        for i = b * batch to ((b + 1) * batch) - 1 do
-          Net.send net pkts.(i)
-        done);
-    Engine.run eng;
-    Engine.spawn eng (fun () ->
-        for i = b * batch to ((b + 1) * batch) - 1 do
-          Net.send net rpkts.(i)
-        done);
-    Engine.run eng
-  in
-  run_batch 0 (* warm-up: pool buffers and caches reach steady state *);
-  let before =
-    Slice.Proxy.packets_intercepted proxy + Slice.Proxy.replies_processed proxy
-  in
-  let w0 = Gc.minor_words () in
-  (* lint: D1 ok — real CPU time is the measurement here, not part of the simulated world *)
-  let t0 = Sys.time () in
-  for b = 1 to (n / batch) - 1 do
-    run_batch b
-  done;
-  (* lint: D1 ok — real CPU time is the measurement here, not part of the simulated world *)
-  let dt = Sys.time () -. t0 in
-  let dw = Gc.minor_words () -. w0 in
-  let packets =
-    Slice.Proxy.packets_intercepted proxy + Slice.Proxy.replies_processed proxy - before
-  in
-  let denom = float_of_int (max 1 packets) in
-  (packets, dw /. denom, dt *. 1e9 /. denom)
-
-let pr9_json ~packet_path:(packets, wpp, nspp)
-    ~specsfs:((r : Specsfs.result), spackets, swpp, snspp) =
-  Json.Obj
-    [
-      ("schema_version", Json.Num 1.0);
-      ( "gates",
-        Json.Obj
-          [
-            ("words_budget", Json.Num pr9_words_budget);
-            ("baseline_words_per_packet", Json.Num pr9_baseline_words);
-          ] );
-      ( "packet_path",
-        Json.Obj
-          [
-            ("packets", Json.Num (float_of_int packets));
-            ("words_per_packet", Json.Num wpp);
-            ("ns_per_packet", Json.Num nspp);
-          ] );
-      ( "specsfs_full",
-        Json.Obj
-          [
-            ("delivered_ops_s", Json.Num r.Specsfs.delivered);
-            ("ops_measured", Json.Num (float_of_int r.Specsfs.ops_measured));
-            ("packets", Json.Num (float_of_int spackets));
-            ("words_per_packet", Json.Num swpp);
-            ("ns_per_packet", Json.Num snspp);
-          ] );
-    ]
-
-(* The ratchet gates, enforced from the artifact itself so a re-validation
-   from disk carries them: packets flowed on both harnesses, the direct
-   packet path held under the words budget, the full-ensemble figure beat
-   the recorded PR 8 baseline, and the direct path is no slower per packet
-   than the full system it is a slice of. *)
-let validate_pr9_json txt =
-  let problem = ref None in
-  let fail msg = if !problem = None then problem := Some msg in
-  let num k o = match Json.member k o with Some (Json.Num v) -> Some v | _ -> None in
-  (match Json.of_string txt with
-  | exception Json.Parse_error m -> fail ("parse error: " ^ m)
-  | j -> (
-      match
-        ( Json.member "schema_version" j,
-          Json.member "gates" j,
-          Json.member "packet_path" j,
-          Json.member "specsfs_full" j )
-      with
-      | Some (Json.Num _), Some gates, Some pp, Some sfs -> (
-          match
-            ( num "words_budget" gates,
-              num "baseline_words_per_packet" gates,
-              num "packets" pp,
-              num "words_per_packet" pp,
-              num "ns_per_packet" pp,
-              num "packets" sfs,
-              num "words_per_packet" sfs,
-              num "ns_per_packet" sfs )
-          with
-          | Some budget, Some baseline, Some p, Some wpp, Some nspp, Some sp, Some swpp, Some snspp
-            ->
-              if p <= 0.0 then fail "packet_path: no packets flowed";
-              if sp <= 0.0 then fail "specsfs_full: no packets intercepted";
-              if not (Float.is_finite wpp && wpp >= 0.0) then
-                fail "packet_path.words_per_packet not finite";
-              if not (Float.is_finite nspp && nspp >= 0.0) then
-                fail "packet_path.ns_per_packet not finite";
-              if wpp >= budget then
-                fail
-                  (Printf.sprintf "packet_path words/packet %.1f over budget %.0f" wpp budget);
-              if swpp >= baseline then
-                fail
-                  (Printf.sprintf "specsfs words/packet %.1f not under baseline %.0f" swpp
-                     baseline);
-              if Float.is_finite snspp && nspp > snspp then
-                fail
-                  (Printf.sprintf
-                     "packet path slower than the full system: %.0f ns > %.0f ns" nspp snspp)
-          | _ -> fail "missing numeric fields in gates/packet_path/specsfs_full")
-      | _ ->
-          fail "missing top-level keys {schema_version, gates, packet_path, specsfs_full}"));
-  match !problem with
-  | None -> true
-  | Some msg ->
-      Printf.eprintf "%s: validation failed: %s\n" bench_pr9_path msg;
-      false
-
-let write_pr9_json ~packet_path ~specsfs =
-  let oc = open_out bench_pr9_path in
-  output_string oc (Json.to_string (pr9_json ~packet_path ~specsfs));
-  output_char oc '\n';
-  close_out oc;
-  let packets, wpp, nspp = packet_path in
-  Printf.printf "\nwrote %s (%d packets, %.1f words/packet, %.0f ns/packet)\n" bench_pr9_path
-    packets wpp nspp
-
-(* ---- multi-tenant QoS storm (BENCH_PR10.json): the isolation gate.
-   The three-tenant storm runs FIFO then with the full QoS stack from
-   one seed; the artifact gates the interactive tenant's p99 under the
-   configured bound, aggregate throughput within 5% of the FIFO run,
-   and re-asserts that the PR 9 packet-path budgets are unchanged —
-   QoS scheduling lives on the cold side of the allocation-free
-   path. ---- *)
-
-let bench_pr10_path = "BENCH_PR10.json"
-let pr10_ratio_floor = 0.95
-
-let pr10_json (st : E.Storm.t) =
-  Json.Obj
-    [
-      ("schema_version", Json.Num 1.0);
-      ( "gates",
-        Json.Obj
-          [
-            ("p99_bound_ms", Json.Num st.E.Storm.st_p99_bound_ms);
-            ("throughput_ratio_floor", Json.Num pr10_ratio_floor);
-            ("pr9_words_budget", Json.Num pr9_words_budget);
-            ("pr9_baseline_words_per_packet", Json.Num pr9_baseline_words);
-          ] );
-      ("storm", E.Storm.json_of st);
-    ]
-
-let validate_pr10_json txt =
-  let problem = ref None in
-  let fail msg = if !problem = None then problem := Some msg in
-  let num k o = match Json.member k o with Some (Json.Num v) -> Some v | _ -> None in
-  (match Json.of_string txt with
-  | exception Json.Parse_error m -> fail ("parse error: " ^ m)
-  | j -> (
-      match (Json.member "gates" j, Json.member "storm" j) with
-      | Some gates, Some storm -> (
-          match
-            ( num "p99_bound_ms" gates,
-              num "throughput_ratio_floor" gates,
-              num "pr9_words_budget" gates,
-              num "pr9_baseline_words_per_packet" gates,
-              num "interactive_p99_on_ms" storm,
-              num "interactive_p99_off_ms" storm,
-              num "throughput_ratio" storm )
-          with
-          | ( Some bound,
-              Some floor_,
-              Some wb,
-              Some bw,
-              Some p99_on,
-              Some p99_off,
-              Some ratio ) ->
-              (* the PR 9 ratchet must ride along unchanged: QoS stays off
-                 the allocation-free packet path *)
-              if wb <> pr9_words_budget then
-                fail (Printf.sprintf "pr9 words budget drifted: %.1f" wb);
-              if bw <> pr9_baseline_words then
-                fail (Printf.sprintf "pr9 baseline words drifted: %.1f" bw);
-              if not (Float.is_finite p99_off && p99_off > 0.0) then
-                fail "storm: qos-off interactive p99 not positive";
-              if not (Float.is_finite p99_on && p99_on > 0.0) then
-                fail "storm: qos-on interactive p99 not positive";
-              if p99_on > bound then
-                fail
-                  (Printf.sprintf "interactive p99 %.1f ms over the %.0f ms bound" p99_on bound);
-              if ratio < floor_ then
-                fail
-                  (Printf.sprintf "aggregate throughput ratio %.3f under floor %.2f" ratio floor_);
-              let side_ok label =
-                match Json.member label storm with
-                | Some side -> (
-                    match num "total_ops" side with
-                    | Some ops when ops > 0.0 -> ()
-                    | _ -> fail (label ^ ": no measured ops"))
-                | None -> fail ("missing storm." ^ label)
-              in
-              side_ok "qos_off";
-              side_ok "qos_on";
-              (match Json.member "qos_on" storm with
-              | Some side -> (
-                  match (num "admission_deferrals" side, num "p2c_probes" side) with
-                  | Some d, Some p ->
-                      if d <= 0.0 then fail "qos_on: admission gate never engaged";
-                      if p <= 0.0 then fail "qos_on: p2c read probe never engaged"
-                  | _ -> fail "qos_on: missing admission/p2c counters")
-              | None -> ())
-          | _ -> fail "missing numeric fields in gates/storm")
-      | _ -> fail "missing top-level keys {gates, storm}"));
-  match !problem with
-  | None -> true
-  | Some msg ->
-      Printf.eprintf "%s: validation failed: %s\n" bench_pr10_path msg;
-      false
-
-let write_pr10_json st =
-  let oc = open_out bench_pr10_path in
-  output_string oc (Json.to_string (pr10_json st));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote %s (p99 %.1f -> %.1f ms, ratio %.3f)\n" bench_pr10_path
-    (E.Storm.interactive_p99_ms st.E.Storm.st_off)
-    (E.Storm.interactive_p99_ms st.E.Storm.st_on)
-    st.E.Storm.st_throughput_ratio
-
-(* ---- ablations ---- *)
-
-let hash_balance_ablation () =
-  print_endline "\n== Ablation: MD5 vs FNV routing balance ==";
-  print_endline "(the paper chose MD5 for \"balanced distribution and low cost\")";
-  let n = 8 and keys = 20_000 in
-  let imbalance bucket =
-    let counts = Array.make n 0 in
-    for i = 1 to keys do
-      let k = Printf.sprintf "%Ld/file%06d" (Int64.of_int (i * 7919)) i in
-      let b = bucket k n in
-      counts.(b) <- counts.(b) + 1
-    done;
-    let mx = Array.fold_left max 0 counts and mn = Array.fold_left min max_int counts in
-    float_of_int mx /. float_of_int mn
-  in
-  Printf.printf "  max/min bucket load over %d keys, %d sites: md5 %.3f, fnv %.3f\n" keys n
-    (imbalance Slice_hash.Md5.bucket)
-    (imbalance Slice_hash.Fnv.bucket)
-
-let threshold_ablation ~scale =
-  print_endline "\n== Ablation: small-file threshold offset ==";
-  print_endline "untar-created small files re-read cold; threshold 0 sends all I/O to the";
-  print_endline "storage array, 64 KB serves it from the small-file class:";
-  List.iter
-    (fun threshold ->
-      let ens =
-        Slice.Ensemble.create
-          {
-            Slice.Ensemble.default_config with
-            storage_nodes = 2;
-            smallfile_servers = (if threshold = 0 then 0 else 2);
-            proxy_params = { Slice.Params.default with threshold };
-          }
-      in
-      let eng = Slice.Ensemble.engine ens in
-      let host, _ = Slice.Ensemble.add_client ens ~name:"c" in
-      let cl = Slice_workload.Client.create host ~server:(Slice.Ensemble.virtual_addr ens) () in
-      let files = max 16 (int_of_float (200.0 *. scale)) in
-      let lat = ref 0.0 in
-      Slice_sim.Engine.spawn eng (fun () ->
-          let fhs =
-            List.init files (fun i ->
-                match
-                  Slice_workload.Client.create_file cl Slice.Ensemble.root
-                    (Printf.sprintf "f%d" i)
-                with
-                | Ok (fh, _) ->
-                    ignore
-                      (Slice_workload.Client.write_at cl fh ~off:0L
-                         ~data:(Nfs.Synthetic (4096 + (i mod 8 * 4096))) ());
-                    fh
-                | Error _ -> failwith "setup")
-          in
-          ignore (Slice_workload.Client.commit cl (List.hd fhs));
-          (* cold storage caches: the threshold decides whether the reads
-             are served by the small-file class or go to the array *)
-          Array.iter Slice_storage.Obsd.drop_caches (Slice.Ensemble.storage ens);
-          let t0 = Slice_sim.Engine.now eng in
-          List.iter
-            (fun fh -> ignore (Slice_workload.Client.read_at cl fh ~off:0L ~count:4096))
-            fhs;
-          lat := (Slice_sim.Engine.now eng -. t0) /. float_of_int files);
-      Slice_sim.Engine.run eng;
-      Printf.printf "  threshold %6d B: avg small read %.2f ms\n" threshold (!lat *. 1e3))
-    [ 0; 16384; 65536; 262144 ]
-
-let stripe_unit_ablation ~scale =
-  print_endline "\n== Ablation: stripe unit for bulk I/O ==";
-  print_endline "single-client sequential read bandwidth by stripe unit:";
-  List.iter
-    (fun stripe_unit ->
-      let ens =
-        Slice.Ensemble.create
-          {
-            Slice.Ensemble.default_config with
-            storage_nodes = 8;
-            smallfile_servers = 0;
-            proxy_params = { Slice.Params.default with threshold = 0; stripe_unit };
-          }
-      in
-      let eng = Slice.Ensemble.engine ens in
-      let host, _ = Slice.Ensemble.add_client ens ~name:"c" in
-      let cl =
-        Slice_workload.Client.create host ~server:(Slice.Ensemble.virtual_addr ens)
-          ~io_size:(min stripe_unit 32768) ()
-      in
-      let bytes = Int64.of_float (3.2e8 *. scale) in
-      let fh = { sample_fh with Fh.file_id = Int64.of_int (1000 + stripe_unit) } in
-      let mbs = ref 0.0 in
-      Slice_sim.Engine.spawn eng (fun () ->
-          Slice_workload.Client.sequential_write cl fh ~bytes;
-          Array.iter Slice_storage.Obsd.drop_caches (Slice.Ensemble.storage ens);
-          let t0 = Slice_sim.Engine.now eng in
-          Slice_workload.Client.sequential_read cl fh ~bytes;
-          mbs := Int64.to_float bytes /. (Slice_sim.Engine.now eng -. t0) /. 1e6);
-      Slice_sim.Engine.run eng;
-      Printf.printf "  stripe unit %6d B: %.1f MB/s\n" stripe_unit !mbs)
-    [ 8192; 32768; 131072 ]
-
-(* ---- driver ---- *)
-
-let parse_args () =
-  let args = Array.to_list Sys.argv in
-  let full = List.mem "--full" args in
-  let smoke = List.mem "--smoke" args in
-  let which =
-    List.filter
-      (fun a ->
-        List.mem a
-          [
-            "table2"; "table3"; "fig3"; "fig4"; "fig5"; "fig6"; "offload"; "micro"; "ablation";
-            "all";
-          ])
-      args
-  in
-  ((match which with [] -> "all" | w :: _ -> w), full, smoke)
-
-(* CI smoke: tiny-quota micro pass + a no-sweep offload point pair, then
-   write BENCH_PR2.json and re-validate it from disk. Exit 1 on schema
-   failure so the bench-smoke alias actually gates. *)
-let run_smoke () =
-  print_endline "bench smoke: micro (tiny quota) + offload (scale 0.05)";
-  let micro = run_micro ~quota:0.05 () in
-  let exhibits = E.Offload.compute ~scale:0.05 ~sweep:false () in
-  (match exhibits with
-  | off :: on :: _ ->
-      Printf.printf "  offload smoke: dir ops %d -> %d (-%.0f%%)\n" off.E.Offload.dir_ops
-        on.E.Offload.dir_ops
-        (E.Offload.dir_reduction ~off ~on)
-  | _ -> ());
-  write_bench_json ~micro ~exhibits;
-  if validate_bench_json (read_file bench_json_path) then
-    print_endline "bench smoke: BENCH_PR2.json schema OK"
-  else exit 1;
-  print_endline "bench smoke: scale-out (scale 0.1)";
-  let sc = E.Scale.compute ~scale:0.1 () in
-  (match sc.E.Scale.phases with
-  | first :: _ ->
-      let last = List.nth sc.E.Scale.phases (List.length sc.E.Scale.phases - 1) in
-      Printf.printf "  scale smoke: %.0f -> %.0f ops/s over %d phases, %d sites moved\n"
-        first.E.Scale.ph_ops_s last.E.Scale.ph_ops_s
-        (List.length sc.E.Scale.phases)
-        sc.E.Scale.sites_moved
-  | [] -> ());
-  write_scale_json sc;
-  if validate_scale_json (read_file bench_pr5_path) then
-    print_endline "bench smoke: BENCH_PR5.json OK"
-  else exit 1;
-  print_endline "bench smoke: failover (scale 0.5)";
-  let fo = E.Failover.compute ~scale:0.5 () in
-  List.iter
-    (fun (tk : E.Failover.takeover) ->
-      Printf.printf "  failover smoke: %-11s detect %.0f ms, mttr %.0f ms, %d sites\n"
-        tk.E.Failover.tk_class (tk.E.Failover.tk_detect *. 1e3) (tk.E.Failover.tk_mttr *. 1e3)
-        tk.E.Failover.tk_sites)
-    fo.E.Failover.takeovers;
-  write_failover_json fo;
-  if validate_failover_json (read_file bench_pr6_path) then
-    print_endline "bench smoke: BENCH_PR6.json OK (zero requests lost)"
-  else exit 1;
-  print_endline "bench smoke: hot-path baseline (SPECsfs mix, scale 0.01)";
-  let micro8 = pr8_micro () in
-  let ((r8, packets, wpp, nspp) as sfs8) = specsfs_packet_baseline ~scale:0.01 in
-  Printf.printf "  sfs baseline: %d packets, %.1f words/packet, %.0f ns/packet (%.0f ops/s)\n"
-    packets wpp nspp r8.Specsfs.delivered;
-  write_pr8_json ~specsfs:sfs8 ~micro:micro8;
-  if validate_pr8_json (read_file bench_pr8_path) then
-    print_endline "bench smoke: BENCH_PR8.json OK (hot-path baseline recorded)"
-  else exit 1;
-  print_endline "bench smoke: zero-allocation packet path (direct drive)";
-  let ((pp_packets, pp_wpp, pp_nspp) as pp) = pr9_packet_path () in
-  Printf.printf "  packet path: %d packets, %.1f words/packet, %.0f ns/packet (budget %.0f)\n"
-    pp_packets pp_wpp pp_nspp pr9_words_budget;
-  write_pr9_json ~packet_path:pp ~specsfs:sfs8;
-  if validate_pr9_json (read_file bench_pr9_path) then
-    print_endline "bench smoke: BENCH_PR9.json OK (packet path under words budget)"
-  else exit 1;
-  print_endline "bench smoke: multi-tenant storm (FIFO vs per-tenant QoS)";
-  let st = E.Storm.compute () in
-  Printf.printf
-    "  storm smoke: interactive p99 %.1f -> %.1f ms (bound %.0f), aggregate kept %.1f%%\n"
-    (E.Storm.interactive_p99_ms st.E.Storm.st_off)
-    (E.Storm.interactive_p99_ms st.E.Storm.st_on)
-    st.E.Storm.st_p99_bound_ms
-    (100.0 *. st.E.Storm.st_throughput_ratio);
-  write_pr10_json st;
-  if validate_pr10_json (read_file bench_pr10_path) then
-    print_endline "bench smoke: BENCH_PR10.json OK (tenant isolation under bound)"
-  else exit 1
-
-let () =
-  let which, full, smoke = parse_args () in
-  if smoke then begin
-    run_smoke ();
-    print_endline "\nbench: done";
-    exit 0
-  end;
-  let want x = which = "all" || which = x in
-  print_endline "Slice reproduction benchmarks (Anderson/Chase/Vahdat, OSDI 2000)";
-  Printf.printf "mode: %s%s\n" which (if full then " (--full)" else "");
-  let micro = if want "micro" then run_micro () else [] in
-  let offload_points =
-    if want "offload" then begin
-      let points = E.Offload.compute ~scale:(if full then 1.0 else 0.25) () in
-      E.Report.print (E.Offload.report_of points);
-      points
-    end
-    else []
-  in
-  if micro <> [] || offload_points <> [] then begin
-    write_bench_json ~micro ~exhibits:offload_points;
-    (* partial targets legitimately leave one section empty; only a run
-       that produced both gates on the schema *)
-    if
-      micro <> [] && offload_points <> []
-      && not (validate_bench_json (read_file bench_json_path))
-    then exit 1
-  end;
-  if want "table2" then E.Report.print (E.Table2.report ~scale:(if full then 0.4 else 0.08) ());
-  if want "table3" then E.Report.print (E.Table3.report ~scale:(if full then 0.5 else 0.05) ());
-  if want "fig3" then E.Report.print (E.Fig3.report ~scale:(if full then 0.1 else 0.03) ());
-  if want "fig4" then E.Report.print (E.Fig4.report ~scale:(if full then 0.08 else 0.025) ());
-  if want "fig5" || want "fig6" then begin
-    let t =
-      E.Fig5.compute
-        ~scale:(if full then 0.02 else 0.006)
-        ~points_per_curve:(if full then 5 else 3)
-        ()
-    in
-    if want "fig5" then E.Report.print (E.Fig5.report_fig5 t);
-    if want "fig6" then E.Report.print (E.Fig5.report_fig6 t)
-  end;
-  if want "ablation" then begin
-    hash_balance_ablation ();
-    threshold_ablation ~scale:(if full then 1.0 else 0.3);
-    stripe_unit_ablation ~scale:(if full then 1.0 else 0.25)
-  end;
-  print_endline "\nbench: done"
+let () = run_micro ()

@@ -95,107 +95,75 @@ let offload_cmd =
   cmd "offload" ~default_scale:0.25
     ~doc:"Metadata offload: dir-server requests absorbed by the uproxy cache." run_offload
 
-let run_trace scale json =
-  let t = E.Tracing.compute ~scale () in
-  E.Report.print (E.Tracing.report_of t);
-  match json with
-  | None -> ()
-  | Some path ->
-      write_file path (Slice_util.Json.to_string (E.Tracing.json_of t));
-      Printf.printf "wrote %s\n%!" path
+let run_ablation scale = E.Report.print (E.Ablation.report ~scale ())
 
-let trace_cmd =
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the full trace report (hop rows, metrics registry, span dump) to $(docv).")
+let ablation_cmd =
+  cmd "ablation" ~default_scale:0.25
+    ~doc:"Ablations: MD5 vs FNV routing balance, small-file threshold, stripe unit."
+    run_ablation
+
+(* An exhibit with a machine-readable artifact: print the report of one
+   computed result and, under --json, write its JSON too. Returns the
+   subcommand and the run function `all` reuses. [trace_json] adds the
+   --trace-json flag every simulating subcommand carries except trace,
+   which records spans itself. *)
+let json_exhibit name ~doc ~json_doc ~default_scale ?(trace_json = true) ~compute ~report_of
+    ~json_of () =
+  let run scale json =
+    let t = compute scale in
+    E.Report.print (report_of t);
+    match json with
+    | None -> ()
+    | Some path ->
+        write_file path (Slice_util.Json.to_string (json_of t));
+        Printf.printf "wrote %s\n%!" path
   in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Per-op-class latency by hop (proxy/network/server/disk) on the SPECsfs mix.")
-    Term.(const run_trace $ scale_arg ~default:0.25 $ json)
-
-let run_scale scale json =
-  let t = E.Scale.compute ~scale () in
-  E.Report.print (E.Scale.report_of t);
-  match json with
-  | None -> ()
-  | Some path ->
-      write_file path (Slice_util.Json.to_string (E.Scale.json_of t));
-      Printf.printf "wrote %s\n%!" path
-
-let scale_cmd =
   let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write the scale-out report (phase throughput/latency, migration counts, post-run \
-             audit, reconfig metrics) to $(docv).")
+    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc:json_doc)
   in
-  Cmd.v
-    (Cmd.info "scale"
-       ~doc:"Online reconfiguration: add a server of each class under live load.")
-    Term.(
-      const (fun s j tj -> with_trace_dump tj (fun () -> run_scale s j))
-      $ scale_arg ~default:0.2 $ json $ trace_json_arg)
-
-let run_failover scale json =
-  let t = E.Failover.compute ~scale () in
-  E.Report.print (E.Failover.report_of t);
-  match json with
-  | None -> ()
-  | Some path ->
-      write_file path (Slice_util.Json.to_string (E.Failover.json_of t));
-      Printf.printf "wrote %s\n%!" path
-
-let failover_cmd =
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write the failover report (per-phase throughput/latency, takeover MTTR, zombie \
-             fence probes, post-run audit, failover metrics) to $(docv).")
+  let scale = scale_arg ~default:default_scale in
+  let term =
+    if trace_json then
+      Term.(const (fun s j tj -> with_trace_dump tj (fun () -> run s j)) $ scale $ json $ trace_json_arg)
+    else Term.(const run $ scale $ json)
   in
-  Cmd.v
-    (Cmd.info "failover"
-       ~doc:"Dataless failover: kill a manager of each class; hot standbys take over.")
-    Term.(
-      const (fun s j tj -> with_trace_dump tj (fun () -> run_failover s j))
-      $ scale_arg ~default:1.0 $ json $ trace_json_arg)
+  (Cmd.v (Cmd.info name ~doc) term, run)
 
-let run_storm scale json =
-  let t = E.Storm.compute ~scale () in
-  E.Report.print (E.Storm.report_of t);
-  match json with
-  | None -> ()
-  | Some path ->
-      write_file path (Slice_util.Json.to_string (E.Storm.json_of t));
-      Printf.printf "wrote %s\n%!" path
+let trace_cmd, run_trace =
+  json_exhibit "trace" ~trace_json:false ~default_scale:0.25
+    ~doc:"Per-op-class latency by hop (proxy/network/server/disk) on the SPECsfs mix."
+    ~json_doc:"Write the full trace report (hop rows, metrics registry, span dump) to $(docv)."
+    ~compute:(fun scale -> E.Tracing.compute ~scale ())
+    ~report_of:E.Tracing.report_of ~json_of:E.Tracing.json_of ()
 
-let storm_cmd =
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write the storm report (per-tenant throughput/latency for the QoS-off and QoS-on \
-             runs, admission/p2c counters, ensemble metrics) to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "storm"
-       ~doc:
-         "Multi-tenant traffic storm: web + flood + scan tenants, FIFO vs per-tenant QoS (WFQ, \
-          admission, p2c mirrored reads).")
-    Term.(
-      const (fun s j tj -> with_trace_dump tj (fun () -> run_storm s j))
-      $ scale_arg ~default:1.0 $ json $ trace_json_arg)
+let scale_cmd, run_scale =
+  json_exhibit "scale" ~default_scale:0.2
+    ~doc:"Online reconfiguration: add a server of each class under live load."
+    ~json_doc:
+      "Write the scale-out report (phase throughput/latency, migration counts, post-run audit, \
+       reconfig metrics) to $(docv)."
+    ~compute:(fun scale -> E.Scale.compute ~scale ())
+    ~report_of:E.Scale.report_of ~json_of:E.Scale.json_of ()
+
+let failover_cmd, run_failover =
+  json_exhibit "failover" ~default_scale:1.0
+    ~doc:"Dataless failover: kill a manager of each class; hot standbys take over."
+    ~json_doc:
+      "Write the failover report (per-phase throughput/latency, takeover MTTR, zombie fence \
+       probes, post-run audit, failover metrics) to $(docv)."
+    ~compute:(fun scale -> E.Failover.compute ~scale ())
+    ~report_of:E.Failover.report_of ~json_of:E.Failover.json_of ()
+
+let storm_cmd, run_storm =
+  json_exhibit "storm" ~default_scale:1.0
+    ~doc:
+      "Multi-tenant traffic storm: web + flood + scan tenants, FIFO vs per-tenant QoS (WFQ, \
+       admission, p2c mirrored reads)."
+    ~json_doc:
+      "Write the storm report (per-tenant throughput/latency for the QoS-off and QoS-on runs, \
+       admission/p2c counters, ensemble metrics) to $(docv)."
+    ~compute:(fun scale -> E.Storm.compute ~scale ())
+    ~report_of:E.Storm.report_of ~json_of:E.Storm.json_of ()
 
 (* Every exhibit in one table: its subcommand plus what `all` runs for it
    ([None] = covered by another row — fig6 rides with fig5). Both the
@@ -217,6 +185,7 @@ let exhibits : (unit Cmd.t * (fast:float -> fast_points:int -> unit) option) lis
     (scale_cmd, Some (fun ~fast ~fast_points:_ -> run_scale (0.2 *. fast) None));
     (failover_cmd, Some (fun ~fast:_ ~fast_points:_ -> run_failover 1.0 None));
     (storm_cmd, Some (fun ~fast ~fast_points:_ -> run_storm (0.5 *. fast) None));
+    (ablation_cmd, Some (fun ~fast ~fast_points:_ -> run_ablation (0.25 *. fast)));
     (chaos_cmd, Some (fun ~fast:_ ~fast_points:_ -> run_chaos ()));
   ]
 

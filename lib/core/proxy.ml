@@ -721,7 +721,7 @@ let route_name t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) ~retries =
 
 (* Bulk I/O routing. Storage placement is logical-site based: the chosen
    logical site is encoded into the wire offset's high bits
-   ([Routekey.site_offset]) so a node hosting several logical sites keeps
+   ([Routekey.site_offset_int]) so a node hosting several logical sites keeps
    their extents apart, then bound to a physical node through the current
    table snapshot. *)
 let rec route_io t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) ~retries =

@@ -48,7 +48,6 @@ val dir_reduction : off:point -> on:point -> float
 (** Percent reduction in directory-server requests of [on] vs [off]. *)
 
 val report_of : point list -> Report.t
-(** Render precomputed points (the bench driver reuses them for the JSON
-    artifact). *)
+(** Render precomputed points. *)
 
 val report : ?scale:float -> unit -> Report.t

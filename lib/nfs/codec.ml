@@ -472,100 +472,15 @@ let extra_size_of_response = function
   | Ok (Nfs.RRead (Nfs.Synthetic n, _, _)) -> n
   | _ -> 0
 
-(* ---- µproxy partial decode ---- *)
-
-type peek = {
-  xid : int;
-  proc : int;
-  fh : Fh.t option;
-  fh2 : Fh.t option;
-  name : string option;
-  name2 : string option;
-  offset : int64 option;
-  offset_field_off : int option;
-  count : int option;
-  write_stable : Nfs.stable_how option;
-  set_size : int64 option;
-  access_mask : int option;
-  items : int;
-}
-
-let peek_call buf =
-  let d = Dec.of_bytes buf in
-  try
-    let xid, proc = dec_call_header d in
-    let base =
-      { xid; proc; fh = None; fh2 = None; name = None; name2 = None; offset = None;
-        offset_field_off = None; count = None; write_stable = None;
-        set_size = None; access_mask = None; items = 0 }
-    in
-    let p =
-      match proc with
-      | 0 -> base
-      | 1 | 5 | 18 -> { base with fh = Some (dec_fh d buf) }
-      | 2 ->
-          let fh = dec_fh d buf in
-          let s = dec_sattr d in
-          { base with fh = Some fh; set_size = s.Nfs.set_size }
-      | 3 | 8 | 9 | 12 | 13 ->
-          let fh = dec_fh d buf in
-          { base with fh = Some fh; name = Some (Dec.str d) }
-      | 4 ->
-          let fh = dec_fh d buf in
-          { base with fh = Some fh; access_mask = Some (Dec.u32 d) }
-      | 6 ->
-          let fh = dec_fh d buf in
-          let fpos = Dec.pos d in
-          let off = Dec.u64 d in
-          { base with fh = Some fh; offset = Some off; offset_field_off = Some fpos;
-            count = Some (Dec.u32 d) }
-      | 7 ->
-          let fh = dec_fh d buf in
-          let fpos = Dec.pos d in
-          let off = Dec.u64 d in
-          let count = Dec.u32 d in
-          let stable = stable_of_int (Dec.u32 d) in
-          { base with fh = Some fh; offset = Some off; offset_field_off = Some fpos;
-            count = Some count; write_stable = Some stable }
-      | 10 ->
-          let fh = dec_fh d buf in
-          { base with fh = Some fh; name = Some (Dec.str d) }
-      | 14 ->
-          let fh1 = dec_fh d buf in
-          let n1 = Dec.str d in
-          let fh2 = dec_fh d buf in
-          { base with fh = Some fh1; name = Some n1; fh2 = Some fh2;
-            name2 = Some (Dec.str d) }
-      | 15 ->
-          let file = dec_fh d buf in
-          let dir = dec_fh d buf in
-          { base with fh = Some file; fh2 = Some dir; name = Some (Dec.str d) }
-      | 16 ->
-          let fh = dec_fh d buf in
-          let fpos = Dec.pos d in
-          let cookie = Dec.u64 d in
-          { base with fh = Some fh; offset = Some cookie; offset_field_off = Some fpos;
-            count = Some (Dec.u32 d) }
-      | 21 ->
-          let fh = dec_fh d buf in
-          let fpos = Dec.pos d in
-          let off = Dec.u64 d in
-          { base with fh = Some fh; offset = Some off; offset_field_off = Some fpos;
-            count = Some (Dec.u32 d) }
-      | _ -> raise (Malformed "unknown proc")
-    in
-    Some { p with items = Dec.items_read d }
-  with Slice_xdr.Xdr.Truncated | Malformed _ -> None
-
-(* ---- cursor peek: the allocation-free twin of [peek_call] ----
+(* ---- µproxy partial decode: the cursor peek ----
 
    One long-lived cursor per µproxy instance; [peek_call_into] re-reads
    it from a packet buffer, recording field positions instead of
    materializing handles and names. Absent fields are -1 (offsets/counts)
    — the record is all-mutable and reset on every call, so steady-state
-   interception allocates nothing. Field-for-field it consumes exactly
-   the XDR items [peek_call] does, keeping the decode cost model (and so
-   every simulated timing) bit-identical across the two paths. *)
+   interception allocates nothing. [c_items] counts the XDR items walked
+   (header, credential, routed arguments); it drives the decode cost
+   model, so every simulated timing depends on it. *)
 
 type cursor = {
   cr : Dec.t;
@@ -726,12 +641,14 @@ let[@hot] xid_of buf =
 
 (* ---- reply attribute patching ---- *)
 
-let reply_attr_offset buf =
-  if Bytes.length buf < reply_attr_block_off then None
-  else if Int32.to_int (Bytes.get_int32_be buf 4) <> 1 then None
-  else if Bytes.get_int32_be buf reply_status_off <> 0l then None
-  else if Bytes.get_int32_be buf reply_attr_present_off <> 1l then None
-  else Some reply_attr_block_off
+(* Byte offset of the post-op attribute block in an OK reply carrying
+   one, -1 when absent: constant-time header inspection. *)
+let[@hot] reply_attr_offset_i buf =
+  if Bytes.length buf < reply_attr_block_off then -1
+  else if Int32.to_int (Bytes.get_int32_be buf 4) <> 1 then -1
+  else if Int32.to_int (Bytes.get_int32_be buf reply_status_off) <> 0 then -1
+  else if Int32.to_int (Bytes.get_int32_be buf reply_attr_present_off) <> 1 then -1
+  else reply_attr_block_off
 
 let decode_attr_at buf off =
   let d = Dec.of_bytes ~pos:off buf in
@@ -740,17 +657,17 @@ let decode_attr_at buf off =
 (* For replies whose body leads with a file handle (lookup/create/mkdir/
    symlink): fetch it without a full decode. *)
 let reply_fh_after_attr buf =
-  match reply_attr_offset buf with
-  | None -> None
-  | Some off -> (
-      let tag_off = off + attr_wire_size in
-      if Bytes.length buf < tag_off + 4 then None
-      else
-        match Int32.to_int (Bytes.get_int32_be buf tag_off) with
-        | 3 | 8 | 9 | 10 -> (
-            let d = Dec.of_bytes ~pos:(tag_off + 4) buf in
-            try Fh.decode (Dec.opaque d) with Slice_xdr.Xdr.Truncated -> None)
-        | _ -> None)
+  let off = reply_attr_offset_i buf in
+  if off < 0 then None
+  else
+    let tag_off = off + attr_wire_size in
+    if Bytes.length buf < tag_off + 4 then None
+    else
+      match Int32.to_int (Bytes.get_int32_be buf tag_off) with
+      | 3 | 8 | 9 | 10 -> (
+          let d = Dec.of_bytes ~pos:(tag_off + 4) buf in
+          try Fh.decode (Dec.opaque d) with Slice_xdr.Xdr.Truncated -> None)
+      | _ -> None
 
 let u64_be v =
   let b = Bytes.create 8 in
@@ -785,15 +702,8 @@ let put_time_be b t =
     Bytes.set_uint8 b (4 + j) ((ns lsr (8 * (3 - j))) land 0xFF)
   done
 
-(* Option-free twins of [reply_attr_offset]/[reply_fh_after_attr] for the
-   hot reply path: -1 means absent. *)
-let[@hot] reply_attr_offset_i buf =
-  if Bytes.length buf < reply_attr_block_off then -1
-  else if Int32.to_int (Bytes.get_int32_be buf 4) <> 1 then -1
-  else if Int32.to_int (Bytes.get_int32_be buf reply_status_off) <> 0 then -1
-  else if Int32.to_int (Bytes.get_int32_be buf reply_attr_present_off) <> 1 then -1
-  else reply_attr_block_off
-
+(* Option-free twin of [reply_fh_after_attr] for the hot reply path: -1
+   means absent. *)
 let[@hot] reply_fh_after_attr_off buf =
   let off = reply_attr_offset_i buf in
   if off < 0 then -1

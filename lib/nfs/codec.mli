@@ -6,7 +6,7 @@
     and this codec reproduces that structure.
 
     Replies place the post-op attribute block at a fixed offset
-    ({!reply_attr_offset}) so the µproxy can patch cached attributes into
+    ({!reply_attr_offset_i}) so the µproxy can patch cached attributes into
     forwarded responses with incremental checksum repair. *)
 
 exception Malformed of string
@@ -28,42 +28,13 @@ val status_of_int : int -> Nfs.status
 (** The NFS V3 wire values ([ERR_MISDIRECTED] is Slice's 20001).
     @raise Malformed on an unknown code. *)
 
-(** {2 µproxy partial decode} *)
+(** {2 µproxy partial decode}
 
-type peek = {
-  xid : int;
-  proc : int;
-  fh : Fh.t option;  (** first file-handle argument *)
-  fh2 : Fh.t option;  (** second handle ([rename]/[link] destination dir) *)
-  name : string option;  (** first name-component argument *)
-  name2 : string option;  (** [rename] destination name *)
-  offset : int64 option;  (** [read]/[write]/[commit] offset *)
-  offset_field_off : int option;
-      (** byte offset of the 8-byte offset/cookie field within the
-          payload, so the µproxy can rewrite it in place (stripe-local
-          offsets, readdir cookie translation) with incremental checksum
-          repair *)
-  count : int option;
-  write_stable : Nfs.stable_how option;
-  set_size : int64 option;
-      (** [setattr] size field when present — a truncation, which must
-          invalidate the µproxy's cached block map for the file *)
-  access_mask : int option;  (** [access] requested permission mask *)
-  items : int;  (** XDR items consumed — drives the decode cost model *)
-}
-
-val peek_call : bytes -> peek option
-(** Decode exactly the fields the µproxy routes on ("the µproxy examines
-    up to four fields of each request"); [None] if the payload is not an
-    NFS V3 call. *)
-
-(** {2 Cursor peek}
-
-    The allocation-free twin of {!peek_call}: one long-lived all-mutable
+    Decode exactly the fields the µproxy routes on ("the µproxy examines
+    up to four fields of each request"). One long-lived all-mutable
     cursor per µproxy instance records field {e positions} in the packet
     buffer instead of materializing handles and names, so steady-state
-    interception allocates nothing. It consumes exactly the XDR items
-    {!peek_call} does, keeping the decode cost model identical. *)
+    interception allocates nothing. *)
 
 type cursor = {
   cr : Slice_xdr.Xdr.Dec.t;
@@ -100,9 +71,9 @@ val xid_of : bytes -> int
 
 (** {2 Reply attribute patching} *)
 
-val reply_attr_offset : bytes -> int option
+val reply_attr_offset_i : bytes -> int
 (** Byte offset of the 84-byte post-op fattr block in an OK reply carrying
-    one, else [None]. Constant-time header inspection. *)
+    one, else -1. Constant-time header inspection. *)
 
 val attr_wire_size : int
 (** 84. *)
@@ -127,9 +98,6 @@ val u64_be : int64 -> string
 
 val time_be : Nfs.time -> string
 (** 8-byte (seconds, nanoseconds) rendering of a timestamp. *)
-
-val reply_attr_offset_i : bytes -> int
-(** {!reply_attr_offset} without the option: -1 = absent. *)
 
 val reply_fh_after_attr_off : bytes -> int
 (** Span offset of the validated handle led by an OK lookup / create /

@@ -60,19 +60,9 @@ let mirror_partner ~nsites r0 =
    logical site in its high bits: the node decodes it to keep each site's
    subobject separate (so co-located or migrating sites never collide in
    one object's offset space) while the low bits stay the dense node-local
-   sequence the prefetcher wants. *)
-let site_stride = 1_099_511_627_776L (* 2^40: far above any object size *)
-
-let site_offset ~site local =
-  Int64.add (Int64.mul (Int64.of_int site) site_stride) local
-
-let offset_site off = Int64.to_int (Int64.div off site_stride)
-let offset_local off = Int64.rem off site_stride
-
-(* Plain-int twins of the stride codec, for the µproxy's unboxed offset
-   fields: site·2^40 + local fits a 63-bit int for any plausible site
-   count, so the hot path never touches a boxed int64. *)
-let site_stride_int = 1 lsl 40
+   sequence the prefetcher wants. site·2^40 + local fits a 63-bit int for
+   any plausible site count, so the codec is plain int arithmetic. *)
+let site_stride_int = 1 lsl 40 (* far above any object size *)
 let site_offset_int ~site local = (site * site_stride_int) + local
 let offset_site_int off = off / site_stride_int
 let offset_local_int off = off mod site_stride_int

@@ -28,22 +28,6 @@ val local_offset : nsites:int -> stripe_unit:int -> int64 -> int64
 val mirror_sites : nsites:int -> Fh.t -> int * int
 (** Two replica sites for a mirrored file (distinct when [nsites > 1]). *)
 
-val site_stride : int64
-(** Offset-space stride separating logical storage sites within one
-    object: the µproxy rewrites bulk-I/O offsets to
-    [site * site_stride + local], and the storage node decodes the pair —
-    so several logical sites can share (or migrate between) physical
-    nodes without colliding in an object's offset space. *)
-
-val site_offset : site:int -> int64 -> int64
-(** Compose a wire offset from a logical site and a node-local offset. *)
-
-val offset_site : int64 -> int
-(** The logical site encoded in a wire offset (0 for plain offsets). *)
-
-val offset_local : int64 -> int64
-(** The node-local offset encoded in a wire offset. *)
-
 (** {2 In-place variants}
 
     The same fingerprints computed directly over handle/name spans inside
@@ -72,9 +56,20 @@ val mirror_partner : nsites:int -> int -> int
 (** Second replica site given the primary ({!file_site_at}); pairs with
     it to give exactly {!mirror_sites} without the tuple. *)
 
+(** {2 Site-offset codec} *)
+
 val site_stride_int : int
-(** [Int64.to_int site_stride] (2^40 fits comfortably in an int). *)
+(** Offset-space stride (2^40) separating logical storage sites within
+    one object: the µproxy rewrites bulk-I/O offsets to
+    [site * site_stride_int + local], and the storage node decodes the
+    pair — so several logical sites can share (or migrate between)
+    physical nodes without colliding in an object's offset space. *)
 
 val site_offset_int : site:int -> int -> int
+(** Compose a wire offset from a logical site and a node-local offset. *)
+
 val offset_site_int : int -> int
+(** The logical site encoded in a wire offset (0 for plain offsets). *)
+
 val offset_local_int : int -> int
+(** The node-local offset encoded in a wire offset. *)

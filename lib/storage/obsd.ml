@@ -14,7 +14,7 @@ type obj = {
 
 (* One storage object may carry subobjects for several logical storage
    sites: the µproxy encodes the logical site into the high bits of every
-   bulk-I/O offset (Routekey.site_offset), and the node decodes it here.
+   bulk-I/O offset (Routekey.site_offset_int), and the node decodes it here.
    Keeping sites separate is what lets a logical site migrate between
    nodes — or several sites share one node after a reconfiguration —
    without colliding in an object's offset space. *)
@@ -44,13 +44,11 @@ type t = {
 
 let object_id_of_fh fh = Slice_hash.Md5.fold64 (Fh.key fh)
 
-let site_of_offset = Routekey.offset_site
-let local_of_offset = Routekey.offset_local
+let site_of_offset woff = Routekey.offset_site_int (Int64.to_int woff)
+let local_of_offset woff = Int64.of_int (Routekey.offset_local_int (Int64.to_int woff))
 
 (* Distinct Bcache block index space per logical site within one object. *)
-let cache_block ~site ~local_block =
-  (site * Int64.to_int (Int64.div Routekey.site_stride (Int64.of_int block_size)))
-  + local_block
+let cache_block ~site ~local_block = (site * (Routekey.site_stride_int / block_size)) + local_block
 
 let sites_of t oid =
   match Hashtbl.find_opt t.objects oid with

@@ -25,7 +25,7 @@ val attach :
     Section 2.2: a compromised µproxy cannot forge access.
     [sites] are the logical storage sites this node initially owns
     (default [\[0\]]): bulk-I/O offsets carry their logical site in the
-    high bits ({!Slice_nfs.Routekey.site_offset}) and requests for a
+    high bits ({!Slice_nfs.Routekey.site_offset_int}) and requests for a
     site not owned here bounce with [SLICE_MISDIRECTED].
     With [qos], request dispatch goes through the per-tenant WFQ
     scheduler (see {!Nfs_endpoint.serve}). *)

@@ -118,41 +118,3 @@ module Counter = struct
   let get t = t.c
   let rate t ~elapsed = if elapsed <= 0.0 then 0.0 else float_of_int t.c /. elapsed
 end
-
-module Histogram = struct
-  type t = { lo : float; hi : float; width : float; counts : int array }
-
-  let create ~lo ~hi ~buckets =
-    if buckets <= 0 || hi <= lo then invalid_arg "Histogram.create";
-    { lo; hi; width = (hi -. lo) /. float_of_int buckets; counts = Array.make (buckets + 1) 0 }
-
-  let add t x =
-    let nb = Array.length t.counts - 1 in
-    let i =
-      if x < t.lo then 0
-      else if x >= t.hi then nb
-      else int_of_float ((x -. t.lo) /. t.width)
-    in
-    let i = Stdlib.min i nb in
-    t.counts.(i) <- t.counts.(i) + 1
-
-  let bucket_count t i = t.counts.(i)
-  let total t = Array.fold_left ( + ) 0 t.counts
-
-  let render t =
-    let b = Buffer.create 256 in
-    let nb = Array.length t.counts - 1 in
-    for i = 0 to nb do
-      if t.counts.(i) > 0 then begin
-        let label =
-          if i = nb then Printf.sprintf "[%.3g,inf)" t.hi
-          else
-            Printf.sprintf "[%.3g,%.3g)"
-              (t.lo +. (float_of_int i *. t.width))
-              (t.lo +. (float_of_int (i + 1) *. t.width))
-        in
-        Buffer.add_string b (Printf.sprintf "%-18s %d\n" label t.counts.(i))
-      end
-    done;
-    Buffer.contents b
-end

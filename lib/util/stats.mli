@@ -1,5 +1,5 @@
-(** Online statistics for simulation measurements: latency samples,
-    throughput counters, and simple fixed-bucket histograms. *)
+(** Online statistics for simulation measurements: latency samples and
+    throughput counters. *)
 
 type t
 (** A sample accumulator: exact count/mean/min/max/stddev, plus a capped
@@ -40,16 +40,4 @@ module Counter : sig
   val get : t -> int
   val rate : t -> elapsed:float -> float
   (** Events per unit time over [elapsed]; 0.0 if [elapsed <= 0]. *)
-end
-
-module Histogram : sig
-  (** Fixed-width bucket histogram over [\[lo, hi)] with overflow bucket. *)
-  type nonrec t
-
-  val create : lo:float -> hi:float -> buckets:int -> t
-  val add : t -> float -> unit
-  val bucket_count : t -> int -> int
-  val total : t -> int
-  val render : t -> string
-  (** Plain-text rendering, one line per non-empty bucket. *)
 end

@@ -101,6 +101,29 @@ let offload_smoke () =
       check_bool "hits account for the offload" true (on.E.Offload.meta.Slice.Proxy.hits > 0)
   | pts -> Alcotest.failf "expected 2 points, got %d" (List.length pts)
 
+(* One manager of each class is killed: three takeovers with positive,
+   bounded MTTR that each claim sites; the post-run audit finds every
+   acked update and exclusive ownership; every revived zombie is fenced. *)
+let failover_exhibit () =
+  let module F = E.Failover in
+  let t = F.compute ~scale:0.2 () in
+  check_int "one takeover per manager class" 3 (List.length t.F.takeovers);
+  List.iter
+    (fun (tk : F.takeover) ->
+      let name = tk.F.tk_class in
+      check_bool (name ^ ": detected") true (tk.F.tk_detect > 0.0);
+      check_bool (name ^ ": mttr bounded, >= detect") true
+        (Float.is_finite tk.F.tk_mttr && tk.F.tk_mttr >= tk.F.tk_detect);
+      check_bool (name ^ ": claimed sites") true (tk.F.tk_sites > 0))
+    t.F.takeovers;
+  check_int "zero requests lost" 0 t.F.audit.F.aud_lost;
+  check_bool "audit checked something" true (t.F.audit.F.aud_checked > 0);
+  check_int "no ownership violations" 0 t.F.audit.F.aud_ownership_violations;
+  check_bool "zombies probed" true (t.F.zombies <> []);
+  List.iter
+    (fun (z : F.zombie) -> check_bool (z.F.z_name ^ " fenced") true z.F.z_update_blocked)
+    t.F.zombies
+
 let suite =
   [
     ("table2 smoke", `Slow, table2_smoke);
@@ -108,6 +131,7 @@ let suite =
     ("fig3 smoke", `Slow, fig3_smoke);
     ("fig4 smoke", `Slow, fig4_smoke);
     ("offload smoke", `Quick, offload_smoke);
+    ("failover exhibit", `Quick, failover_exhibit);
     ("e2e under packet loss", `Quick, e2e_under_packet_loss);
     ("deterministic runs", `Quick, deterministic_runs);
   ]

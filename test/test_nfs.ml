@@ -101,46 +101,67 @@ let call_roundtrip =
       let xid', call' = Codec.decode_call (Codec.encode_call ~xid call) in
       xid' = xid && call' = call)
 
+(* What the µproxy's cursor recorded, read back out of the buffer, must
+   match the full decode field for field. *)
+let cursor_agrees_with_decode buf (c : Codec.cursor) =
+  let xid, call = Codec.decode_call buf in
+  let fh_at off = if off < 0 then None else Fh.decode (Bytes.sub_string buf off Fh.wire_length) in
+  let str_at off len = if len < 0 then None else Some (Bytes.sub_string buf off len) in
+  let fh = fh_at c.Codec.c_fh_off and fh2 = fh_at c.Codec.c_fh2_off in
+  let name = str_at c.Codec.c_name_off c.Codec.c_name_len in
+  let name2 = str_at c.Codec.c_name2_off c.Codec.c_name2_len in
+  let off_count off count =
+    c.Codec.c_off_field >= 0
+    && Int64.of_int c.Codec.c_offset = off
+    && Bytes.get_int64_be buf c.Codec.c_off_field = off
+    && c.Codec.c_count = count
+  in
+  c.Codec.c_xid = xid
+  && c.Codec.c_proc = Nfs.proc_of_call call
+  &&
+  match call with
+  | Nfs.Null -> fh = None && name = None && c.Codec.c_off_field < 0
+  | Nfs.Getattr f | Nfs.Readlink f | Nfs.Fsstat f -> fh = Some f && name = None
+  | Nfs.Setattr (f, sa) ->
+      fh = Some f
+      && (if c.Codec.c_has_set_size then Some (Int64.of_int c.Codec.c_set_size) else None)
+         = sa.Nfs.set_size
+  | Nfs.Lookup (f, n) | Nfs.Create (f, n) | Nfs.Mkdir (f, n) | Nfs.Remove (f, n)
+  | Nfs.Rmdir (f, n) | Nfs.Symlink (f, n, _) ->
+      fh = Some f && name = Some n && fh2 = None
+  | Nfs.Access (f, m) -> fh = Some f && c.Codec.c_access = m
+  | Nfs.Read (f, off, n) | Nfs.Commit (f, off, n) | Nfs.Readdir (f, off, n) ->
+      fh = Some f && off_count off n
+  | Nfs.Write (f, off, stable, data) ->
+      fh = Some f
+      && off_count off (Nfs.wdata_length data)
+      && c.Codec.c_stable
+         = (match stable with Nfs.Unstable -> 0 | Nfs.Data_sync -> 1 | Nfs.File_sync -> 2)
+  | Nfs.Rename (f1, n1, f2, n2) -> fh = Some f1 && name = Some n1 && fh2 = Some f2 && name2 = Some n2
+  | Nfs.Link (f, d, n) -> fh = Some f && fh2 = Some d && name = Some n
+
 let peek_matches_decode =
   qtest ~count:500 "peek agrees with full decode" gen_call (fun call ->
       let buf = Codec.encode_call ~xid:77 call in
-      match Codec.peek_call buf with
-      | None -> false
-      | Some p ->
-          p.Codec.xid = 77
-          && p.Codec.proc = Nfs.proc_of_call call
-          && (match call with
-             | Nfs.Getattr fh | Nfs.Lookup (fh, _) | Nfs.Read (fh, _, _)
-             | Nfs.Write (fh, _, _, _) | Nfs.Create (fh, _) | Nfs.Mkdir (fh, _) ->
-                 p.Codec.fh = Some fh
-             | Nfs.Null -> p.Codec.fh = None
-             | _ -> true)
-          &&
-          match call with
-          | Nfs.Read (_, off, count) | Nfs.Commit (_, off, count) ->
-              p.Codec.offset = Some off && p.Codec.count = Some count
-          | Nfs.Write (_, off, stable, data) ->
-              p.Codec.offset = Some off
-              && p.Codec.count = Some (Nfs.wdata_length data)
-              && p.Codec.write_stable = Some stable
-          | Nfs.Rename (_, n1, fh2, _) -> p.Codec.name = Some n1 && p.Codec.fh2 = Some fh2
-          | Nfs.Lookup (_, n) -> p.Codec.name = Some n
-          | _ -> true)
+      let c = Codec.cursor () in
+      Codec.peek_call_into c buf && cursor_agrees_with_decode buf c)
 
 let peek_offset_field =
   qtest "peek's offset field location is exact" QCheck2.Gen.(pair gen_fh int)
     (fun (fh, off) ->
       let off = Int64.of_int (abs off) in
       let buf = Codec.encode_call ~xid:9 (Nfs.Read (fh, off, 4096)) in
-      match Codec.peek_call buf with
-      | Some { Codec.offset_field_off = Some pos; _ } -> Bytes.get_int64_be buf pos = off
-      | _ -> false)
+      let c = Codec.cursor () in
+      Codec.peek_call_into c buf
+      && c.Codec.c_off_field >= 0
+      && Bytes.get_int64_be buf c.Codec.c_off_field = off)
 
 let peek_rejects_garbage () =
-  check_bool "garbage" true (Codec.peek_call (Bytes.make 40 'x') = None);
-  check_bool "empty" true (Codec.peek_call Bytes.empty = None);
+  let c = Codec.cursor () in
+  check_bool "garbage" false (Codec.peek_call_into c (Bytes.make 40 'x'));
+  check_bool "empty" false (Codec.peek_call_into c Bytes.empty);
   let reply = Codec.encode_reply ~xid:3 (Ok Nfs.RNull) in
-  check_bool "reply is not a call" true (Codec.peek_call reply = None)
+  check_bool "reply is not a call" false (Codec.peek_call_into c reply)
 
 (* ---- replies ---- *)
 
@@ -218,14 +239,15 @@ let error_roundtrip () =
 let attr_offset_fixed =
   qtest "attr block at fixed offset when present" gen_reply (fun r ->
       let buf = Codec.encode_reply ~xid:1 (Ok r) in
-      match (Nfs.reply_attr r, Codec.reply_attr_offset buf) with
-      | Some a, Some off -> attr_close a (Codec.decode_attr_at buf off)
-      | None, None -> true
+      match (Nfs.reply_attr r, Codec.reply_attr_offset_i buf) with
+      | Some a, off when off >= 0 -> attr_close a (Codec.decode_attr_at buf off)
+      | None, -1 -> true
       | _ -> false)
 
 let attr_patch_points () =
   let buf = Codec.encode_reply ~xid:1 (Ok (Nfs.RGetattr sample_attr)) in
-  let off = Option.get (Codec.reply_attr_offset buf) in
+  let off = Codec.reply_attr_offset_i buf in
+  check_bool "attr block present" true (off >= 0);
   (* overwrite the size field in place and re-read *)
   Bytes.blit_string (Codec.u64_be 999L) 0 buf (off + Codec.attr_size_field_off) 8;
   Bytes.blit_string (Codec.time_be 777.5) 0 buf (off + Codec.attr_mtime_field_off) 8;
@@ -449,16 +471,27 @@ let suite =
 
 (* ---- robustness: decoders never crash on arbitrary bytes ---- *)
 
+(* Fuzz containment: the full decoders raise only [Malformed]; the
+   cursor peek never raises, and whenever both it and the full decode
+   accept a buffer they agree on every recorded field. *)
+let peek_contained c buf =
+  match Codec.peek_call_into c buf with
+  | false -> true
+  | true -> (
+      match Codec.decode_call buf with
+      | exception Codec.Malformed _ -> true
+      | _ -> cursor_agrees_with_decode buf c)
+
 let decode_garbage_is_contained =
   qtest ~count:500 "decode of fuzz never escapes Malformed"
     QCheck2.Gen.(string_size (int_range 0 200))
     (fun s ->
       let buf = Bytes.of_string s in
       let contained f = match f () with _ -> true | exception Codec.Malformed _ -> true in
-      contained (fun () -> ignore (Codec.peek_call buf))
+      peek_contained (Codec.cursor ()) buf
       && contained (fun () -> ignore (Codec.decode_call buf))
       && contained (fun () -> ignore (Codec.decode_reply buf))
-      && contained (fun () -> ignore (Codec.reply_attr_offset buf))
+      && contained (fun () -> ignore (Codec.reply_attr_offset_i buf))
       && contained (fun () -> ignore (Codec.reply_fh_after_attr buf)))
 
 let truncated_real_call_is_contained =
@@ -470,7 +503,7 @@ let truncated_real_call_is_contained =
       (match Codec.decode_call cut with
       | _ -> true
       | exception Codec.Malformed _ -> true)
-      && match Codec.peek_call cut with Some _ | None -> true)
+      && peek_contained (Codec.cursor ()) cut)
 
 let suite =
   suite @ [ decode_garbage_is_contained; truncated_real_call_is_contained ]

@@ -337,22 +337,26 @@ let test_takeover_claims_victim_sites () =
         (Invalid_argument "Reconfig: storage sites are not dataless; cannot take over")
         (fun () -> ignore (Reconfig.takeover rc Plan.Storage ~victim:0 ~standby:1)))
 
-(* The exhibit is deterministic: same seed, byte-identical JSON. *)
+(* The exhibit is deterministic: same seed, byte-identical JSON. It must
+   also show a clean audit, real migrations, and throughput rising after
+   every server addition. *)
 let test_scale_exhibit_deterministic () =
-  let dump () =
-    Json.to_string
-      (Slice_experiments.Scale.json_of
-         (Slice_experiments.Scale.compute ~scale:0.05 ~seed:21 ()))
-  in
-  let a = dump () in
-  let b = dump () in
-  check_string "byte-identical scale report" a b;
-  (* and it must show a clean audit and real migrations *)
-  let t = Slice_experiments.Scale.compute ~scale:0.05 ~seed:21 () in
-  check_int "no lost updates" 0 t.Slice_experiments.Scale.audit.aud_lost;
-  check_int "no ownership violations" 0
-    t.Slice_experiments.Scale.audit.aud_ownership_violations;
-  check_bool "sites moved" true (t.Slice_experiments.Scale.sites_moved > 0)
+  let module S = Slice_experiments.Scale in
+  let run () = S.compute ~scale:0.05 ~seed:21 () in
+  let t = run () in
+  check_string "byte-identical scale report"
+    (Json.to_string (S.json_of t))
+    (Json.to_string (S.json_of (run ())));
+  check_int "no lost updates" 0 t.S.audit.S.aud_lost;
+  check_int "no ownership violations" 0 t.S.audit.S.aud_ownership_violations;
+  check_bool "sites moved" true (t.S.sites_moved > 0);
+  let rates = List.map (fun (p : S.phase) -> p.S.ph_ops_s) t.S.phases in
+  check_int "baseline + one phase per server class" 4 (List.length rates);
+  let rec rising = function a :: (b :: _ as rest) -> a < b && rising rest | _ -> true in
+  check_bool
+    (Printf.sprintf "throughput rises after every addition (%s)"
+       (String.concat " -> " (List.map (Printf.sprintf "%.0f") rates)))
+    true (rising rates)
 
 let suite =
   [

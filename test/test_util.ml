@@ -107,15 +107,6 @@ let counter_rate () =
   check_float "rate" 5.5 (Stats.Counter.rate c ~elapsed:2.0);
   check_float "rate zero elapsed" 0.0 (Stats.Counter.rate c ~elapsed:0.0)
 
-let histogram () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:10 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 1.7; 9.9; 15.0; -1.0 ];
-  check_int "bucket 0" 2 (Stats.Histogram.bucket_count h 0) (* 0.5 and clamped -1.0 *);
-  check_int "bucket 1" 2 (Stats.Histogram.bucket_count h 1);
-  check_int "overflow" 1 (Stats.Histogram.bucket_count h 10);
-  check_int "total" 6 (Stats.Histogram.total h);
-  check_bool "render nonempty" true (String.length (Stats.Histogram.render h) > 0)
-
 (* ---- Lru ---- *)
 
 let lru_basic () =
@@ -343,7 +334,6 @@ let suite =
     ("stats empty", `Quick, stats_empty);
     stats_merge;
     ("counter rate", `Quick, counter_rate);
-    ("histogram", `Quick, histogram);
     ("lru basic", `Quick, lru_basic);
     ("lru eviction callback", `Quick, lru_eviction_callback);
     ("lru replace fires evict", `Quick, lru_replace_fires_evict);
