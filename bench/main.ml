@@ -38,10 +38,11 @@ let micro_tests =
        Test.make ~name:"table3/checksum-full-recompute"
          (Staged.stage (fun () -> ignore (Cksum.compute pkt))));
       (* Table 2: bulk I/O routing *)
-      Test.make ~name:"table2/stripe-route"
-        (Staged.stage (fun () ->
-             ignore (Routekey.stripe_site ~nsites:8 ~stripe_unit:32768 sample_fh 1048576L);
-             ignore (Routekey.local_offset ~nsites:8 ~stripe_unit:32768 1048576L)));
+      (let fh_buf = Bytes.of_string (Fh.encode sample_fh) in
+       Test.make ~name:"table2/stripe-route"
+         (Staged.stage (fun () ->
+              ignore (Routekey.stripe_site_at ~nsites:8 ~stripe_unit:32768 fh_buf ~off:0 1048576);
+              ignore (Routekey.local_offset_int ~nsites:8 ~stripe_unit:32768 1048576))));
       (* Figures 3/4: name-space routing hash — MD5 (the paper's choice)
          vs FNV (the "competing hash function" ablation) *)
       Test.make ~name:"fig3/md5-name-site"

@@ -12,6 +12,7 @@ module Host = Slice_storage.Host
 module Ctrl = Slice_storage.Ctrl
 module Prng = Slice_util.Prng
 module Lru = Slice_util.Lru
+module Xid_index = Slice_util.Xid_index
 module Trace = Slice_trace.Trace
 
 type targets = {
@@ -41,7 +42,6 @@ type klass = KName | KStorage | KSmallfile
    parallel float array ([pool_born]) because a mutable float field in a
    mixed record would box a fresh float on every store. *)
 type pending = {
-  mutable p_xid : int;
   mutable p_active : bool;
   mutable p_klass : klass;
   mutable p_proc : int;
@@ -122,15 +122,12 @@ type t = {
   tg : targets;
   prng : Prng.t;
   rpc : Rpc.t;
-  (* pending-record pool + open-addressing xid index. [xidx] stores
-     slot+1 (0 = empty) and is sized at twice the pool, so load stays
-     under 1/2 and linear probes always terminate on an empty cell.
-     Deletion back-shifts (no tombstones). *)
+  (* pending-record pool, found by xid through the shared index (which
+     also holds each slot's xid) *)
   mutable pool : pending array;
   mutable pool_born : float array; (* arrival time, refreshed by retransmit *)
   mutable free_head : int;
-  mutable xidx : int array;
-  mutable xmask : int;
+  xidx : Xid_index.t;
   mutable n_pending : int;
   mutable sweep_buf : int array; (* expiry sweep scratch (slot indices) *)
   attrs : (int, cached_attr) Lru.t; (* keyed by file-id collapsed to int *)
@@ -242,7 +239,6 @@ let round_pow2 n = round_pow2_from 16 n
 
 let fresh_pending () =
   {
-    p_xid = 0;
     p_active = false;
     p_klass = KName;
     p_proc = 0;
@@ -267,46 +263,6 @@ let fresh_pending () =
     p_next_free = -1;
   }
 
-let xidx_home t xid = xid * 0x9E3779B1 land t.xmask
-
-let[@hot] rec xidx_probe t xid i =
-  let v = t.xidx.(i) in
-  if v = 0 then -1
-  else if t.pool.(v - 1).p_xid = xid then i
-  else xidx_probe t xid ((i + 1) land t.xmask)
-
-let[@hot] xidx_pos t xid = xidx_probe t xid (xidx_home t xid)
-
-let[@hot] rec xidx_scan_free t i =
-  if t.xidx.(i) = 0 then i else xidx_scan_free t ((i + 1) land t.xmask)
-
-let[@hot] xidx_insert t xid slot = t.xidx.(xidx_scan_free t (xidx_home t xid)) <- slot + 1
-
-(* Backward-shift deletion: refill the hole at [i] from the probe run
-   following [j], so lookups never need tombstones. An entry at [j] may
-   move into the hole iff its home position is cyclically outside
-   (i, j] — otherwise the move would break its own probe chain. *)
-let[@hot] rec xidx_shift t i j =
-  let j = (j + 1) land t.xmask in
-  let v = t.xidx.(j) in
-  if v <> 0 then begin
-    let k = xidx_home t t.pool.(v - 1).p_xid in
-    let movable = if j > i then k <= i || k > j else k <= i && k > j in
-    if movable then begin
-      t.xidx.(i) <- v;
-      t.xidx.(j) <- 0;
-      xidx_shift t j j
-    end
-    else xidx_shift t i j
-  end
-
-let[@hot] xidx_delete t xid =
-  let pos = xidx_pos t xid in
-  if pos >= 0 then begin
-    t.xidx.(pos) <- 0;
-    xidx_shift t pos pos
-  end
-
 let[@hot] release_slot t slot =
   let pd = t.pool.(slot) in
   pd.p_active <- false;
@@ -330,11 +286,7 @@ let grow_pool t =
     pool.(i).p_next_free <- t.free_head;
     t.free_head <- i
   done;
-  t.xidx <- Array.make (ncap * 2) 0;
-  t.xmask <- (ncap * 2) - 1;
-  for i = 0 to cap - 1 do
-    if pool.(i).p_active then xidx_insert t pool.(i).p_xid i
-  done
+  Xid_index.resize t.xidx ncap
 
 let acquire_slot t =
   if t.free_head < 0 then grow_pool t;
@@ -507,7 +459,7 @@ let sweep t =
   for i = 1 to !n - 1 do
     let v = buf.(i) in
     let j = ref (i - 1) in
-    while !j >= 0 && t.pool.(buf.(!j)).p_xid > t.pool.(v).p_xid do
+    while !j >= 0 && Xid_index.key t.xidx buf.(!j) > Xid_index.key t.xidx v do
       buf.(!j + 1) <- buf.(!j);
       decr j
     done;
@@ -516,8 +468,9 @@ let sweep t =
   for i = 0 to !n - 1 do
     let s = buf.(i) in
     let pd = t.pool.(s) in
-    xidx_delete t pd.p_xid;
-    Trace.unbind_xid pd.p_span pd.p_xid;
+    let xid = Xid_index.key t.xidx s in
+    ignore (Xid_index.remove t.xidx xid);
+    Trace.unbind_xid pd.p_span xid;
     Trace.finish ~outcome:"expired" pd.p_span;
     release_slot t s;
     t.n_expired <- t.n_expired + 1
@@ -532,27 +485,25 @@ let sweep t =
    pristine — stripe offsets are never translated twice. *)
 let remember t (cur : Codec.cursor) (payload : bytes) ~span ~klass ~rd_site ~mirrors ~retries =
   let xid = cur.Codec.c_xid in
-  let pos = xidx_pos t xid in
+  let found = Xid_index.find t.xidx xid in
   let slot =
-    if pos >= 0 then begin
+    if found >= 0 then begin
       (* a client retransmit replaces the record: close the superseded
          tree and reuse the slot (the index binding stands) *)
-      let s = t.xidx.(pos) - 1 in
-      let old = t.pool.(s) in
+      let old = t.pool.(found) in
       Trace.unbind_xid old.p_span xid;
       Trace.finish ~outcome:"superseded" old.p_span;
-      s
+      found
     end
     else begin
       let s = acquire_slot t in
-      xidx_insert t xid s;
+      Xid_index.add t.xidx ~xid ~slot:s;
       t.n_pending <- t.n_pending + 1;
       s
     end
   in
   let pd = t.pool.(slot) in
   Trace.bind_xid span xid;
-  pd.p_xid <- xid;
   pd.p_active <- true;
   pd.p_klass <- klass;
   pd.p_proc <- cur.Codec.c_proc;
@@ -1295,10 +1246,10 @@ let learn_name t (pd : pending) (pkt : Packet.t) =
     let expires = Engine.now t.eng +. t.p.Params.meta_cache_ttl in
     let st = reply_status pkt.Packet.payload in
     match pd.p_proc with
-    | (3 | 8 | 9 | 10) when st = 0 -> (
-        match Codec.reply_fh_after_attr pkt.Packet.payload with
-        | Some child -> Lru.add t.name_cache ~expires_at:expires key (Some child)
-        | None -> ())
+    | (3 | 8 | 9 | 10) when st = 0 ->
+        let off = Codec.reply_fh_after_attr_off pkt.Packet.payload in
+        if off >= 0 then
+          Lru.add t.name_cache ~expires_at:expires key (Some (fh_at pkt.Packet.payload off))
     | 3 when st = Codec.int_of_status Nfs.ERR_NOENT ->
         Lru.add t.name_cache ~expires_at:expires key None
     | _ -> ()
@@ -1402,15 +1353,13 @@ let ingress_filter t (pkt : Packet.t) =
   if Bytes.length pkt.Packet.payload < 4 then Some pkt
   else begin
     let xid = Int32.to_int (Bytes.get_int32_be pkt.Packet.payload 0) land 0xFFFFFFFF in
-    let pos = xidx_pos t xid in
-    if pos < 0 then Some pkt
+    let slot = Xid_index.find t.xidx xid in
+    if slot < 0 then Some pkt
     else begin
-      let slot = t.xidx.(pos) - 1 in
       let pd = t.pool.(slot) in
       let last = pd.p_mirror_left <= 1 in
       if last then begin
-        t.xidx.(pos) <- 0;
-        xidx_shift t pos pos;
+        ignore (Xid_index.remove t.xidx xid);
         Trace.unbind_xid pd.p_span xid;
         (* per-tenant accounting on the closing reply: one op, the
            response bytes, and the client-visible latency measured from
@@ -1473,8 +1422,7 @@ let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
       pool;
       pool_born = Array.make cap 0.0;
       free_head = -1;
-      xidx = Array.make (cap * 2) 0;
-      xmask = (cap * 2) - 1;
+      xidx = Xid_index.create cap;
       n_pending = 0;
       sweep_buf = Array.make cap 0;
       attrs;
@@ -1538,7 +1486,7 @@ let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
 let params t = t.p
 
 let discard_soft_state t =
-  Array.fill t.xidx 0 (Array.length t.xidx) 0;
+  Xid_index.clear t.xidx;
   t.free_head <- -1;
   for i = Array.length t.pool - 1 downto 0 do
     let pd = t.pool.(i) in
@@ -1598,5 +1546,5 @@ let p2c_diverted t = t.n_p2c_diverted
    (None when no record is pending). Exercises tag preservation across
    retransmit-supersede slot reuse. *)
 let pending_tenant t ~xid =
-  let pos = xidx_pos t xid in
-  if pos < 0 then None else Some t.pool.(t.xidx.(pos) - 1).p_tenant
+  let slot = Xid_index.find t.xidx xid in
+  if slot < 0 then None else Some t.pool.(slot).p_tenant

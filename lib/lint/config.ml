@@ -94,12 +94,19 @@ let repo =
     required_dune_flags = uniform_flags;
     (* Files whose [@hot] roots seed A1, and which therefore must have a
        .cmt available when the typed tier runs: the µproxy packet path,
-       the codec peek path and its XDR primitives, and the engine's
-       event dispatch. *)
+       the codec peek path and its XDR primitives, the engine's event
+       dispatch, the RPC reply path and the shared xid index. *)
     a1_scope =
       (fun f ->
         List.mem f
-          [ "lib/core/proxy.ml"; "lib/nfs/codec.ml"; "lib/xdr/xdr.ml"; "lib/sim/engine.ml" ]);
+          [
+            "lib/core/proxy.ml";
+            "lib/nfs/codec.ml";
+            "lib/xdr/xdr.ml";
+            "lib/sim/engine.ml";
+            "lib/net/rpc.ml";
+            "lib/util/xid_index.ml";
+          ]);
     (* The fenced server modules of PR 6: every dispatch path that
        reaches the WAL, the buffer cache or the allocator must be
        dominated by the wedge/lease-epoch check. *)

@@ -78,6 +78,9 @@ let clean_table =
     "List.length"; "List.is_empty";
     "int_of_char"; "char_of_int"; "int_of_float"; "truncate";
     "Float.to_int"; "Hashtbl.mem"; "Hashtbl.length"; "Queue.length"; "Queue.is_empty";
+    (* resuming a parked fiber switches stacks; what the fiber then runs
+       is charged to its own code, not to the caller *)
+    "Deep.continue";
   ]
 
 (* Raising helpers: their arguments are the error path, not the packet

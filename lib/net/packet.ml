@@ -32,17 +32,13 @@ let sum_payload payload =
   if !i < n then acc := ones_add !acc (Char.code (Bytes.get payload !i) lsl 8);
   !acc
 
+let add16 acc v = ones_add acc (v land 0xFFFF)
+
+(* The pseudo-header words in order: src and dst as two 16-bit halves
+   each, then the ports and the length. *)
 let pseudo_sum ~src ~dst ~sport ~dport ~len =
-  let acc = ref 0 in
-  let add v = acc := ones_add !acc (v land 0xFFFF) in
-  add (src lsr 16);
-  add src;
-  add (dst lsr 16);
-  add dst;
-  add sport;
-  add dport;
-  add len;
-  !acc
+  let acc = add16 (add16 (add16 (add16 0 (src lsr 16)) src) (dst lsr 16)) dst in
+  add16 (add16 (add16 acc sport) dport) len
 
 let compute_cksum ~src ~dst ~sport ~dport payload =
   let s =

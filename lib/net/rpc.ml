@@ -1,14 +1,37 @@
 module Engine = Slice_sim.Engine
+module Xid_index = Slice_util.Xid_index
 
 module Trace = Slice_trace.Trace
 
 exception Timeout
 
-type outcome = Reply of bytes | Timed_out
-
 type ep = { mutable ep_calls : int; mutable ep_retransmits : int; mutable ep_timeouts : int }
 
 type endpoint_stats = { calls : int; retransmits : int; timeouts : int }
+
+(* One outstanding call. Slots are pooled: created on a pool miss, so the
+   pool never outgrows the peak number of outstanding calls, and reused
+   from an intrusive freelist. Everything a call needs lives in the slot,
+   so the retransmit timer closure and the waiter are built once per
+   slot, not per call. *)
+type slot = {
+  id : int;
+  mutable buf : bytes; (* pristine request bytes, grown and kept across reuse *)
+  mutable len : int;
+  mutable dst : Packet.addr;
+  mutable dport : int;
+  mutable extra_size : int;
+  mutable ep : ep;
+  mutable retries : int;
+  mutable attempt : int; (* 0 = the first send *)
+  fl : float array; (* [| backoff; cap; this attempt's timeout |], unboxed *)
+  mutable reply : bytes; (* [awaiting] until the reply lands, [expired] on timeout *)
+  mutable timer : Engine.timer;
+  mutable timer_seq : int;
+  waiter : Engine.waiter;
+  expire : unit -> unit; (* this slot's timer thunk *)
+  mutable next_free : int; (* freelist link (slot id); -1 = end *)
+}
 
 type t = {
   net : Net.t;
@@ -16,41 +39,33 @@ type t = {
   addr : Packet.addr;
   port : int;
   prng : Slice_util.Prng.t;
-  pending : (int, outcome -> unit) Hashtbl.t;
+  index : Xid_index.t; (* xid of each outstanding call -> its slot *)
+  mutable slots : slot array;
+  mutable n_slots : int;
+  mutable free : int;
+  mutable outstanding : int;
   endpoints : (Packet.addr, ep) Hashtbl.t;
   mutable retransmits : int;
   mutable timeouts : int;
   mutable completed : int;
 }
 
-(* One record per outstanding call holds everything a retransmission
-   needs, so its timer closure is built once per call, not per attempt. *)
-type call = {
-  rpc : t;
-  xid : int;
-  payload : bytes;
-  dst : Packet.addr;
-  dport : int;
-  extra_size : int;
-  ep : ep;
-  retries : int;
-  backoff : float;
-  cap : float;
-  mutable attempt : int; (* 0 = the first send *)
-  mutable cur : float; (* this attempt's timeout, before jitter *)
-  mutable wake : outcome -> unit;
-  mutable timer : unit -> unit;
-}
+(* Distinct sentinels, compared physically: no reply payload is either. *)
+let awaiting = Bytes.create 0
+let expired = Bytes.create 0
 
-let on_packet t (pkt : Packet.t) =
+let[@hot] on_packet t (pkt : Packet.t) =
   if Bytes.length pkt.payload >= 4 then begin
     let xid = Int32.to_int (Bytes.get_int32_be pkt.payload 0) land 0xFFFFFFFF in
-    match Hashtbl.find_opt t.pending xid with
-    | None -> () (* duplicate reply after a retransmission: drop *)
-    | Some wake ->
-        Hashtbl.remove t.pending xid;
-        t.completed <- t.completed + 1;
-        wake (Reply pkt.payload)
+    let id = Xid_index.remove t.index xid in
+    (* unknown xid: a duplicate reply after a retransmission, dropped *)
+    if id >= 0 then begin
+      let s = t.slots.(id) in
+      t.completed <- t.completed + 1;
+      Engine.cancel s.timer s.timer_seq;
+      s.reply <- pkt.payload;
+      Engine.unpark s.waiter
+    end
   end
 
 let create net addr ~port =
@@ -63,8 +78,11 @@ let create net addr ~port =
       (* jitter stream seeded from the endpoint identity: deterministic
          across runs, decorrelated across endpoints *)
       prng = Slice_util.Prng.create ((addr * 65599) + port + 17);
-      (* lint: bounded — one row per outstanding call; reply or timeout removes it *)
-      pending = Hashtbl.create 64;
+      index = Xid_index.create 16;
+      slots = [||];
+      n_slots = 0;
+      free = -1;
+      outstanding = 0;
       (* lint: bounded — one row per (addr, port) peer in the ensemble *)
       endpoints = Hashtbl.create 8;
       retransmits = 0;
@@ -76,9 +94,9 @@ let create net addr ~port =
   t
 
 let ep_of t dst =
-  match Hashtbl.find_opt t.endpoints dst with
-  | Some ep -> ep
-  | None ->
+  match Hashtbl.find t.endpoints dst with
+  | ep -> ep
+  | exception Not_found ->
       let ep = { ep_calls = 0; ep_retransmits = 0; ep_timeouts = 0 } in
       Hashtbl.replace t.endpoints dst ep;
       ep
@@ -95,71 +113,136 @@ let fresh_xid t = Net.fresh_xid t.net
    endpoints that lost packets together does not retransmit in lockstep. *)
 let jitter_frac = 0.1
 
-(* Send the current attempt unless a reply already completed the call. A
-   fresh packet per attempt: an interposed filter may have rewritten the
-   previous copy in place. *)
-let transmit c =
-  let t = c.rpc in
-  if Hashtbl.mem t.pending c.xid then begin
-    if c.attempt > 0 then begin
-      t.retransmits <- t.retransmits + 1;
-      c.ep.ep_retransmits <- c.ep.ep_retransmits + 1
-    end;
-    Net.send t.net
-      (Packet.make ~src:t.addr ~dst:c.dst ~sport:t.port ~dport:c.dport ~extra_size:c.extra_size
-         (Bytes.copy c.payload));
-    let wait = c.cur *. (1.0 +. (jitter_frac *. Slice_util.Prng.float t.prng 1.0)) in
-    Engine.schedule t.eng wait c.timer
+(* Send one attempt, then arm its timer — unless an interposed filter
+   answered synchronously inside [Net.send], leaving nothing to time
+   (the slot may even hold the caller's next call by then). *)
+let transmit t s xid payload =
+  Net.send t.net
+    (Packet.make ~src:t.addr ~dst:s.dst ~sport:t.port ~dport:s.dport ~extra_size:s.extra_size
+       payload);
+  if Xid_index.find t.index xid >= 0 then begin
+    let wait = s.fl.(2) *. (1.0 +. (jitter_frac *. Slice_util.Prng.float t.prng 1.0)) in
+    s.timer <- Engine.schedule_timer t.eng wait s.expire;
+    s.timer_seq <- Engine.timer_seq s.timer
   end
 
-let expire c =
-  let t = c.rpc in
-  if Hashtbl.mem t.pending c.xid then
-    if c.attempt < c.retries then begin
-      let next = c.cur *. c.backoff in
-      c.attempt <- c.attempt + 1;
-      c.cur <- (if next > c.cap then c.cap else next);
-      transmit c
-    end
-    else begin
-      Hashtbl.remove t.pending c.xid;
-      t.timeouts <- t.timeouts + 1;
-      c.ep.ep_timeouts <- c.ep.ep_timeouts + 1;
-      c.wake Timed_out
-    end
+(* The timer fires only while the call is outstanding: a reply cancels
+   it. A retransmission gets fresh bytes from the pristine copy, since an
+   interposed filter may have rewritten the previous attempt in place. *)
+let expire t s =
+  if s.attempt < s.retries then begin
+    let next = s.fl.(2) *. s.fl.(0) in
+    s.attempt <- s.attempt + 1;
+    s.fl.(2) <- (if next > s.fl.(1) then s.fl.(1) else next);
+    t.retransmits <- t.retransmits + 1;
+    s.ep.ep_retransmits <- s.ep.ep_retransmits + 1;
+    transmit t s (Xid_index.key t.index s.id) (Bytes.sub s.buf 0 s.len)
+  end
+  else begin
+    ignore (Xid_index.remove t.index (Xid_index.key t.index s.id));
+    t.timeouts <- t.timeouts + 1;
+    s.ep.ep_timeouts <- s.ep.ep_timeouts + 1;
+    s.reply <- expired;
+    Engine.unpark s.waiter
+  end
+
+let no_ep = { ep_calls = 0; ep_retransmits = 0; ep_timeouts = 0 }
+
+(* Cold: the pool is empty. One new slot, so the pool tracks the peak
+   number of outstanding calls. *)
+let new_slot t =
+  let id = t.n_slots in
+  let rec s =
+    {
+      id;
+      buf = Bytes.empty;
+      len = 0;
+      dst = 0;
+      dport = 0;
+      extra_size = 0;
+      ep = no_ep;
+      retries = 0;
+      attempt = 0;
+      fl = [| 0.0; 0.0; 0.0 |];
+      reply = awaiting;
+      timer = Engine.no_timer;
+      timer_seq = -1;
+      waiter = Engine.waiter ();
+      expire = (fun () -> expire t s);
+      next_free = -1;
+    }
+  in
+  if id = Array.length t.slots then begin
+    let slots = Array.make (max 8 (2 * id)) s in
+    Array.blit t.slots 0 slots 0 id;
+    t.slots <- slots
+  end;
+  t.slots.(id) <- s;
+  t.n_slots <- id + 1;
+  Xid_index.resize t.index t.n_slots;
+  s
+
+let acquire t =
+  if t.free < 0 then new_slot t
+  else begin
+    let s = t.slots.(t.free) in
+    t.free <- s.next_free;
+    s
+  end
+
+(* The slot is free again as soon as its caller has the outcome, and it
+   keeps nothing of the finished call but its reusable buffer. *)
+let release t s =
+  s.reply <- awaiting;
+  s.next_free <- t.free;
+  t.free <- s.id;
+  t.outstanding <- t.outstanding - 1
+
+let rec round_pow2 p n = if p >= n then p else round_pow2 (p * 2) n
 
 let call t ?(timeout = 0.1) ?(retries = 8) ?(backoff = 2.0) ?(max_timeout = 2.0)
     ?(span = Trace.null) ~dst ~dport ?(extra_size = 0) payload =
   let xid = Int32.to_int (Bytes.get_int32_be payload 0) land 0xFFFFFFFF in
-  let cap = if timeout > max_timeout then timeout else max_timeout in
   let ep = ep_of t dst in
   ep.ep_calls <- ep.ep_calls + 1;
   let sp = Trace.child span ~hop:"rpc" ~site:(Net.node_name t.net t.addr) () in
   Trace.bind_xid sp xid;
-  let c =
-    { rpc = t; xid; payload; dst; dport; extra_size; ep; retries; backoff; cap; attempt = 0;
-      cur = timeout; wake = ignore; timer = ignore }
-  in
-  c.timer <- (fun () -> expire c);
-  let outcome =
-    Engine.suspend (fun wake ->
-        c.wake <- wake;
-        Hashtbl.replace t.pending xid wake;
-        transmit c)
-  in
+  let s = acquire t in
+  t.outstanding <- t.outstanding + 1;
+  Xid_index.add t.index ~xid ~slot:s.id;
+  let len = Bytes.length payload in
+  if Bytes.length s.buf < len then s.buf <- Bytes.create (round_pow2 64 len);
+  Bytes.blit payload 0 s.buf 0 len;
+  s.len <- len;
+  s.dst <- dst;
+  s.dport <- dport;
+  s.extra_size <- extra_size;
+  s.ep <- ep;
+  s.retries <- retries;
+  s.attempt <- 0;
+  s.fl.(0) <- backoff;
+  s.fl.(1) <- (if timeout > max_timeout then timeout else max_timeout);
+  s.fl.(2) <- timeout;
+  (* the first attempt sends the caller's bytes *)
+  transmit t s xid payload;
+  if s.reply == awaiting then Engine.park t.eng s.waiter;
+  let reply = s.reply in
+  release t s;
   Trace.unbind_xid sp xid;
-  match outcome with
-  | Reply b ->
-      Trace.finish sp;
-      b
-  | Timed_out ->
-      Trace.finish ~outcome:"timeout" sp;
-      raise Timeout
+  if reply == expired then begin
+    Trace.finish ~outcome:"timeout" sp;
+    raise Timeout
+  end
+  else begin
+    Trace.finish sp;
+    reply
+  end
 
 let retransmissions t = t.retransmits
 let timeouts t = t.timeouts
 let calls_completed t = t.completed
-let pending_calls t = Hashtbl.length t.pending
+let pending_calls t = t.outstanding
+let pool_size t = t.n_slots
 
 let endpoint_stats t dst =
   match Hashtbl.find_opt t.endpoints dst with

@@ -46,7 +46,13 @@ val call :
     clients that lost packets together. Returns the reply payload.
     When [span] is live, an ["rpc"] child span covers the call and is
     bound to the xid while outstanding, so server-side spans for this
-    request attach under it. *)
+    request attach under it.
+
+    [call] takes ownership of [payload]: the first attempt puts those
+    very bytes on the wire, where an interposed filter may rewrite them
+    in place, so pass a freshly encoded buffer and do not reuse it.
+    Retransmissions carry the bytes as they were at the call, from a
+    copy the endpoint keeps. *)
 
 val retransmissions : t -> int
 (** Total timeout-triggered resends across all calls. *)
@@ -59,6 +65,11 @@ val calls_completed : t -> int
 
 val pending_calls : t -> int
 (** Calls currently awaiting a reply (0 at quiesce). *)
+
+val pool_size : t -> int
+(** Call records the endpoint has created: the peak number of calls it
+    has had outstanding at once. A finished call's record is reused by
+    the next call. *)
 
 type endpoint_stats = { calls : int; retransmits : int; timeouts : int }
 

@@ -654,26 +654,6 @@ let decode_attr_at buf off =
   let d = Dec.of_bytes ~pos:off buf in
   try dec_fattr d with Slice_xdr.Xdr.Truncated -> raise (Malformed "truncated attr")
 
-(* For replies whose body leads with a file handle (lookup/create/mkdir/
-   symlink): fetch it without a full decode. *)
-let reply_fh_after_attr buf =
-  let off = reply_attr_offset_i buf in
-  if off < 0 then None
-  else
-    let tag_off = off + attr_wire_size in
-    if Bytes.length buf < tag_off + 4 then None
-    else
-      match Int32.to_int (Bytes.get_int32_be buf tag_off) with
-      | 3 | 8 | 9 | 10 -> (
-          let d = Dec.of_bytes ~pos:(tag_off + 4) buf in
-          try Fh.decode (Dec.opaque d) with Slice_xdr.Xdr.Truncated -> None)
-      | _ -> None
-
-let u64_be v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_be b 0 v;
-  Bytes.unsafe_to_string b
-
 let time_be t =
   let b = Bytes.create 8 in
   let secs = int_of_float (Float.floor t) in
@@ -684,8 +664,8 @@ let time_be t =
 
 (* Scratch renderings: the µproxy writes patch values into a reused
    8-byte scratch and splices with [Cksum.patch_payload_bytes]. Single
-   byte stores keep the int path free of boxed int32/int64. Byte-for-byte
-   identical to [u64_be]/[time_be] on in-range values. *)
+   byte stores keep the int path free of boxed int32/int64. [put_time_be]
+   is byte-for-byte identical to [time_be] on in-range values. *)
 let[@hot] put_u64_be b v =
   for j = 0 to 7 do
     Bytes.set_uint8 b j ((v lsr (8 * (7 - j))) land 0xFF)
@@ -702,8 +682,9 @@ let put_time_be b t =
     Bytes.set_uint8 b (4 + j) ((ns lsr (8 * (3 - j))) land 0xFF)
   done
 
-(* Option-free twin of [reply_fh_after_attr] for the hot reply path: -1
-   means absent. *)
+(* For replies whose body leads with a file handle (lookup/create/mkdir/
+   symlink): the handle's span offset, without a full decode; -1 means
+   absent. *)
 let[@hot] reply_fh_after_attr_off buf =
   let off = reply_attr_offset_i buf in
   if off < 0 then -1

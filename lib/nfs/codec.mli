@@ -90,24 +90,18 @@ val attr_mtime_field_off : int
 
 val decode_attr_at : bytes -> int -> Nfs.fattr
 
-(** For OK replies whose body leads with a handle (lookup / create /
-    mkdir / symlink): the handle, without a full decode. *)
-val reply_fh_after_attr : bytes -> Fh.t option
-val u64_be : int64 -> string
-(** 8-byte big-endian rendering, for [Cksum.patch_payload]. *)
-
 val time_be : Nfs.time -> string
 (** 8-byte (seconds, nanoseconds) rendering of a timestamp. *)
 
 val reply_fh_after_attr_off : bytes -> int
 (** Span offset of the validated handle led by an OK lookup / create /
-    mkdir / symlink reply body, else -1 ({!reply_fh_after_attr} without
-    materializing). *)
+    mkdir / symlink reply body, else -1. Nothing is materialized; the
+    handle reads in place ({!Fh.decode_at} when it must outlive the
+    buffer). *)
 
 val put_u64_be : bytes -> int -> unit
 (** Render an int value big-endian into the first 8 bytes of a reused
-    scratch buffer — [u64_be] without the allocation, for
-    [Cksum.patch_payload_bytes]. *)
+    scratch buffer, for [Cksum.patch_payload_bytes]. *)
 
 val put_time_be : bytes -> Nfs.time -> unit
 (** [time_be] into a reused scratch buffer. *)

@@ -3,19 +3,6 @@ let name_site ~nsites parent name =
 
 let file_site ~nsites fh = Slice_hash.Md5.bucket (Fh.key fh) nsites
 
-let chunk_of_offset ~stripe_unit off =
-  Int64.to_int (Int64.div off (Int64.of_int stripe_unit))
-
-let stripe_site ~nsites ~stripe_unit fh off =
-  let primary = file_site ~nsites fh in
-  (primary + chunk_of_offset ~stripe_unit off) mod nsites
-
-let local_offset ~nsites ~stripe_unit off =
-  let su = Int64.of_int stripe_unit in
-  let chunk = Int64.div off su in
-  let within = Int64.rem off su in
-  Int64.add (Int64.mul (Int64.div chunk (Int64.of_int nsites)) su) within
-
 let mirror_sites ~nsites fh =
   let r0 = file_site ~nsites fh in
   if nsites < 2 then (r0, r0)
@@ -23,9 +10,10 @@ let mirror_sites ~nsites fh =
 
 (* ---- in-place variants: the same fingerprints computed over handle and
    name spans inside a packet buffer, plus plain-int offset arithmetic.
-   These are the µproxy hot-path entry points; each must agree
-   bit-for-bit with its materializing twin above (test-enforced), since
-   servers detect misdirection with the string versions. *)
+   These are the µproxy hot-path entry points; the site functions must
+   agree bit-for-bit with their materializing twins above
+   (test-enforced), since servers detect misdirection with the string
+   versions. *)
 
 let file_site_at ~nsites buf ~off =
   Slice_hash.Md5.bucket_bytes buf ~pos:off ~len:Fh.wire_length nsites

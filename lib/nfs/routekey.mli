@@ -13,18 +13,6 @@ val file_site : nsites:int -> Fh.t -> int
 (** Logical site keyed by the file handle: small-file server selection
     and the primary stripe site of bulk I/O. *)
 
-val chunk_of_offset : stripe_unit:int -> int64 -> int
-(** Stripe chunk index containing a byte offset. *)
-
-val stripe_site : nsites:int -> stripe_unit:int -> Fh.t -> int64 -> int
-(** Storage site of a chunk under static striping: the file's primary
-    site rotated by the chunk index. *)
-
-val local_offset : nsites:int -> stripe_unit:int -> int64 -> int64
-(** Node-local byte offset for a striped chunk: each node stores its
-    every-Nth chunks densely, so its prefetcher sees a sequential
-    stream. *)
-
 val mirror_sites : nsites:int -> Fh.t -> int * int
 (** Two replica sites for a mirrored file (distinct when [nsites > 1]). *)
 
@@ -32,9 +20,9 @@ val mirror_sites : nsites:int -> Fh.t -> int * int
 
     The same fingerprints computed directly over handle/name spans inside
     a packet buffer, plus plain-int offset arithmetic — the µproxy's
-    allocation-free routing entry points. Each agrees bit-for-bit with
-    its materializing twin above (test-enforced): servers detect
-    misdirected requests with the string versions. *)
+    allocation-free routing entry points. Each site function agrees
+    bit-for-bit with its materializing twin above (test-enforced):
+    servers detect misdirected requests with the string versions. *)
 
 val file_site_at : nsites:int -> bytes -> off:int -> int
 (** {!file_site} of the 32-byte handle span at [off]. *)
@@ -46,11 +34,17 @@ val name_site_at :
     caller owns and sizes it off the hot path). *)
 
 val chunk_of_offset_int : stripe_unit:int -> int -> int
+(** Stripe chunk index containing a byte offset. *)
 
 val stripe_site_at : nsites:int -> stripe_unit:int -> bytes -> off:int -> int -> int
-(** {!stripe_site} of the handle span at [off] and an int byte offset. *)
+(** Storage site of the chunk holding a byte offset under static
+    striping, for the handle span at [off]: the file's primary site
+    ({!file_site_at}) rotated by the chunk index. *)
 
 val local_offset_int : nsites:int -> stripe_unit:int -> int -> int
+(** Node-local byte offset for a striped chunk: each node stores its
+    every-Nth chunks densely, so its prefetcher sees a sequential
+    stream. *)
 
 val mirror_partner : nsites:int -> int -> int
 (** Second replica site given the primary ({!file_site_at}); pairs with

@@ -14,7 +14,16 @@
    booking), so it bypasses the generic [suspend]: a dedicated effect,
    whose handler answer is built once per engine, puts the fiber's
    continuation straight into an event cell — no register closure, no
-   waker, no thunk. *)
+   waker, no thunk. [park] generalises it to waits ended by another
+   event rather than by the clock: its handler answer stores the
+   continuation in a caller-owned [waiter], which [unpark] resumes.
+
+   A timer is an event cell handed back to its scheduler together with
+   the cell's [seq]. [cancel] turns the thunk into a no-op only while the
+   [seq] still matches, so a handle kept past its firing (the cell since
+   recycled under a new seq) cannot touch someone else's event. A
+   cancelled timer still fires, as a no-op: the (time, seq) stream is the
+   same whether or not anything was cancelled. *)
 
 let nop () = ()
 
@@ -48,6 +57,10 @@ type event = {
 (* Cyclic sentinel: terminates the freelist without an option. *)
 let rec nil = { time = 0.0; seq = 0; fn = nop; k = no_k; next_free = nil }
 
+type waiter = { mutable w_k : (unit, unit) Effect.Deep.continuation (* [no_k] = not parked *) }
+
+let waiter () = { w_k = no_k }
+
 type t = {
   mutable clock : float;
   mutable seq : int;
@@ -58,9 +71,12 @@ type t = {
   sleep : unit Effect.t; (* [Sleep t], built once *)
   on_sleep : ((unit, unit) Effect.Deep.continuation -> unit) option;
       (* the handler's answer to [sleep], built once *)
+  mutable parking : waiter; (* the waiter of the [park] being performed *)
+  park_eff : unit Effect.t; (* [Park t], built once *)
+  on_park : ((unit, unit) Effect.Deep.continuation -> unit) option;
 }
 
-type _ Effect.t += Sleep : t -> unit Effect.t
+type _ Effect.t += Sleep : t -> unit Effect.t | Park : t -> unit Effect.t
 
 let now t = t.clock
 
@@ -138,10 +154,23 @@ let enqueue t time fn k =
   ev.seq <- t.seq;
   ev.fn <- fn;
   ev.k <- k;
-  push t ev
+  push t ev;
+  ev
 
-let schedule_at t time fn = enqueue t time fn no_k
-let schedule t delay fn = schedule_at t (t.clock +. if delay < 0.0 then 0.0 else delay) fn
+type timer = event
+
+let no_timer = nil
+
+(* Inlined so a computed time reaches its cell unboxed. *)
+let[@inline] schedule_at t time fn = ignore (enqueue t time fn no_k)
+
+let[@inline] schedule_timer t delay fn =
+  enqueue t (t.clock +. if delay < 0.0 then 0.0 else delay) fn no_k
+
+let[@inline] schedule t delay fn = ignore (schedule_timer t delay fn)
+
+let timer_seq (ev : timer) = ev.seq
+let[@hot] cancel (ev : timer) seq = if ev.seq = seq then ev.fn <- nop
 
 let create () =
   let rec t =
@@ -153,7 +182,10 @@ let create () =
       free = nil;
       wake_at = [| 0.0 |];
       sleep = Sleep t;
-      on_sleep = Some (fun k -> enqueue t t.wake_at.(0) nop k);
+      on_sleep = Some (fun k -> ignore (enqueue t t.wake_at.(0) nop k));
+      parking = waiter ();
+      park_eff = Park t;
+      on_park = Some (fun k -> t.parking.w_k <- k);
     }
   in
   t
@@ -171,6 +203,7 @@ let handler =
       (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
         match eff with
         | Sleep e -> e.on_sleep
+        | Park e -> e.on_park
         | Suspend register ->
             Some
               (fun (k : (a, unit) continuation) ->
@@ -188,15 +221,26 @@ let handler =
 let spawn t fn = schedule t 0.0 (fun () -> Effect.Deep.match_with fn () handler)
 
 (* Inlined so the wake time reaches its cell unboxed. *)
-let[@inline] park t time =
+let[@inline] doze t time =
   t.wake_at.(0) <- time;
   Effect.perform t.sleep
 
 (* A positive duration always yields, even when [now + d] rounds to
    [now]: the sleeper then resumes after the events already queued for
    this instant. *)
-let sleep t d = if d > 0.0 then park t (t.clock +. d)
-let sleep_until t time = if time > t.clock then park t time
+let sleep t d = if d > 0.0 then doze t (t.clock +. d)
+let[@inline] sleep_until t time = if time > t.clock then doze t time
+
+let park t w =
+  t.parking <- w;
+  Effect.perform t.park_eff
+
+let[@hot] unpark w =
+  let k = w.w_k in
+  if k != no_k then begin
+    w.w_k <- no_k;
+    Effect.Deep.continue k ()
+  end
 
 (* Run a popped cell: resume its fiber, or call its thunk. *)
 let[@inline] fire t ev =

@@ -17,7 +17,9 @@ let rec earliest (free_at : float array) i best =
   if i >= Array.length free_at then best
   else earliest free_at (i + 1) (if free_at.(i) < free_at.(best) then i else best)
 
-let book t service =
+(* [book], [reserve] and [use] are inlined into each other so a booking's
+   finish time stays unboxed until it leaves the module. *)
+let[@inline] book t service =
   let best =
     if Array.length t.free_at = 1 then 0 else earliest t.free_at 1 0
   in
@@ -30,9 +32,9 @@ let book t service =
   t.served <- t.served + 1;
   finish
 
-let reserve t service = if service <= 0.0 then Engine.now t.eng else book t service
+let[@inline] reserve t service = if service <= 0.0 then Engine.now t.eng else book t service
 
-let use t service =
+let[@inline] use t service =
   if service > 0.0 then begin
     let finish = book t service in
     Engine.sleep_until t.eng finish

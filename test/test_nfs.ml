@@ -249,7 +249,9 @@ let attr_patch_points () =
   let off = Codec.reply_attr_offset_i buf in
   check_bool "attr block present" true (off >= 0);
   (* overwrite the size field in place and re-read *)
-  Bytes.blit_string (Codec.u64_be 999L) 0 buf (off + Codec.attr_size_field_off) 8;
+  let scr = Bytes.create 8 in
+  Codec.put_u64_be scr 999;
+  Bytes.blit scr 0 buf (off + Codec.attr_size_field_off) 8;
   Bytes.blit_string (Codec.time_be 777.5) 0 buf (off + Codec.attr_mtime_field_off) 8;
   let a = Codec.decode_attr_at buf off in
   check_bool "size patched" true (a.Nfs.size = 999L);
@@ -258,9 +260,10 @@ let attr_patch_points () =
 let reply_fh_after_attr () =
   let fh = { Fh.root with Fh.file_id = 55L; ftype = Fh.Reg } in
   let buf = Codec.encode_reply ~xid:1 (Ok (Nfs.RLookup (fh, sample_attr))) in
-  check_bool "lookup fh found" true (Codec.reply_fh_after_attr buf = Some fh);
+  let off = Codec.reply_fh_after_attr_off buf in
+  check_bool "lookup fh found" true (off >= 0 && Fh.decode_at buf off = Some fh);
   let buf2 = Codec.encode_reply ~xid:1 (Ok (Nfs.RGetattr sample_attr)) in
-  check_bool "getattr has none" true (Codec.reply_fh_after_attr buf2 = None)
+  check_int "getattr has none" (-1) (Codec.reply_fh_after_attr_off buf2)
 
 let extra_size_synthetic () =
   let fh = Fh.root in
@@ -291,22 +294,21 @@ let name_site_range =
 let stripe_local_offset () =
   let su = 32768 in
   (* chunk k maps to local chunk k/n *)
-  check_bool "chunk 0" true (Routekey.local_offset ~nsites:4 ~stripe_unit:su 0L = 0L);
-  check_bool "chunk 4 -> local chunk 1" true
-    (Routekey.local_offset ~nsites:4 ~stripe_unit:su (Int64.of_int (4 * su)) = Int64.of_int su);
-  check_bool "offset within chunk preserved" true
-    (Routekey.local_offset ~nsites:4 ~stripe_unit:su (Int64.of_int ((4 * su) + 123))
-    = Int64.of_int (su + 123))
+  check_int "chunk 0" 0 (Routekey.local_offset_int ~nsites:4 ~stripe_unit:su 0);
+  check_int "chunk 4 -> local chunk 1" su
+    (Routekey.local_offset_int ~nsites:4 ~stripe_unit:su (4 * su));
+  check_int "offset within chunk preserved" (su + 123)
+    (Routekey.local_offset_int ~nsites:4 ~stripe_unit:su ((4 * su) + 123))
 
 let stripe_rotation =
   qtest "stripe sites rotate by chunk" QCheck2.Gen.(pair gen_fh (int_range 0 100))
     (fun (fh, chunk) ->
       let su = 32768 in
-      let s1 = Routekey.stripe_site ~nsites:8 ~stripe_unit:su fh (Int64.of_int (chunk * su)) in
-      let s2 =
-        Routekey.stripe_site ~nsites:8 ~stripe_unit:su fh (Int64.of_int ((chunk + 1) * su))
-      in
-      s2 = (s1 + 1) mod 8)
+      let buf = Bytes.of_string (Fh.encode fh) in
+      let site off = Routekey.stripe_site_at ~nsites:8 ~stripe_unit:su buf ~off:0 off in
+      let s1 = site (chunk * su) in
+      site (chunk * su) = (Routekey.file_site ~nsites:8 fh + chunk) mod 8
+      && site ((chunk + 1) * su) = (s1 + 1) mod 8)
 
 let mirror_sites_distinct =
   qtest "mirror replicas distinct" gen_fh (fun fh ->
@@ -492,7 +494,7 @@ let decode_garbage_is_contained =
       && contained (fun () -> ignore (Codec.decode_call buf))
       && contained (fun () -> ignore (Codec.decode_reply buf))
       && contained (fun () -> ignore (Codec.reply_attr_offset_i buf))
-      && contained (fun () -> ignore (Codec.reply_fh_after_attr buf)))
+      && contained (fun () -> ignore (Codec.reply_fh_after_attr_off buf)))
 
 let truncated_real_call_is_contained =
   qtest ~count:200 "truncated real calls are contained"

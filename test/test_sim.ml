@@ -218,9 +218,88 @@ let sleep_allocation_budget () =
   check_bool (Printf.sprintf "one sleep allocates %.1f words (budget 8)" !per_sleep) true
     (!per_sleep <= 8.0)
 
+(* A cancelled timer still fires, as a no-op: the event count and the
+   order of everything else are what they would have been. *)
+let cancelled_timer_fires_as_noop () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let tm = Engine.schedule_timer eng 1.0 (fun () -> log := "cancelled" :: !log) in
+  Engine.schedule eng 1.0 (fun () -> log := "kept" :: !log);
+  Engine.cancel tm (Engine.timer_seq tm);
+  let steps = ref 0 in
+  while Engine.step eng do
+    incr steps
+  done;
+  check_int "both events still dispatched" 2 !steps;
+  check_bool "only the kept thunk ran" true (!log = [ "kept" ])
+
+(* A handle kept past its firing names a recycled cell: cancelling it
+   with the old seq must leave the cell's new event alone. *)
+let cancel_recycled_cell_is_noop () =
+  let eng = Engine.create () in
+  let fired = ref [] in
+  let tm = Engine.schedule_timer eng 1.0 (fun () -> fired := 1 :: !fired) in
+  let seq = Engine.timer_seq tm in
+  Engine.run eng;
+  let tm2 = Engine.schedule_timer eng 1.0 (fun () -> fired := 2 :: !fired) in
+  check_bool "the fired cell is recycled" true (tm2 == tm);
+  Engine.cancel tm seq;
+  Engine.run eng;
+  check_bool "the new event still fires" true (!fired = [ 2; 1 ])
+
+(* [unpark] resumes the parked fiber synchronously: it runs up to its
+   next park before [unpark] returns. A waiter is reusable, and
+   unparking an empty one does nothing. *)
+let park_unpark () =
+  let eng = Engine.create () in
+  let w = Engine.waiter () in
+  let log = ref [] in
+  Engine.spawn eng (fun () ->
+      for i = 1 to 2 do
+        Engine.park eng w;
+        log := Printf.sprintf "resumed %d at %g" i (Engine.now eng) :: !log
+      done);
+  Engine.schedule eng 1.0 (fun () ->
+      Engine.unpark w;
+      log := "unpark returned" :: !log);
+  Engine.schedule eng 2.0 (fun () ->
+      Engine.unpark w;
+      Engine.unpark w);
+  Engine.run eng;
+  check_bool "synchronous resumes, empty unpark ignored" true
+    (List.rev !log = [ "resumed 1 at 1"; "unpark returned"; "resumed 2 at 2" ])
+
+(* Parking stores the runtime's continuation in the waiter and nothing
+   else: a park/unpark round trip allocates no closure. *)
+let park_allocation_budget () =
+  let eng = Engine.create () in
+  let w = Engine.waiter () in
+  let per_round = ref infinity in
+  let rounds = 1024 in
+  Engine.spawn eng (fun () ->
+      for _ = 1 to rounds + 64 do
+        Engine.park eng w
+      done);
+  Engine.spawn eng (fun () ->
+      for _ = 1 to 64 do
+        Engine.unpark w
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to rounds do
+        Engine.unpark w
+      done;
+      per_round := (Gc.minor_words () -. w0) /. float_of_int rounds);
+  Engine.run eng;
+  check_bool (Printf.sprintf "one park/unpark allocates %.1f words (budget 4)" !per_round) true
+    (!per_round <= 4.0)
+
 let suite =
   [
     ("event ordering", `Quick, event_ordering);
+    ("cancelled timer fires as a no-op", `Quick, cancelled_timer_fires_as_noop);
+    ("cancel on a recycled cell is a no-op", `Quick, cancel_recycled_cell_is_noop);
+    ("park/unpark", `Quick, park_unpark);
+    ("park allocation budget", `Quick, park_allocation_budget);
     ("tiny sleep still yields", `Quick, tiny_sleep_yields);
     ("sleep allocation budget", `Quick, sleep_allocation_budget);
     ("schedule past clamps", `Quick, schedule_past_clamps);
