@@ -61,4 +61,5 @@ let () =
   run_config ~label:"4 dir servers (hashing)" ~dir_servers:4 ~policy:Slice.Params.Name_hashing
     ~mkdir_p:0.0;
   print_endline "\nMore directory servers flatten the latency; the load spreads without";
-  print_endline "user-visible volume boundaries (no mount points, link/rename work everywhere)."
+  print_endline "user-visible volume boundaries (no mount points, link/rename work everywhere).";
+  print_endline "untar_scaling: done"

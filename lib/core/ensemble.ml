@@ -9,6 +9,7 @@ module Routekey = Slice_nfs.Routekey
 module Host = Slice_storage.Host
 module Obsd = Slice_storage.Obsd
 module Coordinator = Slice_storage.Coordinator
+module Tenure = Slice_storage.Tenure
 module Smallfile = Slice_smallfile.Smallfile
 module Bcache = Slice_disk.Bcache
 module Dirserver = Slice_dir.Dirserver
@@ -541,7 +542,7 @@ let add_dir_server t =
   let d = attach_dir t ~idx:i ~host ~also_owns:[] in
   (* attach claims the server's namesake site; a late joiner starts
      empty-handed instead — sites arrive by migration *)
-  Dirserver.disown_site d i;
+  Tenure.disown (Dirserver.tenure d) i;
   t.dirs_ <- Array.append t.dirs_ [| d |];
   i
 
@@ -643,7 +644,7 @@ let metrics t =
       gc "coordinator.completions" Coordinator.completions;
       gc "coordinator.redos" Coordinator.redos;
       gc "coordinator.pending_intents" Coordinator.pending_intents;
-      gc "coordinator.fence_bounces" Coordinator.fence_bounces
+      gc "coordinator.fence_bounces" (fun c -> Tenure.fence_bounces (Coordinator.tenure c))
   | None -> ());
   g "dir.ops" (fun () -> dir_ops_served t);
   g "dir.peer_ops" (fun () -> Array.fold_left (fun a d -> a + Dirserver.peer_ops_served d) 0 t.dirs_);
@@ -651,9 +652,11 @@ let metrics t =
     (fun () -> Array.fold_left (fun a d -> a + Dirserver.cross_site_ops d) 0 t.dirs_);
   g "dir.log_bytes" (fun () -> Array.fold_left (fun a d -> a + Dirserver.log_bytes d) 0 t.dirs_);
   g "dir.fence_bounces"
-    (fun () -> Array.fold_left (fun a d -> a + Dirserver.fence_bounces d) 0 t.dirs_);
+    (fun () ->
+      Array.fold_left (fun a d -> a + Tenure.fence_bounces (Dirserver.tenure d)) 0 t.dirs_);
   g "smallfile.fence_bounces"
-    (fun () -> Array.fold_left (fun a s -> a + Smallfile.fence_bounces s) 0 t.smallfiles_);
+    (fun () ->
+      Array.fold_left (fun a s -> a + Tenure.fence_bounces (Smallfile.tenure s)) 0 t.smallfiles_);
   g "smallfile.reads"
     (fun () -> Array.fold_left (fun a s -> a + Smallfile.reads s) 0 t.smallfiles_);
   g "smallfile.writes"

@@ -6,6 +6,7 @@ module Nfs = Slice_nfs.Nfs
 module Fh = Slice_nfs.Fh
 module Wal = Slice_wal.Wal
 module Host = Slice_storage.Host
+module Tenure = Slice_storage.Tenure
 module Nfs_endpoint = Slice_storage.Nfs_endpoint
 module Ctrl = Slice_storage.Ctrl
 module Enc = Slice_xdr.Xdr.Enc
@@ -49,25 +50,13 @@ type t = {
   prepares : (int64, int * string) Hashtbl.t; (* op_id -> (site, msg) awaiting commit *)
   rpc : Rpc.t;
   trace : Trace.t option;
-  mutable owned : int list; (* logical sites this server currently hosts *)
-  draining : (int, unit) Hashtbl.t; (* sites mid-migration: reads ok, updates bounce *)
-  site_ops : (int, int ref) Hashtbl.t; (* per-site request load, for rebalancing *)
+  tenure : Tenure.t; (* logical sites hosted here, drains, load, fencing lease *)
   mutable wal : Wal.t;
   mutable next_file : int;
   mutable next_op : int64;
   mutable ops : int;
   mutable peer_ops : int;
   mutable peer_calls : int;
-  mutable drain_bounces : int;
-  mutable misdirect_bounces : int;
-  mutable fence_bounces : int;
-  (* Fencing lease (failover): while a failure detector renews the lease
-     the server serves normally; past [lease_until] it wedges — every
-     request bounces SLICE_MISDIRECTED — so a zombie deposed by a
-     takeover cannot serve state from its dead incarnation. The default
-     (+inf / epoch 0) means "no detector attached": never wedged. *)
-  mutable lease_until : float;
-  mutable lease_epoch : int;
   mutable up : bool;
 }
 
@@ -160,7 +149,7 @@ let fresh_op t =
   t.next_op
 
 (* [attr_site] must be a logical site this server currently owns (and is
-   not draining), or the minted handle's attribute ops would bounce.  The
+   not drained), or the minted handle's attribute ops would bounce.  The
    fileID keeps the server's own id as residue so ids stay volume-unique
    no matter how sites move. *)
 let mint_fh t ~ftype ~mirrored ~attr_site =
@@ -181,14 +170,14 @@ let mint_fh t ~ftype ~mirrored ~attr_site =
 
 (* Preferred site for cells not tied to an entry site: the server's own
    primary when it still owns it (the pre-reconfiguration behavior),
-   otherwise its lowest owned non-draining site. *)
+   otherwise its lowest owned site not being drained. *)
 let mint_site t =
-  let usable s = List.mem s t.owned && not (Hashtbl.mem t.draining s) in
+  let usable s = Tenure.owns t.tenure s && not (Tenure.in_drain t.tenure s) in
   if usable t.cfg.logical_id then t.cfg.logical_id
   else
-    match List.sort compare (List.filter (fun s -> not (Hashtbl.mem t.draining s)) t.owned) with
-    | s :: _ -> s
-    | [] -> t.cfg.logical_id
+    match List.find_opt usable (Tenure.owned_sites t.tenure) with
+    | Some s -> s
+    | None -> t.cfg.logical_id
 
 let attr_of_cell (c : cell) =
   match c.attr.Nfs.ftype with
@@ -202,19 +191,7 @@ let entry_site t (dfh : Fh.t) name =
 
 let local_cell t fid = Hashtbl.find_opt t.attrs fid
 
-let owns t site = List.mem site t.owned
-let is_draining t site = Hashtbl.mem t.draining site
-
-let note_site t site =
-  let r =
-    match Hashtbl.find_opt t.site_ops site with
-    | Some r -> r
-    | None ->
-        let r = ref 0 in
-        Hashtbl.replace t.site_ops site r;
-        r
-  in
-  incr r
+let owns t site = Tenure.owns t.tenure site
 
 (* ---- peer communication ---- *)
 
@@ -316,34 +293,23 @@ let bump_parent ?(span = Trace.null) t (dfh : Fh.t) delta =
 
 let misdirected = Error Nfs.ERR_MISDIRECTED
 
-let wedged t = now t > t.lease_until
+(* While a failure detector renews the lease the server serves
+   normally; once it expires the server wedges — every request bounces
+   SLICE_MISDIRECTED — so a zombie deposed by a takeover cannot serve
+   state from its dead incarnation. *)
+let wedged t = Tenure.wedged t.tenure ~now:(now t)
 
 let fence_bounce t =
-  t.fence_bounces <- t.fence_bounces + 1;
+  Tenure.note_fence t.tenure;
   misdirected
 
-let bounce t site =
-  if owns t site && is_draining t site then t.drain_bounces <- t.drain_bounces + 1
-  else t.misdirect_bounces <- t.misdirect_bounces + 1;
-  misdirected
+(* Read path: a drained site keeps answering. *)
+let check_read_site t site ok = if Tenure.admit_read t.tenure site then ok () else misdirected
 
-(* Read path: a draining site keeps answering. *)
-let check_read_site t site ok =
-  if owns t site then begin
-    note_site t site;
-    ok ()
-  end
-  else bounce t site
-
-(* Update path: a draining site bounces so no name-space update can land
+(* Update path: a drained site bounces so no name-space update can land
    behind a migration's back; the µproxy retries after the move commits
    or aborts. *)
-let check_write_site t site ok =
-  if owns t site && not (is_draining t site) then begin
-    note_site t site;
-    ok ()
-  end
-  else bounce t site
+let check_write_site t site ok = if Tenure.admit_write t.tenure site then ok () else misdirected
 
 let check_entry_site t dfh name ok = check_read_site t (entry_site t dfh name) ok
 let check_entry_site_w t dfh name ok = check_write_site t (entry_site t dfh name) ok
@@ -481,13 +447,10 @@ let handle t span (call : Nfs.call) : Nfs.response =
       else begin
         let es = entry_site t dfh name in
         if owns t es then
-          if is_draining t es then bounce t es
-          else begin
-            note_site t es;
-            match do_create ~span t dfh name ~ftype:Fh.Dir ~symlink:None with
-            | Ok (fh, a) -> Ok (Nfs.RMkdir (fh, a))
-            | Error st -> Error st
-          end
+          check_write_site t es (fun () ->
+              match do_create ~span t dfh name ~ftype:Fh.Dir ~symlink:None with
+              | Ok (fh, a) -> Ok (Nfs.RMkdir (fh, a))
+              | Error st -> Error st)
         else (
           (* µproxy redirected this mkdir here on purpose. *)
           match do_remote_mkdir ~span t dfh name with
@@ -570,9 +533,8 @@ let handle t span (call : Nfs.call) : Nfs.response =
               ( Int64.to_int (Int64.shift_right_logical cookie 32) mod t.cfg.nsites,
                 Int64.to_int (Int64.logand cookie 0xFFFF_FFFFL) )
         in
-        if not (owns t site) then bounce t site
+        if not (Tenure.admit_read t.tenure site) then misdirected
         else begin
-        note_site t site;
         let names =
           match Hashtbl.find_opt t.dir_index dfh.Fh.file_id with
           | None -> []
@@ -623,7 +585,7 @@ let mark_applied t op_id =
 let handle_peer t (msg : Peer.msg) : Peer.reply =
   t.peer_ops <- t.peer_ops + 1;
   if wedged t then begin
-    t.fence_bounces <- t.fence_bounces + 1;
+    Tenure.note_fence t.tenure;
     Peer.Rerr Nfs.ERR_MISDIRECTED
   end
   else
@@ -769,22 +731,13 @@ let attach host ?(port = 2049) ?(costs = default_costs) ?trace ?qos cfg =
       (* lint: bounded — one row per in-flight two-phase op; commit/abort removes it *)
       prepares = Hashtbl.create 16;
       rpc = Rpc.create host.Host.net host.Host.addr ~port:2053;
-      owned = cfg.logical_id :: cfg.also_owns;
-      (* lint: bounded — sites mid-migration; cleared on commit/abort/crash *)
-      draining = Hashtbl.create 4;
-      (* lint: bounded — one row per logical directory site *)
-      site_ops = Hashtbl.create 4;
+      tenure = Tenure.create (cfg.logical_id :: cfg.also_owns);
       wal = make_wal host;
       next_file = 1;
       next_op = Int64.of_int (cfg.logical_id * 100_000_000);
       ops = 0;
       peer_ops = 0;
       peer_calls = 0;
-      drain_bounces = 0;
-      misdirect_bounces = 0;
-      fence_bounces = 0;
-      lease_until = infinity;
-      lease_epoch = 0;
       up = true;
     }
   in
@@ -806,9 +759,7 @@ let attr_cell_count t = Hashtbl.length t.attrs
 let log_bytes t = Wal.bytes_appended t.wal
 
 let lookup_local t ~parent name = Hashtbl.find_opt t.entries (parent.Fh.file_id, name)
-let owned_sites t = t.owned
-
-let attr_local t fid = Option.map attr_of_cell (local_cell t fid)
+let tenure t = t.tenure
 
 (* ---- crash / recovery ---- *)
 
@@ -824,7 +775,7 @@ let crash t =
   t.up <- false;
   (* A drain in progress is volatile control-plane state: the migration
      aborts and the recovered server serves the site normally again. *)
-  Hashtbl.reset t.draining;
+  Tenure.clear_drains t.tenure;
   let image = Wal.image t.wal in
   reset_volatile t;
   let wal = make_wal t.host in
@@ -931,39 +882,8 @@ let import_log ?(skip = 0) t ~log:image =
          end));
   !seen
 
-let sync_journal t = sync_log t
-
-let own_site t site = if not (List.mem site t.owned) then t.owned <- site :: t.owned
-
-let disown_site t site =
-  t.owned <- List.filter (fun s -> s <> site) t.owned;
-  Hashtbl.remove t.draining site
-
-let begin_drain t site = Hashtbl.replace t.draining site ()
-let end_drain t site = Hashtbl.remove t.draining site
-
-let site_load t site =
-  match Hashtbl.find_opt t.site_ops site with Some r -> !r | None -> 0
-
-let drain_bounces t = t.drain_bounces
-let misdirect_bounces t = t.misdirect_bounces
-
-(* ---- fencing lease (failover) ---- *)
-
-let set_lease t ~epoch ~until =
-  t.lease_epoch <- epoch;
-  t.lease_until <- until
-
-let lease_epoch t = t.lease_epoch
-let fence_bounces t = t.fence_bounces
-let is_wedged t = wedged t
 let is_up t = t.up
 let host t = t.host
-
-(* Clear the per-site load counter a donor accumulated for a site it no
-   longer owns; without this a later rebalance reads the dead server's
-   stale load through the registry gauge. *)
-let reset_site_load t site = Hashtbl.remove t.site_ops site
 
 (* Failover (Section 2.3): "a surviving site assumes the role of a failed
    server, recovering its state from shared storage". [adopt_site] replays
@@ -973,7 +893,7 @@ let reset_site_load t site = Hashtbl.remove t.site_ops site
 (* lint: F1 ok — failover takeover: the deposed server is fenced by lease expiry before its site is adopted *)
 let adopt_site t ~site ~log =
   ignore (import_log t ~log);
-  own_site t site
+  Tenure.own t.tenure site
   (* the caller may checkpoint afterwards to compact the imported records
      into a single snapshot of this server's journal *)
 

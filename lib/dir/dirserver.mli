@@ -58,8 +58,6 @@ type costs = {
   per_peer_op : float;
 }
 
-val default_costs : costs
-
 type t
 
 val attach :
@@ -90,8 +88,6 @@ val log_bytes : t -> int
 val lookup_local : t -> parent:Slice_nfs.Fh.t -> string -> Slice_nfs.Fh.t option
 (** Test hook: consult this server's entry table directly. *)
 
-val attr_local : t -> int64 -> Slice_nfs.Nfs.fattr option
-
 (** {2 Failure injection} *)
 
 val log_image : t -> string
@@ -101,7 +97,7 @@ val log_image : t -> string
 val adopt_site : t -> site:int -> log:string -> unit
 (** Failover: replay a failed peer's journal into this server and begin
     serving its logical site as well. Rebind the routing table to this
-    server afterwards. Equivalent to {!import_log} + {!own_site}. *)
+    server afterwards. Equivalent to {!import_log} + {!Slice_storage.Tenure.own}. *)
 
 val import_log : ?skip:int -> t -> log:string -> int
 (** Replay another server's journal image into this server, journaling
@@ -112,58 +108,22 @@ val import_log : ?skip:int -> t -> log:string -> int
     already applied, so a second pass over a fresher image applies
     exactly the delta — how a migration catches up, atomically in sim
     time, after its bulk transfer. Returns the records consumed (the
-    next [skip]). Does not sync; see {!sync_journal}. *)
+    next [skip]). Does not sync. *)
 
-val sync_journal : t -> unit
-(** Force the journal stable (parks the calling fiber when disk-backed). *)
-
-val owned_sites : t -> int list
-val own_site : t -> int -> unit
-val disown_site : t -> int -> unit
-
-val begin_drain : t -> int -> unit
-(** Enter the drain phase for a moving site: reads keep being answered,
-    name-space updates bounce with [SLICE_MISDIRECTED]. Draining is
-    volatile: {!crash} clears it, so an aborted migration's donor serves
-    the site again after recovery. *)
-
-val end_drain : t -> int -> unit
-
-val site_load : t -> int -> int
-(** Requests served for the site since attach (rebalancing signal). *)
-
-val drain_bounces : t -> int
-val misdirect_bounces : t -> int
-
-(** {2 Fencing lease (failover)} *)
-
-val set_lease : t -> epoch:int -> until:float -> unit
-(** Grant (or renew) this server's fencing lease: it may serve until
-    sim-time [until] under fencing epoch [epoch]. Servers start with an
-    infinite lease (epoch 0) — attaching a failure detector is what
-    makes fencing real. *)
-
-val lease_epoch : t -> int
+val tenure : t -> Slice_storage.Tenure.t
+(** The server's site tenure. A drained site keeps answering reads while
+    name-space updates bounce with [SLICE_MISDIRECTED]; {!crash} clears
+    drains, so an aborted migration's donor serves the site again after
+    recovery. An expired lease bounces every NFS and peer request, so a
+    zombie deposed by a takeover cannot serve stale state. *)
 
 val is_up : t -> bool
 (** Service liveness (false between {!crash} and {!recover}); failure
     detectors use it to pick live standbys. *)
 
-val is_wedged : t -> bool
-(** The lease has expired: every NFS and peer request bounces with
-    [SLICE_MISDIRECTED] until a new lease is granted ({!set_lease}),
-    so a zombie deposed by a takeover cannot serve stale state. *)
-
-val fence_bounces : t -> int
-(** Requests bounced because the lease had expired. *)
-
 val host : t -> Slice_storage.Host.t
 (** The host this server is attached to (failover detectors register
     their lease-renewal endpoint on it). *)
-
-val reset_site_load : t -> int -> unit
-(** Forget the per-site load counter (called when the site is migrated
-    or seized away, so stale donor load cannot skew later rebalances). *)
 
 val crash : t -> unit
 (** Drop all volatile state; only synced log records survive. *)

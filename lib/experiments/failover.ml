@@ -27,19 +27,17 @@ module Prng = Slice_util.Prng
 module Stats = Slice_util.Stats
 module Json = Slice_util.Json
 module Metrics = Slice_util.Metrics
-module Net = Slice_net.Net
 module Rpc = Slice_net.Rpc
 module Host = Slice_storage.Host
-module Obsd = Slice_storage.Obsd
 module Ctrl = Slice_storage.Ctrl
 module Coordinator = Slice_storage.Coordinator
+module Tenure = Slice_storage.Tenure
 module Client = Slice_workload.Client
 module Reconfig = Slice_reconfig.Reconfig
 module Fo = Slice_failover.Failover
 module Dirserver = Slice_dir.Dirserver
 module Smallfile = Slice_smallfile.Smallfile
 module Ensemble = Slice.Ensemble
-module Table = Slice.Table
 module Proxy = Slice.Proxy
 
 let small_bytes = 4096
@@ -187,7 +185,7 @@ let one_op cl prng fs =
 (* Post-run audit: the takeovers lost nothing — every acked name still
    resolves, every committed byte reads back, and every logical site of
    every class has exactly one owner, published by the routing table. *)
-let run_audit ens cls (filesets : fileset array) =
+let run_audit rc cls (filesets : fileset array) =
   let checked = ref 0 and lost = ref 0 in
   Array.iteri
     (fun p fs ->
@@ -215,37 +213,7 @@ let run_audit ens cls (filesets : fileset array) =
           done)
         fs.fs_big)
     filesets;
-  let viol = ref 0 in
-  let check_class table owners addr_of n =
-    for j = 0 to Table.nsites table - 1 do
-      let os = List.filter (fun i -> List.mem j (owners i)) (List.init n Fun.id) in
-      match os with
-      | [ o ] -> if Table.lookup table j <> addr_of o then incr viol
-      | _ -> incr viol
-    done
-  in
-  let dirs = Ensemble.dirs ens in
-  check_class (Ensemble.dir_table ens)
-    (fun i -> Dirserver.owned_sites dirs.(i))
-    (fun i -> Dirserver.addr dirs.(i))
-    (Array.length dirs);
-  (match Ensemble.smallfile_table ens with
-  | None -> ()
-  | Some tbl ->
-      let sfs = Ensemble.smallfiles ens in
-      check_class tbl
-        (fun i -> Smallfile.owned_sites sfs.(i))
-        (fun i -> Smallfile.addr sfs.(i))
-        (Array.length sfs));
-  (match Ensemble.storage_table ens with
-  | None -> ()
-  | Some tbl ->
-      let sts = Ensemble.storage ens in
-      check_class tbl
-        (fun i -> Obsd.owned_sites sts.(i))
-        (fun i -> Obsd.addr sts.(i))
-        (Array.length sts));
-  { aud_checked = !checked; aud_lost = !lost; aud_ownership_violations = !viol }
+  { aud_checked = !checked; aud_lost = !lost; aud_ownership_violations = List.length (Reconfig.ownership_violations rc) }
 
 let compute ?(scale = 1.0) ?(seed = 42) () =
   let clients = 3 in
@@ -338,7 +306,7 @@ let compute ?(scale = 1.0) ?(seed = 42) () =
         let d0 = (Ensemble.dirs ens).(0) in
         Ensemble.recover_dir ens 0;
         probe_zombie "dir" (Dirserver.addr d0)
-          (fun () -> Dirserver.fence_bounces d0)
+          (fun () -> Tenure.fence_bounces (Dirserver.tenure d0))
           (fun () ->
             Result.is_error (Client.lookup cls.(0) Fh.root "zombie-dir"));
         Fo.rejoin_dir fo 0;
@@ -349,7 +317,7 @@ let compute ?(scale = 1.0) ?(seed = 42) () =
         let s0 = (Ensemble.smallfiles ens).(0) in
         Ensemble.recover_smallfile ens 0;
         probe_zombie "smallfile" (Smallfile.addr s0)
-          (fun () -> Smallfile.fence_bounces s0)
+          (fun () -> Tenure.fence_bounces (Smallfile.tenure s0))
           (fun () ->
             Result.is_error (Client.lookup cls.(0) Fh.root "zombie-smallfile"));
         Fo.rejoin_smallfile fo 0;
@@ -361,7 +329,7 @@ let compute ?(scale = 1.0) ?(seed = 42) () =
         (* the deposed coordinator instance answers again — fenced *)
         let h = Host.create net ~name:"zprobe-coord" () in
         let rpc = Rpc.create net h.Host.addr ~port:1902 in
-        let before = Coordinator.fence_bounces old_coord in
+        let before = Tenure.fence_bounces (Coordinator.tenure old_coord) in
         let nacked =
           let xid = Rpc.fresh_xid rpc in
           match
@@ -376,7 +344,7 @@ let compute ?(scale = 1.0) ?(seed = 42) () =
         zombies :=
           {
             z_name = "coordinator";
-            z_bounces = Coordinator.fence_bounces old_coord - before;
+            z_bounces = Tenure.fence_bounces (Coordinator.tenure old_coord) - before;
             z_update_blocked = nacked;
           }
           :: !zombies;
@@ -400,7 +368,7 @@ let compute ?(scale = 1.0) ?(seed = 42) () =
         (controller
         :: List.concat (List.init clients (fun p -> List.init 2 (fun w -> worker p w))));
       (* audit before stopping the detector: it needs live leases *)
-      audit := run_audit ens cls filesets;
+      audit := run_audit rc cls filesets;
       Fo.stop fo);
   Engine.run eng;
   let phases =

@@ -25,11 +25,7 @@ module Metrics = Slice_util.Metrics
 module Client = Slice_workload.Client
 module Reconfig = Slice_reconfig.Reconfig
 module Plan = Slice_reconfig.Plan
-module Dirserver = Slice_dir.Dirserver
-module Smallfile = Slice_smallfile.Smallfile
-module Obsd = Slice_storage.Obsd
 module Ensemble = Slice.Ensemble
-module Table = Slice.Table
 module Proxy = Slice.Proxy
 
 let small_bytes = 4096
@@ -203,7 +199,7 @@ let one_op cl prng fs =
 
 (* Post-run audit: all data and names survive the reconfigurations, and
    the exactly-one-owner invariant holds for every logical site. *)
-let run_audit ens cls (filesets : fileset array) =
+let run_audit rc cls (filesets : fileset array) =
   let checked = ref 0 and lost = ref 0 in
   Array.iteri
     (fun p fs ->
@@ -231,40 +227,10 @@ let run_audit ens cls (filesets : fileset array) =
           done)
         fs.fs_big)
     filesets;
-  let viol = ref 0 in
-  let check_class table owners addr_of n =
-    for j = 0 to Table.nsites table - 1 do
-      let os = List.filter (fun i -> List.mem j (owners i)) (List.init n Fun.id) in
-      match os with
-      | [ o ] -> if Table.lookup table j <> addr_of o then incr viol
-      | _ -> incr viol
-    done
-  in
-  let dirs = Ensemble.dirs ens in
-  check_class (Ensemble.dir_table ens)
-    (fun i -> Dirserver.owned_sites dirs.(i))
-    (fun i -> Dirserver.addr dirs.(i))
-    (Array.length dirs);
-  (match Ensemble.smallfile_table ens with
-  | None -> ()
-  | Some tbl ->
-      let sfs = Ensemble.smallfiles ens in
-      check_class tbl
-        (fun i -> Smallfile.owned_sites sfs.(i))
-        (fun i -> Smallfile.addr sfs.(i))
-        (Array.length sfs));
-  (match Ensemble.storage_table ens with
-  | None -> ()
-  | Some tbl ->
-      let sts = Ensemble.storage ens in
-      check_class tbl
-        (fun i -> Obsd.owned_sites sts.(i))
-        (fun i -> Obsd.addr sts.(i))
-        (Array.length sts));
   {
     aud_checked = !checked;
     aud_lost = !lost;
-    aud_ownership_violations = !viol;
+    aud_ownership_violations = List.length (Reconfig.ownership_violations rc);
   }
 
 let compute ?(scale = 1.0) ?(seed = 42) () =
@@ -364,7 +330,7 @@ let compute ?(scale = 1.0) ?(seed = 42) () =
         (controller
         :: List.concat
              (List.init clients (fun p -> List.init 2 (fun w -> worker p w))));
-      audit := run_audit ens cls filesets);
+      audit := run_audit rc cls filesets);
   Engine.run eng;
   let phases =
     List.init nphases (fun i ->

@@ -34,6 +34,7 @@ module Dec = Slice_xdr.Xdr.Dec
 module Host = Slice_storage.Host
 module Obsd = Slice_storage.Obsd
 module Coordinator = Slice_storage.Coordinator
+module Tenure = Slice_storage.Tenure
 module Nfs_endpoint = Slice_storage.Nfs_endpoint
 module Dirserver = Slice_dir.Dirserver
 module Smallfile = Slice_smallfile.Smallfile
@@ -45,7 +46,7 @@ module Reconfig = Slice_reconfig.Reconfig
 let lease_port = 2060
 let ctl_rpc_port = 2061
 
-type tclass = Dir of int | Smallfile of int | Coordinator
+type tclass = Manager of Plan.klass * int | Coordinator
 
 type target = {
   tname : string;
@@ -129,12 +130,51 @@ let install_endpoint t host grant =
 
 (* ---- target plumbing ---- *)
 
+(* What failover needs of one manager class — the only per-class
+   dispatch here. Resolved at each use: elastic growth replaces the
+   ensemble's server arrays. *)
+type manager = {
+  count : int;
+  up : int -> bool;
+  addr : int -> Packet.addr;
+  host : int -> Host.t;
+  tenure : int -> Tenure.t;
+  recover : int -> unit;
+  epoch : unit -> int;
+}
+
+let manager ens = function
+  | Plan.Dir ->
+      let ds = Ensemble.dirs ens in
+      {
+        count = Array.length ds;
+        up = (fun j -> Dirserver.is_up ds.(j));
+        addr = (fun j -> Dirserver.addr ds.(j));
+        host = (fun j -> Dirserver.host ds.(j));
+        tenure = (fun j -> Dirserver.tenure ds.(j));
+        recover = Ensemble.recover_dir ens;
+        epoch = (fun () -> Table.epoch (Ensemble.dir_table ens));
+      }
+  | Plan.Smallfile ->
+      let ss = Ensemble.smallfiles ens in
+      {
+        count = Array.length ss;
+        up = (fun j -> Smallfile.is_up ss.(j));
+        addr = (fun j -> Smallfile.addr ss.(j));
+        host = (fun j -> Smallfile.host ss.(j));
+        tenure = (fun j -> Smallfile.tenure ss.(j));
+        recover = Ensemble.recover_smallfile ens;
+        epoch =
+          (fun () ->
+            match Ensemble.smallfile_table ens with Some tbl -> Table.epoch tbl | None -> 0);
+      }
+  | Plan.Storage -> invalid_arg "Failover: storage sites are not dataless"
+
 let find_target t tclass = List.find_opt (fun tg -> tg.tclass = tclass) t.targets
 
 let taddr t tg =
   match tg.tclass with
-  | Dir i -> Dirserver.addr (Ensemble.dirs t.ens).(i)
-  | Smallfile i -> Smallfile.addr (Ensemble.smallfiles t.ens).(i)
+  | Manager (k, i) -> (manager t.ens k).addr i
   | Coordinator -> (
       match Ensemble.coordinator t.ens with
       | Some c -> (Coordinator.host c).Host.addr
@@ -142,11 +182,7 @@ let taddr t tg =
 
 let current_epoch t tg =
   match tg.tclass with
-  | Dir _ -> Table.epoch (Ensemble.dir_table t.ens)
-  | Smallfile _ -> (
-      match Ensemble.smallfile_table t.ens with
-      | Some tbl -> Table.epoch tbl
-      | None -> 0)
+  | Manager (k, _) -> (manager t.ens k).epoch ()
   | Coordinator -> (
       match Ensemble.storage_table t.ens with
       | Some tbl -> Table.epoch tbl
@@ -193,63 +229,27 @@ let record_takeover t tg ~kname ~victim ~standby ~sites ~declared =
 (* ---- per-class takeover ---- *)
 
 let takeover_manager t tg k ~victim ~declared =
-  let kname = Plan.klass_name k in
-  let n, live, load, grant, tbl =
-    match k with
-    | Plan.Dir ->
-        let ds = Ensemble.dirs t.ens in
-        ( Array.length ds,
-          (fun j ->
-            Dirserver.is_up ds.(j)
-            && Net.node_up t.net (Dirserver.addr ds.(j))
-            && not (is_deposed t (Dir j))),
-          (fun j ->
-            List.fold_left
-              (fun acc s -> acc + Dirserver.site_load ds.(j) s)
-              0 (Dirserver.owned_sites ds.(j))),
-          (fun j ~epoch ~until -> Dirserver.set_lease ds.(j) ~epoch ~until),
-          Ensemble.dir_table t.ens )
-    | Plan.Smallfile ->
-        let ss = Ensemble.smallfiles t.ens in
-        ( Array.length ss,
-          (fun j ->
-            Smallfile.is_up ss.(j)
-            && Net.node_up t.net (Smallfile.addr ss.(j))
-            && not (is_deposed t (Smallfile j))),
-          (fun j ->
-            List.fold_left
-              (fun acc s -> acc + Smallfile.site_load ss.(j) s)
-              0 (Smallfile.owned_sites ss.(j))),
-          (fun j ~epoch ~until -> Smallfile.set_lease ss.(j) ~epoch ~until),
-          match Ensemble.smallfile_table t.ens with
-          | Some tbl -> tbl
-          | None -> invalid_arg "Failover: no small-file class" )
-    | Plan.Storage -> invalid_arg "Failover: storage sites are not dataless"
+  let m = manager t.ens k in
+  let live j =
+    m.up j && Net.node_up t.net (m.addr j) && not (is_deposed t (Manager (k, j)))
   in
-  match pick_standby ~n ~victim ~live ~load with
+  match pick_standby ~n:m.count ~victim ~live ~load:(fun j -> Tenure.load (m.tenure j)) with
   | None -> Metrics.incr t.reg "failover.no_standby"
   | Some standby ->
       let sites = Reconfig.takeover t.rc k ~victim ~standby in
       (* Re-lease the standby in process under the bumped epoch; its own
          monitor keeps renewing from here. *)
       let until = Engine.now t.eng +. t.lease_dur in
-      let epoch = Table.epoch tbl in
-      grant standby ~epoch ~until;
-      (match
-         find_target t
-           (match k with
-           | Plan.Dir -> Dir standby
-           | Plan.Smallfile -> Smallfile standby
-           | Plan.Storage -> assert false)
-       with
+      Tenure.set_lease (m.tenure standby) ~epoch:(m.epoch ()) ~until;
+      (match find_target t (Manager (k, standby)) with
       | Some stg -> stg.max_granted <- Float.max stg.max_granted until
       | None -> ());
-      record_takeover t tg ~kname ~victim ~standby ~sites ~declared
+      record_takeover t tg ~kname:(Plan.klass_name k) ~victim ~standby ~sites ~declared
 
 let coordinator_grant t ~epoch ~until =
   match Ensemble.coordinator t.ens with
   | Some c when Coordinator.is_up c ->
-      Coordinator.set_lease c ~epoch ~until;
+      Tenure.set_lease (Coordinator.tenure c) ~epoch ~until;
       true
   | _ -> false
 
@@ -295,7 +295,7 @@ let promote_coordinator t tg ~declared =
         | None -> ());
         install_endpoint t h (coordinator_grant_at t h.Host.addr);
         let until = Engine.now t.eng +. t.lease_dur in
-        Coordinator.set_lease c ~epoch:(current_epoch t tg) ~until;
+        Tenure.set_lease (Coordinator.tenure c) ~epoch:(current_epoch t tg) ~until;
         (* The coordinator target tracks the role, not the instance: the
            monitor resumes against the successor immediately. *)
         tg.max_granted <- until;
@@ -320,8 +320,7 @@ let declare t tg =
   if tg.max_granted > declared then
     Engine.sleep t.eng (tg.max_granted -. declared +. (t.hb /. 10.));
   match tg.tclass with
-  | Dir i -> takeover_manager t tg Plan.Dir ~victim:i ~declared
-  | Smallfile i -> takeover_manager t tg Plan.Smallfile ~victim:i ~declared
+  | Manager (k, i) -> takeover_manager t tg k ~victim:i ~declared
   | Coordinator -> promote_coordinator t tg ~declared
 
 (* ---- the detector loop ---- *)
@@ -399,31 +398,22 @@ let attach ?(heartbeat = 0.05) ?(miss_limit = 3) ens rc =
       stopped = false;
     }
   in
-  Array.iteri
-    (fun i d ->
-      let grant ~epoch ~until =
-        if Dirserver.is_up d then begin
-          Dirserver.set_lease d ~epoch ~until;
-          true
-        end
-        else false
-      in
-      watch t (mk_target (Printf.sprintf "dir%d" i) (Dir i)) grant
-        (Dirserver.host d))
-    (Ensemble.dirs ens);
-  Array.iteri
-    (fun i s ->
-      let grant ~epoch ~until =
-        if Smallfile.is_up s then begin
-          Smallfile.set_lease s ~epoch ~until;
-          true
-        end
-        else false
-      in
-      watch t
-        (mk_target (Printf.sprintf "smallfile%d" i) (Smallfile i))
-        grant (Smallfile.host s))
-    (Ensemble.smallfiles ens);
+  List.iter
+    (fun k ->
+      let m = manager ens k in
+      for i = 0 to m.count - 1 do
+        let grant ~epoch ~until =
+          if m.up i then begin
+            Tenure.set_lease (m.tenure i) ~epoch ~until;
+            true
+          end
+          else false
+        in
+        watch t
+          (mk_target (Plan.klass_name k ^ string_of_int i) (Manager (k, i)))
+          grant (m.host i)
+      done)
+    [ Plan.Dir; Plan.Smallfile ];
   (match Ensemble.coordinator ens with
   | Some c ->
       let h = Coordinator.host c in
@@ -448,43 +438,21 @@ let resume tg until =
   tg.misses <- 0;
   tg.deposed <- false
 
-let rejoin_dir t i =
-  Ensemble.recover_dir t.ens i;
-  let d = (Ensemble.dirs t.ens).(i) in
-  let tbl = Ensemble.dir_table t.ens in
-  List.iter
-    (fun s ->
-      if Table.lookup tbl s <> Dirserver.addr d then begin
-        Dirserver.disown_site d s;
-        Dirserver.reset_site_load d s
-      end)
-    (Dirserver.owned_sites d);
+(* A deposed manager rejoins as a peer: recover it, shed every site the
+   table has since bound elsewhere, and lease it under the current
+   epoch. *)
+let rejoin t k i =
+  let m = manager t.ens k in
+  m.recover i;
+  Reconfig.shed t.rc k i;
   let until = Engine.now t.eng +. t.lease_dur in
-  Dirserver.set_lease d ~epoch:(Table.epoch tbl) ~until;
-  match find_target t (Dir i) with
+  Tenure.set_lease (m.tenure i) ~epoch:(m.epoch ()) ~until;
+  match find_target t (Manager (k, i)) with
   | Some tg -> resume tg until
   | None -> ()
 
-let rejoin_smallfile t i =
-  Ensemble.recover_smallfile t.ens i;
-  let s = (Ensemble.smallfiles t.ens).(i) in
-  (match Ensemble.smallfile_table t.ens with
-  | Some tbl ->
-      List.iter
-        (fun site ->
-          if Table.lookup tbl site <> Smallfile.addr s then begin
-            Smallfile.disown_site s site;
-            Smallfile.drop_site s site;
-            Smallfile.reset_site_load s site
-          end)
-        (Smallfile.owned_sites s);
-      Smallfile.set_lease s ~epoch:(Table.epoch tbl)
-        ~until:(Engine.now t.eng +. t.lease_dur)
-  | None -> ());
-  let until = Engine.now t.eng +. t.lease_dur in
-  match find_target t (Smallfile i) with
-  | Some tg -> resume tg until
-  | None -> ()
+let rejoin_dir t i = rejoin t Plan.Dir i
+let rejoin_smallfile t i = rejoin t Plan.Smallfile i
 
 (* ---- introspection ---- *)
 
@@ -494,7 +462,6 @@ let events t = List.rev t.events
 let takeovers t = List.length t.events
 let heartbeats t = t.heartbeats
 let lease_duration t = t.lease_dur
-let heartbeat_interval t = t.hb
 
 let deposed t =
   List.filter_map (fun tg -> if tg.deposed then Some tg.tname else None)

@@ -46,7 +46,7 @@ val attach :
     servers default to infinite leases) and spawn one detector fiber
     per manager plus one for the coordinator role. [heartbeat] defaults
     to 50 ms, [miss_limit] to 3 (≈ 300 ms detection, 250 ms lease).
-    Call {!stop} before draining the engine to quiescence, or the
+    Call {!stop} before running the engine to quiescence, or the
     detector fibers renew forever. *)
 
 val stop : t -> unit
@@ -90,7 +90,6 @@ val metrics : t -> Slice_util.Metrics.t
 
 val heartbeats : t -> int
 val lease_duration : t -> float
-val heartbeat_interval : t -> float
 
 val deposed : t -> string list
 (** Names of currently deposed targets (e.g. ["dir1"]), attach order. *)

@@ -21,6 +21,7 @@ module Table = Slice.Table
 module Dirserver = Slice_dir.Dirserver
 module Smallfile = Slice_smallfile.Smallfile
 module Obsd = Slice_storage.Obsd
+module Tenure = Slice_storage.Tenure
 
 exception Abandoned
 
@@ -33,29 +34,23 @@ let rt_abort = 3
    even an empty site's move occupies simulated time. *)
 let setup_latency = 0.0005
 
-(* One vocabulary over the three server classes: everything migrate
-   needs, closed over the ensemble so elastic growth (which replaces the
-   server arrays) is always visible. [prepare] runs at drain time and
-   returns an opaque cookie for [copy_commit] (the directory class
-   snapshots the donor journal there for the two-pass replay);
+(* One vocabulary over the three server classes, closed over the
+   ensemble so elastic growth (which replaces the server arrays) is
+   always visible. Ownership, drains, load and bounce counts are the same
+   for every class and are read through each server's [Tenure]; the
+   fields here are only what really differs. [prepare] runs at drain
+   time and returns an opaque cookie for [copy_commit] (the directory
+   class snapshots the donor journal there for the two-pass replay);
    [copy_commit] runs inside the atomic commit step and returns the
    bytes streamed. *)
 type class_ops = {
   kname : string;
   table : Table.t;
   nservers : unit -> int;
+  tenure : int -> Tenure.t;
   addr : int -> Packet.addr;
-  begin_drain : int -> int -> unit;
-  end_drain : int -> int -> unit;
-  own : int -> int -> unit;
-  disown : int -> int -> unit;
-  drop : int -> int -> unit;
-  drop_load : int -> int -> unit;
-      (* forget a server's per-site load row without touching its data:
-         a donor's stale counter must not feed later rebalances *)
-  site_load : int -> int -> int;
-  drain_bounces : unit -> int;
   add_server : unit -> int;
+  drop : int -> int -> unit;
   prepare : donor:int -> site:int -> string;
   copy_bytes : donor:int -> site:int -> cookie:string -> int64;
   copy_commit : donor:int -> recv:int -> site:int -> cookie:string -> int64;
@@ -98,108 +93,79 @@ let set_site ops site addr =
     Table.update ops.table map
   end
 
-let dir_class ens =
-  let servers () = Ensemble.dirs ens in
+(* The one class-ops builder: per-class hooks take server values, and
+   the builder resolves indices through [servers] at call time. *)
+let make_class ~kname ~table ~servers ~tenure ~addr ~add_server ~drop ~prepare ~copy_bytes
+    ~copy_commit =
+  let srv i = (servers ()).(i) in
   {
-    kname = "dir";
-    table = Ensemble.dir_table ens;
+    kname;
+    table;
     nservers = (fun () -> Array.length (servers ()));
-    addr = (fun i -> Dirserver.addr (servers ()).(i));
-    begin_drain = (fun i s -> Dirserver.begin_drain (servers ()).(i) s);
-    end_drain = (fun i s -> Dirserver.end_drain (servers ()).(i) s);
-    own = (fun i s -> Dirserver.own_site (servers ()).(i) s);
-    disown = (fun i s -> Dirserver.disown_site (servers ()).(i) s);
-    drop = (fun _ _ -> ());
-    (* cells replayed into a receiver that never commits are inert:
-       ownership gating keeps them unreachable *)
-    drop_load = (fun i s -> Dirserver.reset_site_load (servers ()).(i) s);
-    site_load = (fun i s -> Dirserver.site_load (servers ()).(i) s);
-    drain_bounces =
-      (fun () ->
-        Array.fold_left (fun a d -> a + Dirserver.drain_bounces d) 0 (servers ()));
-    add_server = (fun () -> Ensemble.add_dir_server ens);
-    prepare = (fun ~donor ~site:_ -> Dirserver.log_image (servers ()).(donor));
-    copy_bytes =
-      (fun ~donor:_ ~site:_ ~cookie -> Int64.of_int (String.length cookie));
+    tenure = (fun i -> tenure (srv i));
+    addr = (fun i -> addr (srv i));
+    add_server;
+    drop = (fun i site -> drop (srv i) site);
+    prepare = (fun ~donor ~site -> prepare (srv donor) site);
+    copy_bytes = (fun ~donor ~site ~cookie -> copy_bytes (srv donor) site cookie);
     copy_commit =
-      (fun ~donor ~recv ~site:_ ~cookie ->
-        (* Two-pass journal replay: the bulk image snapshotted at drain
-           time, then exactly the delta the donor admitted (for its
-           other sites — the moving one was draining) during the copy. *)
-        let d = (servers ()).(donor) and r = (servers ()).(recv) in
-        let consumed = Dirserver.import_log r ~log:cookie in
-        let img = Dirserver.log_image d in
-        ignore (Dirserver.import_log ~skip:consumed r ~log:img);
-        Int64.of_int (String.length img));
+      (fun ~donor ~recv ~site ~cookie -> copy_commit (srv donor) (srv recv) site cookie);
   }
 
+let dir_class ens =
+  make_class ~kname:"dir" ~table:(Ensemble.dir_table ens)
+    ~servers:(fun () -> Ensemble.dirs ens)
+    ~tenure:Dirserver.tenure ~addr:Dirserver.addr
+    ~add_server:(fun () -> Ensemble.add_dir_server ens)
+      (* cells replayed into a receiver that never commits are inert:
+         ownership gating keeps them unreachable *)
+    ~drop:(fun _ _ -> ())
+    ~prepare:(fun d _ -> Dirserver.log_image d)
+    ~copy_bytes:(fun _ _ cookie -> Int64.of_int (String.length cookie))
+    ~copy_commit:(fun d r _ cookie ->
+      (* Two-pass journal replay: the bulk image snapshotted at drain
+         time, then exactly the delta the donor admitted (for its other
+         sites — the moving one was drained) during the copy. *)
+      let consumed = Dirserver.import_log r ~log:cookie in
+      let img = Dirserver.log_image d in
+      ignore (Dirserver.import_log ~skip:consumed r ~log:img);
+      Int64.of_int (String.length img))
+
+(* Small-file and storage sites move as deep-copied images. *)
+let copy_image ~export ~import ~image_bytes d r site _cookie =
+  let img = export d site in
+  import r site img;
+  image_bytes img
+
 let sf_class ens =
-  match Ensemble.smallfile_table ens with
-  | None -> None
-  | Some table ->
-      let servers () = Ensemble.smallfiles ens in
-      Some
-        {
-          kname = "smallfile";
-          table;
-          nservers = (fun () -> Array.length (servers ()));
-          addr = (fun i -> Smallfile.addr (servers ()).(i));
-          begin_drain = (fun i s -> Smallfile.begin_drain (servers ()).(i) s);
-          end_drain = (fun i s -> Smallfile.end_drain (servers ()).(i) s);
-          own = (fun i s -> Smallfile.own_site (servers ()).(i) s);
-          disown = (fun i s -> Smallfile.disown_site (servers ()).(i) s);
-          drop = (fun i s -> Smallfile.drop_site (servers ()).(i) s);
-          drop_load = (fun i s -> Smallfile.reset_site_load (servers ()).(i) s);
-          site_load = (fun i s -> Smallfile.site_load (servers ()).(i) s);
-          drain_bounces =
-            (fun () ->
-              Array.fold_left
-                (fun a d -> a + Smallfile.drain_bounces d)
-                0 (servers ()));
-          add_server = (fun () -> Ensemble.add_smallfile_server ens);
-          prepare = (fun ~donor:_ ~site:_ -> "");
-          copy_bytes =
-            (fun ~donor ~site ~cookie:_ ->
-              Smallfile.site_bytes (servers ()).(donor) site);
-          copy_commit =
-            (fun ~donor ~recv ~site ~cookie:_ ->
-              let img = Smallfile.export_site (servers ()).(donor) site in
-              Smallfile.import_site (servers ()).(recv) site img;
-              Smallfile.image_bytes img);
-        }
+  Option.map
+    (fun table ->
+      make_class ~kname:"smallfile" ~table
+        ~servers:(fun () -> Ensemble.smallfiles ens)
+        ~tenure:Smallfile.tenure ~addr:Smallfile.addr
+        ~add_server:(fun () -> Ensemble.add_smallfile_server ens)
+        ~drop:Smallfile.drop_site
+        ~prepare:(fun _ _ -> "")
+        ~copy_bytes:(fun d site _ -> Smallfile.site_bytes d site)
+        ~copy_commit:
+          (copy_image ~export:Smallfile.export_site ~import:Smallfile.import_site
+             ~image_bytes:Smallfile.image_bytes))
+    (Ensemble.smallfile_table ens)
 
 let st_class ens =
-  match Ensemble.storage_table ens with
-  | None -> None
-  | Some table ->
-      let servers () = Ensemble.storage ens in
-      Some
-        {
-          kname = "storage";
-          table;
-          nservers = (fun () -> Array.length (servers ()));
-          addr = (fun i -> Obsd.addr (servers ()).(i));
-          begin_drain = (fun i s -> Obsd.begin_drain (servers ()).(i) s);
-          end_drain = (fun i s -> Obsd.end_drain (servers ()).(i) s);
-          own = (fun i s -> Obsd.own_site (servers ()).(i) s);
-          disown = (fun i s -> Obsd.disown_site (servers ()).(i) s);
-          drop = (fun i s -> Obsd.drop_site (servers ()).(i) s);
-          drop_load = (fun i s -> Obsd.reset_site_load (servers ()).(i) s);
-          site_load = (fun i s -> Obsd.site_load (servers ()).(i) s);
-          drain_bounces =
-            (fun () ->
-              Array.fold_left (fun a d -> a + Obsd.drain_bounces d) 0 (servers ()));
-          add_server = (fun () -> Ensemble.add_storage_node ens);
-          prepare = (fun ~donor:_ ~site:_ -> "");
-          copy_bytes =
-            (fun ~donor ~site ~cookie:_ ->
-              Obsd.site_bytes (servers ()).(donor) site);
-          copy_commit =
-            (fun ~donor ~recv ~site ~cookie:_ ->
-              let img = Obsd.export_site (servers ()).(donor) site in
-              Obsd.import_site (servers ()).(recv) site img;
-              Obsd.image_bytes img);
-        }
+  Option.map
+    (fun table ->
+      make_class ~kname:"storage" ~table
+        ~servers:(fun () -> Ensemble.storage ens)
+        ~tenure:Obsd.tenure ~addr:Obsd.addr
+        ~add_server:(fun () -> Ensemble.add_storage_node ens)
+        ~drop:Obsd.drop_site
+        ~prepare:(fun _ _ -> "")
+        ~copy_bytes:(fun d site _ -> Obsd.site_bytes d site)
+        ~copy_commit:
+          (copy_image ~export:Obsd.export_site ~import:Obsd.import_site
+             ~image_bytes:Obsd.image_bytes))
+    (Ensemble.storage_table ens)
 
 let class_list t =
   t.dir_ops :: List.filter_map Fun.id [ t.sf_ops; t.st_ops ]
@@ -212,16 +178,24 @@ let class_list t =
 let register_load_gauge t ops j =
   Metrics.gauge t.reg (load_key ops.kname j) (fun () ->
       let o = owner_of ops j in
-      if o < 0 then 0.0 else float_of_int (ops.site_load o j))
+      if o < 0 then 0.0 else float_of_int (Tenure.site_load (ops.tenure o) j))
 
 (* A committed move retires the donor-side accounting for the site: the
    donor's load row is reset (its traffic history moved with the site)
    and the registry entry is dropped and re-registered so nothing keeps
    answering with pre-move values. *)
 let retire_donor_load t ops ~donor ~site =
-  ops.drop_load donor site;
+  Tenure.reset_load (ops.tenure donor) site;
   Metrics.remove t.reg (load_key ops.kname site);
   register_load_gauge t ops site
+
+let server_indices ops = List.init (ops.nservers ()) Fun.id
+
+let drain_bounces t =
+  List.fold_left
+    (fun a ops ->
+      List.fold_left (fun a i -> a + Tenure.drain_bounces (ops.tenure i)) a (server_indices ops))
+    0 (class_list t)
 
 let attach ?(bandwidth = 50e6) ?trace ens =
   let reg = Metrics.create () in
@@ -249,9 +223,7 @@ let attach ?(bandwidth = 50e6) ?trace ens =
   Metrics.gauge reg "reconfig.sites_moved" (fun () -> float_of_int t.n_moved);
   Metrics.gauge reg "reconfig.aborted" (fun () -> float_of_int t.n_aborted);
   Metrics.gauge reg "reconfig.bytes_copied" (fun () -> Int64.to_float t.n_bytes);
-  Metrics.gauge reg "reconfig.drain_bounces" (fun () ->
-      float_of_int
-        (List.fold_left (fun a o -> a + o.drain_bounces ()) 0 (class_list t)));
+  Metrics.gauge reg "reconfig.drain_bounces" (fun () -> float_of_int (drain_bounces t));
   List.iter
     (fun ops ->
       for j = 0 to Table.nsites ops.table - 1 do
@@ -265,10 +237,19 @@ let migrations t = t.n_migrations
 let sites_moved t = t.n_moved
 let aborted t = t.n_aborted
 let bytes_copied t = t.n_bytes
-let log_image t = Wal.image t.wal
 
-let drain_bounces t =
-  List.fold_left (fun a o -> a + o.drain_bounces ()) 0 (class_list t)
+(* Exactly one owner per logical site, and the table publishes it. *)
+let ownership_violations t =
+  List.concat_map
+    (fun ops ->
+      List.filter_map
+        (fun j ->
+          let owners = List.filter (fun i -> Tenure.owns (ops.tenure i) j) (server_indices ops) in
+          match owners with
+          | [ o ] when Table.lookup ops.table j = ops.addr o -> None
+          | _ -> Some (ops.kname, j, List.length owners))
+        (List.init (Table.nsites ops.table) Fun.id))
+    (class_list t)
 
 (* One site move, intend -> drain -> copy -> commit/abort. Runs in the
    caller's fiber; only the copy sleep gives up the simulated clock. *)
@@ -285,7 +266,7 @@ let migrate ?abandon t ops ~site ~donor ~recv =
     (Wal.append t.wal ~rtype:rt_begin
        (Printf.sprintf "%d %s %d %d %d" op_id ops.kname site donor recv));
   Wal.sync t.wal;
-  ops.begin_drain donor site;
+  Tenure.begin_drain (ops.tenure donor) site;
   (match abandon with Some `After_begin -> raise Abandoned | None -> ());
   let cookie = ops.prepare ~donor ~site in
   let est = ops.copy_bytes ~donor ~site ~cookie in
@@ -294,9 +275,8 @@ let migrate ?abandon t ops ~site ~donor ~recv =
   if Net.node_up t.net (ops.addr donor) && Net.node_up t.net (ops.addr recv)
   then begin
     let bytes = ops.copy_commit ~donor ~recv ~site ~cookie in
-    ops.own recv site;
-    ops.end_drain donor site;
-    ops.disown donor site;
+    Tenure.own (ops.tenure recv) site;
+    Tenure.disown (ops.tenure donor) site;
     ops.drop donor site;
     retire_donor_load t ops ~donor ~site;
     set_site ops site (ops.addr recv);
@@ -309,7 +289,7 @@ let migrate ?abandon t ops ~site ~donor ~recv =
   else begin
     (* donor or receiver is down: the site stays wholly on the donor
        (a donor crash already cleared its volatile drain mark) *)
-    ops.end_drain donor site;
+    Tenure.end_drain (ops.tenure donor) site;
     ignore (Wal.append t.wal ~rtype:rt_abort (string_of_int op_id));
     Wal.sync t.wal;
     t.n_aborted <- t.n_aborted + 1;
@@ -341,7 +321,7 @@ let takeover_site t ops ~site ~donor ~recv =
   Engine.sleep t.eng (setup_latency +. (Int64.to_float est /. t.bandwidth));
   if Net.node_up t.net (ops.addr recv) then begin
     let bytes = ops.copy_commit ~donor ~recv ~site ~cookie in
-    ops.own recv site;
+    Tenure.own (ops.tenure recv) site;
     retire_donor_load t ops ~donor ~site;
     set_site ops site (ops.addr recv);
     ignore (Wal.append t.wal ~rtype:rt_commit (string_of_int op_id));
@@ -456,6 +436,20 @@ let takeover t k ~victim ~standby =
   let ops = require t k in
   takeover_class t ops ~victim ~standby
 
+let shed t k i =
+  match class_ops t k with
+  | None -> ()
+  | Some ops ->
+      let tn = ops.tenure i in
+      List.iter
+        (fun site ->
+          if Table.lookup ops.table site <> ops.addr i then begin
+            Tenure.disown tn site;
+            ops.drop i site;
+            Tenure.reset_load tn site
+          end)
+        (Tenure.owned_sites tn)
+
 let execute ?abandon t plan =
   try
     match plan with
@@ -508,12 +502,13 @@ let recover t =
           | Some ops ->
               let n = ops.nservers () in
               if donor >= 0 && donor < n then begin
-                ops.end_drain donor site;
-                ops.own donor site;
+                let tn = ops.tenure donor in
+                Tenure.end_drain tn site;
+                Tenure.own tn site;
                 set_site ops site (ops.addr donor)
               end;
               if recv >= 0 && recv < n && recv <> donor then begin
-                ops.disown recv site;
+                Tenure.disown (ops.tenure recv) site;
                 ops.drop recv site
               end);
           t.n_aborted <- t.n_aborted + 1;

@@ -127,9 +127,17 @@ val bytes_copied : t -> int64
 (** Total bytes of site state streamed by committed migrations. *)
 
 val drain_bounces : t -> int
-(** Mutations bounced by draining donors, summed over all servers of
+(** Mutations bounced by donors mid-drain, summed over all servers of
     all classes. *)
 
-val log_image : t -> string
-(** The intent log's byte image (tests inspect it; a real deployment
-    would keep it on the coordinator's stable storage). *)
+val shed : t -> Plan.klass -> int -> unit
+(** Disown, drop and forget the load of every site server [i] of the
+    class still owns but the class table binds elsewhere — how a
+    recovered, deposed server rejoins as a peer. A no-op for a class the
+    ensemble does not run. *)
+
+val ownership_violations : t -> (string * int * int) list
+(** The exactly-one-owner audit over every class: each [(class, site,
+    owners)] names a logical site that is not owned by exactly one
+    server, or whose one owner the class table does not publish (then
+    [owners] is 1). Empty when the invariant holds. *)

@@ -4,6 +4,7 @@ module Fh = Slice_nfs.Fh
 module Bcache = Slice_disk.Bcache
 module Ffs = Slice_disk.Ffs
 module Host = Slice_storage.Host
+module Tenure = Slice_storage.Tenure
 module Nfs_endpoint = Slice_storage.Nfs_endpoint
 module Trace = Slice_trace.Trace
 
@@ -35,23 +36,12 @@ type t = {
   files : (int64, filerec) Hashtbl.t;
   threshold : int;
   nsites : int; (* logical small-file sites in the volume *)
-  owned : (int, unit) Hashtbl.t; (* sites served here *)
-  draining : (int, unit) Hashtbl.t; (* sites mid-migration: reads ok, writes bounce *)
-  site_ops : (int, int ref) Hashtbl.t; (* per-site request load, for rebalancing *)
+  tenure : Tenure.t; (* sites served here, drains, load, fencing lease *)
   mutable up : bool;
   mutable logical : int64;
   mutable physical : int64;
   mutable reads : int;
   mutable writes : int;
-  mutable drain_bounces : int;
-  mutable misdirect_bounces : int;
-  (* Fencing lease (failover): an expired lease wedges the whole server —
-     every request bounces — so a zombie deposed by a takeover cannot
-     serve stale file contents. Defaults (infinite lease, epoch 0) keep
-     standalone servers unfenced. *)
-  mutable lease_until : float;
-  mutable lease_epoch : int;
-  mutable fence_bounces : int;
 }
 
 let physical_size_of n =
@@ -81,20 +71,6 @@ let filerec_of t fh =
       let fr = { size = 0; blocks = [||]; data = None; site } in
       Hashtbl.replace t.files fid fr;
       fr
-
-let owns t site = Hashtbl.mem t.owned site
-let is_draining t site = Hashtbl.mem t.draining site
-
-let touch_site t site =
-  let r =
-    match Hashtbl.find_opt t.site_ops site with
-    | Some r -> r
-    | None ->
-        let r = ref 0 in
-        Hashtbl.replace t.site_ops site r;
-        r
-  in
-  incr r
 
 let ensure_blocks fr n =
   if Array.length fr.blocks < n then begin
@@ -184,14 +160,16 @@ let store_real fr ~off data =
   in
   Bytes.blit_string data 0 buf off len
 
-let wedged t = Engine.now t.host.Host.eng > t.lease_until
+(* An expired lease wedges the whole server — every request bounces — so
+   a zombie deposed by a takeover cannot serve stale file contents. *)
+let wedged t = Tenure.wedged t.tenure ~now:(Engine.now t.host.Host.eng)
 
 let handle t span (call : Nfs.call) : Nfs.response =
   (* Map/extent cache touches are the synchronous disk work of this
      server; async write-behind stays untraced. *)
   let disk_timed f = Trace.timed span ~hop:"disk" ~site:(Host.name t.host) f in
   if wedged t then begin
-    t.fence_bounces <- t.fence_bounces + 1;
+    Tenure.note_fence t.tenure;
     Error Nfs.ERR_MISDIRECTED
   end
   else
@@ -201,13 +179,8 @@ let handle t span (call : Nfs.call) : Nfs.response =
       let fr = filerec_of t fh in
       Ok (Nfs.RGetattr (attr_of fh fr))
   | Nfs.Read (fh, off64, count) ->
-      let site = site_of t fh in
-      if not (owns t site || is_draining t site) then begin
-        t.misdirect_bounces <- t.misdirect_bounces + 1;
-        Error Nfs.ERR_MISDIRECTED
-      end
+      if not (Tenure.admit_read t.tenure (site_of t fh)) then Error Nfs.ERR_MISDIRECTED
       else begin
-      touch_site t site;
       let fr = filerec_of t fh in
       let off = Int64.to_int off64 in
       let count = max 0 (min count (fr.size - off)) in
@@ -234,21 +207,12 @@ let handle t span (call : Nfs.call) : Nfs.response =
       Ok (Nfs.RRead (data, eof, attr_of fh fr))
       end
   | Nfs.Write (fh, off64, stable, wdata) ->
-      let site = site_of t fh in
       (* Drain: reads keep being answered for a moving site, but writes
          bounce with [SLICE_MISDIRECTED] so no update can land behind the
          migration; the µproxy retries after a table refresh and reaches
          whichever side owns the site once the move commits or aborts. *)
-      if is_draining t site then begin
-        t.drain_bounces <- t.drain_bounces + 1;
-        Error Nfs.ERR_MISDIRECTED
-      end
-      else if not (owns t site) then begin
-        t.misdirect_bounces <- t.misdirect_bounces + 1;
-        Error Nfs.ERR_MISDIRECTED
-      end
+      if not (Tenure.admit_write t.tenure (site_of t fh)) then Error Nfs.ERR_MISDIRECTED
       else begin
-      touch_site t site;
       let fr = filerec_of t fh in
       let off = Int64.to_int off64 in
       let len = Nfs.wdata_length wdata in
@@ -352,25 +316,14 @@ let attach host ?(port = 2049) ?(cache_bytes = 1024 * 1024 * 1024)
       files = Hashtbl.create 4096;
       threshold;
       nsites;
-      (* lint: bounded — one row per logical small-file site bound here *)
-      owned = Hashtbl.create 4;
-      (* lint: bounded — sites mid-migration; cleared on commit/abort/crash *)
-      draining = Hashtbl.create 4;
-      (* lint: bounded — one row per logical small-file site *)
-      site_ops = Hashtbl.create 4;
+      tenure = Tenure.create sites;
       up = true;
       logical = 0L;
       physical = 0L;
       reads = 0;
       writes = 0;
-      drain_bounces = 0;
-      misdirect_bounces = 0;
-      lease_until = infinity;
-      lease_epoch = 0;
-      fence_bounces = 0;
     }
   in
-  List.iter (fun s -> Hashtbl.replace t.owned s ()) sites;
   Nfs_endpoint.serve host ~port
     ~cost:{ per_op = 70e-6; per_byte = 4e-9 }
     ~alive:(fun () -> t.up)
@@ -381,7 +334,7 @@ let crash t =
   t.up <- false;
   (* A drain in progress is volatile control-plane state: the migration
      aborts and the recovered server serves the site normally again. *)
-  Hashtbl.reset t.draining;
+  Tenure.clear_drains t.tenure;
   Bcache.drop_clean t.cache
 
 let recover t = t.up <- true
@@ -389,35 +342,7 @@ let is_up t = t.up
 
 (* ---- reconfiguration hooks (control-plane, in-process) ---- *)
 
-let owned_sites t =
-  Hashtbl.fold (fun s () acc -> s :: acc) t.owned [] |> List.sort compare
-
-let own_site t site = Hashtbl.replace t.owned site ()
-
-let disown_site t site =
-  Hashtbl.remove t.owned site;
-  Hashtbl.remove t.draining site
-
-let begin_drain t site = Hashtbl.replace t.draining site ()
-let end_drain t site = Hashtbl.remove t.draining site
-
-let site_load t site =
-  match Hashtbl.find_opt t.site_ops site with Some r -> !r | None -> 0
-
-let reset_site_load t site = Hashtbl.remove t.site_ops site
-
-let drain_bounces t = t.drain_bounces
-let misdirect_bounces t = t.misdirect_bounces
-
-(* ---- fencing lease (failover) ---- *)
-
-let set_lease t ~epoch ~until =
-  t.lease_epoch <- epoch;
-  t.lease_until <- until
-
-let lease_epoch t = t.lease_epoch
-let fence_bounces t = t.fence_bounces
-let is_wedged t = wedged t
+let tenure t = t.tenure
 let host t = t.host
 
 type site_image = (int64 * int * string) list
@@ -477,7 +402,7 @@ let drop_site t site =
       | None -> ());
       Hashtbl.remove t.files fid)
     moved;
-  Hashtbl.remove t.site_ops site
+  Tenure.reset_load t.tenure site
 
 let image_bytes (img : site_image) =
   List.fold_left (fun acc (_, size, _) -> Int64.add acc (Int64.of_int size)) 0L img
@@ -489,7 +414,6 @@ let site_bytes t site =
     t.files 0L
 
 let addr t = t.host.Host.addr
-let threshold t = t.threshold
 let file_count t = Hashtbl.length t.files
 let bytes_stored t = t.physical
 let logical_bytes t = t.logical

@@ -36,7 +36,6 @@ val attach :
     a site not owned here bounce with [SLICE_MISDIRECTED]. *)
 
 val addr : t -> Slice_net.Packet.addr
-val threshold : t -> int
 
 val crash : t -> unit
 (** Fail-stop: the endpoint goes silent and the cache is cold on
@@ -68,19 +67,15 @@ val physical_size_of : int -> int
 (** {2 Reconfiguration hooks}
 
     In-process control-plane surface used by [Slice_reconfig]: logical
-    small-file sites can be drained (reads served, writes bounced with
-    [SLICE_MISDIRECTED]), exported, imported and rebound without stopping
-    the server. *)
+    small-file sites can be drained, exported, imported and rebound
+    without stopping the server. *)
 
-val owned_sites : t -> int list
-val own_site : t -> int -> unit
-val disown_site : t -> int -> unit
-
-val begin_drain : t -> int -> unit
-(** Draining is volatile: {!crash} clears it, so an aborted migration's
-    donor serves the site again after recovery. *)
-
-val end_drain : t -> int -> unit
+val tenure : t -> Slice_storage.Tenure.t
+(** The server's site tenure. A drained site keeps answering reads and
+    bounces writes with [SLICE_MISDIRECTED]; {!crash} clears drains, so
+    an aborted migration's donor serves the site again after recovery.
+    An expired lease bounces every request, so a zombie deposed by a
+    takeover cannot serve stale file contents. *)
 
 type site_image
 (** A deep copy of one site's files, for migration. *)
@@ -88,32 +83,8 @@ type site_image
 val export_site : t -> int -> site_image
 val import_site : t -> int -> site_image -> unit
 val drop_site : t -> int -> unit
+(** Free the site's files and forget its load. *)
+
 val image_bytes : site_image -> int64
 val site_bytes : t -> int -> int64
-val site_load : t -> int -> int
-
-val reset_site_load : t -> int -> unit
-(** Forget the per-site load counter (site migrated or seized away). *)
-
-val drain_bounces : t -> int
-val misdirect_bounces : t -> int
-
-(** {2 Fencing lease (failover)} *)
-
-val set_lease : t -> epoch:int -> until:float -> unit
-(** Grant (or renew) this server's fencing lease: it may serve until
-    sim-time [until] under fencing epoch [epoch]. Servers start with an
-    infinite lease (epoch 0) — attaching a failure detector is what
-    makes fencing real. *)
-
-val lease_epoch : t -> int
-
-val is_wedged : t -> bool
-(** The lease has expired: every request bounces with
-    [SLICE_MISDIRECTED] until a new lease is granted, so a zombie
-    deposed by a takeover cannot serve stale file contents. *)
-
-val fence_bounces : t -> int
-(** Requests bounced because the lease had expired. *)
-
 val host : t -> Slice_storage.Host.t

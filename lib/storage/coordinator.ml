@@ -34,16 +34,13 @@ type t = {
   mutable completed_count : int;
   mutable redo_count : int;
   mutable up : bool;
-  (* Fencing lease (failover): an expired lease wedges the coordinator —
-     control messages get Nack, probes/redo stop — so a zombie deposed by
-     a takeover cannot drive 2PC against the new incarnation. Defaults
-     (infinite lease, epoch 0) keep standalone coordinators unfenced. *)
-  mutable lease_until : float;
-  mutable lease_epoch : int;
-  mutable fence_bounces : int;
+  tenure : Tenure.t; (* fencing lease only: the coordinator owns no sites *)
 }
 
-let wedged t = Engine.now t.host.Host.eng > t.lease_until
+(* An expired lease wedges the coordinator — control messages get Nack,
+   probes/redo stop — so a zombie deposed by a takeover cannot drive 2PC
+   against the new incarnation. *)
+let wedged t = Tenure.wedged t.tenure ~now:(Engine.now t.host.Host.eng)
 
 let cpu_cost = 25e-6
 
@@ -162,7 +159,7 @@ let handle_msg t (pkt : Packet.t) =
               (* Fenced: a deposed coordinator must refuse to log new
                  intentions or acknowledge anything — the requester backs
                  off and finds the successor through the routing table. *)
-              t.fence_bounces <- t.fence_bounces + 1;
+              Tenure.note_fence t.tenure;
               reply Ctrl.Nack
             end
             else
@@ -234,9 +231,7 @@ let attach host ?(port = 2050) ?(rpc_port = 2052) ?(probe_timeout = 0.5) ?(map_s
       completed_count = 0;
       redo_count = 0;
       up = true;
-      lease_until = infinity;
-      lease_epoch = 0;
-      fence_bounces = 0;
+      tenure = Tenure.create [];
     }
   in
   Nfs_endpoint.serve_raw host ~port ~handler:(handle_msg t);
@@ -252,15 +247,7 @@ let log_image t = Wal.image t.wal
 (* The stable (synced) intentions log — what shared storage holds after
    this coordinator fails; a standby adopts it to finish 2PC. *)
 
-(* ---- fencing lease (failover) ---- *)
-
-let set_lease t ~epoch ~until =
-  t.lease_epoch <- epoch;
-  t.lease_until <- until
-
-let lease_epoch t = t.lease_epoch
-let fence_bounces t = t.fence_bounces
-let is_wedged t = wedged t
+let tenure t = t.tenure
 
 let pending_intents t =
   Hashtbl.fold (fun _ i acc -> if i.completed then acc else acc + 1) t.intents 0

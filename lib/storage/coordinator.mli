@@ -71,18 +71,7 @@ val adopt_log : t -> log:string -> unit
     coordinator. Safe to repeat (a standby that crashed mid-adoption can
     be re-adopted into): replay converges to the same intent table. *)
 
-(** {2 Fencing lease (failover)} *)
-
-val set_lease : t -> epoch:int -> until:float -> unit
-(** Grant (or renew) this coordinator's fencing lease: it may serve
-    until sim-time [until] under fencing epoch [epoch]. Coordinators
-    start with an infinite lease (epoch 0). *)
-
-val lease_epoch : t -> int
-
-val is_wedged : t -> bool
-(** The lease has expired: control messages are Nacked and redo probes
-    stop, so a zombie deposed by a takeover cannot commit 2PC work. *)
-
-val fence_bounces : t -> int
-(** Control messages refused because the lease had expired. *)
+val tenure : t -> Tenure.t
+(** The coordinator's fencing lease (it owns no sites). Once the lease
+    has expired, control messages are Nacked and redo probes stop, so a
+    zombie deposed by a takeover cannot commit 2PC work. *)

@@ -23,23 +23,12 @@ type t = {
   cap_secret : string option;
   cache : Bcache.t;
   objects : (int64, (int, obj) Hashtbl.t) Hashtbl.t; (* oid -> site -> subobject *)
-  owned : (int, unit) Hashtbl.t; (* logical sites served here *)
-  draining : (int, unit) Hashtbl.t; (* sites mid-migration: reads ok, writes bounce *)
-  site_ops : (int, int ref) Hashtbl.t; (* per-site request load, for rebalancing *)
+  tenure : Tenure.t; (* logical sites served here, drains, load, fencing lease *)
   mutable up : bool;
   mutable reads : int;
   mutable writes : int;
   mutable bytes_read : int;
   mutable bytes_written : int;
-  mutable drain_bounces : int;
-  mutable misdirect_bounces : int;
-  (* Fencing lease (failover): an expired lease wedges the whole node —
-     every request bounces — so a zombie deposed by a takeover cannot
-     acknowledge writes against stale object state. Defaults (infinite
-     lease, epoch 0) keep standalone nodes unfenced. *)
-  mutable lease_until : float;
-  mutable lease_epoch : int;
-  mutable fence_bounces : int;
 }
 
 let object_id_of_fh fh = Slice_hash.Md5.fold64 (Fh.key fh)
@@ -149,21 +138,10 @@ let authorized t (call : Nfs.call) =
           Slice_nfs.Cap.verify ~secret fh
       | _ -> true (* misdirected classes are rejected below anyway *))
 
-let touch_site t site =
-  let r =
-    match Hashtbl.find_opt t.site_ops site with
-    | Some r -> r
-    | None ->
-        let r = ref 0 in
-        Hashtbl.replace t.site_ops site r;
-        r
-  in
-  incr r
-
-let owns t site = Hashtbl.mem t.owned site
-let is_draining t site = Hashtbl.mem t.draining site
-
-let wedged t = Engine.now t.host.Host.eng > t.lease_until
+(* An expired lease wedges the whole node — every request bounces — so a
+   zombie deposed by a takeover cannot acknowledge writes against stale
+   object state. *)
+let wedged t = Tenure.wedged t.tenure ~now:(Engine.now t.host.Host.eng)
 
 let handle t span (call : Nfs.call) : Nfs.response =
   (* Synchronous cache/disk work records as a "disk" hop; asynchronous
@@ -171,7 +149,7 @@ let handle t span (call : Nfs.call) : Nfs.response =
      request span closes). *)
   let disk_timed f = Trace.timed span ~hop:"disk" ~site:(Host.name t.host) f in
   if wedged t then begin
-    t.fence_bounces <- t.fence_bounces + 1;
+    Tenure.note_fence t.tenure;
     Error Nfs.ERR_MISDIRECTED
   end
   else if not (authorized t call) then Error Nfs.ERR_PERM
@@ -184,12 +162,8 @@ let handle t span (call : Nfs.call) : Nfs.response =
   | Nfs.Read (fh, woff, count) ->
       let oid = object_id_of_fh fh in
       let site = site_of_offset woff in
-      if not (owns t site || is_draining t site) then begin
-        t.misdirect_bounces <- t.misdirect_bounces + 1;
-        Error Nfs.ERR_MISDIRECTED
-      end
+      if not (Tenure.admit_read t.tenure site) then Error Nfs.ERR_MISDIRECTED
       else begin
-        touch_site t site;
         let off = local_of_offset woff in
         let o = get_obj t oid site in
         let avail = Int64.sub o.size off in
@@ -222,16 +196,9 @@ let handle t span (call : Nfs.call) : Nfs.response =
          Mirrored subobjects are exempt (their twin replica has already
          applied the duplicated write; the commit-time delta sweep trues
          this replica up instead of forcing a half-applied bounce). *)
-      if is_draining t site && not fh.Fh.mirrored then begin
-        t.drain_bounces <- t.drain_bounces + 1;
-        Error Nfs.ERR_MISDIRECTED
-      end
-      else if not (owns t site || is_draining t site) then begin
-        t.misdirect_bounces <- t.misdirect_bounces + 1;
-        Error Nfs.ERR_MISDIRECTED
-      end
+      let admit = if fh.Fh.mirrored then Tenure.admit_read else Tenure.admit_write in
+      if not (admit t.tenure site) then Error Nfs.ERR_MISDIRECTED
       else begin
-        touch_site t site;
         let off = local_of_offset woff in
         let o = get_obj t oid site in
         let len = Nfs.wdata_length data in
@@ -301,25 +268,14 @@ let attach host ?(port = 2049) ?(cache_bytes = 256 * 1024 * 1024) ?cap_secret
           ~capacity:cache_bytes ~name:(Host.name host);
       (* lint: bounded — the backing store itself: one row per stored object *)
       objects = Hashtbl.create 256;
-      (* lint: bounded — one row per logical storage site bound here *)
-      owned = Hashtbl.create 4;
-      (* lint: bounded — sites mid-migration; cleared on commit/abort/crash *)
-      draining = Hashtbl.create 4;
-      (* lint: bounded — one row per logical storage site *)
-      site_ops = Hashtbl.create 4;
+      tenure = Tenure.create sites;
       up = true;
       reads = 0;
       writes = 0;
       bytes_read = 0;
       bytes_written = 0;
-      drain_bounces = 0;
-      misdirect_bounces = 0;
-      lease_until = infinity;
-      lease_epoch = 0;
-      fence_bounces = 0;
     }
   in
-  List.iter (fun s -> Hashtbl.replace t.owned s ()) sites;
   (* Per-op cost small and per-byte cost modeling the storage node's
      network/buffer path; the SCSI channel, not the CPU, is the intended
      per-node bandwidth cap. *)
@@ -334,7 +290,7 @@ let crash t =
   (* RAM is lost; the objects table plays the role of the disk. A drain
      in progress is volatile control-plane state: the migration aborts
      and the recovered node serves the site normally again. *)
-  Hashtbl.reset t.draining;
+  Tenure.clear_drains t.tenure;
   Bcache.drop_clean t.cache
 
 let recover t = t.up <- true
@@ -352,7 +308,6 @@ let host t = t.host
 let queue_depth t =
   Slice_sim.Resource.backlog t.host.Host.cpu
   +. Slice_disk.Disk.backlog (Host.disk_exn t.host)
-let object_count t = Hashtbl.length t.objects
 
 let object_size t fh =
   match Hashtbl.find_opt t.objects (object_id_of_fh fh) with
@@ -361,25 +316,7 @@ let object_size t fh =
 
 (* ---- reconfiguration hooks (control-plane, in-process) ---- *)
 
-let owned_sites t =
-  Hashtbl.fold (fun s () acc -> s :: acc) t.owned [] |> List.sort compare
-
-let own_site t site = Hashtbl.replace t.owned site ()
-
-let disown_site t site =
-  Hashtbl.remove t.owned site;
-  Hashtbl.remove t.draining site
-
-let begin_drain t site = Hashtbl.replace t.draining site ()
-let end_drain t site = Hashtbl.remove t.draining site
-
-let site_load t site =
-  match Hashtbl.find_opt t.site_ops site with Some r -> !r | None -> 0
-
-let reset_site_load t site = Hashtbl.remove t.site_ops site
-
-let drain_bounces t = t.drain_bounces
-let misdirect_bounces t = t.misdirect_bounces
+let tenure t = t.tenure
 
 type site_image = (int64 * int64 * (int * bytes) list) list
 (* (oid, subobject size, materialized blocks) per object of the site. *)
@@ -409,14 +346,14 @@ let import_site t site (img : site_image) =
 
 let drop_site t site =
   Hashtbl.iter (fun _ tbl -> Hashtbl.remove tbl site) t.objects;
-  (* Prune objects left with no subobjects so object_count stays honest. *)
+  (* Prune objects left with no subobjects. *)
   let empty =
     Hashtbl.fold (fun oid tbl acc -> if Hashtbl.length tbl = 0 then oid :: acc else acc)
       t.objects []
     |> List.sort compare
   in
   List.iter (fun oid -> Hashtbl.remove t.objects oid) empty;
-  Hashtbl.remove t.site_ops site
+  Tenure.reset_load t.tenure site
 
 let image_bytes (img : site_image) =
   List.fold_left (fun acc (_, size, _) -> Int64.add acc size) 0L img
@@ -428,16 +365,6 @@ let site_bytes t site =
       | Some o -> Int64.add acc o.size
       | None -> acc)
     t.objects 0L
-
-(* ---- fencing lease (failover) ---- *)
-
-let set_lease t ~epoch ~until =
-  t.lease_epoch <- epoch;
-  t.lease_until <- until
-
-let lease_epoch t = t.lease_epoch
-let fence_bounces t = t.fence_bounces
-let is_wedged t = wedged t
 
 let reads t = t.reads
 let writes t = t.writes

@@ -50,32 +50,22 @@ val crash : t -> unit
 val recover : t -> unit
 val is_up : t -> bool
 
-val object_id_of_fh : Slice_nfs.Fh.t -> int64
-(** The external hash from file handles to storage object identifiers. *)
-
-val object_count : t -> int
 val object_size : t -> Slice_nfs.Fh.t -> int64 option
 (** {2 Reconfiguration hooks}
 
     In-process control-plane surface used by [Slice_reconfig]: logical
-    sites can be drained (reads served, writes bounced with
-    [SLICE_MISDIRECTED]), exported, imported and rebound without stopping
+    sites can be drained, exported, imported and rebound without stopping
     the node. *)
 
-val owned_sites : t -> int list
-(** Logical sites served here, sorted. *)
-
-val own_site : t -> int -> unit
-val disown_site : t -> int -> unit
-
-val begin_drain : t -> int -> unit
-(** Enter the drain phase for a moving site: reads keep being served,
-    non-mirrored writes bounce with [SLICE_MISDIRECTED] (mirrored writes
-    still land — their twin replica already applied the duplicate, and
-    the commit-time delta sweep trues up the copy). Draining is volatile:
-    {!crash} clears it, so an aborted migration's donor serves again. *)
-
-val end_drain : t -> int -> unit
+val tenure : t -> Tenure.t
+(** The node's site tenure: owned sites, drains, per-site load and the
+    fencing lease. Bulk-I/O requests for a site not owned here bounce
+    with [SLICE_MISDIRECTED]. A drain keeps reads served and bounces
+    non-mirrored writes (mirrored writes still land — their twin replica
+    already applied the duplicate, and the commit-time delta sweep trues
+    up the copy); {!crash} clears drains. An expired lease bounces every
+    request, so a zombie deposed by a takeover cannot acknowledge writes
+    against stale object state. *)
 
 type site_image
 (** A deep copy of one logical site's subobjects, for migration. *)
@@ -83,47 +73,14 @@ type site_image
 val export_site : t -> int -> site_image
 val import_site : t -> int -> site_image -> unit
 val drop_site : t -> int -> unit
-(** Remove every subobject of the site (the donor's half of a committed
-    migration). *)
+(** Remove every subobject of the site and forget its load (the donor's
+    half of a committed migration). *)
 
 val image_bytes : site_image -> int64
 (** Logical bytes in the image — what a migration transfers. *)
 
 val site_bytes : t -> int -> int64
 (** Logical bytes currently stored for a site on this node. *)
-
-val site_load : t -> int -> int
-(** Read/write requests served for the site since attach (rebalancing
-    signal). *)
-
-val reset_site_load : t -> int -> unit
-(** Forget the per-site load counter (site migrated or seized away). *)
-
-val drain_bounces : t -> int
-(** Writes bounced because their site was mid-drain. *)
-
-val misdirect_bounces : t -> int
-(** Requests bounced because their site is not bound here (stale µproxy
-    tables after a reconfiguration). *)
-
-(** {2 Fencing lease (failover)} *)
-
-val set_lease : t -> epoch:int -> until:float -> unit
-(** Grant (or renew) this node's fencing lease: it may serve until
-    sim-time [until] under fencing epoch [epoch]. Nodes start with an
-    infinite lease (epoch 0) — attaching a failure detector is what
-    makes fencing real. *)
-
-val lease_epoch : t -> int
-
-val is_wedged : t -> bool
-(** The lease has expired: every request bounces with
-    [SLICE_MISDIRECTED] until a new lease is granted, so a zombie
-    deposed by a takeover cannot acknowledge writes against stale
-    object state. *)
-
-val fence_bounces : t -> int
-(** Requests bounced because the lease had expired. *)
 
 val reads : t -> int
 val writes : t -> int

@@ -8,6 +8,7 @@ module Fh = Slice_nfs.Fh
 module Codec = Slice_nfs.Codec
 module Host = Slice_storage.Host
 module Obsd = Slice_storage.Obsd
+module Tenure = Slice_storage.Tenure
 module Client = Slice_workload.Client
 module Ensemble = Slice.Ensemble
 module Proxy = Slice.Proxy
@@ -447,7 +448,7 @@ let failover_partition_false_positive () =
       Net.set_partition net (fun n -> if n = victim then 1 else 0);
       Engine.sleep eng 1.0;
       check_int "false positive declared and replaced" 1 (Fo.takeovers fo);
-      check_bool "donor self-wedged behind the partition" true (Dirserver.is_wedged dirs.(0));
+      check_bool "donor self-wedged behind the partition" true (Tenure.wedged (Dirserver.tenure dirs.(0)) ~now:(Engine.now eng));
       check_bool "deposed list names the donor" true (Fo.deposed fo = [ "dir0" ]);
       (* the majority side serves the full namespace meanwhile *)
       List.iter
@@ -458,15 +459,15 @@ let failover_partition_false_positive () =
          bounces and leaves no trace *)
       let zh = Host.create net ~name:"zprobe" () in
       let zc = Client.create zh ~server:victim () in
-      let before = Dirserver.fence_bounces dirs.(0) in
+      let before = Tenure.fence_bounces (Dirserver.tenure dirs.(0)) in
       check_bool "zombie refuses updates" true
         (Result.is_error (Client.mkdir zc Ensemble.root "zombie-d"));
-      check_bool "zombie bounced, not served" true (Dirserver.fence_bounces dirs.(0) > before);
+      check_bool "zombie bounced, not served" true (Tenure.fence_bounces (Dirserver.tenure dirs.(0)) > before);
       check_bool "phantom directory absent" true
         (Result.is_error (Client.lookup cl Ensemble.root "zombie-d"));
       (* explicit rejoin lifts the fence: the donor returns as a peer *)
       Fo.rejoin_dir fo 0;
-      check_bool "rejoined donor unfenced" false (Dirserver.is_wedged dirs.(0));
+      check_bool "rejoined donor unfenced" false (Tenure.wedged (Dirserver.tenure dirs.(0)) ~now:(Engine.now eng));
       List.iter
         (fun n -> ignore (ok_or_fail "lookup after rejoin" (Client.lookup cl Ensemble.root n)))
         names;

@@ -13,6 +13,7 @@ module Client = Slice_workload.Client
 module Ensemble = Slice.Ensemble
 module Proxy = Slice.Proxy
 module Dirserver = Slice_dir.Dirserver
+module Tenure = Slice_storage.Tenure
 module Reconfig = Slice_reconfig.Reconfig
 module Plan = Slice_reconfig.Plan
 
@@ -222,11 +223,12 @@ let fence_epoch_invalidation () =
          the victim then revives as a zombie still holding its old,
          expired lease *)
       let dirs = Ensemble.dirs ens in
-      let epoch0 = Dirserver.lease_epoch dirs.(0) in
+      let tn0 = Dirserver.tenure dirs.(0) in
+      let epoch0 = Tenure.lease_epoch tn0 in
       Ensemble.crash_dir ens 0;
       let moved = Reconfig.takeover rc Plan.Dir ~victim:0 ~standby:1 in
       check_bool "victim owned sites" true (moved > 0);
-      Dirserver.set_lease dirs.(0) ~epoch:epoch0 ~until:(Engine.now eng -. 1.0);
+      Tenure.set_lease tn0 ~epoch:epoch0 ~until:(Engine.now eng -. 1.0);
       Ensemble.recover_dir ens 0;
       (* the proxy's table still routes the moved sites at the zombie:
          the first mutation it bounces forces a table refresh, the epoch
@@ -235,7 +237,7 @@ let fence_epoch_invalidation () =
       List.iter
         (fun n -> ignore (ok_or_fail "create after takeover" (Client.create_file cl root (n ^ "x"))))
         names;
-      check_bool "zombie bounced the stale route" true (Dirserver.fence_bounces dirs.(0) > 0);
+      check_bool "zombie bounced the stale route" true (Tenure.fence_bounces tn0 > 0);
       check_bool "epoch bump flushed the caches" true (Proxy.fence_invalidations proxy >= 1);
       (* flushed entries refetch from the live server — and still resolve
          to the same files, so the flush lost nothing *)

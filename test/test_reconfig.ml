@@ -9,6 +9,7 @@ module Fh = Slice_nfs.Fh
 module Nfs = Slice_nfs.Nfs
 module Json = Slice_util.Json
 module Obsd = Slice_storage.Obsd
+module Tenure = Slice_storage.Tenure
 module Smallfile = Slice_smallfile.Smallfile
 module Dirserver = Slice_dir.Dirserver
 module Table = Slice.Table
@@ -57,27 +58,15 @@ let read_big_ok cl fh =
     | Error st -> Alcotest.failf "read: %s" (Nfs.status_name st)
   done
 
-(* Exactly-one-owner invariant: every logical site of [table] is owned
-   by precisely one server, and the table publishes that owner. *)
-let check_exclusive ~what table owners addr_of n =
-  for j = 0 to Table.nsites table - 1 do
-    let os = List.filter (fun i -> List.mem j (owners i)) (List.init n Fun.id) in
-    (match os with
-    | [ o ] ->
-        check_int
-          (Printf.sprintf "%s site %d published owner" what j)
-          (addr_of o) (Table.lookup table j)
-    | _ ->
-        Alcotest.failf "%s site %d owned by %d servers" what j (List.length os))
-  done
-
-let check_storage_exclusive ens =
-  let tbl = Option.get (Ensemble.storage_table ens) in
-  let sts = Ensemble.storage ens in
-  check_exclusive ~what:"storage" tbl
-    (fun i -> Obsd.owned_sites sts.(i))
-    (fun i -> Obsd.addr sts.(i))
-    (Array.length sts)
+(* Exactly-one-owner invariant, over every class: each logical site is
+   owned by precisely one server, and its table publishes that owner. *)
+let check_exclusive rc =
+  match Reconfig.ownership_violations rc with
+  | [] -> ()
+  | vs ->
+      Alcotest.failf "sites without exactly one published owner: %s"
+        (String.concat ", "
+           (List.map (fun (k, site, n) -> Printf.sprintf "%s site %d (%d owners)" k site n) vs))
 
 let test_storage_migration () =
   let ens = mk_ens () in
@@ -102,7 +91,7 @@ let test_storage_migration () =
                   ~data:(Nfs.Synthetic chunk) ()));
           read_big_ok cl fh)
         fhs;
-      check_storage_exclusive ens)
+      check_exclusive rc)
 
 let test_smallfile_migration () =
   let ens = mk_ens ~seed:10 () in
@@ -129,12 +118,7 @@ let test_smallfile_migration () =
           | Ok (d, _) when Nfs.wdata_length d = 4096 -> ()
           | _ -> Alcotest.fail "small file lost after migration")
         fhs;
-      let tbl = Option.get (Ensemble.smallfile_table ens) in
-      let sfs = Ensemble.smallfiles ens in
-      check_exclusive ~what:"smallfile" tbl
-        (fun i -> Smallfile.owned_sites sfs.(i))
-        (fun i -> Smallfile.addr sfs.(i))
-        (Array.length sfs))
+      check_exclusive rc)
 
 let test_dir_migration () =
   let ens = mk_ens ~seed:11 () in
@@ -162,11 +146,7 @@ let test_dir_migration () =
       List.iter (fun n -> ignore (ok_or_fail "create2" (Client.create_file cl top n))) extra;
       let entries = ok_or_fail "readdir" (Client.readdir_all cl top) in
       check_int "all entries visible" (30 + 8) (List.length entries);
-      let dirs = Ensemble.dirs ens in
-      check_exclusive ~what:"dir" (Ensemble.dir_table ens)
-        (fun i -> Dirserver.owned_sites dirs.(i))
-        (fun i -> Dirserver.addr dirs.(i))
-        (Array.length dirs))
+      check_exclusive rc)
 
 (* Chaos: crash the donor in the middle of the copy phase. Every
    in-flight and following migration must abort — the table never
@@ -196,7 +176,7 @@ let test_donor_crash_mid_migration () =
       Ensemble.recover_storage ens 1;
       Engine.sleep eng 0.5;
       List.iter (fun fh -> read_big_ok cl fh) fhs;
-      check_storage_exclusive ens)
+      check_exclusive rc)
 
 (* Control-plane crash: the fault-injection hook stops the first
    migration right after its Begin intent hits the log and the drain
@@ -227,7 +207,7 @@ let test_abandoned_intent_recovery () =
                   ~data:(Nfs.Synthetic chunk) ()));
           read_big_ok cl fh)
         fhs;
-      check_storage_exclusive ens;
+      check_exclusive rc;
       Reconfig.recover rc;
       check_int "recover is idempotent" 1 (Reconfig.aborted rc))
 
@@ -262,19 +242,19 @@ let test_load_gauges_retired_on_commit () =
       for j = 0 to Table.nsites tbl - 1 do
         check_bool "gauge registered" true (List.mem (key j) (Metrics.names reg));
         check_bool "gauge reads the owner" true
-          (Metrics.value reg (key j) = float_of_int (Smallfile.site_load sfs0.(0) j))
+          (Metrics.value reg (key j) = float_of_int (Tenure.site_load (Smallfile.tenure sfs0.(0)) j))
       done;
       Reconfig.execute rc (Plan.Add_server Plan.Smallfile);
       let sfs = Ensemble.smallfiles ens in
-      let moved = Smallfile.owned_sites sfs.(1) in
+      let moved = Tenure.owned_sites (Smallfile.tenure sfs.(1)) in
       check_bool "sites moved" true (moved <> []);
       List.iter
         (fun j ->
           (* commit reset the donor's row and re-registered the gauge *)
-          check_int "donor load row reset" 0 (Smallfile.site_load sfs.(0) j);
+          check_int "donor load row reset" 0 (Tenure.site_load (Smallfile.tenure sfs.(0)) j);
           check_bool "gauge survives retirement" true (List.mem (key j) (Metrics.names reg));
           check_bool "retired gauge reads the receiver" true
-            (Metrics.value reg (key j) = float_of_int (Smallfile.site_load sfs.(1) j)))
+            (Metrics.value reg (key j) = float_of_int (Tenure.site_load (Smallfile.tenure sfs.(1)) j)))
         moved;
       (* post-move traffic accrues to the receiver, and the gauges see it
          — none of it leaks back into the donor's rows *)
@@ -283,12 +263,12 @@ let test_load_gauges_retired_on_commit () =
         fhs;
       let gauge_sum = List.fold_left (fun a j -> a +. Metrics.value reg (key j)) 0.0 moved in
       let recv_sum =
-        List.fold_left (fun a j -> a + Smallfile.site_load sfs.(1) j) 0 moved
+        List.fold_left (fun a j -> a + Tenure.site_load (Smallfile.tenure sfs.(1)) j) 0 moved
       in
       check_bool "receiver load visible through gauges" true (gauge_sum > 0.0);
       check_bool "gauges equal receiver rows" true (gauge_sum = float_of_int recv_sum);
       List.iter
-        (fun j -> check_int "donor rows stay zero" 0 (Smallfile.site_load sfs.(0) j))
+        (fun j -> check_int "donor rows stay zero" 0 (Tenure.site_load (Smallfile.tenure sfs.(0)) j))
         moved)
 
 (* Hot-standby takeover as a direct control-plane call: every site of
@@ -311,7 +291,7 @@ let test_takeover_claims_victim_sites () =
       in
       let dirs = Ensemble.dirs ens in
       let tbl = Ensemble.dir_table ens in
-      let sites0 = Dirserver.owned_sites dirs.(0) in
+      let sites0 = Tenure.owned_sites (Dirserver.tenure dirs.(0)) in
       check_bool "victim owns sites" true (sites0 <> []);
       let epoch0 = Table.epoch tbl in
       Ensemble.crash_dir ens 0;
@@ -321,12 +301,12 @@ let test_takeover_claims_victim_sites () =
       List.iter
         (fun j ->
           check_int "site rebound to the standby" (Dirserver.addr dirs.(1)) (Table.lookup tbl j);
-          check_bool "standby owns it" true (List.mem j (Dirserver.owned_sites dirs.(1))))
+          check_bool "standby owns it" true (Tenure.owns (Dirserver.tenure dirs.(1)) j))
         sites0;
       (* revive the victim as a zombie (expired lease, old epoch): the
          full namespace must still resolve — through the standby *)
-      Dirserver.set_lease dirs.(0) ~epoch:(Dirserver.lease_epoch dirs.(0))
-        ~until:(Engine.now eng -. 1.0);
+      let tn0 = Dirserver.tenure dirs.(0) in
+      Tenure.set_lease tn0 ~epoch:(Tenure.lease_epoch tn0) ~until:(Engine.now eng -. 1.0);
       Ensemble.recover_dir ens 0;
       List.iter
         (fun (n, fh) ->

@@ -7,6 +7,7 @@ module Fh = Slice_nfs.Fh
 module Codec = Slice_nfs.Codec
 module Host = Slice_storage.Host
 module Obsd = Slice_storage.Obsd
+module Tenure = Slice_storage.Tenure
 module Coordinator = Slice_storage.Coordinator
 module Ctrl = Slice_storage.Ctrl
 module Packet = Slice_net.Packet
@@ -55,6 +56,71 @@ let ctrl_call rig msg =
       ~dport:(Coordinator.port rig.coord) (Ctrl.encode_msg ~xid msg)
   in
   snd (Ctrl.decode_reply reply)
+
+(* ---- Tenure ---- *)
+
+let tenure_sites_drains_load () =
+  let tn = Tenure.create [ 2; 0 ] in
+  check_bool "initial sites, ascending" true (Tenure.owned_sites tn = [ 0; 2 ]);
+  Tenure.own tn 1;
+  Tenure.own tn 1;
+  check_bool "own is idempotent" true (Tenure.owned_sites tn = [ 0; 1; 2 ]);
+  (* an owned site answers both paths and counts its load *)
+  check_bool "read admitted" true (Tenure.admit_read tn 1);
+  check_bool "write admitted" true (Tenure.admit_write tn 1);
+  check_int "admissions counted" 2 (Tenure.site_load tn 1);
+  (* a site not owned is refused without counting anything *)
+  check_bool "foreign read refused" false (Tenure.admit_read tn 7);
+  check_bool "foreign write refused" false (Tenure.admit_write tn 7);
+  check_int "no load for a foreign site" 0 (Tenure.site_load tn 7);
+  check_int "no drain bounce for a foreign site" 0 (Tenure.drain_bounces tn);
+  (* a drain keeps reads, bounces writes *)
+  Tenure.begin_drain tn 1;
+  check_bool "draining" true (Tenure.in_drain tn 1);
+  check_bool "still owned" true (Tenure.owns tn 1);
+  check_bool "read during drain" true (Tenure.admit_read tn 1);
+  check_bool "write during drain" false (Tenure.admit_write tn 1);
+  check_int "drain bounce counted" 1 (Tenure.drain_bounces tn);
+  check_int "only the read counted" 3 (Tenure.site_load tn 1);
+  Tenure.end_drain tn 1;
+  check_bool "write after drain" true (Tenure.admit_write tn 1);
+  (* drains apply only to owned sites *)
+  Tenure.begin_drain tn 7;
+  check_bool "no drain on a foreign site" false (Tenure.in_drain tn 7);
+  check_bool "drain does not claim the site" false (Tenure.owns tn 7);
+  (* disown ends the drain: re-owning serves writes straight away *)
+  Tenure.begin_drain tn 2;
+  Tenure.disown tn 2;
+  check_bool "disowned" false (Tenure.owns tn 2);
+  check_bool "disown ended the drain" false (Tenure.in_drain tn 2);
+  Tenure.own tn 2;
+  check_bool "re-owned site takes writes" true (Tenure.admit_write tn 2);
+  (* a crash forgets every drain *)
+  Tenure.begin_drain tn 0;
+  Tenure.begin_drain tn 1;
+  Tenure.clear_drains tn;
+  check_bool "drains cleared" false (Tenure.in_drain tn 0 || Tenure.in_drain tn 1);
+  check_bool "ownership survives" true (Tenure.owned_sites tn = [ 0; 1; 2 ]);
+  (* load: per site, summed over owned sites only *)
+  Tenure.note tn 0;
+  Tenure.note tn 7;
+  check_int "summed load of owned sites" (4 + 1 + 1) (Tenure.load tn);
+  Tenure.reset_load tn 1;
+  check_int "reset forgets the row" 0 (Tenure.site_load tn 1);
+  check_int "sum after reset" 2 (Tenure.load tn)
+
+let tenure_lease () =
+  let tn = Tenure.create [] in
+  check_bool "infinite initial lease" false (Tenure.wedged tn ~now:1e9);
+  check_int "initial epoch" 0 (Tenure.lease_epoch tn);
+  Tenure.set_lease tn ~epoch:3 ~until:10.0;
+  check_int "granted epoch" 3 (Tenure.lease_epoch tn);
+  check_bool "serving up to the expiry" false (Tenure.wedged tn ~now:10.0);
+  check_bool "wedged past the expiry" true (Tenure.wedged tn ~now:10.5);
+  Tenure.note_fence tn;
+  check_int "fence bounce counted" 1 (Tenure.fence_bounces tn);
+  Tenure.set_lease tn ~epoch:4 ~until:20.0;
+  check_bool "renewal unwedges" false (Tenure.wedged tn ~now:10.5)
 
 (* ---- Obsd ---- *)
 
@@ -130,6 +196,31 @@ let obsd_commit_stable () =
       | _ -> Alcotest.fail "commit");
       check_bool "commit forced disk writes" true
         (Slice_disk.Disk.ops (Obsd.disk node) > disk_ops_before))
+
+(* An expired lease wedges the node: reads and writes both bounce, each
+   bounce is counted, and a fresh grant brings the node back. *)
+let obsd_fenced_by_lease () =
+  let rig = mk_rig () in
+  let node = rig.nodes.(0) in
+  let dst = Obsd.addr node in
+  let tn = Obsd.tenure node in
+  run_on rig.eng (fun () ->
+      let fh = reg_fh 9 in
+      ignore (nfs_call rig ~dst (Nfs.Write (fh, 0L, Nfs.Unstable, Nfs.Data "live")));
+      Tenure.set_lease tn ~epoch:1 ~until:(Engine.now rig.eng -. 1.0);
+      let misdirected what = function
+        | Error Nfs.ERR_MISDIRECTED -> ()
+        | _ -> Alcotest.failf "%s served by a wedged node" what
+      in
+      misdirected "read" (nfs_call rig ~dst (Nfs.Read (fh, 0L, 4)));
+      misdirected "write" (nfs_call rig ~dst (Nfs.Write (fh, 0L, Nfs.Unstable, Nfs.Data "dead")));
+      check_int "both bounces counted" 2 (Tenure.fence_bounces tn);
+      Tenure.set_lease tn ~epoch:2 ~until:(Engine.now rig.eng +. 10.0);
+      match nfs_call rig ~dst (Nfs.Read (fh, 0L, 4)) with
+      | Ok (Nfs.RRead (Nfs.Data d, _, _)) ->
+          check_string "serves again; the fenced write never landed" "live" d;
+          check_int "no further bounces" 2 (Tenure.fence_bounces tn)
+      | _ -> Alcotest.fail "read after renewal")
 
 let obsd_truncate () =
   let rig = mk_rig () in
@@ -330,7 +421,10 @@ let drc_replays_lost_reply () =
 let suite =
   [
     ("nfs endpoint DRC replays a lost reply", `Quick, drc_replays_lost_reply);
+    ("tenure sites, drains and load", `Quick, tenure_sites_drains_load);
+    ("tenure lease expiry wedges", `Quick, tenure_lease);
     ("obsd write/read roundtrip", `Quick, obsd_write_read_roundtrip);
+    ("obsd fenced by an expired lease", `Quick, obsd_fenced_by_lease);
     ("obsd synthetic and clip", `Quick, obsd_synthetic_and_clip);
     ("obsd sparse blocks independent", `Quick, obsd_offset_windows_are_independent);
     ("obsd remove and getattr", `Quick, obsd_remove_and_getattr);
