@@ -21,22 +21,12 @@ type zombie = {
   z_update_blocked : bool;  (** the mutation sent to the zombie left no trace *)
 }
 
-type audit = { aud_checked : int; aud_lost : int; aud_ownership_violations : int }
-
-type takeover = {
-  tk_class : string;
-  tk_victim : int;
-  tk_standby : int;
-  tk_sites : int;
-  tk_detect : float;  (** first missed renewal to declaration, seconds *)
-  tk_mttr : float;  (** first missed renewal to service restored, seconds *)
-}
-
 type t = {
   phases : phase list;
-  takeovers : takeover list;
+  takeovers : Slice_failover.Failover.event list;  (** oldest first *)
   zombies : zombie list;
-  audit : audit;
+  audit : Slice_workload.Livemix.audit;  (** post-run read-back *)
+  ownership_violations : int;  (** logical sites without exactly one owner *)
   fence_invalidations : int;  (** µproxy cache flushes on epoch bumps *)
   heartbeats : int;
   lease_duration : float;
@@ -49,5 +39,3 @@ val compute : ?scale:float -> ?seed:int -> unit -> t
 
 val report_of : t -> Report.t
 val json_of : t -> Slice_util.Json.t
-
-val report : ?scale:float -> unit -> Report.t

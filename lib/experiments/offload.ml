@@ -9,11 +9,12 @@
    "off" is TTL = 0. *)
 
 module Engine = Slice_sim.Engine
+module Fiber = Slice_sim.Fiber
 module Nfs = Slice_nfs.Nfs
-module Fh = Slice_nfs.Fh
 module Prng = Slice_util.Prng
 module Stats = Slice_util.Stats
 module Client = Slice_workload.Client
+module Livemix = Slice_workload.Livemix
 
 type point = {
   label : string;
@@ -58,99 +59,65 @@ let op_mix =
     (1.0, O_fsstat);
   |]
 
-type entry = { e_fh : Fh.t; e_dir : Fh.t; e_name : string }
+(* The file set the SFS97 mix runs over: small files plus one symlink
+   per 20 files, for readlink. *)
+let fileset_shape ~files =
+  { Livemix.prefix = "off"; nsmall = files; nbig = 0; chunks = 0; nlinks = max 1 (files / 20) }
 
-type fileset = {
-  fs_dirs : Fh.t array;
-  fs_files : entry array;
-  fs_links : entry array;
-}
-
-let file_bytes = 4096
-
-let build_fileset cl ~root ~proc ~files =
-  let dir_count = max 2 (files / 24) in
-  let top =
-    match Client.mkdir cl root (Printf.sprintf "off%02d" proc) with
-    | Ok (fh, _) -> fh
-    | Error st -> failwith ("offload setup mkdir: " ^ Nfs.status_name st)
-  in
-  let dirs =
-    Array.init dir_count (fun i ->
-        if i = 0 then top
-        else
-          match Client.mkdir cl top (Printf.sprintf "d%03d" i) with
-          | Ok (fh, _) -> fh
-          | Error st -> failwith ("offload setup mkdir2: " ^ Nfs.status_name st))
-  in
-  let fs_files =
-    Array.init files (fun i ->
-        let dir = dirs.(i mod dir_count) in
-        let name = Printf.sprintf "f%04d" i in
-        match Client.create_file cl dir name with
-        | Ok (fh, _) ->
-            ignore
-              (Client.write_at cl fh ~off:0L ~data:(Nfs.Synthetic file_bytes) ());
-            ignore (Client.commit cl fh);
-            { e_fh = fh; e_dir = dir; e_name = name }
-        | Error st -> failwith ("offload setup create: " ^ Nfs.status_name st))
-  in
-  let fs_links =
-    Array.init (max 1 (files / 20)) (fun i ->
-        let dir = dirs.(i mod dir_count) in
-        let name = Printf.sprintf "l%04d" i in
-        match Client.symlink cl dir name ~target:"f0000" with
-        | Ok (fh, _) -> { e_fh = fh; e_dir = dir; e_name = name }
-        | Error st -> failwith ("offload setup symlink: " ^ Nfs.status_name st))
-  in
-  { fs_dirs = dirs; fs_files; fs_links }
-
-(* 80/20 hot-set skew, as in the SPECsfs generator. *)
-let pick prng (fs : fileset) =
-  let n = Array.length fs.fs_files in
-  let hot = max 1 (n / 5) in
-  if Prng.float prng 1.0 < 0.8 then fs.fs_files.(Prng.int prng hot)
-  else fs.fs_files.(Prng.int prng n)
-
-let one_op cl prng (fs : fileset) ~fresh =
+let one_op cl prng (fs : Livemix.fileset) ~fresh =
   match Prng.weighted prng op_mix with
   | O_lookup ->
-      let f = pick prng fs in
+      let f = Livemix.pick_hot prng fs.small in
       ignore (Client.lookup cl f.e_dir f.e_name)
   | O_read ->
-      let f = pick prng fs in
-      ignore (Client.read_at cl f.e_fh ~off:0L ~count:file_bytes)
+      let f = Livemix.pick_hot prng fs.small in
+      ignore (Client.read_at cl f.e_fh ~off:0L ~count:Livemix.small_bytes)
   | O_write ->
-      let f = pick prng fs in
-      ignore (Client.write_at cl f.e_fh ~off:0L ~data:(Nfs.Synthetic file_bytes) ())
+      let f = Livemix.pick_hot prng fs.small in
+      ignore (Client.write_at cl f.e_fh ~off:0L ~data:(Nfs.Synthetic Livemix.small_bytes) ())
   | O_getattr ->
-      let f = pick prng fs in
+      let f = Livemix.pick_hot prng fs.small in
       ignore (Client.getattr cl f.e_fh)
   | O_setattr ->
-      let f = pick prng fs in
+      let f = Livemix.pick_hot prng fs.small in
       ignore (Client.setattr cl f.e_fh (Nfs.sattr_times ~mtime:0.0 ()))
   | O_readlink ->
-      let l = fs.fs_links.(Prng.int prng (Array.length fs.fs_links)) in
+      let l = fs.links.(Prng.int prng (Array.length fs.links)) in
       ignore (Client.call cl (Nfs.Readlink l.e_fh))
   | O_readdir ->
-      let d = fs.fs_dirs.(Prng.int prng (Array.length fs.fs_dirs)) in
+      let d = fs.dirs.(Prng.int prng (Array.length fs.dirs)) in
       ignore (Client.call cl (Nfs.Readdir (d, 0L, 32)))
   | O_create_remove ->
       incr fresh;
-      let d = fs.fs_dirs.(Prng.int prng (Array.length fs.fs_dirs)) in
+      let d = fs.dirs.(Prng.int prng (Array.length fs.dirs)) in
       let name = Printf.sprintf "tmp%06d" !fresh in
       (match Client.create_file cl d name with
       | Ok _ -> ignore (Client.remove cl d name)
       | Error _ -> ())
   | O_access ->
-      let f = pick prng fs in
+      let f = Livemix.pick_hot prng fs.small in
       ignore (Client.access cl f.e_fh)
   | O_commit ->
-      let f = pick prng fs in
+      let f = Livemix.pick_hot prng fs.small in
       ignore (Client.commit cl f.e_fh)
   | O_fsstat ->
-      let f = pick prng fs in
+      let f = Livemix.pick_hot prng fs.small in
       ignore (Client.call cl (Nfs.Fsstat f.e_fh))
+
+(* The measured loop: closed-loop SFS97-mix ops, two workers per client,
+   [ops_per_proc / 2] each; [on_op] gets each op's latency. *)
+let replay eng cls filesets ~seed ~ops_per_proc ~on_op =
+  Fiber.join_all eng
+    (List.concat
+       (List.init (Array.length cls) (fun p ->
+            List.init 2 (fun w () ->
+                let prng = Prng.create (seed + 97 + (p * 7919) + (w * 131)) in
+                let fresh = ref (((p * 2) + w) * 100_000) in
+                for _ = 1 to ops_per_proc / 2 do
+                  let s = Engine.now eng in
+                  one_op cls.(p) prng filesets.(p) ~fresh;
+                  on_op (Engine.now eng -. s)
+                done))))
 
 let run_point ~label ~ttl ~capacity ~clients ~files_per_proc ~ops_per_proc ~seed =
   let ens =
@@ -171,7 +138,6 @@ let run_point ~label ~ttl ~capacity ~clients ~files_per_proc ~ops_per_proc ~seed
         let host, _proxy = Slice.Ensemble.add_client ens ~name:(Printf.sprintf "sfs%d" i) in
         Client.create host ~server:(Slice.Ensemble.virtual_addr ens) ())
   in
-  let root = Slice_nfs.Fh.root in
   let lat = Stats.create () in
   let dir_ops = ref 0 in
   let delivered = ref 0.0 in
@@ -179,27 +145,12 @@ let run_point ~label ~ttl ~capacity ~clients ~files_per_proc ~ops_per_proc ~seed
   Engine.spawn eng (fun () ->
       (* setup: each process builds its own file set (all dir-server
          traffic here is excluded from the measured window) *)
-      let filesets = Array.make clients None in
-      Slice_sim.Fiber.join_all eng
-        (List.init clients (fun p () ->
-             filesets.(p) <- Some (build_fileset cls.(p) ~root ~proc:p ~files:files_per_proc)));
-      let filesets = Array.map Option.get filesets in
+      let filesets = Livemix.build_all eng cls (fileset_shape ~files:files_per_proc) in
       let dir0 = Slice.Ensemble.dir_ops_served ens in
       let t0 = Engine.now eng in
-      (* measured loop: closed-loop SFS97-mix ops, two workers per client *)
-      Slice_sim.Fiber.join_all eng
-        (List.concat
-           (List.init clients (fun p ->
-                List.init 2 (fun w ->
-                    fun () ->
-                      let prng = Prng.create (seed + 97 + (p * 7919) + (w * 131)) in
-                      let fresh = ref (((p * 2) + w) * 100_000) in
-                      for _ = 1 to ops_per_proc / 2 do
-                        let s = Engine.now eng in
-                        one_op cls.(p) prng filesets.(p) ~fresh;
-                        Stats.add lat (Engine.now eng -. s);
-                        incr measured
-                      done))));
+      replay eng cls filesets ~seed ~ops_per_proc ~on_op:(fun dt ->
+          Stats.add lat dt;
+          incr measured);
       let elapsed = Engine.now eng -. t0 in
       dir_ops := Slice.Ensemble.dir_ops_served ens - dir0;
       delivered := (if elapsed > 0.0 then float_of_int !measured /. elapsed else 0.0));

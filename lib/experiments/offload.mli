@@ -16,36 +16,29 @@ type point = {
   meta : Slice.Proxy.meta_cache_stats;
 }
 
-type fileset
-(** Per-process SPECsfs file set (directories, files, symlinks). *)
+val fileset_shape : files:int -> Slice_workload.Livemix.shape
+(** The per-process SPECsfs file set: [files] small files and one
+    symlink per 20 files. *)
 
-val build_fileset :
-  Slice_workload.Client.t ->
-  root:Slice_nfs.Fh.t ->
-  proc:int ->
-  files:int ->
-  fileset
-(** Build process [proc]'s file set under [root]; all traffic this
-    generates is setup, not measured-mix. *)
-
-val one_op :
-  Slice_workload.Client.t ->
-  Slice_util.Prng.t ->
-  fileset ->
-  fresh:int ref ->
+val replay :
+  Slice_sim.Engine.t ->
+  Slice_workload.Client.t array ->
+  Slice_workload.Livemix.fileset array ->
+  seed:int ->
+  ops_per_proc:int ->
+  on_op:(float -> unit) ->
   unit
-(** Issue one operation drawn from the SFS97 mix with the 80/20 hot-set
-    skew ([fresh] numbers throwaway create/remove names). Shared with the
-    tracing exhibit so both replay the same workload. *)
+(** The measured loop, in fiber context: two closed-loop workers per
+    client each issue [ops_per_proc / 2] operations drawn from the SFS97
+    mix with the 80/20 hot-set skew over that client's file set, and
+    report each op's latency to [on_op]. Shared with the tracing exhibit
+    so both replay the same workload. *)
 
 val compute : ?scale:float -> ?sweep:bool -> unit -> point list
 (** [scale] multiplies file-set size and op count (default 1.0; tests use
     a fraction). The first point is the cache-off baseline, the second the
     default-knob cache; [sweep] (default true) adds the TTL/capacity
     corners. *)
-
-val dir_reduction : off:point -> on:point -> float
-(** Percent reduction in directory-server requests of [on] vs [off]. *)
 
 val report_of : point list -> Report.t
 (** Render precomputed points. *)

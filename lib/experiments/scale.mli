@@ -15,14 +15,6 @@ type phase = {
   ph_drain : int;  (** donor drain bounces during the window *)
 }
 
-type audit = {
-  aud_checked : int;  (** names and byte ranges re-verified *)
-  aud_lost : int;  (** failed or short — must be 0 *)
-  aud_ownership_violations : int;
-      (** logical sites without exactly one owner backing the published
-          table entry — must be 0 *)
-}
-
 type t = {
   phases : phase list;
   trans_ops : int;  (** ops completed while a migration was in flight *)
@@ -31,7 +23,10 @@ type t = {
   aborted : int;
   bytes_copied : int64;
   drain_bounces : int;
-  audit : audit;
+  audit : Slice_workload.Livemix.audit;  (** post-run read-back *)
+  ownership_violations : int;
+      (** logical sites without exactly one owner backing the published
+          table entry — must be 0 *)
   rc_metrics : Slice_util.Json.t;
 }
 
@@ -43,5 +38,3 @@ val report_of : t -> Report.t
 val json_of : t -> Slice_util.Json.t
 (** Deterministic rendering (sorted keys, run-order phases) — the
     [scale-report.json] artifact CI diffs across same-seed runs. *)
-
-val report : ?scale:float -> unit -> Report.t

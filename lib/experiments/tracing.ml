@@ -2,18 +2,17 @@
    recording on and print, per op class, where the time goes — proxy CPU,
    network (root self time: wire + queueing), server CPU, WAL and disk.
 
-   The same deterministic workload as the offload exhibit (same file-set
-   builder, same op mix); two same-seed runs produce byte-identical JSON,
+   The same deterministic workload as the offload exhibit (same file set,
+   same replay loop); two same-seed runs produce byte-identical JSON,
    which is what the acceptance check diffs. *)
 
 module Engine = Slice_sim.Engine
-module Nfs = Slice_nfs.Nfs
-module Prng = Slice_util.Prng
 module Stats = Slice_util.Stats
 module Json = Slice_util.Json
 module Metrics = Slice_util.Metrics
 module Trace = Slice_trace.Trace
 module Client = Slice_workload.Client
+module Livemix = Slice_workload.Livemix
 
 type t = {
   rows : (string * string * Stats.t) list;  (** (op, hop, latency) sorted *)
@@ -45,25 +44,10 @@ let compute ?(scale = 1.0) ?(seed = 42) () =
         let host, _proxy = Slice.Ensemble.add_client ens ~name:(Printf.sprintf "tr%d" i) in
         Client.create host ~server:(Slice.Ensemble.virtual_addr ens) ())
   in
-  let root = Slice_nfs.Fh.root in
   let measured = ref 0 in
   Engine.spawn eng (fun () ->
-      let filesets = Array.make clients None in
-      Slice_sim.Fiber.join_all eng
-        (List.init clients (fun p () ->
-             filesets.(p) <- Some (Offload.build_fileset cls.(p) ~root ~proc:p ~files:files_per_proc)));
-      let filesets = Array.map Option.get filesets in
-      Slice_sim.Fiber.join_all eng
-        (List.concat
-           (List.init clients (fun p ->
-                List.init 2 (fun w ->
-                    fun () ->
-                      let prng = Prng.create (seed + 97 + (p * 7919) + (w * 131)) in
-                      let fresh = ref (((p * 2) + w) * 100_000) in
-                      for _ = 1 to ops_per_proc / 2 do
-                        Offload.one_op cls.(p) prng filesets.(p) ~fresh;
-                        incr measured
-                      done)))));
+      let filesets = Livemix.build_all eng cls (Offload.fileset_shape ~files:files_per_proc) in
+      Offload.replay eng cls filesets ~seed ~ops_per_proc ~on_op:(fun _ -> incr measured));
   Engine.run eng;
   let tr =
     match Slice.Ensemble.trace ens with
@@ -135,5 +119,3 @@ let json_of t =
       ("spans", num (float_of_int t.spans));
       ("trace", t.trace);
     ]
-
-let report ?scale () = report_of (compute ?scale ())

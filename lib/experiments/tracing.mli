@@ -18,5 +18,3 @@ val report_of : t -> Report.t
 val json_of : t -> Slice_util.Json.t
 (** The [trace-report.json] artifact: hop rows, registry dump and the
     full span dump, every object's fields in sorted order. *)
-
-val report : ?scale:float -> unit -> Report.t

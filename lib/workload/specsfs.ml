@@ -155,13 +155,6 @@ let build_fileset (cl : Client.t) ~root ~proc ~files ~prng =
   in
   { fs_dirs = dirs; fs_files = entries; fs_links = links; fs_bytes = !bytes }
 
-(* Pick a file with an 80/20 hot-set skew. *)
-let pick_file prng (fs : fileset) =
-  let n = Array.length fs.fs_files in
-  let hot = max 1 (n / 5) in
-  if Prng.float prng 1.0 < 0.8 then fs.fs_files.(Prng.int prng hot)
-  else fs.fs_files.(Prng.int prng n)
-
 let aligned_offset prng size =
   if size <= io_chunk then 0
   else Prng.int prng (size / io_chunk) * io_chunk
@@ -169,23 +162,23 @@ let aligned_offset prng size =
 let one_op (cl : Client.t) prng (fs : fileset) ~fresh_names =
   match Prng.weighted prng op_mix with
   | O_lookup ->
-      let f = pick_file prng fs in
+      let f = Livemix.pick_hot prng fs.fs_files in
       ignore (Client.lookup cl f.fe_dir f.fe_name)
   | O_read ->
-      let f = pick_file prng fs in
+      let f = Livemix.pick_hot prng fs.fs_files in
       let off = aligned_offset prng f.fe_size in
       let count = min io_chunk (max 1 (f.fe_size - off)) in
       ignore (Client.read_at cl f.fe_fh ~off:(Int64.of_int off) ~count)
   | O_write ->
-      let f = pick_file prng fs in
+      let f = Livemix.pick_hot prng fs.fs_files in
       let off = aligned_offset prng f.fe_size in
       let count = min io_chunk (max 1 (f.fe_size - off)) in
       ignore (Client.write_at cl f.fe_fh ~off:(Int64.of_int off) ~data:(Nfs.Synthetic count) ())
   | O_getattr ->
-      let f = pick_file prng fs in
+      let f = Livemix.pick_hot prng fs.fs_files in
       ignore (Client.getattr cl f.fe_fh)
   | O_setattr ->
-      let f = pick_file prng fs in
+      let f = Livemix.pick_hot prng fs.fs_files in
       ignore (Client.setattr cl f.fe_fh (Nfs.sattr_times ~mtime:0.0 ()))
   | O_readlink ->
       let l = fs.fs_links.(Prng.int prng (Array.length fs.fs_links)) in
@@ -202,16 +195,16 @@ let one_op (cl : Client.t) prng (fs : fileset) ~fresh_names =
       | Error _ -> ())
   | O_remove ->
       (* modeled together with create to keep the working set stable *)
-      let f = pick_file prng fs in
+      let f = Livemix.pick_hot prng fs.fs_files in
       ignore (Client.getattr cl f.fe_fh)
   | O_access ->
-      let f = pick_file prng fs in
+      let f = Livemix.pick_hot prng fs.fs_files in
       ignore (Client.access cl f.fe_fh)
   | O_commit ->
-      let f = pick_file prng fs in
+      let f = Livemix.pick_hot prng fs.fs_files in
       ignore (Client.commit cl f.fe_fh)
   | O_fsstat ->
-      let f = pick_file prng fs in
+      let f = Livemix.pick_hot prng fs.fs_files in
       ignore (Client.call cl (Nfs.Fsstat f.fe_fh))
 
 let run eng ~clients ~root cfg =

@@ -109,16 +109,16 @@ let failover_exhibit () =
   let t = F.compute ~scale:0.2 () in
   check_int "one takeover per manager class" 3 (List.length t.F.takeovers);
   List.iter
-    (fun (tk : F.takeover) ->
-      let name = tk.F.tk_class in
-      check_bool (name ^ ": detected") true (tk.F.tk_detect > 0.0);
+    (fun (e : Slice_failover.Failover.event) ->
+      let name = e.ev_class in
+      check_bool (name ^ ": detected") true (e.ev_detect > 0.0);
       check_bool (name ^ ": mttr bounded, >= detect") true
-        (Float.is_finite tk.F.tk_mttr && tk.F.tk_mttr >= tk.F.tk_detect);
-      check_bool (name ^ ": claimed sites") true (tk.F.tk_sites > 0))
+        (Float.is_finite e.ev_mttr && e.ev_mttr >= e.ev_detect);
+      check_bool (name ^ ": claimed sites") true (e.ev_sites > 0))
     t.F.takeovers;
-  check_int "zero requests lost" 0 t.F.audit.F.aud_lost;
-  check_bool "audit checked something" true (t.F.audit.F.aud_checked > 0);
-  check_int "no ownership violations" 0 t.F.audit.F.aud_ownership_violations;
+  check_int "zero requests lost" 0 t.F.audit.Slice_workload.Livemix.lost;
+  check_bool "audit checked something" true (t.F.audit.Slice_workload.Livemix.checked > 0);
+  check_int "no ownership violations" 0 t.F.ownership_violations;
   check_bool "zombies probed" true (t.F.zombies <> []);
   List.iter
     (fun (z : F.zombie) -> check_bool (z.F.z_name ^ " fenced") true z.F.z_update_blocked)

@@ -327,8 +327,8 @@ let test_scale_exhibit_deterministic () =
   check_string "byte-identical scale report"
     (Json.to_string (S.json_of t))
     (Json.to_string (S.json_of (run ())));
-  check_int "no lost updates" 0 t.S.audit.S.aud_lost;
-  check_int "no ownership violations" 0 t.S.audit.S.aud_ownership_violations;
+  check_int "no lost updates" 0 t.S.audit.Slice_workload.Livemix.lost;
+  check_int "no ownership violations" 0 t.S.ownership_violations;
   check_bool "sites moved" true (t.S.sites_moved > 0);
   let rates = List.map (fun (p : S.phase) -> p.S.ph_ops_s) t.S.phases in
   check_int "baseline + one phase per server class" 4 (List.length rates);

@@ -4,6 +4,7 @@ module Nfs = Slice_nfs.Nfs
 module Client = Slice_workload.Client
 module Untar = Slice_workload.Untar
 module Specsfs = Slice_workload.Specsfs
+module Livemix = Slice_workload.Livemix
 module Ensemble = Slice.Ensemble
 
 let mk_dir_ensemble () =
@@ -117,8 +118,36 @@ let specsfs_saturation_degrades () =
   in
   check_bool "saturated below offered" true (r.Specsfs.delivered < 3600.0)
 
+(* The read-back audit is the live-load exhibits' only evidence of "0
+   lost": it must come back clean on an intact file set and must count a
+   file that an acked remove took away. *)
+let livemix_audit_detects_loss () =
+  let ens = Ensemble.create { Ensemble.default_config with storage_nodes = 2 } in
+  let host, _ = Ensemble.add_client ens ~name:"c" in
+  let cl = Client.create host ~server:(Ensemble.virtual_addr ens) () in
+  let shape = { Livemix.prefix = "au"; nsmall = 16; nbig = 2; chunks = 4; nlinks = 0 } in
+  let eng = Ensemble.engine ens in
+  let clean, after =
+    run_on eng (fun () ->
+        let fs = Livemix.build_all eng [| cl |] shape in
+        let clean = Livemix.audit [| cl |] fs in
+        let victim = fs.(0).Livemix.small.(3) in
+        (match Client.remove cl victim.Livemix.e_dir victim.Livemix.e_name with
+        | Ok () -> ()
+        | Error st -> Alcotest.failf "remove: %s" (Nfs.status_name st));
+        (clean, Livemix.audit [| cl |] fs))
+  in
+  check_int "checked = 2 per small file + 1 per big chunk" ((2 * 16) + (2 * 4))
+    clean.Livemix.checked;
+  check_int "intact file set: 0 lost" 0 clean.Livemix.lost;
+  check_int "same checks after the remove" clean.Livemix.checked after.Livemix.checked;
+  check_bool
+    (Printf.sprintf "removed file counted lost (%d)" after.Livemix.lost)
+    true (after.Livemix.lost >= 1)
+
 let suite =
   [
+    ("livemix audit detects a lost file", `Quick, livemix_audit_detects_loss);
     ("untar op count", `Quick, untar_op_count);
     ("untar scaled spec", `Quick, untar_scaled_spec);
     ("untar parallel processes", `Quick, untar_names_isolated);
