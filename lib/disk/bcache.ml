@@ -26,27 +26,80 @@ let disk_backend eng disk =
     sync = (fun () -> ());
   }
 
-type key = int64 * int
+(* The cache is a slot table. Per-slot columns hold the owning object's
+   record, the block number, the dirty bit, the LRU links and the links
+   of the owner's dirty list; free slots chain through [next]. An
+   open-addressing index maps (object, block) to a slot: [cells] holds
+   slot+1 (0 = empty), probed linearly from a multiplicative hash of the
+   record's id and the block, with back-shift deletion as in Xid_index.
+   The key of a bound slot is read from its columns, so a probe compares
+   ints and a physical record. Hits, misses, evictions and readahead
+   therefore allocate nothing; the columns double on demand up to the
+   capacity in blocks. *)
 
-type entry = { mutable dirty : bool }
+let nil = -1
+let no_block = min_int
+
+(* One record per object the cache has seen: its last accessed block
+   (the sequential-stream hint), its dirty blocks as a list threaded
+   through the slot columns, its write-back counts and the commits
+   waiting on them. *)
+type obj_rec = {
+  obj : int64;
+  id : int; (* hashes the object's blocks in the index *)
+  mutable last : int; (* last block read or written, or [no_block] *)
+  mutable dirty_head : int; (* first slot of the dirty list *)
+  mutable ndirty : int;
+  mutable pending : int; (* write-backs issued, not yet stable *)
+  mutable stable : int; (* write-backs completed, ever *)
+  mutable barrier : (unit -> unit) list; (* commits waiting on a completion *)
+  mutable indexed : bool; (* bound in [dirty_index] *)
+  mutable retired : bool; (* invalidated; kept until its write-backs drain *)
+}
+
+let no_owner =
+  {
+    obj = 0L;
+    id = -1;
+    last = no_block;
+    dirty_head = nil;
+    ndirty = 0;
+    pending = 0;
+    stable = 0;
+    barrier = [];
+    indexed = false;
+    retired = false;
+  }
 
 type t = {
-  eng : Engine.t;
   backend : backend;
-  cache : (key, entry) Slice_util.Lru.t;
-  last_access : (int64, int) Hashtbl.t;
-  dirty_index : (int64, (int, entry) Hashtbl.t) Hashtbl.t; (* obj -> dirty blocks *)
+  cap_blocks : int;
+  mutable owner : obj_rec array;
+  mutable blk : int array;
+  mutable dirty : Bytes.t;
+  mutable prev : int array; (* LRU, towards the head (most recent) *)
+  mutable next : int array; (* LRU, towards the tail; the freelist link *)
+  mutable dprev : int array; (* the owner's dirty list *)
+  mutable dnext : int array;
+  mutable head : int;
+  mutable tail : int;
+  mutable free : int;
+  mutable count : int; (* resident blocks *)
+  mutable cells : int array;
+  mutable mask : int;
+  mutable hash_shift : int;
+  mutable scratch : int array; (* an object's dirty slots, sorted at flush *)
+  objects : (int64, obj_rec) Hashtbl.t;
+  dirty_index : (int64, obj_rec) Hashtbl.t; (* objects dirtied or committed *)
+  mutable next_id : int;
   mutable hits : int;
   mutable misses : int;
   mutable prefetched : int;
-  inflight : int ref; (* outstanding write-backs *)
-  inflight_blocks : int ref;
-  total_dirty : int ref;
-  obj_inflight : (int64, int ref) Hashtbl.t; (* per-object outstanding *)
-  obj_done : (int64, int ref) Hashtbl.t; (* per-object completed write-backs *)
-  obj_waiters : (int64, (unit -> unit) list ref) Hashtbl.t;
-  waiters : (unit -> unit) list ref; (* fibers parked in commit_all *)
-  throttle_waiters : (unit -> unit) list ref; (* writers parked by the throttle *)
+  mutable inflight : int; (* outstanding write-backs *)
+  mutable inflight_blocks : int;
+  mutable total_dirty : int;
+  mutable waiters : (unit -> unit) list; (* fibers parked in commit_all *)
+  mutable throttle_waiters : (unit -> unit) list; (* writers parked by the throttle *)
 }
 
 (* Write-behind high water: once an object accumulates this many dirty
@@ -64,88 +117,336 @@ let max_outstanding_blocks = 4096
 
 let prefetch_blocks = 32 (* 256 KB / 8 KB *)
 
-let counter tbl obj =
-  match Hashtbl.find_opt tbl obj with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.replace tbl obj r;
-      r
+(* ---- index ---- *)
 
-let start_write_back t ~obj ~block ~count =
-  incr t.inflight;
-  t.inflight_blocks := !(t.inflight_blocks) + count;
-  let oc = counter t.obj_inflight obj in
-  incr oc;
-  t.backend.write_back ~obj ~block ~count ~done_:(fun () ->
-      decr t.inflight;
-      t.inflight_blocks := !(t.inflight_blocks) - count;
-      decr oc;
-      if !oc = 0 then Hashtbl.remove t.obj_inflight obj;
-      incr (counter t.obj_done obj);
-      (* commit barriers re-check their own completion predicates *)
-      (match Hashtbl.find_opt t.obj_waiters obj with
-      | Some ws ->
-          Hashtbl.remove t.obj_waiters obj;
-          List.iter (fun w -> w ()) !ws
-      | None -> ());
-      if !(t.total_dirty) + !(t.inflight_blocks) < max_outstanding_blocks then begin
-        let ws = !(t.throttle_waiters) in
-        t.throttle_waiters := [];
-        List.iter (fun w -> w ()) ws
-      end;
-      if !(t.inflight) = 0 then begin
-        let ws = !(t.waiters) in
-        t.waiters := [];
-        List.iter (fun w -> w ()) ws
-      end)
+let home t id block = (((id lsl 32) + block) * 0x9E3779B97F4A7C1) lsr t.hash_shift
 
-let create eng ~backend ~capacity ~name:_ =
-  (* the eviction hook needs the cache record, which needs the Lru: tie
-     the knot through a forward reference *)
-  let self = ref None in
-  let on_evict (obj, block) (e : entry) =
-    match !self with
-    | None -> ()
-    | Some t ->
-        if e.dirty then begin
-          e.dirty <- false;
-          decr t.total_dirty;
-          (match Hashtbl.find_opt t.dirty_index obj with
-          | Some tbl -> Hashtbl.remove tbl block
-          | None -> ());
-          start_write_back t ~obj ~block ~count:1
-        end
+let rec probe_from t r block i =
+  let v = t.cells.(i) in
+  if v = 0 then nil
+  else if t.owner.(v - 1) == r && t.blk.(v - 1) = block then v - 1
+  else probe_from t r block ((i + 1) land t.mask)
+
+(* The slot holding [block] of [r], or [nil]. *)
+let[@hot] probe t r block = probe_from t r block (home t r.id block)
+
+let rec scan_free t i = if t.cells.(i) = 0 then i else scan_free t ((i + 1) land t.mask)
+let bind t s = t.cells.(scan_free t (home t t.owner.(s).id t.blk.(s))) <- s + 1
+
+let rec cell_of t v i = if t.cells.(i) = v then i else cell_of t v ((i + 1) land t.mask)
+
+(* Refill the hole at [i] from the probe run following [j]: an entry may
+   move into the hole iff its home is cyclically outside (i, j]. *)
+let rec shift_back t i j =
+  let j = (j + 1) land t.mask in
+  let v = t.cells.(j) in
+  if v <> 0 then begin
+    let k = home t t.owner.(v - 1).id t.blk.(v - 1) in
+    let movable = if j > i then k <= i || k > j else k <= i && k > j in
+    if movable then begin
+      t.cells.(i) <- v;
+      t.cells.(j) <- 0;
+      shift_back t j j
+    end
+    else shift_back t i j
+  end
+
+let unbind t s =
+  let i = cell_of t (s + 1) (home t t.owner.(s).id t.blk.(s)) in
+  t.cells.(i) <- 0;
+  shift_back t i i
+
+(* ---- LRU list ---- *)
+
+let unlink t s =
+  let p = t.prev.(s) and n = t.next.(s) in
+  if p = nil then t.head <- n else t.next.(p) <- n;
+  if n = nil then t.tail <- p else t.prev.(n) <- p
+
+let push_front t s =
+  t.prev.(s) <- nil;
+  t.next.(s) <- t.head;
+  if t.head = nil then t.tail <- s else t.prev.(t.head) <- s;
+  t.head <- s
+
+let[@hot] promote t s =
+  if t.head <> s then begin
+    unlink t s;
+    push_front t s
+  end
+
+(* Bind [block] of [r] to a free slot at the head of the LRU list. *)
+let[@hot] insert t r block =
+  let s = t.free in
+  t.free <- t.next.(s);
+  t.owner.(s) <- r;
+  t.blk.(s) <- block;
+  bind t s;
+  push_front t s;
+  t.count <- t.count + 1;
+  s
+
+(* Unbind the LRU tail and free its slot, leaving its columns (owner,
+   block, dirty bit) readable until the slot is reused. *)
+let[@hot] evict t =
+  let s = t.tail in
+  unlink t s;
+  unbind t s;
+  t.next.(s) <- t.free;
+  t.free <- s;
+  t.count <- t.count - 1;
+  s
+
+let[@hot] rec absent_run t r block n =
+  if n < prefetch_blocks - 1 && probe t r (block + n) = nil then absent_run t r block (n + 1)
+  else n
+
+(* ---- dirty lists ---- *)
+
+let is_dirty t s = Bytes.get t.dirty s <> '\000'
+
+let index t r =
+  if not r.indexed then begin
+    Hashtbl.replace t.dirty_index r.obj r;
+    r.indexed <- true
+  end
+
+let mark_dirty t r s =
+  index t r;
+  if not (is_dirty t s) then begin
+    Bytes.set t.dirty s '\001';
+    t.dprev.(s) <- nil;
+    t.dnext.(s) <- r.dirty_head;
+    if r.dirty_head <> nil then t.dprev.(r.dirty_head) <- s;
+    r.dirty_head <- s;
+    r.ndirty <- r.ndirty + 1;
+    t.total_dirty <- t.total_dirty + 1
+  end
+
+let clean t s =
+  let r = t.owner.(s) in
+  let p = t.dprev.(s) and n = t.dnext.(s) in
+  if p = nil then r.dirty_head <- n else t.dnext.(p) <- n;
+  if n <> nil then t.dprev.(n) <- p;
+  Bytes.set t.dirty s '\000';
+  r.ndirty <- r.ndirty - 1;
+  t.total_dirty <- t.total_dirty - 1
+
+(* ---- write-back ---- *)
+
+let write_back_done t r count () =
+  t.inflight <- t.inflight - 1;
+  t.inflight_blocks <- t.inflight_blocks - count;
+  r.pending <- r.pending - 1;
+  (* the last write-back of an invalidated object frees its record *)
+  if r.pending = 0 && r.retired then Hashtbl.remove t.objects r.obj;
+  r.stable <- r.stable + 1;
+  (* commit barriers re-check their own completion predicates *)
+  if r.barrier <> [] then begin
+    let ws = r.barrier in
+    r.barrier <- [];
+    List.iter (fun w -> w ()) ws
+  end;
+  if t.total_dirty + t.inflight_blocks < max_outstanding_blocks then begin
+    let ws = t.throttle_waiters in
+    t.throttle_waiters <- [];
+    List.iter (fun w -> w ()) ws
+  end;
+  if t.inflight = 0 then begin
+    let ws = t.waiters in
+    t.waiters <- [];
+    List.iter (fun w -> w ()) ws
+  end
+
+let start_write_back t r ~block ~count =
+  t.inflight <- t.inflight + 1;
+  t.inflight_blocks <- t.inflight_blocks + count;
+  r.pending <- r.pending + 1;
+  t.backend.write_back ~obj:r.obj ~block ~count ~done_:(write_back_done t r count)
+
+(* A displaced dirty block is written back on its own. *)
+let write_back_victim t s =
+  clean t s;
+  start_write_back t t.owner.(s) ~block:t.blk.(s) ~count:1
+
+let swap a i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
+(* Heapsort of [scratch.(0 .. n-1)] by block number. *)
+let rec sift t i n =
+  let a = t.scratch and l = (2 * i) + 1 in
+  if l < n then begin
+    let c = if l + 1 < n && t.blk.(a.(l + 1)) > t.blk.(a.(l)) then l + 1 else l in
+    if t.blk.(a.(c)) > t.blk.(a.(i)) then begin
+      swap a i c;
+      sift t c n
+    end
+  end
+
+let sort_scratch t n =
+  for i = (n / 2) - 1 downto 0 do
+    sift t i n
+  done;
+  for e = n - 1 downto 1 do
+    swap t.scratch 0 e;
+    sift t 0 e
+  done
+
+(* Cluster contiguous dirty blocks into single transfers. *)
+let flush t r =
+  let n = r.ndirty in
+  if n > 0 then begin
+    if Array.length t.scratch < n then t.scratch <- Array.make (max n (2 * Array.length t.scratch)) 0;
+    let s = ref r.dirty_head in
+    for i = 0 to n - 1 do
+      t.scratch.(i) <- !s;
+      s := t.dnext.(!s)
+    done;
+    sort_scratch t n;
+    let i = ref 0 in
+    while !i < n do
+      let b0 = t.blk.(t.scratch.(!i)) in
+      let len = ref 1 in
+      while !i + !len < n && t.blk.(t.scratch.(!i + !len)) = b0 + !len do
+        incr len
+      done;
+      for k = !i to !i + !len - 1 do
+        clean t t.scratch.(k)
+      done;
+      start_write_back t r ~block:b0 ~count:!len;
+      i := !i + !len
+    done
+  end
+
+(* Every object of the dirty index, in its iteration order. *)
+let flush_all t =
+  let rs = Hashtbl.fold (fun _ r acc -> r :: acc) t.dirty_index [] in
+  List.iter (flush t) rs
+
+(* ---- slot table ---- *)
+
+let rec pow2_from p n = if p >= n then p else pow2_from (p * 2) n
+
+(* Cold: size the columns to [slots], chain the new slots onto the
+   freelist and rebuild the index over the resident ones. *)
+let resize t slots =
+  let old = Array.length t.blk in
+  let column a fill =
+    let b = Array.make slots fill in
+    Array.blit a 0 b 0 old;
+    b
   in
+  t.owner <- column t.owner no_owner;
+  t.blk <- column t.blk 0;
+  t.prev <- column t.prev nil;
+  t.next <- column t.next nil;
+  t.dprev <- column t.dprev nil;
+  t.dnext <- column t.dnext nil;
+  t.dirty <- Bytes.extend t.dirty 0 (slots - old);
+  Bytes.fill t.dirty old (slots - old) '\000';
+  for s = slots - 1 downto old do
+    t.next.(s) <- t.free;
+    t.free <- s
+  done;
+  let cells = pow2_from 16 (2 * slots) in
+  let bits = ref 0 in
+  while 1 lsl !bits < cells do
+    incr bits
+  done;
+  t.cells <- Array.make cells 0;
+  t.mask <- cells - 1;
+  t.hash_shift <- 63 - !bits;
+  let s = ref t.head in
+  while !s <> nil do
+    bind t !s;
+    s := t.next.(!s)
+  done
+
+(* Free slot [s] of an entry that leaves without write-back. *)
+let release t s =
+  if is_dirty t s then clean t s;
+  unlink t s;
+  unbind t s;
+  t.owner.(s) <- no_owner;
+  t.next.(s) <- t.free;
+  t.free <- s;
+  t.count <- t.count - 1
+
+(* Take a slot for a block known not to be resident: the LRU tail's when
+   the cache is full (a dirty victim is written back), else a free one. *)
+let admit t r block =
+  if t.count = t.cap_blocks then begin
+    let v = evict t in
+    if is_dirty t v then write_back_victim t v
+  end
+  else if t.free = nil then resize t (min t.cap_blocks (2 * Array.length t.blk));
+  insert t r block
+
+(* Make [block] resident and clean. A resident copy is displaced as by
+   eviction: a dirty one is written back first. *)
+let place t r block =
+  let s = probe t r block in
+  if s = nil then ignore (admit t r block)
+  else begin
+    if is_dirty t s then write_back_victim t s;
+    promote t s
+  end
+
+let create _eng ~backend ~capacity ~name:_ =
+  let cap_blocks = capacity / block_size in
+  if cap_blocks < 1 then invalid_arg "Bcache.create: capacity below one block";
   let t =
     {
-      eng;
       backend;
-      cache = Slice_util.Lru.create ~on_evict ~capacity ();
-      (* lint: bounded — one row per object of the store: prefetch hint *)
-      last_access = Hashtbl.create 64;
-      (* lint: bounded — per-object dirty sets, drained by write-back/commit *)
+      cap_blocks;
+      owner = [||];
+      blk = [||];
+      dirty = Bytes.empty;
+      prev = [||];
+      next = [||];
+      dprev = [||];
+      dnext = [||];
+      head = nil;
+      tail = nil;
+      free = nil;
+      count = 0;
+      cells = [||];
+      mask = 0;
+      hash_shift = 0;
+      scratch = Array.make 64 0;
+      (* lint: bounded — one record per object seen; invalidate_object drops it *)
+      objects = Hashtbl.create 64;
+      (* lint: bounded — the dirtied or committed subset of [objects] *)
       dirty_index = Hashtbl.create 16;
+      next_id = 0;
       hits = 0;
       misses = 0;
       prefetched = 0;
-      inflight = ref 0;
-      inflight_blocks = ref 0;
-      total_dirty = ref 0;
-      (* lint: bounded — rows removed when an object's write-backs drain *)
-      obj_inflight = Hashtbl.create 16;
-      (* lint: bounded — one counter row per object of the store *)
-      obj_done = Hashtbl.create 16;
-      (* lint: bounded — rows removed when the waiters are woken *)
-      obj_waiters = Hashtbl.create 16;
-      waiters = ref [];
-      throttle_waiters = ref [];
+      inflight = 0;
+      inflight_blocks = 0;
+      total_dirty = 0;
+      waiters = [];
+      throttle_waiters = [];
     }
   in
-  self := Some t;
+  resize t (min cap_blocks 256);
   t
 
-let insert t key entry = Slice_util.Lru.add t.cache ~weight:block_size key entry
+(* The object's record, made on first sight; touching an invalidated
+   object with write-backs still in flight revives its record. *)
+let record t obj =
+  match Hashtbl.find t.objects obj with
+  | r ->
+      r.retired <- false;
+      r
+  | exception Not_found ->
+      let r = { no_owner with obj; id = t.next_id } in
+      t.next_id <- t.next_id + 1;
+      Hashtbl.add t.objects obj r;
+      r
+
 (* A forward stride of up to one stripe chunk (4 blocks of 8 KB under the
    32 KB stripe unit) still reads as a sequential stream to the drive —
    this is how a client alternating between mirrors keeps triggering
@@ -153,174 +454,143 @@ let insert t key entry = Slice_util.Lru.add t.cache ~weight:block_size key entry
 let sequentialish ~last ~block = block > last && block - last <= 8
 
 let read t ~obj ~block =
-  let key = (obj, block) in
-  (match Slice_util.Lru.find t.cache key with
-  | Some _ -> t.hits <- t.hits + 1
-  | None ->
-      t.misses <- t.misses + 1;
-      let seq =
-        match Hashtbl.find_opt t.last_access obj with
-        | Some last -> sequentialish ~last ~block
-        | None -> block = 0
-      in
-      if seq then begin
-        (* Wait for the demand block only; stream the readahead window
-           behind it asynchronously (FFS-style pipelined prefetch, up to
-           256 KB beyond the current access). *)
-        t.backend.demand_read ~obj ~block ~count:1 ~sequential:(block <> 0);
-        insert t key { dirty = false };
-        let run = ref 0 in
-        while
-          !run < prefetch_blocks - 1
-          && not (Slice_util.Lru.mem t.cache (obj, block + 1 + !run))
-        do
-          incr run
+  let r = record t obj in
+  let s = probe t r block in
+  if s <> nil then begin
+    t.hits <- t.hits + 1;
+    promote t s;
+    r.last <- block
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    let seq = if r.last = no_block then block = 0 else sequentialish ~last:r.last ~block in
+    (* Wait for the demand block only; a sequential stream gets the
+       readahead window behind it asynchronously (FFS-style pipelined
+       prefetch, up to 256 KB beyond the current access). *)
+    t.backend.demand_read ~obj ~block ~count:1 ~sequential:(seq && block <> 0);
+    (* the fiber parked: the object may have been invalidated, and the
+       block loaded or dirtied by another fiber, meanwhile *)
+    let r = record t obj in
+    place t r block;
+    if seq then begin
+      let run = absent_run t r (block + 1) 0 in
+      if run > 0 then begin
+        t.backend.readahead ~obj ~block:(block + 1) ~count:run;
+        for i = 1 to run do
+          place t r (block + i)
         done;
-        if !run > 0 then begin
-          t.backend.readahead ~obj ~block:(block + 1) ~count:!run;
-          for i = 1 to !run do
-            insert t (obj, block + i) { dirty = false }
-          done;
-          t.prefetched <- t.prefetched + !run
-        end
+        t.prefetched <- t.prefetched + run
       end
-      else begin
-        t.backend.demand_read ~obj ~block ~count:1 ~sequential:false;
-        insert t key { dirty = false }
-      end);
-  Hashtbl.replace t.last_access obj block
-
-let dirty_tbl t obj =
-  match Hashtbl.find_opt t.dirty_index obj with
-  | Some tbl -> tbl
-  | None ->
-      (* lint: bounded — dirty blocks of one object, capped by cache capacity *)
-      let tbl = Hashtbl.create 64 in
-      Hashtbl.replace t.dirty_index obj tbl;
-      tbl
-
-let mark_dirty t obj block (e : entry) =
-  if not e.dirty then incr t.total_dirty;
-  e.dirty <- true;
-  Hashtbl.replace (dirty_tbl t obj) block e
-
-let dirty_blocks_of t obj =
-  match Hashtbl.find_opt t.dirty_index obj with
-  | None -> []
-  | Some tbl ->
-      List.sort (fun (a, _) (b, _) -> compare a b)
-        (Hashtbl.fold (fun b e acc -> (b, e) :: acc) tbl [])
-
-(* Cluster contiguous dirty blocks into single transfers. *)
-let flush_dirty t obj blocks =
-  let tbl = dirty_tbl t obj in
-  let clean b (e : entry) =
-    if e.dirty then decr t.total_dirty;
-    e.dirty <- false;
-    Hashtbl.remove tbl b
-  in
-  let rec loop = function
-    | [] -> ()
-    | (b0, (e0 : entry)) :: rest ->
-        clean b0 e0;
-        let rec extend prev n = function
-          | (b, (e : entry)) :: tl when b = prev + 1 ->
-              clean b e;
-              extend b (n + 1) tl
-          | tl -> (n, tl)
-        in
-        let run_len, rest = extend b0 1 rest in
-        start_write_back t ~obj ~block:b0 ~count:run_len;
-        loop rest
-  in
-  loop blocks
+    end;
+    r.last <- block
+  end
 
 let write t ~obj ~block =
-  let key = (obj, block) in
-  (match Slice_util.Lru.find t.cache key with
-  | Some e ->
+  let r = record t obj in
+  let s = probe t r block in
+  let s =
+    if s <> nil then begin
       t.hits <- t.hits + 1;
-      mark_dirty t obj block e
-  | None ->
+      promote t s;
+      s
+    end
+    else begin
       t.misses <- t.misses + 1;
-      let e = { dirty = false } in
-      insert t key e;
-      mark_dirty t obj block e);
-  Hashtbl.replace t.last_access obj block;
+      admit t r block
+    end
+  in
+  mark_dirty t r s;
+  r.last <- block;
   (* background write-behind past the high-water mark *)
-  if Hashtbl.length (dirty_tbl t obj) >= high_water_blocks then
-    flush_dirty t obj (dirty_blocks_of t obj);
+  if r.ndirty >= high_water_blocks then flush t r;
   (* Dirty throttle: stall the writer while the backend is far behind;
      re-checked on every write-back completion. Flushing the writer's own
      object here would shred streams into tiny runs (writers park
      mid-request), so when the backend goes idle we flush EVERY object's
      accumulated dirty set — each a contiguous clustered run — and let
      completions pace the writers. *)
-  while !(t.total_dirty) + !(t.inflight_blocks) > max_outstanding_blocks do
-    if !(t.inflight) = 0 then begin
-      let objs = Hashtbl.fold (fun o _ acc -> o :: acc) t.dirty_index [] in
-      List.iter (fun o -> flush_dirty t o (dirty_blocks_of t o)) objs
-    end
-    else
-      Engine.suspend (fun wake -> t.throttle_waiters := (fun () -> wake ()) :: !(t.throttle_waiters))
+  while t.total_dirty + t.inflight_blocks > max_outstanding_blocks do
+    if t.inflight = 0 then flush_all t
+    else Engine.suspend (fun wake -> t.throttle_waiters <- wake :: t.throttle_waiters)
   done
 
 let wait_idle t =
-  while !(t.inflight) > 0 do
-    Engine.suspend (fun wake -> t.waiters := (fun () -> wake ()) :: !(t.waiters))
+  while t.inflight > 0 do
+    Engine.suspend (fun wake -> t.waiters <- wake :: t.waiters)
   done
 
 (* Commit waits only for the write-backs of ITS object that are already
    booked when it runs — not for other streams' data, and not for writes
    that arrive later (a file can be committed while still being
    written). *)
-let wait_obj_barrier t obj =
-  let target = !(counter t.obj_done obj) + !(counter t.obj_inflight obj) in
-  if not (Hashtbl.mem t.obj_inflight obj) then Hashtbl.remove t.obj_inflight obj;
-  while !(counter t.obj_done obj) < target do
-    Engine.suspend (fun wake ->
-        let ws =
-          match Hashtbl.find_opt t.obj_waiters obj with
-          | Some ws -> ws
-          | None ->
-              let ws = ref [] in
-              Hashtbl.replace t.obj_waiters obj ws;
-              ws
-        in
-        ws := (fun () -> wake ()) :: !ws)
+let wait_obj_barrier r =
+  let target = r.stable + r.pending in
+  while r.stable < target do
+    Engine.suspend (fun wake -> r.barrier <- wake :: r.barrier)
   done
 
 let commit t ~obj =
-  flush_dirty t obj (dirty_blocks_of t obj);
-  wait_obj_barrier t obj;
+  let r = record t obj in
+  (* even a clean object joins the dirty index: the index's insert
+     history fixes the order in which the throttle flushes objects *)
+  index t r;
+  flush t r;
+  wait_obj_barrier r;
   t.backend.sync ()
 
 let commit_all t =
-  let objs = Hashtbl.fold (fun o _ acc -> o :: acc) t.dirty_index [] in
-  List.iter (fun o -> flush_dirty t o (dirty_blocks_of t o)) objs;
+  flush_all t;
   wait_idle t;
   t.backend.sync ()
 
 let invalidate_object t obj =
-  let keys = ref [] in
-  Slice_util.Lru.iter t.cache (fun (o, b) e ->
-      if o = obj then begin
-        if e.dirty then decr t.total_dirty;
-        e.dirty <- false;
-        keys := (o, b) :: !keys
-      end);
-  List.iter (Slice_util.Lru.remove t.cache) !keys;
-  Hashtbl.remove t.dirty_index obj;
-  Hashtbl.remove t.last_access obj
+  match Hashtbl.find t.objects obj with
+  | exception Not_found -> ()
+  | r ->
+      let s = ref t.head in
+      while !s <> nil do
+        let n = t.next.(!s) in
+        if t.owner.(!s) == r then release t !s;
+        s := n
+      done;
+      if r.indexed then begin
+        Hashtbl.remove t.dirty_index obj;
+        r.indexed <- false
+      end;
+      r.last <- no_block;
+      if r.pending = 0 then Hashtbl.remove t.objects obj else r.retired <- true
 
 let drop_clean t =
   (* Invalidate the whole cache (e.g. to model a cold mount). Dirty data
-     must have been committed first. *)
-  Slice_util.Lru.clear t.cache;
+     must have been committed first: dropped dirty blocks stay counted
+     against the throttle. *)
+  let slots = Array.length t.blk in
+  Array.fill t.owner 0 slots no_owner;
+  Bytes.fill t.dirty 0 slots '\000';
+  Array.fill t.cells 0 (Array.length t.cells) 0;
+  t.head <- nil;
+  t.tail <- nil;
+  t.free <- nil;
+  for s = slots - 1 downto 0 do
+    t.next.(s) <- t.free;
+    t.free <- s
+  done;
+  t.count <- 0;
   Hashtbl.reset t.dirty_index;
-  Hashtbl.reset t.last_access
+  Hashtbl.filter_map_inplace
+    (fun _ r ->
+      r.indexed <- false;
+      r.last <- no_block;
+      r.dirty_head <- nil;
+      r.ndirty <- 0;
+      if r.pending = 0 then None
+      else begin
+        r.retired <- true;
+        Some r
+      end)
+    t.objects
 
 let hits t = t.hits
 let misses t = t.misses
 let prefetched_blocks t = t.prefetched
-let resident_bytes t = Slice_util.Lru.size t.cache
+let resident_bytes t = t.count * block_size

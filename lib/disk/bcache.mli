@@ -3,7 +3,7 @@
 
     - {b sequential prefetch}: a miss on a (near-)sequential stream waits
       only for the demand block and streams up to 256 KB beyond it
-      asynchronously. Strides up to 2 count as sequential, so a client
+      asynchronously. Forward strides up to 8 blocks count as sequential, so a client
       alternating between mirrors still triggers contiguous prefetch —
       which is exactly how mirrored reads come to waste prefetched data on
       the storage nodes (Table 2).
@@ -27,7 +27,7 @@ type backend = {
       (** Issue an asynchronous prefetch; must not park. *)
   write_back : obj:int64 -> block:int -> count:int -> done_:(unit -> unit) -> unit;
       (** Issue an asynchronous write; call [done_] when stable. Must not
-          park the caller. *)
+          park the caller, nor call [done_] before returning. *)
   sync : unit -> unit;
       (** Fiber: device-level stabilization barrier (commit tail). *)
 }
@@ -38,7 +38,16 @@ val disk_backend : Slice_sim.Engine.t -> Disk.t -> backend
 type t
 
 val create : Slice_sim.Engine.t -> backend:backend -> capacity:int -> name:string -> t
-(** [capacity] in bytes. *)
+(** [capacity] in bytes: the cache holds ⌊capacity / 8192⌋ blocks, and
+    raises [Invalid_argument] below one block. Memory grows with use, not
+    with [capacity].
+
+    Replacement is LRU. A hit by [read] or [write] promotes the block;
+    the readahead probe does not. When full, a new block evicts the LRU
+    tail, and a dirty victim is written back on its own. Inserting a
+    block that is already resident (a demand read that parked while
+    another fiber loaded or dirtied it) replaces it the same way: the
+    old copy is evicted, written back if dirty, and one copy stays. *)
 
 val read : t -> obj:int64 -> block:int -> unit
 (** Fiber: ensure the block is resident. *)
@@ -48,10 +57,14 @@ val write : t -> obj:int64 -> block:int -> unit
 
 val commit : t -> obj:int64 -> unit
 (** Fiber: flush the object's dirty blocks with clustering and wait until
-    all outstanding write-backs (of any object) are stable. *)
+    the object's write-backs issued so far are stable. *)
 
 val commit_all : t -> unit
+(** Fiber: flush every object's dirty blocks and wait until no
+    write-back is outstanding. *)
+
 val invalidate_object : t -> int64 -> unit
+(** Drop the object's blocks, dirty ones without write-back. *)
 
 val drop_clean : t -> unit
 (** Invalidate everything without write-back — a cold mount. Call only

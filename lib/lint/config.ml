@@ -95,7 +95,8 @@ let repo =
     (* Files whose [@hot] roots seed A1, and which therefore must have a
        .cmt available when the typed tier runs: the µproxy packet path,
        the codec peek path and its XDR primitives, the engine's event
-       dispatch, the RPC reply path and the shared xid index. *)
+       dispatch, the RPC reply path, the shared xid index and the buffer
+       cache's slot table. *)
     a1_scope =
       (fun f ->
         List.mem f
@@ -106,6 +107,7 @@ let repo =
             "lib/sim/engine.ml";
             "lib/net/rpc.ml";
             "lib/util/xid_index.ml";
+            "lib/disk/bcache.ml";
           ]);
     (* The fenced server modules of PR 6: every dispatch path that
        reaches the WAL, the buffer cache or the allocator must be

@@ -8,7 +8,6 @@ type ('k, 'v) node =
   | Node of {
       key : 'k;
       value : 'v;
-      weight : int;
       expires_at : float;
       mutable prev : ('k, 'v) node;
       mutable next : ('k, 'v) node;
@@ -18,7 +17,6 @@ type ('k, 'v) t = {
   tbl : ('k, ('k, 'v) node) Hashtbl.t;
   mutable head : ('k, 'v) node; (* most recently used *)
   mutable tail : ('k, 'v) node; (* least recently used *)
-  mutable total : int;
   capacity : int;
   on_evict : 'k -> 'v -> unit;
 }
@@ -28,7 +26,7 @@ type 'v ttl_lookup = Fresh of 'v | Stale | Miss
 let create ?(on_evict = fun _ _ -> ()) ~capacity () =
   if capacity <= 0 then invalid_arg "Lru.create: capacity must be positive";
   (* lint: bounded — mirrors the intrusive list; add evicts down to capacity *)
-  { tbl = Hashtbl.create 64; head = Nil; tail = Nil; total = 0; capacity; on_evict }
+  { tbl = Hashtbl.create 64; head = Nil; tail = Nil; capacity; on_evict }
 
 let unlink t = function
   | Nil -> ()
@@ -59,14 +57,11 @@ let find t k =
   | Nil -> None
   | exception Not_found -> None
 
-let mem t k = Hashtbl.mem t.tbl k
-
 let remove_node t = function
   | Nil -> ()
   | Node r as node ->
       unlink t node;
-      Hashtbl.remove t.tbl r.key;
-      t.total <- t.total - r.weight
+      Hashtbl.remove t.tbl r.key
 
 let find_ttl t k ~now =
   match Hashtbl.find t.tbl k with
@@ -81,20 +76,7 @@ let find_ttl t k ~now =
   | Nil -> Miss
   | exception Not_found -> Miss
 
-(* Evict from the LRU end until the weights fit. The entry just added
-   goes last; reaching it means it alone outweighs the whole cache, and
-   it leaves without the hook: it was never cached, so nothing was
-   displaced. *)
-let rec evict_until_fits t added =
-  if t.total > t.capacity then
-    match t.tail with
-    | Nil -> ()
-    | Node r as victim ->
-        remove_node t victim;
-        if victim != added then t.on_evict r.key r.value;
-        evict_until_fits t added
-
-let add t ?(weight = 1) ?(expires_at = infinity) k v =
+let add t ?(expires_at = infinity) k v =
   (* Replacing a live entry displaces its value just like pressure does:
      the eviction hook must see it (a dirty cached attribute silently
      replaced would otherwise lose its write-back). *)
@@ -104,18 +86,23 @@ let add t ?(weight = 1) ?(expires_at = infinity) k v =
       t.on_evict old.key old.value
   | Nil -> ()
   | exception Not_found -> ());
-  let node = Node { key = k; value = v; weight; expires_at; prev = Nil; next = Nil } in
+  let node = Node { key = k; value = v; expires_at; prev = Nil; next = Nil } in
   Hashtbl.replace t.tbl k node;
-  t.total <- t.total + weight;
   push_front t node;
-  evict_until_fits t node
+  (* one entry over: the LRU tail goes, never the entry just added, since
+     the capacity is at least 1 *)
+  if Hashtbl.length t.tbl > t.capacity then
+    match t.tail with
+    | Nil -> ()
+    | Node r as victim ->
+        remove_node t victim;
+        t.on_evict r.key r.value
 
 let remove t k =
   match Hashtbl.find t.tbl k with
   | node -> remove_node t node
   | exception Not_found -> ()
 
-let size t = t.total
 let entry_count t = Hashtbl.length t.tbl
 let capacity t = t.capacity
 
@@ -131,8 +118,7 @@ let iter t f =
 let clear t =
   Hashtbl.reset t.tbl;
   t.head <- Nil;
-  t.tail <- Nil;
-  t.total <- 0
+  t.tail <- Nil
 
 let flush t =
   let entries = ref [] in

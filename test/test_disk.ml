@@ -178,6 +178,179 @@ let throttle_bounds_dirty () =
       done;
       check_bool "writer throttled" true (Engine.now eng > t0))
 
+(* A backend that records every write-back as (obj, block, count) and
+   completes it 1 ms later; a demand read parks the caller for 10 ms. *)
+let recording_backend eng log =
+  {
+    Bcache.demand_read = (fun ~obj:_ ~block:_ ~count:_ ~sequential:_ -> Engine.sleep eng 0.01);
+    readahead = (fun ~obj:_ ~block:_ ~count:_ -> ());
+    write_back =
+      (fun ~obj ~block ~count ~done_ ->
+        log := (obj, block, count) :: !log;
+        Engine.schedule eng 0.001 done_);
+    sync = (fun () -> ());
+  }
+
+let wb_list = Alcotest.(list (triple int64 int int))
+
+(* Fiber A misses block 100 and parks in demand_read; fiber B writes the
+   same block meanwhile. When A resumes, its insert replaces B's dirty
+   copy, which must leave through the eviction path: written back once,
+   and only one copy stays resident. *)
+let concurrent_insert_replaces () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let c = Bcache.create eng ~backend:(recording_backend eng log) ~capacity:(1 lsl 20) ~name:"c" in
+  Engine.spawn eng (fun () -> Bcache.read c ~obj:1L ~block:100);
+  Engine.spawn eng (fun () -> Bcache.write c ~obj:1L ~block:100);
+  Engine.run eng;
+  check_int "one copy resident" 8192 (Bcache.resident_bytes c);
+  Alcotest.check wb_list "B's dirty block written back once" [ (1L, 100, 1) ] !log;
+  run_on eng (fun () -> Bcache.commit_all c);
+  Alcotest.check wb_list "nothing left dirty" [ (1L, 100, 1) ] !log
+
+(* A hit promotes; the readahead probe does not. The victim is the LRU
+   tail, and a dirty victim is written back alone. *)
+let lru_order () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let c = Bcache.create eng ~backend:(recording_backend eng log) ~capacity:(2 * 8192) ~name:"c" in
+  run_on eng (fun () ->
+      Bcache.write c ~obj:1L ~block:0;
+      Bcache.write c ~obj:1L ~block:50;
+      Bcache.read c ~obj:1L ~block:0;
+      Bcache.read c ~obj:1L ~block:20);
+  Alcotest.check wb_list "dirty tail written back" [ (1L, 50, 1) ] !log;
+  let c = Bcache.create eng ~backend:(recording_backend eng log) ~capacity:(8 * 8192) ~name:"c" in
+  run_on eng (fun () ->
+      Bcache.read c ~obj:2L ~block:10;
+      Bcache.read c ~obj:2L ~block:1;
+      Bcache.read c ~obj:3L ~block:100;
+      Bcache.read c ~obj:3L ~block:200;
+      (* sequential from 1: the probe stops at resident block 10 without
+         promoting it, so the four readahead blocks push it out *)
+      Bcache.read c ~obj:2L ~block:5;
+      check_int "readahead stopped at block 10" 4 (Bcache.prefetched_blocks c);
+      let misses = Bcache.misses c in
+      Bcache.read c ~obj:2L ~block:1;
+      check_int "block 1 still resident" misses (Bcache.misses c);
+      Bcache.read c ~obj:2L ~block:10;
+      check_int "block 10 evicted" (misses + 1) (Bcache.misses c))
+
+(* Past [max_outstanding_blocks] with nothing in flight, a writer
+   flushes every dirty object in the dirty index's iteration order. The
+   index has a history here: forty clean commits (each books an empty
+   row) and one object dirtied then invalidated. Below the high-water
+   mark per object, so only the throttle path writes back. *)
+let throttle_flush_order () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let c =
+    Bcache.create eng ~backend:(recording_backend eng log) ~capacity:(64 lsl 20) ~name:"c"
+  in
+  let objs = [| 3L; 17L; 42L; 8L; 1000L; 5L; 99L; 64L; 23L |] in
+  run_on eng (fun () ->
+      for i = 0 to 39 do
+        Bcache.commit c ~obj:(Int64.of_int (2000 + (i * 13)))
+      done;
+      Bcache.write c ~obj:7L ~block:0;
+      Bcache.invalidate_object c 7L;
+      for i = 0 to 4096 do
+        let o = objs.(i mod Array.length objs) in
+        (* a gap every 100 blocks splits each object's run *)
+        let b = i / Array.length objs in
+        Bcache.write c ~obj:o ~block:(if b >= 100 then b + 1 else b)
+      done);
+  Alcotest.check wb_list "throttle flush order"
+    [
+      (3L, 0, 100); (3L, 101, 356); (42L, 0, 100); (42L, 101, 355); (99L, 0, 100);
+      (99L, 101, 355); (8L, 0, 100); (8L, 101, 355); (64L, 0, 100); (64L, 101, 355);
+      (23L, 0, 100); (23L, 101, 355); (1000L, 0, 100); (1000L, 101, 355); (17L, 0, 100);
+      (17L, 101, 356); (5L, 0, 100); (5L, 101, 355);
+    ]
+    (List.rev !log)
+
+(* Steady-state cache operations allocate nothing: hits, misses that
+   evict from a full cache, the readahead probe and its inserts, write
+   hits and the commit of a clean object. Nothing here parks, so the
+   cache runs outside a fiber. *)
+let alloc_budget () =
+  let eng = Engine.create () in
+  let noop =
+    {
+      Bcache.demand_read = (fun ~obj:_ ~block:_ ~count:_ ~sequential:_ -> ());
+      readahead = (fun ~obj:_ ~block:_ ~count:_ -> ());
+      write_back = (fun ~obj:_ ~block:_ ~count:_ ~done_:_ -> ());
+      sync = (fun () -> ());
+    }
+  in
+  let blocks = 1024 in
+  let c = Bcache.create eng ~backend:noop ~capacity:(blocks * 8192) ~name:"c" in
+  (* first sight of an object, and its first commit, make its records *)
+  List.iter (fun obj -> Bcache.read c ~obj ~block:3) [ 2L; 3L; 4L ];
+  Bcache.commit c ~obj:4L;
+  (* strided reads never look sequential: one block per miss *)
+  for b = 0 to blocks - 1 do
+    Bcache.read c ~obj:1L ~block:(1 + (b * 100))
+  done;
+  let words label f =
+    let w0 = Gc.minor_words () in
+    f ();
+    check_float (label ^ ": minor words") 0.0 (Gc.minor_words () -. w0)
+  in
+  words "10k read hits" (fun () ->
+      for i = 0 to 9999 do
+        Bcache.read c ~obj:1L ~block:(1 + (i mod blocks * 100))
+      done);
+  check_int "all hits" 10000 (Bcache.hits c);
+  words "10k read misses on a full cache" (fun () ->
+      for i = 0 to 9999 do
+        Bcache.read c ~obj:2L ~block:(1 + (i * 100))
+      done);
+  check_int "cache stayed full" (blocks * 8192) (Bcache.resident_bytes c);
+  words "sequential scan: readahead probes and inserts" (fun () ->
+      for b = 0 to 9999 do
+        Bcache.read c ~obj:3L ~block:b
+      done);
+  check_bool "readahead ran" true (Bcache.prefetched_blocks c > 9000);
+  words "10k commits of a clean object" (fun () ->
+      for _ = 1 to 10000 do
+        Bcache.commit c ~obj:4L
+      done);
+  for b = 0 to 99 do
+    Bcache.write c ~obj:5L ~block:(b * 100)
+  done;
+  words "10k write hits" (fun () ->
+      for i = 0 to 9999 do
+        Bcache.write c ~obj:5L ~block:(i mod 100 * 100)
+      done)
+
+(* An object's record goes away once the object is invalidated and its
+   write-backs have drained: create, write, commit and invalidate over
+   ten thousand distinct objects leaves the live heap where it was. *)
+let invalidated_objects_leave_no_rows () =
+  run_fiber (fun eng ->
+      let c, _ = mk_cache eng () in
+      let cycle i =
+        let obj = Int64.of_int i in
+        Bcache.write c ~obj ~block:0;
+        Bcache.commit c ~obj;
+        Bcache.invalidate_object c obj
+      in
+      for i = 1 to 100 do
+        cycle i
+      done;
+      let live () =
+        Gc.full_major ();
+        (Gc.quick_stat ()).Gc.live_words
+      in
+      let before = live () in
+      for i = 101 to 10_100 do
+        cycle i
+      done;
+      let grown = live () - before in
+      check_bool (Printf.sprintf "live words grew by %d (bound 1000)" grown) true (grown < 1000))
+
 (* ---- Ffs ---- *)
 
 let ffs_alloc_free_basic () =
@@ -271,6 +444,11 @@ let suite =
     ("drop_clean makes cold", `Quick, drop_clean_cold);
     ("mirrored stride prefetches", `Quick, mirrored_stride_counts_sequential);
     ("throttle bounds dirty", `Quick, throttle_bounds_dirty);
+    ("lru order", `Quick, lru_order);
+    ("concurrent insert replaces", `Quick, concurrent_insert_replaces);
+    ("throttle flush order", `Quick, throttle_flush_order);
+    ("allocation budget", `Quick, alloc_budget);
+    ("invalidated objects leave no rows", `Quick, invalidated_objects_leave_no_rows);
     ("ffs alloc/free basic", `Quick, ffs_alloc_free_basic);
     ("ffs exhaustion", `Quick, ffs_exhaustion);
     ("ffs coalescing", `Quick, ffs_coalescing);

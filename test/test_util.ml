@@ -145,43 +145,12 @@ let lru_replace_fires_evict () =
   check_bool "new value visible" true (Lru.find l 1 = Some "a2");
   check_int "no duplicate entry" 2 (Lru.entry_count l)
 
-let lru_weights () =
-  let l = Lru.create ~capacity:100 () in
-  Lru.add l 1 "x" ~weight:60;
-  Lru.add l 2 "y" ~weight:30;
-  check_int "size" 90 (Lru.size l);
-  Lru.add l 3 "z" ~weight:40;
-  (* 60+30+40 > 100: LRU (key 1) evicted *)
-  check_bool "1 evicted" true (Lru.find l 1 = None);
-  check_int "size after" 70 (Lru.size l)
-
-(* An item heavier than the whole cache displaces everything else (their
-   hooks fire) but is never cached itself, so no hook fires for it. *)
-let lru_rejects_oversized () =
-  let evicted = ref [] in
-  let l = Lru.create ~on_evict:(fun k _ -> evicted := k :: !evicted) ~capacity:3 () in
-  Lru.add l 1 "a";
-  Lru.add l 2 "b" ~weight:5;
-  check_bool "only the displaced entry hits on_evict" true (!evicted = [ 1 ]);
-  check_bool "oversized item not cached" true (Lru.find l 2 = None);
-  check_int "nothing left" 0 (Lru.size l)
-
 let lru_replace () =
   let l = Lru.create ~capacity:10 () in
-  Lru.add l 1 "a" ~weight:4;
-  Lru.add l 1 "b" ~weight:6;
-  check_int "replaced weight" 6 (Lru.size l);
+  Lru.add l 1 "a";
+  Lru.add l 1 "b";
   check_bool "value updated" true (Lru.find l 1 = Some "b");
   check_int "one entry" 1 (Lru.entry_count l)
-
-let lru_mem_no_promote () =
-  let l = Lru.create ~capacity:2 () in
-  Lru.add l 1 "a";
-  Lru.add l 2 "b";
-  check_bool "mem" true (Lru.mem l 1);
-  (* mem must not promote: 1 is still LRU and gets evicted *)
-  Lru.add l 3 "c";
-  check_bool "1 evicted despite mem" true (Lru.find l 1 = None)
 
 let lru_model =
   qtest ~count:100 "lru matches model"
@@ -337,10 +306,7 @@ let suite =
     ("lru basic", `Quick, lru_basic);
     ("lru eviction callback", `Quick, lru_eviction_callback);
     ("lru replace fires evict", `Quick, lru_replace_fires_evict);
-    ("lru weights", `Quick, lru_weights);
-    ("lru rejects oversized item silently", `Quick, lru_rejects_oversized);
     ("lru replace", `Quick, lru_replace);
-    ("lru mem does not promote", `Quick, lru_mem_no_promote);
     lru_model;
     ("lru find_ttl leases", `Quick, lru_find_ttl);
     ("stats reservoir bounded", `Quick, stats_reservoir_bounded);
