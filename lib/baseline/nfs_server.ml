@@ -340,5 +340,3 @@ let attach host ?(port = 2049) ?(cache_bytes = 512 * 1024 * 1024) ?per_op_cpu
 
 let addr t = t.host.Host.addr
 let root _t = root_fh
-let ops_served t = t.ops
-let file_count t = Hashtbl.length t.files

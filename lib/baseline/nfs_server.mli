@@ -26,5 +26,3 @@ val attach :
 
 val addr : t -> Slice_net.Packet.addr
 val root : t -> Slice_nfs.Fh.t
-val ops_served : t -> int
-val file_count : t -> int

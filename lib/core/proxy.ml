@@ -1535,8 +1535,6 @@ let meta_cache_stats t =
     invalidations = t.n_meta_inval;
   }
 
-let name_cache_entries t = Lru.entry_count t.name_cache
-let map_cache_entries t = Lru.entry_count t.map_cache
 let fence_invalidations t = t.n_fence_inval
 let admission_deferrals t = t.n_admit_defer
 let p2c_probes t = t.n_p2c_probes

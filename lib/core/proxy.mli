@@ -79,17 +79,10 @@ val install :
     tenant, and mirrored reads go to the less-loaded replica. *)
 
 val params : t -> Params.t
-val refresh_tables : t -> unit
-(** Reload routing-table snapshots from the authoritative tables (done
-    automatically on a misdirected-request bounce). *)
 
 val discard_soft_state : t -> unit
 (** Failure injection: drop pending records, cached attributes and block
     maps — clients must recover by retransmission. *)
-
-val writeback_dirty_attrs : t -> unit
-(** Push all dirty cached attributes to the directory servers now
-    (runs asynchronously in fibers). *)
 
 (** {2 Statistics} *)
 
@@ -152,11 +145,6 @@ type meta_cache_stats = {
 val meta_cache_stats : t -> meta_cache_stats
 (** Metadata fast-path counters. Requests the fast path answers never
     reach a directory server — the offload the cache exists to provide. *)
-
-val name_cache_entries : t -> int
-val map_cache_entries : t -> int
-(** Current entry counts of the name and block-map caches (both bounded
-    by [Params.name_cache_capacity] / [Params.map_cache_capacity]). *)
 
 val fence_invalidations : t -> int
 (** Times a routing-table fencing-epoch advance flushed the metadata

@@ -750,7 +750,6 @@ let attach host ?(port = 2049) ?(costs = default_costs) ?trace ?qos cfg =
   t
 
 let addr t = t.host.Host.addr
-let logical_id t = t.cfg.logical_id
 let ops_served t = t.ops
 let peer_ops_served t = t.peer_ops
 let cross_site_ops t = t.peer_calls
@@ -884,18 +883,6 @@ let import_log ?(skip = 0) t ~log:image =
 
 let is_up t = t.up
 let host t = t.host
-
-(* Failover (Section 2.3): "a surviving site assumes the role of a failed
-   server, recovering its state from shared storage". [adopt_site] replays
-   the failed server's surviving journal into this server's cells and
-   starts answering for its logical site; the external routing table is
-   then rebound to this server. *)
-(* lint: F1 ok — failover takeover: the deposed server is fenced by lease expiry before its site is adopted *)
-let adopt_site t ~site ~log =
-  ignore (import_log t ~log);
-  Tenure.own t.tenure site
-  (* the caller may checkpoint afterwards to compact the imported records
-     into a single snapshot of this server's journal *)
 
 (* lint: F1 ok — journal compaction is operator-driven control plane, not client dispatch; it rewrites, never extends, history *)
 let checkpoint t =

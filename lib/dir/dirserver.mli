@@ -47,7 +47,8 @@ type config = {
           "Multiple logical sites may map to the same physical server,
           leaving flexibility for reconfiguration" (Section 3.3.1): run
           more logical sites than servers and rebalance by moving logical
-          sites ({!adopt_site}) and rebinding the routing table. *)
+          sites ({!import_log} plus {!Slice_storage.Tenure.own}) and
+          rebinding the routing table. *)
 }
 
 type costs = {
@@ -73,7 +74,6 @@ val attach :
     site 0, which installs it at attach time. *)
 
 val addr : t -> Slice_net.Packet.addr
-val logical_id : t -> int
 
 (** {2 Introspection} *)
 
@@ -93,11 +93,6 @@ val lookup_local : t -> parent:Slice_nfs.Fh.t -> string -> Slice_nfs.Fh.t option
 val log_image : t -> string
 (** The stable (synced) journal image — what shared storage would hold
     after this server fails. *)
-
-val adopt_site : t -> site:int -> log:string -> unit
-(** Failover: replay a failed peer's journal into this server and begin
-    serving its logical site as well. Rebind the routing table to this
-    server afterwards. Equivalent to {!import_log} + {!Slice_storage.Tenure.own}. *)
 
 val import_log : ?skip:int -> t -> log:string -> int
 (** Replay another server's journal image into this server, journaling

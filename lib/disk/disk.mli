@@ -22,9 +22,6 @@ type params = {
   channel_write_rate : float;  (** effective node write bandwidth (60 MB/s) *)
 }
 
-val cheetah : params
-(** Calibration used throughout the experiments. *)
-
 type t
 
 val create : Slice_sim.Engine.t -> ?params:params -> arms:int -> name:string -> unit -> t

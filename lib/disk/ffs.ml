@@ -70,7 +70,6 @@ let free t ~off ~len =
 
 let free_bytes t = t.free_total
 let used_bytes t = Int64.sub t.size t.free_total
-let size t = t.size
 let fragment_count t = List.length t.free
 
 let largest_free t =

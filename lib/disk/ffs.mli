@@ -23,7 +23,6 @@ val free : t -> off:int64 -> len:int -> unit
 
 val free_bytes : t -> int64
 val used_bytes : t -> int64
-val size : t -> int64
 
 val fragment_count : t -> int
 (** Number of free extents — the fragmentation measure. *)

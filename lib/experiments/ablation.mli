@@ -11,10 +11,4 @@ type t = {
       (** (stripe unit bytes, single-client sequential read, MB/s) *)
 }
 
-val compute : ?scale:float -> unit -> t
-(** [scale] (default 0.25) sizes the threshold file set (240 files at
-    1.0, at least 16) and the stripe-unit read (320 MB at 1.0); the hash
-    balance run is fixed-size. *)
-
-val report_of : t -> Report.t
 val report : ?scale:float -> unit -> Report.t

@@ -40,7 +40,4 @@ val compute : ?scale:float -> ?sweep:bool -> unit -> point list
     default-knob cache; [sweep] (default true) adds the TTL/capacity
     corners. *)
 
-val report_of : point list -> Report.t
-(** Render precomputed points. *)
-
 val report : ?scale:float -> unit -> Report.t

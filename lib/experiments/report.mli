@@ -14,4 +14,3 @@ val rowf : ?note:string -> label:string -> paper:float -> measured:float -> unit
     as the note when none is given. *)
 
 val print : t -> unit
-val to_string : t -> string

@@ -288,5 +288,3 @@ let json_of t =
       ("qos_on", side t.st_on);
       ("throughput_ratio", num t.st_throughput_ratio);
     ]
-
-let report ?scale () = report_of (compute ?scale ())

@@ -36,10 +36,6 @@ type t = {
   st_duration : float;  (** measure-window length, seconds *)
 }
 
-val default_p99_bound_ms : float
-(** The interactive-p99 contract the bench smoke gate enforces with QoS
-    on. *)
-
 val interactive_p99_ms : side -> float
 (** The web tenant's p99, milliseconds. *)
 
@@ -52,5 +48,3 @@ val report_of : t -> Report.t
 val json_of : t -> Slice_util.Json.t
 (** Deterministic artifact: keys sorted at every level, tenants in
     roster order — byte-identical across same-seed reruns. *)
-
-val report : ?scale:float -> unit -> Report.t

@@ -18,5 +18,3 @@ let bytes buf ~pos ~len =
     c := Int32.logxor tbl.(idx) (Int32.shift_right_logical !c 8)
   done;
   Int32.logxor !c 0xFFFFFFFFl
-
-let string s = bytes (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

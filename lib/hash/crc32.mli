@@ -1,5 +1,4 @@
 (** CRC-32 (IEEE 802.3 polynomial, the zlib variant). Guards write-ahead
     log records so recovery can detect torn tails after a crash. *)
 
-val string : string -> int32
 val bytes : bytes -> pos:int -> len:int -> int32

@@ -12,6 +12,8 @@ type t = {
   hot_attr : string;
   f1_guards : string list;
   f1_protected : string list;
+  u1_scope : string -> bool;
+  u1_test_source : string -> bool;
 }
 
 let has_prefix p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p
@@ -125,6 +127,11 @@ let repo =
     f1_guards = [ "wedged"; "is_wedged" ];
     f1_protected =
       [ "Wal.append"; "Bcache.write"; "Bcache.commit"; "Ffs.alloc"; "Ffs.free" ];
+    (* Every library interface. Uses count from any other unit with a
+       .cmt under --cmt-dir, bin/, bench/, examples/ and perfbench/
+       included; a value only test/ uses is a warning. *)
+    u1_scope = has_prefix "lib/";
+    u1_test_source = has_prefix "test/";
   }
 
 (* Fixture profile: each rule is active exactly on files whose basename
@@ -147,4 +154,6 @@ let fixtures =
     f1_guards = [ "wedged"; "is_wedged" ];
     f1_protected =
       [ "Wal.append"; "Bcache.write"; "Bcache.commit"; "Ffs.alloc"; "Ffs.free" ];
+    u1_scope = named "u1";
+    u1_test_source = named "u1_test";
   }

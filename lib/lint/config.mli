@@ -24,10 +24,12 @@ type t = {
       (** base names whose call counts as the wedge/lease check *)
   f1_protected : string list;
       (** canonical [Module.fn] names that mutate durable server state *)
+  u1_scope : string -> bool;
+      (** U1: [.mli] files whose exports must have a user outside their
+          own module — a missing [.cmti] for one of these is a finding *)
+  u1_test_source : string -> bool;
+      (** U1: sources whose uses only make an export a warning (tests) *)
 }
-
-val uniform_flags : string
-(** The curated warning-as-error stanza, verbatim. *)
 
 val repo : t
 (** Production scoping for this repository. *)

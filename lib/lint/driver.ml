@@ -154,6 +154,12 @@ let errors r =
 
 let suppressed r = List.length (List.filter Finding.is_suppressed r.findings)
 
+let warnings r =
+  List.length
+    (List.filter
+       (fun f -> (not (Finding.is_suppressed f)) && f.Finding.severity = Finding.Warning)
+       r.findings)
+
 let hot_root_json (h : Typed.hot_root) =
   Json.Obj
     [
@@ -180,7 +186,7 @@ let render_human r =
   let b = Buffer.create 256 in
   List.iter
     (fun f ->
-      if not (Finding.is_suppressed f) then
+      if (not (Finding.is_suppressed f)) && f.Finding.severity = Finding.Error then
         Buffer.add_string b (Format.asprintf "%a@." Finding.pp f))
     r.findings;
   if r.typed_ran then
@@ -191,7 +197,7 @@ let render_human r =
              h.Typed.hr_name h.Typed.hr_file h.Typed.hr_line h.Typed.hr_sites h.Typed.hr_words))
       r.hot_roots;
   Buffer.add_string b
-    (Printf.sprintf "slicelint: %d file(s), %d finding(s), %d suppressed%s\n" r.files (errors r)
-       (suppressed r)
+    (Printf.sprintf "slicelint: %d file(s), %d finding(s), %d warning(s), %d suppressed%s\n"
+       r.files (errors r) (warnings r) (suppressed r)
        (if r.typed_ran then " [typed tier: on]" else ""));
   Buffer.contents b

@@ -16,17 +16,18 @@ type report = {
   hot_roots : Typed.hot_root list;  (** per-[\[@hot\]]-root allocation summary *)
 }
 
-val lint_file : Config.t -> string -> Pragma.t list * Finding.t list
-(** Parsetree rules for one source file (no X1, pragmas not yet
-    applied — the caller merges typed-tier findings first). *)
-
 val scan : ?cmt_dir:string -> Config.t -> string list -> report
 
 val errors : report -> int
 (** Unsuppressed error-severity findings: the gate fails when nonzero. *)
 
 val suppressed : report -> int
+
+val warnings : report -> int
+(** Unsuppressed warnings: listed in the JSON report and counted in the
+    human summary, never printed one by one, never failing the gate. *)
+
 val to_json : report -> Slice_util.Json.t
 val render_human : report -> string
-(** Unsuppressed findings one per line, hot-root summary when the typed
+(** Unsuppressed errors one per line, hot-root summary when the typed
     tier ran, then a summary line. *)

@@ -1,4 +1,4 @@
-type rule = D1 | D2 | R1 | E1 | P1 | X1 | A1 | F1 | Parse
+type rule = D1 | D2 | R1 | E1 | P1 | X1 | A1 | F1 | U1 | Parse
 
 let rule_name = function
   | D1 -> "D1"
@@ -9,6 +9,7 @@ let rule_name = function
   | X1 -> "X1"
   | A1 -> "A1"
   | F1 -> "F1"
+  | U1 -> "U1"
   | Parse -> "parse"
 
 let rule_of_name = function
@@ -20,22 +21,12 @@ let rule_of_name = function
   | "X1" -> Some X1
   | "A1" -> Some A1
   | "F1" -> Some F1
+  | "U1" -> Some U1
   | _ -> None
 
-let rule_doc = function
-  | D1 -> "determinism: wall clock, OS entropy and randomized hashing are banned"
-  | D2 -> "iteration order: hash-table iteration feeding output must be sorted"
-  | R1 -> "bounded state: long-lived hash tables need a bound or a bounded pragma"
-  | E1 -> "polymorphic equality: compare handles and route keys with keyed equality"
-  | P1 -> "partiality: no partial stdlib calls or bare aborts on protocol paths"
-  | X1 -> "interface hygiene: lib modules need an .mli and uniform dune flags"
-  | A1 -> "hot-path allocation: code reachable from a [@hot] root must not allocate"
-  | F1 -> "fencing totality: WAL/state mutation must be dominated by a wedge check"
-  | Parse -> "file failed to parse"
-
-(* A1 and F1 are interprocedural and need the typed tree; the other
-   families run on the parsetree alone. *)
-let is_typed = function A1 | F1 -> true | _ -> false
+(* A1, F1 and U1 need the typed trees; the other families run on the
+   parsetree alone. *)
+let is_typed = function A1 | F1 | U1 -> true | _ -> false
 
 type severity = Error | Warning
 

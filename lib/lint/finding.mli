@@ -11,6 +11,7 @@ type rule =
   | X1  (** interface hygiene: missing [.mli] or non-uniform dune flags *)
   | A1  (** hot-path allocation reachable from a [\[@hot\]] root *)
   | F1  (** WAL/state mutation not dominated by the wedge/lease check *)
+  | U1  (** exported value no other compilation unit uses *)
   | Parse  (** the file failed to parse at all *)
 
 val rule_name : rule -> string
@@ -18,16 +19,13 @@ val rule_of_name : string -> rule option
 (** [None] for unknown names, including ["parse"] (pragmas cannot
     suppress parse errors). *)
 
-val rule_doc : rule -> string
-(** One-line catalog entry, shown in [--help] style listings. *)
-
 val is_typed : rule -> bool
-(** A1 and F1 only run when the typed tier has [.cmt] input; pragma
+(** A1, F1 and U1 only run when the typed tier has [.cmt] input; pragma
     bookkeeping for them is gated on the tier actually running. *)
 
-type severity = Error | Warning
-
-val severity_name : severity -> string
+type severity =
+  | Error
+  | Warning  (** reported and counted, but does not fail the gate *)
 
 type t = {
   file : string;

@@ -11,6 +11,10 @@
    dispatch path that reaches the WAL / buffer cache / allocator must be
    dominated by the wedge/lease check (a must-call-before pass).
 
+   U1 — dead exports: every value an in-scope .mli exports must be used
+   by some other compilation unit. Uses are matched by declaration uid,
+   so aliases and renames (module Fo = Failover) resolve exactly.
+
    Names are canonical last-two-component keys ("Dec.u32", "Wal.append"):
    this repo aliases modules under their own short name (module Codec =
    Slice_nfs.Codec), so the key a call site produces matches the key the
@@ -625,7 +629,9 @@ let find_cmts dir =
     | true ->
         if Filename.basename path <> ".git" then
           Array.iter (fun f -> walk (Filename.concat path f)) (Sys.readdir path)
-    | false -> if ends_with ~suffix:".cmt" path then out := path :: !out
+    | false ->
+        if ends_with ~suffix:".cmt" path || ends_with ~suffix:".cmti" path then
+          out := path :: !out
     | exception Sys_error _ -> ()
   in
   walk dir;
@@ -638,6 +644,90 @@ let path_matches ~cmt_src ~walked =
   cmt_src = walked
   || ends_with ~suffix:("/" ^ walked) cmt_src
   || ends_with ~suffix:("/" ^ cmt_src) walked
+
+(* ---- U1: export uses ---- *)
+
+(* Who uses a value, keyed by its declaration uid. A unit's references
+   to its own values carry the implementation's uids, which can collide
+   with the interface's, so only other units' references are noted. *)
+type uses = { mutable by_code : bool; mutable by_test : bool }
+
+let note_use uses ~unit ~test (uid : Shape.Uid.t) =
+  match uid with
+  | Shape.Uid.Item { comp_unit; _ } when comp_unit <> unit ->
+      let u =
+        match Shape.Uid.Tbl.find_opt uses uid with
+        | Some u -> u
+        | None ->
+            let u = { by_code = false; by_test = false } in
+            Shape.Uid.Tbl.replace uses uid u;
+            u
+      in
+      if test then u.by_test <- true else u.by_code <- true
+  | _ -> ()
+
+(* Every value of a module used whole. A plain alias keeps its
+   [Mty_alias] type and so uses nothing; a functor argument or an
+   [include] is typed at its expanded signature. *)
+let rec sig_value_uids (mty : Types.module_type) acc =
+  match mty with
+  | Types.Mty_signature sg ->
+      List.fold_left
+        (fun acc (item : Types.signature_item) ->
+          match item with
+          | Types.Sig_value (_, vd, _) -> vd.Types.val_uid :: acc
+          | Types.Sig_module (_, _, md, _, _) -> sig_value_uids md.Types.md_type acc
+          | _ -> acc)
+        acc sg
+  | _ -> acc
+
+let collect_uses uses ~unit ~test (str : Typedtree.structure) =
+  let note = note_use uses ~unit ~test in
+  let whole (me : Typedtree.module_expr) = List.iter note (sig_value_uids me.Typedtree.mod_type []) in
+  let expr it (e : Typedtree.expression) =
+    (match e.Typedtree.exp_desc with
+    | Typedtree.Texp_ident (_, _, vd) -> note vd.Types.val_uid
+    | _ -> ());
+    Tast_iterator.default_iterator.expr it e
+  in
+  let module_expr it (me : Typedtree.module_expr) =
+    (match me.Typedtree.mod_desc with Typedtree.Tmod_apply (_, arg, _) -> whole arg | _ -> ());
+    Tast_iterator.default_iterator.module_expr it me
+  in
+  let structure_item it (si : Typedtree.structure_item) =
+    (match si.Typedtree.str_desc with
+    | Typedtree.Tstr_include incl -> whole incl.Typedtree.incl_mod
+    | _ -> ());
+    Tast_iterator.default_iterator.structure_item it si
+  in
+  let it = { Tast_iterator.default_iterator with expr; module_expr; structure_item } in
+  it.structure it str
+
+type export = { ex_name : string; ex_line : int; ex_col : int; ex_uid : Shape.Uid.t }
+
+(* The values a .cmti declares, nested signatures included ("Xdr.Enc.u32"). *)
+let rec collect_exports ~prefix acc (sg : Typedtree.signature) =
+  List.fold_left
+    (fun acc (it : Typedtree.signature_item) ->
+      match it.Typedtree.sig_desc with
+      | Typedtree.Tsig_value vd ->
+          let line, col = loc_pos vd.Typedtree.val_loc in
+          {
+            ex_name = prefix ^ "." ^ vd.Typedtree.val_name.Location.txt;
+            ex_line = line;
+            ex_col = col;
+            ex_uid = vd.Typedtree.val_val.Types.val_uid;
+          }
+          :: acc
+      | Typedtree.Tsig_module
+          {
+            md_name = { Location.txt = Some name; _ };
+            md_type = { mty_desc = Typedtree.Tmty_signature sg; _ };
+            _;
+          } ->
+          collect_exports ~prefix:(prefix ^ "." ^ name) acc sg
+      | _ -> acc)
+    acc sg.Typedtree.sig_items
 
 (* ---- analysis driver ---- *)
 
@@ -676,25 +766,41 @@ let analyze cfg ~cmt_dir ~files =
   let findings = ref [] in
   let add f = findings := f :: !findings in
   let ml_files = List.filter (fun f -> ends_with ~suffix:".ml" f) files in
+  let u1_mlis = List.filter (fun f -> ends_with ~suffix:".mli" f && cfg.Config.u1_scope f) files in
   let tables = { funs = Hashtbl.create 512; ambiguous = Hashtbl.create 8 } in
   let matched : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  (* Every unit's references feed U1, walked or not: test/ and perfbench/
+     are read for uses but never linted. *)
+  let uses = Shape.Uid.Tbl.create 4096 in
+  let exports = ref [] in
+  let first_match candidates src =
+    match List.find_opt (fun w -> path_matches ~cmt_src:src ~walked:w) candidates with
+    | Some walked when not (Hashtbl.mem matched walked) ->
+        Hashtbl.replace matched walked ();
+        Some walked
+    | _ -> None
+  in
   List.iter
     (fun cmt_path ->
       match Cmt_format.read_cmt cmt_path with
       | exception _ -> ()
       | cmt -> (
+          let unit = cmt.Cmt_format.cmt_modname in
           match (cmt.Cmt_format.cmt_sourcefile, cmt.Cmt_format.cmt_annots) with
           | Some src, Cmt_format.Implementation str -> (
-              match
-                List.find_opt (fun w -> path_matches ~cmt_src:src ~walked:w) ml_files
-              with
+              collect_uses uses ~unit ~test:(cfg.Config.u1_test_source src) str;
+              match first_match ml_files src with
               | None -> ()
               | Some walked ->
-                  if not (Hashtbl.mem matched walked) then begin
-                    Hashtbl.replace matched walked ();
-                    let modname = canonical_modname cmt.Cmt_format.cmt_modname in
-                    collect_structure cfg tables ~file:walked ~stack:[ modname ] str
-                  end)
+                  collect_structure cfg tables ~file:walked
+                    ~stack:[ canonical_modname unit ] str)
+          | Some src, Cmt_format.Interface sg -> (
+              match first_match u1_mlis src with
+              | None -> ()
+              | Some walked ->
+                  exports :=
+                    (walked, collect_exports ~prefix:(canonical_modname unit) [] sg)
+                    :: !exports)
           | _ -> ()))
     (find_cmts cmt_dir);
   (* A hot-path or fenced file with no cmt is a broken gate, not a clean
@@ -714,6 +820,31 @@ let analyze cfg ~cmt_dir ~files =
                 (check --cmt-dir)")
       end)
     ml_files;
+  List.iter
+    (fun f ->
+      if not (Hashtbl.mem matched f) then
+        add
+          (F.make ~file:f ~line:1 ~col:0 ~rule:F.U1
+             "U1: no .cmti found for this interface — build it before linting \
+              (check --cmt-dir)"))
+    u1_mlis;
+  (* ---- U1 ---- *)
+  List.iter
+    (fun (file, exs) ->
+      List.iter
+        (fun ex ->
+          let finding severity what =
+            add
+              (F.make ~file ~line:ex.ex_line ~col:ex.ex_col ~rule:F.U1 ~severity
+                 (Printf.sprintf "U1: %s is exported but %s" ex.ex_name what))
+          in
+          match Shape.Uid.Tbl.find_opt uses ex.ex_uid with
+          | Some { by_code = true; _ } -> ()
+          | Some { by_test = true; _ } ->
+              finding F.Warning "only tests use it — delete it with its test, or keep it as a test hook"
+          | _ -> finding F.Error "no other unit uses it — delete it or drop it from the .mli")
+        exs)
+    !exports;
   (* ---- A1 ---- *)
   let a1_memo : (string, a1_summary) Hashtbl.t = Hashtbl.create 64 in
   let summarize fi =

@@ -9,9 +9,14 @@
     - {b F1} — in every [f1_scope] module, each exported entry point
       that reaches a protected mutation ([f1_protected]) must pass a
       wedge/lease check ([f1_guards]) first, on every path.
+    - {b U1} — every value a [u1_scope] interface exports must be used
+      by another compilation unit, matched by declaration uid. Every
+      [.cmt] under [cmt_dir] counts as a user, walked or not; a value
+      only [u1_test_source] units use is a {!Finding.Warning}.
 
-    A file in either scope with no matching [.cmt] yields a finding of
-    its own: the tier fails loudly rather than silently not running. *)
+    A file in any scope with no matching [.cmt] (or [.cmti], for U1)
+    yields a finding of its own: the tier fails loudly rather than
+    silently not running. *)
 
 type hot_root = {
   hr_name : string;  (** canonical ["Mod.fn"] *)
@@ -26,8 +31,8 @@ val analyze :
   cmt_dir:string ->
   files:string list ->
   (string * Finding.t list) list * hot_root list
-(** [analyze cfg ~cmt_dir ~files] scans every [.cmt] under [cmt_dir]
-    (recursively), keeps those whose recorded source file matches one of
-    the walked [files], and returns findings grouped per walked file
+(** [analyze cfg ~cmt_dir ~files] scans every [.cmt] and [.cmti] under
+    [cmt_dir] (recursively), analyzes those whose recorded source file
+    matches one of the walked [files], and returns findings grouped per walked file
     plus the [\[@hot\]] root summary. Pragma application is the caller's
     job — findings come back unsuppressed. *)

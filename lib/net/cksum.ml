@@ -5,7 +5,6 @@ let ones_add a b =
 let compute (p : Packet.t) =
   Packet.compute_cksum ~src:p.src ~dst:p.dst ~sport:p.sport ~dport:p.dport p.payload
 
-let seal p = p.Packet.cksum <- compute p
 let verify p = p.Packet.cksum = compute p
 
 let adjust cksum ~old_word ~new_word =
@@ -25,14 +24,6 @@ let rewrite_src (p : Packet.t) a =
 let rewrite_dst (p : Packet.t) a =
   p.cksum <- adjust32 p.cksum ~old_v:p.dst ~new_v:a;
   p.dst <- a
-
-let rewrite_sport (p : Packet.t) v =
-  p.cksum <- adjust p.cksum ~old_word:p.sport ~new_word:v;
-  p.sport <- v
-
-let rewrite_dport (p : Packet.t) v =
-  p.cksum <- adjust p.cksum ~old_word:p.dport ~new_word:v;
-  p.dport <- v
 
 let word_at payload i =
   let n = Bytes.length payload in
@@ -54,15 +45,6 @@ let patch_words (p : Packet.t) ~off src spos len =
     i := !i + 2
   done
 
-let patch_payload (p : Packet.t) ~off s =
-  let len = String.length s in
-  if off < 0 || off land 1 <> 0 || off + len > Bytes.length p.payload then
-    invalid_arg "Cksum.patch_payload";
-  patch_words p ~off (Bytes.unsafe_of_string s) 0 len
-
-(* Bytes-sourced twin for the µproxy's reused scratch buffers: same word
-   loop, no string materialization between computing a field value and
-   splicing it in. *)
 let patch_payload_bytes (p : Packet.t) ~off src ~spos ~len =
   if
     off < 0

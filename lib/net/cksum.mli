@@ -8,30 +8,19 @@ val compute : Packet.t -> int
 (** Full checksum over pseudo-header (src, dst, ports, length) and
     payload. *)
 
-val seal : Packet.t -> unit
-(** Store the computed checksum into the packet. *)
-
 val verify : Packet.t -> bool
 (** Endpoints verify on receipt; a µproxy bug that forgets to adjust the
     checksum surfaces here. *)
-
-val adjust : int -> old_word:int -> new_word:int -> int
-(** [adjust cksum ~old_word ~new_word] is RFC 1624 eqn. 3:
-    HC' = ~(~HC + ~m + m'), for one 16-bit word change. *)
 
 val rewrite_src : Packet.t -> Packet.addr -> unit
 (** Replace the source address, adjusting the checksum incrementally. *)
 
 val rewrite_dst : Packet.t -> Packet.addr -> unit
-val rewrite_sport : Packet.t -> int -> unit
-val rewrite_dport : Packet.t -> int -> unit
-
-val patch_payload : Packet.t -> off:int -> string -> unit
-(** [patch_payload p ~off s] overwrites payload bytes at [off] (which must
-    be even, as all XDR field offsets are) with [s], adjusting the checksum
-    word-by-word. Raises [Invalid_argument] if out of range or misaligned. *)
 
 val patch_payload_bytes : Packet.t -> off:int -> bytes -> spos:int -> len:int -> unit
-(** Same splice sourced from [src.[spos, spos+len)] — the µproxy writes
-    field values into a per-instance scratch buffer and patches from it,
-    keeping the rewrite path free of string allocation. *)
+(** [patch_payload_bytes p ~off src ~spos ~len] overwrites payload bytes
+    at [off] (which must be even, as all XDR field offsets are) with
+    [src.[spos, spos+len)], adjusting the checksum word-by-word. The
+    µproxy writes field values into a per-instance scratch buffer and
+    patches from it, keeping the rewrite path free of string allocation.
+    Raises [Invalid_argument] if out of range or misaligned. *)

@@ -72,7 +72,6 @@ let create eng ?(params = default_params) ?(seed = 1) () =
   }
 
 let engine t = t.eng
-let params t = t.p
 
 let fresh_xid t =
   t.xid_counter <- t.xid_counter + 1;
@@ -108,7 +107,6 @@ let get t a =
 let node_name t a = (get t a).name
 let node_count t = t.n
 let listen t a ~port handler = Hashtbl.replace (get t a).handlers port handler
-let unlisten t a ~port = Hashtbl.remove (get t a).handlers port
 let add_egress_filter t a f = (get t a).egress <- (get t a).egress @ [ f ]
 let add_ingress_filter t a f = (get t a).ingress <- (get t a).ingress @ [ f ]
 
@@ -244,7 +242,6 @@ let add_link_fault t ?src ?dst ?(drop = 0.0) ?(delay = 0.0) ?(dup = 0.0) () =
     t.link_faults
     @ [ { lf_src = src; lf_dst = dst; lf_drop = drop; lf_delay = delay; lf_dup = dup } ]
 
-let clear_link_faults t = t.link_faults <- []
 let set_partition t group = t.partition <- Some group
 let clear_partition t = t.partition <- None
 let fault_node_drops t = t.f_node_drops

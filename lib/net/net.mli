@@ -24,7 +24,6 @@ val default_params : params
 
 val create : Slice_sim.Engine.t -> ?params:params -> ?seed:int -> unit -> t
 val engine : t -> Slice_sim.Engine.t
-val params : t -> params
 
 val fresh_xid : t -> int
 (** Next transaction id from this network's private counter (32-bit
@@ -42,8 +41,6 @@ val node_count : t -> int
 val listen : t -> Packet.addr -> port:int -> (Packet.t -> unit) -> unit
 (** Register the datagram handler for [addr:port]. Packets to an
     unregistered port are counted as drops. *)
-
-val unlisten : t -> Packet.addr -> port:int -> unit
 
 type filter = Packet.t -> Packet.t option
 
@@ -108,8 +105,6 @@ val add_link_fault :
     order: each may drop the packet (probability [drop]), add [delay]
     seconds of one-way latency, and deliver a duplicate copy
     (probability [dup]). *)
-
-val clear_link_faults : t -> unit
 
 val set_partition : t -> (Packet.addr -> int) -> unit
 (** Partition the LAN: packets between nodes in different groups are

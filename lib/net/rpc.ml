@@ -101,8 +101,6 @@ let ep_of t dst =
       Hashtbl.replace t.endpoints dst ep;
       ep
 
-let addr t = t.addr
-
 (* XIDs come from the network's private counter so no two endpoints in a
    simulation ever collide (an interposed filter can key its soft state
    on the XID alone) and the stream stays deterministic even when

@@ -15,8 +15,6 @@ type t
 val create : Net.t -> Packet.addr -> port:int -> t
 (** [create net addr ~port] claims [addr:port] for reply dispatch. *)
 
-val addr : t -> Packet.addr
-
 val fresh_xid : t -> int
 (** Allocate the next XID from the network's per-simulation counter
     (callers that build their own payloads must place it in the first

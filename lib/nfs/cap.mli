@@ -14,10 +14,6 @@
     an MD5-based construction — keyed hashing in the spirit of the era's
     NASD prototypes; swap in a modern MAC for production use. *)
 
-val mint : secret:string -> Fh.t -> int64
-(** Capability tag for this handle's identity (independent of any tag
-    already present in it). *)
-
 val seal : secret:string -> Fh.t -> Fh.t
 (** The same handle with its capability tag filled in. *)
 

@@ -654,18 +654,9 @@ let decode_attr_at buf off =
   let d = Dec.of_bytes ~pos:off buf in
   try dec_fattr d with Slice_xdr.Xdr.Truncated -> raise (Malformed "truncated attr")
 
-let time_be t =
-  let b = Bytes.create 8 in
-  let secs = int_of_float (Float.floor t) in
-  let nsecs = int_of_float ((t -. Float.floor t) *. 1e9) in
-  Bytes.set_int32_be b 0 (Int32.of_int secs);
-  Bytes.set_int32_be b 4 (Int32.of_int (min nsecs 999_999_999));
-  Bytes.unsafe_to_string b
-
 (* Scratch renderings: the µproxy writes patch values into a reused
    8-byte scratch and splices with [Cksum.patch_payload_bytes]. Single
-   byte stores keep the int path free of boxed int32/int64. [put_time_be]
-   is byte-for-byte identical to [time_be] on in-range values. *)
+   byte stores keep the int path free of boxed int32/int64. *)
 let[@hot] put_u64_be b v =
   for j = 0 to 7 do
     Bytes.set_uint8 b j ((v lsr (8 * (7 - j))) land 0xFF)

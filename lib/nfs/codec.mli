@@ -90,9 +90,6 @@ val attr_mtime_field_off : int
 
 val decode_attr_at : bytes -> int -> Nfs.fattr
 
-val time_be : Nfs.time -> string
-(** 8-byte (seconds, nanoseconds) rendering of a timestamp. *)
-
 val reply_fh_after_attr_off : bytes -> int
 (** Span offset of the validated handle led by an OK lookup / create /
     mkdir / symlink reply body, else -1. Nothing is materialized; the
@@ -104,4 +101,5 @@ val put_u64_be : bytes -> int -> unit
     scratch buffer, for [Cksum.patch_payload_bytes]. *)
 
 val put_time_be : bytes -> Nfs.time -> unit
-(** [time_be] into a reused scratch buffer. *)
+(** Render a timestamp as its 8-byte (seconds, nanoseconds) wire form
+    into the first 8 bytes of a reused scratch buffer. *)

@@ -79,14 +79,3 @@ let decode s =
    equalities — never polymorphic compare over the whole record (policy
    bits and the capability tag are not identity). *)
 let equal a b = Int64.equal a.file_id b.file_id && Int.equal a.gen b.gen
-let compare a b =
-  let c = Int64.compare a.file_id b.file_id in
-  if c <> 0 then c else Int.compare a.gen b.gen
-
-let hash t = Int64.to_int t.file_id lxor (t.gen * 0x9E3779B1)
-
-let pp fmt t =
-  Format.fprintf fmt "fh(%Ld g%d %s%s@site%d)" t.file_id t.gen
-    (match t.ftype with Reg -> "reg" | Dir -> "dir" | Lnk -> "lnk")
-    (if t.mirrored then " mirrored" else "")
-    t.attr_site

@@ -70,6 +70,3 @@ val decode_at : bytes -> int -> t option
     packet buffer: intents, writeback, commit orchestration). *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
-val pp : Format.formatter -> t -> unit

@@ -37,5 +37,3 @@ let try_take t ~now =
 let next_ready t ~now =
   refill t ~now;
   if t.tokens >= 1.0 then 0.0 else (1.0 -. t.tokens) /. t.rate
-
-let level t = t.tokens

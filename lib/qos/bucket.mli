@@ -16,6 +16,3 @@ val try_take : t -> now:float -> bool
 val next_ready : t -> now:float -> float
 (** Seconds until a full token exists (0.0 if one is already there): the
     deferral delay after a failed {!try_take}. *)
-
-val level : t -> float
-(** Tokens currently held (after the last refill). *)

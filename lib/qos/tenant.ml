@@ -64,7 +64,6 @@ let create specs =
 
 let count t = Array.length t.specs
 let spec_of t id = t.specs.(id)
-let name_of t id = t.specs.(id).name
 let weight_of t id = t.specs.(id).weight
 
 let bind_addr t ~addr ~tenant =

@@ -34,7 +34,6 @@ val create : spec array -> t
 
 val count : t -> int
 val spec_of : t -> int -> spec
-val name_of : t -> int -> string
 val weight_of : t -> int -> float
 
 val bind_addr : t -> addr:int -> tenant:int -> unit
@@ -53,11 +52,7 @@ val observe_queue_delay : t -> int -> float -> unit
 val observe_latency : t -> int -> float -> unit
 
 val ops : t -> int -> int
-val bytes : t -> int -> int
-val admitted : t -> int -> int
-val deferred : t -> int -> int
 val queue_delay : t -> int -> Slice_util.Stats.t
-val latency : t -> int -> Slice_util.Stats.t
 
 val register_metrics : t -> Slice_util.Metrics.t -> unit
 (** Register every tenant's series under ["qos.<tenant>."] via

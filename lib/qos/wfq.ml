@@ -57,7 +57,6 @@ let create eng ~tenants ?(depth = 4) () =
     total_dispatched = 0;
   }
 
-let tenants t = t.tenants
 let tenant_of t addr = Tenant.of_addr t.tenants addr
 
 (* Tenant with the smallest head-of-queue finish tag; strict < keeps the
@@ -111,7 +110,5 @@ let submit t ~tenant ~cost run =
   pump t
 
 let backlog t = t.backlog
-let in_flight t = t.in_flight
 let dispatched t tenant = t.dispatched.(tenant)
 let total_dispatched t = t.total_dispatched
-let virtual_time t = t.vtime

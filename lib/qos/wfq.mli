@@ -14,7 +14,6 @@ val create : Slice_sim.Engine.t -> tenants:Tenant.t -> ?depth:int -> unit -> t
     while a job parks on disk.
     @raise Invalid_argument when [depth <= 0]. *)
 
-val tenants : t -> Tenant.t
 val tenant_of : t -> int -> int
 (** Classify a source address via the scheduler's registry. *)
 
@@ -30,9 +29,7 @@ val submit : t -> tenant:int -> cost:float -> ((unit -> unit) -> unit) -> unit
 val backlog : t -> int
 (** Jobs enqueued and not yet dispatched. *)
 
-val in_flight : t -> int
 val dispatched : t -> int -> int
 (** Jobs dispatched so far for one tenant. *)
 
 val total_dispatched : t -> int
-val virtual_time : t -> float

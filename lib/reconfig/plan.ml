@@ -16,10 +16,3 @@ let klass_of_name = function
   | "smallfile" -> Some Smallfile
   | "storage" -> Some Storage
   | _ -> None
-
-let describe = function
-  | Add_server k -> Printf.sprintf "add %s server" (klass_name k)
-  | Remove_server (k, i) -> Printf.sprintf "remove %s server %d" (klass_name k) i
-  | Rebalance -> "rebalance all classes"
-  | Takeover (k, victim, standby) ->
-      Printf.sprintf "take over %s server %d onto %d" (klass_name k) victim standby

@@ -38,6 +38,3 @@ val klass_name : klass -> string
     spans and the intent log. *)
 
 val klass_of_name : string -> klass option
-
-val describe : t -> string
-(** One-line human-readable rendering for reports and logs. *)

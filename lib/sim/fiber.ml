@@ -12,13 +12,6 @@ let join_all eng fns =
                   if !remaining = 0 then wake ()))
             fns)
 
-let timeout eng limit f =
-  Engine.suspend (fun wake ->
-      Engine.spawn eng (fun () ->
-          let v = f () in
-          wake (Some v));
-      Engine.schedule eng limit (fun () -> wake None))
-
 let parallel_window eng ~window n f =
   if window <= 0 then invalid_arg "Fiber.parallel_window";
   let inflight = ref 0 in

@@ -4,11 +4,6 @@ val join_all : Engine.t -> (unit -> unit) list -> unit
 (** [join_all eng fns] runs each [fn] in its own fiber, parking the caller
     until every one has finished. Exceptions in children abort the run. *)
 
-val timeout : Engine.t -> float -> (unit -> 'a) -> 'a option
-(** [timeout eng limit f] runs [f] in a child fiber; returns [Some v] if
-    it finishes within [limit] simulated seconds, else [None] (the child
-    keeps running to completion but its result is discarded). *)
-
 val parallel_window : Engine.t -> window:int -> int -> (int -> unit) -> unit
 (** [parallel_window eng ~window n f] runs [f 0 .. f (n-1)], each in its
     own fiber, with at most [window] outstanding at once (issue order is

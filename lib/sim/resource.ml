@@ -57,4 +57,3 @@ let backlog t =
 
 let queue_delay_total t = t.stats.(1)
 let served t = t.served
-let name t = t.name

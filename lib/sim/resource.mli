@@ -34,4 +34,3 @@ val backlog : t -> float
     power-of-two-choices replica routing. *)
 
 val served : t -> int
-val name : t -> string

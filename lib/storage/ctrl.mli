@@ -6,9 +6,6 @@
 
 type kind = K_remove | K_commit | K_mirror_write | K_truncate
 
-val kind_to_int : kind -> int
-val kind_of_int : int -> kind option
-
 type msg =
   | Intent of { op_id : int64; kind : kind; fh : Slice_nfs.Fh.t; participants : int list }
       (** Declare a multi-site operation before acting; the coordinator

@@ -36,9 +36,6 @@ val child : span -> ?op:string -> hop:string -> site:string -> unit -> span
 val finish : ?outcome:string -> span -> unit
 (** Close at current sim time (default outcome ["ok"]). *)
 
-val finish_at : ?outcome:string -> span -> float -> unit
-(** Close at an explicit sim time (clamped to the span's start). *)
-
 val emit :
   span -> ?op:string -> hop:string -> site:string -> start:float -> stop:float ->
   ?outcome:string -> unit -> unit

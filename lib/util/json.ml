@@ -216,6 +216,3 @@ let of_string s =
 (* ---- accessors ---- *)
 
 let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
-let to_float = function Num f -> Some f | _ -> None
-let to_str = function Str s -> Some s | _ -> None
-let to_list = function Arr items -> Some items | _ -> None

@@ -21,7 +21,3 @@ val of_string : string -> t
 
 val member : string -> t -> t option
 (** Field lookup on an [Obj]; [None] on other variants. *)
-
-val to_float : t -> float option
-val to_str : t -> string option
-val to_list : t -> t list option

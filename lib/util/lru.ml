@@ -104,7 +104,6 @@ let remove t k =
   | exception Not_found -> ()
 
 let entry_count t = Hashtbl.length t.tbl
-let capacity t = t.capacity
 
 let iter t f =
   let rec loop = function
@@ -120,8 +119,3 @@ let clear t =
   t.head <- Nil;
   t.tail <- Nil
 
-let flush t =
-  let entries = ref [] in
-  iter t (fun k v -> entries := (k, v) :: !entries);
-  clear t;
-  List.iter (fun (k, v) -> t.on_evict k v) (List.rev !entries)

@@ -34,11 +34,7 @@ val add : ('k, 'v) t -> ?expires_at:float -> 'k -> 'v -> unit
 
 val remove : ('k, 'v) t -> 'k -> unit
 val entry_count : ('k, 'v) t -> int
-val capacity : ('k, 'v) t -> int
 val iter : ('k, 'v) t -> ('k -> 'v -> unit) -> unit
 val clear : ('k, 'v) t -> unit
 (** Remove everything without firing eviction callbacks. *)
 
-val flush : ('k, 'v) t -> unit
-(** Remove everything, firing the eviction callback for each entry
-    (used to model write-back of dirty cached state). *)

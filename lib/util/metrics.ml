@@ -59,8 +59,6 @@ let value t name =
 type scope = { sc_reg : t; sc_prefix : string }
 
 let labelled t ~prefix ~tenant = { sc_reg = t; sc_prefix = prefix ^ "." ^ tenant ^ "." }
-let scoped_counter sc name = counter sc.sc_reg (sc.sc_prefix ^ name)
-let scoped_dist sc name = dist sc.sc_reg (sc.sc_prefix ^ name)
 let scoped_gauge sc name fn = gauge sc.sc_reg (sc.sc_prefix ^ name) fn
 
 let sorted_keys tbl =
@@ -99,5 +97,3 @@ let dump t =
   in
   Json.Obj
     [ ("counters", Json.Obj counters); ("dists", Json.Obj dists); ("gauges", Json.Obj gauges) ]
-
-let dump_string t = Json.to_string (dump t)

@@ -10,9 +10,6 @@ type t
 
 val create : unit -> t
 
-val counter : t -> string -> int ref
-(** Find-or-create the named counter cell (push interface). *)
-
 val incr : t -> string -> unit
 val add : t -> string -> int -> unit
 
@@ -34,12 +31,7 @@ val labelled : t -> prefix:string -> tenant:string -> scope
 (** [labelled t ~prefix:"qos" ~tenant:"web"] names series
     ["qos.web.<name>"]. *)
 
-val scoped_counter : scope -> string -> int ref
-val scoped_dist : scope -> string -> Stats.t
 val scoped_gauge : scope -> string -> (unit -> float) -> unit
-
-val dist : t -> string -> Stats.t
-(** Find-or-create the named sample distribution. *)
 
 val observe : t -> string -> float -> unit
 
@@ -52,5 +44,3 @@ val names : t -> string list
 val dump : t -> Json.t
 (** Full registry snapshot: [{"counters":{..},"dists":{..},"gauges":{..}}]
     with keys sorted at every level. *)
-
-val dump_string : t -> string

@@ -28,16 +28,10 @@ let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   bound *. (v /. 9007199254740992.0 (* 2^53 *))
 
-let bool t = Int64.logand (int64 t) 1L = 1L
-
 let exponential t mean =
   let u = ref (float t 1.0) in
   if !u = 0.0 then u := 1e-12;
   -.mean *. log !u
-
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Prng.pick: empty array";
-  arr.(int t (Array.length arr))
 
 let weighted t choices =
   let total = Array.fold_left (fun acc (w, _) -> acc +. w) 0.0 choices in
@@ -51,11 +45,3 @@ let weighted t choices =
       if x < acc then snd choices.(i) else loop (i + 1) acc
   in
   loop 0 0.0
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

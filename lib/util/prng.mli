@@ -14,26 +14,15 @@ val split : t -> t
 (** [split t] derives an independent generator, advancing [t]. Useful to
     give each simulated client its own stream. *)
 
-val int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-
 val exponential : t -> float -> float
 (** [exponential t mean] samples an exponential distribution. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array. *)
 
 val weighted : t -> (float * 'a) array -> 'a
 (** [weighted t choices] picks an element with probability proportional to
     its weight. Weights must be non-negative with a positive sum. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

@@ -7,7 +7,6 @@
 type t = {
   mutable n : int;
   mutable total : float;
-  mutable sq_total : float;
   mutable mn : float;
   mutable mx : float;
   cap : int;
@@ -24,7 +23,6 @@ let create ?(reservoir = default_reservoir) () =
   {
     n = 0;
     total = 0.0;
-    sq_total = 0.0;
     mn = infinity;
     mx = neg_infinity;
     cap = reservoir;
@@ -46,7 +44,6 @@ let ensure_room t =
 let add t x =
   t.n <- t.n + 1;
   t.total <- t.total +. x;
-  t.sq_total <- t.sq_total +. (x *. x);
   if x < t.mn then t.mn <- x;
   if x > t.mx then t.mx <- x;
   if t.len < t.cap then begin
@@ -65,17 +62,9 @@ let add t x =
   end
 
 let count t = t.n
-let sum t = t.total
 let mean t = if t.n = 0 then 0.0 else t.total /. float_of_int t.n
 let min t = t.mn
 let max t = t.mx
-
-let stddev t =
-  if t.n < 2 then 0.0
-  else
-    let m = mean t in
-    let var = (t.sq_total /. float_of_int t.n) -. (m *. m) in
-    if var < 0.0 then 0.0 else sqrt var
 
 let sorted_samples t =
   match t.sorted with
@@ -95,26 +84,3 @@ let percentile t p =
     let idx = Stdlib.max 0 (Stdlib.min (m - 1) (rank - 1)) in
     arr.(idx)
   end
-
-let merge a b =
-  let t = create ~reservoir:(Stdlib.max a.cap b.cap) () in
-  t.n <- a.n + b.n;
-  t.total <- a.total +. b.total;
-  t.sq_total <- a.sq_total +. b.sq_total;
-  t.mn <- Stdlib.min a.mn b.mn;
-  t.mx <- Stdlib.max a.mx b.mx;
-  let pooled = Array.append (Array.sub a.samples 0 a.len) (Array.sub b.samples 0 b.len) in
-  if Array.length pooled > t.cap then Prng.shuffle t.prng pooled;
-  t.len <- Stdlib.min (Array.length pooled) t.cap;
-  t.samples <- Array.sub pooled 0 t.len;
-  t
-
-module Counter = struct
-  type t = { mutable c : int }
-
-  let create () = { c = 0 }
-  let incr t = t.c <- t.c + 1
-  let add t n = t.c <- t.c + n
-  let get t = t.c
-  let rate t ~elapsed = if elapsed <= 0.0 then 0.0 else float_of_int t.c /. elapsed
-end

@@ -116,7 +116,6 @@ and sync_round t eng span write =
   end
 
 let synced_lsn t = t.synced
-let next_lsn t = Int64.add t.lsn 1L
 let bytes_appended t = t.appended_bytes
 let sync_count t = t.syncs
 

@@ -44,7 +44,6 @@ val sync : ?span:Slice_trace.Trace.span -> t -> unit
 val synced_lsn : t -> int64
 (** Highest LSN guaranteed stable. 0 when nothing is synced. *)
 
-val next_lsn : t -> int64
 val bytes_appended : t -> int
 val sync_count : t -> int
 

@@ -194,7 +194,6 @@ let sequential_read t fh ~bytes =
       ignore (read_at t fh ~off ~count:len))
 
 let now t = Engine.now t.host.Host.eng
-let host t = t.host
 let ops_completed t = t.ops
 let op_latency t = t.latency
 let errors t = t.errs

@@ -13,8 +13,6 @@ type costs = {
   write_per_byte : float;  (** copy + checksum transmit path *)
 }
 
-val default_costs : costs
-
 type t
 
 val create :
@@ -95,8 +93,6 @@ val sequential_read : t -> Slice_nfs.Fh.t -> bytes:int64 -> unit
 
 val now : t -> float
 (** Current simulated time at this client. *)
-
-val host : t -> Slice_storage.Host.t
 
 val ops_completed : t -> int
 val op_latency : t -> Slice_util.Stats.t

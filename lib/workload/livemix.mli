@@ -62,10 +62,6 @@ val classes : string array
     Big-file chunks at index >= 2 sit above the small-file threshold, so
     their I/O is storage-class by construction. *)
 
-val one_op : Client.t -> Slice_util.Prng.t -> fileset -> mix -> int * bool
-(** Draw one op from [mix] and issue it; returns its request class
-    (an index into {!classes}) and whether it failed. Fiber context. *)
-
 type audit = {
   checked : int;  (** names and byte ranges re-verified *)
   lost : int;  (** failed or short; must be 0 *)

@@ -23,9 +23,6 @@ type tally = {
 
 val tally : unit -> tally
 
-val io_chunk : int
-(** 32 KB — the page/stripe-chunk unit every generator reads in. *)
-
 val build_tree :
   Client.t ->
   root:Slice_nfs.Fh.t ->

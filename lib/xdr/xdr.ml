@@ -29,8 +29,6 @@ module Enc = struct
       { buf = !scratch; len = 0; shared = true }
     end
 
-  let length t = t.len
-
   (* A finished encoder holds an empty buffer with a positive length, so a
      write after [to_bytes] lands here and is refused. *)
   let grow t n =
@@ -52,18 +50,12 @@ module Enc = struct
     else set32u t.buf t.len (bswap32 (Int32.of_int v));
     t.len <- t.len + 4
 
-  let i32 t v =
-    reserve t 4;
-    if Sys.big_endian then set32u t.buf t.len v else set32u t.buf t.len (bswap32 v);
-    t.len <- t.len + 4
-
   let u64 t v =
     reserve t 8;
     if Sys.big_endian then set64u t.buf t.len v else set64u t.buf t.len (bswap64 v);
     t.len <- t.len + 8
 
   let bool t b = u32 t (if b then 1 else 0)
-  let enum t v = u32 t v
 
   (* The scratch holds earlier messages' bytes: padding is written, not
      assumed. *)
@@ -134,13 +126,8 @@ module Dec = struct
     t.sp_len <- 0
 
   let[@hot] pos t = t.p
-  let[@hot] remaining t = t.limit - t.p
 
   let[@hot] need t n = if t.p + n > t.limit then raise Truncated
-
-  let[@hot] skip t n =
-    need t n;
-    t.p <- t.p + n
 
   (* The int32 read feeds Int32.to_int directly so it stays unboxed;
      let-binding it would box on every call (A1). *)
@@ -151,13 +138,6 @@ module Dec = struct
     t.items <- t.items + 1;
     Int32.to_int (Bytes.get_int32_be t.buf p) land 0xFFFFFFFF
 
-  let i32 t =
-    need t 4;
-    let v = Bytes.get_int32_be t.buf t.p in
-    t.p <- t.p + 4;
-    t.items <- t.items + 1;
-    v
-
   let u64 t =
     need t 8;
     let v = Bytes.get_int64_be t.buf t.p in
@@ -166,7 +146,6 @@ module Dec = struct
     v
 
   let[@hot] bool t = u32 t <> 0
-  let[@hot] enum t = u32 t
 
   (* The u64 read feeds Int64.to_int directly so it stays unboxed (A1);
      wire values above 2^62 wrap into the int domain, which the routing

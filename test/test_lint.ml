@@ -148,10 +148,13 @@ let pragma_application () =
   check_bool "unused pragma keeps its rule" true
     ((List.hd applied).Finding.rule = Finding.R1)
 
-(* ---- typed tier (A1/F1) ---- *)
+(* ---- typed tier (A1/F1/U1) ---- *)
 
 let a1_roots = [ "lint_fixtures_typed/a1.ml" ]
 let f1_roots = [ "lint_fixtures_typed/f1.ml"; "lint_fixtures_typed/f1.mli" ]
+
+let u1_roots =
+  [ "lint_fixtures_typed/u1.mli"; "lint_fixtures_typed/u1_whole.mli"; "lint_fixtures_typed/u1_incl.mli" ]
 
 (* Structural claims over the A1 fixture beyond the golden: every [@hot]
    binding surfaces as a hot root, clean roots report a zero budget, and
@@ -222,14 +225,58 @@ let f1_entries () =
     (contains ~needle:"F1.log_raw" via.Finding.msg
     && contains ~needle:"Wal.append" via.Finding.msg)
 
-(* A hot-path file with no .cmt must fail loudly, not pass silently. *)
+(* U1 verdicts by export: a dead export, a self-only one and a nested
+   one are errors; uses through a renaming alias, a functor argument or
+   an include are clean, while a plain alias uses nothing; a test-only
+   export is a warning that the gate does not count. *)
+let u1_cases () =
+  let report = scan_typed u1_roots in
+  let u1 = List.filter (fun f -> f.Finding.rule = Finding.U1) report.Driver.findings in
+  let on file line = List.filter (fun f -> f.Finding.file = file && f.Finding.line = line) u1 in
+  let at line = on "lint_fixtures_typed/u1.mli" line in
+  let severity line =
+    match at line with
+    | [ f ] when not (Finding.is_suppressed f) -> Some f.Finding.severity
+    | [] -> None
+    | _ -> Alcotest.failf "u1.mli:%d: expected one live finding" line
+  in
+  check_bool "dead export is an error" true (severity 8 = Some Finding.Error);
+  check_bool "self-only export is an error" true (severity 11 = Some Finding.Error);
+  check_bool "nested export is an error" true (severity 24 = Some Finding.Error);
+  check_bool "export used through a renaming alias is clean" true (severity 5 = None);
+  check_bool "test-only export is a warning" true (severity 14 = Some Finding.Warning);
+  check_bool "functor argument and include use every value" true
+    (List.for_all (fun f -> f.Finding.file = "lint_fixtures_typed/u1.mli") u1);
+  check_bool "finding names the export" true
+    (List.exists (fun f -> contains ~needle:"U1.Inner.deep" f.Finding.msg) (at 24));
+  check_int "warnings do not count as errors" 4 (Driver.errors report);
+  check_int "one warning" 1 (Driver.warnings report);
+  check_bool "unused U1 pragma is an error" true
+    (List.exists (fun f -> contains ~needle:"unused lint pragma" f.Finding.msg) (at 19));
+  check_bool "summary counts the warning" true
+    (contains ~needle:"1 warning(s)" (Driver.render_human report));
+  check_bool "warnings are not printed one by one" false
+    (contains ~needle:"U1.test_only" (Driver.render_human report))
+
+(* A hot-path file with no .cmt, or an interface with no .cmti, must
+   fail loudly, not pass silently. *)
 let typed_missing_cmt () =
-  let report = Driver.scan ~cmt_dir:"lint_fixtures/golden" Config.fixtures a1_roots in
+  let report =
+    Driver.scan ~cmt_dir:"lint_fixtures/golden" Config.fixtures (a1_roots @ u1_roots)
+  in
   check_bool "missing cmt is an error" true (Driver.errors report > 0);
+  let missing rule needle file =
+    List.exists
+      (fun f ->
+        f.Finding.rule = rule && f.Finding.file = file
+        && f.Finding.severity = Finding.Error
+        && contains ~needle f.Finding.msg)
+      report.Driver.findings
+  in
   check_bool "message points at --cmt-dir" true
-    (List.exists
-       (fun f -> f.Finding.rule = Finding.A1 && contains ~needle:"no .cmt" f.Finding.msg)
-       report.Driver.findings)
+    (missing Finding.A1 "no .cmt" "lint_fixtures_typed/a1.ml");
+  check_bool "every U1 interface without a .cmti is an error" true
+    (List.for_all (missing Finding.U1 "no .cmti found") u1_roots)
 
 (* Two pragmas stacked on one line each suppress their own rule on the
    next line, and neither is reported unused. *)
@@ -248,7 +295,7 @@ let pragma_stacking () =
     (List.length (List.filter Finding.is_suppressed applied))
 
 (* Typed-tier pragma naming, and the unused-pragma audit's gating: an
-   unused A1/F1 pragma is an error only when the typed tier ran, while
+   unused A1/F1/U1 pragma is an error only when the typed tier ran, while
    surface-tier pragmas are audited either way. *)
 let pragma_typed_rules () =
   let m = "(* lint" ^ ": " in
@@ -259,6 +306,9 @@ let pragma_typed_rules () =
   (match collect (m ^ "F1 ok — control plane, fenced upstream *)\n") with
   | [ p ], [] -> check_bool "F1 pragma names the typed rule" true (p.Pragma.rule = Finding.F1)
   | _ -> Alcotest.fail "expected one clean F1 pragma");
+  (match collect (m ^ "U1 ok — fault hook a later test drives *)\n") with
+  | [ p ], [] -> check_bool "U1 pragma names the typed rule" true (Finding.is_typed p.Pragma.rule)
+  | _ -> Alcotest.fail "expected one clean U1 pragma");
   let unused rule = { Pragma.line = 4; rule; reason = "why"; used = false } in
   check_int "unused A1 pragma silent without cmts" 0
     (List.length (Pragma.apply ~typed_ran:false ~file:"f.ml" [ unused Finding.A1 ] []));
@@ -309,10 +359,7 @@ let probe_hot_roots () =
   let d = Xdr.Dec.of_bytes (Bytes.make 65536 '\x00') in
   agree "Dec.u32" (fun () -> Xdr.Dec.u32 d);
   agree "Dec.bool" (fun () -> Xdr.Dec.bool d);
-  agree "Dec.enum" (fun () -> Xdr.Dec.enum d);
-  agree "Dec.skip" (fun () -> Xdr.Dec.skip d 4);
   agree "Dec.pos" (fun () -> Xdr.Dec.pos d);
-  agree "Dec.remaining" (fun () -> Xdr.Dec.remaining d);
   agree "Dec.items_read" (fun () -> Xdr.Dec.items_read d);
   (* codec peek path and µproxy reply inspection on a zeroed packet *)
   let pkt = Bytes.make 64 '\x00' in
@@ -365,10 +412,14 @@ let suite =
     fixture_case "X1 fires" (fires Finding.X1 [ "lint_fixtures/x1" ] ~live:2 ~suppressed:0);
     fixture_case "golden a1" (golden ~typed:true "a1" a1_roots);
     fixture_case "golden f1" (golden ~typed:true "f1" f1_roots);
+    fixture_case "golden u1" (golden ~typed:true "u1" u1_roots);
     fixture_case "A1 fires and suppresses"
       (fires ~typed:true Finding.A1 a1_roots ~live:5 ~suppressed:2);
     fixture_case "F1 fires and suppresses"
       (fires ~typed:true Finding.F1 f1_roots ~live:3 ~suppressed:2);
+    fixture_case "U1 fires and suppresses"
+      (fires ~typed:true Finding.U1 u1_roots ~live:5 ~suppressed:1);
+    fixture_case "U1 verdicts by kind of use" u1_cases;
     fixture_case "A1 hot-root accounting" a1_hot_roots;
     fixture_case "A1 interprocedural attribution" a1_interprocedural;
     fixture_case "A1 pragma covers a multi-line expression" a1_multiline_pragma;

@@ -252,7 +252,8 @@ let attr_patch_points () =
   let scr = Bytes.create 8 in
   Codec.put_u64_be scr 999;
   Bytes.blit scr 0 buf (off + Codec.attr_size_field_off) 8;
-  Bytes.blit_string (Codec.time_be 777.5) 0 buf (off + Codec.attr_mtime_field_off) 8;
+  Codec.put_time_be scr 777.5;
+  Bytes.blit scr 0 buf (off + Codec.attr_mtime_field_off) 8;
   let a = Codec.decode_attr_at buf off in
   check_bool "size patched" true (a.Nfs.size = 999L);
   check_bool "mtime patched" true (Float.abs (a.Nfs.mtime -. 777.5) < 1e-6)

@@ -138,22 +138,6 @@ let fiber_join_empty () =
       Fiber.join_all eng [];
       check_float "instant" t0 (Engine.now eng))
 
-let fiber_timeout () =
-  let r =
-    run_fiber (fun eng ->
-        Fiber.timeout eng 1.0 (fun () ->
-            Engine.sleep eng 5.0;
-            `Late))
-  in
-  check_bool "timed out" true (r = None);
-  let r =
-    run_fiber (fun eng ->
-        Fiber.timeout eng 1.0 (fun () ->
-            Engine.sleep eng 0.5;
-            `Fast))
-  in
-  check_bool "completed" true (r = Some `Fast)
-
 let parallel_window_bounds () =
   let eng = Engine.create () in
   let inflight = ref 0 in
@@ -314,7 +298,6 @@ let suite =
     ("resource zero service", `Quick, resource_zero_service);
     ("fiber join_all", `Quick, fiber_join_all);
     ("fiber join empty", `Quick, fiber_join_empty);
-    ("fiber timeout", `Quick, fiber_timeout);
     ("parallel_window bounds", `Quick, parallel_window_bounds);
     ("parallel_window order", `Quick, parallel_window_order);
     ("parallel_window zero items", `Quick, parallel_window_zero);

@@ -9,14 +9,14 @@ module Json = Slice_util.Json
 let prng_deterministic () =
   let a = Prng.create 42 and b = Prng.create 42 in
   for _ = 1 to 100 do
-    check_bool "same stream" true (Prng.int64 a = Prng.int64 b)
+    check_bool "same stream" true (Prng.int a max_int = Prng.int b max_int)
   done
 
 let prng_seeds_differ () =
   let a = Prng.create 1 and b = Prng.create 2 in
   let same = ref 0 in
   for _ = 1 to 64 do
-    if Prng.int64 a = Prng.int64 b then incr same
+    if Prng.int a max_int = Prng.int b max_int then incr same
   done;
   check_bool "streams differ" true (!same < 4)
 
@@ -56,12 +56,6 @@ let prng_exponential () =
   let mean = !total /. float_of_int n in
   check_bool "mean near 2.0" true (Float.abs (mean -. 2.0) < 0.1)
 
-let prng_shuffle_permutes =
-  qtest "shuffle permutes" QCheck2.Gen.(pair int (list int)) (fun (seed, xs) ->
-      let arr = Array.of_list xs in
-      Prng.shuffle (Prng.create seed) arr;
-      List.sort compare (Array.to_list arr) = List.sort compare xs)
-
 (* ---- Stats ---- *)
 
 let stats_basic () =
@@ -70,9 +64,7 @@ let stats_basic () =
   check_int "count" 4 (Stats.count s);
   check_float "mean" 2.5 (Stats.mean s);
   check_float "min" 1.0 (Stats.min s);
-  check_float "max" 4.0 (Stats.max s);
-  check_float "sum" 10.0 (Stats.sum s);
-  check_float_eps 1e-6 "stddev" 1.1180339887 (Stats.stddev s)
+  check_float "max" 4.0 (Stats.max s)
 
 let stats_percentile () =
   let s = Stats.create () in
@@ -87,25 +79,6 @@ let stats_empty () =
   let s = Stats.create () in
   check_float "mean empty" 0.0 (Stats.mean s);
   check_float "percentile empty" 0.0 (Stats.percentile s 50.0)
-
-let stats_merge =
-  qtest "merge pools samples"
-    QCheck2.Gen.(pair (list (float_range 0. 100.)) (list (float_range 0. 100.)))
-    (fun (xs, ys) ->
-      let a = Stats.create () and b = Stats.create () in
-      List.iter (Stats.add a) xs;
-      List.iter (Stats.add b) ys;
-      let m = Stats.merge a b in
-      Stats.count m = List.length xs + List.length ys
-      && Float.abs (Stats.sum m -. (Stats.sum a +. Stats.sum b)) < 1e-6)
-
-let counter_rate () =
-  let c = Stats.Counter.create () in
-  Stats.Counter.add c 10;
-  Stats.Counter.incr c;
-  check_int "count" 11 (Stats.Counter.get c);
-  check_float "rate" 5.5 (Stats.Counter.rate c ~elapsed:2.0);
-  check_float "rate zero elapsed" 0.0 (Stats.Counter.rate c ~elapsed:0.0)
 
 (* ---- Lru ---- *)
 
@@ -129,9 +102,7 @@ let lru_eviction_callback () =
   Lru.add l 3 "c";
   check_bool "evicted (1,a)" true (!evicted = [ (1, "a") ]);
   Lru.remove l 2;
-  check_bool "remove is silent" true (List.length !evicted = 1);
-  Lru.flush l;
-  check_int "flush fires callbacks" 2 (List.length !evicted)
+  check_bool "remove is silent" true (List.length !evicted = 1)
 
 let lru_replace_fires_evict () =
   let evicted = ref [] in
@@ -237,19 +208,6 @@ let stats_reservoir_exact_under_cap =
           Stats.percentile s p = List.nth sorted (min (m - 1) (rank - 1)))
         [ 0.0; 50.0; 90.0; 99.0; 100.0 ])
 
-let stats_merge_capped () =
-  let a = Stats.create ~reservoir:64 () in
-  let b = Stats.create ~reservoir:64 () in
-  for i = 1 to 500 do
-    Stats.add a (float_of_int i);
-    Stats.add b (float_of_int (i + 500))
-  done;
-  let m = Stats.merge a b in
-  check_int "merged count exact" 1000 (Stats.count m);
-  check_float "merged mean exact" 500.5 (Stats.mean m);
-  let p50 = Stats.percentile m 50.0 in
-  check_bool "merged median from both halves" true (p50 > 200.0 && p50 < 800.0)
-
 (* ---- json ---- *)
 
 let json_roundtrip () =
@@ -297,12 +255,9 @@ let suite =
     prng_float_range;
     ("prng weighted", `Quick, prng_weighted);
     ("prng exponential", `Quick, prng_exponential);
-    prng_shuffle_permutes;
     ("stats basic", `Quick, stats_basic);
     ("stats percentile", `Quick, stats_percentile);
     ("stats empty", `Quick, stats_empty);
-    stats_merge;
-    ("counter rate", `Quick, counter_rate);
     ("lru basic", `Quick, lru_basic);
     ("lru eviction callback", `Quick, lru_eviction_callback);
     ("lru replace fires evict", `Quick, lru_replace_fires_evict);
@@ -311,7 +266,6 @@ let suite =
     ("lru find_ttl leases", `Quick, lru_find_ttl);
     ("stats reservoir bounded", `Quick, stats_reservoir_bounded);
     stats_reservoir_exact_under_cap;
-    ("stats merge capped", `Quick, stats_merge_capped);
     ("json roundtrip", `Quick, json_roundtrip);
     ("json parse errors", `Quick, json_parse_errors);
     ("json accessors", `Quick, json_accessors);
