@@ -2,10 +2,11 @@
 
    Usage: slicelint [--json] [--json-out FILE] [--fixtures]
                     [--cmt-dir DIR] ROOT...
-   Exits 1 when any unsuppressed finding exists. [--fixtures] swaps in
-   the fixture rule-scoping profile; it exists to regenerate the golden
-   files under test/lint_fixtures/golden/. [--cmt-dir DIR] enables the
-   typed interprocedural tier (A1/F1) over the .cmt files dune left
+   Exits 1 when any unsuppressed error exists (warnings never fail the
+   run). [--fixtures] swaps in the fixture rule-scoping profile; it
+   exists to regenerate the golden files under
+   test/lint_fixtures/golden/. [--cmt-dir DIR] enables the
+   typed tier (A1/F1/U1) over the .cmt and .cmti files dune left
    under DIR — without it only the parsetree rules run. *)
 
 let () =

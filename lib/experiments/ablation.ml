@@ -5,10 +5,11 @@ module Client = Slice_workload.Client
 module Ensemble = Slice.Ensemble
 
 type t = {
-  md5_imbalance : float;
+  md5_imbalance : float;  (* max/min bucket load, 20 000 keys over 8 sites *)
   fnv_imbalance : float;
   threshold_reads : (int * float) list;
-  stripe_reads : (int * float) list;
+      (* (threshold bytes, average cold small-file read, seconds) *)
+  stripe_reads : (int * float) list;  (* (stripe unit bytes, single-client sequential read, MB/s) *)
 }
 
 let hash_keys = 20_000

@@ -4,7 +4,7 @@
     twice from identical seeds — FIFO servers vs. the full QoS stack
     (per-server WFQ, token-bucket admission on the scanner,
     power-of-two-choices mirrored reads). Headline: QoS holds the
-    interactive tenant's p99 under {!default_p99_bound_ms} while
+    interactive tenant's p99 under [st_p99_bound_ms] (55 ms) while
     keeping aggregate throughput within a few percent of FIFO. *)
 
 type tenant_result = {

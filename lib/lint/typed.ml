@@ -739,40 +739,19 @@ type hot_root = {
   hr_sites : int;
 }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Exported value names of the .mli next to [ml_file], or None when no
-   interface exists (then every top-level binding is an entry point). *)
-let exported_names ~files ~ml_file =
-  let mli = String.sub ml_file 0 (String.length ml_file - 3) ^ ".mli" in
-  if not (List.mem mli files && Sys.file_exists mli) then None
-  else
-    match Parse.interface (Lexing.from_string (read_file mli)) with
-    | sg ->
-        Some
-          (List.filter_map
-             (fun (it : Parsetree.signature_item) ->
-               match it.Parsetree.psig_desc with
-               | Parsetree.Psig_value vd -> Some vd.Parsetree.pval_name.Location.txt
-               | _ -> None)
-             sg)
-    | exception _ -> None
-
 let analyze cfg ~cmt_dir ~files =
   let findings = ref [] in
   let add f = findings := f :: !findings in
   let ml_files = List.filter (fun f -> ends_with ~suffix:".ml" f) files in
-  let u1_mlis = List.filter (fun f -> ends_with ~suffix:".mli" f && cfg.Config.u1_scope f) files in
+  let mli_files = List.filter (fun f -> ends_with ~suffix:".mli" f) files in
   let tables = { funs = Hashtbl.create 512; ambiguous = Hashtbl.create 8 } in
   let matched : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   (* Every unit's references feed U1, walked or not: test/ and perfbench/
      are read for uses but never linted. *)
   let uses = Shape.Uid.Tbl.create 4096 in
-  let exports = ref [] in
+  (* walked .mli -> its exports, read from the .cmti; U1 checks them and
+     F1 takes its entry points from them *)
+  let exports : (string, export list) Hashtbl.t = Hashtbl.create 64 in
   let first_match candidates src =
     match List.find_opt (fun w -> path_matches ~cmt_src:src ~walked:w) candidates with
     | Some walked when not (Hashtbl.mem matched walked) ->
@@ -795,12 +774,11 @@ let analyze cfg ~cmt_dir ~files =
                   collect_structure cfg tables ~file:walked
                     ~stack:[ canonical_modname unit ] str)
           | Some src, Cmt_format.Interface sg -> (
-              match first_match u1_mlis src with
+              match first_match mli_files src with
               | None -> ()
               | Some walked ->
-                  exports :=
-                    (walked, collect_exports ~prefix:(canonical_modname unit) [] sg)
-                    :: !exports)
+                  Hashtbl.replace exports walked
+                    (collect_exports ~prefix:(canonical_modname unit) [] sg))
           | _ -> ()))
     (find_cmts cmt_dir);
   (* A hot-path or fenced file with no cmt is a broken gate, not a clean
@@ -820,31 +798,31 @@ let analyze cfg ~cmt_dir ~files =
                 (check --cmt-dir)")
       end)
     ml_files;
-  List.iter
-    (fun f ->
-      if not (Hashtbl.mem matched f) then
-        add
-          (F.make ~file:f ~line:1 ~col:0 ~rule:F.U1
-             "U1: no .cmti found for this interface — build it before linting \
-              (check --cmt-dir)"))
-    u1_mlis;
   (* ---- U1 ---- *)
   List.iter
-    (fun (file, exs) ->
-      List.iter
-        (fun ex ->
-          let finding severity what =
-            add
-              (F.make ~file ~line:ex.ex_line ~col:ex.ex_col ~rule:F.U1 ~severity
-                 (Printf.sprintf "U1: %s is exported but %s" ex.ex_name what))
-          in
-          match Shape.Uid.Tbl.find_opt uses ex.ex_uid with
-          | Some { by_code = true; _ } -> ()
-          | Some { by_test = true; _ } ->
-              finding F.Warning "only tests use it — delete it with its test, or keep it as a test hook"
-          | _ -> finding F.Error "no other unit uses it — delete it or drop it from the .mli")
-        exs)
-    !exports;
+    (fun file ->
+      match Hashtbl.find_opt exports file with
+      | None ->
+          add
+            (F.make ~file ~line:1 ~col:0 ~rule:F.U1
+               "U1: no .cmti found for this interface — build it before linting \
+                (check --cmt-dir)")
+      | Some exs ->
+          List.iter
+            (fun ex ->
+              let finding severity what =
+                add
+                  (F.make ~file ~line:ex.ex_line ~col:ex.ex_col ~rule:F.U1 ~severity
+                     (Printf.sprintf "U1: %s is exported but %s" ex.ex_name what))
+              in
+              match Shape.Uid.Tbl.find_opt uses ex.ex_uid with
+              | Some { by_code = true; _ } -> ()
+              | Some { by_test = true; _ } ->
+                  finding F.Warning
+                    "only tests use it — delete it with its test, or keep it as a test hook"
+              | _ -> finding F.Error "no other unit uses it — delete it or drop it from the .mli")
+            exs)
+    (List.filter cfg.Config.u1_scope mli_files);
   (* ---- A1 ---- *)
   let a1_memo : (string, a1_summary) Hashtbl.t = Hashtbl.create 64 in
   let summarize fi =
@@ -979,17 +957,17 @@ let analyze cfg ~cmt_dir ~files =
           in
           chase fi 0
         in
-        let exported = exported_names ~files ~ml_file:file in
+        (* Entry points are the sibling .mli's values; with no interface
+           every top-level binding is one. *)
+        let exported = Hashtbl.find_opt exports (file ^ "i") in
         List.iter
           (fun fi ->
-            let name =
-              match String.index_opt fi.fi_key '.' with
-              | Some i -> String.sub fi.fi_key (i + 1) (String.length fi.fi_key - i - 1)
-              | None -> fi.fi_key
-            in
             let is_entry =
               List.length fi.fi_stack = 1
-              && match exported with None -> true | Some names -> List.mem name names
+              &&
+              match exported with
+              | None -> true
+              | Some exs -> List.exists (fun ex -> ex.ex_name = fi.fi_key) exs
             in
             if is_entry && Hashtbl.mem unsafe fi.fi_key then
               add

@@ -18,7 +18,7 @@ type t = {
   cap : int64;
       (** capability tag sealed in by the minting directory server when
           secure objects are enabled (see {!Cap}); 0 when unused. Ignored
-          by {!equal}/{!compare}. *)
+          by {!equal}. *)
 }
 
 val root : t

@@ -1,9 +1,10 @@
 (* Unified metrics registry: named counters, pull-style gauges, and
    sample distributions behind one interface, with a deterministic
-   (sorted-key) JSON dump.  Components either push into a counter/dist
-   they own, or register a gauge closure so existing ad-hoc counters
-   (Rpc endpoint stats, proxy meta-cache stats, coordinator redo counts,
-   WAL sync totals) are absorbed without touching their hot paths. *)
+   (sorted-key) JSON dump.  Components either push by name into a
+   counter/dist created on first use, or register a gauge closure so
+   existing ad-hoc counters (Rpc endpoint stats, proxy meta-cache stats,
+   coordinator redo counts, WAL sync totals) are absorbed without
+   touching their hot paths. *)
 
 type t = {
   counters : (string, int ref) Hashtbl.t;

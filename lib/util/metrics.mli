@@ -1,7 +1,8 @@
 (** Unified metrics registry: named counters, pull-style gauges, and
     sample distributions with a deterministic sorted-key JSON dump.
 
-    Components either push into counters/distributions they own, or
+    Components either push by name ({!incr}/{!add} into a counter,
+    {!observe} into a distribution, each created on first use), or
     register a gauge closure so pre-existing ad-hoc counters are
     absorbed without changing their hot paths.  [dump] output is
     byte-identical across two identical simulation runs. *)
@@ -23,7 +24,7 @@ val remove : t -> string -> unit
     values, or consumers (e.g. the greedy rebalancer) are skewed. *)
 
 type scope
-(** A label scope: all series registered through it share a
+(** A label scope: all gauges registered through it share a
     ["prefix.tenant."] key prefix, so per-tenant families dump in sorted,
     byte-stable order without hand-concatenated key strings. *)
 

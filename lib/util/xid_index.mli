@@ -3,7 +3,7 @@
     The pooled tables that match replies to outstanding requests — the
     µproxy's pending records and {!Slice_net.Rpc}'s calls — keep their
     records in an array and find them by xid through this index. Slots
-    are small non-negative ints below {!capacity}; each slot is bound to
+    are small non-negative ints below the slot count; each slot is bound to
     at most one xid at a time. Lookups, inserts and deletes allocate
     nothing. *)
 
