@@ -118,4 +118,3 @@ let clear t =
   Hashtbl.reset t.tbl;
   t.head <- Nil;
   t.tail <- Nil
-

@@ -37,4 +37,3 @@ val entry_count : ('k, 'v) t -> int
 val iter : ('k, 'v) t -> ('k -> 'v -> unit) -> unit
 val clear : ('k, 'v) t -> unit
 (** Remove everything without firing eviction callbacks. *)
-
