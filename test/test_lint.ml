@@ -388,6 +388,18 @@ let repo_clean () =
          match f.Finding.suppressed with Some r -> r <> "" | None -> true)
        report.Driver.findings)
 
+(* U1's production scoping: library interfaces are linted; only test/
+   uses are test-only, so the benchmark driver and examples count as
+   real users of what they call. *)
+let u1_repo_scope () =
+  let c = Config.repo in
+  check_bool "library interface in scope" true (c.Config.u1_scope "lib/util/stats.mli");
+  check_bool "test helpers out of scope" false (c.Config.u1_scope "test/helpers.mli");
+  check_bool "test use is test-only" true (c.Config.u1_test_source "test/test_util.ml");
+  check_bool "benchmark use is real" false (c.Config.u1_test_source "perfbench/main.ml");
+  check_bool "example use is real" false (c.Config.u1_test_source "examples/quickstart.ml");
+  check_bool "library use is real" false (c.Config.u1_test_source "lib/core/proxy.ml")
+
 let fixture_case name body = Alcotest.test_case name `Quick (with_cwd "lint_fixtures" body)
 
 let suite =
@@ -420,6 +432,7 @@ let suite =
     fixture_case "U1 fires and suppresses"
       (fires ~typed:true Finding.U1 u1_roots ~live:5 ~suppressed:1);
     fixture_case "U1 verdicts by kind of use" u1_cases;
+    Alcotest.test_case "U1 repo scope" `Quick u1_repo_scope;
     fixture_case "A1 hot-root accounting" a1_hot_roots;
     fixture_case "A1 interprocedural attribution" a1_interprocedural;
     fixture_case "A1 pragma covers a multi-line expression" a1_multiline_pragma;

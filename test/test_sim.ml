@@ -138,6 +138,14 @@ let fiber_join_empty () =
       Fiber.join_all eng [];
       check_float "instant" t0 (Engine.now eng))
 
+let fiber_join_all_raises () =
+  let eng = Engine.create () in
+  Engine.spawn eng (fun () ->
+      Fiber.join_all eng
+        [ (fun () -> Engine.sleep eng 2.0); (fun () -> Engine.sleep eng 1.0; failwith "child") ]);
+  Alcotest.check_raises "child exception aborts the run" (Failure "child") (fun () -> Engine.run eng);
+  check_float "aborted when the child failed" 1.0 (Engine.now eng)
+
 let parallel_window_bounds () =
   let eng = Engine.create () in
   let inflight = ref 0 in
@@ -298,6 +306,7 @@ let suite =
     ("resource zero service", `Quick, resource_zero_service);
     ("fiber join_all", `Quick, fiber_join_all);
     ("fiber join empty", `Quick, fiber_join_empty);
+    ("fiber join_all child exception", `Quick, fiber_join_all_raises);
     ("parallel_window bounds", `Quick, parallel_window_bounds);
     ("parallel_window order", `Quick, parallel_window_order);
     ("parallel_window zero items", `Quick, parallel_window_zero);

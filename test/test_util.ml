@@ -56,6 +56,19 @@ let prng_exponential () =
   let mean = !total /. float_of_int n in
   check_bool "mean near 2.0" true (Float.abs (mean -. 2.0) < 0.1)
 
+(* A split child is a pure function of its parent's state, and its
+   stream is not the parent's continuation. *)
+let prng_split () =
+  let a = Prng.create 7 and b = Prng.create 7 in
+  let ca = Prng.split a and cb = Prng.split b in
+  let same = ref 0 in
+  for _ = 1 to 64 do
+    let x = Prng.int ca max_int in
+    check_int "children agree" x (Prng.int cb max_int);
+    if x = Prng.int a max_int then incr same
+  done;
+  check_bool "child differs from parent" true (!same < 4)
+
 (* ---- Stats ---- *)
 
 let stats_basic () =
@@ -194,6 +207,26 @@ let stats_reservoir_bounded () =
   let p100 = Stats.percentile s 100.0 in
   check_bool "max estimate below true max" true (p100 <= 10_000.0)
 
+(* Past the cap the reservoir's sampling is seeded, so equal streams give
+   equal percentiles; min and max stay exact however many were dropped. *)
+let stats_reservoir_deterministic () =
+  let fill () =
+    let s = Stats.create ~reservoir:64 () in
+    for i = 1 to 5_000 do
+      Stats.add s (float_of_int (i * 7919 mod 997))
+    done;
+    (* the extremes arrive late, when the reservoir keeps few samples *)
+    Stats.add s (-1.0);
+    Stats.add s 1e6;
+    s
+  in
+  let a = fill () and b = fill () in
+  List.iter
+    (fun p -> check_float (Printf.sprintf "p%.0f agrees" p) (Stats.percentile a p) (Stats.percentile b p))
+    [ 0.0; 25.0; 50.0; 90.0; 99.0; 100.0 ];
+  check_float "min exact" (-1.0) (Stats.min a);
+  check_float "max exact" 1e6 (Stats.max a)
+
 let stats_reservoir_exact_under_cap =
   qtest "percentile exact when samples fit the reservoir"
     QCheck2.Gen.(list_size (int_range 1 200) (float_bound_exclusive 1000.0))
@@ -255,6 +288,7 @@ let suite =
     prng_float_range;
     ("prng weighted", `Quick, prng_weighted);
     ("prng exponential", `Quick, prng_exponential);
+    ("prng split", `Quick, prng_split);
     ("stats basic", `Quick, stats_basic);
     ("stats percentile", `Quick, stats_percentile);
     ("stats empty", `Quick, stats_empty);
@@ -266,6 +300,7 @@ let suite =
     ("lru find_ttl leases", `Quick, lru_find_ttl);
     ("stats reservoir bounded", `Quick, stats_reservoir_bounded);
     stats_reservoir_exact_under_cap;
+    ("stats reservoir deterministic", `Quick, stats_reservoir_deterministic);
     ("json roundtrip", `Quick, json_roundtrip);
     ("json parse errors", `Quick, json_parse_errors);
     ("json accessors", `Quick, json_accessors);
