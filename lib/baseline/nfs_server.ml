@@ -1,6 +1,7 @@
 module Engine = Slice_sim.Engine
 module Nfs = Slice_nfs.Nfs
 module Fh = Slice_nfs.Fh
+module Dirlist = Slice_nfs.Dirlist
 module Bcache = Slice_disk.Bcache
 module Host = Slice_storage.Host
 module Nfs_endpoint = Slice_storage.Nfs_endpoint
@@ -19,7 +20,7 @@ type t = {
   cache : Bcache.t option; (* None = MFS *)
   files : (int64, finfo) Hashtbl.t;
   entries : (int64 * string, Fh.t) Hashtbl.t;
-  dir_index : (int64, (string, Fh.t) Hashtbl.t) Hashtbl.t;
+  dir_index : (int64, Dirlist.t) Hashtbl.t; (* each directory's sorted listing *)
   mutable next_file : int;
   mutable ops : int;
 }
@@ -45,15 +46,6 @@ let new_finfo t ~ftype ~fileid =
   in
   Hashtbl.replace t.files fileid fi;
   fi
-
-let dir_tbl t fid =
-  match Hashtbl.find_opt t.dir_index fid with
-  | Some tbl -> tbl
-  | None ->
-      (* lint: bounded — per-directory entries; the monolithic baseline holds the volume by design *)
-      let tbl = Hashtbl.create 8 in
-      Hashtbl.replace t.dir_index fid tbl;
-      tbl
 
 let attr_of (fi : finfo) =
   match fi.attr.Nfs.ftype with
@@ -129,7 +121,12 @@ let with_entry t dfh name k =
 
 let add_entry t (dfh : Fh.t) name child =
   Hashtbl.replace t.entries (dfh.Fh.file_id, name) child;
-  Hashtbl.replace (dir_tbl t dfh.Fh.file_id) name child;
+  (match Hashtbl.find_opt t.dir_index dfh.Fh.file_id with
+  | Some l -> Dirlist.add l name child
+  | None ->
+      let l = Dirlist.create () in
+      Dirlist.add l name child;
+      Hashtbl.replace t.dir_index dfh.Fh.file_id l);
   match finfo_of t dfh.Fh.file_id with
   | Some fi ->
       fi.entry_count <- fi.entry_count + 1;
@@ -139,7 +136,9 @@ let add_entry t (dfh : Fh.t) name child =
 let remove_entry t (dfh : Fh.t) name =
   Hashtbl.remove t.entries (dfh.Fh.file_id, name);
   (match Hashtbl.find_opt t.dir_index dfh.Fh.file_id with
-  | Some tbl -> Hashtbl.remove tbl name
+  | Some l ->
+      Dirlist.remove l name;
+      if Dirlist.length l = 0 then Hashtbl.remove t.dir_index dfh.Fh.file_id
   | None -> ());
   match finfo_of t dfh.Fh.file_id with
   | Some fi ->
@@ -243,24 +242,12 @@ let handle t (call : Nfs.call) : Nfs.response =
   | Nfs.Readdir (dfh, cookie, count) ->
       if dfh.Fh.ftype <> Fh.Dir then Error Nfs.ERR_NOTDIR
       else begin
-        let names =
+        let l =
           match Hashtbl.find_opt t.dir_index dfh.Fh.file_id with
-          | None -> []
-          | Some tbl -> List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+          | Some l -> l
+          | None -> Dirlist.create ()
         in
-        let total = List.length names in
-        let start = Int64.to_int cookie in
-        let entries =
-          List.filteri (fun i _ -> i >= start && i < start + count) names
-          |> List.mapi (fun j (name, (child : Fh.t)) ->
-                 {
-                   Nfs.entry_id = child.Fh.file_id;
-                   entry_name = name;
-                   entry_cookie = Int64.of_int (start + j + 1);
-                 })
-        in
-        let next = min total (start + count) in
-        Ok (Nfs.RReaddir (entries, Int64.of_int next, next >= total))
+        Ok (Dirlist.page l ~site:0 ~start:(Int64.to_int cookie) ~count)
       end
   | Nfs.Read (fh, off, count) ->
       with_file t fh (fun fi ->
@@ -327,7 +314,7 @@ let attach host ?(port = 2049) ?(cache_bytes = 512 * 1024 * 1024) ?per_op_cpu
       files = Hashtbl.create 4096;
       (* lint: bounded — volume state: the monolithic baseline holds the whole FS by design *)
       entries = Hashtbl.create 4096;
-      (* lint: bounded — one row per directory, dropped with the directory *)
+      (* lint: bounded — one row per non-empty directory, dropped when its last entry goes *)
       dir_index = Hashtbl.create 256;
       next_file = 100;
       ops = 0;

@@ -4,6 +4,7 @@ module Rpc = Slice_net.Rpc
 module Packet = Slice_net.Packet
 module Nfs = Slice_nfs.Nfs
 module Fh = Slice_nfs.Fh
+module Dirlist = Slice_nfs.Dirlist
 module Wal = Slice_wal.Wal
 module Host = Slice_storage.Host
 module Tenure = Slice_storage.Tenure
@@ -45,7 +46,7 @@ type t = {
   costs : costs;
   attrs : (int64, cell) Hashtbl.t;
   entries : (int64 * string, Fh.t) Hashtbl.t;
-  dir_index : (int64, (string, Fh.t) Hashtbl.t) Hashtbl.t;
+  dir_index : (int64, Dirlist.t) Hashtbl.t; (* each directory's sorted listing *)
   applied : (int64, unit) Hashtbl.t; (* peer-op dedup *)
   prepares : (int64, int * string) Hashtbl.t; (* op_id -> (site, msg) awaiting commit *)
   rpc : Rpc.t;
@@ -121,23 +122,21 @@ let log_remove_cell t fid = log t rt_remove_cell (payload_of (fun e -> Enc.u64 e
 
 (* ---- state mutation (shared between service path and log replay) ---- *)
 
-let dir_tbl t fid =
-  match Hashtbl.find_opt t.dir_index fid with
-  | Some tbl -> tbl
-  | None ->
-      (* lint: bounded — per-directory entry table; namespace state is WAL+checkpoint-backed (§3.4) *)
-      let tbl = Hashtbl.create 8 in
-      Hashtbl.replace t.dir_index fid tbl;
-      tbl
-
 let apply_add_entry t parent name child =
   Hashtbl.replace t.entries (parent, name) child;
-  Hashtbl.replace (dir_tbl t parent) name child
+  match Hashtbl.find_opt t.dir_index parent with
+  | Some l -> Dirlist.add l name child
+  | None ->
+      let l = Dirlist.create () in
+      Dirlist.add l name child;
+      Hashtbl.replace t.dir_index parent l
 
 let apply_remove_entry t parent name =
   Hashtbl.remove t.entries (parent, name);
   match Hashtbl.find_opt t.dir_index parent with
-  | Some tbl -> Hashtbl.remove tbl name
+  | Some l ->
+      Dirlist.remove l name;
+      if Dirlist.length l = 0 then Hashtbl.remove t.dir_index parent
   | None -> ()
 
 (* ---- helpers ---- *)
@@ -534,36 +533,16 @@ let handle t span (call : Nfs.call) : Nfs.response =
                 Int64.to_int (Int64.logand cookie 0xFFFF_FFFFL) )
         in
         if not (Tenure.admit_read t.tenure site) then misdirected
-        else begin
-        let names =
-          match Hashtbl.find_opt t.dir_index dfh.Fh.file_id with
-          | None -> []
-          | Some tbl -> List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-        in
-        let names =
+        else
+          let l =
+            match Hashtbl.find_opt t.dir_index dfh.Fh.file_id with
+            | Some l -> l
+            | None -> Dirlist.create ()
+          in
           match t.cfg.policy with
-          | Mkdir_switching -> names
+          | Mkdir_switching -> Ok (Dirlist.page l ~site ~start ~count)
           | Name_hashing ->
-              List.filter (fun (name, _) -> entry_site t dfh name = site) names
-        in
-        let total = List.length names in
-        let rec take i acc = function
-          | [] -> List.rev acc
-          | _ when i >= start + count -> List.rev acc
-          | (name, (child : Fh.t)) :: rest ->
-              if i < start then take (i + 1) acc rest
-              else
-                take (i + 1)
-                  ({ Nfs.entry_id = child.Fh.file_id;
-                     entry_name = name;
-                     entry_cookie = Int64.of_int (i + 1) }
-                  :: acc)
-                  rest
-        in
-        let entries = take 0 [] names in
-        let next = min total (start + count) in
-        Ok (Nfs.RReaddir (entries, Int64.of_int next, next >= total))
-        end
+              Ok (Dirlist.page ~keep:(fun name -> entry_site t dfh name = site) l ~site ~start ~count)
       end
   | Nfs.Fsstat _ ->
       Ok
@@ -724,7 +703,7 @@ let attach host ?(port = 2049) ?(costs = default_costs) ?trace ?qos cfg =
       attrs = Hashtbl.create 1024;
       (* lint: bounded — name entries: dataless-manager state, WAL+checkpoint-backed (§3.4) *)
       entries = Hashtbl.create 4096;
-      (* lint: bounded — one row per directory, dropped with the directory *)
+      (* lint: bounded — one row per non-empty directory, dropped when its last entry goes *)
       dir_index = Hashtbl.create 256;
       (* lint: bounded — applied-op dedup, compacted into each checkpoint *)
       applied = Hashtbl.create 64;

@@ -81,9 +81,35 @@ let disk_write_path_slower_than_mfs () =
   in
   check_bool "disk commit slower than MFS" true (t_disk > t_mem)
 
+(* Listings follow every create, remove and rename, and a repeated
+   readdir of an unchanged directory is answered the same. *)
+let readdir_follows_changes () =
+  let eng, server, cl = mk ~mem_only:true () in
+  run_on eng (fun () ->
+      let root = Nfs_server.root server in
+      let names d =
+        List.map (fun (e : Nfs.entry) -> e.Nfs.entry_name) (ok_or_fail "readdir" (Client.readdir_all cl d))
+      in
+      let check label expected d = Alcotest.(check (list string)) label expected (names d) in
+      let a, _ = ok_or_fail "mkdir" (Client.mkdir cl root "a") in
+      let b, _ = ok_or_fail "mkdir" (Client.mkdir cl root "b") in
+      List.iter (fun n -> ignore (ok_or_fail n (Client.create_file cl a n))) [ "y"; "x" ];
+      check "sorted" [ "x"; "y" ] a;
+      check "unchanged" [ "x"; "y" ] a;
+      ignore (ok_or_fail "create" (Client.create_file cl a "w"));
+      check "created" [ "w"; "x"; "y" ] a;
+      ignore (ok_or_fail "remove" (Client.remove cl a "x"));
+      check "removed" [ "w"; "y" ] a;
+      ignore (ok_or_fail "rename" (Client.rename cl a "y" b "z"));
+      check "rename source" [ "w" ] a;
+      check "rename target" [ "z" ] b;
+      ignore (ok_or_fail "remove" (Client.remove cl a "w"));
+      check "emptied" [] a)
+
 let suite =
   [
     ("full lifecycle", `Quick, full_lifecycle);
+    ("readdir follows changes", `Quick, readdir_follows_changes);
     ("symlink and access", `Quick, symlink_and_access);
     ("mem-only serves without disk", `Quick, mem_only_serves_without_disk);
     ("disk commit slower than MFS", `Quick, disk_write_path_slower_than_mfs);

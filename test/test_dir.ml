@@ -499,3 +499,94 @@ let rebalance_logical_sites () =
       check_bool "new server holds entries" true (Dirserver.entry_count s2 > 0))
 
 let suite = suite @ [ ("rebalance logical sites onto new server", `Quick, rebalance_logical_sites) ]
+
+(* ---- readdir sees every namespace change ---- *)
+
+(* Each site's readdir reply for name-hashed [d], asked of the server
+   hosting the site with the site tagged into the cookie, as the µproxy
+   iterates the directory. *)
+let site_pages rig d =
+  List.init (Array.length rig.addrs) (fun site ->
+      let cookie = Int64.shift_left (Int64.of_int site) 32 in
+      match call ~to_site:site rig (Nfs.Readdir (d, cookie, 1000)) with
+      | Ok (Nfs.RReaddir (entries, _, eof) as r) ->
+          check_bool "one page" true eof;
+          (r, List.map (fun (e : Nfs.entry) -> e.Nfs.entry_name) entries)
+      | _ -> Alcotest.fail "readdir")
+
+(* The names of [d] over every site, sorted. *)
+let listing rig d = List.sort String.compare (List.concat_map snd (site_pages rig d))
+
+let check_names label expected got =
+  Alcotest.(check (list string)) label expected got
+
+let readdir_tracks_create_remove () =
+  let rig = mk_rig ~nsites:1 () in
+  run_on rig.eng (fun () ->
+      let d, _ = ok_or_fail "mkdir" (mkdir rig Fh.root "live") in
+      ignore (ok_or_fail "c" (create rig d "b"));
+      check_names "before" [ "b" ] (listing rig d);
+      check_names "again" [ "b" ] (listing rig d);
+      ignore (ok_or_fail "c" (create rig d "a"));
+      check_names "created name listed" [ "a"; "b" ] (listing rig d);
+      (match call rig (Nfs.Remove (d, "b")) with
+      | Ok Nfs.RRemove -> ()
+      | _ -> Alcotest.fail "remove");
+      check_names "removed name gone" [ "a" ] (listing rig d);
+      (match call rig (Nfs.Remove (d, "a")) with
+      | Ok Nfs.RRemove -> ()
+      | _ -> Alcotest.fail "remove");
+      (* the emptied directory reads like one never filled *)
+      match call rig (Nfs.Readdir (d, 0L, 10)) with
+      | Ok (Nfs.RReaddir ([], 0L, true)) -> ()
+      | _ -> Alcotest.fail "empty directory")
+
+let readdir_tracks_rename () =
+  let rig = mk_rig () in
+  run_on rig.eng (fun () ->
+      let src, _ = ok_or_fail "mkdir" (mkdir rig Fh.root "src") in
+      let dst, _ = ok_or_fail "mkdir" (mkdir rig Fh.root "dst") in
+      List.iter (fun n -> ignore (ok_or_fail n (create rig src n))) [ "x"; "y" ];
+      ignore (ok_or_fail "z" (create rig dst "z"));
+      check_names "src before" [ "x"; "y" ] (listing rig src);
+      check_names "dst before" [ "z" ] (listing rig dst);
+      (match call rig (Nfs.Rename (src, "x", dst, "w")) with
+      | Ok Nfs.RRename -> ()
+      | _ -> Alcotest.fail "rename");
+      check_names "src after" [ "y" ] (listing rig src);
+      check_names "dst after" [ "w"; "z" ] (listing rig dst))
+
+let readdir_survives_recovery () =
+  let rig = mk_rig () in
+  run_on rig.eng (fun () ->
+      let d, _ = ok_or_fail "mkdir" (mkdir rig Fh.root "durable") in
+      for i = 0 to 11 do
+        ignore (ok_or_fail "c" (create rig d (Printf.sprintf "n%02d" i)))
+      done;
+      (match call rig (Nfs.Remove (d, "n05")) with
+      | Ok Nfs.RRemove -> ()
+      | _ -> Alcotest.fail "remove");
+      let before = List.map fst (site_pages rig d) in
+      Array.iter Dirserver.crash rig.dirs;
+      Array.iter Dirserver.recover rig.dirs;
+      Engine.sleep rig.eng 0.5;
+      check_bool "same replies after WAL replay" true (List.map fst (site_pages rig d) = before))
+
+let readdir_sites_cover_directory () =
+  let rig = mk_rig ~nsites:2 ~policy:Dirserver.Name_hashing () in
+  run_on rig.eng (fun () ->
+      let d, _ = ok_or_fail "mkdir" (mkdir rig Fh.root "spread") in
+      let names = List.init 20 (Printf.sprintf "e%02d") in
+      List.iter (fun n -> ignore (ok_or_fail n (create rig d n))) names;
+      let pages = List.map snd (site_pages rig d) in
+      check_bool "both sites list names" true (List.for_all (fun p -> p <> []) pages);
+      check_names "union is the directory" names (listing rig d))
+
+let suite =
+  suite
+  @ [
+      ("readdir tracks create and remove", `Quick, readdir_tracks_create_remove);
+      ("readdir tracks rename across directories", `Quick, readdir_tracks_rename);
+      ("readdir survives crash and recovery", `Quick, readdir_survives_recovery);
+      ("readdir site pages cover the directory", `Quick, readdir_sites_cover_directory);
+    ]

@@ -510,3 +510,100 @@ let truncated_real_call_is_contained =
 
 let suite =
   suite @ [ decode_garbage_is_contained; truncated_real_call_is_contained ]
+
+(* ---- sorted directory listings ---- *)
+
+module Dirlist = Slice_nfs.Dirlist
+
+(* The fold-and-sort readdir body Dirlist replaced, verbatim but for its
+   inputs: the directory's table and the site filter. *)
+let reference_page tbl ~keep ~start ~count =
+  let names = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
+  let names = List.filter (fun (name, _) -> keep name) names in
+  let total = List.length names in
+  let rec take i acc = function
+    | [] -> List.rev acc
+    | _ when i >= start + count -> List.rev acc
+    | (name, (child : Fh.t)) :: rest ->
+        if i < start then take (i + 1) acc rest
+        else
+          take (i + 1)
+            ({ Nfs.entry_id = child.Fh.file_id;
+               entry_name = name;
+               entry_cookie = Int64.of_int (i + 1) }
+            :: acc)
+            rest
+  in
+  let entries = take 0 [] names in
+  let next = min total (start + count) in
+  Nfs.RReaddir (entries, Int64.of_int next, next >= total)
+
+(* [Again] repeats the last page request, so a page cached across an
+   add or remove is asked for again. *)
+type dir_op = Add of string * int | Remove of string | Page of int * int * int | Again
+
+(* Site 0 lists everything; sites 1 and 2 split names by length parity,
+   standing in for the name-hashing filter. *)
+let keep_of_site = function
+  | 0 -> None
+  | s -> Some (fun name -> String.length name mod 2 = s - 1)
+
+let print_dir_op = function
+  | Add (n, id) -> Printf.sprintf "add %S %d" n id
+  | Remove n -> Printf.sprintf "remove %S" n
+  | Page (site, start, count) -> Printf.sprintf "page site=%d start=%d count=%d" site start count
+  | Again -> "again"
+
+let gen_dir_ops =
+  let open QCheck2.Gen in
+  (* a small alphabet so names collide, re-add and share prefixes *)
+  let name = string_size ~gen:(char_range 'a' 'c') (int_range 0 3) in
+  list_size (int_range 0 80)
+    (frequency
+       [
+         (4, map2 (fun n id -> Add (n, id)) name (int_range 1 1000));
+         (2, map (fun n -> Remove n) name);
+         (3, map3 (fun s st c -> Page (s, st, c)) (int_range 0 2) (int_range (-2) 24) (int_range (-1) 12));
+         (2, pure Again);
+       ])
+
+let dirlist_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"dirlist pages match the fold-and-sort readdir"
+       ~print:(fun ops -> String.concat "; " (List.map print_dir_op ops))
+       gen_dir_ops
+       (fun ops ->
+         let l = Dirlist.create () in
+         let model = Hashtbl.create 8 in
+         (* the last page returned, and whether an add or remove followed it *)
+         let prev = ref None and changed = ref false and request = ref (0, 0, 0) in
+         List.for_all
+           (fun op ->
+             match op with
+             | Add (name, id) ->
+                 let fh = { Fh.root with Fh.file_id = Int64.of_int id; ftype = Fh.Reg } in
+                 Hashtbl.replace model name fh;
+                 Dirlist.add l name fh;
+                 changed := true;
+                 true
+             | Remove name ->
+                 Hashtbl.remove model name;
+                 Dirlist.remove l name;
+                 changed := true;
+                 true
+             | Page _ | Again ->
+                 (match op with Page (site, start, count) -> request := (site, start, count) | _ -> ());
+                 let site, start, count = !request in
+                 let keep = keep_of_site site in
+                 let p = Dirlist.page ?keep l ~site ~start ~count in
+                 let rebuilt = match !prev with Some q when !changed -> p != q | _ -> true in
+                 let again = Dirlist.page ?keep l ~site ~start ~count in
+                 prev := Some p;
+                 changed := false;
+                 Dirlist.length l = Hashtbl.length model
+                 && p = reference_page model ~keep:(Option.value keep ~default:(fun _ -> true)) ~start ~count
+                 && rebuilt
+                 && again == p)
+           ops))
+
+let suite = suite @ [ dirlist_matches_reference ]
