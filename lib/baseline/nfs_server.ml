@@ -20,7 +20,7 @@ type t = {
   cache : Bcache.t option; (* None = MFS *)
   files : (int64, finfo) Hashtbl.t;
   entries : (int64 * string, Fh.t) Hashtbl.t;
-  dir_index : (int64, Dirlist.t) Hashtbl.t; (* each directory's sorted listing *)
+  dir_index : Dirlist.index; (* each non-empty directory's sorted listing *)
   mutable next_file : int;
   mutable ops : int;
 }
@@ -121,12 +121,7 @@ let with_entry t dfh name k =
 
 let add_entry t (dfh : Fh.t) name child =
   Hashtbl.replace t.entries (dfh.Fh.file_id, name) child;
-  (match Hashtbl.find_opt t.dir_index dfh.Fh.file_id with
-  | Some l -> Dirlist.add l name child
-  | None ->
-      let l = Dirlist.create () in
-      Dirlist.add l name child;
-      Hashtbl.replace t.dir_index dfh.Fh.file_id l);
+  Dirlist.add t.dir_index dfh.Fh.file_id name child;
   match finfo_of t dfh.Fh.file_id with
   | Some fi ->
       fi.entry_count <- fi.entry_count + 1;
@@ -135,11 +130,7 @@ let add_entry t (dfh : Fh.t) name child =
 
 let remove_entry t (dfh : Fh.t) name =
   Hashtbl.remove t.entries (dfh.Fh.file_id, name);
-  (match Hashtbl.find_opt t.dir_index dfh.Fh.file_id with
-  | Some l ->
-      Dirlist.remove l name;
-      if Dirlist.length l = 0 then Hashtbl.remove t.dir_index dfh.Fh.file_id
-  | None -> ());
+  Dirlist.remove t.dir_index dfh.Fh.file_id name;
   match finfo_of t dfh.Fh.file_id with
   | Some fi ->
       fi.entry_count <- fi.entry_count - 1;
@@ -241,14 +232,9 @@ let handle t (call : Nfs.call) : Nfs.response =
           end)
   | Nfs.Readdir (dfh, cookie, count) ->
       if dfh.Fh.ftype <> Fh.Dir then Error Nfs.ERR_NOTDIR
-      else begin
-        let l =
-          match Hashtbl.find_opt t.dir_index dfh.Fh.file_id with
-          | Some l -> l
-          | None -> Dirlist.create ()
-        in
+      else
+        let l = Dirlist.listing t.dir_index dfh.Fh.file_id in
         Ok (Dirlist.page l ~site:0 ~start:(Int64.to_int cookie) ~count)
-      end
   | Nfs.Read (fh, off, count) ->
       with_file t fh (fun fi ->
           let avail = Int64.sub fi.attr.Nfs.size off in

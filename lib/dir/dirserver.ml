@@ -46,7 +46,7 @@ type t = {
   costs : costs;
   attrs : (int64, cell) Hashtbl.t;
   entries : (int64 * string, Fh.t) Hashtbl.t;
-  dir_index : (int64, Dirlist.t) Hashtbl.t; (* each directory's sorted listing *)
+  dir_index : Dirlist.index; (* each non-empty directory's sorted listing *)
   applied : (int64, unit) Hashtbl.t; (* peer-op dedup *)
   prepares : (int64, int * string) Hashtbl.t; (* op_id -> (site, msg) awaiting commit *)
   rpc : Rpc.t;
@@ -124,20 +124,11 @@ let log_remove_cell t fid = log t rt_remove_cell (payload_of (fun e -> Enc.u64 e
 
 let apply_add_entry t parent name child =
   Hashtbl.replace t.entries (parent, name) child;
-  match Hashtbl.find_opt t.dir_index parent with
-  | Some l -> Dirlist.add l name child
-  | None ->
-      let l = Dirlist.create () in
-      Dirlist.add l name child;
-      Hashtbl.replace t.dir_index parent l
+  Dirlist.add t.dir_index parent name child
 
 let apply_remove_entry t parent name =
   Hashtbl.remove t.entries (parent, name);
-  match Hashtbl.find_opt t.dir_index parent with
-  | Some l ->
-      Dirlist.remove l name;
-      if Dirlist.length l = 0 then Hashtbl.remove t.dir_index parent
-  | None -> ()
+  Dirlist.remove t.dir_index parent name
 
 (* ---- helpers ---- *)
 
@@ -534,11 +525,7 @@ let handle t span (call : Nfs.call) : Nfs.response =
         in
         if not (Tenure.admit_read t.tenure site) then misdirected
         else
-          let l =
-            match Hashtbl.find_opt t.dir_index dfh.Fh.file_id with
-            | Some l -> l
-            | None -> Dirlist.create ()
-          in
+          let l = Dirlist.listing t.dir_index dfh.Fh.file_id in
           match t.cfg.policy with
           | Mkdir_switching -> Ok (Dirlist.page l ~site ~start ~count)
           | Name_hashing ->

@@ -3,7 +3,7 @@ type t = {
   mutable fhs : Fh.t array; (* fhs.(i) is bound to names.(i) *)
   mutable len : int;
   (* The last page built and the request it answers; valid while
-     [cached], which every add and remove clears. *)
+     [cached], which every insert and delete clears. *)
   mutable cached : bool;
   mutable last : Nfs.reply;
   mutable last_site : int;
@@ -23,8 +23,6 @@ let create () =
     last_count = 0;
   }
 
-let length t = t.len
-
 (* The first slot whose name is not below [name]. *)
 let slot t name =
   let lo = ref 0 and hi = ref t.len in
@@ -36,7 +34,7 @@ let slot t name =
 
 let present t i name = i < t.len && String.equal t.names.(i) name
 
-let add t name fh =
+let insert t name fh =
   t.cached <- false;
   let i = slot t name in
   if present t i name then t.fhs.(i) <- fh
@@ -56,7 +54,7 @@ let add t name fh =
     t.len <- t.len + 1
   end
 
-let remove t name =
+let delete t name =
   t.cached <- false;
   let i = slot t name in
   if present t i name then begin
@@ -67,6 +65,25 @@ let remove t name =
     t.names.(t.len) <- "";
     t.fhs.(t.len) <- Fh.root
   end
+
+type index = (int64, t) Hashtbl.t
+
+let add index dir name fh =
+  match Hashtbl.find_opt index dir with
+  | Some t -> insert t name fh
+  | None ->
+      let t = create () in
+      insert t name fh;
+      Hashtbl.replace index dir t
+
+let remove index dir name =
+  match Hashtbl.find_opt index dir with
+  | Some t ->
+      delete t name;
+      if t.len = 0 then Hashtbl.remove index dir
+  | None -> ()
+
+let listing index dir = match Hashtbl.find_opt index dir with Some t -> t | None -> create ()
 
 let entry t i pos =
   { Nfs.entry_id = t.fhs.(i).Fh.file_id; entry_name = t.names.(i); entry_cookie = Int64.of_int pos }

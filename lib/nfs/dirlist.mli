@@ -1,27 +1,34 @@
-(** One directory's entries, kept in name order.
+(** Directory listings, each kept in name order.
 
-    A directory server's listing of one directory: parallel name and
-    handle arrays sorted by [String.compare], grown by doubling. Names in
-    a directory are unique, so this is the order a sort of the
-    [(name, handle)] pairs with [compare] gives, and a readdir page is a
-    slice of it rather than a fold and a sort of the whole directory.
+    A server's listing of one directory: parallel name and handle arrays
+    sorted by [String.compare], grown by doubling. Names in a directory
+    are unique, so this is the order a sort of the [(name, handle)] pairs
+    with [compare] gives, and a readdir page is a slice of it rather than
+    a fold and a sort of the whole directory.
 
     The last page built is kept with the request that built it and
     returned again, physically equal, until {!add} or {!remove} is
-    called. *)
+    called on the directory. *)
 
 type t
+(** One directory's listing. *)
 
-val create : unit -> t
-(** An empty directory. *)
+type index = (int64, t) Hashtbl.t
+(** A server's listings by directory fileID. A directory's row comes
+    with its first entry and goes with its last, so the index holds one
+    row per non-empty directory. *)
 
-val length : t -> int
+val add : index -> int64 -> string -> Fh.t -> unit
+(** [add index dir name fh] binds [name] to [fh] in [dir]'s listing,
+    replacing an existing binding. *)
 
-val add : t -> string -> Fh.t -> unit
-(** [add t name fh] binds [name] to [fh], replacing an existing binding. *)
+val remove : index -> int64 -> string -> unit
+(** [remove index dir name] drops [name]'s binding from [dir]'s listing
+    (absent names are ignored), and [dir]'s row once it is empty. *)
 
-val remove : t -> string -> unit
-(** [remove t name] drops [name]'s binding; absent names are ignored. *)
+val listing : index -> int64 -> t
+(** [dir]'s listing: an empty one, left out of [index], when [dir] has
+    no row. *)
 
 val page : ?keep:(string -> bool) -> t -> site:int -> start:int -> count:int -> Nfs.reply
 (** [page ?keep t ~site ~start ~count] is the [RReaddir] page of the

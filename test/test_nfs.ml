@@ -573,7 +573,8 @@ let dirlist_matches_reference =
        ~print:(fun ops -> String.concat "; " (List.map print_dir_op ops))
        gen_dir_ops
        (fun ops ->
-         let l = Dirlist.create () in
+         (* one directory, fileID 1, in an index of its own *)
+         let index = Hashtbl.create 1 in
          let model = Hashtbl.create 8 in
          (* the last page returned, and whether an add or remove followed it *)
          let prev = ref None and changed = ref false and request = ref (0, 0, 0) in
@@ -583,24 +584,26 @@ let dirlist_matches_reference =
              | Add (name, id) ->
                  let fh = { Fh.root with Fh.file_id = Int64.of_int id; ftype = Fh.Reg } in
                  Hashtbl.replace model name fh;
-                 Dirlist.add l name fh;
+                 Dirlist.add index 1L name fh;
                  changed := true;
                  true
              | Remove name ->
                  Hashtbl.remove model name;
-                 Dirlist.remove l name;
+                 Dirlist.remove index 1L name;
                  changed := true;
                  true
              | Page _ | Again ->
                  (match op with Page (site, start, count) -> request := (site, start, count) | _ -> ());
                  let site, start, count = !request in
                  let keep = keep_of_site site in
+                 let l = Dirlist.listing index 1L in
                  let p = Dirlist.page ?keep l ~site ~start ~count in
                  let rebuilt = match !prev with Some q when !changed -> p != q | _ -> true in
                  let again = Dirlist.page ?keep l ~site ~start ~count in
                  prev := Some p;
                  changed := false;
-                 Dirlist.length l = Hashtbl.length model
+                 (* the row lives exactly while the directory is non-empty *)
+                 Hashtbl.mem index 1L = (Hashtbl.length model > 0)
                  && p = reference_page model ~keep:(Option.value keep ~default:(fun _ -> true)) ~start ~count
                  && rebuilt
                  && again == p)
