@@ -577,10 +577,24 @@ let dirlist_matches_reference =
          let index = Hashtbl.create 1 in
          let model = Hashtbl.create 8 in
          (* the last page returned, and whether an add or remove followed it *)
-         let prev = ref None and changed = ref false and request = ref (0, 0, 0) in
+         let prev = ref None and changed = ref false in
+         let check_page (site, start, count) =
+           let keep = keep_of_site site in
+           let l = Dirlist.listing index 1L in
+           let p = Dirlist.page ?keep l ~site ~start ~count in
+           let rebuilt = match !prev with Some q when !changed -> p != q | _ -> true in
+           let again = Dirlist.page ?keep l ~site ~start ~count in
+           prev := Some p;
+           changed := false;
+           (* the row lives exactly while the directory is non-empty *)
+           Hashtbl.mem index 1L = (Hashtbl.length model > 0)
+           && p = reference_page model ~keep:(Option.value keep ~default:(fun _ -> true)) ~start ~count
+           && rebuilt
+           && again == p
+         in
+         let request = ref (0, 0, 0) in
          List.for_all
-           (fun op ->
-             match op with
+           (function
              | Add (name, id) ->
                  let fh = { Fh.root with Fh.file_id = Int64.of_int id; ftype = Fh.Reg } in
                  Hashtbl.replace model name fh;
@@ -592,21 +606,10 @@ let dirlist_matches_reference =
                  Dirlist.remove index 1L name;
                  changed := true;
                  true
-             | Page _ | Again ->
-                 (match op with Page (site, start, count) -> request := (site, start, count) | _ -> ());
-                 let site, start, count = !request in
-                 let keep = keep_of_site site in
-                 let l = Dirlist.listing index 1L in
-                 let p = Dirlist.page ?keep l ~site ~start ~count in
-                 let rebuilt = match !prev with Some q when !changed -> p != q | _ -> true in
-                 let again = Dirlist.page ?keep l ~site ~start ~count in
-                 prev := Some p;
-                 changed := false;
-                 (* the row lives exactly while the directory is non-empty *)
-                 Hashtbl.mem index 1L = (Hashtbl.length model > 0)
-                 && p = reference_page model ~keep:(Option.value keep ~default:(fun _ -> true)) ~start ~count
-                 && rebuilt
-                 && again == p)
+             | Page (site, start, count) ->
+                 request := (site, start, count);
+                 check_page !request
+             | Again -> check_page !request)
            ops))
 
 let suite = suite @ [ dirlist_matches_reference ]
