@@ -40,7 +40,6 @@ type config = {
   smallfile_servers : int;
   smallfile_cache : int;
   proxy_params : Params.t;
-  dir_costs : Dirserver.costs option;
   mirror_new_files : bool;
   secure_objects : bool;
   dir_sites : int;
@@ -65,7 +64,6 @@ let default_config =
     smallfile_servers = 2;
     smallfile_cache = 1024 * 1024 * 1024;
     proxy_params = Params.default;
-    dir_costs = None;
     mirror_new_files = false;
     secure_objects = false;
     dir_sites = 0;
@@ -117,11 +115,6 @@ let bind_system_host qos_ (host : Host.t) =
   | None -> ()
 
 let root = Fh.root
-
-let dir_policy (p : Params.t) =
-  match p.Params.name_policy with
-  | Params.Mkdir_switching -> Dirserver.Mkdir_switching
-  | Params.Name_hashing -> Dirserver.Name_hashing
 
 (* Zone handles for a dataless small-file server's backing objects: one
    per (server, cache-object) pair, striped across the storage array by
@@ -252,7 +245,7 @@ let attach_dir t ~idx ~host ~also_owns =
     {
       Dirserver.logical_id = idx;
       nsites = l_dir;
-      policy = dir_policy t.cfg.proxy_params;
+      policy = t.cfg.proxy_params.Params.name_policy;
       resolve = (fun logical -> Table.lookup t.dir_tbl (logical mod l_dir));
       peer_port = 2051;
       data_sites = data_sites_of t;
@@ -264,9 +257,7 @@ let attach_dir t ~idx ~host ~also_owns =
     }
   in
   bind_system_host t.qos_ host;
-  Dirserver.attach host ?costs:t.cfg.dir_costs ?trace:t.trace_
-    ?qos:(wfq_of ~dataless:true t.qos_ t.eng)
-    config
+  Dirserver.attach host ?trace:t.trace_ ?qos:(wfq_of ~dataless:true t.qos_ t.eng) config
 
 let smallfile_host t idx =
   if Array.length t.storage_ > 0 then

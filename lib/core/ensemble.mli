@@ -46,7 +46,6 @@ type config = {
   smallfile_servers : int;
   smallfile_cache : int;  (** bytes of cache per small-file server *)
   proxy_params : Params.t;  (** routing policies shared by all µproxies *)
-  dir_costs : Slice_dir.Dirserver.costs option;
   mirror_new_files : bool;
   secure_objects : bool;
       (** seal NASD-style capability tags into minted handles and make the

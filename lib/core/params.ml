@@ -1,4 +1,4 @@
-type name_policy = Mkdir_switching | Name_hashing
+type name_policy = Slice_nfs.Routekey.name_policy = Mkdir_switching | Name_hashing
 type io_policy = Static_striping | Block_map
 
 type t = {

@@ -7,7 +7,9 @@
     ~0.33 µs), 0.5 % redirecting/rewriting (0.8 µs) and 0.8 % managing
     soft state (1.28 µs). *)
 
-type name_policy = Mkdir_switching | Name_hashing
+type name_policy = Slice_nfs.Routekey.name_policy = Mkdir_switching | Name_hashing
+(** {!Slice_nfs.Routekey.name_policy}, re-exported. *)
+
 type io_policy = Static_striping | Block_map
 
 type t = {

@@ -4,6 +4,8 @@ module Rpc = Slice_net.Rpc
 module Packet = Slice_net.Packet
 module Nfs = Slice_nfs.Nfs
 module Fh = Slice_nfs.Fh
+module Codec = Slice_nfs.Codec
+module Routekey = Slice_nfs.Routekey
 module Dirlist = Slice_nfs.Dirlist
 module Wal = Slice_wal.Wal
 module Host = Slice_storage.Host
@@ -14,12 +16,10 @@ module Enc = Slice_xdr.Xdr.Enc
 module Dec = Slice_xdr.Xdr.Dec
 module Trace = Slice_trace.Trace
 
-type policy = Mkdir_switching | Name_hashing
-
 type config = {
   logical_id : int;
   nsites : int;
-  policy : policy;
+  policy : Routekey.name_policy;
   resolve : int -> Packet.addr;
   peer_port : int;
   data_sites : Fh.t -> Packet.addr list;
@@ -30,9 +30,11 @@ type config = {
   also_owns : int list;
 }
 
-type costs = { per_op : float; per_peer_op : float }
-
-let default_costs = { per_op = 166e-6; per_peer_op = 60e-6 }
+(* CPU per name-space request (~166 µs: the paper's 6000 ops/s
+   saturation; log records land around 83 bytes/update, matching its
+   ~0.5 MB/s of log traffic at saturation) and per peer message. *)
+let per_op_cost = 166e-6
+let per_peer_op_cost = 60e-6
 
 type cell = {
   mutable attr : Nfs.fattr;
@@ -43,7 +45,6 @@ type cell = {
 type t = {
   host : Host.t;
   cfg : config;
-  costs : costs;
   attrs : (int64, cell) Hashtbl.t;
   entries : (int64 * string, Fh.t) Hashtbl.t;
   dir_index : Dirlist.index; (* each non-empty directory's sorted listing *)
@@ -110,7 +111,7 @@ let log_add_entry t parent name child =
     (payload_of (fun e ->
          Enc.u64 e parent;
          Enc.str e name;
-         Enc.opaque e (Fh.encode child)))
+         Codec.enc_fh e child))
 
 let log_remove_entry t parent name =
   log t rt_remove_entry
@@ -174,10 +175,30 @@ let attr_of_cell (c : cell) =
   | Fh.Dir -> { c.attr with size = Int64.of_int (c.entries * 24); used = Int64.of_int (c.entries * 24) }
   | _ -> c.attr
 
+(* Link-count change on a local attribute cell, shared by the local and
+   peer paths; the last link frees the cell. Returns the attributes as
+   of the change. The caller syncs. *)
+let apply_nlink t fid (c : cell) delta =
+  c.attr <- { c.attr with nlink = c.attr.Nfs.nlink + delta; ctime = now t };
+  let attr = attr_of_cell c in
+  if c.attr.Nfs.nlink <= 0 then begin
+    Hashtbl.remove t.attrs fid;
+    log_remove_cell t fid
+  end
+  else log_cell t fid c;
+  attr
+
+(* Entry-count change on a local directory cell, shared by the local and
+   peer paths. The caller syncs. *)
+let apply_entry_count t fid (c : cell) ~delta ~mtime =
+  c.entries <- c.entries + delta;
+  c.attr <- { c.attr with mtime; ctime = now t };
+  log_cell t fid c
+
 let entry_site t (dfh : Fh.t) name =
   match t.cfg.policy with
-  | Mkdir_switching -> dfh.Fh.attr_site
-  | Name_hashing -> Slice_nfs.Routekey.name_site ~nsites:t.cfg.nsites dfh name
+  | Routekey.Mkdir_switching -> dfh.Fh.attr_site
+  | Routekey.Name_hashing -> Routekey.name_site ~nsites:t.cfg.nsites dfh name
 
 let local_cell t fid = Hashtbl.find_opt t.attrs fid
 
@@ -247,13 +268,7 @@ let bump_nlink ?(span = Trace.null) t (fh : Fh.t) delta =
     match local_cell t fh.Fh.file_id with
     | None -> Error Nfs.ERR_STALE
     | Some c ->
-        c.attr <- { c.attr with nlink = c.attr.Nfs.nlink + delta; ctime = now t };
-        let attr = attr_of_cell c in
-        if c.attr.Nfs.nlink <= 0 then begin
-          Hashtbl.remove t.attrs fh.Fh.file_id;
-          log_remove_cell t fh.Fh.file_id
-        end
-        else log_cell t fh.Fh.file_id c;
+        let attr = apply_nlink t fh.Fh.file_id c delta in
         sync_log ~span t;
         Ok attr
   else
@@ -269,9 +284,7 @@ let bump_parent ?(span = Trace.null) t (dfh : Fh.t) delta =
     match local_cell t dfh.Fh.file_id with
     | None -> ()
     | Some c ->
-        c.entries <- c.entries + delta;
-        c.attr <- { c.attr with mtime = now t; ctime = now t };
-        log_cell t dfh.Fh.file_id c;
+        apply_entry_count t dfh.Fh.file_id c ~delta ~mtime:(now t);
         sync_log ~span t
   end
   else
@@ -518,8 +531,8 @@ let handle t span (call : Nfs.call) : Nfs.response =
            entries live at its attribute site. *)
         let site, start =
           match t.cfg.policy with
-          | Mkdir_switching -> (dfh.Fh.attr_site, Int64.to_int cookie)
-          | Name_hashing ->
+          | Routekey.Mkdir_switching -> (dfh.Fh.attr_site, Int64.to_int cookie)
+          | Routekey.Name_hashing ->
               ( Int64.to_int (Int64.shift_right_logical cookie 32) mod t.cfg.nsites,
                 Int64.to_int (Int64.logand cookie 0xFFFF_FFFFL) )
         in
@@ -527,8 +540,8 @@ let handle t span (call : Nfs.call) : Nfs.response =
         else
           let l = Dirlist.listing t.dir_index dfh.Fh.file_id in
           match t.cfg.policy with
-          | Mkdir_switching -> Ok (Dirlist.page l ~site ~start ~count)
-          | Name_hashing ->
+          | Routekey.Mkdir_switching -> Ok (Dirlist.page l ~site ~start ~count)
+          | Routekey.Name_hashing ->
               Ok (Dirlist.page ~keep:(fun name -> entry_site t dfh name = site) l ~site ~start ~count)
       end
   | Nfs.Fsstat _ ->
@@ -555,54 +568,29 @@ let handle_peer t (msg : Peer.msg) : Peer.reply =
     Peer.Rerr Nfs.ERR_MISDIRECTED
   end
   else
-  let dedup op_id apply =
-    if Hashtbl.mem t.applied op_id then Peer.Ack
-    else begin
-      let r = apply () in
-      mark_applied t op_id;
-      sync_log t;
-      r
-    end
-  in
   match msg with
   | Peer.Getattr fh -> (
       match local_cell t fh.Fh.file_id with
       | Some c -> Peer.Rattr (attr_of_cell c)
       | None -> Peer.Rerr Nfs.ERR_STALE)
-  | Peer.Setattr { op_id; fh; sattr } ->
-      dedup op_id (fun () ->
-          match local_cell t fh.Fh.file_id with
-          | None -> Peer.Rerr Nfs.ERR_STALE
-          | Some c ->
-              c.attr <- Nfs.apply_sattr c.attr sattr ~now:(now t);
-              log_cell t fh.Fh.file_id c;
-              Peer.Rattr (attr_of_cell c))
   | Peer.Nlink { op_id; fh; delta } -> (
       match local_cell t fh.Fh.file_id with
       | None -> Peer.Rerr Nfs.ERR_STALE
+      | Some c when Hashtbl.mem t.applied op_id -> Peer.Rattr (attr_of_cell c)
       | Some c ->
-          if Hashtbl.mem t.applied op_id then Peer.Rattr (attr_of_cell c)
-          else begin
-            c.attr <- { c.attr with nlink = c.attr.Nfs.nlink + delta; ctime = now t };
-            let attr = attr_of_cell c in
-            if c.attr.Nfs.nlink <= 0 then begin
-              Hashtbl.remove t.attrs fh.Fh.file_id;
-              log_remove_cell t fh.Fh.file_id
-            end
-            else log_cell t fh.Fh.file_id c;
-            mark_applied t op_id;
-            sync_log t;
-            Peer.Rattr attr
-          end)
+          let attr = apply_nlink t fh.Fh.file_id c delta in
+          mark_applied t op_id;
+          sync_log t;
+          Peer.Rattr attr)
   | Peer.Entry_count { op_id; dir; delta; mtime } ->
-      dedup op_id (fun () ->
-          (match local_cell t dir.Fh.file_id with
-          | Some c ->
-              c.entries <- c.entries + delta;
-              c.attr <- { c.attr with mtime; ctime = now t };
-              log_cell t dir.Fh.file_id c
-          | None -> ());
-          Peer.Ack)
+      if not (Hashtbl.mem t.applied op_id) then begin
+        (match local_cell t dir.Fh.file_id with
+        | Some c -> apply_entry_count t dir.Fh.file_id c ~delta ~mtime
+        | None -> ());
+        mark_applied t op_id;
+        sync_log t
+      end;
+      Peer.Ack
   | Peer.Add_entry { op_id; dir; name; child } ->
       if Hashtbl.mem t.applied op_id then Peer.Ack
       else if Hashtbl.mem t.entries (dir.Fh.file_id, name) then Peer.Rerr Nfs.ERR_EXIST
@@ -610,35 +598,12 @@ let handle_peer t (msg : Peer.msg) : Peer.reply =
         apply_add_entry t dir.Fh.file_id name child;
         log_add_entry t dir.Fh.file_id name child;
         (match local_cell t dir.Fh.file_id with
-        | Some c ->
-            c.entries <- c.entries + 1;
-            c.attr <- { c.attr with mtime = now t; ctime = now t };
-            log_cell t dir.Fh.file_id c
+        | Some c -> apply_entry_count t dir.Fh.file_id c ~delta:1 ~mtime:(now t)
         | None -> ());
         mark_applied t op_id;
         sync_log t;
         Peer.Ack
       end
-  | Peer.Remove_entry { op_id; dir; name } ->
-      if Hashtbl.mem t.applied op_id then Peer.Ack
-      else if not (Hashtbl.mem t.entries (dir.Fh.file_id, name)) then Peer.Rerr Nfs.ERR_NOENT
-      else begin
-        apply_remove_entry t dir.Fh.file_id name;
-        log_remove_entry t dir.Fh.file_id name;
-        (match local_cell t dir.Fh.file_id with
-        | Some c ->
-            c.entries <- c.entries - 1;
-            c.attr <- { c.attr with mtime = now t; ctime = now t };
-            log_cell t dir.Fh.file_id c
-        | None -> ());
-        mark_applied t op_id;
-        sync_log t;
-        Peer.Ack
-      end
-  | Peer.Get_entry { dir; name } -> (
-      match Hashtbl.find_opt t.entries (dir.Fh.file_id, name) with
-      | Some child -> Peer.Rentry child
-      | None -> Peer.Rerr Nfs.ERR_NOENT)
 
 (* ---- service wiring ---- *)
 
@@ -646,14 +611,14 @@ let serve_peer t =
   Nfs_endpoint.serve_raw t.host ~port:t.cfg.peer_port ~handler:(fun pkt ->
       Engine.spawn t.host.Host.eng (fun () ->
           if t.up then
-            match (try Some (Peer.decode_msg pkt.Packet.payload) with Peer.Malformed -> None) with
+            match (try Some (Peer.decode_msg pkt.Packet.payload) with Codec.Malformed _ -> None) with
             | None -> ()
             | Some (xid, msg) ->
                 let span =
                   Trace.child (Trace.span_of_xid t.trace xid) ~hop:"server"
                     ~site:(Host.name t.host) ()
                 in
-                Host.cpu t.host t.costs.per_peer_op;
+                Host.cpu t.host per_peer_op_cost;
                 let reply = handle_peer t msg in
                 Trace.finish span;
                 Nfs_endpoint.reply_to t.host pkt (Peer.encode_reply ~xid reply)))
@@ -679,12 +644,11 @@ let make_wal (host : Host.t) =
   | None -> Wal.create ~name:"dir.wal" ()
 
 (* lint: F1 ok — bootstrap: installs the root cell before the server is exposed to clients; no deposed instance can exist yet *)
-let attach host ?(port = 2049) ?(costs = default_costs) ?trace ?qos cfg =
+let attach host ?(port = 2049) ?trace ?qos cfg =
   let t =
     {
       host;
       cfg;
-      costs;
       trace;
       (* lint: bounded — attribute cells: dataless-manager state, WAL+checkpoint-backed (§3.4) *)
       attrs = Hashtbl.create 1024;
@@ -708,7 +672,7 @@ let attach host ?(port = 2049) ?(costs = default_costs) ?trace ?qos cfg =
     }
   in
   Nfs_endpoint.serve host ~port
-    ~cost:{ per_op = costs.per_op; per_byte = 0.0 }
+    ~cost:{ per_op = per_op_cost; per_byte = 0.0 }
     ~alive:(fun () -> t.up)
     ?trace ?qos ~handler:(handle t) ();
   serve_peer t;
@@ -818,7 +782,7 @@ let recover t =
               Hashtbl.remove t.prepares op_id;
               log t rt_commit (payload_of (fun e -> Enc.u64 e op_id));
               sync_log t
-          | exception Peer.Malformed -> ())
+          | exception Codec.Malformed _ -> ())
         pending)
 
 let log_image t = Wal.image t.wal
@@ -861,7 +825,7 @@ let checkpoint t =
           (fun (parent, name) child ->
             Enc.u64 e parent;
             Enc.str e name;
-            Enc.opaque e (Fh.encode child))
+            Codec.enc_fh e child)
           t.entries)
   in
   Wal.checkpoint t.wal;

@@ -21,12 +21,10 @@
     surviving log, re-driving incomplete cross-site updates (idempotent
     thanks to peer-side dedup of operation ids). *)
 
-type policy = Mkdir_switching | Name_hashing
-
 type config = {
   logical_id : int;  (** this server's logical site id, 0-based *)
   nsites : int;  (** logical directory sites in the volume *)
-  policy : policy;
+  policy : Slice_nfs.Routekey.name_policy;
   resolve : int -> Slice_net.Packet.addr;  (** logical site -> physical *)
   peer_port : int;  (** peer protocol port (conventionally 2051) *)
   data_sites : Slice_nfs.Fh.t -> Slice_net.Packet.addr list;
@@ -51,27 +49,20 @@ type config = {
           rebinding the routing table. *)
 }
 
-type costs = {
-  per_op : float;
-      (** CPU per name-space request (~166 µs: the paper's 6000 ops/s
-          saturation; log records land around 83 bytes/update, matching
-          its ~0.5 MB/s of log traffic at saturation) *)
-  per_peer_op : float;
-}
-
 type t
 
 val attach :
   Slice_storage.Host.t ->
   ?port:int ->
-  ?costs:costs ->
   ?trace:Slice_trace.Trace.t ->
   ?qos:Slice_qos.Wfq.t ->
   config ->
   t
 (** Serve NFS on [port] (default 2049) and the peer protocol on
-    [config.peer_port]. The volume root (fileID 1) is owned by logical
-    site 0, which installs it at attach time. *)
+    [config.peer_port]. Each request costs ~166 µs of CPU (the paper's
+    6000 ops/s saturation) and each peer message 60 µs. The volume root
+    (fileID 1) is owned by logical site 0, which installs it at attach
+    time. *)
 
 val addr : t -> Slice_net.Packet.addr
 

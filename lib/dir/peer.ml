@@ -2,22 +2,17 @@ module Enc = Slice_xdr.Xdr.Enc
 module Dec = Slice_xdr.Xdr.Dec
 module Fh = Slice_nfs.Fh
 module Nfs = Slice_nfs.Nfs
+module Codec = Slice_nfs.Codec
 
-exception Malformed
-
+(* Wire tags 2, 6 and 7 (messages) and 3 (reply) belonged to retired
+   messages and are not reused. *)
 type msg =
   | Getattr of Fh.t
-  | Setattr of { op_id : int64; fh : Fh.t; sattr : Nfs.sattr }
   | Nlink of { op_id : int64; fh : Fh.t; delta : int }
   | Entry_count of { op_id : int64; dir : Fh.t; delta : int; mtime : float }
   | Add_entry of { op_id : int64; dir : Fh.t; name : string; child : Fh.t }
-  | Remove_entry of { op_id : int64; dir : Fh.t; name : string }
-  | Get_entry of { dir : Fh.t; name : string }
 
-type reply = Ack | Rattr of Nfs.fattr | Rentry of Fh.t | Rerr of Nfs.status
-
-let enc_fh e fh = Enc.opaque e (Fh.encode fh)
-let dec_fh d = match Fh.decode (Dec.opaque d) with Some fh -> fh | None -> raise Malformed
+type reply = Ack | Rattr of Nfs.fattr | Rerr of Nfs.status
 
 let enc_i e v = Enc.u32 e (v land 0xFFFFFFFF)
 
@@ -26,50 +21,8 @@ let dec_i d =
   (* sign-extend deltas encoded as u32 *)
   if v land 0x80000000 <> 0 then v - (1 lsl 32) else v
 
-let enc_time e t =
-  Enc.u32 e (int_of_float (Float.floor t));
-  Enc.u32 e (int_of_float ((t -. Float.floor t) *. 1e9))
-
-let dec_time d =
-  let s = Dec.u32 d in
-  let ns = Dec.u32 d in
-  float_of_int s +. (float_of_int ns /. 1e9)
-
-let enc_opt e enc = function
-  | None -> Enc.bool e false
-  | Some v ->
-      Enc.bool e true;
-      enc e v
-
-let dec_opt d dec = if Dec.bool d then Some (dec d) else None
-
-let enc_sattr e (s : Nfs.sattr) =
-  enc_opt e (fun e v -> Enc.u32 e v) s.set_mode;
-  enc_opt e (fun e v -> Enc.u32 e v) s.set_uid;
-  enc_opt e (fun e v -> Enc.u32 e v) s.set_gid;
-  enc_opt e (fun e v -> Enc.u64 e v) s.set_size;
-  enc_opt e enc_time s.set_atime;
-  enc_opt e enc_time s.set_mtime
-
-let dec_sattr d : Nfs.sattr =
-  let set_mode = dec_opt d Dec.u32 in
-  let set_uid = dec_opt d Dec.u32 in
-  let set_gid = dec_opt d Dec.u32 in
-  let set_size = dec_opt d Dec.u64 in
-  let set_atime = dec_opt d dec_time in
-  let set_mtime = dec_opt d dec_time in
-  { set_mode; set_uid; set_gid; set_size; set_atime; set_mtime }
-
-let int_of_ftype = function Fh.Reg -> 1 | Fh.Dir -> 2 | Fh.Lnk -> 5
-
-let ftype_of_int = function
-  | 1 -> Fh.Reg
-  | 2 -> Fh.Dir
-  | 5 -> Fh.Lnk
-  | _ -> raise Malformed
-
 let enc_attr e (a : Nfs.fattr) =
-  Enc.u32 e (int_of_ftype a.ftype);
+  Enc.u32 e (Codec.int_of_ftype a.ftype);
   Enc.u32 e a.mode;
   Enc.u32 e a.nlink;
   Enc.u32 e a.uid;
@@ -77,12 +30,12 @@ let enc_attr e (a : Nfs.fattr) =
   Enc.u64 e a.size;
   Enc.u64 e a.used;
   Enc.u64 e a.fileid;
-  enc_time e a.atime;
-  enc_time e a.mtime;
-  enc_time e a.ctime
+  Codec.enc_time e a.atime;
+  Codec.enc_time e a.mtime;
+  Codec.enc_time e a.ctime
 
 let dec_attr d : Nfs.fattr =
-  let ftype = ftype_of_int (Dec.u32 d) in
+  let ftype = Codec.ftype_of_int (Dec.u32 d) in
   let mode = Dec.u32 d in
   let nlink = Dec.u32 d in
   let uid = Dec.u32 d in
@@ -90,9 +43,9 @@ let dec_attr d : Nfs.fattr =
   let size = Dec.u64 d in
   let used = Dec.u64 d in
   let fileid = Dec.u64 d in
-  let atime = dec_time d in
-  let mtime = dec_time d in
-  let ctime = dec_time d in
+  let atime = Codec.dec_time d in
+  let mtime = Codec.dec_time d in
+  let ctime = Codec.dec_time d in
   { ftype; mode; nlink; uid; gid; size; used; fileid; atime; mtime; ctime }
 
 let encode_msg ~xid msg =
@@ -101,38 +54,24 @@ let encode_msg ~xid msg =
   (match msg with
   | Getattr fh ->
       Enc.u32 e 1;
-      enc_fh e fh
-  | Setattr { op_id; fh; sattr } ->
-      Enc.u32 e 2;
-      Enc.u64 e op_id;
-      enc_fh e fh;
-      enc_sattr e sattr
+      Codec.enc_fh e fh
   | Nlink { op_id; fh; delta } ->
       Enc.u32 e 3;
       Enc.u64 e op_id;
-      enc_fh e fh;
+      Codec.enc_fh e fh;
       enc_i e delta
   | Entry_count { op_id; dir; delta; mtime } ->
       Enc.u32 e 4;
       Enc.u64 e op_id;
-      enc_fh e dir;
+      Codec.enc_fh e dir;
       enc_i e delta;
-      enc_time e mtime
+      Codec.enc_time e mtime
   | Add_entry { op_id; dir; name; child } ->
       Enc.u32 e 5;
       Enc.u64 e op_id;
-      enc_fh e dir;
+      Codec.enc_fh e dir;
       Enc.str e name;
-      enc_fh e child
-  | Remove_entry { op_id; dir; name } ->
-      Enc.u32 e 6;
-      Enc.u64 e op_id;
-      enc_fh e dir;
-      Enc.str e name
-  | Get_entry { dir; name } ->
-      Enc.u32 e 7;
-      enc_fh e dir;
-      Enc.str e name);
+      Codec.enc_fh e child);
   Enc.to_bytes e
 
 let decode_msg buf =
@@ -141,67 +80,25 @@ let decode_msg buf =
     let xid = Dec.u32 d in
     let msg =
       match Dec.u32 d with
-      | 1 -> Getattr (dec_fh d)
-      | 2 ->
-          let op_id = Dec.u64 d in
-          let fh = dec_fh d in
-          Setattr { op_id; fh; sattr = dec_sattr d }
+      | 1 -> Getattr (Codec.dec_fh d buf)
       | 3 ->
           let op_id = Dec.u64 d in
-          let fh = dec_fh d in
+          let fh = Codec.dec_fh d buf in
           Nlink { op_id; fh; delta = dec_i d }
       | 4 ->
           let op_id = Dec.u64 d in
-          let dir = dec_fh d in
+          let dir = Codec.dec_fh d buf in
           let delta = dec_i d in
-          Entry_count { op_id; dir; delta; mtime = dec_time d }
+          Entry_count { op_id; dir; delta; mtime = Codec.dec_time d }
       | 5 ->
           let op_id = Dec.u64 d in
-          let dir = dec_fh d in
+          let dir = Codec.dec_fh d buf in
           let name = Dec.str d in
-          Add_entry { op_id; dir; name; child = dec_fh d }
-      | 6 ->
-          let op_id = Dec.u64 d in
-          let dir = dec_fh d in
-          Remove_entry { op_id; dir; name = Dec.str d }
-      | 7 ->
-          let dir = dec_fh d in
-          Get_entry { dir; name = Dec.str d }
-      | _ -> raise Malformed
+          Add_entry { op_id; dir; name; child = Codec.dec_fh d buf }
+      | n -> raise (Codec.Malformed (Printf.sprintf "bad peer message %d" n))
     in
     (xid, msg)
-  with Slice_xdr.Xdr.Truncated -> raise Malformed
-
-let status_to_int : Nfs.status -> int = function
-  | OK -> 0
-  | ERR_PERM -> 1
-  | ERR_NOENT -> 2
-  | ERR_IO -> 5
-  | ERR_EXIST -> 17
-  | ERR_NOTDIR -> 20
-  | ERR_ISDIR -> 21
-  | ERR_NOSPC -> 28
-  | ERR_NOTEMPTY -> 66
-  | ERR_STALE -> 70
-  | ERR_BADHANDLE -> 10001
-  | ERR_JUKEBOX -> 10008
-  | ERR_MISDIRECTED -> 20001
-
-let status_of_int : int -> Nfs.status = function
-  | 0 -> OK
-  | 1 -> ERR_PERM
-  | 2 -> ERR_NOENT
-  | 5 -> ERR_IO
-  | 17 -> ERR_EXIST
-  | 20 -> ERR_NOTDIR
-  | 21 -> ERR_ISDIR
-  | 28 -> ERR_NOSPC
-  | 66 -> ERR_NOTEMPTY
-  | 70 -> ERR_STALE
-  | 10001 -> ERR_BADHANDLE
-  | 10008 -> ERR_JUKEBOX
-  | 20001 -> ERR_MISDIRECTED
-  | _ -> raise Malformed
+  with Slice_xdr.Xdr.Truncated -> raise (Codec.Malformed "truncated peer message")
 
 let encode_reply ~xid reply =
   let e = Enc.create () in
@@ -211,12 +108,9 @@ let encode_reply ~xid reply =
   | Rattr a ->
       Enc.u32 e 2;
       enc_attr e a
-  | Rentry fh ->
-      Enc.u32 e 3;
-      enc_fh e fh
   | Rerr st ->
       Enc.u32 e 4;
-      Enc.u32 e (status_to_int st));
+      Enc.u32 e (Codec.int_of_status st));
   Enc.to_bytes e
 
 let decode_reply buf =
@@ -227,9 +121,8 @@ let decode_reply buf =
       match Dec.u32 d with
       | 1 -> Ack
       | 2 -> Rattr (dec_attr d)
-      | 3 -> Rentry (dec_fh d)
-      | 4 -> Rerr (status_of_int (Dec.u32 d))
-      | _ -> raise Malformed
+      | 4 -> Rerr (Codec.status_of_int (Dec.u32 d))
+      | n -> raise (Codec.Malformed (Printf.sprintf "bad peer reply %d" n))
     in
     (xid, reply)
-  with Slice_xdr.Xdr.Truncated -> raise Malformed
+  with Slice_xdr.Xdr.Truncated -> raise (Codec.Malformed "truncated peer reply")

@@ -1,16 +1,28 @@
-(** Peer-peer protocol between directory servers (Section 4.3): update
-    link counts for create/link/remove and mkdir/rmdir crossing sites,
-    follow cross-site links for lookup/getattr/setattr, and maintain
-    parent-directory entry counts and modify times.
+(** Peer-peer protocol between directory servers (Section 4.3). Four
+    messages, each sent by {!Dirserver} when a name-space update touches
+    state held at another site:
+
+    - [Getattr]: read an attribute cell at its home site (a lookup or
+      rmdir whose child's cell lives elsewhere);
+    - [Nlink]: change a file's link count (link, rename, remove and
+      rmdir of an entry whose attribute cell lives elsewhere);
+    - [Entry_count]: update a parent directory's entry count and modify
+      time (create, remove or rename under a name-hashed parent whose
+      attribute cell lives elsewhere);
+    - [Add_entry]: install a name entry at its site (the orphaned
+      directory of a redirected mkdir under mkdir switching, or a rename
+      or link whose target entry lives elsewhere).
 
     Every state-changing message carries an operation id; receivers keep a
     logged dedup set, making re-delivery after crash recovery idempotent —
     the foundation of the light two-phase commit used for the infrequent
-    cross-site ("orphaned directory") operations of mkdir switching. *)
+    cross-site ("orphaned directory") operations of mkdir switching.
+
+    Field codecs (handles, times, file types, statuses) are
+    {!Slice_nfs.Codec}'s; decoders raise {!Slice_nfs.Codec.Malformed}. *)
 
 type msg =
   | Getattr of Slice_nfs.Fh.t
-  | Setattr of { op_id : int64; fh : Slice_nfs.Fh.t; sattr : Slice_nfs.Nfs.sattr }
   | Nlink of { op_id : int64; fh : Slice_nfs.Fh.t; delta : int }
   | Entry_count of { op_id : int64; dir : Slice_nfs.Fh.t; delta : int; mtime : float }
   | Add_entry of {
@@ -19,14 +31,8 @@ type msg =
       name : string;
       child : Slice_nfs.Fh.t;
     }
-  | Remove_entry of { op_id : int64; dir : Slice_nfs.Fh.t; name : string }
-  | Get_entry of { dir : Slice_nfs.Fh.t; name : string }
 
-type reply =
-  | Ack
-  | Rattr of Slice_nfs.Nfs.fattr
-  | Rentry of Slice_nfs.Fh.t
-  | Rerr of Slice_nfs.Nfs.status
+type reply = Ack | Rattr of Slice_nfs.Nfs.fattr | Rerr of Slice_nfs.Nfs.status
 
 val encode_msg : xid:int -> msg -> bytes
 val decode_msg : bytes -> int * msg
@@ -34,9 +40,7 @@ val encode_reply : xid:int -> reply -> bytes
 val decode_reply : bytes -> int * reply
 
 val enc_attr : Slice_xdr.Xdr.Enc.t -> Slice_nfs.Nfs.fattr -> unit
-(** Shared attribute encoding, reused by the directory server's log
-    records. *)
+(** Compact 68-byte attribute encoding (no rdev/fsid), shared by peer
+    replies and the directory server's log records. *)
 
 val dec_attr : Slice_xdr.Xdr.Dec.t -> Slice_nfs.Nfs.fattr
-
-exception Malformed

@@ -87,6 +87,7 @@ let repo =
                "lib/dir/peer.ml";
                "lib/baseline/nfs_server.ml";
                "lib/storage/coordinator.ml";
+               "lib/storage/ctrl.ml";
                "lib/storage/obsd.ml";
                "lib/storage/nfs_endpoint.ml";
                "lib/smallfile/smallfile.ml";

@@ -23,6 +23,29 @@ val extra_size_of_call : Nfs.call -> int
 
 val extra_size_of_response : Nfs.response -> int
 
+(** {2 Field codecs}
+
+    The one encoding of each protocol field, shared by the manager
+    protocols ([Slice_dir.Peer], [Slice_storage.Ctrl]) that ride the
+    same XDR framing. *)
+
+val enc_fh : Slice_xdr.Xdr.Enc.t -> Fh.t -> unit
+(** A handle as a 32-byte XDR opaque, written in place. *)
+
+val dec_fh : Slice_xdr.Xdr.Dec.t -> bytes -> Fh.t
+(** [dec_fh d buf] reads a handle opaque from [d], whose underlying
+    buffer is [buf]. @raise Malformed on a bad handle. *)
+
+val enc_time : Slice_xdr.Xdr.Enc.t -> Nfs.time -> unit
+(** (seconds, nanoseconds) as two u32 words. *)
+
+val dec_time : Slice_xdr.Xdr.Dec.t -> Nfs.time
+
+val int_of_ftype : Fh.ftype -> int
+val ftype_of_int : int -> Fh.ftype
+(** NFS V3 ftype codes (1 = Reg, 2 = Dir, 5 = Lnk).
+    @raise Malformed on any other code. *)
+
 val int_of_status : Nfs.status -> int
 val status_of_int : int -> Nfs.status
 (** The NFS V3 wire values ([ERR_MISDIRECTED] is Slice's 20001).

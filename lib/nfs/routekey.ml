@@ -1,3 +1,5 @@
+type name_policy = Mkdir_switching | Name_hashing
+
 let name_site ~nsites parent name =
   Slice_hash.Md5.bucket (Fh.key parent ^ "\x00" ^ name) nsites
 

@@ -5,6 +5,14 @@
     requests — so the functions live here, beside the protocol. All are
     MD5-based (the hash the paper selected for balance and cost). *)
 
+type name_policy =
+  | Mkdir_switching
+      (** a directory's entries live at its attribute cell's site; a new
+          directory lands on another site with probability p *)
+  | Name_hashing  (** each entry lives at {!name_site} of (parent, name) *)
+(** Where name entries live (Section 4.3). The µproxy routes by it and
+    the directory servers place cells by it. *)
+
 val name_site : nsites:int -> Fh.t -> string -> int
 (** Logical site of the name entry (parent handle, name) under the
     name-hashing policy, and the redirection target of mkdir switching. *)

@@ -64,7 +64,7 @@ let log_complete t op_id =
    commit, forcing participants' dirty state stable. *)
 let nfs_call_for_redo (i : intent) : Nfs.call =
   match i.kind with
-  | Ctrl.K_remove | Ctrl.K_truncate -> Nfs.Remove (i.fh, "")
+  | Ctrl.K_remove -> Nfs.Remove (i.fh, "")
   | Ctrl.K_commit | Ctrl.K_mirror_write -> Nfs.Commit (i.fh, 0L, 0)
 
 (* Push the call to every participant; true only when all of them acked.
@@ -143,7 +143,7 @@ let sites_for t fh block =
 let handle_msg t (pkt : Packet.t) =
   Engine.spawn t.host.Host.eng (fun () ->
       if t.up then
-        match (try Some (Ctrl.decode_msg pkt.payload) with Ctrl.Malformed -> None) with
+        match (try Some (Ctrl.decode_msg pkt.payload) with Codec.Malformed _ -> None) with
         | None -> ()
         | Some (xid, msg) ->
             let span =
@@ -285,12 +285,12 @@ let recover t =
              | _, Ctrl.Intent { op_id; kind; fh; participants } ->
                  Hashtbl.replace t.intents op_id { kind; fh; participants; completed = false }
              | _ -> ()
-             | exception Ctrl.Malformed -> ())
+             | exception Codec.Malformed _ -> ())
          | rt when rt = rt_complete -> (
              match Ctrl.decode_msg (Bytes.of_string payload) with
              | _, Ctrl.Complete { op_id } -> Hashtbl.remove t.intents op_id
              | _ -> ()
-             | exception Ctrl.Malformed -> ())
+             | exception Codec.Malformed _ -> ())
          | _ -> ()));
   t.up <- true;
   let incomplete =

@@ -1,19 +1,18 @@
 module Enc = Slice_xdr.Xdr.Enc
 module Dec = Slice_xdr.Xdr.Dec
 module Fh = Slice_nfs.Fh
+module Codec = Slice_nfs.Codec
 
-exception Malformed
+(* Kind 4 belonged to a retired truncate intent and is not reused. *)
+type kind = K_remove | K_commit | K_mirror_write
 
-type kind = K_remove | K_commit | K_mirror_write | K_truncate
-
-let kind_to_int = function K_remove -> 1 | K_commit -> 2 | K_mirror_write -> 3 | K_truncate -> 4
+let kind_to_int = function K_remove -> 1 | K_commit -> 2 | K_mirror_write -> 3
 
 let kind_of_int = function
-  | 1 -> Some K_remove
-  | 2 -> Some K_commit
-  | 3 -> Some K_mirror_write
-  | 4 -> Some K_truncate
-  | _ -> None
+  | 1 -> K_remove
+  | 2 -> K_commit
+  | 3 -> K_mirror_write
+  | n -> raise (Codec.Malformed (Printf.sprintf "bad intent kind %d" n))
 
 type msg =
   | Intent of { op_id : int64; kind : kind; fh : Fh.t; participants : int list }
@@ -24,17 +23,20 @@ type msg =
 
 type reply = Ack | Nack | Map of { first_block : int; sites : int array }
 
-let enc_fh e fh = Enc.opaque e (Fh.encode fh)
-
-let dec_fh d =
-  match Fh.decode (Dec.opaque d) with Some fh -> fh | None -> raise Malformed
+(* A count of u32 words read off the wire, rejected before anything is
+   sized from it when the rest of the buffer cannot hold that many. *)
+let dec_count d buf =
+  let n = Dec.u32 d in
+  if n > (Bytes.length buf - Dec.pos d) / 4 then
+    raise (Codec.Malformed (Printf.sprintf "count %d overruns buffer" n));
+  n
 
 let enc_sites e sites =
   Enc.u32 e (List.length sites);
   List.iter (Enc.u32 e) sites
 
-let dec_sites d =
-  let n = Dec.u32 d in
+let dec_sites d buf =
+  let n = dec_count d buf in
   List.init n (fun _ -> Dec.u32 d)
 
 let encode_msg ~xid msg =
@@ -45,22 +47,22 @@ let encode_msg ~xid msg =
       Enc.u32 e 1;
       Enc.u64 e op_id;
       Enc.u32 e (kind_to_int kind);
-      enc_fh e fh;
+      Codec.enc_fh e fh;
       enc_sites e participants
   | Complete { op_id } ->
       Enc.u32 e 2;
       Enc.u64 e op_id
   | Remove_file { fh; sites } ->
       Enc.u32 e 3;
-      enc_fh e fh;
+      Codec.enc_fh e fh;
       enc_sites e sites
   | Commit_file { fh; sites } ->
       Enc.u32 e 4;
-      enc_fh e fh;
+      Codec.enc_fh e fh;
       enc_sites e sites
   | Get_map { fh; first_block; count } ->
       Enc.u32 e 5;
-      enc_fh e fh;
+      Codec.enc_fh e fh;
       Enc.u32 e first_block;
       Enc.u32 e count);
   Enc.to_bytes e
@@ -73,24 +75,24 @@ let decode_msg buf =
       match Dec.u32 d with
       | 1 ->
           let op_id = Dec.u64 d in
-          let kind = match kind_of_int (Dec.u32 d) with Some k -> k | None -> raise Malformed in
-          let fh = dec_fh d in
-          Intent { op_id; kind; fh; participants = dec_sites d }
+          let kind = kind_of_int (Dec.u32 d) in
+          let fh = Codec.dec_fh d buf in
+          Intent { op_id; kind; fh; participants = dec_sites d buf }
       | 2 -> Complete { op_id = Dec.u64 d }
       | 3 ->
-          let fh = dec_fh d in
-          Remove_file { fh; sites = dec_sites d }
+          let fh = Codec.dec_fh d buf in
+          Remove_file { fh; sites = dec_sites d buf }
       | 4 ->
-          let fh = dec_fh d in
-          Commit_file { fh; sites = dec_sites d }
+          let fh = Codec.dec_fh d buf in
+          Commit_file { fh; sites = dec_sites d buf }
       | 5 ->
-          let fh = dec_fh d in
+          let fh = Codec.dec_fh d buf in
           let first_block = Dec.u32 d in
           Get_map { fh; first_block; count = Dec.u32 d }
-      | _ -> raise Malformed
+      | n -> raise (Codec.Malformed (Printf.sprintf "bad ctrl message %d" n))
     in
     (xid, msg)
-  with Slice_xdr.Xdr.Truncated -> raise Malformed
+  with Slice_xdr.Xdr.Truncated -> raise (Codec.Malformed "truncated ctrl message")
 
 let encode_reply ~xid reply =
   let e = Enc.create () in
@@ -115,9 +117,9 @@ let decode_reply buf =
       | 2 -> Nack
       | 3 ->
           let first_block = Dec.u32 d in
-          let n = Dec.u32 d in
+          let n = dec_count d buf in
           Map { first_block; sites = Array.init n (fun _ -> Dec.u32 d) }
-      | _ -> raise Malformed
+      | n -> raise (Codec.Malformed (Printf.sprintf "bad ctrl reply %d" n))
     in
     (xid, reply)
-  with Slice_xdr.Xdr.Truncated -> raise Malformed
+  with Slice_xdr.Xdr.Truncated -> raise (Codec.Malformed "truncated ctrl reply")

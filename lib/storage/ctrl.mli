@@ -2,9 +2,12 @@
     begin/complete, orchestrated multi-site remove and commit, and
     block-map fragment fetch (Sections 2.2, 3.1 and 3.3.2 of the paper).
     Encoded over XDR with an RPC-compatible XID first word so the generic
-    {!Slice_net.Rpc} endpoint carries them. *)
+    {!Slice_net.Rpc} endpoint carries them. Handles use
+    {!Slice_nfs.Codec}'s field codec; decoders raise
+    {!Slice_nfs.Codec.Malformed}, before allocating for any count the
+    buffer cannot hold. *)
 
-type kind = K_remove | K_commit | K_mirror_write | K_truncate
+type kind = K_remove | K_commit | K_mirror_write
 
 type msg =
   | Intent of { op_id : int64; kind : kind; fh : Slice_nfs.Fh.t; participants : int list }
@@ -27,5 +30,3 @@ val encode_msg : xid:int -> msg -> bytes
 val decode_msg : bytes -> int * msg
 val encode_reply : xid:int -> reply -> bytes
 val decode_reply : bytes -> int * reply
-
-exception Malformed

@@ -15,10 +15,10 @@ type rig = {
   dirs : Dirserver.t array;
   addrs : Slice_net.Packet.addr array;
   rpc : Rpc.t;
-  policy : Dirserver.policy;
+  policy : Routekey.name_policy;
 }
 
-let mk_rig ?(nsites = 2) ?(policy = Dirserver.Name_hashing) () =
+let mk_rig ?(nsites = 2) ?(policy = Routekey.Name_hashing) () =
   let eng = Engine.create () in
   let net = Net.create eng () in
   let hosts =
@@ -51,8 +51,8 @@ let site_of rig (call : Nfs.call) =
   let n = Array.length rig.addrs in
   let by_name (dfh : Fh.t) name =
     match rig.policy with
-    | Dirserver.Mkdir_switching -> dfh.Fh.attr_site mod n
-    | Dirserver.Name_hashing -> Routekey.name_site ~nsites:n dfh name
+    | Routekey.Mkdir_switching -> dfh.Fh.attr_site mod n
+    | Routekey.Name_hashing -> Routekey.name_site ~nsites:n dfh name
   in
   match call with
   | Nfs.Getattr fh | Nfs.Setattr (fh, _) | Nfs.Access (fh, _) | Nfs.Readlink fh ->
@@ -242,7 +242,7 @@ let readdir_paging () =
 (* ---- cross-site behaviour ---- *)
 
 let hashing_spreads_entries () =
-  let rig = mk_rig ~nsites:2 ~policy:Dirserver.Name_hashing () in
+  let rig = mk_rig ~nsites:2 ~policy:Routekey.Name_hashing () in
   run_on rig.eng (fun () ->
       for i = 0 to 19 do
         ignore (ok_or_fail "c" (create rig Fh.root (Printf.sprintf "spread%02d" i)))
@@ -256,7 +256,7 @@ let hashing_spreads_entries () =
         (Dirserver.cross_site_ops rig.dirs.(0) + Dirserver.cross_site_ops rig.dirs.(1) > 0))
 
 let redirected_mkdir_orphan () =
-  let rig = mk_rig ~nsites:2 ~policy:Dirserver.Mkdir_switching () in
+  let rig = mk_rig ~nsites:2 ~policy:Routekey.Mkdir_switching () in
   run_on rig.eng (fun () ->
       (* emulate the µproxy redirecting a mkdir to the non-parent site *)
       let parent_site = Fh.root.Fh.attr_site in
@@ -273,7 +273,7 @@ let redirected_mkdir_orphan () =
       check_int "child minted at orphan's site" other f.Fh.attr_site)
 
 let misdirected_bounced () =
-  let rig = mk_rig ~nsites:2 ~policy:Dirserver.Name_hashing () in
+  let rig = mk_rig ~nsites:2 ~policy:Routekey.Name_hashing () in
   run_on rig.eng (fun () ->
       ignore (ok_or_fail "create" (create rig Fh.root "here"));
       let right = site_of rig (Nfs.Lookup (Fh.root, "here")) in
@@ -296,7 +296,7 @@ let dir_state rig i =
   (Dirserver.entry_count rig.dirs.(i), Dirserver.attr_cell_count rig.dirs.(i))
 
 let crash_recover_preserves_state () =
-  let rig = mk_rig ~nsites:2 ~policy:Dirserver.Name_hashing () in
+  let rig = mk_rig ~nsites:2 ~policy:Routekey.Name_hashing () in
   run_on rig.eng (fun () ->
       let d, _ = ok_or_fail "mkdir" (mkdir rig Fh.root "keep") in
       for i = 0 to 9 do
@@ -378,7 +378,7 @@ let adopt_site d ~site ~log =
 let failover_adopt_site () =
   (* Section 2.3: a surviving server assumes a failed server's role,
      recovering its state from the shared journal. *)
-  let rig = mk_rig ~nsites:2 ~policy:Dirserver.Name_hashing () in
+  let rig = mk_rig ~nsites:2 ~policy:Routekey.Name_hashing () in
   run_on rig.eng (fun () ->
       let names = List.init 16 (Printf.sprintf "file%02d") in
       List.iter (fun n -> ignore (ok_or_fail n (create rig Fh.root n))) names;
@@ -438,7 +438,7 @@ let rebalance_logical_sites () =
       {
         Dirserver.logical_id = primary;
         nsites = nlogical;
-        policy = Dirserver.Name_hashing;
+        policy = Routekey.Name_hashing;
         resolve = (fun l -> addrs.(binding.(l mod nlogical)));
         peer_port = 2051;
         data_sites = (fun _ -> []);
@@ -573,7 +573,7 @@ let readdir_survives_recovery () =
       check_bool "same replies after WAL replay" true (List.map fst (site_pages rig d) = before))
 
 let readdir_sites_cover_directory () =
-  let rig = mk_rig ~nsites:2 ~policy:Dirserver.Name_hashing () in
+  let rig = mk_rig ~nsites:2 ~policy:Routekey.Name_hashing () in
   run_on rig.eng (fun () ->
       let d, _ = ok_or_fail "mkdir" (mkdir rig Fh.root "spread") in
       let names = List.init 20 (Printf.sprintf "e%02d") in
@@ -589,4 +589,115 @@ let suite =
       ("readdir tracks rename across directories", `Quick, readdir_tracks_rename);
       ("readdir survives crash and recovery", `Quick, readdir_survives_recovery);
       ("readdir site pages cover the directory", `Quick, readdir_sites_cover_directory);
+    ]
+
+(* ---- peer protocol ---- *)
+
+module Peer = Slice_dir.Peer
+
+let cross_total rig = Array.fold_left (fun n d -> n + Dirserver.cross_site_ops d) 0 rig.dirs
+let cells_total rig = Array.fold_left (fun n d -> n + Dirserver.attr_cell_count d) 0 rig.dirs
+
+(* First name of the form [prefix ^ i] whose root entry hashes to [site]. *)
+let name_at rig prefix site =
+  let rec go i =
+    let n = prefix ^ string_of_int i in
+    if site_of rig (Nfs.Lookup (Fh.root, n)) = site then n else go (i + 1)
+  in
+  go 0
+
+let getattr_nlink rig fh =
+  match call rig (Nfs.Getattr fh) with
+  | Ok (Nfs.RGetattr a) -> a.Nfs.nlink
+  | _ -> Alcotest.fail "getattr"
+
+(* Link counts of a file whose attribute cell lives at the other site
+   travel as [Peer.Nlink]. The file is created at site 1 (its cell lives
+   with its entry); its link lives at site 0, so linking and removing the
+   link change the count across sites, and removing the original name
+   updates root's entry count (root's cell is at site 0) across sites. *)
+let cross_site_nlink () =
+  let rig = mk_rig ~nsites:2 ~policy:Routekey.Name_hashing () in
+  run_on rig.eng (fun () ->
+      let orig = name_at rig "orig" 1 and alias = name_at rig "alias" 0 in
+      let fh, _ = ok_or_fail "create" (create rig Fh.root orig) in
+      check_int "cell at site 1" 1 fh.Fh.attr_site;
+      let cross0 = cross_total rig in
+      (match call rig (Nfs.Link (fh, Fh.root, alias)) with
+      | Ok (Nfs.RLink a) -> check_int "link reply nlink 2" 2 a.Nfs.nlink
+      | _ -> Alcotest.fail "link");
+      check_int "nlink 2" 2 (getattr_nlink rig fh);
+      let cross1 = cross_total rig in
+      check_bool "link crossed sites" true (cross1 > cross0);
+      (match call rig (Nfs.Remove (Fh.root, orig)) with
+      | Ok Nfs.RRemove -> ()
+      | _ -> Alcotest.fail "remove orig");
+      check_int "nlink 1" 1 (getattr_nlink rig fh);
+      let cross2 = cross_total rig in
+      check_bool "remove of orig crossed sites" true (cross2 > cross1);
+      let cells = cells_total rig in
+      (match call rig (Nfs.Remove (Fh.root, alias)) with
+      | Ok Nfs.RRemove -> ()
+      | _ -> Alcotest.fail "remove alias");
+      check_bool "remove of alias crossed sites" true (cross_total rig > cross2);
+      expect_err "last link gone" Nfs.ERR_STALE
+        (match call rig (Nfs.Getattr fh) with
+        | Ok (Nfs.RGetattr a) -> Ok a
+        | Error st -> Error st
+        | _ -> Alcotest.fail "getattr reply");
+      check_int "cell freed" (cells - 1) (cells_total rig))
+
+let peer_call rig ~site msg =
+  let xid = Rpc.fresh_xid rig.rpc in
+  let reply = Rpc.call rig.rpc ~dst:rig.addrs.(site) ~dport:2051 (Peer.encode_msg ~xid msg) in
+  snd (Peer.decode_reply reply)
+
+let root_entries rig =
+  match call rig (Nfs.Getattr Fh.root) with
+  | Ok (Nfs.RGetattr a) -> Int64.to_int a.Nfs.size / 24
+  | _ -> Alcotest.fail "getattr root"
+
+(* Recovery re-sends prepared updates, so a peer must apply each op id
+   once: the second delivery of the same message changes nothing and
+   answers as the first did. *)
+let peer_redelivery_applies_once () =
+  let rig = mk_rig ~nsites:2 ~policy:Routekey.Name_hashing () in
+  run_on rig.eng (fun () ->
+      let name = name_at rig "f" 1 in
+      let fh, _ = ok_or_fail "create" (create rig Fh.root name) in
+      let twice site msg =
+        let r1 = peer_call rig ~site msg in
+        (r1, peer_call rig ~site msg)
+      in
+      (match twice 1 (Peer.Nlink { op_id = 0x7000_0001L; fh; delta = 1 }) with
+      | Peer.Rattr a1, Peer.Rattr a2 ->
+          check_int "first reply" 2 a1.Nfs.nlink;
+          check_int "second reply" 2 a2.Nfs.nlink
+      | _ -> Alcotest.fail "nlink replies");
+      check_int "nlink moved once" 2 (getattr_nlink rig fh);
+      let entries = root_entries rig in
+      (match
+         twice 0 (Peer.Entry_count { op_id = 0x7000_0002L; dir = Fh.root; delta = 1; mtime = 5.0 })
+       with
+      | Peer.Ack, Peer.Ack -> ()
+      | _ -> Alcotest.fail "entry-count replies");
+      check_int "entry count moved once" (entries + 1) (root_entries rig);
+      let added = name_at rig "added" 0 in
+      let stored = Dirserver.entry_count rig.dirs.(0) in
+      (match
+         twice 0 (Peer.Add_entry { op_id = 0x7000_0003L; dir = Fh.root; name = added; child = fh })
+       with
+      | Peer.Ack, Peer.Ack -> ()
+      | _, Peer.Rerr st -> Alcotest.failf "re-delivered add: %s" (Nfs.status_name st)
+      | _ -> Alcotest.fail "add-entry replies");
+      check_int "entry added once" (stored + 1) (Dirserver.entry_count rig.dirs.(0));
+      check_int "parent counted once" (entries + 2) (root_entries rig);
+      check_bool "entry installed" true
+        (Dirserver.lookup_local rig.dirs.(0) ~parent:Fh.root added <> None))
+
+let suite =
+  suite
+  @ [
+      ("peer: cross-site link counts", `Quick, cross_site_nlink);
+      ("peer: re-delivered updates apply once", `Quick, peer_redelivery_applies_once);
     ]

@@ -485,17 +485,30 @@ let peek_contained c buf =
       | exception Codec.Malformed _ -> true
       | _ -> cursor_agrees_with_decode buf c)
 
+module Peer = Slice_dir.Peer
+module Ctrl = Slice_storage.Ctrl
+
+let contained f = match f () with _ -> true | exception Codec.Malformed _ -> true
+
+(* The manager protocols' decoders, which read raw packet and log bytes
+   just as the NFS decoders do. *)
+let manager_decoders_contained buf =
+  contained (fun () -> ignore (Peer.decode_msg buf))
+  && contained (fun () -> ignore (Peer.decode_reply buf))
+  && contained (fun () -> ignore (Ctrl.decode_msg buf))
+  && contained (fun () -> ignore (Ctrl.decode_reply buf))
+
 let decode_garbage_is_contained =
   qtest ~count:500 "decode of fuzz never escapes Malformed"
     QCheck2.Gen.(string_size (int_range 0 200))
     (fun s ->
       let buf = Bytes.of_string s in
-      let contained f = match f () with _ -> true | exception Codec.Malformed _ -> true in
       peek_contained (Codec.cursor ()) buf
       && contained (fun () -> ignore (Codec.decode_call buf))
       && contained (fun () -> ignore (Codec.decode_reply buf))
       && contained (fun () -> ignore (Codec.reply_attr_offset_i buf))
-      && contained (fun () -> ignore (Codec.reply_fh_after_attr_off buf)))
+      && contained (fun () -> ignore (Codec.reply_fh_after_attr_off buf))
+      && manager_decoders_contained buf)
 
 let truncated_real_call_is_contained =
   qtest ~count:200 "truncated real calls are contained"
@@ -508,8 +521,126 @@ let truncated_real_call_is_contained =
       | exception Codec.Malformed _ -> true)
       && peek_contained (Codec.cursor ()) cut)
 
+(* ---- manager protocols: Peer and Ctrl ---- *)
+
+(* Times are whole seconds plus a multiple of 1/512 s: the (seconds,
+   nanoseconds) wire form holds those exactly, so re-encoding a decoded
+   message reproduces its bytes. *)
+let gen_time =
+  QCheck2.Gen.(
+    map2
+      (fun s k -> float_of_int s +. (float_of_int k /. 512.))
+      (int_range 0 1_000_000) (int_range 0 511))
+let gen_u32 = QCheck2.Gen.int_range 0 0xFFFF_FFFF
+let gen_op_id = QCheck2.Gen.(map Int64.of_int int)
+
+let gen_attr =
+  QCheck2.Gen.(
+    map3
+      (fun (ftype, mode, nlink) (size, fileid) (atime, mtime, ctime) ->
+        { sample_attr with ftype; mode; nlink; size; used = size; fileid; atime; mtime; ctime })
+      (triple gen_ftype gen_u32 gen_u32)
+      (pair gen_op_id gen_op_id)
+      (triple gen_time gen_time gen_time))
+
+let all_statuses =
+  Nfs.
+    [
+      OK; ERR_PERM; ERR_NOENT; ERR_IO; ERR_EXIST; ERR_NOTDIR; ERR_ISDIR; ERR_NOSPC;
+      ERR_NOTEMPTY; ERR_STALE; ERR_BADHANDLE; ERR_JUKEBOX; ERR_MISDIRECTED;
+    ]
+
+let gen_peer_msg =
+  let open QCheck2.Gen in
+  let delta = int_range (-1000) 1000 in
+  oneof
+    [
+      map (fun fh -> Peer.Getattr fh) gen_fh;
+      map3 (fun op_id fh delta -> Peer.Nlink { op_id; fh; delta }) gen_op_id gen_fh delta;
+      map2
+        (fun (op_id, dir) (delta, mtime) -> Peer.Entry_count { op_id; dir; delta; mtime })
+        (pair gen_op_id gen_fh) (pair delta gen_time);
+      map2
+        (fun (op_id, dir) (name, child) -> Peer.Add_entry { op_id; dir; name; child })
+        (pair gen_op_id gen_fh) (pair gen_name gen_fh);
+    ]
+
+let gen_peer_reply =
+  let open QCheck2.Gen in
+  oneof
+    [
+      return Peer.Ack;
+      map (fun a -> Peer.Rattr a) gen_attr;
+      map (fun st -> Peer.Rerr st) (oneofl all_statuses);
+    ]
+
+let gen_sites = QCheck2.Gen.(small_list gen_u32)
+
+let gen_ctrl_msg =
+  let open QCheck2.Gen in
+  oneof
+    [
+      map3
+        (fun op_id (kind, fh) participants -> Ctrl.Intent { op_id; kind; fh; participants })
+        gen_op_id
+        (pair (oneofl [ Ctrl.K_remove; Ctrl.K_commit; Ctrl.K_mirror_write ]) gen_fh)
+        gen_sites;
+      map (fun op_id -> Ctrl.Complete { op_id }) gen_op_id;
+      map2 (fun fh sites -> Ctrl.Remove_file { fh; sites }) gen_fh gen_sites;
+      map2 (fun fh sites -> Ctrl.Commit_file { fh; sites }) gen_fh gen_sites;
+      map3 (fun fh first_block count -> Ctrl.Get_map { fh; first_block; count }) gen_fh gen_u32 gen_u32;
+    ]
+
+let gen_ctrl_reply =
+  let open QCheck2.Gen in
+  oneof
+    [
+      return Ctrl.Ack;
+      return Ctrl.Nack;
+      map2
+        (fun first_block sites -> Ctrl.Map { first_block; sites = Array.of_list sites })
+        gen_u32 gen_sites;
+    ]
+
+(* encode -> decode -> encode reproduces the bytes, xid included. *)
+let reencodes name gen encode decode =
+  qtest ~count:300 name
+    QCheck2.Gen.(pair gen_u32 gen)
+    (fun (xid, m) ->
+      let b = encode ~xid m in
+      let xid', m' = decode b in
+      xid' = xid && Bytes.equal (encode ~xid:xid' m') b)
+
+(* A real message cut short or with one byte overwritten still decodes
+   or raises [Malformed], never anything else. *)
+let damaged_contained name gen encode =
+  qtest ~count:300 name
+    QCheck2.Gen.(triple gen small_nat (pair small_nat (int_range 0 255)))
+    (fun (m, keep, (at, byte)) ->
+      let b = encode ~xid:9 m in
+      let cut = Bytes.sub b 0 (min keep (Bytes.length b)) in
+      let hit = Bytes.copy b in
+      Bytes.set hit (at mod Bytes.length hit) (Char.chr byte);
+      manager_decoders_contained cut && manager_decoders_contained hit)
+
 let suite =
-  suite @ [ decode_garbage_is_contained; truncated_real_call_is_contained ]
+  suite
+  @ [
+      decode_garbage_is_contained;
+      truncated_real_call_is_contained;
+      reencodes "peer message re-encodes to the same bytes" gen_peer_msg Peer.encode_msg
+        Peer.decode_msg;
+      reencodes "peer reply re-encodes to the same bytes" gen_peer_reply Peer.encode_reply
+        Peer.decode_reply;
+      reencodes "ctrl message re-encodes to the same bytes" gen_ctrl_msg Ctrl.encode_msg
+        Ctrl.decode_msg;
+      reencodes "ctrl reply re-encodes to the same bytes" gen_ctrl_reply Ctrl.encode_reply
+        Ctrl.decode_reply;
+      damaged_contained "damaged peer messages are contained" gen_peer_msg Peer.encode_msg;
+      damaged_contained "damaged peer replies are contained" gen_peer_reply Peer.encode_reply;
+      damaged_contained "damaged ctrl messages are contained" gen_ctrl_msg Ctrl.encode_msg;
+      damaged_contained "damaged ctrl replies are contained" gen_ctrl_reply Ctrl.encode_reply;
+    ]
 
 (* ---- sorted directory listings ---- *)
 

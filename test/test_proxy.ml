@@ -199,7 +199,7 @@ let stale_table_lazy_refresh () =
           {
             Slice_dir.Dirserver.logical_id = i;
             nsites = 2;
-            policy = Slice_dir.Dirserver.Name_hashing;
+            policy = Slice_nfs.Routekey.Name_hashing;
             resolve = (fun l -> addrs.(l mod 2));
             peer_port = 2051;
             data_sites = (fun _ -> []);

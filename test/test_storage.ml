@@ -418,6 +418,35 @@ let drc_replays_lost_reply () =
   | Some first -> check_bool "replayed reply is byte-identical" true (Bytes.equal first reply)
   | None -> Alcotest.fail "no reply was dropped"
 
+(* ---- Ctrl wire counts ---- *)
+
+(* Allocation while [f] raises [Codec.Malformed]; fails if it decodes. *)
+let malformed_alloc label f =
+  let before = Gc.allocated_bytes () in
+  (match f () with
+  | _ -> Alcotest.failf "%s: decoded an overrunning count" label
+  | exception Codec.Malformed _ -> ());
+  Gc.allocated_bytes () -. before
+
+(* A count off the wire sizes nothing until the buffer is known to hold
+   that many words: a 20-byte Map reply and a Remove_file message, each
+   claiming a million sites, are refused at once. *)
+let ctrl_counts_checked_before_alloc () =
+  let words ws =
+    let e = Slice_xdr.Xdr.Enc.create () in
+    List.iter (Slice_xdr.Xdr.Enc.u32 e) ws;
+    Slice_xdr.Xdr.Enc.to_bytes e
+  in
+  let reply = words [ 7; 3; 0; 1_000_000; 5 ] in
+  check_int "20-byte reply" 20 (Bytes.length reply);
+  let used = malformed_alloc "map reply" (fun () -> Ctrl.decode_reply reply) in
+  check_bool (Printf.sprintf "map reply allocated %.0f bytes" used) true (used < 65536.);
+  let remove = Ctrl.encode_msg ~xid:7 (Ctrl.Remove_file { fh = reg_fh 5; sites = [ 1 ] }) in
+  (* the site count is the word before the one site *)
+  Bytes.set_int32_be remove (Bytes.length remove - 8) 1_000_000l;
+  let used = malformed_alloc "remove_file" (fun () -> Ctrl.decode_msg remove) in
+  check_bool (Printf.sprintf "remove_file allocated %.0f bytes" used) true (used < 65536.)
+
 let suite =
   [
     ("nfs endpoint DRC replays a lost reply", `Quick, drc_replays_lost_reply);
@@ -438,4 +467,5 @@ let suite =
     ("coordinator crash recovery redoes", `Quick, coord_crash_recovery_redoes);
     ("coordinator completion survives crash", `Quick, coord_completion_survives_crash);
     ("coordinator block maps", `Quick, coord_block_maps);
+    ("ctrl counts checked before allocation", `Quick, ctrl_counts_checked_before_alloc);
   ]
