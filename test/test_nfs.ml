@@ -532,7 +532,7 @@ let gen_time =
       (fun s k -> float_of_int s +. (float_of_int k /. 512.))
       (int_range 0 1_000_000) (int_range 0 511))
 let gen_u32 = QCheck2.Gen.int_range 0 0xFFFF_FFFF
-let gen_op_id = QCheck2.Gen.(map Int64.of_int int)
+let gen_i64 = QCheck2.Gen.(map Int64.of_int int)
 
 let gen_attr =
   QCheck2.Gen.(
@@ -540,7 +540,7 @@ let gen_attr =
       (fun (ftype, mode, nlink) (size, fileid) (atime, mtime, ctime) ->
         { sample_attr with ftype; mode; nlink; size; used = size; fileid; atime; mtime; ctime })
       (triple gen_ftype gen_u32 gen_u32)
-      (pair gen_op_id gen_op_id)
+      (pair gen_i64 gen_i64)
       (triple gen_time gen_time gen_time))
 
 let all_statuses =
@@ -556,13 +556,13 @@ let gen_peer_msg =
   oneof
     [
       map (fun fh -> Peer.Getattr fh) gen_fh;
-      map3 (fun op_id fh delta -> Peer.Nlink { op_id; fh; delta }) gen_op_id gen_fh delta;
+      map3 (fun op_id fh delta -> Peer.Nlink { op_id; fh; delta }) gen_i64 gen_fh delta;
       map2
         (fun (op_id, dir) (delta, mtime) -> Peer.Entry_count { op_id; dir; delta; mtime })
-        (pair gen_op_id gen_fh) (pair delta gen_time);
+        (pair gen_i64 gen_fh) (pair delta gen_time);
       map2
         (fun (op_id, dir) (name, child) -> Peer.Add_entry { op_id; dir; name; child })
-        (pair gen_op_id gen_fh) (pair gen_name gen_fh);
+        (pair gen_i64 gen_fh) (pair gen_name gen_fh);
     ]
 
 let gen_peer_reply =
@@ -582,10 +582,10 @@ let gen_ctrl_msg =
     [
       map3
         (fun op_id (kind, fh) participants -> Ctrl.Intent { op_id; kind; fh; participants })
-        gen_op_id
+        gen_i64
         (pair (oneofl [ Ctrl.K_remove; Ctrl.K_commit; Ctrl.K_mirror_write ]) gen_fh)
         gen_sites;
-      map (fun op_id -> Ctrl.Complete { op_id }) gen_op_id;
+      map (fun op_id -> Ctrl.Complete { op_id }) gen_i64;
       map2 (fun fh sites -> Ctrl.Remove_file { fh; sites }) gen_fh gen_sites;
       map2 (fun fh sites -> Ctrl.Commit_file { fh; sites }) gen_fh gen_sites;
       map3 (fun fh first_block count -> Ctrl.Get_map { fh; first_block; count }) gen_fh gen_u32 gen_u32;
