@@ -49,7 +49,7 @@ type config = {
           fixed for the volume's lifetime (routing hashes are mod the
           site count). 0 means one site per initial server, the
           pre-reconfiguration identity mapping. Run more sites than
-          servers to leave headroom for {!add_dir_server} & co. *)
+          servers to leave headroom for {!add_server}. *)
   qos : qos_config option;
 }
 
@@ -72,6 +72,8 @@ let default_config =
     qos = None;
   }
 
+type klass = Dir | Smallfile | Storage
+
 type qos_rt = { qr_cfg : qos_config; qr_reg : Slice_qos.Tenant.t }
 
 type t = {
@@ -81,7 +83,6 @@ type t = {
   trace_ : Trace.t option;
   vaddr : Packet.addr;
   mutable storage_ : Obsd.t array;
-  mutable storage_addrs : Packet.addr array;
   st_tbl : Table.t option; (* logical storage site -> physical node *)
   mutable coord : Coordinator.t option; (* mutable: failover replaces it *)
   mutable dirs_ : Dirserver.t array;
@@ -116,6 +117,10 @@ let bind_system_host qos_ (host : Host.t) =
 
 let root = Fh.root
 
+(* Shared secret between the file managers and the storage nodes. Any
+   value works — the µproxies never see it. *)
+let cap_secret = "slice-ensemble-shared-secret"
+
 (* Zone handles for a dataless small-file server's backing objects: one
    per (server, cache-object) pair, striped across the storage array by
    the manager host's own storage-only µproxy. *)
@@ -130,7 +135,7 @@ let zone_fh ~secure ~sf_idx ~obj =
       cap = 0L;
     }
   in
-  if secure then Slice_nfs.Cap.seal ~secret:"slice-ensemble-shared-secret" fh else fh
+  if secure then Slice_nfs.Cap.seal ~secret:cap_secret fh else fh
 
 (* Remote backend: zone blocks live on the network storage array, reached
    through [rpc] + the host's µproxy (which stripes and, on commit,
@@ -195,10 +200,6 @@ let remote_backend eng rpc ~vaddr ~secure ~sf_idx ~stripe_unit =
              [ 1L; 2L ]));
   }
 
-(* Shared secret between the file managers and the storage nodes. Any
-   value works — the µproxies never see it. *)
-let cap_secret = "slice-ensemble-shared-secret"
-
 (* Tracers of every ensemble built so far, for the CLI's --trace-json
    dump (exhibits build their ensembles internally and only hand back a
    report). Creation order is deterministic; drained by the dumper. *)
@@ -239,6 +240,27 @@ let smallfile_site_of t (fh : Fh.t) =
       Some (Table.lookup tbl (Routekey.file_site ~nsites:(Table.nsites tbl) fh))
   | _ -> None
 
+(* One host per server, named after its class and index. Net addresses
+   are assigned in creation order. *)
+let storage_host net cfg i =
+  (* 733 MHz Xeon-class, 8-arm arrays *)
+  Host.create net ~name:(Printf.sprintf "storage%d" i) ~cpu_scale:1.6 ~disks:cfg.disks_per_node ()
+
+(* PC-class with a dedicated sequential log disk *)
+let dir_host net i = Host.create net ~name:(Printf.sprintf "dir%d" i) ~disks:1 ()
+
+let smallfile_host net cfg i =
+  if cfg.storage_nodes > 0 then Host.create net ~name:(Printf.sprintf "smallfile%d" i) ()
+  else
+    (* standalone (no storage array): local disks stand in *)
+    Host.create net ~name:(Printf.sprintf "smallfile%d" i) ~disks:cfg.disks_per_node ()
+
+let attach_storage t ~host ~sites =
+  bind_system_host t.qos_ host;
+  Obsd.attach host ~cache_bytes:t.cfg.storage_cache
+    ?cap_secret:(if t.cfg.secure_objects then Some cap_secret else None)
+    ~sites ?trace:t.trace_ ?qos:(wfq_of t.qos_ t.eng) ()
+
 let attach_dir t ~idx ~host ~also_owns =
   let l_dir = Table.nsites t.dir_tbl in
   let config =
@@ -258,13 +280,6 @@ let attach_dir t ~idx ~host ~also_owns =
   in
   bind_system_host t.qos_ host;
   Dirserver.attach host ?trace:t.trace_ ?qos:(wfq_of ~dataless:true t.qos_ t.eng) config
-
-let smallfile_host t idx =
-  if Array.length t.storage_ > 0 then
-    Host.create t.net_ ~name:(Printf.sprintf "smallfile%d" idx) ()
-  else
-    (* standalone (no storage array): local disks stand in *)
-    Host.create t.net_ ~name:(Printf.sprintf "smallfile%d" idx) ~disks:t.cfg.disks_per_node ()
 
 (* Small-file servers are dataless managers: their backends route through
    a storage-only µproxy on the manager's own host. *)
@@ -318,64 +333,16 @@ let create cfg =
   let l_st = if cfg.storage_sites > 0 then cfg.storage_sites else cfg.storage_nodes in
   let l_dir = if cfg.dir_sites > 0 then cfg.dir_sites else cfg.dir_servers in
   let l_sf = if cfg.smallfile_sites > 0 then cfg.smallfile_sites else cfg.smallfile_servers in
-  (* storage nodes: 733 MHz Xeon-class, 8-arm arrays *)
-  let storage_hosts =
-    Array.init cfg.storage_nodes (fun i ->
-        Host.create net_ ~name:(Printf.sprintf "storage%d" i) ~cpu_scale:1.6
-          ~disks:cfg.disks_per_node ())
+  (* hosts in class order: storage, directory, small-file *)
+  let storage_hosts = Array.init cfg.storage_nodes (storage_host net_ cfg) in
+  let dir_hosts = Array.init cfg.dir_servers (dir_host net_) in
+  let sf_hosts = Array.init cfg.smallfile_servers (smallfile_host net_ cfg) in
+  (* logical site [j] starts on server [j mod servers] *)
+  let table (hosts : Host.t array) sites =
+    let n = Array.length hosts in
+    if n = 0 then None
+    else Some (Table.create (Array.init sites (fun j -> hosts.(j mod n).Host.addr)))
   in
-  Array.iter (bind_system_host qos_) storage_hosts;
-  let storage_ =
-    Array.mapi
-      (fun i h ->
-        Obsd.attach h ~cache_bytes:cfg.storage_cache
-          ?cap_secret:(if cfg.secure_objects then Some cap_secret else None)
-          ~sites:(sites_owned_by ~servers:cfg.storage_nodes ~sites:l_st i)
-          ?trace:trace_ ?qos:(wfq_of qos_ eng) ())
-      storage_hosts
-  in
-  let storage_addrs = Array.map (fun (h : Host.t) -> h.Host.addr) storage_hosts in
-  let st_tbl =
-    if cfg.storage_nodes > 0 then
-      Some (Table.create (Array.init l_st (fun j -> storage_addrs.(j mod cfg.storage_nodes))))
-    else None
-  in
-  let coord =
-    if cfg.storage_nodes > 0 then
-      (* the coordinator's block maps place chunks on logical sites; the
-         µproxies bind them to nodes through the storage table *)
-      Some
-        (Coordinator.attach storage_hosts.(0)
-           ~map_sites:(Array.init l_st (fun j -> j))
-           ?trace:trace_ ())
-    else None
-  in
-  (* directory servers: PC-class with a dedicated sequential log disk *)
-  let dir_hosts =
-    Array.init cfg.dir_servers (fun i ->
-        Host.create net_ ~name:(Printf.sprintf "dir%d" i) ~disks:1 ())
-  in
-  let dir_tbl =
-    Table.create (Array.init l_dir (fun j -> (dir_hosts.(j mod cfg.dir_servers)).Host.addr))
-  in
-  (* small-file servers *)
-  let sf_hosts =
-    Array.init cfg.smallfile_servers (fun i ->
-        if cfg.storage_nodes > 0 then
-          Host.create net_ ~name:(Printf.sprintf "smallfile%d" i) ()
-        else
-          (* standalone (no storage array): local disks stand in *)
-          Host.create net_ ~name:(Printf.sprintf "smallfile%d" i) ~disks:cfg.disks_per_node ())
-  in
-  let sf_tbl =
-    if cfg.smallfile_servers > 0 then
-      Some
-        (Table.create
-           (Array.init l_sf (fun j -> (sf_hosts.(j mod cfg.smallfile_servers)).Host.addr)))
-    else None
-  in
-  (* small-file servers attach last: their dataless backends route through
-     their own storage-only µproxies *)
   let t =
     {
       cfg;
@@ -383,25 +350,42 @@ let create cfg =
       net_;
       trace_;
       vaddr;
-      storage_;
-      storage_addrs;
-      st_tbl;
-      coord;
+      storage_ = [||];
+      st_tbl = table storage_hosts l_st;
+      coord = None;
       dirs_ = [||];
       smallfiles_ = [||];
-      dir_tbl;
-      sf_tbl;
+      dir_tbl =
+        (match table dir_hosts l_dir with
+        | Some tbl -> tbl
+        | None -> invalid_arg "Ensemble.create: no directory server");
+      sf_tbl = table sf_hosts l_sf;
       next_client = 0;
       client_proxies = [];
       qos_;
     }
   in
+  t.storage_ <-
+    Array.mapi
+      (fun i host ->
+        attach_storage t ~host ~sites:(sites_owned_by ~servers:cfg.storage_nodes ~sites:l_st i))
+      storage_hosts;
+  if cfg.storage_nodes > 0 then
+    (* the coordinator's block maps place chunks on logical sites; the
+       µproxies bind them to nodes through the storage table *)
+    t.coord <-
+      Some
+        (Coordinator.attach storage_hosts.(0)
+           ~map_sites:(Array.init l_st (fun j -> j))
+           ?trace:trace_ ());
   t.dirs_ <-
     Array.init cfg.dir_servers (fun i ->
         attach_dir t ~idx:i ~host:dir_hosts.(i)
           ~also_owns:
             (List.filter (fun j -> j <> i)
                (sites_owned_by ~servers:cfg.dir_servers ~sites:l_dir i)));
+  (* small-file servers attach last: their dataless backends route through
+     their own storage-only µproxies *)
   t.smallfiles_ <-
     Array.init cfg.smallfile_servers (fun i ->
         attach_smallfile t ~idx:i ~host:sf_hosts.(i)
@@ -420,10 +404,10 @@ let site_backlog t site =
   | None -> 0.0
   | Some tbl ->
       let addr = Table.lookup tbl site in
-      let n = Array.length t.storage_addrs in
+      let n = Array.length t.storage_ in
       let rec find i =
         if i >= n then 0.0
-        else if t.storage_addrs.(i) = addr then Obsd.queue_depth t.storage_.(i)
+        else if Obsd.addr t.storage_.(i) = addr then Obsd.queue_depth t.storage_.(i)
         else find (i + 1)
       in
       find 0
@@ -479,69 +463,84 @@ let add_client ?tenant t ~name:client_name =
   t.client_proxies <- proxy :: t.client_proxies;
   (host, proxy)
 
+(* ---- the server classes ----
+   Every per-class question and lifecycle step answers here; the
+   reconfiguration control plane, failover and the exhibits name a
+   server as a class and an index. *)
+
+let klass_name = function Dir -> "dir" | Smallfile -> "smallfile" | Storage -> "storage"
+
+let klass_of_name = function
+  | "dir" -> Some Dir
+  | "smallfile" -> Some Smallfile
+  | "storage" -> Some Storage
+  | _ -> None
+
+let servers t = function
+  | Dir -> Array.length t.dirs_
+  | Smallfile -> Array.length t.smallfiles_
+  | Storage -> Array.length t.storage_
+
+let server_host t k i =
+  match k with
+  | Dir -> Dirserver.host t.dirs_.(i)
+  | Smallfile -> Smallfile.host t.smallfiles_.(i)
+  | Storage -> Obsd.host t.storage_.(i)
+
+let server_addr t k i = (server_host t k i).Host.addr
+
+let tenure t k i =
+  match k with
+  | Dir -> Dirserver.tenure t.dirs_.(i)
+  | Smallfile -> Smallfile.tenure t.smallfiles_.(i)
+  | Storage -> Obsd.tenure t.storage_.(i)
+
+let is_up t k i =
+  match k with
+  | Dir -> Dirserver.is_up t.dirs_.(i)
+  | Smallfile -> Smallfile.is_up t.smallfiles_.(i)
+  | Storage -> Obsd.is_up t.storage_.(i)
+
+let table t = function Dir -> Some t.dir_tbl | Smallfile -> t.sf_tbl | Storage -> t.st_tbl
+
 (* Fail-stop a server at both layers: the service stops answering and the
    net drops everything addressed to (or sent by) the host, so in-flight
    packets die exactly as on a powered-off machine. *)
-let crash_storage t i =
-  Obsd.crash t.storage_.(i);
-  Net.set_node_up t.net_ t.storage_addrs.(i) false
+let crash t k i =
+  (match k with
+  | Dir -> Dirserver.crash t.dirs_.(i)
+  | Smallfile -> Smallfile.crash t.smallfiles_.(i)
+  | Storage -> Obsd.crash t.storage_.(i));
+  Net.set_node_up t.net_ (server_addr t k i) false
 
-let recover_storage t i =
-  Obsd.recover t.storage_.(i);
-  Net.set_node_up t.net_ t.storage_addrs.(i) true
-
-let crash_smallfile t i =
-  Smallfile.crash t.smallfiles_.(i);
-  Net.set_node_up t.net_ (Smallfile.addr t.smallfiles_.(i)) false
-
-let recover_smallfile t i =
-  Smallfile.recover t.smallfiles_.(i);
-  Net.set_node_up t.net_ (Smallfile.addr t.smallfiles_.(i)) true
-
-let crash_dir t i =
-  Dirserver.crash t.dirs_.(i);
-  Net.set_node_up t.net_ (Dirserver.addr t.dirs_.(i)) false
-
-let recover_dir t i =
-  Net.set_node_up t.net_ (Dirserver.addr t.dirs_.(i)) true;
-  Dirserver.recover t.dirs_.(i)
+(* The node comes up before the service: a directory server's journal
+   replay re-drives cross-site updates over the net. *)
+let recover t k i =
+  Net.set_node_up t.net_ (server_addr t k i) true;
+  match k with
+  | Dir -> Dirserver.recover t.dirs_.(i)
+  | Smallfile -> Smallfile.recover t.smallfiles_.(i)
+  | Storage -> Obsd.recover t.storage_.(i)
 
 (* ---- elastic scaling ----
    New servers join owning no logical sites; the reconfiguration control
    plane ([Slice_reconfig]) migrates sites onto them and republishes the
    routing tables. Indices returned are stable (arrays only grow). *)
-
-let add_storage_node t =
-  let i = Array.length t.storage_ in
-  let host =
-    Host.create t.net_ ~name:(Printf.sprintf "storage%d" i) ~cpu_scale:1.6
-      ~disks:t.cfg.disks_per_node ()
-  in
-  bind_system_host t.qos_ host;
-  let s =
-    Obsd.attach host ~cache_bytes:t.cfg.storage_cache
-      ?cap_secret:(if t.cfg.secure_objects then Some cap_secret else None)
-      ~sites:[] ?trace:t.trace_ ?qos:(wfq_of t.qos_ t.eng) ()
-  in
-  t.storage_ <- Array.append t.storage_ [| s |];
-  t.storage_addrs <- Array.append t.storage_addrs [| host.Host.addr |];
-  i
-
-let add_dir_server t =
-  let i = Array.length t.dirs_ in
-  let host = Host.create t.net_ ~name:(Printf.sprintf "dir%d" i) ~disks:1 () in
-  let d = attach_dir t ~idx:i ~host ~also_owns:[] in
-  (* attach claims the server's namesake site; a late joiner starts
-     empty-handed instead — sites arrive by migration *)
-  Tenure.disown (Dirserver.tenure d) i;
-  t.dirs_ <- Array.append t.dirs_ [| d |];
-  i
-
-let add_smallfile_server t =
-  let i = Array.length t.smallfiles_ in
-  let host = smallfile_host t i in
-  let s = attach_smallfile t ~idx:i ~host ~sites:[] in
-  t.smallfiles_ <- Array.append t.smallfiles_ [| s |];
+let add_server t k =
+  let i = servers t k in
+  (match k with
+  | Storage ->
+      let s = attach_storage t ~host:(storage_host t.net_ t.cfg i) ~sites:[] in
+      t.storage_ <- Array.append t.storage_ [| s |]
+  | Dir ->
+      let d = attach_dir t ~idx:i ~host:(dir_host t.net_ i) ~also_owns:[] in
+      (* attach claims the server's namesake site; a late joiner starts
+         empty-handed instead — sites arrive by migration *)
+      Tenure.disown (Dirserver.tenure d) i;
+      t.dirs_ <- Array.append t.dirs_ [| d |]
+  | Smallfile ->
+      let s = attach_smallfile t ~idx:i ~host:(smallfile_host t.net_ t.cfg i) ~sites:[] in
+      t.smallfiles_ <- Array.append t.smallfiles_ [| s |]);
   i
 
 let storage t = t.storage_

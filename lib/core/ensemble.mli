@@ -57,7 +57,7 @@ type config = {
       (** logical site counts per class — the rebalancing granularity,
           fixed for the volume's lifetime. 0 (the default) means one site
           per initial server; run more sites than servers to leave
-          headroom for elastic scaling ({!add_dir_server} & co. plus
+          headroom for elastic scaling ({!add_server} plus
           [Slice_reconfig]). *)
   qos : qos_config option;  (** per-tenant QoS; [None] = FIFO everywhere *)
 }
@@ -88,22 +88,6 @@ val qos_tenants : t -> Slice_qos.Tenant.t option
 (** The shared tenant registry, when a QoS config is active — the
     per-tenant ops/bytes/latency/queue-delay readout. *)
 
-val crash_storage : t -> int -> unit
-(** Fail-stop storage node [i]: silences its service (cold cache on
-    recovery) and downs its host at the net layer. Caution: the block
-    coordinator lives on storage node 0 — crashing it stalls commits and
-    map fetches for far longer than the other nodes. *)
-
-val recover_storage : t -> int -> unit
-val crash_smallfile : t -> int -> unit
-val recover_smallfile : t -> int -> unit
-
-val crash_dir : t -> int -> unit
-(** Fail-stop directory server [i]; {!recover_dir} replays its journal
-    (see {!Slice_dir.Dirserver.recover}). *)
-
-val recover_dir : t -> int -> unit
-
 val storage : t -> Slice_storage.Obsd.t array
 
 val coordinator : t -> Slice_storage.Coordinator.t option
@@ -126,15 +110,54 @@ val storage_table : t -> Table.t option
 
 val config : t -> config
 
-(** {2 Elastic scaling}
+(** {2 Server classes}
 
-    New servers join owning no logical sites: the reconfiguration control
-    plane ({!Slice_reconfig}) migrates sites onto them and republishes
-    the routing tables. Each returns the new server's index. *)
+    The three server classes, each with its own routing table and
+    logical-site space. A server is named by its class and its index,
+    which is stable: the arrays only grow. *)
 
-val add_storage_node : t -> int
-val add_dir_server : t -> int
-val add_smallfile_server : t -> int
+type klass = Dir | Smallfile | Storage
+
+val klass_name : klass -> string
+(** ["dir"], ["smallfile"] or ["storage"] — used in metric names, trace
+    spans, the reconfiguration intent log and failover target names. *)
+
+val klass_of_name : string -> klass option
+
+val servers : t -> klass -> int
+(** Servers of the class, including crashed and drained ones. *)
+
+val server_host : t -> klass -> int -> Slice_storage.Host.t
+val server_addr : t -> klass -> int -> Slice_net.Packet.addr
+
+val tenure : t -> klass -> int -> Slice_storage.Tenure.t
+(** The server's site ownership, drains, load and fencing lease. *)
+
+val is_up : t -> klass -> int -> bool
+(** The service is up (a crashed server answers nothing). *)
+
+val table : t -> klass -> Table.t option
+(** The class's logical site -> server table; [None] when the ensemble
+    runs no server of the class ([Dir] is always [Some]). *)
+
+val crash : t -> klass -> int -> unit
+(** Fail-stop server [i] of the class: the service stops (volatile state
+    goes; a directory server keeps its journal, a storage node and a
+    small-file server a cold cache) and the net downs its host, so
+    in-flight packets die. May park (a directory server re-hardens its
+    journal): call it from a fiber. Caution: the block coordinator lives
+    on storage node 0 — crashing it stalls commits and map fetches for
+    far longer than the other nodes. *)
+
+val recover : t -> klass -> int -> unit
+(** Bring the host up, then the service: a directory server replays its
+    journal (see {!Slice_dir.Dirserver.recover}). *)
+
+val add_server : t -> klass -> int
+(** Elastic scaling: attach one more server of the class and return its
+    index. It joins owning no logical sites: the reconfiguration control
+    plane ({!Slice_reconfig}) migrates sites onto it and republishes the
+    routing table. *)
 
 val client_proxies : t -> Proxy.t list
 (** µproxies installed by {!add_client}, in creation order (the

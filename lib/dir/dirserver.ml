@@ -679,7 +679,6 @@ let attach host ?(port = 2049) ?trace ?qos cfg =
   Engine.spawn host.Host.eng (fun () -> install_root t);
   t
 
-let addr t = t.host.Host.addr
 let ops_served t = t.ops
 let peer_ops_served t = t.peer_ops
 let cross_site_ops t = t.peer_calls

@@ -64,8 +64,6 @@ val attach :
     (fileID 1) is owned by logical site 0, which installs it at attach
     time. *)
 
-val addr : t -> Slice_net.Packet.addr
-
 (** {2 Introspection} *)
 
 val ops_served : t -> int

@@ -7,15 +7,13 @@ module Specsfs = Slice_workload.Specsfs
 module Ensemble = Slice.Ensemble
 module Proxy = Slice.Proxy
 
-type victim = Storage of int | Dir of int | Smallfile of int
-
 type config = {
   seed : int;
   drop_prob : float;
   storage_nodes : int;
   untar_scale : float;
   procs : int;
-  crash_node : victim option;
+  crash_node : (Ensemble.klass * int) option;
   crash_at : float;
   crash_for : float;
 }
@@ -28,7 +26,7 @@ let default_config =
     untar_scale = 0.01;
     procs = 2;
     (* never storage node 0: the block coordinator lives there *)
-    crash_node = Some (Storage 1);
+    crash_node = Some (Ensemble.Storage, 1);
     crash_at = 1.0;
     crash_for = 2.0;
   }
@@ -58,18 +56,13 @@ let ensemble cfg =
 let schedule_crash ens cfg =
   match cfg.crash_node with
   | None -> ()
-  | Some v ->
-      let crash, recover =
-        match v with
-        | Storage i -> ((fun () -> Ensemble.crash_storage ens i), fun () -> Ensemble.recover_storage ens i)
-        | Dir i -> ((fun () -> Ensemble.crash_dir ens i), fun () -> Ensemble.recover_dir ens i)
-        | Smallfile i ->
-            ((fun () -> Ensemble.crash_smallfile ens i), fun () -> Ensemble.recover_smallfile ens i)
-      in
+  | Some (k, i) ->
       let eng = Ensemble.engine ens in
       (* crash/recover may park (dir-server WAL sync): run them as fibers *)
-      Engine.schedule_at eng cfg.crash_at (fun () -> Engine.spawn eng crash);
-      Engine.schedule_at eng (cfg.crash_at +. cfg.crash_for) (fun () -> Engine.spawn eng recover)
+      Engine.schedule_at eng cfg.crash_at (fun () ->
+          Engine.spawn eng (fun () -> Ensemble.crash ens k i));
+      Engine.schedule_at eng (cfg.crash_at +. cfg.crash_for) (fun () ->
+          Engine.spawn eng (fun () -> Ensemble.recover ens k i))
 
 let collect ens clients proxies ~errors =
   let net = Ensemble.net ens in
@@ -152,7 +145,7 @@ let report () =
   let lossy = run_untar ~cfg:{ default_config with crash_node = None } () in
   (* untar is pure name traffic, so its crash victim is a directory
      server; specsfs moves data, so it loses a storage node *)
-  let crashy = run_untar ~cfg:{ default_config with crash_node = Some (Dir 0) } () in
+  let crashy = run_untar ~cfg:{ default_config with crash_node = Some (Ensemble.Dir, 0) } () in
   let sfs = run_specsfs () in
   let pct_i n = string_of_int n in
   let row label (r : result) =

@@ -9,19 +9,18 @@
     optionally crashing and recovering one storage node mid-run, and
     returns the recovery counters the test suite asserts on. *)
 
-type victim = Storage of int | Dir of int | Smallfile of int
-(** Who fail-stops mid-run. Pick a victim the workload actually talks to
-    (untar is pure name traffic — crash a [Dir]; specsfs moves data —
-    crash a [Storage]). Never [Storage 0]: the block coordinator lives
-    there, and its loss stalls commits for far longer. *)
-
 type config = {
   seed : int;
   drop_prob : float;  (** iid loss probability on every link *)
   storage_nodes : int;
   untar_scale : float;  (** tree scale for {!run_untar} *)
   procs : int;  (** client processes (one host + µproxy each) *)
-  crash_node : victim option;
+  crash_node : (Slice.Ensemble.klass * int) option;
+      (** the server that fail-stops mid-run, by class and index. Pick
+          one the workload actually talks to (untar is pure name traffic
+          — crash a [Dir]; specsfs moves data — crash a [Storage]).
+          Never [(Storage, 0)]: the block coordinator lives there, and
+          its loss stalls commits for far longer. *)
   crash_at : float;  (** absolute simulated time of the crash *)
   crash_for : float;  (** seconds until recovery; keep below the client
                           retry budget (~11 s at default RPC settings) or

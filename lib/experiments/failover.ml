@@ -33,8 +33,6 @@ module Client = Slice_workload.Client
 module Livemix = Slice_workload.Livemix
 module Reconfig = Slice_reconfig.Reconfig
 module Fo = Slice_failover.Failover
-module Dirserver = Slice_dir.Dirserver
-module Smallfile = Slice_smallfile.Smallfile
 module Ensemble = Slice.Ensemble
 module Proxy = Slice.Proxy
 
@@ -126,16 +124,20 @@ let compute ?(scale = 1.0) ?(seed = 42) () =
   let old_coord = Option.get (Ensemble.coordinator ens) in
   (* Probe a revived victim directly (no µproxy): the lease it lost
      fences every request, and the mutation leaves no trace. *)
-  let probe_zombie name addr fences check_absent =
+  let probe_zombie (k, i) =
+    let name = Ensemble.klass_name k in
+    let fences () = Tenure.fence_bounces (Ensemble.tenure ens k i) in
     let h = Host.create net ~name:("zprobe-" ^ name) () in
-    let zc = Client.create h ~server:addr () in
+    let zc = Client.create h ~server:(Ensemble.server_addr ens k i) () in
     let before = fences () in
     let blocked =
       match Client.mkdir zc Fh.root ("zombie-" ^ name) with
       | Error _ -> true
       | Ok _ -> false
     in
-    let blocked = blocked && check_absent () in
+    let blocked =
+      blocked && Result.is_error (Client.lookup cls.(0) Fh.root ("zombie-" ^ name))
+    in
     zombies :=
       {
         z_name = name;
@@ -147,32 +149,21 @@ let compute ?(scale = 1.0) ?(seed = 42) () =
   let controller open_window =
     let window_phase i = elapsed.(i) <- open_window i in
     window_phase 0;
-    (* --- directory manager --- *)
-    Ensemble.crash_dir ens 0;
-    window_phase 1;
-    let d0 = (Ensemble.dirs ens).(0) in
-    Ensemble.recover_dir ens 0;
-    probe_zombie "dir" (Dirserver.addr d0)
-      (fun () -> Tenure.fence_bounces (Dirserver.tenure d0))
-      (fun () ->
-        Result.is_error (Client.lookup cls.(0) Fh.root "zombie-dir"));
-    Fo.rejoin_dir fo 0;
-    window_phase 2;
-    (* --- small-file manager --- *)
-    Ensemble.crash_smallfile ens 0;
-    window_phase 3;
-    let s0 = (Ensemble.smallfiles ens).(0) in
-    Ensemble.recover_smallfile ens 0;
-    probe_zombie "smallfile" (Smallfile.addr s0)
-      (fun () -> Tenure.fence_bounces (Smallfile.tenure s0))
-      (fun () ->
-        Result.is_error (Client.lookup cls.(0) Fh.root "zombie-smallfile"));
-    Fo.rejoin_smallfile fo 0;
-    window_phase 4;
+    (* --- directory, then small-file manager: kill, revive as a zombie,
+       rejoin --- *)
+    List.iteri
+      (fun n k ->
+        Ensemble.crash ens k 0;
+        window_phase ((2 * n) + 1);
+        Ensemble.recover ens k 0;
+        probe_zombie (k, 0);
+        Fo.rejoin fo k 0;
+        window_phase ((2 * n) + 2))
+      [ Ensemble.Dir; Smallfile ];
     (* --- block coordinator (lives on storage node 0) --- *)
-    Ensemble.crash_storage ens 0;
+    Ensemble.crash ens Storage 0;
     window_phase 5;
-    Ensemble.recover_storage ens 0;
+    Ensemble.recover ens Storage 0;
     (* the deposed coordinator instance answers again — fenced *)
     let h = Host.create net ~name:"zprobe-coord" () in
     let rpc = Rpc.create net h.Host.addr ~port:1902 in

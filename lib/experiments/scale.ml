@@ -21,7 +21,6 @@ module Metrics = Slice_util.Metrics
 module Client = Slice_workload.Client
 module Livemix = Slice_workload.Livemix
 module Reconfig = Slice_reconfig.Reconfig
-module Plan = Slice_reconfig.Plan
 module Ensemble = Slice.Ensemble
 module Proxy = Slice.Proxy
 
@@ -92,14 +91,8 @@ let compute ?(scale = 1.0) ?(seed = 42) () =
         Client.create host ~server:(Ensemble.virtual_addr ens) ())
   in
   let nphases = 4 in
-  let plans =
-    [|
-      None;
-      Some (Plan.Add_server Plan.Dir);
-      Some (Plan.Add_server Plan.Storage);
-      Some (Plan.Add_server Plan.Smallfile);
-    |]
-  in
+  (* the class grown before each window *)
+  let grows = [| None; Some Ensemble.Dir; Some Storage; Some Smallfile |] in
   let labels =
     [|
       "baseline (1 dir / 2 storage / 1 smallfile)";
@@ -119,9 +112,7 @@ let compute ?(scale = 1.0) ?(seed = 42) () =
   in
   let controller open_window =
     for i = 0 to nphases - 1 do
-      (match plans.(i) with
-      | None -> ()
-      | Some pl -> Reconfig.execute rc pl);
+      Option.iter (fun k -> Reconfig.execute rc (Add_server k)) grows.(i);
       let s0 = stale_now () and d0 = Reconfig.drain_bounces rc in
       elapsed.(i) <- open_window i;
       stale.(i) <- stale_now () - s0;

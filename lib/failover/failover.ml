@@ -36,17 +36,14 @@ module Obsd = Slice_storage.Obsd
 module Coordinator = Slice_storage.Coordinator
 module Tenure = Slice_storage.Tenure
 module Nfs_endpoint = Slice_storage.Nfs_endpoint
-module Dirserver = Slice_dir.Dirserver
-module Smallfile = Slice_smallfile.Smallfile
 module Table = Slice.Table
 module Ensemble = Slice.Ensemble
-module Plan = Slice_reconfig.Plan
 module Reconfig = Slice_reconfig.Reconfig
 
 let lease_port = 2060
 let ctl_rpc_port = 2061
 
-type tclass = Manager of Plan.klass * int | Coordinator
+type tclass = Manager of Ensemble.klass * int | Coordinator
 
 type target = {
   tname : string;
@@ -130,63 +127,23 @@ let install_endpoint t host grant =
 
 (* ---- target plumbing ---- *)
 
-(* What failover needs of one manager class — the only per-class
-   dispatch here. Resolved at each use: elastic growth replaces the
-   ensemble's server arrays. *)
-type manager = {
-  count : int;
-  up : int -> bool;
-  addr : int -> Packet.addr;
-  host : int -> Host.t;
-  tenure : int -> Tenure.t;
-  recover : int -> unit;
-  epoch : unit -> int;
-}
-
-let manager ens = function
-  | Plan.Dir ->
-      let ds = Ensemble.dirs ens in
-      {
-        count = Array.length ds;
-        up = (fun j -> Dirserver.is_up ds.(j));
-        addr = (fun j -> Dirserver.addr ds.(j));
-        host = (fun j -> Dirserver.host ds.(j));
-        tenure = (fun j -> Dirserver.tenure ds.(j));
-        recover = Ensemble.recover_dir ens;
-        epoch = (fun () -> Table.epoch (Ensemble.dir_table ens));
-      }
-  | Plan.Smallfile ->
-      let ss = Ensemble.smallfiles ens in
-      {
-        count = Array.length ss;
-        up = (fun j -> Smallfile.is_up ss.(j));
-        addr = (fun j -> Smallfile.addr ss.(j));
-        host = (fun j -> Smallfile.host ss.(j));
-        tenure = (fun j -> Smallfile.tenure ss.(j));
-        recover = Ensemble.recover_smallfile ens;
-        epoch =
-          (fun () ->
-            match Ensemble.smallfile_table ens with Some tbl -> Table.epoch tbl | None -> 0);
-      }
-  | Plan.Storage -> invalid_arg "Failover: storage sites are not dataless"
-
 let find_target t tclass = List.find_opt (fun tg -> tg.tclass = tclass) t.targets
 
 let taddr t tg =
   match tg.tclass with
-  | Manager (k, i) -> (manager t.ens k).addr i
+  | Manager (k, i) -> Ensemble.server_addr t.ens k i
   | Coordinator -> (
       match Ensemble.coordinator t.ens with
       | Some c -> (Coordinator.host c).Host.addr
       | None -> -1)
 
+(* The fencing epoch a target's leases carry: its class table's. The
+   coordinator role fences under the storage table. *)
+let class_epoch t k =
+  match Ensemble.table t.ens k with Some tbl -> Table.epoch tbl | None -> 1
+
 let current_epoch t tg =
-  match tg.tclass with
-  | Manager (k, _) -> (manager t.ens k).epoch ()
-  | Coordinator -> (
-      match Ensemble.storage_table t.ens with
-      | Some tbl -> Table.epoch tbl
-      | None -> 1)
+  class_epoch t (match tg.tclass with Manager (k, _) -> k | Coordinator -> Ensemble.Storage)
 
 let is_deposed t tclass =
   match find_target t tclass with Some tg -> tg.deposed | None -> false
@@ -229,22 +186,26 @@ let record_takeover t tg ~kname ~victim ~standby ~sites ~declared =
 (* ---- per-class takeover ---- *)
 
 let takeover_manager t tg k ~victim ~declared =
-  let m = manager t.ens k in
   let live j =
-    m.up j && Net.node_up t.net (m.addr j) && not (is_deposed t (Manager (k, j)))
+    Ensemble.is_up t.ens k j
+    && Net.node_up t.net (Ensemble.server_addr t.ens k j)
+    && not (is_deposed t (Manager (k, j)))
   in
-  match pick_standby ~n:m.count ~victim ~live ~load:(fun j -> Tenure.load (m.tenure j)) with
+  match
+    pick_standby ~n:(Ensemble.servers t.ens k) ~victim ~live ~load:(fun j ->
+        Tenure.load (Ensemble.tenure t.ens k j))
+  with
   | None -> Metrics.incr t.reg "failover.no_standby"
   | Some standby ->
       let sites = Reconfig.takeover t.rc k ~victim ~standby in
       (* Re-lease the standby in process under the bumped epoch; its own
          monitor keeps renewing from here. *)
       let until = Engine.now t.eng +. t.lease_dur in
-      Tenure.set_lease (m.tenure standby) ~epoch:(m.epoch ()) ~until;
+      Tenure.set_lease (Ensemble.tenure t.ens k standby) ~epoch:(class_epoch t k) ~until;
       (match find_target t (Manager (k, standby)) with
       | Some stg -> stg.max_granted <- Float.max stg.max_granted until
       | None -> ());
-      record_takeover t tg ~kname:(Plan.klass_name k) ~victim ~standby ~sites ~declared
+      record_takeover t tg ~kname:(Ensemble.klass_name k) ~victim ~standby ~sites ~declared
 
 let coordinator_grant t ~epoch ~until =
   match Ensemble.coordinator t.ens with
@@ -400,20 +361,19 @@ let attach ?(heartbeat = 0.05) ?(miss_limit = 3) ens rc =
   in
   List.iter
     (fun k ->
-      let m = manager ens k in
-      for i = 0 to m.count - 1 do
+      for i = 0 to Ensemble.servers ens k - 1 do
         let grant ~epoch ~until =
-          if m.up i then begin
-            Tenure.set_lease (m.tenure i) ~epoch ~until;
+          if Ensemble.is_up ens k i then begin
+            Tenure.set_lease (Ensemble.tenure ens k i) ~epoch ~until;
             true
           end
           else false
         in
         watch t
-          (mk_target (Plan.klass_name k ^ string_of_int i) (Manager (k, i)))
-          grant (m.host i)
+          (mk_target (Ensemble.klass_name k ^ string_of_int i) (Manager (k, i)))
+          grant (Ensemble.server_host ens k i)
       done)
-    [ Plan.Dir; Plan.Smallfile ];
+    [ Ensemble.Dir; Smallfile ];
   (match Ensemble.coordinator ens with
   | Some c ->
       let h = Coordinator.host c in
@@ -442,17 +402,14 @@ let resume tg until =
    table has since bound elsewhere, and lease it under the current
    epoch. *)
 let rejoin t k i =
-  let m = manager t.ens k in
-  m.recover i;
+  if k = Ensemble.Storage then invalid_arg "Failover.rejoin: storage nodes are not managers";
+  Ensemble.recover t.ens k i;
   Reconfig.shed t.rc k i;
   let until = Engine.now t.eng +. t.lease_dur in
-  Tenure.set_lease (m.tenure i) ~epoch:(m.epoch ()) ~until;
+  Tenure.set_lease (Ensemble.tenure t.ens k i) ~epoch:(class_epoch t k) ~until;
   match find_target t (Manager (k, i)) with
   | Some tg -> resume tg until
   | None -> ()
-
-let rejoin_dir t i = rejoin t Plan.Dir i
-let rejoin_smallfile t i = rejoin t Plan.Smallfile i
 
 (* ---- introspection ---- *)
 

@@ -69,17 +69,17 @@ val events : t -> event list
 
 val takeovers : t -> int
 
-val rejoin_dir : t -> int -> unit
-(** Bring a deposed directory server back as a {e peer}: recover it
-    (journal replay), shed every site the routing table has since bound
-    elsewhere, grant it a fresh lease under the current fencing epoch
-    and resume its heartbeats. Without this call a recovered victim
-    stays wedged forever — fencing is deliberately sticky. *)
-
-val rejoin_smallfile : t -> int -> unit
-(** Small-file analogue of {!rejoin_dir}; shed sites also drop their
-    file data. (A deposed coordinator has no rejoin: the role moved,
-    and the old instance stays fenced on its storage host.) *)
+val rejoin : t -> Slice.Ensemble.klass -> int -> unit
+(** Bring deposed manager [i] of the class back as a {e peer}: recover
+    it (a directory server replays its journal), shed every site the
+    routing table has since bound elsewhere (a small-file server also
+    drops their file data), grant it a fresh lease under the current
+    fencing epoch and resume its heartbeats. Without this call a
+    recovered victim stays wedged forever — fencing is deliberately
+    sticky. A deposed coordinator has no rejoin: the role moved, and the
+    old instance stays fenced on its storage host.
+    @raise Invalid_argument for [Storage]: storage nodes are not
+    managers. *)
 
 val metrics : t -> Slice_util.Metrics.t
 (** [failover.heartbeats], [failover.declared], [failover.takeovers],

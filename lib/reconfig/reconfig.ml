@@ -12,7 +12,6 @@
 
 module Engine = Slice_sim.Engine
 module Net = Slice_net.Net
-module Packet = Slice_net.Packet
 module Metrics = Slice_util.Metrics
 module Trace = Slice_trace.Trace
 module Wal = Slice_wal.Wal
@@ -34,27 +33,28 @@ let rt_abort = 3
    even an empty site's move occupies simulated time. *)
 let setup_latency = 0.0005
 
-(* One vocabulary over the three server classes, closed over the
-   ensemble so elastic growth (which replaces the server arrays) is
-   always visible. Ownership, drains, load and bounce counts are the same
-   for every class and are read through each server's [Tenure]; the
-   fields here are only what really differs. [prepare] runs at drain
-   time and returns an opaque cookie for [copy_commit] (the directory
-   class snapshots the donor journal there for the two-pass replay);
-   [copy_commit] runs inside the atomic commit step and returns the
-   bytes streamed. *)
+(* What really differs per server class; everything else (server count,
+   address, tenure, growth, name) comes from [Ensemble] by [k].
+   Ownership, drains, load and bounce counts are the same for every
+   class and are read through each server's [Tenure]. [prepare] runs at
+   drain time and returns an opaque cookie for [copy_commit] (the
+   directory class snapshots the donor journal there for the two-pass
+   replay); [copy_commit] runs inside the atomic commit step and returns
+   the bytes streamed. Server arguments are indices, resolved at call
+   time, so elastic growth is always visible. *)
 type class_ops = {
-  kname : string;
+  k : Ensemble.klass;
   table : Table.t;
-  nservers : unit -> int;
-  tenure : int -> Tenure.t;
-  addr : int -> Packet.addr;
-  add_server : unit -> int;
   drop : int -> int -> unit;
   prepare : donor:int -> site:int -> string;
   copy_bytes : donor:int -> site:int -> cookie:string -> int64;
   copy_commit : donor:int -> recv:int -> site:int -> cookie:string -> int64;
 }
+
+type plan =
+  | Add_server of Ensemble.klass
+  | Remove_server of Ensemble.klass * int
+  | Rebalance
 
 type t = {
   ens : Ensemble.t;
@@ -64,9 +64,7 @@ type t = {
   wal : Wal.t;  (* migration intent log (coordinator stable storage) *)
   reg : Metrics.t;
   bandwidth : float;  (* modelled copy rate, bytes per simulated second *)
-  dir_ops : class_ops;
-  sf_ops : class_ops option;
-  st_ops : class_ops option;
+  classes : class_ops list;  (* the classes the ensemble runs, Dir first *)
   mutable next_op : int;
   mutable n_migrations : int;
   mutable n_moved : int;
@@ -74,14 +72,19 @@ type t = {
   mutable n_bytes : int64;
 }
 
-let load_key kname site = Printf.sprintf "reconfig.load.%s.%03d" kname site
+let kname ops = Ensemble.klass_name ops.k
+let nservers t ops = Ensemble.servers t.ens ops.k
+let tenure t ops i = Ensemble.tenure t.ens ops.k i
+let addr t ops i = Ensemble.server_addr t.ens ops.k i
+
+let load_key ops site = Printf.sprintf "reconfig.load.%s.%03d" (kname ops) site
 
 (* Physical owner (server index) of a logical site, resolved through the
    authoritative table. *)
-let owner_of ops site =
+let owner_of t ops site =
   let a = Table.lookup ops.table site in
-  let n = ops.nservers () in
-  let rec go i = if i >= n then -1 else if ops.addr i = a then i else go (i + 1) in
+  let n = nservers t ops in
+  let rec go i = if i >= n then -1 else if addr t ops i = a then i else go (i + 1) in
   go 0
 
 (* Rebind one site; idempotent commits publish nothing (Table.update
@@ -93,82 +96,59 @@ let set_site ops site addr =
     Table.update ops.table map
   end
 
-(* The one class-ops builder: per-class hooks take server values, and
-   the builder resolves indices through [servers] at call time. *)
-let make_class ~kname ~table ~servers ~tenure ~addr ~add_server ~drop ~prepare ~copy_bytes
-    ~copy_commit =
-  let srv i = (servers ()).(i) in
-  {
-    kname;
-    table;
-    nservers = (fun () -> Array.length (servers ()));
-    tenure = (fun i -> tenure (srv i));
-    addr = (fun i -> addr (srv i));
-    add_server;
-    drop = (fun i site -> drop (srv i) site);
-    prepare = (fun ~donor ~site -> prepare (srv donor) site);
-    copy_bytes = (fun ~donor ~site ~cookie -> copy_bytes (srv donor) site cookie);
-    copy_commit =
-      (fun ~donor ~recv ~site ~cookie -> copy_commit (srv donor) (srv recv) site cookie);
-  }
-
-let dir_class ens =
-  make_class ~kname:"dir" ~table:(Ensemble.dir_table ens)
-    ~servers:(fun () -> Ensemble.dirs ens)
-    ~tenure:Dirserver.tenure ~addr:Dirserver.addr
-    ~add_server:(fun () -> Ensemble.add_dir_server ens)
-      (* cells replayed into a receiver that never commits are inert:
-         ownership gating keeps them unreachable *)
-    ~drop:(fun _ _ -> ())
-    ~prepare:(fun d _ -> Dirserver.log_image d)
-    ~copy_bytes:(fun _ _ cookie -> Int64.of_int (String.length cookie))
-    ~copy_commit:(fun d r _ cookie ->
-      (* Two-pass journal replay: the bulk image snapshotted at drain
-         time, then exactly the delta the donor admitted (for its other
-         sites — the moving one was drained) during the copy. *)
-      let consumed = Dirserver.import_log r ~log:cookie in
-      let img = Dirserver.log_image d in
-      ignore (Dirserver.import_log ~skip:consumed r ~log:img);
-      Int64.of_int (String.length img))
-
 (* Small-file and storage sites move as deep-copied images. *)
-let copy_image ~export ~import ~image_bytes d r site _cookie =
-  let img = export d site in
-  import r site img;
+let copy_image ~export ~import ~image_bytes srv ~donor ~recv ~site ~cookie:_ =
+  let img = export (srv donor) site in
+  import (srv recv) site img;
   image_bytes img
 
-let sf_class ens =
-  Option.map
-    (fun table ->
-      make_class ~kname:"smallfile" ~table
-        ~servers:(fun () -> Ensemble.smallfiles ens)
-        ~tenure:Smallfile.tenure ~addr:Smallfile.addr
-        ~add_server:(fun () -> Ensemble.add_smallfile_server ens)
-        ~drop:Smallfile.drop_site
-        ~prepare:(fun _ _ -> "")
-        ~copy_bytes:(fun d site _ -> Smallfile.site_bytes d site)
-        ~copy_commit:
-          (copy_image ~export:Smallfile.export_site ~import:Smallfile.import_site
-             ~image_bytes:Smallfile.image_bytes))
-    (Ensemble.smallfile_table ens)
-
-let st_class ens =
-  Option.map
-    (fun table ->
-      make_class ~kname:"storage" ~table
-        ~servers:(fun () -> Ensemble.storage ens)
-        ~tenure:Obsd.tenure ~addr:Obsd.addr
-        ~add_server:(fun () -> Ensemble.add_storage_node ens)
-        ~drop:Obsd.drop_site
-        ~prepare:(fun _ _ -> "")
-        ~copy_bytes:(fun d site _ -> Obsd.site_bytes d site)
-        ~copy_commit:
-          (copy_image ~export:Obsd.export_site ~import:Obsd.import_site
-             ~image_bytes:Obsd.image_bytes))
-    (Ensemble.storage_table ens)
-
-let class_list t =
-  t.dir_ops :: List.filter_map Fun.id [ t.sf_ops; t.st_ops ]
+let class_of ens k table =
+  match (k : Ensemble.klass) with
+  | Dir ->
+      let srv i = (Ensemble.dirs ens).(i) in
+      {
+        k;
+        table;
+        (* cells replayed into a receiver that never commits are inert:
+           ownership gating keeps them unreachable *)
+        drop = (fun _ _ -> ());
+        prepare = (fun ~donor ~site:_ -> Dirserver.log_image (srv donor));
+        copy_bytes = (fun ~donor:_ ~site:_ ~cookie -> Int64.of_int (String.length cookie));
+        copy_commit =
+          (fun ~donor ~recv ~site:_ ~cookie ->
+            (* Two-pass journal replay: the bulk image snapshotted at
+               drain time, then exactly the delta the donor admitted (for
+               its other sites — the moving one was drained) during the
+               copy. *)
+            let consumed = Dirserver.import_log (srv recv) ~log:cookie in
+            let img = Dirserver.log_image (srv donor) in
+            ignore (Dirserver.import_log ~skip:consumed (srv recv) ~log:img);
+            Int64.of_int (String.length img));
+      }
+  | Smallfile ->
+      let srv i = (Ensemble.smallfiles ens).(i) in
+      {
+        k;
+        table;
+        drop = (fun i site -> Smallfile.drop_site (srv i) site);
+        prepare = (fun ~donor:_ ~site:_ -> "");
+        copy_bytes = (fun ~donor ~site ~cookie:_ -> Smallfile.site_bytes (srv donor) site);
+        copy_commit =
+          copy_image ~export:Smallfile.export_site ~import:Smallfile.import_site
+            ~image_bytes:Smallfile.image_bytes srv;
+      }
+  | Storage ->
+      let srv i = (Ensemble.storage ens).(i) in
+      {
+        k;
+        table;
+        drop = (fun i site -> Obsd.drop_site (srv i) site);
+        prepare = (fun ~donor:_ ~site:_ -> "");
+        copy_bytes = (fun ~donor ~site ~cookie:_ -> Obsd.site_bytes (srv donor) site);
+        copy_commit =
+          copy_image ~export:Obsd.export_site ~import:Obsd.import_site
+            ~image_bytes:Obsd.image_bytes srv;
+      }
 
 (* Per-site load gauge: resolves the owner through the table at read
    time. Registered at attach and re-registered after every committed
@@ -176,26 +156,26 @@ let class_list t =
    name, so a gauge can never outlive the server generation it was
    minted for (a takeover replaces the server arrays' contents). *)
 let register_load_gauge t ops j =
-  Metrics.gauge t.reg (load_key ops.kname j) (fun () ->
-      let o = owner_of ops j in
-      if o < 0 then 0.0 else float_of_int (Tenure.site_load (ops.tenure o) j))
+  Metrics.gauge t.reg (load_key ops j) (fun () ->
+      let o = owner_of t ops j in
+      if o < 0 then 0.0 else float_of_int (Tenure.site_load (tenure t ops o) j))
 
 (* A committed move retires the donor-side accounting for the site: the
    donor's load row is reset (its traffic history moved with the site)
    and the registry entry is dropped and re-registered so nothing keeps
    answering with pre-move values. *)
 let retire_donor_load t ops ~donor ~site =
-  Tenure.reset_load (ops.tenure donor) site;
-  Metrics.remove t.reg (load_key ops.kname site);
+  Tenure.reset_load (tenure t ops donor) site;
+  Metrics.remove t.reg (load_key ops site);
   register_load_gauge t ops site
 
-let server_indices ops = List.init (ops.nservers ()) Fun.id
+let server_indices t ops = List.init (nservers t ops) Fun.id
 
 let drain_bounces t =
   List.fold_left
     (fun a ops ->
-      List.fold_left (fun a i -> a + Tenure.drain_bounces (ops.tenure i)) a (server_indices ops))
-    0 (class_list t)
+      List.fold_left (fun a i -> a + Tenure.drain_bounces (tenure t ops i)) a (server_indices t ops))
+    0 t.classes
 
 let attach ?(bandwidth = 50e6) ?trace ens =
   let reg = Metrics.create () in
@@ -208,9 +188,10 @@ let attach ?(bandwidth = 50e6) ?trace ens =
       wal = Wal.create ~name:"reconfig.intents" ();
       reg;
       bandwidth;
-      dir_ops = dir_class ens;
-      sf_ops = sf_class ens;
-      st_ops = st_class ens;
+      classes =
+        List.filter_map
+          (fun k -> Option.map (class_of ens k) (Ensemble.table ens k))
+          [ Ensemble.Dir; Smallfile; Storage ];
       next_op = 1;
       n_migrations = 0;
       n_moved = 0;
@@ -229,7 +210,7 @@ let attach ?(bandwidth = 50e6) ?trace ens =
       for j = 0 to Table.nsites ops.table - 1 do
         register_load_gauge t ops j
       done)
-    (class_list t);
+    t.classes;
   t
 
 let metrics t = t.reg
@@ -244,19 +225,19 @@ let ownership_violations t =
     (fun ops ->
       List.filter_map
         (fun j ->
-          let owners = List.filter (fun i -> Tenure.owns (ops.tenure i) j) (server_indices ops) in
+          let owners = List.filter (fun i -> Tenure.owns (tenure t ops i) j) (server_indices t ops) in
           match owners with
-          | [ o ] when Table.lookup ops.table j = ops.addr o -> None
-          | _ -> Some (ops.kname, j, List.length owners))
+          | [ o ] when Table.lookup ops.table j = addr t ops o -> None
+          | _ -> Some (kname ops, j, List.length owners))
         (List.init (Table.nsites ops.table) Fun.id))
-    (class_list t)
+    t.classes
 
 (* One site move, intend -> drain -> copy -> commit/abort. Runs in the
    caller's fiber; only the copy sleep gives up the simulated clock. *)
 let migrate ?abandon t ops ~site ~donor ~recv =
   let span =
     Trace.root t.trace
-      ~op:("migrate." ^ ops.kname)
+      ~op:("migrate." ^ kname ops)
       ~site:(string_of_int site)
   in
   let op_id = t.next_op in
@@ -264,22 +245,22 @@ let migrate ?abandon t ops ~site ~donor ~recv =
   t.n_migrations <- t.n_migrations + 1;
   ignore
     (Wal.append t.wal ~rtype:rt_begin
-       (Printf.sprintf "%d %s %d %d %d" op_id ops.kname site donor recv));
+       (Printf.sprintf "%d %s %d %d %d" op_id (kname ops) site donor recv));
   Wal.sync t.wal;
-  Tenure.begin_drain (ops.tenure donor) site;
+  Tenure.begin_drain (tenure t ops donor) site;
   (match abandon with Some `After_begin -> raise Abandoned | None -> ());
   let cookie = ops.prepare ~donor ~site in
   let est = ops.copy_bytes ~donor ~site ~cookie in
   Engine.sleep t.eng (setup_latency +. (Int64.to_float est /. t.bandwidth));
   (* commit step: atomic in simulated time from here to the end *)
-  if Net.node_up t.net (ops.addr donor) && Net.node_up t.net (ops.addr recv)
+  if Net.node_up t.net (addr t ops donor) && Net.node_up t.net (addr t ops recv)
   then begin
     let bytes = ops.copy_commit ~donor ~recv ~site ~cookie in
-    Tenure.own (ops.tenure recv) site;
-    Tenure.disown (ops.tenure donor) site;
+    Tenure.own (tenure t ops recv) site;
+    Tenure.disown (tenure t ops donor) site;
     ops.drop donor site;
     retire_donor_load t ops ~donor ~site;
-    set_site ops site (ops.addr recv);
+    set_site ops site (addr t ops recv);
     ignore (Wal.append t.wal ~rtype:rt_commit (string_of_int op_id));
     Wal.sync t.wal;
     t.n_moved <- t.n_moved + 1;
@@ -289,7 +270,7 @@ let migrate ?abandon t ops ~site ~donor ~recv =
   else begin
     (* donor or receiver is down: the site stays wholly on the donor
        (a donor crash already cleared its volatile drain mark) *)
-    Tenure.end_drain (ops.tenure donor) site;
+    Tenure.end_drain (tenure t ops donor) site;
     ignore (Wal.append t.wal ~rtype:rt_abort (string_of_int op_id));
     Wal.sync t.wal;
     t.n_aborted <- t.n_aborted + 1;
@@ -307,23 +288,23 @@ let migrate ?abandon t ops ~site ~donor ~recv =
    control-plane writes to a machine we just declared unreachable. *)
 let takeover_site t ops ~site ~donor ~recv =
   let span =
-    Trace.root t.trace ~op:("takeover." ^ ops.kname) ~site:(string_of_int site)
+    Trace.root t.trace ~op:("takeover." ^ kname ops) ~site:(string_of_int site)
   in
   let op_id = t.next_op in
   t.next_op <- op_id + 1;
   t.n_migrations <- t.n_migrations + 1;
   ignore
     (Wal.append t.wal ~rtype:rt_begin
-       (Printf.sprintf "%d %s %d %d %d" op_id ops.kname site donor recv));
+       (Printf.sprintf "%d %s %d %d %d" op_id (kname ops) site donor recv));
   Wal.sync t.wal;
   let cookie = ops.prepare ~donor ~site in
   let est = ops.copy_bytes ~donor ~site ~cookie in
   Engine.sleep t.eng (setup_latency +. (Int64.to_float est /. t.bandwidth));
-  if Net.node_up t.net (ops.addr recv) then begin
+  if Net.node_up t.net (addr t ops recv) then begin
     let bytes = ops.copy_commit ~donor ~recv ~site ~cookie in
-    Tenure.own (ops.tenure recv) site;
+    Tenure.own (tenure t ops recv) site;
     retire_donor_load t ops ~donor ~site;
-    set_site ops site (ops.addr recv);
+    set_site ops site (addr t ops recv);
     ignore (Wal.append t.wal ~rtype:rt_commit (string_of_int op_id));
     Wal.sync t.wal;
     t.n_moved <- t.n_moved + 1;
@@ -339,26 +320,6 @@ let takeover_site t ops ~site ~donor ~recv =
     false
   end
 
-(* Claim every site the dead victim still owns for the standby, then
-   advance the class table's fencing epoch exactly once — the epoch bump
-   both refreshes stale µproxy snapshots and marks the victim's
-   incarnation deposed (its cached metadata is flushed everywhere, its
-   lease can never be renewed under the old epoch). *)
-let takeover_class t ops ~victim ~standby =
-  if victim = standby then invalid_arg "Reconfig: takeover onto the victim";
-  let n = ops.nservers () in
-  if victim < 0 || victim >= n || standby < 0 || standby >= n then
-    invalid_arg "Reconfig: takeover server index out of range";
-  let nsites = Table.nsites ops.table in
-  let claimed = ref 0 in
-  for j = 0 to nsites - 1 do
-    if owner_of ops j = victim then
-      if takeover_site t ops ~site:j ~donor:victim ~recv:standby then
-        incr claimed
-  done;
-  if !claimed > 0 then Table.bump_epoch ops.table;
-  !claimed
-
 (* Load-driven placement: heaviest site first into the least-loaded
    bucket, with two deterministic refinements — equal buckets break
    toward fewer assigned sites (so an unloaded ensemble spreads
@@ -367,12 +328,12 @@ let takeover_class t ops ~victim ~standby =
    ensemble is a fixed point and rebalancing is idempotent). *)
 let rebalance_class ?abandon ?exclude t ops =
   let nsites = Table.nsites ops.table in
-  let n = ops.nservers () in
+  let n = nservers t ops in
   let eligible i = match exclude with Some e -> i <> e | None -> true in
   let load =
-    Array.init nsites (fun j -> Metrics.value t.reg (load_key ops.kname j))
+    Array.init nsites (fun j -> Metrics.value t.reg (load_key ops j))
   in
-  let owner = Array.init nsites (fun j -> owner_of ops j) in
+  let owner = Array.init nsites (fun j -> owner_of t ops j) in
   let order =
     List.sort
       (fun a b ->
@@ -412,10 +373,7 @@ let rebalance_class ?abandon ?exclude t ops =
       migrate ?abandon t ops ~site:j ~donor:owner.(j) ~recv:target.(j)
   done
 
-let class_ops t = function
-  | Plan.Dir -> Some t.dir_ops
-  | Plan.Smallfile -> t.sf_ops
-  | Plan.Storage -> t.st_ops
+let class_ops t k = List.find_opt (fun ops -> ops.k = k) t.classes
 
 let require t k =
   match class_ops t k with
@@ -423,27 +381,41 @@ let require t k =
   | None ->
       invalid_arg
         (Printf.sprintf "Reconfig: ensemble runs no %s class"
-           (Plan.klass_name k))
+           (Ensemble.klass_name k))
 
+(* Claim every site the dead victim still owns for the standby, then
+   advance the class table's fencing epoch exactly once — the epoch bump
+   both refreshes stale µproxy snapshots and marks the victim's
+   incarnation deposed (its cached metadata is flushed everywhere, its
+   lease can never be renewed under the old epoch). *)
 let takeover t k ~victim ~standby =
-  (match k with
-  | Plan.Storage ->
-      (* Storage sites are not dataless: their bytes die with the node
-         (mirroring is the storage class's redundancy story, and the
-         coordinator's failover lives in Slice_failover). *)
-      invalid_arg "Reconfig: storage sites are not dataless; cannot take over"
-  | Plan.Dir | Plan.Smallfile -> ());
+  if k = Ensemble.Storage then
+    (* Storage sites are not dataless: their bytes die with the node
+       (mirroring is the storage class's redundancy story, and the
+       coordinator's failover lives in Slice_failover). *)
+    invalid_arg "Reconfig: storage sites are not dataless; cannot take over";
   let ops = require t k in
-  takeover_class t ops ~victim ~standby
+  if victim = standby then invalid_arg "Reconfig: takeover onto the victim";
+  let n = nservers t ops in
+  if victim < 0 || victim >= n || standby < 0 || standby >= n then
+    invalid_arg "Reconfig: takeover server index out of range";
+  let claimed = ref 0 in
+  for j = 0 to Table.nsites ops.table - 1 do
+    if owner_of t ops j = victim then
+      if takeover_site t ops ~site:j ~donor:victim ~recv:standby then
+        incr claimed
+  done;
+  if !claimed > 0 then Table.bump_epoch ops.table;
+  !claimed
 
 let shed t k i =
   match class_ops t k with
   | None -> ()
   | Some ops ->
-      let tn = ops.tenure i in
+      let tn = tenure t ops i in
       List.iter
         (fun site ->
-          if Table.lookup ops.table site <> ops.addr i then begin
+          if Table.lookup ops.table site <> addr t ops i then begin
             Tenure.disown tn site;
             ops.drop i site;
             Tenure.reset_load tn site
@@ -453,26 +425,19 @@ let shed t k i =
 let execute ?abandon t plan =
   try
     match plan with
-    | Plan.Rebalance ->
-        List.iter
-          (fun k ->
-            match class_ops t k with
-            | Some ops -> rebalance_class ?abandon t ops
-            | None -> ())
-          [ Plan.Dir; Plan.Smallfile; Plan.Storage ]
-    | Plan.Add_server k ->
+    | Rebalance -> List.iter (rebalance_class ?abandon t) t.classes
+    | Add_server k ->
         let ops = require t k in
-        ignore (ops.add_server ());
+        ignore (Ensemble.add_server t.ens k);
         rebalance_class ?abandon t ops
-    | Plan.Remove_server (k, idx) ->
+    | Remove_server (k, idx) ->
         let ops = require t k in
-        let n = ops.nservers () in
+        let n = nservers t ops in
         if idx < 0 || idx >= n then
           invalid_arg "Reconfig: server index out of range";
         if n <= 1 then
           invalid_arg "Reconfig: cannot remove the last server of a class";
         rebalance_class ?abandon ~exclude:idx t ops
-    | Plan.Takeover (k, victim, standby) -> ignore (takeover t k ~victim ~standby)
   with Abandoned -> ()
 
 let recover t =
@@ -497,18 +462,18 @@ let recover t =
       match Hashtbl.find_opt opens id with
       | None -> ()
       | Some (k, site, donor, recv) ->
-          (match Option.bind (Plan.klass_of_name k) (class_ops t) with
+          (match Option.bind (Ensemble.klass_of_name k) (class_ops t) with
           | None -> ()
           | Some ops ->
-              let n = ops.nservers () in
+              let n = nservers t ops in
               if donor >= 0 && donor < n then begin
-                let tn = ops.tenure donor in
+                let tn = tenure t ops donor in
                 Tenure.end_drain tn site;
                 Tenure.own tn site;
-                set_site ops site (ops.addr donor)
+                set_site ops site (addr t ops donor)
               end;
               if recv >= 0 && recv < n && recv <> donor then begin
-                Tenure.disown (ops.tenure recv) site;
+                Tenure.disown (tenure t ops recv) site;
                 ops.drop recv site
               end);
           t.n_aborted <- t.n_aborted + 1;

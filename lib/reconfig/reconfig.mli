@@ -51,6 +51,28 @@
 
 type t
 
+(** {2 Plans}
+
+    The operator-facing vocabulary: a plan names {e intent} ("grow the
+    storage class"); {!execute} turns it into a deterministic sequence
+    of logical-site migrations. *)
+
+type plan =
+  | Add_server of Slice.Ensemble.klass
+      (** Provision one more server of the class and rebalance the
+          class's logical sites onto it. The new server joins owning no
+          sites; everything it serves arrives by migration. *)
+  | Remove_server of Slice.Ensemble.klass * int
+      (** Decommission server [idx] of the class: migrate every logical
+          site it owns to the remaining servers, leaving it empty. The
+          host stays in the ensemble but receives no further traffic
+          once the routing table stops naming it. *)
+  | Rebalance
+      (** Re-spread the logical sites of every class by observed
+          per-site load (least-loaded-bucket greedy with a
+          keep-in-place tie-break, so a balanced ensemble is a fixed
+          point and repeated rebalances are idempotent). *)
+
 exception Abandoned
 (** Raised internally by the [abandon] fault-injection hook; {!execute}
     catches it, leaving the in-flight migration dangling for
@@ -64,7 +86,7 @@ val attach : ?bandwidth:float -> ?trace:Slice_trace.Trace.t -> Slice.Ensemble.t 
     opens a [migrate.<class>] span finished with the commit/abort
     outcome. *)
 
-val execute : ?abandon:[ `After_begin ] -> t -> Plan.t -> unit
+val execute : ?abandon:[ `After_begin ] -> t -> plan -> unit
 (** Run a plan to completion. Must be called from a fiber of the
     ensemble's engine (migrations sleep for the modelled copy time).
     Migrations within a plan run sequentially in ascending site order —
@@ -80,11 +102,10 @@ val execute : ?abandon:[ `After_begin ] -> t -> Plan.t -> unit
     or a [Remove_server] index out of range / naming the last server
     of its class. *)
 
-val takeover : t -> Plan.klass -> victim:int -> standby:int -> int
-(** Hot-standby failover ([Plan.Takeover] as a direct call): claim every
-    logical site of the class's dead server [victim] for [standby] —
-    per site: log a Begin intent, rebuild the site's state from shared
-    storage (directory journal replay, small-file zone images), bind the
+val takeover : t -> Slice.Ensemble.klass -> victim:int -> standby:int -> int
+(** Hot-standby failover: claim every logical site of the class's dead
+    server [victim] for [standby] — per site: log a Begin intent,
+    rebuild the site's state from shared storage (directory journal replay, small-file zone images), bind the
     site to the standby, seal with Commit — then advance the class
     table's fencing epoch exactly once. No drain phase, no donor-liveness
     check; the dead donor keeps its (unreachable) ownership bits and is
@@ -111,7 +132,7 @@ val metrics : t -> Slice_util.Metrics.t
     a [reconfig.drain_bounces] gauge summing every server's
     drain-bounce counter, and per-site [reconfig.load.<class>.<site>]
     gauges over the owners' load counters — the inputs to
-    {!Plan.Rebalance}'s placement decision. *)
+    {!Rebalance}'s placement decision. *)
 
 val migrations : t -> int
 (** Migrations started (including aborted and abandoned ones). *)
@@ -130,7 +151,7 @@ val drain_bounces : t -> int
 (** Mutations bounced by donors mid-drain, summed over all servers of
     all classes. *)
 
-val shed : t -> Plan.klass -> int -> unit
+val shed : t -> Slice.Ensemble.klass -> int -> unit
 (** Disown, drop and forget the load of every site server [i] of the
     class still owns but the class table binds elsewhere — how a
     recovered, deposed server rejoins as a peer. A no-op for a class the

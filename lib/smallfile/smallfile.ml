@@ -413,7 +413,6 @@ let site_bytes t site =
       if fr.site = site then Int64.add acc (Int64.of_int fr.size) else acc)
     t.files 0L
 
-let addr t = t.host.Host.addr
 let file_count t = Hashtbl.length t.files
 let bytes_stored t = t.physical
 let logical_bytes t = t.logical

@@ -35,8 +35,6 @@ val attach :
     initially owns (defaults 1 / [\[0\]]); requests whose handle hashes to
     a site not owned here bounce with [SLICE_MISDIRECTED]. *)
 
-val addr : t -> Slice_net.Packet.addr
-
 val crash : t -> unit
 (** Fail-stop: the endpoint goes silent and the cache is cold on
     {!recover}; map records and data survive in the backing object. *)

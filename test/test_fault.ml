@@ -199,8 +199,8 @@ let dead_node_expires_pending () =
   let rpc = Rpc.create net host.Host.addr ~port:5000 in
   run_on eng (fun () ->
       (* both storage nodes dead: a bulk read can never be answered *)
-      Ensemble.crash_storage ens 0;
-      Ensemble.crash_storage ens 1;
+      Ensemble.crash ens Storage 0;
+      Ensemble.crash ens Storage 1;
       let fh =
         { Fh.file_id = 42L; gen = 1; ftype = Fh.Reg; mirrored = false; attr_site = 0; cap = 0L }
       in
@@ -281,7 +281,7 @@ let untar_under_loss () =
 
 let untar_with_node_crash () =
   (* untar traffic is all name operations: the dir server is the victim *)
-  let r = Chaos.run_untar ~cfg:{ Chaos.default_config with crash_node = Some (Chaos.Dir 0) } () in
+  let r = Chaos.run_untar ~cfg:{ Chaos.default_config with crash_node = Some (Ensemble.Dir, 0) } () in
   check_int "zero lost operations" 0 r.Chaos.errors;
   check_int "pending empty at quiesce" 0 r.Chaos.pending_at_quiesce;
   check_bool "crash actually bit" true (r.Chaos.fault_drops > 0);
@@ -442,7 +442,7 @@ let failover_partition_false_positive () =
         (fun n -> ignore (ok_or_fail "create" (Client.create_file cl Ensemble.root n)))
         names;
       let dirs = Ensemble.dirs ens in
-      let victim = Dirserver.addr dirs.(0) in
+      let victim = Ensemble.server_addr ens Dir 0 in
       (* dir 0 is cut off but NOT dead: renewals stop, the detector
          declares it, a standby takes over — a false positive by design *)
       Net.set_partition net (fun n -> if n = victim then 1 else 0);
@@ -466,7 +466,7 @@ let failover_partition_false_positive () =
       check_bool "phantom directory absent" true
         (Result.is_error (Client.lookup cl Ensemble.root "zombie-d"));
       (* explicit rejoin lifts the fence: the donor returns as a peer *)
-      Fo.rejoin_dir fo 0;
+      Fo.rejoin fo Dir 0;
       check_bool "rejoined donor unfenced" false (Tenure.wedged (Dirserver.tenure dirs.(0)) ~now:(Engine.now eng));
       List.iter
         (fun n -> ignore (ok_or_fail "lookup after rejoin" (Client.lookup cl Ensemble.root n)))
@@ -474,7 +474,7 @@ let failover_partition_false_positive () =
       Fo.stop fo)
 
 let chaos_deterministic () =
-  let cfg = { Chaos.default_config with crash_node = Some (Chaos.Dir 0) } in
+  let cfg = { Chaos.default_config with crash_node = Some (Ensemble.Dir, 0) } in
   let r1 = Chaos.run_untar ~cfg () in
   let r2 = Chaos.run_untar ~cfg () in
   check_bool "identical seeds, identical chaos" true (compare r1 r2 = 0)

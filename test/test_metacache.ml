@@ -15,7 +15,6 @@ module Proxy = Slice.Proxy
 module Dirserver = Slice_dir.Dirserver
 module Tenure = Slice_storage.Tenure
 module Reconfig = Slice_reconfig.Reconfig
-module Plan = Slice_reconfig.Plan
 
 let check_int64 = Alcotest.(check int64)
 let root = Ensemble.root
@@ -173,9 +172,9 @@ let chaos_coherence () =
      so the crash must not wait on it *)
   Engine.spawn eng (fun () ->
       Engine.sleep eng 0.05;
-      Ensemble.crash_dir ens 1;
+      Ensemble.crash ens Dir 1;
       Engine.sleep eng 1.0;
-      Ensemble.recover_dir ens 1);
+      Ensemble.recover ens Dir 1);
   run_on eng (fun () ->
       for i = 1 to 30 do
         let name = Printf.sprintf "f%03d" i in
@@ -225,11 +224,11 @@ let fence_epoch_invalidation () =
       let dirs = Ensemble.dirs ens in
       let tn0 = Dirserver.tenure dirs.(0) in
       let epoch0 = Tenure.lease_epoch tn0 in
-      Ensemble.crash_dir ens 0;
-      let moved = Reconfig.takeover rc Plan.Dir ~victim:0 ~standby:1 in
+      Ensemble.crash ens Dir 0;
+      let moved = Reconfig.takeover rc Ensemble.Dir ~victim:0 ~standby:1 in
       check_bool "victim owned sites" true (moved > 0);
       Tenure.set_lease tn0 ~epoch:epoch0 ~until:(Engine.now eng -. 1.0);
-      Ensemble.recover_dir ens 0;
+      Ensemble.recover ens Dir 0;
       (* the proxy's table still routes the moved sites at the zombie:
          the first mutation it bounces forces a table refresh, the epoch
          advance flushes the metadata caches, and the retry lands on the

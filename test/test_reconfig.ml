@@ -16,7 +16,6 @@ module Table = Slice.Table
 module Ensemble = Slice.Ensemble
 module Client = Slice_workload.Client
 module Reconfig = Slice_reconfig.Reconfig
-module Plan = Slice_reconfig.Plan
 
 let chunk = 32768
 let big_chunks = 6 (* chunks >= 2 are storage-class (above the threshold) *)
@@ -76,7 +75,7 @@ let test_storage_migration () =
       let fhs = List.init 6 (fun i -> write_big cl ~name:(Printf.sprintf "g%d" i)) in
       let tbl = Option.get (Ensemble.storage_table ens) in
       let v0 = Table.version tbl in
-      Reconfig.execute rc (Plan.Add_server Plan.Storage);
+      Reconfig.execute rc (Reconfig.Add_server Ensemble.Storage);
       check_int "three storage nodes" 3 (Array.length (Ensemble.storage ens));
       check_bool "sites moved" true (Reconfig.sites_moved rc > 0);
       check_bool "table republished" true (Table.version tbl > v0);
@@ -110,7 +109,7 @@ let test_smallfile_migration () =
             ok_or_fail "commit" (Client.commit cl fh);
             fh)
       in
-      Reconfig.execute rc (Plan.Add_server Plan.Smallfile);
+      Reconfig.execute rc (Reconfig.Add_server Ensemble.Smallfile);
       check_bool "sites moved" true (Reconfig.sites_moved rc > 0);
       List.iter
         (fun fh ->
@@ -134,7 +133,7 @@ let test_dir_migration () =
             (n, fh))
           names
       in
-      Reconfig.execute rc (Plan.Add_server Plan.Dir);
+      Reconfig.execute rc (Reconfig.Add_server Ensemble.Dir);
       check_bool "sites moved" true (Reconfig.sites_moved rc > 0);
       List.iter
         (fun (n, fh) ->
@@ -165,15 +164,15 @@ let test_donor_crash_mid_migration () =
       let map0, v0 = Table.snapshot tbl in
       (* donor = node 1 (node 0 hosts the coordinator); crash it shortly
          after the first copy starts *)
-      Engine.schedule eng 0.05 (fun () -> Ensemble.crash_storage ens 1);
-      Reconfig.execute rc (Plan.Remove_server (Plan.Storage, 1));
+      Engine.schedule eng 0.05 (fun () -> Ensemble.crash ens Storage 1);
+      Reconfig.execute rc (Reconfig.Remove_server (Ensemble.Storage, 1));
       check_bool "migrations attempted" true (Reconfig.migrations rc > 0);
       check_int "all aborted" (Reconfig.migrations rc) (Reconfig.aborted rc);
       check_int "none moved" 0 (Reconfig.sites_moved rc);
       let map1, v1 = Table.snapshot tbl in
       check_int "table version unchanged" v0 v1;
       check_bool "table mapping unchanged" true (map0 = map1);
-      Ensemble.recover_storage ens 1;
+      Ensemble.recover ens Storage 1;
       Engine.sleep eng 0.5;
       List.iter (fun fh -> read_big_ok cl fh) fhs;
       check_exclusive rc)
@@ -190,7 +189,7 @@ let test_abandoned_intent_recovery () =
       let fhs = List.init 4 (fun i -> write_big cl ~name:(Printf.sprintf "g%d" i)) in
       let tbl = Option.get (Ensemble.storage_table ens) in
       let _, v0 = Table.snapshot tbl in
-      Reconfig.execute ~abandon:`After_begin rc (Plan.Remove_server (Plan.Storage, 1));
+      Reconfig.execute ~abandon:`After_begin rc (Reconfig.Remove_server (Ensemble.Storage, 1));
       check_int "one migration started" 1 (Reconfig.migrations rc);
       check_int "none moved" 0 (Reconfig.sites_moved rc);
       check_int "not yet aborted" 0 (Reconfig.aborted rc);
@@ -244,7 +243,7 @@ let test_load_gauges_retired_on_commit () =
         check_bool "gauge reads the owner" true
           (Metrics.value reg (key j) = float_of_int (Tenure.site_load (Smallfile.tenure sfs0.(0)) j))
       done;
-      Reconfig.execute rc (Plan.Add_server Plan.Smallfile);
+      Reconfig.execute rc (Reconfig.Add_server Ensemble.Smallfile);
       let sfs = Ensemble.smallfiles ens in
       let moved = Tenure.owned_sites (Smallfile.tenure sfs.(1)) in
       check_bool "sites moved" true (moved <> []);
@@ -294,20 +293,20 @@ let test_takeover_claims_victim_sites () =
       let sites0 = Tenure.owned_sites (Dirserver.tenure dirs.(0)) in
       check_bool "victim owns sites" true (sites0 <> []);
       let epoch0 = Table.epoch tbl in
-      Ensemble.crash_dir ens 0;
-      let claimed = Reconfig.takeover rc Plan.Dir ~victim:0 ~standby:1 in
+      Ensemble.crash ens Dir 0;
+      let claimed = Reconfig.takeover rc Ensemble.Dir ~victim:0 ~standby:1 in
       check_int "every victim site claimed" (List.length sites0) claimed;
       check_int "exactly one epoch bump" (epoch0 + 1) (Table.epoch tbl);
       List.iter
         (fun j ->
-          check_int "site rebound to the standby" (Dirserver.addr dirs.(1)) (Table.lookup tbl j);
+          check_int "site rebound to the standby" (Ensemble.server_addr ens Dir 1) (Table.lookup tbl j);
           check_bool "standby owns it" true (Tenure.owns (Dirserver.tenure dirs.(1)) j))
         sites0;
       (* revive the victim as a zombie (expired lease, old epoch): the
          full namespace must still resolve — through the standby *)
       let tn0 = Dirserver.tenure dirs.(0) in
       Tenure.set_lease tn0 ~epoch:(Tenure.lease_epoch tn0) ~until:(Engine.now eng -. 1.0);
-      Ensemble.recover_dir ens 0;
+      Ensemble.recover ens Dir 0;
       List.iter
         (fun (n, fh) ->
           let fh', _ = ok_or_fail "lookup after takeover" (Client.lookup cl Fh.root n) in
@@ -315,7 +314,7 @@ let test_takeover_claims_victim_sites () =
         fhs;
       Alcotest.check_raises "storage takeover rejected"
         (Invalid_argument "Reconfig: storage sites are not dataless; cannot take over")
-        (fun () -> ignore (Reconfig.takeover rc Plan.Storage ~victim:0 ~standby:1)))
+        (fun () -> ignore (Reconfig.takeover rc Ensemble.Storage ~victim:0 ~standby:1)))
 
 (* The exhibit is deterministic: same seed, byte-identical JSON. It must
    also show a clean audit, real migrations, and throughput rising after

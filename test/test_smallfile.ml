@@ -17,7 +17,7 @@ let mk_rig ?cache_bytes ?backing_bytes () =
   let sf = Smallfile.attach host ?cache_bytes ?backing_bytes () in
   let client = Host.create net ~name:"client" () in
   let rpc = Rpc.create net client.Host.addr ~port:1000 in
-  { eng; sf; rpc; dst = Smallfile.addr sf }
+  { eng; sf; rpc; dst = host.Host.addr }
 
 let reg_fh id =
   { Fh.file_id = Int64.of_int id; gen = 1; ftype = Fh.Reg; mirrored = false; attr_site = 0; cap = 0L }

@@ -9,7 +9,6 @@ module Ensemble = Slice.Ensemble
 module Proxy = Slice.Proxy
 module Client = Slice_workload.Client
 module Reconfig = Slice_reconfig.Reconfig
-module Plan = Slice_reconfig.Plan
 
 let test_version_snapshot () =
   let t = Table.create [| 10; 20; 10 |] in
@@ -84,21 +83,21 @@ let test_proxy_refresh_back_to_back () =
               (Int64.equal fh'.Fh.file_id fh.Fh.file_id))
           fhs
       in
-      Reconfig.execute rc (Plan.Remove_server (Plan.Dir, 0));
+      Reconfig.execute rc (Reconfig.Remove_server (Ensemble.Dir, 0));
       (* everything now lives on d1 while the µproxy's snapshot still
          names d0 for half the sites: the bounce path must fire *)
       check_all ();
       check_bool "proxy refreshed via bounces" true (Proxy.stale_bounces proxy > 0);
-      Reconfig.execute rc Plan.Rebalance;
+      Reconfig.execute rc Reconfig.Rebalance;
       check_all ();
-      Reconfig.execute rc (Plan.Remove_server (Plan.Dir, 1));
+      Reconfig.execute rc (Reconfig.Remove_server (Ensemble.Dir, 1));
       check_all ();
-      Reconfig.execute rc Plan.Rebalance;
+      Reconfig.execute rc Reconfig.Rebalance;
       check_all ();
       check_bool "moves published" true (Table.version tbl > v0);
       check_bool "sites moved" true (Reconfig.sites_moved rc > 0);
       let v1 = Table.version tbl in
-      Reconfig.execute rc Plan.Rebalance;
+      Reconfig.execute rc Reconfig.Rebalance;
       check_int "balanced class is a fixed point" v1 (Table.version tbl);
       check_all ())
 

@@ -45,7 +45,7 @@ let tree_well_formed_under_chaos () =
       (fun () ->
         ignore (Slice.Ensemble.drain_traces ());
         Chaos.run_untar
-          ~cfg:{ Chaos.default_config with crash_node = Some (Chaos.Dir 0) }
+          ~cfg:{ Chaos.default_config with crash_node = Some (Slice.Ensemble.Dir, 0) }
           ())
   in
   check_int "chaos oracle still clean" 0 r.Chaos.errors;
