@@ -189,12 +189,29 @@ type t = {
   mutable sweep_armed : bool;
 }
 
-let[@hot] meta_enabled t = t.p.Params.meta_cache_enabled && t.p.Params.meta_cache_ttl > 0.0
+let[@hot] meta_enabled t = t.p.Params.meta_cache_ttl > 0.0
 
 (* ---- per-packet cost accounting ----
    Phases accumulate into the per-packet cell, are charged to the client
    CPU in one booking, and the packet moves on when the booking
-   completes. *)
+   completes.
+
+   The CPU costs are calibrated from the paper's Table 3: at 6250
+   packets/second a client-based µproxy spent 0.7 % of a 500 MHz CPU
+   intercepting packets (1.12 µs each), 4.1 % decoding (6.56 µs — mostly
+   skipping variable-length RPC/NFS header fields, ≈20 XDR items at
+   ~0.33 µs), 0.5 % redirecting/rewriting (0.8 µs) and 0.8 % managing
+   soft state (1.28 µs). *)
+
+let intercept_cost = 1.12e-6 (* CPU seconds per intercepted packet *)
+let decode_cost_per_item = 0.33e-6 (* per XDR item examined *)
+let rewrite_cost = 0.8e-6 (* per field rewrite + checksum adjust *)
+let softstate_cost = 1.28e-6 (* per pending-record / cache update *)
+
+(* The duplicate packet of a mirrored write: buffer requeue plus a
+   checksum share, ~1/5 of the full write path per byte (calibrated to
+   Table 2's 38.9 -> 32.2 MB/s). *)
+let mirror_dup_cost_per_byte = 5.2e-9
 
 let charge t (c : cost) phase amount =
   c.c_tot.(0) <- c.c_tot.(0) +. amount;
@@ -234,6 +251,13 @@ let ctrl_call t ?(span = Trace.null) msg =
 
 (* ---- pending-record pool + xid index ---- *)
 
+(* Per-µproxy sizes: pending records (and xid-index headroom)
+   preallocated, a power of two; attribute cache and block-map placement
+   cache entries. *)
+let pending_capacity = 1024
+let attr_cache_capacity = 4096
+let map_cache_capacity = 1024
+
 let rec round_pow2_from p n = if p >= n then p else round_pow2_from (p * 2) n
 let round_pow2 n = round_pow2_from 16 n
 
@@ -271,8 +295,8 @@ let[@hot] release_slot t slot =
   t.free_head <- slot;
   t.n_pending <- t.n_pending - 1
 
-(* Overflow past [Params.pending_capacity]: double the pool and rebuild
-   the index at matching headroom (cold; the capacity is a sizing hint). *)
+(* Overflow past [pending_capacity]: double the pool and rebuild the
+   index at matching headroom (cold; the capacity is a sizing hint). *)
 let grow_pool t =
   let cap = Array.length t.pool in
   let ncap = cap * 2 in
@@ -531,14 +555,14 @@ let remember t (cur : Codec.cursor) (payload : bytes) ~span ~klass ~rd_site ~mir
   arm_sweep t
 
 let forward t (c : cost) (pkt : Packet.t) ~dst =
-  charge t c `Rewrite t.p.Params.rewrite_cost;
+  charge t c `Rewrite rewrite_cost;
   Cksum.rewrite_dst pkt dst;
-  charge t c `Softstate t.p.Params.softstate_cost;
+  charge t c `Softstate softstate_cost;
   after_cpu t c (fun () -> Net.inject t.net pkt)
 
 let patch_offset t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) v =
   if cur.Codec.c_off_field >= 0 then begin
-    charge t c `Rewrite t.p.Params.rewrite_cost;
+    charge t c `Rewrite rewrite_cost;
     Codec.put_u64_be t.scr8 v;
     Cksum.patch_payload_bytes pkt ~off:cur.Codec.c_off_field t.scr8 ~spos:0 ~len:8
   end
@@ -734,8 +758,8 @@ let rec route_io t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) ~retries =
           let c2 = { c_tot = [| 0.0 |]; c_span = c.c_span } in
           (* duplicate emission: requeue + checksum share of the data *)
           charge t c2 `Rewrite
-            (t.p.Params.rewrite_cost
-            +. (t.p.Params.mirror_dup_cost_per_byte
+            (rewrite_cost
+            +. (mirror_dup_cost_per_byte
                *. float_of_int (if cur.Codec.c_count > 0 then cur.Codec.c_count else 0)));
           patch_offset t c2 copy cur (Routekey.site_offset_int ~site:r1 off);
           forward t c2 copy ~dst:t.st_map.(r1)
@@ -773,7 +797,7 @@ let rec route_io t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) ~retries =
                  fiber re-peeks the request into the shared cursor when
                  it resumes — the cursor holds no state across turns. *)
               t.n_map_fetch <- t.n_map_fetch + 1;
-              charge t c `Softstate t.p.Params.softstate_cost;
+              charge t c `Softstate softstate_cost;
               let span = c.c_span in
               let fh = fh_at payload fh_off in
               after_cpu t c (fun () ->
@@ -805,7 +829,7 @@ let rec route_io t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) ~retries =
    bounding what another client's unseen mutation can cost us. *)
 
 let synth_reply t (c : cost) (pkt : Packet.t) ~xid (resp : Nfs.response) =
-  charge t c `Rewrite t.p.Params.rewrite_cost;
+  charge t c `Rewrite rewrite_cost;
   let payload = Codec.encode_reply ~xid resp in
   let reply =
     Packet.make ~src:t.tg.virtual_addr ~dst:pkt.Packet.src ~sport:2049 ~dport:pkt.Packet.sport
@@ -820,7 +844,7 @@ let synth_reply t (c : cost) (pkt : Packet.t) ~xid (resp : Nfs.response) =
 let try_meta_fast_path t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) =
   let payload = pkt.Packet.payload in
   let now = Engine.now t.eng in
-  charge t c `Softstate t.p.Params.softstate_cost;
+  charge t c `Softstate softstate_cost;
   let fid = Fh.peek_file_id_int payload cur.Codec.c_fh_off in
   let hit resp =
     t.n_meta_hit <- t.n_meta_hit + 1;
@@ -1018,14 +1042,14 @@ and handle_admitted ~retries t (pkt : Packet.t) =
   let c = t.cost in
   c.c_tot.(0) <- 0.0;
   c.c_span <- Trace.null;
-  charge t c `Intercept t.p.Params.intercept_cost;
+  charge t c `Intercept intercept_cost;
   let cur = t.cur in
   if not (Codec.peek_call_into cur pkt.Packet.payload) then
     (* not an NFS call: the virtual server has nothing else behind it *)
-    charge t c `Decode t.p.Params.decode_cost_per_item
+    charge t c `Decode decode_cost_per_item
   else begin
     c.c_span <- Trace.root t.trace ~op:(op_of_proc cur.Codec.c_proc) ~site:(Host.name t.host);
-    charge t c `Decode (t.p.Params.decode_cost_per_item *. float_of_int cur.Codec.c_items);
+    charge t c `Decode (decode_cost_per_item *. float_of_int cur.Codec.c_items);
     if cur.Codec.c_fh_off < 0 then begin
       (* NULL: any directory server can answer *)
       t.n_dir <- t.n_dir + 1;
@@ -1038,7 +1062,7 @@ and handle_admitted ~retries t (pkt : Packet.t) =
       | 6 | 7 when Fh.peek_ftype_code pkt.Packet.payload cur.Codec.c_fh_off = 1 ->
           route_io t c pkt cur ~retries
       | 21 when Fh.peek_ftype_code pkt.Packet.payload cur.Codec.c_fh_off = 1 ->
-          charge t c `Softstate t.p.Params.softstate_cost;
+          charge t c `Softstate softstate_cost;
           let span = c.c_span in
           let xid = cur.Codec.c_xid in
           let fh = fh_at pkt.Packet.payload cur.Codec.c_fh_off in
@@ -1082,7 +1106,7 @@ let translate_readdir t (c : cost) ~rd_site ~span (pkt : Packet.t) =
       Some pkt (* pass errors through *)
   | xid, Ok (Nfs.RReaddir (entries, cookie, eof)) ->
       charge t c `Decode
-        (t.p.Params.decode_cost_per_item *. float_of_int (4 + (3 * List.length entries)));
+        (decode_cost_per_item *. float_of_int (4 + (3 * List.length entries)));
       let site = Int64.of_int rd_site in
       let tag v = Int64.logor (Int64.shift_left site 32) (Int64.logand v 0xFFFFFFFFL) in
       let entries =
@@ -1094,7 +1118,7 @@ let translate_readdir t (c : cost) ~rd_site ~span (pkt : Packet.t) =
         else (tag cookie, eof)
       in
       let payload = Codec.encode_reply ~xid (Ok (Nfs.RReaddir (entries, cookie, eof))) in
-      charge t c `Rewrite t.p.Params.rewrite_cost;
+      charge t c `Rewrite rewrite_cost;
       let reply =
         Packet.make ~src:t.tg.virtual_addr ~dst:pkt.Packet.dst ~sport:pkt.Packet.sport
           ~dport:pkt.Packet.dport payload
@@ -1111,7 +1135,7 @@ let patch_reply_attrs t (c : cost) (pd : pending) (pkt : Packet.t) =
   let payload = pkt.Packet.payload in
   let off = Codec.reply_attr_offset_i payload in
   if off >= 0 then begin
-    charge t c `Decode (t.p.Params.decode_cost_per_item *. 13.0);
+    charge t c `Decode (decode_cost_per_item *. 13.0);
     let now = Engine.now t.eng in
     match pd.p_klass with
     | KStorage | KSmallfile ->
@@ -1151,7 +1175,7 @@ let patch_reply_attrs t (c : cost) (pd : pending) (pkt : Packet.t) =
         Cksum.patch_payload_bytes pkt ~off:(off + Codec.attr_atime_field_off) t.scr8 ~spos:0 ~len:8;
         Codec.put_time_be t.scr8 a.Nfs.mtime;
         Cksum.patch_payload_bytes pkt ~off:(off + Codec.attr_mtime_field_off) t.scr8 ~spos:0 ~len:8;
-        charge t c `Rewrite (3.0 *. t.p.Params.rewrite_cost);
+        charge t c `Rewrite (3.0 *. rewrite_cost);
         t.n_attr_patch <- t.n_attr_patch + 1;
         (* reads: fix the EOF flag, which the node judged against its
            local fragment of the file *)
@@ -1163,7 +1187,7 @@ let patch_reply_attrs t (c : cost) (pd : pending) (pkt : Packet.t) =
             let eof = fin >= Int64.to_int a.Nfs.size in
             Bytes.set_int32_be t.scr4 0 (if eof then 1l else 0l);
             Cksum.patch_payload_bytes pkt ~off:(tag_off + 8) t.scr4 ~spos:0 ~len:4;
-            charge t c `Rewrite t.p.Params.rewrite_cost
+            charge t c `Rewrite rewrite_cost
           end
         end
     | KName ->
@@ -1202,7 +1226,7 @@ let patch_reply_attrs t (c : cost) (pd : pending) (pkt : Packet.t) =
               Codec.put_time_be t.scr8 mtime;
               Cksum.patch_payload_bytes pkt ~off:(off + Codec.attr_mtime_field_off) t.scr8
                 ~spos:0 ~len:8;
-              charge t c `Rewrite (2.0 *. t.p.Params.rewrite_cost);
+              charge t c `Rewrite (2.0 *. rewrite_cost);
               t.n_attr_patch <- t.n_attr_patch + 1;
               grant ca
           | Some ca ->
@@ -1263,8 +1287,8 @@ let handle_reply t (pkt : Packet.t) (pd : pending) =
   let c = t.cost in
   c.c_tot.(0) <- 0.0;
   c.c_span <- pd.p_span;
-  charge t c `Intercept t.p.Params.intercept_cost;
-  charge t c `Softstate t.p.Params.softstate_cost;
+  charge t c `Intercept intercept_cost;
+  charge t c `Softstate softstate_cost;
   t.n_replies <- t.n_replies + 1;
   if pd.p_mirror_left > 1 then begin
     (* first mirror ack: wait for the slower replica, but keep the worst
@@ -1314,7 +1338,7 @@ let handle_reply t (pkt : Packet.t) (pd : pending) =
         try Codec.status_of_int pd.p_worst with Codec.Malformed _ -> Nfs.ERR_IO
       in
       let payload = Codec.encode_reply ~xid (Error status) in
-      charge t c `Rewrite t.p.Params.rewrite_cost;
+      charge t c `Rewrite rewrite_cost;
       let reply =
         Packet.make ~src:t.tg.virtual_addr ~dst:pkt.Packet.dst ~sport:pkt.Packet.sport
           ~dport:pkt.Packet.dport payload
@@ -1330,7 +1354,7 @@ let handle_reply t (pkt : Packet.t) (pd : pending) =
     else begin
       patch_reply_attrs t c pd pkt;
       learn_name t pd pkt;
-      charge t c `Rewrite t.p.Params.rewrite_cost;
+      charge t c `Rewrite rewrite_cost;
       Cksum.rewrite_src pkt t.tg.virtual_addr;
       let span = pd.p_span in
       after_cpu t c (fun () ->
@@ -1398,7 +1422,7 @@ let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
      cache — tie the knot through a forward reference. *)
   let self = ref None in
   let attrs =
-    Lru.create ~capacity:params.Params.attr_cache_capacity
+    Lru.create ~capacity:attr_cache_capacity
       ~on_evict:(fun _ c ->
         match !self with
         | Some t when c.ca_dirty ->
@@ -1406,7 +1430,7 @@ let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
         | _ -> ())
       ()
   in
-  let cap = round_pow2 (max 16 params.Params.pending_capacity) in
+  let cap = pending_capacity in
   let pool = Array.init cap (fun _ -> fresh_pending ()) in
   let t =
     {
@@ -1427,7 +1451,7 @@ let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
       sweep_buf = Array.make cap 0;
       attrs;
       name_cache = Lru.create ~capacity:params.Params.name_cache_capacity ();
-      map_cache = Lru.create ~capacity:params.Params.map_cache_capacity ();
+      map_cache = Lru.create ~capacity:map_cache_capacity ();
       (* lint: bounded — one row per file with an open mirrored-write intent; commit closes it *)
       intents_open = Hashtbl.create 16;
       meta_epoch = 0;

@@ -518,7 +518,7 @@ let mk_raw ?(params_f = fun p -> p) () =
       {
         Params.default with
         threshold = 0;
-        meta_cache_enabled = false;
+        meta_cache_ttl = 0.0;
         pending_sweep_interval = 0.0;
       }
   in

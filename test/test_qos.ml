@@ -209,7 +209,7 @@ let mk_qos_proxy () =
   let proxy =
     Proxy.install chost
       ~params:
-        { Params.default with threshold = 0; meta_cache_enabled = false; pending_sweep_interval = 0.0 }
+        { Params.default with threshold = 0; meta_cache_ttl = 0.0; pending_sweep_interval = 0.0 }
       ~qos:{ Proxy.q_tenant = 2; q_tenants = tenants; q_admit = None; q_read_probe = None }
       {
         Proxy.virtual_addr = vaddr;
