@@ -1,10 +1,12 @@
-(* Reconfiguration control-plane coverage: per-class migrations preserve
-   data, a donor crash mid-copy aborts cleanly onto exactly one side,
-   an abandoned intent is rolled back by recovery, and the scale-out
+(* Reconfiguration control-plane coverage: every server class shares one
+   crash/recover/grow lifecycle, per-class migrations preserve data, a
+   donor crash mid-copy aborts cleanly onto exactly one side, an
+   abandoned intent is rolled back by recovery, and the scale-out
    exhibit is byte-deterministic. *)
 
 open Helpers
 module Engine = Slice_sim.Engine
+module Net = Slice_net.Net
 module Fh = Slice_nfs.Fh
 module Nfs = Slice_nfs.Nfs
 module Json = Slice_util.Json
@@ -16,6 +18,7 @@ module Table = Slice.Table
 module Ensemble = Slice.Ensemble
 module Client = Slice_workload.Client
 module Reconfig = Slice_reconfig.Reconfig
+module Fo = Slice_failover.Failover
 
 let chunk = 32768
 let big_chunks = 6 (* chunks >= 2 are storage-class (above the threshold) *)
@@ -66,6 +69,46 @@ let check_exclusive rc =
       Alcotest.failf "sites without exactly one published owner: %s"
         (String.concat ", "
            (List.map (fun (k, site, n) -> Printf.sprintf "%s site %d (%d owners)" k site n) vs))
+
+(* One lifecycle for all three classes, through Ensemble: a crash downs
+   the service and the host, recovery raises both, and a grown server
+   joins owning no site without republishing its class table. *)
+let test_server_lifecycle () =
+  let ens =
+    Ensemble.create
+      {
+        Ensemble.default_config with
+        seed = 4;
+        storage_nodes = 2;
+        dir_servers = 2;
+        smallfile_servers = 2;
+      }
+  in
+  let net = Ensemble.net ens in
+  run_on (Ensemble.engine ens) (fun () ->
+      List.iter
+        (fun k ->
+          let name = Ensemble.klass_name k in
+          check_bool (name ^ ": name round-trips") true (Ensemble.klass_of_name name = Some k);
+          let up () = (Ensemble.is_up ens k 1, Net.node_up net (Ensemble.server_addr ens k 1)) in
+          Ensemble.crash ens k 1;
+          check_bool (name ^ ": crash downs service and host") true (up () = (false, false));
+          Ensemble.recover ens k 1;
+          check_bool (name ^ ": recover raises both") true (up () = (true, true));
+          let tbl = Option.get (Ensemble.table ens k) in
+          let v0 = Table.version tbl in
+          check_int (name ^ ": add_server returns the old count") 2 (Ensemble.add_server ens k);
+          check_int (name ^ ": one more server") 3 (Ensemble.servers ens k);
+          check_bool (name ^ ": joins owning no site") true
+            (Tenure.owned_sites (Ensemble.tenure ens k 2) = []);
+          check_int (name ^ ": table not republished") v0 (Table.version tbl))
+        [ Ensemble.Dir; Smallfile; Storage ];
+      check_bool "unknown class name" true (Ensemble.klass_of_name "coordinator" = None));
+  let fo = Fo.attach ens (Reconfig.attach ens) in
+  Alcotest.check_raises "storage nodes do not rejoin"
+    (Invalid_argument "Failover.rejoin: storage nodes are not managers")
+    (fun () -> Fo.rejoin fo Storage 0);
+  Fo.stop fo
 
 let test_storage_migration () =
   let ens = mk_ens () in
@@ -339,6 +382,7 @@ let test_scale_exhibit_deterministic () =
 
 let suite =
   [
+    Alcotest.test_case "server lifecycle over every class" `Quick test_server_lifecycle;
     Alcotest.test_case "storage site migration preserves data" `Quick
       test_storage_migration;
     Alcotest.test_case "smallfile site migration preserves data" `Quick
