@@ -623,9 +623,171 @@ let damaged_contained name gen encode =
       Bytes.set hit (at mod Bytes.length hit) (Char.chr byte);
       manager_decoders_contained cut && manager_decoders_contained hit)
 
+(* ---- reference call decoder ----
+
+   The per-procedure call decoder, written directly against the XDR
+   decoder and Codec's field codecs: the layout of every call read
+   field by field. [Codec.decode_call] must agree with it on every
+   buffer, accepted or refused. *)
+
+module Dec = Slice_xdr.Xdr.Dec
+
+let ref_opt d dec = if Dec.bool d then Some (dec d) else None
+
+let ref_sattr d : Nfs.sattr =
+  let set_mode = ref_opt d Dec.u32 in
+  let set_uid = ref_opt d Dec.u32 in
+  let set_gid = ref_opt d Dec.u32 in
+  let set_size = ref_opt d Dec.u64 in
+  let set_atime = ref_opt d Codec.dec_time in
+  let set_mtime = ref_opt d Codec.dec_time in
+  { set_mode; set_uid; set_gid; set_size; set_atime; set_mtime }
+
+let ref_wdata d = if Dec.bool d then Nfs.Synthetic (Dec.u32 d) else Nfs.Data (Dec.opaque d)
+
+let ref_stable d =
+  match Dec.u32 d with
+  | 0 -> Nfs.Unstable
+  | 1 -> Nfs.Data_sync
+  | 2 -> Nfs.File_sync
+  | _ -> raise (Codec.Malformed "bad stable_how")
+
+let reference_decode_call buf =
+  let d = Dec.of_bytes buf in
+  let fh () = Codec.dec_fh d buf in
+  try
+    let xid = Dec.u32 d in
+    if Dec.u32 d <> 0 then raise (Codec.Malformed "not a call");
+    if Dec.u32 d <> 2 then raise (Codec.Malformed "bad RPC version");
+    let prog = Dec.u32 d in
+    let vers = Dec.u32 d in
+    if prog <> 100003 || vers <> 3 then raise (Codec.Malformed "not NFSv3");
+    let proc = Dec.u32 d in
+    let _cred_flavor = Dec.u32 d in
+    Dec.opaque_span d;
+    let _verf_flavor = Dec.u32 d in
+    Dec.opaque_span d;
+    let call : Nfs.call =
+      match proc with
+      | 0 -> Null
+      | 1 -> Getattr (fh ())
+      | 2 ->
+          let f = fh () in
+          Setattr (f, ref_sattr d)
+      | 3 ->
+          let f = fh () in
+          Lookup (f, Dec.str d)
+      | 4 ->
+          let f = fh () in
+          Access (f, Dec.u32 d)
+      | 5 -> Readlink (fh ())
+      | 6 ->
+          let f = fh () in
+          let off = Dec.u64 d in
+          Read (f, off, Dec.u32 d)
+      | 7 ->
+          let f = fh () in
+          let off = Dec.u64 d in
+          let _count = Dec.u32 d in
+          let stable = ref_stable d in
+          Write (f, off, stable, ref_wdata d)
+      | 8 ->
+          let f = fh () in
+          Create (f, Dec.str d)
+      | 9 ->
+          let f = fh () in
+          Mkdir (f, Dec.str d)
+      | 10 ->
+          let f = fh () in
+          let n = Dec.str d in
+          Symlink (f, n, Dec.str d)
+      | 12 ->
+          let f = fh () in
+          Remove (f, Dec.str d)
+      | 13 ->
+          let f = fh () in
+          Rmdir (f, Dec.str d)
+      | 14 ->
+          let f1 = fh () in
+          let n1 = Dec.str d in
+          let f2 = fh () in
+          Rename (f1, n1, f2, Dec.str d)
+      | 15 ->
+          let file = fh () in
+          let dir = fh () in
+          Link (file, dir, Dec.str d)
+      | 16 ->
+          let f = fh () in
+          let cookie = Dec.u64 d in
+          Readdir (f, cookie, Dec.u32 d)
+      | 18 -> Fsstat (fh ())
+      | 21 ->
+          let f = fh () in
+          let off = Dec.u64 d in
+          Commit (f, off, Dec.u32 d)
+      | n -> raise (Codec.Malformed (Printf.sprintf "unsupported proc %d" n))
+    in
+    (xid, call)
+  with Slice_xdr.Xdr.Truncated -> raise (Codec.Malformed "truncated call")
+
+(* Every call shape, with every sattr field and stable_how reachable. *)
+let gen_wire_call =
+  let open QCheck2.Gen in
+  let gen_sattr =
+    map3
+      (fun (set_mode, set_uid) (set_gid, set_size) (set_atime, set_mtime) ->
+        { Nfs.set_mode; set_uid; set_gid; set_size; set_atime; set_mtime })
+      (pair (opt gen_u32) (opt gen_u32))
+      (pair (opt gen_u32) (opt gen_i64))
+      (pair (opt gen_time) (opt gen_time))
+  in
+  let gen_stable = oneofl [ Nfs.Unstable; Nfs.Data_sync; Nfs.File_sync ] in
+  oneof
+    [
+      gen_call;
+      map2 (fun f s -> Nfs.Setattr (f, s)) gen_fh gen_sattr;
+      map3
+        (fun f (off, stable) data -> Nfs.Write (f, off, stable, data))
+        gen_fh (pair gen_i64 gen_stable)
+        (oneof
+           [
+             map (fun s -> Nfs.Data s) (string_size (int_range 0 13));
+             map (fun n -> Nfs.Synthetic n) gen_u32;
+           ]);
+      map3 (fun f off n -> Nfs.Read (f, off, n)) gen_fh gen_i64 gen_u32;
+      map3 (fun f c n -> Nfs.Readdir (f, c, n)) gen_fh gen_i64 gen_u32;
+      map3 (fun f off n -> Nfs.Commit (f, off, n)) gen_fh gen_i64 gen_u32;
+      map2 (fun f m -> Nfs.Access (f, m)) gen_fh gen_u32;
+    ]
+
+let decode_outcome decode buf = match decode buf with v -> Some v | exception Codec.Malformed _ -> None
+
+let decoders_agree buf =
+  decode_outcome Codec.decode_call buf = decode_outcome reference_decode_call buf
+
+(* The encoding itself, every proper prefix of it, and single-byte
+   overwrites of it. *)
+let decode_call_matches_reference =
+  qtest ~count:300 "decode_call agrees with the reference decoder"
+    QCheck2.Gen.(
+      triple gen_u32 gen_wire_call (small_list (pair small_nat (int_range 0 255))))
+    (fun (xid, call, hits) ->
+      let b = Codec.encode_call ~xid call in
+      let n = Bytes.length b in
+      decode_outcome Codec.decode_call b = Some (xid, call)
+      && decoders_agree b
+      && List.for_all (fun keep -> decoders_agree (Bytes.sub b 0 keep)) (List.init n Fun.id)
+      && List.for_all
+           (fun (at, byte) ->
+             let hit = Bytes.copy b in
+             Bytes.set hit (at mod n) (Char.chr byte);
+             decoders_agree hit)
+           hits)
+
 let suite =
   suite
   @ [
+      decode_call_matches_reference;
       decode_garbage_is_contained;
       truncated_real_call_is_contained;
       reencodes "peer message re-encodes to the same bytes" gen_peer_msg Peer.encode_msg
