@@ -16,13 +16,12 @@ val attach :
   Slice_storage.Host.t ->
   ?port:int ->
   ?cache_bytes:int ->
-  ?per_op_cpu:float ->
   ?mem_only:bool ->
   unit ->
   t
 (** Defaults: port 2049, 512 MB cache, 150 µs/op CPU (a 450 MHz PC
     kernel NFS stack), disk-backed. [mem_only] serves everything from
-    memory (MFS) at 120 µs/op unless [per_op_cpu] overrides. *)
+    memory (MFS) at 120 µs/op. *)
 
 val addr : t -> Slice_net.Packet.addr
 val root : t -> Slice_nfs.Fh.t

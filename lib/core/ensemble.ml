@@ -249,11 +249,7 @@ let storage_host net cfg i =
 (* PC-class with a dedicated sequential log disk *)
 let dir_host net i = Host.create net ~name:(Printf.sprintf "dir%d" i) ~disks:1 ()
 
-let smallfile_host net cfg i =
-  if cfg.storage_nodes > 0 then Host.create net ~name:(Printf.sprintf "smallfile%d" i) ()
-  else
-    (* standalone (no storage array): local disks stand in *)
-    Host.create net ~name:(Printf.sprintf "smallfile%d" i) ~disks:cfg.disks_per_node ()
+let smallfile_host net i = Host.create net ~name:(Printf.sprintf "smallfile%d" i) ()
 
 let attach_storage t ~host ~sites =
   bind_system_host t.qos_ host;
@@ -286,33 +282,29 @@ let attach_dir t ~idx ~host ~also_owns =
 let attach_smallfile t ~idx ~host ~sites =
   let nsites = match t.sf_tbl with Some tbl -> Table.nsites tbl | None -> 1 in
   bind_system_host t.qos_ host;
-  if Array.length t.storage_ > 0 then begin
-    let storage_only = { t.cfg.proxy_params with Params.threshold = 0 } in
-    let _px : Proxy.t =
-      Proxy.install host ~params:storage_only ~seed:(t.cfg.seed + 100 + idx)
-        {
-          Proxy.virtual_addr = t.vaddr;
-          dir_table = t.dir_tbl;
-          smallfile_table = None;
-          storage = t.st_tbl;
-          coordinator = (fun () -> coord_endpoint t Fh.root);
-        }
-    in
-    let rpc = Rpc.create t.net_ host.Host.addr ~port:1900 in
-    let backend =
-      remote_backend t.eng rpc ~vaddr:t.vaddr ~secure:t.cfg.secure_objects ~sf_idx:idx
-        ~stripe_unit:t.cfg.proxy_params.Params.stripe_unit
-    in
-    Smallfile.attach host ~cache_bytes:t.cfg.smallfile_cache
-      ~threshold:t.cfg.proxy_params.Params.threshold ~nsites ~sites ~backend ?trace:t.trace_
-      ?qos:(wfq_of ~dataless:true t.qos_ t.eng) ()
-  end
-  else
-    Smallfile.attach host ~cache_bytes:t.cfg.smallfile_cache
-      ~threshold:t.cfg.proxy_params.Params.threshold ~nsites ~sites ?trace:t.trace_
-      ?qos:(wfq_of ~dataless:true t.qos_ t.eng) ()
+  let storage_only = { t.cfg.proxy_params with Params.threshold = 0 } in
+  let _px : Proxy.t =
+    Proxy.install host ~params:storage_only ~seed:(t.cfg.seed + 100 + idx)
+      {
+        Proxy.virtual_addr = t.vaddr;
+        dir_table = t.dir_tbl;
+        smallfile_table = None;
+        storage = t.st_tbl;
+        coordinator = (fun () -> coord_endpoint t Fh.root);
+      }
+  in
+  let rpc = Rpc.create t.net_ host.Host.addr ~port:1900 in
+  let backend =
+    remote_backend t.eng rpc ~vaddr:t.vaddr ~secure:t.cfg.secure_objects ~sf_idx:idx
+      ~stripe_unit:t.cfg.proxy_params.Params.stripe_unit
+  in
+  Smallfile.attach host ~cache_bytes:t.cfg.smallfile_cache
+    ~threshold:t.cfg.proxy_params.Params.threshold ~nsites ~sites ~backend ?trace:t.trace_
+    ?qos:(wfq_of ~dataless:true t.qos_ t.eng) ()
 
 let create cfg =
+  if cfg.smallfile_servers > 0 && cfg.storage_nodes = 0 then
+    invalid_arg "Ensemble.create: small-file servers are dataless and need storage nodes";
   let eng = Engine.create () in
   let net_ = Net.create eng ?params:cfg.net_params ~seed:cfg.seed () in
   let trace_ =
@@ -336,7 +328,7 @@ let create cfg =
   (* hosts in class order: storage, directory, small-file *)
   let storage_hosts = Array.init cfg.storage_nodes (storage_host net_ cfg) in
   let dir_hosts = Array.init cfg.dir_servers (dir_host net_) in
-  let sf_hosts = Array.init cfg.smallfile_servers (smallfile_host net_ cfg) in
+  let sf_hosts = Array.init cfg.smallfile_servers (smallfile_host net_) in
   (* logical site [j] starts on server [j mod servers] *)
   let table (hosts : Host.t array) sites =
     let n = Array.length hosts in
@@ -539,7 +531,7 @@ let add_server t k =
       Tenure.disown (Dirserver.tenure d) i;
       t.dirs_ <- Array.append t.dirs_ [| d |]
   | Smallfile ->
-      let s = attach_smallfile t ~idx:i ~host:(smallfile_host t.net_ t.cfg i) ~sites:[] in
+      let s = attach_smallfile t ~idx:i ~host:(smallfile_host t.net_ i) ~sites:[] in
       t.smallfiles_ <- Array.append t.smallfiles_ [| s |]);
   i
 

@@ -69,6 +69,9 @@ val default_config : config
 type t
 
 val create : config -> t
+(** @raise Invalid_argument when [smallfile_servers > 0] and
+    [storage_nodes = 0]: small-file servers are dataless, their zones
+    live on the storage array. *)
 
 val engine : t -> Slice_sim.Engine.t
 val net : t -> Slice_net.Net.t

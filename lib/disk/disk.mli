@@ -8,23 +8,12 @@
     overhead) on an arm; sequential accesses stream at the media rate. All
     transfers additionally serialize through the channel at its effective
     read/write rates (55 / 60 MB/s, the per-node saturation bandwidths
-    measured in the paper's Table 2 discussion). *)
-
-type params = {
-  avg_seek : float;  (** seconds, average seek (Cheetah 10K: ~5.2 ms) *)
-  rotational_half : float;  (** half-rotation latency (~3.0 ms at 10K RPM) *)
-  media_rate : float;  (** bytes/second media transfer (~33 MB/s) *)
-  controller_overhead : float;
-      (** fixed per-op cost; with seek+rotation it calibrates a random
-          8 KB access to ≈9.6 ms, i.e. ≈104 IOPS per arm, matching the
-          paper's arm-bound SPECsfs throughput *)
-  channel_read_rate : float;  (** effective node read bandwidth (55 MB/s) *)
-  channel_write_rate : float;  (** effective node write bandwidth (60 MB/s) *)
-}
+    measured in the paper's Table 2 discussion). Every drive is a Cheetah
+    10K: ≈9.6 ms per random 8 KB access, ≈104 IOPS per arm. *)
 
 type t
 
-val create : Slice_sim.Engine.t -> ?params:params -> arms:int -> name:string -> unit -> t
+val create : Slice_sim.Engine.t -> arms:int -> name:string -> unit -> t
 
 val read : t -> ?span:Slice_trace.Trace.span -> sequential:bool -> bytes:int -> unit -> unit
 (** Fiber: performs a read, waiting for arm and channel.  A live [span]

@@ -43,6 +43,15 @@ module Reconfig = Slice_reconfig.Reconfig
 let lease_port = 2060
 let ctl_rpc_port = 2061
 
+(* Renewal period and the consecutive misses that declare a target dead
+   (≈ 300 ms detection). One lease lasts just less than the worst-case
+   time to accumulate [miss_limit] timeouts (2·heartbeat per miss: sleep
+   + timeout), so a donor cut off from renewals is always wedged by
+   declaration time. *)
+let heartbeat = 0.05
+let miss_limit = 3
+let lease_dur = ((2. *. float_of_int miss_limit) -. 1.) *. heartbeat
+
 type tclass = Manager of Ensemble.klass * int | Coordinator
 
 type target = {
@@ -74,9 +83,6 @@ type t = {
   eng : Engine.t;
   net : Net.t;
   rpc : Rpc.t;
-  hb : float;
-  miss_limit : int;
-  lease_dur : float;
   reg : Metrics.t;
   mutable targets : target list;
   mutable events : event list;
@@ -200,7 +206,7 @@ let takeover_manager t tg k ~victim ~declared =
       let sites = Reconfig.takeover t.rc k ~victim ~standby in
       (* Re-lease the standby in process under the bumped epoch; its own
          monitor keeps renewing from here. *)
-      let until = Engine.now t.eng +. t.lease_dur in
+      let until = Engine.now t.eng +. lease_dur in
       Tenure.set_lease (Ensemble.tenure t.ens k standby) ~epoch:(class_epoch t k) ~until;
       (match find_target t (Manager (k, standby)) with
       | Some stg -> stg.max_granted <- Float.max stg.max_granted until
@@ -255,7 +261,7 @@ let promote_coordinator t tg ~declared =
         | Some tbl -> Table.bump_epoch tbl
         | None -> ());
         install_endpoint t h (coordinator_grant_at t h.Host.addr);
-        let until = Engine.now t.eng +. t.lease_dur in
+        let until = Engine.now t.eng +. lease_dur in
         Tenure.set_lease (Coordinator.tenure c) ~epoch:(current_epoch t tg) ~until;
         (* The coordinator target tracks the role, not the instance: the
            monitor resumes against the successor immediately. *)
@@ -279,7 +285,7 @@ let declare t tg =
      no lease outlasting [max_granted] was ever sent. Waiting it out
      guarantees the donor bounces before the standby owns anything. *)
   if tg.max_granted > declared then
-    Engine.sleep t.eng (tg.max_granted -. declared +. (t.hb /. 10.));
+    Engine.sleep t.eng (tg.max_granted -. declared +. (heartbeat /. 10.));
   match tg.tclass with
   | Manager (k, i) -> takeover_manager t tg k ~victim:i ~declared
   | Coordinator -> promote_coordinator t tg ~declared
@@ -287,17 +293,17 @@ let declare t tg =
 (* ---- the detector loop ---- *)
 
 let rec monitor t tg =
-  Engine.sleep t.eng t.hb;
+  Engine.sleep t.eng heartbeat;
   if not t.stopped then
     if tg.deposed then monitor t tg
     else begin
       let start = Engine.now t.eng in
-      let until = start +. t.lease_dur in
+      let until = start +. lease_dur in
       let epoch = current_epoch t tg in
       tg.max_granted <- Float.max tg.max_granted until;
       t.heartbeats <- t.heartbeats + 1;
       match
-        Rpc.call t.rpc ~retries:0 ~timeout:t.hb ~dst:(taddr t tg)
+        Rpc.call t.rpc ~retries:0 ~timeout:heartbeat ~dst:(taddr t tg)
           ~dport:lease_port
           (encode_renew ~xid:(Rpc.fresh_xid t.rpc) ~epoch ~until)
       with
@@ -308,7 +314,7 @@ let rec monitor t tg =
       | exception Rpc.Timeout ->
           if tg.misses = 0 then tg.suspect_since <- start;
           tg.misses <- tg.misses + 1;
-          if tg.misses >= t.miss_limit then declare t tg;
+          if tg.misses >= miss_limit then declare t tg;
           monitor t tg
     end
 
@@ -316,7 +322,7 @@ let watch t tg grant host =
   install_endpoint t host grant;
   (* Seed a finite lease in process: attaching the detector is what
      arms fencing (servers default to an infinite lease). *)
-  let until = Engine.now t.eng +. t.lease_dur in
+  let until = Engine.now t.eng +. lease_dur in
   grant ~epoch:(current_epoch t tg) ~until |> ignore;
   tg.max_granted <- Float.max tg.max_granted until;
   t.targets <- t.targets @ [ tg ];
@@ -332,15 +338,11 @@ let mk_target tname tclass =
     max_granted = neg_infinity;
   }
 
-let attach ?(heartbeat = 0.05) ?(miss_limit = 3) ens rc =
+let attach ens rc =
   let eng = Ensemble.engine ens in
   let net = Ensemble.net ens in
   let host = Host.create net ~name:"failover-ctl" () in
   let rpc = Rpc.create net host.Host.addr ~port:ctl_rpc_port in
-  (* One lease lasts just less than the worst-case time to accumulate
-     [miss_limit] timeouts (2·hb per miss: sleep + timeout), so a donor
-     cut off from renewals is always wedged by declaration time. *)
-  let lease_dur = ((2. *. float_of_int miss_limit) -. 1.) *. heartbeat in
   let t =
     {
       ens;
@@ -348,9 +350,6 @@ let attach ?(heartbeat = 0.05) ?(miss_limit = 3) ens rc =
       eng;
       net;
       rpc;
-      hb = heartbeat;
-      miss_limit;
-      lease_dur;
       reg = Metrics.create ();
       targets = [];
       events = [];
@@ -388,7 +387,7 @@ let attach ?(heartbeat = 0.05) ?(miss_limit = 3) ens rc =
       float_of_int (List.length t.targets));
   Metrics.gauge t.reg "failover.deposed" (fun () ->
       float_of_int (List.length (List.filter (fun tg -> tg.deposed) t.targets)));
-  Metrics.gauge t.reg "failover.lease_duration" (fun () -> t.lease_dur);
+  Metrics.gauge t.reg "failover.lease_duration" (fun () -> lease_dur);
   t
 
 (* ---- rejoin ---- *)
@@ -405,7 +404,7 @@ let rejoin t k i =
   if k = Ensemble.Storage then invalid_arg "Failover.rejoin: storage nodes are not managers";
   Ensemble.recover t.ens k i;
   Reconfig.shed t.rc k i;
-  let until = Engine.now t.eng +. t.lease_dur in
+  let until = Engine.now t.eng +. lease_dur in
   Tenure.set_lease (Ensemble.tenure t.ens k i) ~epoch:(class_epoch t k) ~until;
   match find_target t (Manager (k, i)) with
   | Some tg -> resume tg until
@@ -418,7 +417,7 @@ let metrics t = t.reg
 let events t = List.rev t.events
 let takeovers t = List.length t.events
 let heartbeats t = t.heartbeats
-let lease_duration t = t.lease_dur
+let lease_duration _ = lease_dur
 
 let deposed t =
   List.filter_map (fun tg -> if tg.deposed then Some tg.tname else None)

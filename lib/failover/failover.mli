@@ -12,19 +12,19 @@
 
     {ol
     {- {b Detection.} A controller host renews a fencing lease at every
-       manager each [heartbeat] seconds over the simulated network
-       (one datagram, no retries). After [miss_limit] consecutive
-       timeouts the manager is declared dead.}
+       manager every 50 ms over the simulated network (one datagram, no
+       retries). After 3 consecutive timeouts the manager is declared
+       dead (≈ 300 ms detection).}
     {- {b Fencing.} Every renewal carries its expiry computed at send
-       time, and one lease lasts [(2·miss_limit − 1)·heartbeat] — just
-       less than the worst-case time for the controller to count
-       [miss_limit] misses. Before promoting a standby the controller
-       additionally waits out the largest expiry it ever put on the
-       wire. A donor cut off from renewals (crashed {e or} merely
-       partitioned) has therefore always wedged itself — bouncing every
-       request with [SLICE_MISDIRECTED] — strictly before the standby
-       claims its sites, so at most one side of a partition executes
-       requests, with no shared clock assumptions beyond the simulator's.}
+       time, and one lease lasts (2·3 − 1)·50 ms = 250 ms — just less
+       than the worst-case time for the controller to count 3 misses.
+       Before promoting a standby the controller additionally waits
+       out the largest expiry it ever put on the wire. A donor cut off
+       from renewals (crashed {e or} merely partitioned) has therefore
+       always wedged itself — bouncing every request with
+       [SLICE_MISDIRECTED] — strictly before the standby claims its
+       sites, so at most one side of a partition executes requests,
+       with no shared clock assumptions beyond the simulator's.}
     {- {b Takeover.} Directory and small-file victims are replaced via
        {!Slice_reconfig.Reconfig.takeover} (per-site Begin intent,
        journal/zone replay from shared storage, table rebind, Commit
@@ -38,16 +38,13 @@
 
 type t
 
-val attach :
-  ?heartbeat:float -> ?miss_limit:int -> Slice.Ensemble.t ->
-  Slice_reconfig.Reconfig.t -> t
+val attach : Slice.Ensemble.t -> Slice_reconfig.Reconfig.t -> t
 (** Create the controller host, install a lease-renewal endpoint (port
     2060) on every manager host, seed finite leases (arming fencing —
     servers default to infinite leases) and spawn one detector fiber
-    per manager plus one for the coordinator role. [heartbeat] defaults
-    to 50 ms, [miss_limit] to 3 (≈ 300 ms detection, 250 ms lease).
-    Call {!stop} before running the engine to quiescence, or the
-    detector fibers renew forever. *)
+    per manager plus one for the coordinator role. Call {!stop} before
+    running the engine to quiescence, or the detector fibers renew
+    forever. *)
 
 val stop : t -> unit
 (** Stop all detector fibers at their next wakeup and stop renewing

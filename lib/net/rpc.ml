@@ -24,7 +24,7 @@ type slot = {
   mutable ep : ep;
   mutable retries : int;
   mutable attempt : int; (* 0 = the first send *)
-  fl : float array; (* [| backoff; cap; this attempt's timeout |], unboxed *)
+  fl : float array; (* [| cap; this attempt's timeout |], unboxed *)
   mutable reply : bytes; (* [awaiting] until the reply lands, [expired] on timeout *)
   mutable timer : Engine.timer;
   mutable timer_seq : int;
@@ -111,6 +111,11 @@ let fresh_xid t = Net.fresh_xid t.net
    endpoints that lost packets together does not retransmit in lockstep. *)
 let jitter_frac = 0.1
 
+(* Each retransmission multiplies the timeout by [backoff], up to
+   [max_timeout] (or the first timeout, if that is larger). *)
+let backoff = 2.0
+let max_timeout = 2.0
+
 (* Send one attempt, then arm its timer — unless an interposed filter
    answered synchronously inside [Net.send], leaving nothing to time
    (the slot may even hold the caller's next call by then). *)
@@ -119,7 +124,7 @@ let transmit t s xid payload =
     (Packet.make ~src:t.addr ~dst:s.dst ~sport:t.port ~dport:s.dport ~extra_size:s.extra_size
        payload);
   if Xid_index.find t.index xid >= 0 then begin
-    let wait = s.fl.(2) *. (1.0 +. (jitter_frac *. Slice_util.Prng.float t.prng 1.0)) in
+    let wait = s.fl.(1) *. (1.0 +. (jitter_frac *. Slice_util.Prng.float t.prng 1.0)) in
     s.timer <- Engine.schedule_timer t.eng wait s.expire;
     s.timer_seq <- Engine.timer_seq s.timer
   end
@@ -129,9 +134,9 @@ let transmit t s xid payload =
    interposed filter may have rewritten the previous attempt in place. *)
 let expire t s =
   if s.attempt < s.retries then begin
-    let next = s.fl.(2) *. s.fl.(0) in
+    let next = s.fl.(1) *. backoff in
     s.attempt <- s.attempt + 1;
-    s.fl.(2) <- (if next > s.fl.(1) then s.fl.(1) else next);
+    s.fl.(1) <- (if next > s.fl.(0) then s.fl.(0) else next);
     t.retransmits <- t.retransmits + 1;
     s.ep.ep_retransmits <- s.ep.ep_retransmits + 1;
     transmit t s (Xid_index.key t.index s.id) (Bytes.sub s.buf 0 s.len)
@@ -161,7 +166,7 @@ let new_slot t =
       ep = no_ep;
       retries = 0;
       attempt = 0;
-      fl = [| 0.0; 0.0; 0.0 |];
+      fl = [| 0.0; 0.0 |];
       reply = awaiting;
       timer = Engine.no_timer;
       timer_seq = -1;
@@ -198,8 +203,7 @@ let release t s =
 
 let rec round_pow2 p n = if p >= n then p else round_pow2 (p * 2) n
 
-let call t ?(timeout = 0.1) ?(retries = 8) ?(backoff = 2.0) ?(max_timeout = 2.0)
-    ?(span = Trace.null) ~dst ~dport ?(extra_size = 0) payload =
+let call t ?(timeout = 0.1) ?(retries = 8) ?(span = Trace.null) ~dst ~dport ?(extra_size = 0) payload =
   let xid = Int32.to_int (Bytes.get_int32_be payload 0) land 0xFFFFFFFF in
   let ep = ep_of t dst in
   ep.ep_calls <- ep.ep_calls + 1;
@@ -218,9 +222,8 @@ let call t ?(timeout = 0.1) ?(retries = 8) ?(backoff = 2.0) ?(max_timeout = 2.0)
   s.ep <- ep;
   s.retries <- retries;
   s.attempt <- 0;
-  s.fl.(0) <- backoff;
-  s.fl.(1) <- (if timeout > max_timeout then timeout else max_timeout);
-  s.fl.(2) <- timeout;
+  s.fl.(0) <- (if timeout > max_timeout then timeout else max_timeout);
+  s.fl.(1) <- timeout;
   (* the first attempt sends the caller's bytes *)
   transmit t s xid payload;
   if s.reply == awaiting then Engine.park t.eng s.waiter;

@@ -24,8 +24,6 @@ val call :
   t ->
   ?timeout:float ->
   ?retries:int ->
-  ?backoff:float ->
-  ?max_timeout:float ->
   ?span:Slice_trace.Trace.span ->
   dst:Packet.addr ->
   dport:int ->
@@ -36,9 +34,8 @@ val call :
     be a fresh XID from {!fresh_xid}) and parks the calling fiber until a
     matching reply arrives, raising {!Timeout} after [retries]
     retransmissions (default 8). The retransmit schedule starts at
-    [timeout] seconds (default 0.1) and grows by factor [backoff]
-    (default 2) up to [max_timeout] (default 2 s, or [timeout] if that is
-    larger), with up to 10 % additive jitter from a deterministic
+    [timeout] seconds (default 0.1) and doubles on each retransmission up
+    to 2 s (or [timeout], if that is larger), with up to 10 % additive jitter from a deterministic
     per-endpoint stream — exponential backoff stops the fixed-interval
     retransmit storm under sustained loss while jitter decorrelates
     clients that lost packets together. Returns the reply payload.

@@ -152,24 +152,6 @@ let enc_call_header e ~xid ~proc =
   Enc.u32 e 0;
   Enc.u32 e 0
 
-(* Returns (xid, proc) with the decoder positioned at the args. The
-   credential and verifier bodies are skipped as spans. *)
-let dec_call_header d =
-  let xid = Dec.u32 d in
-  let mtype = Dec.u32 d in
-  if mtype <> 0 then raise (Malformed "not a call");
-  let rpcvers = Dec.u32 d in
-  if rpcvers <> 2 then raise (Malformed "bad RPC version");
-  let prog = Dec.u32 d in
-  let vers = Dec.u32 d in
-  if prog <> nfs_program || vers <> nfs_version then raise (Malformed "not NFSv3");
-  let proc = Dec.u32 d in
-  let _cred_flavor = Dec.u32 d in
-  Dec.opaque_span d;
-  let _verf_flavor = Dec.u32 d in
-  Dec.opaque_span d;
-  (xid, proc)
-
 (* ---- calls ---- *)
 
 let encode_call ~xid (c : Nfs.call) =
@@ -219,73 +201,6 @@ let encode_call ~xid (c : Nfs.call) =
       Enc.u64 e off;
       Enc.u32 e count);
   Enc.to_bytes e
-
-let decode_call buf =
-  let d = Dec.of_bytes buf in
-  try
-    let xid, proc = dec_call_header d in
-    let call : Nfs.call =
-      match proc with
-      | 0 -> Null
-      | 1 -> Getattr (dec_fh d buf)
-      | 2 ->
-          let fh = dec_fh d buf in
-          Setattr (fh, dec_sattr d)
-      | 3 ->
-          let fh = dec_fh d buf in
-          Lookup (fh, Dec.str d)
-      | 4 ->
-          let fh = dec_fh d buf in
-          Access (fh, Dec.u32 d)
-      | 5 -> Readlink (dec_fh d buf)
-      | 6 ->
-          let fh = dec_fh d buf in
-          let off = Dec.u64 d in
-          Read (fh, off, Dec.u32 d)
-      | 7 ->
-          let fh = dec_fh d buf in
-          let off = Dec.u64 d in
-          let _count = Dec.u32 d in
-          let stable = stable_of_int (Dec.u32 d) in
-          Write (fh, off, stable, dec_wdata d)
-      | 8 ->
-          let fh = dec_fh d buf in
-          Create (fh, Dec.str d)
-      | 9 ->
-          let fh = dec_fh d buf in
-          Mkdir (fh, Dec.str d)
-      | 10 ->
-          let fh = dec_fh d buf in
-          let n = Dec.str d in
-          Symlink (fh, n, Dec.str d)
-      | 12 ->
-          let fh = dec_fh d buf in
-          Remove (fh, Dec.str d)
-      | 13 ->
-          let fh = dec_fh d buf in
-          Rmdir (fh, Dec.str d)
-      | 14 ->
-          let fh1 = dec_fh d buf in
-          let n1 = Dec.str d in
-          let fh2 = dec_fh d buf in
-          Rename (fh1, n1, fh2, Dec.str d)
-      | 15 ->
-          let file = dec_fh d buf in
-          let dir = dec_fh d buf in
-          Link (file, dir, Dec.str d)
-      | 16 ->
-          let fh = dec_fh d buf in
-          let cookie = Dec.u64 d in
-          Readdir (fh, cookie, Dec.u32 d)
-      | 18 -> Fsstat (dec_fh d buf)
-      | 21 ->
-          let fh = dec_fh d buf in
-          let off = Dec.u64 d in
-          Commit (fh, off, Dec.u32 d)
-      | n -> raise (Malformed (Printf.sprintf "unsupported proc %d" n))
-    in
-    (xid, call)
-  with Slice_xdr.Xdr.Truncated -> raise (Malformed "truncated call")
 
 let extra_size_of_call = function
   | Nfs.Write (_, _, _, Nfs.Synthetic n) -> n
@@ -631,6 +546,56 @@ let[@hot] peek_call_into c buf =
     c.c_items <- Dec.items_read d;
     true
   with Slice_xdr.Xdr.Truncated | Bad_peek -> false
+
+(* ---- full call decode ----
+
+   Servers decode through the µproxy's cursor peek, so each call's layout
+   is written down once. The call is built from the recorded spans; the
+   fields the peek skips are read after it, where its decoder stops: a
+   symlink's target and a write's data come next, and a setattr's sattr
+   is decoded again from just past the handle. Decoding never yields, so
+   one cursor serves every server. *)
+
+let call_cursor = cursor ()
+let peeked_fh c buf = Fh.read_at buf c.c_fh_off
+let peeked_fh2 c buf = Fh.read_at buf c.c_fh2_off
+let peeked_name c buf = Bytes.sub_string buf c.c_name_off c.c_name_len
+let peeked_name2 c buf = Bytes.sub_string buf c.c_name2_off c.c_name2_len
+let peeked_offset c buf = Bytes.get_int64_be buf c.c_off_field
+
+let peeked_sattr c buf =
+  let pos = c.c_fh_off + Fh.wire_length in
+  Dec.reset c.cr buf ~pos ~len:(Bytes.length buf - pos);
+  dec_sattr c.cr
+
+let decode_call buf =
+  let c = call_cursor in
+  if not (peek_call_into c buf) then raise (Malformed "not a well-formed NFS V3 call");
+  let call : Nfs.call =
+    try
+      match c.c_proc with
+      | 0 -> Null
+      | 1 -> Getattr (peeked_fh c buf)
+      | 2 -> Setattr (peeked_fh c buf, peeked_sattr c buf)
+      | 3 -> Lookup (peeked_fh c buf, peeked_name c buf)
+      | 4 -> Access (peeked_fh c buf, c.c_access)
+      | 5 -> Readlink (peeked_fh c buf)
+      | 6 -> Read (peeked_fh c buf, peeked_offset c buf, c.c_count)
+      | 7 -> Write (peeked_fh c buf, peeked_offset c buf, stable_of_int c.c_stable, dec_wdata c.cr)
+      | 8 -> Create (peeked_fh c buf, peeked_name c buf)
+      | 9 -> Mkdir (peeked_fh c buf, peeked_name c buf)
+      | 10 -> Symlink (peeked_fh c buf, peeked_name c buf, Dec.str c.cr)
+      | 12 -> Remove (peeked_fh c buf, peeked_name c buf)
+      | 13 -> Rmdir (peeked_fh c buf, peeked_name c buf)
+      | 14 -> Rename (peeked_fh c buf, peeked_name c buf, peeked_fh2 c buf, peeked_name2 c buf)
+      | 15 -> Link (peeked_fh c buf, peeked_fh2 c buf, peeked_name c buf)
+      | 16 -> Readdir (peeked_fh c buf, peeked_offset c buf, c.c_count)
+      | 18 -> Fsstat (peeked_fh c buf)
+      | 21 -> Commit (peeked_fh c buf, peeked_offset c buf, c.c_count)
+      | n -> raise (Malformed (Printf.sprintf "unsupported proc %d" n))
+    with Slice_xdr.Xdr.Truncated -> raise (Malformed "truncated call")
+  in
+  (c.c_xid, call)
 
 let[@hot] is_call buf =
   Bytes.length buf >= 8 && Int32.to_int (Bytes.get_int32_be buf 4) = 0

@@ -13,7 +13,8 @@ exception Malformed of string
 
 val encode_call : xid:int -> Nfs.call -> bytes
 val decode_call : bytes -> int * Nfs.call
-(** @raise Malformed on garbage. *)
+(** The servers' full decode, built on {!peek_call_into}: each call's
+    argument layout is read in one place. @raise Malformed on garbage. *)
 
 val encode_reply : xid:int -> Nfs.response -> bytes
 val decode_reply : bytes -> int * Nfs.response

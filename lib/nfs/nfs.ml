@@ -45,7 +45,7 @@ let sattr_empty =
   { set_mode = None; set_uid = None; set_gid = None; set_size = None; set_atime = None; set_mtime = None }
 
 let sattr_size size = { sattr_empty with set_size = Some size }
-let sattr_times ?atime ?mtime () = { sattr_empty with set_atime = atime; set_mtime = mtime }
+let sattr_times ?mtime () = { sattr_empty with set_mtime = mtime }
 
 type status =
   | OK

@@ -35,7 +35,7 @@ type sattr = {
 
 val sattr_empty : sattr
 val sattr_size : int64 -> sattr
-val sattr_times : ?atime:time -> ?mtime:time -> unit -> sattr
+val sattr_times : ?mtime:time -> unit -> sattr
 
 type status =
   | OK

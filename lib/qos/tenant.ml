@@ -101,19 +101,17 @@ let deferred t id = t.cells.(id).deferred
 let queue_delay t id = t.cells.(id).queue_delay
 let latency t id = t.cells.(id).latency
 
-(* Register every tenant's series under "qos.<tenant>.": the labelled
-   scope builds the keys once and the registry dump sorts them, so the
-   series are byte-stable however many tenants exist. *)
+(* Register every tenant's series under "qos.<tenant>."; the registry
+   dump sorts the keys, so the series are byte-stable however many
+   tenants exist. *)
 let register_metrics t m =
   Array.iteri
     (fun id s ->
-      let sc = Metrics.labelled m ~prefix:"qos" ~tenant:s.name in
-      Metrics.scoped_gauge sc "ops" (fun () -> float_of_int (ops t id));
-      Metrics.scoped_gauge sc "bytes" (fun () -> float_of_int (bytes t id));
-      Metrics.scoped_gauge sc "admitted" (fun () -> float_of_int (admitted t id));
-      Metrics.scoped_gauge sc "deferred" (fun () -> float_of_int (deferred t id));
-      Metrics.scoped_gauge sc "queue_delay_p99_ms" (fun () ->
-          Stats.percentile (queue_delay t id) 99.0 *. 1e3);
-      Metrics.scoped_gauge sc "latency_p99_ms" (fun () ->
-          Stats.percentile (latency t id) 99.0 *. 1e3))
+      let gauge name fn = Metrics.gauge m ("qos." ^ s.name ^ "." ^ name) fn in
+      gauge "ops" (fun () -> float_of_int (ops t id));
+      gauge "bytes" (fun () -> float_of_int (bytes t id));
+      gauge "admitted" (fun () -> float_of_int (admitted t id));
+      gauge "deferred" (fun () -> float_of_int (deferred t id));
+      gauge "queue_delay_p99_ms" (fun () -> Stats.percentile (queue_delay t id) 99.0 *. 1e3);
+      gauge "latency_p99_ms" (fun () -> Stats.percentile (latency t id) 99.0 *. 1e3))
     t.specs

@@ -55,6 +55,6 @@ val ops : t -> int -> int
 val queue_delay : t -> int -> Slice_util.Stats.t
 
 val register_metrics : t -> Slice_util.Metrics.t -> unit
-(** Register every tenant's series under ["qos.<tenant>."] via
-    {!Slice_util.Metrics.labelled}; the registry dump keeps them in
-    sorted, byte-stable order. *)
+(** Register every tenant's series as gauges named
+    ["qos.<tenant>.<name>"]; the registry dump keeps them in sorted,
+    byte-stable order. *)

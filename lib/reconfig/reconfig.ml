@@ -150,24 +150,13 @@ let class_of ens k table =
             ~image_bytes:Obsd.image_bytes srv;
       }
 
-(* Per-site load gauge: resolves the owner through the table at read
-   time. Registered at attach and re-registered after every committed
-   move — the remove/re-add pair retires whatever closure was behind the
-   name, so a gauge can never outlive the server generation it was
-   minted for (a takeover replaces the server arrays' contents). *)
+(* Per-site load gauge: resolves the owner through the table and the
+   server arrays at read time, so it follows every move and takeover
+   without being registered again. *)
 let register_load_gauge t ops j =
   Metrics.gauge t.reg (load_key ops j) (fun () ->
       let o = owner_of t ops j in
       if o < 0 then 0.0 else float_of_int (Tenure.site_load (tenure t ops o) j))
-
-(* A committed move retires the donor-side accounting for the site: the
-   donor's load row is reset (its traffic history moved with the site)
-   and the registry entry is dropped and re-registered so nothing keeps
-   answering with pre-move values. *)
-let retire_donor_load t ops ~donor ~site =
-  Tenure.reset_load (tenure t ops donor) site;
-  Metrics.remove t.reg (load_key ops site);
-  register_load_gauge t ops site
 
 let server_indices t ops = List.init (nservers t ops) Fun.id
 
@@ -259,7 +248,8 @@ let migrate ?abandon t ops ~site ~donor ~recv =
     Tenure.own (tenure t ops recv) site;
     Tenure.disown (tenure t ops donor) site;
     ops.drop donor site;
-    retire_donor_load t ops ~donor ~site;
+    (* the donor's traffic history moved with the site *)
+    Tenure.reset_load (tenure t ops donor) site;
     set_site ops site (addr t ops recv);
     ignore (Wal.append t.wal ~rtype:rt_commit (string_of_int op_id));
     Wal.sync t.wal;
@@ -303,7 +293,8 @@ let takeover_site t ops ~site ~donor ~recv =
   if Net.node_up t.net (addr t ops recv) then begin
     let bytes = ops.copy_commit ~donor ~recv ~site ~cookie in
     Tenure.own (tenure t ops recv) site;
-    retire_donor_load t ops ~donor ~site;
+    (* the donor's traffic history moved with the site *)
+    Tenure.reset_load (tenure t ops donor) site;
     set_site ops site (addr t ops recv);
     ignore (Wal.append t.wal ~rtype:rt_commit (string_of_int op_id));
     Wal.sync t.wal;

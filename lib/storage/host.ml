@@ -7,12 +7,12 @@ type t = {
   disk : Slice_disk.Disk.t option;
 }
 
-let create net ~name ?(cpu_scale = 1.0) ?(disks = 0) ?disk_params () =
+let create net ~name ?(cpu_scale = 1.0) ?(disks = 0) () =
   let eng = Slice_net.Net.engine net in
   let addr = Slice_net.Net.add_node net ~name in
   let disk =
     if disks > 0 then
-      Some (Slice_disk.Disk.create eng ?params:disk_params ~arms:disks ~name ())
+      Some (Slice_disk.Disk.create eng ~arms:disks ~name ())
     else None
   in
   {

@@ -19,7 +19,6 @@ val create :
   name:string ->
   ?cpu_scale:float ->
   ?disks:int ->
-  ?disk_params:Slice_disk.Disk.params ->
   unit ->
   t
 (** [cpu_scale] defaults to 1.0 (a 450 MHz PC client/manager in the

@@ -22,7 +22,6 @@ type t = {
   eng : Engine.t;
   sample : float;
   prng : Prng.t;
-  cap : int;
   mutable spans : span array; (* index i holds the span with id i+1 *)
   mutable len : int;
   mutable dropped : int;
@@ -47,8 +46,13 @@ let null =
 
 let is_live sp = sp.tr <> None
 
-let create eng ?(sample = 1.0) ?(cap = 200_000) ?(seed = 0x7ace) () =
-  { eng; sample; prng = Prng.create seed; cap; spans = Array.make 256 null;
+(* Spans retained before new roots are dropped whole, and the seed of
+   the sampling stream. *)
+let cap = 200_000
+let seed = 0x7ace
+
+let create eng ?(sample = 1.0) () =
+  { eng; sample; prng = Prng.create seed; spans = Array.make 256 null;
     (* lint: bounded — one row per in-flight rpc xid, removed on unbind *)
     len = 0; dropped = 0; xids = Hashtbl.create 256 }
 
@@ -62,7 +66,7 @@ let record t sp =
   t.len <- t.len + 1
 
 let alloc t ~parent ~op ~hop ~site ~start =
-  if t.len >= t.cap then begin
+  if t.len >= cap then begin
     t.dropped <- t.dropped + 1;
     null
   end

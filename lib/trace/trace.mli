@@ -22,10 +22,10 @@ val null : span
 
 val is_live : span -> bool
 
-val create : Slice_sim.Engine.t -> ?sample:float -> ?cap:int -> ?seed:int -> unit -> t
+val create : Slice_sim.Engine.t -> ?sample:float -> unit -> t
 (** [sample] is the fraction of request roots recorded (default 1.0,
-    drawn from a private deterministic PRNG); [cap] bounds total spans
-    retained (default 200k) — past it new roots are dropped whole. *)
+    drawn from a private deterministic PRNG). At most 200k spans are
+    retained; past that cap new roots are dropped whole. *)
 
 val root : t option -> op:string -> site:string -> span
 (** Open a request root (hop ["request"]).  [None] tracer gives {!null}. *)

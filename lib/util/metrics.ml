@@ -28,14 +28,6 @@ let incr t name = incr (counter t name)
 let add t name n = counter t name := !(counter t name) + n
 let gauge t name fn = Hashtbl.replace t.gauges name fn
 
-(* Retire a metric: a gauge registered for a server that failed or was
-   removed must not keep feeding its last-known value into consumers
-   (the greedy rebalancer reads load gauges by name). *)
-let remove t name =
-  Hashtbl.remove t.counters name;
-  Hashtbl.remove t.gauges name;
-  Hashtbl.remove t.dists name
-
 let dist t name =
   match Hashtbl.find_opt t.dists name with
   | Some s -> s
@@ -51,16 +43,6 @@ let value t name =
   | Some r -> float_of_int !r
   | None -> (
       match Hashtbl.find_opt t.gauges name with Some fn -> fn () | None -> 0.0)
-
-(* Labelled scope: a (prefix, tenant) pair baked into one dotted key
-   prefix, so per-tenant series are registered through one constructor
-   instead of hand-concatenated strings at every call site. The dump is
-   sorted at every level, so any set of scopes lands in byte-stable
-   order. *)
-type scope = { sc_reg : t; sc_prefix : string }
-
-let labelled t ~prefix ~tenant = { sc_reg = t; sc_prefix = prefix ^ "." ^ tenant ^ "." }
-let scoped_gauge sc name fn = gauge sc.sc_reg (sc.sc_prefix ^ name) fn
 
 let sorted_keys tbl =
   (* lint: D2 ok — fold output is sorted on the next line *)

@@ -17,23 +17,6 @@ val add : t -> string -> int -> unit
 val gauge : t -> string -> (unit -> float) -> unit
 (** Register (or replace) a pull-style gauge sampled at [dump] time. *)
 
-val remove : t -> string -> unit
-(** Retire the named counter/gauge/distribution from the registry (no-op
-    when unknown). Needed when the component behind a gauge goes away —
-    a failed server's load gauges must not keep answering with stale
-    values, or consumers (e.g. the greedy rebalancer) are skewed. *)
-
-type scope
-(** A label scope: all gauges registered through it share a
-    ["prefix.tenant."] key prefix, so per-tenant families dump in sorted,
-    byte-stable order without hand-concatenated key strings. *)
-
-val labelled : t -> prefix:string -> tenant:string -> scope
-(** [labelled t ~prefix:"qos" ~tenant:"web"] names series
-    ["qos.web.<name>"]. *)
-
-val scoped_gauge : scope -> string -> (unit -> float) -> unit
-
 val observe : t -> string -> float -> unit
 
 val value : t -> string -> float

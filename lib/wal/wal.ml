@@ -6,7 +6,6 @@ let record_magic = 0x57414C52l (* "WALR" *)
 type sink =
   | Immediate
   | Disk of Engine.t * Slice_disk.Disk.t
-  | Fn of Engine.t * (int -> unit)
 
 type t = {
   sink : sink;
@@ -35,16 +34,15 @@ let make name sink =
     sync_waiters = [];
   }
 
-let create ?eng ?disk ?sync_fn ~name () =
-  match (eng, disk, sync_fn) with
-  | Some eng, Some disk, None -> make name (Disk (eng, disk))
-  | Some eng, None, Some fn -> make name (Fn (eng, fn))
-  | None, None, None -> make name Immediate
-  | Some _, None, None ->
+let create ?eng ?disk ~name () =
+  match (eng, disk) with
+  | Some eng, Some disk -> make name (Disk (eng, disk))
+  | None, None -> make name Immediate
+  | Some _, None ->
       (* Silently dropping the engine here used to skip group commit
-         entirely — an engine only makes sense with a sink to drive. *)
-      invalid_arg "Wal.create: an engine needs a disk or a sync_fn"
-  | _ -> invalid_arg "Wal.create: give a disk or a sync_fn, not both"
+         entirely — an engine only makes sense with a disk to drive. *)
+      invalid_arg "Wal.create: an engine needs a disk"
+  | None, Some _ -> invalid_arg "Wal.create: a disk needs an engine"
 
 (* Record: magic(4) lsn(8) rtype(4) len(4) payload crc(4); crc covers
    magic..payload. *)
@@ -90,12 +88,9 @@ let rec sync ?(span = Trace.null) t =
         t.synced <- t.lsn;
         t.syncs <- t.syncs + 1
       end
-  | Disk (eng, disk) ->
-      sync_round t eng span (fun sp n ->
-          Slice_disk.Disk.write disk ~span:sp ~sequential:true ~bytes:n ())
-  | Fn (eng, fn) -> sync_round t eng span (fun _sp n -> fn n)
+  | Disk (eng, disk) -> sync_round t eng disk span
 
-and sync_round t eng span write =
+and sync_round t eng disk span =
   if t.sync_inflight then begin
     wait_round t eng;
     sync ~span t
@@ -106,7 +101,7 @@ and sync_round t eng span write =
     let covered_lsn = t.lsn in
     Buffer.clear t.pending;
     let sp = Trace.child span ~hop:"wal" ~site:t.name () in
-    write sp (String.length data);
+    Slice_disk.Disk.write disk ~span:sp ~sequential:true ~bytes:(String.length data) ();
     Trace.finish sp;
     Buffer.add_string t.stable data;
     if Int64.compare covered_lsn t.synced > 0 then t.synced <- covered_lsn;

@@ -12,24 +12,16 @@
 
 type t
 
-val create :
-  ?eng:Slice_sim.Engine.t ->
-  ?disk:Slice_disk.Disk.t ->
-  ?sync_fn:(int -> unit) ->
-  name:string ->
-  unit ->
-  t
-(** Without [eng]/[disk]/[sync_fn], [sync] completes instantly (pure
-    logical log for unit tests). With [eng] and [disk], sync charges a
-    sequential disk write of the unsynced bytes and parks the calling
-    fiber. With [eng] and [sync_fn], sync calls [sync_fn byte_count] from
-    a fiber — the hook dataless managers use to journal onto the network
-    storage array. [eng] without a disk or sync_fn is [invalid_arg]: an
-    engine only makes sense with a sink to drive (this combination used
-    to silently fall back to the instant log, skipping group commit).
-    Either way syncs are {e group commits}: one fiber leads a round
-    covering all pending records; concurrent callers wait for the round
-    that covers theirs. *)
+val create : ?eng:Slice_sim.Engine.t -> ?disk:Slice_disk.Disk.t -> name:string -> unit -> t
+(** Without [eng] and [disk], [sync] completes instantly (pure logical
+    log for unit tests). With both, sync charges a sequential disk write
+    of the unsynced bytes and parks the calling fiber; syncs are then
+    {e group commits}: one fiber leads a round covering all pending
+    records, and concurrent callers wait for the round that covers
+    theirs. One without the other is [invalid_arg]: an engine only makes
+    sense with a disk to drive (this combination used to silently fall
+    back to the instant log, skipping group commit), and a disk cannot
+    be driven without an engine. *)
 
 val append : t -> rtype:int -> string -> int64
 (** [append t ~rtype payload] buffers a record, returning its LSN.

@@ -5,38 +5,34 @@ module Nfs = Slice_nfs.Nfs
 module Fh = Slice_nfs.Fh
 module Codec = Slice_nfs.Codec
 module Host = Slice_storage.Host
-module Stats = Slice_util.Stats
 
-type costs = { per_op : float; read_per_byte : float; write_per_byte : float }
+(* Client CPU: a fixed cost per RPC (syscall + RPC layers), and per byte
+   the 40 MB/s copy-and-checksum write ceiling and the ~65 MB/s zero-copy
+   read ceiling through the FreeBSD NFS/UDP stack (Table 2 discussion). *)
+let per_op = 25e-6
+let read_per_byte = 1.0 /. 65e6
+let write_per_byte = 1.0 /. 40e6
 
-(* 40 MB/s write ceiling and ~65 MB/s zero-copy read ceiling through the
-   FreeBSD NFS/UDP stack (Table 2 discussion). *)
-let default_costs = { per_op = 25e-6; read_per_byte = 1.0 /. 65e6; write_per_byte = 1.0 /. 40e6 }
+(* Sequential streams keep this many requests in flight: the read-ahead
+   pipeline and the deeper write-behind window. *)
+let readahead = 4
+let write_window = 8
 
 type t = {
   host : Host.t;
   rpc : Rpc.t;
   server : Slice_net.Packet.addr;
-  costs : costs;
   io_size : int;
-  readahead : int;
-  write_window : int;
-  latency : Stats.t;
   mutable ops : int;
   mutable errs : int;
 }
 
-let create host ~server ?(port = 1000) ?(costs = default_costs) ?(io_size = 32768)
-    ?(readahead = 4) ?(write_window = 8) () =
+let create host ~server ?(port = 1000) ?(io_size = 32768) () =
   {
     host;
     rpc = Rpc.create host.Host.net host.Host.addr ~port;
     server;
-    costs;
     io_size;
-    readahead;
-    write_window;
-    latency = Stats.create ();
     ops = 0;
     errs = 0;
   }
@@ -44,13 +40,12 @@ let create host ~server ?(port = 1000) ?(costs = default_costs) ?(io_size = 3276
 exception Unexpected_reply of string
 
 let call t (c : Nfs.call) : Nfs.response =
-  let start = Engine.now t.host.Host.eng in
   let data_cost =
     match c with
-    | Nfs.Write (_, _, _, d) -> t.costs.write_per_byte *. float_of_int (Nfs.wdata_length d)
+    | Nfs.Write (_, _, _, d) -> write_per_byte *. float_of_int (Nfs.wdata_length d)
     | _ -> 0.0
   in
-  Host.cpu t.host (t.costs.per_op +. data_cost);
+  Host.cpu t.host (per_op +. data_cost);
   let xid = Rpc.fresh_xid t.rpc in
   let payload = Codec.encode_call ~xid c in
   (* commits cover arbitrarily much dirty data; give them a longer
@@ -65,10 +60,9 @@ let call t (c : Nfs.call) : Nfs.response =
   (* receive-path cost for data read *)
   (match resp with
   | Ok (Nfs.RRead (d, _, _)) ->
-      Host.cpu t.host (t.costs.read_per_byte *. float_of_int (Nfs.wdata_length d))
+      Host.cpu t.host (read_per_byte *. float_of_int (Nfs.wdata_length d))
   | _ -> ());
   t.ops <- t.ops + 1;
-  Stats.add t.latency (Engine.now t.host.Host.eng -. start);
   (match resp with Error _ -> t.errs <- t.errs + 1 | Ok _ -> ());
   resp
 
@@ -179,7 +173,7 @@ let chunks_of ~io_size ~bytes =
 let sequential_write t ?(commit = true) fh ~bytes =
   let full, rem = chunks_of ~io_size:t.io_size ~bytes in
   let total = full + if rem > 0 then 1 else 0 in
-  Fiber.parallel_window t.host.Host.eng ~window:t.write_window total (fun i ->
+  Fiber.parallel_window t.host.Host.eng ~window:write_window total (fun i ->
       let len = if i < full then t.io_size else rem in
       let off = Int64.of_int (i * t.io_size) in
       ignore (write_at t fh ~off ~data:(Nfs.Synthetic len) ()));
@@ -188,13 +182,12 @@ let sequential_write t ?(commit = true) fh ~bytes =
 let sequential_read t fh ~bytes =
   let full, rem = chunks_of ~io_size:t.io_size ~bytes in
   let total = full + if rem > 0 then 1 else 0 in
-  Fiber.parallel_window t.host.Host.eng ~window:t.readahead total (fun i ->
+  Fiber.parallel_window t.host.Host.eng ~window:readahead total (fun i ->
       let len = if i < full then t.io_size else rem in
       let off = Int64.of_int (i * t.io_size) in
       ignore (read_at t fh ~off ~count:len))
 
 let now t = Engine.now t.host.Host.eng
 let ops_completed t = t.ops
-let op_latency t = t.latency
 let errors t = t.errs
 let retransmissions t = Rpc.retransmissions t.rpc

@@ -5,13 +5,8 @@
     read path is zero-copy ("we modified the FreeBSD client for zero-copy
     reading") and tops out near 65 MB/s; sequential reads keep a
     read-ahead pipeline of 4 × 32 KB blocks in flight, writes a deeper
-    write-behind window followed by NFS V3 commit. *)
-
-type costs = {
-  per_op : float;  (** fixed client CPU per RPC (syscall + RPC layers) *)
-  read_per_byte : float;  (** zero-copy receive path *)
-  write_per_byte : float;  (** copy + checksum transmit path *)
-}
+    write-behind window of 8 followed by NFS V3 commit. Each RPC costs
+    25 µs of client CPU plus its data bytes at those two ceilings. *)
 
 type t
 
@@ -19,19 +14,15 @@ val create :
   Slice_storage.Host.t ->
   server:Slice_net.Packet.addr ->
   ?port:int ->
-  ?costs:costs ->
   ?io_size:int ->
-  ?readahead:int ->
-  ?write_window:int ->
   unit ->
   t
 (** [server] is the (virtual) NFS server address; [port] is this client
     endpoint's own port — give each concurrent client process on a host a
-    distinct port. Defaults: io_size 32 KB, readahead 4, write window 8. *)
+    distinct port. [io_size] defaults to 32 KB. *)
 
 val call : t -> Slice_nfs.Nfs.call -> Slice_nfs.Nfs.response
-(** Fiber: one synchronous NFS RPC, charging client CPU and recording
-    latency. *)
+(** Fiber: one synchronous NFS RPC, charging client CPU. *)
 
 exception Unexpected_reply of string
 
@@ -95,7 +86,6 @@ val now : t -> float
 (** Current simulated time at this client. *)
 
 val ops_completed : t -> int
-val op_latency : t -> Slice_util.Stats.t
 val errors : t -> int
 (** NFS error statuses received. *)
 

@@ -171,6 +171,16 @@ let full_disk_is_an_error () =
       | Ok _ -> ()
       | Error st -> Alcotest.failf "write after remove: %s" (Nfs.status_name st))
 
+(* Small-file servers are dataless: an ensemble without storage nodes has
+   nowhere to put their zones. *)
+let needs_storage_nodes () =
+  Alcotest.check_raises "small-file servers need storage nodes"
+    (Invalid_argument "Ensemble.create: small-file servers are dataless and need storage nodes")
+    (fun () ->
+      ignore
+        (Slice.Ensemble.create
+           { Slice.Ensemble.default_config with storage_nodes = 0; smallfile_servers = 1 }))
+
 let suite =
   [
     ("physical size rounding", `Quick, physical_rounding);
@@ -184,4 +194,5 @@ let suite =
     ("commit then read cached", `Quick, commit_then_read_cached);
     ("map block locality", `Quick, map_block_locality);
     ("full disk is an error", `Quick, full_disk_is_an_error);
+    ("ensemble refuses small-file servers without storage", `Quick, needs_storage_nodes);
   ]

@@ -101,12 +101,16 @@ let group_commit () =
   check_bool "group commit batches" true (Wal.sync_count w < 20)
 
 let engine_without_sink_rejected () =
-  (* regression: ~eng with neither ~disk nor ~sync_fn used to be accepted
-     and silently dropped the engine, skipping group commit entirely *)
+  (* regression: ~eng without ~disk used to be accepted and silently
+     dropped the engine, skipping group commit entirely *)
   let eng = Engine.create () in
-  Alcotest.check_raises "engine needs a sink"
-    (Invalid_argument "Wal.create: an engine needs a disk or a sync_fn") (fun () ->
-      ignore (Wal.create ~eng ~name:"t" ()))
+  Alcotest.check_raises "engine needs a disk"
+    (Invalid_argument "Wal.create: an engine needs a disk") (fun () ->
+      ignore (Wal.create ~eng ~name:"t" ()));
+  let disk = Disk.create eng ~arms:1 ~name:"d" () in
+  Alcotest.check_raises "disk needs an engine"
+    (Invalid_argument "Wal.create: a disk needs an engine") (fun () ->
+      ignore (Wal.create ~disk ~name:"t" ()))
 
 (* ---- failover replay idempotency ----
 
@@ -178,15 +182,6 @@ let crash_mid_adoption_converges () =
   check_bool "re-replay converges on the crash-free journal" true
     (records (Wal.image w2) = reference)
 
-let sync_fn_hook () =
-  let eng = Engine.create () in
-  let written = ref 0 in
-  let w = Wal.create ~eng ~sync_fn:(fun n -> written := !written + n) ~name:"t" () in
-  run_on eng (fun () ->
-      ignore (Wal.append w ~rtype:1 "abc");
-      Wal.sync w);
-  check_bool "hook saw bytes" true (!written > 0)
-
 let suite =
   [
     ("append/sync/replay", `Quick, append_sync_replay);
@@ -197,7 +192,6 @@ let suite =
     ("disk-backed sync takes time", `Quick, disk_backed_sync_takes_time);
     ("group commit", `Quick, group_commit);
     ("engine without sink rejected", `Quick, engine_without_sink_rejected);
-    ("sync_fn hook", `Quick, sync_fn_hook);
     ("replay twice identical", `Quick, replay_twice_identical);
     ("crash mid-adoption converges", `Quick, crash_mid_adoption_converges);
   ]

@@ -72,9 +72,7 @@ let client_sequential_io_stats () =
       Client.sequential_write cl fh ~bytes:(Int64.of_int (32768 * 4));
       Client.sequential_read cl fh ~bytes:(Int64.of_int (32768 * 4)));
   (* 4 writes + commit + 4 reads *)
-  check_bool "ops counted" true (Client.ops_completed cl >= 9);
-  check_bool "latency recorded" true
-    (Slice_util.Stats.count (Client.op_latency cl) = Client.ops_completed cl)
+  check_bool "ops counted" true (Client.ops_completed cl >= 9)
 
 let specsfs_sanity () =
   let ens = Ensemble.create { Ensemble.default_config with storage_nodes = 2 } in
