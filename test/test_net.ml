@@ -140,6 +140,29 @@ let unknown_port_drops () =
   Engine.run eng;
   check_int "dropped" 1 (Net.packets_dropped net)
 
+(* A packet that lands on a down node is lost and counted once; the node
+   comes back before the next packets land, and they arrive in order. *)
+let down_destination_drops_once () =
+  let eng, net = mk_net () in
+  let a = Net.add_node net ~name:"a" in
+  let b = Net.add_node net ~name:"b" in
+  let got = ref [] in
+  Net.listen net b ~port:9 (fun pkt -> got := Bytes.get_uint8 pkt.Packet.payload 0 :: !got);
+  let send_tagged i =
+    let payload = Bytes.make 4 '\000' in
+    Bytes.set_uint8 payload 0 i;
+    Net.send net (Packet.make ~src:a ~dst:b ~sport:1 ~dport:9 payload)
+  in
+  (* the first packet lands about 18 us after it leaves *)
+  send_tagged 1;
+  Engine.schedule eng 1e-6 (fun () -> Net.set_node_up net b false);
+  Engine.schedule eng 30e-6 (fun () -> Net.set_node_up net b true);
+  Engine.schedule eng 50e-6 (fun () -> List.iter send_tagged [ 2; 3; 4 ]);
+  Engine.run eng;
+  check_int "one drop" 1 (Net.packets_dropped net);
+  check_int "counted as a node drop" 1 (Net.fault_node_drops net);
+  check_bool "later packets arrive in order" true (List.rev !got = [ 2; 3; 4 ])
+
 let nic_serializes () =
   let eng, net = mk_net () in
   let a = Net.add_node net ~name:"a" in
@@ -423,6 +446,7 @@ let suite =
     ("wire size accounts extra", `Quick, wire_size_accounts_extra);
     ("delivery and latency", `Quick, delivery_and_latency);
     ("unknown port drops", `Quick, unknown_port_drops);
+    ("down destination drops once", `Quick, down_destination_drops_once);
     ("nic serializes", `Quick, nic_serializes);
     ("egress filter rewrites", `Quick, egress_filter_rewrites);
     ("egress filter absorbs", `Quick, egress_filter_absorbs);

@@ -170,6 +170,99 @@ let wfq_equal_timestamp_fairness () =
     order;
   check_int "even split" 8 c.(0)
 
+(* A list-based start-time fair queueing reference. Jobs are [(tenant,
+   cost)]; a job's service time is its cost. [bursts] are submitted at
+   their times in list order, each burst after the previous one has
+   drained. Returns the dispatch order as burst-wide job indices. The
+   tag arithmetic is the scheduler's, operation for operation, so float
+   ties break the same way. *)
+let sfq_reference ~weights ~depth bursts =
+  let n = Array.length weights in
+  let vtime = ref 0.0 and last = Array.make n 0.0 in
+  let queues = Array.make n [] (* (index, cost, finish), oldest first *) in
+  let running = ref [] (* (end time, dispatch seq) *) and in_flight = ref 0 in
+  let order = ref [] and seq = ref 0 in
+  let rec pump clock =
+    if !in_flight < depth then begin
+      let best = ref (-1) and best_f = ref infinity in
+      Array.iteri
+        (fun id q ->
+          match q with
+          | (_, _, f) :: _ when f < !best_f ->
+              best_f := f;
+              best := id
+          | _ -> ())
+        queues;
+      if !best >= 0 then begin
+        let id = !best in
+        match queues.(id) with
+        | [] -> assert false
+        | (i, cost, f) :: rest ->
+            queues.(id) <- rest;
+            let start_tag = f -. (cost /. weights.(id)) in
+            if start_tag > !vtime then vtime := start_tag;
+            incr in_flight;
+            incr seq;
+            order := i :: !order;
+            running := (clock +. cost, !seq) :: !running;
+            pump clock
+      end
+    end
+  in
+  let next = ref 0 in
+  List.iter
+    (fun (at, jobs) ->
+      List.iter
+        (fun (tenant, cost) ->
+          let start = if !vtime > last.(tenant) then !vtime else last.(tenant) in
+          let finish = start +. (cost /. weights.(tenant)) in
+          last.(tenant) <- finish;
+          queues.(tenant) <- queues.(tenant) @ [ (!next, cost, finish) ];
+          incr next;
+          pump at)
+        jobs;
+      while !running <> [] do
+        let first = List.fold_left min (List.hd !running) !running in
+        running := List.filter (fun r -> r <> first) !running;
+        decr in_flight;
+        pump (fst first)
+      done)
+    bursts;
+  List.rev !order
+
+(* The scheduler dispatches in the reference's order: three tenants of
+   unequal weights, depth 1-4, two bursts (the second after the first
+   has drained, so idle tenants' tags meet an advanced virtual time). *)
+let wfq_matches_sfq_reference =
+  let open QCheck2.Gen in
+  let job = pair (int_range 0 2) (map float_of_int (int_range 1 4)) in
+  let gen =
+    quad (int_range 1 3) (int_range 4 6)
+      (pair (int_range 7 9) (int_range 1 4))
+      (pair (list_size (int_range 1 24) job) (list_size (int_range 0 12) job))
+  in
+  qtest ~count:300 "wfq dispatch order matches an SFQ reference" gen
+    (fun (w0, w1, (w2, depth), (first, second)) ->
+      let weights = [| float_of_int w0; float_of_int w1; float_of_int w2 |] in
+      let eng, w = mk_wfq ~depth weights in
+      let order = ref [] in
+      let submit_all base jobs =
+        List.iteri
+          (fun i (tenant, cost) ->
+            Wfq.submit w ~tenant ~cost (fun complete ->
+                order := (base + i) :: !order;
+                Engine.sleep eng cost;
+                complete ()))
+          jobs
+      in
+      (* the second burst lands well after the first has drained *)
+      let second_at = 1000.5 in
+      Engine.spawn eng (fun () -> submit_all 0 first);
+      Engine.schedule eng second_at (fun () ->
+          Engine.spawn eng (fun () -> submit_all (List.length first) second));
+      Engine.run eng;
+      List.rev !order = sfq_reference ~weights ~depth [ (0.0, first); (second_at, second) ])
+
 (* ---- token bucket ---- *)
 
 let bucket_refill () =
@@ -282,6 +375,7 @@ let suite =
     ("wfq work conservation", `Quick, wfq_work_conservation);
     ("wfq weight shares", `Quick, wfq_weight_shares);
     ("wfq equal-timestamp fairness", `Quick, wfq_equal_timestamp_fairness);
+    wfq_matches_sfq_reference;
     ("bucket refill", `Quick, bucket_refill);
     ("tenant survives retransmit", `Quick, tenant_survives_retransmit);
     ("storm deterministic", `Slow, storm_deterministic);

@@ -418,6 +418,99 @@ let drc_replays_lost_reply () =
   | Some first -> check_bool "replayed reply is byte-identical" true (Bytes.equal first reply)
   | None -> Alcotest.fail "no reply was dropped"
 
+(* A server whose handler counts its runs per xid (sleeping [hold] inside
+   each), and a bare client port that counts the replies it gets. [send
+   xid] puts one Getattr on the wire without running the engine. *)
+type drc_rig = {
+  d_eng : Engine.t;
+  runs : (int, int) Hashtbl.t;
+  replies : int ref;
+  send : int -> unit;
+}
+
+let mk_drc_rig ?(hold = 0.0) () =
+  let eng = Engine.create () in
+  let net = Net.create eng () in
+  let server = Host.create net ~name:"srv" () in
+  let client = Host.create net ~name:"cli" () in
+  let runs = Hashtbl.create 16 in
+  let replies = ref 0 in
+  Nfs_endpoint.serve server ~port:2049
+    ~cost:{ Nfs_endpoint.per_op = 10e-6; per_byte = 0.0 }
+    ~handler:(fun _ call ->
+      (match call with
+      | Nfs.Getattr fh ->
+          let xid = Int64.to_int fh.Fh.file_id in
+          Hashtbl.replace runs xid (1 + Option.value ~default:0 (Hashtbl.find_opt runs xid))
+      | _ -> ());
+      if hold > 0.0 then Engine.sleep eng hold;
+      Error Nfs.ERR_IO)
+    ();
+  Net.listen net client.Host.addr ~port:1000 (fun _ -> incr replies);
+  let send xid =
+    Net.send net
+      (Packet.make ~src:client.Host.addr ~dst:server.Host.addr ~sport:1000 ~dport:2049
+         (Codec.encode_call ~xid (Nfs.Getattr (reg_fh xid))))
+  in
+  { d_eng = eng; runs; replies; send }
+
+let runs_of r xid = Option.value ~default:0 (Hashtbl.find_opt r.runs xid)
+
+(* Complete [xid] alone: send it and drain the engine. *)
+let complete r xid =
+  r.send xid;
+  Engine.run r.d_eng
+
+(* A retransmission that lands while the original is still running is
+   dropped: the handler runs once and only the original's reply goes out.
+   Once it has completed, a further retransmission is answered from the
+   cache without running the handler. *)
+let drc_drops_retransmission_while_running () =
+  let r = mk_drc_rig ~hold:0.01 () in
+  r.send 7;
+  Engine.schedule r.d_eng 0.001 (fun () -> r.send 7);
+  Engine.run r.d_eng;
+  check_int "handler ran once" 1 (runs_of r 7);
+  check_int "one reply" 1 !(r.replies);
+  complete r 7;
+  check_int "cache hit does not run the handler" 1 (runs_of r 7);
+  check_int "cache hit replies" 2 !(r.replies)
+
+(* The cache holds the 512 most recent completions: with 511 newer ones
+   the oldest xid still hits, with 512 it has been evicted and runs
+   again. *)
+let drc_evicts_after_512 () =
+  let r = mk_drc_rig () in
+  complete r 1;
+  for xid = 1000 to 1000 + 510 do
+    complete r xid
+  done;
+  complete r 1;
+  check_int "511 newer: still cached" 1 (runs_of r 1);
+  let r = mk_drc_rig () in
+  complete r 1;
+  for xid = 1000 to 1000 + 511 do
+    complete r xid
+  done;
+  complete r 1;
+  check_int "512 newer: runs again" 2 (runs_of r 1)
+
+(* A hit promotes its entry: xid 1, refreshed after 510 newer
+   completions, survives the eviction that takes xid 2 instead. *)
+let drc_hit_refreshes () =
+  let r = mk_drc_rig () in
+  complete r 1;
+  complete r 2;
+  for xid = 1000 to 1000 + 509 do
+    complete r xid
+  done;
+  complete r 1;
+  complete r 5000;
+  complete r 1;
+  check_int "refreshed xid is not run again" 1 (runs_of r 1);
+  complete r 2;
+  check_int "the older one was evicted" 2 (runs_of r 2)
+
 (* ---- Ctrl wire counts ---- *)
 
 (* Allocation while [f] raises [Codec.Malformed]; fails if it decodes. *)
@@ -450,6 +543,10 @@ let ctrl_counts_checked_before_alloc () =
 let suite =
   [
     ("nfs endpoint DRC replays a lost reply", `Quick, drc_replays_lost_reply);
+    ("nfs endpoint drops a retransmission while running", `Quick,
+      drc_drops_retransmission_while_running);
+    ("nfs endpoint DRC evicts after 512 completions", `Quick, drc_evicts_after_512);
+    ("nfs endpoint DRC hit refreshes its entry", `Quick, drc_hit_refreshes);
     ("tenure sites, drains and load", `Quick, tenure_sites_drains_load);
     ("tenure lease expiry wedges", `Quick, tenure_lease);
     ("obsd write/read roundtrip", `Quick, obsd_write_read_roundtrip);
