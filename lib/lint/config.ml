@@ -98,8 +98,8 @@ let repo =
     (* Files whose [@hot] roots seed A1, and which therefore must have a
        .cmt available when the typed tier runs: the µproxy packet path,
        the codec peek path and its XDR primitives, the engine's event
-       dispatch, the RPC reply path, the shared xid index and the buffer
-       cache's slot table. *)
+       dispatch, the RPC reply path, the shared xid index, the buffer
+       cache's slot table, the server request table and the WFQ pick. *)
     a1_scope =
       (fun f ->
         List.mem f
@@ -111,6 +111,8 @@ let repo =
             "lib/net/rpc.ml";
             "lib/util/xid_index.ml";
             "lib/disk/bcache.ml";
+            "lib/storage/nfs_endpoint.ml";
+            "lib/qos/wfq.ml";
           ]);
     (* The fenced server modules of PR 6: every dispatch path that
        reaches the WAL, the buffer cache or the allocator must be

@@ -50,7 +50,24 @@ type t = {
   mutable f_link_drops : int;
   mutable f_part_drops : int;
   mutable f_dups : int;
+  mutable free_dl : delivery;
 }
+
+(* A packet on its way to the destination NIC. Records are pooled on an
+   intrusive freelist and each builds its two event thunks once, when it
+   is created: [arrive] runs when the packet reaches the receiving NIC,
+   [landed] when that NIC has taken it in. *)
+and delivery = {
+  mutable d_pkt : Packet.t;
+  mutable d_next : delivery; (* freelist link *)
+  arrive : unit -> unit;
+  landed : unit -> unit;
+}
+
+let no_packet = Packet.make ~src:0 ~dst:0 ~sport:0 ~dport:0 Bytes.empty
+
+(* Cyclic sentinel: terminates the freelist without an option. *)
+let rec no_delivery = { d_pkt = no_packet; d_next = no_delivery; arrive = ignore; landed = ignore }
 
 let create eng ?(params = default_params) ?(seed = 1) () =
   {
@@ -69,6 +86,7 @@ let create eng ?(params = default_params) ?(seed = 1) () =
     f_link_drops = 0;
     f_part_drops = 0;
     f_dups = 0;
+    free_dl = no_delivery;
   }
 
 let engine t = t.eng
@@ -129,23 +147,59 @@ let deliver t (pkt : Packet.t) =
       | None -> ()
       | Some pkt -> handle_local t dst pkt)
 
-(* Put the packet on the destination NIC at [arrival]; a node that is down
-   when the packet lands loses it silently. The receive serialization
-   time is recomputed from the packet instead of captured, keeping the
-   scheduled closure free of a boxed float. *)
+(* Returning a record drops its packet, so the pool keeps no payload
+   alive. *)
+let release_delivery t d =
+  d.d_pkt <- no_packet;
+  d.d_next <- t.free_dl;
+  t.free_dl <- d
+
+(* The record is free again before [deliver] runs, so a handler that
+   sends at once reuses it. *)
+let landed t d =
+  let pkt = d.d_pkt in
+  release_delivery t d;
+  deliver t pkt
+
+(* A node that is down when the packet lands loses it silently. The
+   receive serialization time is recomputed from the packet. *)
+let arrive t d =
+  let pkt = d.d_pkt in
+  let dst = get t pkt.dst in
+  if not dst.up then begin
+    release_delivery t d;
+    t.dropped <- t.dropped + 1;
+    t.f_node_drops <- t.f_node_drops + 1
+  end
+  else begin
+    let rx_done =
+      Resource.reserve dst.rx (float_of_int (Packet.wire_size pkt) /. t.p.bandwidth)
+    in
+    Engine.schedule_at t.eng rx_done d.landed
+  end
+
+(* Cold: the pool is empty. One new record, so the pool tracks the peak
+   number of packets in flight. *)
+let new_delivery t =
+  let rec d =
+    { d_pkt = no_packet; d_next = no_delivery; arrive = (fun () -> arrive t d);
+      landed = (fun () -> landed t d) }
+  in
+  d
+
+(* Put the packet on the destination NIC at [arrival]. *)
 let deliver_at t (pkt : Packet.t) ~arrival =
-  Engine.schedule_at t.eng arrival (fun () ->
-      let dst = get t pkt.dst in
-      if not dst.up then begin
-        t.dropped <- t.dropped + 1;
-        t.f_node_drops <- t.f_node_drops + 1
-      end
-      else begin
-        let rx_done =
-          Resource.reserve dst.rx (float_of_int (Packet.wire_size pkt) /. t.p.bandwidth)
-        in
-        Engine.schedule_at t.eng rx_done (fun () -> deliver t pkt)
-      end)
+  let d = t.free_dl in
+  let d =
+    if d == no_delivery then new_delivery t
+    else begin
+      t.free_dl <- d.d_next;
+      d.d_next <- no_delivery;
+      d
+    end
+  in
+  d.d_pkt <- pkt;
+  Engine.schedule_at t.eng arrival d.arrive
 
 (* Consult the fault schedule for one transmission. The PRNG is only drawn
    for faults that are actually configured, so fault-free runs keep the

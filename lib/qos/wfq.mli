@@ -4,7 +4,9 @@
     and dispatched smallest-tag-first with at most [depth] in flight.
     Under saturation service shares are weight-proportional; idle
     tenants strand no capacity (work conservation). Scheduling is
-    enqueue/dequeue bookkeeping on the cold side of the packet path. *)
+    enqueue/dequeue bookkeeping on the cold side of the packet path;
+    queued jobs and running jobs live in pools, so a job allocates only
+    its fiber start once they are warm. *)
 
 type t
 
@@ -24,7 +26,12 @@ val submit : t -> tenant:int -> cost:float -> ((unit -> unit) -> unit) -> unit
     frees the slot and pulls the next job. Same-instant dispatches run
     in tag order (the engine's seq tie-break), so downstream FCFS
     resources see WFQ order. Non-positive costs are clamped to a tiny
-    epsilon. *)
+    epsilon.
+
+    The continuation belongs to a pooled runner, which goes back to the
+    pool once the job has both completed and returned. A second call
+    before then raises [Invalid_argument]; a call after the runner has
+    moved on to another job cannot be told from that job's own. *)
 
 val backlog : t -> int
 (** Jobs enqueued and not yet dispatched. *)

@@ -17,6 +17,9 @@
    waker, no thunk. [park] generalises it to waits ended by another
    event rather than by the clock: its handler answer stores the
    continuation in a caller-owned [waiter], which [unpark] resumes.
+   [spawn] wraps nothing either: the fiber's body goes into the cell as
+   its thunk, marked by a second placeholder continuation, and [fire]
+   starts it under the handler.
 
    A timer is an event cell handed back to its scheduler together with
    the cell's [seq]. [cancel] turns the thunk into a no-op only while the
@@ -29,9 +32,8 @@ let nop () = ()
 
 type _ Effect.t += Placeholder : unit Effect.t
 
-(* A real continuation that is never resumed, captured once at start-up:
-   the [k] of every event cell that carries a thunk rather than a fiber. *)
-let no_k : (unit, unit) Effect.Deep.continuation =
+(* A real continuation that is never resumed, captured at start-up. *)
+let placeholder_k () : (unit, unit) Effect.Deep.continuation =
   let captured : (unit, unit) Effect.Deep.continuation option ref = ref None in
   Effect.Deep.match_with Effect.perform Placeholder
     {
@@ -46,11 +48,17 @@ let no_k : (unit, unit) Effect.Deep.continuation =
     };
   match !captured with Some k -> k | None -> assert false
 
+(* Two of them mark what an event cell's [fn] is when no fiber sleeps in
+   it: [no_k] a thunk to call, [spawn_k] the body of a fiber to start. *)
+let no_k = placeholder_k ()
+let spawn_k = placeholder_k ()
+
 type event = {
   mutable time : float;
   mutable seq : int;
   mutable fn : unit -> unit;
-  mutable k : (unit, unit) Effect.Deep.continuation; (* a sleeping fiber, or [no_k] *)
+  mutable k : (unit, unit) Effect.Deep.continuation;
+      (* a sleeping fiber, [no_k] or [spawn_k] *)
   mutable next_free : event;
 }
 
@@ -218,7 +226,8 @@ let handler =
         | _ -> None);
   }
 
-let spawn t fn = schedule t 0.0 (fun () -> Effect.Deep.match_with fn () handler)
+(* The cell carries the body itself; [fire] starts it under [handler]. *)
+let spawn t fn = ignore (enqueue t t.clock fn spawn_k)
 
 (* Inlined so the wake time reaches its cell unboxed. *)
 let[@inline] doze t time =
@@ -242,11 +251,13 @@ let[@hot] unpark w =
     Effect.Deep.continue k ()
   end
 
-(* Run a popped cell: resume its fiber, or call its thunk. *)
+(* Run a popped cell: call its thunk, start its fiber, or resume it. *)
 let[@inline] fire t ev =
   let f = ev.fn and k = ev.k in
   release t ev;
-  if k == no_k then f () else Effect.Deep.continue k ()
+  if k == no_k then f ()
+  else if k == spawn_k then Effect.Deep.match_with f () handler
+  else Effect.Deep.continue k ()
 
 (* Not a lint root: the indirect dispatch of the event thunk cannot be
    typed allocation-free statically (the closure was charged where it was

@@ -48,7 +48,8 @@ val cancel : timer -> int -> unit
 val spawn : t -> (unit -> unit) -> unit
 (** [spawn t f] starts a fiber at the current time. The fiber may use
     {!sleep}, {!park} and {!suspend}. Exceptions escaping a fiber abort
-    the run. *)
+    the run. The event cell carries [f] itself, so spawning allocates no
+    wrapper closure. *)
 
 (** {2 Fiber operations (only valid inside a spawned fiber)} *)
 

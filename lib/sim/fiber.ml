@@ -1,24 +1,31 @@
+(* Both combinators park their caller on one waiter, which each finishing
+   child unparks: the wake point is where the child finishes, and nothing
+   is allocated for the wait itself. *)
+
 let join_all eng fns =
   match fns with
   | [] -> ()
   | _ ->
+      let w = Engine.waiter () in
       let remaining = ref (List.length fns) in
-      Engine.suspend (fun wake ->
-          List.iter
-            (fun fn ->
-              Engine.spawn eng (fun () ->
-                  fn ();
-                  decr remaining;
-                  if !remaining = 0 then wake ()))
-            fns)
+      List.iter
+        (fun fn ->
+          Engine.spawn eng (fun () ->
+              fn ();
+              decr remaining;
+              if !remaining = 0 then Engine.unpark w))
+        fns;
+      Engine.park eng w
 
+(* The caller is parked whenever a child finishes: children only run
+   after [pump] has returned. It wakes at every finish, pumps while
+   indices remain, and otherwise parks again until the last one. *)
 let parallel_window eng ~window n f =
   if window <= 0 then invalid_arg "Fiber.parallel_window";
   let inflight = ref 0 in
   let started = ref 0 in
   let finished = ref 0 in
-  let done_waker = ref None in
-  let slot_wakers = Queue.create () in
+  let w = Engine.waiter () in
   let pump () =
     while !inflight < window && !started < n do
       let i = !started in
@@ -28,13 +35,14 @@ let parallel_window eng ~window n f =
           f i;
           decr inflight;
           incr finished;
-          (match Queue.take_opt slot_wakers with Some w -> w () | None -> ());
-          if !finished = n then match !done_waker with Some w -> w () | None -> ())
+          Engine.unpark w)
     done
   in
   pump ();
   while !started < n do
-    Engine.suspend (fun wake -> Queue.add (fun () -> wake ()) slot_wakers);
+    Engine.park eng w;
     pump ()
   done;
-  if !finished < n then Engine.suspend (fun wake -> done_waker := Some (fun () -> wake ()))
+  while !finished < n do
+    Engine.park eng w
+  done

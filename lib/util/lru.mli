@@ -1,8 +1,9 @@
 (** Capacity-bounded LRU cache with eviction callbacks.
 
-    Used for the µproxy's attribute, name and block-map caches and for
-    the storage nodes' duplicate request cache. Capacity counts entries.
-    The server buffer cache keeps its own slot table ([Bcache]). *)
+    Used for the µproxy's attribute, name and block-map caches. Capacity
+    counts entries. The server buffer cache ([Bcache]) and the servers'
+    duplicate request cache ([Nfs_endpoint]'s request table) keep their
+    own slot tables. *)
 
 type ('k, 'v) t
 

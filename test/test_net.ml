@@ -404,11 +404,12 @@ let rpc_retransmit_sends_pristine_bytes () =
   check_bool "both attempts left with the call's bytes" true (List.rev !seen = [ 7; 7 ])
 
 (* Steady-state words of one call/reply round trip over a bare Net: the
-   call record, timer closure and waiter are pooled, so what is left is
-   the request and reply packets, their delivery events, boxed floats at
-   module boundaries and the caller's payload — 81 words on OCaml 5.1
-   x86-64, where a per-call record, timer closure, hashtable row,
-   [suspend] waker and payload copy came to 147. *)
+   call record, timer closure and waiter are pooled, and so are the
+   packets' deliveries with their event thunks, so what is left is the
+   request and reply packets, boxed floats at module boundaries and the
+   caller's payload — 61 words on OCaml 5.1 x86-64. Per-delivery thunks
+   made it 81, and a per-call record, timer closure, hashtable row,
+   [suspend] waker and payload copy 147 before that. *)
 let rpc_roundtrip_words () =
   let eng, net = mk_net () in
   let c = Net.add_node net ~name:"client" in
@@ -429,8 +430,8 @@ let rpc_roundtrip_words () =
         ignore (Rpc.call rpc ~dst:s ~dport:2049 (mk_call_payload rpc 0))
       done;
       per_call := (Gc.minor_words () -. w0) /. float_of_int n);
-  check_bool (Printf.sprintf "round trip allocates %.1f words (budget 84)" !per_call) true
-    (!per_call <= 84.0)
+  check_bool (Printf.sprintf "round trip allocates %.1f words (budget 64)" !per_call) true
+    (!per_call <= 64.0)
 
 let suite =
   [

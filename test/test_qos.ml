@@ -263,6 +263,40 @@ let wfq_matches_sfq_reference =
       Engine.run eng;
       List.rev !order = sfq_reference ~weights ~depth [ (0.0, first); (second_at, second) ])
 
+(* Once its slot and runner pools are warm, a job allocates only its
+   fiber start and the boxed queue delay it reports. *)
+let wfq_job_allocation_budget () =
+  let eng, w = mk_wfq ~depth:4 [| 1.0; 2.0 |] in
+  let job complete = complete () in
+  let batch n =
+    for i = 1 to n do
+      Wfq.submit w ~tenant:(i land 1) ~cost:0.001 job
+    done;
+    Engine.run eng
+  in
+  let n = 1024 in
+  batch n;
+  let w0 = Gc.minor_words () in
+  batch n;
+  let per_job = (Gc.minor_words () -. w0) /. float_of_int n in
+  check_bool (Printf.sprintf "one job allocates %.1f words (budget 10)" per_job) true
+    (per_job <= 10.0)
+
+(* A completion continuation called twice is refused: the second call
+   would otherwise release a slot the job no longer holds. *)
+let wfq_double_completion_refused () =
+  let eng, w = mk_wfq [| 1.0 |] in
+  let refused = ref false in
+  Wfq.submit w ~tenant:0 ~cost:1.0 (fun complete ->
+      complete ();
+      match complete () with
+      | () -> ()
+      | exception Invalid_argument _ -> refused := true);
+  Wfq.submit w ~tenant:0 ~cost:1.0 (fun complete -> complete ());
+  Engine.run eng;
+  check_bool "second completion raises Invalid_argument" true !refused;
+  check_int "both jobs dispatched" 2 (Wfq.total_dispatched w)
+
 (* ---- token bucket ---- *)
 
 let bucket_refill () =
@@ -376,6 +410,8 @@ let suite =
     ("wfq weight shares", `Quick, wfq_weight_shares);
     ("wfq equal-timestamp fairness", `Quick, wfq_equal_timestamp_fairness);
     wfq_matches_sfq_reference;
+    ("wfq job allocation budget", `Quick, wfq_job_allocation_budget);
+    ("wfq double completion refused", `Quick, wfq_double_completion_refused);
     ("bucket refill", `Quick, bucket_refill);
     ("tenant survives retransmit", `Quick, tenant_survives_retransmit);
     ("storm deterministic", `Slow, storm_deterministic);

@@ -210,6 +210,46 @@ let sleep_allocation_budget () =
   check_bool (Printf.sprintf "one sleep allocates %.1f words (budget 8)" !per_sleep) true
     (!per_sleep <= 8.0)
 
+(* A spawn puts the fiber's body straight into an event cell: what is
+   left is the runtime's fiber start. *)
+let spawn_allocation_budget () =
+  let eng = Engine.create () in
+  let body () = () in
+  let batch n =
+    for _ = 1 to n do
+      Engine.spawn eng body
+    done;
+    Engine.run eng
+  in
+  let n = 1024 in
+  batch n;
+  let w0 = Gc.minor_words () in
+  batch n;
+  let per_spawn = (Gc.minor_words () -. w0) /. float_of_int n in
+  check_bool (Printf.sprintf "one spawn allocates %.1f words (budget 6)" per_spawn) true
+    (per_spawn <= 6.0)
+
+(* [join_all] parks its caller on a waiter that the last job unparks:
+   two spawns, their closures, the waiter and the counter. *)
+let join_all_allocation_budget () =
+  let eng = Engine.create () in
+  let job () = () in
+  let jobs = [ job; job ] in
+  let per_join = ref infinity in
+  Engine.spawn eng (fun () ->
+      for _ = 1 to 64 do
+        Fiber.join_all eng jobs
+      done;
+      let n = 1024 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        Fiber.join_all eng jobs
+      done;
+      per_join := (Gc.minor_words () -. w0) /. float_of_int n);
+  Engine.run eng;
+  check_bool (Printf.sprintf "a two-job join_all allocates %.1f words (budget 52)" !per_join)
+    true (!per_join <= 52.0)
+
 (* A cancelled timer still fires, as a no-op: the event count and the
    order of everything else are what they would have been. *)
 let cancelled_timer_fires_as_noop () =
@@ -294,6 +334,8 @@ let suite =
     ("park allocation budget", `Quick, park_allocation_budget);
     ("tiny sleep still yields", `Quick, tiny_sleep_yields);
     ("sleep allocation budget", `Quick, sleep_allocation_budget);
+    ("spawn allocation budget", `Quick, spawn_allocation_budget);
+    ("join_all allocation budget", `Quick, join_all_allocation_budget);
     ("schedule past clamps", `Quick, schedule_past_clamps);
     ("run ~until", `Quick, run_until);
     ("run ~until advances clock", `Quick, run_until_advances_clock);

@@ -511,6 +511,42 @@ let drc_hit_refreshes () =
   complete r 2;
   check_int "the older one was evicted" 2 (runs_of r 2)
 
+(* Steady-state words of one getattr round trip through [serve], client
+   encode and RPC included: the request table and the pooled packet
+   deliveries allocate nothing, so what is left is the payloads, the
+   decoded call, the fibers and boxed floats at module boundaries. *)
+let getattr_words_budget () =
+  let eng = Engine.create () in
+  let net = Net.create eng () in
+  let server = Host.create net ~name:"srv" () in
+  let client = Host.create net ~name:"cli" () in
+  let attr = Nfs.default_attr ~ftype:Fh.Reg ~fileid:5L ~now:0.0 in
+  let reply = Ok (Nfs.RGetattr attr) in
+  Nfs_endpoint.serve server ~port:2049
+    ~cost:{ Nfs_endpoint.per_op = 10e-6; per_byte = 0.0 }
+    ~handler:(fun _ _ -> reply)
+    ();
+  let rpc = Rpc.create net client.Host.addr ~port:1000 in
+  let call = Nfs.Getattr (reg_fh 5) in
+  let getattr () =
+    let xid = Rpc.fresh_xid rpc in
+    ignore (Rpc.call rpc ~dst:server.Host.addr ~dport:2049 (Codec.encode_call ~xid call))
+  in
+  let per_call = ref infinity in
+  run_on eng (fun () ->
+      (* past the request table's growth to its 512 cached replies *)
+      for _ = 1 to 1024 do
+        getattr ()
+      done;
+      let n = 1024 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        getattr ()
+      done;
+      per_call := (Gc.minor_words () -. w0) /. float_of_int n);
+  check_bool (Printf.sprintf "getattr allocates %.1f words (budget 150)" !per_call) true
+    (!per_call <= 150.0)
+
 (* ---- Ctrl wire counts ---- *)
 
 (* Allocation while [f] raises [Codec.Malformed]; fails if it decodes. *)
@@ -547,6 +583,7 @@ let suite =
       drc_drops_retransmission_while_running);
     ("nfs endpoint DRC evicts after 512 completions", `Quick, drc_evicts_after_512);
     ("nfs endpoint DRC hit refreshes its entry", `Quick, drc_hit_refreshes);
+    ("nfs endpoint getattr words budget", `Quick, getattr_words_budget);
     ("tenure sites, drains and load", `Quick, tenure_sites_drains_load);
     ("tenure lease expiry wedges", `Quick, tenure_lease);
     ("obsd write/read roundtrip", `Quick, obsd_write_read_roundtrip);
