@@ -160,8 +160,9 @@ and run_job t r =
   job r.complete;
   match r.phase with Completed -> release_runner t r | _ -> r.phase <- Returned
 
-(* A second call is refused while the runner is still this job's: the
-   runner may already be back in the pool, or running the next job. *)
+(* Completion frees the job's place among the [depth] running. A second
+   call is refused while the runner is still this job's; once it has
+   moved on, a stale call cannot be told from the next job's own. *)
 and complete t r =
   (match r.phase with
   | Running -> r.phase <- Completed

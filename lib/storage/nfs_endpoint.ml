@@ -57,7 +57,6 @@ type server = {
   mutable oldest : int;
   mutable completed : int;
   mutable free : int;
-  mutable n_slots : int;
 }
 
 (* Duplicate request cache: a retransmitted non-idempotent call (create,
@@ -87,18 +86,6 @@ let[@hot] promote s i =
     push_newest s i
   end
 
-let[@hot] take_slot s =
-  if s.free >= 0 then begin
-    let i = s.free in
-    s.free <- s.older.(i);
-    i
-  end
-  else if s.n_slots < Array.length s.resp then begin
-    s.n_slots <- s.n_slots + 1;
-    s.n_slots - 1
-  end
-  else -1
-
 (* The running slot takes its response and becomes the newest entry;
    past capacity, the oldest entry leaves the table. *)
 let[@hot] complete s i resp =
@@ -114,30 +101,30 @@ let[@hot] complete s i resp =
     s.free <- o
   end
 
-(* Cold: every slot is in use. Doubling keeps the table at about twice
-   its peak (the cache plus the requests running at once). *)
+(* Cold: every slot is in use. Doubling links the new slots into the
+   free list. *)
 let grow s =
   let n = Array.length s.resp in
+  let cap = if n = 0 then 64 else 2 * n in
   let widen a fill =
-    let b = Array.make (2 * n) fill in
+    let b = Array.make cap fill in
     Array.blit a 0 b 0 n;
     b
   in
   s.resp <- widen s.resp running;
   s.older <- widen s.older (-1);
   s.newer <- widen s.newer (-1);
-  Xid_index.resize s.index (2 * n)
+  for i = cap - 1 downto n do
+    s.older.(i) <- s.free;
+    s.free <- i
+  done;
+  Xid_index.resize s.index cap
 
-(* Mark [xid] running; the slot is [running] already. *)
+(* Mark [xid] running; a free slot holds [running] already. *)
 let start s xid =
-  let i = take_slot s in
-  let i =
-    if i >= 0 then i
-    else begin
-      grow s;
-      take_slot s
-    end
-  in
+  if s.free < 0 then grow s;
+  let i = s.free in
+  s.free <- s.older.(i);
   Xid_index.add s.index ~xid ~slot:i;
   i
 
@@ -209,15 +196,14 @@ let serve (host : Host.t) ~port ~cost ?(alive = fun () -> true) ?trace ?qos ~han
       trace;
       qos;
       handler;
-      index = Xid_index.create 64;
-      resp = Array.make 64 running;
-      older = Array.make 64 (-1);
-      newer = Array.make 64 (-1);
+      index = Xid_index.create 16;
+      resp = [||];
+      older = [||];
+      newer = [||];
       newest = -1;
       oldest = -1;
       completed = 0;
       free = -1;
-      n_slots = 0;
     }
   in
   Net.listen host.net host.addr ~port (fun pkt -> Engine.spawn host.eng (fun () -> receive s pkt))
