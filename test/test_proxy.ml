@@ -650,6 +650,64 @@ let pending_expiry_reclaims_pool () =
       Engine.sleep eng 0.02;
       check_int "pool reusable after expiry" 0 (Proxy.pending_size proxy))
 
+(* A directory request bounced with ERR_MISDIRECTED is retried at once
+   when any routing table moved since the µproxy forwarded it — the
+   storage or the small-file table alone counts — and only after the
+   10 ms back-off when no table moved. The fake directory server moves
+   the chosen table just before it sends the bounce, and answers the
+   retry. *)
+let misdirect_retry_timing () =
+  let retry_gap move =
+    let eng = Engine.create () in
+    let net = Net.create eng () in
+    let chost = Host.create net ~name:"client" () in
+    let dhost = Host.create net ~name:"dir" () in
+    let s0 = Host.create net ~name:"s0" () in
+    let s1 = Host.create net ~name:"s1" () in
+    let vaddr = Net.add_node net ~name:"virt" in
+    let st = Table.create [| s0.Host.addr; s1.Host.addr |] in
+    let sf = Table.create [| s0.Host.addr |] in
+    let proxy =
+      Proxy.install chost
+        ~params:
+          { Params.default with threshold = 0; meta_cache_ttl = 0.0; pending_sweep_interval = 0.0 }
+        {
+          Proxy.virtual_addr = vaddr;
+          dir_table = Table.create [| dhost.Host.addr |];
+          smallfile_table = Some sf;
+          storage = Some st;
+          coordinator = (fun () -> None);
+        }
+    in
+    let arrivals = ref [] in
+    Slice_storage.Nfs_endpoint.serve_raw dhost ~port:2049 ~handler:(fun pkt ->
+        let xid, _call = Codec.decode_call pkt.Packet.payload in
+        arrivals := Engine.now eng :: !arrivals;
+        let resp =
+          if List.length !arrivals = 1 then begin
+            (match move with
+            | `Storage -> Table.update st [| s1.Host.addr; s0.Host.addr |]
+            | `Smallfile -> Table.update sf [| s1.Host.addr |]
+            | `Nothing -> ());
+            Error Nfs.ERR_MISDIRECTED
+          end
+          else Ok (Nfs.RGetattr (Nfs.default_attr ~ftype:Fh.Dir ~fileid:1L ~now:0.0))
+        in
+        Slice_storage.Nfs_endpoint.reply_to dhost pkt (Codec.encode_reply ~xid resp));
+    run_on eng (fun () -> Net.send net (call_pkt chost vaddr ~xid:0x5151 (Nfs.Getattr Fh.root)));
+    check_int "one bounce" 1 (Proxy.stale_bounces proxy);
+    check_int "every pending record released" 0 (Proxy.pending_size proxy);
+    match !arrivals with
+    | [ retry; first ] -> retry -. first
+    | l -> Alcotest.failf "expected 2 arrivals at the directory server, got %d" (List.length l)
+  in
+  let gap = retry_gap `Storage in
+  check_bool (Printf.sprintf "storage table moved: retry at once (%.6f s)" gap) true (gap < 0.005);
+  let gap = retry_gap `Smallfile in
+  check_bool (Printf.sprintf "small-file table moved: retry at once (%.6f s)" gap) true (gap < 0.005);
+  let gap = retry_gap `Nothing in
+  check_bool (Printf.sprintf "no table moved: retry backs off (%.6f s)" gap) true (gap >= 0.01)
+
 let suite =
   suite
   @ [
@@ -658,4 +716,5 @@ let suite =
       ("packet path words budget", `Quick, packet_path_words_budget);
       ("retransmit supersedes pending", `Quick, retransmit_supersedes_pending);
       ("pending expiry reclaims pool", `Quick, pending_expiry_reclaims_pool);
+      ("misdirect retry waits only when no table moved", `Quick, misdirect_retry_timing);
     ]

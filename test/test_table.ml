@@ -9,6 +9,7 @@ module Ensemble = Slice.Ensemble
 module Proxy = Slice.Proxy
 module Client = Slice_workload.Client
 module Reconfig = Slice_reconfig.Reconfig
+module Routekey = Slice_nfs.Routekey
 
 let test_version_snapshot () =
   let t = Table.create [| 10; 20; 10 |] in
@@ -101,11 +102,42 @@ let test_proxy_refresh_back_to_back () =
       check_int "balanced class is a fixed point" v1 (Table.version tbl);
       check_all ())
 
+(* The placement rule: the storage nodes that may hold a file's data,
+   read through a map from logical storage sites to nodes. A mirrored
+   file lives on the nodes of its two replica sites; an unmirrored file
+   is striped over every site. Each node appears once. *)
+let data_nodes map (fh : Fh.t) =
+  let n = Array.length map in
+  if n = 0 then []
+  else if fh.Fh.mirrored then begin
+    let r0, r1 = Routekey.mirror_sites ~nsites:n fh in
+    if map.(r0) = map.(r1) then [ map.(r0) ] else [ map.(r0); map.(r1) ]
+  end
+  else List.sort_uniq Int.compare (Array.to_list map)
+
+let file_fh ~mirrored id = { Fh.root with Fh.file_id = id; ftype = Fh.Reg; mirrored }
+
+let test_placement_rule () =
+  let fh = file_fh ~mirrored:true 77L in
+  let r0, r1 = Routekey.mirror_sites ~nsites:4 fh in
+  check_bool "replica sites differ" true (r0 <> r1);
+  (* both replica sites on node 9, the other sites elsewhere *)
+  let shared = Array.init 4 (fun i -> if i = r0 || i = r1 then 9 else 20 + i) in
+  Alcotest.(check (list int)) "co-located replicas: the node once" [ 9 ] (data_nodes shared fh);
+  let apart = [| 10; 11; 12; 13 |] in
+  Alcotest.(check (list int))
+    "replicas apart: primary then partner" [ apart.(r0); apart.(r1) ] (data_nodes apart fh);
+  let plain = file_fh ~mirrored:false 77L in
+  Alcotest.(check (list int))
+    "unmirrored: every node once" [ 1; 2; 3 ] (data_nodes [| 3; 1; 3; 2; 1 |] plain);
+  Alcotest.(check (list int)) "no storage sites" [] (data_nodes [||] fh)
+
 let suite =
   [
     Alcotest.test_case "version and snapshot semantics" `Quick test_version_snapshot;
     Alcotest.test_case "idempotent update" `Quick test_idempotent_update;
     Alcotest.test_case "fixed site count" `Quick test_fixed_site_count;
+    Alcotest.test_case "placement rule" `Quick test_placement_rule;
     Alcotest.test_case "proxy refresh under back-to-back reconfigurations" `Quick
       test_proxy_refresh_back_to_back;
   ]
