@@ -219,26 +219,16 @@ let sites_owned_by ~servers ~sites i =
 let coord_endpoint t _fh =
   match t.coord with Some c -> Some (Coordinator.addr c, Coordinator.port c) | None -> None
 
-(* Physical storage nodes that may hold data of [fh], resolved through
-   the current storage table (distinct: several logical sites may live
-   on one node). *)
+(* Every node that may hold data of [fh], for a directory server's remove
+   cleanup: the storage nodes of the placement rule, read through the
+   live table, then the file's small-file server. *)
 let data_sites_of t (fh : Fh.t) =
-  match t.st_tbl with
-  | None -> []
-  | Some tbl ->
-      let l = Table.nsites tbl in
-      if fh.Fh.mirrored then begin
-        let r0, r1 = Routekey.mirror_sites ~nsites:l fh in
-        let a0 = Table.lookup tbl r0 and a1 = Table.lookup tbl r1 in
-        if a0 = a1 then [ a0 ] else [ a0; a1 ]
-      end
-      else List.sort_uniq Int.compare (Array.to_list (fst (Table.snapshot tbl)))
-
-let smallfile_site_of t (fh : Fh.t) =
+  (match t.st_tbl with Some tbl -> Table.data_nodes (fst (Table.snapshot tbl)) fh | None -> [])
+  @
   match t.sf_tbl with
   | Some tbl when t.cfg.proxy_params.Params.threshold > 0 ->
-      Some (Table.lookup tbl (Routekey.file_site ~nsites:(Table.nsites tbl) fh))
-  | _ -> None
+      [ Table.lookup tbl (Routekey.file_site ~nsites:(Table.nsites tbl) fh) ]
+  | _ -> []
 
 (* One host per server, named after its class and index. Net addresses
    are assigned in creation order. *)
@@ -267,7 +257,6 @@ let attach_dir t ~idx ~host ~also_owns =
       resolve = (fun logical -> Table.lookup t.dir_tbl (logical mod l_dir));
       peer_port = 2051;
       data_sites = data_sites_of t;
-      smallfile_site = smallfile_site_of t;
       coordinator = coord_endpoint t;
       mirror_new_files = t.cfg.mirror_new_files;
       cap_secret = (if t.cfg.secure_objects then Some cap_secret else None);

@@ -59,11 +59,10 @@ type pending = {
   mutable p_epoch : int; (* meta_epoch at forward time: replies from
                             before an invalidation must not (re)populate
                             the metadata cache *)
-  mutable p_dirv : int; (* table versions at forward time: a bounce with
-                           unchanged versions means the move has not
-                           committed yet, so the retry must back off *)
-  mutable p_sfv : int;
-  mutable p_stv : int;
+  mutable p_tables_v : int; (* sum of the table versions at forward
+                               time: a bounce with an unchanged sum means
+                               the move has not committed yet, so the
+                               retry must back off *)
   mutable p_retries : int; (* misdirect retries already spent *)
   mutable p_tenant : int; (* QoS tenant id stamped at forward time; the
                              tag survives retransmit/supersede slot reuse
@@ -112,6 +111,11 @@ type qos = {
   q_read_probe : (int -> float) option;
 }
 
+(* A private snapshot (hint) of one class's routing table: the mapping
+   and its version at the last refresh. A class without a table keeps an
+   empty mapping at version 0. *)
+type snap = { tbl : Table.t option; mutable map : Packet.addr array; mutable version : int }
+
 type t = {
   host : Host.t;
   net : Net.t;
@@ -145,13 +149,9 @@ type t = {
          advance means a manager was deposed and the caches hold entries
          from a dead incarnation *)
   mutable n_fence_inval : int;
-  (* private snapshots (hints) of the routing tables *)
-  mutable dir_map : Packet.addr array;
-  mutable dir_version : int;
-  mutable sf_map : Packet.addr array;
-  mutable sf_version : int;
-  mutable st_map : Packet.addr array;
-  mutable st_version : int;
+  dir : snap;
+  sf : snap;
+  st : snap;
   (* Table 3 phase accounting: intercept / decode / rewrite / softstate.
      A float array keeps the per-packet accumulation unboxed. *)
   phase : float array;
@@ -276,9 +276,7 @@ let fresh_pending () =
     p_len = 0;
     p_rd_site = 0;
     p_epoch = 0;
-    p_dirv = 0;
-    p_sfv = 0;
-    p_stv = 0;
+    p_tables_v = 0;
     p_retries = 0;
     p_tenant = 0;
     p_mirror_left = 0;
@@ -317,6 +315,19 @@ let acquire_slot t =
   let s = t.free_head in
   t.free_head <- t.pool.(s).p_next_free;
   s
+
+(* Every slot free, linked in slot order; the index empty. *)
+let reset_pool t =
+  Xid_index.clear t.xidx;
+  t.free_head <- -1;
+  for i = Array.length t.pool - 1 downto 0 do
+    let pd = t.pool.(i) in
+    pd.p_active <- false;
+    pd.p_span <- Trace.null;
+    pd.p_next_free <- t.free_head;
+    t.free_head <- i
+  done;
+  t.n_pending <- 0
 
 (* ---- span helpers ---- *)
 
@@ -368,12 +379,12 @@ let cached_attr_of_pending t (pd : pending) =
     | None -> cached_attr t (fh_at pd.p_buf pd.p_fh_off)
 
 let[@hot] dir_phys t logical =
-  let n = Array.length t.dir_map in
+  let n = Array.length t.dir.map in
   (* No directory sites (misconfiguration or a snapshot taken mid-reshape):
      aim at the virtual address, where the packet is counted as a drop and
      the client's retransmission gets another chance after a refresh —
      never divide by zero in the fast path. *)
-  if n = 0 then t.tg.virtual_addr else t.dir_map.(logical mod n)
+  if n = 0 then t.tg.virtual_addr else t.dir.map.(logical mod n)
 
 (* Push one dirty cached attribute back to its directory server (the
    paper's setattr write-back on commit / eviction / interval). *)
@@ -400,10 +411,25 @@ let writeback_dirty_attrs t =
 
 (* ---- table snapshots ---- *)
 
-let combined_epoch_of targets =
-  Table.epoch targets.dir_table
-  + (match targets.smallfile_table with Some tbl -> Table.epoch tbl | None -> 0)
-  + (match targets.storage with Some tbl -> Table.epoch tbl | None -> 0)
+let refresh s =
+  match s.tbl with
+  | Some table ->
+      let map, version = Table.snapshot table in
+      s.map <- map;
+      s.version <- version
+  | None -> ()
+
+let snap tbl =
+  let s = { tbl; map = [||]; version = 0 } in
+  refresh s;
+  s
+
+let epoch s = match s.tbl with Some table -> Table.epoch table | None -> 0
+let combined_epoch t = epoch t.dir + epoch t.sf + epoch t.st
+
+(* Versions only ever grow ([Table.update], [Table.bump_epoch]), so the
+   sum moves exactly when some table moved. *)
+let tables_version t = t.dir.version + t.sf.version + t.st.version
 
 (* A fencing-epoch advance means a manager was deposed by a takeover:
    every metadata entry cached from the dead incarnation is suspect.
@@ -428,22 +454,10 @@ let fence_invalidate t =
   t.n_fence_inval <- t.n_fence_inval + 1
 
 let refresh_tables t =
-  let m, v = Table.snapshot t.tg.dir_table in
-  t.dir_map <- m;
-  t.dir_version <- v;
-  (match t.tg.smallfile_table with
-  | Some tbl ->
-      let m, v = Table.snapshot tbl in
-      t.sf_map <- m;
-      t.sf_version <- v
-  | None -> ());
-  (match t.tg.storage with
-  | Some tbl ->
-      let m, v = Table.snapshot tbl in
-      t.st_map <- m;
-      t.st_version <- v
-  | None -> ());
-  let ep = combined_epoch_of t.tg in
+  refresh t.dir;
+  refresh t.sf;
+  refresh t.st;
+  let ep = combined_epoch t in
   if ep > t.fence_seen then begin
     t.fence_seen <- ep;
     fence_invalidate t
@@ -543,9 +557,7 @@ let remember t (cur : Codec.cursor) (payload : bytes) ~span ~klass ~rd_site ~mir
   pd.p_len <- len;
   pd.p_rd_site <- rd_site;
   pd.p_epoch <- t.meta_epoch;
-  pd.p_dirv <- t.dir_version;
-  pd.p_sfv <- t.sf_version;
-  pd.p_stv <- t.st_version;
+  pd.p_tables_v <- tables_version t;
   pd.p_retries <- retries;
   pd.p_tenant <- (match t.qos with Some q -> q.q_tenant | None -> 0);
   pd.p_mirror_left <- mirrors;
@@ -560,31 +572,42 @@ let forward t (c : cost) (pkt : Packet.t) ~dst =
   charge t c `Softstate softstate_cost;
   after_cpu t c (fun () -> Net.inject t.net pkt)
 
+(* Overwrite the 8 payload bytes at [off] with [t.scr8], adjusting the
+   checksum. *)
+let patch8 t (pkt : Packet.t) off = Cksum.patch_payload_bytes pkt ~off t.scr8 ~spos:0 ~len:8
+
 let patch_offset t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) v =
   if cur.Codec.c_off_field >= 0 then begin
     charge t c `Rewrite rewrite_cost;
     Codec.put_u64_be t.scr8 v;
-    Cksum.patch_payload_bytes pkt ~off:cur.Codec.c_off_field t.scr8 ~spos:0 ~len:8
+    patch8 t pkt cur.Codec.c_off_field
   end
+
+(* The two forwarding tails. A storage request goes to logical [site]:
+   its wire offset becomes [local] tagged with the site, and the node is
+   the one the snapshot binds [site] to. A directory request goes to the
+   server of logical [site]; for a readdir [site] is also the site the
+   reply's cookies are tagged with. *)
+let to_storage t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) ~site ~local ~mirrors ~retries =
+  t.n_storage <- t.n_storage + 1;
+  remember t cur pkt.Packet.payload ~span:c.c_span ~klass:KStorage ~rd_site:0 ~mirrors ~retries;
+  patch_offset t c pkt cur (Routekey.site_offset_int ~site local);
+  forward t c pkt ~dst:t.st.map.(site)
+
+let to_dir t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) ~site ~retries =
+  t.n_dir <- t.n_dir + 1;
+  remember t cur pkt.Packet.payload ~span:c.c_span ~klass:KName ~rd_site:site ~mirrors:1 ~retries;
+  forward t c pkt ~dst:(dir_phys t site)
 
 (* ---- commit orchestration ---- *)
 
-(* Physical storage nodes that may hold data of [fh], resolved through
-   the current table snapshot (distinct: several logical sites can live
-   on one node). *)
-let storage_sites_of t (fh : Fh.t) =
-  let n = Array.length t.st_map in
-  if n = 0 then []
-  else if fh.Fh.mirrored then begin
-    let r0, r1 = Routekey.mirror_sites ~nsites:n fh in
-    let a0 = t.st_map.(r0) and a1 = t.st_map.(r1) in
-    if a0 = a1 then [ a0 ] else [ a0; a1 ]
-  end
-  else List.sort_uniq Int.compare (Array.to_list t.st_map)
+(* A reply from the virtual server to the client at [dst]:[dport]. *)
+let client_reply t ~dst ~dport ~xid resp =
+  Packet.make ~src:t.tg.virtual_addr ~dst ~sport:2049 ~dport (Codec.encode_reply ~xid resp)
 
 let smallfile_dst t (fh : Fh.t) =
-  if t.p.Params.threshold <= 0 || Array.length t.sf_map = 0 then None
-  else Some t.sf_map.(Routekey.file_site ~nsites:(Array.length t.sf_map) fh)
+  if t.p.Params.threshold <= 0 || Array.length t.sf.map = 0 then None
+  else Some t.sf.map.(Routekey.file_site ~nsites:(Array.length t.sf.map) fh)
 
 let orchestrate_commit t ~span ~xid (pkt : Packet.t) (fh : Fh.t) =
   t.n_commits <- t.n_commits + 1;
@@ -596,7 +619,7 @@ let orchestrate_commit t ~span ~xid (pkt : Packet.t) (fh : Fh.t) =
       | Some dst ->
           jobs := (fun () -> ignore (nfs_call t ~span (Nfs.Commit (fh, 0L, 0)) ~dst)) :: !jobs
       | None -> ());
-      let sites = storage_sites_of t fh in
+      let sites = Table.data_nodes t.st.map fh in
       (match (sites, t.tg.coordinator ()) with
       | [], _ -> ()
       | sites, Some _ ->
@@ -618,11 +641,8 @@ let orchestrate_commit t ~span ~xid (pkt : Packet.t) (fh : Fh.t) =
       let c = cached_attr t fh in
       writeback_one t c;
       (* Synthesize the commit reply to the client. *)
-      let payload = Codec.encode_reply ~xid (Ok (Nfs.RCommit c.ca_attr)) in
-      let reply =
-        Packet.make ~src:t.tg.virtual_addr ~dst:client ~sport:2049 ~dport:client_port payload
-      in
-      Net.dispatch t.net reply;
+      Net.dispatch t.net
+        (client_reply t ~dst:client ~dport:client_port ~xid (Ok (Nfs.RCommit c.ca_attr)));
       Trace.finish span)
 
 (* ---- mirrored-write intention (amortized across the file's writes) ---- *)
@@ -635,7 +655,7 @@ let open_intent_if_needed t (payload : bytes) fh_off =
       let op_id = Int64.of_int (Rpc.fresh_xid t.rpc) in
       Hashtbl.replace t.intents_open fid op_id;
       t.n_intents <- t.n_intents + 1;
-      let participants = storage_sites_of t fh in
+      let participants = Table.data_nodes t.st.map fh in
       Engine.spawn t.eng (fun () ->
           ignore
             (ctrl_call t (Ctrl.Intent { op_id; kind = Ctrl.K_mirror_write; fh; participants })))
@@ -645,7 +665,7 @@ let open_intent_if_needed t (payload : bytes) fh_off =
 (* ---- request routing ---- *)
 
 let name_logical t (cur : Codec.cursor) (payload : bytes) =
-  let nsites = Array.length t.dir_map in
+  let nsites = Array.length t.dir.map in
   if nsites = 0 then 0 (* no dir sites: degenerate logical id; dir_phys copes *)
   else begin
     let fh_off = cur.Codec.c_fh_off in
@@ -686,13 +706,11 @@ let name_logical t (cur : Codec.cursor) (payload : bytes) =
 
 let route_name t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) ~retries =
   let site = name_logical t cur pkt.Packet.payload in
-  t.n_dir <- t.n_dir + 1;
   if site < Array.length t.dir_hist then t.dir_hist.(site) <- t.dir_hist.(site) + 1;
   (* readdir cookies travel tagged: the directory server decodes the
      (site, local-cookie) pair itself and owns-gates the site, so a
      server hosting several logical sites iterates the right one. *)
-  remember t cur pkt.Packet.payload ~span:c.c_span ~klass:KName ~rd_site:site ~mirrors:1 ~retries;
-  forward t c pkt ~dst:(dir_phys t site)
+  to_dir t c pkt cur ~site ~retries
 
 (* Bulk I/O routing. Storage placement is logical-site based: the chosen
    logical site is encoded into the wire offset's high bits
@@ -703,21 +721,18 @@ let rec route_io t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) ~retries =
   let payload = pkt.Packet.payload in
   let fh_off = cur.Codec.c_fh_off in
   let off = if cur.Codec.c_off_field >= 0 then cur.Codec.c_offset else 0 in
-  let nsf = Array.length t.sf_map in
+  let nsf = Array.length t.sf.map in
   if t.p.Params.threshold > 0 && nsf > 0 && off < t.p.Params.threshold then begin
-    let dst = t.sf_map.(Routekey.file_site_at ~nsites:nsf payload ~off:fh_off) in
+    let dst = t.sf.map.(Routekey.file_site_at ~nsites:nsf payload ~off:fh_off) in
     t.n_smallfile <- t.n_smallfile + 1;
     remember t cur payload ~span:c.c_span ~klass:KSmallfile ~rd_site:0 ~mirrors:1 ~retries;
     forward t c pkt ~dst
   end
   else begin
-    let n = Array.length t.st_map in
-    if n = 0 then begin
+    let n = Array.length t.st.map in
+    if n = 0 then
       (* No storage class configured: let a directory server reject it. *)
-      t.n_dir <- t.n_dir + 1;
-      remember t cur payload ~span:c.c_span ~klass:KName ~rd_site:0 ~mirrors:1 ~retries;
-      forward t c pkt ~dst:(dir_phys t 0)
-    end
+      to_dir t c pkt cur ~site:0 ~retries
     else if Fh.peek_mirrored payload fh_off then begin
       let r0 = Routekey.file_site_at ~nsites:n payload ~off:fh_off in
       let r1 = Routekey.mirror_partner ~nsites:n r0 in
@@ -739,21 +754,15 @@ let rec route_io t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) ~retries =
               best
           | _ -> parity_site
         in
-        t.n_storage <- t.n_storage + 1;
-        remember t cur payload ~span:c.c_span ~klass:KStorage ~rd_site:0 ~mirrors:1 ~retries;
-        patch_offset t c pkt cur (Routekey.site_offset_int ~site off);
-        forward t c pkt ~dst:t.st_map.(site)
+        to_storage t c pkt cur ~site ~local:off ~mirrors:1 ~retries
       end
       else begin
-        (* mirrored write: duplicate to both replicas *)
+        (* mirrored write: duplicate to both replicas; the copy is taken
+           before the original's offset is patched *)
         open_intent_if_needed t payload fh_off;
-        t.n_storage <- t.n_storage + 1;
         t.n_mirror_dup <- t.n_mirror_dup + 1;
-        remember t cur payload ~span:c.c_span ~klass:KStorage ~rd_site:0
-          ~mirrors:(if r0 = r1 then 1 else 2) ~retries;
         let copy = Packet.copy pkt in
-        patch_offset t c pkt cur (Routekey.site_offset_int ~site:r0 off);
-        forward t c pkt ~dst:t.st_map.(r0);
+        to_storage t c pkt cur ~site:r0 ~local:off ~mirrors:(if r0 = r1 then 1 else 2) ~retries;
         if r1 <> r0 then begin
           let c2 = { c_tot = [| 0.0 |]; c_span = c.c_span } in
           (* duplicate emission: requeue + checksum share of the data *)
@@ -762,32 +771,23 @@ let rec route_io t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) ~retries =
             +. (mirror_dup_cost_per_byte
                *. float_of_int (if cur.Codec.c_count > 0 then cur.Codec.c_count else 0)));
           patch_offset t c2 copy cur (Routekey.site_offset_int ~site:r1 off);
-          forward t c2 copy ~dst:t.st_map.(r1)
+          forward t c2 copy ~dst:t.st.map.(r1)
         end
       end
     end
     else begin
       let su = t.p.Params.stripe_unit in
       let chunk = Routekey.chunk_of_offset_int ~stripe_unit:su off in
+      let local = Routekey.local_offset_int ~nsites:n ~stripe_unit:su off in
       match t.p.Params.io_policy with
       | Params.Static_striping ->
           let site = Routekey.stripe_site_at ~nsites:n ~stripe_unit:su payload ~off:fh_off off in
-          t.n_storage <- t.n_storage + 1;
-          remember t cur payload ~span:c.c_span ~klass:KStorage ~rd_site:0 ~mirrors:1 ~retries;
-          patch_offset t c pkt cur
-            (Routekey.site_offset_int ~site (Routekey.local_offset_int ~nsites:n ~stripe_unit:su off));
-          forward t c pkt ~dst:t.st_map.(site)
+          to_storage t c pkt cur ~site ~local ~mirrors:1 ~retries
       | Params.Block_map -> (
           let fid = Fh.peek_file_id_int payload fh_off in
           match Lru.find t.map_cache fid with
           | Some (g, map) when g = Fh.peek_gen payload fh_off && chunk < Array.length map ->
-              let site = map.(chunk) mod n in
-              t.n_storage <- t.n_storage + 1;
-              remember t cur payload ~span:c.c_span ~klass:KStorage ~rd_site:0 ~mirrors:1 ~retries;
-              patch_offset t c pkt cur
-                (Routekey.site_offset_int ~site
-                   (Routekey.local_offset_int ~nsites:n ~stripe_unit:su off));
-              forward t c pkt ~dst:t.st_map.(site)
+              to_storage t c pkt cur ~site:(map.(chunk) mod n) ~local ~mirrors:1 ~retries
           | _ ->
               (* Map-fragment miss (including a generation mismatch from
                  a recycled file-id): fetch from the coordinator, then
@@ -828,17 +828,17 @@ let rec route_io t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) ~retries =
    Correctness is write-through invalidation (below) plus the lease
    bounding what another client's unseen mutation can cost us. *)
 
-let synth_reply t (c : cost) (pkt : Packet.t) ~xid (resp : Nfs.response) =
+(* The one client-reply path: the virtual server answers [resp] under
+   [xid] to the client at [dst]:[dport] once the packet's CPU is booked,
+   and the request's span closes with [outcome]. *)
+let answer t (c : cost) ?outcome ~dst ~dport ~xid (resp : Nfs.response) =
   charge t c `Rewrite rewrite_cost;
-  let payload = Codec.encode_reply ~xid resp in
-  let reply =
-    Packet.make ~src:t.tg.virtual_addr ~dst:pkt.Packet.src ~sport:2049 ~dport:pkt.Packet.sport
-      payload
-  in
+  let reply = client_reply t ~dst ~dport ~xid resp in
   let span = c.c_span in
-  after_cpu t c (fun () ->
-      Net.dispatch t.net reply;
-      Trace.finish span)
+  (* two continuations, so the common one does not carry an outcome *)
+  match outcome with
+  | None -> after_cpu t c (fun () -> Net.dispatch t.net reply; Trace.finish span)
+  | Some outcome -> after_cpu t c (fun () -> Net.dispatch t.net reply; Trace.finish ~outcome span)
 
 (* Returns true when the request was answered at the proxy. *)
 let try_meta_fast_path t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) =
@@ -848,7 +848,7 @@ let try_meta_fast_path t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) =
   let fid = Fh.peek_file_id_int payload cur.Codec.c_fh_off in
   let hit resp =
     t.n_meta_hit <- t.n_meta_hit + 1;
-    synth_reply t c pkt ~xid:cur.Codec.c_xid resp;
+    answer t c ~dst:pkt.Packet.src ~dport:pkt.Packet.sport ~xid:cur.Codec.c_xid resp;
     true
   in
   let miss () =
@@ -887,7 +887,8 @@ let try_meta_fast_path t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) =
             | None -> miss ())
         | Lru.Fresh None ->
             t.n_meta_neg_hit <- t.n_meta_neg_hit + 1;
-            synth_reply t c pkt ~xid:cur.Codec.c_xid (Error Nfs.ERR_NOENT);
+            answer t c ~dst:pkt.Packet.src ~dport:pkt.Packet.sport ~xid:cur.Codec.c_xid
+              (Error Nfs.ERR_NOENT);
             true
         | Lru.Stale -> stale ()
         | Lru.Miss -> miss ()
@@ -1050,13 +1051,9 @@ and handle_admitted ~retries t (pkt : Packet.t) =
   else begin
     c.c_span <- Trace.root t.trace ~op:(op_of_proc cur.Codec.c_proc) ~site:(Host.name t.host);
     charge t c `Decode (decode_cost_per_item *. float_of_int cur.Codec.c_items);
-    if cur.Codec.c_fh_off < 0 then begin
+    if cur.Codec.c_fh_off < 0 then
       (* NULL: any directory server can answer *)
-      t.n_dir <- t.n_dir + 1;
-      remember t cur pkt.Packet.payload ~span:c.c_span ~klass:KName ~rd_site:0 ~mirrors:1
-        ~retries;
-      forward t c pkt ~dst:(dir_phys t 0)
-    end
+      to_dir t c pkt cur ~site:0 ~retries
     else
       match cur.Codec.c_proc with
       | 6 | 7 when Fh.peek_ftype_code pkt.Packet.payload cur.Codec.c_fh_off = 1 ->
@@ -1112,20 +1109,13 @@ let translate_readdir t (c : cost) ~rd_site ~span (pkt : Packet.t) =
       let entries =
         List.map (fun (e : Nfs.entry) -> { e with Nfs.entry_cookie = tag e.Nfs.entry_cookie }) entries
       in
-      let nsites = Array.length t.dir_map in
+      let nsites = Array.length t.dir.map in
       let cookie, eof =
         if eof && rd_site + 1 < nsites then (Int64.shift_left (Int64.add site 1L) 32, false)
         else (tag cookie, eof)
       in
-      let payload = Codec.encode_reply ~xid (Ok (Nfs.RReaddir (entries, cookie, eof))) in
-      charge t c `Rewrite rewrite_cost;
-      let reply =
-        Packet.make ~src:t.tg.virtual_addr ~dst:pkt.Packet.dst ~sport:pkt.Packet.sport
-          ~dport:pkt.Packet.dport payload
-      in
-      after_cpu t c (fun () ->
-          Net.dispatch t.net reply;
-          Trace.finish span);
+      answer t c ~dst:pkt.Packet.dst ~dport:pkt.Packet.dport ~xid
+        (Ok (Nfs.RReaddir (entries, cookie, eof)));
       None
   | _, Ok _ ->
       Trace.finish span;
@@ -1170,11 +1160,11 @@ let patch_reply_attrs t (c : cost) (pd : pending) (pkt : Packet.t) =
         | _ -> ());
         let a = ca.ca_attr in
         Codec.put_u64_be t.scr8 (Int64.to_int a.Nfs.size);
-        Cksum.patch_payload_bytes pkt ~off:(off + Codec.attr_size_field_off) t.scr8 ~spos:0 ~len:8;
+        patch8 t pkt (off + Codec.attr_size_field_off);
         Codec.put_time_be t.scr8 a.Nfs.atime;
-        Cksum.patch_payload_bytes pkt ~off:(off + Codec.attr_atime_field_off) t.scr8 ~spos:0 ~len:8;
+        patch8 t pkt (off + Codec.attr_atime_field_off);
         Codec.put_time_be t.scr8 a.Nfs.mtime;
-        Cksum.patch_payload_bytes pkt ~off:(off + Codec.attr_mtime_field_off) t.scr8 ~spos:0 ~len:8;
+        patch8 t pkt (off + Codec.attr_mtime_field_off);
         charge t c `Rewrite (3.0 *. rewrite_cost);
         t.n_attr_patch <- t.n_attr_patch + 1;
         (* reads: fix the EOF flag, which the node judged against its
@@ -1221,11 +1211,9 @@ let patch_reply_attrs t (c : cost) (pd : pending) (pkt : Packet.t) =
               returned.Nfs.mtime <- mtime;
               ca.ca_attr <- returned;
               Codec.put_u64_be t.scr8 (Int64.to_int size);
-              Cksum.patch_payload_bytes pkt ~off:(off + Codec.attr_size_field_off) t.scr8
-                ~spos:0 ~len:8;
+              patch8 t pkt (off + Codec.attr_size_field_off);
               Codec.put_time_be t.scr8 mtime;
-              Cksum.patch_payload_bytes pkt ~off:(off + Codec.attr_mtime_field_off) t.scr8
-                ~spos:0 ~len:8;
+              patch8 t pkt (off + Codec.attr_mtime_field_off);
               charge t c `Rewrite (2.0 *. rewrite_cost);
               t.n_attr_patch <- t.n_attr_patch + 1;
               grant ca
@@ -1290,19 +1278,18 @@ let handle_reply t (pkt : Packet.t) (pd : pending) =
   charge t c `Intercept intercept_cost;
   charge t c `Softstate softstate_cost;
   t.n_replies <- t.n_replies + 1;
+  let st = reply_status pkt.Packet.payload in
   if pd.p_mirror_left > 1 then begin
     (* first mirror ack: wait for the slower replica, but keep the worst
        status seen — acking a write the first replica failed would lose
        data silently. *)
     pd.p_mirror_left <- pd.p_mirror_left - 1;
-    let st = reply_status pkt.Packet.payload in
     if st > 0 then pd.p_worst <- st;
     after_cpu t c (fun () -> ());
     None
   end
   else begin
     (* pending record already unbound by the caller, keyed on xid *)
-    let st = reply_status pkt.Packet.payload in
     if st = 20001 || pd.p_worst = 20001 then begin
       t.n_stale <- t.n_stale + 1;
       (* a bounced storage request may have been routed by a stale block
@@ -1312,9 +1299,7 @@ let handle_reply t (pkt : Packet.t) (pd : pending) =
           Lru.remove t.map_cache (Fh.peek_file_id_int pd.p_buf pd.p_fh_off)
       | _ -> ());
       refresh_tables t;
-      let moved =
-        t.dir_version <> pd.p_dirv || t.sf_version <> pd.p_sfv || t.st_version <> pd.p_stv
-      in
+      let moved = tables_version t <> pd.p_tables_v in
       let span = pd.p_span in
       let retries = pd.p_retries in
       let orig = Bytes.sub pd.p_buf 0 pd.p_len in
@@ -1333,20 +1318,11 @@ let handle_reply t (pkt : Packet.t) (pd : pending) =
       (* Mirrored write: an earlier replica failed but the last one
          succeeded. Forward the failure so the client retries — the
          success reply would hide a half-written mirror pair. *)
-      let xid = Codec.xid_of pkt.Packet.payload in
       let status =
         try Codec.status_of_int pd.p_worst with Codec.Malformed _ -> Nfs.ERR_IO
       in
-      let payload = Codec.encode_reply ~xid (Error status) in
-      charge t c `Rewrite rewrite_cost;
-      let reply =
-        Packet.make ~src:t.tg.virtual_addr ~dst:pkt.Packet.dst ~sport:pkt.Packet.sport
-          ~dport:pkt.Packet.dport payload
-      in
-      let span = pd.p_span in
-      after_cpu t c (fun () ->
-          Net.dispatch t.net reply;
-          Trace.finish ~outcome:"mirror_error" span);
+      answer t c ~outcome:"mirror_error" ~dst:pkt.Packet.dst ~dport:pkt.Packet.dport
+        ~xid:(Codec.xid_of pkt.Packet.payload) (Error status);
       None
     end
     else if pd.p_proc = 16 && t.p.Params.name_policy = Params.Name_hashing then
@@ -1410,13 +1386,6 @@ let rec writeback_tick t =
 
 let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
   let net = host.Host.net in
-  let dir_map, dir_version = Table.snapshot targets.dir_table in
-  let sf_map, sf_version =
-    match targets.smallfile_table with Some tbl -> Table.snapshot tbl | None -> ([||], 0)
-  in
-  let st_map, st_version =
-    match targets.storage with Some tbl -> Table.snapshot tbl | None -> ([||], 0)
-  in
   (* Evicted dirty attributes must be pushed back to their directory
      server; the eviction hook needs the proxy record, which needs the
      cache — tie the knot through a forward reference. *)
@@ -1455,14 +1424,11 @@ let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
       (* lint: bounded — one row per file with an open mirrored-write intent; commit closes it *)
       intents_open = Hashtbl.create 16;
       meta_epoch = 0;
-      fence_seen = combined_epoch_of targets;
+      fence_seen = 0;
       n_fence_inval = 0;
-      dir_map;
-      dir_version;
-      sf_map;
-      sf_version;
-      st_map;
-      st_version;
+      dir = snap (Some targets.dir_table);
+      sf = snap targets.smallfile_table;
+      st = snap targets.storage;
       phase = Array.make 4 0.0;
       cost = { c_tot = [| 0.0 |]; c_span = Trace.null };
       cur = Codec.cursor ();
@@ -1496,10 +1462,8 @@ let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
       sweep_armed = false;
     }
   in
-  for i = cap - 1 downto 0 do
-    pool.(i).p_next_free <- t.free_head;
-    t.free_head <- i
-  done;
+  t.fence_seen <- combined_epoch t;
+  reset_pool t;
   t.sweep_fn <- (fun () -> sweep t);
   self := Some t;
   Net.add_egress_filter net host.Host.addr (egress_filter t);
@@ -1510,16 +1474,7 @@ let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
 let params t = t.p
 
 let discard_soft_state t =
-  Xid_index.clear t.xidx;
-  t.free_head <- -1;
-  for i = Array.length t.pool - 1 downto 0 do
-    let pd = t.pool.(i) in
-    pd.p_active <- false;
-    pd.p_span <- Trace.null;
-    pd.p_next_free <- t.free_head;
-    t.free_head <- i
-  done;
-  t.n_pending <- 0;
+  reset_pool t;
   Lru.clear t.attrs;
   Lru.clear t.name_cache;
   Lru.clear t.map_cache;

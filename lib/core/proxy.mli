@@ -30,7 +30,15 @@
     - readdir over a name-hashed volume is iterated across all directory
       sites by cookie translation;
     - a server bouncing a request with [SLICE_MISDIRECTED] triggers a lazy
-      refresh of the µproxy's private routing-table snapshots.
+      refresh of the µproxy's private routing-table snapshots, one per
+      server class. The request is retried at once when some table moved
+      since it was forwarded, and after a short back-off when none did
+      (the move has not committed yet).
+
+    Every request forwarded to a storage node or a directory server
+    leaves through one tail per class, and every reply the µproxy makes
+    up itself (metadata hits, translated readdir pages, a mirrored
+    write's error) through one client-reply path.
 
     The µproxy keeps no state shared across clients; losing its soft
     state only costs client RPC retransmissions. Per-phase CPU is both
@@ -111,9 +119,13 @@ val op_of_proc : int -> string
 val routed_to_storage : t -> int
 val routed_to_smallfile : t -> int
 val routed_to_dir : t -> int
+(** Requests forwarded to each class. A mirrored write counts once in
+    [routed_to_storage]; [routed_to_dir] includes NULL calls and I/O sent
+    to a directory server for want of a storage class. *)
+
 val dir_site_histogram : t -> int array
-(** Requests per logical directory site — the load-balance measure behind
-    Figures 3 and 4. *)
+(** Name-routed requests per logical directory site — the load-balance
+    measure behind Figures 3 and 4. *)
 
 val mkdir_redirects : t -> int
 val mirror_duplicates : t -> int

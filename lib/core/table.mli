@@ -34,6 +34,12 @@ val update : t -> Slice_net.Packet.addr array -> unit
 val snapshot : t -> Slice_net.Packet.addr array * int
 (** Copy of the mapping plus its version, for a µproxy's private hint. *)
 
+val data_nodes : Slice_net.Packet.addr array -> Slice_nfs.Fh.t -> Slice_net.Packet.addr list
+(** The placement rule: the storage nodes that may hold data of a file
+    under a storage-class mapping (a {!snapshot}'s array), each once. A
+    mirrored file lives on its two replica sites' nodes, primary first;
+    any other file is striped over every node, in ascending order. *)
+
 val epoch : t -> int
 (** Fencing epoch (starts at 1). Unlike the version — which moves on any
     rebinding — the epoch only advances on a failover takeover, and marks

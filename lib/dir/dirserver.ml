@@ -23,7 +23,6 @@ type config = {
   resolve : int -> Packet.addr;
   peer_port : int;
   data_sites : Fh.t -> Packet.addr list;
-  smallfile_site : Fh.t -> Packet.addr option;
   coordinator : Fh.t -> (Packet.addr * int) option;
   mirror_new_files : bool;
   cap_secret : string option;
@@ -237,10 +236,7 @@ let peer_update ?(span = Trace.null) t ~site build =
 
 let remove_file_data t (fh : Fh.t) =
   (* Fire-and-forget: the coordinator's intention log owns completion. *)
-  let sites =
-    t.cfg.data_sites fh
-    @ (match t.cfg.smallfile_site fh with Some a -> [ a ] | None -> [])
-  in
+  let sites = t.cfg.data_sites fh in
   match (sites, t.cfg.coordinator fh) with
   | [], _ -> ()
   | _, Some (addr, port) ->

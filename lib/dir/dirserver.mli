@@ -28,8 +28,8 @@ type config = {
   resolve : int -> Slice_net.Packet.addr;  (** logical site -> physical *)
   peer_port : int;  (** peer protocol port (conventionally 2051) *)
   data_sites : Slice_nfs.Fh.t -> Slice_net.Packet.addr list;
-      (** storage nodes that may hold bulk data of a file *)
-  smallfile_site : Slice_nfs.Fh.t -> Slice_net.Packet.addr option;
+      (** every node that may hold data of a file: its storage nodes,
+          then its small-file server; a remove cleans each of them *)
   coordinator : Slice_nfs.Fh.t -> (Slice_net.Packet.addr * int) option;
       (** block-service coordinator for multi-site remove/truncate *)
   mirror_new_files : bool;

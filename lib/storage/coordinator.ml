@@ -60,8 +60,9 @@ let log_complete t op_id =
   let payload = Bytes.to_string (Ctrl.encode_msg ~xid:0 (Ctrl.Complete { op_id })) in
   ignore (Wal.append t.wal ~rtype:rt_complete payload)
 
-(* Idempotent redo: removes re-issue remove; commit-like kinds re-issue
-   commit, forcing participants' dirty state stable. *)
+(* The idempotent call an intent pushes to its participants, first and
+   on redo: removes remove; commit-like kinds commit, forcing
+   participants' dirty state stable. *)
 let nfs_call_for_redo (i : intent) : Nfs.call =
   match i.kind with
   | Ctrl.K_remove -> Nfs.Remove (i.fh, "")
@@ -140,6 +141,18 @@ let sites_for t fh block =
     Some !map.(block)
   end
 
+(* A whole-file operation across [sites] (remove or commit): log the
+   intent, push the call to every site, retire it once all acked. The
+   intent is durable, so the caller acks either way: a site that missed
+   the call gets it from the probe/redo path. *)
+let file_op ~span t kind fh sites =
+  let op_id = fresh_op t in
+  let i = { kind; fh; participants = sites; completed = false } in
+  Hashtbl.replace t.intents op_id i;
+  log_intent ~span t op_id i;
+  if fan_out ~span t (nfs_call_for_redo i) sites then retire t op_id i
+  else schedule_probe t op_id
+
 let handle_msg t (pkt : Packet.t) =
   Engine.spawn t.host.Host.eng (fun () ->
       if t.up then
@@ -168,7 +181,6 @@ let handle_msg t (pkt : Packet.t) =
                 let i = { kind; fh; participants; completed = false } in
                 Hashtbl.replace t.intents op_id i;
                 log_intent ~span t op_id i;
-                Wal.sync ~span t.wal;
                 schedule_probe t op_id;
                 reply Ctrl.Ack
             | Ctrl.Complete { op_id } ->
@@ -177,22 +189,10 @@ let handle_msg t (pkt : Packet.t) =
                 | _ -> ());
                 reply Ctrl.Ack
             | Ctrl.Remove_file { fh; sites } ->
-                let op_id = fresh_op t in
-                let i = { kind = Ctrl.K_remove; fh; participants = sites; completed = false } in
-                Hashtbl.replace t.intents op_id i;
-                log_intent ~span t op_id i;
-                (* The intent is durable, so ack either way: a participant
-                   that missed the remove gets it from the probe/redo path. *)
-                if fan_out ~span t (Nfs.Remove (fh, "")) sites then retire t op_id i
-                else schedule_probe t op_id;
+                file_op ~span t Ctrl.K_remove fh sites;
                 reply Ctrl.Ack
             | Ctrl.Commit_file { fh; sites } ->
-                let op_id = fresh_op t in
-                let i = { kind = Ctrl.K_commit; fh; participants = sites; completed = false } in
-                Hashtbl.replace t.intents op_id i;
-                log_intent ~span t op_id i;
-                if fan_out ~span t (Nfs.Commit (fh, 0L, 0)) sites then retire t op_id i
-                else schedule_probe t op_id;
+                file_op ~span t Ctrl.K_commit fh sites;
                 reply Ctrl.Ack
             | Ctrl.Get_map { fh; first_block; count } -> (
                 match sites_for t fh (first_block + count - 1) with

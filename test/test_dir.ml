@@ -35,7 +35,6 @@ let mk_rig ?(nsites = 2) ?(policy = Routekey.Name_hashing) () =
             resolve = (fun l -> addrs.(l mod nsites));
             peer_port = 2051;
             data_sites = (fun _ -> []);
-            smallfile_site = (fun _ -> None);
             coordinator = (fun _ -> None);
             mirror_new_files = false;
             cap_secret = None;
@@ -442,7 +441,6 @@ let rebalance_logical_sites () =
         resolve = (fun l -> addrs.(binding.(l mod nlogical)));
         peer_port = 2051;
         data_sites = (fun _ -> []);
-        smallfile_site = (fun _ -> None);
         coordinator = (fun _ -> None);
         mirror_new_files = false;
         cap_secret = None;

@@ -203,7 +203,6 @@ let stale_table_lazy_refresh () =
             resolve = (fun l -> addrs.(l mod 2));
             peer_port = 2051;
             data_sites = (fun _ -> []);
-            smallfile_site = (fun _ -> None);
             coordinator = (fun _ -> None);
             mirror_new_files = false;
             cap_secret = None;

@@ -132,12 +132,24 @@ let test_placement_rule () =
     "unmirrored: every node once" [ 1; 2; 3 ] (data_nodes [| 3; 1; 3; 2; 1 |] plain);
   Alcotest.(check (list int)) "no storage sites" [] (data_nodes [||] fh)
 
+(* The one implementation of the rule, shared by the µproxy and the
+   directory servers' remove cleanup, agrees with the reference above on
+   random mappings, including empty ones and nodes hosting several sites. *)
+let data_nodes_matches_rule =
+  qtest ~count:300 "Table.data_nodes follows the placement rule"
+    QCheck2.Gen.(
+      triple (array_size (int_range 0 8) (int_range 0 5)) (int_range 2 10_000) bool)
+    (fun (map, id, mirrored) ->
+      let fh = file_fh ~mirrored (Int64.of_int id) in
+      Table.data_nodes map fh = data_nodes map fh)
+
 let suite =
   [
     Alcotest.test_case "version and snapshot semantics" `Quick test_version_snapshot;
     Alcotest.test_case "idempotent update" `Quick test_idempotent_update;
     Alcotest.test_case "fixed site count" `Quick test_fixed_site_count;
     Alcotest.test_case "placement rule" `Quick test_placement_rule;
+    data_nodes_matches_rule;
     Alcotest.test_case "proxy refresh under back-to-back reconfigurations" `Quick
       test_proxy_refresh_back_to_back;
   ]
