@@ -236,15 +236,13 @@ let peer_update ?(span = Trace.null) t ~site build =
 
 let remove_file_data t (fh : Fh.t) =
   (* Fire-and-forget: the coordinator's intention log owns completion. *)
-  let sites = t.cfg.data_sites fh in
-  match (sites, t.cfg.coordinator fh) with
-  | [], _ -> ()
-  | _, Some (addr, port) ->
+  match (t.cfg.data_sites fh, t.cfg.coordinator fh) with
+  | [], _ | _, None -> ()
+  | sites, Some (addr, port) ->
       Engine.spawn t.host.Host.eng (fun () ->
           let xid = Rpc.fresh_xid t.rpc in
           let payload = Ctrl.encode_msg ~xid (Ctrl.Remove_file { fh; sites }) in
           ignore (Rpc.call t.rpc ~timeout:2.0 ~dst:addr ~dport:port payload))
-  | _, None -> ()
 
 (* ---- attribute access across sites ---- *)
 

@@ -63,7 +63,7 @@ let log_complete t op_id =
 (* The idempotent call an intent pushes to its participants, first and
    on redo: removes remove; commit-like kinds commit, forcing
    participants' dirty state stable. *)
-let nfs_call_for_redo (i : intent) : Nfs.call =
+let intent_call (i : intent) : Nfs.call =
   match i.kind with
   | Ctrl.K_remove -> Nfs.Remove (i.fh, "")
   | Ctrl.K_commit | Ctrl.K_mirror_write -> Nfs.Commit (i.fh, 0L, 0)
@@ -100,7 +100,7 @@ let retire t op_id (i : intent) =
 let rec redo t op_id (i : intent) =
   if (not i.completed) && not (wedged t) then begin
     t.redo_count <- t.redo_count + 1;
-    if fan_out t (nfs_call_for_redo i) i.participants then retire t op_id i
+    if fan_out t (intent_call i) i.participants then retire t op_id i
     else schedule_probe t op_id
   end
 
@@ -150,7 +150,7 @@ let file_op ~span t kind fh sites =
   let i = { kind; fh; participants = sites; completed = false } in
   Hashtbl.replace t.intents op_id i;
   log_intent ~span t op_id i;
-  if fan_out ~span t (nfs_call_for_redo i) sites then retire t op_id i
+  if fan_out ~span t (intent_call i) sites then retire t op_id i
   else schedule_probe t op_id
 
 let handle_msg t (pkt : Packet.t) =
