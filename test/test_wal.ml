@@ -182,6 +182,157 @@ let crash_mid_adoption_converges () =
   check_bool "re-replay converges on the crash-free journal" true
     (records (Wal.image w2) = reference)
 
+(* ---- byte-exact record format ----
+
+   A reference encoder of the on-disk record, kept here independent of
+   the log's own: magic "WALR" (4), lsn (8), rtype (4), payload length
+   (4), payload, then a CRC-32 (4) over everything before it, all
+   big-endian. A random mix of appends, syncs and checkpoints must leave
+   [image], [crash_image] and [replay] exactly where this model says. *)
+
+let ref_record ~lsn ~rtype payload =
+  let len = String.length payload in
+  let b = Bytes.create (24 + len) in
+  Bytes.set_int32_be b 0 0x57414C52l;
+  Bytes.set_int64_be b 4 lsn;
+  Bytes.set_int32_be b 12 (Int32.of_int rtype);
+  Bytes.set_int32_be b 16 (Int32.of_int len);
+  Bytes.blit_string payload 0 b 20 len;
+  Bytes.set_int32_be b (20 + len) (Slice_hash.Crc32.bytes b ~pos:0 ~len:(20 + len));
+  Bytes.to_string b
+
+type op = Append of int * int * int | Sync | Checkpoint | Crash of int
+
+(* Payloads are described by (size, seed) so large ones stay cheap to
+   generate and shrink: empty, small, and well past 64 KB. *)
+let payload_of_spec size seed = String.init size (fun i -> Char.chr ((seed + (i * 31)) land 0xFF))
+
+let op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 10,
+          map3
+            (fun rtype size seed -> Append (rtype, size, seed))
+            (int_range 0 0xFFFF)
+            (frequency [ (2, pure 0); (12, int_range 1 200); (1, int_range 65_000 150_000) ])
+            (int_range 0 255) );
+        (4, pure Sync);
+        (1, pure Checkpoint);
+        (2, map (fun k -> Crash k) (int_range 0 400));
+      ])
+
+let format_matches_reference =
+  qtest ~count:60 "records match the reference encoder byte for byte"
+    QCheck2.Gen.(list_size (int_range 1 40) op_gen)
+    (fun ops ->
+      let w = Wal.create ~name:"t" () in
+      let stable = Buffer.create 256 and pending = Buffer.create 256 in
+      let stable_recs = ref [] and pending_recs = ref [] in
+      let lsn = ref 0L and synced = ref 0L and appended = ref 0 in
+      let sync_model () =
+        if Buffer.length pending > 0 then begin
+          Buffer.add_buffer stable pending;
+          Buffer.clear pending;
+          stable_recs := !pending_recs @ !stable_recs;
+          pending_recs := [];
+          synced := !lsn
+        end
+      in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      List.iter
+        (fun op ->
+          (match op with
+          | Append (rtype, size, seed) ->
+              let p = payload_of_spec size seed in
+              lsn := Int64.add !lsn 1L;
+              let r = ref_record ~lsn:!lsn ~rtype p in
+              Buffer.add_string pending r;
+              appended := !appended + String.length r;
+              pending_recs := (!lsn, rtype, p) :: !pending_recs;
+              expect (Wal.append w ~rtype p = !lsn)
+          | Sync ->
+              Wal.sync w;
+              sync_model ()
+          | Checkpoint ->
+              Wal.checkpoint w;
+              Buffer.clear stable;
+              Buffer.clear pending;
+              stable_recs := [];
+              pending_recs := [];
+              synced := !lsn
+          | Crash k ->
+              let unsynced = Buffer.contents pending in
+              let keep = min k (String.length unsynced) in
+              expect
+                (Wal.crash_image w ~keep_unsynced_bytes:k
+                = Buffer.contents stable ^ String.sub unsynced 0 keep));
+          let img = Wal.image w in
+          expect (img = Buffer.contents stable);
+          expect (Wal.synced_lsn w = !synced);
+          expect (Wal.bytes_appended w = !appended);
+          expect (records img = List.rev !stable_recs))
+        ops;
+      (* everything still pending hardens as one more batch *)
+      Wal.sync w;
+      sync_model ();
+      let img = Wal.image w in
+      expect (img = Buffer.contents stable);
+      expect (Wal.replay img (fun ~lsn:_ ~rtype:_ _ -> ()) = List.length !stable_recs);
+      !ok)
+
+(* Group-commit wake order and round visibility on a disk-backed log.
+   One fiber leads a round; three more append and join it while its
+   disk write is in flight. The round's bytes reach neither [image] nor
+   [crash_image] until the write completes. When it does, the joiners
+   resume last-arrived first: the last one leads the next round for all
+   three records, and the other two, re-parked behind it, resume in
+   their new last-first order as soon as that round lands — before its
+   leader returns. *)
+let joiners_resume_last_first () =
+  let eng = Engine.create () in
+  let d = Disk.create eng ~arms:1 ~name:"log" () in
+  let w = Wal.create ~eng ~disk:d ~name:"t" () in
+  let finished = ref [] in
+  let contains hay needle =
+    let n = String.length needle and h = String.length hay in
+    let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
+    at 0
+  in
+  let first = String.make 40 'F' in
+  Engine.spawn eng (fun () ->
+      ignore (Wal.append w ~rtype:1 first);
+      Wal.sync w;
+      finished := "lead" :: !finished);
+  List.iter
+    (fun name ->
+      Engine.spawn eng (fun () ->
+          ignore (Wal.append w ~rtype:2 (String.make 40 name.[0]));
+          Wal.sync w;
+          finished := name :: !finished))
+    [ "a"; "b"; "c" ];
+  let mid_round = ref false in
+  Engine.spawn eng (fun () ->
+      (* every fiber above has run up to its park; the first round's
+         disk write is still in flight *)
+      check_int "first round in flight" 0 (Wal.sync_count w);
+      check_bool "round absent from image" false (contains (Wal.image w) first);
+      let crashed = Wal.crash_image w ~keep_unsynced_bytes:max_int in
+      check_bool "round absent from crash image" false (contains crashed first);
+      check_int "joiners' records are the unsynced tail" 3
+        (Wal.replay crashed (fun ~lsn:_ ~rtype:_ _ -> ()));
+      mid_round := true);
+  Engine.run eng;
+  check_bool "checked mid-round" true !mid_round;
+  check_int "two rounds" 2 (Wal.sync_count w);
+  check_int "one disk write per round" 2 (Disk.ops d);
+  check_bool "resume order: leader, then re-parked joiners last-first, then the next leader"
+    true
+    (List.rev !finished = [ "lead"; "a"; "b"; "c" ]);
+  check_bool "all four records stable" true (Wal.synced_lsn w = 4L);
+  check_bool "first round now in the image" true (contains (Wal.image w) first)
+
 let suite =
   [
     ("append/sync/replay", `Quick, append_sync_replay);
@@ -194,4 +345,6 @@ let suite =
     ("engine without sink rejected", `Quick, engine_without_sink_rejected);
     ("replay twice identical", `Quick, replay_twice_identical);
     ("crash mid-adoption converges", `Quick, crash_mid_adoption_converges);
+    format_matches_reference;
+    ("joiners resume last first", `Quick, joiners_resume_last_first);
   ]
