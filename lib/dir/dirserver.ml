@@ -94,31 +94,32 @@ let dec_cell d =
   let symlink = if Dec.bool d then Some (Dec.str d) else None in
   (fid, { attr; entries; symlink })
 
-let payload_of enc =
-  let e = Enc.create () in
-  enc e;
-  Bytes.to_string (Enc.to_bytes e)
+(* Record payload writers: each encodes straight into the log's pending
+   area through [Wal.append_with]. *)
+let enc_set_cell e (fid, c) = enc_cell e fid c
 
-let log t rtype payload = ignore (Wal.append t.wal ~rtype payload)
+let enc_add_entry e (parent, name, child) =
+  Enc.u64 e parent;
+  Enc.str e name;
+  Codec.enc_fh e child
+
+let enc_remove_entry e (parent, name) =
+  Enc.u64 e parent;
+  Enc.str e name
+
+let enc_prepare e (op_id, site, msg) =
+  Enc.u64 e op_id;
+  Enc.u32 e site;
+  Enc.opaque e msg
+
+let log t rtype write v = ignore (Wal.append_with t.wal ~rtype write v)
 
 let sync_log ?(span = Trace.null) t = Wal.sync ~span t.wal
 
-let log_cell t fid c = log t rt_set_cell (payload_of (fun e -> enc_cell e fid c))
-
-let log_add_entry t parent name child =
-  log t rt_add_entry
-    (payload_of (fun e ->
-         Enc.u64 e parent;
-         Enc.str e name;
-         Codec.enc_fh e child))
-
-let log_remove_entry t parent name =
-  log t rt_remove_entry
-    (payload_of (fun e ->
-         Enc.u64 e parent;
-         Enc.str e name))
-
-let log_remove_cell t fid = log t rt_remove_cell (payload_of (fun e -> Enc.u64 e fid))
+let log_cell t fid c = log t rt_set_cell enc_set_cell (fid, c)
+let log_add_entry t parent name child = log t rt_add_entry enc_add_entry (parent, name, child)
+let log_remove_entry t parent name = log t rt_remove_entry enc_remove_entry (parent, name)
+let log_remove_cell t fid = log t rt_remove_cell Enc.u64 fid
 
 (* ---- state mutation (shared between service path and log replay) ---- *)
 
@@ -221,15 +222,11 @@ let peer_update ?(span = Trace.null) t ~site build =
   let msg = build op_id in
   let msg_bytes = Bytes.to_string (Peer.encode_msg ~xid:0 msg) in
   Hashtbl.replace t.prepares op_id (site, msg_bytes);
-  log t rt_prepare
-    (payload_of (fun e ->
-         Enc.u64 e op_id;
-         Enc.u32 e site;
-         Enc.opaque e msg_bytes));
+  log t rt_prepare enc_prepare (op_id, site, msg_bytes);
   sync_log ~span t;
   let reply = peer_call ~span t ~site msg in
   Hashtbl.remove t.prepares op_id;
-  log t rt_commit (payload_of (fun e -> Enc.u64 e op_id));
+  log t rt_commit Enc.u64 op_id;
   reply
 
 (* ---- data-plane cleanup (remove / truncate) ---- *)
@@ -553,7 +550,7 @@ let handle t span (call : Nfs.call) : Nfs.response =
 
 let mark_applied t op_id =
   Hashtbl.replace t.applied op_id ();
-  log t rt_applied (payload_of (fun e -> Enc.u64 e op_id))
+  log t rt_applied Enc.u64 op_id
 
 let handle_peer t (msg : Peer.msg) : Peer.reply =
   t.peer_ops <- t.peer_ops + 1;
@@ -701,7 +698,9 @@ let crash t =
   let image = Wal.image t.wal in
   reset_volatile t;
   let wal = make_wal t.host in
-  ignore (Wal.replay image (fun ~lsn:_ ~rtype payload -> ignore (Wal.append wal ~rtype payload)));
+  ignore
+    (Wal.replay image (fun ~lsn:_ ~rtype payload ->
+         ignore (Wal.append_with wal ~rtype Enc.raw payload)));
   Wal.sync wal;
   t.wal <- wal
 
@@ -773,7 +772,7 @@ let recover t =
           | _, msg ->
               ignore (peer_call t ~site msg);
               Hashtbl.remove t.prepares op_id;
-              log t rt_commit (payload_of (fun e -> Enc.u64 e op_id));
+              log t rt_commit Enc.u64 op_id;
               sync_log t
           | exception Codec.Malformed _ -> ())
         pending)
@@ -799,7 +798,7 @@ let import_log ?(skip = 0) t ~log:image =
          incr seen;
          if n >= skip then begin
            let rtype = if rtype = rt_snapshot then rt_merge_snapshot else rtype in
-           log t rtype payload;
+           log t rtype Enc.raw payload;
            try apply_record t ~rtype payload with Slice_xdr.Xdr.Truncated -> ()
          end));
   !seen
@@ -807,30 +806,17 @@ let import_log ?(skip = 0) t ~log:image =
 let is_up t = t.up
 let host t = t.host
 
+let enc_snapshot e t =
+  Enc.u32 e (Hashtbl.length t.attrs);
+  Hashtbl.iter (fun fid c -> enc_cell e fid c) t.attrs;
+  Enc.u32 e (Hashtbl.length t.entries);
+  Hashtbl.iter (fun (parent, name) child -> enc_add_entry e (parent, name, child)) t.entries
+
 (* lint: F1 ok — journal compaction is operator-driven control plane, not client dispatch; it rewrites, never extends, history *)
 let checkpoint t =
-  let payload =
-    payload_of (fun e ->
-        Enc.u32 e (Hashtbl.length t.attrs);
-        Hashtbl.iter (fun fid c -> enc_cell e fid c) t.attrs;
-        Enc.u32 e (Hashtbl.length t.entries);
-        Hashtbl.iter
-          (fun (parent, name) child ->
-            Enc.u64 e parent;
-            Enc.str e name;
-            Codec.enc_fh e child)
-          t.entries)
-  in
   Wal.checkpoint t.wal;
-  log t rt_snapshot payload;
+  log t rt_snapshot enc_snapshot t;
   (* Preserve dedup state and outstanding prepares across the checkpoint. *)
-  Hashtbl.iter (fun op_id () -> log t rt_applied (payload_of (fun e -> Enc.u64 e op_id))) t.applied;
-  Hashtbl.iter
-    (fun op_id (site, msg) ->
-      log t rt_prepare
-        (payload_of (fun e ->
-             Enc.u64 e op_id;
-             Enc.u32 e site;
-             Enc.opaque e msg)))
-    t.prepares;
+  Hashtbl.iter (fun op_id () -> log t rt_applied Enc.u64 op_id) t.applied;
+  Hashtbl.iter (fun op_id (site, msg) -> log t rt_prepare enc_prepare (op_id, site, msg)) t.prepares;
   sync_log t

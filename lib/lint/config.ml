@@ -99,7 +99,8 @@ let repo =
        .cmt available when the typed tier runs: the µproxy packet path,
        the codec peek path and its XDR primitives, the engine's event
        dispatch, the RPC reply path, the shared xid index, the buffer
-       cache's slot table, the server request table and the WFQ pick. *)
+       cache's slot table, the server request table, the WFQ pick and
+       the WAL's in-place record framing. *)
     a1_scope =
       (fun f ->
         List.mem f
@@ -113,10 +114,11 @@ let repo =
             "lib/disk/bcache.ml";
             "lib/storage/nfs_endpoint.ml";
             "lib/qos/wfq.ml";
+            "lib/wal/wal.ml";
           ]);
     (* The fenced server modules of PR 6: every dispatch path that
-       reaches the WAL, the buffer cache or the allocator must be
-       dominated by the wedge/lease-epoch check. *)
+       reaches the WAL (either append entry), the buffer cache or the
+       allocator must be dominated by the wedge/lease-epoch check. *)
     f1_scope =
       (fun f ->
         List.mem f
@@ -129,7 +131,10 @@ let repo =
     hot_attr = "hot";
     f1_guards = [ "wedged"; "is_wedged" ];
     f1_protected =
-      [ "Wal.append"; "Bcache.write"; "Bcache.commit"; "Ffs.alloc"; "Ffs.free" ];
+      [
+        "Wal.append"; "Wal.append_with"; "Bcache.write"; "Bcache.commit"; "Ffs.alloc";
+        "Ffs.free";
+      ];
     (* Every library interface. Uses count from any other unit with a
        .cmt under --cmt-dir, bin/, bench/, examples/ and perfbench/
        included; a value only test/ uses is a warning. *)
@@ -156,7 +161,10 @@ let fixtures =
     hot_attr = "hot";
     f1_guards = [ "wedged"; "is_wedged" ];
     f1_protected =
-      [ "Wal.append"; "Bcache.write"; "Bcache.commit"; "Ffs.alloc"; "Ffs.free" ];
+      [
+        "Wal.append"; "Wal.append_with"; "Bcache.write"; "Bcache.commit"; "Ffs.alloc";
+        "Ffs.free";
+      ];
     u1_scope = named "u1";
     u1_test_source = named "u1_test";
   }

@@ -15,6 +15,7 @@ module Net = Slice_net.Net
 module Metrics = Slice_util.Metrics
 module Trace = Slice_trace.Trace
 module Wal = Slice_wal.Wal
+module Enc = Slice_xdr.Xdr.Enc
 module Ensemble = Slice.Ensemble
 module Table = Slice.Table
 module Dirserver = Slice_dir.Dirserver
@@ -202,6 +203,12 @@ let attach ?(bandwidth = 50e6) ?trace ens =
     t.classes;
   t
 
+(* Intent records are text: "op kind site donor recv" opens a
+   migration, the op id alone seals it. Each is hardened at once. *)
+let journal t rtype text =
+  ignore (Wal.append_with t.wal ~rtype Enc.raw text);
+  Wal.sync t.wal
+
 let metrics t = t.reg
 let migrations t = t.n_migrations
 let sites_moved t = t.n_moved
@@ -232,10 +239,7 @@ let migrate ?abandon t ops ~site ~donor ~recv =
   let op_id = t.next_op in
   t.next_op <- op_id + 1;
   t.n_migrations <- t.n_migrations + 1;
-  ignore
-    (Wal.append t.wal ~rtype:rt_begin
-       (Printf.sprintf "%d %s %d %d %d" op_id (kname ops) site donor recv));
-  Wal.sync t.wal;
+  journal t rt_begin (Printf.sprintf "%d %s %d %d %d" op_id (kname ops) site donor recv);
   Tenure.begin_drain (tenure t ops donor) site;
   (match abandon with Some `After_begin -> raise Abandoned | None -> ());
   let cookie = ops.prepare ~donor ~site in
@@ -251,8 +255,7 @@ let migrate ?abandon t ops ~site ~donor ~recv =
     (* the donor's traffic history moved with the site *)
     Tenure.reset_load (tenure t ops donor) site;
     set_site ops site (addr t ops recv);
-    ignore (Wal.append t.wal ~rtype:rt_commit (string_of_int op_id));
-    Wal.sync t.wal;
+    journal t rt_commit (string_of_int op_id);
     t.n_moved <- t.n_moved + 1;
     t.n_bytes <- Int64.add t.n_bytes bytes;
     Trace.finish ~outcome:"committed" span
@@ -261,8 +264,7 @@ let migrate ?abandon t ops ~site ~donor ~recv =
     (* donor or receiver is down: the site stays wholly on the donor
        (a donor crash already cleared its volatile drain mark) *)
     Tenure.end_drain (tenure t ops donor) site;
-    ignore (Wal.append t.wal ~rtype:rt_abort (string_of_int op_id));
-    Wal.sync t.wal;
+    journal t rt_abort (string_of_int op_id);
     t.n_aborted <- t.n_aborted + 1;
     Trace.finish ~outcome:"aborted" span
   end
@@ -283,10 +285,7 @@ let takeover_site t ops ~site ~donor ~recv =
   let op_id = t.next_op in
   t.next_op <- op_id + 1;
   t.n_migrations <- t.n_migrations + 1;
-  ignore
-    (Wal.append t.wal ~rtype:rt_begin
-       (Printf.sprintf "%d %s %d %d %d" op_id (kname ops) site donor recv));
-  Wal.sync t.wal;
+  journal t rt_begin (Printf.sprintf "%d %s %d %d %d" op_id (kname ops) site donor recv);
   let cookie = ops.prepare ~donor ~site in
   let est = ops.copy_bytes ~donor ~site ~cookie in
   Engine.sleep t.eng (setup_latency +. (Int64.to_float est /. t.bandwidth));
@@ -296,16 +295,14 @@ let takeover_site t ops ~site ~donor ~recv =
     (* the donor's traffic history moved with the site *)
     Tenure.reset_load (tenure t ops donor) site;
     set_site ops site (addr t ops recv);
-    ignore (Wal.append t.wal ~rtype:rt_commit (string_of_int op_id));
-    Wal.sync t.wal;
+    journal t rt_commit (string_of_int op_id);
     t.n_moved <- t.n_moved + 1;
     t.n_bytes <- Int64.add t.n_bytes bytes;
     Trace.finish ~outcome:"committed" span;
     true
   end
   else begin
-    ignore (Wal.append t.wal ~rtype:rt_abort (string_of_int op_id));
-    Wal.sync t.wal;
+    journal t rt_abort (string_of_int op_id);
     t.n_aborted <- t.n_aborted + 1;
     Trace.finish ~outcome:"aborted" span;
     false
@@ -468,6 +465,5 @@ let recover t =
                 ops.drop recv site
               end);
           t.n_aborted <- t.n_aborted + 1;
-          ignore (Wal.append t.wal ~rtype:rt_abort (string_of_int id));
-          Wal.sync t.wal)
+          journal t rt_abort (string_of_int id))
     (List.rev !order)

@@ -44,21 +44,25 @@ let wedged t = Tenure.wedged t.tenure ~now:(Engine.now t.host.Host.eng)
 
 let cpu_cost = 25e-6
 
+(* A log record's payload is the control message's wire form with xid 0,
+   encoded straight into the log. *)
+let enc_record e msg = Ctrl.enc_msg e ~xid:0 msg
+
 let log_intent ?(span = Trace.null) t op_id (i : intent) =
-  let payload =
-    Bytes.to_string
-      (Ctrl.encode_msg ~xid:0
-         (Ctrl.Intent { op_id; kind = i.kind; fh = i.fh; participants = i.participants }))
-  in
-  ignore (Wal.append t.wal ~rtype:rt_intent payload);
+  ignore
+    (Wal.append_with t.wal ~rtype:rt_intent enc_record
+       (Ctrl.Intent { op_id; kind = i.kind; fh = i.fh; participants = i.participants }));
   Wal.sync ~span t.wal;
   t.logged <- t.logged + 1
 
 let log_complete t op_id =
   (* Completions clear intentions asynchronously — appended but not
      force-synced (the paper amortizes these off the critical path). *)
-  let payload = Bytes.to_string (Ctrl.encode_msg ~xid:0 (Ctrl.Complete { op_id })) in
-  ignore (Wal.append t.wal ~rtype:rt_complete payload)
+  ignore (Wal.append_with t.wal ~rtype:rt_complete enc_record (Ctrl.Complete { op_id }))
+
+(* Journal a replayed record unchanged (crash rebuild, takeover). *)
+let reappend wal ~lsn:_ ~rtype payload =
+  ignore (Wal.append_with wal ~rtype Slice_xdr.Xdr.Enc.raw payload)
 
 (* The idempotent call an intent pushes to its participants, first and
    on redo: removes remove; commit-like kinds commit, forcing
@@ -269,7 +273,7 @@ let crash t =
     | None -> Wal.create ~name:"coord.wal" ()
   in
   (* Seed the fresh log with the surviving records so recover can scan it. *)
-  ignore (Wal.replay image (fun ~lsn:_ ~rtype payload -> ignore (Wal.append wal ~rtype payload)));
+  ignore (Wal.replay image (reappend wal));
   Wal.sync wal;
   t.wal <- wal
 
@@ -308,6 +312,6 @@ let adopt_log t ~log =
      a standby that dies mid-adoption leaves a log a second standby can
      adopt again, and a re-adoption of the same image converges (replay
      rebuilds the same intent rows). *)
-  ignore (Wal.replay log (fun ~lsn:_ ~rtype payload -> ignore (Wal.append t.wal ~rtype payload)));
+  ignore (Wal.replay log (reappend t.wal));
   Wal.sync t.wal;
   recover t

@@ -39,8 +39,7 @@ let dec_sites d buf =
   let n = dec_count d buf in
   List.init n (fun _ -> Dec.u32 d)
 
-let encode_msg ~xid msg =
-  let e = Enc.create () in
+let enc_msg e ~xid msg =
   Enc.u32 e xid;
   (match msg with
   | Intent { op_id; kind; fh; participants } ->
@@ -64,7 +63,11 @@ let encode_msg ~xid msg =
       Enc.u32 e 5;
       Codec.enc_fh e fh;
       Enc.u32 e first_block;
-      Enc.u32 e count);
+      Enc.u32 e count)
+
+let encode_msg ~xid msg =
+  let e = Enc.create () in
+  enc_msg e ~xid msg;
   Enc.to_bytes e
 
 let decode_msg buf =

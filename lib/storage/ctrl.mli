@@ -27,6 +27,11 @@ type reply =
   | Map of { first_block : int; sites : int array }
 
 val encode_msg : xid:int -> msg -> bytes
+
+val enc_msg : Slice_xdr.Xdr.Enc.t -> xid:int -> msg -> unit
+(** {!encode_msg}'s wire form written into an encoder the caller holds
+    (the coordinator's intentions log encodes records in place). *)
+
 val decode_msg : bytes -> int * msg
 val encode_reply : xid:int -> reply -> bytes
 val decode_reply : bytes -> int * reply

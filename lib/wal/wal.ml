@@ -1,37 +1,60 @@
 module Engine = Slice_sim.Engine
 module Trace = Slice_trace.Trace
+module Enc = Slice_xdr.Xdr.Enc
+module Crc32 = Slice_hash.Crc32
 
 let record_magic = 0x57414C52l (* "WALR" *)
+
+(* The stable image grows a fixed-size chunk at a time: appending never
+   copies what is already there, and a long log holds one chunk of slack
+   instead of a doubling buffer's half-empty tail. *)
+let chunk_bits = 16
+let chunk_size = 1 lsl chunk_bits
 
 type sink =
   | Immediate
   | Disk of Engine.t * Slice_disk.Disk.t
 
+(* A fiber waiting for the round in flight. Nodes are pooled per log and
+   linked through [next], so a wait allocates no closure or list cell. *)
+type parked = { w : Engine.waiter; mutable next : parked }
+
+let no_parked =
+  let w = Engine.waiter () in
+  let rec p = { w; next = p } in
+  p
+
 type t = {
   sink : sink;
   name : string;
-  stable : Buffer.t; (* synced image *)
-  pending : Buffer.t; (* appended but not yet synced *)
+  mutable chunks : bytes array; (* stable image; unused slots are [Bytes.empty] *)
+  mutable stable_len : int;
+  mutable pending : Enc.t; (* appended but not yet in a round *)
+  mutable spare : Enc.t; (* empty, or the bytes of the round in flight *)
   mutable lsn : int64;
   mutable synced : int64;
   mutable appended_bytes : int;
   mutable syncs : int;
   mutable sync_inflight : bool;
-  mutable sync_waiters : (unit -> unit) list;
+  mutable parked : parked; (* waiting for the round in flight, last first *)
+  mutable free : parked;
 }
 
 let make name sink =
   {
     sink;
     name;
-    stable = Buffer.create 4096;
-    pending = Buffer.create 1024;
+    chunks = [||];
+    stable_len = 0;
+    pending = Enc.owned 1024;
+    spare = Enc.owned 1024;
     lsn = 0L;
     synced = 0L;
     appended_bytes = 0;
     syncs = 0;
     sync_inflight = false;
-    sync_waiters = [];
+    parked = no_parked;
+    free = no_parked;
   }
 
 let create ?eng ?disk ~name () =
@@ -45,86 +68,163 @@ let create ?eng ?disk ~name () =
   | None, Some _ -> invalid_arg "Wal.create: a disk needs an engine"
 
 (* Record: magic(4) lsn(8) rtype(4) len(4) payload crc(4); crc covers
-   magic..payload. *)
-let encode_record ~lsn ~rtype payload =
-  let len = String.length payload in
-  let b = Bytes.create (24 + len) in
-  Bytes.set_int32_be b 0 record_magic;
-  Bytes.set_int64_be b 4 lsn;
-  Bytes.set_int32_be b 12 (Int32.of_int rtype);
-  Bytes.set_int32_be b 16 (Int32.of_int len);
-  Bytes.blit_string payload 0 b 20 len;
-  let crc = Slice_hash.Crc32.bytes b ~pos:0 ~len:(20 + len) in
-  Bytes.set_int32_be b (20 + len) crc;
-  Bytes.unsafe_to_string b
+   magic..payload. [append_with] writes the header and the payload
+   straight into the pending area; [seal] then fills in the length and
+   stamps the CRC over the bytes where they sit. *)
+let put32 b off v =
+  Bytes.set_uint16_be b off ((v lsr 16) land 0xFFFF);
+  Bytes.set_uint16_be b (off + 2) (v land 0xFFFF)
 
-let append t ~rtype payload =
-  t.lsn <- Int64.add t.lsn 1L;
-  let rec_bytes = encode_record ~lsn:t.lsn ~rtype payload in
-  Buffer.add_string t.pending rec_bytes;
-  t.appended_bytes <- t.appended_bytes + String.length rec_bytes;
-  t.lsn
+let[@hot] seal b start len =
+  put32 b (start + 16) len;
+  put32 b (start + 20 + len) (Crc32.sum b ~pos:start ~len:(20 + len))
+
+let append_with t ~rtype write v =
+  (* Read back from the field, the new LSN is boxed once: a let-bound
+     [Int64.succ] would be boxed afresh at each of its three uses. *)
+  t.lsn <- Int64.succ t.lsn;
+  let lsn = t.lsn in
+  let e = t.pending in
+  let start = Enc.length e in
+  Enc.u32 e (Int32.to_int record_magic);
+  Enc.u64 e lsn;
+  Enc.u32 e rtype;
+  Enc.u32 e 0 (* length, stamped by [seal] *);
+  write e v;
+  let len = Enc.length e - start - 20 in
+  Enc.u32 e 0 (* CRC, stamped by [seal] *);
+  seal (Enc.buffer e) start len;
+  t.appended_bytes <- t.appended_bytes + 24 + len;
+  lsn
+
+let append t ~rtype payload = append_with t ~rtype Enc.raw payload
+
+(* ---- stable image ---- *)
+
+let chunk t i =
+  if i = Array.length t.chunks then begin
+    let a = Array.make (max 4 (2 * i)) Bytes.empty in
+    Array.blit t.chunks 0 a 0 i;
+    t.chunks <- a
+  end;
+  let c = t.chunks.(i) in
+  if c != Bytes.empty then c
+  else begin
+    let c = Bytes.create chunk_size in
+    t.chunks.(i) <- c;
+    c
+  end
+
+let rec stable_add t src off n =
+  if n > 0 then begin
+    let at = t.stable_len land (chunk_size - 1) in
+    let take = min n (chunk_size - at) in
+    Bytes.blit src off (chunk t (t.stable_len lsr chunk_bits)) at take;
+    t.stable_len <- t.stable_len + take;
+    stable_add t src (off + take) (n - take)
+  end
+
+(* Harden one encoder's contents and empty it for reuse. *)
+let harden t e =
+  stable_add t (Enc.buffer e) 0 (Enc.length e);
+  Enc.clear e
+
+(* ---- group commit ---- *)
 
 let wait_round t eng =
-  Engine.suspend (fun wake ->
-      ignore eng;
-      t.sync_waiters <- (fun () -> wake ()) :: t.sync_waiters)
+  let p =
+    if t.free == no_parked then { w = Engine.waiter (); next = no_parked }
+    else begin
+      let p = t.free in
+      t.free <- p.next;
+      p
+    end
+  in
+  p.next <- t.parked;
+  t.parked <- p;
+  Engine.park eng p.w
 
+let rec wake_from t p =
+  if p != no_parked then begin
+    let next = p.next in
+    Engine.unpark p.w;
+    p.next <- t.free;
+    t.free <- p;
+    wake_from t next
+  end
+
+(* Last parked, first resumed; each runs until it parks again. A fiber
+   parking meanwhile waits for the next round's wake-up. *)
 let wake_waiters t =
-  let ws = t.sync_waiters in
-  t.sync_waiters <- [];
-  List.iter (fun w -> w ()) ws
+  let p = t.parked in
+  t.parked <- no_parked;
+  wake_from t p
 
 (* Group commit: one fiber leads a round covering everything pending;
    fibers arriving mid-round wait and (if anything new is pending) lead
-   the next round. A record is stable exactly when [sync] returns to the
-   fiber that appended it. *)
-let rec sync ?(span = Trace.null) t =
-  match t.sink with
-  | Immediate ->
-      if Buffer.length t.pending > 0 then begin
-        Buffer.add_buffer t.stable t.pending;
-        Buffer.clear t.pending;
-        t.synced <- t.lsn;
-        t.syncs <- t.syncs + 1
-      end
-  | Disk (eng, disk) -> sync_round t eng disk span
-
-and sync_round t eng disk span =
+   the next round. The round's bytes move to the spare area for the disk
+   write, so appends during the write fill the emptied pending area. A
+   record is stable exactly when [sync] returns to the fiber that
+   appended it. *)
+let rec sync_round t eng disk span =
   if t.sync_inflight then begin
     wait_round t eng;
-    sync ~span t
+    sync_round t eng disk span
   end
-  else if Buffer.length t.pending > 0 then begin
+  else if Enc.length t.pending > 0 then begin
     t.sync_inflight <- true;
-    let data = Buffer.contents t.pending in
+    let round = t.pending in
+    t.pending <- t.spare;
+    t.spare <- round;
     let covered_lsn = t.lsn in
-    Buffer.clear t.pending;
     let sp = Trace.child span ~hop:"wal" ~site:t.name () in
-    Slice_disk.Disk.write disk ~span:sp ~sequential:true ~bytes:(String.length data) ();
+    Slice_disk.Disk.write disk ~span:sp ~sequential:true ~bytes:(Enc.length round) ();
     Trace.finish sp;
-    Buffer.add_string t.stable data;
+    harden t round;
     if Int64.compare covered_lsn t.synced > 0 then t.synced <- covered_lsn;
     t.syncs <- t.syncs + 1;
     t.sync_inflight <- false;
     wake_waiters t
   end
 
+let sync ?(span = Trace.null) t =
+  match t.sink with
+  | Immediate ->
+      if Enc.length t.pending > 0 then begin
+        harden t t.pending;
+        t.synced <- t.lsn;
+        t.syncs <- t.syncs + 1
+      end
+  | Disk (eng, disk) -> sync_round t eng disk span
+
 let synced_lsn t = t.synced
 let bytes_appended t = t.appended_bytes
 let sync_count t = t.syncs
 
 let checkpoint t =
-  Buffer.clear t.stable;
-  Buffer.clear t.pending;
+  t.stable_len <- 0;
+  Enc.clear t.pending;
   t.synced <- t.lsn
 
-let image t = Buffer.contents t.stable
+(* The stable image followed by [extra] bytes of the pending area. *)
+let snapshot t extra =
+  let b = Bytes.create (t.stable_len + extra) in
+  let rec copy i off =
+    if off < t.stable_len then begin
+      let n = min chunk_size (t.stable_len - off) in
+      Bytes.blit t.chunks.(i) 0 b off n;
+      copy (i + 1) (off + n)
+    end
+  in
+  copy 0 0;
+  Bytes.blit (Enc.buffer t.pending) 0 b t.stable_len extra;
+  Bytes.unsafe_to_string b
+
+let image t = snapshot t 0
 
 let crash_image t ~keep_unsynced_bytes =
-  let unsynced = Buffer.contents t.pending in
-  let keep = min keep_unsynced_bytes (String.length unsynced) in
-  Buffer.contents t.stable ^ String.sub unsynced 0 keep
+  if keep_unsynced_bytes < 0 then invalid_arg "Wal.crash_image";
+  snapshot t (min keep_unsynced_bytes (Enc.length t.pending))
 
 let replay img f =
   let buf = Bytes.unsafe_of_string img in
@@ -139,7 +239,7 @@ let replay img f =
       if len < 0 || pos + 24 + len > total then count
       else begin
         let crc = Bytes.get_int32_be buf (pos + 20 + len) in
-        if Slice_hash.Crc32.bytes buf ~pos ~len:(20 + len) <> crc then count
+        if Crc32.bytes buf ~pos ~len:(20 + len) <> crc then count
         else begin
           let payload = Bytes.sub_string buf (pos + 20) len in
           f ~lsn ~rtype payload;

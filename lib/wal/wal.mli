@@ -23,15 +23,27 @@ val create : ?eng:Slice_sim.Engine.t -> ?disk:Slice_disk.Disk.t -> name:string -
     back to the instant log, skipping group commit), and a disk cannot
     be driven without an engine. *)
 
+val append_with : t -> rtype:int -> (Slice_xdr.Xdr.Enc.t -> 'a -> unit) -> 'a -> int64
+(** [append_with t ~rtype write v] buffers a record, returning its LSN.
+    Not stable until {!sync}. This is the one place a record is built:
+    the header goes straight into the log's pending area, [write enc v]
+    encodes the payload right after it through [enc], and the length and
+    CRC are then stamped in place — no payload string, no record string,
+    no second copy. [write] must only encode into [enc]: it must not
+    raise, keep [enc], or touch this log. *)
+
 val append : t -> rtype:int -> string -> int64
-(** [append t ~rtype payload] buffers a record, returning its LSN.
-    Not stable until {!sync}. *)
+(** [append t ~rtype payload] is [append_with t ~rtype Enc.raw payload]:
+    a payload already held as a string, copied once into the record. *)
 
 val sync : ?span:Slice_trace.Trace.span -> t -> unit
 (** Fiber (when disk-backed): force buffered records stable.  A live
     [span] gets a ["wal"] child covering the commit round this caller
     led (fibers that join an in-flight round record the round they then
-    lead, if any). *)
+    lead, if any). A round's bytes stay out of {!image} and
+    {!crash_image} until its disk write completes; records appended
+    during the write are the unsynced tail. Fibers that joined a round
+    resume when it lands, last to arrive first. *)
 
 val synced_lsn : t -> int64
 (** Highest LSN guaranteed stable. 0 when nothing is synced. *)

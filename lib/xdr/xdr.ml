@@ -22,8 +22,10 @@ module Enc = struct
   let scratch = ref (Bytes.create 1024)
   let claimed = ref false
 
+  let owned size = { buf = Bytes.create (max size 16); len = 0; shared = false }
+
   let create ?(size = 256) () =
-    if !claimed then { buf = Bytes.create (max size 16); len = 0; shared = false }
+    if !claimed then owned size
     else begin
       claimed := true;
       { buf = !scratch; len = 0; shared = true }
@@ -83,6 +85,19 @@ module Enc = struct
     zero_pad t n
 
   let str = opaque
+
+  let raw t s =
+    let n = String.length s in
+    reserve t n;
+    Bytes.unsafe_blit_string s 0 t.buf t.len n;
+    t.len <- t.len + n
+
+  let length t = t.len
+  let buffer t = t.buf
+
+  let clear t =
+    if Bytes.length t.buf = 0 && t.len > 0 then invalid_arg "Xdr.Enc: clear after to_bytes";
+    t.len <- 0
 
   let to_bytes t =
     let out = Bytes.sub t.buf 0 t.len in

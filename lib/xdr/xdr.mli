@@ -15,6 +15,12 @@ module Enc : sig
       or an encoder never finished), the new one gets a private buffer of
       [size] bytes (default 256). *)
 
+  val owned : int -> t
+  (** An encoder over a private buffer of the given size (at least 16
+      bytes), never the shared scratch: for a long-lived buffer such as
+      a log's pending area, which is read in place through {!buffer} and
+      reused through {!clear} instead of being finished by {!to_bytes}. *)
+
   val u32 : t -> int -> unit
   (** Unsigned 32-bit, value in [0, 2^32). Values are handled as OCaml
       ints; out-of-range values are masked. *)
@@ -33,6 +39,21 @@ module Enc : sig
 
   val str : t -> string -> unit
   (** XDR string (same wire form as variable opaque). *)
+
+  val raw : t -> string -> unit
+  (** The string's bytes as they are: no length word, no padding. *)
+
+  val length : t -> int
+  (** Bytes encoded so far. *)
+
+  val buffer : t -> bytes
+  (** The encoder's own buffer, handed over without a copy: its first
+      {!length} bytes are the encoded contents. A later write may grow
+      the encoder onto a new buffer, so fetch it again after writing. *)
+
+  val clear : t -> unit
+  (** Empty the encoder, keeping its buffer for the next contents.
+      Raises [Invalid_argument] on an encoder {!to_bytes} finished. *)
 
   val to_bytes : t -> bytes
   (** A fresh copy of the encoded contents. This finishes the encoder:

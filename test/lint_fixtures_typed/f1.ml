@@ -37,3 +37,14 @@ let recover t payload = log_raw t payload
 (* suppressed: crash simulation *)
 (* lint: F1 ok — crash simulation models the disk, not client dispatch *)
 let crash t payload = Wal.append t.log payload
+
+(* The in-place entry point is protected too (names resolve by their
+   last two components, so the nesting does not hide it). *)
+module In_place = struct
+  module Wal = struct
+    let append_with log write v = log := write v :: !log
+  end
+end
+
+(* positive: exported, direct unguarded in-place append *)
+let mutate_in_place t v = In_place.Wal.append_with t.log succ v

@@ -10,3 +10,4 @@ val guard_too_late : t -> int -> unit
 val handle : t -> int -> unit
 val recover : t -> int -> unit
 val crash : t -> int -> unit
+val mutate_in_place : t -> int -> unit

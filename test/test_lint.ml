@@ -215,7 +215,7 @@ let f1_entries () =
   let f1 = List.filter (fun f -> f.Finding.rule = Finding.F1) report.Driver.findings in
   let live = List.filter (fun f -> not (Finding.is_suppressed f)) f1 in
   check_bool "findings sit on the exported entries" true
-    (List.sort compare (List.map (fun f -> f.Finding.line) live) = [ 18; 21; 24 ]);
+    (List.sort compare (List.map (fun f -> f.Finding.line) live) = [ 18; 21; 24; 50 ]);
   check_bool "no finding on the private helper" true
     (not (List.exists (fun f -> f.Finding.line = 15) f1));
   check_bool "wedge-guarded handle is clean" true
@@ -223,7 +223,10 @@ let f1_entries () =
   let via = List.find (fun f -> f.Finding.line = 21) live in
   check_bool "witness chains through the private helper" true
     (contains ~needle:"F1.log_raw" via.Finding.msg
-    && contains ~needle:"Wal.append" via.Finding.msg)
+    && contains ~needle:"Wal.append" via.Finding.msg);
+  let in_place = List.find (fun f -> f.Finding.line = 50) live in
+  check_bool "the in-place append entry point is protected" true
+    (contains ~needle:"via Wal.append_with" in_place.Finding.msg)
 
 (* U1 verdicts by export: a dead export, a self-only one and a nested
    one are errors; uses through a renaming alias, a functor argument or
@@ -432,7 +435,7 @@ let suite =
     fixture_case "A1 fires and suppresses"
       (fires ~typed:true Finding.A1 a1_roots ~live:5 ~suppressed:2);
     fixture_case "F1 fires and suppresses"
-      (fires ~typed:true Finding.F1 f1_roots ~live:3 ~suppressed:2);
+      (fires ~typed:true Finding.F1 f1_roots ~live:4 ~suppressed:2);
     fixture_case "U1 fires and suppresses"
       (fires ~typed:true Finding.U1 u1_roots ~live:5 ~suppressed:1);
     fixture_case "U1 verdicts by kind of use" u1_cases;

@@ -2,6 +2,7 @@ open Helpers
 module Engine = Slice_sim.Engine
 module Wal = Slice_wal.Wal
 module Disk = Slice_disk.Disk
+module Enc = Slice_xdr.Xdr.Enc
 
 let append_sync_replay () =
   let w = Wal.create ~name:"t" () in
@@ -333,6 +334,74 @@ let joiners_resume_last_first () =
   check_bool "all four records stable" true (Wal.synced_lsn w = 4L);
   check_bool "first round now in the image" true (contains (Wal.image w) first)
 
+(* ---- allocation budgets ----
+
+   Words are deterministic, so these are exact gates. A warmed-up append
+   of an 83-byte record (59 bytes of payload) writes the header, payload
+   and CRC straight into the pending area: its only allocation is the
+   boxed LSN it returns (3 words). *)
+let append_words () =
+  let w = Wal.create ~name:"t" () in
+  let payload = String.make 59 'p' in
+  let step i =
+    ignore (Sys.opaque_identity (Wal.append_with w ~rtype:3 Enc.raw payload));
+    Wal.sync w;
+    if i land 63 = 0 then Wal.checkpoint w
+  in
+  for i = 1 to 512 do
+    step i
+  done;
+  let before = Wal.bytes_appended w in
+  step 1;
+  check_int "an 83-byte record" 83 (Wal.bytes_appended w - before);
+  let n = 4096 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    step i
+  done;
+  let per = (Gc.minor_words () -. w0) /. float_of_int n in
+  check_bool (Printf.sprintf "append + sync allocate %.2f words (budget: the boxed LSN, 3)" per)
+    true (per <= 3.0)
+
+(* The cost of a fiber joining a round in flight, measured as the
+   difference between runs with and without joiners: each round, every
+   joiner sleeps past the round's start, parks on a pooled waiter, and
+   is resumed when the round lands. Parking and sleeping each capture a
+   continuation; with the closures and list cell of a suspend-based wait
+   this came to 34 words. *)
+let wait_words ~joiners ~rounds =
+  let eng = Engine.create () in
+  let d = Disk.create eng ~arms:1 ~name:"log" () in
+  let w = Wal.create ~eng ~disk:d ~name:"t" () in
+  let payload = String.make 59 'p' in
+  let warm = 16 in
+  let words = ref 0.0 in
+  Engine.spawn eng (fun () ->
+      for r = 1 to warm + rounds do
+        if r = warm + 1 then words := Gc.minor_words ();
+        ignore (Wal.append w ~rtype:1 payload);
+        Wal.sync w
+      done;
+      words := Gc.minor_words () -. !words);
+  for _ = 1 to joiners do
+    Engine.spawn eng (fun () ->
+        for _ = 1 to warm + rounds do
+          Engine.sleep eng 1e-6;
+          Wal.sync w
+        done)
+  done;
+  Engine.run eng;
+  !words
+
+let join_words () =
+  let rounds = 256 and joiners = 8 in
+  let per =
+    (wait_words ~joiners ~rounds -. wait_words ~joiners:0 ~rounds)
+    /. float_of_int (joiners * rounds)
+  in
+  check_bool (Printf.sprintf "a joiner's sleep and wait allocate %.2f words (budget 6)" per) true
+    (per <= 6.0)
+
 let suite =
   [
     ("append/sync/replay", `Quick, append_sync_replay);
@@ -347,4 +416,6 @@ let suite =
     ("crash mid-adoption converges", `Quick, crash_mid_adoption_converges);
     format_matches_reference;
     ("joiners resume last first", `Quick, joiners_resume_last_first);
+    ("append allocation budget", `Quick, append_words);
+    ("round join allocation budget", `Quick, join_words);
   ]
