@@ -77,7 +77,7 @@ let rt_snapshot = 8
    receiver's own state must survive replaying an adopted journal. *)
 let rt_merge_snapshot = 9
 
-let enc_cell e fid (c : cell) =
+let enc_cell e (fid, (c : cell)) =
   Enc.u64 e fid;
   Peer.enc_attr e c.attr;
   Enc.u32 e c.entries;
@@ -96,8 +96,6 @@ let dec_cell d =
 
 (* Record payload writers: each encodes straight into the log's pending
    area through [Wal.append_with]. *)
-let enc_set_cell e (fid, c) = enc_cell e fid c
-
 let enc_add_entry e (parent, name, child) =
   Enc.u64 e parent;
   Enc.str e name;
@@ -116,7 +114,7 @@ let log t rtype write v = ignore (Wal.append_with t.wal ~rtype write v)
 
 let sync_log ?(span = Trace.null) t = Wal.sync ~span t.wal
 
-let log_cell t fid c = log t rt_set_cell enc_set_cell (fid, c)
+let log_cell t fid c = log t rt_set_cell enc_cell (fid, c)
 let log_add_entry t parent name child = log t rt_add_entry enc_add_entry (parent, name, child)
 let log_remove_entry t parent name = log t rt_remove_entry enc_remove_entry (parent, name)
 let log_remove_cell t fid = log t rt_remove_cell Enc.u64 fid
@@ -808,7 +806,7 @@ let host t = t.host
 
 let enc_snapshot e t =
   Enc.u32 e (Hashtbl.length t.attrs);
-  Hashtbl.iter (fun fid c -> enc_cell e fid c) t.attrs;
+  Hashtbl.iter (fun fid c -> enc_cell e (fid, c)) t.attrs;
   Enc.u32 e (Hashtbl.length t.entries);
   Hashtbl.iter (fun (parent, name) child -> enc_add_entry e (parent, name, child)) t.entries
 

@@ -4,5 +4,5 @@
 val bytes : bytes -> pos:int -> len:int -> int32
 
 val sum : bytes -> pos:int -> len:int -> int
-(** The same checksum as {!bytes}, as an int in [\[0, 2{^32})]: nothing
+(** The same checksum as {!bytes}, as an int in 0 .. 2^32 - 1: nothing
     is boxed, so a caller can stamp it into a buffer allocation-free. *)

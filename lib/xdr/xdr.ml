@@ -95,9 +95,7 @@ module Enc = struct
   let length t = t.len
   let buffer t = t.buf
 
-  let clear t =
-    if Bytes.length t.buf = 0 && t.len > 0 then invalid_arg "Xdr.Enc: clear after to_bytes";
-    t.len <- 0
+  let clear t = t.len <- 0
 
   let to_bytes t =
     let out = Bytes.sub t.buf 0 t.len in

@@ -52,8 +52,7 @@ module Enc : sig
       the encoder onto a new buffer, so fetch it again after writing. *)
 
   val clear : t -> unit
-  (** Empty the encoder, keeping its buffer for the next contents.
-      Raises [Invalid_argument] on an encoder {!to_bytes} finished. *)
+  (** Empty the encoder, keeping its buffer for the next contents. *)
 
   val to_bytes : t -> bytes
   (** A fresh copy of the encoded contents. This finishes the encoder:
