@@ -2,8 +2,8 @@
 
 module Engine = Slice_sim.Engine
 
-let qtest ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 200) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
 
 (* Run [f] as a fiber on a fresh engine, drive to completion, return its
    result. *)

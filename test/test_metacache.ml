@@ -248,6 +248,30 @@ let fence_epoch_invalidation () =
         fhs;
       check_bool "flushed entries hit the server again" true (Ensemble.dir_ops_served ens > d1))
 
+(* ---- eviction keeps dirty state ---- *)
+
+(* An uncommitted write leaves its size only in the µproxy's attribute
+   cache. Creating more files than the cache holds evicts that entry;
+   the eviction must push the size to the directory server, where a
+   second client (with its own empty cache) reads it. No commit and no
+   interval write-back run, so eviction is the only path. *)
+let dirty_eviction_writes_back () =
+  let ens = mk ~dir_servers:1 () in
+  let eng = Ensemble.engine ens in
+  let cl, proxy = client ens "c0" in
+  let other, _ = client ens "c1" in
+  run_on eng (fun () ->
+      let fh, _ = ok_or_fail "create" (Client.create_file cl root "dirty") in
+      ignore (ok_or_fail "write" (Client.write_at cl fh ~off:0L ~data:(Nfs.Synthetic 30000) ()));
+      check_int "no write-back yet" 0 (Proxy.attr_writebacks proxy);
+      (* 4096 entries fill the cache; the dirty entry is the oldest *)
+      for i = 1 to 4100 do
+        ignore (ok_or_fail "filler" (Client.create_file cl root (Printf.sprintf "p%04d" i)))
+      done;
+      check_int "evicted entry written back" 1 (Proxy.attr_writebacks proxy);
+      let a = ok_or_fail "getattr elsewhere" (Client.getattr other fh) in
+      check_int64 "directory server has the size" 30000L a.Nfs.size)
+
 let suite =
   [
     Alcotest.test_case "hit avoids dir ops" `Quick hit_avoids_dir_ops;
@@ -260,4 +284,5 @@ let suite =
     Alcotest.test_case "cross-client staleness bounded" `Quick cross_client_staleness_bounded;
     Alcotest.test_case "chaos coherence" `Quick chaos_coherence;
     Alcotest.test_case "fence epoch invalidation" `Quick fence_epoch_invalidation;
+    Alcotest.test_case "dirty eviction writes back" `Quick dirty_eviction_writes_back;
   ]

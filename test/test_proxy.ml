@@ -717,3 +717,36 @@ let suite =
       ("pending expiry reclaims pool", `Quick, pending_expiry_reclaims_pool);
       ("misdirect retry waits only when no table moved", `Quick, misdirect_retry_timing);
     ]
+
+(* ---- requests the µproxy hands to a directory server ---- *)
+
+(* A NULL call carries no handle: any directory server answers it. *)
+let null_call_answered () =
+  let ens, proxy, cl = mk () in
+  run_on (Ensemble.engine ens) (fun () ->
+      let d0 = Proxy.routed_to_dir proxy in
+      (match Client.call cl Nfs.Null with
+      | Ok Nfs.RNull -> ()
+      | Ok _ -> Alcotest.fail "NULL: wrong reply"
+      | Error st -> Alcotest.failf "NULL: %s" (Nfs.status_name st));
+      check_int "routed to a directory server" (d0 + 1) (Proxy.routed_to_dir proxy))
+
+(* Without a storage class, I/O on a regular file goes to a directory
+   server, which rejects it; the client sees that error, not silence. *)
+let io_without_storage_rejected () =
+  let ens, proxy, cl = mk ~storage:0 ~smallfiles:0 () in
+  run_on (Ensemble.engine ens) (fun () ->
+      let fh, _ = ok_or_fail "create" (Client.create_file cl Ensemble.root "f") in
+      let d0 = Proxy.routed_to_dir proxy in
+      expect_err "write" Nfs.ERR_BADHANDLE
+        (Client.write_at cl fh ~off:0L ~data:(Nfs.Synthetic 4096) ());
+      expect_err "read" Nfs.ERR_BADHANDLE (Client.read_at cl fh ~off:0L ~count:4096);
+      check_int "both routed to a directory server" (d0 + 2) (Proxy.routed_to_dir proxy);
+      check_int "nothing routed to storage" 0 (Proxy.routed_to_storage proxy))
+
+let suite =
+  suite
+  @ [
+      ("null call answered", `Quick, null_call_answered);
+      ("io without storage rejected", `Quick, io_without_storage_rejected);
+    ]

@@ -136,32 +136,156 @@ let lru_replace () =
   check_bool "value updated" true (Lru.find l 1 = Some "b");
   check_int "one entry" 1 (Lru.entry_count l)
 
+(* The cache under test, seen through the operations the µproxy uses:
+   int keys, a value per entry, an absolute lease per entry and an
+   eviction hook that sees every displaced value. The reference-model
+   property below is written against this signature only. *)
+module Cache : sig
+  type t
+
+  val create : on_evict:(int -> string -> unit) -> capacity:int -> t
+  val add : t -> expires_at:float -> int -> string -> unit
+  val find : t -> int -> string option
+  val find_ttl : t -> int -> now:float -> [ `Fresh of string | `Stale | `Miss ]
+  val remove : t -> int -> unit
+  val clear : t -> unit
+  val to_list : t -> (int * string) list (* most recently used first *)
+end = struct
+  type t = (int, string) Lru.t
+
+  let create ~on_evict ~capacity = Lru.create ~on_evict ~capacity ()
+  let add t ~expires_at k v = Lru.add t ~expires_at k v
+  let find = Lru.find
+
+  let find_ttl t k ~now =
+    match Lru.find_ttl t k ~now with Lru.Fresh v -> `Fresh v | Lru.Stale -> `Stale | Lru.Miss -> `Miss
+
+  let remove = Lru.remove
+  let clear = Lru.clear
+
+  let to_list t =
+    let l = ref [] in
+    Lru.iter t (fun k v -> l := (k, v) :: !l);
+    List.rev !l
+end
+
+type cache_op =
+  | Add of int * string * float
+  | Replace of int * string * float (* the [n]th live key, mod the entry count *)
+  | Find of int
+  | Find_ttl of int * float
+  | Remove of int
+  | Clear
+
+let cache_op_gen =
+  let open QCheck2.Gen in
+  let key = int_range 0 9 in
+  let value = map (Printf.sprintf "v%d") (int_range 0 99) in
+  (* lease deadlines and probe times share values, so a probe exactly
+     at the deadline (stale: [expires_at <= now]) is common *)
+  let lease = oneofl [ 1.0; 2.0; 3.0; infinity ] in
+  let time = oneofl [ 0.5; 1.0; 2.0; 3.0 ] in
+  frequency
+    [
+      (6, map3 (fun k v e -> Add (k, v, e)) key value lease);
+      (2, map3 (fun n v e -> Replace (n, v, e)) (int_range 0 7) value lease);
+      (4, map (fun k -> Find k) key);
+      (4, map2 (fun k now -> Find_ttl (k, now)) key time);
+      (2, map (fun k -> Remove k) key);
+      (1, return Clear);
+    ]
+
+let show_cache_op = function
+  | Add (k, v, e) -> Printf.sprintf "add %d %s %g" k v e
+  | Replace (n, v, e) -> Printf.sprintf "replace #%d %s %g" n v e
+  | Find k -> Printf.sprintf "find %d" k
+  | Find_ttl (k, now) -> Printf.sprintf "find_ttl %d @%g" k now
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Clear -> "clear"
+
+(* Reference model: a list of (key, value, lease), most recently used
+   first, at capacity 4. Every operation is checked for its result and
+   for the entries it displaced; after every operation the cache's
+   MRU-to-LRU walk must equal the model. *)
 let lru_model =
-  qtest ~count:100 "lru matches model"
-    QCheck2.Gen.(list (pair (int_range 0 10) (int_range 0 2)))
+  qtest ~count:300 ~print:QCheck2.Print.(list show_cache_op) "lru matches reference model"
+    QCheck2.Gen.(list_size (int_range 0 80) cache_op_gen)
     (fun ops ->
-      (* model: list of keys, MRU first, capacity 4 *)
-      let l = Lru.create ~capacity:4 () in
+      let capacity = 4 in
+      let evicted = ref [] in
+      let c = Cache.create ~on_evict:(fun k v -> evicted := (k, v) :: !evicted) ~capacity in
       let model = ref [] in
-      List.for_all
-        (fun (k, op) ->
+      let without k = List.filter (fun (k', _, _) -> k' <> k) !model in
+      let to_front (k, v, e) = model := (k, v, e) :: without k in
+      let add k v e =
+        let displaced =
+          match List.find_opt (fun (k', _, _) -> k' = k) !model with
+          | Some (_, v', _) -> [ (k, v') ]
+          | None -> []
+        in
+        to_front (k, v, e);
+        let victims =
+          if List.length !model > capacity then begin
+            let k', v', _ = List.nth !model capacity in
+            model := List.filteri (fun i _ -> i < capacity) !model;
+            [ (k', v') ]
+          end
+          else []
+        in
+        Cache.add c ~expires_at:e k v;
+        displaced @ victims
+      in
+      let step op =
+        evicted := [];
+        let expect_evicted =
           match op with
-          | 0 ->
-              Lru.add l k k;
-              model := k :: List.filter (( <> ) k) !model;
-              if List.length !model > 4 then
-                model := List.filteri (fun i _ -> i < 4) !model;
-              true
-          | 1 ->
-              let expect = List.mem k !model in
-              let got = Lru.find l k <> None in
-              if got then model := k :: List.filter (( <> ) k) !model;
-              expect = got
-          | _ ->
-              Lru.remove l k;
-              model := List.filter (( <> ) k) !model;
-              true)
-        ops)
+          | Add (k, v, e) -> add k v e
+          | Replace (n, v, e) -> (
+              match !model with
+              | [] -> add n v e
+              | live ->
+                  let k, _, _ = List.nth live (n mod List.length live) in
+                  add k v e)
+          | Find k ->
+              let expect =
+                match List.find_opt (fun (k', _, _) -> k' = k) !model with
+                | Some ((_, v, _) as entry) ->
+                    to_front entry;
+                    Some v
+                | None -> None
+              in
+              if Cache.find c k <> expect then QCheck2.Test.fail_reportf "find %d: wrong hit" k;
+              []
+          | Find_ttl (k, now) ->
+              let expect =
+                match List.find_opt (fun (k', _, _) -> k' = k) !model with
+                | Some (_, _, e) when e <= now ->
+                    model := without k;
+                    `Stale
+                | Some ((_, v, _) as entry) ->
+                    to_front entry;
+                    `Fresh v
+                | None -> `Miss
+              in
+              if Cache.find_ttl c k ~now <> expect then
+                QCheck2.Test.fail_reportf "find_ttl %d @%g: wrong fresh/stale/miss" k now;
+              []
+          | Remove k ->
+              model := without k;
+              Cache.remove c k;
+              []
+          | Clear ->
+              model := [];
+              Cache.clear c;
+              []
+        in
+        if List.rev !evicted <> expect_evicted then
+          QCheck2.Test.fail_reportf "%s: wrong victims" (show_cache_op op);
+        if Cache.to_list c <> List.map (fun (k, v, _) -> (k, v)) !model then
+          QCheck2.Test.fail_reportf "%s: walk order differs from the model" (show_cache_op op)
+      in
+      List.iter step ops;
+      true)
 
 (* ---- lease-aware lookup (the metadata cache's TTL machinery) ---- *)
 
