@@ -60,15 +60,16 @@ let micro_tests =
          (Staged.stage (fun () -> ignore (Slice_wal.Wal.append wal ~rtype:1 "0123456789abcdef"))));
       (* metadata fast path: lease-aware cache lookup and the percentile
          query every exhibit's latency lines lean on *)
-      (let lru : (int, int) Slice_util.Lru.t = Slice_util.Lru.create ~capacity:4096 () in
+      (let names = Slice_util.Slot_lru.create ~capacity:4096 in
        for i = 0 to 4095 do
-         Slice_util.Lru.add lru ~expires_at:infinity i i
+         ignore (Slice_util.Slot_lru.add names i ~lease:infinity)
        done;
        let k = ref 0 in
-       Test.make ~name:"metacache/lru-find-ttl"
+       Test.make ~name:"metacache/slot-lru-fresh"
          (Staged.stage (fun () ->
               k := (!k + 17) land 4095;
-              ignore (Slice_util.Lru.find_ttl lru !k ~now:1.0))));
+              let s = Slice_util.Slot_lru.slot names !k in
+              ignore (s >= 0 && Slice_util.Slot_lru.fresh names s ~now:1.0))));
       (let s = Slice_util.Stats.create () in
        let p = Slice_util.Prng.create 5 in
        for _ = 1 to 10_000 do

@@ -11,7 +11,7 @@ module Routekey = Slice_nfs.Routekey
 module Host = Slice_storage.Host
 module Ctrl = Slice_storage.Ctrl
 module Prng = Slice_util.Prng
-module Lru = Slice_util.Lru
+module Slot_lru = Slice_util.Slot_lru
 module Xid_index = Slice_util.Xid_index
 module Trace = Slice_trace.Trace
 
@@ -73,15 +73,13 @@ type pending = {
   mutable p_next_free : int; (* freelist link (slot index); -1 = end *)
 }
 
-type cached_attr = {
-  ca_fh : Fh.t;
-  mutable ca_attr : Nfs.fattr;
-  mutable ca_dirty : bool;
-  mutable ca_valid_until : float;
-      (* lease deadline for serving this attr from the fast path; only an
-         authoritative directory-server reply grants one. neg_infinity on
-         fabricated entries, so locally-invented attrs are never served. *)
-}
+(* An attribute cache entry. Its slot's lease is the deadline for
+   serving the attributes from the fast path; only an authoritative
+   directory-server reply grants one, so fabricated entries carry
+   neg_infinity and locally-invented attributes are never served. A
+   write-back fiber holds the record itself, so an evicted entry's
+   write-back reads the state it was evicted with. *)
+type cached_attr = { ca_fh : Fh.t; mutable ca_attr : Nfs.fattr; mutable ca_dirty : bool }
 
 type meta_cache_stats = {
   hits : int;  (** positive lookup/getattr/access answered at the proxy *)
@@ -134,14 +132,24 @@ type t = {
   xidx : Xid_index.t;
   mutable n_pending : int;
   mutable sweep_buf : int array; (* expiry sweep scratch (slot indices) *)
-  attrs : (int, cached_attr) Lru.t; (* keyed by file-id collapsed to int *)
-  name_cache : (int * string, Fh.t option) Lru.t;
-      (* (dir file-id, component) -> handle; None is a negative entry *)
-  map_cache : (int, int * int array) Lru.t;
-      (* file-id -> (generation, per-chunk logical storage site); the
-         generation guards against a recycled file-id routing I/O to old
+  (* The metadata caches, discardable soft state: each is a slot table
+     in LRU order whose values live in the columns below it, indexed by
+     its slots. *)
+  attrs : Slot_lru.t; (* file id; the slot lease is the fast-path lease *)
+  mutable attr_val : cached_attr array;
+  name_cache : Slot_lru.t;
+      (* [name_key] of (dir file id, component), leased; a positive entry
+         binds the child handle, a negative one proves absence *)
+  mutable name_dir : int array;
+  mutable name_str : string array;
+  mutable name_child : Fh.t option array; (* None: negative entry *)
+  map_cache : Slot_lru.t;
+      (* file id -> generation and per-chunk logical storage site; the
+         generation guards against a recycled file id routing I/O to old
          sites. Entries are logical, so a migration never invalidates
          them — the site is bound to a physical node at forward time. *)
+  mutable map_gen : int array;
+  mutable map_sites : int array array;
   intents_open : (int, int64) Hashtbl.t;
   mutable meta_epoch : int;
   mutable fence_seen : int;
@@ -351,33 +359,6 @@ let hash_name t (cur : Codec.cursor) (payload : bytes) ~fh_off ~nsites =
   Routekey.name_site_at ~nsites ~scratch:(scratch_for t nlen) payload ~fh_off ~name_off:noff
     ~name_len:nlen
 
-(* ---- attribute cache ---- *)
-
-let cached_attr t (fh : Fh.t) =
-  let key = Int64.to_int fh.Fh.file_id in
-  match Lru.find t.attrs key with
-  | Some c -> c
-  | None ->
-      let c =
-        {
-          ca_fh = fh;
-          ca_attr = Nfs.default_attr ~ftype:fh.Fh.ftype ~fileid:fh.Fh.file_id ~now:(Engine.now t.eng);
-          ca_dirty = false;
-          ca_valid_until = neg_infinity;
-        }
-      in
-      Lru.add t.attrs key c;
-      c
-
-(* The same lookup keyed straight off the pending record's handle span;
-   materializes the handle only when the entry must be created. *)
-let cached_attr_of_pending t (pd : pending) =
-  if pd.p_fh_off < 0 then cached_attr t Fh.root
-  else
-    match Lru.find t.attrs (Fh.peek_file_id_int pd.p_buf pd.p_fh_off) with
-    | Some c -> c
-    | None -> cached_attr t (fh_at pd.p_buf pd.p_fh_off)
-
 let[@hot] dir_phys t logical =
   let n = Array.length t.dir.map in
   (* No directory sites (misconfiguration or a snapshot taken mid-reshape):
@@ -404,10 +385,124 @@ let writeback_one t (c : cached_attr) =
     ignore (nfs_call t (Nfs.Setattr (c.ca_fh, s)) ~dst:(dir_phys t c.ca_fh.Fh.attr_site))
   end
 
+(* ---- metadata cache columns ---- *)
+
+(* A value column grown to its table's slot count (cold: at most
+   log2(capacity) times per cache). *)
+let extend col n fill =
+  let a = Array.make n fill in
+  Array.blit col 0 a 0 (Array.length col);
+  a
+
+let no_attr = { ca_fh = Fh.root; ca_attr = Nfs.default_attr ~ftype:Fh.Dir ~fileid:0L ~now:0.0; ca_dirty = false }
+
+(* Cache [c] under file id [key]. A dirty entry the insert displaces
+   still owes its directory server a write-back. *)
+let add_attr t key c ~lease =
+  let s = Slot_lru.add t.attrs key ~lease in
+  if s >= Array.length t.attr_val then
+    t.attr_val <- extend t.attr_val (Slot_lru.slots t.attrs) no_attr
+  else if Slot_lru.displaced t.attrs then begin
+    let old = t.attr_val.(s) in
+    if old.ca_dirty then Engine.spawn t.eng (fun () -> writeback_one t old)
+  end;
+  t.attr_val.(s) <- c
+
+let cached_attr t (fh : Fh.t) =
+  let key = Int64.to_int fh.Fh.file_id in
+  let s = Slot_lru.find t.attrs key in
+  if s >= 0 then t.attr_val.(s)
+  else begin
+    let c =
+      {
+        ca_fh = fh;
+        ca_attr = Nfs.default_attr ~ftype:fh.Fh.ftype ~fileid:fh.Fh.file_id ~now:(Engine.now t.eng);
+        ca_dirty = false;
+      }
+    in
+    add_attr t key c ~lease:neg_infinity;
+    c
+  end
+
+(* The same lookup keyed straight off the pending record's handle span;
+   materializes the handle only when the entry must be created. *)
+let cached_attr_of_pending t (pd : pending) =
+  if pd.p_fh_off < 0 then cached_attr t Fh.root
+  else
+    let s = Slot_lru.find t.attrs (Fh.peek_file_id_int pd.p_buf pd.p_fh_off) in
+    if s >= 0 then t.attr_val.(s) else cached_attr t (fh_at pd.p_buf pd.p_fh_off)
+
+(* Visit the attribute slots least recently used first; [f] may drop the
+   slot it is given. *)
+let iter_attrs t f =
+  let rec walk s =
+    if s >= 0 then begin
+      let next = Slot_lru.newer t.attrs s in
+      f s;
+      walk next
+    end
+  in
+  walk (Slot_lru.lru t.attrs)
+
 let writeback_dirty_attrs t =
-  let dirty = ref [] in
-  Lru.iter t.attrs (fun _ c -> if c.ca_dirty then dirty := c :: !dirty);
-  List.iter (fun c -> Engine.spawn t.eng (fun () -> writeback_one t c)) !dirty
+  iter_attrs t (fun s ->
+      let c = t.attr_val.(s) in
+      if c.ca_dirty then Engine.spawn t.eng (fun () -> writeback_one t c))
+
+(* Name-cache key: the parent's file id folded into an FNV-1a hash of the
+   name span. Distinct names may share a key; a slot answers only for the
+   parent and bytes it stores ([name_slot]). *)
+let[@hot] rec fnv_span (b : bytes) i stop h =
+  if i >= stop then h else fnv_span b (i + 1) stop ((h lxor Char.code (Bytes.get b i)) * 0x100000001b3)
+
+let[@hot] name_key dir_id (b : bytes) off len = fnv_span b off (off + len) (dir_id * 0x100000001b3)
+
+let[@hot] rec same_bytes (s : string) (b : bytes) off i n =
+  i >= n || (Char.equal (String.get s i) (Bytes.get b (off + i)) && same_bytes s b off (i + 1) n)
+
+(* The name-cache slot for parent [dir_id] and the name at [off, len) in
+   [b], or -1. Compares the stored parent and bytes against the span
+   where it sits; promotes nothing. *)
+let[@hot] name_slot t dir_id (b : bytes) off len =
+  let s = Slot_lru.slot t.name_cache (name_key dir_id b off len) in
+  if
+    s >= 0 && t.name_dir.(s) = dir_id
+    && String.length t.name_str.(s) = len
+    && same_bytes t.name_str.(s) b off 0 len
+  then s
+  else -1
+
+(* Bind parent [dir_id] and the name span to [child] until [lease]. The
+   name bytes are copied unless the slot already holds them. *)
+let add_name t dir_id (b : bytes) off len child ~lease =
+  let s = Slot_lru.add t.name_cache (name_key dir_id b off len) ~lease in
+  if s >= Array.length t.name_dir then begin
+    let n = Slot_lru.slots t.name_cache in
+    t.name_dir <- extend t.name_dir n 0;
+    t.name_str <- extend t.name_str n "";
+    t.name_child <- extend t.name_child n None
+  end;
+  if
+    not
+      (Slot_lru.displaced t.name_cache
+      && t.name_dir.(s) = dir_id
+      && String.length t.name_str.(s) = len
+      && same_bytes t.name_str.(s) b off 0 len)
+  then begin
+    t.name_dir.(s) <- dir_id;
+    t.name_str.(s) <- Bytes.sub_string b off len
+  end;
+  t.name_child.(s) <- child
+
+let add_map t fid gen sites =
+  let s = Slot_lru.add t.map_cache fid ~lease:infinity in
+  if s >= Array.length t.map_gen then begin
+    let n = Slot_lru.slots t.map_cache in
+    t.map_gen <- extend t.map_gen n 0;
+    t.map_sites <- extend t.map_sites n [||]
+  end;
+  t.map_gen.(s) <- gen;
+  t.map_sites.(s) <- sites
 
 (* ---- table snapshots ---- *)
 
@@ -439,16 +534,15 @@ let tables_version t = t.dir.version + t.sf.version + t.st.version
    writes already acked to the client) must survive the takeover: they
    keep their bytes and are written back to the successor immediately. *)
 let fence_invalidate t =
-  Lru.clear t.name_cache;
-  Lru.clear t.map_cache;
-  let clean = ref [] and dirty = ref [] in
-  Lru.iter t.attrs (fun k c -> if c.ca_dirty then dirty := c :: !dirty else clean := k :: !clean);
-  List.iter (fun k -> Lru.remove t.attrs k) !clean;
-  List.iter
-    (fun c ->
-      c.ca_valid_until <- neg_infinity;
-      Engine.spawn t.eng (fun () -> writeback_one t c))
-    !dirty;
+  Slot_lru.clear t.name_cache;
+  Slot_lru.clear t.map_cache;
+  iter_attrs t (fun s ->
+      let c = t.attr_val.(s) in
+      if c.ca_dirty then begin
+        Slot_lru.set_lease t.attrs s neg_infinity;
+        Engine.spawn t.eng (fun () -> writeback_one t c)
+      end
+      else Slot_lru.drop t.attrs s);
   t.meta_epoch <- t.meta_epoch + 1;
   t.n_meta_inval <- t.n_meta_inval + 1;
   t.n_fence_inval <- t.n_fence_inval + 1
@@ -785,10 +879,13 @@ let rec route_io t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) ~retries =
           to_storage t c pkt cur ~site ~local ~mirrors:1 ~retries
       | Params.Block_map -> (
           let fid = Fh.peek_file_id_int payload fh_off in
-          match Lru.find t.map_cache fid with
-          | Some (g, map) when g = Fh.peek_gen payload fh_off && chunk < Array.length map ->
-              to_storage t c pkt cur ~site:(map.(chunk) mod n) ~local ~mirrors:1 ~retries
-          | _ ->
+          let s = Slot_lru.find t.map_cache fid in
+          if
+            s >= 0
+            && t.map_gen.(s) = Fh.peek_gen payload fh_off
+            && chunk < Array.length t.map_sites.(s)
+          then to_storage t c pkt cur ~site:(t.map_sites.(s).(chunk) mod n) ~local ~mirrors:1 ~retries
+          else begin
               (* Map-fragment miss (including a generation mismatch from
                  a recycled file-id): fetch from the coordinator, then
                  re-route the absorbed request (the µproxy "interacts
@@ -805,17 +902,16 @@ let rec route_io t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) ~retries =
                       (match
                          ctrl_call t ~span (Ctrl.Get_map { fh; first_block = 0; count = chunk + 64 })
                        with
-                      | Ctrl.Map { first_block = _; sites } ->
-                          Lru.add t.map_cache fid (fh.Fh.gen, sites)
+                      | Ctrl.Map { first_block = _; sites } -> add_map t fid fh.Fh.gen sites
                       | Ctrl.Ack | Ctrl.Nack ->
                           (* no dynamic map: fall back to static *)
-                          Lru.add t.map_cache fid
-                            ( fh.Fh.gen,
-                              Array.init (chunk + 64) (fun b ->
-                                  (Routekey.file_site ~nsites:n fh + b) mod n) ));
+                          add_map t fid fh.Fh.gen
+                            (Array.init (chunk + 64) (fun b ->
+                                 (Routekey.file_site ~nsites:n fh + b) mod n)));
                       let c2 = { c_tot = [| 0.0 |]; c_span = span } in
                       if Codec.peek_call_into t.cur pkt.Packet.payload then
-                        route_io t c2 pkt t.cur ~retries)))
+                        route_io t c2 pkt t.cur ~retries))
+          end)
     end
   end
 
@@ -824,7 +920,7 @@ let rec route_io t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) ~retries =
    today costs a directory-server round trip. The µproxy already sees
    every reply, so it can absorb repeats: name entries (including
    negative ones) live in [name_cache] under a TTL lease, and attribute
-   entries are served while their lease ([ca_valid_until]) is live.
+   entries are served while their slot's lease is live.
    Correctness is write-through invalidation (below) plus the lease
    bounding what another client's unseen mutation can cost us. *)
 
@@ -860,38 +956,40 @@ let try_meta_fast_path t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) =
     false
   in
   match cur.Codec.c_proc with
-  | 1 -> (
-      match Lru.find t.attrs fid with
-      | Some ca when ca.ca_valid_until > now -> hit (Ok (Nfs.RGetattr ca.ca_attr))
-      | Some _ -> stale ()
-      | None -> miss ())
-  | 4 -> (
-      match Lru.find t.attrs fid with
-      | Some ca when ca.ca_valid_until > now && cur.Codec.c_access >= 0 ->
-          (* the directory server grants the full requested mask (see
-             Dirserver's Access handler), so echoing it is faithful *)
-          hit (Ok (Nfs.RAccess (cur.Codec.c_access, ca.ca_attr)))
-      | Some _ -> stale ()
-      | None -> miss ())
+  | 1 ->
+      let s = Slot_lru.find t.attrs fid in
+      if s < 0 then miss ()
+      else if Slot_lru.lease t.attrs s > now then hit (Ok (Nfs.RGetattr t.attr_val.(s).ca_attr))
+      else stale ()
+  | 4 ->
+      let s = Slot_lru.find t.attrs fid in
+      if s < 0 then miss ()
+      else if Slot_lru.lease t.attrs s > now && cur.Codec.c_access >= 0 then
+        (* the directory server grants the full requested mask (see
+           Dirserver's Access handler), so echoing it is faithful *)
+        hit (Ok (Nfs.RAccess (cur.Codec.c_access, t.attr_val.(s).ca_attr)))
+      else stale ()
   | 3 ->
       if cur.Codec.c_name_len < 0 then miss ()
       else begin
-        let name = Bytes.sub_string payload cur.Codec.c_name_off cur.Codec.c_name_len in
-        match Lru.find_ttl t.name_cache (fid, name) ~now with
-        | Lru.Fresh (Some child) -> (
-            (* a positive hit must also produce attributes; serve only
-               if the child's attr lease is live too *)
-            match Lru.find t.attrs (Int64.to_int child.Fh.file_id) with
-            | Some ca when ca.ca_valid_until > now -> hit (Ok (Nfs.RLookup (child, ca.ca_attr)))
-            | Some _ -> stale ()
-            | None -> miss ())
-        | Lru.Fresh None ->
-            t.n_meta_neg_hit <- t.n_meta_neg_hit + 1;
-            answer t c ~dst:pkt.Packet.src ~dport:pkt.Packet.sport ~xid:cur.Codec.c_xid
-              (Error Nfs.ERR_NOENT);
-            true
-        | Lru.Stale -> stale ()
-        | Lru.Miss -> miss ()
+        let s = name_slot t fid payload cur.Codec.c_name_off cur.Codec.c_name_len in
+        if s < 0 then miss ()
+        else if not (Slot_lru.fresh t.name_cache s ~now) then stale ()
+        else
+          match t.name_child.(s) with
+          | Some child ->
+              (* a positive hit must also produce attributes; serve only
+                 if the child's attr lease is live too *)
+              let a = Slot_lru.find t.attrs (Int64.to_int child.Fh.file_id) in
+              if a < 0 then miss ()
+              else if Slot_lru.lease t.attrs a > now then
+                hit (Ok (Nfs.RLookup (child, t.attr_val.(a).ca_attr)))
+              else stale ()
+          | None ->
+              t.n_meta_neg_hit <- t.n_meta_neg_hit + 1;
+              answer t c ~dst:pkt.Packet.src ~dport:pkt.Packet.sport ~xid:cur.Codec.c_xid
+                (Error Nfs.ERR_NOENT);
+              true
       end
   | _ -> false
 
@@ -902,29 +1000,34 @@ let try_meta_fast_path t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) =
    entries for a removed file are dropped outright. The epoch bump makes
    in-flight replies from before the mutation unable to repopulate.
    Name-cache surgery is gated on [meta_enabled]: the cache is empty
-   otherwise, and the gate keeps the meta-off packet path free of the
-   name-string allocation. *)
+   otherwise. Names are matched where they sit in the request. *)
 let revoke_attr t (fid : int) =
-  match Lru.find t.attrs fid with
-  | Some ca -> ca.ca_valid_until <- neg_infinity
-  | None -> ()
+  let s = Slot_lru.find t.attrs fid in
+  if s >= 0 then Slot_lru.set_lease t.attrs s neg_infinity
 
 let drop_child t (fid : int) =
-  Lru.remove t.attrs fid;
-  Lru.remove t.map_cache fid
+  Slot_lru.remove t.attrs fid;
+  Slot_lru.remove t.map_cache fid
+
+(* Drop the name entry for [dir_id] and the span, first applying [f] to
+   the child it binds, if any. *)
+let forget_name t dir_id (b : bytes) off len f =
+  let s = name_slot t dir_id b off len in
+  if s >= 0 then begin
+    (match t.name_child.(s) with Some child -> f t (Int64.to_int child.Fh.file_id) | None -> ());
+    Slot_lru.drop t.name_cache s
+  end
+
+let ignore_child _ _ = ()
 
 let invalidate_meta t (cur : Codec.cursor) (payload : bytes) =
   let bump () =
     t.meta_epoch <- t.meta_epoch + 1;
     t.n_meta_inval <- t.n_meta_inval + 1
   in
-  let resolve dir_id name =
-    match Lru.find t.name_cache (dir_id, name) with Some (Some child) -> Some child | _ -> None
-  in
-  let name () =
-    if cur.Codec.c_name_len < 0 then ""
-    else Bytes.sub_string payload cur.Codec.c_name_off cur.Codec.c_name_len
-  in
+  (* a request without a name matches the empty name *)
+  let noff = if cur.Codec.c_name_len < 0 then 0 else cur.Codec.c_name_off in
+  let nlen = if cur.Codec.c_name_len < 0 then 0 else cur.Codec.c_name_len in
   let fid = Fh.peek_file_id_int payload cur.Codec.c_fh_off in
   match cur.Codec.c_proc with
   | 2 ->
@@ -932,46 +1035,29 @@ let invalidate_meta t (cur : Codec.cursor) (payload : bytes) =
          block map (a re-created file must not route I/O to placement
          decided for the old extent) *)
       revoke_attr t fid;
-      if cur.Codec.c_has_set_size then Lru.remove t.map_cache fid;
+      if cur.Codec.c_has_set_size then Slot_lru.remove t.map_cache fid;
       bump ()
   | 8 | 9 | 10 ->
       (* create/mkdir/symlink: kill any negative entry under this name;
          the directory's own attrs (mtime, size) change *)
-      if meta_enabled t then Lru.remove t.name_cache (fid, name ());
+      if meta_enabled t then forget_name t fid payload noff nlen ignore_child;
       revoke_attr t fid;
       bump ()
   | 12 | 13 ->
       (* remove/rmdir: the child is gone for good — drop everything known
          about it (its dirty state has nowhere to go anyway) *)
-      if meta_enabled t then begin
-        let nm = name () in
-        (match resolve fid nm with
-        | Some child -> drop_child t (Int64.to_int child.Fh.file_id)
-        | None -> ());
-        Lru.remove t.name_cache (fid, nm)
-      end;
+      if meta_enabled t then forget_name t fid payload noff nlen drop_child;
       revoke_attr t fid;
       bump ()
   | 14 ->
       (* rename: the source name vanishes but the file persists (keep its
          dirty attr state, just revoke the lease — ctime changed); any
          previous destination target is silently deleted *)
-      if meta_enabled t then begin
-        let nm = name () in
-        (match resolve fid nm with
-        | Some child -> revoke_attr t (Int64.to_int child.Fh.file_id)
-        | None -> ());
-        Lru.remove t.name_cache (fid, nm)
-      end;
+      if meta_enabled t then forget_name t fid payload noff nlen revoke_attr;
       if cur.Codec.c_fh2_off >= 0 && cur.Codec.c_name2_len >= 0 then begin
         let fid2 = Fh.peek_file_id_int payload cur.Codec.c_fh2_off in
-        if meta_enabled t then begin
-          let n2 = Bytes.sub_string payload cur.Codec.c_name2_off cur.Codec.c_name2_len in
-          (match resolve fid2 n2 with
-          | Some victim -> drop_child t (Int64.to_int victim.Fh.file_id)
-          | None -> ());
-          Lru.remove t.name_cache (fid2, n2)
-        end;
+        if meta_enabled t then
+          forget_name t fid2 payload cur.Codec.c_name2_off cur.Codec.c_name2_len drop_child;
         revoke_attr t fid2
       end;
       revoke_attr t fid;
@@ -981,7 +1067,7 @@ let invalidate_meta t (cur : Codec.cursor) (payload : bytes) =
       revoke_attr t fid;
       if cur.Codec.c_fh2_off >= 0 then begin
         let fid2 = Fh.peek_file_id_int payload cur.Codec.c_fh2_off in
-        if meta_enabled t then Lru.remove t.name_cache (fid2, name ());
+        if meta_enabled t then forget_name t fid2 payload noff nlen ignore_child;
         revoke_attr t fid2
       end;
       bump ()
@@ -1189,17 +1275,16 @@ let patch_reply_attrs t (c : cost) (pd : pending) (pkt : Packet.t) =
            must not become servable. The cache key (fileid) reads
            straight off the wire; the 84-byte block is only decoded
            when an entry actually consumes it. *)
-        let grant ca =
-          if meta_enabled t && pd.p_epoch = t.meta_epoch then
-            ca.ca_valid_until <- now +. t.p.Params.meta_cache_ttl
-        in
+        let granted = meta_enabled t && pd.p_epoch = t.meta_epoch in
         let rfh_off = Codec.reply_fh_after_attr_off payload in
         if rfh_off >= 0 || pd.p_fh_off >= 0 then begin
           let keyed =
             Int64.to_int (Bytes.get_int64_be payload (off + Codec.attr_fileid_field_off))
           in
-          match Lru.find t.attrs keyed with
-          | Some ca when ca.ca_dirty ->
+          let s = Slot_lru.find t.attrs keyed in
+          if s >= 0 then begin
+            let ca = t.attr_val.(s) in
+            if ca.ca_dirty then begin
               let returned = Codec.decode_attr_at payload off in
               let size =
                 if Int64.compare ca.ca_attr.Nfs.size returned.Nfs.size > 0 then
@@ -1215,29 +1300,25 @@ let patch_reply_attrs t (c : cost) (pd : pending) (pkt : Packet.t) =
               Codec.put_time_be t.scr8 mtime;
               patch8 t pkt (off + Codec.attr_mtime_field_off);
               charge t c `Rewrite (2.0 *. rewrite_cost);
-              t.n_attr_patch <- t.n_attr_patch + 1;
-              grant ca
-          | Some ca ->
-              ca.ca_attr <- Codec.decode_attr_at payload off;
-              grant ca
-          | None ->
-              (* Creating entries only matters to the metadata fast
-                 path; with it off, skip the handle/attr decode. *)
-              if meta_enabled t then begin
-                let fh_opt =
-                  if rfh_off >= 0 then Fh.decode_at payload rfh_off
-                  else Fh.decode_at pd.p_buf pd.p_fh_off
-                in
-                match fh_opt with
-                | None -> ()
-                | Some fh ->
-                    let ca =
-                      { ca_fh = fh; ca_attr = Codec.decode_attr_at payload off;
-                        ca_dirty = false; ca_valid_until = neg_infinity }
-                    in
-                    grant ca;
-                    Lru.add t.attrs keyed ca
-              end
+              t.n_attr_patch <- t.n_attr_patch + 1
+            end
+            else ca.ca_attr <- Codec.decode_attr_at payload off;
+            if granted then Slot_lru.set_lease t.attrs s (now +. t.p.Params.meta_cache_ttl)
+          end
+          else if meta_enabled t then begin
+            (* Creating entries only matters to the metadata fast path;
+               with it off, skip the handle/attr decode. *)
+            let fh_opt =
+              if rfh_off >= 0 then Fh.decode_at payload rfh_off
+              else Fh.decode_at pd.p_buf pd.p_fh_off
+            in
+            match fh_opt with
+            | None -> ()
+            | Some fh ->
+                let ca = { ca_fh = fh; ca_attr = Codec.decode_attr_at payload off; ca_dirty = false } in
+                add_attr t keyed ca
+                  ~lease:(if granted then now +. t.p.Params.meta_cache_ttl else neg_infinity)
+          end
         end
   end
 
@@ -1253,17 +1334,17 @@ let learn_name t (pd : pending) (pkt : Packet.t) =
     && pd.p_fh_off >= 0 && pd.p_name_len >= 0
   then begin
     let dir_id = Fh.peek_file_id_int pd.p_buf pd.p_fh_off in
-    let name = Bytes.sub_string pd.p_buf pd.p_name_off pd.p_name_len in
-    let key = (dir_id, name) in
-    let expires = Engine.now t.eng +. t.p.Params.meta_cache_ttl in
+    let lease = Engine.now t.eng +. t.p.Params.meta_cache_ttl in
     let st = reply_status pkt.Packet.payload in
     match pd.p_proc with
     | (3 | 8 | 9 | 10) when st = 0 ->
         let off = Codec.reply_fh_after_attr_off pkt.Packet.payload in
         if off >= 0 then
-          Lru.add t.name_cache ~expires_at:expires key (Some (fh_at pkt.Packet.payload off))
+          add_name t dir_id pd.p_buf pd.p_name_off pd.p_name_len
+            (Some (fh_at pkt.Packet.payload off))
+            ~lease
     | 3 when st = Codec.int_of_status Nfs.ERR_NOENT ->
-        Lru.add t.name_cache ~expires_at:expires key None
+        add_name t dir_id pd.p_buf pd.p_name_off pd.p_name_len None ~lease
     | _ -> ()
   end
 
@@ -1296,7 +1377,7 @@ let handle_reply t (pkt : Packet.t) (pd : pending) =
          map fragment: refetch it on the retry *)
       (match pd.p_klass with
       | KStorage when pd.p_fh_off >= 0 ->
-          Lru.remove t.map_cache (Fh.peek_file_id_int pd.p_buf pd.p_fh_off)
+          Slot_lru.remove t.map_cache (Fh.peek_file_id_int pd.p_buf pd.p_fh_off)
       | _ -> ());
       refresh_tables t;
       let moved = tables_version t <> pd.p_tables_v in
@@ -1386,19 +1467,6 @@ let rec writeback_tick t =
 
 let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
   let net = host.Host.net in
-  (* Evicted dirty attributes must be pushed back to their directory
-     server; the eviction hook needs the proxy record, which needs the
-     cache — tie the knot through a forward reference. *)
-  let self = ref None in
-  let attrs =
-    Lru.create ~capacity:attr_cache_capacity
-      ~on_evict:(fun _ c ->
-        match !self with
-        | Some t when c.ca_dirty ->
-            Slice_sim.Engine.spawn host.Host.eng (fun () -> writeback_one t c)
-        | _ -> ())
-      ()
-  in
   let cap = pending_capacity in
   let pool = Array.init cap (fun _ -> fresh_pending ()) in
   let t =
@@ -1418,9 +1486,15 @@ let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
       xidx = Xid_index.create cap;
       n_pending = 0;
       sweep_buf = Array.make cap 0;
-      attrs;
-      name_cache = Lru.create ~capacity:params.Params.name_cache_capacity ();
-      map_cache = Lru.create ~capacity:map_cache_capacity ();
+      attrs = Slot_lru.create ~capacity:attr_cache_capacity;
+      attr_val = [||];
+      name_cache = Slot_lru.create ~capacity:params.Params.name_cache_capacity;
+      name_dir = [||];
+      name_str = [||];
+      name_child = [||];
+      map_cache = Slot_lru.create ~capacity:map_cache_capacity;
+      map_gen = [||];
+      map_sites = [||];
       (* lint: bounded — one row per file with an open mirrored-write intent; commit closes it *)
       intents_open = Hashtbl.create 16;
       meta_epoch = 0;
@@ -1465,7 +1539,6 @@ let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
   t.fence_seen <- combined_epoch t;
   reset_pool t;
   t.sweep_fn <- (fun () -> sweep t);
-  self := Some t;
   Net.add_egress_filter net host.Host.addr (egress_filter t);
   Net.add_ingress_filter net host.Host.addr (ingress_filter t);
   writeback_tick t;
@@ -1475,9 +1548,9 @@ let params t = t.p
 
 let discard_soft_state t =
   reset_pool t;
-  Lru.clear t.attrs;
-  Lru.clear t.name_cache;
-  Lru.clear t.map_cache;
+  Slot_lru.clear t.attrs;
+  Slot_lru.clear t.name_cache;
+  Slot_lru.clear t.map_cache;
   t.meta_epoch <- t.meta_epoch + 1
 
 let cpu_breakdown t =

@@ -1,7 +1,7 @@
 open Helpers
 module Prng = Slice_util.Prng
 module Stats = Slice_util.Stats
-module Lru = Slice_util.Lru
+module Slot_lru = Slice_util.Slot_lru
 module Json = Slice_util.Json
 
 (* ---- Prng ---- *)
@@ -93,48 +93,7 @@ let stats_empty () =
   check_float "mean empty" 0.0 (Stats.mean s);
   check_float "percentile empty" 0.0 (Stats.percentile s 50.0)
 
-(* ---- Lru ---- *)
-
-let lru_basic () =
-  let l = Lru.create ~capacity:3 () in
-  Lru.add l 1 "a";
-  Lru.add l 2 "b";
-  Lru.add l 3 "c";
-  check_bool "find 1" true (Lru.find l 1 = Some "a");
-  (* 1 is now MRU; adding 4 evicts 2 *)
-  Lru.add l 4 "d";
-  check_bool "2 evicted" true (Lru.find l 2 = None);
-  check_bool "1 kept" true (Lru.find l 1 = Some "a");
-  check_int "entries" 3 (Lru.entry_count l)
-
-let lru_eviction_callback () =
-  let evicted = ref [] in
-  let l = Lru.create ~on_evict:(fun k v -> evicted := (k, v) :: !evicted) ~capacity:2 () in
-  Lru.add l 1 "a";
-  Lru.add l 2 "b";
-  Lru.add l 3 "c";
-  check_bool "evicted (1,a)" true (!evicted = [ (1, "a") ]);
-  Lru.remove l 2;
-  check_bool "remove is silent" true (List.length !evicted = 1)
-
-let lru_replace_fires_evict () =
-  let evicted = ref [] in
-  let l = Lru.create ~on_evict:(fun k v -> evicted := (k, v) :: !evicted) ~capacity:4 () in
-  Lru.add l 1 "a";
-  Lru.add l 2 "b";
-  (* replacing a live key displaces its old value just like pressure
-     does — the hook must see it (else a dirty entry loses write-back) *)
-  Lru.add l 1 "a2";
-  check_bool "replace fired on_evict with old value" true (!evicted = [ (1, "a") ]);
-  check_bool "new value visible" true (Lru.find l 1 = Some "a2");
-  check_int "no duplicate entry" 2 (Lru.entry_count l)
-
-let lru_replace () =
-  let l = Lru.create ~capacity:10 () in
-  Lru.add l 1 "a";
-  Lru.add l 1 "b";
-  check_bool "value updated" true (Lru.find l 1 = Some "b");
-  check_int "one entry" 1 (Lru.entry_count l)
+(* ---- Slot_lru ---- *)
 
 (* The cache under test, seen through the operations the µproxy uses:
    int keys, a value per entry, an absolute lease per entry and an
@@ -151,22 +110,43 @@ module Cache : sig
   val clear : t -> unit
   val to_list : t -> (int * string) list (* most recently used first *)
 end = struct
-  type t = (int, string) Lru.t
+  (* the table plus the two value columns a caller keeps beside it *)
+  type t = {
+    lru : Slot_lru.t;
+    mutable keys : int array;
+    mutable vals : string array;
+    on_evict : int -> string -> unit;
+  }
 
-  let create ~on_evict ~capacity = Lru.create ~on_evict ~capacity ()
-  let add t ~expires_at k v = Lru.add t ~expires_at k v
-  let find = Lru.find
+  let create ~on_evict ~capacity = { lru = Slot_lru.create ~capacity; keys = [||]; vals = [||]; on_evict }
+
+  let add t ~expires_at k v =
+    let s = Slot_lru.add t.lru k ~lease:expires_at in
+    if s >= Array.length t.vals then begin
+      let n = Slot_lru.slots t.lru and m = Array.length t.vals in
+      t.keys <- Array.init n (fun i -> if i < m then t.keys.(i) else 0);
+      t.vals <- Array.init n (fun i -> if i < m then t.vals.(i) else "")
+    end;
+    if Slot_lru.displaced t.lru then t.on_evict t.keys.(s) t.vals.(s);
+    t.keys.(s) <- k;
+    t.vals.(s) <- v
+
+  let find t k =
+    let s = Slot_lru.find t.lru k in
+    if s < 0 then None else Some t.vals.(s)
 
   let find_ttl t k ~now =
-    match Lru.find_ttl t k ~now with Lru.Fresh v -> `Fresh v | Lru.Stale -> `Stale | Lru.Miss -> `Miss
+    let s = Slot_lru.slot t.lru k in
+    if s < 0 then `Miss else if Slot_lru.fresh t.lru s ~now then `Fresh t.vals.(s) else `Stale
 
-  let remove = Lru.remove
-  let clear = Lru.clear
+  let remove t k = Slot_lru.remove t.lru k
+  let clear t = Slot_lru.clear t.lru
 
   let to_list t =
-    let l = ref [] in
-    Lru.iter t (fun k v -> l := (k, v) :: !l);
-    List.rev !l
+    let rec walk s acc =
+      if s < 0 then acc else walk (Slot_lru.newer t.lru s) ((t.keys.(s), t.vals.(s)) :: acc)
+    in
+    walk (Slot_lru.lru t.lru) []
 end
 
 type cache_op =
@@ -287,33 +267,6 @@ let lru_model =
       List.iter step ops;
       true)
 
-(* ---- lease-aware lookup (the metadata cache's TTL machinery) ---- *)
-
-let lru_find_ttl () =
-  let evicted = ref [] in
-  let l = Lru.create ~capacity:8 ~on_evict:(fun k _ -> evicted := k :: !evicted) () in
-  Lru.add l ~expires_at:5.0 "leased" 1;
-  Lru.add l "forever" 2;
-  (match Lru.find_ttl l "leased" ~now:4.9 with
-  | Lru.Fresh v -> check_int "fresh within lease" 1 v
-  | _ -> Alcotest.fail "expected Fresh");
-  (match Lru.find_ttl l "leased" ~now:5.0 with
-  | Lru.Stale -> ()
-  | _ -> Alcotest.fail "expected Stale at expiry");
-  (* expiry removed the entry silently: no eviction callback, and a
-     re-probe is a Miss, not Stale again *)
-  check_bool "no on_evict for lease expiry" true (!evicted = []);
-  (match Lru.find_ttl l "leased" ~now:5.0 with
-  | Lru.Miss -> ()
-  | _ -> Alcotest.fail "expected Miss after expiry removal");
-  check_int "expired entry no longer counted" 1 (Lru.entry_count l);
-  (match Lru.find_ttl l "forever" ~now:1e12 with
-  | Lru.Fresh v -> check_int "default lease is infinite" 2 v
-  | _ -> Alcotest.fail "expected Fresh");
-  (* the plain interface ignores leases entirely *)
-  Lru.add l ~expires_at:0.5 "old" 3;
-  check_bool "plain find ignores lease" true (Lru.find l "old" = Some 3)
-
 (* ---- reservoir percentiles ---- *)
 
 let stats_reservoir_bounded () =
@@ -416,12 +369,7 @@ let suite =
     ("stats basic", `Quick, stats_basic);
     ("stats percentile", `Quick, stats_percentile);
     ("stats empty", `Quick, stats_empty);
-    ("lru basic", `Quick, lru_basic);
-    ("lru eviction callback", `Quick, lru_eviction_callback);
-    ("lru replace fires evict", `Quick, lru_replace_fires_evict);
-    ("lru replace", `Quick, lru_replace);
     lru_model;
-    ("lru find_ttl leases", `Quick, lru_find_ttl);
     ("stats reservoir bounded", `Quick, stats_reservoir_bounded);
     stats_reservoir_exact_under_cap;
     ("stats reservoir deterministic", `Quick, stats_reservoir_deterministic);
