@@ -63,7 +63,6 @@ let repo =
             "lib/failover/failover.ml";
             "lib/qos/tenant.ml";
             "lib/qos/wfq.ml";
-            "lib/util/lru.ml";
             "lib/util/metrics.ml";
             "lib/trace/trace.ml";
           ]);
@@ -98,8 +97,8 @@ let repo =
     (* Files whose [@hot] roots seed A1, and which therefore must have a
        .cmt available when the typed tier runs: the µproxy packet path,
        the codec peek path and its XDR primitives, the engine's event
-       dispatch, the RPC reply path, the shared xid index, the buffer
-       cache's slot table, the server request table, the WFQ pick and
+       dispatch, the RPC reply path, the shared xid index, the µproxy
+       caches' slot tables, the buffer cache's slot table, the server request table, the WFQ pick and
        the WAL's in-place record framing. *)
     a1_scope =
       (fun f ->
@@ -111,6 +110,7 @@ let repo =
             "lib/sim/engine.ml";
             "lib/net/rpc.ml";
             "lib/util/xid_index.ml";
+            "lib/util/slot_lru.ml";
             "lib/disk/bcache.ml";
             "lib/storage/nfs_endpoint.ml";
             "lib/qos/wfq.ml";

@@ -86,8 +86,8 @@ let structure (cfg : Config.t) ~file str =
        match p with
        | [ "Hashtbl"; "create" ] ->
            add loc Finding.R1
-             "R1: Hashtbl.create in a long-lived module — use Lru/Table or add a `lint: \
-              bounded` pragma with a reason"
+             "R1: Hashtbl.create in a long-lived module — use a bounded slot table \
+              (Slot_lru, Xid_index) or add a `lint: bounded` pragma with a reason"
        | _ -> ());
     (if e1 then
        match e1_poly_fun p with

@@ -370,7 +370,22 @@ let probe_hot_roots () =
   agree "Codec.xid_of" (fun () -> Codec.xid_of pkt);
   agree "Codec.int_of_status" (fun () -> Codec.int_of_status Slice_nfs.Nfs.OK);
   agree "Proxy.reply_status" (fun () -> Proxy.reply_status pkt);
-  agree "Proxy.op_of_proc" (fun () -> Proxy.op_of_proc 6)
+  agree "Proxy.op_of_proc" (fun () -> Proxy.op_of_proc 6);
+  (* the µproxy caches' slot table at capacity, where an add of a new
+     key is [insert] evicting the tail *)
+  let lru = Slice_util.Slot_lru.create ~capacity:64 in
+  let k = ref 0 in
+  let next () =
+    k := !k + 1;
+    !k
+  in
+  for _ = 1 to 64 do
+    ignore (Slice_util.Slot_lru.add lru (next ()) ~lease:infinity)
+  done;
+  agree "Slot_lru.insert" (fun () -> Slice_util.Slot_lru.add lru (next ()) ~lease:infinity);
+  agree "Slot_lru.find" (fun () -> Slice_util.Slot_lru.find lru (!k - 7));
+  agree "Slot_lru.fresh" (fun () ->
+      Slice_util.Slot_lru.fresh lru (Slice_util.Slot_lru.slot lru (!k - 3)) ~now:1.0)
 
 (* The repo profile itself must be clean — the same scan the @lint alias
    runs, typed tier included, executed from the repo root (scopes and
@@ -381,7 +396,7 @@ let repo_clean () =
   (* the dead-export ratchet: test-only exports (U1 warnings) may only
      fall; lower the bound when a change removes some *)
   let warnings = Driver.warnings report in
-  check_bool (Printf.sprintf "U1 test-only exports at most 80 (%d)" warnings) true (warnings <= 80);
+  check_bool (Printf.sprintf "U1 test-only exports at most 79 (%d)" warnings) true (warnings <= 79);
   check_bool "typed tier ran over the repo" true report.Driver.typed_ran;
   check_bool "repo hot roots discovered" true
     (List.exists (fun (h : Typed.hot_root) -> h.Typed.hr_name = "Dec.u32") report.Driver.hot_roots
