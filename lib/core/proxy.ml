@@ -394,7 +394,12 @@ let extend col n fill =
   Array.blit col 0 a 0 (Array.length col);
   a
 
-let no_attr = { ca_fh = Fh.root; ca_attr = Nfs.default_attr ~ftype:Fh.Dir ~fileid:0L ~now:0.0; ca_dirty = false }
+let no_attr =
+  {
+    ca_fh = Fh.root;
+    ca_attr = Nfs.default_attr ~ftype:Fh.Dir ~fileid:0L ~now:0.0;
+    ca_dirty = false;
+  }
 
 (* Cache [c] under file id [key]. A dirty entry the insert displaces
    still owes its directory server a write-back. *)
@@ -453,24 +458,27 @@ let writeback_dirty_attrs t =
    name span. Distinct names may share a key; a slot answers only for the
    parent and bytes it stores ([name_slot]). *)
 let[@hot] rec fnv_span (b : bytes) i stop h =
-  if i >= stop then h else fnv_span b (i + 1) stop ((h lxor Char.code (Bytes.get b i)) * 0x100000001b3)
+  if i >= stop then h
+  else fnv_span b (i + 1) stop ((h lxor Char.code (Bytes.get b i)) * 0x100000001b3)
 
-let[@hot] name_key dir_id (b : bytes) off len = fnv_span b off (off + len) (dir_id * 0x100000001b3)
+let[@hot] name_key dir_id (b : bytes) off len =
+  fnv_span b off (off + len) (dir_id * 0x100000001b3)
 
 let[@hot] rec same_bytes (s : string) (b : bytes) off i n =
   i >= n || (Char.equal (String.get s i) (Bytes.get b (off + i)) && same_bytes s b off (i + 1) n)
 
-(* The name-cache slot for parent [dir_id] and the name at [off, len) in
-   [b], or -1. Compares the stored parent and bytes against the span
-   where it sits; promotes nothing. *)
+(* Whether name slot [s] holds parent [dir_id] and the name at
+   [off, len) in [b], compared where the span sits. *)
+let[@hot] holds_name t s dir_id (b : bytes) off len =
+  t.name_dir.(s) = dir_id
+  && String.length t.name_str.(s) = len
+  && same_bytes t.name_str.(s) b off 0 len
+
+(* The name-cache slot for parent [dir_id] and the span, or -1.
+   Promotes nothing. *)
 let[@hot] name_slot t dir_id (b : bytes) off len =
   let s = Slot_lru.slot t.name_cache (name_key dir_id b off len) in
-  if
-    s >= 0 && t.name_dir.(s) = dir_id
-    && String.length t.name_str.(s) = len
-    && same_bytes t.name_str.(s) b off 0 len
-  then s
-  else -1
+  if s >= 0 && holds_name t s dir_id b off len then s else -1
 
 (* Bind parent [dir_id] and the name span to [child] until [lease]. The
    name bytes are copied unless the slot already holds them. *)
@@ -482,13 +490,7 @@ let add_name t dir_id (b : bytes) off len child ~lease =
     t.name_str <- extend t.name_str n "";
     t.name_child <- extend t.name_child n None
   end;
-  if
-    not
-      (Slot_lru.displaced t.name_cache
-      && t.name_dir.(s) = dir_id
-      && String.length t.name_str.(s) = len
-      && same_bytes t.name_str.(s) b off 0 len)
-  then begin
+  if not (Slot_lru.displaced t.name_cache && holds_name t s dir_id b off len) then begin
     t.name_dir.(s) <- dir_id;
     t.name_str.(s) <- Bytes.sub_string b off len
   end;
@@ -884,33 +886,35 @@ let rec route_io t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) ~retries =
             s >= 0
             && t.map_gen.(s) = Fh.peek_gen payload fh_off
             && chunk < Array.length t.map_sites.(s)
-          then to_storage t c pkt cur ~site:(t.map_sites.(s).(chunk) mod n) ~local ~mirrors:1 ~retries
+          then
+            to_storage t c pkt cur ~site:(t.map_sites.(s).(chunk) mod n) ~local ~mirrors:1
+              ~retries
           else begin
-              (* Map-fragment miss (including a generation mismatch from
-                 a recycled file-id): fetch from the coordinator, then
-                 re-route the absorbed request (the µproxy "interacts
-                 with the coordinators to fetch and cache fragments of
-                 the block maps"). Map entries are logical sites. The
-                 fiber re-peeks the request into the shared cursor when
-                 it resumes — the cursor holds no state across turns. *)
-              t.n_map_fetch <- t.n_map_fetch + 1;
-              charge t c `Softstate softstate_cost;
-              let span = c.c_span in
-              let fh = fh_at payload fh_off in
-              after_cpu t c (fun () ->
-                  Engine.spawn t.eng (fun () ->
-                      (match
-                         ctrl_call t ~span (Ctrl.Get_map { fh; first_block = 0; count = chunk + 64 })
-                       with
-                      | Ctrl.Map { first_block = _; sites } -> add_map t fid fh.Fh.gen sites
-                      | Ctrl.Ack | Ctrl.Nack ->
-                          (* no dynamic map: fall back to static *)
-                          add_map t fid fh.Fh.gen
-                            (Array.init (chunk + 64) (fun b ->
-                                 (Routekey.file_site ~nsites:n fh + b) mod n)));
-                      let c2 = { c_tot = [| 0.0 |]; c_span = span } in
-                      if Codec.peek_call_into t.cur pkt.Packet.payload then
-                        route_io t c2 pkt t.cur ~retries))
+            (* Map-fragment miss (including a generation mismatch from
+               a recycled file-id): fetch from the coordinator, then
+               re-route the absorbed request (the µproxy "interacts
+               with the coordinators to fetch and cache fragments of
+               the block maps"). Map entries are logical sites. The
+               fiber re-peeks the request into the shared cursor when
+               it resumes — the cursor holds no state across turns. *)
+            t.n_map_fetch <- t.n_map_fetch + 1;
+            charge t c `Softstate softstate_cost;
+            let span = c.c_span in
+            let fh = fh_at payload fh_off in
+            after_cpu t c (fun () ->
+                Engine.spawn t.eng (fun () ->
+                    (match
+                       ctrl_call t ~span (Ctrl.Get_map { fh; first_block = 0; count = chunk + 64 })
+                     with
+                    | Ctrl.Map { first_block = _; sites } -> add_map t fid fh.Fh.gen sites
+                    | Ctrl.Ack | Ctrl.Nack ->
+                        (* no dynamic map: fall back to static *)
+                        add_map t fid fh.Fh.gen
+                          (Array.init (chunk + 64) (fun b ->
+                               (Routekey.file_site ~nsites:n fh + b) mod n)));
+                    let c2 = { c_tot = [| 0.0 |]; c_span = span } in
+                    if Codec.peek_call_into t.cur pkt.Packet.payload then
+                      route_io t c2 pkt t.cur ~retries))
           end)
     end
   end
@@ -1315,7 +1319,9 @@ let patch_reply_attrs t (c : cost) (pd : pending) (pkt : Packet.t) =
             match fh_opt with
             | None -> ()
             | Some fh ->
-                let ca = { ca_fh = fh; ca_attr = Codec.decode_attr_at payload off; ca_dirty = false } in
+                let ca =
+                  { ca_fh = fh; ca_attr = Codec.decode_attr_at payload off; ca_dirty = false }
+                in
                 add_attr t keyed ca
                   ~lease:(if granted then now +. t.p.Params.meta_cache_ttl else neg_infinity)
           end

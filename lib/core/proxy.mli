@@ -40,6 +40,14 @@
     up itself (metadata hits, translated readdir pages, a mirrored
     write's error) through one client-reply path.
 
+    The metadata caches — attributes and block maps keyed by file id,
+    names keyed by the parent's file id and a hash of the name — are
+    bounded LRU slot tables ({!Slice_util.Slot_lru}) whose values sit in
+    per-cache columns. A name entry stores its bytes once, when it is
+    learned; a lookup compares them where they sit in the request, so it
+    allocates nothing, and names whose hashes collide never answer for
+    each other. Evicting a dirty attribute writes it back first.
+
     The µproxy keeps no state shared across clients; losing its soft
     state only costs client RPC retransmissions. Per-phase CPU is both
     charged to the client host and accumulated for the Table 3
@@ -89,8 +97,9 @@ val install :
 val params : t -> Params.t
 
 val discard_soft_state : t -> unit
-(** Failure injection: drop pending records, cached attributes and block
-    maps — clients must recover by retransmission. *)
+(** Failure injection: drop pending records and every metadata cache
+    entry (attributes, dirty ones included, names and block maps) —
+    clients must recover by retransmission. *)
 
 (** {2 Statistics} *)
 

@@ -1,8 +1,11 @@
-(** Allocation-free index from RPC xid to a pool slot.
+(** Allocation-free index from an int key to a pool slot.
 
     The pooled tables that match replies to outstanding requests — the
-    µproxy's pending records and {!Slice_net.Rpc}'s calls — keep their
-    records in an array and find them by xid through this index. Slots
+    µproxy's pending records, {!Slice_net.Rpc}'s calls and the servers'
+    request tables — keep their records in an array and find them by xid
+    through this index. {!Slot_lru} indexes the µproxy's metadata caches
+    through it too: file ids for attributes and block maps, and name
+    hashes folded with the parent's file id for names. Slots
     are small non-negative ints below the slot count; each slot is bound to
     at most one xid at a time. Lookups, inserts and deletes allocate
     nothing. *)
@@ -14,7 +17,8 @@ val create : int -> t
     of two, at least 16). *)
 
 val find : t -> int -> int
-(** [find t xid] is the slot bound to [xid], or [-1]. *)
+(** [find t xid] is the slot bound to the key [xid], or [-1]. Keys are
+    arbitrary ints. *)
 
 val add : t -> xid:int -> slot:int -> unit
 (** Bind an unbound [xid] to [slot], which must be below the slot count

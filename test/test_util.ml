@@ -118,7 +118,8 @@ end = struct
     on_evict : int -> string -> unit;
   }
 
-  let create ~on_evict ~capacity = { lru = Slot_lru.create ~capacity; keys = [||]; vals = [||]; on_evict }
+  let create ~on_evict ~capacity =
+    { lru = Slot_lru.create ~capacity; keys = [||]; vals = [||]; on_evict }
 
   let add t ~expires_at k v =
     let s = Slot_lru.add t.lru k ~lease:expires_at in
