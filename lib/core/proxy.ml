@@ -387,30 +387,14 @@ let writeback_one t (c : cached_attr) =
 
 (* ---- metadata cache columns ---- *)
 
-(* A value column grown to its table's slot count (cold: at most
-   log2(capacity) times per cache). *)
-let extend col n fill =
-  let a = Array.make n fill in
-  Array.blit col 0 a 0 (Array.length col);
-  a
-
-let no_attr =
-  {
-    ca_fh = Fh.root;
-    ca_attr = Nfs.default_attr ~ftype:Fh.Dir ~fileid:0L ~now:0.0;
-    ca_dirty = false;
-  }
-
 (* Cache [c] under file id [key]. A dirty entry the insert displaces
    still owes its directory server a write-back. *)
 let add_attr t key c ~lease =
   let s = Slot_lru.add t.attrs key ~lease in
-  if s >= Array.length t.attr_val then
-    t.attr_val <- extend t.attr_val (Slot_lru.slots t.attrs) no_attr
-  else if Slot_lru.displaced t.attrs then begin
-    let old = t.attr_val.(s) in
-    if old.ca_dirty then Engine.spawn t.eng (fun () -> writeback_one t old)
-  end;
+  t.attr_val <- Slot_lru.fit t.attrs t.attr_val c;
+  let old = t.attr_val.(s) in
+  if Slot_lru.displaced t.attrs && old.ca_dirty then
+    Engine.spawn t.eng (fun () -> writeback_one t old);
   t.attr_val.(s) <- c
 
 let cached_attr t (fh : Fh.t) =
@@ -437,20 +421,9 @@ let cached_attr_of_pending t (pd : pending) =
     let s = Slot_lru.find t.attrs (Fh.peek_file_id_int pd.p_buf pd.p_fh_off) in
     if s >= 0 then t.attr_val.(s) else cached_attr t (fh_at pd.p_buf pd.p_fh_off)
 
-(* Visit the attribute slots least recently used first; [f] may drop the
-   slot it is given. *)
-let iter_attrs t f =
-  let rec walk s =
-    if s >= 0 then begin
-      let next = Slot_lru.newer t.attrs s in
-      f s;
-      walk next
-    end
-  in
-  walk (Slot_lru.lru t.attrs)
-
+(* Walks visit the least recently used entry first. *)
 let writeback_dirty_attrs t =
-  iter_attrs t (fun s ->
+  Slot_lru.iter t.attrs (fun s ->
       let c = t.attr_val.(s) in
       if c.ca_dirty then Engine.spawn t.eng (fun () -> writeback_one t c))
 
@@ -484,12 +457,9 @@ let[@hot] name_slot t dir_id (b : bytes) off len =
    name bytes are copied unless the slot already holds them. *)
 let add_name t dir_id (b : bytes) off len child ~lease =
   let s = Slot_lru.add t.name_cache (name_key dir_id b off len) ~lease in
-  if s >= Array.length t.name_dir then begin
-    let n = Slot_lru.slots t.name_cache in
-    t.name_dir <- extend t.name_dir n 0;
-    t.name_str <- extend t.name_str n "";
-    t.name_child <- extend t.name_child n None
-  end;
+  t.name_dir <- Slot_lru.fit t.name_cache t.name_dir 0;
+  t.name_str <- Slot_lru.fit t.name_cache t.name_str "";
+  t.name_child <- Slot_lru.fit t.name_cache t.name_child None;
   if not (Slot_lru.displaced t.name_cache && holds_name t s dir_id b off len) then begin
     t.name_dir.(s) <- dir_id;
     t.name_str.(s) <- Bytes.sub_string b off len
@@ -498,11 +468,8 @@ let add_name t dir_id (b : bytes) off len child ~lease =
 
 let add_map t fid gen sites =
   let s = Slot_lru.add t.map_cache fid ~lease:infinity in
-  if s >= Array.length t.map_gen then begin
-    let n = Slot_lru.slots t.map_cache in
-    t.map_gen <- extend t.map_gen n 0;
-    t.map_sites <- extend t.map_sites n [||]
-  end;
+  t.map_gen <- Slot_lru.fit t.map_cache t.map_gen 0;
+  t.map_sites <- Slot_lru.fit t.map_cache t.map_sites [||];
   t.map_gen.(s) <- gen;
   t.map_sites.(s) <- sites
 
@@ -538,7 +505,7 @@ let tables_version t = t.dir.version + t.sf.version + t.st.version
 let fence_invalidate t =
   Slot_lru.clear t.name_cache;
   Slot_lru.clear t.map_cache;
-  iter_attrs t (fun s ->
+  Slot_lru.iter t.attrs (fun s ->
       let c = t.attr_val.(s) in
       if c.ca_dirty then begin
         Slot_lru.set_lease t.attrs s neg_infinity;
@@ -882,13 +849,9 @@ let rec route_io t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) ~retries =
       | Params.Block_map -> (
           let fid = Fh.peek_file_id_int payload fh_off in
           let s = Slot_lru.find t.map_cache fid in
-          if
-            s >= 0
-            && t.map_gen.(s) = Fh.peek_gen payload fh_off
-            && chunk < Array.length t.map_sites.(s)
-          then
-            to_storage t c pkt cur ~site:(t.map_sites.(s).(chunk) mod n) ~local ~mirrors:1
-              ~retries
+          let same_gen = s >= 0 && t.map_gen.(s) = Fh.peek_gen payload fh_off in
+          if same_gen && chunk < Array.length t.map_sites.(s) then
+            to_storage t c pkt cur ~site:(t.map_sites.(s).(chunk) mod n) ~local ~mirrors:1 ~retries
           else begin
             (* Map-fragment miss (including a generation mismatch from
                a recycled file-id): fetch from the coordinator, then

@@ -1,12 +1,7 @@
-(* A slot table in LRU order. [Xid_index] binds each int key to a slot;
-   per-slot int columns link the slots from most to least recently used
-   ([older] runs toward the tail, [newer] toward the head), and a float
-   column holds each slot's lease. Free slots chain through [older]. The
-   columns start at one slot and double on demand up to the capacity, so
-   a lightly used table stays small. Finds, promotions, inserts, evictions
-   and removals allocate nothing once the columns have grown. *)
-
-let nil = -1
+(* [Xid_index] binds each key to a slot. Per-slot columns link the slots
+   in LRU order ([older] toward the tail, [newer] toward the head) and
+   hold each slot's lease; free slots chain through [older]. The columns
+   start at one slot and double on demand up to the capacity. *)
 
 type t = {
   capacity : int;
@@ -14,25 +9,26 @@ type t = {
   mutable older : int array;
   mutable newer : int array;
   mutable lease : float array;
-  mutable head : int; (* most recently used *)
-  mutable tail : int; (* least recently used *)
+  mutable head : int; (* most recently used; -1 when empty *)
+  mutable tail : int;
   mutable free : int;
   mutable count : int;
   mutable displaced : bool;
 }
 
-(* Make room for [n] slots; the new ones join the free list, lowest
-   first. Cold: at most log2(capacity) times per table. *)
+(* [col] grown to [n] cells, new ones set to [fill]. *)
+let fit_to n col fill =
+  let m = Array.length col in
+  if m >= n then col else Array.append col (Array.make (n - m) fill)
+
+let fit t col fill = fit_to (Array.length t.older) col fill
+
+(* New slots join the free list lowest first. *)
 let resize t n =
   let m = Array.length t.older in
-  let extend a fill =
-    let b = Array.make n fill in
-    Array.blit a 0 b 0 m;
-    b
-  in
-  t.older <- extend t.older nil;
-  t.newer <- extend t.newer nil;
-  t.lease <- extend t.lease neg_infinity;
+  t.older <- fit_to n t.older (-1);
+  t.newer <- fit_to n t.newer (-1);
+  t.lease <- fit_to n t.lease neg_infinity;
   for s = n - 1 downto m do
     t.older.(s) <- t.free;
     t.free <- s
@@ -42,40 +38,26 @@ let resize t n =
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Slot_lru.create: capacity must be positive";
   let t =
-    {
-      capacity;
-      index = Xid_index.create 1;
-      older = [||];
-      newer = [||];
-      lease = [||];
-      head = nil;
-      tail = nil;
-      free = nil;
-      count = 0;
-      displaced = false;
-    }
+    { capacity; index = Xid_index.create 1; older = [||]; newer = [||]; lease = [||];
+      head = -1; tail = -1; free = -1; count = 0; displaced = false }
   in
   resize t 1;
   t
 
-let slots t = Array.length t.older
-let[@hot] key t s = Xid_index.key t.index s
+let[@hot] slot t k = Xid_index.find t.index k
 let[@hot] lease t s = t.lease.(s)
 let[@hot] set_lease t s v = t.lease.(s) <- v
 let[@hot] displaced t = t.displaced
-let[@hot] lru t = t.tail
-let[@hot] newer t s = t.newer.(s)
-let[@hot] slot t k = Xid_index.find t.index k
 
 let[@hot] unlink t s =
   let o = t.older.(s) and n = t.newer.(s) in
-  if n = nil then t.head <- o else t.older.(n) <- o;
-  if o = nil then t.tail <- n else t.newer.(o) <- n
+  if n < 0 then t.head <- o else t.older.(n) <- o;
+  if o < 0 then t.tail <- n else t.newer.(o) <- n
 
 let[@hot] push_head t s =
   t.older.(s) <- t.head;
-  t.newer.(s) <- nil;
-  if t.head = nil then t.tail <- s else t.newer.(t.head) <- s;
+  t.newer.(s) <- -1;
+  if t.head < 0 then t.tail <- s else t.newer.(t.head) <- s;
   t.head <- s
 
 let[@hot] promote t s =
@@ -89,49 +71,35 @@ let[@hot] find t k =
   if s >= 0 then promote t s;
   s
 
-(* Unbind a bound slot and return it to the free list. *)
 let[@hot] drop t s =
-  ignore (Xid_index.remove t.index (key t s));
+  ignore (Xid_index.remove t.index (Xid_index.key t.index s));
   unlink t s;
   t.older.(s) <- t.free;
   t.free <- s;
   t.count <- t.count - 1
 
 let[@hot] fresh t s ~now =
-  if t.lease.(s) <= now then begin
-    drop t s;
-    false
-  end
-  else begin
-    promote t s;
-    true
-  end
+  let live = t.lease.(s) > now in
+  if live then promote t s else drop t s;
+  live
 
-(* A new key takes a free slot; at capacity it takes the LRU tail's
-   slot. The head is never the victim: the new key is not bound yet, so
-   a full table's tail is an older entry. *)
+(* A new key takes a free slot. A full table first drops its tail, whose
+   slot then heads the free list; the tail is never the new key's entry,
+   which is not bound yet. *)
 let[@hot] insert t k ~lease =
   let s = Xid_index.find t.index k in
+  t.displaced <- s >= 0 || t.count = t.capacity;
   let s =
     if s >= 0 then begin
-      t.displaced <- true;
       unlink t s;
       s
     end
-    else if t.count = t.capacity then begin
-      let v = t.tail in
-      ignore (Xid_index.remove t.index (key t v));
-      unlink t v;
-      Xid_index.add t.index ~xid:k ~slot:v;
-      t.displaced <- true;
-      v
-    end
     else begin
+      if t.count = t.capacity then drop t t.tail;
       let f = t.free in
       t.free <- t.older.(f);
       Xid_index.add t.index ~xid:k ~slot:f;
       t.count <- t.count + 1;
-      t.displaced <- false;
       f
     end
   in
@@ -139,23 +107,24 @@ let[@hot] insert t k ~lease =
   push_head t s;
   s
 
-(* Growth is the one allocating step, kept out of [insert]: the columns
-   double when the free list runs dry below the capacity. *)
+(* Growth is the one allocating step, kept out of [insert]. *)
 let add t k ~lease =
-  if t.free = nil && t.count < t.capacity then resize t (min t.capacity (2 * slots t));
+  if t.free < 0 && t.count < t.capacity then
+    resize t (min t.capacity (2 * Array.length t.older));
   insert t k ~lease
 
 let[@hot] remove t k =
   let s = Xid_index.find t.index k in
   if s >= 0 then drop t s
 
-let clear t =
-  Xid_index.clear t.index;
-  t.head <- nil;
-  t.tail <- nil;
-  t.free <- nil;
-  for s = slots t - 1 downto 0 do
-    t.older.(s) <- t.free;
-    t.free <- s
-  done;
-  t.count <- 0
+let iter t f =
+  let rec walk s =
+    if s >= 0 then begin
+      let next = t.newer.(s) in
+      f s;
+      walk next
+    end
+  in
+  walk t.tail
+
+let clear t = iter t (drop t)

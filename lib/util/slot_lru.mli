@@ -1,66 +1,51 @@
-(** A capacity-bounded LRU table of int keys over slots.
+(** A capacity-bounded LRU table of int keys over slots, with a lease
+    per slot: the µproxy's attribute, name and block-map caches.
 
-    The µproxy's attribute, name and block-map caches are built on it.
-    The table binds each key to a slot through {!Xid_index} and keeps the
-    LRU order, a free list and a lease per slot in its own columns; the
-    cached values live in the caller's columns, indexed by the same
-    slot. A caller grows its columns to {!slots} after an {!add} returns
-    a slot beyond them. Every function here but {!create} and {!clear}
-    allocates nothing once the columns have grown to the capacity.
+    Keys are bound to slots through {!Xid_index}; the cached values live
+    in the caller's columns, indexed by slot and grown with {!fit}. The
+    table allocates only in {!create}, {!fit}, {!iter} and when {!add}
+    grows its columns, which double up to the capacity.
 
-    Policy: every lookup through {!find} or {!fresh} promotes its entry
-    to most recently used; {!fresh} drops an entry whose lease lapsed
-    ([lease <= now]); an {!add} of a new key to a full table evicts the
-    least recently used entry, never the entry being added. *)
+    Policy: {!find} and a live {!fresh} promote their entry; {!fresh}
+    drops an entry whose lease has lapsed ([lease <= now]); {!add}ing a
+    new key to a full table evicts the least recently used entry, never
+    the one being added. *)
 
 type t
 
 val create : capacity:int -> t
-(** [create ~capacity] holds at most [capacity] entries. Its columns
-    start at one slot. *)
 
-val slots : t -> int
-(** The current column length: every slot the table has handed out is
-    below it. *)
+val fit : t -> 'a array -> 'a -> 'a array
+(** [fit t col fill] is [col] grown, with [fill], to cover every slot
+    handed out so far. *)
 
 val slot : t -> int -> int
-(** [slot t k] is the slot bound to [k], or [-1]. Promotes nothing. *)
+(** The slot bound to a key, or [-1]. Promotes nothing. *)
 
 val find : t -> int -> int
-(** [find t k] is the slot bound to [k], promoted to most recently used,
-    or [-1]. Leases are not consulted. *)
+(** The slot bound to a key, promoted, or [-1]. Ignores leases. *)
 
 val fresh : t -> int -> now:float -> bool
-(** [fresh t s ~now] is true and promotes the bound slot [s] when its
-    lease is after [now]; otherwise it unbinds [s] and is false. *)
+(** Whether bound slot [s]'s lease is after [now]: if so it is promoted,
+    otherwise unbound. *)
 
 val add : t -> int -> lease:float -> int
-(** [add t k ~lease] binds [k] at the most recently used end with the
-    given lease and returns its slot. If [k] was bound, it keeps its
-    slot. Otherwise a full table first evicts its least recently used
-    entry and reuses that slot. {!displaced} then says whether the
-    returned slot held a live entry (a replaced or evicted one), whose
-    values are still in the caller's columns at that slot. *)
+(** Bind a key as most recently used and return its slot: the key's own
+    slot if it was bound, else a free one, after evicting from a full
+    table. *)
 
 val displaced : t -> bool
-(** Whether the last {!add} reused a live entry's slot. *)
+(** Whether the last {!add}'s slot held a live entry (the key's own or
+    the evicted one), whose values are still in the caller's columns. *)
 
 val remove : t -> int -> unit
-(** [remove t k] unbinds [k], if bound. *)
-
 val drop : t -> int -> unit
-(** [drop t s] unbinds the bound slot [s]. *)
+(** Unbind a bound slot. *)
 
 val clear : t -> unit
-(** Unbind every key. The columns keep their length. *)
-
 val lease : t -> int -> float
 val set_lease : t -> int -> float -> unit
 
-val lru : t -> int
-(** The least recently used slot, or [-1] when the table is empty. *)
-
-val newer : t -> int -> int
-(** [newer t s] is the next slot toward the most recently used end, or
-    [-1] after the head. [lru] then [newer] walks the table LRU first;
-    read [newer t s] before unbinding [s]. *)
+val iter : t -> (int -> unit) -> unit
+(** Visit the bound slots least recently used first; the function may
+    {!drop} the slot it is given. *)

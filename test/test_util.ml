@@ -123,11 +123,8 @@ end = struct
 
   let add t ~expires_at k v =
     let s = Slot_lru.add t.lru k ~lease:expires_at in
-    if s >= Array.length t.vals then begin
-      let n = Slot_lru.slots t.lru and m = Array.length t.vals in
-      t.keys <- Array.init n (fun i -> if i < m then t.keys.(i) else 0);
-      t.vals <- Array.init n (fun i -> if i < m then t.vals.(i) else "")
-    end;
+    t.keys <- Slot_lru.fit t.lru t.keys 0;
+    t.vals <- Slot_lru.fit t.lru t.vals "";
     if Slot_lru.displaced t.lru then t.on_evict t.keys.(s) t.vals.(s);
     t.keys.(s) <- k;
     t.vals.(s) <- v
@@ -144,10 +141,9 @@ end = struct
   let clear t = Slot_lru.clear t.lru
 
   let to_list t =
-    let rec walk s acc =
-      if s < 0 then acc else walk (Slot_lru.newer t.lru s) ((t.keys.(s), t.vals.(s)) :: acc)
-    in
-    walk (Slot_lru.lru t.lru) []
+    let l = ref [] in
+    Slot_lru.iter t.lru (fun s -> l := (t.keys.(s), t.vals.(s)) :: !l);
+    !l
 end
 
 type cache_op =
