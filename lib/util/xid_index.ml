@@ -1,35 +1,24 @@
 (* Open addressing over int arrays: [cells] holds slot+1 (0 = empty) at
    Fibonacci-hashed positions with linear probing, sized at twice the
    slot capacity so load stays under 1/2 and every probe terminates on an
-   empty cell. The home position is the top bits of the key times the
-   golden-ratio constant, so keys that differ only in their high bits
-   (file ids carry their site in the low bits) still spread. The key of
+   empty cell. The home cell comes from bits 32 and up of the key times
+   the golden-ratio constant, which every key bit below them feeds: file
+   ids, whose low bits are their site, spread as well as xids. The key of
    a bound slot lives in [keys], so a probe compares ints and a lookup
    allocates nothing. Deletion back-shifts the probe run (no
    tombstones). *)
 
-type t = {
-  mutable cells : int array;
-  mutable mask : int;
-  mutable hash_shift : int; (* 63 - log2 (cells) *)
-  mutable keys : int array;
-}
+type t = { mutable cells : int array; mutable mask : int; mutable keys : int array }
 
 let rec pow2_from p n = if p >= n then p else pow2_from (p * 2) n
-let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
 
 let create slots =
   let cap = pow2_from 16 slots in
-  {
-    cells = Array.make (cap * 2) 0;
-    mask = (cap * 2) - 1;
-    hash_shift = 63 - log2 (cap * 2);
-    keys = Array.make cap 0;
-  }
+  { cells = Array.make (cap * 2) 0; mask = (cap * 2) - 1; keys = Array.make cap 0 }
 
 let capacity t = Array.length t.keys
 let[@hot] key t slot = t.keys.(slot)
-let[@hot] home t xid = (xid * 0x9E3779B97F4A7C1) lsr t.hash_shift
+let[@hot] home t xid = (xid * 0x9E3779B97F4A7C1) lsr 32 land t.mask
 
 let[@hot] rec probe t xid i =
   let v = t.cells.(i) in
@@ -83,7 +72,6 @@ let resize t slots =
     t.keys <- keys;
     t.cells <- Array.make (cap * 2) 0;
     t.mask <- (cap * 2) - 1;
-    t.hash_shift <- 63 - log2 (cap * 2);
     Array.iter (fun v -> if v <> 0 then add t ~xid:keys.(v - 1) ~slot:(v - 1)) old
   end
 
