@@ -146,6 +146,76 @@ end = struct
     !l
 end
 
+let no_evict _ _ = ()
+let entry_count c = List.length (Cache.to_list c)
+
+let lru_basic () =
+  let c = Cache.create ~on_evict:no_evict ~capacity:3 in
+  Cache.add c ~expires_at:infinity 1 "a";
+  Cache.add c ~expires_at:infinity 2 "b";
+  Cache.add c ~expires_at:infinity 3 "c";
+  check_bool "find 1" true (Cache.find c 1 = Some "a");
+  (* 1 is now MRU; adding 4 evicts 2 *)
+  Cache.add c ~expires_at:infinity 4 "d";
+  check_bool "2 evicted" true (Cache.find c 2 = None);
+  check_bool "1 kept" true (Cache.find c 1 = Some "a");
+  check_int "entries" 3 (entry_count c)
+
+let lru_eviction_callback () =
+  let evicted = ref [] in
+  let c = Cache.create ~on_evict:(fun k v -> evicted := (k, v) :: !evicted) ~capacity:2 in
+  Cache.add c ~expires_at:infinity 1 "a";
+  Cache.add c ~expires_at:infinity 2 "b";
+  Cache.add c ~expires_at:infinity 3 "c";
+  check_bool "evicted (1,a)" true (!evicted = [ (1, "a") ]);
+  Cache.remove c 2;
+  check_bool "remove is silent" true (List.length !evicted = 1)
+
+let lru_replace_fires_evict () =
+  let evicted = ref [] in
+  let c = Cache.create ~on_evict:(fun k v -> evicted := (k, v) :: !evicted) ~capacity:4 in
+  Cache.add c ~expires_at:infinity 1 "a";
+  Cache.add c ~expires_at:infinity 2 "b";
+  (* replacing a live key displaces its old value just like pressure
+     does — the hook must see it (else a dirty entry loses write-back) *)
+  Cache.add c ~expires_at:infinity 1 "a2";
+  check_bool "replace fired on_evict with old value" true (!evicted = [ (1, "a") ]);
+  check_bool "new value visible" true (Cache.find c 1 = Some "a2");
+  check_int "no duplicate entry" 2 (entry_count c)
+
+let lru_replace () =
+  let c = Cache.create ~on_evict:no_evict ~capacity:10 in
+  Cache.add c ~expires_at:infinity 1 "a";
+  Cache.add c ~expires_at:infinity 1 "b";
+  check_bool "value updated" true (Cache.find c 1 = Some "b");
+  check_int "one entry" 1 (entry_count c)
+
+(* lease-aware lookup (the metadata cache's TTL machinery) *)
+let lru_find_ttl () =
+  let evicted = ref [] in
+  let c = Cache.create ~capacity:8 ~on_evict:(fun k _ -> evicted := k :: !evicted) in
+  Cache.add c ~expires_at:5.0 1 "leased";
+  Cache.add c ~expires_at:infinity 2 "forever";
+  (match Cache.find_ttl c 1 ~now:4.9 with
+  | `Fresh v -> check_bool "fresh within lease" true (v = "leased")
+  | _ -> Alcotest.fail "expected Fresh");
+  (match Cache.find_ttl c 1 ~now:5.0 with
+  | `Stale -> ()
+  | _ -> Alcotest.fail "expected Stale at expiry");
+  (* expiry removed the entry silently: no eviction callback, and a
+     re-probe is a Miss, not Stale again *)
+  check_bool "no on_evict for lease expiry" true (!evicted = []);
+  (match Cache.find_ttl c 1 ~now:5.0 with
+  | `Miss -> ()
+  | _ -> Alcotest.fail "expected Miss after expiry removal");
+  check_int "expired entry no longer counted" 1 (entry_count c);
+  (match Cache.find_ttl c 2 ~now:1e12 with
+  | `Fresh v -> check_bool "infinite lease stays fresh" true (v = "forever")
+  | _ -> Alcotest.fail "expected Fresh");
+  (* the plain interface ignores leases entirely *)
+  Cache.add c ~expires_at:0.5 3 "old";
+  check_bool "plain find ignores lease" true (Cache.find c 3 = Some "old")
+
 type cache_op =
   | Add of int * string * float
   | Replace of int * string * float (* the [n]th live key, mod the entry count *)
@@ -366,7 +436,12 @@ let suite =
     ("stats basic", `Quick, stats_basic);
     ("stats percentile", `Quick, stats_percentile);
     ("stats empty", `Quick, stats_empty);
+    ("lru basic", `Quick, lru_basic);
+    ("lru eviction callback", `Quick, lru_eviction_callback);
+    ("lru replace fires evict", `Quick, lru_replace_fires_evict);
+    ("lru replace", `Quick, lru_replace);
     lru_model;
+    ("lru find_ttl leases", `Quick, lru_find_ttl);
     ("stats reservoir bounded", `Quick, stats_reservoir_bounded);
     stats_reservoir_exact_under_cap;
     ("stats reservoir deterministic", `Quick, stats_reservoir_deterministic);
