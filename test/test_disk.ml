@@ -179,16 +179,27 @@ let throttle_bounds_dirty () =
       check_bool "writer throttled" true (Engine.now eng > t0))
 
 (* A backend that records every write-back as (obj, block, count) and
-   completes it 1 ms later; a demand read parks the caller for 10 ms. *)
-let recording_backend eng log =
+   completes it 1 ms later; a demand read parks the caller for 10 ms.
+   With [trace], every backend call is also logged there, one line each
+   with the simulated time and the call's arguments. *)
+let recording_backend ?trace eng log =
+  let note fmt =
+    Printf.ksprintf
+      (fun line -> Option.iter (fun b -> Printf.bprintf b "%.6f %s\n" (Engine.now eng) line) trace)
+      fmt
+  in
   {
-    Bcache.demand_read = (fun ~obj:_ ~block:_ ~count:_ ~sequential:_ -> Engine.sleep eng 0.01);
-    readahead = (fun ~obj:_ ~block:_ ~count:_ -> ());
+    Bcache.demand_read =
+      (fun ~obj ~block ~count ~sequential ->
+        note "demand_read %Ld %d %d %b" obj block count sequential;
+        Engine.sleep eng 0.01);
+    readahead = (fun ~obj ~block ~count -> note "readahead %Ld %d %d" obj block count);
     write_back =
       (fun ~obj ~block ~count ~done_ ->
+        note "write_back %Ld %d %d" obj block count;
         log := (obj, block, count) :: !log;
         Engine.schedule eng 0.001 done_);
-    sync = (fun () -> ());
+    sync = (fun () -> note "sync");
   }
 
 let wb_list = Alcotest.(list (triple int64 int int))
@@ -269,6 +280,76 @@ let throttle_flush_order () =
       (17L, 101, 356); (5L, 0, 100); (5L, 101, 355);
     ]
     (List.rev !log)
+
+(* Seeded random traffic from four fibers over five objects at a
+   64-block capacity, so blocks are evicted throughout: sequential runs
+   (readahead fires), random reads, writes, commits, commit_all,
+   invalidations and drop_clean. Every backend call is logged with its
+   arguments, and each operation with the cache's counters once it
+   returns; the log's digest pins replacement, readahead, clustering and
+   write-back as they stood before the cache moved onto Slot_lru. *)
+let backend_trace_pinned () =
+  let module Prng = Slice_util.Prng in
+  let eng = Engine.create () in
+  let trace = Buffer.create (1 lsl 16) in
+  let c =
+    Bcache.create eng ~backend:(recording_backend ~trace eng (ref [])) ~capacity:(64 * 8192)
+      ~name:"c"
+  in
+  let rng = Prng.create 27 in
+  for f = 0 to 3 do
+    let rng = Prng.split rng in
+    let cursor = Array.make 6 0 in
+    Engine.spawn eng (fun () ->
+        for _ = 1 to 400 do
+          let o = 1 + Prng.int rng 5 in
+          let obj = Int64.of_int o in
+          let op = Prng.int rng 100 in
+          let label, block =
+            if op < 30 then begin
+              let b = cursor.(o) in
+              cursor.(o) <- (if Prng.int rng 8 = 0 then Prng.int rng 40 else b + 1);
+              Bcache.read c ~obj ~block:b;
+              ("read", b)
+            end
+            else if op < 50 then begin
+              let b = Prng.int rng 40 in
+              Bcache.read c ~obj ~block:b;
+              ("read", b)
+            end
+            else if op < 80 then begin
+              let b = if Prng.int rng 2 = 0 then cursor.(o) + Prng.int rng 4 else Prng.int rng 40 in
+              Bcache.write c ~obj ~block:b;
+              ("write", b)
+            end
+            else if op < 90 then (Bcache.commit c ~obj; ("commit", 0))
+            else if op < 95 then (Bcache.invalidate_object c obj; ("invalidate", 0))
+            else if op < 98 then (Bcache.commit_all c; ("commit_all", 0))
+            else begin
+              Bcache.commit_all c;
+              Bcache.drop_clean c;
+              ("drop_clean", 0)
+            end
+          in
+          Printf.bprintf trace "%.6f fiber %d %s %d %d: resident %d hits %d misses %d prefetched %d\n"
+            (Engine.now eng) f label o block (Bcache.resident_bytes c) (Bcache.hits c)
+            (Bcache.misses c) (Bcache.prefetched_blocks c);
+          Engine.sleep eng (Prng.float rng 0.004)
+        done)
+  done;
+  Engine.run eng;
+  run_on eng (fun () -> Bcache.commit_all c);
+  let log = Buffer.contents trace in
+  let calls kind =
+    List.length
+      (List.filter
+         (fun l -> List.mem kind (String.split_on_char ' ' l))
+         (String.split_on_char '\n' log))
+  in
+  List.iter
+    (fun kind -> check_bool (kind ^ " logged") true (calls kind > 0))
+    [ "demand_read"; "readahead"; "write_back"; "sync"; "invalidate"; "drop_clean" ];
+  check_string "backend trace digest" "bb897218fb44c10e505f5386f13859c9" (Digest.to_hex (Digest.string log))
 
 (* Steady-state cache operations allocate nothing: hits, misses that
    evict from a full cache, the readahead probe and its inserts, write
@@ -447,6 +528,7 @@ let suite =
     ("lru order", `Quick, lru_order);
     ("concurrent insert replaces", `Quick, concurrent_insert_replaces);
     ("throttle flush order", `Quick, throttle_flush_order);
+    ("backend trace pinned", `Quick, backend_trace_pinned);
     ("allocation budget", `Quick, alloc_budget);
     ("invalidated objects leave no rows", `Quick, invalidated_objects_leave_no_rows);
     ("ffs alloc/free basic", `Quick, ffs_alloc_free_basic);

@@ -511,6 +511,34 @@ let drc_hit_refreshes () =
   complete r 2;
   check_int "the older one was evicted" 2 (runs_of r 2)
 
+(* Running requests are not DRC entries: 640 requests held running at
+   once, each retransmitted while it runs, run their handler once per
+   xid. Once all complete, the 512 newest completions hit and the 128
+   oldest, evicted, run again. *)
+let drc_running_outside_capacity () =
+  let r = mk_drc_rig ~hold:1.0 () in
+  let n = 640 in
+  for xid = 1 to n do
+    r.send xid
+  done;
+  Engine.schedule r.d_eng 0.5 (fun () ->
+      for xid = 1 to n do
+        r.send xid
+      done);
+  Engine.run r.d_eng;
+  for xid = 1 to n do
+    check_int (Printf.sprintf "xid %d ran once while running" xid) 1 (runs_of r xid)
+  done;
+  check_int "one reply per xid" n !(r.replies);
+  for xid = n - 511 to n do
+    complete r xid;
+    check_int (Printf.sprintf "xid %d hit" xid) 1 (runs_of r xid)
+  done;
+  for xid = 1 to n - 512 do
+    complete r xid;
+    check_int (Printf.sprintf "xid %d ran again" xid) 2 (runs_of r xid)
+  done
+
 (* Steady-state words of one getattr round trip through [serve], client
    encode and RPC included: the request table and the pooled packet
    deliveries allocate nothing, so what is left is the payloads, the
@@ -583,6 +611,8 @@ let suite =
       drc_drops_retransmission_while_running);
     ("nfs endpoint DRC evicts after 512 completions", `Quick, drc_evicts_after_512);
     ("nfs endpoint DRC hit refreshes its entry", `Quick, drc_hit_refreshes);
+    ("nfs endpoint running requests stay outside the DRC", `Quick,
+      drc_running_outside_capacity);
     ("nfs endpoint getattr words budget", `Quick, getattr_words_budget);
     ("tenure sites, drains and load", `Quick, tenure_sites_drains_load);
     ("tenure lease expiry wedges", `Quick, tenure_lease);
