@@ -561,9 +561,8 @@ let invalidate_object t obj =
       if r.pending = 0 then Hashtbl.remove t.objects obj else r.retired <- true
 
 let drop_clean t =
-  (* Invalidate the whole cache (e.g. to model a cold mount). Dirty data
-     must have been committed first: dropped dirty blocks stay counted
-     against the throttle. *)
+  (* Invalidate the whole cache: a cold mount, or a crash that loses
+     dirty data. Dropped dirty blocks leave the throttle's count. *)
   let slots = Array.length t.blk in
   Array.fill t.owner 0 slots no_owner;
   Bytes.fill t.dirty 0 slots '\000';
@@ -576,6 +575,7 @@ let drop_clean t =
     t.free <- s
   done;
   t.count <- 0;
+  t.total_dirty <- 0;
   Hashtbl.reset t.dirty_index;
   Hashtbl.filter_map_inplace
     (fun _ r ->

@@ -67,8 +67,8 @@ val invalidate_object : t -> int64 -> unit
 (** Drop the object's blocks, dirty ones without write-back. *)
 
 val drop_clean : t -> unit
-(** Invalidate everything without write-back — a cold mount. Call only
-    when nothing is dirty (after [commit_all]). *)
+(** Invalidate everything without write-back — a cold mount, or a crash
+    that loses dirty blocks. Write-backs already issued still complete. *)
 
 val hits : t -> int
 val misses : t -> int

@@ -281,6 +281,43 @@ let throttle_flush_order () =
     ]
     (List.rev !log)
 
+(* A crash drops dirty blocks with [drop_clean] while 200 writers sit
+   parked in the dirty throttle behind one write-back held in flight for
+   5 s. The dropped blocks must leave the throttle's count: when that
+   write-back completes, the parked writers resume, and a later write to
+   a new object returns. *)
+let drop_clean_releases_throttle () =
+  let eng = Engine.create () in
+  let backend =
+    {
+      Bcache.demand_read = (fun ~obj:_ ~block:_ ~count:_ ~sequential:_ -> ());
+      readahead = (fun ~obj:_ ~block:_ ~count:_ -> ());
+      write_back = (fun ~obj:_ ~block:_ ~count:_ ~done_ -> Engine.schedule eng 5.0 done_);
+      sync = (fun () -> ());
+    }
+  in
+  let c = Bcache.create eng ~backend ~capacity:(1 lsl 30) ~name:"c" in
+  Engine.spawn eng (fun () ->
+      Bcache.write c ~obj:0L ~block:0;
+      Bcache.commit c ~obj:0L);
+  let finished = ref 0 in
+  for w = 1 to 200 do
+    Engine.spawn eng (fun () ->
+        for b = 0 to 21 do
+          Bcache.write c ~obj:(Int64.of_int w) ~block:b
+        done;
+        incr finished)
+  done;
+  Engine.schedule eng 1.0 (fun () -> Bcache.drop_clean c);
+  Engine.run ~until:20.0 eng;
+  check_int "parked writers resumed" 200 !finished;
+  let returned = ref false in
+  Engine.spawn eng (fun () ->
+      Bcache.write c ~obj:999L ~block:0;
+      returned := true);
+  Engine.run ~until:30.0 eng;
+  check_bool "a write after the crash returns" true !returned
+
 (* Seeded random traffic from four fibers over five objects at a
    64-block capacity, so blocks are evicted throughout: sequential runs
    (readahead fires), random reads, writes, commits, commit_all,
@@ -529,6 +566,7 @@ let suite =
     ("concurrent insert replaces", `Quick, concurrent_insert_replaces);
     ("throttle flush order", `Quick, throttle_flush_order);
     ("backend trace pinned", `Quick, backend_trace_pinned);
+    ("drop_clean releases the throttle", `Quick, drop_clean_releases_throttle);
     ("allocation budget", `Quick, alloc_budget);
     ("invalidated objects leave no rows", `Quick, invalidated_objects_leave_no_rows);
     ("ffs alloc/free basic", `Quick, ffs_alloc_free_basic);
