@@ -1,4 +1,5 @@
 module Engine = Slice_sim.Engine
+module Slot_lru = Slice_util.Slot_lru
 
 let block_size = 8192
 
@@ -26,16 +27,11 @@ let disk_backend eng disk =
     sync = (fun () -> ());
   }
 
-(* The cache is a slot table. Per-slot columns hold the owning object's
-   record, the block number, the dirty bit, the LRU links and the links
-   of the owner's dirty list; free slots chain through [next]. An
-   open-addressing index maps (object, block) to a slot: [cells] holds
-   slot+1 (0 = empty), probed linearly from a multiplicative hash of the
-   record's id and the block, with back-shift deletion as in Xid_index.
-   The key of a bound slot is read from its columns, so a probe compares
-   ints and a physical record. Hits, misses, evictions and readahead
-   therefore allocate nothing; the columns double on demand up to the
-   capacity in blocks. *)
+(* The cache is a Slot_lru keyed by (object, block). Per-slot columns,
+   grown with the table through [Slot_lru.fit], hold the owning object's
+   record, the block number, the dirty bit and the links of the owner's
+   dirty list. Hits, misses, evictions and readahead therefore allocate
+   nothing; the table doubles on demand up to the capacity in blocks. *)
 
 let nil = -1
 let no_block = min_int
@@ -46,7 +42,7 @@ let no_block = min_int
    waiting on them. *)
 type obj_rec = {
   obj : int64;
-  id : int; (* hashes the object's blocks in the index *)
+  id : int; (* keys the object's blocks in the table *)
   mutable last : int; (* last block read or written, or [no_block] *)
   mutable dirty_head : int; (* first slot of the dirty list *)
   mutable ndirty : int;
@@ -73,21 +69,12 @@ let no_owner =
 
 type t = {
   backend : backend;
-  cap_blocks : int;
+  lru : Slot_lru.t;
   mutable owner : obj_rec array;
   mutable blk : int array;
-  mutable dirty : Bytes.t;
-  mutable prev : int array; (* LRU, towards the head (most recent) *)
-  mutable next : int array; (* LRU, towards the tail; the freelist link *)
+  mutable dirty : bool array;
   mutable dprev : int array; (* the owner's dirty list *)
   mutable dnext : int array;
-  mutable head : int;
-  mutable tail : int;
-  mutable free : int;
-  mutable count : int; (* resident blocks *)
-  mutable cells : int array;
-  mutable mask : int;
-  mutable hash_shift : int;
   mutable scratch : int array; (* an object's dirty slots, sorted at flush *)
   objects : (int64, obj_rec) Hashtbl.t;
   dirty_index : (int64, obj_rec) Hashtbl.t; (* objects dirtied or committed *)
@@ -119,91 +106,22 @@ let prefetch_blocks = 32 (* 256 KB / 8 KB *)
 
 (* ---- index ---- *)
 
-let home t id block = (((id lsl 32) + block) * 0x9E3779B97F4A7C1) lsr t.hash_shift
+(* The table key of [block] of [r]: the record's id above the block's 32
+   bits. Distinct blocks get distinct keys only while blocks fit 32 bits
+   and ids 30, so anything outside raises rather than aliasing. *)
+let[@hot] key r block =
+  if block lsr 32 <> 0 || r.id lsr 30 <> 0 then
+    invalid_arg "Bcache: block or object id out of range";
+  (r.id lsl 32) lor block
 
-let rec probe_from t r block i =
-  let v = t.cells.(i) in
-  if v = 0 then nil
-  else if t.owner.(v - 1) == r && t.blk.(v - 1) = block then v - 1
-  else probe_from t r block ((i + 1) land t.mask)
-
-(* The slot holding [block] of [r], or [nil]. *)
-let[@hot] probe t r block = probe_from t r block (home t r.id block)
-
-let rec scan_free t i = if t.cells.(i) = 0 then i else scan_free t ((i + 1) land t.mask)
-let bind t s = t.cells.(scan_free t (home t t.owner.(s).id t.blk.(s))) <- s + 1
-
-let rec cell_of t v i = if t.cells.(i) = v then i else cell_of t v ((i + 1) land t.mask)
-
-(* Refill the hole at [i] from the probe run following [j]: an entry may
-   move into the hole iff its home is cyclically outside (i, j]. *)
-let rec shift_back t i j =
-  let j = (j + 1) land t.mask in
-  let v = t.cells.(j) in
-  if v <> 0 then begin
-    let k = home t t.owner.(v - 1).id t.blk.(v - 1) in
-    let movable = if j > i then k <= i || k > j else k <= i && k > j in
-    if movable then begin
-      t.cells.(i) <- v;
-      t.cells.(j) <- 0;
-      shift_back t j j
-    end
-    else shift_back t i j
-  end
-
-let unbind t s =
-  let i = cell_of t (s + 1) (home t t.owner.(s).id t.blk.(s)) in
-  t.cells.(i) <- 0;
-  shift_back t i i
-
-(* ---- LRU list ---- *)
-
-let unlink t s =
-  let p = t.prev.(s) and n = t.next.(s) in
-  if p = nil then t.head <- n else t.next.(p) <- n;
-  if n = nil then t.tail <- p else t.prev.(n) <- p
-
-let push_front t s =
-  t.prev.(s) <- nil;
-  t.next.(s) <- t.head;
-  if t.head = nil then t.tail <- s else t.prev.(t.head) <- s;
-  t.head <- s
-
-let[@hot] promote t s =
-  if t.head <> s then begin
-    unlink t s;
-    push_front t s
-  end
-
-(* Bind [block] of [r] to a free slot at the head of the LRU list. *)
-let[@hot] insert t r block =
-  let s = t.free in
-  t.free <- t.next.(s);
-  t.owner.(s) <- r;
-  t.blk.(s) <- block;
-  bind t s;
-  push_front t s;
-  t.count <- t.count + 1;
-  s
-
-(* Unbind the LRU tail and free its slot, leaving its columns (owner,
-   block, dirty bit) readable until the slot is reused. *)
-let[@hot] evict t =
-  let s = t.tail in
-  unlink t s;
-  unbind t s;
-  t.next.(s) <- t.free;
-  t.free <- s;
-  t.count <- t.count - 1;
-  s
+(* The slot holding [block] of [r], or [nil]. Promotes nothing. *)
+let[@hot] probe t r block = Slot_lru.slot t.lru (key r block)
 
 let[@hot] rec absent_run t r block n =
   if n < prefetch_blocks - 1 && probe t r (block + n) = nil then absent_run t r block (n + 1)
   else n
 
 (* ---- dirty lists ---- *)
-
-let is_dirty t s = Bytes.get t.dirty s <> '\000'
 
 let index t r =
   if not r.indexed then begin
@@ -213,8 +131,8 @@ let index t r =
 
 let mark_dirty t r s =
   index t r;
-  if not (is_dirty t s) then begin
-    Bytes.set t.dirty s '\001';
+  if not t.dirty.(s) then begin
+    t.dirty.(s) <- true;
     t.dprev.(s) <- nil;
     t.dnext.(s) <- r.dirty_head;
     if r.dirty_head <> nil then t.dprev.(r.dirty_head) <- s;
@@ -228,7 +146,7 @@ let clean t s =
   let p = t.dprev.(s) and n = t.dnext.(s) in
   if p = nil then r.dirty_head <- n else t.dnext.(p) <- n;
   if n <> nil then t.dprev.(n) <- p;
-  Bytes.set t.dirty s '\000';
+  t.dirty.(s) <- false;
   r.ndirty <- r.ndirty - 1;
   t.total_dirty <- t.total_dirty - 1
 
@@ -327,112 +245,56 @@ let flush_all t =
 
 (* ---- slot table ---- *)
 
-let rec pow2_from p n = if p >= n then p else pow2_from (p * 2) n
-
-(* Cold: size the columns to [slots], chain the new slots onto the
-   freelist and rebuild the index over the resident ones. *)
-let resize t slots =
-  let old = Array.length t.blk in
-  let column a fill =
-    let b = Array.make slots fill in
-    Array.blit a 0 b 0 old;
-    b
-  in
-  t.owner <- column t.owner no_owner;
-  t.blk <- column t.blk 0;
-  t.prev <- column t.prev nil;
-  t.next <- column t.next nil;
-  t.dprev <- column t.dprev nil;
-  t.dnext <- column t.dnext nil;
-  t.dirty <- Bytes.extend t.dirty 0 (slots - old);
-  Bytes.fill t.dirty old (slots - old) '\000';
-  for s = slots - 1 downto old do
-    t.next.(s) <- t.free;
-    t.free <- s
-  done;
-  let cells = pow2_from 16 (2 * slots) in
-  let bits = ref 0 in
-  while 1 lsl !bits < cells do
-    incr bits
-  done;
-  t.cells <- Array.make cells 0;
-  t.mask <- cells - 1;
-  t.hash_shift <- 63 - !bits;
-  let s = ref t.head in
-  while !s <> nil do
-    bind t !s;
-    s := t.next.(!s)
-  done
-
 (* Free slot [s] of an entry that leaves without write-back. *)
 let release t s =
-  if is_dirty t s then clean t s;
-  unlink t s;
-  unbind t s;
-  t.owner.(s) <- no_owner;
-  t.next.(s) <- t.free;
-  t.free <- s;
-  t.count <- t.count - 1
+  if t.dirty.(s) then clean t s;
+  Slot_lru.drop t.lru s;
+  t.owner.(s) <- no_owner
 
-(* Take a slot for a block known not to be resident: the LRU tail's when
-   the cache is full (a dirty victim is written back), else a free one. *)
-let admit t r block =
-  if t.count = t.cap_blocks then begin
-    let v = evict t in
-    if is_dirty t v then write_back_victim t v
-  end
-  else if t.free = nil then resize t (min t.cap_blocks (2 * Array.length t.blk));
-  insert t r block
-
-(* Make [block] resident and clean. A resident copy is displaced as by
-   eviction: a dirty one is written back first. *)
+(* Bind [block] of [r] as the most recently used block and return its
+   slot. The entry the slot held — the LRU tail of a full cache, or the
+   block's own resident copy, which a demand read that parked may find
+   loaded or dirtied by another fiber — leaves as an eviction: a dirty
+   one is written back. The backend only enqueues the write-back, so the
+   victim's columns are read before they are overwritten. *)
 let place t r block =
-  let s = probe t r block in
-  if s = nil then ignore (admit t r block)
-  else begin
-    if is_dirty t s then write_back_victim t s;
-    promote t s
-  end
+  let s = Slot_lru.add t.lru (key r block) ~lease:infinity in
+  t.owner <- Slot_lru.fit t.lru t.owner no_owner;
+  t.blk <- Slot_lru.fit t.lru t.blk 0;
+  t.dirty <- Slot_lru.fit t.lru t.dirty false;
+  t.dprev <- Slot_lru.fit t.lru t.dprev nil;
+  t.dnext <- Slot_lru.fit t.lru t.dnext nil;
+  if Slot_lru.displaced t.lru && t.dirty.(s) then write_back_victim t s;
+  t.owner.(s) <- r;
+  t.blk.(s) <- block;
+  s
 
 let create _eng ~backend ~capacity ~name:_ =
   let cap_blocks = capacity / block_size in
   if cap_blocks < 1 then invalid_arg "Bcache.create: capacity below one block";
-  let t =
-    {
-      backend;
-      cap_blocks;
-      owner = [||];
-      blk = [||];
-      dirty = Bytes.empty;
-      prev = [||];
-      next = [||];
-      dprev = [||];
-      dnext = [||];
-      head = nil;
-      tail = nil;
-      free = nil;
-      count = 0;
-      cells = [||];
-      mask = 0;
-      hash_shift = 0;
-      scratch = Array.make 64 0;
-      (* lint: bounded — one record per object seen; invalidate_object drops it *)
-      objects = Hashtbl.create 64;
-      (* lint: bounded — the dirtied or committed subset of [objects] *)
-      dirty_index = Hashtbl.create 16;
-      next_id = 0;
-      hits = 0;
-      misses = 0;
-      prefetched = 0;
-      inflight = 0;
-      inflight_blocks = 0;
-      total_dirty = 0;
-      waiters = [];
-      throttle_waiters = [];
-    }
-  in
-  resize t (min cap_blocks 256);
-  t
+  {
+    backend;
+    lru = Slot_lru.create ~capacity:cap_blocks;
+    owner = [||];
+    blk = [||];
+    dirty = [||];
+    dprev = [||];
+    dnext = [||];
+    scratch = Array.make 64 0;
+    (* lint: bounded — one record per object seen; invalidate_object drops it *)
+    objects = Hashtbl.create 64;
+    (* lint: bounded — the dirtied or committed subset of [objects] *)
+    dirty_index = Hashtbl.create 16;
+    next_id = 0;
+    hits = 0;
+    misses = 0;
+    prefetched = 0;
+    inflight = 0;
+    inflight_blocks = 0;
+    total_dirty = 0;
+    waiters = [];
+    throttle_waiters = [];
+  }
 
 (* The object's record, made on first sight; touching an invalidated
    object with write-backs still in flight revives its record. *)
@@ -455,10 +317,8 @@ let sequentialish ~last ~block = block > last && block - last <= 8
 
 let read t ~obj ~block =
   let r = record t obj in
-  let s = probe t r block in
-  if s <> nil then begin
+  if Slot_lru.find t.lru (key r block) <> nil then begin
     t.hits <- t.hits + 1;
-    promote t s;
     r.last <- block
   end
   else begin
@@ -471,13 +331,13 @@ let read t ~obj ~block =
     (* the fiber parked: the object may have been invalidated, and the
        block loaded or dirtied by another fiber, meanwhile *)
     let r = record t obj in
-    place t r block;
+    ignore (place t r block);
     if seq then begin
       let run = absent_run t r (block + 1) 0 in
       if run > 0 then begin
         t.backend.readahead ~obj ~block:(block + 1) ~count:run;
         for i = 1 to run do
-          place t r (block + i)
+          ignore (place t r (block + i))
         done;
         t.prefetched <- t.prefetched + run
       end
@@ -487,16 +347,15 @@ let read t ~obj ~block =
 
 let write t ~obj ~block =
   let r = record t obj in
-  let s = probe t r block in
+  let s = Slot_lru.find t.lru (key r block) in
   let s =
     if s <> nil then begin
       t.hits <- t.hits + 1;
-      promote t s;
       s
     end
     else begin
       t.misses <- t.misses + 1;
-      admit t r block
+      place t r block
     end
   in
   mark_dirty t r s;
@@ -547,12 +406,7 @@ let invalidate_object t obj =
   match Hashtbl.find t.objects obj with
   | exception Not_found -> ()
   | r ->
-      let s = ref t.head in
-      while !s <> nil do
-        let n = t.next.(!s) in
-        if t.owner.(!s) == r then release t !s;
-        s := n
-      done;
+      Slot_lru.iter t.lru (fun s -> if t.owner.(s) == r then release t s);
       if r.indexed then begin
         Hashtbl.remove t.dirty_index obj;
         r.indexed <- false
@@ -563,18 +417,9 @@ let invalidate_object t obj =
 let drop_clean t =
   (* Invalidate the whole cache: a cold mount, or a crash that loses
      dirty data. Dropped dirty blocks leave the throttle's count. *)
-  let slots = Array.length t.blk in
-  Array.fill t.owner 0 slots no_owner;
-  Bytes.fill t.dirty 0 slots '\000';
-  Array.fill t.cells 0 (Array.length t.cells) 0;
-  t.head <- nil;
-  t.tail <- nil;
-  t.free <- nil;
-  for s = slots - 1 downto 0 do
-    t.next.(s) <- t.free;
-    t.free <- s
-  done;
-  t.count <- 0;
+  Slot_lru.clear t.lru;
+  Array.fill t.owner 0 (Array.length t.owner) no_owner;
+  Array.fill t.dirty 0 (Array.length t.dirty) false;
   t.total_dirty <- 0;
   Hashtbl.reset t.dirty_index;
   Hashtbl.filter_map_inplace
@@ -593,4 +438,4 @@ let drop_clean t =
 let hits t = t.hits
 let misses t = t.misses
 let prefetched_blocks t = t.prefetched
-let resident_bytes t = t.count * block_size
+let resident_bytes t = Slot_lru.count t.lru * block_size

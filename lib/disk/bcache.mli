@@ -47,7 +47,14 @@ val create : Slice_sim.Engine.t -> backend:backend -> capacity:int -> name:strin
     tail, and a dirty victim is written back on its own. Inserting a
     block that is already resident (a demand read that parked while
     another fiber loaded or dirtied it) replaces it the same way: the
-    old copy is evicted, written back if dirty, and one copy stays. *)
+    old copy is evicted, written back if dirty, and one copy stays.
+
+    Block numbers lie in [\[0, 2{^32})]: room for 32 logical sites
+    2{^27} blocks apart, where a storage node holds at most eight. A
+    cache numbers at most 2{^30} objects over its life; an object seen
+    again after {!invalidate_object} drained it takes a new number.
+    [read] and [write] raise [Invalid_argument] outside these limits
+    rather than let two blocks share an index key. *)
 
 val read : t -> obj:int64 -> block:int -> unit
 (** Fiber: ensure the block is resident. *)

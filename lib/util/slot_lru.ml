@@ -48,6 +48,7 @@ let[@hot] slot t k = Xid_index.find t.index k
 let[@hot] lease t s = t.lease.(s)
 let[@hot] set_lease t s v = t.lease.(s) <- v
 let[@hot] displaced t = t.displaced
+let count t = t.count
 
 let[@hot] unlink t s =
   let o = t.older.(s) and n = t.newer.(s) in

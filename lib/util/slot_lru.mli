@@ -38,6 +38,9 @@ val displaced : t -> bool
 (** Whether the last {!add}'s slot held a live entry (the key's own or
     the evicted one), whose values are still in the caller's columns. *)
 
+val count : t -> int
+(** The number of bound keys. *)
+
 val remove : t -> int -> unit
 val drop : t -> int -> unit
 (** Unbind a bound slot. *)

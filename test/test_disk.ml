@@ -318,6 +318,42 @@ let drop_clean_releases_throttle () =
   Engine.run ~until:30.0 eng;
   check_bool "a write after the crash returns" true !returned
 
+(* A storage node caches block [b] of logical site [k] as [k * 2^27 + b]
+   (Obsd.cache_block). Across sites 0-7, blocks of two objects never
+   answer for each other, nor blocks of one object that differ only in
+   their site; a block outside the key's 32 bits raises instead of
+   aliasing another. *)
+let key_range_guard () =
+  let eng = Engine.create () in
+  let c =
+    Bcache.create eng ~backend:(recording_backend eng (ref [])) ~capacity:(1 lsl 20) ~name:"c"
+  in
+  let blocks =
+    List.concat_map (fun site -> List.map (fun b -> (site lsl 27) + b) [ 0; 1; (1 lsl 27) - 1 ])
+      (List.init 8 Fun.id)
+  in
+  run_on eng (fun () ->
+      List.iter (fun block -> Bcache.write c ~obj:1L ~block) blocks;
+      check_int "every site's blocks resident apart" (List.length blocks * 8192)
+        (Bcache.resident_bytes c);
+      let misses = Bcache.misses c in
+      List.iter (fun block -> Bcache.write c ~obj:2L ~block) blocks;
+      check_int "the other object's blocks all miss" (misses + List.length blocks)
+        (Bcache.misses c);
+      let hits = Bcache.hits c in
+      List.iter (fun block -> Bcache.read c ~obj:1L ~block) blocks;
+      check_int "the first object's blocks all hit" (hits + List.length blocks) (Bcache.hits c));
+  List.iter
+    (fun block ->
+      check_bool
+        (Printf.sprintf "block %d raises" block)
+        true
+        (try
+           Bcache.write c ~obj:1L ~block;
+           false
+         with Invalid_argument _ -> true))
+    [ 1 lsl 32; -1 ]
+
 (* Seeded random traffic from four fibers over five objects at a
    64-block capacity, so blocks are evicted throughout: sequential runs
    (readahead fires), random reads, writes, commits, commit_all,
@@ -567,6 +603,7 @@ let suite =
     ("throttle flush order", `Quick, throttle_flush_order);
     ("backend trace pinned", `Quick, backend_trace_pinned);
     ("drop_clean releases the throttle", `Quick, drop_clean_releases_throttle);
+    ("key range guard", `Quick, key_range_guard);
     ("allocation budget", `Quick, alloc_budget);
     ("invalidated objects leave no rows", `Quick, invalidated_objects_leave_no_rows);
     ("ffs alloc/free basic", `Quick, ffs_alloc_free_basic);
