@@ -97,9 +97,9 @@ let repo =
     (* Files whose [@hot] roots seed A1, and which therefore must have a
        .cmt available when the typed tier runs: the µproxy packet path,
        the codec peek path and its XDR primitives, the engine's event
-       dispatch, the RPC reply path, the shared xid index, the µproxy
-       caches' slot tables, the buffer cache's slot table, the server request table, the WFQ pick and
-       the WAL's in-place record framing. *)
+       dispatch, the RPC reply path, the shared xid index and slot
+       tables, the buffer cache's key and probes, the server request
+       table, the WFQ pick and the WAL's in-place record framing. *)
     a1_scope =
       (fun f ->
         List.mem f

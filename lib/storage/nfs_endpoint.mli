@@ -20,13 +20,14 @@ val serve :
 (** The handler runs in a fiber and may use storage/cache/RPC operations
     that park. Malformed packets are dropped (the client retransmits).
 
-    One request table per endpoint deduplicates by xid. A retransmission
-    of a request still running (or waiting in [qos]) is dropped; the
-    original's reply answers both. The replies of the 512 most recently
-    completed requests are kept: a retransmission of one of them gets
-    the cached reply again, re-encoded, without running the handler, and
-    counts as a use for recency. The table allocates nothing per
-    request once it has grown to its peak.
+    Each endpoint deduplicates by xid. A retransmission of a request
+    still running (or waiting in [qos]) is dropped; the original's reply
+    answers both. However many requests run, the replies of the 512 most
+    recently completed ones are kept: a retransmission of one of them
+    gets the cached reply again, re-encoded, without running the
+    handler, and counts as a use for recency. The two tables behind this
+    ({!Slice_util.Slot_lru}) allocate nothing per request once they have
+    grown to their peak.
     While [alive] (default: always) returns [false] the endpoint is
     silent — packets are swallowed without decode or reply, modeling a
     crashed service whose clients recover by retransmission.

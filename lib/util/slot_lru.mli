@@ -1,5 +1,8 @@
 (** A capacity-bounded LRU table of int keys over slots, with a lease
-    per slot: the µproxy's attribute, name and block-map caches.
+    per slot: the µproxy's attribute, name and block-map caches, the
+    buffer cache ([Bcache]) and the servers' request tables
+    ([Nfs_endpoint]'s running marks and duplicate request cache). The
+    last two add with [~lease:infinity] and never read the lease.
 
     Keys are bound to slots through {!Xid_index}; the cached values live
     in the caller's columns, indexed by slot and grown with {!fit}. The

@@ -1,11 +1,12 @@
 (** Allocation-free index from an int key to a pool slot.
 
     The pooled tables that match replies to outstanding requests — the
-    µproxy's pending records, {!Slice_net.Rpc}'s calls and the servers'
-    request tables — keep their records in an array and find them by xid
-    through this index. {!Slot_lru} indexes the µproxy's metadata caches
-    through it too: file ids for attributes and block maps, and name
-    hashes folded with the parent's file id for names. Slots
+    µproxy's pending records and {!Slice_net.Rpc}'s calls — keep their
+    records in an array and find them by xid through this index.
+    {!Slot_lru} indexes its tables through it too: file ids for the
+    µproxy's attributes and block maps, name hashes folded with the
+    parent's file id for names, (object, block) keys for the buffer
+    cache, and xids for the servers' request tables. Slots
     are small non-negative ints below the slot count; each slot is bound to
     at most one xid at a time. Lookups, inserts and deletes allocate
     nothing. *)
