@@ -403,6 +403,46 @@ let rpc_retransmit_sends_pristine_bytes () =
   check_int "reply echoes the original bytes" 7 tag;
   check_bool "both attempts left with the call's bytes" true (List.rev !seen = [ 7; 7 ])
 
+(* Concurrent calls against a server that holds each burst's requests
+   and answers them in reverse order: every caller gets its own reply,
+   the endpoint keeps one call record per call it had outstanding at
+   once, and a smaller later burst reuses them. *)
+let rpc_concurrent_calls_reverse_replies () =
+  let eng, net = mk_net () in
+  let c = Net.add_node net ~name:"client" in
+  let s = Net.add_node net ~name:"server" in
+  let held = ref [] and burst = ref 0 in
+  Net.listen net s ~port:2049 (fun pkt ->
+      held := pkt :: !held;
+      if List.length !held = !burst then begin
+        (* [held] is newest first: the last call is answered first *)
+        List.iter
+          (fun p ->
+            Net.send net
+              (Packet.make ~src:s ~dst:p.Packet.src ~sport:2049 ~dport:p.Packet.sport
+                 (Bytes.copy p.Packet.payload)))
+          !held;
+        held := []
+      end);
+  let rpc = Rpc.create net c ~port:900 in
+  let run n =
+    burst := n;
+    let tags = Array.make n (-1) in
+    run_on eng (fun () ->
+        for i = 0 to n - 1 do
+          Engine.spawn eng (fun () ->
+              tags.(i) <- tag_of (Rpc.call rpc ~dst:s ~dport:2049 (mk_call_payload rpc (100 + i))))
+        done);
+    Array.iteri (fun i t -> check_int (Printf.sprintf "caller %d got its own reply" i) (100 + i) t) tags
+  in
+  run 48;
+  check_int "one record per concurrent call" 48 (Rpc.pool_size rpc);
+  check_int "no retransmissions" 0 (Rpc.retransmissions rpc);
+  run 16;
+  check_int "records reused" 48 (Rpc.pool_size rpc);
+  check_int "nothing outstanding" 0 (Rpc.pending_calls rpc);
+  check_int "every call completed" 64 (Rpc.calls_completed rpc)
+
 (* Steady-state words of one call/reply round trip over a bare Net: the
    call record, timer closure and waiter are pooled, and so are the
    packets' deliveries with their event thunks, so what is left is the
@@ -460,5 +500,6 @@ let suite =
     ("rpc duplicate replies dropped", `Quick, rpc_duplicate_replies_dropped);
     ("rpc slot reuse cancels the timer", `Quick, rpc_slot_reuse_cancels_timer);
     ("rpc retransmit sends pristine bytes", `Quick, rpc_retransmit_sends_pristine_bytes);
+    ("rpc concurrent calls, reverse replies", `Quick, rpc_concurrent_calls_reverse_replies);
     ("rpc round trip words budget", `Quick, rpc_roundtrip_words);
   ]

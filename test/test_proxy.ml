@@ -649,6 +649,79 @@ let pending_expiry_reclaims_pool () =
       Engine.sleep eng 0.02;
       check_int "pool reusable after expiry" 0 (Proxy.pending_size proxy))
 
+(* Replies reaching the client at port 1000, counted per xid. *)
+let count_deliveries net chost ~base n =
+  let got = Array.make n 0 in
+  Net.listen net chost.Host.addr ~port:1000 (fun pkt ->
+      let i = Codec.xid_of pkt.Packet.payload - base in
+      if i >= 0 && i < n then got.(i) <- got.(i) + 1);
+  got
+
+(* 1500 requests held pending at one µproxy, answered in reverse xid
+   order. Every odd request is a mirrored write that settles only on its
+   second ack, so a record shared by two requests, or an ack matched to
+   another request's record, shows up as a reply delivered twice or not
+   at all. The table then keeps cycling. *)
+let pending_table_holds_many () =
+  let eng, net, chost, dhost, vaddr, proxy = mk_raw () in
+  let n = 1500 and base = 0x200000 in
+  let got = count_deliveries net chost ~base (n + 1) in
+  let fh i = { (reg_fh (i mod 8)) with Fh.mirrored = i land 1 = 1 } in
+  let call i =
+    if i land 1 = 0 then Nfs.Getattr (fh i)
+    else Nfs.Write (fh i, Int64.of_int (i mod 32 * 8192), Nfs.Unstable, Nfs.Synthetic 4096)
+  in
+  let acks i = if i land 1 = 0 then 1 else 2 in
+  let reply i =
+    let attr = Nfs.default_attr ~ftype:Fh.Reg ~fileid:(fh i).Fh.file_id ~now:0.0 in
+    let resp = if i land 1 = 0 then Nfs.RGetattr attr else Nfs.RWrite (4096, Nfs.Unstable, attr) in
+    reply_pkt dhost chost ~xid:(base + i) (Ok resp)
+  in
+  run_on eng (fun () ->
+      for i = 0 to n - 1 do
+        Net.send net (call_pkt chost vaddr ~xid:(base + i) (call i))
+      done);
+  check_int "all held pending" n (Proxy.pending_size proxy);
+  run_on eng (fun () ->
+      for i = n - 1 downto 0 do
+        for _ = 1 to acks i do
+          Net.send net (reply i)
+        done
+      done);
+  check_bool "each reply reached the client exactly once" true
+    (Array.for_all (fun c -> c = 1) (Array.sub got 0 n));
+  check_int "every ack processed" (n + (n / 2)) (Proxy.replies_processed proxy);
+  check_int "table drained" 0 (Proxy.pending_size proxy);
+  run_on eng (fun () -> Net.send net (call_pkt chost vaddr ~xid:(base + n) (call 0)));
+  check_int "a later request is held" 1 (Proxy.pending_size proxy);
+  run_on eng (fun () -> Net.send net (reply_pkt dhost chost ~xid:(base + n) (snd (sfs_mix 1))));
+  check_int "and settles" 0 (Proxy.pending_size proxy);
+  check_int "its reply delivered" 1 got.(n)
+
+(* Dropping the soft state with records in flight forgets them: a late
+   reply passes through to the client unmatched, and the next request
+   is held and settled as usual. *)
+let discard_with_requests_in_flight () =
+  let eng, net, chost, dhost, vaddr, proxy = mk_raw () in
+  let base = 0x300000 in
+  let got = count_deliveries net chost ~base 11 in
+  run_on eng (fun () ->
+      for i = 0 to 9 do
+        Net.send net (call_pkt chost vaddr ~xid:(base + i) (fst (sfs_mix i)))
+      done);
+  check_int "ten in flight" 10 (Proxy.pending_size proxy);
+  Proxy.discard_soft_state proxy;
+  check_int "all forgotten" 0 (Proxy.pending_size proxy);
+  run_on eng (fun () -> Net.send net (reply_pkt dhost chost ~xid:(base + 3) (snd (sfs_mix 3))));
+  check_int "late reply passed through" 1 got.(3);
+  check_int "late reply matched nothing" 0 (Proxy.replies_processed proxy);
+  run_on eng (fun () -> Net.send net (call_pkt chost vaddr ~xid:(base + 10) (fst (sfs_mix 1))));
+  check_int "next request held" 1 (Proxy.pending_size proxy);
+  run_on eng (fun () -> Net.send net (reply_pkt dhost chost ~xid:(base + 10) (snd (sfs_mix 1))));
+  check_int "next request settled" 0 (Proxy.pending_size proxy);
+  check_int "its reply processed" 1 (Proxy.replies_processed proxy);
+  check_int "and delivered" 1 got.(10)
+
 (* A directory request bounced with ERR_MISDIRECTED is retried at once
    when any routing table moved since the µproxy forwarded it — the
    storage or the small-file table alone counts — and only after the
@@ -715,6 +788,8 @@ let suite =
       ("packet path words budget", `Quick, packet_path_words_budget);
       ("retransmit supersedes pending", `Quick, retransmit_supersedes_pending);
       ("pending expiry reclaims pool", `Quick, pending_expiry_reclaims_pool);
+      ("pending table holds 1500 in flight", `Quick, pending_table_holds_many);
+      ("discard with requests in flight", `Quick, discard_with_requests_in_flight);
       ("misdirect retry waits only when no table moved", `Quick, misdirect_retry_timing);
     ]
 
