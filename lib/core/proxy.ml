@@ -12,7 +12,6 @@ module Host = Slice_storage.Host
 module Ctrl = Slice_storage.Ctrl
 module Prng = Slice_util.Prng
 module Slot_lru = Slice_util.Slot_lru
-module Xid_index = Slice_util.Xid_index
 module Trace = Slice_trace.Trace
 
 type targets = {
@@ -34,15 +33,15 @@ type phase_cpu = {
 
 type klass = KName | KStorage | KSmallfile
 
-(* One in-flight request. Records are pooled: every field is mutable and
-   reset on reuse, the request payload lives in a per-record buffer that
-   is grown (never shrunk) to the packet size, and name/handle arguments
-   are kept as (offset, length) spans into that buffer — so steady-state
+(* One in-flight request, the record of a slot of the pending table.
+   Records are pooled: every field is mutable and reset on reuse, the
+   request payload lives in a per-record buffer that is grown (never
+   shrunk) to the packet size, and name/handle arguments are kept as
+   (offset, length) spans into that buffer — so steady-state
    interception recycles records without allocating. [p_born] lives in a
    parallel float array ([pool_born]) because a mutable float field in a
    mixed record would box a fresh float on every store. *)
 type pending = {
-  mutable p_active : bool;
   mutable p_klass : klass;
   mutable p_proc : int;
   mutable p_fh_off : int; (* handle span offset in [p_buf]; -1 = none *)
@@ -70,7 +69,6 @@ type pending = {
   mutable p_mirror_left : int;
   mutable p_worst : int; (* worst NFS status seen across mirror acks *)
   mutable p_span : Trace.span; (* request root; finished on reply *)
-  mutable p_next_free : int; (* freelist link (slot index); -1 = end *)
 }
 
 (* An attribute cache entry. Its slot's lease is the deadline for
@@ -124,14 +122,11 @@ type t = {
   tg : targets;
   prng : Prng.t;
   rpc : Rpc.t;
-  (* pending-record pool, found by xid through the shared index (which
-     also holds each slot's xid) *)
-  mutable pool : pending array;
+  (* the requests in flight: a slot table keyed by xid, whose records
+     and arrival times live in the columns below it *)
+  pending : Slot_lru.t;
+  mutable pool : pending array; (* [no_pending] until the slot is first used *)
   mutable pool_born : float array; (* arrival time, refreshed by retransmit *)
-  mutable free_head : int;
-  xidx : Xid_index.t;
-  mutable n_pending : int;
-  mutable sweep_buf : int array; (* expiry sweep scratch (slot indices) *)
   (* The metadata caches, discardable soft state: each is a slot table
      in LRU order whose values live in the columns below it, indexed by
      its slots. *)
@@ -257,12 +252,10 @@ let ctrl_call t ?(span = Trace.null) msg =
       in
       snd (Ctrl.decode_reply reply)
 
-(* ---- pending-record pool + xid index ---- *)
+(* ---- pending records ---- *)
 
-(* Per-µproxy sizes: pending records (and xid-index headroom)
-   preallocated, a power of two; attribute cache and block-map placement
-   cache entries. *)
-let pending_capacity = 1024
+(* Per-µproxy cache sizes: attribute cache and block-map placement cache
+   entries. *)
 let attr_cache_capacity = 4096
 let map_cache_capacity = 1024
 
@@ -271,7 +264,6 @@ let round_pow2 n = round_pow2_from 16 n
 
 let fresh_pending () =
   {
-    p_active = false;
     p_klass = KName;
     p_proc = 0;
     p_fh_off = -1;
@@ -290,52 +282,14 @@ let fresh_pending () =
     p_mirror_left = 0;
     p_worst = 0;
     p_span = Trace.null;
-    p_next_free = -1;
   }
 
+(* Fills the slots no request has used yet; compared physically. *)
+let no_pending = fresh_pending ()
+
 let[@hot] release_slot t slot =
-  let pd = t.pool.(slot) in
-  pd.p_active <- false;
-  pd.p_span <- Trace.null;
-  pd.p_next_free <- t.free_head;
-  t.free_head <- slot;
-  t.n_pending <- t.n_pending - 1
-
-(* Overflow past [pending_capacity]: double the pool and rebuild the
-   index at matching headroom (cold; the capacity is a sizing hint). *)
-let grow_pool t =
-  let cap = Array.length t.pool in
-  let ncap = cap * 2 in
-  let pool = Array.init ncap (fun i -> if i < cap then t.pool.(i) else fresh_pending ()) in
-  let born = Array.make ncap 0.0 in
-  Array.blit t.pool_born 0 born 0 cap;
-  t.pool <- pool;
-  t.pool_born <- born;
-  t.sweep_buf <- Array.make ncap 0;
-  for i = ncap - 1 downto cap do
-    pool.(i).p_next_free <- t.free_head;
-    t.free_head <- i
-  done;
-  Xid_index.resize t.xidx ncap
-
-let acquire_slot t =
-  if t.free_head < 0 then grow_pool t;
-  let s = t.free_head in
-  t.free_head <- t.pool.(s).p_next_free;
-  s
-
-(* Every slot free, linked in slot order; the index empty. *)
-let reset_pool t =
-  Xid_index.clear t.xidx;
-  t.free_head <- -1;
-  for i = Array.length t.pool - 1 downto 0 do
-    let pd = t.pool.(i) in
-    pd.p_active <- false;
-    pd.p_span <- Trace.null;
-    pd.p_next_free <- t.free_head;
-    t.free_head <- i
-  done;
-  t.n_pending <- 0
+  t.pool.(slot).p_span <- Trace.null;
+  Slot_lru.drop t.pending slot
 
 (* ---- span helpers ---- *)
 
@@ -542,70 +496,50 @@ let arm_sweep t =
     Engine.schedule t.eng interval t.sweep_fn
   end
 
+(* The walk visits records in the order they were remembered, never in
+   slot order, so the expiry order is as deterministic as the run. *)
 let sweep t =
   t.sweep_armed <- false;
   let now = Engine.now t.eng in
   let expiry = t.p.Params.pending_expiry in
-  let buf = t.sweep_buf in
-  let n = ref 0 in
-  for s = 0 to Array.length t.pool - 1 do
-    if t.pool.(s).p_active && now -. t.pool_born.(s) >= expiry then begin
-      buf.(!n) <- s;
-      incr n
-    end
-  done;
-  (* expire in ascending-xid order (insertion sort over the scratch
-     array): victim order — hence trace emission — is deterministic and
-     independent of pool slot assignment *)
-  for i = 1 to !n - 1 do
-    let v = buf.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && Xid_index.key t.xidx buf.(!j) > Xid_index.key t.xidx v do
-      buf.(!j + 1) <- buf.(!j);
-      decr j
-    done;
-    buf.(!j + 1) <- v
-  done;
-  for i = 0 to !n - 1 do
-    let s = buf.(i) in
-    let pd = t.pool.(s) in
-    let xid = Xid_index.key t.xidx s in
-    ignore (Xid_index.remove t.xidx xid);
-    Trace.unbind_xid pd.p_span xid;
-    Trace.finish ~outcome:"expired" pd.p_span;
-    release_slot t s;
-    t.n_expired <- t.n_expired + 1
-  done;
-  if t.n_pending > 0 then arm_sweep t
+  Slot_lru.iter t.pending (fun s ->
+      if now -. t.pool_born.(s) >= expiry then begin
+        let pd = t.pool.(s) in
+        Trace.unbind_xid pd.p_span (Slot_lru.key t.pending s);
+        Trace.finish ~outcome:"expired" pd.p_span;
+        release_slot t s;
+        t.n_expired <- t.n_expired + 1
+      end);
+  if Slot_lru.count t.pending > 0 then arm_sweep t
 
 (* ---- forwarding ---- *)
 
-(* Record the request in the pool, keyed by xid. Must run before any
+(* Record the request in the pending table, keyed by xid. Must run before any
    in-place rewrite (offset/cookie patches): the pooled buffer keeps the
    bytes the client sent, so a bounce or failover retry re-enters routing
    pristine — stripe offsets are never translated twice. *)
 let remember t (cur : Codec.cursor) (payload : bytes) ~span ~klass ~rd_site ~mirrors ~retries =
   let xid = cur.Codec.c_xid in
-  let found = Xid_index.find t.xidx xid in
+  let found = Slot_lru.slot t.pending xid in
   let slot =
     if found >= 0 then begin
       (* a client retransmit replaces the record: close the superseded
-         tree and reuse the slot (the index binding stands) *)
+         tree and reuse the slot (the binding stands) *)
       let old = t.pool.(found) in
       Trace.unbind_xid old.p_span xid;
       Trace.finish ~outcome:"superseded" old.p_span;
       found
     end
     else begin
-      let s = acquire_slot t in
-      Xid_index.add t.xidx ~xid ~slot:s;
-      t.n_pending <- t.n_pending + 1;
+      let s = Slot_lru.add t.pending xid ~lease:infinity in
+      t.pool <- Slot_lru.fit t.pending t.pool no_pending;
+      t.pool_born <- Slot_lru.fit t.pending t.pool_born 0.0;
+      if t.pool.(s) == no_pending then t.pool.(s) <- fresh_pending ();
       s
     end
   in
   let pd = t.pool.(slot) in
   Trace.bind_xid span xid;
-  pd.p_active <- true;
   pd.p_klass <- klass;
   pd.p_proc <- cur.Codec.c_proc;
   pd.p_fh_off <- cur.Codec.c_fh_off;
@@ -1403,13 +1337,12 @@ let ingress_filter t (pkt : Packet.t) =
   if Bytes.length pkt.Packet.payload < 4 then Some pkt
   else begin
     let xid = Int32.to_int (Bytes.get_int32_be pkt.Packet.payload 0) land 0xFFFFFFFF in
-    let slot = Xid_index.find t.xidx xid in
+    let slot = Slot_lru.slot t.pending xid in
     if slot < 0 then Some pkt
     else begin
       let pd = t.pool.(slot) in
       let last = pd.p_mirror_left <= 1 in
       if last then begin
-        ignore (Xid_index.remove t.xidx xid);
         Trace.unbind_xid pd.p_span xid;
         (* per-tenant accounting on the closing reply: one op, the
            response bytes, and the client-visible latency measured from
@@ -1436,8 +1369,6 @@ let rec writeback_tick t =
 
 let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
   let net = host.Host.net in
-  let cap = pending_capacity in
-  let pool = Array.init cap (fun _ -> fresh_pending ()) in
   let t =
     {
       host;
@@ -1449,12 +1380,9 @@ let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
       tg = targets;
       prng = Prng.create (seed + (host.Host.addr * 7919));
       rpc = Rpc.create net host.Host.addr ~port:params.Params.rpc_port;
-      pool;
-      pool_born = Array.make cap 0.0;
-      free_head = -1;
-      xidx = Xid_index.create cap;
-      n_pending = 0;
-      sweep_buf = Array.make cap 0;
+      pending = Slot_lru.create ~capacity:max_int;
+      pool = [||];
+      pool_born = [||];
       attrs = Slot_lru.create ~capacity:attr_cache_capacity;
       attr_val = [||];
       name_cache = Slot_lru.create ~capacity:params.Params.name_cache_capacity;
@@ -1506,7 +1434,6 @@ let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
     }
   in
   t.fence_seen <- combined_epoch t;
-  reset_pool t;
   t.sweep_fn <- (fun () -> sweep t);
   Net.add_egress_filter net host.Host.addr (egress_filter t);
   Net.add_ingress_filter net host.Host.addr (ingress_filter t);
@@ -1516,7 +1443,7 @@ let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
 let params t = t.p
 
 let discard_soft_state t =
-  reset_pool t;
+  Slot_lru.iter t.pending (release_slot t);
   Slot_lru.clear t.attrs;
   Slot_lru.clear t.name_cache;
   Slot_lru.clear t.map_cache;
@@ -1545,7 +1472,7 @@ let intents_opened t = t.n_intents
 let stale_bounces t = t.n_stale
 let map_fetches t = t.n_map_fetch
 let expired_pending t = t.n_expired
-let pending_size t = t.n_pending
+let pending_size t = Slot_lru.count t.pending
 
 let meta_cache_stats t =
   {
@@ -1565,5 +1492,5 @@ let p2c_diverted t = t.n_p2c_diverted
    (None when no record is pending). Exercises tag preservation across
    retransmit-supersede slot reuse. *)
 let pending_tenant t ~xid =
-  let slot = Xid_index.find t.xidx xid in
+  let slot = Slot_lru.slot t.pending xid in
   if slot < 0 then None else Some t.pool.(slot).p_tenant

@@ -97,8 +97,8 @@ let repo =
     (* Files whose [@hot] roots seed A1, and which therefore must have a
        .cmt available when the typed tier runs: the µproxy packet path,
        the codec peek path and its XDR primitives, the engine's event
-       dispatch, the RPC reply path, the shared xid index and slot
-       tables, the buffer cache's key and probes, the server request
+       dispatch, the RPC reply path, the slot tables and their index,
+       the buffer cache's key and probes, the server request
        table, the WFQ pick and the WAL's in-place record framing. *)
     a1_scope =
       (fun f ->
@@ -109,7 +109,6 @@ let repo =
             "lib/xdr/xdr.ml";
             "lib/sim/engine.ml";
             "lib/net/rpc.ml";
-            "lib/util/xid_index.ml";
             "lib/util/slot_lru.ml";
             "lib/disk/bcache.ml";
             "lib/storage/nfs_endpoint.ml";

@@ -87,7 +87,7 @@ let structure (cfg : Config.t) ~file str =
        | [ "Hashtbl"; "create" ] ->
            add loc Finding.R1
              "R1: Hashtbl.create in a long-lived module — use a bounded slot table \
-              (Slot_lru, Xid_index) or add a `lint: bounded` pragma with a reason"
+              (Slot_lru) or add a `lint: bounded` pragma with a reason"
        | _ -> ());
     (if e1 then
        match e1_poly_fun p with

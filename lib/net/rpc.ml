@@ -1,5 +1,5 @@
 module Engine = Slice_sim.Engine
-module Xid_index = Slice_util.Xid_index
+module Slot_lru = Slice_util.Slot_lru
 
 module Trace = Slice_trace.Trace
 
@@ -9,11 +9,12 @@ type ep = { mutable ep_calls : int; mutable ep_retransmits : int; mutable ep_tim
 
 type endpoint_stats = { calls : int; retransmits : int; timeouts : int }
 
-(* One outstanding call. Slots are pooled: created on a pool miss, so the
-   pool never outgrows the peak number of outstanding calls, and reused
-   from an intrusive freelist. Everything a call needs lives in the slot,
-   so the retransmit timer closure and the waiter are built once per
-   slot, not per call. *)
+(* One outstanding call, the record of a slot of the endpoint's call
+   table. A record is built the first time its slot is used, so the
+   records never outnumber the peak number of outstanding calls, and it
+   is reused by later calls in that slot. Everything a call needs lives
+   in the record, so the retransmit timer closure and the waiter are
+   built once per slot, not per call. *)
 type slot = {
   id : int;
   mutable buf : bytes; (* pristine request bytes, grown and kept across reuse *)
@@ -30,7 +31,6 @@ type slot = {
   mutable timer_seq : int;
   waiter : Engine.waiter;
   expire : unit -> unit; (* this slot's timer thunk *)
-  mutable next_free : int; (* freelist link (slot id); -1 = end *)
 }
 
 type t = {
@@ -39,11 +39,9 @@ type t = {
   addr : Packet.addr;
   port : int;
   prng : Slice_util.Prng.t;
-  index : Xid_index.t; (* xid of each outstanding call -> its slot *)
-  mutable slots : slot array;
+  calls : Slot_lru.t; (* xid of each outstanding call -> its slot *)
+  mutable slots : slot array; (* the first [n_slots] are built *)
   mutable n_slots : int;
-  mutable free : int;
-  mutable outstanding : int;
   endpoints : (Packet.addr, ep) Hashtbl.t;
   mutable retransmits : int;
   mutable timeouts : int;
@@ -54,13 +52,17 @@ type t = {
 let awaiting = Bytes.create 0
 let expired = Bytes.create 0
 
+(* A call's slot is freed as its outcome lands, before [Engine.unpark]:
+   the unpark resumes the caller at once, so the caller reads [s.reply]
+   before any other call can take the slot. *)
 let[@hot] on_packet t (pkt : Packet.t) =
   if Bytes.length pkt.payload >= 4 then begin
     let xid = Int32.to_int (Bytes.get_int32_be pkt.payload 0) land 0xFFFFFFFF in
-    let id = Xid_index.remove t.index xid in
+    let id = Slot_lru.slot t.calls xid in
     (* unknown xid: a duplicate reply after a retransmission, dropped *)
     if id >= 0 then begin
       let s = t.slots.(id) in
+      Slot_lru.drop t.calls id;
       t.completed <- t.completed + 1;
       Engine.cancel s.timer s.timer_seq;
       s.reply <- pkt.payload;
@@ -78,11 +80,9 @@ let create net addr ~port =
       (* jitter stream seeded from the endpoint identity: deterministic
          across runs, decorrelated across endpoints *)
       prng = Slice_util.Prng.create ((addr * 65599) + port + 17);
-      index = Xid_index.create 16;
+      calls = Slot_lru.create ~capacity:max_int;
       slots = [||];
       n_slots = 0;
-      free = -1;
-      outstanding = 0;
       (* lint: bounded — one row per (addr, port) peer in the ensemble *)
       endpoints = Hashtbl.create 8;
       retransmits = 0;
@@ -123,7 +123,7 @@ let transmit t s xid payload =
   Net.send t.net
     (Packet.make ~src:t.addr ~dst:s.dst ~sport:t.port ~dport:s.dport ~extra_size:s.extra_size
        payload);
-  if Xid_index.find t.index xid >= 0 then begin
+  if Slot_lru.slot t.calls xid >= 0 then begin
     let wait = s.fl.(1) *. (1.0 +. (jitter_frac *. Slice_util.Prng.float t.prng 1.0)) in
     s.timer <- Engine.schedule_timer t.eng wait s.expire;
     s.timer_seq <- Engine.timer_seq s.timer
@@ -139,10 +139,10 @@ let expire t s =
     s.fl.(1) <- (if next > s.fl.(0) then s.fl.(0) else next);
     t.retransmits <- t.retransmits + 1;
     s.ep.ep_retransmits <- s.ep.ep_retransmits + 1;
-    transmit t s (Xid_index.key t.index s.id) (Bytes.sub s.buf 0 s.len)
+    transmit t s (Slot_lru.key t.calls s.id) (Bytes.sub s.buf 0 s.len)
   end
   else begin
-    ignore (Xid_index.remove t.index (Xid_index.key t.index s.id));
+    Slot_lru.drop t.calls s.id;
     t.timeouts <- t.timeouts + 1;
     s.ep.ep_timeouts <- s.ep.ep_timeouts + 1;
     s.reply <- expired;
@@ -151,10 +151,9 @@ let expire t s =
 
 let no_ep = { ep_calls = 0; ep_retransmits = 0; ep_timeouts = 0 }
 
-(* Cold: the pool is empty. One new slot, so the pool tracks the peak
-   number of outstanding calls. *)
-let new_slot t =
-  let id = t.n_slots in
+(* Cold: the first call in slot [id]. The table hands out a slot that was
+   used before ahead of any other, so [id] is [n_slots]. *)
+let new_slot t id =
   let rec s =
     {
       id;
@@ -172,34 +171,12 @@ let new_slot t =
       timer_seq = -1;
       waiter = Engine.waiter ();
       expire = (fun () -> expire t s);
-      next_free = -1;
     }
   in
-  if id = Array.length t.slots then begin
-    let slots = Array.make (max 8 (2 * id)) s in
-    Array.blit t.slots 0 slots 0 id;
-    t.slots <- slots
-  end;
+  t.slots <- Slot_lru.fit t.calls t.slots s;
   t.slots.(id) <- s;
   t.n_slots <- id + 1;
-  Xid_index.resize t.index t.n_slots;
   s
-
-let acquire t =
-  if t.free < 0 then new_slot t
-  else begin
-    let s = t.slots.(t.free) in
-    t.free <- s.next_free;
-    s
-  end
-
-(* The slot is free again as soon as its caller has the outcome, and it
-   keeps nothing of the finished call but its reusable buffer. *)
-let release t s =
-  s.reply <- awaiting;
-  s.next_free <- t.free;
-  t.free <- s.id;
-  t.outstanding <- t.outstanding - 1
 
 let rec round_pow2 p n = if p >= n then p else round_pow2 (p * 2) n
 
@@ -209,9 +186,8 @@ let call t ?(timeout = 0.1) ?(retries = 8) ?(span = Trace.null) ~dst ~dport ?(ex
   ep.ep_calls <- ep.ep_calls + 1;
   let sp = Trace.child span ~hop:"rpc" ~site:(Net.node_name t.net t.addr) () in
   Trace.bind_xid sp xid;
-  let s = acquire t in
-  t.outstanding <- t.outstanding + 1;
-  Xid_index.add t.index ~xid ~slot:s.id;
+  let id = Slot_lru.add t.calls xid ~lease:infinity in
+  let s = if id < t.n_slots then t.slots.(id) else new_slot t id in
   let len = Bytes.length payload in
   if Bytes.length s.buf < len then s.buf <- Bytes.create (round_pow2 64 len);
   Bytes.blit payload 0 s.buf 0 len;
@@ -227,8 +203,10 @@ let call t ?(timeout = 0.1) ?(retries = 8) ?(span = Trace.null) ~dst ~dport ?(ex
   (* the first attempt sends the caller's bytes *)
   transmit t s xid payload;
   if s.reply == awaiting then Engine.park t.eng s.waiter;
+  (* the slot is free again; it keeps nothing of the finished call but
+     its reusable buffer *)
   let reply = s.reply in
-  release t s;
+  s.reply <- awaiting;
   Trace.unbind_xid sp xid;
   if reply == expired then begin
     Trace.finish ~outcome:"timeout" sp;
@@ -242,7 +220,7 @@ let call t ?(timeout = 0.1) ?(retries = 8) ?(span = Trace.null) ~dst ~dport ?(ex
 let retransmissions t = t.retransmits
 let timeouts t = t.timeouts
 let calls_completed t = t.completed
-let pending_calls t = t.outstanding
+let pending_calls t = Slot_lru.count t.calls
 let pool_size t = t.n_slots
 
 let endpoint_stats t dst =

@@ -1,13 +1,19 @@
-(** A capacity-bounded LRU table of int keys over slots, with a lease
-    per slot: the µproxy's attribute, name and block-map caches, the
-    buffer cache ([Bcache]) and the servers' request tables
-    ([Nfs_endpoint]'s running marks and duplicate request cache). The
-    last two add with [~lease:infinity] and never read the lease.
+(** A slot table of int keys: an LRU table with a lease per slot, bounded
+    by its capacity. Its users are the µproxy's attribute, name and
+    block-map caches, the buffer cache ([Bcache]), the servers' request
+    tables ([Nfs_endpoint]'s running marks and duplicate request cache),
+    the µproxy's pending requests and {!Slice_net.Rpc}'s outstanding
+    calls. The last four add with [~lease:infinity] and never read the
+    lease; the pending requests and RPC calls are created with
+    [~capacity:max_int], so they only grow.
 
-    Keys are bound to slots through {!Xid_index}; the cached values live
-    in the caller's columns, indexed by slot and grown with {!fit}. The
-    table allocates only in {!create}, {!fit}, {!iter} and when {!add}
-    grows its columns, which double up to the capacity.
+    Keys are bound to slots through an open-addressing index held in the
+    table; the values live in the caller's columns, indexed by slot and
+    grown with {!fit}. The table allocates only in {!create}, {!fit},
+    {!iter} and when {!add} grows its columns, which double up to the
+    capacity. A free slot that was used before is handed out ahead of
+    any never used, so the slots ever used are exactly those below the
+    most keys the table has held at once.
 
     Policy: {!find} and a live {!fresh} promote their entry; {!fresh}
     drops an entry whose lease has lapsed ([lease <= now]); {!add}ing a
@@ -24,6 +30,9 @@ val fit : t -> 'a array -> 'a -> 'a array
 
 val slot : t -> int -> int
 (** The slot bound to a key, or [-1]. Promotes nothing. *)
+
+val key : t -> int -> int
+(** The key bound to a bound slot. *)
 
 val find : t -> int -> int
 (** The slot bound to a key, promoted, or [-1]. Ignores leases. *)
