@@ -3,6 +3,7 @@ module Nfs = Slice_nfs.Nfs
 module Fh = Slice_nfs.Fh
 module Dirlist = Slice_nfs.Dirlist
 module Bcache = Slice_disk.Bcache
+module Fileblocks = Slice_disk.Fileblocks
 module Host = Slice_storage.Host
 module Nfs_endpoint = Slice_storage.Nfs_endpoint
 
@@ -12,7 +13,7 @@ type finfo = {
   mutable attr : Nfs.fattr;
   mutable entry_count : int;
   mutable symlink : string option;
-  data : (int, string) Hashtbl.t; (* materialized blocks of real bytes *)
+  data : Fileblocks.t;
 }
 
 type t = {
@@ -41,7 +42,7 @@ let new_finfo t ~ftype ~fileid =
       attr = Nfs.default_attr ~ftype ~fileid ~now:(now t);
       entry_count = 0;
       symlink = None;
-      data = Hashtbl.create 4; (* lint: bounded — per-file blocks, capped by the file's size *)
+      data = Fileblocks.create ();
     }
   in
   Hashtbl.replace t.files fileid fi;
@@ -65,51 +66,6 @@ let touch_blocks t fid ~off ~len ~write =
       for b = first to last do
         if write then Bcache.write cache ~obj:fid ~block:b else Bcache.read cache ~obj:fid ~block:b
       done
-
-let store_real (fi : finfo) ~off data =
-  (* keep it simple: block-aligned string fragments *)
-  let len = String.length data in
-  let rec loop pos =
-    if pos < len then begin
-      let abs = Int64.to_int off + pos in
-      let blk = abs / block_size in
-      let in_blk = abs mod block_size in
-      let n = min (block_size - in_blk) (len - pos) in
-      let cur =
-        match Hashtbl.find_opt fi.data blk with
-        | Some s -> Bytes.of_string s
-        | None -> Bytes.make block_size '\000'
-      in
-      Bytes.blit_string data pos cur in_blk n;
-      Hashtbl.replace fi.data blk (Bytes.to_string cur);
-      loop (pos + n)
-    end
-  in
-  loop 0
-
-let load_real (fi : finfo) ~off ~count =
-  let first = Int64.to_int off / block_size in
-  let last = (Int64.to_int off + count - 1) / block_size in
-  let all = ref (count > 0) in
-  for b = first to last do
-    if not (Hashtbl.mem fi.data b) then all := false
-  done;
-  if not !all then None
-  else begin
-    let out = Bytes.create count in
-    let rec loop pos =
-      if pos < count then begin
-        let abs = Int64.to_int off + pos in
-        let blk = abs / block_size in
-        let in_blk = abs mod block_size in
-        let n = min (block_size - in_blk) (count - pos) in
-        Bytes.blit_string (Hashtbl.find fi.data blk) in_blk out pos n;
-        loop (pos + n)
-      end
-    in
-    loop 0;
-    Some (Bytes.unsafe_to_string out)
-  end
 
 let with_file t fh k =
   match finfo_of t fh.Fh.file_id with Some fi -> k fi | None -> Error Nfs.ERR_STALE
@@ -157,13 +113,7 @@ let handle t (call : Nfs.call) : Nfs.response =
   | Nfs.Setattr (fh, s) ->
       with_file t fh (fun fi ->
           fi.attr <- Nfs.apply_sattr fi.attr s ~now:(now t);
-          (match s.Nfs.set_size with
-          | Some nsz ->
-              let keep = Int64.to_int nsz / block_size in
-              Hashtbl.iter
-                (fun b _ -> if b > keep then Hashtbl.remove fi.data b)
-                (Hashtbl.copy fi.data)
-          | None -> ());
+          Option.iter (Fileblocks.truncate fi.data) s.Nfs.set_size;
           Ok (Nfs.RSetattr (attr_of fi)))
   | Nfs.Lookup (dfh, name) ->
       if dfh.Fh.ftype <> Fh.Dir then Error Nfs.ERR_NOTDIR
@@ -248,7 +198,7 @@ let handle t (call : Nfs.call) : Nfs.response =
           let data =
             if count = 0 then Nfs.Data ""
             else
-              match load_real fi ~off ~count with
+              match Fileblocks.load fi.data ~off ~count with
               | Some s -> Nfs.Data s
               | None -> Nfs.Synthetic count
           in
@@ -257,7 +207,7 @@ let handle t (call : Nfs.call) : Nfs.response =
       with_file t fh (fun fi ->
           let len = Nfs.wdata_length data in
           touch_blocks t fh.Fh.file_id ~off ~len ~write:true;
-          (match data with Nfs.Data s -> store_real fi ~off s | Nfs.Synthetic _ -> ());
+          (match data with Nfs.Data s -> Fileblocks.store fi.data ~off s | Nfs.Synthetic _ -> ());
           let fin = Int64.add off (Int64.of_int len) in
           if Int64.compare fin fi.attr.Nfs.size > 0 then
             fi.attr <- { fi.attr with size = fin; used = fin };

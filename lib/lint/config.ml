@@ -55,6 +55,7 @@ let repo =
             "lib/dir/dirserver.ml";
             "lib/baseline/nfs_server.ml";
             "lib/disk/bcache.ml";
+            "lib/disk/fileblocks.ml";
             "lib/storage/coordinator.ml";
             "lib/storage/obsd.ml";
             "lib/storage/nfs_endpoint.ml";

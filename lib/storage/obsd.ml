@@ -3,14 +3,12 @@ module Nfs = Slice_nfs.Nfs
 module Fh = Slice_nfs.Fh
 module Routekey = Slice_nfs.Routekey
 module Bcache = Slice_disk.Bcache
+module Fileblocks = Slice_disk.Fileblocks
 module Trace = Slice_trace.Trace
 
 let block_size = Bcache.block_size
 
-type obj = {
-  mutable size : int64;
-  data : (int, bytes) Hashtbl.t; (* materialized 8 KB blocks only *)
-}
+type obj = { mutable size : int64; data : Fileblocks.t }
 
 (* One storage object may carry subobjects for several logical storage
    sites: the µproxy encodes the logical site into the high bits of every
@@ -53,8 +51,7 @@ let get_obj t oid site =
   match Hashtbl.find_opt tbl site with
   | Some o -> o
   | None ->
-      (* lint: bounded — one object's blocks, capped by the object's size *)
-      let o = { size = 0L; data = Hashtbl.create 8 } in
+      let o = { size = 0L; data = Fileblocks.create () } in
       Hashtbl.replace tbl site o;
       o
 
@@ -79,53 +76,6 @@ let block_range ~off ~count =
     Int64.to_int (Int64.div (Int64.add off (Int64.of_int (max 0 (count - 1)))) (Int64.of_int block_size))
   in
   (first, if count = 0 then first - 1 else last)
-
-(* Store real bytes into the subobject's materialized blocks. *)
-let store_data (o : obj) ~off data =
-  let len = String.length data in
-  let rec loop pos =
-    if pos < len then begin
-      let abs = Int64.add off (Int64.of_int pos) in
-      let blk = Int64.to_int (Int64.div abs (Int64.of_int block_size)) in
-      let in_blk = Int64.to_int (Int64.rem abs (Int64.of_int block_size)) in
-      let n = min (block_size - in_blk) (len - pos) in
-      let buf =
-        match Hashtbl.find_opt o.data blk with
-        | Some b -> b
-        | None ->
-            let b = Bytes.make block_size '\000' in
-            Hashtbl.replace o.data blk b;
-            b
-      in
-      Bytes.blit_string data pos buf in_blk n;
-      loop (pos + n)
-    end
-  in
-  loop 0
-
-(* Extract real bytes if every touched block is materialized. *)
-let load_data (o : obj) ~off ~count =
-  let first, last = block_range ~off ~count in
-  let all_real = ref (count > 0) in
-  for b = first to last do
-    if not (Hashtbl.mem o.data b) then all_real := false
-  done;
-  if not !all_real then None
-  else begin
-    let out = Bytes.create count in
-    let rec loop pos =
-      if pos < count then begin
-        let abs = Int64.add off (Int64.of_int pos) in
-        let blk = Int64.to_int (Int64.div abs (Int64.of_int block_size)) in
-        let in_blk = Int64.to_int (Int64.rem abs (Int64.of_int block_size)) in
-        let n = min (block_size - in_blk) (count - pos) in
-        Bytes.blit (Hashtbl.find o.data blk) in_blk out pos n;
-        loop (pos + n)
-      end
-    in
-    loop 0;
-    Some (Bytes.unsafe_to_string out)
-  end
 
 let authorized t (call : Nfs.call) =
   match t.cap_secret with
@@ -182,7 +132,7 @@ let handle t span (call : Nfs.call) : Nfs.response =
         let data =
           if count = 0 then Nfs.Data ""
           else
-            match load_data o ~off ~count with
+            match Fileblocks.load o.data ~off ~count with
             | Some s -> Nfs.Data s
             | None -> Nfs.Synthetic count
         in
@@ -207,7 +157,7 @@ let handle t span (call : Nfs.call) : Nfs.response =
             for b = first to last do
               Bcache.write t.cache ~obj:oid ~block:(cache_block ~site ~local_block:b)
             done);
-        (match data with Nfs.Data s -> store_data o ~off s | Nfs.Synthetic _ -> ());
+        (match data with Nfs.Data s -> Fileblocks.store o.data ~off s | Nfs.Synthetic _ -> ());
         let fin = Int64.add off (Int64.of_int len) in
         if Int64.compare fin o.size > 0 then o.size <- fin;
         t.writes <- t.writes + 1;
@@ -243,10 +193,7 @@ let handle t span (call : Nfs.call) : Nfs.response =
                  single-site object; across several sites the global size
                  can only clamp each site's folded subobject downward. *)
               o.size <- (if single then sz else min o.size sz);
-              let keep_last, _ = block_range ~off:o.size ~count:1 in
-              Hashtbl.iter
-                (fun b _ -> if b > keep_last then Hashtbl.remove o.data b)
-                (Hashtbl.copy o.data))
+              Fileblocks.truncate o.data o.size)
             tbl;
           Ok (Nfs.RSetattr (attr_of t fh (total_size t oid)))
       | None -> Ok (Nfs.RSetattr (attr_of t fh (total_size t oid))))

@@ -106,6 +106,24 @@ let readdir_follows_changes () =
       ignore (ok_or_fail "remove" (Client.remove cl a "w"));
       check "emptied" [] a)
 
+(* A shrinking SETATTR leaves no stale bytes: past the new size, bytes
+   read as zeros once a later write grows the file again — whether the
+   size cut the block or dropped it whole. *)
+let shrink_then_grow_reads_zeros () =
+  let eng, server, cl = mk ~mem_only:true () in
+  run_on eng (fun () ->
+      let read_back label ~size expect =
+        let fh, _ = ok_or_fail "create" (Client.create_file cl (Nfs_server.root server) label) in
+        ignore (ok_or_fail "w" (Client.write_at cl fh ~off:0L ~data:(Nfs.Data "ABCDEFGH") ()));
+        ignore (ok_or_fail "truncate" (Client.setattr cl fh (Nfs.sattr_size size)));
+        ignore (ok_or_fail "w" (Client.write_at cl fh ~off:6L ~data:(Nfs.Data "Z") ()));
+        match ok_or_fail "r" (Client.read_at cl fh ~off:0L ~count:8) with
+        | Nfs.Data d, _ -> check_string label expect d
+        | _ -> Alcotest.fail "synthetic"
+      in
+      read_back "cut to 0" ~size:0L "\000\000\000\000\000\000Z";
+      read_back "cut to 3" ~size:3L "ABC\000\000\000Z")
+
 let suite =
   [
     ("full lifecycle", `Quick, full_lifecycle);
@@ -113,4 +131,5 @@ let suite =
     ("symlink and access", `Quick, symlink_and_access);
     ("mem-only serves without disk", `Quick, mem_only_serves_without_disk);
     ("disk commit slower than MFS", `Quick, disk_write_path_slower_than_mfs);
+    ("shrink then grow reads zeros", `Quick, shrink_then_grow_reads_zeros);
   ]

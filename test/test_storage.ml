@@ -233,6 +233,24 @@ let obsd_truncate () =
       | Ok (Nfs.RGetattr a) -> check_bool "truncated" true (a.Nfs.size = 10_000L)
       | _ -> Alcotest.fail "getattr")
 
+(* Bytes past a shrinking SETATTR's size read as zeros after a write
+   grows the object again, whether the size cut the block or dropped it
+   whole. *)
+let obsd_shrink_then_grow_reads_zeros () =
+  let rig = mk_rig () in
+  let dst = Obsd.addr rig.nodes.(0) in
+  run_on rig.eng (fun () ->
+      let read_back fh ~size expect =
+        ignore (nfs_call rig ~dst (Nfs.Write (fh, 0L, Nfs.Unstable, Nfs.Data "ABCDEFGH")));
+        ignore (nfs_call rig ~dst (Nfs.Setattr (fh, Nfs.sattr_size size)));
+        ignore (nfs_call rig ~dst (Nfs.Write (fh, 6L, Nfs.Unstable, Nfs.Data "Z")));
+        match nfs_call rig ~dst (Nfs.Read (fh, 0L, 8)) with
+        | Ok (Nfs.RRead (Nfs.Data d, _, _)) -> check_string (Printf.sprintf "cut to %Ld" size) expect d
+        | _ -> Alcotest.fail "read"
+      in
+      read_back (reg_fh 7) ~size:0L "\000\000\000\000\000\000Z";
+      read_back (reg_fh 8) ~size:3L "ABC\000\000\000Z")
+
 let obsd_name_op_rejected () =
   let rig = mk_rig () in
   let dst = Obsd.addr rig.nodes.(0) in
@@ -623,6 +641,7 @@ let suite =
     ("obsd remove and getattr", `Quick, obsd_remove_and_getattr);
     ("obsd commit stable", `Quick, obsd_commit_stable);
     ("obsd truncate", `Quick, obsd_truncate);
+    ("obsd shrink then grow reads zeros", `Quick, obsd_shrink_then_grow_reads_zeros);
     ("obsd rejects name ops", `Quick, obsd_name_op_rejected);
     ("coordinator orchestrated remove", `Quick, coord_orchestrated_remove);
     ("coordinator commit file", `Quick, coord_commit_file);
