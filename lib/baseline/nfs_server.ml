@@ -230,7 +230,7 @@ let handle t (call : Nfs.call) : Nfs.response =
              free_files = 9_000_000L;
            })
 
-let attach host ?(port = 2049) ?(cache_bytes = 512 * 1024 * 1024) ?(mem_only = false) () =
+let attach host ?(cache_bytes = 512 * 1024 * 1024) ?(mem_only = false) () =
   let cache =
     if mem_only then None
     else
@@ -258,7 +258,7 @@ let attach host ?(port = 2049) ?(cache_bytes = 512 * 1024 * 1024) ?(mem_only = f
   in
   (* install the exported volume root *)
   ignore (new_finfo t ~ftype:Fh.Dir ~fileid:root_fh.Fh.file_id);
-  Nfs_endpoint.serve host ~port ~cost:{ per_op; per_byte = 3e-9 } ~handler:(fun _span call -> handle t call) ();
+  Nfs_endpoint.serve host ~port:2049 ~cost:{ per_op; per_byte = 3e-9 } ~handler:(fun _span call -> handle t call) ();
   t
 
 let addr t = t.host.Host.addr

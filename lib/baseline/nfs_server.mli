@@ -14,12 +14,11 @@ type t
 
 val attach :
   Slice_storage.Host.t ->
-  ?port:int ->
   ?cache_bytes:int ->
   ?mem_only:bool ->
   unit ->
   t
-(** Defaults: port 2049, 512 MB cache, 150 µs/op CPU (a 450 MHz PC
+(** Serves NFS on port 2049. Defaults: 512 MB cache, 150 µs/op CPU (a 450 MHz PC
     kernel NFS stack), disk-backed. [mem_only] serves everything from
     memory (MFS) at 120 µs/op. *)
 

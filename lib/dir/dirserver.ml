@@ -633,7 +633,7 @@ let make_wal (host : Host.t) =
   | None -> Wal.create ~name:"dir.wal" ()
 
 (* lint: F1 ok — bootstrap: installs the root cell before the server is exposed to clients; no deposed instance can exist yet *)
-let attach host ?(port = 2049) ?trace ?qos cfg =
+let attach host ?trace ?qos cfg =
   let t =
     {
       host;
@@ -660,7 +660,7 @@ let attach host ?(port = 2049) ?trace ?qos cfg =
       up = true;
     }
   in
-  Nfs_endpoint.serve host ~port
+  Nfs_endpoint.serve host ~port:2049
     ~cost:{ per_op = per_op_cost; per_byte = 0.0 }
     ~alive:(fun () -> t.up)
     ?trace ?qos ~handler:(handle t) ();

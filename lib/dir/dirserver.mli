@@ -53,12 +53,11 @@ type t
 
 val attach :
   Slice_storage.Host.t ->
-  ?port:int ->
   ?trace:Slice_trace.Trace.t ->
   ?qos:Slice_qos.Wfq.t ->
   config ->
   t
-(** Serve NFS on [port] (default 2049) and the peer protocol on
+(** Serve NFS on port 2049 and the peer protocol on
     [config.peer_port]. Each request costs ~166 µs of CPU (the paper's
     6000 ops/s saturation) and each peer message 60 µs. The volume root
     (fileID 1) is owned by logical site 0, which installs it at attach

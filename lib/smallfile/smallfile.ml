@@ -299,7 +299,7 @@ let handle t span (call : Nfs.call) : Nfs.response =
   | Nfs.Fsstat _ ->
       Error Nfs.ERR_BADHANDLE
 
-let attach host ?(port = 2049) ?(cache_bytes = 1024 * 1024 * 1024)
+let attach host ?(cache_bytes = 1024 * 1024 * 1024)
     ?(backing_bytes = 68_719_476_736L) ?(threshold = 65536) ?(nsites = 1)
     ?(sites = [ 0 ]) ?backend ?trace ?qos () =
   let backend =
@@ -324,7 +324,7 @@ let attach host ?(port = 2049) ?(cache_bytes = 1024 * 1024 * 1024)
       writes = 0;
     }
   in
-  Nfs_endpoint.serve host ~port
+  Nfs_endpoint.serve host ~port:2049
     ~cost:{ per_op = 70e-6; per_byte = 4e-9 }
     ~alive:(fun () -> t.up)
     ?trace ?qos ~handler:(handle t) ();

@@ -15,7 +15,6 @@ type t
 
 val attach :
   Slice_storage.Host.t ->
-  ?port:int ->
   ?cache_bytes:int ->
   ?backing_bytes:int64 ->
   ?threshold:int ->
@@ -26,7 +25,7 @@ val attach :
   ?qos:Slice_qos.Wfq.t ->
   unit ->
   t
-(** Default port 2049, cache 1 GB (the SPECsfs configuration), backing
+(** Serves NFS on port 2049. Default cache 1 GB (the SPECsfs configuration), backing
     object 64 GB, threshold 64 KB. [backend] is where zone blocks live:
     small-file servers are dataless managers, so production configurations
     pass a remote backend over the network storage array; the default uses

@@ -21,7 +21,6 @@ let rt_complete = 2
 
 type t = {
   host : Host.t;
-  ctrl_port : int;
   rpc : Rpc.t;
   trace : Trace.t option;
   probe_timeout : float;
@@ -210,8 +209,12 @@ let handle_msg t (pkt : Packet.t) =
                     in
                     reply (Ctrl.Map { first_block; sites }))))
 
-let attach host ?(port = 2050) ?(rpc_port = 2052) ?(probe_timeout = 0.5) ?(map_sites = [||])
-    ?trace () =
+(* The control port, and the port of the coordinator's own calls to
+   storage nodes. *)
+let ctrl_port = 2050
+let rpc_port = 2052
+
+let attach host ?(probe_timeout = 0.5) ?(map_sites = [||]) ?trace () =
   let wal =
     match host.Host.disk with
     | Some disk -> Wal.create ~eng:host.Host.eng ~disk ~name:"coord.wal" ()
@@ -220,7 +223,6 @@ let attach host ?(port = 2050) ?(rpc_port = 2052) ?(probe_timeout = 0.5) ?(map_s
   let t =
     {
       host;
-      ctrl_port = port;
       rpc = Rpc.create host.Host.net host.Host.addr ~port:rpc_port;
       trace;
       probe_timeout;
@@ -238,11 +240,11 @@ let attach host ?(port = 2050) ?(rpc_port = 2052) ?(probe_timeout = 0.5) ?(map_s
       tenure = Tenure.create [];
     }
   in
-  Nfs_endpoint.serve_raw host ~port ~handler:(handle_msg t);
+  Nfs_endpoint.serve_raw host ~port:ctrl_port ~handler:(handle_msg t);
   t
 
 let addr t = t.host.Host.addr
-let port t = t.ctrl_port
+let port _ = ctrl_port
 let host t = t.host
 let is_up t = t.up
 let map_sites t = t.map_sites

@@ -21,16 +21,15 @@ type t
 
 val attach :
   Host.t ->
-  ?port:int ->
-  ?rpc_port:int ->
   ?probe_timeout:float ->
   ?map_sites:int array ->
   ?trace:Slice_trace.Trace.t ->
   unit ->
   t
 (** [map_sites] are the storage-node addresses used when minting block-map
-    entries (default: empty — Get_map then returns Nack). Default control
-    port 2050, probe timeout 0.5 s. With [trace], control messages whose
+    entries (default: empty — Get_map then returns Nack). The control
+    port is 2050 and the coordinator's own calls go out from port 2052.
+    Default probe timeout 0.5 s. With [trace], control messages whose
     xid is bound to a request span record a ["server"] hop here. *)
 
 val addr : t -> Slice_net.Packet.addr

@@ -202,7 +202,7 @@ let handle t span (call : Nfs.call) : Nfs.response =
   | Nfs.Fsstat _ ->
       Error Nfs.ERR_NOTDIR
 
-let attach host ?(port = 2049) ?(cache_bytes = 256 * 1024 * 1024) ?cap_secret
+let attach host ?(cache_bytes = 256 * 1024 * 1024) ?cap_secret
     ?(sites = [ 0 ]) ?trace ?qos () =
   let disk = Host.disk_exn host in
   let t =
@@ -226,7 +226,7 @@ let attach host ?(port = 2049) ?(cache_bytes = 256 * 1024 * 1024) ?cap_secret
   (* Per-op cost small and per-byte cost modeling the storage node's
      network/buffer path; the SCSI channel, not the CPU, is the intended
      per-node bandwidth cap. *)
-  Nfs_endpoint.serve host ~port
+  Nfs_endpoint.serve host ~port:2049
     ~cost:{ per_op = 40e-6; per_byte = 2.5e-9 }
     ~alive:(fun () -> t.up)
     ?trace ?qos ~handler:(handle t) ();

@@ -14,11 +14,11 @@
 type t
 
 val attach :
-  Host.t -> ?port:int -> ?cache_bytes:int -> ?cap_secret:string ->
+  Host.t -> ?cache_bytes:int -> ?cap_secret:string ->
   ?sites:int list -> ?trace:Slice_trace.Trace.t ->
   ?qos:Slice_qos.Wfq.t -> unit -> t
-(** Attach the service to a host with a disk array. Default port 2049,
-    default cache 256 MB (the paper's storage nodes had 256 MB RAM).
+(** Attach the service to a host with a disk array, serving NFS on port
+    2049. Default cache 256 MB (the paper's storage nodes had 256 MB RAM).
     With [cap_secret], every request's handle must carry a valid
     {!Slice_nfs.Cap} tag minted with the same secret, else
     [NFS3ERR_PERM] — secure network-attached storage objects per
