@@ -496,8 +496,9 @@ let arm_sweep t =
     Engine.schedule t.eng interval t.sweep_fn
   end
 
-(* The walk visits records in the order they were remembered, never in
-   slot order, so the expiry order is as deterministic as the run. *)
+(* The walk visits records in the order they were last remembered,
+   never in slot order, so the expiry order is as deterministic as the
+   run. *)
 let sweep t =
   t.sweep_armed <- false;
   let now = Engine.now t.eng in
@@ -520,24 +521,19 @@ let sweep t =
    pristine — stripe offsets are never translated twice. *)
 let remember t (cur : Codec.cursor) (payload : bytes) ~span ~klass ~rd_site ~mirrors ~retries =
   let xid = cur.Codec.c_xid in
-  let found = Slot_lru.slot t.pending xid in
-  let slot =
-    if found >= 0 then begin
-      (* a client retransmit replaces the record: close the superseded
-         tree and reuse the slot (the binding stands) *)
-      let old = t.pool.(found) in
-      Trace.unbind_xid old.p_span xid;
-      Trace.finish ~outcome:"superseded" old.p_span;
-      found
-    end
-    else begin
-      let s = Slot_lru.add t.pending xid ~lease:infinity in
-      t.pool <- Slot_lru.fit t.pending t.pool no_pending;
-      t.pool_born <- Slot_lru.fit t.pending t.pool_born 0.0;
-      if t.pool.(s) == no_pending then t.pool.(s) <- fresh_pending ();
-      s
-    end
-  in
+  let slot = Slot_lru.add t.pending xid ~lease:infinity in
+  if Slot_lru.displaced t.pending then begin
+    (* a client retransmit replaces the record: close the superseded
+       tree and reuse the slot *)
+    let old = t.pool.(slot) in
+    Trace.unbind_xid old.p_span xid;
+    Trace.finish ~outcome:"superseded" old.p_span
+  end
+  else begin
+    t.pool <- Slot_lru.fit t.pending t.pool no_pending;
+    t.pool_born <- Slot_lru.fit t.pending t.pool_born 0.0;
+    if t.pool.(slot) == no_pending then t.pool.(slot) <- fresh_pending ()
+  end;
   let pd = t.pool.(slot) in
   Trace.bind_xid span xid;
   pd.p_klass <- klass;
