@@ -515,10 +515,11 @@ let sweep t =
 
 (* ---- forwarding ---- *)
 
-(* Record the request in the pending table, keyed by xid. Must run before any
-   in-place rewrite (offset/cookie patches): the pooled buffer keeps the
-   bytes the client sent, so a bounce or failover retry re-enters routing
-   pristine — stripe offsets are never translated twice. *)
+(* Record the request in the pending table, keyed by xid. Must run
+   before any in-place rewrite (offset/cookie patches): the pooled buffer
+   keeps the bytes the client sent, so a bounce or failover retry
+   re-enters routing pristine — stripe offsets are never translated
+   twice. *)
 let remember t (cur : Codec.cursor) (payload : bytes) ~span ~klass ~rd_site ~mirrors ~retries =
   let xid = cur.Codec.c_xid in
   let slot = Slot_lru.add t.pending xid ~lease:infinity in
