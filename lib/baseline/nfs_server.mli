@@ -18,9 +18,9 @@ val attach :
   ?mem_only:bool ->
   unit ->
   t
-(** Serves NFS on port 2049. Defaults: 512 MB cache, 150 µs/op CPU (a 450 MHz PC
-    kernel NFS stack), disk-backed. [mem_only] serves everything from
-    memory (MFS) at 120 µs/op. *)
+(** Serves NFS on port 2049. Defaults: 512 MB cache, 150 µs/op CPU (a
+    450 MHz PC kernel NFS stack), disk-backed. [mem_only] serves
+    everything from memory (MFS) at 120 µs/op. *)
 
 val addr : t -> Slice_net.Packet.addr
 val root : t -> Slice_nfs.Fh.t

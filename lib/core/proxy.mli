@@ -99,7 +99,8 @@ val params : t -> Params.t
 val discard_soft_state : t -> unit
 (** Failure injection: drop pending records and every metadata cache
     entry (attributes, dirty ones included, names and block maps) —
-    clients must recover by retransmission. *)
+    clients must recover by retransmission. A reply to a dropped record
+    passes through to the client unmatched. *)
 
 (** {2 Statistics} *)
 
@@ -152,8 +153,9 @@ val expired_pending : t -> int
     a healthy run: entries normally leave via the reply path. *)
 
 val pending_size : t -> int
-(** Live pending records (soft state keyed by XID). Must be 0 once the
-    workload has quiesced — anything else is a leaked record. *)
+(** Live pending records (soft state keyed by XID, in a slot table that
+    grows with the requests in flight and has no cap). Must be 0 once
+    the workload has quiesced — anything else is a leaked record. *)
 
 type meta_cache_stats = {
   hits : int;  (** positive lookup/getattr/access answered at the proxy *)

@@ -645,7 +645,7 @@ let attach host ?trace ?qos cfg =
       entries = Hashtbl.create 4096;
       (* lint: bounded — one row per non-empty directory, dropped when its last entry goes *)
       dir_index = Hashtbl.create 256;
-      (* lint: bounded — applied-op dedup, compacted into each checkpoint *)
+      (* lint: bounded — not bounded yet: applied-op dedup, one row per peer op ever applied; nothing prunes it and checkpoint re-logs every id (ROADMAP smaller item D) *)
       applied = Hashtbl.create 64;
       (* lint: bounded — one row per in-flight two-phase op; commit/abort removes it *)
       prepares = Hashtbl.create 16;

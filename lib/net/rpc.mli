@@ -63,8 +63,9 @@ val pending_calls : t -> int
 
 val pool_size : t -> int
 (** Call records the endpoint has created: the peak number of calls it
-    has had outstanding at once. A finished call's record is reused by
-    the next call. *)
+    has had outstanding at once. Each record belongs to a slot of the
+    endpoint's call table and is built when the slot is first used; a
+    finished call's record is reused by the next call in its slot. *)
 
 type endpoint_stats = { calls : int; retransmits : int; timeouts : int }
 

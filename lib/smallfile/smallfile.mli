@@ -25,11 +25,12 @@ val attach :
   ?qos:Slice_qos.Wfq.t ->
   unit ->
   t
-(** Serves NFS on port 2049. Default cache 1 GB (the SPECsfs configuration), backing
-    object 64 GB, threshold 64 KB. [backend] is where zone blocks live:
-    small-file servers are dataless managers, so production configurations
-    pass a remote backend over the network storage array; the default uses
-    the host's local disk (for standalone tests). [nsites] is the logical
+(** Serves NFS on port 2049. Default cache 1 GB (the SPECsfs
+    configuration), backing object 64 GB, threshold 64 KB. [backend] is
+    where zone blocks live: small-file servers are dataless managers, so
+    production configurations pass a remote backend over the network
+    storage array; the default uses the host's local disk (for
+    standalone tests). [nsites] is the logical
     small-file site count of the volume and [sites] the sites this server
     initially owns (defaults 1 / [\[0\]]); requests whose handle hashes to
     a site not owned here bounce with [SLICE_MISDIRECTED]. *)
