@@ -318,6 +318,71 @@ let drop_clean_releases_throttle () =
   Engine.run ~until:30.0 eng;
   check_bool "a write after the crash returns" true !returned
 
+(* Three groups of fibers park on one held write-back and resume newest
+   first, group by group. Object 1 has 500 dirty blocks; four committers
+   of it park on its commit barrier behind the flush the first one
+   issues. Filler objects then bring the dirty total to the throttle's
+   bound, so four writers of new objects park in the throttle, and three
+   [commit_all] callers park until the cache is idle (the first flushes
+   the rest). Every write-back is held until 1 s. Object 1's completion
+   releases its committers and, with the dirty total back under the
+   bound, the throttled writers; the last completion releases the
+   [commit_all] callers. *)
+let wake_order_newest_first () =
+  let eng = Engine.create () in
+  let held = ref [] in
+  let backend =
+    {
+      Bcache.demand_read = (fun ~obj:_ ~block:_ ~count:_ ~sequential:_ -> ());
+      readahead = (fun ~obj:_ ~block:_ ~count:_ -> ());
+      write_back = (fun ~obj:_ ~block:_ ~count:_ ~done_ -> held := done_ :: !held);
+      sync = (fun () -> ());
+    }
+  in
+  let c = Bcache.create eng ~backend ~capacity:(1 lsl 30) ~name:"c" in
+  let resumed = ref [] in
+  let fiber label f =
+    Engine.spawn eng (fun () ->
+        f ();
+        resumed := label :: !resumed)
+  in
+  run_on eng (fun () ->
+      for b = 0 to 499 do
+        Bcache.write c ~obj:1L ~block:b
+      done;
+      (* 3596 more blocks, under the high-water mark per object, bring
+         the dirty total to the bound itself *)
+      for o = 0 to 6 do
+        for b = 0 to 449 do
+          Bcache.write c ~obj:(Int64.of_int (10 + o)) ~block:b
+        done
+      done;
+      for b = 0 to 445 do
+        Bcache.write c ~obj:17L ~block:b
+      done);
+  check_int "no write-back yet" 0 (List.length !held);
+  for i = 1 to 4 do
+    fiber (Printf.sprintf "commit %d" i) (fun () -> Bcache.commit c ~obj:1L)
+  done;
+  for i = 1 to 4 do
+    fiber (Printf.sprintf "writer %d" i) (fun () ->
+        Bcache.write c ~obj:(Int64.of_int (100 + i)) ~block:0)
+  done;
+  for i = 1 to 3 do
+    fiber (Printf.sprintf "commit_all %d" i) (fun () -> Bcache.commit_all c)
+  done;
+  Engine.run ~until:0.5 eng;
+  Alcotest.(check (list string)) "all parked" [] !resumed;
+  Engine.schedule eng 0.5 (fun () -> List.iter (fun d -> d ()) (List.rev !held));
+  Engine.run eng;
+  Alcotest.(check (list string))
+    "each group resumes newest first"
+    [
+      "commit 4"; "commit 3"; "commit 2"; "commit 1"; "writer 4"; "writer 3"; "writer 2";
+      "writer 1"; "commit_all 3"; "commit_all 2"; "commit_all 1";
+    ]
+    (List.rev !resumed)
+
 (* A storage node caches block [b] of logical site [k] as [k * 2^27 + b]
    (Obsd.cache_block). Across sites 0-7, blocks of two objects never
    answer for each other, nor blocks of one object that differ only in
@@ -603,6 +668,7 @@ let suite =
     ("throttle flush order", `Quick, throttle_flush_order);
     ("backend trace pinned", `Quick, backend_trace_pinned);
     ("drop_clean releases the throttle", `Quick, drop_clean_releases_throttle);
+    ("waiters resume newest first", `Quick, wake_order_newest_first);
     ("key range guard", `Quick, key_range_guard);
     ("allocation budget", `Quick, alloc_budget);
     ("invalidated objects leave no rows", `Quick, invalidated_objects_leave_no_rows);
