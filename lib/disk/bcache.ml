@@ -48,7 +48,7 @@ type obj_rec = {
   mutable ndirty : int;
   mutable pending : int; (* write-backs issued, not yet stable *)
   mutable stable : int; (* write-backs completed, ever *)
-  mutable barrier : (unit -> unit) list; (* commits waiting on a completion *)
+  barrier : Engine.queue; (* commits waiting on a completion *)
   mutable indexed : bool; (* bound in [dirty_index] *)
   mutable retired : bool; (* invalidated; kept until its write-backs drain *)
 }
@@ -62,12 +62,13 @@ let no_owner =
     ndirty = 0;
     pending = 0;
     stable = 0;
-    barrier = [];
+    barrier = Engine.queue ();
     indexed = false;
     retired = false;
   }
 
 type t = {
+  eng : Engine.t;
   backend : backend;
   lru : Slot_lru.t;
   mutable owner : obj_rec array;
@@ -85,8 +86,8 @@ type t = {
   mutable inflight : int; (* outstanding write-backs *)
   mutable inflight_blocks : int;
   mutable total_dirty : int;
-  mutable waiters : (unit -> unit) list; (* fibers parked in commit_all *)
-  mutable throttle_waiters : (unit -> unit) list; (* writers parked by the throttle *)
+  idle : Engine.queue; (* fibers parked in commit_all *)
+  throttle : Engine.queue; (* writers parked by the throttle *)
 }
 
 (* Write-behind high water: once an object accumulates this many dirty
@@ -160,21 +161,9 @@ let write_back_done t r count () =
   if r.pending = 0 && r.retired then Hashtbl.remove t.objects r.obj;
   r.stable <- r.stable + 1;
   (* commit barriers re-check their own completion predicates *)
-  if r.barrier <> [] then begin
-    let ws = r.barrier in
-    r.barrier <- [];
-    List.iter (fun w -> w ()) ws
-  end;
-  if t.total_dirty + t.inflight_blocks < max_outstanding_blocks then begin
-    let ws = t.throttle_waiters in
-    t.throttle_waiters <- [];
-    List.iter (fun w -> w ()) ws
-  end;
-  if t.inflight = 0 then begin
-    let ws = t.waiters in
-    t.waiters <- [];
-    List.iter (fun w -> w ()) ws
-  end
+  Engine.wake_all r.barrier;
+  if t.total_dirty + t.inflight_blocks < max_outstanding_blocks then Engine.wake_all t.throttle;
+  if t.inflight = 0 then Engine.wake_all t.idle
 
 let start_write_back t r ~block ~count =
   t.inflight <- t.inflight + 1;
@@ -269,10 +258,11 @@ let place t r block =
   t.blk.(s) <- block;
   s
 
-let create _eng ~backend ~capacity ~name:_ =
+let create eng ~backend ~capacity ~name:_ =
   let cap_blocks = capacity / block_size in
   if cap_blocks < 1 then invalid_arg "Bcache.create: capacity below one block";
   {
+    eng;
     backend;
     lru = Slot_lru.create ~capacity:cap_blocks;
     owner = [||];
@@ -292,8 +282,8 @@ let create _eng ~backend ~capacity ~name:_ =
     inflight = 0;
     inflight_blocks = 0;
     total_dirty = 0;
-    waiters = [];
-    throttle_waiters = [];
+    idle = Engine.queue ();
+    throttle = Engine.queue ();
   }
 
 (* The object's record, made on first sight; touching an invalidated
@@ -304,7 +294,8 @@ let record t obj =
       r.retired <- false;
       r
   | exception Not_found ->
-      let r = { no_owner with obj; id = t.next_id } in
+      (* each record its own queue: [no_owner]'s is shared *)
+      let r = { no_owner with obj; id = t.next_id; barrier = Engine.queue () } in
       t.next_id <- t.next_id + 1;
       Hashtbl.add t.objects obj r;
       r
@@ -370,22 +361,22 @@ let write t ~obj ~block =
      completions pace the writers. *)
   while t.total_dirty + t.inflight_blocks > max_outstanding_blocks do
     if t.inflight = 0 then flush_all t
-    else Engine.suspend (fun wake -> t.throttle_waiters <- wake :: t.throttle_waiters)
+    else Engine.wait t.eng t.throttle
   done
 
 let wait_idle t =
   while t.inflight > 0 do
-    Engine.suspend (fun wake -> t.waiters <- wake :: t.waiters)
+    Engine.wait t.eng t.idle
   done
 
 (* Commit waits only for the write-backs of ITS object that are already
    booked when it runs — not for other streams' data, and not for writes
    that arrive later (a file can be committed while still being
    written). *)
-let wait_obj_barrier r =
+let wait_obj_barrier t r =
   let target = r.stable + r.pending in
   while r.stable < target do
-    Engine.suspend (fun wake -> r.barrier <- wake :: r.barrier)
+    Engine.wait t.eng r.barrier
   done
 
 let commit t ~obj =
@@ -394,7 +385,7 @@ let commit t ~obj =
      history fixes the order in which the throttle flushes objects *)
   index t r;
   flush t r;
-  wait_obj_barrier r;
+  wait_obj_barrier t r;
   t.backend.sync ()
 
 let commit_all t =

@@ -10,14 +10,14 @@
    (time, seq) order (same-instant events scheduled during the batch get
    larger seqs and are picked up by the same inner loop).
 
-   Sleeping is the commonest way a fiber parks (every CPU and resource
-   booking), so it bypasses the generic [suspend]: a dedicated effect,
-   whose handler answer is built once per engine, puts the fiber's
-   continuation straight into an event cell — no register closure, no
-   waker, no thunk. [park] generalises it to waits ended by another
-   event rather than by the clock: its handler answer stores the
-   continuation in a caller-owned [waiter], which [unpark] resumes.
-   [spawn] wraps nothing either: the fiber's body goes into the cell as
+   A fiber parks in one of two ways, one effect each, and the handler
+   answers no other. Sleeping is the commonest (every CPU and resource
+   booking): its handler answer, built once per engine, puts the fiber's
+   continuation straight into an event cell — no closure, no thunk.
+   [park] serves waits ended by another event rather than by the clock:
+   its handler answer stores the continuation in a caller-owned
+   [waiter], which [unpark] resumes. A [queue] pools waiters for fibers
+   that wait on one event together. [spawn] wraps nothing either: the fiber's body goes into the cell as
    its thunk, marked by a second placeholder continuation, and [fire]
    starts it under the handler.
 
@@ -198,10 +198,6 @@ let create () =
   in
   t
 
-type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
-
-let suspend register = Effect.perform (Suspend register)
-
 let handler =
   let open Effect.Deep in
   {
@@ -212,17 +208,6 @@ let handler =
         match eff with
         | Sleep e -> e.on_sleep
         | Park e -> e.on_park
-        | Suspend register ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                let fired = ref false in
-                let waker v =
-                  if not !fired then begin
-                    fired := true;
-                    continue k v
-                  end
-                in
-                register waker)
         | _ -> None);
   }
 
@@ -250,6 +235,53 @@ let[@hot] unpark w =
     w.w_k <- no_k;
     Effect.Deep.continue k ()
   end
+
+(* A parked fiber's place in a queue. Nodes are pooled per queue and
+   linked through [next], so a warm wait allocates no closure or list
+   cell. *)
+type node = { nw : waiter; mutable next : node }
+
+let no_node =
+  let rec n = { nw = waiter (); next = n } in
+  n
+
+type queue = {
+  mutable parked : node; (* last parked first *)
+  mutable spare : node; (* the pool *)
+}
+
+let queue () = { parked = no_node; spare = no_node }
+
+(* Move a node from the pool to the head of the parked list; the caller
+   has made sure the pool holds one. *)
+let[@hot] enlist q =
+  let n = q.spare in
+  q.spare <- n.next;
+  n.next <- q.parked;
+  q.parked <- n;
+  n.nw
+
+(* The pool's miss, the first wait beyond the most the queue has held
+   at once, is the only allocation. *)
+let wait t q =
+  if q.spare == no_node then q.spare <- { nw = waiter (); next = no_node };
+  park t (enlist q)
+
+let[@hot] rec wake_from q n =
+  if n != no_node then begin
+    let next = n.next in
+    unpark n.nw;
+    n.next <- q.spare;
+    q.spare <- n;
+    wake_from q next
+  end
+
+(* The queue is emptied first: a fiber that waits again while the
+   others resume waits for the next [wake_all]. *)
+let[@hot] wake_all q =
+  let n = q.parked in
+  q.parked <- no_node;
+  wake_from q n
 
 (* Run a popped cell: call its thunk, start its fiber, or resume it. *)
 let[@inline] fire t ev =

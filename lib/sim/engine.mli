@@ -5,7 +5,7 @@
     every run bit-reproducible.
 
     Sequential-looking simulated processes ("fibers") are built on OCaml 5
-    effects: a fiber may call {!sleep}, {!park} or {!suspend}, which park
+    effects: a fiber may call {!sleep}, {!park} or {!wait}, which park
     it without blocking the engine. All fiber code runs synchronously
     inside the event loop, so no locking is ever needed. *)
 
@@ -47,7 +47,7 @@ val cancel : timer -> int -> unit
 
 val spawn : t -> (unit -> unit) -> unit
 (** [spawn t f] starts a fiber at the current time. The fiber may use
-    {!sleep}, {!park} and {!suspend}. Exceptions escaping a fiber abort
+    {!sleep}, {!park} and {!wait}. Exceptions escaping a fiber abort
     the run. The event cell carries [f] itself, so spawning allocates no
     wrapper closure. *)
 
@@ -77,11 +77,21 @@ val unpark : waiter -> unit
     it next parks or finishes, then [unpark] returns. A no-op when no
     fiber is parked there. *)
 
-val suspend : (('a -> unit) -> unit) -> 'a
-(** [suspend register] parks the calling fiber and calls
-    [register waker]. The fiber resumes with [v] when [waker v] is called.
-    The waker is idempotent: calls after the first are ignored, which lets
-    timeout and completion paths race safely. *)
+type queue
+(** Fibers waiting for one event, woken all at once. The queue pools its
+    waiters: once it has held [n] fibers at a time, a wait allocates no
+    more than {!park}. *)
+
+val queue : unit -> queue
+
+val wait : t -> queue -> unit
+(** [wait t q] parks the calling fiber in [q] until {!wake_all}[ q]. *)
+
+val wake_all : queue -> unit
+(** Resume every fiber parked in the queue, the last parked first, each
+    synchronously as {!unpark} does. The queue is emptied before the
+    first resumes, so a fiber that waits again meanwhile stays parked
+    until the next [wake_all]. *)
 
 (** {2 Running} *)
 

@@ -15,15 +15,6 @@ type sink =
   | Immediate
   | Disk of Engine.t * Slice_disk.Disk.t
 
-(* A fiber waiting for the round in flight. Nodes are pooled per log and
-   linked through [next], so a wait allocates no closure or list cell. *)
-type parked = { w : Engine.waiter; mutable next : parked }
-
-let no_parked =
-  let w = Engine.waiter () in
-  let rec p = { w; next = p } in
-  p
-
 type t = {
   sink : sink;
   name : string;
@@ -36,8 +27,7 @@ type t = {
   mutable appended_bytes : int;
   mutable syncs : int;
   mutable sync_inflight : bool;
-  mutable parked : parked; (* waiting for the round in flight, last first *)
-  mutable free : parked;
+  joiners : Engine.queue; (* waiting for the round in flight *)
 }
 
 let make name sink =
@@ -53,8 +43,7 @@ let make name sink =
     appended_bytes = 0;
     syncs = 0;
     sync_inflight = false;
-    parked = no_parked;
-    free = no_parked;
+    joiners = Engine.queue ();
   }
 
 let create ?eng ?disk ~name () =
@@ -131,44 +120,16 @@ let harden t e =
 
 (* ---- group commit ---- *)
 
-let wait_round t eng =
-  let p =
-    if t.free == no_parked then { w = Engine.waiter (); next = no_parked }
-    else begin
-      let p = t.free in
-      t.free <- p.next;
-      p
-    end
-  in
-  p.next <- t.parked;
-  t.parked <- p;
-  Engine.park eng p.w
-
-let rec wake_from t p =
-  if p != no_parked then begin
-    let next = p.next in
-    Engine.unpark p.w;
-    p.next <- t.free;
-    t.free <- p;
-    wake_from t next
-  end
-
-(* Last parked, first resumed; each runs until it parks again. A fiber
-   parking meanwhile waits for the next round's wake-up. *)
-let wake_waiters t =
-  let p = t.parked in
-  t.parked <- no_parked;
-  wake_from t p
-
 (* Group commit: one fiber leads a round covering everything pending;
    fibers arriving mid-round wait and (if anything new is pending) lead
-   the next round. The round's bytes move to the spare area for the disk
-   write, so appends during the write fill the emptied pending area. A
-   record is stable exactly when [sync] returns to the fiber that
-   appended it. *)
+   the next round. The joiners resume last parked first; one that parks
+   again meanwhile waits for the next round's wake-up. The round's bytes
+   move to the spare area for the disk write, so appends during the
+   write fill the emptied pending area. A record is stable exactly when
+   [sync] returns to the fiber that appended it. *)
 let rec sync_round t eng disk span =
   if t.sync_inflight then begin
-    wait_round t eng;
+    Engine.wait eng t.joiners;
     sync_round t eng disk span
   end
   else if Enc.length t.pending > 0 then begin
@@ -184,7 +145,7 @@ let rec sync_round t eng disk span =
     if Int64.compare covered_lsn t.synced > 0 then t.synced <- covered_lsn;
     t.syncs <- t.syncs + 1;
     t.sync_inflight <- false;
-    wake_waiters t
+    Engine.wake_all t.joiners
   end
 
 let sync ?(span = Trace.null) t =

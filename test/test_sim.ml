@@ -55,22 +55,6 @@ let sleep_advances_time () =
   in
   check_float "slept 1.75" 1.75 elapsed
 
-let suspend_resumes_with_value () =
-  let v =
-    run_fiber (fun eng ->
-        Engine.suspend (fun wake -> Engine.schedule eng 1.0 (fun () -> wake 42)))
-  in
-  check_int "resumed value" 42 v
-
-let waker_idempotent () =
-  let v =
-    run_fiber (fun eng ->
-        Engine.suspend (fun wake ->
-            Engine.schedule eng 1.0 (fun () -> wake 1);
-            Engine.schedule eng 2.0 (fun () -> wake 2)))
-  in
-  check_int "first waker wins" 1 v
-
 let fibers_interleave () =
   let eng = Engine.create () in
   let log = ref [] in
@@ -191,8 +175,7 @@ let tiny_sleep_yields () =
     (List.rev !log = [ `Event; `Fiber ])
 
 (* A sleep parks the fiber through its own effect: only the runtime's
-   continuation and the boxed wake time, where the generic [suspend]
-   also built a register closure, a ref, a waker and a thunk. *)
+   continuation and the boxed wake time, with no closure or thunk. *)
 let sleep_allocation_budget () =
   let eng = Engine.create () in
   let per_sleep = ref infinity in
@@ -325,6 +308,60 @@ let park_allocation_budget () =
   check_bool (Printf.sprintf "one park/unpark allocates %.1f words (budget 4)" !per_round) true
     (!per_round <= 4.0)
 
+(* [wake_all] resumes the last parked first, each before the next. A
+   fiber that waits again while the others resume stays parked until the
+   next [wake_all]; waking an empty queue does nothing. *)
+let queue_wake_order () =
+  let eng = Engine.create () in
+  let q = Engine.queue () in
+  let log = ref [] in
+  let note s = log := Printf.sprintf "%s at %g" s (Engine.now eng) :: !log in
+  for i = 1 to 3 do
+    Engine.spawn eng (fun () ->
+        Engine.wait eng q;
+        note (Printf.sprintf "resumed %d" i);
+        if i = 2 then begin
+          Engine.wait eng q;
+          note "2 resumed again"
+        end)
+  done;
+  Engine.schedule eng 1.0 (fun () ->
+      Engine.wake_all q;
+      note "wake_all returned");
+  Engine.schedule eng 2.0 (fun () ->
+      Engine.wake_all q;
+      Engine.wake_all q);
+  Engine.run eng;
+  Alcotest.(check (list string))
+    "last parked first, re-waiters wait for the next wake"
+    [ "resumed 3 at 1"; "resumed 2 at 1"; "resumed 1 at 1"; "wake_all returned at 1";
+      "2 resumed again at 2" ]
+    (List.rev !log)
+
+(* Once warm, a queue's wait and wake allocate what a park/unpark round
+   trip does: the runtime's continuation, no node, closure or list cell. *)
+let queue_allocation_budget () =
+  let eng = Engine.create () in
+  let q = Engine.queue () in
+  let per_round = ref infinity in
+  let rounds = 1024 in
+  Engine.spawn eng (fun () ->
+      for _ = 1 to rounds + 64 do
+        Engine.wait eng q
+      done);
+  Engine.spawn eng (fun () ->
+      for _ = 1 to 64 do
+        Engine.wake_all q
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to rounds do
+        Engine.wake_all q
+      done;
+      per_round := (Gc.minor_words () -. w0) /. float_of_int rounds);
+  Engine.run eng;
+  check_bool (Printf.sprintf "one wait/wake_all allocates %.1f words (budget 4)" !per_round) true
+    (!per_round <= 4.0)
+
 let suite =
   [
     ("event ordering", `Quick, event_ordering);
@@ -332,6 +369,8 @@ let suite =
     ("cancel on a recycled cell is a no-op", `Quick, cancel_recycled_cell_is_noop);
     ("park/unpark", `Quick, park_unpark);
     ("park allocation budget", `Quick, park_allocation_budget);
+    ("queue wake order", `Quick, queue_wake_order);
+    ("queue allocation budget", `Quick, queue_allocation_budget);
     ("tiny sleep still yields", `Quick, tiny_sleep_yields);
     ("sleep allocation budget", `Quick, sleep_allocation_budget);
     ("spawn allocation budget", `Quick, spawn_allocation_budget);
@@ -340,8 +379,6 @@ let suite =
     ("run ~until", `Quick, run_until);
     ("run ~until advances clock", `Quick, run_until_advances_clock);
     ("sleep advances time", `Quick, sleep_advances_time);
-    ("suspend resumes with value", `Quick, suspend_resumes_with_value);
-    ("waker idempotent", `Quick, waker_idempotent);
     ("fibers interleave", `Quick, fibers_interleave);
     ("resource FCFS", `Quick, resource_fcfs);
     ("resource parallel capacity", `Quick, resource_parallel_capacity);
