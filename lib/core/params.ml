@@ -12,7 +12,6 @@ type t = {
   name_cache_capacity : int;
   pending_sweep_interval : float;
   pending_expiry : float;
-  rpc_port : int;
   trace_enabled : bool;
   trace_sample : float;
 }
@@ -29,7 +28,6 @@ let default =
     name_cache_capacity = 4096;
     pending_sweep_interval = 1.0;
     pending_expiry = 10.0;
-    rpc_port = 3001;
     trace_enabled = false;
     trace_sample = 1.0;
   }

@@ -41,7 +41,6 @@ type t = {
       (** age at which an unanswered pending record is expired by the
           sweep; must exceed the client's retransmit interval (a live
           client refreshes its record with every retransmission) *)
-  rpc_port : int;  (** port of the µproxy's own endpoint on the client *)
   trace_enabled : bool;
       (** record per-request span trees (default false: the hot path
           stays allocation-free — every span operation is a no-op) *)

@@ -233,14 +233,16 @@ let after_cpu t (c : cost) k =
 
 (* ---- outgoing calls from the µproxy itself ---- *)
 
+(* The port of the µproxy's own endpoint on the client. *)
+let rpc_port = 3001
+
+(* No caller reads the reply, so it is not decoded. *)
 let nfs_call t ?(span = Trace.null) (call : Nfs.call) ~dst =
   let xid = Rpc.fresh_xid t.rpc in
   let payload = Codec.encode_call ~xid call in
-  let reply =
-    Rpc.call t.rpc ~span ~timeout:2.0 ~dst ~dport:2049
-      ~extra_size:(Codec.extra_size_of_call call) payload
-  in
-  snd (Codec.decode_reply reply)
+  ignore
+    (Rpc.call t.rpc ~span ~timeout:2.0 ~dst ~dport:2049
+       ~extra_size:(Codec.extra_size_of_call call) payload)
 
 let ctrl_call t ?(span = Trace.null) msg =
   match t.tg.coordinator () with
@@ -336,7 +338,7 @@ let writeback_one t (c : cached_attr) =
         set_atime = Some a.Nfs.atime;
       }
     in
-    ignore (nfs_call t (Nfs.Setattr (c.ca_fh, s)) ~dst:(dir_phys t c.ca_fh.Fh.attr_site))
+    nfs_call t (Nfs.Setattr (c.ca_fh, s)) ~dst:(dir_phys t c.ca_fh.Fh.attr_site)
   end
 
 (* ---- metadata cache columns ---- *)
@@ -611,7 +613,7 @@ let orchestrate_commit t ~span ~xid (pkt : Packet.t) (fh : Fh.t) =
       let jobs = ref [] in
       (match smallfile_dst t fh with
       | Some dst ->
-          jobs := (fun () -> ignore (nfs_call t ~span (Nfs.Commit (fh, 0L, 0)) ~dst)) :: !jobs
+          jobs := (fun () -> nfs_call t ~span (Nfs.Commit (fh, 0L, 0)) ~dst) :: !jobs
       | None -> ());
       let sites = Table.data_nodes t.st.map fh in
       (match (sites, t.tg.coordinator ()) with
@@ -620,7 +622,7 @@ let orchestrate_commit t ~span ~xid (pkt : Packet.t) (fh : Fh.t) =
           jobs := (fun () -> ignore (ctrl_call t ~span (Ctrl.Commit_file { fh; sites }))) :: !jobs
       | sites, None ->
           jobs :=
-            List.map (fun dst () -> ignore (nfs_call t ~span (Nfs.Commit (fh, 0L, 0)) ~dst)) sites
+            List.map (fun dst () -> nfs_call t ~span (Nfs.Commit (fh, 0L, 0)) ~dst) sites
             @ !jobs);
       Fiber.join_all t.eng !jobs;
       (* Close any open mirrored-write intention. *)
@@ -1376,7 +1378,7 @@ let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
       qos;
       tg = targets;
       prng = Prng.create (seed + (host.Host.addr * 7919));
-      rpc = Rpc.create net host.Host.addr ~port:params.Params.rpc_port;
+      rpc = Rpc.create net host.Host.addr ~port:rpc_port;
       pending = Slot_lru.create ~capacity:max_int;
       pool = [||];
       pool_born = [||];
