@@ -3,6 +3,7 @@ module Nfs = Slice_nfs.Nfs
 module Fh = Slice_nfs.Fh
 module Bcache = Slice_disk.Bcache
 module Ffs = Slice_disk.Ffs
+module Fileblocks = Slice_disk.Fileblocks
 module Host = Slice_storage.Host
 module Tenure = Slice_storage.Tenure
 module Nfs_endpoint = Slice_storage.Nfs_endpoint
@@ -25,7 +26,7 @@ type extent = { phys_off : int64; phys_len : int }
 type filerec = {
   mutable size : int;
   mutable blocks : extent option array; (* per 8 KB logical block *)
-  mutable data : bytes option; (* materialized contents, when real *)
+  mutable data : Fileblocks.t option; (* real bytes, from the first real write on *)
   mutable site : int; (* logical small-file site (stamped from the handle) *)
 }
 
@@ -142,23 +143,17 @@ let attr_of fh (fr : filerec) =
     used = Int64.of_int fr.size;
   }
 
+(* A file holds a table of real bytes only once a real write reaches it. *)
 let store_real fr ~off data =
-  let len = String.length data in
-  let needed = off + len in
-  let buf =
+  let fb =
     match fr.data with
-    | Some b when Bytes.length b >= needed -> b
-    | Some b ->
-        let nb = Bytes.make needed '\000' in
-        Bytes.blit b 0 nb 0 (Bytes.length b);
-        fr.data <- Some nb;
-        nb
+    | Some fb -> fb
     | None ->
-        let nb = Bytes.make needed '\000' in
-        fr.data <- Some nb;
-        nb
+        let fb = Fileblocks.create () in
+        fr.data <- Some fb;
+        fb
   in
-  Bytes.blit_string data 0 buf off len
+  Fileblocks.store fb ~off data
 
 (* An expired lease wedges the whole server — every request bounces — so
    a zombie deposed by a takeover cannot serve stale file contents. *)
@@ -200,9 +195,11 @@ let handle t span (call : Nfs.call) : Nfs.response =
         if count = 0 then Nfs.Data ""
         else
           match fr.data with
-          | Some buf when Bytes.length buf >= off + count ->
-              Nfs.Data (Bytes.sub_string buf off count)
-          | _ -> Nfs.Synthetic count
+          | Some fb -> (
+              match Fileblocks.load fb ~off:off64 ~count with
+              | Some s -> Nfs.Data s
+              | None -> Nfs.Synthetic count)
+          | None -> Nfs.Synthetic count
       in
       Ok (Nfs.RRead (data, eof, attr_of fh fr))
       end
@@ -239,7 +236,7 @@ let handle t span (call : Nfs.call) : Nfs.response =
         Error Nfs.ERR_NOSPC
       else begin
       (match wdata with
-      | Nfs.Data s -> store_real fr ~off s
+      | Nfs.Data s -> store_real fr ~off:off64 s
       | Nfs.Synthetic _ -> fr.data <- None);
       if fin > fr.size then begin
         t.logical <- Int64.add t.logical (Int64.of_int (fin - fr.size));
@@ -288,9 +285,7 @@ let handle t span (call : Nfs.call) : Nfs.response =
               fr.blocks;
             t.logical <- Int64.sub t.logical (Int64.of_int (fr.size - nsz));
             fr.size <- nsz;
-            match fr.data with
-            | Some b when Bytes.length b > nsz -> fr.data <- Some (Bytes.sub b 0 nsz)
-            | _ -> ()
+            Option.iter (fun fb -> Fileblocks.truncate fb (Int64.of_int nsz)) fr.data
           end;
           Ok (Nfs.RSetattr (attr_of fh fr))
       | None -> Ok (Nfs.RSetattr (attr_of fh fr)))
@@ -349,18 +344,24 @@ type site_image = (int64 * int * string) list
 (* (fileID, size, contents) per file of the site; synthetic contents are
    exported as zeros of the right length. *)
 
+(* The file's first [size] bytes: real where a block holds them, zeros
+   elsewhere. *)
+let contents (fr : filerec) =
+  let out = Bytes.make fr.size '\000' in
+  Option.iter
+    (fun fb ->
+      for b = 0 to (fr.size - 1) / block_size do
+        let off = b * block_size in
+        match Fileblocks.load fb ~off:(Int64.of_int off) ~count:(min block_size (fr.size - off)) with
+        | Some s -> Bytes.blit_string s 0 out off (String.length s)
+        | None -> ()
+      done)
+    fr.data;
+  Bytes.unsafe_to_string out
+
 let export_site t site : site_image =
   Hashtbl.fold
-    (fun fid (fr : filerec) acc ->
-      if fr.site <> site then acc
-      else
-        let contents =
-          match fr.data with
-          | Some b when Bytes.length b >= fr.size -> Bytes.sub_string b 0 fr.size
-          | Some b -> Bytes.to_string b ^ String.make (fr.size - Bytes.length b) '\000'
-          | None -> String.make fr.size '\000'
-        in
-        (fid, fr.size, contents) :: acc)
+    (fun fid (fr : filerec) acc -> if fr.site <> site then acc else (fid, fr.size, contents fr) :: acc)
     t.files []
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
@@ -382,7 +383,7 @@ let import_site t site (img : site_image) =
           let needed = min block_size (size - (b * block_size)) in
           ignore (place_block t fr b ~needed)
         done;
-        store_real fr ~off:0 contents;
+        store_real fr ~off:0L contents;
         fr.size <- size;
         t.logical <- Int64.add t.logical (Int64.of_int size)
       end)

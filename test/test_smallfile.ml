@@ -181,6 +181,48 @@ let needs_storage_nodes () =
         (Slice.Ensemble.create
            { Slice.Ensemble.default_config with storage_nodes = 0; smallfile_servers = 1 }))
 
+(* Real bytes are kept per 8 KB block, as the baseline server and the
+   storage nodes keep them. A shrink zeroes the bytes past the new size,
+   so growing the file again reads zeros there. A read answers with real
+   bytes only when every block it covers holds some: a file whose first
+   real write lands in block 2 reads synthetic from offset 0. An export
+   carries zeros where a file holds no real bytes, and the importing
+   server then holds every exported byte as real. A synthetic write
+   forgets a file's real bytes. *)
+let real_bytes_by_block () =
+  let rig = mk_rig () in
+  let a = reg_fh 20 and b = reg_fh 21 in
+  let data = String.init 12000 (fun i -> Char.chr (65 + (i mod 26))) in
+  let grown = String.sub data 0 9000 ^ String.make 2000 '\000' ^ "tail" in
+  let far = String.make 100 'x' in
+  let read rig fh off count =
+    match call rig (Nfs.Read (fh, Int64.of_int off, count)) with
+    | Ok (Nfs.RRead (Nfs.Data d, _, _)) -> Some d
+    | Ok (Nfs.RRead (Nfs.Synthetic n, _, _)) ->
+        check_int "synthetic length" count n;
+        None
+    | _ -> Alcotest.fail "read"
+  in
+  let some = Alcotest.(check (option string)) in
+  run_on rig.eng (fun () ->
+      ignore (call rig (Nfs.Write (a, 0L, Nfs.Unstable, Nfs.Data data)));
+      ignore (call rig (Nfs.Setattr (a, Nfs.sattr_size 9000L)));
+      ignore (call rig (Nfs.Write (a, 11000L, Nfs.Unstable, Nfs.Data "tail")));
+      some "shrink then grow reads zeros" (Some grown) (read rig a 0 11004);
+      ignore (call rig (Nfs.Write (b, 16384L, Nfs.Unstable, Nfs.Data far)));
+      some "the written block" (Some far) (read rig b 16384 100);
+      some "blocks never written" None (read rig b 0 16484));
+  let img = Smallfile.export_site rig.sf 0 in
+  check_bool "image bytes" true (Smallfile.image_bytes img = Int64.of_int (11004 + 16484));
+  let rig2 = mk_rig () in
+  Smallfile.import_site rig2.sf 0 img;
+  run_on rig2.eng (fun () ->
+      some "imported file" (Some grown) (read rig2 a 0 11004);
+      some "imported zeros" (Some (String.make 16384 '\000' ^ far)) (read rig2 b 0 16484));
+  run_on rig.eng (fun () ->
+      ignore (call rig (Nfs.Write (a, 0L, Nfs.Unstable, Nfs.Synthetic 10)));
+      some "a synthetic write forgets the real bytes" None (read rig a 11000 4))
+
 let suite =
   [
     ("physical size rounding", `Quick, physical_rounding);
@@ -189,6 +231,7 @@ let suite =
     ("growth reallocates fragments", `Quick, growth_reallocates);
     ("remove frees space", `Quick, remove_frees_space);
     ("truncate partial and zero", `Quick, truncate_to_zero_and_partial);
+    ("real bytes by block", `Quick, real_bytes_by_block);
     ("fragment reuse", `Quick, fragment_reuse);
     ("stable write commits", `Quick, stable_write_commits);
     ("commit then read cached", `Quick, commit_then_read_cached);
