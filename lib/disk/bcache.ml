@@ -48,10 +48,14 @@ type obj_rec = {
   mutable ndirty : int;
   mutable pending : int; (* write-backs issued, not yet stable *)
   mutable stable : int; (* write-backs completed, ever *)
-  barrier : Engine.queue; (* commits waiting on a completion *)
+  mutable barrier : Engine.queue; (* commits waiting on a completion *)
   mutable indexed : bool; (* bound in [dirty_index] *)
   mutable retired : bool; (* invalidated; kept until its write-backs drain *)
 }
+
+(* The barrier of a record no commit has waited on yet: empty, and
+   shared, so no fiber may wait in it. *)
+let no_barrier = Engine.queue ()
 
 let no_owner =
   {
@@ -62,7 +66,7 @@ let no_owner =
     ndirty = 0;
     pending = 0;
     stable = 0;
-    barrier = Engine.queue ();
+    barrier = no_barrier;
     indexed = false;
     retired = false;
   }
@@ -294,8 +298,7 @@ let record t obj =
       r.retired <- false;
       r
   | exception Not_found ->
-      (* each record its own queue: [no_owner]'s is shared *)
-      let r = { no_owner with obj; id = t.next_id; barrier = Engine.queue () } in
+      let r = { no_owner with obj; id = t.next_id } in
       t.next_id <- t.next_id + 1;
       Hashtbl.add t.objects obj r;
       r
@@ -376,6 +379,7 @@ let wait_idle t =
 let wait_obj_barrier t r =
   let target = r.stable + r.pending in
   while r.stable < target do
+    if r.barrier == no_barrier then r.barrier <- Engine.queue ();
     Engine.wait t.eng r.barrier
   done
 
