@@ -348,15 +348,11 @@ type site_image = (int64 * int * string) list
    elsewhere. *)
 let contents (fr : filerec) =
   let out = Bytes.make fr.size '\000' in
-  Option.iter
-    (fun fb ->
-      for b = 0 to (fr.size - 1) / block_size do
-        let off = b * block_size in
-        match Fileblocks.load fb ~off:(Int64.of_int off) ~count:(min block_size (fr.size - off)) with
-        | Some s -> Bytes.blit_string s 0 out off (String.length s)
-        | None -> ()
-      done)
-    fr.data;
+  let blit b buf =
+    let off = b * block_size in
+    if off < fr.size then Bytes.blit buf 0 out off (min block_size (fr.size - off))
+  in
+  Option.iter (Hashtbl.iter blit) fr.data;
   Bytes.unsafe_to_string out
 
 let export_site t site : site_image =
