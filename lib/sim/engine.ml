@@ -65,13 +65,9 @@ type event = {
 (* Cyclic sentinel: terminates the freelist without an option. *)
 let rec nil = { time = 0.0; seq = 0; fn = nop; k = no_k; next_free = nil }
 
-type waiter = {
-  mutable w_k : (unit, unit) Effect.Deep.continuation; (* [no_k] = not parked *)
-  mutable w_next : waiter; (* the next in a queue's list or pool *)
-}
+type waiter = { mutable w_k : (unit, unit) Effect.Deep.continuation (* [no_k] = not parked *) }
 
-let rec no_waiter = { w_k = no_k; w_next = no_waiter }
-let waiter () = { w_k = no_k; w_next = no_waiter }
+let waiter () = { w_k = no_k }
 
 type t = {
   mutable clock : float;
@@ -240,45 +236,50 @@ let[@hot] unpark w =
     Effect.Deep.continue k ()
   end
 
-(* A queue's waiters are pooled in it and linked through [w_next], so a
-   warm wait allocates no closure or list cell. *)
+(* A queue's waiters sit in nodes, pooled in the queue and linked
+   through [next], so a warm wait allocates no closure or list cell. A
+   bare waiter stays two words: [Rpc] and [Fiber] make their own. *)
+type node = { nw : waiter; mutable next : node }
+
+let rec no_node = { nw = waiter (); next = no_node }
+
 type queue = {
-  mutable parked : waiter; (* last parked first *)
-  mutable spare : waiter; (* the pool *)
+  mutable parked : node; (* last parked first *)
+  mutable spare : node; (* the pool *)
 }
 
-let queue () = { parked = no_waiter; spare = no_waiter }
+let queue () = { parked = no_node; spare = no_node }
 
-(* Move a waiter from the pool to the head of the parked list; the
-   caller has made sure the pool holds one. *)
+(* Move a node from the pool to the head of the parked list; the caller
+   has made sure the pool holds one. *)
 let[@hot] enlist q =
-  let w = q.spare in
-  q.spare <- w.w_next;
-  w.w_next <- q.parked;
-  q.parked <- w;
-  w
+  let n = q.spare in
+  q.spare <- n.next;
+  n.next <- q.parked;
+  q.parked <- n;
+  n.nw
 
 (* The pool's miss, the first wait beyond the most the queue has held
    at once, is the only allocation. *)
 let wait t q =
-  if q.spare == no_waiter then q.spare <- waiter ();
+  if q.spare == no_node then q.spare <- { nw = waiter (); next = no_node };
   park t (enlist q)
 
-let[@hot] rec wake_from q w =
-  if w != no_waiter then begin
-    let next = w.w_next in
-    unpark w;
-    w.w_next <- q.spare;
-    q.spare <- w;
+let[@hot] rec wake_from q n =
+  if n != no_node then begin
+    let next = n.next in
+    unpark n.nw;
+    n.next <- q.spare;
+    q.spare <- n;
     wake_from q next
   end
 
 (* The queue is emptied first: a fiber that waits again while the
    others resume waits for the next [wake_all]. *)
 let[@hot] wake_all q =
-  let w = q.parked in
-  q.parked <- no_waiter;
-  wake_from q w
+  let n = q.parked in
+  q.parked <- no_node;
+  wake_from q n
 
 (* Run a popped cell: call its thunk, start its fiber, or resume it. *)
 let[@inline] fire t ev =
