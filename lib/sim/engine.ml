@@ -18,8 +18,8 @@
    its handler answer stores the continuation in a caller-owned
    [waiter], which [unpark] resumes. A [queue] pools waiters for fibers
    that wait on one event together. [spawn] wraps nothing either: the
-   fiber's body goes into the cell as its thunk, marked by a second placeholder continuation, and [fire]
-   starts it under the handler.
+   fiber's body goes into the cell as its thunk, marked by a second
+   placeholder continuation, and [fire] starts it under the handler.
 
    A timer is an event cell handed back to its scheduler together with
    the cell's [seq]. [cancel] turns the thunk into a no-op only while the

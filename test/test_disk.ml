@@ -383,6 +383,43 @@ let wake_order_newest_first () =
     ]
     (List.rev !resumed)
 
+(* Each object's committers wait on that object's barrier alone. Both
+   objects' write-backs are held; object 1's completes first and resumes
+   only its committers, and object 2's then resume newest first, as they
+   parked. Committers woken by another object's completion would park
+   again, in reverse order. *)
+let barrier_per_object () =
+  let eng = Engine.create () in
+  let held = ref [] in
+  let backend =
+    {
+      Bcache.demand_read = (fun ~obj:_ ~block:_ ~count:_ ~sequential:_ -> ());
+      readahead = (fun ~obj:_ ~block:_ ~count:_ -> ());
+      write_back = (fun ~obj ~block:_ ~count:_ ~done_ -> held := (obj, done_) :: !held);
+      sync = (fun () -> ());
+    }
+  in
+  let c = Bcache.create eng ~backend ~capacity:(1 lsl 20) ~name:"c" in
+  run_on eng (fun () ->
+      Bcache.write c ~obj:1L ~block:0;
+      Bcache.write c ~obj:2L ~block:0);
+  let resumed = ref [] in
+  List.iter
+    (fun (obj, i) ->
+      Engine.spawn eng (fun () ->
+          Bcache.commit c ~obj;
+          resumed := Printf.sprintf "%Ld.%d" obj i :: !resumed))
+    [ (2L, 1); (2L, 2); (1L, 1); (1L, 2) ];
+  let complete obj =
+    Engine.schedule eng 1.0 (fun () -> List.iter (fun (o, d) -> if o = obj then d ()) !held);
+    Engine.run eng
+  in
+  complete 1L;
+  Alcotest.(check (list string)) "object 1's committers only" [ "1.2"; "1.1" ] (List.rev !resumed);
+  complete 2L;
+  Alcotest.(check (list string))
+    "then object 2's, newest first" [ "1.2"; "1.1"; "2.2"; "2.1" ] (List.rev !resumed)
+
 (* A storage node caches block [b] of logical site [k] as [k * 2^27 + b]
    (Obsd.cache_block). Across sites 0-7, blocks of two objects never
    answer for each other, nor blocks of one object that differ only in
@@ -669,6 +706,7 @@ let suite =
     ("backend trace pinned", `Quick, backend_trace_pinned);
     ("drop_clean releases the throttle", `Quick, drop_clean_releases_throttle);
     ("waiters resume newest first", `Quick, wake_order_newest_first);
+    ("a completion wakes its own object's committers", `Quick, barrier_per_object);
     ("key range guard", `Quick, key_range_guard);
     ("allocation budget", `Quick, alloc_budget);
     ("invalidated objects leave no rows", `Quick, invalidated_objects_leave_no_rows);
