@@ -79,8 +79,8 @@ val unpark : waiter -> unit
 
 type queue
 (** Fibers waiting for one event, woken all at once. The queue pools its
-    waiters: once it has held [n] fibers at a time, a wait allocates no
-    more than {!park}. *)
+    waiters: a wait allocates no more than {!park}, unless more fibers
+    wait in the queue at once than ever before. *)
 
 val queue : unit -> queue
 
