@@ -804,6 +804,93 @@ let suite =
       damaged_contained "damaged ctrl replies are contained" gen_ctrl_reply Ctrl.encode_reply;
     ]
 
+(* ---- replies against the reference decoder ----
+
+   [Codec.decode_reply] materializes a whole response; it is the
+   reference every in-place reply reader is held to. The generators
+   reach every reply shape: each error status, every procedure's OK
+   reply with random attributes (exact on the wire: [gen_time]), real
+   and synthetic read data, readlink targets and readdir names of every
+   padding class, and readdir pages of 0 to 40 entries. *)
+
+let error_statuses = List.filter (fun st -> st <> Nfs.OK) all_statuses
+let gen_target = QCheck2.Gen.(string_size ~gen:printable (int_range 0 13))
+
+let gen_page =
+  QCheck2.Gen.(
+    map3
+      (fun entries cookie eof -> Nfs.RReaddir (entries, cookie, eof))
+      (list_size (int_range 0 40)
+         (map3
+            (fun entry_id entry_name entry_cookie -> { Nfs.entry_id; entry_name; entry_cookie })
+            gen_i64 gen_target gen_i64))
+      gen_i64 bool)
+
+let gen_ok_reply =
+  let open QCheck2.Gen in
+  let a = gen_attr in
+  oneof
+    [
+      oneofl [ Nfs.RNull; Nfs.RRemove; Nfs.RRmdir; Nfs.RRename ];
+      map (fun a -> Nfs.RGetattr a) a;
+      map (fun a -> Nfs.RSetattr a) a;
+      map (fun a -> Nfs.RLink a) a;
+      map (fun a -> Nfs.RCommit a) a;
+      map2 (fun fh a -> Nfs.RLookup (fh, a)) gen_fh a;
+      map2 (fun fh a -> Nfs.RCreate (fh, a)) gen_fh a;
+      map2 (fun fh a -> Nfs.RMkdir (fh, a)) gen_fh a;
+      map2 (fun fh a -> Nfs.RSymlink (fh, a)) gen_fh a;
+      map2 (fun m a -> Nfs.RAccess (m, a)) gen_u32 a;
+      map2 (fun t a -> Nfs.RReadlink (t, a)) gen_target a;
+      map3 (fun d eof a -> Nfs.RRead (Nfs.Data d, eof, a)) gen_target bool a;
+      map3 (fun n eof a -> Nfs.RRead (Nfs.Synthetic n, eof, a)) gen_u32 bool a;
+      map3
+        (fun n stable a -> Nfs.RWrite (n, stable, a))
+        gen_u32 (oneofl [ Nfs.Unstable; Nfs.Data_sync; Nfs.File_sync ]) a;
+      gen_page;
+      map
+        (fun (total_bytes, free_bytes, total_files, free_files) ->
+          Nfs.RFsstat { total_bytes; free_bytes; total_files; free_files })
+        (quad gen_i64 gen_i64 gen_i64 gen_i64);
+    ]
+
+let gen_wire_reply : Nfs.response QCheck2.Gen.t =
+  QCheck2.Gen.(
+    frequency
+      [ (1, map (fun st -> Error st) (oneofl error_statuses)); (6, map (fun r -> Ok r) gen_ok_reply) ])
+
+(* A reply's encoding, with every proper prefix and the given one-byte
+   overwrites: the buffers each property below reads. *)
+let damaged_replies (xid, resp, hits) =
+  let b = Codec.encode_reply ~xid resp in
+  let n = Bytes.length b in
+  let prefixes = List.init n (fun keep -> Bytes.sub b 0 keep) in
+  let overwrites =
+    List.map
+      (fun (at, byte) ->
+        let hit = Bytes.copy b in
+        Bytes.set hit (at mod n) (Char.chr byte);
+        hit)
+      hits
+  in
+  (b, prefixes, overwrites)
+
+let gen_damaged_reply =
+  QCheck2.Gen.(triple gen_u32 gen_wire_reply (small_list (pair (int_range 0 2000) (int_range 0 255))))
+
+(* The reference reads every shape back exactly; every proper prefix is
+   refused; a one-byte overwrite decodes or raises [Malformed], never
+   anything else. *)
+let decode_reply_reference =
+  qtest ~count:300 "decode_reply reads every reply shape; damage is contained" gen_damaged_reply
+    (fun ((xid, resp, _) as case) ->
+      let b, prefixes, overwrites = damaged_replies case in
+      decode_outcome Codec.decode_reply b = Some (xid, resp)
+      && List.for_all (fun cut -> decode_outcome Codec.decode_reply cut = None) prefixes
+      && List.for_all (fun hit -> contained (fun () -> ignore (Codec.decode_reply hit))) overwrites)
+
+let suite = suite @ [ decode_reply_reference ]
+
 (* ---- sorted directory listings ---- *)
 
 module Dirlist = Slice_nfs.Dirlist
