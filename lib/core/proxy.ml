@@ -1080,32 +1080,40 @@ let retry_misdirected ?(retries = 0) t ~src ~sport (orig : bytes) =
 let misdirect_retry_limit = 8
 let misdirect_retry_delay = 0.01
 
-(* readdir iteration across hash sites: translate local cookies into
-   (site, cookie) pairs and splice sites together at EOF boundaries. *)
+(* readdir iteration across hash sites: tag each local cookie with its
+   site and splice sites together at EOF boundaries, in place in the
+   server's reply. Nothing else holds these bytes: a server's request
+   table keeps the response and re-encodes it for a retransmission. *)
+let readdir_body payload =
+  try
+    match Codec.reply_status payload with
+    | Nfs.OK -> Codec.reply_body payload ~tag:16
+    | _ -> -2
+  with Codec.Malformed _ -> -1
+
 let translate_readdir t (c : cost) ~rd_site ~span (pkt : Packet.t) =
-  match Codec.decode_reply pkt.Packet.payload with
-  | _, Error _ ->
-      Trace.finish ~outcome:"error" span;
-      Some pkt (* pass errors through *)
-  | xid, Ok (Nfs.RReaddir (entries, cookie, eof)) ->
-      charge t c `Decode
-        (decode_cost_per_item *. float_of_int (4 + (3 * List.length entries)));
-      let site = Int64.of_int rd_site in
-      let tag v = Int64.logor (Int64.shift_left site 32) (Int64.logand v 0xFFFFFFFFL) in
-      let entries =
-        List.map (fun (e : Nfs.entry) -> { e with Nfs.entry_cookie = tag e.Nfs.entry_cookie }) entries
-      in
-      let nsites = Array.length t.dir.map in
-      let cookie, eof =
-        if eof && rd_site + 1 < nsites then (Int64.shift_left (Int64.add site 1L) 32, false)
-        else (tag cookie, eof)
-      in
-      answer t c ~dst:pkt.Packet.dst ~dport:pkt.Packet.dport ~xid
-        (Ok (Nfs.RReaddir (entries, cookie, eof)));
-      None
-  | _, Ok _ ->
-      Trace.finish span;
-      Some pkt
+  let payload = pkt.Packet.payload in
+  let body = readdir_body payload in
+  if body = -2 then begin
+    Trace.finish ~outcome:"error" span;
+    Some pkt (* pass errors through *)
+  end
+  else if body < 0 then begin
+    Trace.finish span;
+    Some pkt
+  end
+  else begin
+    charge t c `Decode
+      (decode_cost_per_item *. float_of_int (4 + (3 * Codec.readdir_count payload body)));
+    let more = rd_site + 1 < Array.length t.dir.map in
+    Cksum.adjust_sum pkt (Codec.splice_readdir payload ~body ~site:rd_site ~more);
+    charge t c `Rewrite rewrite_cost;
+    Cksum.rewrite_src pkt t.tg.virtual_addr;
+    after_cpu t c (fun () ->
+        Net.dispatch t.net pkt;
+        Trace.finish span);
+    None
+  end
 
 let patch_reply_attrs t (c : cost) (pd : pending) (pkt : Packet.t) =
   let payload = pkt.Packet.payload in

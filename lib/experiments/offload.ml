@@ -83,7 +83,7 @@ let one_op cl prng (fs : Livemix.fileset) ~fresh =
       ignore (Client.setattr cl f.e_fh (Nfs.sattr_times ~mtime:0.0 ()))
   | O_readlink ->
       let l = fs.links.(Prng.int prng (Array.length fs.links)) in
-      ignore (Client.call cl (Nfs.Readlink l.e_fh))
+      ignore (Client.readlink cl l.e_fh)
   | O_readdir ->
       let d = fs.dirs.(Prng.int prng (Array.length fs.dirs)) in
       ignore (Client.call cl (Nfs.Readdir (d, 0L, 32)))

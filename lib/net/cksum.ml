@@ -17,6 +17,12 @@ let adjust32 cksum ~old_v ~new_v =
   let c = adjust cksum ~old_word:(old_v lsr 16) ~new_word:(new_v lsr 16) in
   adjust c ~old_word:(old_v land 0xFFFF) ~new_word:(new_v land 0xFFFF)
 
+(* One fold of many word adjustments: end-around-carry addition is
+   associative, so folding the plain sum equals adjusting word by word. *)
+let adjust_sum (p : Packet.t) sum =
+  let rec fold s = if s > 0xFFFF then fold ((s land 0xFFFF) + (s lsr 16)) else s in
+  p.cksum <- lnot (fold ((lnot p.cksum land 0xFFFF) + sum)) land 0xFFFF
+
 let rewrite_src (p : Packet.t) a =
   p.cksum <- adjust32 p.cksum ~old_v:p.src ~new_v:a;
   p.src <- a

@@ -12,6 +12,12 @@ val verify : Packet.t -> bool
 (** Endpoints verify on receipt; a µproxy bug that forgets to adjust the
     checksum surfaces here. *)
 
+val adjust_sum : Packet.t -> int -> unit
+(** [adjust_sum p sum] repairs the checksum after payload words were
+    rewritten in place, given [sum] = the plain sum of
+    [(0xFFFF - old) + new] over every rewritten 16-bit word: the same
+    result as adjusting word by word. *)
+
 val rewrite_src : Packet.t -> Packet.addr -> unit
 (** Replace the source address, adjusting the checksum incrementally. *)
 

@@ -230,7 +230,7 @@ let[@hot] int_of_status : Nfs.status -> int = function
   | ERR_JUKEBOX -> 10008
   | ERR_MISDIRECTED -> 20001
 
-let status_of_int : int -> Nfs.status = function
+let[@hot] status_of_int : int -> Nfs.status = function
   | 0 -> OK
   | 1 -> ERR_PERM
   | 2 -> ERR_NOENT
@@ -386,6 +386,200 @@ let decode_reply buf =
 let extra_size_of_response = function
   | Ok (Nfs.RRead (Nfs.Synthetic n, _, _)) -> n
   | _ -> 0
+
+(* ---- reply readers ----
+
+   Replies read where they sit, as the µproxy reads calls: each field at
+   its offset in the packet, every bound checked before the read.
+   [reply_body] checks everything of a reply that [decode_reply] would
+   decode, building nothing; the field readers then build only what
+   their caller asks for. Only [Malformed] escapes. *)
+
+let[@hot] need_bytes buf stop = if stop > Bytes.length buf then raise (Malformed "truncated reply")
+
+let[@hot] u32_at buf off =
+  if off < 0 then raise (Malformed "truncated reply");
+  need_bytes buf (off + 4);
+  Int32.to_int (Bytes.get_int32_be buf off) land 0xFFFFFFFF
+
+let[@hot] u64_int_at buf off =
+  if off < 0 then raise (Malformed "truncated reply");
+  need_bytes buf (off + 8);
+  Int64.to_int (Bytes.get_int64_be buf off)
+
+let u64_at buf off =
+  if off < 0 then raise (Malformed "truncated reply");
+  need_bytes buf (off + 8);
+  Bytes.get_int64_be buf off
+
+(* The offset just past the XDR opaque whose length word is at [off]:
+   the bytes and their padding must all be there, as [Dec.opaque]
+   demands. *)
+let[@hot] opaque_end buf off =
+  let n = u32_at buf off in
+  let stop = off + 4 + n + ((4 - (n land 3)) land 3) in
+  need_bytes buf stop;
+  stop
+
+let[@hot] handle_end buf off =
+  let stop = opaque_end buf off in
+  if not (Fh.peek_valid buf (off + 4) (u32_at buf off)) then raise (Malformed "bad file handle");
+  stop
+
+(* A read's data: a synthetic flag, then a length or an opaque. *)
+let[@hot] wdata_end buf off =
+  if u32_at buf off <> 0 then begin
+    need_bytes buf (off + 8);
+    off + 8
+  end
+  else opaque_end buf (off + 4)
+
+(* A readdir entry: fileid (u64), name (string), cookie (u64). *)
+let[@hot] dirent_end buf off =
+  let stop = opaque_end buf (off + 8) + 8 in
+  need_bytes buf stop;
+  stop
+
+let[@hot] rec dirents_end buf off n = if n = 0 then off else dirents_end buf (dirent_end buf off) (n - 1)
+let[@hot] need_attr present = if not present then raise (Malformed "missing attributes")
+
+let[@hot] reply_status buf =
+  need_bytes buf (reply_status_off + 4);
+  if u32_at buf 4 <> 1 then raise (Malformed "not a reply");
+  status_of_int (u32_at buf reply_status_off)
+
+let[@hot] reply_body buf ~tag =
+  (match reply_status buf with Nfs.OK -> () | _ -> raise (Malformed "not an OK reply"));
+  let present = u32_at buf reply_attr_present_off <> 0 in
+  let tag_off =
+    if present then begin
+      need_bytes buf (reply_attr_block_off + attr_wire_size);
+      ignore (ftype_of_int (u32_at buf reply_attr_block_off));
+      reply_attr_block_off + attr_wire_size
+    end
+    else reply_attr_block_off
+  in
+  let wire_tag = u32_at buf tag_off in
+  let body = tag_off + 4 in
+  (match wire_tag with
+  | 0 | 12 | 13 | 14 -> ()
+  | 1 | 2 | 15 | 21 -> need_attr present
+  | 3 | 8 | 9 | 10 ->
+      need_attr present;
+      ignore (handle_end buf body)
+  | 4 ->
+      need_attr present;
+      need_bytes buf (body + 4)
+  | 5 ->
+      need_attr present;
+      ignore (opaque_end buf body)
+  | 6 ->
+      need_attr present;
+      ignore (wdata_end buf (body + 8))
+  | 7 ->
+      need_attr present;
+      ignore (stable_of_int (u32_at buf (body + 4)))
+  | 16 -> need_bytes buf (dirents_end buf (body + 4) (u32_at buf body) + 12)
+  | 18 -> need_bytes buf (body + 32)
+  | _ -> raise (Malformed "bad reply tag"));
+  if wire_tag = tag then body else -1
+
+let time_at buf off = float_of_int (u32_at buf off) +. (float_of_int (u32_at buf (off + 4)) /. 1e9)
+
+let decode_attr_at buf off : Nfs.fattr =
+  if off < 0 then raise (Malformed "truncated attr");
+  need_bytes buf (off + attr_wire_size);
+  {
+    ftype = ftype_of_int (u32_at buf off);
+    mode = u32_at buf (off + 4);
+    nlink = u32_at buf (off + 8);
+    uid = u32_at buf (off + 12);
+    gid = u32_at buf (off + 16);
+    size = u64_at buf (off + attr_size_field_off);
+    used = u64_at buf (off + 28);
+    fileid = u64_at buf (off + attr_fileid_field_off);
+    atime = time_at buf (off + attr_atime_field_off);
+    mtime = time_at buf (off + attr_mtime_field_off);
+    ctime = time_at buf (off + 76);
+  }
+
+let reply_attr buf =
+  need_attr (u32_at buf reply_attr_present_off <> 0);
+  decode_attr_at buf reply_attr_block_off
+
+let handle_at buf off =
+  ignore (handle_end buf off);
+  Fh.read_at buf (off + 4)
+
+let string_at buf off =
+  ignore (opaque_end buf off);
+  Bytes.sub_string buf (off + 4) (u32_at buf off)
+
+(* A read reply's body: count, eof, then the data. *)
+let[@hot] read_eof buf body = u32_at buf (body + 4) <> 0
+
+(* A synthetic length and a real opaque's length word sit alike. *)
+let[@hot] read_length buf body =
+  ignore (wdata_end buf (body + 8));
+  u32_at buf (body + 12)
+
+let read_data buf body =
+  if u32_at buf (body + 8) <> 0 then Nfs.Synthetic (u32_at buf (body + 12))
+  else Nfs.Data (string_at buf (body + 12))
+
+let[@hot] readdir_count buf body = u32_at buf body
+
+let rec dirents_onto buf off n acc =
+  if n = 0 then (off, acc)
+  else
+    let stop = dirent_end buf off in
+    let e =
+      {
+        Nfs.entry_id = u64_at buf off;
+        entry_name = string_at buf (off + 8);
+        entry_cookie = u64_at buf (stop - 8);
+      }
+    in
+    dirents_onto buf stop (n - 1) (e :: acc)
+
+let readdir_page buf body acc =
+  let last, acc = dirents_onto buf (body + 4) (u32_at buf body) acc in
+  (acc, u64_at buf last, u32_at buf (last + 8) <> 0)
+
+(* ---- the µproxy's readdir splice, in place ----
+
+   A rewrite reports the ones'-complement difference of the 16-bit words
+   it changed, (0xFFFF - old) + new summed over the words (RFC 1624), so
+   the caller folds one sum into the transport checksum. *)
+
+let[@hot] words2 buf off = Bytes.get_uint16_be buf off + Bytes.get_uint16_be buf (off + 2)
+
+let[@hot] rewrite_u32 buf off v =
+  let before = words2 buf off in
+  for j = 0 to 3 do
+    Bytes.set_uint8 buf (off + j) ((v lsr (8 * (3 - j))) land 0xFF)
+  done;
+  (2 * 0xFFFF) - before + words2 buf off
+
+let[@hot] rewrite_u64 buf off v = rewrite_u32 buf off (v lsr 32) + rewrite_u32 buf (off + 4) v
+
+let[@hot] site_cookie site v = (site lsl 32) lor (v land 0xFFFFFFFF)
+
+let[@hot] rec tag_dirents buf off n site sum =
+  if n = 0 then sum
+  else
+    let stop = dirent_end buf off in
+    let c = stop - 8 in
+    tag_dirents buf stop (n - 1) site (sum + rewrite_u64 buf c (site_cookie site (u64_int_at buf c)))
+
+let[@hot] splice_readdir buf ~body ~site ~more =
+  let n = u32_at buf body in
+  let last = dirents_end buf (body + 4) n in
+  need_bytes buf (last + 12);
+  let sum = tag_dirents buf (body + 4) n site 0 in
+  if more && u32_at buf (last + 8) <> 0 then
+    sum + rewrite_u64 buf last ((site + 1) lsl 32) + rewrite_u32 buf (last + 8) 0
+  else sum + rewrite_u64 buf last (site_cookie site (u64_int_at buf last))
 
 (* ---- µproxy partial decode: the cursor peek ----
 
@@ -614,10 +808,6 @@ let[@hot] reply_attr_offset_i buf =
   else if Int32.to_int (Bytes.get_int32_be buf reply_status_off) <> 0 then -1
   else if Int32.to_int (Bytes.get_int32_be buf reply_attr_present_off) <> 1 then -1
   else reply_attr_block_off
-
-let decode_attr_at buf off =
-  let d = Dec.of_bytes ~pos:off buf in
-  try dec_fattr d with Slice_xdr.Xdr.Truncated -> raise (Malformed "truncated attr")
 
 (* Scratch renderings: the µproxy writes patch values into a reused
    8-byte scratch and splices with [Cksum.patch_payload_bytes]. Single

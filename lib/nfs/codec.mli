@@ -17,7 +17,11 @@ val decode_call : bytes -> int * Nfs.call
     argument layout is read in one place. @raise Malformed on garbage. *)
 
 val encode_reply : xid:int -> Nfs.response -> bytes
+
 val decode_reply : bytes -> int * Nfs.response
+(** The materializing decode of a whole reply: the reference the reply
+    readers below are held to, and the benchmark's replay decoder. No
+    library path calls it. @raise Malformed on garbage. *)
 
 val extra_size_of_call : Nfs.call -> int
 (** Unmaterialized (synthetic) payload bytes, for [Packet.extra_size]. *)
@@ -113,6 +117,8 @@ val attr_atime_field_off : int
 val attr_mtime_field_off : int
 
 val decode_attr_at : bytes -> int -> Nfs.fattr
+(** The 84-byte attribute block at an offset, read field by field.
+    @raise Malformed if it runs past the buffer or has a bad ftype. *)
 
 val reply_fh_after_attr_off : bytes -> int
 (** Span offset of the validated handle led by an OK lookup / create /
@@ -127,3 +133,61 @@ val put_u64_be : bytes -> int -> unit
 val put_time_be : bytes -> Nfs.time -> unit
 (** Render a timestamp as its 8-byte (seconds, nanoseconds) wire form
     into the first 8 bytes of a reused scratch buffer. *)
+
+(** {2 Reply readers}
+
+    Replies read where they sit, the way the µproxy reads calls: each
+    field at its offset in the reply's bytes, every bound checked before
+    the read, nothing built that the caller does not ask for. A reader
+    raises only {!Malformed}. The layout: header and status (28 bytes),
+    the attribute-present word and, when set, the attribute block at 32,
+    the procedure tag (equal to the call's procedure number), then the
+    body. *)
+
+val reply_status : bytes -> Nfs.status
+(** Checks the RPC reply header and reads the NFS status.
+    @raise Malformed on a short buffer, a call, or an unknown status. *)
+
+val reply_body : bytes -> tag:int -> int
+(** For an OK reply: checks everything of it that {!decode_reply} would
+    decode (the attribute block's bounds and ftype, the tag, and every
+    field and length of the body) and returns the offset of the body,
+    just past the tag, if the tag is [tag]; -1 if the reply is a
+    well-formed answer to another procedure. Builds nothing.
+    @raise Malformed where {!decode_reply} would. *)
+
+(** The field readers take a reply {!reply_body} accepted and the body
+    offset it returned. *)
+
+val reply_attr : bytes -> Nfs.fattr
+(** The post-op attributes. @raise Malformed if the reply carries none. *)
+
+val handle_at : bytes -> int -> Fh.t
+(** The handle opaque whose length word is at the offset: the body of a
+    lookup, create, mkdir or symlink reply. *)
+
+val string_at : bytes -> int -> string
+(** The string whose length word is at the offset: a readlink target. *)
+
+val read_data : bytes -> int -> Nfs.wdata
+val read_eof : bytes -> int -> bool
+
+val read_length : bytes -> int -> int
+(** The length of a read reply's data, building none of it. *)
+
+val readdir_count : bytes -> int -> int
+(** The number of entries in a readdir page. *)
+
+val readdir_page : bytes -> int -> Nfs.entry list -> Nfs.entry list * int64 * bool
+(** [readdir_page buf body acc] conses a readdir page's entries onto
+    [acc], last entry first, and returns them with the page's cookie and
+    eof flag. *)
+
+val splice_readdir : bytes -> body:int -> site:int -> more:bool -> int
+(** The µproxy's readdir splice under name hashing, in place: every
+    entry cookie and the page cookie become [(site lsl 32) lor cookie];
+    when the page is the site's last ([eof]) and [more] sites follow,
+    the page cookie becomes [(site + 1) lsl 32] and [eof] false instead.
+    Returns the sum, over every 16-bit word rewritten, of
+    [(0xFFFF - old) + new], which {!Slice_net.Cksum.adjust_sum} folds
+    into the packet's checksum (RFC 1624). Allocates nothing. *)

@@ -39,7 +39,10 @@ let create host ~server ?(port = 1000) ?(io_size = 32768) () =
 
 exception Unexpected_reply of string
 
-let call t (c : Nfs.call) : Nfs.response =
+(* One synchronous NFS RPC, charging client CPU. The reply is checked in
+   place against the call's procedure; it comes back with the offset of
+   its body, or -1 when it carries an error status. *)
+let exchange t (c : Nfs.call) =
   let data_cost =
     match c with
     | Nfs.Write (_, _, _, d) -> write_per_byte *. float_of_int (Nfs.wdata_length d)
@@ -56,113 +59,73 @@ let call t (c : Nfs.call) : Nfs.response =
     Rpc.call t.rpc ~timeout ~retries:40 ~dst:t.server ~dport:2049
       ~extra_size:(Codec.extra_size_of_call c) payload
   in
-  let _, resp = Codec.decode_reply reply in
+  let body =
+    match Codec.reply_status reply with
+    | Nfs.OK ->
+        let body = Codec.reply_body reply ~tag:(Nfs.proc_of_call c) in
+        if body < 0 then raise (Unexpected_reply (Nfs.call_name c));
+        body
+    | _ -> -1
+  in
   (* receive-path cost for data read *)
-  (match resp with
-  | Ok (Nfs.RRead (d, _, _)) ->
-      Host.cpu t.host (read_per_byte *. float_of_int (Nfs.wdata_length d))
+  (match c with
+  | Nfs.Read _ when body >= 0 ->
+      Host.cpu t.host (read_per_byte *. float_of_int (Codec.read_length reply body))
   | _ -> ());
   t.ops <- t.ops + 1;
-  (match resp with Error _ -> t.errs <- t.errs + 1 | Ok _ -> ());
-  resp
+  if body < 0 then t.errs <- t.errs + 1;
+  (reply, body)
 
-let wrong name = raise (Unexpected_reply name)
+let failure reply = Error (Codec.reply_status reply)
 
-let lookup t dir name =
-  match call t (Nfs.Lookup (dir, name)) with
-  | Ok (Nfs.RLookup (fh, a)) -> Ok (fh, a)
-  | Error st -> Error st
-  | Ok _ -> wrong "lookup"
+let call t c =
+  let reply, body = exchange t c in
+  if body < 0 then failure reply else Ok ()
 
-let create_file t dir name =
-  match call t (Nfs.Create (dir, name)) with
-  | Ok (Nfs.RCreate (fh, a)) -> Ok (fh, a)
-  | Error st -> Error st
-  | Ok _ -> wrong "create"
+(* Replies carrying post-op attributes and nothing else the caller reads. *)
+let attr_call t c =
+  let reply, body = exchange t c in
+  if body < 0 then failure reply else Ok (Codec.reply_attr reply)
 
-let mkdir t dir name =
-  match call t (Nfs.Mkdir (dir, name)) with
-  | Ok (Nfs.RMkdir (fh, a)) -> Ok (fh, a)
-  | Error st -> Error st
-  | Ok _ -> wrong "mkdir"
+(* Replies leading with the new object's handle. *)
+let handle_call t c =
+  let reply, body = exchange t c in
+  if body < 0 then failure reply else Ok (Codec.handle_at reply body, Codec.reply_attr reply)
 
-let symlink t dir name ~target =
-  match call t (Nfs.Symlink (dir, name, target)) with
-  | Ok (Nfs.RSymlink (fh, a)) -> Ok (fh, a)
-  | Error st -> Error st
-  | Ok _ -> wrong "symlink"
+let lookup t dir name = handle_call t (Nfs.Lookup (dir, name))
+let create_file t dir name = handle_call t (Nfs.Create (dir, name))
+let mkdir t dir name = handle_call t (Nfs.Mkdir (dir, name))
+let symlink t dir name ~target = handle_call t (Nfs.Symlink (dir, name, target))
+let remove t dir name = call t (Nfs.Remove (dir, name))
+let rmdir t dir name = call t (Nfs.Rmdir (dir, name))
+let rename t od on nd nn = call t (Nfs.Rename (od, on, nd, nn))
+let link t file ~dir name = attr_call t (Nfs.Link (file, dir, name))
+let getattr t fh = attr_call t (Nfs.Getattr fh)
+let setattr t fh s = attr_call t (Nfs.Setattr (fh, s))
+let access t fh = attr_call t (Nfs.Access (fh, 0x3F))
 
-let remove t dir name =
-  match call t (Nfs.Remove (dir, name)) with
-  | Ok Nfs.RRemove -> Ok ()
-  | Error st -> Error st
-  | Ok _ -> wrong "remove"
-
-let rmdir t dir name =
-  match call t (Nfs.Rmdir (dir, name)) with
-  | Ok Nfs.RRmdir -> Ok ()
-  | Error st -> Error st
-  | Ok _ -> wrong "rmdir"
-
-let rename t od on nd nn =
-  match call t (Nfs.Rename (od, on, nd, nn)) with
-  | Ok Nfs.RRename -> Ok ()
-  | Error st -> Error st
-  | Ok _ -> wrong "rename"
-
-let link t file ~dir name =
-  match call t (Nfs.Link (file, dir, name)) with
-  | Ok (Nfs.RLink a) -> Ok a
-  | Error st -> Error st
-  | Ok _ -> wrong "link"
-
-let getattr t fh =
-  match call t (Nfs.Getattr fh) with
-  | Ok (Nfs.RGetattr a) -> Ok a
-  | Error st -> Error st
-  | Ok _ -> wrong "getattr"
-
-let setattr t fh s =
-  match call t (Nfs.Setattr (fh, s)) with
-  | Ok (Nfs.RSetattr a) -> Ok a
-  | Error st -> Error st
-  | Ok _ -> wrong "setattr"
-
-let access t fh =
-  match call t (Nfs.Access (fh, 0x3F)) with
-  | Ok (Nfs.RAccess (_, a)) -> Ok a
-  | Error st -> Error st
-  | Ok _ -> wrong "access"
+let readlink t fh =
+  let reply, body = exchange t (Nfs.Readlink fh) in
+  if body < 0 then failure reply else Ok (Codec.string_at reply body)
 
 let readdir_all t dir =
   let rec loop cookie acc =
-    match call t (Nfs.Readdir (dir, cookie, 64)) with
-    | Ok (Nfs.RReaddir (entries, next, eof)) ->
-        let acc = List.rev_append entries acc in
-        if eof then Ok (List.rev acc) else loop next acc
-    | Error st -> Error st
-    | Ok _ -> wrong "readdir"
+    let reply, body = exchange t (Nfs.Readdir (dir, cookie, 64)) in
+    if body < 0 then failure reply
+    else
+      let acc, next, eof = Codec.readdir_page reply body acc in
+      if eof then Ok (List.rev acc) else loop next acc
   in
   loop 0L []
 
 let write_at t fh ~off ~data ?(stable = Nfs.Unstable) () =
-  match call t (Nfs.Write (fh, off, stable, data)) with
-  | Ok (Nfs.RWrite (_, _, a)) -> Ok a
-  | Error st -> Error st
-  | Ok _ -> wrong "write"
+  attr_call t (Nfs.Write (fh, off, stable, data))
 
 let read_at t fh ~off ~count =
-  match call t (Nfs.Read (fh, off, count)) with
-  | Ok (Nfs.RRead (d, eof, _)) -> Ok (d, eof)
-  | Error st -> Error st
-  | Ok _ -> wrong "read"
+  let reply, body = exchange t (Nfs.Read (fh, off, count)) in
+  if body < 0 then failure reply else Ok (Codec.read_data reply body, Codec.read_eof reply body)
 
-let commit_call t fh =
-  match call t (Nfs.Commit (fh, 0L, 0)) with
-  | Ok (Nfs.RCommit _) -> Ok ()
-  | Error st -> Error st
-  | Ok _ -> wrong "commit"
-
+let commit_call t fh = call t (Nfs.Commit (fh, 0L, 0))
 let commit = commit_call
 
 let chunks_of ~io_size ~bytes =

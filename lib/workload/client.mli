@@ -21,13 +21,19 @@ val create :
     endpoint's own port — give each concurrent client process on a host a
     distinct port. [io_size] defaults to 32 KB. *)
 
-val call : t -> Slice_nfs.Nfs.call -> Slice_nfs.Nfs.response
-(** Fiber: one synchronous NFS RPC, charging client CPU. *)
-
 exception Unexpected_reply of string
 
-(** {2 Name-space sugar (fiber context; raise {!Unexpected_reply} on
-    protocol mismatch, return [Error status] on NFS errors)} *)
+(** {2 Calls (fiber context)}
+
+    Each is one synchronous NFS RPC, charging client CPU. The reply is
+    read in place ({!Slice_nfs.Codec.reply_body}): it is checked whole,
+    and only what the function returns is built. An NFS error comes back
+    as [Error status]; a reply to another procedure raises
+    {!Unexpected_reply}; a malformed one raises
+    [Slice_nfs.Codec.Malformed]. *)
+
+val call : t -> Slice_nfs.Nfs.call -> (unit, Slice_nfs.Nfs.status) result
+(** Any call, for its status alone. *)
 
 val lookup : t -> Slice_nfs.Fh.t -> string ->
   (Slice_nfs.Fh.t * Slice_nfs.Nfs.fattr, Slice_nfs.Nfs.status) result
@@ -57,9 +63,13 @@ val setattr : t -> Slice_nfs.Fh.t -> Slice_nfs.Nfs.sattr ->
 
 val access : t -> Slice_nfs.Fh.t -> (Slice_nfs.Nfs.fattr, Slice_nfs.Nfs.status) result
 
+val readlink : t -> Slice_nfs.Fh.t -> (string, Slice_nfs.Nfs.status) result
+(** The link's target. *)
+
 val readdir_all : t -> Slice_nfs.Fh.t -> (Slice_nfs.Nfs.entry list, Slice_nfs.Nfs.status) result
 (** Iterate a directory to EOF (follows the µproxy's cross-site cookie
-    chain under name hashing). *)
+    chain under name hashing). The one call that builds entries: each
+    page's are read in place onto the list. *)
 
 (** {2 Data I/O} *)
 

@@ -182,7 +182,7 @@ let one_op (cl : Client.t) prng (fs : fileset) ~fresh_names =
       ignore (Client.setattr cl f.fe_fh (Nfs.sattr_times ~mtime:0.0 ()))
   | O_readlink ->
       let l = fs.fs_links.(Prng.int prng (Array.length fs.fs_links)) in
-      ignore (Client.call cl (Nfs.Readlink l.fe_fh))
+      ignore (Client.readlink cl l.fe_fh)
   | O_readdir ->
       let d = fs.fs_dirs.(Prng.int prng (Array.length fs.fs_dirs)) in
       ignore (Client.call cl (Nfs.Readdir (d, 0L, 32)))

@@ -889,7 +889,159 @@ let decode_reply_reference =
       && List.for_all (fun cut -> decode_outcome Codec.decode_reply cut = None) prefixes
       && List.for_all (fun hit -> contained (fun () -> ignore (Codec.decode_reply hit))) overwrites)
 
-let suite = suite @ [ decode_reply_reference ]
+(* The in-place readers, held to the reference: a response rebuilt from
+   the readers alone. The fields no reader reads (an access mask, a
+   write's count and stable_how, fsstat's figures) are blanked on both
+   sides; the lengths a reader reports without building are checked
+   against what the reference built. *)
+let reply_tags = [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 12; 13; 14; 15; 16; 18; 21 ]
+let no_fs = { Nfs.total_bytes = 0L; free_bytes = 0L; total_files = 0L; free_files = 0L }
+
+let blank_unread (xid, resp) =
+  let r =
+    match resp with
+    | Ok (Nfs.RAccess (_, a)) -> Ok (Nfs.RAccess (0, a))
+    | Ok (Nfs.RWrite (_, _, a)) -> Ok (Nfs.RWrite (0, Nfs.Unstable, a))
+    | Ok (Nfs.RFsstat _) -> Ok (Nfs.RFsstat no_fs)
+    | r -> r
+  in
+  (xid, r)
+
+let read_in_place buf : int * Nfs.response =
+  let xid = Codec.xid_of buf in
+  match Codec.reply_status buf with
+  | Nfs.OK ->
+      let tag = List.find (fun tag -> Codec.reply_body buf ~tag >= 0) reply_tags in
+      let body = Codec.reply_body buf ~tag in
+      let attr () = Codec.reply_attr buf in
+      let fh () = Codec.handle_at buf body in
+      let r : Nfs.reply =
+        match tag with
+        | 0 -> RNull
+        | 1 -> RGetattr (attr ())
+        | 2 -> RSetattr (attr ())
+        | 3 -> RLookup (fh (), attr ())
+        | 4 -> RAccess (0, attr ())
+        | 5 -> RReadlink (Codec.string_at buf body, attr ())
+        | 6 ->
+            let d = Codec.read_data buf body in
+            if Codec.read_length buf body <> Nfs.wdata_length d then failwith "read_length";
+            RRead (d, Codec.read_eof buf body, attr ())
+        | 7 -> RWrite (0, Nfs.Unstable, attr ())
+        | 8 -> RCreate (fh (), attr ())
+        | 9 -> RMkdir (fh (), attr ())
+        | 10 -> RSymlink (fh (), attr ())
+        | 12 -> RRemove
+        | 13 -> RRmdir
+        | 14 -> RRename
+        | 15 -> RLink (attr ())
+        | 16 ->
+            let rev, cookie, eof = Codec.readdir_page buf body [] in
+            if Codec.readdir_count buf body <> List.length rev then failwith "readdir_count";
+            RReaddir (List.rev rev, cookie, eof)
+        | 18 -> RFsstat no_fs
+        | _ -> RCommit (attr ())
+      in
+      (xid, Ok r)
+  | st -> (xid, Error st)
+
+let readers_agree buf =
+  decode_outcome (fun b -> blank_unread (Codec.decode_reply b)) buf
+  = decode_outcome read_in_place buf
+
+let readers_match_reference =
+  qtest ~count:300 "reply readers agree with the reference decoder" gen_damaged_reply
+    (fun ((xid, resp, _) as case) ->
+      let b, prefixes, overwrites = damaged_replies case in
+      decode_outcome read_in_place b = Some (blank_unread (xid, resp))
+      && List.for_all readers_agree prefixes
+      && List.for_all readers_agree overwrites)
+
+(* The µproxy's readdir splice as it was written against the decoded
+   page: tag each cookie with the site, and hand over to the next site
+   at the last page of this one. *)
+let reference_splice ~site ~more buf =
+  match Codec.decode_reply buf with
+  | xid, Ok (Nfs.RReaddir (entries, cookie, eof)) ->
+      let site = Int64.of_int site in
+      let tag v = Int64.logor (Int64.shift_left site 32) (Int64.logand v 0xFFFFFFFFL) in
+      let entries =
+        List.map (fun (e : Nfs.entry) -> { e with Nfs.entry_cookie = tag e.Nfs.entry_cookie }) entries
+      in
+      let cookie, eof =
+        if eof && more then (Int64.shift_left (Int64.add site 1L) 32, false) else (tag cookie, eof)
+      in
+      Codec.encode_reply ~xid (Ok (Nfs.RReaddir (entries, cookie, eof)))
+  | _ -> Alcotest.fail "not a readdir page"
+
+module Packet = Slice_net.Packet
+module Cksum = Slice_net.Cksum
+
+let splice_matches_reference =
+  qtest ~count:300 "readdir splice in place matches the decode-and-re-encode splice"
+    QCheck2.Gen.(quad gen_u32 gen_page (int_range 0 7) bool)
+    (fun (xid, page, site, more) ->
+      let buf = Codec.encode_reply ~xid (Ok page) in
+      let pkt = Packet.make ~src:3 ~dst:0x0A000001 ~sport:2049 ~dport:1000 (Bytes.copy buf) in
+      let payload = pkt.Packet.payload in
+      let body = Codec.reply_body payload ~tag:16 in
+      Cksum.adjust_sum pkt (Codec.splice_readdir payload ~body ~site ~more);
+      Bytes.equal payload (reference_splice ~site ~more buf) && Cksum.verify pkt)
+
+(* The allocation pins: the splice of a 32-entry page builds nothing,
+   and reading a read reply builds its data, its eof pair and the [Ok]. *)
+let page_of n =
+  let entries =
+    List.init n (fun i ->
+        { Nfs.entry_id = Int64.of_int (100 + i); entry_name = Printf.sprintf "file%03d" i;
+          entry_cookie = Int64.of_int (i + 1) })
+  in
+  Nfs.RReaddir (entries, Int64.of_int n, true)
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let splice_allocates_nothing () =
+  let buf = Codec.encode_reply ~xid:7 (Ok (page_of 32)) in
+  let body = Codec.reply_body buf ~tag:16 in
+  let sum = ref 0 in
+  let splice () = sum := !sum + Codec.splice_readdir buf ~body ~site:1 ~more:true in
+  splice ();
+  check_float "32-entry splice: minor words" 0.0 (minor_words splice);
+  check_float "reply_status and reply_body: minor words" 0.0
+    (minor_words (fun () ->
+         match Codec.reply_status buf with
+         | Nfs.OK -> sum := !sum + Codec.reply_body buf ~tag:16
+         | _ -> ()))
+
+let read_reply_words () =
+  let buf =
+    Codec.encode_reply ~xid:7 (Ok (Nfs.RRead (Nfs.Synthetic 32768, false, sample_attr)))
+  in
+  let read () =
+    match Codec.reply_status buf with
+    | Nfs.OK ->
+        let body = Codec.reply_body buf ~tag:6 in
+        Ok (Codec.read_data buf body, Codec.read_eof buf body)
+    | st -> Error st
+  in
+  ignore (Sys.opaque_identity (read ()));
+  let got = ref (Error Nfs.ERR_IO) in
+  let used = minor_words (fun () -> got := read ()) in
+  check_bool "read reply read back" true (!got = Ok (Nfs.Synthetic 32768, false));
+  check_bool (Printf.sprintf "read reply read: %.0f minor words, at most 7" used) true (used <= 7.0)
+
+let suite =
+  suite
+  @ [
+      decode_reply_reference;
+      readers_match_reference;
+      splice_matches_reference;
+      ("readdir splice allocates nothing", `Quick, splice_allocates_nothing);
+      ("read reply read allocates at most 7 words", `Quick, read_reply_words);
+    ]
 
 (* ---- sorted directory listings ---- *)
 

@@ -800,9 +800,9 @@ let null_call_answered () =
   let ens, proxy, cl = mk () in
   run_on (Ensemble.engine ens) (fun () ->
       let d0 = Proxy.routed_to_dir proxy in
+      (* a reply to another procedure raises Unexpected_reply *)
       (match Client.call cl Nfs.Null with
-      | Ok Nfs.RNull -> ()
-      | Ok _ -> Alcotest.fail "NULL: wrong reply"
+      | Ok () -> ()
       | Error st -> Alcotest.failf "NULL: %s" (Nfs.status_name st));
       check_int "routed to a directory server" (d0 + 1) (Proxy.routed_to_dir proxy))
 
