@@ -338,7 +338,11 @@ let writeback_one t (c : cached_attr) =
         set_atime = Some a.Nfs.atime;
       }
     in
-    nfs_call t (Nfs.Setattr (c.ca_fh, s)) ~dst:(dir_phys t c.ca_fh.Fh.attr_site)
+    try nfs_call t (Nfs.Setattr (c.ca_fh, s)) ~dst:(dir_phys t c.ca_fh.Fh.attr_site)
+    with Rpc.Timeout as e ->
+      (* the attributes were never pushed: they stay owed *)
+      c.ca_dirty <- true;
+      raise e
   end
 
 (* ---- metadata cache columns ---- *)
@@ -605,41 +609,58 @@ let smallfile_dst t (fh : Fh.t) =
   if t.p.Params.threshold <= 0 || Array.length t.sf.map = 0 then None
   else Some t.sf.map.(Routekey.file_site ~nsites:(Array.length t.sf.map) fh)
 
+(* A commit fails as a whole when a server it needs stays silent through
+   every retransmission: the client hears ERR_IO (a dropped reply would
+   leave it retransmitting, each retransmission a fresh fan-out that
+   times out again), and attributes not yet pushed stay dirty for its
+   next commit. *)
 let orchestrate_commit t ~span ~xid (pkt : Packet.t) (fh : Fh.t) =
   t.n_commits <- t.n_commits + 1;
   let client = pkt.Packet.src in
   let client_port = pkt.Packet.sport in
   Engine.spawn t.eng (fun () ->
+      let failed = ref false in
+      let guarded job () = try job () with Rpc.Timeout -> failed := true in
       let jobs = ref [] in
       (match smallfile_dst t fh with
       | Some dst ->
-          jobs := (fun () -> nfs_call t ~span (Nfs.Commit (fh, 0L, 0)) ~dst) :: !jobs
+          jobs := guarded (fun () -> nfs_call t ~span (Nfs.Commit (fh, 0L, 0)) ~dst) :: !jobs
       | None -> ());
       let sites = Table.data_nodes t.st.map fh in
       (match (sites, t.tg.coordinator ()) with
       | [], _ -> ()
       | sites, Some _ ->
-          jobs := (fun () -> ignore (ctrl_call t ~span (Ctrl.Commit_file { fh; sites }))) :: !jobs
+          jobs :=
+            guarded (fun () -> ignore (ctrl_call t ~span (Ctrl.Commit_file { fh; sites })))
+            :: !jobs
       | sites, None ->
           jobs :=
-            List.map (fun dst () -> nfs_call t ~span (Nfs.Commit (fh, 0L, 0)) ~dst) sites
+            List.map
+              (fun dst -> guarded (fun () -> nfs_call t ~span (Nfs.Commit (fh, 0L, 0)) ~dst))
+              sites
             @ !jobs);
       Fiber.join_all t.eng !jobs;
-      (* Close any open mirrored-write intention. *)
-      let fid = Int64.to_int fh.Fh.file_id in
-      (match Hashtbl.find_opt t.intents_open fid with
-      | Some op_id ->
-          Hashtbl.remove t.intents_open fid;
-          ignore (ctrl_call t ~span (Ctrl.Complete { op_id }))
-      | None -> ());
-      (* Push modified attributes to the directory server (the paper's
-         µproxy generates a setattr on NFS V3 commit). *)
-      let c = cached_attr t fh in
-      writeback_one t c;
+      let resp =
+        if !failed then Error Nfs.ERR_IO
+        else
+          try
+            (* Close any open mirrored-write intention. *)
+            let fid = Int64.to_int fh.Fh.file_id in
+            (match Hashtbl.find_opt t.intents_open fid with
+            | Some op_id ->
+                Hashtbl.remove t.intents_open fid;
+                ignore (ctrl_call t ~span (Ctrl.Complete { op_id }))
+            | None -> ());
+            (* Push modified attributes to the directory server (the
+               paper's µproxy generates a setattr on NFS V3 commit). *)
+            let c = cached_attr t fh in
+            writeback_one t c;
+            Ok (Nfs.RCommit c.ca_attr)
+          with Rpc.Timeout -> Error Nfs.ERR_IO
+      in
       (* Synthesize the commit reply to the client. *)
-      Net.dispatch t.net
-        (client_reply t ~dst:client ~dport:client_port ~xid (Ok (Nfs.RCommit c.ca_attr)));
-      Trace.finish span)
+      Net.dispatch t.net (client_reply t ~dst:client ~dport:client_port ~xid resp);
+      match resp with Ok _ -> Trace.finish span | Error _ -> Trace.finish ~outcome:"error" span)
 
 (* ---- mirrored-write intention (amortized across the file's writes) ---- *)
 

@@ -221,6 +221,25 @@ let dead_node_expires_pending () =
   (* the sweep disarms once pending is empty, so the run above terminated *)
   check_int "rpc side clean too" 0 (Rpc.pending_calls rpc)
 
+(* A COMMIT whose small-file server is down: the µproxy's commit fan-out
+   times out, and the client hears an error instead of the run dying
+   with the fan-out's [Rpc.Timeout]. *)
+let commit_to_dead_smallfile () =
+  let ens = Ensemble.create { Ensemble.default_config with smallfile_servers = 2 } in
+  let eng = Ensemble.engine ens in
+  let host, _proxy = Ensemble.add_client ens ~name:"committer" in
+  let cl = Client.create host ~server:(Ensemble.virtual_addr ens) () in
+  let result = ref None in
+  run_on eng (fun () ->
+      let fh, _ = ok_or_fail "create" (Client.create_file cl Ensemble.root "small") in
+      ignore (ok_or_fail "write" (Client.write_at cl fh ~off:0L ~data:(Nfs.Synthetic 4096) ()));
+      Ensemble.crash ens Smallfile 0;
+      Ensemble.crash ens Smallfile 1;
+      result := Some (Client.commit cl fh));
+  match !result with
+  | Some r -> expect_err "commit to a dead small-file server" Nfs.ERR_IO r
+  | None -> Alcotest.fail "the commit never returned"
+
 (* ---- mirrored writes must not mask a replica failure ---- *)
 
 let mirror_failure_not_masked () =
@@ -486,6 +505,7 @@ let suite =
     ("link fault delay", `Quick, link_fault_delay);
     ("partition drops and heals", `Quick, partition_drops_and_heals);
     ("crash window silences node", `Quick, crash_window_silences_node);
+    ("commit to a dead small-file server", `Quick, commit_to_dead_smallfile);
     ("crashed source transmits nothing", `Quick, crashed_source_transmits_nothing);
     ("fault-free runs identical", `Quick, faultfree_runs_identical);
     ("rpc backoff schedule", `Quick, backoff_schedule);
