@@ -945,9 +945,17 @@ let read_in_place buf : int * Nfs.response =
       (xid, Ok r)
   | st -> (xid, Error st)
 
+(* What [Client.call] checks: the status, then the whole body. *)
+let accepted_in_place buf =
+  match Codec.reply_status buf with
+  | Nfs.OK -> ignore (List.exists (fun tag -> Codec.reply_body buf ~tag >= 0) reply_tags)
+  | _ -> ()
+
 let readers_agree buf =
   decode_outcome (fun b -> blank_unread (Codec.decode_reply b)) buf
   = decode_outcome read_in_place buf
+  && decode_outcome (fun b -> ignore (Codec.decode_reply b)) buf
+     = decode_outcome accepted_in_place buf
 
 let readers_match_reference =
   qtest ~count:300 "reply readers agree with the reference decoder" gen_damaged_reply
