@@ -1105,36 +1105,32 @@ let misdirect_retry_delay = 0.01
    site and splice sites together at EOF boundaries, in place in the
    server's reply. Nothing else holds these bytes: a server's request
    table keeps the response and re-encodes it for a retransmission. *)
-let readdir_body payload =
-  try
-    match Codec.reply_status payload with
-    | Nfs.OK -> Codec.reply_body payload ~tag:16
-    | _ -> -2
-  with Codec.Malformed _ -> -1
-
 let translate_readdir t (c : cost) ~rd_site ~span (pkt : Packet.t) =
   let payload = pkt.Packet.payload in
-  let body = readdir_body payload in
-  if body = -2 then begin
-    Trace.finish ~outcome:"error" span;
-    Some pkt (* pass errors through *)
-  end
-  else if body < 0 then begin
+  let pass () =
     Trace.finish span;
     Some pkt
-  end
-  else begin
-    charge t c `Decode
-      (decode_cost_per_item *. float_of_int (4 + (3 * Codec.readdir_count payload body)));
-    let more = rd_site + 1 < Array.length t.dir.map in
-    Cksum.adjust_sum pkt (Codec.splice_readdir payload ~body ~site:rd_site ~more);
-    charge t c `Rewrite rewrite_cost;
-    Cksum.rewrite_src pkt t.tg.virtual_addr;
-    after_cpu t c (fun () ->
-        Net.dispatch t.net pkt;
-        Trace.finish span);
-    None
-  end
+  in
+  match Codec.reply_status payload with
+  | exception Codec.Malformed _ -> pass ()
+  | Nfs.OK -> (
+      match Codec.reply_body payload ~tag:16 with
+      | exception Codec.Malformed _ -> pass ()
+      | body when body < 0 -> pass ()
+      | body ->
+          charge t c `Decode
+            (decode_cost_per_item *. float_of_int (4 + (3 * Codec.readdir_count payload body)));
+          let more = rd_site + 1 < Array.length t.dir.map in
+          Cksum.adjust_sum pkt (Codec.splice_readdir payload ~body ~site:rd_site ~more);
+          charge t c `Rewrite rewrite_cost;
+          Cksum.rewrite_src pkt t.tg.virtual_addr;
+          after_cpu t c (fun () ->
+              Net.dispatch t.net pkt;
+              Trace.finish span);
+          None)
+  | _ ->
+      Trace.finish ~outcome:"error" span;
+      Some pkt (* pass errors through *)
 
 let patch_reply_attrs t (c : cost) (pd : pending) (pkt : Packet.t) =
   let payload = pkt.Packet.payload in

@@ -397,19 +397,20 @@ let extra_size_of_response = function
 
 let[@hot] need_bytes buf stop = if stop > Bytes.length buf then raise (Malformed "truncated reply")
 
-let[@hot] u32_at buf off =
+let[@hot] need_field buf off len =
   if off < 0 then raise (Malformed "truncated reply");
-  need_bytes buf (off + 4);
+  need_bytes buf (off + len)
+
+let[@hot] u32_at buf off =
+  need_field buf off 4;
   Int32.to_int (Bytes.get_int32_be buf off) land 0xFFFFFFFF
 
 let[@hot] u64_int_at buf off =
-  if off < 0 then raise (Malformed "truncated reply");
-  need_bytes buf (off + 8);
+  need_field buf off 8;
   Int64.to_int (Bytes.get_int64_be buf off)
 
 let u64_at buf off =
-  if off < 0 then raise (Malformed "truncated reply");
-  need_bytes buf (off + 8);
+  need_field buf off 8;
   Bytes.get_int64_be buf off
 
 (* The offset just past the XDR opaque whose length word is at [off]:
@@ -487,8 +488,7 @@ let[@hot] reply_body buf ~tag =
 let time_at buf off = float_of_int (u32_at buf off) +. (float_of_int (u32_at buf (off + 4)) /. 1e9)
 
 let decode_attr_at buf off : Nfs.fattr =
-  if off < 0 then raise (Malformed "truncated attr");
-  need_bytes buf (off + attr_wire_size);
+  need_field buf off attr_wire_size;
   {
     ftype = ftype_of_int (u32_at buf off);
     mode = u32_at buf (off + 4);
