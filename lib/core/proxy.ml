@@ -609,6 +609,13 @@ let smallfile_dst t (fh : Fh.t) =
   if t.p.Params.threshold <= 0 || Array.length t.sf.map = 0 then None
   else Some t.sf.map.(Routekey.file_site ~nsites:(Array.length t.sf.map) fh)
 
+(* The fan-out's jobs: a timeout marks the whole commit [failed]. *)
+let commit_at t ~span failed fh dst =
+  try nfs_call t ~span (Nfs.Commit (fh, 0L, 0)) ~dst with Rpc.Timeout -> failed := true
+
+let commit_by_coordinator t ~span failed fh sites =
+  try ignore (ctrl_call t ~span (Ctrl.Commit_file { fh; sites })) with Rpc.Timeout -> failed := true
+
 (* A commit fails as a whole when a server it needs stays silent through
    every retransmission: the client hears ERR_IO (a dropped reply would
    leave it retransmitting, each retransmission a fresh fan-out that
@@ -620,25 +627,16 @@ let orchestrate_commit t ~span ~xid (pkt : Packet.t) (fh : Fh.t) =
   let client_port = pkt.Packet.sport in
   Engine.spawn t.eng (fun () ->
       let failed = ref false in
-      let guarded job () = try job () with Rpc.Timeout -> failed := true in
       let jobs = ref [] in
       (match smallfile_dst t fh with
-      | Some dst ->
-          jobs := guarded (fun () -> nfs_call t ~span (Nfs.Commit (fh, 0L, 0)) ~dst) :: !jobs
+      | Some dst -> jobs := (fun () -> commit_at t ~span failed fh dst) :: !jobs
       | None -> ());
       let sites = Table.data_nodes t.st.map fh in
       (match (sites, t.tg.coordinator ()) with
       | [], _ -> ()
-      | sites, Some _ ->
-          jobs :=
-            guarded (fun () -> ignore (ctrl_call t ~span (Ctrl.Commit_file { fh; sites })))
-            :: !jobs
+      | sites, Some _ -> jobs := (fun () -> commit_by_coordinator t ~span failed fh sites) :: !jobs
       | sites, None ->
-          jobs :=
-            List.map
-              (fun dst -> guarded (fun () -> nfs_call t ~span (Nfs.Commit (fh, 0L, 0)) ~dst))
-              sites
-            @ !jobs);
+          jobs := List.map (fun dst () -> commit_at t ~span failed fh dst) sites @ !jobs);
       Fiber.join_all t.eng !jobs;
       let resp =
         if !failed then Error Nfs.ERR_IO
@@ -1105,18 +1103,18 @@ let misdirect_retry_delay = 0.01
    site and splice sites together at EOF boundaries, in place in the
    server's reply. Nothing else holds these bytes: a server's request
    table keeps the response and re-encodes it for a retransmission. *)
+let pass_through ?outcome span pkt =
+  Trace.finish ?outcome span;
+  Some pkt
+
 let translate_readdir t (c : cost) ~rd_site ~span (pkt : Packet.t) =
   let payload = pkt.Packet.payload in
-  let pass () =
-    Trace.finish span;
-    Some pkt
-  in
   match Codec.reply_status payload with
-  | exception Codec.Malformed _ -> pass ()
+  | exception Codec.Malformed _ -> pass_through span pkt
   | Nfs.OK -> (
       match Codec.reply_body payload ~tag:16 with
-      | exception Codec.Malformed _ -> pass ()
-      | body when body < 0 -> pass ()
+      | exception Codec.Malformed _ -> pass_through span pkt
+      | body when body < 0 -> pass_through span pkt
       | body ->
           charge t c `Decode
             (decode_cost_per_item *. float_of_int (4 + (3 * Codec.readdir_count payload body)));
@@ -1128,9 +1126,7 @@ let translate_readdir t (c : cost) ~rd_site ~span (pkt : Packet.t) =
               Net.dispatch t.net pkt;
               Trace.finish span);
           None)
-  | _ ->
-      Trace.finish ~outcome:"error" span;
-      Some pkt (* pass errors through *)
+  | _ -> pass_through ~outcome:"error" span pkt
 
 let patch_reply_attrs t (c : cost) (pd : pending) (pkt : Packet.t) =
   let payload = pkt.Packet.payload in
