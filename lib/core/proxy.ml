@@ -1099,14 +1099,14 @@ let retry_misdirected ?(retries = 0) t ~src ~sport (orig : bytes) =
 let misdirect_retry_limit = 8
 let misdirect_retry_delay = 0.01
 
-(* readdir iteration across hash sites: tag each local cookie with its
-   site and splice sites together at EOF boundaries, in place in the
-   server's reply. Nothing else holds these bytes: a server's request
-   table keeps the response and re-encodes it for a retransmission. *)
 let pass_through ?outcome span pkt =
   Trace.finish ?outcome span;
   Some pkt
 
+(* readdir iteration across hash sites: tag each local cookie with its
+   site and splice sites together at EOF boundaries, in place in the
+   server's reply. Nothing else holds these bytes: a server's request
+   table keeps the response and re-encodes it for a retransmission. *)
 let translate_readdir t (c : cost) ~rd_site ~span (pkt : Packet.t) =
   let payload = pkt.Packet.payload in
   match Codec.reply_status payload with
