@@ -32,7 +32,6 @@ type qos_config = {
 
 type config = {
   seed : int;
-  net_params : Net.params option;
   storage_nodes : int;
   disks_per_node : int;
   storage_cache : int;
@@ -56,7 +55,6 @@ type config = {
 let default_config =
   {
     seed = 42;
-    net_params = None;
     storage_nodes = 4;
     disks_per_node = 8;
     storage_cache = 256 * 1024 * 1024;
@@ -295,7 +293,7 @@ let create cfg =
   if cfg.smallfile_servers > 0 && cfg.storage_nodes = 0 then
     invalid_arg "Ensemble.create: small-file servers are dataless and need storage nodes";
   let eng = Engine.create () in
-  let net_ = Net.create eng ?params:cfg.net_params ~seed:cfg.seed () in
+  let net_ = Net.create eng ~seed:cfg.seed () in
   let trace_ =
     if cfg.proxy_params.Params.trace_enabled || !Params.trace_force then
       Some (Trace.create eng ~sample:cfg.proxy_params.Params.trace_sample ())
@@ -573,7 +571,9 @@ let metrics t =
   g "net.packets_sent" (fun () -> Net.packets_sent t.net_);
   g "net.bytes_sent" (fun () -> Net.bytes_sent t.net_);
   g "net.packets_dropped" (fun () -> Net.packets_dropped t.net_);
-  g "net.fault_drops" (fun () -> Net.fault_drops t.net_);
+  g "net.fault_drops" (fun () ->
+      let c = Net.fault_counts t.net_ in
+      c.Net.node_drops + c.Net.link_drops + c.Net.partition_drops);
   g "proxy.intercepted" (sum_proxies Proxy.packets_intercepted);
   g "proxy.replies" (sum_proxies Proxy.replies_processed);
   g "proxy.routed_storage" (sum_proxies Proxy.routed_to_storage);

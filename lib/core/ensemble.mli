@@ -38,7 +38,6 @@ type qos_config = {
 
 type config = {
   seed : int;
-  net_params : Slice_net.Net.params option;
   storage_nodes : int;
   disks_per_node : int;
   storage_cache : int;  (** bytes of buffer cache per storage node *)
@@ -75,6 +74,9 @@ val create : config -> t
 
 val engine : t -> Slice_sim.Engine.t
 val net : t -> Slice_net.Net.t
+(** The switched LAN, seeded with [config.seed]. It starts fault-free;
+    {!Fault.install} puts loss, link faults and partitions on it. *)
+
 val virtual_addr : t -> Slice_net.Packet.addr
 val root : Slice_nfs.Fh.t
 (** The volume root handle clients start from. *)
@@ -148,9 +150,10 @@ val crash : t -> klass -> int -> unit
     goes; a directory server keeps its journal, a storage node and a
     small-file server a cold cache) and the net downs its host, so
     in-flight packets die. May park (a directory server re-hardens its
-    journal): call it from a fiber. Caution: the block coordinator lives
-    on storage node 0 — crashing it stalls commits and map fetches for
-    far longer than the other nodes. *)
+    journal): call it from a fiber. {!Fault} puts crashes and recoveries
+    on a time schedule. Caution: the block coordinator lives on storage
+    node 0 — crashing it stalls commits and map fetches for far longer
+    than the other nodes. *)
 
 val recover : t -> klass -> int -> unit
 (** Bring the host up, then the service: a directory server replays its

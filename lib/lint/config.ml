@@ -34,15 +34,16 @@ let repo =
     d1_allow = any_prefix [ "lib/util/prng."; "lib/sim/" ];
     (* Modules whose hash-table iteration feeds reports, stats
        aggregation or BENCH_*.json artifacts — including the tracer,
-       metrics registry and the load generators, whose dumps and op
-       streams must be byte-stable across runs. *)
+       metrics registry, the load generators and the fault schedule,
+       whose dumps, op streams and fault order must be byte-stable
+       across runs. *)
     d2_scope =
       (fun f ->
         any_prefix
           [ "lib/experiments/"; "bench/"; "examples/"; "lib/trace/";
             "lib/reconfig/"; "lib/failover/"; "lib/workload/"; "lib/qos/" ]
           f
-        || List.mem f [ "lib/util/stats.ml"; "lib/util/metrics.ml" ]);
+        || List.mem f [ "lib/util/stats.ml"; "lib/util/metrics.ml"; "lib/core/fault.ml" ]);
     (* Long-lived proxy/server modules: state here survives across
        requests, so every Hashtbl needs a bound or a bounded pragma. *)
     r1_scope =
@@ -73,7 +74,8 @@ let repo =
     (* Protocol request paths: a partial call here turns a malformed or
        unlucky request into a crash instead of an NFS error status. The
        codec feeders — XDR primitives and the routing hashes — are in
-       scope too: they see raw request bytes before any validation. *)
+       scope too: they see raw request bytes before any validation. So
+       is the fault schedule, which acts mid-run on the same servers. *)
     p1_scope =
       (fun f ->
         any_prefix [ "lib/nfs/"; "lib/hash/"; "lib/xdr/" ] f
@@ -81,6 +83,7 @@ let repo =
              [
                "lib/core/proxy.ml";
                "lib/core/ensemble.ml";
+               "lib/core/fault.ml";
                "lib/net/rpc.ml";
                "lib/net/net.ml";
                "lib/dir/dirserver.ml";

@@ -1,15 +1,10 @@
 module Engine = Slice_sim.Engine
 module Resource = Slice_sim.Resource
 
-type params = {
-  bandwidth : float;
-  wire_latency : float;
-  switch_latency : float;
-  drop_prob : float;
-}
-
-let default_params =
-  { bandwidth = 125_000_000.0; wire_latency = 10e-6; switch_latency = 8e-6; drop_prob = 0.0 }
+(* Gigabit Ethernet with jumbo frames, per the paper's testbed. *)
+let bandwidth = 125_000_000.0
+let wire_latency = 10e-6
+let switch_latency = 8e-6
 
 type filter = Packet.t -> Packet.t option
 
@@ -23,19 +18,33 @@ type node = {
   handlers : (int, Packet.t -> unit) Hashtbl.t;
 }
 
-(* An injected link fault: applies to every packet whose (src, dst) pair
-   matches ([None] matches any address). *)
-type link_fault = {
-  lf_src : Packet.addr option;
-  lf_dst : Packet.addr option;
-  lf_drop : float;
-  lf_delay : float;
-  lf_dup : float;
+type link = {
+  src : Packet.addr option;
+  dst : Packet.addr option;
+  drop : float;
+  delay : float;
+  dup : float;
+}
+
+type fault = Loss of float | Link of link | Partition of Packet.addr list | Heal
+
+(* The faults in force. [cut] is the isolated side of the partition
+   ([[]] when none). Immutable, and [no_faults] itself whenever nothing
+   is in force, so the fault-free path is one pointer test. *)
+type faults = { loss : float; cut : Packet.addr list; links : link list }
+
+let no_faults = { loss = 0.0; cut = []; links = [] }
+
+type fault_counts = {
+  mutable loss_drops : int;
+  mutable node_drops : int;
+  mutable link_drops : int;
+  mutable partition_drops : int;
+  mutable duplicates : int;
 }
 
 type t = {
   eng : Engine.t;
-  p : params;
   prng : Slice_util.Prng.t;
   mutable nodes : node array;
   mutable n : int;
@@ -43,13 +52,8 @@ type t = {
   mutable bytes : int;
   mutable dropped : int;
   mutable xid_counter : int;
-  (* fault schedule *)
-  mutable link_faults : link_fault list;
-  mutable partition : (Packet.addr -> int) option;
-  mutable f_node_drops : int;
-  mutable f_link_drops : int;
-  mutable f_part_drops : int;
-  mutable f_dups : int;
+  mutable faults : faults;
+  counts : fault_counts;
   mutable free_dl : delivery;
 }
 
@@ -69,10 +73,9 @@ let no_packet = Packet.make ~src:0 ~dst:0 ~sport:0 ~dport:0 Bytes.empty
 (* Cyclic sentinel: terminates the freelist without an option. *)
 let rec no_delivery = { d_pkt = no_packet; d_next = no_delivery; arrive = ignore; landed = ignore }
 
-let create eng ?(params = default_params) ?(seed = 1) () =
+let create eng ?(seed = 1) () =
   {
     eng;
-    p = params;
     prng = Slice_util.Prng.create seed;
     nodes = [||];
     n = 0;
@@ -80,12 +83,9 @@ let create eng ?(params = default_params) ?(seed = 1) () =
     bytes = 0;
     dropped = 0;
     xid_counter = 0;
-    link_faults = [];
-    partition = None;
-    f_node_drops = 0;
-    f_link_drops = 0;
-    f_part_drops = 0;
-    f_dups = 0;
+    faults = no_faults;
+    counts =
+      { loss_drops = 0; node_drops = 0; link_drops = 0; partition_drops = 0; duplicates = 0 };
     free_dl = no_delivery;
   }
 
@@ -169,11 +169,10 @@ let arrive t d =
   if not dst.up then begin
     release_delivery t d;
     t.dropped <- t.dropped + 1;
-    t.f_node_drops <- t.f_node_drops + 1
+    t.counts.node_drops <- t.counts.node_drops + 1
   end
   else begin
-    let rx_done =
-      Resource.reserve dst.rx (float_of_int (Packet.wire_size pkt) /. t.p.bandwidth)
+    let rx_done = Resource.reserve dst.rx (float_of_int (Packet.wire_size pkt) /. bandwidth)
     in
     Engine.schedule_at t.eng rx_done d.landed
   end
@@ -201,39 +200,45 @@ let deliver_at t (pkt : Packet.t) ~arrival =
   d.d_pkt <- pkt;
   Engine.schedule_at t.eng arrival d.arrive
 
-(* Consult the fault schedule for one transmission. The PRNG is only drawn
-   for faults that are actually configured, so fault-free runs keep the
-   exact event/random stream they had before the fault layer existed. *)
-let fault_verdict t (pkt : Packet.t) =
-  let partitioned =
-    match t.partition with Some group -> group pkt.src <> group pkt.dst | None -> false
-  in
-  if partitioned then begin
-    t.f_part_drops <- t.f_part_drops + 1;
-    `Drop
+let matches (l : link) (pkt : Packet.t) =
+  (match l.src with None -> true | Some a -> a = pkt.src)
+  && match l.dst with None -> true | Some a -> a = pkt.dst
+
+(* Matching link rules apply in installation order: each may drop the
+   packet, add its delay and draw a duplicate. *)
+let rec through_links t (pkt : Packet.t) ~tx_done ~delay ~dup = function
+  | [] ->
+      let arrival = tx_done +. wire_latency +. switch_latency +. delay in
+      deliver_at t pkt ~arrival;
+      if dup then begin
+        (* an independent copy: downstream filters rewrite in place *)
+        t.counts.duplicates <- t.counts.duplicates + 1;
+        deliver_at t (Packet.copy pkt) ~arrival
+      end
+  | l :: rest when not (matches l pkt) -> through_links t pkt ~tx_done ~delay ~dup rest
+  | l :: rest ->
+      if l.drop > 0.0 && Slice_util.Prng.float t.prng 1.0 < l.drop then begin
+        t.dropped <- t.dropped + 1;
+        t.counts.link_drops <- t.counts.link_drops + 1
+      end
+      else
+        let dup' = l.dup > 0.0 && Slice_util.Prng.float t.prng 1.0 < l.dup in
+        through_links t pkt ~tx_done ~delay:(delay +. l.delay) ~dup:(dup || dup') rest
+
+(* Loss first, then the partition, then the link rules. The PRNG is only
+   drawn for faults in force, so a fault that never matches leaves the
+   random stream as it was. *)
+let transmit_faulty t (pkt : Packet.t) ~tx_done =
+  let fs = t.faults in
+  if fs.loss > 0.0 && Slice_util.Prng.float t.prng 1.0 < fs.loss then begin
+    t.dropped <- t.dropped + 1;
+    t.counts.loss_drops <- t.counts.loss_drops + 1
   end
-  else begin
-    let delay = ref 0.0 in
-    let dup = ref false in
-    let dropped = ref false in
-    List.iter
-      (fun lf ->
-        let matches =
-          (match lf.lf_src with None -> true | Some a -> a = pkt.src)
-          && match lf.lf_dst with None -> true | Some a -> a = pkt.dst
-        in
-        if matches && not !dropped then
-          if lf.lf_drop > 0.0 && Slice_util.Prng.float t.prng 1.0 < lf.lf_drop then begin
-            t.f_link_drops <- t.f_link_drops + 1;
-            dropped := true
-          end
-          else begin
-            delay := !delay +. lf.lf_delay;
-            if lf.lf_dup > 0.0 && Slice_util.Prng.float t.prng 1.0 < lf.lf_dup then dup := true
-          end)
-      t.link_faults;
-    if !dropped then `Drop else `Deliver (!delay, !dup)
+  else if fs.cut <> [] && List.mem pkt.src fs.cut <> List.mem pkt.dst fs.cut then begin
+    t.dropped <- t.dropped + 1;
+    t.counts.partition_drops <- t.counts.partition_drops + 1
   end
+  else through_links t pkt ~tx_done ~delay:0.0 ~dup:false fs.links
 
 let transmit t (pkt : Packet.t) =
   if pkt.dst < 0 || pkt.dst >= t.n then t.dropped <- t.dropped + 1
@@ -242,31 +247,15 @@ let transmit t (pkt : Packet.t) =
     let size = Packet.wire_size pkt in
     t.bytes <- t.bytes + size;
     let src = get t pkt.src in
-    let ser = float_of_int size /. t.p.bandwidth in
-    let tx_done = Resource.reserve src.tx ser in
+    let tx_done = Resource.reserve src.tx (float_of_int size /. bandwidth) in
     if not src.up then begin
       (* a crashed host transmits nothing *)
       t.dropped <- t.dropped + 1;
-      t.f_node_drops <- t.f_node_drops + 1
+      t.counts.node_drops <- t.counts.node_drops + 1
     end
-    else if t.p.drop_prob > 0.0 && Slice_util.Prng.float t.prng 1.0 < t.p.drop_prob then
-      t.dropped <- t.dropped + 1
-    else if t.partition == None && t.link_faults == [] then
-      (* fault-free fast path: no verdict to build, no PRNG draws — the
-         common case stays allocation-light and keeps the exact random
-         stream of runs with no fault schedule configured *)
-      deliver_at t pkt ~arrival:(tx_done +. t.p.wire_latency +. t.p.switch_latency)
-    else
-      match fault_verdict t pkt with
-      | `Drop -> t.dropped <- t.dropped + 1
-      | `Deliver (extra_delay, dup) ->
-          let arrival = tx_done +. t.p.wire_latency +. t.p.switch_latency +. extra_delay in
-          deliver_at t pkt ~arrival;
-          if dup then begin
-            (* an independent copy: downstream filters rewrite in place *)
-            t.f_dups <- t.f_dups + 1;
-            deliver_at t (Packet.copy pkt) ~arrival
-          end
+    else if t.faults == no_faults then
+      deliver_at t pkt ~arrival:(tx_done +. wire_latency +. switch_latency)
+    else transmit_faulty t pkt ~tx_done
   end
 
 let send t (pkt : Packet.t) =
@@ -281,28 +270,24 @@ let send t (pkt : Packet.t) =
 let inject t pkt = transmit t pkt
 
 let dispatch t (pkt : Packet.t) = handle_local t (get t pkt.dst) pkt
-(* ---- fault schedule ---- *)
+
+(* ---- faults ---- *)
 
 let set_node_up t a up = (get t a).up <- up
 let node_up t a = (get t a).up
 
-let schedule_crash t a ~at ~until =
-  if until <= at then invalid_arg "Net.schedule_crash: until <= at";
-  Engine.schedule_at t.eng at (fun () -> set_node_up t a false);
-  Engine.schedule_at t.eng until (fun () -> set_node_up t a true)
+let fault t f =
+  let fs = t.faults in
+  let fs =
+    match f with
+    | Loss p -> { fs with loss = p }
+    | Link l -> { fs with links = fs.links @ [ l ] }
+    | Partition side -> { fs with cut = side }
+    | Heal -> { fs with cut = [] }
+  in
+  t.faults <- (if fs.loss = 0.0 && fs.cut = [] && fs.links = [] then no_faults else fs)
 
-let add_link_fault t ?src ?dst ?(drop = 0.0) ?(delay = 0.0) ?(dup = 0.0) () =
-  t.link_faults <-
-    t.link_faults
-    @ [ { lf_src = src; lf_dst = dst; lf_drop = drop; lf_delay = delay; lf_dup = dup } ]
-
-let set_partition t group = t.partition <- Some group
-let clear_partition t = t.partition <- None
-let fault_node_drops t = t.f_node_drops
-let fault_link_drops t = t.f_link_drops
-let fault_partition_drops t = t.f_part_drops
-let fault_duplicates t = t.f_dups
-let fault_drops t = t.f_node_drops + t.f_link_drops + t.f_part_drops
+let fault_counts t = t.counts
 
 let packets_sent t = t.sent
 let bytes_sent t = t.bytes

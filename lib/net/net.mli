@@ -1,6 +1,6 @@
 (** Switched-LAN model: nodes with full-duplex NICs attached to a single
     switch, per-endpoint transmit/receive serialization (bandwidth), fixed
-    wire + switch latency, optional random loss, and per-node egress /
+    wire + switch latency, injectable faults, and per-node egress /
     ingress packet filters — the interposition points where the Slice
     µproxy lives ("configurable to run as an intermediary at any point in
     the network between a client and the server ensemble").
@@ -11,18 +11,11 @@
 
 type t
 
-type params = {
-  bandwidth : float;  (** per-NIC bytes/second (full duplex, each way) *)
-  wire_latency : float;  (** propagation delay per hop, seconds *)
-  switch_latency : float;  (** forwarding latency of the switch, seconds *)
-  drop_prob : float;  (** iid loss probability per packet *)
-}
+val create : Slice_sim.Engine.t -> ?seed:int -> unit -> t
+(** A fault-free LAN. The link model is fixed: Gigabit Ethernet with
+    jumbo frames, per the paper's testbed — 125 MB/s NICs, ~10 µs wire
+    + ~8 µs switch latency. [seed] drives the fault PRNG. *)
 
-val default_params : params
-(** Gigabit Ethernet with jumbo frames, per the paper's testbed:
-    125 MB/s NICs, ~10 µs wire + ~8 µs switch latency, no loss. *)
-
-val create : Slice_sim.Engine.t -> ?params:params -> ?seed:int -> unit -> t
 val engine : t -> Slice_sim.Engine.t
 
 val fresh_xid : t -> int
@@ -64,72 +57,63 @@ val dispatch : t -> Packet.t -> unit
     filters, NICs and latency: how an interposed filter hands an
     already-arrived packet onward after processing it. *)
 
-(** {2 Fault injection}
+(** {2 Faults}
 
-    A deterministic fault schedule layered on the switched LAN, driven by
-    the same seeded PRNG as [drop_prob] (runs stay bit-reproducible; the
-    PRNG is only consulted for faults actually configured). Three fault
-    classes:
+    Faults are driven by a PRNG seeded at {!create}, so runs stay
+    bit-reproducible; it is drawn only for faults in force. Node crashes
+    are {!set_node_up}: a down node transmits nothing and loses every
+    packet that lands on it, in both directions — a dead host is silent,
+    it does not refuse. {!fault} sets everything else, and
+    [Slice.Fault] places both on a time schedule.
 
-    - {e node crashes}: a down node transmits nothing and loses every
-      packet that lands on it, in both directions — a dead host is silent,
-      it does not refuse;
-    - {e link faults}: per-(src, dst) drop probability, added one-way
-      delay, and duplicate probability ([None] endpoints match any
-      address);
-    - {e partitions}: a node-grouping function; packets crossing groups
-      are dropped until the partition heals.
+    End-to-end retransmission (client RPC) is what recovers; the
+    counters below let tests assert that injected faults actually bit. *)
 
-    End-to-end retransmission (client RPC) is what recovers; the counters
-    below let tests assert that injected faults actually bit. *)
+type link = {
+  src : Packet.addr option;  (** [None] matches any sender *)
+  dst : Packet.addr option;  (** [None] matches any receiver *)
+  drop : float;  (** drop probability *)
+  delay : float;  (** added one-way latency, seconds *)
+  dup : float;  (** probability of delivering a second copy *)
+}
+(** A link rule, applied to every packet whose (src, dst) pair matches. *)
+
+type fault =
+  | Loss of float
+      (** iid loss probability for every packet from now on; [Loss 0.0]
+          ends it. Drawn before the partition and the link rules. *)
+  | Link of link
+      (** add a link rule; matching rules apply in the order added, each
+          may drop the packet, add its delay and draw a duplicate *)
+  | Partition of Packet.addr list
+      (** cut the listed nodes off from the rest: packets between the two
+          sides are dropped. Replaces any earlier partition. *)
+  | Heal  (** end the partition *)
+
+val fault : t -> fault -> unit
 
 val set_node_up : t -> Packet.addr -> bool -> unit
 (** Crash ([false]) or recover ([true]) a node at the net layer. *)
 
 val node_up : t -> Packet.addr -> bool
 
-val schedule_crash : t -> Packet.addr -> at:float -> until:float -> unit
-(** Pre-plan a crash window \[[at], [until]) in absolute simulated time.
-    Raises [Invalid_argument] if [until <= at]. *)
+type fault_counts = private {
+  mutable loss_drops : int;
+  mutable node_drops : int;  (** lost to a down node (either endpoint) *)
+  mutable link_drops : int;
+  mutable partition_drops : int;
+  mutable duplicates : int;
+}
 
-val add_link_fault :
-  t ->
-  ?src:Packet.addr ->
-  ?dst:Packet.addr ->
-  ?drop:float ->
-  ?delay:float ->
-  ?dup:float ->
-  unit ->
-  unit
-(** Install a link-fault rule. Matching rules apply in installation
-    order: each may drop the packet (probability [drop]), add [delay]
-    seconds of one-way latency, and deliver a duplicate copy
-    (probability [dup]). *)
-
-val set_partition : t -> (Packet.addr -> int) -> unit
-(** Partition the LAN: packets between nodes in different groups are
-    dropped. *)
-
-val clear_partition : t -> unit
-(** Heal the partition. *)
-
-val fault_node_drops : t -> int
-(** Packets lost to a down node (either endpoint). *)
-
-val fault_link_drops : t -> int
-val fault_partition_drops : t -> int
-val fault_duplicates : t -> int
-
-val fault_drops : t -> int
-(** Sum of node, link and partition drops (excludes iid [drop_prob]
-    losses, which count only in {!packets_dropped}). *)
+val fault_counts : t -> fault_counts
+(** The live counters; each loss also counts in {!packets_dropped}. *)
 
 (** {2 Accounting} *)
 
 val packets_sent : t -> int
 val bytes_sent : t -> int
 val packets_dropped : t -> int
-(** Loss-injected (iid and fault-schedule) plus no-handler drops. *)
+(** Fault losses plus no-handler drops. *)
 
 val nic_busy_time : t -> Packet.addr -> float
 (** Transmit-side NIC busy seconds for a node. *)

@@ -48,17 +48,10 @@ let fig4_smoke () =
   check_bool "redirect fraction tracks p (within noise)" true (r05 > 0.2 && r05 < 0.55)
 
 let e2e_under_packet_loss () =
-  (* 3% loss on every link: end-to-end retransmission keeps the volume
+  (* 10% loss on every link: end-to-end retransmission keeps the volume
      correct through the µproxy, servers, and coordinator *)
-  let ens =
-    Ensemble.create
-      {
-        Ensemble.default_config with
-        storage_nodes = 2;
-        net_params = Some { Slice_net.Net.default_params with drop_prob = 0.1 };
-        seed = 99;
-      }
-  in
+  let ens = Ensemble.create { Ensemble.default_config with storage_nodes = 2; seed = 99 } in
+  Slice.Fault.install ens [ (0.0, Net (Slice_net.Net.Loss 0.1)) ];
   let host, _ = Ensemble.add_client ens ~name:"lossy" in
   let cl = Client.create host ~server:(Ensemble.virtual_addr ens) () in
   run_on (Ensemble.engine ens) (fun () ->

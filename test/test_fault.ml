@@ -9,20 +9,32 @@ module Codec = Slice_nfs.Codec
 module Host = Slice_storage.Host
 module Obsd = Slice_storage.Obsd
 module Tenure = Slice_storage.Tenure
+module Coordinator = Slice_storage.Coordinator
 module Client = Slice_workload.Client
 module Ensemble = Slice.Ensemble
 module Proxy = Slice.Proxy
 module Table = Slice.Table
 module Chaos = Slice_experiments.Chaos
+module Fault = Slice.Fault
 
-let mk_net ?params ?(seed = 11) () =
+let mk_net ?(seed = 11) () =
   let eng = Engine.create () in
-  let net = Net.create eng ?params ~seed () in
+  let net = Net.create eng ~seed () in
   (eng, net)
 
 let pkt ~src ~dst = Packet.make ~src ~dst ~sport:1 ~dport:9 (Bytes.create 100)
 
-(* ---- net-level fault schedule ---- *)
+let link ?src ?dst ?(drop = 0.0) ?(delay = 0.0) ?(dup = 0.0) () =
+  Net.Link { Net.src; dst; drop; delay; dup }
+
+let fault_drops net =
+  let c = Net.fault_counts net in
+  c.Net.node_drops + c.Net.link_drops + c.Net.partition_drops
+
+(* A one-action schedule due now: it applies before [now] returns. *)
+let now ens action = Fault.install ens [ (Engine.now (Ensemble.engine ens), action) ]
+
+(* ---- net-level faults ---- *)
 
 let link_fault_drops () =
   let eng, net = mk_net () in
@@ -31,14 +43,14 @@ let link_fault_drops () =
   let got = ref 0 in
   Net.listen net a ~port:9 (fun _ -> incr got);
   Net.listen net b ~port:9 (fun _ -> incr got);
-  Net.add_link_fault net ~src:a ~dst:b ~drop:1.0 ();
+  Net.fault net (link ~src:a ~dst:b ~drop:1.0 ());
   Net.send net (pkt ~src:a ~dst:b);
   Net.send net (pkt ~src:b ~dst:a);
   Engine.run eng;
   (* a->b black-holed; the reverse direction unaffected *)
   check_int "only reverse delivered" 1 !got;
-  check_int "link drop counted" 1 (Net.fault_link_drops net);
-  check_int "summed in fault_drops" 1 (Net.fault_drops net)
+  check_int "link drop counted" 1 (Net.fault_counts net).Net.link_drops;
+  check_int "the only fault drop" 1 (fault_drops net)
 
 let link_fault_duplicates () =
   let eng, net = mk_net () in
@@ -46,11 +58,11 @@ let link_fault_duplicates () =
   let b = Net.add_node net ~name:"b" in
   let got = ref 0 in
   Net.listen net b ~port:9 (fun _ -> incr got);
-  Net.add_link_fault net ~src:a ~dst:b ~dup:1.0 ();
+  Net.fault net (link ~src:a ~dst:b ~dup:1.0 ());
   Net.send net (pkt ~src:a ~dst:b);
   Engine.run eng;
   check_int "both copies arrive" 2 !got;
-  check_int "duplicate counted" 1 (Net.fault_duplicates net)
+  check_int "duplicate counted" 1 (Net.fault_counts net).Net.duplicates
 
 let link_fault_delay () =
   let base = ref 0.0 in
@@ -60,7 +72,7 @@ let link_fault_delay () =
     let a = Net.add_node net ~name:"a" in
     let b = Net.add_node net ~name:"b" in
     Net.listen net b ~port:9 (fun _ -> cell := Engine.now eng);
-    if delay > 0.0 then Net.add_link_fault net ~src:a ~dst:b ~delay ();
+    if delay > 0.0 then Net.fault net (link ~src:a ~dst:b ~delay ());
     Net.send net (pkt ~src:a ~dst:b);
     Engine.run eng
   in
@@ -76,13 +88,13 @@ let partition_drops_and_heals () =
   let got = ref [] in
   List.iter (fun n -> Net.listen net n ~port:9 (fun p -> got := p.Packet.src :: !got)) [ a; b; c ];
   (* a | {b, c} *)
-  Net.set_partition net (fun n -> if n = a then 0 else 1);
+  Net.fault net (Net.Partition [ a ]);
   Net.send net (pkt ~src:a ~dst:b);
   Net.send net (pkt ~src:b ~dst:c);
   Engine.run eng;
   check_bool "same-side traffic flows" true (!got = [ b ]);
-  check_int "cross traffic dropped" 1 (Net.fault_partition_drops net);
-  Net.clear_partition net;
+  check_int "cross traffic dropped" 1 (Net.fault_counts net).Net.partition_drops;
+  Net.fault net Net.Heal;
   Net.send net (pkt ~src:a ~dst:b);
   Engine.run eng;
   check_bool "healed" true (List.mem a !got)
@@ -93,7 +105,8 @@ let crash_window_silences_node () =
   let b = Net.add_node net ~name:"b" in
   let got = ref 0 in
   Net.listen net b ~port:9 (fun _ -> incr got);
-  Net.schedule_crash net b ~at:1.0 ~until:2.0;
+  Engine.schedule_at eng 1.0 (fun () -> Net.set_node_up net b false);
+  Engine.schedule_at eng 2.0 (fun () -> Net.set_node_up net b true);
   Engine.schedule_at eng 1.5 (fun () ->
       check_bool "down inside the window" false (Net.node_up net b);
       Net.send net (pkt ~src:a ~dst:b));
@@ -102,10 +115,7 @@ let crash_window_silences_node () =
       Net.send net (pkt ~src:a ~dst:b));
   Engine.run eng;
   check_int "only post-recovery packet arrives" 1 !got;
-  check_int "crash-window loss counted" 1 (Net.fault_node_drops net);
-  Alcotest.check_raises "empty window rejected"
-    (Invalid_argument "Net.schedule_crash: until <= at") (fun () ->
-      Net.schedule_crash net b ~at:3.0 ~until:3.0)
+  check_int "crash-window loss counted" 1 (Net.fault_counts net).Net.node_drops
 
 let crashed_source_transmits_nothing () =
   let eng, net = mk_net () in
@@ -117,18 +127,17 @@ let crashed_source_transmits_nothing () =
   Net.send net (pkt ~src:a ~dst:b);
   Engine.run eng;
   check_int "nothing delivered" 0 !got;
-  check_int "counted as node drop" 1 (Net.fault_node_drops net)
+  check_int "counted as node drop" 1 (Net.fault_counts net).Net.node_drops
 
 let faultfree_runs_identical () =
   (* the fault layer must not perturb the PRNG stream of a run that
-     configures no faults: same seed + drop_prob, same delivery times *)
+     never matches: same seed and loss, same delivery times *)
   let once ~faults =
-    let eng, net =
-      mk_net ~params:{ Net.default_params with drop_prob = 0.2 } ~seed:3 ()
-    in
+    let eng, net = mk_net ~seed:3 () in
+    Net.fault net (Net.Loss 0.2);
     let a = Net.add_node net ~name:"a" in
     let b = Net.add_node net ~name:"b" in
-    if faults then Net.add_link_fault net ~src:b ~dst:a ~drop:1.0 ();
+    if faults then Net.fault net (link ~src:b ~dst:a ~drop:1.0 ());
     let log = ref [] in
     Net.listen net b ~port:9 (fun _ -> log := Engine.now eng :: !log);
     for _ = 1 to 50 do
@@ -139,6 +148,112 @@ let faultfree_runs_identical () =
   in
   check_bool "iid loss pattern unchanged by unrelated fault rules" true
     (once ~faults:false = once ~faults:true)
+
+(* ---- the fault schedule ---- *)
+
+let small_ensemble () =
+  Ensemble.create { Ensemble.default_config with storage_nodes = 2; smallfile_servers = 0 }
+
+(* Two bare nodes on the ensemble's LAN that count what reaches them. *)
+let probes ens =
+  let net = Ensemble.net ens in
+  let a = Net.add_node net ~name:"probe-a" in
+  let b = Net.add_node net ~name:"probe-b" in
+  let got = ref 0 in
+  List.iter (fun n -> Net.listen net n ~port:9 (fun _ -> incr got)) [ a; b ];
+  (a, b, got)
+
+(* Due actions apply inside [install], before any packet moves: a packet
+   sent the moment [install] returns already meets the partition, and a
+   crash due at 0 has happened. *)
+let due_actions_apply_at_once () =
+  let ens = small_ensemble () in
+  let net = Ensemble.net ens in
+  let a, b, _ = probes ens in
+  Fault.install ens [ (0.0, Net (Net.Partition [ a ])); (0.0, Crash (Server (Storage, 1))) ];
+  Net.send net (pkt ~src:a ~dst:b);
+  check_int "partition already in force" 1 (Net.fault_counts net).Net.partition_drops;
+  check_bool "crash already applied" false (Ensemble.is_up ens Storage 1);
+  Ensemble.run ens
+
+(* One instant's actions apply in list order, each on the state the one
+   before it left: a crash then a recover leaves the server up, and of
+   three partition changes the last one holds. *)
+let one_instant_in_list_order () =
+  let ens = small_ensemble () in
+  let eng = Ensemble.engine ens in
+  let net = Ensemble.net ens in
+  let a, b, got = probes ens in
+  let coord =
+    match Ensemble.coordinator ens with Some c -> c | None -> Alcotest.fail "no coordinator"
+  in
+  Fault.install ens
+    [
+      (1.0, Crash (Server (Storage, 1)));
+      (1.0, Recover (Server (Storage, 1)));
+      (1.0, Recover (Server (Storage, 0)));
+      (1.0, Crash (Server (Storage, 0)));
+      (1.0, Crash Coordinator);
+      (1.0, Recover Coordinator);
+      (1.0, Net (Net.Partition [ a ]));
+      (1.0, Net Net.Heal);
+      (1.0, Net (Net.Partition [ b ]));
+    ];
+  Engine.schedule_at eng 0.5 (fun () ->
+      check_bool "nothing before its time" true (Ensemble.is_up ens Storage 0));
+  Engine.schedule_at eng 1.5 (fun () ->
+      check_bool "crash then recover: up" true (Ensemble.is_up ens Storage 1);
+      check_bool "recover then crash: down" false (Ensemble.is_up ens Storage 0);
+      check_bool "coordinator crashed and recovered" true (Coordinator.is_up coord);
+      Net.send net (pkt ~src:a ~dst:b));
+  Engine.run eng;
+  check_int "the last partition holds" 0 !got;
+  check_int "one partition drop" 1 (Net.fault_counts net).Net.partition_drops
+
+(* A schedule is checked whole before anything applies. *)
+let bad_schedule_rejected () =
+  let ens = small_ensemble () in
+  let crash = Fault.Crash (Server (Storage, 1)) in
+  let rejected label schedule =
+    Alcotest.check_raises label
+      (Invalid_argument "Fault.install: times negative or out of order") (fun () ->
+        Fault.install ens schedule)
+  in
+  rejected "out of order" [ (0.0, crash); (2.0, crash); (1.0, crash) ];
+  rejected "negative time" [ (-1.0, crash) ];
+  rejected "not a number" [ (Float.nan, crash) ];
+  check_bool "no prefix applied" true (Ensemble.is_up ens Storage 1)
+
+(* The paper's soft-state claim as a schedule: a client µproxy that loses
+   every cache and pending record, again and again mid-workload, costs
+   the client nothing it can see. *)
+let soft_state_loss_mid_run () =
+  let once schedule =
+    let ens = small_ensemble () in
+    let eng = Ensemble.engine ens in
+    let host, proxy = Ensemble.add_client ens ~name:"forgetful" in
+    let cl = Client.create host ~server:(Ensemble.virtual_addr ens) () in
+    Fault.install ens schedule;
+    run_on eng (fun () ->
+        for i = 1 to 30 do
+          let name = Printf.sprintf "s%02d" i in
+          let fh, _ = ok_or_fail "create" (Client.create_file cl Ensemble.root name) in
+          ignore (ok_or_fail "write" (Client.write_at cl fh ~off:0L ~data:(Nfs.Data name) ()));
+          ignore (ok_or_fail "lookup" (Client.lookup cl Ensemble.root name));
+          match ok_or_fail "read" (Client.read_at cl fh ~off:0L ~count:3) with
+          | Nfs.Data d, _ -> check_string "bytes survive" name d
+          | _ -> Alcotest.fail "synthetic"
+        done;
+        check_bool "the discards landed mid-run" true (Engine.now eng > 0.01));
+    check_int "no client-visible errors" 0 (Client.errors cl);
+    check_int "pending empty at quiesce" 0 (Proxy.pending_size proxy);
+    (Proxy.meta_cache_stats proxy).Proxy.hits
+  in
+  let kept = once [] in
+  let lost =
+    once (List.init 20 (fun i -> (0.0005 *. float_of_int (i + 1), Fault.Discard_soft_state 0)))
+  in
+  check_bool "the discards cost cache hits" true (lost < kept)
 
 (* ---- RPC exponential backoff ---- *)
 
@@ -197,10 +312,9 @@ let dead_node_expires_pending () =
   let net = Ensemble.net ens in
   let host, proxy = Ensemble.add_client ens ~name:"giveup" in
   let rpc = Rpc.create net host.Host.addr ~port:5000 in
+  (* both storage nodes dead: a bulk read can never be answered *)
+  Fault.install ens [ (0.0, Crash (Server (Storage, 0))); (0.0, Crash (Server (Storage, 1))) ];
   run_on eng (fun () ->
-      (* both storage nodes dead: a bulk read can never be answered *)
-      Ensemble.crash ens Storage 0;
-      Ensemble.crash ens Storage 1;
       let fh =
         { Fh.file_id = 42L; gen = 1; ftype = Fh.Reg; mirrored = false; attr_site = 0; cap = 0L }
       in
@@ -230,11 +344,13 @@ let commit_to_dead_smallfile () =
   let host, _proxy = Ensemble.add_client ens ~name:"committer" in
   let cl = Client.create host ~server:(Ensemble.virtual_addr ens) () in
   let result = ref None in
+  Fault.install ens
+    [ (1.0, Crash (Server (Smallfile, 0))); (1.0, Crash (Server (Smallfile, 1))) ];
   run_on eng (fun () ->
       let fh, _ = ok_or_fail "create" (Client.create_file cl Ensemble.root "small") in
       ignore (ok_or_fail "write" (Client.write_at cl fh ~off:0L ~data:(Nfs.Synthetic 4096) ()));
-      Ensemble.crash ens Smallfile 0;
-      Ensemble.crash ens Smallfile 1;
+      check_bool "written before the crash" true (Engine.now eng < 1.0);
+      Engine.sleep eng (1.5 -. Engine.now eng);
       result := Some (Client.commit cl fh));
   match !result with
   | Some r -> expect_err "commit to a dead small-file server" Nfs.ERR_IO r
@@ -276,8 +392,13 @@ let mirror_failure_not_masked () =
 
 (* ---- chaos: real workloads under loss and crash ---- *)
 
+let chaos_row label =
+  match List.find_opt (fun (l, _, _) -> l = label) Chaos.exhibit with
+  | Some (_, w, schedule) -> (w, schedule)
+  | None -> Alcotest.failf "no chaos row %S" label
+
 let clean_run_is_quiet () =
-  let r = Chaos.run_untar ~cfg:{ Chaos.default_config with drop_prob = 0.0; crash_node = None } () in
+  let r = Chaos.run Chaos.Untar [] in
   check_int "no errors" 0 r.Chaos.errors;
   check_int "no retransmissions" 0 r.Chaos.retransmissions;
   check_int "no expiries" 0 r.Chaos.expired_pending;
@@ -288,9 +409,7 @@ let clean_run_is_quiet () =
 let untar_under_loss () =
   List.iter
     (fun drop ->
-      let r =
-        Chaos.run_untar ~cfg:{ Chaos.default_config with drop_prob = drop; crash_node = None } ()
-      in
+      let r = Chaos.run Chaos.Untar [ (0.0, Net (Net.Loss drop)) ] in
       let tag = Printf.sprintf "%.0f%% loss:" (drop *. 100.0) in
       check_int (tag ^ " zero lost operations") 0 r.Chaos.errors;
       check_int (tag ^ " pending empty at quiesce") 0 r.Chaos.pending_at_quiesce;
@@ -300,14 +419,16 @@ let untar_under_loss () =
 
 let untar_with_node_crash () =
   (* untar traffic is all name operations: the dir server is the victim *)
-  let r = Chaos.run_untar ~cfg:{ Chaos.default_config with crash_node = Some (Ensemble.Dir, 0) } () in
+  let r = Chaos.run Chaos.Untar (snd (chaos_row "untar, 2% loss + dir crash")) in
   check_int "zero lost operations" 0 r.Chaos.errors;
   check_int "pending empty at quiesce" 0 r.Chaos.pending_at_quiesce;
   check_bool "crash actually bit" true (r.Chaos.fault_drops > 0);
   check_bool "recovery by retransmission" true (r.Chaos.retransmissions > 0)
 
 let specsfs_with_node_crash () =
-  let r = Chaos.run_specsfs () in
+  let w, schedule = chaos_row "specsfs, loss + storage crash" in
+  check_bool "a specsfs row" true (w = Chaos.Specsfs);
+  let r = Chaos.run w schedule in
   check_int "zero lost operations" 0 r.Chaos.errors;
   check_int "pending empty at quiesce" 0 r.Chaos.pending_at_quiesce;
   check_bool "work actually ran" true (r.Chaos.ops > 100);
@@ -345,7 +466,7 @@ let coordinator_redo_waits_for_partition_heal () =
       ignore
         (Rpc.call rpc ~dst:victim ~dport:2049
            (Codec.encode_call ~xid (Nfs.Write (fh, 0L, Nfs.Unstable, Nfs.Data "zz"))));
-      Net.set_partition net (fun n -> if n = victim then 1 else 0);
+      Net.fault net (Net.Partition [ victim ]);
       (* log a remove intent whose completion never arrives *)
       let xid = Rpc.fresh_xid rpc in
       (match
@@ -365,7 +486,7 @@ let coordinator_redo_waits_for_partition_heal () =
       check_int "intent survives failed redo" 1 (Coordinator.pending_intents coord);
       check_bool "victim untouched behind partition" true
         (Obsd.object_size obsds.(1) fh <> None);
-      Net.clear_partition net;
+      Net.fault net Net.Heal;
       Engine.sleep eng 6.0;
       check_int "intent retired after heal" 0 (Coordinator.pending_intents coord);
       check_bool "remove reached the participant" true (Obsd.object_size obsds.(1) fh = None))
@@ -464,7 +585,7 @@ let failover_partition_false_positive () =
       let victim = Ensemble.server_addr ens Dir 0 in
       (* dir 0 is cut off but NOT dead: renewals stop, the detector
          declares it, a standby takes over — a false positive by design *)
-      Net.set_partition net (fun n -> if n = victim then 1 else 0);
+      now ens (Net (Net.Partition [ victim ]));
       Engine.sleep eng 1.0;
       check_int "false positive declared and replaced" 1 (Fo.takeovers fo);
       check_bool "donor self-wedged behind the partition" true (Tenure.wedged (Dirserver.tenure dirs.(0)) ~now:(Engine.now eng));
@@ -473,7 +594,7 @@ let failover_partition_false_positive () =
       List.iter
         (fun n -> ignore (ok_or_fail "lookup during partition" (Client.lookup cl Ensemble.root n)))
         names;
-      Net.clear_partition net;
+      now ens (Net Net.Heal);
       (* healed zombie: still fenced — a mutation sent straight to it
          bounces and leaves no trace *)
       let zh = Host.create net ~name:"zprobe" () in
@@ -493,9 +614,9 @@ let failover_partition_false_positive () =
       Fo.stop fo)
 
 let chaos_deterministic () =
-  let cfg = { Chaos.default_config with crash_node = Some (Ensemble.Dir, 0) } in
-  let r1 = Chaos.run_untar ~cfg () in
-  let r2 = Chaos.run_untar ~cfg () in
+  let w, schedule = chaos_row "untar, 2% loss + dir crash" in
+  let r1 = Chaos.run w schedule in
+  let r2 = Chaos.run w schedule in
   check_bool "identical seeds, identical chaos" true (compare r1 r2 = 0)
 
 let suite =
@@ -508,6 +629,10 @@ let suite =
     ("commit to a dead small-file server", `Quick, commit_to_dead_smallfile);
     ("crashed source transmits nothing", `Quick, crashed_source_transmits_nothing);
     ("fault-free runs identical", `Quick, faultfree_runs_identical);
+    ("schedule: due actions apply at once", `Quick, due_actions_apply_at_once);
+    ("schedule: one instant in list order", `Quick, one_instant_in_list_order);
+    ("schedule: bad schedule rejected", `Quick, bad_schedule_rejected);
+    ("schedule: µproxy soft-state loss mid-run", `Quick, soft_state_loss_mid_run);
     ("rpc backoff schedule", `Quick, backoff_schedule);
     ("rpc backoff cap", `Quick, backoff_cap);
     ("dead node expires pending", `Quick, dead_node_expires_pending);

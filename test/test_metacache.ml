@@ -19,12 +19,11 @@ module Reconfig = Slice_reconfig.Reconfig
 let check_int64 = Alcotest.(check int64)
 let root = Ensemble.root
 
-let mk ?(ttl = 2.0) ?(capacity = 4096) ?net_params ?(seed = 7) ?(dir_servers = 2) () =
+let mk ?(ttl = 2.0) ?(capacity = 4096) ?(seed = 7) ?(dir_servers = 2) () =
   Ensemble.create
     {
       Ensemble.default_config with
       seed;
-      net_params;
       storage_nodes = 2;
       smallfile_servers = 0;
       dir_servers;
@@ -163,18 +162,17 @@ let cross_client_staleness_bounded () =
 (* ---- chaos: coherence must hold under loss and a dir-server crash ---- *)
 
 let chaos_coherence () =
-  let ens =
-    mk ~net_params:{ Net.default_params with drop_prob = 0.05 } ~seed:23 ()
-  in
+  let ens = mk ~seed:23 () in
   let eng = Ensemble.engine ens in
   let cl, _ = client ens "c0" in
-  (* fault schedule on its own fiber: the workload below is closed-loop,
-     so the crash must not wait on it *)
-  Engine.spawn eng (fun () ->
-      Engine.sleep eng 0.05;
-      Ensemble.crash ens Dir 1;
-      Engine.sleep eng 1.0;
-      Ensemble.recover ens Dir 1);
+  (* the schedule runs beside the closed-loop workload below, so the
+     crash does not wait on it *)
+  Slice.Fault.install ens
+    [
+      (0.0, Net (Net.Loss 0.05));
+      (0.05, Crash (Server (Dir, 1)));
+      (1.05, Recover (Server (Dir, 1)));
+    ];
   run_on eng (fun () ->
       for i = 1 to 30 do
         let name = Printf.sprintf "f%03d" i in

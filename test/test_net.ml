@@ -110,9 +110,9 @@ let wire_size_accounts_extra () =
 
 (* ---- network delivery ---- *)
 
-let mk_net ?params ?seed () =
+let mk_net ?seed () =
   let eng = Engine.create () in
-  let net = Net.create eng ?params ?seed () in
+  let net = Net.create eng ?seed () in
   (eng, net)
 
 let delivery_and_latency () =
@@ -124,10 +124,10 @@ let delivery_and_latency () =
   let payload = Bytes.create 1000 in
   Net.send net (Packet.make ~src:a ~dst:b ~sport:1 ~dport:9 payload);
   Engine.run eng;
-  let p = Net.default_params in
-  (* tx serialization + wire + switch + rx serialization *)
-  let ser = float_of_int (Packet.header_bytes + 1000) /. p.Net.bandwidth in
-  let expect = (2.0 *. ser) +. p.Net.wire_latency +. p.Net.switch_latency in
+  (* tx serialization + wire + switch + rx serialization: 125 MB/s NICs,
+     10 us wire, 8 us switch *)
+  let ser = float_of_int (Packet.header_bytes + 1000) /. 125e6 in
+  let expect = (2.0 *. ser) +. 10e-6 +. 8e-6 in
   check_float_eps 1e-9 "latency model" expect !arrived;
   check_int "packets" 1 (Net.packets_sent net);
   check_int "bytes" (Packet.header_bytes + 1000) (Net.bytes_sent net)
@@ -160,7 +160,7 @@ let down_destination_drops_once () =
   Engine.schedule eng 50e-6 (fun () -> List.iter send_tagged [ 2; 3; 4 ]);
   Engine.run eng;
   check_int "one drop" 1 (Net.packets_dropped net);
-  check_int "counted as a node drop" 1 (Net.fault_node_drops net);
+  check_int "counted as a node drop" 1 (Net.fault_counts net).Net.node_drops;
   check_bool "later packets arrive in order" true (List.rev !got = [ 2; 3; 4 ])
 
 let nic_serializes () =
@@ -279,7 +279,8 @@ let rpc_roundtrip () =
 
 let rpc_retransmits_through_loss () =
   (* 40% loss: end-to-end retry must still deliver *)
-  let eng, net = mk_net ~params:{ Net.default_params with drop_prob = 0.4 } ~seed:5 () in
+  let eng, net = mk_net ~seed:5 () in
+  Net.fault net (Net.Loss 0.4);
   let c = Net.add_node net ~name:"client" in
   let s = Net.add_node net ~name:"server" in
   echo_server net s ~port:2049;
