@@ -356,6 +356,26 @@ let commit_to_dead_smallfile () =
   | Some r -> expect_err "commit to a dead small-file server" Nfs.ERR_IO r
   | None -> Alcotest.fail "the commit never returned"
 
+(* A REMOVE while storage node 0, the coordinator's host, is down: the
+   directory server answers the client, then asks the coordinator to
+   remove the file's data from a fiber of its own. That call times out,
+   and the timeout must end the fiber, not the run. The data itself
+   stays orphaned: remove logs no intent yet (ROADMAP item 10, stage
+   A). *)
+let remove_with_coordinator_host_down () =
+  let ens = small_ensemble () in
+  let eng = Ensemble.engine ens in
+  let host, _proxy = Ensemble.add_client ens ~name:"remover" in
+  let cl = Client.create host ~server:(Ensemble.virtual_addr ens) () in
+  Fault.install ens [ (1.0, Crash (Server (Storage, 0))) ];
+  run_on eng (fun () ->
+      let fh, _ = ok_or_fail "create" (Client.create_file cl Ensemble.root "doomed") in
+      ignore (ok_or_fail "write" (Client.write_at cl fh ~off:0L ~data:(Nfs.Synthetic 65536) ()));
+      check_bool "written before the crash" true (Engine.now eng < 1.0);
+      Engine.sleep eng (1.5 -. Engine.now eng);
+      ok_or_fail "remove" (Client.remove cl Ensemble.root "doomed"));
+  check_bool "the run outlived the coordinator call's timeout" true (Engine.now eng > 10.0)
+
 (* ---- mirrored writes must not mask a replica failure ---- *)
 
 let mirror_failure_not_masked () =
@@ -627,6 +647,7 @@ let suite =
     ("partition drops and heals", `Quick, partition_drops_and_heals);
     ("crash window silences node", `Quick, crash_window_silences_node);
     ("commit to a dead small-file server", `Quick, commit_to_dead_smallfile);
+    ("remove with the coordinator's host down", `Quick, remove_with_coordinator_host_down);
     ("crashed source transmits nothing", `Quick, crashed_source_transmits_nothing);
     ("fault-free runs identical", `Quick, faultfree_runs_identical);
     ("schedule: due actions apply at once", `Quick, due_actions_apply_at_once);
