@@ -230,14 +230,17 @@ let peer_update ?(span = Trace.null) t ~site build =
 (* ---- data-plane cleanup (remove / truncate) ---- *)
 
 let remove_file_data t (fh : Fh.t) =
-  (* Fire-and-forget: the coordinator's intention log owns completion. *)
+  (* Fire-and-forget: the coordinator's intention log owns completion.
+     An unreachable coordinator ends the fiber, not the run; no intent
+     was logged then, so the data stays behind. *)
   match (t.cfg.data_sites fh, t.cfg.coordinator fh) with
   | [], _ | _, None -> ()
   | sites, Some (addr, port) ->
       Engine.spawn t.host.Host.eng (fun () ->
           let xid = Rpc.fresh_xid t.rpc in
           let payload = Ctrl.encode_msg ~xid (Ctrl.Remove_file { fh; sites }) in
-          ignore (Rpc.call t.rpc ~timeout:2.0 ~dst:addr ~dport:port payload))
+          try ignore (Rpc.call t.rpc ~timeout:2.0 ~dst:addr ~dport:port payload)
+          with Rpc.Timeout -> ())
 
 (* ---- attribute access across sites ---- *)
 
