@@ -41,22 +41,6 @@ type result = {
   elapsed : float;
 }
 
-let collect ens clients proxies ~errors =
-  let net = Ensemble.net ens in
-  {
-    ops = Array.fold_left (fun a c -> a + Client.ops_completed c) 0 clients;
-    errors;
-    retransmissions = Array.fold_left (fun a c -> a + Client.retransmissions c) 0 clients;
-    stale_bounces = Array.fold_left (fun a p -> a + Proxy.stale_bounces p) 0 proxies;
-    expired_pending = Array.fold_left (fun a p -> a + Proxy.expired_pending p) 0 proxies;
-    pending_at_quiesce = Array.fold_left (fun a p -> a + Proxy.pending_size p) 0 proxies;
-    packets_dropped = Net.packets_dropped net;
-    fault_drops =
-      (let c = Net.fault_counts net in
-       c.Net.node_drops + c.Net.link_drops + c.Net.partition_drops);
-    elapsed = Engine.now (Ensemble.engine ens);
-  }
-
 let run workload schedule =
   let ens =
     Ensemble.create
@@ -108,13 +92,23 @@ let run workload schedule =
            })
           .Specsfs.errors
   in
-  collect ens clients proxies ~errors
+  let net = Ensemble.net ens in
+  let c = Net.fault_counts net in
+  {
+    ops = Array.fold_left (fun a c -> a + Client.ops_completed c) 0 clients;
+    errors;
+    retransmissions = Array.fold_left (fun a c -> a + Client.retransmissions c) 0 clients;
+    stale_bounces = Array.fold_left (fun a p -> a + Proxy.stale_bounces p) 0 proxies;
+    expired_pending = Array.fold_left (fun a p -> a + Proxy.expired_pending p) 0 proxies;
+    pending_at_quiesce = Array.fold_left (fun a p -> a + Proxy.pending_size p) 0 proxies;
+    packets_dropped = Net.packets_dropped net;
+    fault_drops = c.Net.node_drops + c.Net.link_drops + c.Net.partition_drops;
+    elapsed = Engine.now eng;
+  }
 
 let report () =
   let runs = List.map (fun (label, w, schedule) -> (label, run w schedule)) exhibit in
-  let clean_retransmissions =
-    match runs with (_, clean) :: _ -> clean.retransmissions | [] -> 0
-  in
+  let clean_retransmissions = match runs with (_, r) :: _ -> r.retransmissions | [] -> 0 in
   let row (label, (r : result)) =
     Report.row ~label
       ~paper:"0 lost"

@@ -18,13 +18,8 @@ type node = {
   handlers : (int, Packet.t -> unit) Hashtbl.t;
 }
 
-type link = {
-  src : Packet.addr option;
-  dst : Packet.addr option;
-  drop : float;
-  delay : float;
-  dup : float;
-}
+type link =
+  { src : Packet.addr option; dst : Packet.addr option; drop : float; delay : float; dup : float }
 
 type fault = Loss of float | Link of link | Partition of Packet.addr list | Heal
 
@@ -36,11 +31,8 @@ type faults = { loss : float; cut : Packet.addr list; links : link list }
 let no_faults = { loss = 0.0; cut = []; links = [] }
 
 type fault_counts = {
-  mutable loss_drops : int;
-  mutable node_drops : int;
-  mutable link_drops : int;
-  mutable partition_drops : int;
-  mutable duplicates : int;
+  mutable loss_drops : int; mutable node_drops : int; mutable link_drops : int;
+  mutable partition_drops : int; mutable duplicates : int;
 }
 
 type t = {
