@@ -571,9 +571,7 @@ let metrics t =
   g "net.packets_sent" (fun () -> Net.packets_sent t.net_);
   g "net.bytes_sent" (fun () -> Net.bytes_sent t.net_);
   g "net.packets_dropped" (fun () -> Net.packets_dropped t.net_);
-  g "net.fault_drops" (fun () ->
-      let c = Net.fault_counts t.net_ in
-      c.Net.node_drops + c.Net.link_drops + c.Net.partition_drops);
+  g "net.fault_drops" (fun () -> Net.fault_drops t.net_);
   g "proxy.intercepted" (sum_proxies Proxy.packets_intercepted);
   g "proxy.replies" (sum_proxies Proxy.replies_processed);
   g "proxy.routed_storage" (sum_proxies Proxy.routed_to_storage);

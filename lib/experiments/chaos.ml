@@ -93,7 +93,6 @@ let run workload schedule =
           .Specsfs.errors
   in
   let net = Ensemble.net ens in
-  let c = Net.fault_counts net in
   {
     ops = Array.fold_left (fun a c -> a + Client.ops_completed c) 0 clients;
     errors;
@@ -102,7 +101,7 @@ let run workload schedule =
     expired_pending = Array.fold_left (fun a p -> a + Proxy.expired_pending p) 0 proxies;
     pending_at_quiesce = Array.fold_left (fun a p -> a + Proxy.pending_size p) 0 proxies;
     packets_dropped = Net.packets_dropped net;
-    fault_drops = c.Net.node_drops + c.Net.link_drops + c.Net.partition_drops;
+    fault_drops = Net.fault_drops net;
     elapsed = Engine.now eng;
   }
 

@@ -31,8 +31,8 @@ type faults = { loss : float; cut : Packet.addr list; links : link list }
 let no_faults = { loss = 0.0; cut = []; links = [] }
 
 type fault_counts = {
-  mutable loss_drops : int; mutable node_drops : int; mutable link_drops : int;
-  mutable partition_drops : int; mutable duplicates : int;
+  mutable node_drops : int; mutable link_drops : int; mutable partition_drops : int;
+  mutable duplicates : int;
 }
 
 type t = {
@@ -76,8 +76,7 @@ let create eng ?(seed = 1) () =
     dropped = 0;
     xid_counter = 0;
     faults = no_faults;
-    counts =
-      { loss_drops = 0; node_drops = 0; link_drops = 0; partition_drops = 0; duplicates = 0 };
+    counts = { node_drops = 0; link_drops = 0; partition_drops = 0; duplicates = 0 };
     free_dl = no_delivery;
   }
 
@@ -222,10 +221,7 @@ let rec through_links t (pkt : Packet.t) ~tx_done ~delay ~dup = function
    random stream as it was. *)
 let transmit_faulty t (pkt : Packet.t) ~tx_done =
   let fs = t.faults in
-  if fs.loss > 0.0 && Slice_util.Prng.float t.prng 1.0 < fs.loss then begin
-    t.dropped <- t.dropped + 1;
-    t.counts.loss_drops <- t.counts.loss_drops + 1
-  end
+  if fs.loss > 0.0 && Slice_util.Prng.float t.prng 1.0 < fs.loss then t.dropped <- t.dropped + 1
   else if fs.cut <> [] && List.mem pkt.src fs.cut <> List.mem pkt.dst fs.cut then begin
     t.dropped <- t.dropped + 1;
     t.counts.partition_drops <- t.counts.partition_drops + 1
@@ -280,6 +276,7 @@ let fault t f =
   t.faults <- (if fs.loss = 0.0 && fs.cut = [] && fs.links = [] then no_faults else fs)
 
 let fault_counts t = t.counts
+let fault_drops t = t.counts.node_drops + t.counts.link_drops + t.counts.partition_drops
 
 let packets_sent t = t.sent
 let bytes_sent t = t.bytes

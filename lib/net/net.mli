@@ -98,7 +98,6 @@ val set_node_up : t -> Packet.addr -> bool -> unit
 val node_up : t -> Packet.addr -> bool
 
 type fault_counts = private {
-  mutable loss_drops : int;
   mutable node_drops : int;  (** lost to a down node (either endpoint) *)
   mutable link_drops : int;
   mutable partition_drops : int;
@@ -106,7 +105,12 @@ type fault_counts = private {
 }
 
 val fault_counts : t -> fault_counts
-(** The live counters; each loss also counts in {!packets_dropped}. *)
+(** The live counters; each of these drops also counts in
+    {!packets_dropped}, and so does iid loss, which has no counter of its
+    own. *)
+
+val fault_drops : t -> int
+(** Node, link and partition drops: every loss but iid loss. *)
 
 (** {2 Accounting} *)
 
