@@ -43,3 +43,9 @@ let expect_err label expected = function
            (fun fmt s -> Format.pp_print_string fmt (Slice_nfs.Nfs.status_name s))
            ( = ))
         label expected st
+
+(* The workload and fault schedule of one row of the chaos exhibit. *)
+let chaos_row label =
+  match List.find_opt (fun (l, _, _) -> l = label) Slice_experiments.Chaos.exhibit with
+  | Some (_, w, schedule) -> (w, schedule)
+  | None -> Alcotest.failf "no chaos row %S" label

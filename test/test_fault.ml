@@ -408,11 +408,6 @@ let mirror_failure_not_masked () =
 
 (* ---- chaos: real workloads under loss and crash ---- *)
 
-let chaos_row label =
-  match List.find_opt (fun (l, _, _) -> l = label) Chaos.exhibit with
-  | Some (_, w, schedule) -> (w, schedule)
-  | None -> Alcotest.failf "no chaos row %S" label
-
 let clean_run_is_quiet () =
   let r = Chaos.run Chaos.Untar [] in
   check_int "no errors" 0 r.Chaos.errors;

@@ -44,9 +44,8 @@ let tree_well_formed_under_chaos () =
       ~finally:(fun () -> Slice.Params.trace_force := false)
       (fun () ->
         ignore (Slice.Ensemble.drain_traces ());
-        match List.find_opt (fun (l, _, _) -> l = "untar, 2% loss + dir crash") Chaos.exhibit with
-        | Some (_, w, schedule) -> Chaos.run w schedule
-        | None -> Alcotest.fail "no dir-crash chaos row")
+        let w, schedule = chaos_row "untar, 2% loss + dir crash" in
+        Chaos.run w schedule)
   in
   check_int "chaos oracle still clean" 0 r.Chaos.errors;
   let traces = Slice.Ensemble.drain_traces () in
