@@ -28,7 +28,7 @@ type schedule = (float * action) list
 val install : Ensemble.t -> schedule -> unit
 (** Apply [schedule] to the ensemble. Actions due at or before the
     current time apply at once, in the caller, before any packet moves —
-    so a loss due at 0 draws the same PRNG stream as a LAN created lossy.
+    so a loss due at 0, installed before the run, covers every packet.
     A crash can park (a directory server or the coordinator re-hardens
     its journal), so install from a fiber when one is due at once. Each
     later instant runs its actions in list order on one fiber started at
