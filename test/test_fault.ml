@@ -451,7 +451,6 @@ let specsfs_with_node_crash () =
    partition never saw its redo. The redo must re-arm the probe and only
    retire once every participant acks. *)
 let coordinator_redo_waits_for_partition_heal () =
-  let module Coordinator = Slice_storage.Coordinator in
   let module Ctrl = Slice_storage.Ctrl in
   let eng = Engine.create () in
   let net = Net.create eng () in
@@ -511,7 +510,6 @@ let coordinator_redo_waits_for_partition_heal () =
    twice (a standby crashing mid-replay and starting over) must not
    resurrect retired intents. *)
 let coordinator_takeover_completes_2pc () =
-  let module Coordinator = Slice_storage.Coordinator in
   let module Ctrl = Slice_storage.Ctrl in
   let eng = Engine.create () in
   let net = Net.create eng () in
