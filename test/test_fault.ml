@@ -251,6 +251,62 @@ let soft_state_loss_mid_run () =
   in
   check_bool "the discards cost cache hits" true (lost < kept)
 
+(* A create parked in the journal's group commit when its directory
+   server crashes was never made durable, so it must not be answered:
+   the client retransmits after recovery and the create runs again. At
+   each of these crash instants a create sat in a dropped round. Two
+   clients create 300 files each in their own directory over two
+   name-hashed directory servers; dir 0 crashes at [at] and recovers
+   0.5 s later. Every create answered OK must then resolve, and each
+   directory must list all 300. The µproxy's name cache is off: its
+   lease would answer the lookups for a lost entry. *)
+let dir_crash_keeps_acked_creates () =
+  let run at =
+    let ens =
+      Ensemble.create
+        {
+          Ensemble.default_config with
+          dir_servers = 2;
+          proxy_params =
+            { Slice.Params.default with name_policy = Slice.Params.Name_hashing; meta_cache_ttl = 0.0 };
+        }
+    in
+    let eng = Ensemble.engine ens in
+    Fault.install ens [ (at, Crash (Server (Dir, 0))); (at +. 0.5, Recover (Server (Dir, 0))) ];
+    let clients =
+      List.init 2 (fun i ->
+          let host, _ = Ensemble.add_client ens ~name:(Printf.sprintf "c%d" i) in
+          Client.create host ~server:(Ensemble.virtual_addr ens) ())
+    in
+    let acked = ref [] and dirs = ref [] in
+    List.iteri
+      (fun i cl ->
+        Engine.spawn eng (fun () ->
+            let d, _ = ok_or_fail "mkdir" (Client.mkdir cl Ensemble.root (Printf.sprintf "d%d" i)) in
+            dirs := (cl, d) :: !dirs;
+            for k = 1 to 300 do
+              let name = Printf.sprintf "f%03d" k in
+              match Client.create_file cl d name with
+              | Ok _ -> acked := (cl, d, name) :: !acked
+              | Error _ -> ()
+            done))
+      clients;
+    Engine.run eng;
+    check_int (Printf.sprintf "crash at %g: every create answered" at) 600 (List.length !acked);
+    run_on eng (fun () ->
+        let lost =
+          List.filter (fun (cl, d, name) -> Result.is_error (Client.lookup cl d name)) !acked
+        in
+        check_int (Printf.sprintf "crash at %g: acknowledged creates lost" at) 0 (List.length lost);
+        List.iter
+          (fun (cl, d) ->
+            match Client.readdir_all cl d with
+            | Ok entries -> check_int (Printf.sprintf "crash at %g: listing" at) 300 (List.length entries)
+            | Error st -> Alcotest.failf "readdir: %s" (Nfs.status_name st))
+          !dirs)
+  in
+  List.iter run [ 0.0203; 0.0407; 0.0507; 0.0611; 0.0713; 0.0809 ]
+
 (* ---- RPC exponential backoff ---- *)
 
 let backoff_schedule () =
@@ -643,6 +699,7 @@ let suite =
     ("schedule: one instant in list order", `Quick, one_instant_in_list_order);
     ("schedule: bad schedule rejected", `Quick, bad_schedule_rejected);
     ("schedule: µproxy soft-state loss mid-run", `Quick, soft_state_loss_mid_run);
+    ("dir crash keeps acknowledged creates", `Quick, dir_crash_keeps_acked_creates);
     ("rpc backoff schedule", `Quick, backoff_schedule);
     ("rpc backoff cap", `Quick, backoff_cap);
     ("dead node expires pending", `Quick, dead_node_expires_pending);
