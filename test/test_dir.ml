@@ -334,6 +334,30 @@ let checkpoint_then_recover () =
       ignore (ok_or_fail "lookup late" (lookup rig Fh.root "late"));
       ignore (ok_or_fail "lookup early" (lookup rig Fh.root "s2")))
 
+(* A crash while the checkpoint's snapshot is still on its way to disk
+   must leave the old journal in place: six creates, a checkpoint in a
+   fiber of its own, a crash 1 µs later, then recovery. *)
+let crash_mid_checkpoint () =
+  let rig = mk_rig ~nsites:1 () in
+  let d = rig.dirs.(0) in
+  run_on rig.eng (fun () ->
+      for i = 0 to 5 do
+        ignore (ok_or_fail "c" (create rig Fh.root (Printf.sprintf "s%d" i)))
+      done;
+      let before = dir_state rig 0 in
+      let outcome = ref "running" in
+      Engine.spawn rig.eng (fun () ->
+          match Dirserver.checkpoint d with
+          | () -> outcome := "done"
+          | exception e -> outcome := Printexc.to_string e);
+      Engine.sleep rig.eng 1e-6;
+      Dirserver.crash d;
+      Dirserver.recover d;
+      check_bool "state from the old journal" true (dir_state rig 0 = before);
+      ignore (ok_or_fail "lookup" (lookup rig Fh.root "s3"));
+      Engine.sleep rig.eng 0.1;
+      check_bool "the cut-off checkpoint ended" true (!outcome <> "running"))
+
 let mint_counter_survives_recovery () =
   let rig = mk_rig ~nsites:1 () in
   run_on rig.eng (fun () ->
@@ -364,6 +388,7 @@ let suite =
     ("getattr stale", `Quick, getattr_stale);
     ("crash/recover preserves state", `Quick, crash_recover_preserves_state);
     ("checkpoint then recover", `Quick, checkpoint_then_recover);
+    ("crash mid-checkpoint keeps the old journal", `Quick, crash_mid_checkpoint);
     ("mint counter survives recovery", `Quick, mint_counter_survives_recovery);
   ]
 
