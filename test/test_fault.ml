@@ -170,6 +170,28 @@ let due_actions_apply_at_once () =
   Net.send net (pkt ~src:a ~dst:b);
   check_int "partition already in force" 1 (Net.fault_counts net).Net.partition_drops;
   check_bool "crash already applied" false (Ensemble.is_up ens Storage 1);
+  Ensemble.run ens;
+  (* The journal writers too: with a directory server's and the
+     coordinator's journals non-empty, their due crashes apply outside
+     any fiber and take no simulated time. *)
+  let ens = small_ensemble () in
+  let eng = Ensemble.engine ens in
+  let coord =
+    match Ensemble.coordinator ens with Some c -> c | None -> Alcotest.fail "no coordinator"
+  in
+  let host, _ = Ensemble.add_client ens ~name:"writer" in
+  let cl = Client.create host ~server:(Ensemble.virtual_addr ens) () in
+  run_on eng (fun () ->
+      let fh, _ = ok_or_fail "create" (Client.create_file cl Ensemble.root "doomed") in
+      ignore (ok_or_fail "write" (Client.write_at cl fh ~off:0L ~data:(Nfs.Data "bytes") ()));
+      ignore (ok_or_fail "remove" (Client.remove cl Ensemble.root "doomed")));
+  check_bool "the coordinator journaled an intent" true (Coordinator.intents_logged coord > 0);
+  let t0 = Engine.now eng in
+  Fault.install ens [ (t0, Crash Coordinator) ];
+  check_bool "coordinator down" false (Coordinator.is_up coord);
+  Fault.install ens [ (t0, Crash (Server (Dir, 0))) ];
+  check_bool "directory server down" false (Ensemble.is_up ens Dir 0);
+  check_float "no simulated time spent" t0 (Engine.now eng);
   Ensemble.run ens
 
 (* One instant's actions apply in list order, each on the state the one
