@@ -52,7 +52,7 @@ type t = {
   rpc : Rpc.t;
   trace : Trace.t option;
   tenure : Tenure.t; (* logical sites hosted here, drains, load, fencing lease *)
-  mutable wal : Wal.t;
+  wal : Wal.t;
   mutable next_file : int;
   mutable next_op : int64;
   mutable ops : int;
@@ -611,9 +611,13 @@ let serve_peer t =
                     ~site:(Host.name t.host) ()
                 in
                 Host.cpu t.host per_peer_op_cost;
-                let reply = handle_peer t msg in
-                Trace.finish span;
-                Nfs_endpoint.reply_to t.host pkt (Peer.encode_reply ~xid reply)))
+                (* A crash that drops the update's journal round sends
+                   no reply: the sender re-sends after recovery. *)
+                match handle_peer t msg with
+                | reply ->
+                    Trace.finish span;
+                    Nfs_endpoint.reply_to t.host pkt (Peer.encode_reply ~xid reply)
+                | exception Wal.Crashed -> ()))
 
 let install_root t =
   (* runs as a fiber at time 0: the log sync parks *)
@@ -629,11 +633,6 @@ let install_root t =
     log_cell t Fh.root.Fh.file_id c;
     sync_log t
   end
-
-let make_wal (host : Host.t) =
-  match host.Host.disk with
-  | Some disk -> Wal.create ~eng:host.Host.eng ~disk ~name:"dir.wal" ()
-  | None -> Wal.create ~name:"dir.wal" ()
 
 (* lint: F1 ok — bootstrap: installs the root cell before the server is exposed to clients; no deposed instance can exist yet *)
 let attach host ?trace ?qos cfg =
@@ -654,7 +653,10 @@ let attach host ?trace ?qos cfg =
       prepares = Hashtbl.create 16;
       rpc = Rpc.create host.Host.net host.Host.addr ~port:2053;
       tenure = Tenure.create (cfg.logical_id :: cfg.also_owns);
-      wal = make_wal host;
+      wal =
+        (match host.Host.disk with
+        | Some disk -> Wal.create ~eng:host.Host.eng ~disk ~name:"dir.wal" ()
+        | None -> Wal.create ~name:"dir.wal" ());
       next_file = 1;
       next_op = Int64.of_int (cfg.logical_id * 100_000_000);
       ops = 0;
@@ -690,20 +692,13 @@ let reset_volatile t =
   Hashtbl.reset t.applied;
   Hashtbl.reset t.prepares
 
-(* lint: F1 ok — crash simulation: rebuilding the surviving journal image models the disk, not a client-visible mutation *)
 let crash t =
   t.up <- false;
   (* A drain in progress is volatile control-plane state: the migration
      aborts and the recovered server serves the site normally again. *)
   Tenure.clear_drains t.tenure;
-  let image = Wal.image t.wal in
   reset_volatile t;
-  let wal = make_wal t.host in
-  ignore
-    (Wal.replay image (fun ~lsn:_ ~rtype payload ->
-         ignore (Wal.append_with wal ~rtype Enc.raw payload)));
-  Wal.sync wal;
-  t.wal <- wal
+  Wal.crash t.wal
 
 let apply_record t ~rtype payload =
   let d = Dec.of_bytes (Bytes.of_string payload) in
@@ -767,16 +762,18 @@ let recover t =
      op id so re-delivery is harmless. *)
   let pending = Hashtbl.fold (fun op_id v acc -> (op_id, v) :: acc) t.prepares [] in
   Engine.spawn t.host.Host.eng (fun () ->
-      List.iter
-        (fun (op_id, (site, msg_bytes)) ->
-          match Peer.decode_msg (Bytes.of_string msg_bytes) with
-          | _, msg ->
-              ignore (peer_call t ~site msg);
-              Hashtbl.remove t.prepares op_id;
-              log t rt_commit Enc.u64 op_id;
-              sync_log t
-          | exception Codec.Malformed _ -> ())
-        pending)
+      try
+        List.iter
+          (fun (op_id, (site, msg_bytes)) ->
+            match Peer.decode_msg (Bytes.of_string msg_bytes) with
+            | _, msg ->
+                ignore (peer_call t ~site msg);
+                Hashtbl.remove t.prepares op_id;
+                log t rt_commit Enc.u64 op_id;
+                sync_log t
+            | exception Codec.Malformed _ -> ())
+          pending
+      with Wal.Crashed -> ())
 
 let log_image t = Wal.image t.wal
 
@@ -815,9 +812,8 @@ let enc_snapshot e t =
 
 (* lint: F1 ok — journal compaction is operator-driven control plane, not client dispatch; it rewrites, never extends, history *)
 let checkpoint t =
-  Wal.checkpoint t.wal;
-  log t rt_snapshot enc_snapshot t;
+  let from = Wal.append_with t.wal ~rtype:rt_snapshot enc_snapshot t in
   (* Preserve dedup state and outstanding prepares across the checkpoint. *)
   Hashtbl.iter (fun op_id () -> log t rt_applied Enc.u64 op_id) t.applied;
   Hashtbl.iter (fun op_id (site, msg) -> log t rt_prepare enc_prepare (op_id, site, msg)) t.prepares;
-  sync_log t
+  Wal.checkpoint t.wal ~from

@@ -109,11 +109,15 @@ val host : t -> Slice_storage.Host.t
     their lease-renewal endpoint on it). *)
 
 val crash : t -> unit
-(** Drop all volatile state; only synced log records survive. *)
+(** Drop all volatile state and {!Slice_wal.Wal.crash} the log: only
+    synced records survive. Takes no simulated time. A request whose
+    journal round the crash dropped ends without a reply. *)
 
 val recover : t -> unit
 (** Rebuild cells from the log; re-send prepared-but-uncommitted peer
     updates; resume service. *)
 
 val checkpoint : t -> unit
-(** Fold the log into a snapshot record (bounds log growth). *)
+(** Fiber: fold the log into a snapshot record (bounds log growth). The
+    old log is dropped only once the snapshot is stable; a crash before
+    then raises {!Slice_wal.Wal.Crashed} and leaves the old log whole. *)

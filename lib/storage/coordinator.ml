@@ -25,7 +25,7 @@ type t = {
   trace : Trace.t option;
   probe_timeout : float;
   map_sites : int array;
-  mutable wal : Wal.t;
+  wal : Wal.t;
   intents : (int64, intent) Hashtbl.t;
   maps : (int64, int array ref) Hashtbl.t; (* fileID -> site per block-map chunk *)
   mutable next_op : int64;
@@ -59,7 +59,7 @@ let log_complete t op_id =
      force-synced (the paper amortizes these off the critical path). *)
   ignore (Wal.append_with t.wal ~rtype:rt_complete enc_record (Ctrl.Complete { op_id }))
 
-(* Journal a replayed record unchanged (crash rebuild, takeover). *)
+(* Journal a replayed record unchanged (takeover). *)
 let reappend wal ~lsn:_ ~rtype payload =
   ignore (Wal.append_with wal ~rtype Slice_xdr.Xdr.Enc.raw payload)
 
@@ -179,35 +179,39 @@ let handle_msg t (pkt : Packet.t) =
               reply Ctrl.Nack
             end
             else
-            (match msg with
-            | Ctrl.Intent { op_id; kind; fh; participants } ->
-                let i = { kind; fh; participants; completed = false } in
-                Hashtbl.replace t.intents op_id i;
-                log_intent ~span t op_id i;
-                schedule_probe t op_id;
-                reply Ctrl.Ack
-            | Ctrl.Complete { op_id } ->
-                (match Hashtbl.find_opt t.intents op_id with
-                | Some i when not i.completed -> retire t op_id i
-                | _ -> ());
-                reply Ctrl.Ack
-            | Ctrl.Remove_file { fh; sites } ->
-                file_op ~span t Ctrl.K_remove fh sites;
-                reply Ctrl.Ack
-            | Ctrl.Commit_file { fh; sites } ->
-                file_op ~span t Ctrl.K_commit fh sites;
-                reply Ctrl.Ack
-            | Ctrl.Get_map { fh; first_block; count } -> (
-                match sites_for t fh (first_block + count - 1) with
-                | None -> reply Ctrl.Nack
-                | Some _ ->
-                    let sites =
-                      Array.init count (fun k ->
-                          match sites_for t fh (first_block + k) with
-                          | Some s -> s
-                          | None -> -1)
-                    in
-                    reply (Ctrl.Map { first_block; sites }))))
+              (* A crash that drops an intent's journal round sends no
+                 reply: the requester retries after recovery. *)
+              try
+                match msg with
+                | Ctrl.Intent { op_id; kind; fh; participants } ->
+                    let i = { kind; fh; participants; completed = false } in
+                    Hashtbl.replace t.intents op_id i;
+                    log_intent ~span t op_id i;
+                    schedule_probe t op_id;
+                    reply Ctrl.Ack
+                | Ctrl.Complete { op_id } ->
+                    (match Hashtbl.find_opt t.intents op_id with
+                    | Some i when not i.completed -> retire t op_id i
+                    | _ -> ());
+                    reply Ctrl.Ack
+                | Ctrl.Remove_file { fh; sites } ->
+                    file_op ~span t Ctrl.K_remove fh sites;
+                    reply Ctrl.Ack
+                | Ctrl.Commit_file { fh; sites } ->
+                    file_op ~span t Ctrl.K_commit fh sites;
+                    reply Ctrl.Ack
+                | Ctrl.Get_map { fh; first_block; count } -> (
+                    match sites_for t fh (first_block + count - 1) with
+                    | None -> reply Ctrl.Nack
+                    | Some _ ->
+                        let sites =
+                          Array.init count (fun k ->
+                              match sites_for t fh (first_block + k) with
+                              | Some s -> s
+                              | None -> -1)
+                        in
+                        reply (Ctrl.Map { first_block; sites }))
+              with Wal.Crashed -> ())
 
 (* The control port, and the port of the coordinator's own calls to
    storage nodes. *)
@@ -263,21 +267,12 @@ let completions t = t.completed_count
 let redos t = t.redo_count
 let map_entries t = Hashtbl.length t.maps
 
-(* lint: F1 ok — crash simulation: rebuilding the synced log image models the disk, not a client-visible mutation *)
 let crash t =
   t.up <- false;
   (* Volatile state is lost; only the synced log image survives. *)
-  let image = Wal.image t.wal in
   Hashtbl.reset t.intents;
   Hashtbl.reset t.maps;
-  let wal = match t.host.Host.disk with
-    | Some disk -> Wal.create ~eng:t.host.Host.eng ~disk ~name:"coord.wal" ()
-    | None -> Wal.create ~name:"coord.wal" ()
-  in
-  (* Seed the fresh log with the surviving records so recover can scan it. *)
-  ignore (Wal.replay image (reappend wal));
-  Wal.sync wal;
-  t.wal <- wal
+  Wal.crash t.wal
 
 let recover t =
   (* Scan the intentions log: rebuild the table, then drive incomplete

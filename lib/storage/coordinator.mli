@@ -53,8 +53,10 @@ val redos : t -> int
 val map_entries : t -> int
 
 val crash : t -> unit
-(** Stop service and discard all volatile state; only the synced log
-    image survives (unsynced log records are torn away). *)
+(** Stop service and discard all volatile state; {!Slice_wal.Wal.crash}
+    keeps only the synced log image (unsynced log records are torn
+    away). Takes no simulated time. An intent whose journal round the
+    crash dropped is not acknowledged. *)
 
 val recover : t -> unit
 (** Replay the surviving log, redo incomplete intentions, resume

@@ -60,7 +60,9 @@ let drc_capacity = 512
 
 (* Run the handler, then encode its reply once and send it. The trace
    calls run only on live spans. Completion moves the xid from [running]
-   to [done_], evicting the oldest completed entry past capacity. *)
+   to [done_], evicting the oldest completed entry past capacity. A
+   handler whose journal round a crash dropped ends without a reply and
+   leaves no row: the client's retransmission runs the call afresh. *)
 let execute s (pkt : Packet.t) xid call =
   let parent = Trace.span_of_xid s.trace xid in
   let span =
@@ -70,17 +72,19 @@ let execute s (pkt : Packet.t) xid call =
   in
   let in_bytes = request_data_bytes call in
   Host.cpu s.host (s.cost.per_op +. (s.cost.per_byte *. float_of_int in_bytes));
-  let resp = s.handler span call in
-  let out_bytes = response_data_bytes resp in
-  if out_bytes > 0 then Host.cpu s.host (s.cost.per_byte *. float_of_int out_bytes);
-  if Trace.is_live span then
-    Trace.finish ~outcome:(match resp with Ok _ -> "ok" | Error e -> Nfs.status_name e) span;
-  let payload = Codec.encode_reply ~xid resp in
-  Slot_lru.remove s.running xid;
-  let i = Slot_lru.add s.done_ xid ~lease:infinity in
-  s.resp <- Slot_lru.fit s.done_ s.resp resp;
-  s.resp.(i) <- resp;
-  reply_to s.host pkt ~extra_size:(Codec.extra_size_of_response resp) payload
+  match s.handler span call with
+  | exception Slice_wal.Wal.Crashed -> Slot_lru.remove s.running xid
+  | resp ->
+      let out_bytes = response_data_bytes resp in
+      if out_bytes > 0 then Host.cpu s.host (s.cost.per_byte *. float_of_int out_bytes);
+      if Trace.is_live span then
+        Trace.finish ~outcome:(match resp with Ok _ -> "ok" | Error e -> Nfs.status_name e) span;
+      let payload = Codec.encode_reply ~xid resp in
+      Slot_lru.remove s.running xid;
+      let i = Slot_lru.add s.done_ xid ~lease:infinity in
+      s.resp <- Slot_lru.fit s.done_ s.resp resp;
+      s.resp.(i) <- resp;
+      reply_to s.host pkt ~extra_size:(Codec.extra_size_of_response resp) payload
 
 let receive s (pkt : Packet.t) =
   (* A crashed service is silent: no decode, no error reply — the client's

@@ -27,8 +27,11 @@ type t = {
   mutable appended_bytes : int;
   mutable syncs : int;
   mutable sync_inflight : bool;
+  mutable gen : int; (* crashes so far *)
   joiners : Engine.queue; (* waiting for the round in flight *)
 }
+
+exception Crashed
 
 let make name sink =
   {
@@ -43,6 +46,7 @@ let make name sink =
     appended_bytes = 0;
     syncs = 0;
     sync_inflight = false;
+    gen = 0;
     joiners = Engine.queue ();
   }
 
@@ -113,10 +117,13 @@ let rec stable_add t src off n =
     stable_add t src (off + take) (n - take)
   end
 
-(* Harden one encoder's contents and empty it for reuse. *)
-let harden t e =
+(* Harden one encoder's contents, the records up to [lsn], and empty it
+   for reuse. *)
+let harden t e lsn =
   stable_add t (Enc.buffer e) 0 (Enc.length e);
-  Enc.clear e
+  Enc.clear e;
+  if Int64.compare lsn t.synced > 0 then t.synced <- lsn;
+  t.syncs <- t.syncs + 1
 
 (* ---- group commit ---- *)
 
@@ -126,11 +133,14 @@ let harden t e =
    again meanwhile waits for the next round's wake-up. The round's bytes
    move to the spare area for the disk write, so appends during the
    write fill the emptied pending area. A record is stable exactly when
-   [sync] returns to the fiber that appended it. *)
-let rec sync_round t eng disk span =
-  if t.sync_inflight then begin
+   [sync] returns to the fiber that appended it. [gen] counts the
+   crashes before the caller came: a round that lands after a crash is
+   not hardened, and every caller parked across one raises [Crashed]. *)
+let rec sync_round t eng disk span gen =
+  if t.gen <> gen then raise Crashed
+  else if t.sync_inflight then begin
     Engine.wait eng t.joiners;
-    sync_round t eng disk span
+    sync_round t eng disk span gen
   end
   else if Enc.length t.pending > 0 then begin
     t.sync_inflight <- true;
@@ -141,31 +151,57 @@ let rec sync_round t eng disk span =
     let sp = Trace.child span ~hop:"wal" ~site:t.name () in
     Slice_disk.Disk.write disk ~span:sp ~sequential:true ~bytes:(Enc.length round) ();
     Trace.finish sp;
-    harden t round;
-    if Int64.compare covered_lsn t.synced > 0 then t.synced <- covered_lsn;
-    t.syncs <- t.syncs + 1;
+    if t.gen = gen then harden t round covered_lsn;
     t.sync_inflight <- false;
-    Engine.wake_all t.joiners
+    Engine.wake_all t.joiners;
+    if t.gen <> gen then raise Crashed
   end
 
 let sync ?(span = Trace.null) t =
   match t.sink with
-  | Immediate ->
-      if Enc.length t.pending > 0 then begin
-        harden t t.pending;
-        t.synced <- t.lsn;
-        t.syncs <- t.syncs + 1
-      end
-  | Disk (eng, disk) -> sync_round t eng disk span
+  | Immediate -> if Enc.length t.pending > 0 then harden t t.pending t.lsn
+  | Disk (eng, disk) -> sync_round t eng disk span t.gen
 
 let synced_lsn t = t.synced
 let bytes_appended t = t.appended_bytes
 let sync_count t = t.syncs
 
-let checkpoint t =
-  t.stable_len <- 0;
+(* The stable chunks stay as they are; the pending tail and the round
+   in flight (whose writer skips hardening it) are dropped. *)
+let crash t =
   Enc.clear t.pending;
-  t.synced <- t.lsn
+  Enc.clear t.spare;
+  t.lsn <- t.synced;
+  t.gen <- t.gen + 1
+
+(* The big-endian integer of the [n] stable bytes at [off]: a record
+   header may straddle two chunks. *)
+let rec stable_int t off n acc =
+  if n = 0 then acc
+  else
+    let b = Bytes.get_uint8 t.chunks.(off lsr chunk_bits) (off land (chunk_size - 1)) in
+    stable_int t (off + 1) (n - 1) ((acc lsl 8) lor b)
+
+(* Offset of the first stable record whose LSN is [from] or more. *)
+let rec offset_of t from off =
+  if off >= t.stable_len || stable_int t (off + 4) 8 0 >= from then off
+  else offset_of t from (off + 24 + stable_int t (off + 16) 4 0)
+
+(* Move [n] stable bytes down from [src] to [dst < src], a chunk piece
+   at a time, so no piece is overwritten before it is read. *)
+let rec stable_move t ~src ~dst n =
+  if n > 0 then begin
+    let src_at = src land (chunk_size - 1) and dst_at = dst land (chunk_size - 1) in
+    let take = min n (min (chunk_size - src_at) (chunk_size - dst_at)) in
+    Bytes.blit t.chunks.(src lsr chunk_bits) src_at t.chunks.(dst lsr chunk_bits) dst_at take;
+    stable_move t ~src:(src + take) ~dst:(dst + take) (n - take)
+  end
+
+let checkpoint t ~from =
+  sync t;
+  let cut = offset_of t (Int64.to_int from) 0 in
+  stable_move t ~src:cut ~dst:0 (t.stable_len - cut);
+  t.stable_len <- t.stable_len - cut
 
 (* The stable image followed by [extra] bytes of the pending area. *)
 let snapshot t extra =

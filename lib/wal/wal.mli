@@ -36,8 +36,13 @@ val append : t -> rtype:int -> string -> int64
 (** [append t ~rtype payload] is [append_with t ~rtype Enc.raw payload]:
     a payload already held as a string, copied once into the record. *)
 
+exception Crashed
+(** Raised by {!sync} and {!checkpoint} to a caller parked across a
+    {!crash}, whose records the crash dropped. *)
+
 val sync : ?span:Slice_trace.Trace.span -> t -> unit
-(** Fiber (when disk-backed): force buffered records stable.  A live
+(** Fiber (when disk-backed): force buffered records stable; it returns
+    only once the caller's records are, or raises {!Crashed}. A live
     [span] gets a ["wal"] child covering the commit round this caller
     led (fibers that join an in-flight round record the round they then
     lead, if any). A round's bytes stay out of {!image} and
@@ -45,15 +50,26 @@ val sync : ?span:Slice_trace.Trace.span -> t -> unit
     during the write are the unsynced tail. Fibers that joined a round
     resume when it lands, last to arrive first. *)
 
+val crash : t -> unit
+(** The host crashed: drop the pending tail and any round in flight, and
+    keep the stable image in place. No simulated time, no fiber. A round
+    whose write lands after the crash is not hardened; the next round
+    starts once that write is done. The next record takes the LSN after
+    the last stable one. *)
+
 val synced_lsn : t -> int64
 (** Highest LSN guaranteed stable. 0 when nothing is synced. *)
 
 val bytes_appended : t -> int
 val sync_count : t -> int
 
-val checkpoint : t -> unit
-(** Discard the log prefix (the owner has made its backing objects
-    reflect all logged updates). *)
+val checkpoint : t -> from:int64 -> unit
+(** Fiber (when disk-backed): sync, then drop every stable record before
+    LSN [from], the owner's snapshot, appended before the call. The
+    image holds the old log or the whole snapshot at every instant: a
+    crash before the snapshot is stable raises {!Crashed} and drops
+    nothing. A round in flight when the checkpoint starts lands before
+    the snapshot and is dropped with the prefix. *)
 
 val image : t -> string
 (** The stable on-disk image: synced records only. *)

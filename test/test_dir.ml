@@ -8,6 +8,7 @@ module Codec = Slice_nfs.Codec
 module Routekey = Slice_nfs.Routekey
 module Host = Slice_storage.Host
 module Dirserver = Slice_dir.Dirserver
+module Wal = Slice_wal.Wal
 
 type rig = {
   eng : Engine.t;
@@ -336,7 +337,8 @@ let checkpoint_then_recover () =
 
 (* A crash while the checkpoint's snapshot is still on its way to disk
    must leave the old journal in place: six creates, a checkpoint in a
-   fiber of its own, a crash 1 µs later, then recovery. *)
+   fiber of its own, a crash 1 µs later, then recovery. The checkpoint
+   raises [Wal.Crashed]. *)
 let crash_mid_checkpoint () =
   let rig = mk_rig ~nsites:1 () in
   let d = rig.dirs.(0) in
@@ -347,16 +349,41 @@ let crash_mid_checkpoint () =
       let before = dir_state rig 0 in
       let outcome = ref "running" in
       Engine.spawn rig.eng (fun () ->
-          match Dirserver.checkpoint d with
-          | () -> outcome := "done"
-          | exception e -> outcome := Printexc.to_string e);
+          outcome :=
+            match Dirserver.checkpoint d with () -> "done" | exception Wal.Crashed -> "crashed");
       Engine.sleep rig.eng 1e-6;
       Dirserver.crash d;
       Dirserver.recover d;
       check_bool "state from the old journal" true (dir_state rig 0 = before);
       ignore (ok_or_fail "lookup" (lookup rig Fh.root "s3"));
       Engine.sleep rig.eng 0.1;
-      check_bool "the cut-off checkpoint ended" true (!outcome <> "running"))
+      check_string "the checkpoint was cut off" "crashed" !outcome)
+
+(* A create whose journal round is in flight when a checkpoint starts:
+   the round lands before the snapshot, the create is answered, and the
+   snapshot that replaces the old log holds it. *)
+let checkpoint_during_create () =
+  let rig = mk_rig ~nsites:1 () in
+  let d = rig.dirs.(0) in
+  run_on rig.eng (fun () ->
+      ignore (ok_or_fail "c" (create rig Fh.root "early"));
+      let answered = ref false in
+      Engine.spawn rig.eng (fun () ->
+          ignore (ok_or_fail "in-flight create" (create rig Fh.root "inflight"));
+          answered := true);
+      (* the entry is applied just before its round starts *)
+      let n = Dirserver.entry_count d in
+      while Dirserver.entry_count d = n do
+        Engine.sleep rig.eng 1e-6
+      done;
+      Dirserver.checkpoint d;
+      Engine.sleep rig.eng 0.1;
+      check_bool "the create was answered" true !answered;
+      let before = dir_state rig 0 in
+      Dirserver.crash d;
+      Dirserver.recover d;
+      check_bool "state from the snapshot" true (dir_state rig 0 = before);
+      ignore (ok_or_fail "lookup" (lookup rig Fh.root "inflight")))
 
 let mint_counter_survives_recovery () =
   let rig = mk_rig ~nsites:1 () in
@@ -389,6 +416,7 @@ let suite =
     ("crash/recover preserves state", `Quick, crash_recover_preserves_state);
     ("checkpoint then recover", `Quick, checkpoint_then_recover);
     ("crash mid-checkpoint keeps the old journal", `Quick, crash_mid_checkpoint);
+    ("checkpoint during a create's round", `Quick, checkpoint_during_create);
     ("mint counter survives recovery", `Quick, mint_counter_survives_recovery);
   ]
 

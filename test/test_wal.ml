@@ -4,6 +4,11 @@ module Wal = Slice_wal.Wal
 module Disk = Slice_disk.Disk
 module Enc = Slice_xdr.Xdr.Enc
 
+let records img =
+  let seen = ref [] in
+  ignore (Wal.replay img (fun ~lsn ~rtype payload -> seen := (lsn, rtype, payload) :: !seen));
+  List.rev !seen
+
 let append_sync_replay () =
   let w = Wal.create ~name:"t" () in
   let l1 = Wal.append w ~rtype:1 "alpha" in
@@ -66,12 +71,14 @@ let checkpoint_truncates () =
   let w = Wal.create ~name:"t" () in
   ignore (Wal.append w ~rtype:1 "old");
   Wal.sync w;
-  Wal.checkpoint w;
-  ignore (Wal.append w ~rtype:2 "new");
+  let from = Wal.append w ~rtype:2 "snapshot" in
+  ignore (Wal.append w ~rtype:3 "after");
+  Wal.checkpoint w ~from;
+  ignore (Wal.append w ~rtype:4 "new");
   Wal.sync w;
   let seen = ref [] in
   ignore (Wal.replay (Wal.image w) (fun ~lsn:_ ~rtype:_ p -> seen := p :: !seen));
-  check_bool "only post-checkpoint" true (!seen = [ "new" ])
+  check_bool "the snapshot onward" true (List.rev !seen = [ "snapshot"; "after"; "new" ])
 
 let disk_backed_sync_takes_time () =
   run_fiber (fun eng ->
@@ -113,6 +120,69 @@ let engine_without_sink_rejected () =
     (Invalid_argument "Wal.create: a disk needs an engine") (fun () ->
       ignore (Wal.create ~disk ~name:"t" ()))
 
+(* Two group-commit callers cut off by a crash: the first leads a round
+   whose disk write is in flight, the second waits with its record in
+   the pending tail. The crash, a plain event outside any fiber, drops
+   both records; both callers raise [Crashed] once the dropped round's
+   write lands. A later append and sync land as the image's only record,
+   at LSN 1: the LSN after the last stable one. *)
+let crash_cuts_off_round () =
+  let eng = Engine.create () in
+  let d = Disk.create eng ~arms:1 ~name:"log" () in
+  let w = Wal.create ~eng ~disk:d ~name:"t" () in
+  let outcomes = ref [] in
+  List.iter
+    (fun name ->
+      Engine.spawn eng (fun () ->
+          ignore (Wal.append w ~rtype:1 name);
+          let outcome = match Wal.sync w with () -> "synced" | exception Wal.Crashed -> "crashed" in
+          outcomes := (name, outcome) :: !outcomes))
+    [ "a"; "b" ];
+  Engine.schedule eng 0.0 (fun () ->
+      check_int "round in flight" 0 (Wal.sync_count w);
+      Wal.crash w;
+      check_float "a crash takes no time" 0.0 (Engine.now eng));
+  Engine.run eng;
+  check_bool "both callers cut off" true
+    (List.sort compare !outcomes = [ ("a", "crashed"); ("b", "crashed") ]);
+  check_string "the image holds neither record" "" (Wal.image w);
+  check_bool "nothing synced" true (Wal.synced_lsn w = 0L);
+  run_on eng (fun () ->
+      check_bool "the next LSN follows the stable ones" true (Wal.append w ~rtype:2 "c" = 1L);
+      Wal.sync w);
+  check_bool "a later round lands" true (records (Wal.image w) = [ (1L, 2, "c") ])
+
+(* A round in flight when a checkpoint starts lands before the snapshot,
+   and its caller returns as usual: its record is stable, then dropped
+   with the prefix once the snapshot (which reflects it) is stable. A
+   crash while the snapshot's own round is in flight cuts the checkpoint
+   off and leaves that old log whole. *)
+let checkpoint_after_round_in_flight ~crash () =
+  let eng = Engine.create () in
+  let d = Disk.create eng ~arms:1 ~name:"log" () in
+  let w = Wal.create ~eng ~disk:d ~name:"t" () in
+  let lead = ref "running" and ckpt = ref "running" in
+  Engine.spawn eng (fun () ->
+      ignore (Wal.append w ~rtype:1 "old");
+      Wal.sync w;
+      lead := "synced";
+      (* the checkpoint, woken by this round, leads the next *)
+      check_bool "snapshot round in flight" true (records (Wal.image w) = [ (1L, 1, "old") ]);
+      if crash then Engine.schedule eng 0.0 (fun () -> Wal.crash w));
+  Engine.spawn eng (fun () ->
+      let from = Wal.append w ~rtype:2 "snap" in
+      ckpt := match Wal.checkpoint w ~from with () -> "done" | exception Wal.Crashed -> "crashed");
+  Engine.run eng;
+  check_string "the in-flight round's caller returns" "synced" !lead;
+  if crash then begin
+    check_string "checkpoint cut off" "crashed" !ckpt;
+    check_bool "the old log stands" true (records (Wal.image w) = [ (1L, 1, "old") ])
+  end
+  else begin
+    check_string "checkpoint done" "done" !ckpt;
+    check_bool "the snapshot alone" true (records (Wal.image w) = [ (2L, 2, "snap") ])
+  end
+
 (* ---- failover replay idempotency ----
 
    A hot standby adopts a dead manager's journal by replaying the shared
@@ -122,11 +192,6 @@ let engine_without_sink_rejected () =
    that crashes mid-adoption converges after re-replaying — the synced
    prefix survives its crash, and resuming with a skip count reproduces
    exactly the journal a crash-free adoption would have produced. *)
-
-let records img =
-  let seen = ref [] in
-  ignore (Wal.replay img (fun ~lsn ~rtype payload -> seen := (lsn, rtype, payload) :: !seen));
-  List.rev !seen
 
 let replay_twice_identical () =
   let donor = Wal.create ~name:"donor" () in
@@ -188,8 +253,12 @@ let crash_mid_adoption_converges () =
    A reference encoder of the on-disk record, kept here independent of
    the log's own: magic "WALR" (4), lsn (8), rtype (4), payload length
    (4), payload, then a CRC-32 (4) over everything before it, all
-   big-endian. A random mix of appends, syncs and checkpoints must leave
-   [image], [crash_image] and [replay] exactly where this model says. *)
+   big-endian. A random mix of appends, syncs, checkpoints, torn-write
+   pictures and crashes must leave [image], [crash_image] and [replay]
+   exactly where this model says. A checkpoint appends a snapshot
+   record, syncs, then drops every stable record before it. A crash
+   drops the pending records, and the next append takes the LSN after
+   the last synced one. *)
 
 let ref_record ~lsn ~rtype payload =
   let len = String.length payload in
@@ -202,25 +271,29 @@ let ref_record ~lsn ~rtype payload =
   Bytes.set_int32_be b (20 + len) (Slice_hash.Crc32.bytes b ~pos:0 ~len:(20 + len));
   Bytes.to_string b
 
-type op = Append of int * int * int | Sync | Checkpoint | Crash of int
+type op = Append of int * int * int | Sync | Checkpoint | Torn of int | Crash
 
 (* Payloads are described by (size, seed) so large ones stay cheap to
    generate and shrink: empty, small, and well past 64 KB. *)
 let payload_of_spec size seed = String.init size (fun i -> Char.chr ((seed + (i * 31)) land 0xFF))
 
+let append_gen =
+  QCheck2.Gen.(
+    map3
+      (fun rtype size seed -> Append (rtype, size, seed))
+      (int_range 0 0xFFFF)
+      (frequency [ (2, pure 0); (12, int_range 1 200); (1, int_range 65_000 150_000) ])
+      (int_range 0 255))
+
 let op_gen =
   QCheck2.Gen.(
     frequency
       [
-        ( 10,
-          map3
-            (fun rtype size seed -> Append (rtype, size, seed))
-            (int_range 0 0xFFFF)
-            (frequency [ (2, pure 0); (12, int_range 1 200); (1, int_range 65_000 150_000) ])
-            (int_range 0 255) );
+        (10, append_gen);
         (4, pure Sync);
         (1, pure Checkpoint);
-        (2, map (fun k -> Crash k) (int_range 0 400));
+        (2, map (fun k -> Torn k) (int_range 0 400));
+        (1, pure Crash);
       ])
 
 let format_matches_reference =
@@ -228,13 +301,20 @@ let format_matches_reference =
     QCheck2.Gen.(list_size (int_range 1 40) op_gen)
     (fun ops ->
       let w = Wal.create ~name:"t" () in
-      let stable = Buffer.create 256 and pending = Buffer.create 256 in
+      (* records newest first, as (lsn, rtype, payload) *)
       let stable_recs = ref [] and pending_recs = ref [] in
       let lsn = ref 0L and synced = ref 0L and appended = ref 0 in
+      let bytes recs =
+        String.concat "" (List.rev_map (fun (lsn, rtype, p) -> ref_record ~lsn ~rtype p) recs)
+      in
+      let append rtype p =
+        lsn := Int64.add !lsn 1L;
+        appended := !appended + 24 + String.length p;
+        pending_recs := (!lsn, rtype, p) :: !pending_recs;
+        Wal.append w ~rtype p = !lsn
+      in
       let sync_model () =
-        if Buffer.length pending > 0 then begin
-          Buffer.add_buffer stable pending;
-          Buffer.clear pending;
+        if !pending_recs <> [] then begin
           stable_recs := !pending_recs @ !stable_recs;
           pending_recs := [];
           synced := !lsn
@@ -245,32 +325,28 @@ let format_matches_reference =
       List.iter
         (fun op ->
           (match op with
-          | Append (rtype, size, seed) ->
-              let p = payload_of_spec size seed in
-              lsn := Int64.add !lsn 1L;
-              let r = ref_record ~lsn:!lsn ~rtype p in
-              Buffer.add_string pending r;
-              appended := !appended + String.length r;
-              pending_recs := (!lsn, rtype, p) :: !pending_recs;
-              expect (Wal.append w ~rtype p = !lsn)
+          | Append (rtype, size, seed) -> expect (append rtype (payload_of_spec size seed))
           | Sync ->
               Wal.sync w;
               sync_model ()
           | Checkpoint ->
-              Wal.checkpoint w;
-              Buffer.clear stable;
-              Buffer.clear pending;
-              stable_recs := [];
-              pending_recs := [];
-              synced := !lsn
-          | Crash k ->
-              let unsynced = Buffer.contents pending in
+              let from = Int64.add !lsn 1L in
+              expect (append 0 "snapshot");
+              Wal.checkpoint w ~from;
+              sync_model ();
+              stable_recs := List.filter (fun (l, _, _) -> Int64.compare l from >= 0) !stable_recs
+          | Torn k ->
+              let unsynced = bytes !pending_recs in
               let keep = min k (String.length unsynced) in
               expect
                 (Wal.crash_image w ~keep_unsynced_bytes:k
-                = Buffer.contents stable ^ String.sub unsynced 0 keep));
+                = bytes !stable_recs ^ String.sub unsynced 0 keep)
+          | Crash ->
+              Wal.crash w;
+              pending_recs := [];
+              lsn := !synced);
           let img = Wal.image w in
-          expect (img = Buffer.contents stable);
+          expect (img = bytes !stable_recs);
           expect (Wal.synced_lsn w = !synced);
           expect (Wal.bytes_appended w = !appended);
           expect (records img = List.rev !stable_recs))
@@ -279,7 +355,7 @@ let format_matches_reference =
       Wal.sync w;
       sync_model ();
       let img = Wal.image w in
-      expect (img = Buffer.contents stable);
+      expect (img = bytes !stable_recs);
       expect (Wal.replay img (fun ~lsn:_ ~rtype:_ _ -> ()) = List.length !stable_recs);
       !ok)
 
@@ -346,7 +422,7 @@ let append_words () =
   let step i =
     ignore (Sys.opaque_identity (Wal.append_with w ~rtype:3 Enc.raw payload));
     Wal.sync w;
-    if i land 63 = 0 then Wal.checkpoint w
+    if i land 63 = 0 then Wal.checkpoint w ~from:(Wal.synced_lsn w)
   in
   for i = 1 to 512 do
     step i
@@ -409,6 +485,9 @@ let suite =
     torn_tail_recovers_prefix;
     ("corrupt record stops replay", `Quick, corrupt_record_stops_replay);
     ("checkpoint truncates", `Quick, checkpoint_truncates);
+    ("crash cuts off a round", `Quick, crash_cuts_off_round);
+    ("checkpoint after a round in flight", `Quick, checkpoint_after_round_in_flight ~crash:false);
+    ("crash cuts off a checkpoint", `Quick, checkpoint_after_round_in_flight ~crash:true);
     ("disk-backed sync takes time", `Quick, disk_backed_sync_takes_time);
     ("group commit", `Quick, group_commit);
     ("engine without sink rejected", `Quick, engine_without_sink_rejected);
