@@ -99,8 +99,15 @@ let scan ?cmt_dir cfg roots =
   let extra = ref [] (* x1 and other non-pragma-bearing findings *) in
   let per_file : (string, Pragma.t list * Finding.t list) Hashtbl.t = Hashtbl.create 64 in
   let ordered_files = ref [] in
+  (* Only directories and sources are stat'ed, and an entry that
+     vanished since [readdir] is skipped: under [_build] the build may
+     still be replacing the artifacts beside the sources. *)
   let rec walk path =
-    if Sys.is_directory path then begin
+    if ends_with ~suffix:".ml" path || ends_with ~suffix:".mli" path then begin
+      ordered_files := path :: !ordered_files;
+      Hashtbl.replace per_file path (lint_file cfg path)
+    end
+    else if try Sys.is_directory path with Sys_error _ -> false then begin
       let entries =
         Sys.readdir path |> Array.to_list
         |> List.filter (fun f -> String.length f > 0 && f.[0] <> '.' && f.[0] <> '_')
@@ -108,10 +115,6 @@ let scan ?cmt_dir cfg roots =
       in
       extra := x1_dir cfg path entries @ !extra;
       List.iter (fun f -> walk (path ^ "/" ^ f)) entries
-    end
-    else if ends_with ~suffix:".ml" path || ends_with ~suffix:".mli" path then begin
-      ordered_files := path :: !ordered_files;
-      Hashtbl.replace per_file path (lint_file cfg path)
     end
   in
   List.iter walk roots;

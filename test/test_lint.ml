@@ -98,6 +98,21 @@ let no_false_positives () =
         || f.Finding.file = "lint_fixtures/x1/withint.ml"))
     x1.Driver.findings
 
+(* A directory entry that vanishes between [readdir] and its stat, as a
+   build artifact being replaced does, is skipped: here a dangling
+   symlink beside a source. *)
+let scan_skips_vanished_entry () =
+  let dir = Filename.temp_dir "slicelint" "" in
+  let src = Filename.concat dir "m.ml" and gone = Filename.concat dir "m.cmxs" in
+  Out_channel.with_open_text src (fun oc -> output_string oc "let x = 1\n");
+  Unix.symlink "missing" gone;
+  let report =
+    Fun.protect
+      ~finally:(fun () -> List.iter Sys.remove [ src; gone ]; Sys.rmdir dir)
+      (fun () -> Driver.scan Config.fixtures [ dir ])
+  in
+  check_int "the source was linted" 1 report.Driver.files
+
 (* The gate's exit condition: suppressed findings do not count as
    errors, unsuppressed ones do. *)
 let error_counting () =
@@ -462,6 +477,7 @@ let suite =
     fixture_case "typed tier fails loudly without cmts" typed_missing_cmt;
     fixture_case "no false positives" no_false_positives;
     fixture_case "error counting" error_counting;
+    Alcotest.test_case "scan skips a vanished entry" `Quick scan_skips_vanished_entry;
     Alcotest.test_case "pragma parsing" `Quick pragma_parsing;
     Alcotest.test_case "pragma application" `Quick pragma_application;
     Alcotest.test_case "pragma stacking" `Quick pragma_stacking;
