@@ -47,12 +47,18 @@ let cpu_cost = 25e-6
    encoded straight into the log. *)
 let enc_record e msg = Ctrl.enc_msg e ~xid:0 msg
 
+(* True once the intent is stable; false when a crash dropped its
+   journal round, and the caller then sends no reply: the requester
+   retries after recovery. *)
 let log_intent ?(span = Trace.null) t op_id (i : intent) =
   ignore
     (Wal.append_with t.wal ~rtype:rt_intent enc_record
        (Ctrl.Intent { op_id; kind = i.kind; fh = i.fh; participants = i.participants }));
-  Wal.sync ~span t.wal;
-  t.logged <- t.logged + 1
+  match Wal.sync ~span t.wal with
+  | () ->
+      t.logged <- t.logged + 1;
+      true
+  | exception Wal.Crashed -> false
 
 let log_complete t op_id =
   (* Completions clear intentions asynchronously — appended but not
@@ -147,14 +153,18 @@ let sites_for t fh block =
 (* A whole-file operation across [sites] (remove or commit): log the
    intent, push the call to every site, retire it once all acked. The
    intent is durable, so the caller acks either way: a site that missed
-   the call gets it from the probe/redo path. *)
+   the call gets it from the probe/redo path. False when the intent
+   never became stable. *)
 let file_op ~span t kind fh sites =
   let op_id = fresh_op t in
   let i = { kind; fh; participants = sites; completed = false } in
   Hashtbl.replace t.intents op_id i;
-  log_intent ~span t op_id i;
-  if fan_out ~span t (intent_call i) sites then retire t op_id i
-  else schedule_probe t op_id
+  log_intent ~span t op_id i
+  && begin
+       if fan_out ~span t (intent_call i) sites then retire t op_id i
+       else schedule_probe t op_id;
+       true
+     end
 
 let handle_msg t (pkt : Packet.t) =
   Engine.spawn t.host.Host.eng (fun () ->
@@ -179,39 +189,34 @@ let handle_msg t (pkt : Packet.t) =
               reply Ctrl.Nack
             end
             else
-              (* A crash that drops an intent's journal round sends no
-                 reply: the requester retries after recovery. *)
-              try
-                match msg with
-                | Ctrl.Intent { op_id; kind; fh; participants } ->
-                    let i = { kind; fh; participants; completed = false } in
-                    Hashtbl.replace t.intents op_id i;
-                    log_intent ~span t op_id i;
-                    schedule_probe t op_id;
-                    reply Ctrl.Ack
-                | Ctrl.Complete { op_id } ->
-                    (match Hashtbl.find_opt t.intents op_id with
-                    | Some i when not i.completed -> retire t op_id i
-                    | _ -> ());
-                    reply Ctrl.Ack
-                | Ctrl.Remove_file { fh; sites } ->
-                    file_op ~span t Ctrl.K_remove fh sites;
-                    reply Ctrl.Ack
-                | Ctrl.Commit_file { fh; sites } ->
-                    file_op ~span t Ctrl.K_commit fh sites;
-                    reply Ctrl.Ack
-                | Ctrl.Get_map { fh; first_block; count } -> (
-                    match sites_for t fh (first_block + count - 1) with
-                    | None -> reply Ctrl.Nack
-                    | Some _ ->
-                        let sites =
-                          Array.init count (fun k ->
-                              match sites_for t fh (first_block + k) with
-                              | Some s -> s
-                              | None -> -1)
-                        in
-                        reply (Ctrl.Map { first_block; sites }))
-              with Wal.Crashed -> ())
+            (match msg with
+            | Ctrl.Intent { op_id; kind; fh; participants } ->
+                let i = { kind; fh; participants; completed = false } in
+                Hashtbl.replace t.intents op_id i;
+                if log_intent ~span t op_id i then begin
+                  schedule_probe t op_id;
+                  reply Ctrl.Ack
+                end
+            | Ctrl.Complete { op_id } ->
+                (match Hashtbl.find_opt t.intents op_id with
+                | Some i when not i.completed -> retire t op_id i
+                | _ -> ());
+                reply Ctrl.Ack
+            | Ctrl.Remove_file { fh; sites } ->
+                if file_op ~span t Ctrl.K_remove fh sites then reply Ctrl.Ack
+            | Ctrl.Commit_file { fh; sites } ->
+                if file_op ~span t Ctrl.K_commit fh sites then reply Ctrl.Ack
+            | Ctrl.Get_map { fh; first_block; count } -> (
+                match sites_for t fh (first_block + count - 1) with
+                | None -> reply Ctrl.Nack
+                | Some _ ->
+                    let sites =
+                      Array.init count (fun k ->
+                          match sites_for t fh (first_block + k) with
+                          | Some s -> s
+                          | None -> -1)
+                    in
+                    reply (Ctrl.Map { first_block; sites }))))
 
 (* The control port, and the port of the coordinator's own calls to
    storage nodes. *)
