@@ -152,6 +152,43 @@ let crash_cuts_off_round () =
       Wal.sync w);
   check_bool "a later round lands" true (records (Wal.image w) = [ (1L, 2, "c") ])
 
+(* A caller whose record lands in a round another fiber led returns,
+   even when a crash then drops a newer round that it waits behind or
+   leads. "a" leads round 1; "b" and "c" join it, and "c", woken first,
+   leads round 2 for both while "b" parks again. "a" appends "d" during
+   round 2. If "a" syncs it, "a" joins round 2, is woken first when it
+   lands and leads round 3, with "b" behind it; if not, "b", whose
+   record round 2 hardened, leads round 3 for "d". A crash during
+   round 3 drops only "d", and cuts off only its own caller. *)
+let stable_caller_survives_later_crash ~d_syncs () =
+  let eng = Engine.create () in
+  let d = Disk.create eng ~arms:1 ~name:"log" () in
+  let w = Wal.create ~eng ~disk:d ~name:"t" () in
+  let outcomes = ref [] in
+  let sync name =
+    let outcome = match Wal.sync w with () -> "synced" | exception Wal.Crashed -> "crashed" in
+    outcomes := (name, outcome) :: !outcomes
+  in
+  Engine.spawn eng (fun () ->
+      ignore (Wal.append w ~rtype:1 "a");
+      sync "a";
+      ignore (Wal.append w ~rtype:1 "d");
+      if d_syncs then sync "d");
+  Engine.spawn eng (fun () ->
+      ignore (Wal.append w ~rtype:1 "b");
+      sync "b");
+  Engine.spawn eng (fun () ->
+      ignore (Wal.append w ~rtype:1 "c");
+      sync "c";
+      check_int "round 3 in flight" 2 (Wal.sync_count w);
+      Engine.schedule eng 0.0 (fun () -> Wal.crash w));
+  Engine.run eng;
+  let stable = [ ("a", "synced"); ("b", "synced"); ("c", "synced") ] in
+  check_bool "only the dropped record's caller cut off" true
+    (List.sort compare !outcomes = if d_syncs then stable @ [ ("d", "crashed") ] else stable);
+  check_bool "the image holds a, b and c" true
+    (List.map (fun (_, _, p) -> p) (records (Wal.image w)) = [ "a"; "b"; "c" ])
+
 (* A round in flight when a checkpoint starts lands before the snapshot,
    and its caller returns as usual: its record is stable, then dropped
    with the prefix once the snapshot (which reflects it) is stable. A
@@ -486,6 +523,8 @@ let suite =
     ("corrupt record stops replay", `Quick, corrupt_record_stops_replay);
     ("checkpoint truncates", `Quick, checkpoint_truncates);
     ("crash cuts off a round", `Quick, crash_cuts_off_round);
+    ("stable joiner survives a later crash", `Quick, stable_caller_survives_later_crash ~d_syncs:true);
+    ("stable leader survives a later crash", `Quick, stable_caller_survives_later_crash ~d_syncs:false);
     ("checkpoint after a round in flight", `Quick, checkpoint_after_round_in_flight ~crash:false);
     ("crash cuts off a checkpoint", `Quick, checkpoint_after_round_in_flight ~crash:true);
     ("disk-backed sync takes time", `Quick, disk_backed_sync_takes_time);
