@@ -133,14 +133,20 @@ let harden t e lsn =
    again meanwhile waits for the next round's wake-up. The round's bytes
    move to the spare area for the disk write, so appends during the
    write fill the emptied pending area. A record is stable exactly when
-   [sync] returns to the fiber that appended it. [gen] counts the
-   crashes before the caller came: a round that lands after a crash is
-   not hardened, and every caller parked across one raises [Crashed]. *)
-let rec sync_round t eng disk span gen =
-  if t.gen <> gen then raise Crashed
+   [sync] returns to the fiber that appended it. [target] is the last
+   LSN when the caller came and [gen] the crashes before it. A round
+   that lands after a crash is not hardened, and a caller parked across
+   one, or leading a round the crash dropped, raises [Crashed] unless
+   [target] was stable: it runs on when the dropped round's write lands,
+   before any later round can harden, so [synced] is still the crash's
+   stable prefix. *)
+let survive_crash t target = if Int64.compare t.synced target < 0 then raise Crashed
+
+let rec sync_round t eng disk span gen target =
+  if t.gen <> gen then survive_crash t target
   else if t.sync_inflight then begin
     Engine.wait eng t.joiners;
-    sync_round t eng disk span gen
+    sync_round t eng disk span gen target
   end
   else if Enc.length t.pending > 0 then begin
     t.sync_inflight <- true;
@@ -154,13 +160,13 @@ let rec sync_round t eng disk span gen =
     if t.gen = gen then harden t round covered_lsn;
     t.sync_inflight <- false;
     Engine.wake_all t.joiners;
-    if t.gen <> gen then raise Crashed
+    if t.gen <> gen then survive_crash t target
   end
 
 let sync ?(span = Trace.null) t =
   match t.sink with
   | Immediate -> if Enc.length t.pending > 0 then harden t t.pending t.lsn
-  | Disk (eng, disk) -> sync_round t eng disk span t.gen
+  | Disk (eng, disk) -> sync_round t eng disk span t.gen t.lsn
 
 let synced_lsn t = t.synced
 let bytes_appended t = t.appended_bytes

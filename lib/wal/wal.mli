@@ -38,7 +38,9 @@ val append : t -> rtype:int -> string -> int64
 
 exception Crashed
 (** Raised by {!sync} and {!checkpoint} to a caller parked across a
-    {!crash}, whose records the crash dropped. *)
+    {!crash}, or leading the round it dropped, whose records the crash
+    dropped. A caller whose records were stable before the crash returns
+    normally. *)
 
 val sync : ?span:Slice_trace.Trace.span -> t -> unit
 (** Fiber (when disk-backed): force buffered records stable; it returns
