@@ -65,10 +65,6 @@ let log_complete t op_id =
      force-synced (the paper amortizes these off the critical path). *)
   ignore (Wal.append_with t.wal ~rtype:rt_complete enc_record (Ctrl.Complete { op_id }))
 
-(* Journal a replayed record unchanged (takeover). *)
-let reappend wal ~lsn:_ ~rtype payload =
-  ignore (Wal.append_with wal ~rtype Slice_xdr.Xdr.Enc.raw payload)
-
 (* The idempotent call an intent pushes to its participants, first and
    on redo: removes remove; commit-like kinds commit, forcing
    participants' dirty state stable. *)
@@ -314,6 +310,6 @@ let adopt_log t ~log =
      a standby that dies mid-adoption leaves a log a second standby can
      adopt again, and a re-adoption of the same image converges (replay
      rebuilds the same intent rows). *)
-  ignore (Wal.replay log (reappend t.wal));
+  ignore (Wal.replay log (fun ~lsn:_ ~rtype p -> ignore (Wal.append t.wal ~rtype p)));
   Wal.sync t.wal;
   recover t
