@@ -10,6 +10,7 @@ module Host = Slice_storage.Host
 module Obsd = Slice_storage.Obsd
 module Tenure = Slice_storage.Tenure
 module Coordinator = Slice_storage.Coordinator
+module Dirserver = Slice_dir.Dirserver
 module Client = Slice_workload.Client
 module Ensemble = Slice.Ensemble
 module Proxy = Slice.Proxy
@@ -273,49 +274,55 @@ let soft_state_loss_mid_run () =
   in
   check_bool "the discards cost cache hits" true (lost < kept)
 
+(* Two clients create 300 files each in their own directory over two
+   name-hashed directory servers; dir 0 crashes at [at] and recovers
+   0.5 s later. The µproxy's name cache is off: its lease would answer
+   the lookups for a lost entry. Returns the creates answered OK and the
+   directories, filled in as the engine runs. *)
+let crash_during_creates at =
+  let ens =
+    Ensemble.create
+      {
+        Ensemble.default_config with
+        dir_servers = 2;
+        proxy_params =
+          { Slice.Params.default with name_policy = Slice.Params.Name_hashing; meta_cache_ttl = 0.0 };
+      }
+  in
+  let eng = Ensemble.engine ens in
+  Fault.install ens [ (at, Crash (Server (Dir, 0))); (at +. 0.5, Recover (Server (Dir, 0))) ];
+  let clients =
+    List.init 2 (fun i ->
+        let host, _ = Ensemble.add_client ens ~name:(Printf.sprintf "c%d" i) in
+        Client.create host ~server:(Ensemble.virtual_addr ens) ())
+  in
+  let acked = ref [] and dirs = ref [] in
+  List.iteri
+    (fun i cl ->
+      Engine.spawn eng (fun () ->
+          let d, _ = ok_or_fail "mkdir" (Client.mkdir cl Ensemble.root (Printf.sprintf "d%d" i)) in
+          dirs := (cl, d) :: !dirs;
+          for k = 1 to 300 do
+            let name = Printf.sprintf "f%03d" k in
+            match Client.create_file cl d name with
+            | Ok _ -> acked := (cl, d, name) :: !acked
+            | Error _ -> ()
+          done))
+    clients;
+  (ens, eng, acked, dirs)
+
 (* A create parked in the journal's group commit when its directory
    server crashes was never made durable, so it must not be answered:
-   the client retransmits after recovery and the create runs again. Two
-   clients create 300 files each in their own directory over two
-   name-hashed directory servers; dir 0 crashes at [at] and recovers
-   0.5 s later. Every create answered OK must then resolve, and each
-   directory must list all 300. At 0.0475, 0.0605 and 0.088 s a
-   create's round is in flight when the crash comes; a sync that
-   returned from that dropped round would lose one create at each. The
-   other instants lost a create to a crash that rebuilt the journal on
-   disk while a create parked in the old one. The µproxy's name cache
-   is off: its lease would answer the lookups for a lost entry. *)
+   the client retransmits after recovery and the create runs again.
+   Every create answered OK must then resolve, and each directory must
+   list all 300. At 0.0475, 0.0605 and 0.088 s a create's round is in
+   flight when the crash comes; a sync that returned from that dropped
+   round would lose one create at each. The other instants lost a
+   create to a crash that rebuilt the journal on disk while a create
+   parked in the old one. *)
 let dir_crash_keeps_acked_creates () =
   let run at =
-    let ens =
-      Ensemble.create
-        {
-          Ensemble.default_config with
-          dir_servers = 2;
-          proxy_params =
-            { Slice.Params.default with name_policy = Slice.Params.Name_hashing; meta_cache_ttl = 0.0 };
-        }
-    in
-    let eng = Ensemble.engine ens in
-    Fault.install ens [ (at, Crash (Server (Dir, 0))); (at +. 0.5, Recover (Server (Dir, 0))) ];
-    let clients =
-      List.init 2 (fun i ->
-          let host, _ = Ensemble.add_client ens ~name:(Printf.sprintf "c%d" i) in
-          Client.create host ~server:(Ensemble.virtual_addr ens) ())
-    in
-    let acked = ref [] and dirs = ref [] in
-    List.iteri
-      (fun i cl ->
-        Engine.spawn eng (fun () ->
-            let d, _ = ok_or_fail "mkdir" (Client.mkdir cl Ensemble.root (Printf.sprintf "d%d" i)) in
-            dirs := (cl, d) :: !dirs;
-            for k = 1 to 300 do
-              let name = Printf.sprintf "f%03d" k in
-              match Client.create_file cl d name with
-              | Ok _ -> acked := (cl, d, name) :: !acked
-              | Error _ -> ()
-            done))
-      clients;
+    let _, eng, acked, dirs = crash_during_creates at in
     Engine.run eng;
     check_int (Printf.sprintf "crash at %g: every create answered" at) 600 (List.length !acked);
     run_on eng (fun () ->
@@ -331,6 +338,64 @@ let dir_crash_keeps_acked_creates () =
           !dirs)
   in
   List.iter run [ 0.0203; 0.0407; 0.0475; 0.0507; 0.0605; 0.0611; 0.0713; 0.0809; 0.088 ]
+
+(* A crash is fail-stop and silent: a create admitted just before it,
+   still waiting for the CPU, must not run on the tables the crash
+   reset. Dir 0's journal may not grow from the crash until just before
+   its recovery. At each of these instants a create was in its CPU
+   charge when the crash came. *)
+let crashed_dir_server_stays_silent () =
+  let run at =
+    let ens, eng, _, _ = crash_during_creates at in
+    let dir0 = (Ensemble.dirs ens).(0) in
+    let at_crash = ref 0 and later = ref 0 in
+    (* scheduled after the crash's own event, so it runs once the crash
+       has applied *)
+    Engine.schedule_at eng at (fun () ->
+        Engine.spawn eng (fun () ->
+            check_bool (Printf.sprintf "crash at %g: down" at) false (Ensemble.is_up ens Dir 0);
+            at_crash := Dirserver.log_bytes dir0));
+    Engine.schedule_at eng (at +. 0.49) (fun () -> later := Dirserver.log_bytes dir0);
+    Engine.run eng;
+    check_int (Printf.sprintf "crash at %g: journal bytes written while down" at) 0
+      (!later - !at_crash)
+  in
+  List.iter run [ 0.0203; 0.020457; 0.0407; 0.0507; 0.0605; 0.0713; 0.0809 ]
+
+(* The coordinator's host stays up when the coordinator alone crashes,
+   so a message admitted just before the crash must be silenced by the
+   coordinator itself: the intent it carries is neither logged nor
+   acknowledged. The crash comes 1 µs into the message's CPU charge. *)
+let crashed_coordinator_stays_silent () =
+  let module Ctrl = Slice_storage.Ctrl in
+  let eng = Engine.create () in
+  let net = Net.create eng () in
+  let chost = Host.create net ~name:"coord" ~disks:1 () in
+  let coord = Coordinator.attach chost () in
+  let client = Host.create net ~name:"cl" () in
+  let rpc = Rpc.create net client.Host.addr ~port:1000 in
+  let fh =
+    { Fh.file_id = 42L; gen = 1; ftype = Fh.Reg; mirrored = false; attr_site = 0; cap = 0L }
+  in
+  let served = Slice_sim.Resource.served chost.Host.cpu in
+  let rec watch () =
+    if Slice_sim.Resource.served chost.Host.cpu > served then
+      Engine.schedule eng 1e-6 (fun () -> Coordinator.crash coord)
+    else Engine.schedule eng 1e-6 watch
+  in
+  watch ();
+  run_on eng (fun () ->
+      let xid = Rpc.fresh_xid rpc in
+      let msg =
+        Ctrl.encode_msg ~xid (Ctrl.Intent { op_id = 5L; kind = Ctrl.K_remove; fh; participants = [] })
+      in
+      match
+        Rpc.call rpc ~timeout:0.2 ~retries:1 ~dst:(Coordinator.addr coord)
+          ~dport:(Coordinator.port coord) msg
+      with
+      | (_ : bytes) -> Alcotest.fail "a crashed coordinator answered"
+      | exception Rpc.Timeout -> ());
+  check_int "no intent logged" 0 (Coordinator.intents_logged coord)
 
 (* ---- RPC exponential backoff ---- *)
 
@@ -725,6 +790,8 @@ let suite =
     ("schedule: bad schedule rejected", `Quick, bad_schedule_rejected);
     ("schedule: µproxy soft-state loss mid-run", `Quick, soft_state_loss_mid_run);
     ("dir crash keeps acknowledged creates", `Quick, dir_crash_keeps_acked_creates);
+    ("crashed dir server stays silent", `Quick, crashed_dir_server_stays_silent);
+    ("crashed coordinator stays silent", `Quick, crashed_coordinator_stays_silent);
     ("rpc backoff schedule", `Quick, backoff_schedule);
     ("rpc backoff cap", `Quick, backoff_cap);
     ("dead node expires pending", `Quick, dead_node_expires_pending);

@@ -189,6 +189,38 @@ let stable_caller_survives_later_crash ~d_syncs () =
   check_bool "the image holds a, b and c" true
     (List.map (fun (_, _, p) -> p) (records (Wal.image w)) = [ "a"; "b"; "c" ])
 
+(* A joiner returns when the round that hardens its record lands, not a
+   round later. "a" leads round 1; "b" and "c" join it, and "c", woken
+   first, leads round 2 for both while "b" parks again. "a" then appends
+   "d" and joins round 2; woken first when it lands, "a" leads round 3.
+   "b", whose record round 2 hardened, must return when round 2 lands,
+   with "c", not behind round 3. *)
+let joiner_returns_when_its_round_lands () =
+  let eng = Engine.create () in
+  let d = Disk.create eng ~arms:1 ~name:"log" () in
+  let w = Wal.create ~eng ~disk:d ~name:"t" () in
+  let back = ref [] in
+  let sync name =
+    Wal.sync w;
+    back := (name, Engine.now eng) :: !back
+  in
+  Engine.spawn eng (fun () ->
+      ignore (Wal.append w ~rtype:1 "a");
+      sync "a";
+      ignore (Wal.append w ~rtype:1 "d");
+      sync "d");
+  Engine.spawn eng (fun () ->
+      ignore (Wal.append w ~rtype:1 "b");
+      sync "b");
+  Engine.spawn eng (fun () ->
+      ignore (Wal.append w ~rtype:1 "c");
+      sync "c");
+  Engine.run eng;
+  let at name = List.assoc name !back in
+  check_int "three rounds" 3 (Wal.sync_count w);
+  check_bool "round 3 lands after round 2" true (at "d" > at "c");
+  check_float "b returns when round 2 lands" (at "c") (at "b")
+
 (* A round in flight when a checkpoint starts lands before the snapshot,
    and its caller returns as usual: its record is stable, then dropped
    with the prefix once the snapshot (which reflects it) is stable. A
@@ -525,6 +557,7 @@ let suite =
     ("crash cuts off a round", `Quick, crash_cuts_off_round);
     ("stable joiner survives a later crash", `Quick, stable_caller_survives_later_crash ~d_syncs:true);
     ("stable leader survives a later crash", `Quick, stable_caller_survives_later_crash ~d_syncs:false);
+    ("joiner returns when its round lands", `Quick, joiner_returns_when_its_round_lands);
     ("checkpoint after a round in flight", `Quick, checkpoint_after_round_in_flight ~crash:false);
     ("crash cuts off a checkpoint", `Quick, checkpoint_after_round_in_flight ~crash:true);
     ("disk-backed sync takes time", `Quick, disk_backed_sync_takes_time);
