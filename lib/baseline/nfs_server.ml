@@ -6,6 +6,7 @@ module Bcache = Slice_disk.Bcache
 module Fileblocks = Slice_disk.Fileblocks
 module Host = Slice_storage.Host
 module Nfs_endpoint = Slice_storage.Nfs_endpoint
+module Tenure = Slice_storage.Tenure
 
 let block_size = Bcache.block_size
 
@@ -258,7 +259,8 @@ let attach host ?(cache_bytes = 512 * 1024 * 1024) ?(mem_only = false) () =
   in
   (* install the exported volume root *)
   ignore (new_finfo t ~ftype:Fh.Dir ~fileid:root_fh.Fh.file_id);
-  Nfs_endpoint.serve host ~port:2049 ~cost:{ per_op; per_byte = 3e-9 } ~handler:(fun _span call -> handle t call) ();
+  Nfs_endpoint.serve host ~port:2049 ~cost:{ per_op; per_byte = 3e-9 } ~tenure:(Tenure.create [])
+    ~handler:(fun _span call -> handle t call) ();
   t
 
 let addr t = t.host.Host.addr

@@ -474,11 +474,7 @@ let tenure t k i =
   | Smallfile -> Smallfile.tenure t.smallfiles_.(i)
   | Storage -> Obsd.tenure t.storage_.(i)
 
-let is_up t k i =
-  match k with
-  | Dir -> Dirserver.is_up t.dirs_.(i)
-  | Smallfile -> Smallfile.is_up t.smallfiles_.(i)
-  | Storage -> Obsd.is_up t.storage_.(i)
+let is_up t k i = Tenure.is_up (tenure t k i)
 
 let table t = function Dir -> Some t.dir_tbl | Smallfile -> t.sf_tbl | Storage -> t.st_tbl
 
@@ -498,8 +494,7 @@ let recover t k i =
   Net.set_node_up t.net_ (server_addr t k i) true;
   match k with
   | Dir -> Dirserver.recover t.dirs_.(i)
-  | Smallfile -> Smallfile.recover t.smallfiles_.(i)
-  | Storage -> Obsd.recover t.storage_.(i)
+  | Smallfile | Storage -> Tenure.recover (tenure t k i)
 
 (* ---- elastic scaling ----
    New servers join owning no logical sites; the reconfiguration control

@@ -136,10 +136,10 @@ val server_host : t -> klass -> int -> Slice_storage.Host.t
 val server_addr : t -> klass -> int -> Slice_net.Packet.addr
 
 val tenure : t -> klass -> int -> Slice_storage.Tenure.t
-(** The server's site ownership, drains, load and fencing lease. *)
+(** The server's site ownership, drains, load, fencing lease and life. *)
 
 val is_up : t -> klass -> int -> bool
-(** The service is up (a crashed server answers nothing). *)
+(** The server's tenure is up (a crashed server answers nothing). *)
 
 val table : t -> klass -> Table.t option
 (** The class's logical site -> server table; [None] when the ensemble
@@ -147,13 +147,12 @@ val table : t -> klass -> Table.t option
 
 val crash : t -> klass -> int -> unit
 (** Fail-stop server [i] of the class: the service stops (volatile state
-    goes; a directory server keeps its journal, a storage node and a
-    small-file server a cold cache) and the net downs its host, so
-    in-flight packets die. May park (a directory server re-hardens its
-    journal): call it from a fiber. {!Fault} puts crashes and recoveries
-    on a time schedule. Caution: the block coordinator lives on storage
-    node 0 — crashing it stalls commits and map fetches for far longer
-    than the other nodes. *)
+    goes; a directory server keeps its synced journal, a storage node
+    and a small-file server a cold cache) and the net downs its host, so
+    in-flight packets die. Takes no simulated time. {!Fault} puts
+    crashes and recoveries on a time schedule. Caution: the block
+    coordinator lives on storage node 0 — crashing it stalls commits
+    and map fetches for far longer than the other nodes. *)
 
 val recover : t -> klass -> int -> unit
 (** Bring the host up, then the service: a directory server replays its

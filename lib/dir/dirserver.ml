@@ -58,7 +58,6 @@ type t = {
   mutable ops : int;
   mutable peer_ops : int;
   mutable peer_calls : int;
-  mutable up : bool;
 }
 
 (* ---- log records ---- *)
@@ -599,26 +598,6 @@ let handle_peer t (msg : Peer.msg) : Peer.reply =
 
 (* ---- service wiring ---- *)
 
-let serve_peer t =
-  Nfs_endpoint.serve_raw t.host ~port:t.cfg.peer_port ~handler:(fun pkt ->
-      Engine.spawn t.host.Host.eng (fun () ->
-          if t.up then
-            match (try Some (Peer.decode_msg pkt.Packet.payload) with Codec.Malformed _ -> None) with
-            | None -> ()
-            | Some (xid, msg) ->
-                let span =
-                  Trace.child (Trace.span_of_xid t.trace xid) ~hop:"server"
-                    ~site:(Host.name t.host) ()
-                in
-                Host.cpu t.host per_peer_op_cost;
-                (* A crash that drops the update's journal round sends
-                   no reply: the sender re-sends after recovery. *)
-                match handle_peer t msg with
-                | reply ->
-                    Trace.finish span;
-                    Nfs_endpoint.reply_to t.host pkt (Peer.encode_reply ~xid reply)
-                | exception Wal.Crashed -> ()))
-
 let install_root t =
   (* runs as a fiber at time 0: the log sync parks *)
   if t.cfg.logical_id = 0 then begin
@@ -662,14 +641,14 @@ let attach host ?trace ?qos cfg =
       ops = 0;
       peer_ops = 0;
       peer_calls = 0;
-      up = true;
     }
   in
   Nfs_endpoint.serve host ~port:2049
     ~cost:{ per_op = per_op_cost; per_byte = 0.0 }
-    ~alive:(fun () -> t.up)
-    ?trace ?qos ~handler:(handle t) ();
-  serve_peer t;
+    ~tenure:t.tenure ?trace ?qos ~handler:(handle t) ();
+  Nfs_endpoint.serve_msg host ~port:cfg.peer_port ~tenure:t.tenure ~cpu:per_peer_op_cost ?trace
+    ~decode:Peer.decode_msg ~encode:Peer.encode_reply
+    ~handler:(fun _ msg -> handle_peer t msg) ();
   Engine.spawn host.Host.eng (fun () -> install_root t);
   t
 
@@ -693,10 +672,7 @@ let reset_volatile t =
   Hashtbl.reset t.prepares
 
 let crash t =
-  t.up <- false;
-  (* A drain in progress is volatile control-plane state: the migration
-     aborts and the recovered server serves the site normally again. *)
-  Tenure.clear_drains t.tenure;
+  Tenure.crash t.tenure;
   reset_volatile t;
   Wal.crash t.wal
 
@@ -757,7 +733,7 @@ let recover t =
   ignore
     (Wal.replay (Wal.image t.wal) (fun ~lsn:_ ~rtype payload ->
          try apply_record t ~rtype payload with Slice_xdr.Xdr.Truncated -> ()));
-  t.up <- true;
+  Tenure.recover t.tenure;
   (* Re-drive prepared-but-uncommitted cross-site updates; peers dedup by
      op id so re-delivery is harmless. *)
   let pending = Hashtbl.fold (fun op_id v acc -> (op_id, v) :: acc) t.prepares [] in
@@ -801,7 +777,6 @@ let import_log ?(skip = 0) t ~log:image =
          end));
   !seen
 
-let is_up t = t.up
 let host t = t.host
 
 let enc_snapshot e t =

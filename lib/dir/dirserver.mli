@@ -94,24 +94,22 @@ val import_log : ?skip:int -> t -> log:string -> int
     next [skip]). Does not sync. *)
 
 val tenure : t -> Slice_storage.Tenure.t
-(** The server's site tenure. A drained site keeps answering reads while
-    name-space updates bounce with [SLICE_MISDIRECTED]; {!crash} clears
-    drains, so an aborted migration's donor serves the site again after
-    recovery. An expired lease bounces every NFS and peer request, so a
-    zombie deposed by a takeover cannot serve stale state. *)
-
-val is_up : t -> bool
-(** Service liveness (false between {!crash} and {!recover}); failure
-    detectors use it to pick live standbys. *)
+(** The server's site tenure and life. A drained site keeps answering
+    reads while name-space updates bounce with [SLICE_MISDIRECTED];
+    {!crash} clears drains, so an aborted migration's donor serves the
+    site again after recovery. An expired lease bounces every NFS and
+    peer request, so a zombie deposed by a takeover cannot serve stale
+    state. The tenure is down between {!crash} and {!recover}. *)
 
 val host : t -> Slice_storage.Host.t
 (** The host this server is attached to (failover detectors register
     their lease-renewal endpoint on it). *)
 
 val crash : t -> unit
-(** Drop all volatile state and {!Slice_wal.Wal.crash} the log: only
-    synced records survive. Takes no simulated time. A request whose
-    journal round the crash dropped ends without a reply. *)
+(** Fail-stop ({!Slice_storage.Tenure.crash}): drop all volatile state
+    and {!Slice_wal.Wal.crash} the log, so only synced records survive.
+    Takes no simulated time. A request the crash overtakes, in its CPU
+    wait or its journal round, ends without a reply. *)
 
 val recover : t -> unit
 (** Rebuild cells from the log; re-send prepared-but-uncommitted peer

@@ -213,20 +213,13 @@ let takeover_manager t tg k ~victim ~declared =
       | None -> ());
       record_takeover t tg ~kname:(Ensemble.klass_name k) ~victim ~standby ~sites ~declared
 
-let coordinator_grant t ~epoch ~until =
-  match Ensemble.coordinator t.ens with
-  | Some c when Coordinator.is_up c ->
-      Tenure.set_lease (Coordinator.tenure c) ~epoch ~until;
-      true
-  | _ -> false
-
 (* The endpoint installed on a storage host must only renew the
    coordinator while the role actually resides there — after a further
    takeover the old host's endpoint goes silent again. *)
 let coordinator_grant_at t haddr ~epoch ~until =
   match Ensemble.coordinator t.ens with
   | Some c when (Coordinator.host c).Host.addr = haddr ->
-      coordinator_grant t ~epoch ~until
+      Tenure.grant (Coordinator.tenure c) ~epoch ~until
   | _ -> false
 
 let promote_coordinator t tg ~declared =
@@ -239,7 +232,8 @@ let promote_coordinator t tg ~declared =
       Array.iteri
         (fun j o ->
           if
-            !candidate < 0 && Obsd.is_up o
+            !candidate < 0
+            && Tenure.is_up (Obsd.tenure o)
             && Net.node_up t.net (Obsd.addr o)
             && (Obsd.host o).Host.addr <> old_addr
           then candidate := j)
@@ -361,16 +355,10 @@ let attach ens rc =
   List.iter
     (fun k ->
       for i = 0 to Ensemble.servers ens k - 1 do
-        let grant ~epoch ~until =
-          if Ensemble.is_up ens k i then begin
-            Tenure.set_lease (Ensemble.tenure ens k i) ~epoch ~until;
-            true
-          end
-          else false
-        in
         watch t
           (mk_target (Ensemble.klass_name k ^ string_of_int i) (Manager (k, i)))
-          grant (Ensemble.server_host ens k i)
+          (Tenure.grant (Ensemble.tenure ens k i))
+          (Ensemble.server_host ens k i)
       done)
     [ Ensemble.Dir; Smallfile ];
   (match Ensemble.coordinator ens with

@@ -38,7 +38,6 @@ type t = {
   threshold : int;
   nsites : int; (* logical small-file sites in the volume *)
   tenure : Tenure.t; (* sites served here, drains, load, fencing lease *)
-  mutable up : bool;
   mutable logical : int64;
   mutable physical : int64;
   mutable reads : int;
@@ -312,7 +311,6 @@ let attach host ?(cache_bytes = 1024 * 1024 * 1024)
       threshold;
       nsites;
       tenure = Tenure.create sites;
-      up = true;
       logical = 0L;
       physical = 0L;
       reads = 0;
@@ -321,19 +319,12 @@ let attach host ?(cache_bytes = 1024 * 1024 * 1024)
   in
   Nfs_endpoint.serve host ~port:2049
     ~cost:{ per_op = 70e-6; per_byte = 4e-9 }
-    ~alive:(fun () -> t.up)
-    ?trace ?qos ~handler:(handle t) ();
+    ~tenure:t.tenure ?trace ?qos ~handler:(handle t) ();
   t
 
 let crash t =
-  t.up <- false;
-  (* A drain in progress is volatile control-plane state: the migration
-     aborts and the recovered server serves the site normally again. *)
-  Tenure.clear_drains t.tenure;
+  Tenure.crash t.tenure;
   Bcache.drop_clean t.cache
-
-let recover t = t.up <- true
-let is_up t = t.up
 
 (* ---- reconfiguration hooks (control-plane, in-process) ---- *)
 

@@ -36,11 +36,9 @@ val attach :
     a site not owned here bounce with [SLICE_MISDIRECTED]. *)
 
 val crash : t -> unit
-(** Fail-stop: the endpoint goes silent and the cache is cold on
-    {!recover}; map records and data survive in the backing object. *)
-
-val recover : t -> unit
-val is_up : t -> bool
+(** Fail-stop ({!Slice_storage.Tenure.crash}): the endpoint goes silent
+    and the cache is cold on recovery; map records and data survive in
+    the backing object. *)
 
 val file_count : t -> int
 val bytes_stored : t -> int64

@@ -1,8 +1,6 @@
 module Engine = Slice_sim.Engine
 module Fiber = Slice_sim.Fiber
-module Net = Slice_net.Net
 module Rpc = Slice_net.Rpc
-module Packet = Slice_net.Packet
 module Nfs = Slice_nfs.Nfs
 module Codec = Slice_nfs.Codec
 module Fh = Slice_nfs.Fh
@@ -32,8 +30,7 @@ type t = {
   mutable logged : int;
   mutable completed_count : int;
   mutable redo_count : int;
-  mutable up : bool;
-  tenure : Tenure.t; (* fencing lease only: the coordinator owns no sites *)
+  tenure : Tenure.t; (* life and fencing lease only: the coordinator owns no sites *)
 }
 
 (* An expired lease wedges the coordinator — control messages get Nack,
@@ -47,18 +44,15 @@ let cpu_cost = 25e-6
    encoded straight into the log. *)
 let enc_record e msg = Ctrl.enc_msg e ~xid:0 msg
 
-(* True once the intent is stable; false when a crash dropped its
-   journal round, and the caller then sends no reply: the requester
-   retries after recovery. *)
+(* Returns once the intent is stable. A crash that drops its journal
+   round raises [Wal.Crashed], and the message root then sends no reply:
+   the requester retries after recovery. *)
 let log_intent ?(span = Trace.null) t op_id (i : intent) =
   ignore
     (Wal.append_with t.wal ~rtype:rt_intent enc_record
        (Ctrl.Intent { op_id; kind = i.kind; fh = i.fh; participants = i.participants }));
-  match Wal.sync ~span t.wal with
-  | () ->
-      t.logged <- t.logged + 1;
-      true
-  | exception Wal.Crashed -> false
+  Wal.sync ~span t.wal;
+  t.logged <- t.logged + 1
 
 let log_complete t op_id =
   (* Completions clear intentions asynchronously — appended but not
@@ -111,7 +105,7 @@ let rec redo t op_id (i : intent) =
 
 and schedule_probe t op_id =
   Engine.schedule t.host.Host.eng t.probe_timeout (fun () ->
-      if t.up && not (wedged t) then
+      if Tenure.is_up t.tenure && not (wedged t) then
         match Hashtbl.find_opt t.intents op_id with
         | Some i when not i.completed -> Engine.spawn t.host.Host.eng (fun () -> redo t op_id i)
         | _ -> ())
@@ -148,71 +142,48 @@ let sites_for t fh block =
 
 (* A whole-file operation across [sites] (remove or commit): log the
    intent, push the call to every site, retire it once all acked. The
-   intent is durable, so the caller acks either way: a site that missed
-   the call gets it from the probe/redo path. False when the intent
-   never became stable. *)
+   intent is durable, so it acks either way: a site that missed the call
+   gets it from the probe/redo path. *)
 let file_op ~span t kind fh sites =
   let op_id = fresh_op t in
   let i = { kind; fh; participants = sites; completed = false } in
   Hashtbl.replace t.intents op_id i;
-  log_intent ~span t op_id i
-  && begin
-       if fan_out ~span t (intent_call i) sites then retire t op_id i
-       else schedule_probe t op_id;
-       true
-     end
+  log_intent ~span t op_id i;
+  if fan_out ~span t (intent_call i) sites then retire t op_id i else schedule_probe t op_id;
+  Ctrl.Ack
 
-let handle_msg t (pkt : Packet.t) =
-  Engine.spawn t.host.Host.eng (fun () ->
-      if t.up then
-        match (try Some (Ctrl.decode_msg pkt.payload) with Codec.Malformed _ -> None) with
-        | None -> ()
-        | Some (xid, msg) ->
-            let span =
-              Trace.child (Trace.span_of_xid t.trace xid) ~hop:"server"
-                ~site:(Host.name t.host) ()
+(* Fenced: a deposed coordinator must refuse to log new intentions or
+   acknowledge anything — the requester backs off and finds the
+   successor through the routing table. *)
+let handle t span (msg : Ctrl.msg) : Ctrl.reply =
+  if wedged t then begin
+    Tenure.note_fence t.tenure;
+    Ctrl.Nack
+  end
+  else
+    match msg with
+    | Ctrl.Intent { op_id; kind; fh; participants } ->
+        let i = { kind; fh; participants; completed = false } in
+        Hashtbl.replace t.intents op_id i;
+        log_intent ~span t op_id i;
+        schedule_probe t op_id;
+        Ctrl.Ack
+    | Ctrl.Complete { op_id } ->
+        (match Hashtbl.find_opt t.intents op_id with
+        | Some i when not i.completed -> retire t op_id i
+        | _ -> ());
+        Ctrl.Ack
+    | Ctrl.Remove_file { fh; sites } -> file_op ~span t Ctrl.K_remove fh sites
+    | Ctrl.Commit_file { fh; sites } -> file_op ~span t Ctrl.K_commit fh sites
+    | Ctrl.Get_map { fh; first_block; count } -> (
+        match sites_for t fh (first_block + count - 1) with
+        | None -> Ctrl.Nack
+        | Some _ ->
+            let sites =
+              Array.init count (fun k ->
+                  match sites_for t fh (first_block + k) with Some s -> s | None -> -1)
             in
-            Host.cpu t.host cpu_cost;
-            let reply r =
-              Trace.finish span;
-              Nfs_endpoint.reply_to t.host pkt (Ctrl.encode_reply ~xid r)
-            in
-            if wedged t then begin
-              (* Fenced: a deposed coordinator must refuse to log new
-                 intentions or acknowledge anything — the requester backs
-                 off and finds the successor through the routing table. *)
-              Tenure.note_fence t.tenure;
-              reply Ctrl.Nack
-            end
-            else
-            (match msg with
-            | Ctrl.Intent { op_id; kind; fh; participants } ->
-                let i = { kind; fh; participants; completed = false } in
-                Hashtbl.replace t.intents op_id i;
-                if log_intent ~span t op_id i then begin
-                  schedule_probe t op_id;
-                  reply Ctrl.Ack
-                end
-            | Ctrl.Complete { op_id } ->
-                (match Hashtbl.find_opt t.intents op_id with
-                | Some i when not i.completed -> retire t op_id i
-                | _ -> ());
-                reply Ctrl.Ack
-            | Ctrl.Remove_file { fh; sites } ->
-                if file_op ~span t Ctrl.K_remove fh sites then reply Ctrl.Ack
-            | Ctrl.Commit_file { fh; sites } ->
-                if file_op ~span t Ctrl.K_commit fh sites then reply Ctrl.Ack
-            | Ctrl.Get_map { fh; first_block; count } -> (
-                match sites_for t fh (first_block + count - 1) with
-                | None -> reply Ctrl.Nack
-                | Some _ ->
-                    let sites =
-                      Array.init count (fun k ->
-                          match sites_for t fh (first_block + k) with
-                          | Some s -> s
-                          | None -> -1)
-                    in
-                    reply (Ctrl.Map { first_block; sites }))))
+            Ctrl.Map { first_block; sites })
 
 (* The control port, and the port of the coordinator's own calls to
    storage nodes. *)
@@ -241,17 +212,16 @@ let attach host ?(probe_timeout = 0.5) ?(map_sites = [||]) ?trace () =
       logged = 0;
       completed_count = 0;
       redo_count = 0;
-      up = true;
       tenure = Tenure.create [];
     }
   in
-  Nfs_endpoint.serve_raw host ~port:ctrl_port ~handler:(handle_msg t);
+  Nfs_endpoint.serve_msg host ~port:ctrl_port ~tenure:t.tenure ~cpu:cpu_cost ?trace
+    ~decode:Ctrl.decode_msg ~encode:Ctrl.encode_reply ~handler:(handle t) ();
   t
 
 let addr t = t.host.Host.addr
 let port _ = ctrl_port
 let host t = t.host
-let is_up t = t.up
 let map_sites t = t.map_sites
 
 let log_image t = Wal.image t.wal
@@ -269,7 +239,7 @@ let redos t = t.redo_count
 let map_entries t = Hashtbl.length t.maps
 
 let crash t =
-  t.up <- false;
+  Tenure.crash t.tenure;
   (* Volatile state is lost; only the synced log image survives. *)
   Hashtbl.reset t.intents;
   Hashtbl.reset t.maps;
@@ -294,7 +264,7 @@ let recover t =
              | _ -> ()
              | exception Codec.Malformed _ -> ())
          | _ -> ()));
-  t.up <- true;
+  Tenure.recover t.tenure;
   let incomplete =
     Hashtbl.fold (fun op_id i acc -> if i.completed then acc else (op_id, i) :: acc) t.intents []
   in

@@ -35,7 +35,6 @@ val attach :
 val addr : t -> Slice_net.Packet.addr
 val port : t -> int
 val host : t -> Host.t
-val is_up : t -> bool
 val map_sites : t -> int array
 (** The storage-node placement array this coordinator mints maps from
     (a successor must be attached with the same array so block placement
@@ -53,10 +52,11 @@ val redos : t -> int
 val map_entries : t -> int
 
 val crash : t -> unit
-(** Stop service and discard all volatile state; {!Slice_wal.Wal.crash}
-    keeps only the synced log image (unsynced log records are torn
-    away). Takes no simulated time. An intent whose journal round the
-    crash dropped is not acknowledged. *)
+(** Fail-stop ({!Tenure.crash}) and discard all volatile state;
+    {!Slice_wal.Wal.crash} keeps only the synced log image (unsynced log
+    records are torn away). Takes no simulated time. A message the
+    crash overtakes, in its CPU wait or its journal round, is not
+    answered, even though the coordinator's host stays up. *)
 
 val recover : t -> unit
 (** Replay the surviving log, redo incomplete intentions, resume
@@ -73,6 +73,7 @@ val adopt_log : t -> log:string -> unit
     be re-adopted into): replay converges to the same intent table. *)
 
 val tenure : t -> Tenure.t
-(** The coordinator's fencing lease (it owns no sites). Once the lease
+(** The coordinator's life (down between {!crash} and {!recover}) and
+    fencing lease; it owns no sites. Once the lease
     has expired, control messages are Nacked and redo probes stop, so a
     zombie deposed by a takeover cannot commit 2PC work. *)

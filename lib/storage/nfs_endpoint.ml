@@ -43,7 +43,7 @@ let estimate_cost cost (call : Nfs.call) =
 type server = {
   host : Host.t;
   cost : cost;
-  alive : unit -> bool;
+  tenure : Tenure.t;
   trace : Trace.t option;
   qos : Wfq.t option;
   handler : Trace.span -> Nfs.call -> Nfs.response;
@@ -58,12 +58,18 @@ type server = {
    holds the response, not its bytes: a hit re-encodes. *)
 let drc_capacity = 512
 
+(* [life] is the server's crash count when the request was admitted: a
+   crash since, even one recovered from, ends the request. *)
+let overtaken tenure life = Tenure.crashes tenure <> life
+
 (* Run the handler, then encode its reply once and send it. The trace
    calls run only on live spans. Completion moves the xid from [running]
    to [done_], evicting the oldest completed entry past capacity. A
-   handler whose journal round a crash dropped ends without a reply and
-   leaves no row: the client's retransmission runs the call afresh. *)
-let execute s (pkt : Packet.t) xid call =
+   request overtaken by a crash, or whose journal round one dropped,
+   leaves no row: the retransmission runs the call afresh. The xid is
+   re-read from the packet so a WFQ entry holds one word less. *)
+let execute s (pkt : Packet.t) call life =
+  let xid = Codec.xid_of pkt.payload in
   let parent = Trace.span_of_xid s.trace xid in
   let span =
     if Trace.is_live parent then
@@ -72,24 +78,29 @@ let execute s (pkt : Packet.t) xid call =
   in
   let in_bytes = request_data_bytes call in
   Host.cpu s.host (s.cost.per_op +. (s.cost.per_byte *. float_of_int in_bytes));
-  match s.handler span call with
-  | exception Slice_wal.Wal.Crashed -> Slot_lru.remove s.running xid
-  | resp ->
-      let out_bytes = response_data_bytes resp in
-      if out_bytes > 0 then Host.cpu s.host (s.cost.per_byte *. float_of_int out_bytes);
-      if Trace.is_live span then
-        Trace.finish ~outcome:(match resp with Ok _ -> "ok" | Error e -> Nfs.status_name e) span;
-      let payload = Codec.encode_reply ~xid resp in
-      Slot_lru.remove s.running xid;
-      let i = Slot_lru.add s.done_ xid ~lease:infinity in
-      s.resp <- Slot_lru.fit s.done_ s.resp resp;
-      s.resp.(i) <- resp;
-      reply_to s.host pkt ~extra_size:(Codec.extra_size_of_response resp) payload
+  if overtaken s.tenure life then Slot_lru.remove s.running xid
+  else
+    match s.handler span call with
+    | exception Slice_wal.Wal.Crashed -> Slot_lru.remove s.running xid
+    | resp ->
+        let out_bytes = response_data_bytes resp in
+        if out_bytes > 0 then Host.cpu s.host (s.cost.per_byte *. float_of_int out_bytes);
+        Slot_lru.remove s.running xid;
+        if not (overtaken s.tenure life) then begin
+          if Trace.is_live span then
+            Trace.finish ~outcome:(match resp with Ok _ -> "ok" | Error e -> Nfs.status_name e) span;
+          let payload = Codec.encode_reply ~xid resp in
+          let i = Slot_lru.add s.done_ xid ~lease:infinity in
+          s.resp <- Slot_lru.fit s.done_ s.resp resp;
+          s.resp.(i) <- resp;
+          reply_to s.host pkt ~extra_size:(Codec.extra_size_of_response resp) payload
+        end
 
 let receive s (pkt : Packet.t) =
   (* A crashed service is silent: no decode, no error reply — the client's
      end-to-end retransmission is the recovery. *)
-  if s.alive () && Slice_net.Cksum.verify pkt then
+  let life = Tenure.crashes s.tenure in
+  if Tenure.is_up s.tenure && Slice_net.Cksum.verify pkt then
     match Codec.decode_call pkt.payload with
     | exception Codec.Malformed _ -> () (* garbage: drop; client retransmits *)
     | xid, call ->
@@ -99,8 +110,9 @@ let receive s (pkt : Packet.t) =
              deterministic, so re-encoding resends the original bytes *)
           let resp = s.resp.(i) in
           Host.cpu s.host s.cost.per_op;
-          reply_to s.host pkt ~extra_size:(Codec.extra_size_of_response resp)
-            (Codec.encode_reply ~xid resp)
+          if not (overtaken s.tenure life) then
+            reply_to s.host pkt ~extra_size:(Codec.extra_size_of_response resp)
+              (Codec.encode_reply ~xid resp)
         end
         (* a retransmission racing the original execution is dropped;
            the eventual reply satisfies both *)
@@ -109,7 +121,7 @@ let receive s (pkt : Packet.t) =
              a tenant queue is already deduplicated *)
           ignore (Slot_lru.add s.running xid ~lease:infinity);
           match s.qos with
-          | None -> execute s pkt xid call
+          | None -> execute s pkt call life
           | Some q ->
               (* Fair queueing replaces FIFO dispatch: the request waits
                  its turn in its tenant's queue; the done_ continuation
@@ -117,16 +129,16 @@ let receive s (pkt : Packet.t) =
                  concurrent service. *)
               let tenant = Wfq.tenant_of q pkt.src in
               Wfq.submit q ~tenant ~cost:(estimate_cost s.cost call) (fun done_ ->
-                  execute s pkt xid call;
+                  execute s pkt call life;
                   done_ ())
         end
 
-let serve (host : Host.t) ~port ~cost ?(alive = fun () -> true) ?trace ?qos ~handler () =
+let serve (host : Host.t) ~port ~cost ~tenure ?trace ?qos ~handler () =
   let s =
     {
       host;
       cost;
-      alive;
+      tenure;
       trace;
       qos;
       handler;
@@ -136,5 +148,28 @@ let serve (host : Host.t) ~port ~cost ?(alive = fun () -> true) ?trace ?qos ~han
     }
   in
   Net.listen host.net host.addr ~port (fun pkt -> Engine.spawn host.eng (fun () -> receive s pkt))
+
+(* The gate of [receive] and [execute], without request table or WFQ. *)
+let serve_msg (host : Host.t) ~port ~tenure ~cpu ?trace ~decode ~encode ~handler () =
+  let receive (pkt : Packet.t) =
+    let life = Tenure.crashes tenure in
+    if Tenure.is_up tenure then
+      match decode pkt.payload with
+      | exception Codec.Malformed _ -> ()
+      | xid, msg -> (
+          let span =
+            Trace.child (Trace.span_of_xid trace xid) ~hop:"server" ~site:(Host.name host) ()
+          in
+          Host.cpu host cpu;
+          if not (overtaken tenure life) then
+            match handler span msg with
+            | exception Slice_wal.Wal.Crashed -> ()
+            | reply ->
+                if not (overtaken tenure life) then begin
+                  Trace.finish span;
+                  reply_to host pkt (encode ~xid reply)
+                end)
+  in
+  Net.listen host.net host.addr ~port (fun pkt -> Engine.spawn host.eng (fun () -> receive pkt))
 
 let serve_raw (host : Host.t) ~port ~handler = Net.listen host.net host.addr ~port handler

@@ -1,7 +1,13 @@
 (** Server-side NFS endpoint: listens on a host port, decodes calls,
     charges per-request CPU, runs the handler in a fiber, and sends the
     encoded reply back to the requester. All Slice server classes and the
-    baseline servers are built on this. *)
+    baseline servers are built on this; the peer and control ports on
+    {!serve_msg}.
+
+    It is the one fail-stop gate (DESIGN.md §8): a request is admitted
+    only while its server's {!Tenure} is up, and a crash since its
+    admission (seen after the CPU wait and before the reply) ends it
+    without a handler run, a reply or a request-table row. *)
 
 type cost = { per_op : float; per_byte : float }
 (** CPU consumed per request: fixed cost plus cost proportional to the
@@ -11,7 +17,7 @@ val serve :
   Host.t ->
   port:int ->
   cost:cost ->
-  ?alive:(unit -> bool) ->
+  tenure:Tenure.t ->
   ?trace:Slice_trace.Trace.t ->
   ?qos:Slice_qos.Wfq.t ->
   handler:(Slice_trace.Trace.span -> Slice_nfs.Nfs.call -> Slice_nfs.Nfs.response) ->
@@ -27,10 +33,8 @@ val serve :
     gets the cached reply again, re-encoded, without running the
     handler, and counts as a use for recency. The two tables behind this
     ({!Slice_util.Slot_lru}) allocate nothing per request once they have
-    grown to their peak.
-    While [alive] (default: always) returns [false] the endpoint is
-    silent — packets are swallowed without decode or reply, modeling a
-    crashed service whose clients recover by retransmission.
+    grown to their peak. A handler that raises {!Slice_wal.Wal.Crashed}
+    sends no reply and leaves no row.
 
     With [trace], each executed request gets a ["server"] span covering
     CPU charge + handler + reply encode, parented under the span bound
@@ -46,13 +50,32 @@ val serve :
     drops bypass the scheduler (they cost one op and must stay fast).
     Without [qos] the path is unchanged. *)
 
+val serve_msg :
+  Host.t ->
+  port:int ->
+  tenure:Tenure.t ->
+  cpu:float ->
+  ?trace:Slice_trace.Trace.t ->
+  decode:(bytes -> int * 'msg) ->
+  encode:(xid:int -> 'reply -> bytes) ->
+  handler:(Slice_trace.Trace.span -> 'msg -> 'reply) ->
+  unit ->
+  unit
+(** A message protocol behind the same gate: each message gets a fiber,
+    is decoded ([decode] returns the xid and raises
+    {!Slice_nfs.Codec.Malformed} to drop it), charged [cpu] seconds, and
+    answered with the handler's reply, or with nothing if the handler
+    raises {!Slice_wal.Wal.Crashed}. No request table: re-sent messages
+    run again, so they must be idempotent. With [trace], a ["server"]
+    hop under the xid's span, handed to the handler. *)
+
 val serve_raw :
   Host.t ->
   port:int ->
   handler:(Slice_net.Packet.t -> unit) ->
   unit
-(** Escape hatch for non-NFS protocols (coordinator/peer messages):
-    dispatch without decode; the handler spawns its own fibers. *)
+(** Escape hatch: dispatch without decode or gate; the handler spawns
+    its own fibers. *)
 
 val reply_to :
   Host.t -> Slice_net.Packet.t -> ?extra_size:int -> bytes -> unit

@@ -22,7 +22,6 @@ type t = {
   cache : Bcache.t;
   objects : (int64, (int, obj) Hashtbl.t) Hashtbl.t; (* oid -> site -> subobject *)
   tenure : Tenure.t; (* logical sites served here, drains, load, fencing lease *)
-  mutable up : bool;
   mutable reads : int;
   mutable writes : int;
   mutable bytes_read : int;
@@ -216,7 +215,6 @@ let attach host ?(cache_bytes = 256 * 1024 * 1024) ?cap_secret
       (* lint: bounded — the backing store itself: one row per stored object *)
       objects = Hashtbl.create 256;
       tenure = Tenure.create sites;
-      up = true;
       reads = 0;
       writes = 0;
       bytes_read = 0;
@@ -228,20 +226,13 @@ let attach host ?(cache_bytes = 256 * 1024 * 1024) ?cap_secret
      per-node bandwidth cap. *)
   Nfs_endpoint.serve host ~port:2049
     ~cost:{ per_op = 40e-6; per_byte = 2.5e-9 }
-    ~alive:(fun () -> t.up)
-    ?trace ?qos ~handler:(handle t) ();
+    ~tenure:t.tenure ?trace ?qos ~handler:(handle t) ();
   t
 
 let crash t =
-  t.up <- false;
-  (* RAM is lost; the objects table plays the role of the disk. A drain
-     in progress is volatile control-plane state: the migration aborts
-     and the recovered node serves the site normally again. *)
-  Tenure.clear_drains t.tenure;
+  Tenure.crash t.tenure;
+  (* RAM is lost; the objects table plays the role of the disk. *)
   Bcache.drop_clean t.cache
-
-let recover t = t.up <- true
-let is_up t = t.up
 
 let addr t = t.host.Host.addr
 let host t = t.host

@@ -42,13 +42,11 @@ val host : t -> Host.t
     coordinator to a surviving storage node's host). *)
 
 val crash : t -> unit
-(** Fail-stop the service: the endpoint goes silent (no decode, no
-    replies) and the buffer cache is cold on {!recover} — committed data
-    survives, as on a real node whose disks outlive its RAM. Pair with
+(** Fail-stop the service ({!Tenure.crash}): the endpoint goes silent
+    (no decode, no replies) and the buffer cache is cold once
+    {!Tenure.recover} brings the node back — committed data survives,
+    as on a real node whose disks outlive its RAM. Pair with
     {!Slice_net.Net.set_node_up} to silence the whole host. *)
-
-val recover : t -> unit
-val is_up : t -> bool
 
 val object_size : t -> Slice_nfs.Fh.t -> int64 option
 (** {2 Reconfiguration hooks}

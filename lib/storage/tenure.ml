@@ -11,6 +11,8 @@ type t = {
   mutable fence_bounces : int;
   mutable lease_until : float;
   mutable lease_epoch : int;
+  mutable up : bool;
+  mutable crashes : int;
 }
 
 let create owned =
@@ -23,6 +25,8 @@ let create owned =
     fence_bounces = 0;
     lease_until = infinity;
     lease_epoch = 0;
+    up = true;
+    crashes = 0;
   }
 
 let owns t site = Hashtbl.mem t.sites site
@@ -35,7 +39,16 @@ let own t site = if not (owns t site) then Hashtbl.replace t.sites site Serving
 let disown t site = Hashtbl.remove t.sites site
 let begin_drain t site = if owns t site then Hashtbl.replace t.sites site Draining
 let end_drain t site = if owns t site then Hashtbl.replace t.sites site Serving
-let clear_drains t = Hashtbl.filter_map_inplace (fun _ _ -> Some Serving) t.sites
+
+(* A crash aborts any migration: the recovered donor serves its sites. *)
+let crash t =
+  t.up <- false;
+  t.crashes <- t.crashes + 1;
+  Hashtbl.filter_map_inplace (fun _ _ -> Some Serving) t.sites
+
+let recover t = t.up <- true
+let is_up t = t.up
+let crashes t = t.crashes
 
 let note t site =
   match Hashtbl.find t.site_ops site with
@@ -70,6 +83,10 @@ let fence_bounces t = t.fence_bounces
 let set_lease t ~epoch ~until =
   t.lease_epoch <- epoch;
   t.lease_until <- until
+
+let grant t ~epoch ~until =
+  if t.up then set_lease t ~epoch ~until;
+  t.up
 
 let lease_epoch t = t.lease_epoch
 let wedged t ~now = now > t.lease_until

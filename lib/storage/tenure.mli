@@ -5,13 +5,16 @@
     embed one tenure. It holds the single rule behind routing-table
     reconfiguration (Section 3.1: logical sites bound to physical
     servers through a table) and dataless failover (Section 3.4: a
-    survivor takes over a failed manager's sites):
+    survivor takes over a failed manager's sites), and the server's
+    life:
 
+    - {b life} — up or crashed, and the crashes so far: the one
+      fail-stop gate, {!Nfs_endpoint}, reads it;
     - {b ownership} — the logical sites bound here;
     - {b drains} — owned sites mid-migration: reads are still answered,
       updates bounce so none lands behind the move's back. A drain only
-      applies to an owned site, and is volatile ({!clear_drains} on
-      crash) so an aborted migration's donor serves again;
+      applies to an owned site, and is volatile ({!crash} ends it) so an
+      aborted migration's donor serves again;
     - {b load} — requests admitted per site, the rebalancing signal;
     - {b fencing lease} — past its expiry the server is {!wedged} and
       must bounce everything, so a zombie deposed by a takeover cannot
@@ -22,8 +25,21 @@
 type t
 
 val create : int list -> t
-(** A tenure owning the given sites, none in drain, with an infinite
+(** A live tenure owning the given sites, none in drain, with an infinite
     lease. *)
+
+(** {2 Life} *)
+
+val crash : t -> unit
+(** Fail-stop: down, one more crash, and every drain ended (volatile
+    control-plane state). Ownership, load, counters and lease stay. *)
+
+val recover : t -> unit
+val is_up : t -> bool
+
+val crashes : t -> int
+(** Crashes so far: a request that sees one count at admission and
+    later was not overtaken by a crash, even one recovered from. *)
 
 (** {2 Ownership and drains} *)
 
@@ -44,9 +60,6 @@ val begin_drain : t -> int -> unit
 
 val end_drain : t -> int -> unit
 val in_drain : t -> int -> bool
-
-val clear_drains : t -> unit
-(** End every drain (a crash loses this volatile control-plane state). *)
 
 (** {2 Request gates} *)
 
@@ -90,6 +103,10 @@ val fence_bounces : t -> int
 val set_lease : t -> epoch:int -> until:float -> unit
 (** Grant (or renew) the lease: serve until sim-time [until] under
     fencing epoch [epoch]. *)
+
+val grant : t -> epoch:int -> until:float -> bool
+(** A renewal from a failure detector: {!set_lease} while up; a crashed
+    server is granted nothing (false). *)
 
 val lease_epoch : t -> int
 

@@ -189,7 +189,7 @@ let due_actions_apply_at_once () =
   check_bool "the coordinator journaled an intent" true (Coordinator.intents_logged coord > 0);
   let t0 = Engine.now eng in
   Fault.install ens [ (t0, Crash Coordinator) ];
-  check_bool "coordinator down" false (Coordinator.is_up coord);
+  check_bool "coordinator down" false (Tenure.is_up (Coordinator.tenure coord));
   Fault.install ens [ (t0, Crash (Server (Dir, 0))) ];
   check_bool "directory server down" false (Ensemble.is_up ens Dir 0);
   check_float "no simulated time spent" t0 (Engine.now eng);
@@ -223,7 +223,7 @@ let one_instant_in_list_order () =
   Engine.schedule_at eng 1.5 (fun () ->
       check_bool "crash then recover: up" true (Ensemble.is_up ens Storage 1);
       check_bool "recover then crash: down" false (Ensemble.is_up ens Storage 0);
-      check_bool "coordinator crashed and recovered" true (Coordinator.is_up coord);
+      check_bool "coordinator crashed and recovered" true (Tenure.is_up (Coordinator.tenure coord));
       Net.send net (pkt ~src:a ~dst:b));
   Engine.run eng;
   check_int "the last partition holds" 0 !got;

@@ -95,12 +95,17 @@ let tenure_sites_drains_load () =
   check_bool "disown ended the drain" false (Tenure.in_drain tn 2);
   Tenure.own tn 2;
   check_bool "re-owned site takes writes" true (Tenure.admit_write tn 2);
-  (* a crash forgets every drain *)
+  (* a crash forgets every drain and counts itself *)
   Tenure.begin_drain tn 0;
   Tenure.begin_drain tn 1;
-  Tenure.clear_drains tn;
+  Tenure.crash tn;
+  check_bool "down" false (Tenure.is_up tn);
+  check_int "one crash" 1 (Tenure.crashes tn);
   check_bool "drains cleared" false (Tenure.in_drain tn 0 || Tenure.in_drain tn 1);
   check_bool "ownership survives" true (Tenure.owned_sites tn = [ 0; 1; 2 ]);
+  Tenure.recover tn;
+  check_bool "up again" true (Tenure.is_up tn);
+  check_int "recovery keeps the count" 1 (Tenure.crashes tn);
   (* load: per site, summed over owned sites only *)
   Tenure.note tn 0;
   Tenure.note tn 7;
@@ -409,6 +414,7 @@ let drc_replays_lost_reply () =
   let made = reg_fh 21 in
   Nfs_endpoint.serve server ~port:2049
     ~cost:{ Nfs_endpoint.per_op = 10e-6; per_byte = 0.0 }
+    ~tenure:(Tenure.create [])
     ~handler:(fun _ call ->
       incr runs;
       match call with
@@ -455,6 +461,7 @@ let mk_drc_rig ?(hold = 0.0) () =
   let replies = ref 0 in
   Nfs_endpoint.serve server ~port:2049
     ~cost:{ Nfs_endpoint.per_op = 10e-6; per_byte = 0.0 }
+    ~tenure:(Tenure.create [])
     ~handler:(fun _ call ->
       (match call with
       | Nfs.Getattr fh ->
@@ -570,6 +577,7 @@ let getattr_words_budget () =
   let reply = Ok (Nfs.RGetattr attr) in
   Nfs_endpoint.serve server ~port:2049
     ~cost:{ Nfs_endpoint.per_op = 10e-6; per_byte = 0.0 }
+    ~tenure:(Tenure.create [])
     ~handler:(fun _ _ -> reply)
     ();
   let rpc = Rpc.create net client.Host.addr ~port:1000 in
