@@ -129,21 +129,21 @@ let harden t e lsn =
 
 (* Group commit: one fiber leads a round covering everything pending;
    fibers arriving mid-round wait and (if anything new is pending) lead
-   the next round. The joiners resume last parked first; one that parks
-   again meanwhile waits for the next round's wake-up. The round's bytes
-   move to the spare area for the disk write, so appends during the
-   write fill the emptied pending area. A record is stable exactly when
-   [sync] returns to the fiber that appended it. [target] is the last
-   LSN when the caller came and [gen] the crashes before it. A round
-   that lands after a crash is not hardened, and a caller parked across
-   one, or leading a round the crash dropped, raises [Crashed] unless
-   [target] was stable: it runs on when the dropped round's write lands,
-   before any later round can harden, so [synced] is still the crash's
-   stable prefix. *)
+   the next round. The joiners resume last parked first, and return at
+   once if [target], the last LSN when they came, is stable. The round's
+   bytes move to the spare area for the disk write, so appends during
+   the write fill the emptied pending area. A record is stable exactly
+   when [sync] returns to the fiber that appended it. [gen] is the
+   crashes before the caller came. A round that lands after a crash is
+   not hardened, and a caller parked across one, or leading a round the
+   crash dropped, raises [Crashed] unless [target] was stable: it runs
+   on when the dropped round's write lands, before any later round can
+   harden, so [synced] is still the crash's stable prefix. *)
 let survive_crash t target = if Int64.compare t.synced target < 0 then raise Crashed
 
 let rec sync_round t eng disk span gen target =
   if t.gen <> gen then survive_crash t target
+  else if Int64.compare t.synced target >= 0 then ()
   else if t.sync_inflight then begin
     Engine.wait eng t.joiners;
     sync_round t eng disk span gen target

@@ -44,7 +44,7 @@ exception Crashed
 
 val sync : ?span:Slice_trace.Trace.span -> t -> unit
 (** Fiber (when disk-backed): force buffered records stable; it returns
-    only once the caller's records are, or raises {!Crashed}. A live
+    as soon as the caller's records are, or raises {!Crashed}. A live
     [span] gets a ["wal"] child covering the commit round this caller
     led (fibers that join an in-flight round record the round they then
     lead, if any). A round's bytes stay out of {!image} and
