@@ -11,6 +11,7 @@ module Obsd = Slice_storage.Obsd
 module Tenure = Slice_storage.Tenure
 module Coordinator = Slice_storage.Coordinator
 module Dirserver = Slice_dir.Dirserver
+module Ctrl = Slice_storage.Ctrl
 module Client = Slice_workload.Client
 module Ensemble = Slice.Ensemble
 module Proxy = Slice.Proxy
@@ -364,38 +365,57 @@ let crashed_dir_server_stays_silent () =
 
 (* The coordinator's host stays up when the coordinator alone crashes,
    so a message admitted just before the crash must be silenced by the
-   coordinator itself: the intent it carries is neither logged nor
-   acknowledged. The crash comes 1 µs into the message's CPU charge. *)
-let crashed_coordinator_stays_silent () =
-  let module Ctrl = Slice_storage.Ctrl in
+   coordinator itself. [msg] goes to a coordinator with one storage node
+   beside it, and the coordinator crashes at the first microsecond tick
+   at which [due] holds; no answer may come. *)
+let crashed_coordinator_answers_nothing ~due msg =
   let eng = Engine.create () in
   let net = Net.create eng () in
   let chost = Host.create net ~name:"coord" ~disks:1 () in
   let coord = Coordinator.attach chost () in
-  let client = Host.create net ~name:"cl" () in
-  let rpc = Rpc.create net client.Host.addr ~port:1000 in
-  let fh =
-    { Fh.file_id = 42L; gen = 1; ftype = Fh.Reg; mirrored = false; attr_site = 0; cap = 0L }
-  in
-  let served = Slice_sim.Resource.served chost.Host.cpu in
+  let node = Obsd.attach (Host.create net ~name:"node" ~cpu_scale:1.6 ~disks:8 ()) () in
+  let rpc = Rpc.create net (Host.create net ~name:"cl" ()).Host.addr ~port:1000 in
   let rec watch () =
-    if Slice_sim.Resource.served chost.Host.cpu > served then
-      Engine.schedule eng 1e-6 (fun () -> Coordinator.crash coord)
-    else Engine.schedule eng 1e-6 watch
+    Engine.schedule eng 1e-6 (fun () -> if due chost coord then Coordinator.crash coord else watch ())
   in
   watch ();
   run_on eng (fun () ->
       let xid = Rpc.fresh_xid rpc in
-      let msg =
-        Ctrl.encode_msg ~xid (Ctrl.Intent { op_id = 5L; kind = Ctrl.K_remove; fh; participants = [] })
-      in
       match
         Rpc.call rpc ~timeout:0.2 ~retries:1 ~dst:(Coordinator.addr coord)
-          ~dport:(Coordinator.port coord) msg
+          ~dport:(Coordinator.port coord)
+          (Ctrl.encode_msg ~xid (msg (Obsd.addr node)))
       with
       | (_ : bytes) -> Alcotest.fail "a crashed coordinator answered"
       | exception Rpc.Timeout -> ());
+  coord
+
+let fh42 = { Fh.file_id = 42L; gen = 1; ftype = Fh.Reg; mirrored = false; attr_site = 0; cap = 0L }
+
+(* The crash comes 1 µs into the Intent's CPU charge: the intent is
+   neither logged nor acknowledged. *)
+let crashed_coordinator_stays_silent () =
+  let before = ref (-1) in
+  let coord =
+    crashed_coordinator_answers_nothing
+      ~due:(fun host _ ->
+        let served = Slice_sim.Resource.served host.Host.cpu in
+        if !before < 0 then before := served;
+        served > !before)
+      (fun _ -> Ctrl.Intent { op_id = 5L; kind = Ctrl.K_remove; fh = fh42; participants = [] })
+  in
   check_int "no intent logged" 0 (Coordinator.intents_logged coord)
+
+(* The crash comes once a remove's intent is stable, while its call to
+   the storage node is in flight: the intent stays logged, for redo
+   after recovery, but the remove is not acknowledged. *)
+let coordinator_crash_mid_fan_out () =
+  let coord =
+    crashed_coordinator_answers_nothing
+      ~due:(fun _ coord -> Coordinator.intents_logged coord > 0)
+      (fun node -> Ctrl.Remove_file { fh = fh42; sites = [ node ] })
+  in
+  check_int "the intent was logged" 1 (Coordinator.intents_logged coord)
 
 (* ---- RPC exponential backoff ---- *)
 
@@ -597,7 +617,6 @@ let specsfs_with_node_crash () =
    partition never saw its redo. The redo must re-arm the probe and only
    retire once every participant acks. *)
 let coordinator_redo_waits_for_partition_heal () =
-  let module Ctrl = Slice_storage.Ctrl in
   let eng = Engine.create () in
   let net = Net.create eng () in
   let hosts =
@@ -656,7 +675,6 @@ let coordinator_redo_waits_for_partition_heal () =
    twice (a standby crashing mid-replay and starting over) must not
    resurrect retired intents. *)
 let coordinator_takeover_completes_2pc () =
-  let module Ctrl = Slice_storage.Ctrl in
   let eng = Engine.create () in
   let net = Net.create eng () in
   let hosts =
@@ -792,6 +810,7 @@ let suite =
     ("dir crash keeps acknowledged creates", `Quick, dir_crash_keeps_acked_creates);
     ("crashed dir server stays silent", `Quick, crashed_dir_server_stays_silent);
     ("crashed coordinator stays silent", `Quick, crashed_coordinator_stays_silent);
+    ("coordinator crash mid-fan-out", `Quick, coordinator_crash_mid_fan_out);
     ("rpc backoff schedule", `Quick, backoff_schedule);
     ("rpc backoff cap", `Quick, backoff_cap);
     ("dead node expires pending", `Quick, dead_node_expires_pending);

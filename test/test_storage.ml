@@ -447,6 +447,8 @@ let drc_replays_lost_reply () =
    xid] puts one Getattr on the wire without running the engine. *)
 type drc_rig = {
   d_eng : Engine.t;
+  server : Host.t;
+  tenure : Tenure.t;
   runs : (int, int) Hashtbl.t;
   replies : int ref;
   send : int -> unit;
@@ -459,9 +461,10 @@ let mk_drc_rig ?(hold = 0.0) () =
   let client = Host.create net ~name:"cli" () in
   let runs = Hashtbl.create 16 in
   let replies = ref 0 in
+  let tenure = Tenure.create [] in
   Nfs_endpoint.serve server ~port:2049
     ~cost:{ Nfs_endpoint.per_op = 10e-6; per_byte = 0.0 }
-    ~tenure:(Tenure.create [])
+    ~tenure
     ~handler:(fun _ call ->
       (match call with
       | Nfs.Getattr fh ->
@@ -477,7 +480,7 @@ let mk_drc_rig ?(hold = 0.0) () =
       (Packet.make ~src:client.Host.addr ~dst:server.Host.addr ~sport:1000 ~dport:2049
          (Codec.encode_call ~xid (Nfs.Getattr (reg_fh xid))))
   in
-  { d_eng = eng; runs; replies; send }
+  { d_eng = eng; server; tenure; runs; replies; send }
 
 let runs_of r xid = Option.value ~default:0 (Hashtbl.find_opt r.runs xid)
 
@@ -500,6 +503,46 @@ let drc_drops_retransmission_while_running () =
   complete r 7;
   check_int "cache hit does not run the handler" 1 (runs_of r 7);
   check_int "cache hit replies" 2 !(r.replies)
+
+(* A crash overtakes a request even when the server has recovered by the
+   time the request would go on. One crashed and recovered while its
+   handler runs sends no reply; one crashed and recovered during its
+   10 µs CPU charge runs no handler. Neither leaves a row: the
+   retransmission runs the handler afresh and is answered. A cache hit
+   overtaken in its CPU charge sends no reply either. *)
+let crash_overtakes_request () =
+  let r = mk_drc_rig ~hold:0.01 () in
+  let bounce () =
+    Tenure.crash r.tenure;
+    Tenure.recover r.tenure
+  in
+  let bounce_in_cpu_charge xid =
+    let served = Slice_sim.Resource.served r.server.Host.cpu in
+    let rec watch () =
+      Engine.schedule r.d_eng 1e-6 (fun () ->
+          if Slice_sim.Resource.served r.server.Host.cpu > served then bounce () else watch ())
+    in
+    watch ();
+    r.send xid;
+    Engine.run r.d_eng
+  in
+  r.send 1;
+  Engine.schedule r.d_eng 0.005 bounce;
+  Engine.run r.d_eng;
+  check_int "the handler ran" 1 (runs_of r 1);
+  check_int "but sent no reply" 0 !(r.replies);
+  complete r 1;
+  check_int "no row: the retransmission runs again" 2 (runs_of r 1);
+  check_int "and is answered" 1 !(r.replies);
+  bounce_in_cpu_charge 2;
+  check_int "no handler run" 0 (runs_of r 2);
+  check_int "no reply" 1 !(r.replies);
+  complete r 2;
+  check_int "the retransmission runs" 1 (runs_of r 2);
+  check_int "and is answered too" 2 !(r.replies);
+  bounce_in_cpu_charge 2;
+  check_int "a cache hit runs nothing" 1 (runs_of r 2);
+  check_int "and, overtaken, sends nothing" 2 !(r.replies)
 
 (* The cache holds the 512 most recent completions: with 511 newer ones
    the oldest xid still hits, with 512 it has been evicted and runs
@@ -636,6 +679,7 @@ let suite =
     ("nfs endpoint drops a retransmission while running", `Quick,
       drc_drops_retransmission_while_running);
     ("nfs endpoint DRC evicts after 512 completions", `Quick, drc_evicts_after_512);
+    ("nfs endpoint: a crash overtakes a request", `Quick, crash_overtakes_request);
     ("nfs endpoint DRC hit refreshes its entry", `Quick, drc_hit_refreshes);
     ("nfs endpoint running requests stay outside the DRC", `Quick,
       drc_running_outside_capacity);
