@@ -232,8 +232,7 @@ let promote_coordinator t tg ~declared =
       Array.iteri
         (fun j o ->
           if
-            !candidate < 0
-            && Tenure.is_up (Obsd.tenure o)
+            !candidate < 0 && Tenure.is_up (Obsd.tenure o)
             && Net.node_up t.net (Obsd.addr o)
             && (Obsd.host o).Host.addr <> old_addr
           then candidate := j)

@@ -38,8 +38,8 @@ val recover : t -> unit
 val is_up : t -> bool
 
 val crashes : t -> int
-(** Crashes so far: a request that sees one count at admission and
-    later was not overtaken by a crash, even one recovered from. *)
+(** Crashes so far. A request that reads the same count at admission
+    and later was overtaken by no crash, not even one recovered from. *)
 
 (** {2 Ownership and drains} *)
 
