@@ -74,6 +74,6 @@ val adopt_log : t -> log:string -> unit
 
 val tenure : t -> Tenure.t
 (** The coordinator's life (down between {!crash} and {!recover}) and
-    fencing lease; it owns no sites. Once the lease
-    has expired, control messages are Nacked and redo probes stop, so a
-    zombie deposed by a takeover cannot commit 2PC work. *)
+    fencing lease; it owns no sites. Once the lease has expired, control
+    messages are Nacked and redo probes stop, so a zombie deposed by a
+    takeover cannot commit 2PC work. *)
