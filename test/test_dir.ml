@@ -752,3 +752,117 @@ let suite =
       ("peer: cross-site link counts", `Quick, cross_site_nlink);
       ("peer: re-delivered updates apply once", `Quick, peer_redelivery_applies_once);
     ]
+
+(* ---- one journal round per update ---- *)
+
+(* Entries of directory [d] as its attributes count them. *)
+let dir_count rig d =
+  match call rig (Nfs.Getattr d) with
+  | Ok (Nfs.RGetattr a) -> Int64.to_int a.Nfs.size / 24
+  | _ -> Alcotest.fail "getattr"
+
+(* Thirty renames from one directory into another over [nsites]
+   name-hashed sites. A new entry that hashes to a site other than the
+   old one's is installed there by [Peer.Add_entry], and the new parent
+   must count it wherever the parent's cell lives; removing the thirty
+   must bring the count back to zero. *)
+let rename_across_sites_counts nsites () =
+  let rig = mk_rig ~nsites () in
+  run_on rig.eng (fun () ->
+      let src, _ = ok_or_fail "mkdir" (mkdir rig Fh.root "src") in
+      let dst, _ = ok_or_fail "mkdir" (mkdir rig Fh.root "dst") in
+      let names = List.init 30 (Printf.sprintf "r%02d") in
+      List.iter (fun n -> ignore (ok_or_fail n (create rig src n))) names;
+      List.iter
+        (fun n ->
+          match call rig (Nfs.Rename (src, n, dst, n)) with
+          | Ok Nfs.RRename -> ()
+          | _ -> Alcotest.failf "rename %s" n)
+        names;
+      check_int "the new parent counts every entry" 30 (dir_count rig dst);
+      check_int "the old parent counts none" 0 (dir_count rig src);
+      check_names "the new parent lists every entry" names (listing rig dst);
+      List.iter
+        (fun n ->
+          match call rig (Nfs.Remove (dst, n)) with
+          | Ok Nfs.RRemove -> ()
+          | _ -> Alcotest.failf "remove %s" n)
+        names;
+      check_int "the emptied parent counts none" 0 (dir_count rig dst))
+
+(* Journal writes on every directory host's log disk. *)
+let log_writes rig =
+  Array.fold_left
+    (fun n d -> n + Slice_disk.Disk.ops (Host.disk_exn (Dirserver.host d)))
+    0 rig.dirs
+
+(* Sequential updates, so no two share a group commit. A create or
+   remove whose effects all live on one server takes one journal round
+   there; a create whose parent's cell lives at the other site takes one
+   round at each server: the entry goes out with the prepare, and the
+   peer logs the count with its dedup row. *)
+let one_round_per_update () =
+  let writes rig f =
+    let before = log_writes rig in
+    f ();
+    log_writes rig - before
+  in
+  let names = List.init 20 (Printf.sprintf "u%02d") in
+  let rig = mk_rig ~nsites:1 () in
+  run_on rig.eng (fun () ->
+      Engine.sleep rig.eng 0.1;
+      check_int "1 site: 20 creates" 20
+        (writes rig (fun () ->
+             List.iter (fun n -> ignore (ok_or_fail n (create rig Fh.root n))) names));
+      check_int "1 site: 20 removes" 20
+        (writes rig (fun () ->
+             List.iter
+               (fun n ->
+                 match call rig (Nfs.Remove (Fh.root, n)) with
+                 | Ok Nfs.RRemove -> ()
+                 | _ -> Alcotest.failf "remove %s" n)
+               names)));
+  let rig = mk_rig ~nsites:2 () in
+  let remote =
+    List.length (List.filter (fun n -> site_of rig (Nfs.Create (Fh.root, n)) <> 0) names)
+  in
+  run_on rig.eng (fun () ->
+      Engine.sleep rig.eng 0.1;
+      check_bool "some parents counted across sites" true (remote > 0);
+      check_int "2 sites: 20 creates" (20 + remote)
+        (writes rig (fun () ->
+             List.iter (fun n -> ignore (ok_or_fail n (create rig Fh.root n))) names)))
+
+(* Dir 0, which holds root's cell, crashes while its host's network stays
+   up, so a create at site 1 gets no answer to the prepared entry-count
+   update. The request ends without a reply and the run goes on; so does
+   a recovery whose re-send times out. The prepare stays logged, and the
+   re-send after dir 0 is back counts the entry. *)
+let peer_timeout_ends_the_request () =
+  let rig = mk_rig ~nsites:2 () in
+  let name = name_at rig "late" 1 in
+  run_on rig.eng (fun () ->
+      Engine.sleep rig.eng 0.1;
+      Dirserver.crash rig.dirs.(0);
+      (match create rig Fh.root name with
+      | exception Rpc.Timeout -> ()
+      | _ -> Alcotest.fail "a create whose peer is down was answered");
+      Engine.sleep rig.eng 30.0;
+      Dirserver.crash rig.dirs.(1);
+      Dirserver.recover rig.dirs.(1);
+      Engine.sleep rig.eng 30.0;
+      Dirserver.recover rig.dirs.(0);
+      Dirserver.crash rig.dirs.(1);
+      Dirserver.recover rig.dirs.(1);
+      Engine.sleep rig.eng 1.0;
+      ignore (ok_or_fail "lookup" (lookup rig Fh.root name));
+      check_int "the re-sent update counts the entry" 1 (dir_count rig Fh.root))
+
+let suite =
+  suite
+  @ [
+      ("rename across sites counts the entry (2 sites)", `Quick, rename_across_sites_counts 2);
+      ("rename across sites counts the entry (3 sites)", `Quick, rename_across_sites_counts 3);
+      ("one log round per update", `Quick, one_round_per_update);
+      ("a peer timeout ends the request, not the run", `Quick, peer_timeout_ends_the_request);
+    ]

@@ -278,8 +278,9 @@ let soft_state_loss_mid_run () =
 (* Two clients create 300 files each in their own directory over two
    name-hashed directory servers; dir 0 crashes at [at] and recovers
    0.5 s later. The µproxy's name cache is off: its lease would answer
-   the lookups for a lost entry. Returns the creates answered OK and the
-   directories, filled in as the engine runs. *)
+   the lookups for a lost entry. Returns the creates answered OK, the
+   directories and the count of creates answered with an error, filled
+   in as the engine runs. *)
 let crash_during_creates at =
   let ens =
     Ensemble.create
@@ -297,7 +298,7 @@ let crash_during_creates at =
         let host, _ = Ensemble.add_client ens ~name:(Printf.sprintf "c%d" i) in
         Client.create host ~server:(Ensemble.virtual_addr ens) ())
   in
-  let acked = ref [] and dirs = ref [] in
+  let acked = ref [] and dirs = ref [] and errors = ref 0 in
   List.iteri
     (fun i cl ->
       Engine.spawn eng (fun () ->
@@ -307,10 +308,10 @@ let crash_during_creates at =
             let name = Printf.sprintf "f%03d" k in
             match Client.create_file cl d name with
             | Ok _ -> acked := (cl, d, name) :: !acked
-            | Error _ -> ()
+            | Error _ -> incr errors
           done))
     clients;
-  (ens, eng, acked, dirs)
+  (ens, eng, acked, dirs, errors)
 
 (* A create parked in the journal's group commit when its directory
    server crashes was never made durable, so it must not be answered:
@@ -323,7 +324,7 @@ let crash_during_creates at =
    parked in the old one. *)
 let dir_crash_keeps_acked_creates () =
   let run at =
-    let _, eng, acked, dirs = crash_during_creates at in
+    let _, eng, acked, dirs, _ = crash_during_creates at in
     Engine.run eng;
     check_int (Printf.sprintf "crash at %g: every create answered" at) 600 (List.length !acked);
     run_on eng (fun () ->
@@ -340,6 +341,51 @@ let dir_crash_keeps_acked_creates () =
   in
   List.iter run [ 0.0203; 0.0407; 0.0475; 0.0507; 0.0605; 0.0611; 0.0713; 0.0809; 0.088 ]
 
+(* Error answers and directories whose attribute size disagrees with
+   their listing after [crash_during_creates at] has run to the end. *)
+let crash_outcome at =
+  let _, eng, _, dirs, errors = crash_during_creates at in
+  Engine.run eng;
+  run_on eng (fun () ->
+      let drifted (cl, d) =
+        match (Client.getattr cl d, Client.readdir_all cl d) with
+        | Ok a, Ok entries -> Int64.to_int a.Nfs.size / 24 <> List.length entries
+        | _ -> true
+      in
+      (!errors, List.length (List.filter drifted !dirs)))
+
+(* A create lands its entry and its parent's count in one journal round,
+   so a crash keeps both or neither: no retransmission finds its own
+   entry and answers EXIST, and no directory's count drifts from its
+   listing. At each of these instants the entry used to land one round
+   before the count. *)
+let dir_crash_lands_whole_creates () =
+  List.iter
+    (fun at ->
+      let errors, drifted = crash_outcome at in
+      check_int (Printf.sprintf "crash at %g: error answers" at) 0 errors;
+      check_int (Printf.sprintf "crash at %g: drifted directories" at) 0 drifted)
+    [ 0.0249; 0.0366; 0.0388; 0.0408; 0.0504; 0.0561; 0.0610; 0.0622; 0.0635; 0.0711; 0.0823 ]
+
+(* The same over every 0.1 ms from 0.0200 to 0.0900 s (701 instants,
+   outside [dune runtest]: [dune build @crash-sweep]). Prints the totals
+   and each instant that failed; false when any did. *)
+let crash_sweep () =
+  let bad = ref 0 and errors = ref 0 and drifted = ref 0 in
+  for i = 200 to 900 do
+    let at = float_of_int i /. 10000. in
+    let e, d = crash_outcome at in
+    if e + d > 0 then begin
+      incr bad;
+      Printf.printf "crash at %.4f: %d error answers, %d drifted directories\n" at e d
+    end;
+    errors := !errors + e;
+    drifted := !drifted + d
+  done;
+  Printf.printf "crash sweep: 701 instants, %d error answers, %d drifted directories\n" !errors
+    !drifted;
+  !bad = 0
+
 (* A crash is fail-stop and silent: a create admitted just before it,
    still waiting for the CPU, must not run on the tables the crash
    reset. Dir 0's journal may not grow from the crash until just before
@@ -347,7 +393,7 @@ let dir_crash_keeps_acked_creates () =
    charge when the crash came. *)
 let crashed_dir_server_stays_silent () =
   let run at =
-    let ens, eng, _, _ = crash_during_creates at in
+    let ens, eng, _, _, _ = crash_during_creates at in
     let dir0 = (Ensemble.dirs ens).(0) in
     let at_crash = ref 0 and later = ref 0 in
     (* scheduled after the crash's own event, so it runs once the crash
@@ -808,6 +854,7 @@ let suite =
     ("schedule: bad schedule rejected", `Quick, bad_schedule_rejected);
     ("schedule: µproxy soft-state loss mid-run", `Quick, soft_state_loss_mid_run);
     ("dir crash keeps acknowledged creates", `Quick, dir_crash_keeps_acked_creates);
+    ("dir crash lands whole creates", `Quick, dir_crash_lands_whole_creates);
     ("crashed dir server stays silent", `Quick, crashed_dir_server_stays_silent);
     ("crashed coordinator stays silent", `Quick, crashed_coordinator_stays_silent);
     ("coordinator crash mid-fan-out", `Quick, coordinator_crash_mid_fan_out);

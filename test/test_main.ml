@@ -1,4 +1,9 @@
+(* [test_main.exe crash-sweep] runs the long crash-instant sweep of
+   [Test_fault.crash_sweep] alone; anything else goes to Alcotest. *)
 let () =
+  if Array.length Sys.argv = 2 && Sys.argv.(1) = "crash-sweep" then
+    exit (if Test_fault.crash_sweep () then 0 else 1)
+  else
   Alcotest.run "slice"
     [
       ("util", Test_util.suite);
