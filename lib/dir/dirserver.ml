@@ -53,6 +53,7 @@ type t = {
   trace : Trace.t option;
   tenure : Tenure.t; (* logical sites hosted here, drains, load, fencing lease *)
   wal : Wal.t;
+  mutable dirty : bool; (* the running fiber logged a record no round covers *)
   mutable next_file : int;
   mutable next_op : int64;
   mutable ops : int;
@@ -109,9 +110,23 @@ let enc_prepare e (op_id, site, msg) =
   Enc.u32 e site;
   Enc.opaque e msg
 
-let log t rtype write v = ignore (Wal.append_with t.wal ~rtype write v)
+(* Helpers only log; a fiber forces the journal ([harden]) just before
+   something leaves the server: a peer prepare, a call to the
+   coordinator, a reply ([answer]). [log] sets [dirty] until then, so it
+   never survives a switch of fibers, and a request that logged nothing
+   waits on no round. An [append]ed record rides the next round: a
+   commit, which a re-send makes good, or an imported one. *)
+let append t rtype write v = ignore (Wal.append_with t.wal ~rtype write v)
 
-let sync_log ?(span = Trace.null) t = Wal.sync ~span t.wal
+let log t rtype write v =
+  append t rtype write v;
+  t.dirty <- true
+
+let harden ?(span = Trace.null) t =
+  if t.dirty then begin
+    t.dirty <- false;
+    Wal.sync ~span t.wal
+  end
 
 let log_cell t fid c = log t rt_set_cell enc_cell (fid, c)
 let log_add_entry t parent name child = log t rt_add_entry enc_add_entry (parent, name, child)
@@ -174,7 +189,7 @@ let attr_of_cell (c : cell) =
 
 (* Link-count change on a local attribute cell, shared by the local and
    peer paths; the last link frees the cell. Returns the attributes as
-   of the change. The caller syncs. *)
+   of the change. *)
 let apply_nlink t fid (c : cell) delta =
   c.attr <- { c.attr with nlink = c.attr.Nfs.nlink + delta; ctime = now t };
   let attr = attr_of_cell c in
@@ -186,7 +201,7 @@ let apply_nlink t fid (c : cell) delta =
   attr
 
 (* Entry-count change on a local directory cell, shared by the local and
-   peer paths. The caller syncs. *)
+   peer paths. *)
 let apply_entry_count t fid (c : cell) ~delta ~mtime =
   c.entries <- c.entries + delta;
   c.attr <- { c.attr with mtime; ctime = now t };
@@ -211,30 +226,32 @@ let peer_call ?(span = Trace.null) t ~site msg =
   let reply = Rpc.call t.rpc ~span ~dst ~dport:t.cfg.peer_port payload in
   snd (Peer.decode_reply reply)
 
-(* Two-phase cross-site update: log the prepared message, apply it at the
-   peer (which dedups and logs), then log the commit. Recovery re-sends
-   prepared-but-uncommitted messages. *)
+(* Two-phase cross-site update: log the prepared message and force it
+   with whatever the request logged before it (the write-ahead point),
+   apply it at the peer (which dedups and logs), then append the commit.
+   Recovery re-sends prepared-but-uncommitted messages. *)
 let peer_update ?(span = Trace.null) t ~site build =
   let op_id = fresh_op t in
   let msg = build op_id in
   let msg_bytes = Bytes.to_string (Peer.encode_msg ~xid:0 msg) in
   Hashtbl.replace t.prepares op_id (site, msg_bytes);
   log t rt_prepare enc_prepare (op_id, site, msg_bytes);
-  sync_log ~span t;
+  harden ~span t;
   let reply = peer_call ~span t ~site msg in
   Hashtbl.remove t.prepares op_id;
-  log t rt_commit Enc.u64 op_id;
+  append t rt_commit Enc.u64 op_id;
   reply
 
 (* ---- data-plane cleanup (remove / truncate) ---- *)
 
-let remove_file_data t (fh : Fh.t) =
+let remove_file_data ?(span = Trace.null) t (fh : Fh.t) =
   (* Fire-and-forget: the coordinator's intention log owns completion.
      An unreachable coordinator ends the fiber, not the run; no intent
      was logged then, so the data stays behind. *)
   match (t.cfg.data_sites fh, t.cfg.coordinator fh) with
   | [], _ | _, None -> ()
   | sites, Some (addr, port) ->
+      harden ~span t;
       Engine.spawn t.host.Host.eng (fun () ->
           let xid = Rpc.fresh_xid t.rpc in
           let payload = Ctrl.encode_msg ~xid (Ctrl.Remove_file { fh; sites }) in
@@ -243,40 +260,30 @@ let remove_file_data t (fh : Fh.t) =
 
 (* ---- attribute access across sites ---- *)
 
+let attr_reply = function Peer.Rattr a -> Ok a | Peer.Rerr st -> Error st | _ -> Error Nfs.ERR_IO
+let ack_reply = function Peer.Ack -> Ok () | Peer.Rerr st -> Error st | _ -> Error Nfs.ERR_IO
+
 let child_attr ?(span = Trace.null) t (fh : Fh.t) =
   if owns t fh.Fh.attr_site then
     match local_cell t fh.Fh.file_id with
     | Some c -> Ok (attr_of_cell c)
     | None -> Error Nfs.ERR_STALE
-  else
-    match peer_call ~span t ~site:fh.Fh.attr_site (Peer.Getattr fh) with
-    | Peer.Rattr a -> Ok a
-    | Peer.Rerr st -> Error st
-    | _ -> Error Nfs.ERR_IO
+  else attr_reply (peer_call ~span t ~site:fh.Fh.attr_site (Peer.Getattr fh))
 
 let bump_nlink ?(span = Trace.null) t (fh : Fh.t) delta =
   if owns t fh.Fh.attr_site then
     match local_cell t fh.Fh.file_id with
     | None -> Error Nfs.ERR_STALE
-    | Some c ->
-        let attr = apply_nlink t fh.Fh.file_id c delta in
-        sync_log ~span t;
-        Ok attr
+    | Some c -> Ok (apply_nlink t fh.Fh.file_id c delta)
   else
-    match
-      peer_update ~span t ~site:fh.Fh.attr_site (fun op_id -> Peer.Nlink { op_id; fh; delta })
-    with
-    | Peer.Rattr a -> Ok a
-    | Peer.Rerr st -> Error st
-    | _ -> Error Nfs.ERR_IO
+    attr_reply
+      (peer_update ~span t ~site:fh.Fh.attr_site (fun op_id -> Peer.Nlink { op_id; fh; delta }))
 
 let bump_parent ?(span = Trace.null) t (dfh : Fh.t) delta =
   if owns t dfh.Fh.attr_site then begin
     match local_cell t dfh.Fh.file_id with
     | None -> ()
-    | Some c ->
-        apply_entry_count t dfh.Fh.file_id c ~delta ~mtime:(now t);
-        sync_log ~span t
+    | Some c -> apply_entry_count t dfh.Fh.file_id c ~delta ~mtime:(now t)
   end
   else
     ignore
@@ -308,6 +315,26 @@ let check_write_site t site ok = if Tenure.admit_write t.tenure site then ok () 
 let check_entry_site t dfh name ok = check_read_site t (entry_site t dfh name) ok
 let check_entry_site_w t dfh name ok = check_write_site t (entry_site t dfh name) ok
 
+(* Install a name entry held here, then count it at the parent's cell,
+   wherever that lives: a create, the local branch of
+   [add_entry_somewhere] and a peer's [Add_entry] all come here. *)
+let add_entry_here ?(span = Trace.null) t (dfh : Fh.t) name child =
+  apply_add_entry t dfh.Fh.file_id name child;
+  log_add_entry t dfh.Fh.file_id name child;
+  bump_parent ~span t dfh 1
+
+(* Drop a name entry held here. The child's link count, whose cell
+   usually lives with the entry, changes by [delta] before the parent's
+   count, which may live at another site: the local records then go out
+   in the round of that update's prepare. Returns the child's attributes
+   as of the change. *)
+let unlink ?(span = Trace.null) t (dfh : Fh.t) name child delta =
+  apply_remove_entry t dfh.Fh.file_id name;
+  log_remove_entry t dfh.Fh.file_id name;
+  let attr = bump_nlink ~span t child delta in
+  bump_parent ~span t dfh (-1);
+  attr
+
 let do_create ?(span = Trace.null) t (dfh : Fh.t) name ~ftype ~symlink =
   if dfh.Fh.ftype <> Fh.Dir then Error Nfs.ERR_NOTDIR
   else if Hashtbl.mem t.entries (dfh.Fh.file_id, name) then Error Nfs.ERR_EXIST
@@ -319,12 +346,25 @@ let do_create ?(span = Trace.null) t (dfh : Fh.t) name ~ftype ~symlink =
     let attr = Nfs.default_attr ~ftype ~fileid:fh.Fh.file_id ~now:(now t) in
     let c = { attr; entries = 0; symlink } in
     Hashtbl.replace t.attrs fh.Fh.file_id c;
-    apply_add_entry t dfh.Fh.file_id name fh;
     log_cell t fh.Fh.file_id c;
-    log_add_entry t dfh.Fh.file_id name fh;
-    sync_log ~span t;
-    bump_parent ~span t dfh 1;
-    Ok (fh, attr_of_cell c)
+    add_entry_here ~span t dfh name fh;
+    let a = attr_of_cell c in
+    Ok
+      (match ftype with
+      | Fh.Dir -> Nfs.RMkdir (fh, a)
+      | Fh.Lnk -> Nfs.RSymlink (fh, a)
+      | _ -> Nfs.RCreate (fh, a))
+  end
+
+let add_entry_somewhere ?(span = Trace.null) t (dfh : Fh.t) name child =
+  if not (owns t (entry_site t dfh name)) then
+    ack_reply
+      (peer_update ~span t ~site:(entry_site t dfh name) (fun op_id ->
+           Peer.Add_entry { op_id; dir = dfh; name; child }))
+  else if Hashtbl.mem t.entries (dfh.Fh.file_id, name) then Error Nfs.ERR_EXIST
+  else begin
+    add_entry_here ~span t dfh name child;
+    Ok ()
   end
 
 (* Redirected mkdir (mkdir switching): this site was chosen by the µproxy
@@ -336,48 +376,12 @@ let do_remote_mkdir ?(span = Trace.null) t (dfh : Fh.t) name =
   let c = { attr; entries = 0; symlink = None } in
   Hashtbl.replace t.attrs fh.Fh.file_id c;
   log_cell t fh.Fh.file_id c;
-  sync_log ~span t;
-  match
-    peer_update ~span t ~site:(entry_site t dfh name) (fun op_id ->
-        Peer.Add_entry { op_id; dir = dfh; name; child = fh })
-  with
-  | Peer.Ack -> Ok (fh, attr_of_cell c)
-  | Peer.Rerr st ->
+  match add_entry_somewhere ~span t dfh name fh with
+  | Ok () -> Ok (Nfs.RMkdir (fh, attr_of_cell c))
+  | Error st ->
       Hashtbl.remove t.attrs fh.Fh.file_id;
       log_remove_cell t fh.Fh.file_id;
-      sync_log ~span t;
       Error st
-  | _ -> Error Nfs.ERR_IO
-
-let add_entry_somewhere ?(span = Trace.null) t (dfh : Fh.t) name child =
-  if owns t (entry_site t dfh name) then begin
-    if Hashtbl.mem t.entries (dfh.Fh.file_id, name) then Error Nfs.ERR_EXIST
-    else begin
-      apply_add_entry t dfh.Fh.file_id name child;
-      log_add_entry t dfh.Fh.file_id name child;
-      sync_log ~span t;
-      bump_parent ~span t dfh 1;
-      Ok ()
-    end
-  end
-  else
-    match
-      peer_update ~span t ~site:(entry_site t dfh name) (fun op_id ->
-          Peer.Add_entry { op_id; dir = dfh; name; child })
-    with
-    | Peer.Ack -> Ok ()
-    | Peer.Rerr st -> Error st
-    | _ -> Error Nfs.ERR_IO
-
-let remove_entry_here ?(span = Trace.null) t (dfh : Fh.t) name =
-  match Hashtbl.find_opt t.entries (dfh.Fh.file_id, name) with
-  | None -> Error Nfs.ERR_NOENT
-  | Some child ->
-      apply_remove_entry t dfh.Fh.file_id name;
-      log_remove_entry t dfh.Fh.file_id name;
-      sync_log ~span t;
-      bump_parent ~span t dfh (-1);
-      Ok child
 
 let handle t span (call : Nfs.call) : Nfs.response =
   t.ops <- t.ops + 1;
@@ -402,12 +406,11 @@ let handle t span (call : Nfs.call) : Nfs.response =
             let old_size = c.attr.Nfs.size in
             c.attr <- Nfs.apply_sattr c.attr s ~now:(now t);
             log_cell t fh.Fh.file_id c;
-            sync_log ~span t;
             (match s.Nfs.set_size with
             | Some nsz when fh.Fh.ftype = Fh.Reg && Int64.compare nsz old_size < 0 ->
                 (* Shrinking truncate: multi-site data trim through the
                    coordinator's intention protocol. *)
-                if Int64.compare nsz 0L = 0 then remove_file_data t fh
+                if Int64.compare nsz 0L = 0 then remove_file_data ~span t fh
             | _ -> ());
             Ok (Nfs.RSetattr (attr_of_cell c)))
   | Nfs.Lookup (dfh, name) ->
@@ -433,44 +436,30 @@ let handle t span (call : Nfs.call) : Nfs.response =
         | None -> Error Nfs.ERR_STALE)
   | Nfs.Create (dfh, name) ->
       check_entry_site_w t dfh name (fun () ->
-          match do_create ~span t dfh name ~ftype:Fh.Reg ~symlink:None with
-          | Ok (fh, a) -> Ok (Nfs.RCreate (fh, a))
-          | Error st -> Error st)
+          do_create ~span t dfh name ~ftype:Fh.Reg ~symlink:None)
   | Nfs.Mkdir (dfh, name) ->
       if dfh.Fh.ftype <> Fh.Dir then Error Nfs.ERR_NOTDIR
       else begin
         let es = entry_site t dfh name in
+        (* elsewhere, the µproxy redirected this mkdir here on purpose *)
         if owns t es then
-          check_write_site t es (fun () ->
-              match do_create ~span t dfh name ~ftype:Fh.Dir ~symlink:None with
-              | Ok (fh, a) -> Ok (Nfs.RMkdir (fh, a))
-              | Error st -> Error st)
-        else (
-          (* µproxy redirected this mkdir here on purpose. *)
-          match do_remote_mkdir ~span t dfh name with
-          | Ok (fh, a) -> Ok (Nfs.RMkdir (fh, a))
-          | Error st -> Error st)
+          check_write_site t es (fun () -> do_create ~span t dfh name ~ftype:Fh.Dir ~symlink:None)
+        else do_remote_mkdir ~span t dfh name
       end
   | Nfs.Symlink (dfh, name, target) ->
       check_entry_site_w t dfh name (fun () ->
-          match do_create ~span t dfh name ~ftype:Fh.Lnk ~symlink:(Some target) with
-          | Ok (fh, a) -> Ok (Nfs.RSymlink (fh, a))
-          | Error st -> Error st)
+          do_create ~span t dfh name ~ftype:Fh.Lnk ~symlink:(Some target))
   | Nfs.Remove (dfh, name) ->
       check_entry_site_w t dfh name (fun () ->
           match Hashtbl.find_opt t.entries (dfh.Fh.file_id, name) with
           | None -> Error Nfs.ERR_NOENT
           | Some child when child.Fh.ftype = Fh.Dir -> Error Nfs.ERR_ISDIR
-          | Some child -> (
-              match remove_entry_here ~span t dfh name with
-              | Error st -> Error st
-              | Ok _ -> (
-                  match bump_nlink ~span t child (-1) with
-                  | Ok a ->
-                      if a.Nfs.nlink <= 0 && child.Fh.ftype = Fh.Reg then
-                        remove_file_data t child;
-                      Ok Nfs.RRemove
-                  | Error _ -> Ok Nfs.RRemove)))
+          | Some child ->
+              (match unlink ~span t dfh name child (-1) with
+              | Ok a when a.Nfs.nlink <= 0 && child.Fh.ftype = Fh.Reg ->
+                  remove_file_data ~span t child
+              | _ -> ());
+              Ok Nfs.RRemove)
   | Nfs.Rmdir (dfh, name) ->
       check_entry_site_w t dfh name (fun () ->
           match Hashtbl.find_opt t.entries (dfh.Fh.file_id, name) with
@@ -479,14 +468,13 @@ let handle t span (call : Nfs.call) : Nfs.response =
           | Some child -> (
               match child_attr ~span t child with
               | Error st -> Error st
+              | Ok a when Int64.compare a.Nfs.size 0L > 0 -> Error Nfs.ERR_NOTEMPTY
+              (* the entry may have gone while [child_attr] asked a peer *)
+              | Ok _ when not (Hashtbl.mem t.entries (dfh.Fh.file_id, name)) ->
+                  Error Nfs.ERR_NOENT
               | Ok a ->
-                  if Int64.compare a.Nfs.size 0L > 0 then Error Nfs.ERR_NOTEMPTY
-                  else (
-                    match remove_entry_here ~span t dfh name with
-                    | Error st -> Error st
-                    | Ok _ ->
-                        ignore (bump_nlink ~span t child (-a.Nfs.nlink));
-                        Ok Nfs.RRmdir)))
+                  ignore (unlink ~span t dfh name child (-a.Nfs.nlink));
+                  Ok Nfs.RRmdir))
   | Nfs.Rename (odfh, oname, ndfh, nname) ->
       check_entry_site_w t odfh oname (fun () ->
           match Hashtbl.find_opt t.entries (odfh.Fh.file_id, oname) with
@@ -494,13 +482,13 @@ let handle t span (call : Nfs.call) : Nfs.response =
           | Some child -> (
               match add_entry_somewhere ~span t ndfh nname child with
               | Error st -> Error st
-              | Ok () -> (
-                  match remove_entry_here ~span t odfh oname with
-                  | Error st -> Error st
-                  | Ok _ ->
-                      (* ctime bump on the renamed object *)
-                      ignore (bump_nlink ~span t child 0);
-                      Ok Nfs.RRename)))
+              (* the old entry may have gone while a peer added the new *)
+              | Ok () when not (Hashtbl.mem t.entries (odfh.Fh.file_id, oname)) ->
+                  Error Nfs.ERR_NOENT
+              | Ok () ->
+                  (* a zero link-count change bumps the renamed object's ctime *)
+                  ignore (unlink ~span t odfh oname child 0);
+                  Ok Nfs.RRename))
   | Nfs.Link (file, ndfh, nname) ->
       check_entry_site_w t ndfh nname (fun () ->
           if file.Fh.ftype = Fh.Dir then Error Nfs.ERR_ISDIR
@@ -552,7 +540,7 @@ let mark_applied t op_id =
   Hashtbl.replace t.applied op_id ();
   log t rt_applied Enc.u64 op_id
 
-let handle_peer t (msg : Peer.msg) : Peer.reply =
+let handle_peer t span (msg : Peer.msg) : Peer.reply =
   t.peer_ops <- t.peer_ops + 1;
   if wedged t then begin
     Tenure.note_fence t.tenure;
@@ -571,30 +559,30 @@ let handle_peer t (msg : Peer.msg) : Peer.reply =
       | Some c ->
           let attr = apply_nlink t fh.Fh.file_id c delta in
           mark_applied t op_id;
-          sync_log t;
           Peer.Rattr attr)
   | Peer.Entry_count { op_id; dir; delta; mtime } ->
       if not (Hashtbl.mem t.applied op_id) then begin
         (match local_cell t dir.Fh.file_id with
         | Some c -> apply_entry_count t dir.Fh.file_id c ~delta ~mtime
         | None -> ());
-        mark_applied t op_id;
-        sync_log t
+        mark_applied t op_id
       end;
       Peer.Ack
   | Peer.Add_entry { op_id; dir; name; child } ->
       if Hashtbl.mem t.applied op_id then Peer.Ack
       else if Hashtbl.mem t.entries (dir.Fh.file_id, name) then Peer.Rerr Nfs.ERR_EXIST
       else begin
-        apply_add_entry t dir.Fh.file_id name child;
-        log_add_entry t dir.Fh.file_id name child;
-        (match local_cell t dir.Fh.file_id with
-        | Some c -> apply_entry_count t dir.Fh.file_id c ~delta:1 ~mtime:(now t)
-        | None -> ());
+        (* the dedup row goes in before the parent's count can force a
+           round, so the two land together *)
         mark_applied t op_id;
-        sync_log t;
+        add_entry_here ~span t dir name child;
         Peer.Ack
       end
+
+(* The request roots: a reply leaves once its request's records are stable. *)
+let answer t span reply =
+  harden ~span t;
+  reply
 
 (* ---- service wiring ---- *)
 
@@ -610,7 +598,7 @@ let install_root t =
     in
     Hashtbl.replace t.attrs Fh.root.Fh.file_id c;
     log_cell t Fh.root.Fh.file_id c;
-    sync_log t
+    harden t
   end
 
 (* lint: F1 ok — bootstrap: installs the root cell before the server is exposed to clients; no deposed instance can exist yet *)
@@ -636,6 +624,7 @@ let attach host ?trace ?qos cfg =
         (match host.Host.disk with
         | Some disk -> Wal.create ~eng:host.Host.eng ~disk ~name:"dir.wal" ()
         | None -> Wal.create ~name:"dir.wal" ());
+      dirty = false;
       next_file = 1;
       next_op = Int64.of_int (cfg.logical_id * 100_000_000);
       ops = 0;
@@ -645,10 +634,10 @@ let attach host ?trace ?qos cfg =
   in
   Nfs_endpoint.serve host ~port:2049
     ~cost:{ per_op = per_op_cost; per_byte = 0.0 }
-    ~tenure:t.tenure ?trace ?qos ~handler:(handle t) ();
+    ~tenure:t.tenure ?trace ?qos ~handler:(fun span call -> answer t span (handle t span call)) ();
   Nfs_endpoint.serve_msg host ~port:cfg.peer_port ~tenure:t.tenure ~cpu:per_peer_op_cost ?trace
     ~decode:Peer.decode_msg ~encode:Peer.encode_reply
-    ~handler:(fun _ msg -> handle_peer t msg) ();
+    ~handler:(fun span msg -> answer t span (handle_peer t span msg)) ();
   Engine.spawn host.Host.eng (fun () -> install_root t);
   t
 
@@ -735,21 +724,23 @@ let recover t =
          try apply_record t ~rtype payload with Slice_xdr.Xdr.Truncated -> ()));
   Tenure.recover t.tenure;
   (* Re-drive prepared-but-uncommitted cross-site updates; peers dedup by
-     op id so re-delivery is harmless. *)
+     op id so re-delivery is harmless. A peer that times out keeps its
+     prepare for the next recovery; a crash ends the re-send. *)
   let pending = Hashtbl.fold (fun op_id v acc -> (op_id, v) :: acc) t.prepares [] in
+  let life = Tenure.crashes t.tenure in
   Engine.spawn t.host.Host.eng (fun () ->
-      try
-        List.iter
-          (fun (op_id, (site, msg_bytes)) ->
-            match Peer.decode_msg (Bytes.of_string msg_bytes) with
-            | _, msg ->
-                ignore (peer_call t ~site msg);
-                Hashtbl.remove t.prepares op_id;
-                log t rt_commit Enc.u64 op_id;
-                sync_log t
-            | exception Codec.Malformed _ -> ())
-          pending
-      with Wal.Crashed -> ())
+      List.iter
+        (fun (op_id, (site, msg_bytes)) ->
+          match Peer.decode_msg (Bytes.of_string msg_bytes) with
+          | _, msg when Tenure.crashes t.tenure = life -> (
+              match peer_call t ~site msg with
+              | _ ->
+                  Hashtbl.remove t.prepares op_id;
+                  append t rt_commit Enc.u64 op_id
+              | exception Rpc.Timeout -> ())
+          | _ -> ()
+          | exception Codec.Malformed _ -> ())
+        pending)
 
 let log_image t = Wal.image t.wal
 
@@ -772,7 +763,7 @@ let import_log ?(skip = 0) t ~log:image =
          incr seen;
          if n >= skip then begin
            let rtype = if rtype = rt_snapshot then rt_merge_snapshot else rtype in
-           log t rtype Enc.raw payload;
+           append t rtype Enc.raw payload;
            try apply_record t ~rtype payload with Slice_xdr.Xdr.Truncated -> ()
          end));
   !seen
@@ -789,6 +780,6 @@ let enc_snapshot e t =
 let checkpoint t =
   let from = Wal.append_with t.wal ~rtype:rt_snapshot enc_snapshot t in
   (* Preserve dedup state and outstanding prepares across the checkpoint. *)
-  Hashtbl.iter (fun op_id () -> log t rt_applied Enc.u64 op_id) t.applied;
-  Hashtbl.iter (fun op_id (site, msg) -> log t rt_prepare enc_prepare (op_id, site, msg)) t.prepares;
+  Hashtbl.iter (fun op_id () -> append t rt_applied Enc.u64 op_id) t.applied;
+  Hashtbl.iter (fun op_id (site, msg) -> append t rt_prepare enc_prepare (op_id, site, msg)) t.prepares;
   Wal.checkpoint t.wal ~from

@@ -65,8 +65,9 @@ let overtaken tenure life = Tenure.crashes tenure <> life
 (* Run the handler, then encode its reply once and send it. The trace
    calls run only on live spans. Completion moves the xid from [running]
    to [done_], evicting the oldest completed entry past capacity. A
-   request overtaken by a crash, or whose journal round one dropped,
-   leaves no row: the retransmission runs the call afresh. The xid is
+   request overtaken by a crash, whose journal round one dropped, or
+   whose call to another server timed out, leaves no row: the
+   retransmission runs the call afresh. The xid is
    re-read from the packet so a WFQ entry holds one word less. *)
 let execute s (pkt : Packet.t) call life =
   let xid = Codec.xid_of pkt.payload in
@@ -81,7 +82,7 @@ let execute s (pkt : Packet.t) call life =
   if overtaken s.tenure life then Slot_lru.remove s.running xid
   else
     match s.handler span call with
-    | exception Slice_wal.Wal.Crashed -> Slot_lru.remove s.running xid
+    | exception (Slice_wal.Wal.Crashed | Slice_net.Rpc.Timeout) -> Slot_lru.remove s.running xid
     | resp ->
         let out_bytes = response_data_bytes resp in
         if out_bytes > 0 then Host.cpu s.host (s.cost.per_byte *. float_of_int out_bytes);
@@ -163,7 +164,7 @@ let serve_msg (host : Host.t) ~port ~tenure ~cpu ?trace ~decode ~encode ~handler
           Host.cpu host cpu;
           if not (overtaken tenure life) then
             match handler span msg with
-            | exception Slice_wal.Wal.Crashed -> ()
+            | exception (Slice_wal.Wal.Crashed | Slice_net.Rpc.Timeout) -> ()
             | reply ->
                 if not (overtaken tenure life) then begin
                   Trace.finish span;

@@ -34,7 +34,8 @@ val serve :
     handler, and counts as a use for recency. The two tables behind this
     ({!Slice_util.Slot_lru}) allocate nothing per request once they have
     grown to their peak. A handler that raises {!Slice_wal.Wal.Crashed}
-    sends no reply and leaves no row.
+    or, when a call it made to another server ran out of retries,
+    {!Slice_net.Rpc.Timeout}, sends no reply and leaves no row.
 
     With [trace], each executed request gets a ["server"] span covering
     CPU charge + handler + reply encode, parented under the span bound
@@ -65,7 +66,7 @@ val serve_msg :
     is decoded ([decode] returns the xid and raises
     {!Slice_nfs.Codec.Malformed} to drop it), charged [cpu] seconds, and
     answered with the handler's reply, or with nothing if the handler
-    raises {!Slice_wal.Wal.Crashed}. No request table: re-sent messages
+    raises {!Slice_wal.Wal.Crashed} or {!Slice_net.Rpc.Timeout}. No request table: re-sent messages
     run again, so they must be idempotent. With [trace], a ["server"]
     hop under the xid's span, handed to the handler. *)
 
