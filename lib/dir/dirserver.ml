@@ -280,15 +280,14 @@ let bump_nlink ?(span = Trace.null) t (fh : Fh.t) delta =
       (peer_update ~span t ~site:fh.Fh.attr_site (fun op_id -> Peer.Nlink { op_id; fh; delta }))
 
 let bump_parent ?(span = Trace.null) t (dfh : Fh.t) delta =
-  if owns t dfh.Fh.attr_site then begin
-    match local_cell t dfh.Fh.file_id with
-    | None -> ()
-    | Some c -> apply_entry_count t dfh.Fh.file_id c ~delta ~mtime:(now t)
-  end
-  else
+  if not (owns t dfh.Fh.attr_site) then
     ignore
       (peer_update ~span t ~site:dfh.Fh.attr_site (fun op_id ->
            Peer.Entry_count { op_id; dir = dfh; delta; mtime = now t }))
+  else
+    match local_cell t dfh.Fh.file_id with
+    | Some c -> apply_entry_count t dfh.Fh.file_id c ~delta ~mtime:(now t)
+    | None -> ()
 
 (* ---- NFS request handling ---- *)
 

@@ -17,9 +17,12 @@
       conflicting operations on one entry serialize at its site.
 
     Every update is journaled to a write-ahead log before the reply
-    ("dataless" manager); {!crash}/{!recover} rebuild the server from the
-    surviving log, re-driving incomplete cross-site updates (idempotent
-    thanks to peer-side dedup of operation ids). *)
+    ("dataless" manager), forced only before a peer prepare, a call to
+    the coordinator or a reply leaves the server. An entry is counted at
+    its parent's cell wherever that lives, a peer's [Add_entry]
+    included. {!crash}/{!recover} rebuild the server from the surviving
+    log, re-driving incomplete cross-site updates (idempotent thanks to
+    peer-side dedup of operation ids). *)
 
 type config = {
   logical_id : int;  (** this server's logical site id, 0-based *)
@@ -113,7 +116,8 @@ val crash : t -> unit
 
 val recover : t -> unit
 (** Rebuild cells from the log; re-send prepared-but-uncommitted peer
-    updates; resume service. *)
+    updates (one a peer does not answer stays prepared for the next
+    recovery); resume service. *)
 
 val checkpoint : t -> unit
 (** Fiber: fold the log into a snapshot record (bounds log growth). The

@@ -11,7 +11,9 @@
       attribute cell lives elsewhere);
     - [Add_entry]: install a name entry at its site (the orphaned
       directory of a redirected mkdir under mkdir switching, or a rename
-      or link whose target entry lives elsewhere).
+      or link whose target entry lives elsewhere), and count it at the
+      parent's cell wherever that lives, through an [Entry_count] of the
+      receiver's own when that is a third site.
 
     Every state-changing message carries an operation id; receivers keep a
     logged dedup set, making re-delivery after crash recovery idempotent —
