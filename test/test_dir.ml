@@ -866,3 +866,31 @@ let suite =
       ("one log round per update", `Quick, one_round_per_update);
       ("a peer timeout ends the request, not the run", `Quick, peer_timeout_ends_the_request);
     ]
+
+(* The re-send after recovery holds two prepares: one to dir 0, whose
+   server is down with its network up, and one to dir 2, whose commit
+   never reached the log (it rides a round that never came). The first
+   times out; that ends neither the run nor the re-send of the second. *)
+let resend_survives_a_timeout () =
+  let rig = mk_rig ~nsites:3 () in
+  let rec name_in d prefix site i =
+    let n = prefix ^ string_of_int i in
+    if site_of rig (Nfs.Create (d, n)) = site then n else name_in d prefix site (i + 1)
+  in
+  run_on rig.eng (fun () ->
+      let d, _ = ok_or_fail "mkdir" (mkdir rig Fh.root (name_in Fh.root "d" 2 0)) in
+      check_int "the directory's cell is at site 2" 2 d.Fh.attr_site;
+      Dirserver.crash rig.dirs.(0);
+      (match create rig Fh.root (name_in Fh.root "a" 1 0) with
+      | exception Rpc.Timeout -> ()
+      | _ -> Alcotest.fail "a create whose peer is down was answered");
+      Engine.sleep rig.eng 30.0;
+      ignore (ok_or_fail "create" (create rig d (name_in d "b" 1 0)));
+      let served = Dirserver.peer_ops_served rig.dirs.(2) in
+      Dirserver.crash rig.dirs.(1);
+      Dirserver.recover rig.dirs.(1);
+      Engine.sleep rig.eng 30.0;
+      check_int "the live peer got its re-send" (served + 1)
+        (Dirserver.peer_ops_served rig.dirs.(2)))
+
+let suite = suite @ [ ("the re-send survives a peer timeout", `Quick, resend_survives_a_timeout) ]
