@@ -292,6 +292,19 @@ let name_site_range =
       let s = Routekey.name_site ~nsites:7 fh n in
       s >= 0 && s < 7)
 
+(* The servers' routing keys are MD5 buckets of the handle's wire bytes
+   (and, for a name, a NUL and the name): the reference below builds
+   those bytes as a fresh string. Names run past 300 bytes so any
+   scratch buffer the key is built in has to grow. *)
+let server_keys_match_reference =
+  qtest "server routing keys hash the wire bytes"
+    QCheck2.Gen.(
+      tup4 gen_fh gen_fh (string_size ~gen:char (int_range 0 400)) (int_range 1 64))
+    (fun (parent, fh, name, nsites) ->
+      Routekey.name_site ~nsites parent name
+      = Slice_hash.Md5.bucket (Fh.encode parent ^ "\x00" ^ name) nsites
+      && Routekey.file_site ~nsites fh = Slice_hash.Md5.bucket (Fh.encode fh) nsites)
+
 let stripe_local_offset () =
   let su = 32768 in
   (* chunk k maps to local chunk k/n *)
@@ -467,6 +480,7 @@ let suite =
     ("extra size synthetic", `Quick, extra_size_synthetic);
     ("apply_sattr semantics", `Quick, apply_sattr_semantics);
     name_site_range;
+    server_keys_match_reference;
     ("stripe local offset", `Quick, stripe_local_offset);
     stripe_rotation;
     mirror_sites_distinct;
