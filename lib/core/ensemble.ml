@@ -119,85 +119,6 @@ let root = Fh.root
    value works — the µproxies never see it. *)
 let cap_secret = "slice-ensemble-shared-secret"
 
-(* Zone handles for a dataless small-file server's backing objects: one
-   per (server, cache-object) pair, striped across the storage array by
-   the manager host's own storage-only µproxy. *)
-let zone_fh ~secure ~sf_idx ~obj =
-  let fh =
-    {
-      Fh.file_id = Int64.add 900_000_000_000L (Int64.of_int ((sf_idx * 16) + Int64.to_int obj));
-      gen = 1;
-      ftype = Fh.Reg;
-      mirrored = false;
-      attr_site = 0;
-      cap = 0L;
-    }
-  in
-  if secure then Slice_nfs.Cap.seal ~secret:cap_secret fh else fh
-
-(* Remote backend: zone blocks live on the network storage array, reached
-   through [rpc] + the host's µproxy (which stripes and, on commit,
-   orchestrates through the coordinator). *)
-let remote_backend eng rpc ~vaddr ~secure ~sf_idx ~stripe_unit =
-  let chunked_io ~write ~obj ~block ~count k =
-    (* split requests on stripe-chunk boundaries so each lands whole on
-       one storage node *)
-    let bs = Bcache.block_size in
-    let remaining = ref count in
-    let blk = ref block in
-    let reqs = ref [] in
-    while !remaining > 0 do
-      let off = !blk * bs in
-      let within = off mod stripe_unit in
-      let room = (stripe_unit - within) / bs in
-      let n = min !remaining (max 1 room) in
-      reqs := (off, n * bs) :: !reqs;
-      blk := !blk + n;
-      remaining := !remaining - n
-    done;
-    let fh = zone_fh ~secure ~sf_idx ~obj in
-    let jobs =
-      List.map
-        (fun (off, len) () ->
-          let xid = Rpc.fresh_xid rpc in
-          let call =
-            if write then Nfs.Write (fh, Int64.of_int off, Nfs.Unstable, Nfs.Synthetic len)
-            else Nfs.Read (fh, Int64.of_int off, len)
-          in
-          let payload = Codec.encode_call ~xid call in
-          ignore
-            (Rpc.call rpc ~timeout:2.0 ~dst:vaddr ~dport:2049
-               ~extra_size:(Codec.extra_size_of_call call) payload))
-        !reqs
-    in
-    Slice_sim.Fiber.join_all eng jobs;
-    k ()
-  in
-  {
-    Bcache.demand_read =
-      (fun ~obj ~block ~count ~sequential:_ ->
-        chunked_io ~write:false ~obj ~block ~count (fun () -> ()));
-    readahead =
-      (fun ~obj ~block ~count ->
-        Engine.spawn eng (fun () ->
-            chunked_io ~write:false ~obj ~block ~count (fun () -> ())));
-    write_back =
-      (fun ~obj ~block ~count ~done_ ->
-        Engine.spawn eng (fun () -> chunked_io ~write:true ~obj ~block ~count done_));
-    sync =
-      (fun () ->
-        (* zone commit: the µproxy orchestrates commitment across the
-           storage sites via the coordinator *)
-        Slice_sim.Fiber.join_all eng
-          (List.map
-             (fun obj () ->
-               let fh = zone_fh ~secure ~sf_idx ~obj in
-               let xid = Rpc.fresh_xid rpc in
-               let payload = Codec.encode_call ~xid (Nfs.Commit (fh, 0L, 0)) in
-               ignore (Rpc.call rpc ~timeout:2.0 ~dst:vaddr ~dport:2049 payload))
-             [ 1L; 2L ]));
-  }
-
 (* Tracers of every ensemble built so far, for the CLI's --trace-json
    dump (exhibits build their ensembles internally and only hand back a
    report). Creation order is deterministic; drained by the dumper. *)
@@ -282,8 +203,9 @@ let attach_smallfile t ~idx ~host ~sites =
   in
   let rpc = Rpc.create t.net_ host.Host.addr ~port:1900 in
   let backend =
-    remote_backend t.eng rpc ~vaddr:t.vaddr ~secure:t.cfg.secure_objects ~sf_idx:idx
-      ~stripe_unit:t.cfg.proxy_params.Params.stripe_unit
+    Slice_smallfile.Zone.backend t.eng rpc ~vaddr:t.vaddr
+      ?cap_secret:(if t.cfg.secure_objects then Some cap_secret else None)
+      ~sf_idx:idx ~stripe_unit:t.cfg.proxy_params.Params.stripe_unit ()
   in
   Smallfile.attach host ~cache_bytes:t.cfg.smallfile_cache
     ~threshold:t.cfg.proxy_params.Params.threshold ~nsites ~sites ~backend ?trace:t.trace_

@@ -223,6 +223,41 @@ let real_bytes_by_block () =
       ignore (call rig (Nfs.Write (a, 0L, Nfs.Unstable, Nfs.Synthetic 10)));
       some "a synthetic write forgets the real bytes" None (read rig a 11000 4))
 
+(* The zone backend splits a block run on stripe-chunk boundaries and
+   sends one request per chunk, each from its own fiber. The fibers
+   start last chunk first, so requests that leave at the same simulated
+   instant keep that order; a change to it would reorder engine events
+   and move simulated results. *)
+let zone_chunks_last_first () =
+  let eng = Engine.create () in
+  let net = Net.create eng () in
+  let node = Host.create net ~name:"storage" ~disks:8 () in
+  let _obsd : Slice_storage.Obsd.t = Slice_storage.Obsd.attach node () in
+  let mgr = Host.create net ~name:"sf" () in
+  let rpc = Rpc.create net mgr.Host.addr ~port:1900 in
+  let sent = ref [] in
+  Net.add_egress_filter net mgr.Host.addr (fun pkt ->
+      (match Codec.decode_call pkt.Slice_net.Packet.payload with
+      | xid, Nfs.Read (_, off, len) -> sent := (xid, Int64.to_int off, len) :: !sent
+      | _ -> Alcotest.fail "zone read sent something else");
+      Some pkt);
+  let backend =
+    Slice_smallfile.Zone.backend eng rpc ~vaddr:node.Host.addr ~sf_idx:0 ~stripe_unit:32768 ()
+  in
+  (* blocks 2..9 of 8 KB: chunk 0 holds blocks 2-3, chunk 1 blocks 4-7,
+     chunk 2 blocks 8-9 *)
+  let returned = ref false in
+  run_on eng (fun () ->
+      backend.Slice_disk.Bcache.demand_read ~obj:2L ~block:2 ~count:8 ~sequential:false;
+      returned := true);
+  check_bool "the demand read returned" true !returned;
+  let sent = List.rev !sent in
+  Alcotest.(check (list (pair int int)))
+    "chunks leave last first" [ (65536, 16384); (32768, 32768); (16384, 16384) ]
+    (List.map (fun (_, off, len) -> (off, len)) sent);
+  let xids = List.map (fun (xid, _, _) -> xid) sent in
+  check_bool "xids drawn in send order" true (xids = List.sort compare xids)
+
 let suite =
   [
     ("physical size rounding", `Quick, physical_rounding);
@@ -238,4 +273,5 @@ let suite =
     ("map block locality", `Quick, map_block_locality);
     ("full disk is an error", `Quick, full_disk_is_an_error);
     ("ensemble refuses small-file servers without storage", `Quick, needs_storage_nodes);
+    ("zone chunks leave last first", `Quick, zone_chunks_last_first);
   ]
