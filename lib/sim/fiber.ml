@@ -1,21 +1,40 @@
-(* Both combinators park their caller on one waiter, which each finishing
-   child unparks: the wake point is where the child finishes, and nothing
-   is allocated for the wait itself. *)
+(* A fan-out parks its caller on one waiter, which the last child to
+   finish unparks: the wake point is where that child finishes. Its
+   children share one thunk, spawned once per child; the engine starts
+   them in spawn order, so each takes the next index as it starts. *)
+type fan = {
+  w : Engine.waiter;
+  body : int -> unit;
+  mutable next : int; (* the index the next child to start takes *)
+  mutable running : int; (* children not yet finished *)
+  child : unit -> unit;
+}
+
+let[@hot] finish fan =
+  fan.running <- fan.running - 1;
+  if fan.running = 0 then Engine.unpark fan.w
+
+let[@hot] take fan =
+  let i = fan.next in
+  fan.next <- i + 1;
+  i
+
+let run_child fan =
+  fan.body (take fan);
+  finish fan
+
+let fan_out eng n body =
+  if n > 0 then begin
+    let rec fan = { w = Engine.waiter (); body; next = 0; running = n; child = (fun () -> run_child fan) } in
+    for _ = 1 to n do
+      Engine.spawn eng fan.child
+    done;
+    Engine.park eng fan.w
+  end
 
 let join_all eng fns =
-  match fns with
-  | [] -> ()
-  | _ ->
-      let w = Engine.waiter () in
-      let remaining = ref (List.length fns) in
-      List.iter
-        (fun fn ->
-          Engine.spawn eng (fun () ->
-              fn ();
-              decr remaining;
-              if !remaining = 0 then Engine.unpark w))
-        fns;
-      Engine.park eng w
+  let fns = Array.of_list fns in
+  fan_out eng (Array.length fns) (fun i -> fns.(i) ())
 
 (* The caller is parked whenever a child finishes: children only run
    after [pump] has returned. It wakes at every finish, pumps while

@@ -73,15 +73,13 @@ let intent_call (i : intent) : Nfs.call =
    intent and probes again. *)
 let fan_out ?(span = Trace.null) t (call : Nfs.call) sites =
   let ok = ref true in
-  Fiber.join_all t.host.Host.eng
-    (List.map
-       (fun site () ->
-         let xid = Rpc.fresh_xid t.rpc in
-         let payload = Codec.encode_call ~xid call in
-         match Rpc.call t.rpc ~span ~timeout:2.0 ~dst:site ~dport:2049 payload with
-         | (_ : bytes) -> ()
-         | exception Rpc.Timeout -> ok := false)
-       sites);
+  let sites = Array.of_list sites in
+  Fiber.fan_out t.host.Host.eng (Array.length sites) (fun i ->
+      let xid = Rpc.fresh_xid t.rpc in
+      let payload = Codec.encode_call ~xid call in
+      match Rpc.call t.rpc ~span ~timeout:2.0 ~dst:sites.(i) ~dport:2049 payload with
+      | (_ : bytes) -> ()
+      | exception Rpc.Timeout -> ok := false);
   !ok
 
 (* Completion retires the intent from the in-memory table — the log
