@@ -114,7 +114,7 @@ let handle t (call : Nfs.call) : Nfs.response =
   | Nfs.Setattr (fh, s) ->
       with_file t fh (fun fi ->
           fi.attr <- Nfs.apply_sattr fi.attr s ~now:(now t);
-          Option.iter (Fileblocks.truncate fi.data) s.Nfs.set_size;
+          Option.iter (fun sz -> Fileblocks.truncate fi.data (Int64.to_int sz)) s.Nfs.set_size;
           Ok (Nfs.RSetattr (attr_of fi)))
   | Nfs.Lookup (dfh, name) ->
       if dfh.Fh.ftype <> Fh.Dir then Error Nfs.ERR_NOTDIR
@@ -199,7 +199,7 @@ let handle t (call : Nfs.call) : Nfs.response =
           let data =
             if count = 0 then Nfs.Data ""
             else
-              match Fileblocks.load fi.data ~off ~count with
+              match Fileblocks.load fi.data ~off:(Int64.to_int off) ~count with
               | Some s -> Nfs.Data s
               | None -> Nfs.Synthetic count
           in
@@ -208,7 +208,7 @@ let handle t (call : Nfs.call) : Nfs.response =
       with_file t fh (fun fi ->
           let len = Nfs.wdata_length data in
           touch_blocks t fh.Fh.file_id ~off ~len ~write:true;
-          (match data with Nfs.Data s -> Fileblocks.store fi.data ~off s | Nfs.Synthetic _ -> ());
+          (match data with Nfs.Data s -> Fileblocks.store fi.data ~off:(Int64.to_int off) s | Nfs.Synthetic _ -> ());
           let fin = Int64.add off (Int64.of_int len) in
           if Int64.compare fin fi.attr.Nfs.size > 0 then
             fi.attr <- { fi.attr with size = fin; used = fin };

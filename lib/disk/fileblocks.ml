@@ -9,7 +9,7 @@ let store t ~off data =
   let len = String.length data in
   let rec loop pos =
     if pos < len then begin
-      let abs = Int64.to_int off + pos in
+      let abs = off + pos in
       let blk = abs / block_size and in_blk = abs mod block_size in
       let n = min (block_size - in_blk) (len - pos) in
       let buf =
@@ -27,7 +27,6 @@ let store t ~off data =
   loop 0
 
 let load t ~off ~count =
-  let off = Int64.to_int off in
   let first = off / block_size and last = (off + count - 1) / block_size in
   let all = ref (count > 0) in
   for b = first to last do
@@ -50,7 +49,6 @@ let load t ~off ~count =
   end
 
 let truncate t size =
-  let size = Int64.to_int size in
   let past = (size + block_size - 1) / block_size in
   Hashtbl.filter_map_inplace (fun b buf -> if b >= past then None else Some buf) t;
   let tail = size mod block_size in

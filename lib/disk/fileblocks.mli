@@ -10,14 +10,14 @@ type t = (int, bytes) Hashtbl.t
 
 val create : unit -> t
 
-val store : t -> off:int64 -> string -> unit
+val store : t -> off:int -> string -> unit
 (** Write the bytes at [off], materializing each touched block (zeros
     where nothing was written). *)
 
-val load : t -> off:int64 -> count:int -> string option
+val load : t -> off:int -> count:int -> string option
 (** The [count] bytes at [off], if every block they touch holds bytes. *)
 
-val truncate : t -> int64 -> unit
+val truncate : t -> int -> unit
 (** [truncate t size] forgets the blocks wholly past [size] and zeroes
     the rest of the block [size] falls in, so the bytes past a new size
     read as zeros once the file grows again. *)

@@ -116,9 +116,11 @@ let to_hex raw =
 
 let hex msg = to_hex (digest msg)
 
-let fold64 msg =
-  run (Bytes.unsafe_of_string msg) ~pos:0 ~len:(String.length msg);
+let fold64_bytes buf ~pos ~len =
+  run buf ~pos ~len;
   Int64.logor (Int64.shift_left (Int64.of_int st.b) 32) (Int64.of_int st.a)
+
+let fold64 msg = fold64_bytes (Bytes.unsafe_of_string msg) ~pos:0 ~len:(String.length msg)
 
 (* [fold64] is (b << 32) | a of the digest state, and the bucket is
    ((fold64 >>> 1) mod n). The shifted value is b·2^31 + (a >>> 1), which

@@ -25,6 +25,10 @@ val fold64 : string -> int64
 (** First 8 digest bytes folded to a little-endian [int64]; the routing
     fingerprint used by the µproxy's hash-based policies. *)
 
+val fold64_bytes : bytes -> pos:int -> len:int -> int64
+(** [fold64] of [buf.[pos, pos+len)], digested in place: only the
+    result is allocated. *)
+
 val bucket : string -> int -> int
 (** [bucket msg n] maps [msg] uniformly onto [\[0, n)] via [fold64]. *)
 

@@ -32,6 +32,22 @@ let default_attr ~ftype ~fileid ~now =
     ctime = now;
   }
 
+let data_attr (fh : Fh.t) size =
+  let size = Int64.of_int size in
+  {
+    ftype = fh.ftype;
+    mode = (match fh.ftype with Fh.Dir -> 0o755 | _ -> 0o644);
+    nlink = (match fh.ftype with Fh.Dir -> 2 | _ -> 1);
+    uid = 0;
+    gid = 0;
+    size;
+    used = size;
+    fileid = fh.file_id;
+    atime = 0.0;
+    mtime = 0.0;
+    ctime = 0.0;
+  }
+
 type sattr = {
   set_mode : int option;
   set_uid : int option;

@@ -24,6 +24,13 @@ type fattr = {
 
 val default_attr : ftype:Fh.ftype -> fileid:int64 -> now:time -> fattr
 
+val data_attr : Fh.t -> int -> fattr
+(** [data_attr fh size]: the attributes a data server (storage node or
+    small-file server) answers with for a file of [size] bytes —
+    {!default_attr} of the handle's type and fileID at time 0, with
+    [size] and [used] both set. One record, and one boxed size shared by
+    the two fields. *)
+
 type sattr = {
   set_mode : int option;
   set_uid : int option;

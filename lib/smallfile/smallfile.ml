@@ -56,18 +56,18 @@ let physical_size_of n =
 
 (* Logical small-file site of a handle; a file's state is keyed by
    fileID, so the site is stamped into its record when the handle passes
-   by (the fileID alone cannot reproduce the routing hash). *)
+   by (the fileID alone cannot reproduce the routing hash). A request
+   hashes its handle once and passes the site on. *)
 let site_of t fh =
   if t.nsites <= 1 then 0 else Slice_nfs.Routekey.file_site ~nsites:t.nsites fh
 
-let filerec_of t fh =
+let filerec_of t fh site =
   let fid = fh.Fh.file_id in
-  let site = site_of t fh in
-  match Hashtbl.find_opt t.files fid with
-  | Some fr ->
+  match Hashtbl.find t.files fid with
+  | fr ->
       fr.site <- site;
       fr
-  | None ->
+  | exception Not_found ->
       let fr = { size = 0; blocks = [||]; data = None; site } in
       Hashtbl.replace t.files fid fr;
       fr
@@ -135,12 +135,7 @@ let free_file t fr =
   fr.size <- 0;
   fr.data <- None
 
-let attr_of fh (fr : filerec) =
-  {
-    (Nfs.default_attr ~ftype:fh.Fh.ftype ~fileid:fh.Fh.file_id ~now:0.0) with
-    size = Int64.of_int fr.size;
-    used = Int64.of_int fr.size;
-  }
+let attr_of fh (fr : filerec) = Nfs.data_attr fh fr.size
 
 (* A file holds a table of real bytes only once a real write reaches it. *)
 let store_real fr ~off data =
@@ -154,14 +149,50 @@ let store_real fr ~off data =
   in
   Fileblocks.store fb ~off data
 
+(* The map record and the extents of blocks [first..last]: the
+   synchronous disk work of a READ. *)
+let[@hot] read_blocks t fid fr first last =
+  touch_map t fid ~write:false;
+  for b = first to last do
+    if b < Array.length fr.blocks then
+      match fr.blocks.(b) with
+      | Some ext -> touch_extent t ext ~write:false
+      | None -> ()
+  done
+
+(* A WRITE's map record, then each block placed to hold its bytes after
+   the write ends at [fin]. False when the backing object ran out of
+   space; the blocks placed before that stay placed. *)
+let write_blocks t fid fr first last fin =
+  touch_map t fid ~write:true;
+  let rec place b =
+    b > last
+    ||
+    (* Bytes of this logical block that will exist after the write. *)
+    let blk_end = min (max fin fr.size) ((b + 1) * block_size) in
+    match place_block t fr b ~needed:(blk_end - (b * block_size)) with
+    | Some ext ->
+        touch_extent t ext ~write:true;
+        place (b + 1)
+    | None -> false
+  in
+  place first
+
+let commit_zones t =
+  Bcache.commit t.cache ~obj:data_obj;
+  Bcache.commit t.cache ~obj:map_obj
+
 (* An expired lease wedges the whole server — every request bounces — so
    a zombie deposed by a takeover cannot serve stale file contents. *)
 let wedged t = Tenure.wedged t.tenure ~now:(Engine.now t.host.Host.eng)
 
+(* Map/extent cache touches are the synchronous disk work of this
+   server, recorded as a "disk" hop on a live span; the closure
+   [Trace.timed] takes is built only then. Async write-behind stays
+   untraced. *)
+let disk_hop t span f = Trace.timed span ~hop:"disk" ~site:(Host.name t.host) f
+
 let handle t span (call : Nfs.call) : Nfs.response =
-  (* Map/extent cache touches are the synchronous disk work of this
-     server; async write-behind stays untraced. *)
-  let disk_timed f = Trace.timed span ~hop:"disk" ~site:(Host.name t.host) f in
   if wedged t then begin
     Tenure.note_fence t.tenure;
     Error Nfs.ERR_MISDIRECTED
@@ -170,32 +201,28 @@ let handle t span (call : Nfs.call) : Nfs.response =
   match call with
   | Nfs.Null -> Ok Nfs.RNull
   | Nfs.Getattr fh ->
-      let fr = filerec_of t fh in
+      let fr = filerec_of t fh (site_of t fh) in
       Ok (Nfs.RGetattr (attr_of fh fr))
   | Nfs.Read (fh, off64, count) ->
-      if not (Tenure.admit_read t.tenure (site_of t fh)) then Error Nfs.ERR_MISDIRECTED
+      let site = site_of t fh in
+      if not (Tenure.admit_read t.tenure site) then Error Nfs.ERR_MISDIRECTED
       else begin
-      let fr = filerec_of t fh in
+      let fr = filerec_of t fh site in
       let off = Int64.to_int off64 in
       let count = max 0 (min count (fr.size - off)) in
       t.reads <- t.reads + 1;
       let first = off / block_size in
       let last = if count = 0 then first - 1 else (off + count - 1) / block_size in
-      disk_timed (fun () ->
-          touch_map t fh.Fh.file_id ~write:false;
-          for b = first to last do
-            if b < Array.length fr.blocks then
-              match fr.blocks.(b) with
-              | Some ext -> touch_extent t ext ~write:false
-              | None -> ()
-          done);
+      let fid = fh.Fh.file_id in
+      if Trace.is_live span then disk_hop t span (fun () -> read_blocks t fid fr first last)
+      else read_blocks t fid fr first last;
       let eof = off + count >= fr.size in
       let data =
         if count = 0 then Nfs.Data ""
         else
           match fr.data with
           | Some fb -> (
-              match Fileblocks.load fb ~off:off64 ~count with
+              match Fileblocks.load fb ~off ~count with
               | Some s -> Nfs.Data s
               | None -> Nfs.Synthetic count)
           | None -> Nfs.Synthetic count
@@ -207,35 +234,29 @@ let handle t span (call : Nfs.call) : Nfs.response =
          bounce with [SLICE_MISDIRECTED] so no update can land behind the
          migration; the µproxy retries after a table refresh and reaches
          whichever side owns the site once the move commits or aborts. *)
-      if not (Tenure.admit_write t.tenure (site_of t fh)) then Error Nfs.ERR_MISDIRECTED
+      let site = site_of t fh in
+      if not (Tenure.admit_write t.tenure site) then Error Nfs.ERR_MISDIRECTED
       else begin
-      let fr = filerec_of t fh in
+      let fr = filerec_of t fh site in
       let off = Int64.to_int off64 in
       let len = Nfs.wdata_length wdata in
       let fin = off + len in
       let first = off / block_size in
       let last = if len = 0 then first - 1 else (fin - 1) / block_size in
       ensure_blocks fr (last + 1);
-      let nospc = ref false in
-      disk_timed (fun () ->
-          touch_map t fh.Fh.file_id ~write:true;
-          for b = first to last do
-            (* Bytes of this logical block that will exist after the write. *)
-            let blk_end = min (max fin fr.size) ((b + 1) * block_size) in
-            let needed = blk_end - (b * block_size) in
-            if not !nospc then
-              match place_block t fr b ~needed with
-              | Some ext -> touch_extent t ext ~write:true
-              | None -> nospc := true
-          done);
-      if !nospc then
+      let fid = fh.Fh.file_id in
+      let placed =
+        if Trace.is_live span then disk_hop t span (fun () -> write_blocks t fid fr first last fin)
+        else write_blocks t fid fr first last fin
+      in
+      if not placed then
         (* Blocks placed before the allocator ran dry stay placed (a
            partially-applied write, like a real server); the size is not
            extended and the client sees the error. *)
         Error Nfs.ERR_NOSPC
       else begin
       (match wdata with
-      | Nfs.Data s -> store_real fr ~off:off64 s
+      | Nfs.Data s -> store_real fr ~off s
       | Nfs.Synthetic _ -> fr.data <- None);
       if fin > fr.size then begin
         t.logical <- Int64.add t.logical (Int64.of_int (fin - fr.size));
@@ -243,17 +264,13 @@ let handle t span (call : Nfs.call) : Nfs.response =
       end;
       t.writes <- t.writes + 1;
       if stable <> Nfs.Unstable then
-        disk_timed (fun () ->
-            Bcache.commit t.cache ~obj:data_obj;
-            Bcache.commit t.cache ~obj:map_obj);
+        if Trace.is_live span then disk_hop t span (fun () -> commit_zones t) else commit_zones t;
       Ok (Nfs.RWrite (len, stable, attr_of fh fr))
       end
       end
   | Nfs.Commit (fh, _, _) ->
-      let fr = filerec_of t fh in
-      disk_timed (fun () ->
-          Bcache.commit t.cache ~obj:data_obj;
-          Bcache.commit t.cache ~obj:map_obj);
+      let fr = filerec_of t fh (site_of t fh) in
+      if Trace.is_live span then disk_hop t span (fun () -> commit_zones t) else commit_zones t;
       Ok (Nfs.RCommit (attr_of fh fr))
   | Nfs.Remove (fh, _) ->
       (match Hashtbl.find_opt t.files fh.Fh.file_id with
@@ -263,7 +280,7 @@ let handle t span (call : Nfs.call) : Nfs.response =
       | None -> ());
       Ok Nfs.RRemove
   | Nfs.Setattr (fh, s) -> (
-      let fr = filerec_of t fh in
+      let fr = filerec_of t fh (site_of t fh) in
       match s.Nfs.set_size with
       | Some nsz64 ->
           let nsz = min (Int64.to_int nsz64) t.threshold in
@@ -284,7 +301,7 @@ let handle t span (call : Nfs.call) : Nfs.response =
               fr.blocks;
             t.logical <- Int64.sub t.logical (Int64.of_int (fr.size - nsz));
             fr.size <- nsz;
-            Option.iter (fun fb -> Fileblocks.truncate fb (Int64.of_int nsz)) fr.data
+            Option.iter (fun fb -> Fileblocks.truncate fb nsz) fr.data
           end;
           Ok (Nfs.RSetattr (attr_of fh fr))
       | None -> Ok (Nfs.RSetattr (attr_of fh fr)))
@@ -370,7 +387,7 @@ let import_site t site (img : site_image) =
           let needed = min block_size (size - (b * block_size)) in
           ignore (place_block t fr b ~needed)
         done;
-        store_real fr ~off:0L contents;
+        store_real fr ~off:0 contents;
         fr.size <- size;
         t.logical <- Int64.add t.logical (Int64.of_int size)
       end)

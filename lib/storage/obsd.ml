@@ -8,7 +8,7 @@ module Trace = Slice_trace.Trace
 
 let block_size = Bcache.block_size
 
-type obj = { mutable size : int64; data : Fileblocks.t }
+type obj = { mutable size : int; data : Fileblocks.t }
 
 (* One storage object may carry subobjects for several logical storage
    sites: the µproxy encodes the logical site into the high bits of every
@@ -28,18 +28,22 @@ type t = {
   mutable bytes_written : int;
 }
 
-let object_id_of_fh fh = Slice_hash.Md5.fold64 (Fh.key fh)
+(* "An external hash maps handles to storage objects": the object id is
+   the MD5 fold of the handle's 32 wire bytes, written into one scratch
+   buffer and digested there. *)
+let oid_key = Bytes.create Fh.wire_length
 
-let site_of_offset woff = Routekey.offset_site_int (Int64.to_int woff)
-let local_of_offset woff = Int64.of_int (Routekey.offset_local_int (Int64.to_int woff))
+let object_id_of_fh fh =
+  Fh.write_into oid_key 0 fh;
+  Slice_hash.Md5.fold64_bytes oid_key ~pos:0 ~len:Fh.wire_length
 
 (* Distinct Bcache block index space per logical site within one object. *)
 let cache_block ~site ~local_block = (site * (Routekey.site_stride_int / block_size)) + local_block
 
 let sites_of t oid =
-  match Hashtbl.find_opt t.objects oid with
-  | Some tbl -> tbl
-  | None ->
+  match Hashtbl.find t.objects oid with
+  | tbl -> tbl
+  | exception Not_found ->
       (* lint: bounded — one row per logical site holding part of this object *)
       let tbl = Hashtbl.create 2 in
       Hashtbl.replace t.objects oid tbl;
@@ -47,34 +51,50 @@ let sites_of t oid =
 
 let get_obj t oid site =
   let tbl = sites_of t oid in
-  match Hashtbl.find_opt tbl site with
-  | Some o -> o
-  | None ->
-      let o = { size = 0L; data = Fileblocks.create () } in
+  match Hashtbl.find tbl site with
+  | o -> o
+  | exception Not_found ->
+      let o = { size = 0; data = Fileblocks.create () } in
       Hashtbl.replace tbl site o;
       o
+
+let add_size _ o acc = acc + o.size
 
 (* Aggregate size across this node's subobjects, for offset-free ops
    (getattr, commit replies). *)
 let total_size t oid =
-  match Hashtbl.find_opt t.objects oid with
-  | Some tbl -> Hashtbl.fold (fun _ o acc -> Int64.add acc o.size) tbl 0L
-  | None -> 0L
+  match Hashtbl.find t.objects oid with
+  | tbl -> Hashtbl.fold add_size tbl 0
+  | exception Not_found -> 0
 
-let attr_of t fh size =
-  ignore t;
-  {
-    (Nfs.default_attr ~ftype:fh.Fh.ftype ~fileid:fh.Fh.file_id ~now:0.0) with
-    size;
-    used = size;
-  }
+(* The blocks [first..last] of a request, through the cache. *)
+let[@hot] read_blocks t oid site first last =
+  for b = first to last do
+    Bcache.read t.cache ~obj:oid ~block:(cache_block ~site ~local_block:b)
+  done
 
-let block_range ~off ~count =
-  let first = Int64.to_int (Int64.div off (Int64.of_int block_size)) in
-  let last =
-    Int64.to_int (Int64.div (Int64.add off (Int64.of_int (max 0 (count - 1)))) (Int64.of_int block_size))
-  in
-  (first, if count = 0 then first - 1 else last)
+let[@hot] write_blocks t oid site first last =
+  for b = first to last do
+    Bcache.write t.cache ~obj:oid ~block:(cache_block ~site ~local_block:b)
+  done
+
+(* Synchronous cache/disk work records as a "disk" hop on a live span;
+   the closure [Trace.timed] takes is built only then. Asynchronous
+   readahead and write-behind stay untraced (they complete after the
+   request span closes). *)
+let disk_hop t span f = Trace.timed span ~hop:"disk" ~site:(Host.name t.host) f
+
+let read_range t span oid site first last =
+  if Trace.is_live span then disk_hop t span (fun () -> read_blocks t oid site first last)
+  else read_blocks t oid site first last
+
+let write_range t span oid site first last =
+  if Trace.is_live span then disk_hop t span (fun () -> write_blocks t oid site first last)
+  else write_blocks t oid site first last
+
+let commit_object t span oid =
+  if Trace.is_live span then disk_hop t span (fun () -> Bcache.commit t.cache ~obj:oid)
+  else Bcache.commit t.cache ~obj:oid
 
 let authorized t (call : Nfs.call) =
   match t.cap_secret with
@@ -93,10 +113,6 @@ let authorized t (call : Nfs.call) =
 let wedged t = Tenure.wedged t.tenure ~now:(Engine.now t.host.Host.eng)
 
 let handle t span (call : Nfs.call) : Nfs.response =
-  (* Synchronous cache/disk work records as a "disk" hop; asynchronous
-     readahead and write-behind stay untraced (they complete after the
-     request span closes). *)
-  let disk_timed f = Trace.timed span ~hop:"disk" ~site:(Host.name t.host) f in
   if wedged t then begin
     Tenure.note_fence t.tenure;
     Error Nfs.ERR_MISDIRECTED
@@ -107,27 +123,23 @@ let handle t span (call : Nfs.call) : Nfs.response =
   | Nfs.Null -> Ok Nfs.RNull
   | Nfs.Getattr fh ->
       let oid = object_id_of_fh fh in
-      Ok (Nfs.RGetattr (attr_of t fh (total_size t oid)))
+      Ok (Nfs.RGetattr (Nfs.data_attr fh (total_size t oid)))
   | Nfs.Read (fh, woff, count) ->
-      let oid = object_id_of_fh fh in
-      let site = site_of_offset woff in
+      let woff = Int64.to_int woff in
+      let site = Routekey.offset_site_int woff in
       if not (Tenure.admit_read t.tenure site) then Error Nfs.ERR_MISDIRECTED
       else begin
-        let off = local_of_offset woff in
+        let oid = object_id_of_fh fh in
+        let off = Routekey.offset_local_int woff in
         let o = get_obj t oid site in
-        let avail = Int64.sub o.size off in
-        let count =
-          if Int64.compare avail 0L <= 0 then 0
-          else min count (Int64.to_int (min avail (Int64.of_int count)))
-        in
-        let first, last = block_range ~off ~count in
-        disk_timed (fun () ->
-            for b = first to last do
-              Bcache.read t.cache ~obj:oid ~block:(cache_block ~site ~local_block:b)
-            done);
+        let avail = o.size - off in
+        let count = if avail <= 0 then 0 else min count avail in
+        let first = off / block_size in
+        let last = if count = 0 then first - 1 else (off + count - 1) / block_size in
+        read_range t span oid site first last;
         t.reads <- t.reads + 1;
         t.bytes_read <- t.bytes_read + count;
-        let eof = Int64.compare (Int64.add off (Int64.of_int count)) o.size >= 0 in
+        let eof = off + count >= o.size in
         let data =
           if count = 0 then Nfs.Data ""
           else
@@ -135,42 +147,44 @@ let handle t span (call : Nfs.call) : Nfs.response =
             | Some s -> Nfs.Data s
             | None -> Nfs.Synthetic count
         in
-        Ok (Nfs.RRead (data, eof, attr_of t fh o.size))
+        Ok (Nfs.RRead (data, eof, Nfs.data_attr fh o.size))
       end
   | Nfs.Write (fh, woff, stable, data) ->
-      let oid = object_id_of_fh fh in
-      let site = site_of_offset woff in
+      let woff = Int64.to_int woff in
+      let site = Routekey.offset_site_int woff in
       (* Drain: the donor answers reads for a moving site but bounces its
          writes so no update can land behind the migration's back.
          Mirrored subobjects are exempt (their twin replica has already
          applied the duplicated write; the commit-time delta sweep trues
          this replica up instead of forcing a half-applied bounce). *)
-      let admit = if fh.Fh.mirrored then Tenure.admit_read else Tenure.admit_write in
-      if not (admit t.tenure site) then Error Nfs.ERR_MISDIRECTED
+      let admitted =
+        if fh.Fh.mirrored then Tenure.admit_read t.tenure site
+        else Tenure.admit_write t.tenure site
+      in
+      if not admitted then Error Nfs.ERR_MISDIRECTED
       else begin
-        let off = local_of_offset woff in
+        let oid = object_id_of_fh fh in
+        let off = Routekey.offset_local_int woff in
         let o = get_obj t oid site in
         let len = Nfs.wdata_length data in
-        let first, last = block_range ~off ~count:len in
-        disk_timed (fun () ->
-            for b = first to last do
-              Bcache.write t.cache ~obj:oid ~block:(cache_block ~site ~local_block:b)
-            done);
+        let first = off / block_size in
+        let last = if len = 0 then first - 1 else (off + len - 1) / block_size in
+        write_range t span oid site first last;
         (match data with Nfs.Data s -> Fileblocks.store o.data ~off s | Nfs.Synthetic _ -> ());
-        let fin = Int64.add off (Int64.of_int len) in
-        if Int64.compare fin o.size > 0 then o.size <- fin;
+        let fin = off + len in
+        if fin > o.size then o.size <- fin;
         t.writes <- t.writes + 1;
         t.bytes_written <- t.bytes_written + len;
-        if stable <> Nfs.Unstable then disk_timed (fun () -> Bcache.commit t.cache ~obj:oid);
-        Ok (Nfs.RWrite (len, stable, attr_of t fh o.size))
+        if stable <> Nfs.Unstable then commit_object t span oid;
+        Ok (Nfs.RWrite (len, stable, Nfs.data_attr fh o.size))
       end
   | Nfs.Commit (fh, _off, _count) ->
       (* Commit targets the whole node-local object (the coordinator fans
          it out per node, not per site) — never ownership-gated, so the
          coordinator's idempotent redo always lands. *)
       let oid = object_id_of_fh fh in
-      disk_timed (fun () -> Bcache.commit t.cache ~obj:oid);
-      Ok (Nfs.RCommit (attr_of t fh (total_size t oid)))
+      commit_object t span oid;
+      Ok (Nfs.RCommit (Nfs.data_attr fh (total_size t oid)))
   | Nfs.Remove (fh, _name) ->
       (* Object remove: the coordinator names the object by handle; the
          name argument is unused at this layer. Drops every local
@@ -183,6 +197,7 @@ let handle t span (call : Nfs.call) : Nfs.response =
       let oid = object_id_of_fh fh in
       match s.Nfs.set_size with
       | Some sz ->
+          let sz = Int64.to_int sz in
           let tbl = sites_of t oid in
           if Hashtbl.length tbl = 0 then ignore (get_obj t oid 0);
           let single = Hashtbl.length tbl <= 1 in
@@ -194,8 +209,8 @@ let handle t span (call : Nfs.call) : Nfs.response =
               o.size <- (if single then sz else min o.size sz);
               Fileblocks.truncate o.data o.size)
             tbl;
-          Ok (Nfs.RSetattr (attr_of t fh (total_size t oid)))
-      | None -> Ok (Nfs.RSetattr (attr_of t fh (total_size t oid))))
+          Ok (Nfs.RSetattr (Nfs.data_attr fh (total_size t oid)))
+      | None -> Ok (Nfs.RSetattr (Nfs.data_attr fh (total_size t oid))))
   | Nfs.Lookup _ | Nfs.Access _ | Nfs.Readlink _ | Nfs.Create _ | Nfs.Mkdir _
   | Nfs.Symlink _ | Nfs.Rmdir _ | Nfs.Rename _ | Nfs.Link _ | Nfs.Readdir _
   | Nfs.Fsstat _ ->
@@ -250,13 +265,13 @@ let queue_depth t =
 let object_size t fh =
   match Hashtbl.find_opt t.objects (object_id_of_fh fh) with
   | None -> None
-  | Some tbl -> Some (Hashtbl.fold (fun _ o acc -> Int64.add acc o.size) tbl 0L)
+  | Some tbl -> Some (Int64.of_int (Hashtbl.fold add_size tbl 0))
 
 (* ---- reconfiguration hooks (control-plane, in-process) ---- *)
 
 let tenure t = t.tenure
 
-type site_image = (int64 * int64 * (int * bytes) list) list
+type site_image = (int64 * int * (int * bytes) list) list
 (* (oid, subobject size, materialized blocks) per object of the site. *)
 
 let export_site t site : site_image =
@@ -294,15 +309,16 @@ let drop_site t site =
   Tenure.reset_load t.tenure site
 
 let image_bytes (img : site_image) =
-  List.fold_left (fun acc (_, size, _) -> Int64.add acc size) 0L img
+  Int64.of_int (List.fold_left (fun acc (_, size, _) -> acc + size) 0 img)
 
 let site_bytes t site =
-  Hashtbl.fold
-    (fun _ tbl acc ->
-      match Hashtbl.find_opt tbl site with
-      | Some o -> Int64.add acc o.size
-      | None -> acc)
-    t.objects 0L
+  Int64.of_int
+    (Hashtbl.fold
+       (fun _ tbl acc ->
+         match Hashtbl.find_opt tbl site with
+         | Some o -> acc + o.size
+         | None -> acc)
+       t.objects 0)
 
 let reads t = t.reads
 let writes t = t.writes
