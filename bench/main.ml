@@ -49,7 +49,7 @@ let micro_tests =
         (Staged.stage (fun () -> ignore (Routekey.name_site ~nsites:4 sample_fh "dir01234")));
       Test.make ~name:"fig3/fnv-name-site"
         (Staged.stage (fun () ->
-             ignore (Slice_hash.Fnv.bucket (Fh.key sample_fh ^ "\x00dir01234") 4)));
+             ignore (Slice_hash.Fnv.bucket (Fh.encode sample_fh ^ "\x00dir01234") 4)));
       (* Figures 5/6: per-op wire cost *)
       Test.make ~name:"fig5/encode-write-call"
         (Staged.stage (fun () ->

@@ -20,13 +20,18 @@ let ftype_of_code = function 1 -> Reg | 2 -> Dir | _ -> Lnk
 
 (* Wire layout: magic(4) file_id(8) gen(4) ftype(1) mirrored(1)
    attr_site(4) cap(8), zero-padded to 32 bytes. *)
-let write_into b off t =
-  Bytes.set_int32_be b off (Int32.of_int magic);
+(* The low 32 bits of [x], big-endian, as two halves: no boxed int32. *)
+let put_u32 b off x =
+  Bytes.set_uint16_be b off ((x lsr 16) land 0xFFFF);
+  Bytes.set_uint16_be b (off + 2) (x land 0xFFFF)
+
+let[@hot] write_into b off t =
+  put_u32 b off magic;
   Bytes.set_int64_be b (off + 4) t.file_id;
-  Bytes.set_int32_be b (off + 12) (Int32.of_int t.gen);
+  put_u32 b (off + 12) t.gen;
   Bytes.set b (off + 16) (Char.chr (int_of_ftype t.ftype));
   Bytes.set b (off + 17) (if t.mirrored then '\001' else '\000');
-  Bytes.set_int32_be b (off + 18) (Int32.of_int t.attr_site);
+  put_u32 b (off + 18) t.attr_site;
   Bytes.set_int64_be b (off + 22) t.cap;
   Bytes.set_uint16_be b (off + 30) 0
 
@@ -34,8 +39,6 @@ let encode t =
   let b = Bytes.create wire_length in
   write_into b 0 t;
   Bytes.unsafe_to_string b
-
-let key t = encode t
 
 (* ---- in-place peeks: read handle fields straight out of a packet
    buffer (the 32-byte span located by the codec's cursor) without

@@ -33,12 +33,10 @@ val decode : string -> t option
 
 val write_into : bytes -> int -> t -> unit
 (** [write_into buf off t] renders the 32 wire bytes of [t] at
-    [buf.[off, off+32)]: {!encode} without the intermediate string. *)
+    [buf.[off, off+32)]: {!encode} without the intermediate string, and
+    without allocating. Routing fingerprints and storage object ids hash
+    these bytes. *)
 
-val key : t -> string
-(** Canonical byte string for hashing a handle (routing fingerprints).
-    Equal to {!encode} — exactly the 32 wire bytes — so routing hashes
-    may equivalently run over a handle's span inside a packet buffer. *)
 
 (** {2 In-place peeks}
 

@@ -1,9 +1,26 @@
 type name_policy = Mkdir_switching | Name_hashing
 
-let name_site ~nsites parent name =
-  Slice_hash.Md5.bucket (Fh.key parent ^ "\x00" ^ name) nsites
+(* A routing key is the handle's 32 wire bytes, then for a name a NUL
+   and the name. The servers build it in one scratch buffer and digest
+   it there; [name_site] grows the buffer for a longer name first. *)
+let key_buf = ref (Bytes.create 320)
 
-let file_site ~nsites fh = Slice_hash.Md5.bucket (Fh.key fh) nsites
+let[@hot] name_site_in ~nsites buf parent name =
+  let len = String.length name in
+  Fh.write_into buf 0 parent;
+  Bytes.set buf Fh.wire_length '\000';
+  Bytes.blit_string name 0 buf (Fh.wire_length + 1) len;
+  Slice_hash.Md5.bucket_bytes buf ~pos:0 ~len:(Fh.wire_length + 1 + len) nsites
+
+let name_site ~nsites parent name =
+  let need = Fh.wire_length + 1 + String.length name in
+  if Bytes.length !key_buf < need then key_buf := Bytes.create (max need (2 * Bytes.length !key_buf));
+  name_site_in ~nsites !key_buf parent name
+
+let[@hot] file_site ~nsites fh =
+  let buf = !key_buf in
+  Fh.write_into buf 0 fh;
+  Slice_hash.Md5.bucket_bytes buf ~pos:0 ~len:Fh.wire_length nsites
 
 let mirror_sites ~nsites fh =
   let r0 = file_site ~nsites fh in
@@ -20,8 +37,8 @@ let mirror_sites ~nsites fh =
 let file_site_at ~nsites buf ~off =
   Slice_hash.Md5.bucket_bytes buf ~pos:off ~len:Fh.wire_length nsites
 
-(* The string key is [Fh.key parent ^ "\x00" ^ name]; build the same
-   bytes in the caller's scratch buffer (the proxy sizes and grows it
+(* The key is the handle's wire bytes, a NUL and the name; build them
+   in the caller's scratch buffer (the proxy sizes and grows it
    off the hot path) and bucket in place. *)
 let name_site_at ~nsites ~scratch buf ~fh_off ~name_off ~name_len =
   Bytes.blit buf fh_off scratch 0 Fh.wire_length;
