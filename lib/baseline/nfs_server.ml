@@ -21,7 +21,6 @@ type t = {
   host : Host.t;
   cache : Bcache.t option; (* None = MFS *)
   files : (int64, finfo) Hashtbl.t;
-  entries : (int64 * string, Fh.t) Hashtbl.t;
   dir_index : Dirlist.index; (* each non-empty directory's sorted listing *)
   mutable next_file : int;
   mutable ops : int;
@@ -72,12 +71,11 @@ let with_file t fh k =
   match finfo_of t fh.Fh.file_id with Some fi -> k fi | None -> Error Nfs.ERR_STALE
 
 let with_entry t dfh name k =
-  match Hashtbl.find_opt t.entries (dfh.Fh.file_id, name) with
+  match Dirlist.find t.dir_index dfh.Fh.file_id name with
   | Some child -> k child
   | None -> Error Nfs.ERR_NOENT
 
 let add_entry t (dfh : Fh.t) name child =
-  Hashtbl.replace t.entries (dfh.Fh.file_id, name) child;
   Dirlist.add t.dir_index dfh.Fh.file_id name child;
   match finfo_of t dfh.Fh.file_id with
   | Some fi ->
@@ -86,7 +84,6 @@ let add_entry t (dfh : Fh.t) name child =
   | None -> ()
 
 let remove_entry t (dfh : Fh.t) name =
-  Hashtbl.remove t.entries (dfh.Fh.file_id, name);
   Dirlist.remove t.dir_index dfh.Fh.file_id name;
   match finfo_of t dfh.Fh.file_id with
   | Some fi ->
@@ -96,7 +93,7 @@ let remove_entry t (dfh : Fh.t) name =
 
 let do_create t dfh name ~ftype ~symlink =
   if dfh.Fh.ftype <> Fh.Dir then Error Nfs.ERR_NOTDIR
-  else if Hashtbl.mem t.entries (dfh.Fh.file_id, name) then Error Nfs.ERR_EXIST
+  else if Dirlist.mem t.dir_index dfh.Fh.file_id name then Error Nfs.ERR_EXIST
   else begin
     let fh = mint t ~ftype in
     let fi = new_finfo t ~ftype ~fileid:fh.Fh.file_id in
@@ -167,7 +164,7 @@ let handle t (call : Nfs.call) : Nfs.response =
                 Ok Nfs.RRmdir)
   | Nfs.Rename (od, on, nd, nn) ->
       with_entry t od on (fun child ->
-          if Hashtbl.mem t.entries (nd.Fh.file_id, nn) then Error Nfs.ERR_EXIST
+          if Dirlist.mem t.dir_index nd.Fh.file_id nn then Error Nfs.ERR_EXIST
           else begin
             remove_entry t od on;
             add_entry t nd nn child;
@@ -175,7 +172,7 @@ let handle t (call : Nfs.call) : Nfs.response =
           end)
   | Nfs.Link (file, nd, nn) ->
       with_file t file (fun fi ->
-          if Hashtbl.mem t.entries (nd.Fh.file_id, nn) then Error Nfs.ERR_EXIST
+          if Dirlist.mem t.dir_index nd.Fh.file_id nn then Error Nfs.ERR_EXIST
           else begin
             add_entry t nd nn file;
             fi.attr <- { fi.attr with nlink = fi.attr.Nfs.nlink + 1; ctime = now t };
@@ -249,8 +246,6 @@ let attach host ?(cache_bytes = 512 * 1024 * 1024) ?(mem_only = false) () =
       cache;
       (* lint: bounded — volume state: the monolithic baseline holds the whole FS by design *)
       files = Hashtbl.create 4096;
-      (* lint: bounded — volume state: the monolithic baseline holds the whole FS by design *)
-      entries = Hashtbl.create 4096;
       (* lint: bounded — one row per non-empty directory, dropped when its last entry goes *)
       dir_index = Hashtbl.create 256;
       next_file = 100;

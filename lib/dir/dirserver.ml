@@ -45,7 +45,6 @@ type t = {
   host : Host.t;
   cfg : config;
   attrs : (int64, cell) Hashtbl.t;
-  entries : (int64 * string, Fh.t) Hashtbl.t;
   dir_index : Dirlist.index; (* each non-empty directory's sorted listing *)
   applied : (int64, unit) Hashtbl.t; (* peer-op dedup *)
   prepares : (int64, int * string) Hashtbl.t; (* op_id -> (site, msg) awaiting commit *)
@@ -136,11 +135,9 @@ let log_remove_cell t fid = log t rt_remove_cell Enc.u64 fid
 (* ---- state mutation (shared between service path and log replay) ---- *)
 
 let apply_add_entry t parent name child =
-  Hashtbl.replace t.entries (parent, name) child;
   Dirlist.add t.dir_index parent name child
 
 let apply_remove_entry t parent name =
-  Hashtbl.remove t.entries (parent, name);
   Dirlist.remove t.dir_index parent name
 
 (* ---- helpers ---- *)
@@ -336,7 +333,7 @@ let unlink ?(span = Trace.null) t (dfh : Fh.t) name child delta =
 
 let do_create ?(span = Trace.null) t (dfh : Fh.t) name ~ftype ~symlink =
   if dfh.Fh.ftype <> Fh.Dir then Error Nfs.ERR_NOTDIR
-  else if Hashtbl.mem t.entries (dfh.Fh.file_id, name) then Error Nfs.ERR_EXIST
+  else if Dirlist.mem t.dir_index dfh.Fh.file_id name then Error Nfs.ERR_EXIST
   else begin
     let mirrored = ftype = Fh.Reg && t.cfg.mirror_new_files in
     (* The attribute cell lives on the entry's own site, so a migration
@@ -360,7 +357,7 @@ let add_entry_somewhere ?(span = Trace.null) t (dfh : Fh.t) name child =
     ack_reply
       (peer_update ~span t ~site:(entry_site t dfh name) (fun op_id ->
            Peer.Add_entry { op_id; dir = dfh; name; child }))
-  else if Hashtbl.mem t.entries (dfh.Fh.file_id, name) then Error Nfs.ERR_EXIST
+  else if Dirlist.mem t.dir_index dfh.Fh.file_id name then Error Nfs.ERR_EXIST
   else begin
     add_entry_here ~span t dfh name child;
     Ok ()
@@ -416,7 +413,7 @@ let handle t span (call : Nfs.call) : Nfs.response =
       if dfh.Fh.ftype <> Fh.Dir then Error Nfs.ERR_NOTDIR
       else
         check_entry_site t dfh name (fun () ->
-            match Hashtbl.find_opt t.entries (dfh.Fh.file_id, name) with
+            match Dirlist.find t.dir_index dfh.Fh.file_id name with
             | None -> Error Nfs.ERR_NOENT
             | Some child -> (
                 match child_attr ~span t child with
@@ -450,7 +447,7 @@ let handle t span (call : Nfs.call) : Nfs.response =
           do_create ~span t dfh name ~ftype:Fh.Lnk ~symlink:(Some target))
   | Nfs.Remove (dfh, name) ->
       check_entry_site_w t dfh name (fun () ->
-          match Hashtbl.find_opt t.entries (dfh.Fh.file_id, name) with
+          match Dirlist.find t.dir_index dfh.Fh.file_id name with
           | None -> Error Nfs.ERR_NOENT
           | Some child when child.Fh.ftype = Fh.Dir -> Error Nfs.ERR_ISDIR
           | Some child ->
@@ -461,7 +458,7 @@ let handle t span (call : Nfs.call) : Nfs.response =
               Ok Nfs.RRemove)
   | Nfs.Rmdir (dfh, name) ->
       check_entry_site_w t dfh name (fun () ->
-          match Hashtbl.find_opt t.entries (dfh.Fh.file_id, name) with
+          match Dirlist.find t.dir_index dfh.Fh.file_id name with
           | None -> Error Nfs.ERR_NOENT
           | Some child when child.Fh.ftype <> Fh.Dir -> Error Nfs.ERR_NOTDIR
           | Some child -> (
@@ -469,20 +466,20 @@ let handle t span (call : Nfs.call) : Nfs.response =
               | Error st -> Error st
               | Ok a when Int64.compare a.Nfs.size 0L > 0 -> Error Nfs.ERR_NOTEMPTY
               (* the entry may have gone while [child_attr] asked a peer *)
-              | Ok _ when not (Hashtbl.mem t.entries (dfh.Fh.file_id, name)) ->
+              | Ok _ when not (Dirlist.mem t.dir_index dfh.Fh.file_id name) ->
                   Error Nfs.ERR_NOENT
               | Ok a ->
                   ignore (unlink ~span t dfh name child (-a.Nfs.nlink));
                   Ok Nfs.RRmdir))
   | Nfs.Rename (odfh, oname, ndfh, nname) ->
       check_entry_site_w t odfh oname (fun () ->
-          match Hashtbl.find_opt t.entries (odfh.Fh.file_id, oname) with
+          match Dirlist.find t.dir_index odfh.Fh.file_id oname with
           | None -> Error Nfs.ERR_NOENT
           | Some child -> (
               match add_entry_somewhere ~span t ndfh nname child with
               | Error st -> Error st
               (* the old entry may have gone while a peer added the new *)
-              | Ok () when not (Hashtbl.mem t.entries (odfh.Fh.file_id, oname)) ->
+              | Ok () when not (Dirlist.mem t.dir_index odfh.Fh.file_id oname) ->
                   Error Nfs.ERR_NOENT
               | Ok () ->
                   (* a zero link-count change bumps the renamed object's ctime *)
@@ -569,7 +566,7 @@ let handle_peer t span (msg : Peer.msg) : Peer.reply =
       Peer.Ack
   | Peer.Add_entry { op_id; dir; name; child } ->
       if Hashtbl.mem t.applied op_id then Peer.Ack
-      else if Hashtbl.mem t.entries (dir.Fh.file_id, name) then Peer.Rerr Nfs.ERR_EXIST
+      else if Dirlist.mem t.dir_index dir.Fh.file_id name then Peer.Rerr Nfs.ERR_EXIST
       else begin
         (* the dedup row goes in before the parent's count can force a
            round, so the two land together *)
@@ -609,8 +606,6 @@ let attach host ?trace ?qos cfg =
       trace;
       (* lint: bounded — attribute cells: dataless-manager state, WAL+checkpoint-backed (§3.4) *)
       attrs = Hashtbl.create 1024;
-      (* lint: bounded — name entries: dataless-manager state, WAL+checkpoint-backed (§3.4) *)
-      entries = Hashtbl.create 4096;
       (* lint: bounded — one row per non-empty directory, dropped when its last entry goes *)
       dir_index = Hashtbl.create 256;
       (* lint: bounded — not bounded yet: applied-op dedup, one row per peer op ever applied; nothing prunes it and checkpoint re-logs every id (ROADMAP smaller item D) *)
@@ -643,18 +638,20 @@ let attach host ?trace ?qos cfg =
 let ops_served t = t.ops
 let peer_ops_served t = t.peer_ops
 let cross_site_ops t = t.peer_calls
-let entry_count t = Hashtbl.length t.entries
+let entry_count t =
+  let n = ref 0 in
+  Dirlist.iter (fun _ _ _ -> incr n) t.dir_index;
+  !n
 let attr_cell_count t = Hashtbl.length t.attrs
 let log_bytes t = Wal.bytes_appended t.wal
 
-let lookup_local t ~parent name = Hashtbl.find_opt t.entries (parent.Fh.file_id, name)
+let lookup_local t ~parent name = Dirlist.find t.dir_index parent.Fh.file_id name
 let tenure t = t.tenure
 
 (* ---- crash / recovery ---- *)
 
 let reset_volatile t =
   Hashtbl.reset t.attrs;
-  Hashtbl.reset t.entries;
   Hashtbl.reset t.dir_index;
   Hashtbl.reset t.applied;
   Hashtbl.reset t.prepares
@@ -772,8 +769,8 @@ let host t = t.host
 let enc_snapshot e t =
   Enc.u32 e (Hashtbl.length t.attrs);
   Hashtbl.iter (fun fid c -> enc_cell e (fid, c)) t.attrs;
-  Enc.u32 e (Hashtbl.length t.entries);
-  Hashtbl.iter (fun (parent, name) child -> enc_add_entry e (parent, name, child)) t.entries
+  Enc.u32 e (entry_count t);
+  Dirlist.iter (fun parent name child -> enc_add_entry e (parent, name, child)) t.dir_index
 
 (* lint: F1 ok — journal compaction is operator-driven control plane, not client dispatch; it rewrites, never extends, history *)
 let checkpoint t =

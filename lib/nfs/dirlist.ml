@@ -85,6 +85,26 @@ let remove index dir name =
 
 let listing index dir = match Hashtbl.find_opt index dir with Some t -> t | None -> create ()
 
+let find index dir name =
+  match Hashtbl.find index dir with
+  | t ->
+      let i = slot t name in
+      if present t i name then Some t.fhs.(i) else None
+  | exception Not_found -> None
+
+let mem index dir name =
+  match Hashtbl.find index dir with
+  | t -> present t (slot t name) name
+  | exception Not_found -> false
+
+let iter f index =
+  Hashtbl.iter
+    (fun dir t ->
+      for i = 0 to t.len - 1 do
+        f dir t.names.(i) t.fhs.(i)
+      done)
+    index
+
 let entry t i pos =
   { Nfs.entry_id = t.fhs.(i).Fh.file_id; entry_name = t.names.(i); entry_cookie = Int64.of_int pos }
 

@@ -30,6 +30,17 @@ val listing : index -> int64 -> t
 (** [dir]'s listing: an empty one, left out of [index], when [dir] has
     no row. *)
 
+val find : index -> int64 -> string -> Fh.t option
+(** [find index dir name]: the handle bound to [name] in [dir], found by
+    binary search in the listing. *)
+
+val mem : index -> int64 -> string -> bool
+(** [mem index dir name]: is [name] bound in [dir]? *)
+
+val iter : (int64 -> string -> Fh.t -> unit) -> index -> unit
+(** [iter f index] calls [f dir name fh] on every binding: each
+    directory's in name order, the directories in the index's order. *)
+
 val page : ?keep:(string -> bool) -> t -> site:int -> start:int -> count:int -> Nfs.reply
 (** [page ?keep t ~site ~start ~count] is the [RReaddir] page of the
     names [keep] accepts (all of them by default), in order: the kept
