@@ -118,6 +118,11 @@ let repo =
             "lib/storage/nfs_endpoint.ml";
             "lib/qos/wfq.ml";
             "lib/wal/wal.ml";
+            "lib/sim/fiber.ml";
+            "lib/nfs/fh.ml";
+            "lib/nfs/routekey.ml";
+            "lib/storage/obsd.ml";
+            "lib/smallfile/smallfile.ml";
           ]);
     (* The fenced server modules of PR 6: every dispatch path that
        reaches the WAL (either append entry), the buffer cache or the

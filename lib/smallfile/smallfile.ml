@@ -88,12 +88,9 @@ let touch_map t fid ~write =
 let touch_extent t (ext : extent) ~write =
   (* Physical fragments shorter than a block still cost the enclosing
      cache block. *)
-  let first = Int64.to_int (Int64.div ext.phys_off (Int64.of_int block_size)) in
-  let last =
-    Int64.to_int
-      (Int64.div (Int64.add ext.phys_off (Int64.of_int (max 0 (ext.phys_len - 1))))
-         (Int64.of_int block_size))
-  in
+  let off = Int64.to_int ext.phys_off in
+  let first = off / block_size in
+  let last = (off + max 0 (ext.phys_len - 1)) / block_size in
   for b = first to last do
     if write then Bcache.write t.cache ~obj:data_obj ~block:b
     else Bcache.read t.cache ~obj:data_obj ~block:b
@@ -151,7 +148,7 @@ let store_real fr ~off data =
 
 (* The map record and the extents of blocks [first..last]: the
    synchronous disk work of a READ. *)
-let[@hot] read_blocks t fid fr first last =
+let read_blocks t fid fr first last =
   touch_map t fid ~write:false;
   for b = first to last do
     if b < Array.length fr.blocks then

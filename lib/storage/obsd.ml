@@ -68,7 +68,7 @@ let total_size t oid =
   | exception Not_found -> 0
 
 (* The blocks [first..last] of a request, through the cache. *)
-let[@hot] read_blocks t oid site first last =
+let read_blocks t oid site first last =
   for b = first to last do
     Bcache.read t.cache ~obj:oid ~block:(cache_block ~site ~local_block:b)
   done

@@ -49,3 +49,50 @@ let chaos_row label =
   match List.find_opt (fun (l, _, _) -> l = label) Slice_experiments.Chaos.exhibit with
   | Some (_, w, schedule) -> (w, schedule)
   | None -> Alcotest.failf "no chaos row %S" label
+
+(* Steady-state minor words of one NFS call round trip, client encode
+   and RPC included, from a client to a server that [attach] installs on
+   its host (8 disks): [prep] goes first, once, then 1024 calls warm the
+   server's tables and caches, and 1024 more are measured. Two servers that answer with replies of
+   one shape differ only in their handlers, so the difference of their
+   round trips is what one handler call allocates. *)
+let rtt_words ?prep attach call =
+  let module Net = Slice_net.Net in
+  let module Rpc = Slice_net.Rpc in
+  let module Host = Slice_storage.Host in
+  let module Codec = Slice_nfs.Codec in
+  let eng = Engine.create () in
+  let net = Net.create eng () in
+  let server = Host.create net ~name:"srv" ~disks:8 () in
+  let client = Host.create net ~name:"cli" () in
+  attach server;
+  let rpc = Rpc.create net client.Host.addr ~port:1000 in
+  let send call =
+    let xid = Rpc.fresh_xid rpc in
+    ignore
+      (Rpc.call rpc ~dst:server.Host.addr ~dport:2049 ~extra_size:(Codec.extra_size_of_call call)
+         (Codec.encode_call ~xid call))
+  in
+  let once () = send call in
+  let n = 1024 in
+  let per_call = ref infinity in
+  run_on eng (fun () ->
+      Option.iter send prep;
+      for _ = 1 to n do
+        once ()
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        once ()
+      done;
+      per_call := (Gc.minor_words () -. w0) /. float_of_int n);
+  !per_call
+
+(* A server on [host] that answers every call with [reply], at the
+   given per-request CPU cost: the baseline [rtt_words] subtracts. *)
+let stub_server ~per_op ~per_byte reply host =
+  Slice_storage.Nfs_endpoint.serve host ~port:2049
+    ~cost:{ Slice_storage.Nfs_endpoint.per_op; per_byte }
+    ~tenure:(Slice_storage.Tenure.create [ 0 ])
+    ~handler:(fun _ _ -> reply)
+    ()

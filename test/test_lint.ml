@@ -386,6 +386,11 @@ let probe_hot_roots () =
   agree "Codec.int_of_status" (fun () -> Codec.int_of_status Slice_nfs.Nfs.OK);
   agree "Proxy.reply_status" (fun () -> Proxy.reply_status pkt);
   agree "Proxy.op_of_proc" (fun () -> Proxy.op_of_proc 6);
+  (* the servers' in-place routing keys and the handle writer under them *)
+  let fh = Slice_nfs.Fh.root in
+  let key = Bytes.create Slice_nfs.Fh.wire_length in
+  agree "Fh.write_into" (fun () -> Slice_nfs.Fh.write_into key 0 fh);
+  agree "Routekey.file_site" (fun () -> Slice_nfs.Routekey.file_site ~nsites:7 fh);
   (* the µproxy caches' slot table at capacity, where an add of a new
      key is [insert] evicting the tail *)
   let lru = Slice_util.Slot_lru.create ~capacity:64 in

@@ -258,6 +258,71 @@ let zone_chunks_last_first () =
   let xids = List.map (fun (xid, _, _) -> xid) sent in
   check_bool "xids drawn in send order" true (xids = List.sort compare xids)
 
+(* Words one warmed small-file READ handler call allocates, over a
+   cached 5000-byte synthetic file: a round trip to the server less one
+   to a stub answering the same reply shape (see [Helpers.rtt_words]).
+   Pinned at the count with the one-record attributes and one site hash
+   per request. *)
+let read_handler_words () =
+  let fh = reg_fh 9 in
+  let write = Nfs.Write (fh, 0L, Nfs.Unstable, Nfs.Synthetic 5000) in
+  let read = Nfs.Read (fh, 0L, 5000) in
+  let server = rtt_words ~prep:write (fun h -> ignore (Smallfile.attach h ())) read in
+  let reply = Ok (Nfs.RRead (Nfs.Synthetic 5000, true, Nfs.data_attr fh 5000)) in
+  let stub = rtt_words ~prep:write (stub_server ~per_op:70e-6 ~per_byte:4e-9 reply) read in
+  let words = server -. stub in
+  check_bool (Printf.sprintf "small-file read handler allocates %.2f words (pinned 26)" words) true
+    (words <= 26.01)
+
+(* Words the zone backend adds to one chunk's I/O: a warmed one-block
+   demand read through [Zone.backend] to a storage node, less the same
+   READ sent by hand. Pinned at the count of the list-free fan-out and
+   the zone handles built once per backend. *)
+let zone_chunk_words () =
+  let read = ref None in
+  let measure ~via_backend =
+    let eng = Engine.create () in
+    let net = Net.create eng () in
+    let node = Host.create net ~name:"storage" ~disks:8 () in
+    let _obsd : Slice_storage.Obsd.t = Slice_storage.Obsd.attach node () in
+    let mgr = Host.create net ~name:"sf" () in
+    let rpc = Rpc.create net mgr.Host.addr ~port:1900 in
+    let backend =
+      Slice_smallfile.Zone.backend eng rpc ~vaddr:node.Host.addr ~sf_idx:0 ~stripe_unit:32768 ()
+    in
+    (* learn the call from the backend's own first request *)
+    Net.add_egress_filter net mgr.Host.addr (fun pkt ->
+        if Option.is_none !read then read := Some (snd (Codec.decode_call pkt.Slice_net.Packet.payload));
+        Some pkt);
+    let once () =
+      if via_backend then backend.Slice_disk.Bcache.demand_read ~obj:2L ~block:0 ~count:1 ~sequential:false
+      else
+        match !read with
+        | Some call ->
+            let xid = Rpc.fresh_xid rpc in
+            ignore
+              (Rpc.call rpc ~timeout:2.0 ~dst:node.Host.addr ~dport:2049
+                 ~extra_size:(Codec.extra_size_of_call call) (Codec.encode_call ~xid call))
+        | None -> Alcotest.fail "no zone read seen"
+    in
+    let per_call = ref infinity in
+    run_on eng (fun () ->
+        if not via_backend then backend.Slice_disk.Bcache.demand_read ~obj:2L ~block:0 ~count:1 ~sequential:false;
+        for _ = 1 to 1024 do
+          once ()
+        done;
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 1024 do
+          once ()
+        done;
+        per_call := (Gc.minor_words () -. w0) /. 1024.);
+    !per_call
+  in
+  let backend = measure ~via_backend:true in
+  let by_hand = measure ~via_backend:false in
+  let words = backend -. by_hand in
+  check_bool (Printf.sprintf "zone chunk I/O adds %.2f words (pinned 42)" words) true (words <= 42.01)
+
 let suite =
   [
     ("physical size rounding", `Quick, physical_rounding);
@@ -274,4 +339,6 @@ let suite =
     ("full disk is an error", `Quick, full_disk_is_an_error);
     ("ensemble refuses small-file servers without storage", `Quick, needs_storage_nodes);
     ("zone chunks leave last first", `Quick, zone_chunks_last_first);
+    ("read handler words pinned", `Quick, read_handler_words);
+    ("zone chunk I/O words pinned", `Quick, zone_chunk_words);
   ]

@@ -644,6 +644,28 @@ let getattr_words_budget () =
   check_bool (Printf.sprintf "getattr allocates %.1f words (budget 150)" !per_call) true
     (!per_call <= 150.0)
 
+(* Words one warmed storage-node handler call allocates: a READ of a
+   cached block and an UNSTABLE WRITE over a dirty one, each measured as
+   the difference between a round trip to the node and one to a stub
+   server answering a reply of the same shape. Pinned at the counts of
+   the one-record attributes, the in-place object id and the int
+   offsets; a rise fails here. *)
+let handler_words ?prep label call reply ~pinned =
+  let node = rtt_words ?prep (fun h -> ignore (Obsd.attach h ())) call in
+  let stub = rtt_words ?prep (stub_server ~per_op:40e-6 ~per_byte:2.5e-9 reply) call in
+  let words = node -. stub in
+  check_bool (Printf.sprintf "%s handler allocates %.2f words (pinned %d)" label words pinned) true
+    (words <= float_of_int pinned +. 0.01)
+
+let obsd_handler_words () =
+  let fh = reg_fh 5 in
+  let attr = Nfs.data_attr fh 8192 in
+  let write = Nfs.Write (fh, 0L, Nfs.Unstable, Nfs.Synthetic 8192) in
+  handler_words "write" write (Ok (Nfs.RWrite (8192, Nfs.Unstable, attr))) ~pinned:27;
+  handler_words ~prep:write "read" (Nfs.Read (fh, 0L, 8192))
+    (Ok (Nfs.RRead (Nfs.Synthetic 8192, true, attr)))
+    ~pinned:29
+
 (* ---- Ctrl wire counts ---- *)
 
 (* Allocation while [f] raises [Codec.Malformed]; fails if it decodes. *)
@@ -684,6 +706,7 @@ let suite =
     ("nfs endpoint running requests stay outside the DRC", `Quick,
       drc_running_outside_capacity);
     ("nfs endpoint getattr words budget", `Quick, getattr_words_budget);
+    ("storage node handler words pinned", `Quick, obsd_handler_words);
     ("tenure sites, drains and load", `Quick, tenure_sites_drains_load);
     ("tenure lease expiry wedges", `Quick, tenure_lease);
     ("obsd write/read roundtrip", `Quick, obsd_write_read_roundtrip);
