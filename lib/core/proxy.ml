@@ -627,17 +627,27 @@ let orchestrate_commit t ~span ~xid (pkt : Packet.t) (fh : Fh.t) =
   let client_port = pkt.Packet.sport in
   Engine.spawn t.eng (fun () ->
       let failed = ref false in
-      let jobs = ref [] in
-      (match smallfile_dst t fh with
-      | Some dst -> jobs := (fun () -> commit_at t ~span failed fh dst) :: !jobs
-      | None -> ());
+      (* One fiber per target, spawned in this order: the coordinator, or
+         else each data node in turn, then the small-file server. The
+         children start in spawn order, so each data-node child takes the
+         next node as it starts. *)
+      let sf = smallfile_dst t fh in
       let sites = Table.data_nodes t.st.map fh in
-      (match (sites, t.tg.coordinator ()) with
-      | [], _ -> ()
-      | sites, Some _ -> jobs := (fun () -> commit_by_coordinator t ~span failed fh sites) :: !jobs
-      | sites, None ->
-          jobs := List.map (fun dst () -> commit_at t ~span failed fh dst) sites @ !jobs);
-      Fiber.join_all t.eng !jobs;
+      let by_coord = sites <> [] && Option.is_some (t.tg.coordinator ()) in
+      let n_data = if by_coord then 1 else List.length sites in
+      let rest = ref sites in
+      Fiber.fan_out t.eng
+        (n_data + if Option.is_some sf then 1 else 0)
+        (fun i ->
+          if i < n_data then
+            if by_coord then commit_by_coordinator t ~span failed fh sites
+            else
+              match !rest with
+              | dst :: more ->
+                  rest := more;
+                  commit_at t ~span failed fh dst
+              | [] -> ()
+          else match sf with Some dst -> commit_at t ~span failed fh dst | None -> ());
       let resp =
         if !failed then Error Nfs.ERR_IO
         else

@@ -7,7 +7,6 @@ type fan = {
   body : int -> unit;
   mutable next : int; (* the index the next child to start takes *)
   mutable running : int; (* children not yet finished *)
-  child : unit -> unit;
 }
 
 let[@hot] finish fan =
@@ -25,16 +24,24 @@ let run_child fan =
 
 let fan_out eng n body =
   if n > 0 then begin
-    let rec fan = { w = Engine.waiter (); body; next = 0; running = n; child = (fun () -> run_child fan) } in
+    let fan = { w = Engine.waiter (); body; next = 0; running = n } in
+    let child () = run_child fan in
     for _ = 1 to n do
-      Engine.spawn eng fan.child
+      Engine.spawn eng child
     done;
     Engine.park eng fan.w
   end
 
+(* The children start in list order, so each takes the next function as
+   it starts. *)
 let join_all eng fns =
-  let fns = Array.of_list fns in
-  fan_out eng (Array.length fns) (fun i -> fns.(i) ())
+  let rest = ref fns in
+  fan_out eng (List.length fns) (fun _ ->
+      match !rest with
+      | fn :: more ->
+          rest := more;
+          fn ()
+      | [] -> ())
 
 (* The caller is parked whenever a child finishes: children only run
    after [pump] has returned. It wakes at every finish, pumps while
