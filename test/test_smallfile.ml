@@ -321,7 +321,7 @@ let zone_chunk_words () =
   let backend = measure ~via_backend:true in
   let by_hand = measure ~via_backend:false in
   let words = backend -. by_hand in
-  check_bool (Printf.sprintf "zone chunk I/O adds %.2f words (pinned 42)" words) true (words <= 42.01)
+  check_bool (Printf.sprintf "zone chunk I/O adds %.2f words (pinned 35)" words) true (words <= 35.01)
 
 let suite =
   [
