@@ -18,13 +18,13 @@ let int_of_ftype = function Reg -> 1 | Dir -> 2 | Lnk -> 5
 (* Total over the codes [peek_valid] admits (1, 2, 5). *)
 let ftype_of_code = function 1 -> Reg | 2 -> Dir | _ -> Lnk
 
-(* Wire layout: magic(4) file_id(8) gen(4) ftype(1) mirrored(1)
-   attr_site(4) cap(8), zero-padded to 32 bytes. *)
 (* The low 32 bits of [x], big-endian, as two halves: no boxed int32. *)
 let put_u32 b off x =
   Bytes.set_uint16_be b off ((x lsr 16) land 0xFFFF);
   Bytes.set_uint16_be b (off + 2) (x land 0xFFFF)
 
+(* Wire layout: magic(4) file_id(8) gen(4) ftype(1) mirrored(1)
+   attr_site(4) cap(8), zero-padded to 32 bytes. *)
 let[@hot] write_into b off t =
   put_u32 b off magic;
   Bytes.set_int64_be b (off + 4) t.file_id;

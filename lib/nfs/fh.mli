@@ -37,7 +37,6 @@ val write_into : bytes -> int -> t -> unit
     without allocating. Routing fingerprints and storage object ids hash
     these bytes. *)
 
-
 (** {2 In-place peeks}
 
     Allocation-free accessors over a handle's 32-byte wire span inside a

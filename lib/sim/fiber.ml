@@ -13,13 +13,10 @@ let[@hot] finish fan =
   fan.running <- fan.running - 1;
   if fan.running = 0 then Engine.unpark fan.w
 
-let[@hot] take fan =
+let run_child fan =
   let i = fan.next in
   fan.next <- i + 1;
-  i
-
-let run_child fan =
-  fan.body (take fan);
+  fan.body i;
   finish fan
 
 let fan_out eng n body =

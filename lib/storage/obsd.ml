@@ -84,18 +84,6 @@ let[@hot] write_blocks t oid site first last =
    request span closes). *)
 let disk_hop t span f = Trace.timed span ~hop:"disk" ~site:(Host.name t.host) f
 
-let read_range t span oid site first last =
-  if Trace.is_live span then disk_hop t span (fun () -> read_blocks t oid site first last)
-  else read_blocks t oid site first last
-
-let write_range t span oid site first last =
-  if Trace.is_live span then disk_hop t span (fun () -> write_blocks t oid site first last)
-  else write_blocks t oid site first last
-
-let commit_object t span oid =
-  if Trace.is_live span then disk_hop t span (fun () -> Bcache.commit t.cache ~obj:oid)
-  else Bcache.commit t.cache ~obj:oid
-
 let authorized t (call : Nfs.call) =
   match t.cap_secret with
   | None -> true
@@ -136,7 +124,8 @@ let handle t span (call : Nfs.call) : Nfs.response =
         let count = if avail <= 0 then 0 else min count avail in
         let first = off / block_size in
         let last = if count = 0 then first - 1 else (off + count - 1) / block_size in
-        read_range t span oid site first last;
+        if Trace.is_live span then disk_hop t span (fun () -> read_blocks t oid site first last)
+        else read_blocks t oid site first last;
         t.reads <- t.reads + 1;
         t.bytes_read <- t.bytes_read + count;
         let eof = off + count >= o.size in
@@ -169,13 +158,16 @@ let handle t span (call : Nfs.call) : Nfs.response =
         let len = Nfs.wdata_length data in
         let first = off / block_size in
         let last = if len = 0 then first - 1 else (off + len - 1) / block_size in
-        write_range t span oid site first last;
+        if Trace.is_live span then disk_hop t span (fun () -> write_blocks t oid site first last)
+        else write_blocks t oid site first last;
         (match data with Nfs.Data s -> Fileblocks.store o.data ~off s | Nfs.Synthetic _ -> ());
         let fin = off + len in
         if fin > o.size then o.size <- fin;
         t.writes <- t.writes + 1;
         t.bytes_written <- t.bytes_written + len;
-        if stable <> Nfs.Unstable then commit_object t span oid;
+        if stable <> Nfs.Unstable then
+          if Trace.is_live span then disk_hop t span (fun () -> Bcache.commit t.cache ~obj:oid)
+          else Bcache.commit t.cache ~obj:oid;
         Ok (Nfs.RWrite (len, stable, Nfs.data_attr fh o.size))
       end
   | Nfs.Commit (fh, _off, _count) ->
@@ -183,7 +175,8 @@ let handle t span (call : Nfs.call) : Nfs.response =
          it out per node, not per site) — never ownership-gated, so the
          coordinator's idempotent redo always lands. *)
       let oid = object_id_of_fh fh in
-      commit_object t span oid;
+      if Trace.is_live span then disk_hop t span (fun () -> Bcache.commit t.cache ~obj:oid)
+      else Bcache.commit t.cache ~obj:oid;
       Ok (Nfs.RCommit (Nfs.data_attr fh (total_size t oid)))
   | Nfs.Remove (fh, _name) ->
       (* Object remove: the coordinator names the object by handle; the
