@@ -228,22 +228,28 @@ let real_bytes_by_block () =
    start last chunk first, so requests that leave at the same simulated
    instant keep that order; a change to it would reorder engine events
    and move simulated results. *)
-let zone_chunks_last_first () =
+(* A small-file manager host whose zone backend reaches one storage
+   node directly, with a 32 KB stripe unit. *)
+let zone_rig () =
   let eng = Engine.create () in
   let net = Net.create eng () in
   let node = Host.create net ~name:"storage" ~disks:8 () in
   let _obsd : Slice_storage.Obsd.t = Slice_storage.Obsd.attach node () in
   let mgr = Host.create net ~name:"sf" () in
   let rpc = Rpc.create net mgr.Host.addr ~port:1900 in
+  let backend =
+    Slice_smallfile.Zone.backend eng rpc ~vaddr:node.Host.addr ~sf_idx:0 ~stripe_unit:32768 ()
+  in
+  (eng, net, node, mgr, rpc, backend)
+
+let zone_chunks_last_first () =
+  let eng, net, _, mgr, _, backend = zone_rig () in
   let sent = ref [] in
   Net.add_egress_filter net mgr.Host.addr (fun pkt ->
       (match Codec.decode_call pkt.Slice_net.Packet.payload with
       | xid, Nfs.Read (_, off, len) -> sent := (xid, Int64.to_int off, len) :: !sent
       | _ -> Alcotest.fail "zone read sent something else");
       Some pkt);
-  let backend =
-    Slice_smallfile.Zone.backend eng rpc ~vaddr:node.Host.addr ~sf_idx:0 ~stripe_unit:32768 ()
-  in
   (* blocks 2..9 of 8 KB: chunk 0 holds blocks 2-3, chunk 1 blocks 4-7,
      chunk 2 blocks 8-9 *)
   let returned = ref false in
@@ -281,15 +287,7 @@ let read_handler_words () =
 let zone_chunk_words () =
   let read = ref None in
   let measure ~via_backend =
-    let eng = Engine.create () in
-    let net = Net.create eng () in
-    let node = Host.create net ~name:"storage" ~disks:8 () in
-    let _obsd : Slice_storage.Obsd.t = Slice_storage.Obsd.attach node () in
-    let mgr = Host.create net ~name:"sf" () in
-    let rpc = Rpc.create net mgr.Host.addr ~port:1900 in
-    let backend =
-      Slice_smallfile.Zone.backend eng rpc ~vaddr:node.Host.addr ~sf_idx:0 ~stripe_unit:32768 ()
-    in
+    let eng, net, node, mgr, rpc, backend = zone_rig () in
     (* learn the call from the backend's own first request *)
     Net.add_egress_filter net mgr.Host.addr (fun pkt ->
         if Option.is_none !read then read := Some (snd (Codec.decode_call pkt.Slice_net.Packet.payload));
