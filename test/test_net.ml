@@ -444,6 +444,34 @@ let rpc_concurrent_calls_reverse_replies () =
   check_int "nothing outstanding" 0 (Rpc.pending_calls rpc);
   check_int "every call completed" 64 (Rpc.calls_completed rpc)
 
+(* One packet's send and delivery on a fault-free LAN: the delivery
+   record and its thunks are pooled and the NIC bookings' times stay
+   unboxed, so what is left is the time boxed in each of the two event
+   cells (the packet reaching the wire's far end, then the receiver). *)
+let send_delivery_words () =
+  let eng, net = mk_net () in
+  let a = Net.add_node net ~name:"a" in
+  let b = Net.add_node net ~name:"b" in
+  let got = ref 0 in
+  Net.listen net b ~port:9 (fun _ -> incr got);
+  let pkt = Packet.make ~src:a ~dst:b ~sport:1 ~dport:9 (Bytes.create 100) in
+  let once () =
+    Net.send net pkt;
+    Engine.run eng
+  in
+  for _ = 1 to 64 do
+    once ()
+  done;
+  let n = 1024 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    once ()
+  done;
+  let per = (Gc.minor_words () -. w0) /. float_of_int n in
+  check_int "every packet delivered" (n + 64) !got;
+  check_bool (Printf.sprintf "a send and its delivery allocate %.1f words (budget 4)" per) true
+    (per <= 4.0)
+
 (* Steady-state words of one call/reply round trip over a bare Net: the
    call record, timer closure and waiter are pooled, and so are the
    packets' deliveries with their event thunks, so what is left is the
@@ -495,6 +523,7 @@ let suite =
     ("ingress filter sees arrivals", `Quick, ingress_filter_sees_arrivals);
     ("inject skips egress", `Quick, inject_skips_egress);
     ("dispatch is immediate", `Quick, dispatch_is_immediate);
+    ("send and delivery words", `Quick, send_delivery_words);
     ("rpc roundtrip", `Quick, rpc_roundtrip);
     ("rpc retransmits through loss", `Quick, rpc_retransmits_through_loss);
     ("rpc times out", `Quick, rpc_times_out);

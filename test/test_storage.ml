@@ -188,6 +188,43 @@ let obsd_remove_and_getattr () =
       | Ok (Nfs.RGetattr a) -> check_bool "size 0 after remove" true (a.Nfs.size = 0L)
       | _ -> Alcotest.fail "getattr")
 
+(* A READ of an object, or of a site of an object, that the node never
+   stored answers 0 bytes at EOF and stores nothing: no subobject, so no
+   size and no row in a site export (an import of the export on another
+   node brings no object). *)
+let obsd_read_of_nothing_stores_nothing () =
+  let rig = mk_rig () in
+  let eng = rig.eng in
+  let net = rig.net in
+  let host name = Host.create net ~name ~cpu_scale:1.6 ~disks:8 () in
+  let node = Obsd.attach (host "two-site") ~sites:[ 0; 1 ] () in
+  let spare = Obsd.attach (host "spare") ~sites:[ 0; 1 ] () in
+  let dst = Obsd.addr node in
+  let imported site fh =
+    Obsd.import_site spare site (Obsd.export_site node site);
+    Obsd.object_size spare fh
+  in
+  let read_empty label fh off =
+    match nfs_call rig ~dst (Nfs.Read (fh, off, 4096)) with
+    | Ok (Nfs.RRead (d, eof, a)) ->
+        check_int (label ^ ": no bytes") 0 (Nfs.wdata_length d);
+        check_bool (label ^ ": eof") true eof;
+        check_bool (label ^ ": size 0") true (a.Nfs.size = 0L)
+    | _ -> Alcotest.fail (label ^ ": read")
+  in
+  run_on eng (fun () ->
+      let fresh = reg_fh 21 in
+      read_empty "fresh handle" fresh 0L;
+      check_bool "fresh handle: no object" true (Obsd.object_size node fresh = None);
+      check_bool "fresh handle: no exported row" true (imported 0 fresh = None);
+      (* the object exists at site 0; its site 1 was never written *)
+      let fh = reg_fh 22 in
+      ignore (nfs_call rig ~dst (Nfs.Write (fh, 0L, Nfs.Unstable, Nfs.Data "xyz")));
+      read_empty "unwritten site" fh (Int64.of_int Slice_nfs.Routekey.site_stride_int);
+      check_bool "unwritten site: size of the written site" true
+        (Obsd.object_size node fh = Some 3L);
+      check_bool "unwritten site: no exported row" true (imported 1 fh = None))
+
 let obsd_commit_stable () =
   let rig = mk_rig () in
   let node = rig.nodes.(0) in
@@ -666,6 +703,40 @@ let obsd_handler_words () =
     (Ok (Nfs.RRead (Nfs.Synthetic 8192, true, attr)))
     ~pinned:29
 
+(* A CPU charge whose cost is computed at the call site reaches the
+   engine's wake cell unboxed: [Host.cpu] allocates no more than a bare
+   [Engine.sleep] of a constant, the fiber's own suspension and its
+   event cell's time. *)
+let host_cpu_words () =
+  let eng = Engine.create () in
+  let net = Net.create eng () in
+  let host = Host.create net ~name:"cpu" () in
+  let per_op = ref 10e-6 in
+  let n = 1024 in
+  let per_call f =
+    let words = ref infinity in
+    run_on eng (fun () ->
+        f 64;
+        let w0 = Gc.minor_words () in
+        f n;
+        words := (Gc.minor_words () -. w0) /. float_of_int n);
+    !words
+  in
+  let charges k =
+    for i = 1 to k do
+      Host.cpu host (!per_op +. (float_of_int i *. 2.5e-9))
+    done
+  in
+  let sleeps k =
+    for _ = 1 to k do
+      Engine.sleep eng 10e-6
+    done
+  in
+  let cpu = per_call charges and sleep = per_call sleeps in
+  check_bool
+    (Printf.sprintf "Host.cpu allocates %.2f words, a bare sleep %.2f" cpu sleep)
+    true (cpu <= sleep +. 0.01)
+
 (* ---- Ctrl wire counts ---- *)
 
 (* Allocation while [f] raises [Codec.Malformed]; fails if it decodes. *)
@@ -707,6 +778,7 @@ let suite =
       drc_running_outside_capacity);
     ("nfs endpoint getattr words budget", `Quick, getattr_words_budget);
     ("storage node handler words pinned", `Quick, obsd_handler_words);
+    ("host cpu charge words", `Quick, host_cpu_words);
     ("tenure sites, drains and load", `Quick, tenure_sites_drains_load);
     ("tenure lease expiry wedges", `Quick, tenure_lease);
     ("obsd write/read roundtrip", `Quick, obsd_write_read_roundtrip);
@@ -714,6 +786,7 @@ let suite =
     ("obsd synthetic and clip", `Quick, obsd_synthetic_and_clip);
     ("obsd sparse blocks independent", `Quick, obsd_offset_windows_are_independent);
     ("obsd remove and getattr", `Quick, obsd_remove_and_getattr);
+    ("obsd read of nothing stores nothing", `Quick, obsd_read_of_nothing_stores_nothing);
     ("obsd commit stable", `Quick, obsd_commit_stable);
     ("obsd truncate", `Quick, obsd_truncate);
     ("obsd shrink then grow reads zeros", `Quick, obsd_shrink_then_grow_reads_zeros);

@@ -69,6 +69,59 @@ let prng_split () =
   done;
   check_bool "child differs from parent" true (!same < 4)
 
+(* The first draws of seed 42, from the reference SplitMix64 (state
+   advanced by the golden gamma, then mixed): a change to how the state
+   is kept must leave the stream as it was. *)
+let prng_stream_pinned () =
+  let p = Prng.create 42 in
+  List.iter
+    (fun want -> check_int "int draw" want (Prng.int p max_int))
+    [ 0x3dd732262feb6e95; 0x28efe333b266f103 ];
+  check_bool "float draw" true (Prng.float p 1.0 = float_of_int 0x8ea4ceae261f3 /. 0x1p53)
+
+(* Steady-state words per call of [f], warmed. *)
+let words_per_call n f =
+  f ();
+  let w0 = Gc.minor_words () in
+  f ();
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* A draw keeps the generator's state and its result unboxed, called from
+   another module: an int, a weighted pick over twelve choices, and
+   floats and exponential gaps summed into a local float ref. *)
+let prng_draws_allocate_nothing () =
+  let p = Prng.create 5 in
+  let n = 1024 in
+  let choices = Array.init 12 (fun i -> (float_of_int (i + 1), i)) in
+  let ints () =
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (Prng.int p 1000))
+    done
+  in
+  let picks () =
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (Prng.weighted p choices))
+    done
+  in
+  let floats () =
+    let acc = ref 0.0 in
+    for _ = 1 to n do
+      acc := !acc +. Prng.float p 1.0
+    done;
+    ignore (Sys.opaque_identity (!acc > 0.0))
+  in
+  let gaps () =
+    let acc = ref 0.0 in
+    for _ = 1 to n do
+      acc := !acc +. Prng.exponential p 2.0
+    done;
+    ignore (Sys.opaque_identity (!acc > 0.0))
+  in
+  check_float "Prng.int: words per draw" 0.0 (words_per_call n ints);
+  check_float "Prng.weighted: words per pick" 0.0 (words_per_call n picks);
+  check_float "Prng.float summed: words per draw" 0.0 (words_per_call n floats);
+  check_float "Prng.exponential summed: words per draw" 0.0 (words_per_call n gaps)
+
 (* ---- Stats ---- *)
 
 let stats_basic () =
@@ -433,6 +486,8 @@ let suite =
     ("prng weighted", `Quick, prng_weighted);
     ("prng exponential", `Quick, prng_exponential);
     ("prng split", `Quick, prng_split);
+    ("prng stream pinned", `Quick, prng_stream_pinned);
+    ("prng draws allocate nothing", `Quick, prng_draws_allocate_nothing);
     ("stats basic", `Quick, stats_basic);
     ("stats percentile", `Quick, stats_percentile);
     ("stats empty", `Quick, stats_empty);
