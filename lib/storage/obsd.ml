@@ -58,6 +58,16 @@ let get_obj t oid site =
       Hashtbl.replace tbl site o;
       o
 
+(* What a READ sees of a subobject never written: 0 bytes, so the read
+   answers EOF with nothing. Shared and never written to. *)
+let no_obj = { size = 0; data = Fileblocks.create () }
+
+(* A READ looks the subobject up without creating it. *)
+let find_obj t oid site =
+  match Hashtbl.find (Hashtbl.find t.objects oid) site with
+  | o -> o
+  | exception Not_found -> no_obj
+
 let add_size _ o acc = acc + o.size
 
 (* Aggregate size across this node's subobjects, for offset-free ops
@@ -119,7 +129,7 @@ let handle t span (call : Nfs.call) : Nfs.response =
       else begin
         let oid = object_id_of_fh fh in
         let off = Routekey.offset_local_int woff in
-        let o = get_obj t oid site in
+        let o = find_obj t oid site in
         let avail = o.size - off in
         let count = if avail <= 0 then 0 else min count avail in
         let first = off / block_size in
