@@ -24,8 +24,10 @@ let create net ~name ?(cpu_scale = 1.0) ?(disks = 0) () =
     disk;
   }
 
-let cpu t cost = Slice_sim.Resource.use t.cpu (cost /. t.cpu_scale)
-let cpu_async t cost = Slice_sim.Resource.reserve t.cpu (cost /. t.cpu_scale)
+(* Inlined, with [Resource.use] and [reserve] under them, so a cost
+   computed at the call site reaches the resource's cell unboxed. *)
+let[@inline] cpu t cost = Slice_sim.Resource.use t.cpu (cost /. t.cpu_scale)
+let[@inline] cpu_async t cost = Slice_sim.Resource.reserve t.cpu (cost /. t.cpu_scale)
 
 let disk_exn t =
   match t.disk with

@@ -139,7 +139,7 @@ let build_fileset (cl : Client.t) ~root ~proc ~files ~prng =
         let name = Printf.sprintf "f%05d" i in
         match Client.create_file cl dir name with
         | Ok (fh, _) ->
-            let size = Prng.weighted prng (Array.map (fun (w, s) -> (w, s)) size_dist) in
+            let size = Prng.weighted prng size_dist in
             write_whole cl fh size;
             bytes := Int64.add !bytes (Int64.of_int size);
             { fe_fh = fh; fe_dir = dir; fe_name = name; fe_size = size }
