@@ -169,7 +169,10 @@ type timer = event
 
 let no_timer = nil
 
-(* Inlined so a computed time reaches its cell unboxed. *)
+(* Inlined so a computed time is not boxed on its way to the cell; that
+   holds in another module only when it is built without -opaque
+   (DESIGN.md §38). The cell's [time] field boxes it all the same: the
+   cell is a mixed record, so each event allocates its time (2 words). *)
 let[@inline] schedule_at t time fn = ignore (enqueue t time fn no_k)
 
 let[@inline] schedule_timer t delay fn =
@@ -214,7 +217,9 @@ let handler =
 (* The cell carries the body itself; [fire] starts it under [handler]. *)
 let spawn t fn = ignore (enqueue t t.clock fn spawn_k)
 
-(* Inlined so the wake time reaches its cell unboxed. *)
+(* Inlined so the wake time reaches [wake_at] unboxed (from another
+   module only without -opaque); the handler's enqueue boxes it into the
+   sleeper's cell, 2 words a sleep. *)
 let[@inline] doze t time =
   t.wake_at.(0) <- time;
   Effect.perform t.sleep

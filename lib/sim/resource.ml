@@ -17,8 +17,10 @@ let rec earliest (free_at : float array) i best =
   if i >= Array.length free_at then best
   else earliest free_at (i + 1) (if free_at.(i) < free_at.(best) then i else best)
 
-(* [book], [reserve] and [use] are inlined into each other so a booking's
-   finish time stays unboxed until it leaves the module. *)
+(* [book], [reserve] and [use] are inlined into each other, and into
+   their callers in other modules when those are built without -opaque
+   (DESIGN.md §38), so a booking's service and finish times stay unboxed
+   until [Engine] stores the finish in an event cell, which boxes it. *)
 let[@inline] book t service =
   let best =
     if Array.length t.free_at = 1 then 0 else earliest t.free_at 1 0

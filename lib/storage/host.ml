@@ -25,7 +25,7 @@ let create net ~name ?(cpu_scale = 1.0) ?(disks = 0) () =
   }
 
 (* Inlined, with [Resource.use] and [reserve] under them, so a cost
-   computed at the call site reaches the resource's cell unboxed. *)
+   computed at the call site is not boxed on its way to the booking. *)
 let[@inline] cpu t cost = Slice_sim.Resource.use t.cpu (cost /. t.cpu_scale)
 let[@inline] cpu_async t cost = Slice_sim.Resource.reserve t.cpu (cost /. t.cpu_scale)
 

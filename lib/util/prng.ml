@@ -45,9 +45,9 @@ let[@inline] exponential t mean =
   let u = if u = 0.0 then 1e-12 else u in
   -.mean *. log u
 
-(* Float refs and loops rather than a fold and a float-carrying
-   recursion, so nothing boxes; the sums run in the same order. The last
-   choice takes whatever rounding leaves past the running sum. *)
+(* Local float refs in loops, which the compiler keeps unboxed; both
+   sums run left to right. The last choice takes whatever rounding leaves
+   past the running sum. *)
 let weighted t choices =
   let n = Array.length choices in
   let total = ref 0.0 in

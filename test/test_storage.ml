@@ -647,7 +647,7 @@ let drc_running_outside_capacity () =
 (* Steady-state words of one getattr round trip through [serve], client
    encode and RPC included: the request table and the pooled packet
    deliveries allocate nothing, so what is left is the payloads, the
-   decoded call, the fibers and boxed floats at module boundaries. *)
+   decoded call, the fibers and the event cells' boxed times. *)
 let getattr_words_budget () =
   let eng = Engine.create () in
   let net = Net.create eng () in
