@@ -359,6 +359,120 @@ let test_takeover_claims_victim_sites () =
         (Invalid_argument "Reconfig: storage sites are not dataless; cannot take over")
         (fun () -> ignore (Reconfig.takeover rc Ensemble.Storage ~victim:0 ~standby:1)))
 
+(* Journal accounting for directory sites. A directory server journals
+   each record once, for the logical site whose state it changes, so a
+   site hand-over moves exactly that site's records. *)
+
+(* Name-hashed directory sites, [dir_servers] servers over four sites:
+   server [i] starts with sites [i], [i + dir_servers], ... *)
+let mk_hashed_ens ~seed ~dir_servers =
+  Ensemble.create
+    {
+      Ensemble.default_config with
+      seed;
+      storage_nodes = 2;
+      dir_servers;
+      smallfile_servers = 1;
+      dir_sites = 4;
+      smallfile_sites = 4;
+      storage_sites = 4;
+      proxy_params = { Slice.Params.default with name_policy = Slice_nfs.Routekey.Name_hashing };
+    }
+
+(* The first name [prefix ^ i] that hashes to directory site [site]. *)
+let name_on ~parent prefix site =
+  let rec go i =
+    let n = prefix ^ string_of_int i in
+    if Slice_nfs.Routekey.name_site ~nsites:4 parent n = site then n else go (i + 1)
+  in
+  go 0
+
+(* A takeover of a two-site victim replays each of the victim's records
+   once (the journal bytes it replays equal the victim's journal) and
+   appends nothing to the standby's journal. *)
+let test_takeover_replays_each_record_once () =
+  let ens = mk_ens ~seed:14 ~dir_servers:2 () in
+  let rc = Reconfig.attach ens in
+  let cl = mk_client ens "c0" in
+  run_on (Ensemble.engine ens) (fun () ->
+      List.iter
+        (fun i -> ignore (ok_or_fail "create" (Client.create_file cl Fh.root (Printf.sprintf "t%02d" i))))
+        (List.init 16 Fun.id);
+      let dirs = Ensemble.dirs ens in
+      check_int "the victim owns two sites" 2
+        (List.length (Tenure.owned_sites (Dirserver.tenure dirs.(0))));
+      let victim = Dirserver.log_bytes dirs.(0) and standby = Dirserver.log_bytes dirs.(1) in
+      Ensemble.crash ens Dir 0;
+      check_int "both sites claimed" 2 (Reconfig.takeover rc Ensemble.Dir ~victim:0 ~standby:1);
+      check_int "every victim record replayed once" victim (Int64.to_int (Reconfig.bytes_copied rc));
+      check_int "no victim bytes appended at the standby" standby (Dirserver.log_bytes dirs.(1));
+      List.iter
+        (fun i ->
+          ignore (ok_or_fail "lookup after takeover" (Client.lookup cl Fh.root (Printf.sprintf "t%02d" i))))
+        (List.init 16 Fun.id))
+
+(* Removing a two-site directory server moves each of its sites with the
+   site's own journal: the two moves together copy the donor's journal
+   once, not once per site. *)
+let test_dir_move_copies_the_site_journal () =
+  let ens = mk_hashed_ens ~seed:16 ~dir_servers:2 in
+  let rc = Reconfig.attach ens in
+  let cl = mk_client ens "c0" in
+  run_on (Ensemble.engine ens) (fun () ->
+      let on1 = name_on ~parent:Fh.root "a" 1 and on3 = name_on ~parent:Fh.root "b" 3 in
+      let fh1, _ = ok_or_fail "create on site 1" (Client.create_file cl Fh.root on1) in
+      ignore (ok_or_fail "create on site 3" (Client.create_file cl Fh.root on3));
+      (* an update whose records all live at the donor forces its journal,
+         commit records included *)
+      ignore (ok_or_fail "setattr" (Client.setattr cl fh1 (Nfs.sattr_times ~mtime:7.0 ())));
+      let donor = Dirserver.log_bytes (Ensemble.dirs ens).(1) in
+      Reconfig.execute rc (Reconfig.Remove_server (Ensemble.Dir, 1));
+      check_int "both donor sites moved" 2 (Reconfig.sites_moved rc);
+      check_int "the donor's journal copied once" donor (Int64.to_int (Reconfig.bytes_copied rc));
+      let cl' = mk_client ens "c1" in
+      List.iter (fun n -> ignore (ok_or_fail "lookup after the move" (Client.lookup cl' Fh.root n))) [ on1; on3 ];
+      check_exclusive rc)
+
+(* A record the donor logs for the moving site during the copy reaches
+   the receiver: a directory whose cell lives on the moving site counts a
+   create that another of the donor's sites serves mid-copy. *)
+let test_dir_move_carries_records_logged_during_the_copy () =
+  let ens = mk_hashed_ens ~seed:17 ~dir_servers:1 in
+  let rc = Reconfig.attach ~bandwidth:2e3 ens in
+  let cl = mk_client ens "c0" in
+  let eng = Ensemble.engine ens in
+  run_on eng (fun () ->
+      let dirs =
+        Array.init 4 (fun j -> fst (ok_or_fail "mkdir" (Client.mkdir cl Fh.root (name_on ~parent:Fh.root "d" j))))
+      in
+      Array.iteri (fun j (d : Fh.t) -> check_int "the directory's cell is on its site" j d.Fh.attr_site) dirs;
+      let logged = ref None in
+      Engine.spawn eng (fun () ->
+          let tn = Dirserver.tenure (Ensemble.dirs ens).(0) in
+          let rec draining () =
+            match List.find_opt (Tenure.in_drain tn) (Tenure.owned_sites tn) with
+            | Some a -> a
+            | None ->
+                Engine.sleep eng 1e-4;
+                draining ()
+          in
+          let a = draining () in
+          let name = name_on ~parent:dirs.(a) "late" ((a + 1) mod 4) in
+          ignore (ok_or_fail "create during the copy" (Client.create_file cl dirs.(a) name));
+          check_bool "the moving site is still draining" true (Tenure.in_drain tn a);
+          logged := Some (a, name));
+      Reconfig.execute rc (Reconfig.Add_server Ensemble.Dir);
+      let a, name =
+        match !logged with Some v -> v | None -> Alcotest.fail "no site drained"
+      in
+      check_bool "the site moved" true (Tenure.owns (Dirserver.tenure (Ensemble.dirs ens).(1)) a);
+      let cl' = mk_client ens "c1" in
+      (match Client.getattr cl' dirs.(a) with
+      | Ok attr -> check_int "the receiver counts the entry" 24 (Int64.to_int attr.Nfs.size)
+      | Error st -> Alcotest.failf "getattr: %s" (Nfs.status_name st));
+      ignore (ok_or_fail "lookup" (Client.lookup cl' dirs.(a) name));
+      check_exclusive rc)
+
 (* The exhibit is deterministic: same seed, byte-identical JSON. It must
    also show a clean audit, real migrations, and throughput rising after
    every server addition. *)
@@ -397,6 +511,12 @@ let suite =
       test_load_gauges_retired_on_commit;
     Alcotest.test_case "takeover claims victim sites" `Quick
       test_takeover_claims_victim_sites;
+    Alcotest.test_case "takeover replays each victim record once" `Quick
+      test_takeover_replays_each_record_once;
+    Alcotest.test_case "dir move copies the site's journal" `Quick
+      test_dir_move_copies_the_site_journal;
+    Alcotest.test_case "dir move carries records logged during the copy" `Quick
+      test_dir_move_carries_records_logged_during_the_copy;
     Alcotest.test_case "scale exhibit is byte-deterministic" `Quick
       test_scale_exhibit_deterministic;
   ]
