@@ -57,7 +57,7 @@ let micro_tests =
                (Codec.encode_call ~xid:9 (Nfs.Write (sample_fh, 0L, Nfs.Unstable, Nfs.Synthetic 8192)))));
       (let wal = Slice_wal.Wal.create ~name:"bench" () in
        Test.make ~name:"managers/wal-append"
-         (Staged.stage (fun () -> ignore (Slice_wal.Wal.append wal ~rtype:1 "0123456789abcdef"))));
+         (Staged.stage (fun () -> ignore (Slice_wal.Wal.append_with wal ~site:0 ~rtype:1 Slice_xdr.Xdr.Enc.raw "0123456789abcdef"))));
       (* metadata fast path: lease-aware cache lookup and the percentile
          query every exhibit's latency lines lean on *)
       (let names = Slice_util.Slot_lru.create ~capacity:4096 in

@@ -182,7 +182,7 @@ let handle t (call : Nfs.call) : Nfs.response =
       if dfh.Fh.ftype <> Fh.Dir then Error Nfs.ERR_NOTDIR
       else
         let l = Dirlist.listing t.dir_index dfh.Fh.file_id in
-        Ok (Dirlist.page l ~site:0 ~start:(Int64.to_int cookie) ~count)
+        Ok (Dirlist.page l ~start:(Int64.to_int cookie) ~count)
   | Nfs.Read (fh, off, count) ->
       with_file t fh (fun fi ->
           let avail = Int64.sub fi.attr.Nfs.size off in

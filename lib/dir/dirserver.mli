@@ -20,9 +20,11 @@
     ("dataless" manager), forced only before a peer prepare, a call to
     the coordinator or a reply leaves the server. An entry is counted at
     its parent's cell wherever that lives, a peer's [Add_entry]
-    included. {!crash}/{!recover} rebuild the server from the surviving
-    log, re-driving incomplete cross-site updates (idempotent thanks to
-    peer-side dedup of operation ids). *)
+    included. State and journal are kept per logical site, under one
+    group commit for all of a server's sites. A restart ({!recover}), a
+    move and a takeover ({!adopt_site}) open a site's journal the same
+    way: replay it, then re-drive its incomplete cross-site updates
+    (idempotent thanks to peer-side dedup of operation ids). *)
 
 type config = {
   logical_id : int;  (** this server's logical site id, 0-based *)
@@ -48,7 +50,7 @@ type config = {
           "Multiple logical sites may map to the same physical server,
           leaving flexibility for reconfiguration" (Section 3.3.1): run
           more logical sites than servers and rebalance by moving logical
-          sites ({!import_log} plus {!Slice_storage.Tenure.own}) and
+          sites ({!adopt_site} plus {!Slice_storage.Tenure.own}) and
           rebinding the routing table. *)
 }
 
@@ -79,22 +81,25 @@ val log_bytes : t -> int
 val lookup_local : t -> parent:Slice_nfs.Fh.t -> string -> Slice_nfs.Fh.t option
 (** Test hook: consult this server's entry table directly. *)
 
-(** {2 Failure injection} *)
+(** {2 Sites and failure injection} *)
 
-val log_image : t -> string
-(** The stable (synced) journal image — what shared storage would hold
-    after this server fails. *)
+val adopt_site : t -> from:t -> int -> int
+(** [adopt_site t ~from site] moves [site]'s stable journal from [from]
+    to [t] by reference ({!Slice_wal.Wal.hand_over}) and opens it as
+    {!recover} does an owned site's, appending nothing and taking no
+    simulated time. Returns the journal bytes replayed. Ownership is the
+    caller's ({!Slice_storage.Tenure.own}). *)
 
-val import_log : ?skip:int -> t -> log:string -> int
-(** Replay another server's journal image into this server, journaling
-    every imported record locally (snapshot records are downgraded to
-    merge-snapshots so the import can never reset this server's own
-    cells, now or on a later replay). [skip] resumes a previous import of
-    the same append-only journal: the first [skip] records are assumed
-    already applied, so a second pass over a fresher image applies
-    exactly the delta — how a migration catches up, atomically in sim
-    time, after its bulk transfer. Returns the records consumed (the
-    next [skip]). Does not sync. *)
+val site_bytes : t -> int -> int
+(** The length of the site's stable journal here. *)
+
+val settle_site : t -> int -> unit
+(** Fiber: force the journal until no record of the site is pending or
+    in a round in flight, so its stable image holds everything the site
+    logged, or until a crash drops them. *)
+
+val drop_site : t -> int -> unit
+(** Forget a site's cells, entries, dedup rows and prepares here. *)
 
 val tenure : t -> Slice_storage.Tenure.t
 (** The server's site tenure and life. A drained site keeps answering
@@ -115,11 +120,12 @@ val crash : t -> unit
     wait or its journal round, ends without a reply. *)
 
 val recover : t -> unit
-(** Rebuild cells from the log; re-send prepared-but-uncommitted peer
-    updates (one a peer does not answer stays prepared for the next
-    recovery); resume service. *)
+(** Open the journal of every owned site: rebuild its state and re-send
+    its prepared-but-uncommitted peer updates (one a peer does not
+    answer stays prepared for the next recovery); resume service. *)
 
 val checkpoint : t -> unit
-(** Fiber: fold the log into a snapshot record (bounds log growth). The
-    old log is dropped only once the snapshot is stable; a crash before
-    then raises {!Slice_wal.Wal.Crashed} and leaves the old log whole. *)
+(** Fiber: fold each owned site's journal into a snapshot record (bounds
+    log growth). The old records are dropped only once the snapshots are
+    stable; a crash before then raises {!Slice_wal.Wal.Crashed} and
+    leaves the old journals whole. *)

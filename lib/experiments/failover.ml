@@ -257,8 +257,8 @@ let report_of t =
       @ List.map
           (fun (e : Fo.event) ->
             Printf.sprintf
-              "takeover %s: server %d -> %d, %d sites, detect %.0f ms, MTTR %.0f ms"
-              e.ev_class e.ev_victim e.ev_standby e.ev_sites (ms e.ev_detect)
+              "takeover %s: server %d -> %d, %d sites, %d bytes replayed, detect %.0f ms, MTTR %.0f ms"
+              e.ev_class e.ev_victim e.ev_standby e.ev_sites e.ev_bytes (ms e.ev_detect)
               (ms e.ev_mttr))
           t.takeovers;
     rows =
@@ -308,6 +308,7 @@ let json_of t =
                    ("class", Json.Str e.ev_class);
                    ("detect_ms", num (ms e.ev_detect));
                    ("mttr_ms", num (ms e.ev_mttr));
+                   ("replayed_bytes", num (float_of_int e.ev_bytes));
                    ("sites", num (float_of_int e.ev_sites));
                    ("standby", num (float_of_int e.ev_standby));
                    ("victim", num (float_of_int e.ev_victim));

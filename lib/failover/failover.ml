@@ -16,12 +16,13 @@
 
    Directory and small-file takeovers go through the [Slice_reconfig]
    intent machinery ({!Reconfig.takeover}): per site a Begin intent,
-   state rebuild from shared storage (journal replay / zone images), a
-   table rebind, and a Commit seal — so a standby crash mid-takeover is
-   rolled back by {!Reconfig.recover} like any abandoned migration.
+   state rebuild from shared storage (journal opened in place / zone
+   images), a table rebind, and a Commit seal — so a standby crash
+   mid-takeover is rolled back by {!Reconfig.recover} like any abandoned
+   migration.
    Coordinator takeover attaches a fresh coordinator to a surviving
-   storage node's host, adopts the victim's intention log from shared
-   storage (redo completes in-flight 2PC), swaps the ensemble's
+   storage node's host, opens the victim's intention log in place on
+   shared storage (redo completes in-flight 2PC), swaps the ensemble's
    endpoint, and advances the storage table's fencing epoch. *)
 
 module Engine = Slice_sim.Engine
@@ -73,6 +74,7 @@ type event = {
   ev_victim : int;
   ev_standby : int;
   ev_sites : int;
+  ev_bytes : int;
   ev_detect : float;
   ev_mttr : float;
 }
@@ -169,7 +171,7 @@ let pick_standby ~n ~victim ~live ~load =
   done;
   if !best < 0 then None else Some !best
 
-let record_takeover t tg ~kname ~victim ~standby ~sites ~declared =
+let record_takeover t tg ~kname ~victim ~standby ~sites ~bytes ~declared =
   let now = Engine.now t.eng in
   let detect = declared -. tg.suspect_since in
   let mttr = now -. tg.suspect_since in
@@ -180,6 +182,7 @@ let record_takeover t tg ~kname ~victim ~standby ~sites ~declared =
       ev_victim = victim;
       ev_standby = standby;
       ev_sites = sites;
+      ev_bytes = bytes;
       ev_detect = detect;
       ev_mttr = mttr;
     }
@@ -203,6 +206,7 @@ let takeover_manager t tg k ~victim ~declared =
   with
   | None -> Metrics.incr t.reg "failover.no_standby"
   | Some standby ->
+      let copied = Reconfig.bytes_copied t.rc in
       let sites = Reconfig.takeover t.rc k ~victim ~standby in
       (* Re-lease the standby in process under the bumped epoch; its own
          monitor keeps renewing from here. *)
@@ -211,7 +215,8 @@ let takeover_manager t tg k ~victim ~declared =
       (match find_target t (Manager (k, standby)) with
       | Some stg -> stg.max_granted <- Float.max stg.max_granted until
       | None -> ());
-      record_takeover t tg ~kname:(Ensemble.klass_name k) ~victim ~standby ~sites ~declared
+      record_takeover t tg ~kname:(Ensemble.klass_name k) ~victim ~standby ~sites
+        ~bytes:(Int64.to_int (Int64.sub (Reconfig.bytes_copied t.rc) copied)) ~declared
 
 (* The endpoint installed on a storage host must only renew the
    coordinator while the role actually resides there — after a further
@@ -246,9 +251,10 @@ let promote_coordinator t tg ~declared =
             ~map_sites:(Coordinator.map_sites old)
             ?trace:(Ensemble.trace t.ens) ()
         in
-        (* The victim's intention log survives on shared storage: adopt
-           it so redo completes any 2PC the victim left in flight. *)
-        Coordinator.adopt_log c ~log:(Coordinator.log_image old);
+        (* The victim's intention log survives on shared storage: open
+           it in place so redo completes any 2PC the victim left in
+           flight. *)
+        let bytes = Coordinator.adopt_log c ~from:old in
         Ensemble.replace_coordinator t.ens c;
         (match Ensemble.storage_table t.ens with
         | Some tbl -> Table.bump_epoch tbl
@@ -267,7 +273,7 @@ let promote_coordinator t tg ~declared =
           storage;
         record_takeover t tg ~kname:"coordinator" ~victim:!victim_idx ~standby:j
           ~sites:(Array.length (Coordinator.map_sites c))
-          ~declared
+          ~bytes ~declared
       end
 
 let declare t tg =

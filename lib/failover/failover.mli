@@ -57,6 +57,7 @@ type event = {
   ev_victim : int;
   ev_standby : int;
   ev_sites : int;  (** sites claimed (coordinator: map width) *)
+  ev_bytes : int;  (** the victim's journals or zone images replayed *)
   ev_detect : float;  (** first missed renewal → declaration *)
   ev_mttr : float;  (** first missed renewal → service restored *)
 }

@@ -6,7 +6,6 @@ type t = {
      [cached], which every insert and delete clears. *)
   mutable cached : bool;
   mutable last : Nfs.reply;
-  mutable last_site : int;
   mutable last_start : int;
   mutable last_count : int;
 }
@@ -18,7 +17,6 @@ let create () =
     len = 0;
     cached = false;
     last = Nfs.RNull;
-    last_site = 0;
     last_start = 0;
     last_count = 0;
   }
@@ -111,32 +109,17 @@ let entry t i pos =
 (* The entries at slots [lo, i], consed in front of [acc]. *)
 let rec slice t i lo acc = if i < lo || i < 0 then acc else slice t (i - 1) lo (entry t i (i + 1) :: acc)
 
-let build keep t ~start ~count =
+let build t ~start ~count =
   let hi = start + count in
-  let entries, total =
-    match keep with
-    | None -> (slice t (min t.len hi - 1) start [], t.len)
-    | Some keep ->
-        (* one pass, so [keep] is asked once per name *)
-        let total = ref 0 and page = ref [] in
-        for i = 0 to t.len - 1 do
-          if keep t.names.(i) then begin
-            if !total >= start && !total < hi then page := entry t i (!total + 1) :: !page;
-            incr total
-          end
-        done;
-        (List.rev !page, !total)
-  in
-  let next = min total hi in
-  Nfs.RReaddir (entries, Int64.of_int next, next >= total)
+  let next = min t.len hi in
+  Nfs.RReaddir (slice t (next - 1) start [], Int64.of_int next, next >= t.len)
 
-let page ?keep t ~site ~start ~count =
-  if t.cached && t.last_site = site && t.last_start = start && t.last_count = count then t.last
+let page t ~start ~count =
+  if t.cached && t.last_start = start && t.last_count = count then t.last
   else begin
-    let r = build keep t ~start ~count in
+    let r = build t ~start ~count in
     t.cached <- true;
     t.last <- r;
-    t.last_site <- site;
     t.last_start <- start;
     t.last_count <- count;
     r

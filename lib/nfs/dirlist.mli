@@ -41,14 +41,10 @@ val iter : (int64 -> string -> Fh.t -> unit) -> index -> unit
 (** [iter f index] calls [f dir name fh] on every binding: each
     directory's in name order, the directories in the index's order. *)
 
-val page : ?keep:(string -> bool) -> t -> site:int -> start:int -> count:int -> Nfs.reply
-(** [page ?keep t ~site ~start ~count] is the [RReaddir] page of the
-    names [keep] accepts (all of them by default), in order: the kept
-    entries at positions [start] to [start + count - 1], each with cookie
+val page : t -> start:int -> count:int -> Nfs.reply
+(** [page t ~start ~count] is the [RReaddir] page of the entries at
+    positions [start] to [start + count - 1], in order, each with cookie
     position + 1, then the next cookie [min total (start + count)] and
-    eof when that reaches the kept total.
-
-    [keep] is a pure predicate, asked once per name. [site] stands for
-    it: a caller passes the same predicate for the same site. A request
-    with the same [site], [start] and [count] as the last one, and no
-    {!add} or {!remove} since, returns the last page itself. *)
+    eof when that reaches the total. A request with the same [start] and
+    [count] as the last one, and no {!add} or {!remove} since, returns
+    the last page itself. *)

@@ -4,8 +4,8 @@
 
      intend (log Begin) -> drain (donor bounces writes) ->
      copy (modelled transfer occupies simulated time) ->
-     commit (atomic: replay delta, flip ownership, rebind table, log
-     Commit)  |  abort (lift drain, log Abort, table untouched).
+     commit (atomic: hand the site over, flip ownership, rebind table,
+     log Commit)  |  abort (lift drain, log Abort, table untouched).
 
    All state transfer happens inside the atomic commit step, so a crash
    anywhere leaves the site wholly on one side. *)
@@ -37,19 +37,17 @@ let setup_latency = 0.0005
 (* What really differs per server class; everything else (server count,
    address, tenure, growth, name) comes from [Ensemble] by [k].
    Ownership, drains, load and bounce counts are the same for every
-   class and are read through each server's [Tenure]. [prepare] runs at
-   drain time and returns an opaque cookie for [copy_commit] (the
-   directory class snapshots the donor journal there for the two-pass
-   replay); [copy_commit] runs inside the atomic commit step and returns
-   the bytes streamed. Server arguments are indices, resolved at call
-   time, so elastic growth is always visible. *)
+   class and are read through each server's [Tenure]. [settle] runs after
+   the copy, before the commit step; [copy_commit] runs inside the
+   atomic commit step and returns the bytes streamed. Server arguments are indices, resolved at
+   call time, so elastic growth is always visible. *)
 type class_ops = {
   k : Ensemble.klass;
   table : Table.t;
   drop : int -> int -> unit;
-  prepare : donor:int -> site:int -> string;
-  copy_bytes : donor:int -> site:int -> cookie:string -> int64;
-  copy_commit : donor:int -> recv:int -> site:int -> cookie:string -> int64;
+  settle : donor:int -> site:int -> unit;
+  copy_bytes : donor:int -> site:int -> int64;
+  copy_commit : donor:int -> recv:int -> site:int -> int64;
 }
 
 type plan =
@@ -97,11 +95,21 @@ let set_site ops site addr =
     Table.update ops.table map
   end
 
-(* Small-file and storage sites move as deep-copied images. *)
-let copy_image ~export ~import ~image_bytes srv ~donor ~recv ~site ~cookie:_ =
-  let img = export (srv donor) site in
-  import (srv recv) site img;
-  image_bytes img
+(* Small-file and storage sites move as deep-copied images; a drained
+   site of theirs changes nothing, so there is nothing to settle. *)
+let image_class k table srv ~drop ~site_bytes ~export ~import ~image_bytes =
+  {
+    k;
+    table;
+    drop = (fun i site -> drop (srv i) site);
+    settle = (fun ~donor:_ ~site:_ -> ());
+    copy_bytes = (fun ~donor ~site -> site_bytes (srv donor) site);
+    copy_commit =
+      (fun ~donor ~recv ~site ->
+        let img = export (srv donor) site in
+        import (srv recv) site img;
+        image_bytes img);
+  }
 
 let class_of ens k table =
   match (k : Ensemble.klass) with
@@ -110,46 +118,22 @@ let class_of ens k table =
       {
         k;
         table;
-        (* cells replayed into a receiver that never commits are inert:
-           ownership gating keeps them unreachable *)
-        drop = (fun _ _ -> ());
-        prepare = (fun ~donor ~site:_ -> Dirserver.log_image (srv donor));
-        copy_bytes = (fun ~donor:_ ~site:_ ~cookie -> Int64.of_int (String.length cookie));
+        drop = (fun i site -> Dirserver.drop_site (srv i) site);
+        (* a record the site logged during the copy, a parent's count
+           bumped from another site, lands before the journal moves *)
+        settle = (fun ~donor ~site -> Dirserver.settle_site (srv donor) site);
+        copy_bytes = (fun ~donor ~site -> Int64.of_int (Dirserver.site_bytes (srv donor) site));
         copy_commit =
-          (fun ~donor ~recv ~site:_ ~cookie ->
-            (* Two-pass journal replay: the bulk image snapshotted at
-               drain time, then exactly the delta the donor admitted (for
-               its other sites — the moving one was drained) during the
-               copy. *)
-            let consumed = Dirserver.import_log (srv recv) ~log:cookie in
-            let img = Dirserver.log_image (srv donor) in
-            ignore (Dirserver.import_log ~skip:consumed (srv recv) ~log:img);
-            Int64.of_int (String.length img));
+          (fun ~donor ~recv ~site -> Int64.of_int (Dirserver.adopt_site (srv recv) ~from:(srv donor) site));
       }
   | Smallfile ->
-      let srv i = (Ensemble.smallfiles ens).(i) in
-      {
-        k;
-        table;
-        drop = (fun i site -> Smallfile.drop_site (srv i) site);
-        prepare = (fun ~donor:_ ~site:_ -> "");
-        copy_bytes = (fun ~donor ~site ~cookie:_ -> Smallfile.site_bytes (srv donor) site);
-        copy_commit =
-          copy_image ~export:Smallfile.export_site ~import:Smallfile.import_site
-            ~image_bytes:Smallfile.image_bytes srv;
-      }
+      image_class k table (fun i -> (Ensemble.smallfiles ens).(i)) ~drop:Smallfile.drop_site
+        ~site_bytes:Smallfile.site_bytes ~export:Smallfile.export_site ~import:Smallfile.import_site
+        ~image_bytes:Smallfile.image_bytes
   | Storage ->
-      let srv i = (Ensemble.storage ens).(i) in
-      {
-        k;
-        table;
-        drop = (fun i site -> Obsd.drop_site (srv i) site);
-        prepare = (fun ~donor:_ ~site:_ -> "");
-        copy_bytes = (fun ~donor ~site ~cookie:_ -> Obsd.site_bytes (srv donor) site);
-        copy_commit =
-          copy_image ~export:Obsd.export_site ~import:Obsd.import_site
-            ~image_bytes:Obsd.image_bytes srv;
-      }
+      image_class k table (fun i -> (Ensemble.storage ens).(i)) ~drop:Obsd.drop_site
+        ~site_bytes:Obsd.site_bytes ~export:Obsd.export_site ~import:Obsd.import_site
+        ~image_bytes:Obsd.image_bytes
 
 (* Per-site load gauge: resolves the owner through the table and the
    server arrays at read time, so it follows every move and takeover
@@ -206,7 +190,7 @@ let attach ?(bandwidth = 50e6) ?trace ens =
 (* Intent records are text: "op kind site donor recv" opens a
    migration, the op id alone seals it. Each is hardened at once. *)
 let journal t rtype text =
-  ignore (Wal.append_with t.wal ~rtype Enc.raw text);
+  ignore (Wal.append_with t.wal ~site:0 ~rtype Enc.raw text);
   Wal.sync t.wal
 
 let metrics t = t.reg
@@ -228,70 +212,40 @@ let ownership_violations t =
         (List.init (Table.nsites ops.table) Fun.id))
     t.classes
 
-(* One site move, intend -> drain -> copy -> commit/abort. Runs in the
-   caller's fiber; only the copy sleep gives up the simulated clock. *)
-let migrate ?abandon t ops ~site ~donor ~recv =
+(* One site move, intend -> drain -> copy -> commit/abort, or with
+   [~takeover] a hot-standby claim of a dead donor's site: no drain and
+   no donor-liveness check, its state being rebuilt from shared storage
+   (the directory class opens the site's journal in place; the
+   small-file class re-materializes the site's zone files). A taken-over
+   donor is deliberately NOT disowned: a zombie that wakes up still
+   believing it owns the site is stopped by the fencing epoch (its lease
+   expired before the takeover was allowed to start), not by
+   control-plane writes to a machine we just declared unreachable. Runs
+   in the caller's fiber; only the copy sleep and the settle give up the
+   simulated clock. True when the move commits. *)
+let migrate ?abandon ?(takeover = false) t ops ~site ~donor ~recv =
   let span =
     Trace.root t.trace
-      ~op:("migrate." ^ kname ops)
+      ~op:((if takeover then "takeover." else "migrate.") ^ kname ops)
       ~site:(string_of_int site)
   in
   let op_id = t.next_op in
   t.next_op <- op_id + 1;
   t.n_migrations <- t.n_migrations + 1;
   journal t rt_begin (Printf.sprintf "%d %s %d %d %d" op_id (kname ops) site donor recv);
-  Tenure.begin_drain (tenure t ops donor) site;
+  if not takeover then Tenure.begin_drain (tenure t ops donor) site;
   (match abandon with Some `After_begin -> raise Abandoned | None -> ());
-  let cookie = ops.prepare ~donor ~site in
-  let est = ops.copy_bytes ~donor ~site ~cookie in
+  let est = ops.copy_bytes ~donor ~site in
   Engine.sleep t.eng (setup_latency +. (Int64.to_float est /. t.bandwidth));
+  if not takeover then ops.settle ~donor ~site;
   (* commit step: atomic in simulated time from here to the end *)
-  if Net.node_up t.net (addr t ops donor) && Net.node_up t.net (addr t ops recv)
-  then begin
-    let bytes = ops.copy_commit ~donor ~recv ~site ~cookie in
+  if (takeover || Net.node_up t.net (addr t ops donor)) && Net.node_up t.net (addr t ops recv) then begin
+    let bytes = ops.copy_commit ~donor ~recv ~site in
     Tenure.own (tenure t ops recv) site;
-    Tenure.disown (tenure t ops donor) site;
-    ops.drop donor site;
-    (* the donor's traffic history moved with the site *)
-    Tenure.reset_load (tenure t ops donor) site;
-    set_site ops site (addr t ops recv);
-    journal t rt_commit (string_of_int op_id);
-    t.n_moved <- t.n_moved + 1;
-    t.n_bytes <- Int64.add t.n_bytes bytes;
-    Trace.finish ~outcome:"committed" span
-  end
-  else begin
-    (* donor or receiver is down: the site stays wholly on the donor
-       (a donor crash already cleared its volatile drain mark) *)
-    Tenure.end_drain (tenure t ops donor) site;
-    journal t rt_abort (string_of_int op_id);
-    t.n_aborted <- t.n_aborted + 1;
-    Trace.finish ~outcome:"aborted" span
-  end
-
-(* Hot-standby takeover of one site: migrate without the drain phase and
-   without the donor-liveness check — the donor is presumed dead, so its
-   state is rebuilt from what shared storage holds (the directory
-   classes' [prepare]/[copy_commit] read the donor's stable journal
-   image; the small-file class re-materializes the site's zone files).
-   The dead donor is deliberately NOT disowned: a zombie that wakes up
-   still believing it owns the site is stopped by the fencing epoch (its
-   lease expired before the takeover was allowed to start), not by
-   control-plane writes to a machine we just declared unreachable. *)
-let takeover_site t ops ~site ~donor ~recv =
-  let span =
-    Trace.root t.trace ~op:("takeover." ^ kname ops) ~site:(string_of_int site)
-  in
-  let op_id = t.next_op in
-  t.next_op <- op_id + 1;
-  t.n_migrations <- t.n_migrations + 1;
-  journal t rt_begin (Printf.sprintf "%d %s %d %d %d" op_id (kname ops) site donor recv);
-  let cookie = ops.prepare ~donor ~site in
-  let est = ops.copy_bytes ~donor ~site ~cookie in
-  Engine.sleep t.eng (setup_latency +. (Int64.to_float est /. t.bandwidth));
-  if Net.node_up t.net (addr t ops recv) then begin
-    let bytes = ops.copy_commit ~donor ~recv ~site ~cookie in
-    Tenure.own (tenure t ops recv) site;
+    if not takeover then begin
+      Tenure.disown (tenure t ops donor) site;
+      ops.drop donor site
+    end;
     (* the donor's traffic history moved with the site *)
     Tenure.reset_load (tenure t ops donor) site;
     set_site ops site (addr t ops recv);
@@ -302,6 +256,9 @@ let takeover_site t ops ~site ~donor ~recv =
     true
   end
   else begin
+    (* donor or receiver is down: the site stays wholly on the donor
+       (a donor crash already cleared its volatile drain mark) *)
+    if not takeover then Tenure.end_drain (tenure t ops donor) site;
     journal t rt_abort (string_of_int op_id);
     t.n_aborted <- t.n_aborted + 1;
     Trace.finish ~outcome:"aborted" span;
@@ -358,7 +315,7 @@ let rebalance_class ?abandon ?exclude t ops =
     order;
   for j = 0 to nsites - 1 do
     if target.(j) >= 0 && owner.(j) >= 0 && target.(j) <> owner.(j) then
-      migrate ?abandon t ops ~site:j ~donor:owner.(j) ~recv:target.(j)
+      ignore (migrate ?abandon t ops ~site:j ~donor:owner.(j) ~recv:target.(j))
   done
 
 let class_ops t k = List.find_opt (fun ops -> ops.k = k) t.classes
@@ -390,7 +347,7 @@ let takeover t k ~victim ~standby =
   let claimed = ref 0 in
   for j = 0 to Table.nsites ops.table - 1 do
     if owner_of t ops j = victim then
-      if takeover_site t ops ~site:j ~donor:victim ~recv:standby then
+      if migrate ~takeover:true t ops ~site:j ~donor:victim ~recv:standby then
         incr claimed
   done;
   if !claimed > 0 then Table.bump_epoch ops.table;
@@ -433,7 +390,7 @@ let recover t =
   let opens = Hashtbl.create 8 in
   let order = ref [] in
   ignore
-    (Wal.replay (Wal.image t.wal) (fun ~lsn:_ ~rtype payload ->
+    (Wal.replay (Wal.image t.wal ~site:0) (fun ~lsn:_ ~rtype payload ->
          if rtype = rt_begin then (
            try
              Scanf.sscanf payload "%d %s %d %d %d"

@@ -20,17 +20,17 @@
       but bounces mutations with [SLICE_MISDIRECTED]. µProxies back off
       and retry; because the routing table has not changed yet, the
       retries keep landing on the donor until commit.
-    + {b Copy} — directory sites stream the donor's journal and replay
-      it on the receiver (a second delta pass picks up records admitted
-      during the copy); small-file and storage sites copy their backing
-      fragments/objects. The transfer occupies simulated time
-      proportional to the bytes moved at the configured bandwidth.
+    + {b Copy} — the transfer occupies simulated time proportional to
+      the bytes moved at the configured bandwidth: a directory site's
+      own journal, a small-file or storage site's backing
+      fragments/objects. A directory donor then forces its journal
+      until no record of the site is unstable.
     + {b Commit} — atomically (no intervening simulated events): the
-      delta is applied, the receiver takes ownership, the donor
-      disowns and drops the site, the routing table rebinds the site
-      (one version bump), and a Commit record seals the intent. µProxies
-      refresh lazily on their next bounce, exactly as for any stale
-      snapshot.
+      receiver opens a directory site's journal in place or imports the
+      copied image, takes ownership, the donor disowns and drops the
+      site, the routing table rebinds the site (one version bump), and a
+      Commit record seals the intent. µProxies refresh lazily on their
+      next bounce, exactly as for any stale snapshot.
 
     Epoch safety falls out of ownership gating: after commit the donor
     no longer owns the site, so a straggler request routed by a
@@ -42,7 +42,7 @@
     If the donor or receiver is down when commit is reached, the move
     {e aborts}: the drain mark is lifted (a donor crash already cleared
     it — drains are volatile) and the table never changes, so the site
-    is wholly on the donor. The receiver imported nothing: all state
+    is wholly on the donor. The receiver took nothing: all state
     transfer happens inside the atomic commit step. A control-plane
     crash (modelled by the [abandon] fault-injection hook) leaves a
     dangling Begin intent; {!recover} replays the log and rolls every
@@ -105,15 +105,15 @@ val execute : ?abandon:[ `After_begin ] -> t -> plan -> unit
 val takeover : t -> Slice.Ensemble.klass -> victim:int -> standby:int -> int
 (** Hot-standby failover: claim every logical site of the class's dead
     server [victim] for [standby] — per site: log a Begin intent,
-    rebuild the site's state from shared storage (directory journal replay, small-file zone images), bind the
+    rebuild the site's state from shared storage (the site's directory
+    journal opened in place, small-file zone images), bind the
     site to the standby, seal with Commit — then advance the class
     table's fencing epoch exactly once. No drain phase, no donor-liveness
     check; the dead donor keeps its (unreachable) ownership bits and is
     stopped by fencing, not by control-plane writes to a machine just
     declared unreachable. Returns the number of sites claimed. A standby
     that crashes mid-takeover leaves dangling Begin intents for
-    {!recover} exactly like an abandoned migration; a re-run converges
-    (journal replay is idempotent).
+    {!recover} exactly like an abandoned migration.
     @raise Invalid_argument for the storage class (storage sites are not
     dataless), out-of-range indices, or [victim = standby]. *)
 

@@ -49,7 +49,7 @@ let enc_record e msg = Ctrl.enc_msg e ~xid:0 msg
    the requester retries after recovery. *)
 let log_intent ?(span = Trace.null) t op_id (i : intent) =
   ignore
-    (Wal.append_with t.wal ~rtype:rt_intent enc_record
+    (Wal.append_with t.wal ~site:0 ~rtype:rt_intent enc_record
        (Ctrl.Intent { op_id; kind = i.kind; fh = i.fh; participants = i.participants }));
   Wal.sync ~span t.wal;
   t.logged <- t.logged + 1
@@ -57,7 +57,7 @@ let log_intent ?(span = Trace.null) t op_id (i : intent) =
 let log_complete t op_id =
   (* Completions clear intentions asynchronously — appended but not
      force-synced (the paper amortizes these off the critical path). *)
-  ignore (Wal.append_with t.wal ~rtype:rt_complete enc_record (Ctrl.Complete { op_id }))
+  ignore (Wal.append_with t.wal ~site:0 ~rtype:rt_complete enc_record (Ctrl.Complete { op_id }))
 
 (* The idempotent call an intent pushes to its participants, first and
    on redo: removes remove; commit-like kinds commit, forcing
@@ -222,10 +222,6 @@ let port _ = ctrl_port
 let host t = t.host
 let map_sites t = t.map_sites
 
-let log_image t = Wal.image t.wal
-(* The stable (synced) intentions log — what shared storage holds after
-   this coordinator fails; a standby adopts it to finish 2PC. *)
-
 let tenure t = t.tenure
 
 let pending_intents t =
@@ -247,21 +243,16 @@ let recover t =
   (* Scan the intentions log: rebuild the table, then drive incomplete
      operations to completion ("a failed coordinator recovers by scanning
      its intentions log, completing or aborting operations in progress"). *)
+  (* a record's payload is the message it logs, so its kind says how to
+     apply it *)
   ignore
-    (Wal.replay (Wal.image t.wal) (fun ~lsn:_ ~rtype payload ->
-         match rtype with
-         | rt when rt = rt_intent -> (
-             match Ctrl.decode_msg (Bytes.of_string payload) with
-             | _, Ctrl.Intent { op_id; kind; fh; participants } ->
-                 Hashtbl.replace t.intents op_id { kind; fh; participants; completed = false }
-             | _ -> ()
-             | exception Codec.Malformed _ -> ())
-         | rt when rt = rt_complete -> (
-             match Ctrl.decode_msg (Bytes.of_string payload) with
-             | _, Ctrl.Complete { op_id } -> Hashtbl.remove t.intents op_id
-             | _ -> ()
-             | exception Codec.Malformed _ -> ())
-         | _ -> ()));
+    (Wal.replay (Wal.image t.wal ~site:0) (fun ~lsn:_ ~rtype:_ payload ->
+         match Ctrl.decode_msg (Bytes.of_string payload) with
+         | _, Ctrl.Intent { op_id; kind; fh; participants } ->
+             Hashtbl.replace t.intents op_id { kind; fh; participants; completed = false }
+         | _, Ctrl.Complete { op_id } -> Hashtbl.remove t.intents op_id
+         | _ -> ()
+         | exception Codec.Malformed _ -> ()));
   Tenure.recover t.tenure;
   let incomplete =
     Hashtbl.fold (fun op_id i acc -> if i.completed then acc else (op_id, i) :: acc) t.intents []
@@ -269,15 +260,8 @@ let recover t =
   Engine.spawn t.host.Host.eng (fun () ->
       List.iter (fun (op_id, i) -> redo t op_id i) incomplete)
 
-(* lint: F1 ok — failover takeover: the deposed coordinator is fenced by lease expiry before its log is grafted here *)
-let adopt_log t ~log =
-  (* Takeover: graft a failed coordinator's stable intentions log into
-     this (typically fresh) coordinator, then run the normal recovery
-     scan — incomplete operations are re-driven from here. Journaling the
-     adopted records locally first makes the adoption itself crash-safe:
-     a standby that dies mid-adoption leaves a log a second standby can
-     adopt again, and a re-adoption of the same image converges (replay
-     rebuilds the same intent rows). *)
-  ignore (Wal.replay log (fun ~lsn:_ ~rtype p -> ignore (Wal.append t.wal ~rtype p)));
-  Wal.sync t.wal;
-  recover t
+(* The intentions log is its WAL's site 0. *)
+let adopt_log t ~from =
+  Wal.hand_over from.wal ~site:0 ~to_:t.wal;
+  recover t;
+  String.length (Wal.image t.wal ~site:0)

@@ -62,15 +62,12 @@ val recover : t -> unit
 (** Replay the surviving log, redo incomplete intentions, resume
     service. *)
 
-val log_image : t -> string
-(** The stable (synced) intentions-log image — what shared storage holds
-    after this coordinator fails. *)
-
-val adopt_log : t -> log:string -> unit
-(** Takeover: journal a failed coordinator's log image locally, then
+val adopt_log : t -> from:t -> int
+(** Takeover: open the failed coordinator [from]'s stable intentions log
+    in place ({!Slice_wal.Wal.hand_over}: nothing is copied), then
     recover from it — incomplete intentions are re-driven from this
-    coordinator. Safe to repeat (a standby that crashed mid-adoption can
-    be re-adopted into): replay converges to the same intent table. *)
+    coordinator, which journals from then on into the same log. Returns
+    the log bytes replayed. *)
 
 val tenure : t -> Tenure.t
 (** The coordinator's life (down between {!crash} and {!recover}) and

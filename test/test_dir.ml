@@ -420,11 +420,11 @@ let suite =
     ("mint counter survives recovery", `Quick, mint_counter_survives_recovery);
   ]
 
-(* Failover (Section 2.3): replay a failed peer's journal into [d] and
-   serve its logical site as well, as Reconfig.takeover does; the caller
+(* Failover (Section 2.3): open a failed peer's journal of [site] at [d]
+   and serve the site as well, as Reconfig.takeover does; the caller
    rebinds the routing table. *)
-let adopt_site d ~site ~log =
-  ignore (Dirserver.import_log d ~log);
+let adopt_site d ~from ~site =
+  ignore (Dirserver.adopt_site d ~from site);
   Slice_storage.Tenure.own (Dirserver.tenure d) site
 
 let failover_adopt_site () =
@@ -440,10 +440,9 @@ let failover_adopt_site () =
       in
       check_bool "some entries on site 1" true (on_site1 <> []);
       (* server 1 fails; its synced journal survives on shared storage *)
-      let journal = Dirserver.log_image rig.dirs.(1) in
       Dirserver.crash rig.dirs.(1);
-      (* server 0 adopts logical site 1 from the journal *)
-      adopt_site rig.dirs.(0) ~site:1 ~log:journal;
+      (* server 0 opens logical site 1's journal *)
+      adopt_site rig.dirs.(0) ~from:rig.dirs.(1) ~site:1;
       check_bool "owns both sites" true
         (Slice_storage.Tenure.owned_sites (Dirserver.tenure rig.dirs.(0)) = [ 0; 1 ]);
       (* site-1 entries are now served by server 0 (the routing table
@@ -459,9 +458,8 @@ let failover_adopt_site () =
       | Ok (Nfs.RCreate _) -> ()
       | Error Nfs.ERR_MISDIRECTED -> Alcotest.fail "survivor must accept adopted site"
       | _ -> Alcotest.fail "create after failover");
-      (* fold the adopted state into the survivor's own journal, then
-         crash/recover the survivor: both sites come back *)
-      Dirserver.checkpoint rig.dirs.(0);
+      (* the survivor now holds both sites' journals: crash/recover it
+         and both sites come back *)
       let before = (Dirserver.entry_count rig.dirs.(0), Dirserver.attr_cell_count rig.dirs.(0)) in
       Dirserver.crash rig.dirs.(0);
       Dirserver.recover rig.dirs.(0);
@@ -526,8 +524,8 @@ let rebalance_logical_sites () =
       (* grow: bring up server 2 and move logical sites 6 and 7 to it,
          recovering their state from the donors' journals *)
       let s2 = mk_server 2 6 [] in
-      adopt_site s2 ~site:7 ~log:(Dirserver.log_image s1);
-      adopt_site s2 ~site:6 ~log:(Dirserver.log_image s0);
+      adopt_site s2 ~from:s1 ~site:7;
+      adopt_site s2 ~from:s0 ~site:6;
       binding.(6) <- 2;
       binding.(7) <- 2;
       (* every name is still reachable under the new binding *)
@@ -831,7 +829,38 @@ let one_round_per_update () =
       check_bool "some parents counted across sites" true (remote > 0);
       check_int "2 sites: 20 creates" (20 + remote)
         (writes rig (fun () ->
-             List.iter (fun n -> ignore (ok_or_fail n (create rig Fh.root n))) names)))
+             List.iter (fun n -> ignore (ok_or_fail n (create rig Fh.root n))) names)));
+  (* one server owning both sites: a create whose entry and parent's cell
+     sit on different sites journals to both, in one write *)
+  let eng = Engine.create () in
+  let net = Net.create eng () in
+  let host = Host.create net ~name:"dir" ~disks:1 () in
+  let d =
+    Dirserver.attach host
+      {
+        Dirserver.logical_id = 0;
+        nsites = 2;
+        policy = Routekey.Name_hashing;
+        resolve = (fun _ -> host.Host.addr);
+        peer_port = 2051;
+        data_sites = (fun _ -> []);
+        coordinator = (fun _ -> None);
+        mirror_new_files = false;
+        cap_secret = None;
+        also_owns = [ 1 ];
+      }
+  in
+  let rig = { rig with eng; net; dirs = [| d |]; addrs = [| host.Host.addr |]; rpc = Rpc.create net (Host.create net ~name:"client" ()).Host.addr ~port:1000 } in
+  let on_site1 = List.filter (fun n -> Routekey.name_site ~nsites:2 Fh.root n = 1) names in
+  run_on eng (fun () ->
+      Engine.sleep eng 0.1;
+      check_bool "some entries away from the parent's site" true (on_site1 <> []);
+      check_int "1 server, 2 sites: 20 creates" 20
+        (writes rig (fun () ->
+             List.iter
+               (fun n -> ignore (ok_or_fail n (create rig Fh.root n)))
+               names));
+      check_int "every entry counted" 20 (dir_count rig Fh.root))
 
 (* Dir 0, which holds root's cell, crashes while its host's network stays
    up, so a create at site 1 gets no answer to the prepared entry-count

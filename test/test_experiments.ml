@@ -107,7 +107,8 @@ let failover_exhibit () =
       check_bool (name ^ ": detected") true (e.ev_detect > 0.0);
       check_bool (name ^ ": mttr bounded, >= detect") true
         (Float.is_finite e.ev_mttr && e.ev_mttr >= e.ev_detect);
-      check_bool (name ^ ": claimed sites") true (e.ev_sites > 0))
+      check_bool (name ^ ": claimed sites") true (e.ev_sites > 0);
+      check_bool (name ^ ": replayed what it took over") true (e.ev_bytes > 0))
     t.F.takeovers;
   check_int "zero requests lost" 0 t.F.audit.Slice_workload.Livemix.lost;
   check_bool "audit checked something" true (t.F.audit.Slice_workload.Livemix.checked > 0);

@@ -716,10 +716,10 @@ let coordinator_redo_waits_for_partition_heal () =
 
 (* regression: the block coordinator used to be pinned to storage node 0
    — crashing that node stalled every commit until the node itself came
-   back. A peer storage host must be able to adopt the victim's
-   intention log and finish the in-flight 2PC, and adopting the same log
-   twice (a standby crashing mid-replay and starting over) must not
-   resurrect retired intents. *)
+   back. A peer storage host must be able to open the victim's intention
+   log in place and finish the in-flight 2PC, and a successor that
+   crashes and recovers after adopting must not resurrect retired
+   intents. *)
 let coordinator_takeover_completes_2pc () =
   let eng = Engine.create () in
   let net = Net.create eng () in
@@ -758,20 +758,20 @@ let coordinator_takeover_completes_2pc () =
       | _ -> Alcotest.fail "intent not acked");
       check_int "intent in flight" 1 (Coordinator.pending_intents coord);
       Coordinator.crash coord;
-      (* the standby on the surviving peer adopts the victim's log from
+      (* the standby on the surviving peer opens the victim's log on
          shared storage *)
-      let log = Coordinator.log_image coord in
       let coord' = Coordinator.attach hosts.(1) ~probe_timeout:0.2 ~map_sites () in
-      Coordinator.adopt_log coord' ~log;
+      ignore (Coordinator.adopt_log coord' ~from:coord);
       Engine.sleep eng 2.0;
       check_int "adopted intent retired" 0 (Coordinator.pending_intents coord');
       check_bool "redo ran on the new coordinator" true (Coordinator.redos coord' >= 1);
       check_bool "remove reached the participant" true (Obsd.object_size obsds.(1) fh = None);
-      (* a standby that crashed mid-replay starts over: re-adopting the
-         same donor log must converge, not resurrect retired intents *)
-      Coordinator.adopt_log coord' ~log;
+      (* the successor journals into the log it opened: a crash and a
+         recovery after adopting must not resurrect retired intents *)
+      Coordinator.crash coord';
+      Coordinator.recover coord';
       Engine.sleep eng 1.0;
-      check_int "re-adoption resurrects nothing" 0 (Coordinator.pending_intents coord'))
+      check_int "recovery resurrects nothing" 0 (Coordinator.pending_intents coord'))
 
 (* ---- failover: detector false positive under partition ---- *)
 

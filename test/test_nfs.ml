@@ -1070,10 +1070,9 @@ let suite =
 module Dirlist = Slice_nfs.Dirlist
 
 (* The fold-and-sort readdir body Dirlist replaced, verbatim but for its
-   inputs: the directory's table and the site filter. *)
-let reference_page tbl ~keep ~start ~count =
+   input: the directory's table. *)
+let reference_page tbl ~start ~count =
   let names = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
-  let names = List.filter (fun (name, _) -> keep name) names in
   let total = List.length names in
   let rec take i acc = function
     | [] -> List.rev acc
@@ -1094,18 +1093,12 @@ let reference_page tbl ~keep ~start ~count =
 
 (* [Again] repeats the last page request, so a page cached across an
    add or remove is asked for again. *)
-type dir_op = Add of string * int | Remove of string | Page of int * int * int | Again
-
-(* Site 0 lists everything; sites 1 and 2 split names by length parity,
-   standing in for the name-hashing filter. *)
-let keep_of_site = function
-  | 0 -> None
-  | s -> Some (fun name -> String.length name mod 2 = s - 1)
+type dir_op = Add of string * int | Remove of string | Page of int * int | Again
 
 let print_dir_op = function
   | Add (n, id) -> Printf.sprintf "add %S %d" n id
   | Remove n -> Printf.sprintf "remove %S" n
-  | Page (site, start, count) -> Printf.sprintf "page site=%d start=%d count=%d" site start count
+  | Page (start, count) -> Printf.sprintf "page start=%d count=%d" start count
   | Again -> "again"
 
 let gen_dir_ops =
@@ -1117,7 +1110,7 @@ let gen_dir_ops =
        [
          (4, map2 (fun n id -> Add (n, id)) name (int_range 1 1000));
          (2, map (fun n -> Remove n) name);
-         (3, map3 (fun s st c -> Page (s, st, c)) (int_range 0 2) (int_range (-2) 24) (int_range (-1) 12));
+         (3, map2 (fun st c -> Page (st, c)) (int_range (-2) 24) (int_range (-1) 12));
          (2, pure Again);
        ])
 
@@ -1132,21 +1125,20 @@ let dirlist_matches_reference =
          let model = Hashtbl.create 8 in
          (* the last page returned, and whether an add or remove followed it *)
          let prev = ref None and changed = ref false in
-         let check_page (site, start, count) =
-           let keep = keep_of_site site in
+         let check_page (start, count) =
            let l = Dirlist.listing index 1L in
-           let p = Dirlist.page ?keep l ~site ~start ~count in
+           let p = Dirlist.page l ~start ~count in
            let rebuilt = match !prev with Some q when !changed -> p != q | _ -> true in
-           let again = Dirlist.page ?keep l ~site ~start ~count in
+           let again = Dirlist.page l ~start ~count in
            prev := Some p;
            changed := false;
            (* the row lives exactly while the directory is non-empty *)
            Hashtbl.mem index 1L = (Hashtbl.length model > 0)
-           && p = reference_page model ~keep:(Option.value keep ~default:(fun _ -> true)) ~start ~count
+           && p = reference_page model ~start ~count
            && rebuilt
            && again == p
          in
-         let request = ref (0, 0, 0) in
+         let request = ref (0, 0) in
          List.for_all
            (function
              | Add (name, id) ->
@@ -1160,8 +1152,8 @@ let dirlist_matches_reference =
                  Dirlist.remove index 1L name;
                  changed := true;
                  true
-             | Page (site, start, count) ->
-                 request := (site, start, count);
+             | Page (start, count) ->
+                 request := (start, count);
                  check_page !request
              | Again -> check_page !request)
            ops))

@@ -473,6 +473,36 @@ let test_dir_move_carries_records_logged_during_the_copy () =
       ignore (ok_or_fail "lookup" (Client.lookup cl' dirs.(a) name));
       check_exclusive rc)
 
+(* A committed move drops the site at the donor: the donor's cells and
+   entries fall by the moved sites' share, which the receiver now holds,
+   and a crash and recovery of either side gives the same counts. *)
+let test_dir_move_drops_the_site_at_the_donor () =
+  let ens = mk_hashed_ens ~seed:18 ~dir_servers:1 in
+  let rc = Reconfig.attach ens in
+  let cl = mk_client ens "c0" in
+  run_on (Ensemble.engine ens) (fun () ->
+      List.iter
+        (fun i -> ignore (ok_or_fail "create" (Client.create_file cl Fh.root (Printf.sprintf "m%02d" i))))
+        (List.init 24 Fun.id);
+      let counts i =
+        let d = (Ensemble.dirs ens).(i) in
+        (Dirserver.attr_cell_count d, Dirserver.entry_count d)
+      in
+      let cells, entries = counts 0 in
+      Reconfig.execute rc (Reconfig.Add_server Ensemble.Dir);
+      check_bool "sites moved" true (Reconfig.sites_moved rc > 0);
+      let donor = counts 0 and recv = counts 1 in
+      check_bool "the donor lost the moved sites' entries" true (snd donor < entries && snd recv > 0);
+      check_int "cells: donor + receiver" cells (fst donor + fst recv);
+      check_int "entries: donor + receiver" entries (snd donor + snd recv);
+      Ensemble.crash ens Dir 0;
+      Ensemble.recover ens Dir 0;
+      Ensemble.crash ens Dir 1;
+      Ensemble.recover ens Dir 1;
+      check_bool "the donor's counts survive its restart" true (counts 0 = donor);
+      check_bool "the receiver's counts survive its restart" true (counts 1 = recv);
+      check_exclusive rc)
+
 (* The exhibit is deterministic: same seed, byte-identical JSON. It must
    also show a clean audit, real migrations, and throughput rising after
    every server addition. *)
@@ -517,6 +547,8 @@ let suite =
       test_dir_move_copies_the_site_journal;
     Alcotest.test_case "dir move carries records logged during the copy" `Quick
       test_dir_move_carries_records_logged_during_the_copy;
+    Alcotest.test_case "dir move drops the site at the donor" `Quick
+      test_dir_move_drops_the_site_at_the_donor;
     Alcotest.test_case "scale exhibit is byte-deterministic" `Quick
       test_scale_exhibit_deterministic;
   ]

@@ -4,6 +4,9 @@ module Wal = Slice_wal.Wal
 module Disk = Slice_disk.Disk
 module Enc = Slice_xdr.Xdr.Enc
 
+(* A record for site 0, the one site of these logs. *)
+let append w ~rtype payload = Wal.append_with w ~site:0 ~rtype Enc.raw payload
+
 let records img =
   let seen = ref [] in
   ignore (Wal.replay img (fun ~lsn ~rtype payload -> seen := (lsn, rtype, payload) :: !seen));
@@ -11,22 +14,22 @@ let records img =
 
 let append_sync_replay () =
   let w = Wal.create ~name:"t" () in
-  let l1 = Wal.append w ~rtype:1 "alpha" in
-  let l2 = Wal.append w ~rtype:2 "beta" in
+  let l1 = append w ~rtype:1 "alpha" in
+  let l2 = append w ~rtype:2 "beta" in
   check_bool "lsns increase" true (Int64.compare l2 l1 > 0);
   check_bool "nothing synced yet" true (Wal.synced_lsn w = 0L);
   Wal.sync w;
   check_bool "synced to l2" true (Wal.synced_lsn w = l2);
   let seen = ref [] in
-  let n = Wal.replay (Wal.image w) (fun ~lsn ~rtype payload -> seen := (lsn, rtype, payload) :: !seen) in
+  let n = Wal.replay (Wal.image w ~site:0) (fun ~lsn ~rtype payload -> seen := (lsn, rtype, payload) :: !seen) in
   check_int "two records" 2 n;
   check_bool "order and content" true
     (List.rev !seen = [ (l1, 1, "alpha"); (l2, 2, "beta") ])
 
 let unsynced_invisible () =
   let w = Wal.create ~name:"t" () in
-  ignore (Wal.append w ~rtype:1 "x");
-  check_int "image empty before sync" 0 (Wal.replay (Wal.image w) (fun ~lsn:_ ~rtype:_ _ -> ()))
+  ignore (append w ~rtype:1 "x");
+  check_int "image empty before sync" 0 (Wal.replay (Wal.image w ~site:0) (fun ~lsn:_ ~rtype:_ _ -> ()))
 
 let torn_tail_recovers_prefix =
   qtest ~count:80 "torn tail yields intact prefix"
@@ -37,10 +40,10 @@ let torn_tail_recovers_prefix =
       let n = List.length payloads in
       List.iteri
         (fun i p ->
-          ignore (Wal.append w ~rtype:i p);
+          ignore (append w ~rtype:i p);
           if i = (n / 2) - 1 then Wal.sync w)
         payloads;
-      let img = Wal.crash_image w ~keep_unsynced_bytes:cut in
+      let img = Wal.crash_image w ~site:0 ~keep_unsynced_bytes:cut in
       let seen = ref [] in
       ignore (Wal.replay img (fun ~lsn:_ ~rtype:_ payload -> seen := payload :: !seen));
       let recovered = List.rev !seen in
@@ -56,10 +59,10 @@ let torn_tail_recovers_prefix =
 
 let corrupt_record_stops_replay () =
   let w = Wal.create ~name:"t" () in
-  ignore (Wal.append w ~rtype:1 "good");
-  ignore (Wal.append w ~rtype:1 "bad!");
+  ignore (append w ~rtype:1 "good");
+  ignore (append w ~rtype:1 "bad!");
   Wal.sync w;
-  let img = Bytes.of_string (Wal.image w) in
+  let img = Bytes.of_string (Wal.image w ~site:0) in
   (* flip a byte inside the second record's payload *)
   let len = Bytes.length img in
   Bytes.set img (len - 6) 'X';
@@ -69,22 +72,22 @@ let corrupt_record_stops_replay () =
 
 let checkpoint_truncates () =
   let w = Wal.create ~name:"t" () in
-  ignore (Wal.append w ~rtype:1 "old");
+  ignore (append w ~rtype:1 "old");
   Wal.sync w;
-  let from = Wal.append w ~rtype:2 "snapshot" in
-  ignore (Wal.append w ~rtype:3 "after");
+  let from = append w ~rtype:2 "snapshot" in
+  ignore (append w ~rtype:3 "after");
   Wal.checkpoint w ~from;
-  ignore (Wal.append w ~rtype:4 "new");
+  ignore (append w ~rtype:4 "new");
   Wal.sync w;
   let seen = ref [] in
-  ignore (Wal.replay (Wal.image w) (fun ~lsn:_ ~rtype:_ p -> seen := p :: !seen));
+  ignore (Wal.replay (Wal.image w ~site:0) (fun ~lsn:_ ~rtype:_ p -> seen := p :: !seen));
   check_bool "the snapshot onward" true (List.rev !seen = [ "snapshot"; "after"; "new" ])
 
 let disk_backed_sync_takes_time () =
   run_fiber (fun eng ->
       let d = Disk.create eng ~arms:1 ~name:"log" () in
       let w = Wal.create ~eng ~disk:d ~name:"t" () in
-      ignore (Wal.append w ~rtype:1 (String.make 100 'a'));
+      ignore (append w ~rtype:1 (String.make 100 'a'));
       let t0 = Engine.now eng in
       Wal.sync w;
       check_bool "sync waited for disk" true (Engine.now eng > t0);
@@ -99,7 +102,7 @@ let group_commit () =
      records *)
   for i = 1 to 20 do
     Engine.spawn eng (fun () ->
-        ignore (Wal.append w ~rtype:i "rec");
+        ignore (append w ~rtype:i "rec");
         Wal.sync w;
         check_bool "my record stable" true (Int64.compare (Wal.synced_lsn w) (Int64.of_int i) >= 0);
         incr done_count)
@@ -134,7 +137,7 @@ let crash_cuts_off_round () =
   List.iter
     (fun name ->
       Engine.spawn eng (fun () ->
-          ignore (Wal.append w ~rtype:1 name);
+          ignore (append w ~rtype:1 name);
           let outcome = match Wal.sync w with () -> "synced" | exception Wal.Crashed -> "crashed" in
           outcomes := (name, outcome) :: !outcomes))
     [ "a"; "b" ];
@@ -145,12 +148,12 @@ let crash_cuts_off_round () =
   Engine.run eng;
   check_bool "both callers cut off" true
     (List.sort compare !outcomes = [ ("a", "crashed"); ("b", "crashed") ]);
-  check_string "the image holds neither record" "" (Wal.image w);
+  check_string "the image holds neither record" "" (Wal.image w ~site:0);
   check_bool "nothing synced" true (Wal.synced_lsn w = 0L);
   run_on eng (fun () ->
-      check_bool "the next LSN follows the stable ones" true (Wal.append w ~rtype:2 "c" = 1L);
+      check_bool "the next LSN follows the stable ones" true (append w ~rtype:2 "c" = 1L);
       Wal.sync w);
-  check_bool "a later round lands" true (records (Wal.image w) = [ (1L, 2, "c") ])
+  check_bool "a later round lands" true (records (Wal.image w ~site:0) = [ (1L, 2, "c") ])
 
 (* A caller whose record lands in a round another fiber led returns,
    even when a crash then drops a newer round that it waits behind or
@@ -170,15 +173,15 @@ let stable_caller_survives_later_crash ~d_syncs () =
     outcomes := (name, outcome) :: !outcomes
   in
   Engine.spawn eng (fun () ->
-      ignore (Wal.append w ~rtype:1 "a");
+      ignore (append w ~rtype:1 "a");
       sync "a";
-      ignore (Wal.append w ~rtype:1 "d");
+      ignore (append w ~rtype:1 "d");
       if d_syncs then sync "d");
   Engine.spawn eng (fun () ->
-      ignore (Wal.append w ~rtype:1 "b");
+      ignore (append w ~rtype:1 "b");
       sync "b");
   Engine.spawn eng (fun () ->
-      ignore (Wal.append w ~rtype:1 "c");
+      ignore (append w ~rtype:1 "c");
       sync "c";
       check_int "round 3 in flight" 2 (Wal.sync_count w);
       Engine.schedule eng 0.0 (fun () -> Wal.crash w));
@@ -187,7 +190,7 @@ let stable_caller_survives_later_crash ~d_syncs () =
   check_bool "only the dropped record's caller cut off" true
     (List.sort compare !outcomes = if d_syncs then stable @ [ ("d", "crashed") ] else stable);
   check_bool "the image holds a, b and c" true
-    (List.map (fun (_, _, p) -> p) (records (Wal.image w)) = [ "a"; "b"; "c" ])
+    (List.map (fun (_, _, p) -> p) (records (Wal.image w ~site:0)) = [ "a"; "b"; "c" ])
 
 (* A joiner returns when the round that hardens its record lands, not a
    round later. "a" leads round 1; "b" and "c" join it, and "c", woken
@@ -205,15 +208,15 @@ let joiner_returns_when_its_round_lands () =
     back := (name, Engine.now eng) :: !back
   in
   Engine.spawn eng (fun () ->
-      ignore (Wal.append w ~rtype:1 "a");
+      ignore (append w ~rtype:1 "a");
       sync "a";
-      ignore (Wal.append w ~rtype:1 "d");
+      ignore (append w ~rtype:1 "d");
       sync "d");
   Engine.spawn eng (fun () ->
-      ignore (Wal.append w ~rtype:1 "b");
+      ignore (append w ~rtype:1 "b");
       sync "b");
   Engine.spawn eng (fun () ->
-      ignore (Wal.append w ~rtype:1 "c");
+      ignore (append w ~rtype:1 "c");
       sync "c");
   Engine.run eng;
   let at name = List.assoc name !back in
@@ -232,90 +235,69 @@ let checkpoint_after_round_in_flight ~crash () =
   let w = Wal.create ~eng ~disk:d ~name:"t" () in
   let lead = ref "running" and ckpt = ref "running" in
   Engine.spawn eng (fun () ->
-      ignore (Wal.append w ~rtype:1 "old");
+      ignore (append w ~rtype:1 "old");
       Wal.sync w;
       lead := "synced";
       (* the checkpoint, woken by this round, leads the next *)
-      check_bool "snapshot round in flight" true (records (Wal.image w) = [ (1L, 1, "old") ]);
+      check_bool "snapshot round in flight" true (records (Wal.image w ~site:0) = [ (1L, 1, "old") ]);
       if crash then Engine.schedule eng 0.0 (fun () -> Wal.crash w));
   Engine.spawn eng (fun () ->
-      let from = Wal.append w ~rtype:2 "snap" in
+      let from = append w ~rtype:2 "snap" in
       ckpt := match Wal.checkpoint w ~from with () -> "done" | exception Wal.Crashed -> "crashed");
   Engine.run eng;
   check_string "the in-flight round's caller returns" "synced" !lead;
   if crash then begin
     check_string "checkpoint cut off" "crashed" !ckpt;
-    check_bool "the old log stands" true (records (Wal.image w) = [ (1L, 1, "old") ])
+    check_bool "the old log stands" true (records (Wal.image w ~site:0) = [ (1L, 1, "old") ])
   end
   else begin
     check_string "checkpoint done" "done" !ckpt;
-    check_bool "the snapshot alone" true (records (Wal.image w) = [ (2L, 2, "snap") ])
+    check_bool "the snapshot alone" true (records (Wal.image w ~site:0) = [ (2L, 2, "snap") ])
   end
 
-(* ---- failover replay idempotency ----
+(* ---- failover: replay and hand-over ----
 
-   A hot standby adopts a dead manager's journal by replaying the shared
-   image and re-appending every record into its own log. These tests pin
-   the two properties takeover relies on: replay is a pure read (running
-   it twice over the same image yields identical records), and a standby
-   that crashes mid-adoption converges after re-replaying — the synced
-   prefix survives its crash, and resuming with a skip count reproduces
-   exactly the journal a crash-free adoption would have produced. *)
+   A hot standby takes a dead manager's site by opening the site's image
+   where it lies: replay is a pure read (running it twice over the same
+   image yields identical records), and a hand-over moves the image by
+   reference, so the receiver replays the very records the donor logged
+   and the donor holds them no more. *)
 
 let replay_twice_identical () =
   let donor = Wal.create ~name:"donor" () in
   for i = 1 to 8 do
-    ignore (Wal.append donor ~rtype:i (Printf.sprintf "rec%02d" i))
+    ignore (append donor ~rtype:i (Printf.sprintf "rec%02d" i))
   done;
   Wal.sync donor;
-  let img = Wal.image donor in
+  let img = Wal.image donor ~site:0 in
   let a = records img and b = records img in
   check_int "all records" 8 (List.length a);
   check_bool "replay is a pure read" true (a = b)
 
-let crash_mid_adoption_converges () =
-  let donor = Wal.create ~name:"donor" () in
+(* Ten records over two sites, site 1 holding the odd LSNs, handed to a
+   receiver whose own log has one record. *)
+let hand_over_moves_the_image () =
+  let donor = Wal.create ~name:"donor" () and recv = Wal.create ~name:"recv" () in
   for i = 1 to 10 do
-    ignore (Wal.append donor ~rtype:i (Printf.sprintf "rec%02d" i))
+    ignore (Wal.append_with donor ~site:(i mod 2) ~rtype:i Enc.raw (Printf.sprintf "rec%02d" i))
   done;
   Wal.sync donor;
-  let img = Wal.image donor in
-  (* reference: a crash-free adoption *)
-  let adopt_all () =
-    let w = Wal.create ~name:"standby" () in
-    ignore (Wal.replay img (fun ~lsn:_ ~rtype payload -> ignore (Wal.append w ~rtype payload)));
-    Wal.sync w;
-    Wal.image w
-  in
-  let reference = records (adopt_all ()) in
-  (* the standby crashes mid-replay: 6 records appended, only 4 synced,
-     plus a torn tail of unsynced bytes *)
-  let w = Wal.create ~name:"standby" () in
-  let n = ref 0 in
-  ignore
-    (Wal.replay img (fun ~lsn:_ ~rtype payload ->
-         if !n < 6 then ignore (Wal.append w ~rtype payload);
-         incr n;
-         if !n = 4 then Wal.sync w));
-  let crashed = Wal.crash_image w ~keep_unsynced_bytes:9 in
-  (* recovery: replay whatever survived into a fresh log, count it, then
-     re-replay the donor image skipping the already-applied prefix *)
-  let w2 = Wal.create ~name:"standby2" () in
-  let applied = ref 0 in
-  ignore
-    (Wal.replay crashed (fun ~lsn:_ ~rtype payload ->
-         ignore (Wal.append w2 ~rtype payload);
-         incr applied));
-  check_bool "synced prefix survived" true (!applied >= 4);
-  check_bool "torn tail dropped" true (!applied <= 6);
-  let k = ref 0 in
-  ignore
-    (Wal.replay img (fun ~lsn:_ ~rtype payload ->
-         if !k >= !applied then ignore (Wal.append w2 ~rtype payload);
-         incr k));
-  Wal.sync w2;
-  check_bool "re-replay converges on the crash-free journal" true
-    (records (Wal.image w2) = reference)
+  let moved = records (Wal.image donor ~site:1) in
+  check_int "site 1's records" 5 (List.length moved);
+  ignore (append recv ~rtype:1 "own");
+  Wal.sync recv;
+  Wal.hand_over donor ~site:1 ~to_:recv;
+  check_bool "the receiver replays the same records" true (records (Wal.image recv ~site:1) = moved);
+  check_bool "the donor's image no longer holds them" true (records (Wal.image donor ~site:1) = []);
+  check_int "the donor keeps its other site" 5 (List.length (records (Wal.image donor ~site:0)));
+  check_bool "the receiver keeps its own" true (records (Wal.image recv ~site:0) = [ (1L, 1, "own") ]);
+  check_bool "the next LSN follows the handed-in image" true
+    (Wal.append_with recv ~site:1 ~rtype:11 Enc.raw "next" = 10L);
+  Wal.crash recv;
+  check_bool "and so after a crash" true (Wal.append_with recv ~site:1 ~rtype:11 Enc.raw "next" = 10L);
+  Wal.sync recv;
+  check_bool "site 1 grows in LSN order" true
+    (List.map (fun (l, _, _) -> l) (records (Wal.image recv ~site:1)) = [ 1L; 3L; 5L; 7L; 9L; 10L ])
 
 (* ---- byte-exact record format ----
 
@@ -380,7 +362,7 @@ let format_matches_reference =
         lsn := Int64.add !lsn 1L;
         appended := !appended + 24 + String.length p;
         pending_recs := (!lsn, rtype, p) :: !pending_recs;
-        Wal.append w ~rtype p = !lsn
+        append w ~rtype p = !lsn
       in
       let sync_model () =
         if !pending_recs <> [] then begin
@@ -408,13 +390,13 @@ let format_matches_reference =
               let unsynced = bytes !pending_recs in
               let keep = min k (String.length unsynced) in
               expect
-                (Wal.crash_image w ~keep_unsynced_bytes:k
+                (Wal.crash_image w ~site:0 ~keep_unsynced_bytes:k
                 = bytes !stable_recs ^ String.sub unsynced 0 keep)
           | Crash ->
               Wal.crash w;
               pending_recs := [];
               lsn := !synced);
-          let img = Wal.image w in
+          let img = Wal.image w ~site:0 in
           expect (img = bytes !stable_recs);
           expect (Wal.synced_lsn w = !synced);
           expect (Wal.bytes_appended w = !appended);
@@ -423,7 +405,7 @@ let format_matches_reference =
       (* everything still pending hardens as one more batch *)
       Wal.sync w;
       sync_model ();
-      let img = Wal.image w in
+      let img = Wal.image w ~site:0 in
       expect (img = bytes !stable_recs);
       expect (Wal.replay img (fun ~lsn:_ ~rtype:_ _ -> ()) = List.length !stable_recs);
       !ok)
@@ -448,13 +430,13 @@ let joiners_resume_last_first () =
   in
   let first = String.make 40 'F' in
   Engine.spawn eng (fun () ->
-      ignore (Wal.append w ~rtype:1 first);
+      ignore (append w ~rtype:1 first);
       Wal.sync w;
       finished := "lead" :: !finished);
   List.iter
     (fun name ->
       Engine.spawn eng (fun () ->
-          ignore (Wal.append w ~rtype:2 (String.make 40 name.[0]));
+          ignore (append w ~rtype:2 (String.make 40 name.[0]));
           Wal.sync w;
           finished := name :: !finished))
     [ "a"; "b"; "c" ];
@@ -463,8 +445,8 @@ let joiners_resume_last_first () =
       (* every fiber above has run up to its park; the first round's
          disk write is still in flight *)
       check_int "first round in flight" 0 (Wal.sync_count w);
-      check_bool "round absent from image" false (contains (Wal.image w) first);
-      let crashed = Wal.crash_image w ~keep_unsynced_bytes:max_int in
+      check_bool "round absent from image" false (contains (Wal.image w ~site:0) first);
+      let crashed = Wal.crash_image w ~site:0 ~keep_unsynced_bytes:max_int in
       check_bool "round absent from crash image" false (contains crashed first);
       check_int "joiners' records are the unsynced tail" 3
         (Wal.replay crashed (fun ~lsn:_ ~rtype:_ _ -> ()));
@@ -477,7 +459,7 @@ let joiners_resume_last_first () =
     true
     (List.rev !finished = [ "lead"; "a"; "b"; "c" ]);
   check_bool "all four records stable" true (Wal.synced_lsn w = 4L);
-  check_bool "first round now in the image" true (contains (Wal.image w) first)
+  check_bool "first round now in the image" true (contains (Wal.image w ~site:0) first)
 
 (* ---- allocation budgets ----
 
@@ -489,7 +471,7 @@ let append_words () =
   let w = Wal.create ~name:"t" () in
   let payload = String.make 59 'p' in
   let step i =
-    ignore (Sys.opaque_identity (Wal.append_with w ~rtype:3 Enc.raw payload));
+    ignore (Sys.opaque_identity (Wal.append_with w ~site:0 ~rtype:3 Enc.raw payload));
     Wal.sync w;
     if i land 63 = 0 then Wal.checkpoint w ~from:(Wal.synced_lsn w)
   in
@@ -524,7 +506,7 @@ let wait_words ~joiners ~rounds =
   Engine.spawn eng (fun () ->
       for r = 1 to warm + rounds do
         if r = warm + 1 then words := Gc.minor_words ();
-        ignore (Wal.append w ~rtype:1 payload);
+        ignore (append w ~rtype:1 payload);
         Wal.sync w
       done;
       words := Gc.minor_words () -. !words);
@@ -564,7 +546,7 @@ let suite =
     ("group commit", `Quick, group_commit);
     ("engine without sink rejected", `Quick, engine_without_sink_rejected);
     ("replay twice identical", `Quick, replay_twice_identical);
-    ("crash mid-adoption converges", `Quick, crash_mid_adoption_converges);
+    ("hand-over moves a site's image", `Quick, hand_over_moves_the_image);
     format_matches_reference;
     ("joiners resume last first", `Quick, joiners_resume_last_first);
     ("append allocation budget", `Quick, append_words);
