@@ -362,8 +362,185 @@ let queue_allocation_budget () =
   check_bool (Printf.sprintf "one wait/wake_all allocates %.1f words (budget 4)" !per_round) true
     (!per_round <= 4.0)
 
+(* ---- heap order against a reference model ----
+
+   A random script schedules events (relative delays with many ties and
+   some negative, absolute times some in the past, timers some cancelled)
+   and spawns fibers that sleep and schedule in turn. The reference runs
+   the same script over a plain list, always taking the event with the
+   least (clamped time, scheduling order): a stable sort by time. Every
+   action logs its label and the clock it sees; [run ~until] must stop
+   at the same event and leave the same clock. *)
+
+type act =
+  | After of float * act list  (* [schedule] *)
+  | At of float * act list  (* [schedule_at], possibly in the past *)
+  | Timer of float * bool * act list  (* [schedule_timer], cancelled if true *)
+  | Spawn of step list
+
+and step = Nap of float | Nap_until of float | Act of act
+
+let rec show_act = function
+  | After (d, k) -> Printf.sprintf "After(%g,[%s])" d (show_acts k)
+  | At (t, k) -> Printf.sprintf "At(%g,[%s])" t (show_acts k)
+  | Timer (d, c, k) -> Printf.sprintf "Timer(%g,%b,[%s])" d c (show_acts k)
+  | Spawn s -> Printf.sprintf "Spawn[%s]" (String.concat ";" (List.map show_step s))
+
+and show_acts k = String.concat ";" (List.map show_act k)
+
+and show_step = function
+  | Nap d -> Printf.sprintf "Nap %g" d
+  | Nap_until t -> Printf.sprintf "Nap_until %g" t
+  | Act a -> show_act a
+
+let gen_script =
+  let open QCheck2.Gen in
+  (* halves keep every sum exact, so equal times really tie *)
+  let halves lo hi = map (fun i -> float_of_int i *. 0.5) (int_range lo hi) in
+  let rec act depth =
+    let kids = if depth = 0 then return [] else list_size (int_bound 3) (act (depth - 1)) in
+    let step =
+      if depth = 0 then map (fun d -> Nap d) (halves (-1) 3)
+      else
+        frequency
+          [
+            (2, map (fun d -> Nap d) (halves (-1) 3));
+            (1, map (fun t -> Nap_until t) (halves 0 8));
+            (2, map (fun a -> Act a) (act (depth - 1)));
+          ]
+    in
+    frequency
+      [
+        (3, map2 (fun d k -> After (d, k)) (halves (-2) 4) kids);
+        (2, map2 (fun t k -> At (t, k)) (halves 0 8) kids);
+        (2, map3 (fun d c k -> Timer (d, c, k)) (halves (-1) 4) bool kids);
+        (2, map (fun s -> Spawn s) (list_size (int_bound 4) step));
+      ]
+  in
+  pair (list_size (int_range 1 6) (act 3)) (halves 0 10)
+
+(* The script on the engine: the log, the clock after [run ~until], the
+   log length then, and the final clock. *)
+let engine_trace (script, until) =
+  let eng = Engine.create () in
+  let log = ref [] and next = ref 0 in
+  let label () =
+    incr next;
+    !next
+  in
+  let rec exec = function
+    | After (d, k) ->
+        let l = label () in
+        Engine.schedule eng d (fun () -> fire l k)
+    | At (t, k) ->
+        let l = label () in
+        Engine.schedule_at eng t (fun () -> fire l k)
+    | Timer (d, c, k) ->
+        let l = label () in
+        let tm = Engine.schedule_timer eng d (fun () -> fire l k) in
+        if c then Engine.cancel tm (Engine.timer_seq tm)
+    | Spawn steps ->
+        let l = label () in
+        Engine.spawn eng (fun () ->
+            log := (l, Engine.now eng) :: !log;
+            List.iter
+              (function
+                | Nap d -> Engine.sleep eng d; log := (l, Engine.now eng) :: !log
+                | Nap_until t -> Engine.sleep_until eng t; log := (l, Engine.now eng) :: !log
+                | Act a -> exec a)
+              steps)
+  and fire l k =
+    log := (l, Engine.now eng) :: !log;
+    List.iter exec k
+  in
+  List.iter exec script;
+  Engine.run ~until eng;
+  let mid = (Engine.now eng, List.length !log) in
+  Engine.run eng;
+  (List.rev !log, mid, Engine.now eng)
+
+(* The same script over a list of (time, seq, thunk), least first. *)
+let reference_trace (script, until) =
+  let clock = ref 0.0 and seq = ref 0 and queue = ref [] in
+  let log = ref [] and next = ref 0 in
+  let label () =
+    incr next;
+    !next
+  in
+  let enqueue time f =
+    let time = if time < !clock then !clock else time in
+    incr seq;
+    queue := (time, !seq, f) :: !queue
+  in
+  let rec drain limit =
+    match
+      List.fold_left
+        (fun best ((t, s, _) as ev) ->
+          match best with
+          | Some (bt, bs, _) when bt < t || (bt = t && bs < s) -> best
+          | _ -> Some ev)
+        None !queue
+    with
+    | Some ((t, s, f) as _ev) when t <= limit ->
+        queue := List.filter (fun (_, s', _) -> s' <> s) !queue;
+        clock := t;
+        f ();
+        drain limit
+    | _ -> ()
+  in
+  let rec exec = function
+    | After (d, k) ->
+        let l = label () in
+        enqueue (!clock +. if d < 0.0 then 0.0 else d) (fun () -> fire l k)
+    | At (t, k) ->
+        let l = label () in
+        enqueue t (fun () -> fire l k)
+    | Timer (d, c, k) ->
+        let l = label () in
+        enqueue (!clock +. if d < 0.0 then 0.0 else d) (if c then ignore else fun () -> fire l k)
+    | Spawn steps ->
+        let l = label () in
+        let note () = log := (l, !clock) :: !log in
+        let rec go = function
+          | [] -> ()
+          | Nap d :: rest when d > 0.0 ->
+              enqueue (!clock +. d) (fun () ->
+                  note ();
+                  go rest)
+          | Nap_until t :: rest when t > !clock ->
+              enqueue t (fun () ->
+                  note ();
+                  go rest)
+          | (Nap _ | Nap_until _) :: rest ->
+              note ();
+              go rest
+          | Act a :: rest ->
+              exec a;
+              go rest
+        in
+        enqueue !clock (fun () ->
+            note ();
+            go steps)
+  and fire l k =
+    log := (l, !clock) :: !log;
+    List.iter exec k
+  in
+  List.iter exec script;
+  drain until;
+  if until > !clock then clock := until;
+  let mid = (!clock, List.length !log) in
+  drain infinity;
+  (List.rev !log, mid, !clock)
+
+let heap_order_matches_reference =
+  qtest ~count:300 "heap order is a stable sort by clamped time"
+    ~print:(fun (s, u) -> Printf.sprintf "until %g: %s" u (show_acts s))
+    gen_script
+    (fun case -> engine_trace case = reference_trace case)
+
 let suite =
   [
+    heap_order_matches_reference;
     ("event ordering", `Quick, event_ordering);
     ("cancelled timer fires as a no-op", `Quick, cancelled_timer_fires_as_noop);
     ("cancel on a recycled cell is a no-op", `Quick, cancel_recycled_cell_is_noop);
