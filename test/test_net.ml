@@ -445,9 +445,10 @@ let rpc_concurrent_calls_reverse_replies () =
   check_int "every call completed" 64 (Rpc.calls_completed rpc)
 
 (* One packet's send and delivery on a fault-free LAN: the delivery
-   record and its thunks are pooled and the NIC bookings' times stay
-   unboxed, so what is left is the time boxed in each of the two event
-   cells (the packet reaching the wire's far end, then the receiver). *)
+   record and its thunks are pooled, and the NIC bookings' times stay
+   unboxed all the way into the engine's time column, so nothing is
+   allocated (the two events are the packet reaching the wire's far end,
+   then the receiver). *)
 let send_delivery_words () =
   let eng, net = mk_net () in
   let a = Net.add_node net ~name:"a" in
@@ -469,17 +470,18 @@ let send_delivery_words () =
   done;
   let per = (Gc.minor_words () -. w0) /. float_of_int n in
   check_int "every packet delivered" (n + 64) !got;
-  check_bool (Printf.sprintf "a send and its delivery allocate %.1f words (budget 4)" per) true
-    (per <= 4.0)
+  check_bool (Printf.sprintf "a send and its delivery allocate %.1f words (budget 0)" per) true
+    (per = 0.0)
 
 (* Steady-state words of one call/reply round trip over a bare Net: the
    call record, timer closure and waiter are pooled, and so are the
-   packets' deliveries with their event thunks, so what is left is the
-   request and reply packets, the event cells' boxed times and the
-   caller's payload — 37 words on OCaml 5.1 x86-64 with inlining across
-   modules. Floats boxed at module boundaries under -opaque made it 55,
-   per-delivery thunks 81, and a per-call record, timer closure,
-   hashtable row, [suspend] waker and payload copy 147 before that. *)
+   packets' deliveries with their event thunks, and no event time is
+   boxed, so what is left is the request and reply packets and the
+   caller's payload — 26 words on OCaml 5.1 x86-64 with inlining across
+   modules. Event times boxed in the engine's cells made it 37, floats
+   boxed at module boundaries under -opaque 55, per-delivery thunks 81,
+   and a per-call record, timer closure, hashtable row, [suspend] waker
+   and payload copy 147 before that. *)
 let rpc_roundtrip_words () =
   let eng, net = mk_net () in
   let c = Net.add_node net ~name:"client" in
@@ -500,8 +502,8 @@ let rpc_roundtrip_words () =
         ignore (Rpc.call rpc ~dst:s ~dport:2049 (mk_call_payload rpc 0))
       done;
       per_call := (Gc.minor_words () -. w0) /. float_of_int n);
-  check_bool (Printf.sprintf "round trip allocates %.1f words (budget 40)" !per_call) true
-    (!per_call <= 40.0)
+  check_bool (Printf.sprintf "round trip allocates %.1f words (budget 26)" !per_call) true
+    (!per_call <= 26.0)
 
 let suite =
   [

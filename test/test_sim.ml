@@ -174,8 +174,9 @@ let tiny_sleep_yields () =
   check_bool "same-instant event ran while the fiber slept" true
     (List.rev !log = [ `Event; `Fiber ])
 
-(* A sleep parks the fiber through its own effect: only the runtime's
-   continuation and the boxed wake time, with no closure or thunk. *)
+(* A sleep parks the fiber through its own effect: the wake time goes
+   unboxed into the heap's time column, so what is left is the runtime's
+   continuation, with no closure, thunk or boxed float. *)
 let sleep_allocation_budget () =
   let eng = Engine.create () in
   let per_sleep = ref infinity in
@@ -190,8 +191,29 @@ let sleep_allocation_budget () =
       done;
       per_sleep := (Gc.minor_words () -. w0) /. float_of_int n);
   Engine.run eng;
-  check_bool (Printf.sprintf "one sleep allocates %.1f words (budget 8)" !per_sleep) true
-    (!per_sleep <= 8.0)
+  check_bool (Printf.sprintf "one sleep allocates %.1f words (budget 2)" !per_sleep) true
+    (!per_sleep <= 2.0)
+
+(* An event's time sits unboxed in the heap's time column and the clock
+   in an unboxed cell, so scheduling a thunk made once and firing it
+   allocates nothing, by delay or by absolute time. *)
+let schedule_allocation_budget () =
+  let eng = Engine.create () in
+  let fn () = () in
+  let batch n =
+    for _ = 1 to n do
+      Engine.schedule eng 0.5 fn;
+      Engine.schedule_at eng (Engine.now eng +. 0.25) fn
+    done;
+    Engine.run eng
+  in
+  let n = 1024 in
+  batch n;
+  let w0 = Gc.minor_words () in
+  batch n;
+  let per_event = (Gc.minor_words () -. w0) /. float_of_int (2 * n) in
+  check_bool (Printf.sprintf "an event and its firing allocate %.2f words (budget 0)" per_event)
+    true (per_event = 0.0)
 
 (* A spawn puts the fiber's body straight into an event cell: what is
    left is the runtime's fiber start. *)
@@ -550,6 +572,7 @@ let suite =
     ("queue allocation budget", `Quick, queue_allocation_budget);
     ("tiny sleep still yields", `Quick, tiny_sleep_yields);
     ("sleep allocation budget", `Quick, sleep_allocation_budget);
+    ("schedule allocation budget", `Quick, schedule_allocation_budget);
     ("spawn allocation budget", `Quick, spawn_allocation_budget);
     ("join_all allocation budget", `Quick, join_all_allocation_budget);
     ("schedule past clamps", `Quick, schedule_past_clamps);
