@@ -28,7 +28,7 @@ type t = {
 
 let root_fh = Fh.root
 
-let now t = Engine.now t.host.Host.eng
+let[@inline] now t = Engine.now t.host.Host.eng
 
 let mint t ~ftype =
   t.next_file <- t.next_file + 1;

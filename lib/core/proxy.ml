@@ -216,7 +216,8 @@ let softstate_cost = 1.28e-6 (* per pending-record / cache update *)
    Table 2's 38.9 -> 32.2 MB/s). *)
 let mirror_dup_cost_per_byte = 5.2e-9
 
-let charge t (c : cost) phase amount =
+(* Inlined, so a computed amount is added without being boxed. *)
+let[@inline] charge t (c : cost) phase amount =
   c.c_tot.(0) <- c.c_tot.(0) +. amount;
   let i = match phase with `Intercept -> 0 | `Decode -> 1 | `Rewrite -> 2 | `Softstate -> 3 in
   t.phase.(i) <- t.phase.(i) +. amount
@@ -349,12 +350,14 @@ let writeback_one t (c : cached_attr) =
 
 (* Cache [c] under file id [key]. A dirty entry the insert displaces
    still owes its directory server a write-back. *)
-let add_attr t key c ~lease =
+let writeback_later t c = Engine.spawn t.eng (fun () -> writeback_one t c)
+
+(* Inlined, with [Slot_lru.add], so a computed lease is stored unboxed. *)
+let[@inline] add_attr t key c ~lease =
   let s = Slot_lru.add t.attrs key ~lease in
   t.attr_val <- Slot_lru.fit t.attrs t.attr_val c;
   let old = t.attr_val.(s) in
-  if Slot_lru.displaced t.attrs && old.ca_dirty then
-    Engine.spawn t.eng (fun () -> writeback_one t old);
+  if Slot_lru.displaced t.attrs && old.ca_dirty then writeback_later t old;
   t.attr_val.(s) <- c
 
 let cached_attr t (fh : Fh.t) =
@@ -415,7 +418,7 @@ let[@hot] name_slot t dir_id (b : bytes) off len =
 
 (* Bind parent [dir_id] and the name span to [child] until [lease]. The
    name bytes are copied unless the slot already holds them. *)
-let add_name t dir_id (b : bytes) off len child ~lease =
+let[@inline] add_name t dir_id (b : bytes) off len child ~lease =
   let s = Slot_lru.add t.name_cache (name_key dir_id b off len) ~lease in
   t.name_dir <- Slot_lru.fit t.name_cache t.name_dir 0;
   t.name_str <- Slot_lru.fit t.name_cache t.name_str "";
@@ -1162,7 +1165,8 @@ let patch_reply_attrs t (c : cost) (pd : pending) (pkt : Packet.t) =
             ca.ca_attr.Nfs.size <- Int64.of_int size;
             ca.ca_attr.Nfs.used <- Int64.of_int size;
             ca.ca_attr.Nfs.mtime <- now;
-            ca.ca_attr.Nfs.ctime <- now;
+            (* the box [mtime] now holds, so [now] boxes once *)
+            ca.ca_attr.Nfs.ctime <- ca.ca_attr.Nfs.mtime;
             ca.ca_dirty <- true
         | 6 ->
             (* read: maintain access time; learn the size if we had

@@ -142,7 +142,7 @@ let log_remove_cell t s fid = log t s rt_remove_cell Enc.u64 fid
 
 (* ---- helpers ---- *)
 
-let now t = Engine.now t.host.Host.eng
+let[@inline] now t = Engine.now t.host.Host.eng
 
 let fresh_op t =
   t.next_op <- Int64.add t.next_op 1L;

@@ -180,7 +180,7 @@ let write_back_victim t s =
   clean t s;
   start_write_back t t.owner.(s) ~block:t.blk.(s) ~count:1
 
-let swap a i j =
+let swap (a : int array) i j =
   let x = a.(i) in
   a.(i) <- a.(j);
   a.(j) <- x

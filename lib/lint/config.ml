@@ -101,7 +101,8 @@ let repo =
     (* Files whose [@hot] roots seed A1, and which therefore must have a
        .cmt available when the typed tier runs: the µproxy packet path,
        the codec peek path and its XDR primitives, the engine's event
-       dispatch, the RPC reply path, the slot tables and their index,
+       dispatch and heap, the resource, disk and NIC booking helpers
+       beneath it, the RPC reply path, the slot tables and their index,
        the buffer cache's key and probes, the server request
        table, the WFQ pick and the WAL's in-place record framing. *)
     a1_scope =
@@ -112,6 +113,9 @@ let repo =
             "lib/nfs/codec.ml";
             "lib/xdr/xdr.ml";
             "lib/sim/engine.ml";
+            "lib/sim/resource.ml";
+            "lib/disk/disk.ml";
+            "lib/net/net.ml";
             "lib/net/rpc.ml";
             "lib/util/slot_lru.ml";
             "lib/disk/bcache.ml";

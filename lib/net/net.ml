@@ -140,7 +140,7 @@ let deliver t (pkt : Packet.t) =
 
 (* Returning a record drops its packet, so the pool keeps no payload
    alive. *)
-let release_delivery t d =
+let[@hot] release_delivery t d =
   d.d_pkt <- no_packet;
   d.d_next <- t.free_dl;
   t.free_dl <- d
@@ -177,8 +177,9 @@ let new_delivery t =
   in
   d
 
-(* Put the packet on the destination NIC at [arrival]. *)
-let deliver_at t (pkt : Packet.t) ~arrival =
+(* Put the packet on the destination NIC at [arrival]. Inlined, so the
+   arrival time reaches the engine's time column unboxed. *)
+let[@inline] deliver_at t (pkt : Packet.t) ~arrival =
   let d = t.free_dl in
   let d =
     if d == no_delivery then new_delivery t

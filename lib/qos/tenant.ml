@@ -91,8 +91,8 @@ let note_reply t id ~bytes =
 
 let note_admitted t id = t.cells.(id).admitted <- t.cells.(id).admitted + 1
 let note_deferred t id = t.cells.(id).deferred <- t.cells.(id).deferred + 1
-let observe_queue_delay t id d = Stats.add t.cells.(id).queue_delay d
-let observe_latency t id d = Stats.add t.cells.(id).latency d
+let[@inline] observe_queue_delay t id d = Stats.add t.cells.(id).queue_delay d
+let[@inline] observe_latency t id d = Stats.add t.cells.(id).latency d
 
 let ops t id = t.cells.(id).ops
 let bytes t id = t.cells.(id).bytes

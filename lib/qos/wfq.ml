@@ -191,7 +191,7 @@ let grow t =
     t.free <- j
   done
 
-let submit t ~tenant ~cost run =
+let[@inline] submit t ~tenant ~cost run =
   let cost = if cost > 0.0 then cost else 1e-9 in
   let v = t.vtime.(0) and last = t.last_finish.(tenant) in
   let start = if v > last then v else last in

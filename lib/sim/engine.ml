@@ -10,6 +10,15 @@
    (time, seq) order (same-instant events scheduled during the batch get
    larger seqs and are picked up by the same inner loop).
 
+   The engine boxes no time. An event's time is not in its cell, which is a
+   mixed record where a float field holds a pointer to a box: the heap
+   keeps the times in a [float array] column beside the cells, slot i of
+   [keys] the time of [data.(i)], and every sift moves both. The clock is
+   a one-cell [float array]. [now], [enqueue] and the scheduling calls
+   are inlined, so a time computed by a caller reaches its slot unboxed
+   (from another module only when it is built without -opaque, DESIGN.md
+   §38, §40).
+
    A fiber parks in one of two ways, one effect each, and the handler
    answers no other. Sleeping is the commonest (every CPU and resource
    booking): its handler answer, built once per engine, puts the fiber's
@@ -54,7 +63,6 @@ let no_k = placeholder_k ()
 let spawn_k = placeholder_k ()
 
 type event = {
-  mutable time : float;
   mutable seq : int;
   mutable fn : unit -> unit;
   mutable k : (unit, unit) Effect.Deep.continuation;
@@ -63,16 +71,17 @@ type event = {
 }
 
 (* Cyclic sentinel: terminates the freelist without an option. *)
-let rec nil = { time = 0.0; seq = 0; fn = nop; k = no_k; next_free = nil }
+let rec nil = { seq = 0; fn = nop; k = no_k; next_free = nil }
 
 type waiter = { mutable w_k : (unit, unit) Effect.Deep.continuation (* [no_k] = not parked *) }
 
 let waiter () = { w_k = no_k }
 
 type t = {
-  mutable clock : float;
+  clock : float array; (* one cell: the current time, stored unboxed *)
   mutable seq : int;
   mutable data : event array;
+  mutable keys : float array; (* [keys.(i)] is the time of [data.(i)] *)
   mutable size : int;
   mutable free : event;
   wake_at : float array; (* one cell: a sleeper's wake time, stored unboxed *)
@@ -86,30 +95,37 @@ type t = {
 
 type _ Effect.t += Sleep : t -> unit Effect.t | Park : t -> unit Effect.t
 
-let now t = t.clock
+let[@inline] now t = t.clock.(0)
 
-(* Earlier event first: primary key time, tie-break by scheduling order. *)
-let[@hot] before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+(* Slot i's event before slot j's: primary key time, tie-break by
+   scheduling order. *)
+let[@hot] before t i j =
+  let ti = t.keys.(i) and tj = t.keys.(j) in
+  ti < tj || (ti = tj && t.data.(i).seq < t.data.(j).seq)
+
+(* Exchange two slots, cell and time together. *)
+let[@hot] swap t i j =
+  let ev = t.data.(i) and time = t.keys.(i) in
+  t.data.(i) <- t.data.(j);
+  t.keys.(i) <- t.keys.(j);
+  t.data.(j) <- ev;
+  t.keys.(j) <- time
 
 let[@hot] rec sift_up t i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if before t.data.(i) t.data.(parent) then begin
-      let tmp = t.data.(i) in
-      t.data.(i) <- t.data.(parent);
-      t.data.(parent) <- tmp;
+    if before t i parent then begin
+      swap t i parent;
       sift_up t parent
     end
   end
 
 let[@hot] rec sift_down t i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let s = if l < t.size && before t.data.(l) t.data.(i) then l else i in
-  let s = if r < t.size && before t.data.(r) t.data.(s) then r else s in
+  let s = if l < t.size && before t l i then l else i in
+  let s = if r < t.size && before t r s then r else s in
   if s <> i then begin
-    let tmp = t.data.(i) in
-    t.data.(i) <- t.data.(s);
-    t.data.(s) <- tmp;
+    swap t i s;
     sift_down t s
   end
 
@@ -120,6 +136,7 @@ let[@hot] pop_min t =
   t.size <- t.size - 1;
   if t.size > 0 then begin
     t.data.(0) <- t.data.(t.size);
+    t.keys.(0) <- t.keys.(t.size);
     sift_down t 0
   end;
   top
@@ -134,7 +151,7 @@ let[@hot] release t ev =
 
 (* Allocates only on pool miss — steady state recycles. *)
 let acquire t =
-  if t.free == nil then { time = 0.0; seq = 0; fn = nop; k = no_k; next_free = nil }
+  if t.free == nil then { seq = 0; fn = nop; k = no_k; next_free = nil }
   else begin
     let ev = t.free in
     t.free <- ev.next_free;
@@ -142,41 +159,48 @@ let acquire t =
     ev
   end
 
-let push t ev =
+(* The rare path: double both columns. *)
+let grow t =
   let cap = Array.length t.data in
-  if t.size = cap then begin
-    let ncap = if cap = 0 then 256 else cap * 2 in
-    let nd = Array.make ncap nil in
-    Array.blit t.data 0 nd 0 t.size;
-    t.data <- nd
-  end;
+  let ncap = if cap = 0 then 256 else cap * 2 in
+  let nd = Array.make ncap nil and nk = Array.make ncap 0.0 in
+  Array.blit t.data 0 nd 0 t.size;
+  Array.blit t.keys 0 nk 0 t.size;
+  t.data <- nd;
+  t.keys <- nk
+
+(* The caller has made room. *)
+let[@hot] [@inline] push t time ev =
   t.data.(t.size) <- ev;
+  t.keys.(t.size) <- time;
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let enqueue t time fn k =
-  let time = if time < t.clock then t.clock else time in
+(* Inlined, [push] with it, so a computed time goes into its slot of
+   [keys] without being boxed on the way (DESIGN.md §40). *)
+let[@inline] enqueue t time fn k =
+  let clock = t.clock.(0) in
+  let time = if time < clock then clock else time in
   t.seq <- t.seq + 1;
   let ev = acquire t in
-  ev.time <- time;
   ev.seq <- t.seq;
   ev.fn <- fn;
   ev.k <- k;
-  push t ev;
+  if t.size = Array.length t.data then grow t;
+  push t time ev;
   ev
 
 type timer = event
 
 let no_timer = nil
 
-(* Inlined so a computed time is not boxed on its way to the cell; that
+(* Inlined so a computed time is not boxed on its way to the heap; that
    holds in another module only when it is built without -opaque
-   (DESIGN.md §38). The cell's [time] field boxes it all the same: the
-   cell is a mixed record, so each event allocates its time (2 words). *)
+   (DESIGN.md §38). *)
 let[@inline] schedule_at t time fn = ignore (enqueue t time fn no_k)
 
 let[@inline] schedule_timer t delay fn =
-  enqueue t (t.clock +. if delay < 0.0 then 0.0 else delay) fn no_k
+  enqueue t (t.clock.(0) +. if delay < 0.0 then 0.0 else delay) fn no_k
 
 let[@inline] schedule t delay fn = ignore (schedule_timer t delay fn)
 
@@ -186,9 +210,10 @@ let[@hot] cancel (ev : timer) seq = if ev.seq = seq then ev.fn <- nop
 let create () =
   let rec t =
     {
-      clock = 0.0;
+      clock = [| 0.0 |];
       seq = 0;
       data = [||];
+      keys = [||];
       size = 0;
       free = nil;
       wake_at = [| 0.0 |];
@@ -215,11 +240,11 @@ let handler =
   }
 
 (* The cell carries the body itself; [fire] starts it under [handler]. *)
-let spawn t fn = ignore (enqueue t t.clock fn spawn_k)
+let spawn t fn = ignore (enqueue t t.clock.(0) fn spawn_k)
 
 (* Inlined so the wake time reaches [wake_at] unboxed (from another
-   module only without -opaque); the handler's enqueue boxes it into the
-   sleeper's cell, 2 words a sleep. *)
+   module only without -opaque); the handler's enqueue copies it into
+   the heap's time column, so a sleep boxes nothing. *)
 let[@inline] doze t time =
   t.wake_at.(0) <- time;
   Effect.perform t.sleep
@@ -227,8 +252,8 @@ let[@inline] doze t time =
 (* A positive duration always yields, even when [now + d] rounds to
    [now]: the sleeper then resumes after the events already queued for
    this instant. *)
-let sleep t d = if d > 0.0 then doze t (t.clock +. d)
-let[@inline] sleep_until t time = if time > t.clock then doze t time
+let[@inline] sleep t d = if d > 0.0 then doze t (t.clock.(0) +. d)
+let[@inline] sleep_until t time = if time > t.clock.(0) then doze t time
 
 let park t w =
   t.parking <- w;
@@ -302,24 +327,23 @@ let[@inline] fire t ev =
 let step t =
   if t.size = 0 then false
   else begin
-    let ev = pop_min t in
-    t.clock <- ev.time;
-    fire t ev;
+    t.clock.(0) <- t.keys.(0);
+    fire t (pop_min t);
     true
   end
 
 let run ?until t =
   let limit = match until with None -> Float.infinity | Some l -> l in
-  while t.size > 0 && t.data.(0).time <= limit do
+  while t.size > 0 && t.keys.(0) <= limit do
     (* Batch: one clock write per distinct timestamp, then drain it. *)
-    let bt = t.data.(0).time in
-    t.clock <- bt;
-    while t.size > 0 && t.data.(0).time = bt do
+    let bt = t.keys.(0) in
+    t.clock.(0) <- bt;
+    while t.size > 0 && t.keys.(0) = bt do
       fire t (pop_min t)
     done
   done;
   match until with
-  | Some limit when limit > t.clock -> t.clock <- limit
+  | Some limit when limit > t.clock.(0) -> t.clock.(0) <- limit
   | _ -> ()
 
 let pending t = t.size

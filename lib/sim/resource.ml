@@ -13,14 +13,14 @@ let create eng ?(capacity = 1) ~name () =
 (* Index of the server that frees earliest; FCFS because bookings happen
    in event order and each booking extends exactly one server's schedule.
    Recursive int scan instead of a [ref] — this runs per packet per NIC. *)
-let rec earliest (free_at : float array) i best =
+let[@hot] rec earliest (free_at : float array) i best =
   if i >= Array.length free_at then best
   else earliest free_at (i + 1) (if free_at.(i) < free_at.(best) then i else best)
 
 (* [book], [reserve] and [use] are inlined into each other, and into
    their callers in other modules when those are built without -opaque
    (DESIGN.md §38), so a booking's service and finish times stay unboxed
-   until [Engine] stores the finish in an event cell, which boxes it. *)
+   all the way into the engine's time column (DESIGN.md §40). *)
 let[@inline] book t service =
   let best =
     if Array.length t.free_at = 1 then 0 else earliest t.free_at 1 0

@@ -26,7 +26,7 @@ let response_data_bytes (resp : Nfs.response) =
    response size isn't known until the handler runs, so the requested
    count stands in for it — an upper bound, and the right one for
    scheduling (a tenant pays for what it asked to move). *)
-let estimate_cost cost (call : Nfs.call) =
+let[@inline] estimate_cost cost (call : Nfs.call) =
   let data =
     match call with
     | Nfs.Write (_, _, _, d) -> Nfs.wdata_length d

@@ -142,7 +142,7 @@ let[@hot] drop t s =
   t.free <- s;
   t.count <- t.count - 1
 
-let[@hot] fresh t s ~now =
+let[@hot] [@inline] fresh t s ~now =
   let live = t.lease.(s) > now in
   if live then promote t s else drop t s;
   live
@@ -171,8 +171,9 @@ let[@hot] insert t k ~lease =
   push_head t s;
   s
 
-(* Growth is the one allocating step, kept out of [insert]. *)
-let add t k ~lease =
+(* Growth is the one allocating step, kept out of [insert]. Inlined, so
+   a computed lease reaches its column unboxed. *)
+let[@inline] add t k ~lease =
   if t.free < 0 && t.count < t.capacity then
     resize t (min t.capacity (2 * Array.length t.older));
   insert t k ~lease

@@ -6,9 +6,7 @@
 
 type t = {
   mutable n : int;
-  mutable total : float;
-  mutable mn : float;
-  mutable mx : float;
+  moments : float array; (* [| total; min; max |], unboxed cells *)
   cap : int;
   prng : Prng.t;
   mutable samples : float array; (* reservoir; live prefix [0, len) *)
@@ -22,9 +20,7 @@ let create ?(reservoir = default_reservoir) () =
   if reservoir <= 0 then invalid_arg "Stats.create: reservoir must be positive";
   {
     n = 0;
-    total = 0.0;
-    mn = infinity;
-    mx = neg_infinity;
+    moments = [| 0.0; infinity; neg_infinity |];
     cap = reservoir;
     (* fixed seed: statistics stay bit-reproducible run to run *)
     prng = Prng.create 0x5711ce;
@@ -41,30 +37,40 @@ let ensure_room t =
     t.samples <- bigger
   end
 
-let add t x =
-  t.n <- t.n + 1;
-  t.total <- t.total +. x;
-  if x < t.mn then t.mn <- x;
-  if x > t.mx then t.mx <- x;
+(* The reservoir slot the [n]th sample goes to, or -1 if it is not kept. *)
+let slot t =
   if t.len < t.cap then begin
     ensure_room t;
-    t.samples.(t.len) <- x;
-    t.len <- t.len + 1;
-    t.sorted <- None
+    let j = t.len in
+    t.len <- j + 1;
+    t.sorted <- None;
+    j
   end
   else begin
     (* algorithm R: keep each of the n samples with probability cap/n *)
     let j = Prng.int t.prng t.n in
     if j < t.cap then begin
-      t.samples.(j) <- x;
-      t.sorted <- None
+      t.sorted <- None;
+      j
     end
+    else -1
   end
 
+(* Inlined, and the moments in a float array, so a sample is stored
+   without being boxed. *)
+let[@inline] add t x =
+  t.n <- t.n + 1;
+  let m = t.moments in
+  m.(0) <- m.(0) +. x;
+  if x < m.(1) then m.(1) <- x;
+  if x > m.(2) then m.(2) <- x;
+  let j = slot t in
+  if j >= 0 then t.samples.(j) <- x
+
 let count t = t.n
-let mean t = if t.n = 0 then 0.0 else t.total /. float_of_int t.n
-let min t = t.mn
-let max t = t.mx
+let mean t = if t.n = 0 then 0.0 else t.moments.(0) /. float_of_int t.n
+let min t = t.moments.(1)
+let max t = t.moments.(2)
 
 let sorted_samples t =
   match t.sorted with

@@ -150,7 +150,7 @@ let sequential_read t fh ~bytes =
       let off = Int64.of_int (i * t.io_size) in
       ignore (read_at t fh ~off ~count:len))
 
-let now t = Engine.now t.host.Host.eng
+let[@inline] now t = Engine.now t.host.Host.eng
 let ops_completed t = t.ops
 let errors t = t.errs
 let retransmissions t = Rpc.retransmissions t.rpc

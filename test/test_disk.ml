@@ -67,6 +67,45 @@ let async_booking () =
       check_bool "completion in future" true (fin > t0);
       check_bool "busy accounted" true (Disk.channel_busy_time d > 0.0))
 
+(* A booking's times stay unboxed from [Resource.book] through
+   [Disk.book] into the caller's float array or sleep: an async booking
+   and a synchronous read, bytes computed at the call, allocate nothing
+   (a sleep's own suspension aside, which a bare sleep measures). *)
+let booking_words () =
+  let eng = Engine.create () in
+  let d = mk_disk eng () in
+  let fins = [| 0.0 |] in
+  let per_call f =
+    let words = ref infinity in
+    run_on eng (fun () ->
+        f 64;
+        let n = 1024 in
+        let w0 = Gc.minor_words () in
+        f n;
+        words := (Gc.minor_words () -. w0) /. float_of_int n);
+    !words
+  in
+  let books k =
+    for i = 1 to k do
+      fins.(0) <- Disk.write_async d ~sequential:(i land 1 = 0) ~bytes:(4096 * (1 + (i land 3)))
+    done
+  in
+  let reads k =
+    for i = 1 to k do
+      Disk.read d ~sequential:true ~bytes:(4096 * (1 + (i land 3))) ()
+    done
+  in
+  let sleeps k =
+    for _ = 1 to k do
+      Engine.sleep eng 10e-6
+    done
+  in
+  let book = per_call books and read = per_call reads and sleep = per_call sleeps in
+  check_bool (Printf.sprintf "an async booking allocates %.2f words (budget 0)" book) true
+    (book = 0.0);
+  check_bool (Printf.sprintf "Disk.read allocates %.2f words, a bare sleep %.2f" read sleep) true
+    (read <= sleep +. 0.01)
+
 (* ---- Bcache ---- *)
 
 let mk_cache eng ?(capacity = 1 lsl 20) () =
@@ -690,6 +729,7 @@ let suite =
     ("arms in parallel", `Quick, arms_in_parallel);
     ("channel caps bandwidth", `Quick, channel_caps_bandwidth);
     ("async booking", `Quick, async_booking);
+    ("booking words", `Quick, booking_words);
     ("cache hit avoids disk", `Quick, cache_hit_no_disk);
     ("sequential prefetch", `Quick, sequential_prefetch);
     ("random no prefetch", `Quick, random_no_prefetch);

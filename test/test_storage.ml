@@ -646,8 +646,8 @@ let drc_running_outside_capacity () =
 
 (* Steady-state words of one getattr round trip through [serve], client
    encode and RPC included: the request table and the pooled packet
-   deliveries allocate nothing, so what is left is the payloads, the
-   decoded call, the fibers and the event cells' boxed times. *)
+   deliveries allocate nothing and no event time is boxed, so what is
+   left is the payloads, the decoded call and the fibers. *)
 let getattr_words_budget () =
   let eng = Engine.create () in
   let net = Net.create eng () in
@@ -704,9 +704,8 @@ let obsd_handler_words () =
     ~pinned:29
 
 (* A CPU charge whose cost is computed at the call site reaches the
-   engine's wake cell unboxed: [Host.cpu] allocates no more than a bare
-   [Engine.sleep] of a constant, the fiber's own suspension and its
-   event cell's time. *)
+   engine's time column unboxed: [Host.cpu] allocates no more than a
+   bare [Engine.sleep] of a constant, the fiber's own suspension. *)
 let host_cpu_words () =
   let eng = Engine.create () in
   let net = Net.create eng () in
