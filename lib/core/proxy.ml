@@ -348,11 +348,11 @@ let writeback_one t (c : cached_attr) =
 
 (* ---- metadata cache columns ---- *)
 
-(* Cache [c] under file id [key]. A dirty entry the insert displaces
-   still owes its directory server a write-back. *)
 let writeback_later t c = Engine.spawn t.eng (fun () -> writeback_one t c)
 
-(* Inlined, with [Slot_lru.add], so a computed lease is stored unboxed. *)
+(* Cache [c] under file id [key]. A dirty entry the insert displaces
+   still owes its directory server a write-back. Inlined, with
+   [Slot_lru.add], so a computed lease is stored unboxed. *)
 let[@inline] add_attr t key c ~lease =
   let s = Slot_lru.add t.attrs key ~lease in
   t.attr_val <- Slot_lru.fit t.attrs t.attr_val c;
@@ -388,7 +388,7 @@ let cached_attr_of_pending t (pd : pending) =
 let writeback_dirty_attrs t =
   Slot_lru.iter t.attrs (fun s ->
       let c = t.attr_val.(s) in
-      if c.ca_dirty then Engine.spawn t.eng (fun () -> writeback_one t c))
+      if c.ca_dirty then writeback_later t c)
 
 (* Name-cache key: the parent's file id folded into an FNV-1a hash of the
    name span. Distinct names may share a key; a slot answers only for the
@@ -472,7 +472,7 @@ let fence_invalidate t =
       let c = t.attr_val.(s) in
       if c.ca_dirty then begin
         Slot_lru.set_lease t.attrs s neg_infinity;
-        Engine.spawn t.eng (fun () -> writeback_one t c)
+        writeback_later t c
       end
       else Slot_lru.drop t.attrs s);
   t.meta_epoch <- t.meta_epoch + 1;
