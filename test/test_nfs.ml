@@ -1159,3 +1159,315 @@ let dirlist_matches_reference =
            ops))
 
 let suite = suite @ [ dirlist_matches_reference ]
+
+(* ---- reference encoder ----
+
+   Every message the system sends, written field by field into a private
+   [Enc.owned] buffer with the XDR primitives alone: the wire layout of
+   NFS calls and replies and of the two manager protocols, set down once
+   more without the library's encoders. The encoders the servers, the
+   µproxy and the clients use must produce these bytes exactly. *)
+
+module Enc = Slice_xdr.Xdr.Enc
+
+let ref_encode f =
+  let e = Enc.owned 64 in
+  f e;
+  Bytes.sub (Enc.buffer e) 0 (Enc.length e)
+
+let ref_fh e fh = Enc.opaque e (Fh.encode fh)
+
+let ref_time e t =
+  let secs = Float.floor t in
+  Enc.u32 e (int_of_float secs);
+  Enc.u32 e (min 999_999_999 (int_of_float ((t -. secs) *. 1e9)))
+
+let ref_ftype = function Fh.Reg -> 1 | Fh.Dir -> 2 | Fh.Lnk -> 5
+
+let ref_status : Nfs.status -> int = function
+  | OK -> 0
+  | ERR_PERM -> 1
+  | ERR_NOENT -> 2
+  | ERR_IO -> 5
+  | ERR_EXIST -> 17
+  | ERR_NOTDIR -> 20
+  | ERR_ISDIR -> 21
+  | ERR_NOSPC -> 28
+  | ERR_NOTEMPTY -> 66
+  | ERR_STALE -> 70
+  | ERR_BADHANDLE -> 10001
+  | ERR_JUKEBOX -> 10008
+  | ERR_MISDIRECTED -> 20001
+
+let ref_stable = function Nfs.Unstable -> 0 | Nfs.Data_sync -> 1 | Nfs.File_sync -> 2
+
+let ref_some e enc = function
+  | None -> Enc.u32 e 0
+  | Some v ->
+      Enc.u32 e 1;
+      enc v
+
+let ref_wdata e = function
+  | Nfs.Data s ->
+      Enc.u32 e 0;
+      Enc.opaque e s
+  | Nfs.Synthetic n ->
+      Enc.u32 e 1;
+      Enc.u32 e n
+
+(* AUTH_UNIX: stamp, machine name, uid, gid and three auxiliary gids. *)
+let ref_cred =
+  ref_encode (fun e ->
+      List.iter (Enc.u32 e) [ 0 ];
+      Enc.str e "slice-client";
+      List.iter (Enc.u32 e) [ 0; 0; 3; 0; 10; 100 ])
+  |> Bytes.to_string
+
+let ref_call ~xid (c : Nfs.call) =
+  let proc, args =
+    match c with
+    | Null -> (0, fun _ -> ())
+    | Getattr fh -> (1, fun e -> ref_fh e fh)
+    | Setattr (fh, s) ->
+        ( 2,
+          fun e ->
+            ref_fh e fh;
+            ref_some e (Enc.u32 e) s.set_mode;
+            ref_some e (Enc.u32 e) s.set_uid;
+            ref_some e (Enc.u32 e) s.set_gid;
+            ref_some e (Enc.u64 e) s.set_size;
+            ref_some e (ref_time e) s.set_atime;
+            ref_some e (ref_time e) s.set_mtime )
+    | Lookup (fh, n) -> (3, fun e -> ref_fh e fh; Enc.str e n)
+    | Access (fh, m) -> (4, fun e -> ref_fh e fh; Enc.u32 e m)
+    | Readlink fh -> (5, fun e -> ref_fh e fh)
+    | Read (fh, off, n) -> (6, fun e -> ref_fh e fh; Enc.u64 e off; Enc.u32 e n)
+    | Write (fh, off, st, d) ->
+        ( 7,
+          fun e ->
+            ref_fh e fh;
+            Enc.u64 e off;
+            Enc.u32 e (Nfs.wdata_length d);
+            Enc.u32 e (ref_stable st);
+            ref_wdata e d )
+    | Create (fh, n) -> (8, fun e -> ref_fh e fh; Enc.str e n)
+    | Mkdir (fh, n) -> (9, fun e -> ref_fh e fh; Enc.str e n)
+    | Symlink (fh, n, t) -> (10, fun e -> ref_fh e fh; Enc.str e n; Enc.str e t)
+    | Remove (fh, n) -> (12, fun e -> ref_fh e fh; Enc.str e n)
+    | Rmdir (fh, n) -> (13, fun e -> ref_fh e fh; Enc.str e n)
+    | Rename (f1, n1, f2, n2) -> (14, fun e -> ref_fh e f1; Enc.str e n1; ref_fh e f2; Enc.str e n2)
+    | Link (f, d, n) -> (15, fun e -> ref_fh e f; ref_fh e d; Enc.str e n)
+    | Readdir (fh, c, n) -> (16, fun e -> ref_fh e fh; Enc.u64 e c; Enc.u32 e n)
+    | Fsstat fh -> (18, fun e -> ref_fh e fh)
+    | Commit (fh, off, n) -> (21, fun e -> ref_fh e fh; Enc.u64 e off; Enc.u32 e n)
+  in
+  ref_encode (fun e ->
+      List.iter (Enc.u32 e) [ xid; 0; 2; 100003; 3; proc; 1 ];
+      Enc.opaque e ref_cred;
+      List.iter (Enc.u32 e) [ 0; 0 ];
+      args e)
+
+let ref_fattr e (a : Nfs.fattr) =
+  List.iter (Enc.u32 e) [ ref_ftype a.ftype; a.mode; a.nlink; a.uid; a.gid ];
+  List.iter (Enc.u64 e) [ a.size; a.used; 0L; 0L; a.fileid ];
+  List.iter (ref_time e) [ a.atime; a.mtime; a.ctime ]
+
+let ref_reply ~xid (r : Nfs.response) =
+  ref_encode (fun e ->
+      List.iter (Enc.u32 e) [ xid; 1; 0; 0; 0; 0 ];
+      match r with
+      | Error st -> Enc.u32 e (ref_status st)
+      | Ok reply ->
+          Enc.u32 e 0;
+          let attr, tag, body =
+            match reply with
+            | RNull -> (None, 0, ignore)
+            | RGetattr a -> (Some a, 1, ignore)
+            | RSetattr a -> (Some a, 2, ignore)
+            | RLookup (fh, a) -> (Some a, 3, fun e -> ref_fh e fh)
+            | RAccess (m, a) -> (Some a, 4, fun e -> Enc.u32 e m)
+            | RReadlink (t, a) -> (Some a, 5, fun e -> Enc.str e t)
+            | RRead (d, eof, a) ->
+                ( Some a,
+                  6,
+                  fun e ->
+                    Enc.u32 e (Nfs.wdata_length d);
+                    Enc.u32 e (if eof then 1 else 0);
+                    ref_wdata e d )
+            | RWrite (n, st, a) -> (Some a, 7, fun e -> Enc.u32 e n; Enc.u32 e (ref_stable st))
+            | RCreate (fh, a) -> (Some a, 8, fun e -> ref_fh e fh)
+            | RMkdir (fh, a) -> (Some a, 9, fun e -> ref_fh e fh)
+            | RSymlink (fh, a) -> (Some a, 10, fun e -> ref_fh e fh)
+            | RRemove -> (None, 12, ignore)
+            | RRmdir -> (None, 13, ignore)
+            | RRename -> (None, 14, ignore)
+            | RLink a -> (Some a, 15, ignore)
+            | RReaddir (entries, cookie, eof) ->
+                ( None,
+                  16,
+                  fun e ->
+                    Enc.u32 e (List.length entries);
+                    List.iter
+                      (fun (en : Nfs.entry) ->
+                        Enc.u64 e en.entry_id;
+                        Enc.str e en.entry_name;
+                        Enc.u64 e en.entry_cookie)
+                      entries;
+                    Enc.u64 e cookie;
+                    Enc.u32 e (if eof then 1 else 0) )
+            | RFsstat fs ->
+                ( None,
+                  18,
+                  fun e ->
+                    List.iter (Enc.u64 e)
+                      [ fs.total_bytes; fs.free_bytes; fs.total_files; fs.free_files ] )
+            | RCommit a -> (Some a, 21, ignore)
+          in
+          ref_some e (ref_fattr e) attr;
+          Enc.u32 e tag;
+          body e)
+
+let ref_peer_attr e (a : Nfs.fattr) =
+  List.iter (Enc.u32 e) [ ref_ftype a.ftype; a.mode; a.nlink; a.uid; a.gid ];
+  List.iter (Enc.u64 e) [ a.size; a.used; a.fileid ];
+  List.iter (ref_time e) [ a.atime; a.mtime; a.ctime ]
+
+let ref_peer_msg ~xid (m : Peer.msg) =
+  ref_encode (fun e ->
+      Enc.u32 e xid;
+      match m with
+      | Getattr fh ->
+          Enc.u32 e 1;
+          ref_fh e fh
+      | Nlink { op_id; fh; delta } ->
+          Enc.u32 e 3;
+          Enc.u64 e op_id;
+          ref_fh e fh;
+          Enc.u32 e (delta land 0xFFFFFFFF)
+      | Entry_count { op_id; dir; delta; mtime } ->
+          Enc.u32 e 4;
+          Enc.u64 e op_id;
+          ref_fh e dir;
+          Enc.u32 e (delta land 0xFFFFFFFF);
+          ref_time e mtime
+      | Add_entry { op_id; dir; name; child } ->
+          Enc.u32 e 5;
+          Enc.u64 e op_id;
+          ref_fh e dir;
+          Enc.str e name;
+          ref_fh e child)
+
+let ref_peer_reply ~xid (r : Peer.reply) =
+  ref_encode (fun e ->
+      Enc.u32 e xid;
+      match r with
+      | Ack -> Enc.u32 e 1
+      | Rattr a ->
+          Enc.u32 e 2;
+          ref_peer_attr e a
+      | Rerr st ->
+          Enc.u32 e 4;
+          Enc.u32 e (ref_status st))
+
+let ref_sites e sites =
+  Enc.u32 e (List.length sites);
+  List.iter (Enc.u32 e) sites
+
+let ref_ctrl_msg ~xid (m : Ctrl.msg) =
+  ref_encode (fun e ->
+      Enc.u32 e xid;
+      match m with
+      | Intent { op_id; kind; fh; participants } ->
+          Enc.u32 e 1;
+          Enc.u64 e op_id;
+          Enc.u32 e (match kind with K_remove -> 1 | K_commit -> 2 | K_mirror_write -> 3);
+          ref_fh e fh;
+          ref_sites e participants
+      | Complete { op_id } ->
+          Enc.u32 e 2;
+          Enc.u64 e op_id
+      | Remove_file { fh; sites } ->
+          Enc.u32 e 3;
+          ref_fh e fh;
+          ref_sites e sites
+      | Commit_file { fh; sites } ->
+          Enc.u32 e 4;
+          ref_fh e fh;
+          ref_sites e sites
+      | Get_map { fh; first_block; count } ->
+          Enc.u32 e 5;
+          ref_fh e fh;
+          Enc.u32 e first_block;
+          Enc.u32 e count)
+
+let ref_ctrl_reply ~xid (r : Ctrl.reply) =
+  ref_encode (fun e ->
+      Enc.u32 e xid;
+      match r with
+      | Ack -> Enc.u32 e 1
+      | Nack -> Enc.u32 e 2
+      | Map { first_block; sites } ->
+          Enc.u32 e 3;
+          Enc.u32 e first_block;
+          ref_sites e (Array.to_list sites))
+
+type wire =
+  | W_call of Nfs.call
+  | W_reply of Nfs.response
+  | W_peer_msg of Peer.msg
+  | W_peer_reply of Peer.reply
+  | W_ctrl_msg of Ctrl.msg
+  | W_ctrl_reply of Ctrl.reply
+
+(* Setattr with every field drawn, and every stable_how. *)
+let gen_wide_call =
+  let open QCheck2.Gen in
+  let o g = opt g in
+  oneof
+    [
+      gen_call;
+      map2
+        (fun fh ((set_mode, set_uid, set_gid), (set_size, set_atime, set_mtime)) ->
+          Nfs.Setattr (fh, { Nfs.set_mode; set_uid; set_gid; set_size; set_atime; set_mtime }))
+        gen_fh
+        (pair (triple (o gen_u32) (o gen_u32) (o gen_u32)) (triple (o gen_i64) (o gen_time) (o gen_time)));
+      map3
+        (fun fh off st -> Nfs.Write (fh, Int64.of_int (abs off), st, Nfs.Synthetic 512))
+        gen_fh int
+        (oneofl [ Nfs.Unstable; Nfs.Data_sync; Nfs.File_sync ]);
+    ]
+
+let gen_wire =
+  let open QCheck2.Gen in
+  oneof
+    [
+      map (fun c -> W_call c) gen_wide_call;
+      map (fun r -> W_reply (Ok r)) gen_reply;
+      map (fun a -> W_reply (Ok (Nfs.RGetattr a))) gen_attr;
+      map
+        (fun (total_bytes, free_bytes, total_files, free_files) ->
+          W_reply (Ok (Nfs.RFsstat { total_bytes; free_bytes; total_files; free_files })))
+        (quad gen_i64 gen_i64 gen_i64 gen_i64);
+      map (fun st -> W_reply (Error st)) (oneofl all_statuses);
+      map (fun m -> W_peer_msg m) gen_peer_msg;
+      map (fun r -> W_peer_reply r) gen_peer_reply;
+      map (fun m -> W_ctrl_msg m) gen_ctrl_msg;
+      map (fun r -> W_ctrl_reply r) gen_ctrl_reply;
+    ]
+
+let encoders_match_reference =
+  qtest ~count:1000 "encoders write the reference encoder's bytes"
+    QCheck2.Gen.(pair gen_u32 gen_wire)
+    (fun (xid, w) ->
+      let ours, reference =
+        match w with
+        | W_call c -> (Codec.encode_call ~xid c, ref_call ~xid c)
+        | W_reply r -> (Codec.encode_reply ~xid r, ref_reply ~xid r)
+        | W_peer_msg m -> (Peer.encode_msg ~xid m, ref_peer_msg ~xid m)
+        | W_peer_reply r -> (Peer.encode_reply ~xid r, ref_peer_reply ~xid r)
+        | W_ctrl_msg m -> (Ctrl.encode_msg ~xid m, ref_ctrl_msg ~xid m)
+        | W_ctrl_reply r -> (Ctrl.encode_reply ~xid r, ref_ctrl_reply ~xid r)
+      in
+      Bytes.equal ours reference)
+
+let suite = suite @ [ encoders_match_reference ]
