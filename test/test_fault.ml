@@ -545,11 +545,13 @@ let dead_node_expires_pending () =
 
 (* A COMMIT whose small-file server is down: the µproxy's commit fan-out
    times out, and the client hears an error instead of the run dying
-   with the fan-out's [Rpc.Timeout]. *)
+   with the fan-out's [Rpc.Timeout]. The client's retransmissions of
+   the COMMIT arrive while that fan-out runs and join it: one fan-out
+   answers them all. *)
 let commit_to_dead_smallfile () =
   let ens = Ensemble.create { Ensemble.default_config with smallfile_servers = 2 } in
   let eng = Ensemble.engine ens in
-  let host, _proxy = Ensemble.add_client ens ~name:"committer" in
+  let host, proxy = Ensemble.add_client ens ~name:"committer" in
   let cl = Client.create host ~server:(Ensemble.virtual_addr ens) () in
   let result = ref None in
   Fault.install ens
@@ -560,9 +562,11 @@ let commit_to_dead_smallfile () =
       check_bool "written before the crash" true (Engine.now eng < 1.0);
       Engine.sleep eng (1.5 -. Engine.now eng);
       result := Some (Client.commit cl fh));
-  match !result with
+  (match !result with
   | Some r -> expect_err "commit to a dead small-file server" Nfs.ERR_IO r
-  | None -> Alcotest.fail "the commit never returned"
+  | None -> Alcotest.fail "the commit never returned");
+  check_int "one fan-out for the COMMIT and its retransmissions" 1
+    (Proxy.commits_orchestrated proxy)
 
 (* A REMOVE while storage node 0, the coordinator's host, is down: the
    directory server answers the client, then asks the coordinator to
