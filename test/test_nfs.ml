@@ -1055,6 +1055,20 @@ let read_reply_words () =
   check_bool "read reply read back" true (!got = Ok (Nfs.Synthetic 32768, false));
   check_bool (Printf.sprintf "read reply read: %.0f minor words, at most 7" used) true (used <= 7.0)
 
+(* A warmed encode of a getattr reply allocates its payload and nothing
+   else: the block of a [Bytes.t] of its length (a header word, and the
+   bytes with their padding byte rounded up to words). *)
+let getattr_reply_encode_words () =
+  let resp = Ok (Nfs.RGetattr sample_attr) in
+  let encode () = ignore (Sys.opaque_identity (Codec.encode_reply ~xid:7 resp)) in
+  encode ();
+  let len = Bytes.length (Codec.encode_reply ~xid:7 resp) in
+  let block = float_of_int (1 + ((len + Sys.word_size / 8) / (Sys.word_size / 8))) in
+  let used = minor_words encode in
+  check_bool
+    (Printf.sprintf "getattr reply encode: %.0f minor words, its %d-byte payload %.0f" used len block)
+    true (used <= block)
+
 let suite =
   suite
   @ [
@@ -1063,6 +1077,7 @@ let suite =
       splice_matches_reference;
       ("readdir splice allocates nothing", `Quick, splice_allocates_nothing);
       ("read reply read allocates at most 7 words", `Quick, read_reply_words);
+      ("getattr reply encode allocates only its payload", `Quick, getattr_reply_encode_words);
     ]
 
 (* ---- sorted directory listings ---- *)

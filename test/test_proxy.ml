@@ -599,6 +599,62 @@ let packet_path_words_budget () =
   check_bool (Printf.sprintf "words/packet %.1f under budget 64" wpp) true (wpp < 64.0);
   check_int "every pending record released" 0 (Proxy.pending_size proxy)
 
+(* Words of one warmed COMMIT orchestration: the µproxy intercepts the
+   client's COMMIT, asks a stub coordinator to commit the file's data
+   nodes, and synthesizes the reply. The stub answers each call with an
+   Ack built the way a server builds it, and the client's packets are
+   built before the measurement, so the count is the µproxy's messages
+   (the Commit_file call and its reply, the client's reply) and the
+   scaffolding around them. Pinned at its measured value; a rise fails
+   here. *)
+let commit_orchestration_words () =
+  let eng = Engine.create () in
+  let net = Net.create eng () in
+  let chost = Host.create net ~name:"client" () in
+  let dhost = Host.create net ~name:"dir" () in
+  let s0 = Host.create net ~name:"s0" () in
+  let s1 = Host.create net ~name:"s1" () in
+  let coord = Host.create net ~name:"coord" () in
+  let vaddr = Net.add_node net ~name:"virt" in
+  Net.listen net coord.Host.addr ~port:2050 (fun pkt ->
+      let xid = Codec.xid_of pkt.Packet.payload in
+      Net.send net
+        (Packet.make ~src:coord.Host.addr ~dst:pkt.Packet.src ~sport:2050 ~dport:pkt.Packet.sport
+           (Slice_storage.Ctrl.encode_reply ~xid Slice_storage.Ctrl.Ack)));
+  let replies = ref 0 in
+  Net.listen net chost.Host.addr ~port:1000 (fun _ -> incr replies);
+  let proxy =
+    Proxy.install chost
+      ~params:{ Params.default with threshold = 0; meta_cache_ttl = 0.0; pending_sweep_interval = 0.0 }
+      {
+        Proxy.virtual_addr = vaddr;
+        dir_table = Table.create [| dhost.Host.addr |];
+        smallfile_table = None;
+        storage = Some (Table.create [| s0.Host.addr; s1.Host.addr |]);
+        coordinator = (fun () -> Some (coord.Host.addr, 2050));
+      }
+  in
+  let n = 512 and batch = 64 in
+  let pkts =
+    Array.init n (fun i -> call_pkt chost vaddr ~xid:(0x200000 + i) (Nfs.Commit (reg_fh (i mod 8), 0L, 0)))
+  in
+  let run_batch b =
+    run_on eng (fun () ->
+        for i = b * batch to ((b + 1) * batch) - 1 do
+          Net.send net pkts.(i)
+        done)
+  in
+  run_batch 0;
+  let w0 = Gc.minor_words () in
+  for b = 1 to (n / batch) - 1 do
+    run_batch b
+  done;
+  let per_commit = (Gc.minor_words () -. w0) /. float_of_int (n - batch) in
+  check_int "every COMMIT answered" n !replies;
+  check_int "one orchestration each" n (Proxy.commits_orchestrated proxy);
+  check_bool (Printf.sprintf "a COMMIT orchestration allocates %.2f words (pinned 112.33)" per_commit)
+    true (per_commit <= 112.34)
+
 (* A retransmitted xid supersedes its pending record in place; the one
    reply then settles the slot and the pool returns to empty. *)
 let retransmit_supersedes_pending () =
@@ -786,6 +842,7 @@ let suite =
       ("packet core allocates nothing", `Quick, packet_core_allocates_nothing);
       cursor_peek_fuzz;
       ("packet path words budget", `Quick, packet_path_words_budget);
+      ("commit orchestration words pinned", `Quick, commit_orchestration_words);
       ("retransmit supersedes pending", `Quick, retransmit_supersedes_pending);
       ("pending expiry reclaims pool", `Quick, pending_expiry_reclaims_pool);
       ("pending table holds 1500 in flight", `Quick, pending_table_holds_many);

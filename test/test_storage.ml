@@ -645,9 +645,13 @@ let drc_running_outside_capacity () =
   done
 
 (* Steady-state words of one getattr round trip through [serve], client
-   encode and RPC included: the request table and the pooled packet
-   deliveries allocate nothing and no event time is boxed, so what is
-   left is the payloads, the decoded call and the fibers. *)
+   encode and RPC included: the request table, the pooled request
+   records and packet deliveries allocate nothing, no encoder or decoder
+   record is built, and no event time is boxed, so what is left is the
+   payloads and packets, the decoded call and the fibers. 75.8 words on
+   OCaml 5.1 x86-64; an encoder record per message, an [(xid, call)]
+   pair, a boxed zero capability and a closure per request made it
+   96.8. *)
 let getattr_words_budget () =
   let eng = Engine.create () in
   let net = Net.create eng () in
@@ -678,8 +682,8 @@ let getattr_words_budget () =
         getattr ()
       done;
       per_call := (Gc.minor_words () -. w0) /. float_of_int n);
-  check_bool (Printf.sprintf "getattr allocates %.1f words (budget 150)" !per_call) true
-    (!per_call <= 150.0)
+  check_bool (Printf.sprintf "getattr allocates %.1f words (budget 76)" !per_call) true
+    (!per_call <= 76.0)
 
 (* Words one warmed storage-node handler call allocates: a READ of a
    cached block and an UNSTABLE WRITE over a dirty one, each measured as
