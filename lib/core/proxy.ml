@@ -110,7 +110,33 @@ type qos = {
 (* A private snapshot (hint) of one class's routing table: the mapping
    and its version at the last refresh. A class without a table keeps an
    empty mapping at version 0. *)
-type snap = { tbl : Table.t option; mutable map : Packet.addr array; mutable version : int }
+type snap = {
+  tbl : Table.t option;
+  mutable map : Packet.addr array;
+  mutable version : int;
+  mutable nodes : Packet.addr array; (* [Table.node_set map] *)
+}
+
+(* One COMMIT the µproxy orchestrates, from the end of its interception
+   to the reply it synthesizes. Records are pooled on an intrusive free
+   list, and each builds its three thunks once, with the record. *)
+type commit = {
+  mutable cm_xid : int;
+  mutable cm_client : Packet.addr;
+  mutable cm_port : int;
+  mutable cm_fh : Fh.t;
+  mutable cm_call : Nfs.call; (* the COMMIT each data server gets *)
+  mutable cm_span : Trace.span;
+  mutable cm_coord : Packet.addr; (* the coordinator, resolved once; -1 = none *)
+  mutable cm_coord_port : int;
+  mutable cm_sites : Packet.addr array; (* the file's data nodes *)
+  mutable cm_sf : Packet.addr; (* its small-file server; -1 = none *)
+  mutable cm_failed : bool;
+  mutable cm_next : commit; (* free-list link *)
+  cm_start : unit -> unit; (* when the interception's CPU booking ends *)
+  cm_run : unit -> unit; (* the orchestrating fiber *)
+  cm_job : int -> unit; (* one fan-out child *)
+}
 
 type t = {
   host : Host.t;
@@ -146,6 +172,7 @@ type t = {
   mutable map_gen : int array;
   mutable map_sites : int array array;
   intents_open : (int, int64) Hashtbl.t;
+  mutable free_commits : commit;
   mutable meta_epoch : int;
   mutable fence_seen : int;
       (* sum of the routing tables' fencing epochs at the last refresh; an
@@ -242,18 +269,21 @@ let nfs_call t ?(span = Trace.null) (call : Nfs.call) ~dst =
   let xid = Rpc.fresh_xid t.rpc in
   let payload = Codec.encode_call ~xid call in
   ignore
-    (Rpc.call t.rpc ~span ~timeout:2.0 ~dst ~dport:2049
+    (Rpc.call_with t.rpc ~timeout:2.0 ~retries:8 ~span ~dst ~dport:2049
        ~extra_size:(Codec.extra_size_of_call call) payload)
+
+let ctrl_call_to t ~span ~dst ~dport msg =
+  let xid = Rpc.fresh_xid t.rpc in
+  let reply =
+    Rpc.call_with t.rpc ~timeout:2.0 ~retries:8 ~span ~dst ~dport ~extra_size:0
+      (Ctrl.encode_msg ~xid msg)
+  in
+  Ctrl.decode_reply reply
 
 let ctrl_call t ?(span = Trace.null) msg =
   match t.tg.coordinator () with
   | None -> Ctrl.Nack
-  | Some (addr, port) ->
-      let xid = Rpc.fresh_xid t.rpc in
-      let reply =
-        Rpc.call t.rpc ~span ~timeout:2.0 ~dst:addr ~dport:port (Ctrl.encode_msg ~xid msg)
-      in
-      snd (Ctrl.decode_reply reply)
+  | Some (dst, dport) -> ctrl_call_to t ~span ~dst ~dport msg
 
 (* ---- pending records ---- *)
 
@@ -443,11 +473,12 @@ let refresh s =
   | Some table ->
       let map, version = Table.snapshot table in
       s.map <- map;
-      s.version <- version
+      s.version <- version;
+      s.nodes <- Table.node_set map
   | None -> ()
 
 let snap tbl =
-  let s = { tbl; map = [||]; version = 0 } in
+  let s = { tbl; map = [||]; version = 0; nodes = [||] } in
   refresh s;
   s
 
@@ -606,72 +637,138 @@ let to_dir t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) ~site ~retries =
 
 (* A reply from the virtual server to the client at [dst]:[dport]. *)
 let client_reply t ~dst ~dport ~xid resp =
-  Packet.make ~src:t.tg.virtual_addr ~dst ~sport:2049 ~dport (Codec.encode_reply ~xid resp)
+  Packet.create ~src:t.tg.virtual_addr ~dst ~sport:2049 ~dport ~extra_size:0
+    (Codec.encode_reply ~xid resp)
 
+(* The file's small-file server; -1 = none. *)
 let smallfile_dst t (fh : Fh.t) =
-  if t.p.Params.threshold <= 0 || Array.length t.sf.map = 0 then None
-  else Some t.sf.map.(Routekey.file_site ~nsites:(Array.length t.sf.map) fh)
+  if t.p.Params.threshold <= 0 || Array.length t.sf.map = 0 then -1
+  else t.sf.map.(Routekey.file_site ~nsites:(Array.length t.sf.map) fh)
 
-(* The fan-out's jobs: a timeout marks the whole commit [failed]. *)
-let commit_at t ~span failed fh dst =
-  try nfs_call t ~span (Nfs.Commit (fh, 0L, 0)) ~dst with Rpc.Timeout -> failed := true
+let rec no_commit =
+  {
+    cm_xid = -1;
+    cm_client = 0;
+    cm_port = 0;
+    cm_fh = Fh.root;
+    cm_call = Nfs.Null;
+    cm_span = Trace.null;
+    cm_coord = -1;
+    cm_coord_port = 0;
+    cm_sites = [||];
+    cm_sf = -1;
+    cm_failed = false;
+    cm_next = no_commit;
+    cm_start = ignore;
+    cm_run = ignore;
+    cm_job = ignore;
+  }
 
-let commit_by_coordinator t ~span failed fh sites =
-  try ignore (ctrl_call t ~span (Ctrl.Commit_file { fh; sites })) with Rpc.Timeout -> failed := true
+(* Returning a record drops what it held, so the pool keeps no handle or
+   span alive. *)
+let release_commit t cm =
+  cm.cm_fh <- Fh.root;
+  cm.cm_call <- Nfs.Null;
+  cm.cm_span <- Trace.null;
+  cm.cm_sites <- [||];
+  cm.cm_next <- t.free_commits;
+  t.free_commits <- cm
+
+(* The fan-out's jobs, one per target in this order: the coordinator, or
+   else each data node in turn, then the small-file server. A timeout
+   marks the whole commit failed. *)
+let[@inline] by_coordinator cm = cm.cm_coord >= 0 && Array.length cm.cm_sites > 0
+let[@inline] data_jobs cm = if by_coordinator cm then 1 else Array.length cm.cm_sites
+
+let commit_job t cm k =
+  let span = cm.cm_span in
+  try
+    if k >= data_jobs cm then nfs_call t ~span cm.cm_call ~dst:cm.cm_sf
+    else if by_coordinator cm then
+      ignore
+        (ctrl_call_to t ~span ~dst:cm.cm_coord ~dport:cm.cm_coord_port
+           (Ctrl.Commit_file { fh = cm.cm_fh; sites = cm.cm_sites }))
+    else nfs_call t ~span cm.cm_call ~dst:cm.cm_sites.(k)
+  with Rpc.Timeout -> cm.cm_failed <- true
 
 (* A commit fails as a whole when a server it needs stays silent through
-   every retransmission: the client hears ERR_IO (a dropped reply would
-   leave it retransmitting, each retransmission a fresh fan-out that
-   times out again), and attributes not yet pushed stay dirty for its
-   next commit. *)
-let orchestrate_commit t ~span ~xid (pkt : Packet.t) (fh : Fh.t) =
+   every retransmission: the client hears ERR_IO, and attributes not yet
+   pushed stay dirty for its next commit. The coordinator, resolved once
+   per commit, is asked when there is one and the file has data nodes. *)
+let run_commit t cm =
+  let fh = cm.cm_fh and span = cm.cm_span in
+  cm.cm_failed <- false;
+  cm.cm_sites <- Table.placement t.st.map ~nodes:t.st.nodes fh;
+  cm.cm_sf <- smallfile_dst t fh;
+  (match t.tg.coordinator () with
+  | Some (addr, port) ->
+      cm.cm_coord <- addr;
+      cm.cm_coord_port <- port
+  | None -> cm.cm_coord <- -1);
+  Fiber.fan_out t.eng (data_jobs cm + if cm.cm_sf >= 0 then 1 else 0) cm.cm_job;
+  let resp =
+    if cm.cm_failed then Error Nfs.ERR_IO
+    else
+      try
+        (* Close any open mirrored-write intention. *)
+        let fid = Int64.to_int fh.Fh.file_id in
+        (match Hashtbl.find_opt t.intents_open fid with
+        | Some op_id when cm.cm_coord >= 0 ->
+            Hashtbl.remove t.intents_open fid;
+            ignore
+              (ctrl_call_to t ~span ~dst:cm.cm_coord ~dport:cm.cm_coord_port
+                 (Ctrl.Complete { op_id }))
+        | Some _ -> Hashtbl.remove t.intents_open fid
+        | None -> ());
+        (* Push modified attributes to the directory server (the
+           paper's µproxy generates a setattr on NFS V3 commit). *)
+        let c = cached_attr t fh in
+        writeback_one t c;
+        Ok (Nfs.RCommit c.ca_attr)
+      with Rpc.Timeout -> Error Nfs.ERR_IO
+  in
+  (* Synthesize the commit reply to the client. *)
+  Net.dispatch t.net (client_reply t ~dst:cm.cm_client ~dport:cm.cm_port ~xid:cm.cm_xid resp);
+  (match resp with Ok _ -> Trace.finish span | Error _ -> Trace.finish ~outcome:"error" span);
+  release_commit t cm
+
+let start_commit t cm =
   t.n_commits <- t.n_commits + 1;
-  let client = pkt.Packet.src in
-  let client_port = pkt.Packet.sport in
-  Engine.spawn t.eng (fun () ->
-      let failed = ref false in
-      (* One fiber per target, spawned in this order: the coordinator, or
-         else each data node in turn, then the small-file server. The
-         children start in spawn order, so each data-node child takes the
-         next node as it starts. *)
-      let sf = smallfile_dst t fh in
-      let sites = Table.data_nodes t.st.map fh in
-      let by_coord = sites <> [] && Option.is_some (t.tg.coordinator ()) in
-      let n_data = if by_coord then 1 else List.length sites in
-      let rest = ref sites in
-      Fiber.fan_out t.eng
-        (n_data + if Option.is_some sf then 1 else 0)
-        (fun i ->
-          if i < n_data then
-            if by_coord then commit_by_coordinator t ~span failed fh sites
-            else
-              match !rest with
-              | dst :: more ->
-                  rest := more;
-                  commit_at t ~span failed fh dst
-              | [] -> ()
-          else match sf with Some dst -> commit_at t ~span failed fh dst | None -> ());
-      let resp =
-        if !failed then Error Nfs.ERR_IO
-        else
-          try
-            (* Close any open mirrored-write intention. *)
-            let fid = Int64.to_int fh.Fh.file_id in
-            (match Hashtbl.find_opt t.intents_open fid with
-            | Some op_id ->
-                Hashtbl.remove t.intents_open fid;
-                ignore (ctrl_call t ~span (Ctrl.Complete { op_id }))
-            | None -> ());
-            (* Push modified attributes to the directory server (the
-               paper's µproxy generates a setattr on NFS V3 commit). *)
-            let c = cached_attr t fh in
-            writeback_one t c;
-            Ok (Nfs.RCommit c.ca_attr)
-          with Rpc.Timeout -> Error Nfs.ERR_IO
-      in
-      (* Synthesize the commit reply to the client. *)
-      Net.dispatch t.net (client_reply t ~dst:client ~dport:client_port ~xid resp);
-      match resp with Ok _ -> Trace.finish span | Error _ -> Trace.finish ~outcome:"error" span)
+  Engine.spawn t.eng cm.cm_run
+
+(* Cold: the pool is empty. One new record, so the pool tracks the peak
+   number of commits in flight. *)
+let new_commit t =
+  let rec cm =
+    {
+      no_commit with
+      cm_next = no_commit;
+      cm_start = (fun () -> start_commit t cm);
+      cm_run = (fun () -> run_commit t cm);
+      cm_job = (fun k -> commit_job t cm k);
+    }
+  in
+  cm
+
+(* Take a record for the COMMIT [pkt] carries, its handle at [fh_off]. *)
+let acquire_commit t ~span (pkt : Packet.t) ~xid ~fh_off =
+  let cm = t.free_commits in
+  let cm =
+    if cm == no_commit then new_commit t
+    else begin
+      t.free_commits <- cm.cm_next;
+      cm.cm_next <- no_commit;
+      cm
+    end
+  in
+  let fh = Fh.read_at pkt.Packet.payload fh_off in
+  cm.cm_xid <- xid;
+  cm.cm_client <- pkt.Packet.src;
+  cm.cm_port <- pkt.Packet.sport;
+  cm.cm_fh <- fh;
+  cm.cm_call <- Nfs.Commit (fh, 0L, 0);
+  cm.cm_span <- span;
+  cm
 
 (* ---- mirrored-write intention (amortized across the file's writes) ---- *)
 
@@ -683,7 +780,7 @@ let open_intent_if_needed t (payload : bytes) fh_off =
       let op_id = Int64.of_int (Rpc.fresh_xid t.rpc) in
       Hashtbl.replace t.intents_open fid op_id;
       t.n_intents <- t.n_intents + 1;
-      let participants = Table.data_nodes t.st.map fh in
+      let participants = Table.placement t.st.map ~nodes:t.st.nodes fh in
       Engine.spawn t.eng (fun () ->
           ignore
             (ctrl_call t (Ctrl.Intent { op_id; kind = Ctrl.K_mirror_write; fh; participants })))
@@ -1078,10 +1175,10 @@ and handle_admitted ~retries t (pkt : Packet.t) =
           route_io t c pkt cur ~retries
       | 21 when Fh.peek_ftype_code pkt.Packet.payload cur.Codec.c_fh_off = 1 ->
           charge t c `Softstate softstate_cost;
-          let span = c.c_span in
-          let xid = cur.Codec.c_xid in
-          let fh = fh_at pkt.Packet.payload cur.Codec.c_fh_off in
-          after_cpu t c (fun () -> orchestrate_commit t ~span ~xid pkt fh)
+          let cm =
+            acquire_commit t ~span:c.c_span pkt ~xid:cur.Codec.c_xid ~fh_off:cur.Codec.c_fh_off
+          in
+          after_cpu t c cm.cm_start
       | (1 | 3 | 4) when meta_enabled t ->
           if not (try_meta_fast_path t c pkt cur) then route_name t c pkt cur ~retries
       | _ ->
@@ -1428,6 +1525,7 @@ let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
       map_sites = [||];
       (* lint: bounded — one row per file with an open mirrored-write intent; commit closes it *)
       intents_open = Hashtbl.create 16;
+      free_commits = no_commit;
       meta_epoch = 0;
       fence_seen = 0;
       n_fence_inval = 0;

@@ -38,14 +38,18 @@ let update t map =
 let snapshot t = (Array.copy t.map, t.version)
 
 (* Several logical sites can live on one node, hence the dedup. *)
-let data_nodes map (fh : Slice_nfs.Fh.t) =
+let node_set map = Array.of_list (List.sort_uniq Int.compare (Array.to_list map))
+
+let placement map ~nodes (fh : Slice_nfs.Fh.t) =
   let n = Array.length map in
-  if n = 0 then []
+  if n = 0 then [||]
   else if fh.Slice_nfs.Fh.mirrored then begin
     let r0, r1 = Slice_nfs.Routekey.mirror_sites ~nsites:n fh in
-    if map.(r0) = map.(r1) then [ map.(r0) ] else [ map.(r0); map.(r1) ]
+    if map.(r0) = map.(r1) then [| map.(r0) |] else [| map.(r0); map.(r1) |]
   end
-  else List.sort_uniq Int.compare (Array.to_list map)
+  else nodes
+
+let data_nodes map fh = Array.to_list (placement map ~nodes:(node_set map) fh)
 
 let epoch t = t.epoch
 

@@ -40,6 +40,18 @@ val data_nodes : Slice_net.Packet.addr array -> Slice_nfs.Fh.t -> Slice_net.Pack
     mirrored file lives on its two replica sites' nodes, primary first;
     any other file is striped over every node, in ascending order. *)
 
+val node_set : Slice_net.Packet.addr array -> Slice_net.Packet.addr array
+(** Every node of a mapping once, in ascending order: where an unmirrored
+    file lives. A µproxy computes it once per snapshot. *)
+
+val placement :
+  Slice_net.Packet.addr array ->
+  nodes:Slice_net.Packet.addr array ->
+  Slice_nfs.Fh.t ->
+  Slice_net.Packet.addr array
+(** {!data_nodes} as an array, given the mapping's {!node_set}: an
+    unmirrored file gets [nodes] itself, shared and not to be written. *)
+
 val epoch : t -> int
 (** Fencing epoch (starts at 1). Unlike the version — which moves on any
     rebinding — the epoch only advances on a failover takeover, and marks

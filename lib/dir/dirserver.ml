@@ -220,8 +220,11 @@ let peer_call ?(span = Trace.null) t ~site msg =
   let xid = Rpc.fresh_xid t.rpc in
   let payload = Peer.encode_msg ~xid msg in
   let dst = t.cfg.resolve site in
-  let reply = Rpc.call t.rpc ~span ~dst ~dport:t.cfg.peer_port payload in
-  snd (Peer.decode_reply reply)
+  let reply =
+    Rpc.call_with t.rpc ~timeout:0.1 ~retries:8 ~span ~dst ~dport:t.cfg.peer_port ~extra_size:0
+      payload
+  in
+  Peer.decode_reply reply
 
 let commit t s op_id =
   Hashtbl.remove s.prepares op_id;
@@ -255,7 +258,7 @@ let remove_file_data ?(span = Trace.null) t (fh : Fh.t) =
       harden ~span t;
       Engine.spawn t.host.Host.eng (fun () ->
           let xid = Rpc.fresh_xid t.rpc in
-          let payload = Ctrl.encode_msg ~xid (Ctrl.Remove_file { fh; sites }) in
+          let payload = Ctrl.encode_msg ~xid (Ctrl.Remove_file { fh; sites = Array.of_list sites }) in
           try ignore (Rpc.call t.rpc ~timeout:2.0 ~dst:addr ~dport:port payload)
           with Rpc.Timeout -> ())
 
@@ -741,7 +744,7 @@ let open_site t s =
         (fun (op_id, (peer, msg_bytes)) ->
           if Tenure.crashes t.tenure = life && not (wedged t) then
             match Peer.decode_msg (Bytes.of_string msg_bytes) with
-            | _, msg -> (
+            | msg -> (
                 match peer_call t ~site:peer msg with
                 | _ -> commit t s op_id
                 | exception Rpc.Timeout -> ())

@@ -48,10 +48,9 @@ let dec_attr d : Nfs.fattr =
   let ctime = Codec.dec_time d in
   { ftype; mode; nlink; uid; gid; size; used; fileid; atime; mtime; ctime }
 
-let encode_msg ~xid msg =
-  let e = Enc.create () in
+let enc_msg e xid msg =
   Enc.u32 e xid;
-  (match msg with
+  match msg with
   | Getattr fh ->
       Enc.u32 e 1;
       Codec.enc_fh e fh
@@ -71,58 +70,58 @@ let encode_msg ~xid msg =
       Enc.u64 e op_id;
       Codec.enc_fh e dir;
       Enc.str e name;
-      Codec.enc_fh e child);
-  Enc.to_bytes e
+      Codec.enc_fh e child
+
+let encode_msg ~xid msg = Enc.build enc_msg xid msg
+
+(* One decoder serves every message: decoding never yields. *)
+let dec = Dec.of_bytes Bytes.empty
 
 let decode_msg buf =
-  let d = Dec.of_bytes buf in
+  let d = dec in
+  Dec.reset d buf ~pos:0 ~len:(Bytes.length buf);
   try
-    let xid = Dec.u32 d in
-    let msg =
-      match Dec.u32 d with
-      | 1 -> Getattr (Codec.dec_fh d buf)
-      | 3 ->
-          let op_id = Dec.u64 d in
-          let fh = Codec.dec_fh d buf in
-          Nlink { op_id; fh; delta = dec_i d }
-      | 4 ->
-          let op_id = Dec.u64 d in
-          let dir = Codec.dec_fh d buf in
-          let delta = dec_i d in
-          Entry_count { op_id; dir; delta; mtime = Codec.dec_time d }
-      | 5 ->
-          let op_id = Dec.u64 d in
-          let dir = Codec.dec_fh d buf in
-          let name = Dec.str d in
-          Add_entry { op_id; dir; name; child = Codec.dec_fh d buf }
-      | n -> raise (Codec.Malformed (Printf.sprintf "bad peer message %d" n))
-    in
-    (xid, msg)
+    ignore (Dec.u32 d) (* xid *);
+    match Dec.u32 d with
+    | 1 -> Getattr (Codec.dec_fh d buf)
+    | 3 ->
+        let op_id = Dec.u64 d in
+        let fh = Codec.dec_fh d buf in
+        Nlink { op_id; fh; delta = dec_i d }
+    | 4 ->
+        let op_id = Dec.u64 d in
+        let dir = Codec.dec_fh d buf in
+        let delta = dec_i d in
+        Entry_count { op_id; dir; delta; mtime = Codec.dec_time d }
+    | 5 ->
+        let op_id = Dec.u64 d in
+        let dir = Codec.dec_fh d buf in
+        let name = Dec.str d in
+        Add_entry { op_id; dir; name; child = Codec.dec_fh d buf }
+    | n -> raise (Codec.Malformed (Printf.sprintf "bad peer message %d" n))
   with Slice_xdr.Xdr.Truncated -> raise (Codec.Malformed "truncated peer message")
 
-let encode_reply ~xid reply =
-  let e = Enc.create () in
+let enc_reply e xid reply =
   Enc.u32 e xid;
-  (match reply with
+  match reply with
   | Ack -> Enc.u32 e 1
   | Rattr a ->
       Enc.u32 e 2;
       enc_attr e a
   | Rerr st ->
       Enc.u32 e 4;
-      Enc.u32 e (Codec.int_of_status st));
-  Enc.to_bytes e
+      Enc.u32 e (Codec.int_of_status st)
+
+let encode_reply ~xid reply = Enc.build enc_reply xid reply
 
 let decode_reply buf =
-  let d = Dec.of_bytes buf in
+  let d = dec in
+  Dec.reset d buf ~pos:0 ~len:(Bytes.length buf);
   try
-    let xid = Dec.u32 d in
-    let reply =
-      match Dec.u32 d with
-      | 1 -> Ack
-      | 2 -> Rattr (dec_attr d)
-      | 4 -> Rerr (Codec.status_of_int (Dec.u32 d))
-      | n -> raise (Codec.Malformed (Printf.sprintf "bad peer reply %d" n))
-    in
-    (xid, reply)
+    ignore (Dec.u32 d) (* xid *);
+    match Dec.u32 d with
+    | 1 -> Ack
+    | 2 -> Rattr (dec_attr d)
+    | 4 -> Rerr (Codec.status_of_int (Dec.u32 d))
+    | n -> raise (Codec.Malformed (Printf.sprintf "bad peer reply %d" n))
   with Slice_xdr.Xdr.Truncated -> raise (Codec.Malformed "truncated peer reply")

@@ -37,9 +37,18 @@ type msg =
 type reply = Ack | Rattr of Slice_nfs.Nfs.fattr | Rerr of Slice_nfs.Nfs.status
 
 val encode_msg : xid:int -> msg -> bytes
-val decode_msg : bytes -> int * msg
+(** Written through {!Slice_xdr.Xdr.Enc.build}: the payload is the
+    encode's only allocation. *)
+
+val decode_msg : bytes -> msg
+(** The message, without its xid: that stays in the payload's first
+    word ({!Slice_nfs.Codec.xid_of}). Decoding reuses one decoder, so it
+    builds only the message. *)
+
 val encode_reply : xid:int -> reply -> bytes
-val decode_reply : bytes -> int * reply
+
+val decode_reply : bytes -> reply
+(** Like {!decode_msg}. *)
 
 val enc_attr : Slice_xdr.Xdr.Enc.t -> Slice_nfs.Nfs.fattr -> unit
 (** Compact 68-byte attribute encoding (no rdev/fsid), shared by peer

@@ -176,7 +176,7 @@ let compute ?(scale = 1.0) ?(seed = 42) () =
           ~dport:(Coordinator.port old_coord)
           (Ctrl.encode_msg ~xid (Ctrl.Complete { op_id = 0L }))
       with
-      | reply -> snd (Ctrl.decode_reply reply) = Ctrl.Nack
+      | reply -> Ctrl.decode_reply reply = Ctrl.Nack
       | exception Rpc.Timeout -> false
     in
     zombies :=

@@ -47,7 +47,7 @@ let compute_cksum ~src ~dst ~sport ~dport payload =
   in
   lnot s land 0xFFFF
 
-let make ~src ~dst ~sport ~dport ?(extra_size = 0) payload =
+let create ~src ~dst ~sport ~dport ~extra_size payload =
   {
     src;
     dst;
@@ -57,6 +57,9 @@ let make ~src ~dst ~sport ~dport ?(extra_size = 0) payload =
     extra_size;
     cksum = compute_cksum ~src ~dst ~sport ~dport payload;
   }
+
+let make ~src ~dst ~sport ~dport ?(extra_size = 0) payload =
+  create ~src ~dst ~sport ~dport ~extra_size payload
 
 let copy t =
   {

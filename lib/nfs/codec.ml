@@ -154,10 +154,9 @@ let enc_call_header e ~xid ~proc =
 
 (* ---- calls ---- *)
 
-let encode_call ~xid (c : Nfs.call) =
-  let e = Enc.create ~size:256 () in
+let enc_call e xid (c : Nfs.call) =
   enc_call_header e ~xid ~proc:(Nfs.proc_of_call c);
-  (match c with
+  match c with
   | Null -> ()
   | Getattr fh | Readlink fh | Fsstat fh -> enc_fh e fh
   | Setattr (fh, s) ->
@@ -199,8 +198,9 @@ let encode_call ~xid (c : Nfs.call) =
   | Commit (fh, off, count) ->
       enc_fh e fh;
       Enc.u64 e off;
-      Enc.u32 e count);
-  Enc.to_bytes e
+      Enc.u32 e count
+
+let encode_call ~xid c = Enc.build enc_call xid c
 
 let extra_size_of_call = function
   | Nfs.Write (_, _, _, Nfs.Synthetic n) -> n
@@ -274,19 +274,40 @@ let[@hot] reply_tag : Nfs.reply -> int = function
   | RFsstat _ -> 18
   | RCommit _ -> 21
 
-let encode_reply ~xid (r : Nfs.response) =
-  let e = Enc.create ~size:256 () in
+let rec enc_entries e = function
+  | [] -> ()
+  | (en : Nfs.entry) :: rest ->
+      Enc.u64 e en.entry_id;
+      Enc.str e en.entry_name;
+      Enc.u64 e en.entry_cookie;
+      enc_entries e rest
+
+(* attr_present + fattr at fixed offsets, enabling in-flight patch *)
+let enc_post_attr e (reply : Nfs.reply) =
+  match reply with
+  | RGetattr a
+  | RSetattr a
+  | RLookup (_, a)
+  | RAccess (_, a)
+  | RReadlink (_, a)
+  | RRead (_, _, a)
+  | RWrite (_, _, a)
+  | RCreate (_, a)
+  | RMkdir (_, a)
+  | RSymlink (_, a)
+  | RLink a
+  | RCommit a ->
+      Enc.u32 e 1;
+      enc_fattr e a
+  | RNull | RRemove | RRmdir | RRename | RReaddir _ | RFsstat _ -> Enc.u32 e 0
+
+let enc_reply e xid (r : Nfs.response) =
   enc_reply_header e ~xid;
-  (match r with
+  match r with
   | Error st -> Enc.u32 e (int_of_status st)
   | Ok reply -> (
       Enc.u32 e 0 (* NFS3_OK, at reply_status_off *);
-      (* attr_present + fattr at fixed offsets, enabling in-flight patch *)
-      (match Nfs.reply_attr reply with
-      | Some a ->
-          Enc.u32 e 1;
-          enc_fattr e a
-      | None -> Enc.u32 e 0);
+      enc_post_attr e reply;
       Enc.u32 e (reply_tag reply);
       match reply with
       | RNull | RRemove | RRmdir | RRename -> ()
@@ -303,20 +324,16 @@ let encode_reply ~xid (r : Nfs.response) =
           Enc.u32 e (int_of_stable stable)
       | RReaddir (entries, cookie, eof) ->
           Enc.u32 e (List.length entries);
-          List.iter
-            (fun (en : Nfs.entry) ->
-              Enc.u64 e en.entry_id;
-              Enc.str e en.entry_name;
-              Enc.u64 e en.entry_cookie)
-            entries;
+          enc_entries e entries;
           Enc.u64 e cookie;
           Enc.bool e eof
       | RFsstat fs ->
           Enc.u64 e fs.total_bytes;
           Enc.u64 e fs.free_bytes;
           Enc.u64 e fs.total_files;
-          Enc.u64 e fs.free_files));
-  Enc.to_bytes e
+          Enc.u64 e fs.free_files)
+
+let encode_reply ~xid r = Enc.build enc_reply xid r
 
 let decode_reply buf =
   let d = Dec.of_bytes buf in
@@ -762,7 +779,7 @@ let peeked_sattr c buf =
   Dec.reset c.cr buf ~pos ~len:(Bytes.length buf - pos);
   dec_sattr c.cr
 
-let decode_call buf =
+let call_of_payload buf =
   let c = call_cursor in
   if not (peek_call_into c buf) then raise (Malformed "not a well-formed NFS V3 call");
   let call : Nfs.call =
@@ -789,7 +806,11 @@ let decode_call buf =
       | n -> raise (Malformed (Printf.sprintf "unsupported proc %d" n))
     with Slice_xdr.Xdr.Truncated -> raise (Malformed "truncated call")
   in
-  (c.c_xid, call)
+  call
+
+let decode_call buf =
+  let call = call_of_payload buf in
+  (call_cursor.c_xid, call)
 
 let[@hot] is_call buf =
   Bytes.length buf >= 8 && Int32.to_int (Bytes.get_int32_be buf 4) = 0

@@ -12,11 +12,21 @@
 exception Malformed of string
 
 val encode_call : xid:int -> Nfs.call -> bytes
-val decode_call : bytes -> int * Nfs.call
+(** Written through {!Slice_xdr.Xdr.Enc.build}: the payload is the
+    encode's only allocation. *)
+
+val call_of_payload : bytes -> Nfs.call
 (** The servers' full decode, built on {!peek_call_into}: each call's
-    argument layout is read in one place. @raise Malformed on garbage. *)
+    argument layout is read in one place. It builds the call and nothing
+    around it; the xid stays in the payload's first word ({!xid_of}).
+    @raise Malformed on garbage. *)
+
+val decode_call : bytes -> int * Nfs.call
+(** {!call_of_payload} paired with the xid, for callers that keep both
+    (tests and the benchmark's replay). *)
 
 val encode_reply : xid:int -> Nfs.response -> bytes
+(** Written through {!Slice_xdr.Xdr.Enc.build}, like {!encode_call}. *)
 
 val decode_reply : bytes -> int * Nfs.response
 (** The materializing decode of a whole reply: the reference the reply

@@ -61,6 +61,10 @@ let[@hot] peek_ftype_code buf off = Char.code (Bytes.get buf (off + 16))
 let[@hot] peek_mirrored buf off = Char.code (Bytes.get buf (off + 17)) = 1
 let[@hot] peek_attr_site buf off = Int32.to_int (Bytes.get_int32_be buf (off + 18))
 
+(* Most handles carry no capability: a zero tag is the shared [0L], not
+   a fresh box. *)
+let[@inline] cap_at b off = if Bytes.get_int64_be b off = 0L then 0L else Bytes.get_int64_be b off
+
 let read_at b off =
   {
     file_id = Bytes.get_int64_be b (off + 4);
@@ -68,7 +72,7 @@ let read_at b off =
     ftype = ftype_of_code (Char.code (Bytes.get b (off + 16)));
     mirrored = Bytes.get b (off + 17) = '\001';
     attr_site = Int32.to_int (Bytes.get_int32_be b (off + 18));
-    cap = Bytes.get_int64_be b (off + 22);
+    cap = cap_at b (off + 22);
   }
 
 (* Cold-path materialization of a peeked span (intent logs, writeback,

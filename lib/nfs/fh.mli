@@ -60,7 +60,9 @@ val peek_attr_site : bytes -> int -> int
 
 val read_at : bytes -> int -> t
 (** The handle whose wire bytes sit at [buf.[off, off+32)]; requires
-    [peek_valid buf off wire_length]. *)
+    [peek_valid buf off wire_length]. A zero [cap] is the shared [0L],
+    so a handle without a capability allocates only its record and its
+    [file_id]. *)
 
 val decode_at : bytes -> int -> t option
 (** Materialize a peeked span as a record (cold paths that outlive the

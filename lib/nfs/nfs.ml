@@ -190,22 +190,6 @@ type reply =
 
 type response = (reply, status) result
 
-let reply_attr = function
-  | RGetattr a
-  | RSetattr a
-  | RLookup (_, a)
-  | RAccess (_, a)
-  | RReadlink (_, a)
-  | RRead (_, _, a)
-  | RWrite (_, _, a)
-  | RCreate (_, a)
-  | RMkdir (_, a)
-  | RSymlink (_, a)
-  | RLink a
-  | RCommit a ->
-      Some a
-  | RNull | RRemove | RRmdir | RRename | RReaddir _ | RFsstat _ -> None
-
 let apply_sattr attr s ~now =
   let attr = match s.set_mode with Some m -> { attr with mode = m } | None -> attr in
   let attr = match s.set_uid with Some u -> { attr with uid = u } | None -> attr in

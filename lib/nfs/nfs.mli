@@ -129,9 +129,5 @@ type reply =
 
 type response = (reply, status) result
 
-val reply_attr : reply -> fattr option
-(** The post-op attribute block carried by a reply, if any — what the
-    µproxy's attribute cache consumes. *)
-
 val apply_sattr : fattr -> sattr -> now:time -> fattr
 (** Attribute update semantics: applies requested fields and bumps ctime. *)

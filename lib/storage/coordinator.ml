@@ -10,7 +10,8 @@ module Trace = Slice_trace.Trace
 type intent = {
   kind : Ctrl.kind;
   fh : Fh.t;
-  participants : int list;
+  participants : int array;
+  call : Nfs.call; (* what it pushes to its participants, first and on redo *)
   mutable completed : bool;
 }
 
@@ -61,23 +62,28 @@ let log_complete t op_id =
 
 (* The idempotent call an intent pushes to its participants, first and
    on redo: removes remove; commit-like kinds commit, forcing
-   participants' dirty state stable. *)
-let intent_call (i : intent) : Nfs.call =
-  match i.kind with
-  | Ctrl.K_remove -> Nfs.Remove (i.fh, "")
-  | Ctrl.K_commit | Ctrl.K_mirror_write -> Nfs.Commit (i.fh, 0L, 0)
+   participants' dirty state stable. Built once, with the intent. *)
+let intent_call kind fh : Nfs.call =
+  match kind with
+  | Ctrl.K_remove -> Nfs.Remove (fh, "")
+  | Ctrl.K_commit | Ctrl.K_mirror_write -> Nfs.Commit (fh, 0L, 0)
 
-(* Push the call to every participant; true only when all of them acked.
-   A participant timing out must not raise out of the join (that would
-   abandon the sibling fibers) nor count as done — the caller keeps the
-   intent and probes again. *)
-let fan_out ?(span = Trace.null) t (call : Nfs.call) sites =
+let intent kind fh participants =
+  { kind; fh; participants; call = intent_call kind fh; completed = false }
+
+(* Push the intent's call to every participant; true only when all of
+   them acked. A participant timing out must not raise out of the join
+   (that would abandon the sibling fibers) nor count as done — the
+   caller keeps the intent and probes again. *)
+let fan_out ?(span = Trace.null) t (i : intent) =
   let ok = ref true in
-  let sites = Array.of_list sites in
-  Fiber.fan_out t.host.Host.eng (Array.length sites) (fun i ->
+  Fiber.fan_out t.host.Host.eng (Array.length i.participants) (fun k ->
       let xid = Rpc.fresh_xid t.rpc in
-      let payload = Codec.encode_call ~xid call in
-      match Rpc.call t.rpc ~span ~timeout:2.0 ~dst:sites.(i) ~dport:2049 payload with
+      let payload = Codec.encode_call ~xid i.call in
+      match
+        Rpc.call_with t.rpc ~timeout:2.0 ~retries:8 ~span ~dst:i.participants.(k) ~dport:2049
+          ~extra_size:0 payload
+      with
       | (_ : bytes) -> ()
       | exception Rpc.Timeout -> ok := false);
   !ok
@@ -97,7 +103,7 @@ let retire t op_id (i : intent) =
 let rec redo t op_id (i : intent) =
   if (not i.completed) && not (wedged t) then begin
     t.redo_count <- t.redo_count + 1;
-    if fan_out t (intent_call i) i.participants then retire t op_id i
+    if fan_out t i then retire t op_id i
     else schedule_probe t op_id
   end
 
@@ -144,10 +150,10 @@ let sites_for t fh block =
    gets it from the probe/redo path. *)
 let file_op ~span t kind fh sites =
   let op_id = fresh_op t in
-  let i = { kind; fh; participants = sites; completed = false } in
+  let i = intent kind fh sites in
   Hashtbl.replace t.intents op_id i;
   log_intent ~span t op_id i;
-  if fan_out ~span t (intent_call i) sites then retire t op_id i else schedule_probe t op_id;
+  if fan_out ~span t i then retire t op_id i else schedule_probe t op_id;
   Ctrl.Ack
 
 (* Fenced: a deposed coordinator must refuse to log new intentions or
@@ -161,7 +167,7 @@ let handle t span (msg : Ctrl.msg) : Ctrl.reply =
   else
     match msg with
     | Ctrl.Intent { op_id; kind; fh; participants } ->
-        let i = { kind; fh; participants; completed = false } in
+        let i = intent kind fh participants in
         Hashtbl.replace t.intents op_id i;
         log_intent ~span t op_id i;
         schedule_probe t op_id;
@@ -248,9 +254,9 @@ let recover t =
   ignore
     (Wal.replay (Wal.image t.wal ~site:0) (fun ~lsn:_ ~rtype:_ payload ->
          match Ctrl.decode_msg (Bytes.of_string payload) with
-         | _, Ctrl.Intent { op_id; kind; fh; participants } ->
-             Hashtbl.replace t.intents op_id { kind; fh; participants; completed = false }
-         | _, Ctrl.Complete { op_id } -> Hashtbl.remove t.intents op_id
+         | Ctrl.Intent { op_id; kind; fh; participants } ->
+             Hashtbl.replace t.intents op_id (intent kind fh participants)
+         | Ctrl.Complete { op_id } -> Hashtbl.remove t.intents op_id
          | _ -> ()
          | exception Codec.Malformed _ -> ()));
   Tenure.recover t.tenure;

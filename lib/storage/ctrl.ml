@@ -15,10 +15,10 @@ let kind_of_int = function
   | n -> raise (Codec.Malformed (Printf.sprintf "bad intent kind %d" n))
 
 type msg =
-  | Intent of { op_id : int64; kind : kind; fh : Fh.t; participants : int list }
+  | Intent of { op_id : int64; kind : kind; fh : Fh.t; participants : int array }
   | Complete of { op_id : int64 }
-  | Remove_file of { fh : Fh.t; sites : int list }
-  | Commit_file of { fh : Fh.t; sites : int list }
+  | Remove_file of { fh : Fh.t; sites : int array }
+  | Commit_file of { fh : Fh.t; sites : int array }
   | Get_map of { fh : Fh.t; first_block : int; count : int }
 
 type reply = Ack | Nack | Map of { first_block : int; sites : int array }
@@ -32,12 +32,14 @@ let dec_count d buf =
   n
 
 let enc_sites e sites =
-  Enc.u32 e (List.length sites);
-  List.iter (Enc.u32 e) sites
+  Enc.u32 e (Array.length sites);
+  for i = 0 to Array.length sites - 1 do
+    Enc.u32 e sites.(i)
+  done
 
 let dec_sites d buf =
   let n = dec_count d buf in
-  List.init n (fun _ -> Dec.u32 d)
+  Array.init n (fun _ -> Dec.u32 d)
 
 let enc_msg e ~xid msg =
   Enc.u32 e xid;
@@ -65,64 +67,58 @@ let enc_msg e ~xid msg =
       Enc.u32 e first_block;
       Enc.u32 e count)
 
-let encode_msg ~xid msg =
-  let e = Enc.create () in
-  enc_msg e ~xid msg;
-  Enc.to_bytes e
+let encode_msg ~xid msg = Enc.build (fun e xid msg -> enc_msg e ~xid msg) xid msg
+
+(* One decoder serves every message: decoding never yields. *)
+let dec = Dec.of_bytes Bytes.empty
 
 let decode_msg buf =
-  let d = Dec.of_bytes buf in
+  let d = dec in
+  Dec.reset d buf ~pos:0 ~len:(Bytes.length buf);
   try
-    let xid = Dec.u32 d in
-    let msg =
-      match Dec.u32 d with
-      | 1 ->
-          let op_id = Dec.u64 d in
-          let kind = kind_of_int (Dec.u32 d) in
-          let fh = Codec.dec_fh d buf in
-          Intent { op_id; kind; fh; participants = dec_sites d buf }
-      | 2 -> Complete { op_id = Dec.u64 d }
-      | 3 ->
-          let fh = Codec.dec_fh d buf in
-          Remove_file { fh; sites = dec_sites d buf }
-      | 4 ->
-          let fh = Codec.dec_fh d buf in
-          Commit_file { fh; sites = dec_sites d buf }
-      | 5 ->
-          let fh = Codec.dec_fh d buf in
-          let first_block = Dec.u32 d in
-          Get_map { fh; first_block; count = Dec.u32 d }
-      | n -> raise (Codec.Malformed (Printf.sprintf "bad ctrl message %d" n))
-    in
-    (xid, msg)
+    ignore (Dec.u32 d) (* xid *);
+    match Dec.u32 d with
+    | 1 ->
+        let op_id = Dec.u64 d in
+        let kind = kind_of_int (Dec.u32 d) in
+        let fh = Codec.dec_fh d buf in
+        Intent { op_id; kind; fh; participants = dec_sites d buf }
+    | 2 -> Complete { op_id = Dec.u64 d }
+    | 3 ->
+        let fh = Codec.dec_fh d buf in
+        Remove_file { fh; sites = dec_sites d buf }
+    | 4 ->
+        let fh = Codec.dec_fh d buf in
+        Commit_file { fh; sites = dec_sites d buf }
+    | 5 ->
+        let fh = Codec.dec_fh d buf in
+        let first_block = Dec.u32 d in
+        Get_map { fh; first_block; count = Dec.u32 d }
+    | n -> raise (Codec.Malformed (Printf.sprintf "bad ctrl message %d" n))
   with Slice_xdr.Xdr.Truncated -> raise (Codec.Malformed "truncated ctrl message")
 
-let encode_reply ~xid reply =
-  let e = Enc.create () in
+let enc_reply e xid reply =
   Enc.u32 e xid;
-  (match reply with
+  match reply with
   | Ack -> Enc.u32 e 1
   | Nack -> Enc.u32 e 2
   | Map { first_block; sites } ->
       Enc.u32 e 3;
       Enc.u32 e first_block;
-      Enc.u32 e (Array.length sites);
-      Array.iter (Enc.u32 e) sites);
-  Enc.to_bytes e
+      enc_sites e sites
+
+let encode_reply ~xid reply = Enc.build enc_reply xid reply
 
 let decode_reply buf =
-  let d = Dec.of_bytes buf in
+  let d = dec in
+  Dec.reset d buf ~pos:0 ~len:(Bytes.length buf);
   try
-    let xid = Dec.u32 d in
-    let reply =
-      match Dec.u32 d with
-      | 1 -> Ack
-      | 2 -> Nack
-      | 3 ->
-          let first_block = Dec.u32 d in
-          let n = dec_count d buf in
-          Map { first_block; sites = Array.init n (fun _ -> Dec.u32 d) }
-      | n -> raise (Codec.Malformed (Printf.sprintf "bad ctrl reply %d" n))
-    in
-    (xid, reply)
+    ignore (Dec.u32 d) (* xid *);
+    match Dec.u32 d with
+    | 1 -> Ack
+    | 2 -> Nack
+    | 3 ->
+        let first_block = Dec.u32 d in
+        Map { first_block; sites = dec_sites d buf }
+    | n -> raise (Codec.Malformed (Printf.sprintf "bad ctrl reply %d" n))
   with Slice_xdr.Xdr.Truncated -> raise (Codec.Malformed "truncated ctrl reply")

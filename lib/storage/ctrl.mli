@@ -10,13 +10,13 @@
 type kind = K_remove | K_commit | K_mirror_write
 
 type msg =
-  | Intent of { op_id : int64; kind : kind; fh : Slice_nfs.Fh.t; participants : int list }
+  | Intent of { op_id : int64; kind : kind; fh : Slice_nfs.Fh.t; participants : int array }
       (** Declare a multi-site operation before acting; the coordinator
           logs it and will drive redo if no completion arrives. *)
   | Complete of { op_id : int64 }
-  | Remove_file of { fh : Slice_nfs.Fh.t; sites : int list }
+  | Remove_file of { fh : Slice_nfs.Fh.t; sites : int array }
       (** Coordinator-orchestrated remove of all backing objects. *)
-  | Commit_file of { fh : Slice_nfs.Fh.t; sites : int list }
+  | Commit_file of { fh : Slice_nfs.Fh.t; sites : int array }
       (** NFS V3 write commitment across the file's storage sites. *)
   | Get_map of { fh : Slice_nfs.Fh.t; first_block : int; count : int }
       (** Fetch a fragment of the per-file block map. *)
@@ -27,11 +27,19 @@ type reply =
   | Map of { first_block : int; sites : int array }
 
 val encode_msg : xid:int -> msg -> bytes
+(** Written through {!Slice_xdr.Xdr.Enc.build}: the payload is the
+    encode's only allocation. *)
 
 val enc_msg : Slice_xdr.Xdr.Enc.t -> xid:int -> msg -> unit
 (** {!encode_msg}'s wire form written into an encoder the caller holds
     (the coordinator's intentions log encodes records in place). *)
 
-val decode_msg : bytes -> int * msg
+val decode_msg : bytes -> msg
+(** The message, without its xid: that stays in the payload's first
+    word ({!Slice_nfs.Codec.xid_of}). Decoding reuses one decoder, so it
+    builds only the message. *)
+
 val encode_reply : xid:int -> reply -> bytes
-val decode_reply : bytes -> int * reply
+
+val decode_reply : bytes -> reply
+(** Like {!decode_msg}. *)

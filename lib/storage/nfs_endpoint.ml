@@ -9,9 +9,9 @@ module Wfq = Slice_qos.Wfq
 
 type cost = { per_op : float; per_byte : float }
 
-let reply_to (host : Host.t) (pkt : Packet.t) ?(extra_size = 0) payload =
+let reply_to (host : Host.t) (pkt : Packet.t) ~extra_size payload =
   let reply =
-    Packet.make ~src:host.addr ~dst:pkt.src ~sport:pkt.dport ~dport:pkt.sport ~extra_size
+    Packet.create ~src:host.addr ~dst:pkt.src ~sport:pkt.dport ~dport:pkt.sport ~extra_size
       payload
   in
   Net.send host.net reply
@@ -35,6 +35,24 @@ let[@inline] estimate_cost cost (call : Nfs.call) =
   in
   cost.per_op +. (cost.per_byte *. float_of_int data)
 
+(* One request from its arrival to its reply: the packet, the decoded
+   call and the server's crash count at admission. Records are pooled on
+   an intrusive free list, as [Net] keeps its deliveries, and each builds
+   its fiber body and its WFQ job once, when it is created. *)
+type rx = {
+  mutable pkt : Packet.t;
+  mutable call : Nfs.call;
+  mutable life : int;
+  mutable next : rx; (* free-list link *)
+  run : unit -> unit;
+  job : (unit -> unit) -> unit;
+}
+
+let no_packet = Packet.make ~src:0 ~dst:0 ~sport:0 ~dport:0 Bytes.empty
+
+(* Cyclic sentinel: terminates the free list without an option. *)
+let rec no_rx = { pkt = no_packet; call = Nfs.Null; life = 0; next = no_rx; run = ignore; job = ignore }
+
 (* The request table is two Slot_lru tables keyed by xid. [running]
    marks the requests being executed or waiting in a WFQ queue; it is as
    large as they are many. [done_] holds the [drc_capacity] most
@@ -50,6 +68,7 @@ type server = {
   running : Slot_lru.t;
   done_ : Slot_lru.t;
   mutable resp : Nfs.response array;
+  mutable free : rx;
 }
 
 (* Duplicate request cache: a retransmitted non-idempotent call (create,
@@ -62,15 +81,24 @@ let drc_capacity = 512
    crash since, even one recovered from, ends the request. *)
 let overtaken tenure life = Tenure.crashes tenure <> life
 
+(* Returning a record drops its packet and call, so the pool keeps no
+   payload alive. *)
+let release s r =
+  r.pkt <- no_packet;
+  r.call <- Nfs.Null;
+  r.next <- s.free;
+  s.free <- r
+
 (* Run the handler, then encode its reply once and send it. The trace
    calls run only on live spans. Completion moves the xid from [running]
    to [done_], evicting the oldest completed entry past capacity. A
    request overtaken by a crash, whose journal round one dropped, or
    whose call to another server timed out, leaves no row: the
-   retransmission runs the call afresh. The xid is
-   re-read from the packet so a WFQ entry holds one word less. *)
-let execute s (pkt : Packet.t) call life =
-  let xid = Codec.xid_of pkt.payload in
+   retransmission runs the call afresh. The xid is read where it sits,
+   in the packet. *)
+let execute s r =
+  let pkt = r.pkt and call = r.call and life = r.life in
+  let xid = Codec.xid_of pkt.Packet.payload in
   let parent = Trace.span_of_xid s.trace xid in
   let span =
     if Trace.is_live parent then
@@ -97,14 +125,28 @@ let execute s (pkt : Packet.t) call life =
           reply_to s.host pkt ~extra_size:(Codec.extra_size_of_response resp) payload
         end
 
-let receive s (pkt : Packet.t) =
+(* Fair queueing replaces FIFO dispatch: the request waits its turn in
+   its tenant's queue; the completion continuation fires after the reply
+   is sent, so [depth] bounds true concurrent service. *)
+let run_job s r done_ =
+  execute s r;
+  release s r;
+  done_ ()
+
+(* A request leaves the record in the WFQ queue, or returns it here. *)
+let receive s r =
   (* A crashed service is silent: no decode, no error reply — the client's
      end-to-end retransmission is the recovery. *)
+  let pkt = r.pkt in
   let life = Tenure.crashes s.tenure in
-  if Tenure.is_up s.tenure && Slice_net.Cksum.verify pkt then
-    match Codec.decode_call pkt.payload with
-    | exception Codec.Malformed _ -> () (* garbage: drop; client retransmits *)
-    | xid, call ->
+  let queued =
+    Tenure.is_up s.tenure
+    && Slice_net.Cksum.verify pkt
+    &&
+    match Codec.call_of_payload pkt.payload with
+    | exception Codec.Malformed _ -> false (* garbage: drop; client retransmits *)
+    | call ->
+        let xid = Codec.xid_of pkt.payload in
         let i = Slot_lru.find s.done_ xid in
         if i >= 0 then begin
           (* retransmission of a completed request: the encoder is
@@ -113,26 +155,37 @@ let receive s (pkt : Packet.t) =
           Host.cpu s.host s.cost.per_op;
           if not (overtaken s.tenure life) then
             reply_to s.host pkt ~extra_size:(Codec.extra_size_of_response resp)
-              (Codec.encode_reply ~xid resp)
+              (Codec.encode_reply ~xid resp);
+          false
         end
         (* a retransmission racing the original execution is dropped;
            the eventual reply satisfies both *)
-        else if Slot_lru.slot s.running xid < 0 then begin
+        else if Slot_lru.slot s.running xid >= 0 then false
+        else begin
           (* the mark goes in before any WFQ wait, so a request parked in
              a tenant queue is already deduplicated *)
           ignore (Slot_lru.add s.running xid ~lease:infinity);
+          r.call <- call;
+          r.life <- life;
           match s.qos with
-          | None -> execute s pkt call life
+          | None ->
+              execute s r;
+              false
           | Some q ->
-              (* Fair queueing replaces FIFO dispatch: the request waits
-                 its turn in its tenant's queue; the done_ continuation
-                 fires after the reply is sent, so [depth] bounds true
-                 concurrent service. *)
-              let tenant = Wfq.tenant_of q pkt.src in
-              Wfq.submit q ~tenant ~cost:(estimate_cost s.cost call) (fun done_ ->
-                  execute s pkt call life;
-                  done_ ())
+              Wfq.submit q ~tenant:(Wfq.tenant_of q pkt.src) ~cost:(estimate_cost s.cost call) r.job;
+              true
         end
+  in
+  if not queued then release s r
+
+(* Cold: the pool is empty. One new record, so the pool tracks the peak
+   number of requests in service. *)
+let new_rx s =
+  let rec r =
+    { pkt = no_packet; call = Nfs.Null; life = 0; next = no_rx; run = (fun () -> receive s r);
+      job = (fun done_ -> run_job s r done_) }
+  in
+  r
 
 let serve (host : Host.t) ~port ~cost ~tenure ?trace ?qos ~handler () =
   let s =
@@ -146,18 +199,37 @@ let serve (host : Host.t) ~port ~cost ~tenure ?trace ?qos ~handler () =
       running = Slot_lru.create ~capacity:max_int;
       done_ = Slot_lru.create ~capacity:drc_capacity;
       resp = [||];
+      free = no_rx;
     }
   in
-  Net.listen host.net host.addr ~port (fun pkt -> Engine.spawn host.eng (fun () -> receive s pkt))
+  Net.listen host.net host.addr ~port (fun pkt ->
+      let r = s.free in
+      let r =
+        if r == no_rx then new_rx s
+        else begin
+          s.free <- r.next;
+          r.next <- no_rx;
+          r
+        end
+      in
+      r.pkt <- pkt;
+      Engine.spawn host.eng r.run)
+
+(* One message in service under [serve_msg]: pooled like [rx]. *)
+type msg_rx = { mutable m_pkt : Packet.t; mutable m_next : msg_rx; m_run : unit -> unit }
+
+let rec no_msg_rx = { m_pkt = no_packet; m_next = no_msg_rx; m_run = ignore }
 
 (* The gate of [receive] and [execute], without request table or WFQ. *)
 let serve_msg (host : Host.t) ~port ~tenure ~cpu ?trace ~decode ~encode ~handler () =
+  let free = ref no_msg_rx in
   let receive (pkt : Packet.t) =
     let life = Tenure.crashes tenure in
     if Tenure.is_up tenure then
       match decode pkt.payload with
       | exception Codec.Malformed _ -> ()
-      | xid, msg -> (
+      | msg -> (
+          let xid = Codec.xid_of pkt.payload in
           let span =
             Trace.child (Trace.span_of_xid trace xid) ~hop:"server" ~site:(Host.name host) ()
           in
@@ -168,9 +240,30 @@ let serve_msg (host : Host.t) ~port ~tenure ~cpu ?trace ~decode ~encode ~handler
             | reply ->
                 if not (overtaken tenure life) then begin
                   Trace.finish span;
-                  reply_to host pkt (encode ~xid reply)
+                  reply_to host pkt ~extra_size:0 (encode ~xid reply)
                 end)
   in
-  Net.listen host.net host.addr ~port (fun pkt -> Engine.spawn host.eng (fun () -> receive pkt))
+  let run r =
+    let pkt = r.m_pkt in
+    receive pkt;
+    r.m_pkt <- no_packet;
+    r.m_next <- !free;
+    free := r
+  in
+  Net.listen host.net host.addr ~port (fun pkt ->
+      let r = !free in
+      let r =
+        if r == no_msg_rx then begin
+          let rec r = { m_pkt = no_packet; m_next = no_msg_rx; m_run = (fun () -> run r) } in
+          r
+        end
+        else begin
+          free := r.m_next;
+          r.m_next <- no_msg_rx;
+          r
+        end
+      in
+      r.m_pkt <- pkt;
+      Engine.spawn host.eng r.m_run)
 
 let serve_raw (host : Host.t) ~port ~handler = Net.listen host.net host.addr ~port handler

@@ -33,7 +33,11 @@ val serve :
     gets the cached reply again, re-encoded, without running the
     handler, and counts as a use for recency. The two tables behind this
     ({!Slice_util.Slot_lru}) allocate nothing per request once they have
-    grown to their peak. A handler that raises {!Slice_wal.Wal.Crashed}
+    grown to their peak, and neither does the request's own record: the
+    packet, call and crash count it carries from arrival to reply sit in
+    a pooled record whose fiber body and WFQ job are built with it, so a
+    request allocates its call, its response and its reply's bytes and
+    packet. A handler that raises {!Slice_wal.Wal.Crashed}
     or, when a call it made to another server ran out of retries,
     {!Slice_net.Rpc.Timeout}, sends no reply and leaves no row.
 
@@ -57,14 +61,15 @@ val serve_msg :
   tenure:Tenure.t ->
   cpu:float ->
   ?trace:Slice_trace.Trace.t ->
-  decode:(bytes -> int * 'msg) ->
+  decode:(bytes -> 'msg) ->
   encode:(xid:int -> 'reply -> bytes) ->
   handler:(Slice_trace.Trace.span -> 'msg -> 'reply) ->
   unit ->
   unit
-(** A message protocol behind the same gate: each message gets a fiber,
-    is decoded ([decode] returns the xid and raises
-    {!Slice_nfs.Codec.Malformed} to drop it), charged [cpu] seconds, and
+(** A message protocol behind the same gate: each message gets a fiber
+    (on a pooled record, as {!serve}'s requests do), is decoded
+    ([decode] raises {!Slice_nfs.Codec.Malformed} to drop it; the xid is
+    read from the payload's first word), charged [cpu] seconds, and
     answered with the handler's reply, or with nothing if the handler
     raises {!Slice_wal.Wal.Crashed} or {!Slice_net.Rpc.Timeout}. No request table: re-sent messages
     run again, so they must be idempotent. With [trace], a ["server"]
@@ -79,5 +84,6 @@ val serve_raw :
     its own fibers. *)
 
 val reply_to :
-  Host.t -> Slice_net.Packet.t -> ?extra_size:int -> bytes -> unit
-(** Send [payload] back to the source of [pkt], from this host. *)
+  Host.t -> Slice_net.Packet.t -> extra_size:int -> bytes -> unit
+(** Send [payload] back to the source of [pkt], from this host, with
+    [extra_size] unmaterialized bytes ({!Slice_net.Packet.create}). *)

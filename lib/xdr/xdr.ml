@@ -105,6 +105,36 @@ module Enc = struct
     end;
     t.buf <- Bytes.empty;
     out
+
+  (* The one encoder [build] lends out, over the scratch. Between builds
+     it is finished like any other: an empty buffer with a positive
+     length. *)
+  let lent = { buf = Bytes.empty; len = 1; shared = true }
+
+  let[@inline] return_lent () =
+    claimed := false;
+    lent.buf <- Bytes.empty;
+    lent.len <- 1
+
+  let build f a b =
+    if !claimed then begin
+      let t = owned 256 in
+      f t a b;
+      Bytes.sub t.buf 0 t.len
+    end
+    else begin
+      claimed := true;
+      lent.buf <- !scratch;
+      lent.len <- 0;
+      match f lent a b with
+      | () ->
+          let out = Bytes.sub lent.buf 0 lent.len in
+          return_lent ();
+          out
+      | exception e ->
+          return_lent ();
+          raise e
+    end
 end
 
 module Dec = struct

@@ -58,6 +58,19 @@ module Enc : sig
   (** A fresh copy of the encoded contents. This finishes the encoder:
       it releases the shared scratch buffer (see {!create}), and a later
       write raises [Invalid_argument]. *)
+
+  val build : (t -> 'a -> 'b -> unit) -> 'a -> 'b -> bytes
+  (** [build f a b] runs [f e a b] over an encoder on the shared
+      scratch and returns a fresh copy of what it wrote: {!create},
+      [f] and {!to_bytes} in one call, and the message's bytes are its
+      only allocation. The encoder is one record the module keeps and
+      lends to each build, finished again when the build returns or
+      raises, so [f] must not keep it: a write through it after the
+      build raises [Invalid_argument] until the next build lends it
+      out. A build inside [f] (or while another encoder holds the
+      scratch) runs over a private buffer instead. Pass a closed
+      function as [f] and its free values as [a] and [b], so no closure
+      is built per message. *)
 end
 
 module Dec : sig

@@ -699,7 +699,7 @@ let cross_site_nlink () =
 let peer_call rig ~site msg =
   let xid = Rpc.fresh_xid rig.rpc in
   let reply = Rpc.call rig.rpc ~dst:rig.addrs.(site) ~dport:2051 (Peer.encode_msg ~xid msg) in
-  snd (Peer.decode_reply reply)
+  Peer.decode_reply reply
 
 let root_entries rig =
   match call rig (Nfs.Getattr Fh.root) with

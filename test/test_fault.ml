@@ -448,7 +448,7 @@ let crashed_coordinator_stays_silent () =
         let served = Slice_sim.Resource.served host.Host.cpu in
         if !before < 0 then before := served;
         served > !before)
-      (fun _ -> Ctrl.Intent { op_id = 5L; kind = Ctrl.K_remove; fh = fh42; participants = [] })
+      (fun _ -> Ctrl.Intent { op_id = 5L; kind = Ctrl.K_remove; fh = fh42; participants = [||] })
   in
   check_int "no intent logged" 0 (Coordinator.intents_logged coord)
 
@@ -459,7 +459,7 @@ let coordinator_crash_mid_fan_out () =
   let coord =
     crashed_coordinator_answers_nothing
       ~due:(fun _ coord -> Coordinator.intents_logged coord > 0)
-      (fun node -> Ctrl.Remove_file { fh = fh42; sites = [ node ] })
+      (fun node -> Ctrl.Remove_file { fh = fh42; sites = [| node |] })
   in
   check_int "the intent was logged" 1 (Coordinator.intents_logged coord)
 
@@ -695,13 +695,12 @@ let coordinator_redo_waits_for_partition_heal () =
       (* log a remove intent whose completion never arrives *)
       let xid = Rpc.fresh_xid rpc in
       (match
-         snd
            (Ctrl.decode_reply
               (Rpc.call rpc ~timeout:2.0 ~dst:(Coordinator.addr coord)
                  ~dport:(Coordinator.port coord)
                  (Ctrl.encode_msg ~xid
                     (Ctrl.Intent
-                       { op_id = 99L; kind = Ctrl.K_remove; fh; participants = [ victim ] }))))
+                       { op_id = 99L; kind = Ctrl.K_remove; fh; participants = [| victim |] }))))
        with
       | Ctrl.Ack -> ()
       | _ -> Alcotest.fail "intent not acked");
@@ -750,13 +749,12 @@ let coordinator_takeover_completes_2pc () =
          can complete the operation *)
       let xid = Rpc.fresh_xid rpc in
       (match
-         snd
            (Ctrl.decode_reply
               (Rpc.call rpc ~timeout:2.0 ~dst:(Coordinator.addr coord)
                  ~dport:(Coordinator.port coord)
                  (Ctrl.encode_msg ~xid
                     (Ctrl.Intent
-                       { op_id = 7L; kind = Ctrl.K_remove; fh; participants = [ participant ] }))))
+                       { op_id = 7L; kind = Ctrl.K_remove; fh; participants = [| participant |] }))))
        with
       | Ctrl.Ack -> ()
       | _ -> Alcotest.fail "intent not acked");

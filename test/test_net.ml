@@ -494,12 +494,12 @@ let rpc_roundtrip_words () =
   let extra = ref 0 in
   Net.listen net s ~port:2049 (fun pkt ->
       Net.send net
-        (Packet.make ~src:s ~dst:pkt.Packet.src ~sport:2049 ~dport:pkt.Packet.sport
+        (Packet.create ~src:s ~dst:pkt.Packet.src ~sport:2049 ~dport:pkt.Packet.sport
            ~extra_size:!extra pkt.Packet.payload));
   let rpc = Rpc.create net c ~port:900 in
   let call () =
     ignore
-      (Rpc.call rpc ~timeout:0.5 ~retries:8 ~span:Slice_trace.Trace.null ~dst:s ~dport:2049
+      (Rpc.call_with rpc ~timeout:0.5 ~retries:8 ~span:Slice_trace.Trace.null ~dst:s ~dport:2049
          ~extra_size:!extra (mk_call_payload rpc 0))
   in
   let per_call = ref infinity in

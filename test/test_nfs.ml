@@ -198,6 +198,23 @@ let gen_reply =
         (small_list gen_name) int;
     ]
 
+(* The post-op attributes a reply carries, if any. *)
+let reply_attr : Nfs.reply -> Nfs.fattr option = function
+  | RGetattr a
+  | RSetattr a
+  | RLookup (_, a)
+  | RAccess (_, a)
+  | RReadlink (_, a)
+  | RRead (_, _, a)
+  | RWrite (_, _, a)
+  | RCreate (_, a)
+  | RMkdir (_, a)
+  | RSymlink (_, a)
+  | RLink a
+  | RCommit a ->
+      Some a
+  | RNull | RRemove | RRmdir | RRename | RReaddir _ | RFsstat _ -> None
+
 let attr_close a b =
   a.Nfs.ftype = b.Nfs.ftype && a.Nfs.mode = b.Nfs.mode && a.Nfs.nlink = b.Nfs.nlink
   && a.Nfs.size = b.Nfs.size && a.Nfs.fileid = b.Nfs.fileid
@@ -213,7 +230,7 @@ let reply_equal r1 r2 =
       | Nfs.RRead (d1, e1, x), Nfs.RRead (d2, e2, y) -> d1 = d2 && e1 = e2 && attr_close x y
       | x, y -> (
           (* structural comparison is fine for attr-free replies *)
-          match (Nfs.reply_attr x, Nfs.reply_attr y) with
+          match (reply_attr x, reply_attr y) with
           | None, None -> x = y
           | Some ax, Some ay -> attr_close ax ay
           | _ -> false))
@@ -239,7 +256,7 @@ let error_roundtrip () =
 let attr_offset_fixed =
   qtest "attr block at fixed offset when present" gen_reply (fun r ->
       let buf = Codec.encode_reply ~xid:1 (Ok r) in
-      match (Nfs.reply_attr r, Codec.reply_attr_offset_i buf) with
+      match (reply_attr r, Codec.reply_attr_offset_i buf) with
       | Some a, off when off >= 0 -> attr_close a (Codec.decode_attr_at buf off)
       | None, -1 -> true
       | _ -> false)
@@ -588,7 +605,7 @@ let gen_peer_reply =
       map (fun st -> Peer.Rerr st) (oneofl all_statuses);
     ]
 
-let gen_sites = QCheck2.Gen.(small_list gen_u32)
+let gen_sites = QCheck2.Gen.(map Array.of_list (small_list gen_u32))
 
 let gen_ctrl_msg =
   let open QCheck2.Gen in
@@ -612,7 +629,7 @@ let gen_ctrl_reply =
       return Ctrl.Ack;
       return Ctrl.Nack;
       map2
-        (fun first_block sites -> Ctrl.Map { first_block; sites = Array.of_list sites })
+        (fun first_block sites -> Ctrl.Map { first_block; sites })
         gen_u32 gen_sites;
     ]
 
@@ -622,7 +639,8 @@ let reencodes name gen encode decode =
     QCheck2.Gen.(pair gen_u32 gen)
     (fun (xid, m) ->
       let b = encode ~xid m in
-      let xid', m' = decode b in
+      let m' = decode b in
+      let xid' = Codec.xid_of b in
       xid' = xid && Bytes.equal (encode ~xid:xid' m') b)
 
 (* A real message cut short or with one byte overwritten still decodes
@@ -1385,8 +1403,8 @@ let ref_peer_reply ~xid (r : Peer.reply) =
           Enc.u32 e (ref_status st))
 
 let ref_sites e sites =
-  Enc.u32 e (List.length sites);
-  List.iter (Enc.u32 e) sites
+  Enc.u32 e (Array.length sites);
+  Array.iter (Enc.u32 e) sites
 
 let ref_ctrl_msg ~xid (m : Ctrl.msg) =
   ref_encode (fun e ->
@@ -1424,7 +1442,7 @@ let ref_ctrl_reply ~xid (r : Ctrl.reply) =
       | Map { first_block; sites } ->
           Enc.u32 e 3;
           Enc.u32 e first_block;
-          ref_sites e (Array.to_list sites))
+          ref_sites e sites)
 
 type wire =
   | W_call of Nfs.call
