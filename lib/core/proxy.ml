@@ -119,7 +119,10 @@ type snap = {
 
 (* One COMMIT the µproxy orchestrates, from the end of its interception
    to the reply it synthesizes. Records are pooled on an intrusive free
-   list, and each builds its three thunks once, with the record. *)
+   list; while its fan-out runs a record sits on the µproxy's in-flight
+   list, where the client's xid finds it, so a retransmission joins the
+   fan-out instead of starting another. Its three thunks are built once,
+   with the record. *)
 type commit = {
   mutable cm_xid : int;
   mutable cm_client : Packet.addr;
@@ -132,7 +135,7 @@ type commit = {
   mutable cm_sites : Packet.addr array; (* the file's data nodes *)
   mutable cm_sf : Packet.addr; (* its small-file server; -1 = none *)
   mutable cm_failed : bool;
-  mutable cm_next : commit; (* free-list link *)
+  mutable cm_next : commit; (* in-flight or free-list link *)
   cm_start : unit -> unit; (* when the interception's CPU booking ends *)
   cm_run : unit -> unit; (* the orchestrating fiber *)
   cm_job : int -> unit; (* one fan-out child *)
@@ -172,6 +175,7 @@ type t = {
   mutable map_gen : int array;
   mutable map_sites : int array array;
   intents_open : (int, int64) Hashtbl.t;
+  mutable commits : commit; (* in flight, newest first *)
   mutable free_commits : commit;
   mutable meta_epoch : int;
   mutable fence_seen : int;
@@ -664,6 +668,14 @@ let rec no_commit =
     cm_job = ignore;
   }
 
+let rec commit_in_flight cm xid = cm != no_commit && (cm.cm_xid = xid || commit_in_flight cm.cm_next xid)
+
+let rec unlink_after prev cm =
+  if prev.cm_next == cm then prev.cm_next <- cm.cm_next else unlink_after prev.cm_next cm
+
+let unlink_commit t cm =
+  if t.commits == cm then t.commits <- cm.cm_next else unlink_after t.commits cm
+
 (* Returning a record drops what it held, so the pool keeps no handle or
    span alive. *)
 let release_commit t cm =
@@ -730,11 +742,23 @@ let run_commit t cm =
   (* Synthesize the commit reply to the client. *)
   Net.dispatch t.net (client_reply t ~dst:cm.cm_client ~dport:cm.cm_port ~xid:cm.cm_xid resp);
   (match resp with Ok _ -> Trace.finish span | Error _ -> Trace.finish ~outcome:"error" span);
+  unlink_commit t cm;
   release_commit t cm
 
+(* A retransmission whose COMMIT is still being orchestrated joins that
+   fan-out: its reply answers both. One arriving after the reply starts
+   a fan-out of its own. *)
 let start_commit t cm =
-  t.n_commits <- t.n_commits + 1;
-  Engine.spawn t.eng cm.cm_run
+  if commit_in_flight t.commits cm.cm_xid then begin
+    Trace.finish ~outcome:"joined" cm.cm_span;
+    release_commit t cm
+  end
+  else begin
+    t.n_commits <- t.n_commits + 1;
+    cm.cm_next <- t.commits;
+    t.commits <- cm;
+    Engine.spawn t.eng cm.cm_run
+  end
 
 (* Cold: the pool is empty. One new record, so the pool tracks the peak
    number of commits in flight. *)
@@ -1525,6 +1549,7 @@ let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
       map_sites = [||];
       (* lint: bounded — one row per file with an open mirrored-write intent; commit closes it *)
       intents_open = Hashtbl.create 16;
+      commits = no_commit;
       free_commits = no_commit;
       meta_epoch = 0;
       fence_seen = 0;
