@@ -649,6 +649,8 @@ let smallfile_dst t (fh : Fh.t) =
   if t.p.Params.threshold <= 0 || Array.length t.sf.map = 0 then -1
   else t.sf.map.(Routekey.file_site ~nsites:(Array.length t.sf.map) fh)
 
+let no_sites : Packet.addr array = [||]
+
 let rec no_commit =
   {
     cm_xid = -1;
@@ -659,7 +661,7 @@ let rec no_commit =
     cm_span = Trace.null;
     cm_coord = -1;
     cm_coord_port = 0;
-    cm_sites = [||];
+    cm_sites = no_sites;
     cm_sf = -1;
     cm_failed = false;
     cm_next = no_commit;
@@ -676,13 +678,22 @@ let rec unlink_after prev cm =
 let unlink_commit t cm =
   if t.commits == cm then t.commits <- cm.cm_next else unlink_after t.commits cm
 
+(* The pool's first record, or [no_commit] when it is empty. *)
+let[@hot] take_commit t =
+  let cm = t.free_commits in
+  if cm != no_commit then begin
+    t.free_commits <- cm.cm_next;
+    cm.cm_next <- no_commit
+  end;
+  cm
+
 (* Returning a record drops what it held, so the pool keeps no handle or
    span alive. *)
-let release_commit t cm =
+let[@hot] release_commit t cm =
   cm.cm_fh <- Fh.root;
   cm.cm_call <- Nfs.Null;
   cm.cm_span <- Trace.null;
-  cm.cm_sites <- [||];
+  cm.cm_sites <- no_sites;
   cm.cm_next <- t.free_commits;
   t.free_commits <- cm
 
@@ -776,15 +787,8 @@ let new_commit t =
 
 (* Take a record for the COMMIT [pkt] carries, its handle at [fh_off]. *)
 let acquire_commit t ~span (pkt : Packet.t) ~xid ~fh_off =
-  let cm = t.free_commits in
-  let cm =
-    if cm == no_commit then new_commit t
-    else begin
-      t.free_commits <- cm.cm_next;
-      cm.cm_next <- no_commit;
-      cm
-    end
-  in
+  let cm = take_commit t in
+  let cm = if cm == no_commit then new_commit t else cm in
   let fh = Fh.read_at pkt.Packet.payload fh_off in
   cm.cm_xid <- xid;
   cm.cm_client <- pkt.Packet.src;

@@ -37,13 +37,13 @@ let create eng ~arms ~name () =
     bytes = 0;
   }
 
-let arm_service ~sequential ~bytes =
+let[@inline] arm_service ~sequential ~bytes =
   let positioning =
     if sequential then 0.0 else avg_seek +. rotational_half +. controller_overhead
   in
   positioning +. (float_of_int bytes /. media_rate)
 
-let channel_service ~is_read ~bytes =
+let[@inline] channel_service ~is_read ~bytes =
   float_of_int bytes /. (if is_read then channel_read_rate else channel_write_rate)
 
 let[@hot] account t bytes =
@@ -52,7 +52,7 @@ let[@hot] account t bytes =
 
 (* Inlined, [Resource.reserve] with it, so the finish time reaches the
    caller's sleep or the engine unboxed. *)
-let[@inline] book t ~is_read ~sequential ~bytes =
+let[@hot] [@inline] book t ~is_read ~sequential ~bytes =
   account t bytes;
   let arm_done = Resource.reserve t.arms (arm_service ~sequential ~bytes) in
   (* Channel transfer starts once the arm has the data (read) or feeds the

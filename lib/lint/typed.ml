@@ -116,7 +116,28 @@ let boxing_table =
     ("Int32.add", 3); ("Int32.sub", 3); ("Int32.logand", 3);
     ("+."), 2; ("-."), 2; ("*."), 2; ("/."), 2; ("Float.of_int", 2);
     ("float_of_int", 2); ("mod_float", 2); ("Float.rem", 2);
+    ("Float.max", 2); ("Float.min", 2);
   ]
+
+(* Float operations whose operands cmmgen keeps unboxed: a float result
+   that feeds one of these is never boxed, however long the chain.
+   [Float.max] and [Float.min] are inlined, and their comparisons take
+   the operands unboxed. *)
+let float_arith = [ "+."; "-."; "*."; "/."; "Float.max"; "Float.min" ]
+
+(* Stores whose value cmmgen writes unboxed when the array is a
+   [float array]. *)
+let array_stores = [ "Array.set"; "Array.unsafe_set" ]
+
+let is_float ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, [], _) -> Path.same p Predef.path_float
+  | _ -> false
+
+let is_float_array ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, [ elt ], _) -> Path.same p Predef.path_array && is_float elt
+  | _ -> false
 
 (* Known-allocating stdlib entry points, with a nominal per-call estimate
    (per-element costs are flagged as such in the message). *)
@@ -166,6 +187,7 @@ type fun_info = {
   fi_line : int;
   fi_col : int;
   fi_hot : bool;
+  fi_inline : bool;  (* [@inline]: its result lands in the caller's context *)
   fi_stack : string list;  (* enclosing modules, outermost first *)
   fi_body : Typedtree.expression;
 }
@@ -211,6 +233,9 @@ and collect_item cfg tables ~file ~stack (item : Typedtree.structure_item) =
                   fi_line = line;
                   fi_col = col;
                   fi_hot = hot;
+                  fi_inline =
+                    has_attr "inline" vb.Typedtree.vb_attributes
+                    || has_attr "inline" vb.Typedtree.vb_expr.Typedtree.exp_attributes;
                   fi_stack = stack;
                   fi_body = vb.Typedtree.vb_expr;
                 }
@@ -353,18 +378,49 @@ let a1_summarize cfg tables (fi : fun_info) : a1_summary =
   in
   let bodies = function_bodies fi.fi_body [] in
   let lambdas = List.concat_map local_lambda_names bodies in
+  (* Does every tail of [e] build a fresh float or name a float constant,
+     one tail at least building? cmmgen then binds a let of [e] unboxed
+     and boxes it again at each use that needs the box. *)
+  let rec float_tails (e : Typedtree.expression) =
+    let join a b = match (a, b) with Some x, Some y -> Some (x || y) | _ -> None in
+    match e.Typedtree.exp_desc with
+    | Typedtree.Texp_constant (Asttypes.Const_float _) -> Some false
+    | Typedtree.Texp_apply ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, _) -> (
+        match resolve cfg tables ~stack:fi.fi_stack p with
+        | Boxing _ when is_float e.Typedtree.exp_type -> Some true
+        | _ -> None)
+    | Typedtree.Texp_ifthenelse (_, a, Some b) -> join (float_tails a) (float_tails b)
+    | Typedtree.Texp_sequence (_, b) | Typedtree.Texp_let (_, _, b) -> float_tails b
+    | Typedtree.Texp_match (_, c :: cs, _) ->
+        List.fold_left
+          (fun acc (c : Typedtree.computation Typedtree.case) ->
+            join acc (float_tails c.Typedtree.c_rhs))
+          (float_tails c.Typedtree.c_rhs) cs
+    | _ -> None
+  in
+  (* let-bound floats held unboxed: a use that needs the box pays for it *)
+  let unboxed = ref [] in
   (* exempt: inside a raising call's arguments. unbox: this expression's
      boxed-number result is consumed directly by an unbox consumer. *)
   let rec walk ~exempt ~unbox (e : Typedtree.expression) =
     let desc = e.Typedtree.exp_desc in
     let loc = e.Typedtree.exp_loc in
     match desc with
+    | Typedtree.Texp_ident (Path.Pident id, _, _) when List.exists (Ident.same id) !unboxed ->
+        if (not exempt) && not unbox then add_alloc loc 2 ("boxed use of float " ^ Ident.name id)
     | Typedtree.Texp_ident _ | Typedtree.Texp_constant _
     | Typedtree.Texp_instvar _ | Typedtree.Texp_unreachable ->
         ()
     | Typedtree.Texp_let (_, vbs, body) ->
         List.iter
-          (fun (vb : Typedtree.value_binding) -> walk ~exempt ~unbox:false vb.Typedtree.vb_expr)
+          (fun (vb : Typedtree.value_binding) ->
+            let bound = vb.Typedtree.vb_expr in
+            match vb.Typedtree.vb_pat.Typedtree.pat_desc with
+            | Typedtree.Tpat_var (id, _)
+              when is_float bound.Typedtree.exp_type && float_tails bound = Some true ->
+                unboxed := id :: !unboxed;
+                walk ~exempt ~unbox:true bound
+            | _ -> walk ~exempt ~unbox:false bound)
           vbs;
         walk ~exempt ~unbox body
     | Typedtree.Texp_function _ ->
@@ -385,16 +441,21 @@ let a1_summarize cfg tables (fi : fun_info) : a1_summary =
             in
             match c with
             | Raising -> walk_args ~exempt:true ~unbox_args:false
-            | Guard | Clean ->
+            | Guard | Clean -> (
                 partial ();
                 let key = key_of_parts (strip_stdlib (path_parts p)) in
-                let unbox_args = List.mem key unboxing_table in
-                walk_args ~exempt ~unbox_args
+                match args with
+                | [ (_, Some a); (_, Some i); (_, Some v) ]
+                  when List.mem key array_stores && is_float_array a.Typedtree.exp_type ->
+                    walk ~exempt ~unbox:false a;
+                    walk ~exempt ~unbox:false i;
+                    walk ~exempt ~unbox:true v
+                | _ -> walk_args ~exempt ~unbox_args:(List.mem key unboxing_table))
             | Boxing (key, w) ->
                 partial ();
                 if (not exempt) && not unbox then
                   add_alloc loc w ("boxed result of " ^ key);
-                walk_args ~exempt ~unbox_args:false
+                walk_args ~exempt ~unbox_args:(List.mem key float_arith)
             | Allocating (key, w, what) ->
                 if not exempt then
                   add_alloc loc w
@@ -492,7 +553,7 @@ let a1_summarize cfg tables (fi : fun_info) : a1_summary =
         if not exempt then
           add_alloc loc 8 "construct outside the A1 allocation model"
   in
-  List.iter (walk ~exempt:false ~unbox:false) bodies;
+  List.iter (walk ~exempt:false ~unbox:fi.fi_inline) bodies;
   { su_allocs = List.rev !allocs; su_edges = List.rev !edges }
 
 (* ---- F1: latch walk + unsafe fixpoint ---- *)

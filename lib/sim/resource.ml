@@ -21,7 +21,7 @@ let[@hot] rec earliest (free_at : float array) i best =
    their callers in other modules when those are built without -opaque
    (DESIGN.md §38), so a booking's service and finish times stay unboxed
    all the way into the engine's time column (DESIGN.md §40). *)
-let[@inline] book t service =
+let[@hot] [@inline] book t service =
   let best =
     if Array.length t.free_at = 1 then 0 else earliest t.free_at 1 0
   in

@@ -81,9 +81,18 @@ let drc_capacity = 512
    crash since, even one recovered from, ends the request. *)
 let overtaken tenure life = Tenure.crashes tenure <> life
 
+(* The pool's first record, or [no_rx] when it is empty. *)
+let[@hot] take s =
+  let r = s.free in
+  if r != no_rx then begin
+    s.free <- r.next;
+    r.next <- no_rx
+  end;
+  r
+
 (* Returning a record drops its packet and call, so the pool keeps no
    payload alive. *)
-let release s r =
+let[@hot] release s r =
   r.pkt <- no_packet;
   r.call <- Nfs.Null;
   r.next <- s.free;
@@ -203,15 +212,8 @@ let serve (host : Host.t) ~port ~cost ~tenure ?trace ?qos ~handler () =
     }
   in
   Net.listen host.net host.addr ~port (fun pkt ->
-      let r = s.free in
-      let r =
-        if r == no_rx then new_rx s
-        else begin
-          s.free <- r.next;
-          r.next <- no_rx;
-          r
-        end
-      in
+      let r = take s in
+      let r = if r == no_rx then new_rx s else r in
       r.pkt <- pkt;
       Engine.spawn host.eng r.run)
 

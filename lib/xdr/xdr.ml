@@ -111,7 +111,12 @@ module Enc = struct
      length. *)
   let lent = { buf = Bytes.empty; len = 1; shared = true }
 
-  let[@inline] return_lent () =
+  let[@hot] lend () =
+    claimed := true;
+    lent.buf <- !scratch;
+    lent.len <- 0
+
+  let[@hot] return_lent () =
     claimed := false;
     lent.buf <- Bytes.empty;
     lent.len <- 1
@@ -123,9 +128,7 @@ module Enc = struct
       Bytes.sub t.buf 0 t.len
     end
     else begin
-      claimed := true;
-      lent.buf <- !scratch;
-      lent.len <- 0;
+      lend ();
       match f lent a b with
       | () ->
           let out = Bytes.sub lent.buf 0 lent.len in

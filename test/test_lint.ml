@@ -194,6 +194,29 @@ let a1_hot_roots () =
   let dispatch = root "A1.dispatch" in
   check_int "suppressed site still counts in the budget" 1 dispatch.Typed.hr_sites
 
+(* The float model: a float result is charged only where it is boxed —
+   returned from a function that is not inlined, handed to a ref cell,
+   stored into a mixed record — not where it feeds more float arithmetic
+   or a [float array] store. *)
+let a1_float_model () =
+  let report = scan_typed [ "lint_fixtures_typed/a1_float.ml" ] in
+  check_bool "typed tier ran" true report.Driver.typed_ran;
+  let words n =
+    match List.find_opt (fun (h : Typed.hot_root) -> h.Typed.hr_name = n) report.Driver.hot_roots with
+    | Some h -> h.Typed.hr_words
+    | None -> Alcotest.failf "%s is not a hot root" n
+  in
+  List.iter
+    (fun (n, w) -> check_int n w (words ("A1_float." ^ n)))
+    [
+      ("chain", 2); ("store", 0); ("inline_return", 0); ("let_bound", 0); ("boxed_use", 2);
+      ("record_store", 2);
+    ];
+  check_bool "the boxed use names its variable" true
+    (List.exists
+       (fun f -> f.Finding.rule = Finding.A1 && contains ~needle:"boxed use of float s" f.Finding.msg)
+       report.Driver.findings)
+
 (* Interprocedural attribution: the helper's conses are charged to the
    hot caller, at the helper's own source position, naming both. *)
 let a1_interprocedural () =
@@ -477,6 +500,7 @@ let suite =
     Alcotest.test_case "U1 repo scope" `Quick u1_repo_scope;
     fixture_case "A1 hot-root accounting" a1_hot_roots;
     fixture_case "A1 interprocedural attribution" a1_interprocedural;
+    fixture_case "A1 float model" a1_float_model;
     fixture_case "A1 pragma covers a multi-line expression" a1_multiline_pragma;
     fixture_case "F1 findings land on exported entries" f1_entries;
     fixture_case "typed tier fails loudly without cmts" typed_missing_cmt;
