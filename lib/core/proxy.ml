@@ -670,7 +670,8 @@ let rec no_commit =
     cm_job = ignore;
   }
 
-let rec commit_in_flight cm xid = cm != no_commit && (cm.cm_xid = xid || commit_in_flight cm.cm_next xid)
+let rec commit_in_flight cm xid =
+  cm != no_commit && (cm.cm_xid = xid || commit_in_flight cm.cm_next xid)
 
 let rec unlink_after prev cm =
   if prev.cm_next == cm then prev.cm_next <- cm.cm_next else unlink_after prev.cm_next cm
@@ -733,15 +734,13 @@ let run_commit t cm =
     if cm.cm_failed then Error Nfs.ERR_IO
     else
       try
-        (* Close any open mirrored-write intention. *)
+        (* Close any open mirrored-write intention, at the coordinator
+           of the moment: a takeover may have come during the fan-out. *)
         let fid = Int64.to_int fh.Fh.file_id in
         (match Hashtbl.find_opt t.intents_open fid with
-        | Some op_id when cm.cm_coord >= 0 ->
+        | Some op_id ->
             Hashtbl.remove t.intents_open fid;
-            ignore
-              (ctrl_call_to t ~span ~dst:cm.cm_coord ~dport:cm.cm_coord_port
-                 (Ctrl.Complete { op_id }))
-        | Some _ -> Hashtbl.remove t.intents_open fid
+            ignore (ctrl_call t ~span (Ctrl.Complete { op_id }))
         | None -> ());
         (* Push modified attributes to the directory server (the
            paper's µproxy generates a setattr on NFS V3 commit). *)

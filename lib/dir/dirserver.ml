@@ -258,7 +258,8 @@ let remove_file_data ?(span = Trace.null) t (fh : Fh.t) =
       harden ~span t;
       Engine.spawn t.host.Host.eng (fun () ->
           let xid = Rpc.fresh_xid t.rpc in
-          let payload = Ctrl.encode_msg ~xid (Ctrl.Remove_file { fh; sites = Array.of_list sites }) in
+          let msg = Ctrl.Remove_file { fh; sites = Array.of_list sites } in
+          let payload = Ctrl.encode_msg ~xid msg in
           try ignore (Rpc.call t.rpc ~timeout:2.0 ~dst:addr ~dport:port payload)
           with Rpc.Timeout -> ())
 

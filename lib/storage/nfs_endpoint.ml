@@ -51,7 +51,10 @@ type rx = {
 let no_packet = Packet.make ~src:0 ~dst:0 ~sport:0 ~dport:0 Bytes.empty
 
 (* Cyclic sentinel: terminates the free list without an option. *)
-let rec no_rx = { pkt = no_packet; call = Nfs.Null; life = 0; next = no_rx; run = ignore; job = ignore }
+let rec no_rx =
+  { pkt = no_packet; call = Nfs.Null; life = 0; next = no_rx; run = ignore; job = ignore }
+
+type pool = { mutable free : rx }
 
 (* The request table is two Slot_lru tables keyed by xid. [running]
    marks the requests being executed or waiting in a WFQ queue; it is as
@@ -68,7 +71,7 @@ type server = {
   running : Slot_lru.t;
   done_ : Slot_lru.t;
   mutable resp : Nfs.response array;
-  mutable free : rx;
+  pool : pool;
 }
 
 (* Duplicate request cache: a retransmitted non-idempotent call (create,
@@ -82,21 +85,21 @@ let drc_capacity = 512
 let overtaken tenure life = Tenure.crashes tenure <> life
 
 (* The pool's first record, or [no_rx] when it is empty. *)
-let[@hot] take s =
-  let r = s.free in
+let[@hot] take p =
+  let r = p.free in
   if r != no_rx then begin
-    s.free <- r.next;
+    p.free <- r.next;
     r.next <- no_rx
   end;
   r
 
 (* Returning a record drops its packet and call, so the pool keeps no
    payload alive. *)
-let[@hot] release s r =
+let[@hot] release p r =
   r.pkt <- no_packet;
   r.call <- Nfs.Null;
-  r.next <- s.free;
-  s.free <- r
+  r.next <- p.free;
+  p.free <- r
 
 (* Run the handler, then encode its reply once and send it. The trace
    calls run only on live spans. Completion moves the xid from [running]
@@ -139,7 +142,7 @@ let execute s r =
    is sent, so [depth] bounds true concurrent service. *)
 let run_job s r done_ =
   execute s r;
-  release s r;
+  release s.pool r;
   done_ ()
 
 (* A request leaves the record in the WFQ queue, or returns it here. *)
@@ -181,11 +184,12 @@ let receive s r =
               execute s r;
               false
           | Some q ->
-              Wfq.submit q ~tenant:(Wfq.tenant_of q pkt.src) ~cost:(estimate_cost s.cost call) r.job;
+              let tenant = Wfq.tenant_of q pkt.src in
+              Wfq.submit q ~tenant ~cost:(estimate_cost s.cost call) r.job;
               true
         end
   in
-  if not queued then release s r
+  if not queued then release s.pool r
 
 (* Cold: the pool is empty. One new record, so the pool tracks the peak
    number of requests in service. *)
@@ -208,23 +212,20 @@ let serve (host : Host.t) ~port ~cost ~tenure ?trace ?qos ~handler () =
       running = Slot_lru.create ~capacity:max_int;
       done_ = Slot_lru.create ~capacity:drc_capacity;
       resp = [||];
-      free = no_rx;
+      pool = { free = no_rx };
     }
   in
   Net.listen host.net host.addr ~port (fun pkt ->
-      let r = take s in
+      let r = take s.pool in
       let r = if r == no_rx then new_rx s else r in
       r.pkt <- pkt;
       Engine.spawn host.eng r.run)
 
-(* One message in service under [serve_msg]: pooled like [rx]. *)
-type msg_rx = { mutable m_pkt : Packet.t; mutable m_next : msg_rx; m_run : unit -> unit }
-
-let rec no_msg_rx = { m_pkt = no_packet; m_next = no_msg_rx; m_run = ignore }
-
-(* The gate of [receive] and [execute], without request table or WFQ. *)
+(* The gate of [receive] and [execute], without request table or WFQ.
+   Its messages sit in pooled [rx] records too; only the packet is
+   used. *)
 let serve_msg (host : Host.t) ~port ~tenure ~cpu ?trace ~decode ~encode ~handler () =
-  let free = ref no_msg_rx in
+  let pool = { free = no_rx } in
   let receive (pkt : Packet.t) =
     let life = Tenure.crashes tenure in
     if Tenure.is_up tenure then
@@ -246,26 +247,21 @@ let serve_msg (host : Host.t) ~port ~tenure ~cpu ?trace ~decode ~encode ~handler
                 end)
   in
   let run r =
-    let pkt = r.m_pkt in
-    receive pkt;
-    r.m_pkt <- no_packet;
-    r.m_next <- !free;
-    free := r
+    receive r.pkt;
+    release pool r
   in
   Net.listen host.net host.addr ~port (fun pkt ->
-      let r = !free in
+      let r = take pool in
       let r =
-        if r == no_msg_rx then begin
-          let rec r = { m_pkt = no_packet; m_next = no_msg_rx; m_run = (fun () -> run r) } in
+        if r != no_rx then r
+        else
+          let rec r =
+            { pkt = no_packet; call = Nfs.Null; life = 0; next = no_rx; run = (fun () -> run r);
+              job = ignore }
+          in
           r
-        end
-        else begin
-          free := r.m_next;
-          r.m_next <- no_msg_rx;
-          r
-        end
       in
-      r.m_pkt <- pkt;
-      Engine.spawn host.eng r.m_run)
+      r.pkt <- pkt;
+      Engine.spawn host.eng r.run)
 
 let serve_raw (host : Host.t) ~port ~handler = Net.listen host.net host.addr ~port handler
