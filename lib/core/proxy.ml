@@ -718,7 +718,8 @@ let commit_job t cm k =
 (* A commit fails as a whole when a server it needs stays silent through
    every retransmission: the client hears ERR_IO, and attributes not yet
    pushed stay dirty for its next commit. The coordinator, resolved once
-   per commit, is asked when there is one and the file has data nodes. *)
+   for the fan-out, is asked when there is one and the file has data
+   nodes. *)
 let run_commit t cm =
   let fh = cm.cm_fh and span = cm.cm_span in
   cm.cm_failed <- false;
