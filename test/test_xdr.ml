@@ -192,6 +192,33 @@ let nested_encoders () =
   Alcotest.check_raises "write after to_bytes" (Invalid_argument "Xdr.Enc: write after to_bytes")
     (fun () -> Xdr.Enc.u32 outer 4)
 
+(* [build] lends one encoder: a build nested in another writes its own
+   bytes, each build returns exactly what it wrote, and the encoder
+   refuses writes once its build has returned, as a finished one does. *)
+let build_lends_a_finished_encoder () =
+  let kept = ref None in
+  let inner = ref Bytes.empty in
+  let outer =
+    Xdr.Enc.build
+      (fun e a b ->
+        kept := Some e;
+        Xdr.Enc.u32 e a;
+        inner := Xdr.Enc.build (fun e s () -> Xdr.Enc.str e s) "inner" ();
+        Xdr.Enc.u32 e b)
+      1 2
+  in
+  let d = Xdr.Dec.of_bytes outer in
+  List.iter (fun v -> check_int "outer word" v (Xdr.Dec.u32 d)) [ 1; 2 ];
+  check_drained "outer consumed" d;
+  check_string "inner" "inner" (Xdr.Dec.str (Xdr.Dec.of_bytes !inner));
+  (match !kept with
+  | Some e ->
+      Alcotest.check_raises "write after the build" (Invalid_argument "Xdr.Enc: write after to_bytes")
+        (fun () -> Xdr.Enc.u32 e 3)
+  | None -> Alcotest.fail "build never ran its writer");
+  let again = Xdr.Enc.build (fun e v () -> Xdr.Enc.u32 e v) 7 () in
+  check_int "the next build writes afresh" 4 (Bytes.length again)
+
 let opaque_with_matches_opaque =
   qtest "opaque_with has opaque's wire form" QCheck2.Gen.(string_size (int_range 0 40)) (fun s ->
       let a = Xdr.Enc.create () in
@@ -243,6 +270,7 @@ let suite =
     span_bounds_fuzz;
     u64_int_matches_u64;
     ("nested encoders", `Quick, nested_encoders);
+    ("build lends a finished encoder", `Quick, build_lends_a_finished_encoder);
     opaque_with_matches_opaque;
     ("encoder primitives allocate nothing", `Quick, enc_primitives_allocate_nothing);
   ]
