@@ -273,15 +273,12 @@ let nfs_call t ?(span = Trace.null) (call : Nfs.call) ~dst =
   let xid = Rpc.fresh_xid t.rpc in
   let payload = Codec.encode_call ~xid call in
   ignore
-    (Rpc.call_with t.rpc ~timeout:2.0 ~retries:8 ~span ~dst ~dport:2049
+    (Rpc.call t.rpc ~span ~timeout:2.0 ~dst ~dport:2049
        ~extra_size:(Codec.extra_size_of_call call) payload)
 
 let ctrl_call_to t ~span ~dst ~dport msg =
   let xid = Rpc.fresh_xid t.rpc in
-  let reply =
-    Rpc.call_with t.rpc ~timeout:2.0 ~retries:8 ~span ~dst ~dport ~extra_size:0
-      (Ctrl.encode_msg ~xid msg)
-  in
+  let reply = Rpc.call t.rpc ~span ~timeout:2.0 ~dst ~dport (Ctrl.encode_msg ~xid msg) in
   Ctrl.decode_reply reply
 
 let ctrl_call t ?(span = Trace.null) msg =
@@ -641,8 +638,7 @@ let to_dir t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) ~site ~retries =
 
 (* A reply from the virtual server to the client at [dst]:[dport]. *)
 let client_reply t ~dst ~dport ~xid resp =
-  Packet.create ~src:t.tg.virtual_addr ~dst ~sport:2049 ~dport ~extra_size:0
-    (Codec.encode_reply ~xid resp)
+  Packet.make ~src:t.tg.virtual_addr ~dst ~sport:2049 ~dport (Codec.encode_reply ~xid resp)
 
 (* The file's small-file server; -1 = none. *)
 let smallfile_dst t (fh : Fh.t) =

@@ -220,10 +220,7 @@ let peer_call ?(span = Trace.null) t ~site msg =
   let xid = Rpc.fresh_xid t.rpc in
   let payload = Peer.encode_msg ~xid msg in
   let dst = t.cfg.resolve site in
-  let reply =
-    Rpc.call_with t.rpc ~timeout:0.1 ~retries:8 ~span ~dst ~dport:t.cfg.peer_port ~extra_size:0
-      payload
-  in
+  let reply = Rpc.call t.rpc ~span ~dst ~dport:t.cfg.peer_port payload in
   Peer.decode_reply reply
 
 let commit t s op_id =

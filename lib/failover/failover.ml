@@ -129,7 +129,7 @@ let install_endpoint t host grant =
         match decode_renew pkt.Packet.payload with
         | Some (xid, epoch, until) ->
             if grant ~epoch ~until then
-              Nfs_endpoint.reply_to host pkt ~extra_size:0 (encode_ack ~xid)
+              Nfs_endpoint.reply_to host pkt (encode_ack ~xid)
         | None -> ())
   end
 

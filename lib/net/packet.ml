@@ -47,7 +47,7 @@ let compute_cksum ~src ~dst ~sport ~dport payload =
   in
   lnot s land 0xFFFF
 
-let create ~src ~dst ~sport ~dport ~extra_size payload =
+let make ~src ~dst ~sport ~dport ?(extra_size = 0) payload =
   {
     src;
     dst;
@@ -57,9 +57,6 @@ let create ~src ~dst ~sport ~dport ~extra_size payload =
     extra_size;
     cksum = compute_cksum ~src ~dst ~sport ~dport payload;
   }
-
-let make ~src ~dst ~sport ~dport ?(extra_size = 0) payload =
-  create ~src ~dst ~sport ~dport ~extra_size payload
 
 let copy t =
   {

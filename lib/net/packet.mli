@@ -19,15 +19,9 @@ type t = {
   mutable cksum : int; (* 16-bit ones-complement checksum *)
 }
 
-val create :
-  src:addr -> dst:addr -> sport:int -> dport:int -> extra_size:int -> bytes -> t
-(** Builds a packet and seals its checksum. Every argument is plain, so
-    the packet record is the call's only allocation: the form the
-    per-message senders ({!Rpc}, the servers' replies, the µproxy) use. *)
-
 val make :
   src:addr -> dst:addr -> sport:int -> dport:int -> ?extra_size:int -> bytes -> t
-(** {!create} with [extra_size] defaulting to 0. *)
+(** Builds a packet and seals its checksum. *)
 
 val header_bytes : int
 (** Modeled per-packet header overhead (Ethernet+IP+UDP), included in

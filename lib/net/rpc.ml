@@ -121,7 +121,7 @@ let max_timeout = 2.0
    (the slot may even hold the caller's next call by then). *)
 let transmit t s xid payload =
   Net.send t.net
-    (Packet.create ~src:t.addr ~dst:s.dst ~sport:t.port ~dport:s.dport ~extra_size:s.extra_size
+    (Packet.make ~src:t.addr ~dst:s.dst ~sport:t.port ~dport:s.dport ~extra_size:s.extra_size
        payload);
   if Slot_lru.slot t.calls xid >= 0 then begin
     let wait = s.fl.(1) *. (1.0 +. (jitter_frac *. Slice_util.Prng.float t.prng 1.0)) in
@@ -180,7 +180,7 @@ let new_slot t id =
 
 let rec round_pow2 p n = if p >= n then p else round_pow2 (p * 2) n
 
-let call_with t ~timeout ~retries ~span ~dst ~dport ~extra_size payload =
+let call t ?(timeout = 0.1) ?(retries = 8) ?(span = Trace.null) ~dst ~dport ?(extra_size = 0) payload =
   let xid = Int32.to_int (Bytes.get_int32_be payload 0) land 0xFFFFFFFF in
   let ep = ep_of t dst in
   ep.ep_calls <- ep.ep_calls + 1;
@@ -216,9 +216,6 @@ let call_with t ~timeout ~retries ~span ~dst ~dport ~extra_size payload =
     Trace.finish sp;
     reply
   end
-
-let call t ?(timeout = 0.1) ?(retries = 8) ?(span = Trace.null) ~dst ~dport ?(extra_size = 0) payload =
-  call_with t ~timeout ~retries ~span ~dst ~dport ~extra_size payload
 
 let retransmissions t = t.retransmits
 let timeouts t = t.timeouts

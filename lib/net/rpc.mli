@@ -49,21 +49,6 @@ val call :
     Retransmissions carry the bytes as they were at the call, from a
     copy the endpoint keeps. *)
 
-val call_with :
-  t ->
-  timeout:float ->
-  retries:int ->
-  span:Slice_trace.Trace.span ->
-  dst:Packet.addr ->
-  dport:int ->
-  extra_size:int ->
-  bytes ->
-  bytes
-(** {!call} with every argument given: no option is boxed per call. The
-    form the per-message callers use (clients, the µproxy, the
-    coordinator, the directory servers' peer calls, the small-file zone
-    backend); pass {!Slice_trace.Trace.null} for no span. *)
-
 val retransmissions : t -> int
 (** Total timeout-triggered resends across all calls. *)
 

@@ -56,9 +56,7 @@ let backend eng rpc ~vaddr ?cap_secret ~sf_idx ~stripe_unit () =
   let call call =
     let xid = Rpc.fresh_xid rpc in
     let payload = Codec.encode_call ~xid call in
-    ignore
-      (Rpc.call_with rpc ~timeout:2.0 ~retries:8 ~span:Slice_trace.Trace.null ~dst:vaddr ~dport:2049
-         ~extra_size:(Codec.extra_size_of_call call) payload)
+    ignore (Rpc.call rpc ~timeout:2.0 ~dst:vaddr ~dport:2049 ~extra_size:(Codec.extra_size_of_call call) payload)
   in
   (* One fiber per chunk, spawned last chunk first; each draws its xid
      when it starts. *)

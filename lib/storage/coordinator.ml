@@ -80,10 +80,7 @@ let fan_out ?(span = Trace.null) t (i : intent) =
   Fiber.fan_out t.host.Host.eng (Array.length i.participants) (fun k ->
       let xid = Rpc.fresh_xid t.rpc in
       let payload = Codec.encode_call ~xid i.call in
-      match
-        Rpc.call_with t.rpc ~timeout:2.0 ~retries:8 ~span ~dst:i.participants.(k) ~dport:2049
-          ~extra_size:0 payload
-      with
+      match Rpc.call t.rpc ~span ~timeout:2.0 ~dst:i.participants.(k) ~dport:2049 payload with
       | (_ : bytes) -> ()
       | exception Rpc.Timeout -> ok := false);
   !ok

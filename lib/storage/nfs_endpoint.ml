@@ -9,9 +9,9 @@ module Wfq = Slice_qos.Wfq
 
 type cost = { per_op : float; per_byte : float }
 
-let reply_to (host : Host.t) (pkt : Packet.t) ~extra_size payload =
+let reply_to (host : Host.t) (pkt : Packet.t) ?(extra_size = 0) payload =
   let reply =
-    Packet.create ~src:host.addr ~dst:pkt.src ~sport:pkt.dport ~dport:pkt.sport ~extra_size
+    Packet.make ~src:host.addr ~dst:pkt.src ~sport:pkt.dport ~dport:pkt.sport ~extra_size
       payload
   in
   Net.send host.net reply
@@ -243,7 +243,7 @@ let serve_msg (host : Host.t) ~port ~tenure ~cpu ?trace ~decode ~encode ~handler
             | reply ->
                 if not (overtaken tenure life) then begin
                   Trace.finish span;
-                  reply_to host pkt ~extra_size:0 (encode ~xid reply)
+                  reply_to host pkt (encode ~xid reply)
                 end)
   in
   let run r =

@@ -84,6 +84,5 @@ val serve_raw :
     its own fibers. *)
 
 val reply_to :
-  Host.t -> Slice_net.Packet.t -> extra_size:int -> bytes -> unit
-(** Send [payload] back to the source of [pkt], from this host, with
-    [extra_size] unmaterialized bytes ({!Slice_net.Packet.create}). *)
+  Host.t -> Slice_net.Packet.t -> ?extra_size:int -> bytes -> unit
+(** Send [payload] back to the source of [pkt], from this host. *)

@@ -56,8 +56,8 @@ let exchange t (c : Nfs.call) =
   let timeout = match c with Nfs.Commit _ -> 1.0 | _ -> 0.1 in
   (* hard-mount behaviour: keep retrying; servers dedup via their DRC *)
   let reply =
-    Rpc.call_with t.rpc ~timeout ~retries:40 ~span:Slice_trace.Trace.null ~dst:t.server
-      ~dport:2049 ~extra_size:(Codec.extra_size_of_call c) payload
+    Rpc.call t.rpc ~timeout ~retries:40 ~dst:t.server ~dport:2049
+      ~extra_size:(Codec.extra_size_of_call c) payload
   in
   let body =
     match Codec.reply_status reply with

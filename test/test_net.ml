@@ -473,44 +473,33 @@ let send_delivery_words () =
   check_bool (Printf.sprintf "a send and its delivery allocate %.1f words (budget 0)" per) true
     (per = 0.0)
 
-(* Steady-state words of one call/reply round trip over a bare Net, in
-   the form the per-message callers use: the caller gives a timeout, a
-   retry budget, a span and a computed extra size, and the server
-   answers with a packet of a computed extra size. The call record,
-   timer closure and waiter are pooled, and so are the packets'
-   deliveries with their event thunks, no event time is boxed, and no
-   argument is boxed in an option, so what is left is the request and
-   reply packets, the caller's payload and the park — 26 words on OCaml
-   5.1 x86-64 with inlining across modules, which also unboxes the
-   options of an inlined default-argument wrapper. Event times boxed in
-   the engine's cells made it 37, floats boxed at module boundaries
-   under -opaque 55, per-delivery thunks 81, and a per-call record,
-   timer closure, hashtable row, [suspend] waker and payload copy 147
-   before that. *)
+(* Steady-state words of one call/reply round trip over a bare Net: the
+   call record, timer closure and waiter are pooled, and so are the
+   packets' deliveries with their event thunks, and no event time is
+   boxed, so what is left is the request and reply packets and the
+   caller's payload — 26 words on OCaml 5.1 x86-64 with inlining across
+   modules. Event times boxed in the engine's cells made it 37, floats
+   boxed at module boundaries under -opaque 55, per-delivery thunks 81,
+   and a per-call record, timer closure, hashtable row, [suspend] waker
+   and payload copy 147 before that. *)
 let rpc_roundtrip_words () =
   let eng, net = mk_net () in
   let c = Net.add_node net ~name:"client" in
   let s = Net.add_node net ~name:"server" in
-  let extra = ref 0 in
   Net.listen net s ~port:2049 (fun pkt ->
       Net.send net
-        (Packet.create ~src:s ~dst:pkt.Packet.src ~sport:2049 ~dport:pkt.Packet.sport
-           ~extra_size:!extra pkt.Packet.payload));
+        (Packet.make ~src:s ~dst:pkt.Packet.src ~sport:2049 ~dport:pkt.Packet.sport
+           pkt.Packet.payload));
   let rpc = Rpc.create net c ~port:900 in
-  let call () =
-    ignore
-      (Rpc.call_with rpc ~timeout:0.5 ~retries:8 ~span:Slice_trace.Trace.null ~dst:s ~dport:2049
-         ~extra_size:!extra (mk_call_payload rpc 0))
-  in
   let per_call = ref infinity in
   run_on eng (fun () ->
       for _ = 1 to 64 do
-        call ()
+        ignore (Rpc.call rpc ~dst:s ~dport:2049 (mk_call_payload rpc 0))
       done;
       let n = 1024 in
       let w0 = Gc.minor_words () in
       for _ = 1 to n do
-        call ()
+        ignore (Rpc.call rpc ~dst:s ~dport:2049 (mk_call_payload rpc 0))
       done;
       per_call := (Gc.minor_words () -. w0) /. float_of_int n);
   check_bool (Printf.sprintf "round trip allocates %.1f words (budget 26)" !per_call) true

@@ -821,7 +821,7 @@ let misdirect_retry_timing () =
           end
           else Ok (Nfs.RGetattr (Nfs.default_attr ~ftype:Fh.Dir ~fileid:1L ~now:0.0))
         in
-        Slice_storage.Nfs_endpoint.reply_to dhost pkt ~extra_size:0 (Codec.encode_reply ~xid resp));
+        Slice_storage.Nfs_endpoint.reply_to dhost pkt (Codec.encode_reply ~xid resp));
     run_on eng (fun () -> Net.send net (call_pkt chost vaddr ~xid:0x5151 (Nfs.Getattr Fh.root)));
     check_int "one bounce" 1 (Proxy.stale_bounces proxy);
     check_int "every pending record released" 0 (Proxy.pending_size proxy);
