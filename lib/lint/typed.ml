@@ -129,6 +129,10 @@ let float_arith = [ "+."; "-."; "*."; "/."; "Float.max"; "Float.min" ]
    [float array]. *)
 let array_stores = [ "Array.set"; "Array.unsafe_set" ]
 
+(* Loads from a [float array]: a fresh box unless the value is consumed
+   unboxed. *)
+let array_gets = [ "Array.get"; "Array.unsafe_get" ]
+
 let is_float ty =
   match Types.get_desc ty with
   | Types.Tconstr (p, [], _) -> Path.same p Predef.path_float
@@ -346,6 +350,22 @@ let rec function_bodies (e : Typedtree.expression) acc =
 let is_arrow ty =
   match Types.get_desc ty with Types.Tarrow _ -> true | _ -> false
 
+(* The float parameters a function binds by name, curried or labelled. *)
+let rec float_params (e : Typedtree.expression) acc =
+  match e.Typedtree.exp_desc with
+  | Typedtree.Texp_function { cases; _ } ->
+      List.fold_left
+        (fun acc (c : Typedtree.value Typedtree.case) ->
+          let acc =
+            match c.Typedtree.c_lhs.Typedtree.pat_desc with
+            | Typedtree.Tpat_var (id, _) when is_float c.Typedtree.c_lhs.Typedtree.pat_type ->
+                id :: acc
+            | _ -> acc
+          in
+          float_params c.Typedtree.c_rhs acc)
+        acc cases
+  | _ -> acc
+
 (* Local let-bound lambdas: an application of one is already covered by
    the closure-creation finding at its definition, so the apply itself
    is not separately flagged. *)
@@ -378,16 +398,31 @@ let a1_summarize cfg tables (fi : fun_info) : a1_summary =
   in
   let bodies = function_bodies fi.fi_body [] in
   let lambdas = List.concat_map local_lambda_names bodies in
-  (* Does every tail of [e] build a fresh float or name a float constant,
-     one tail at least building? cmmgen then binds a let of [e] unboxed
-     and boxes it again at each use that needs the box. *)
+  (* let-bound floats held unboxed: a use that needs the box pays for it.
+     An inlined function's float parameters are bound like such lets;
+     its callers pass them unboxed. *)
+  let unboxed = ref (if fi.fi_inline then float_params fi.fi_body [] else []) in
+  let is_unboxed id = List.exists (Ident.same id) !unboxed in
+  (* Does every tail of [e] build a fresh float, read a [float array],
+     name a float constant or an unboxed float, one tail at least
+     building? cmmgen then binds a let of [e] unboxed and boxes it again
+     at each use that needs the box. *)
   let rec float_tails (e : Typedtree.expression) =
     let join a b = match (a, b) with Some x, Some y -> Some (x || y) | _ -> None in
     match e.Typedtree.exp_desc with
     | Typedtree.Texp_constant (Asttypes.Const_float _) -> Some false
-    | Typedtree.Texp_apply ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, _) -> (
+    | Typedtree.Texp_ident (Path.Pident id, _, _) when is_unboxed id -> Some false
+    | Typedtree.Texp_apply ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, args) -> (
         match resolve cfg tables ~stack:fi.fi_stack p with
         | Boxing _ when is_float e.Typedtree.exp_type -> Some true
+        | Fn callee when callee.fi_inline && is_float e.Typedtree.exp_type -> Some true
+        | (Guard | Clean) when is_float e.Typedtree.exp_type -> (
+            match args with
+            | [ (_, Some a); _ ]
+              when List.mem (key_of_parts (strip_stdlib (path_parts p))) array_gets
+                   && is_float_array a.Typedtree.exp_type ->
+                Some true
+            | _ -> None)
         | _ -> None)
     | Typedtree.Texp_ifthenelse (_, a, Some b) -> join (float_tails a) (float_tails b)
     | Typedtree.Texp_sequence (_, b) | Typedtree.Texp_let (_, _, b) -> float_tails b
@@ -398,15 +433,13 @@ let a1_summarize cfg tables (fi : fun_info) : a1_summary =
           (float_tails c.Typedtree.c_rhs) cs
     | _ -> None
   in
-  (* let-bound floats held unboxed: a use that needs the box pays for it *)
-  let unboxed = ref [] in
   (* exempt: inside a raising call's arguments. unbox: this expression's
      boxed-number result is consumed directly by an unbox consumer. *)
   let rec walk ~exempt ~unbox (e : Typedtree.expression) =
     let desc = e.Typedtree.exp_desc in
     let loc = e.Typedtree.exp_loc in
     match desc with
-    | Typedtree.Texp_ident (Path.Pident id, _, _) when List.exists (Ident.same id) !unboxed ->
+    | Typedtree.Texp_ident (Path.Pident id, _, _) when is_unboxed id ->
         if (not exempt) && not unbox then add_alloc loc 2 ("boxed use of float " ^ Ident.name id)
     | Typedtree.Texp_ident _ | Typedtree.Texp_constant _
     | Typedtree.Texp_instvar _ | Typedtree.Texp_unreachable ->
@@ -467,8 +500,12 @@ let a1_summarize cfg tables (fi : fun_info) : a1_summary =
                 walk_args ~exempt ~unbox_args:false
             | Fn callee ->
                 partial ();
+                (* an inlined float result is unboxed in the callee's
+                   walk; the box, if any, is this call's *)
+                if callee.fi_inline && is_float e.Typedtree.exp_type && (not exempt) && not unbox
+                then add_alloc loc 2 ("boxed result of inlined " ^ callee.fi_key);
                 edges := callee.fi_key :: !edges;
-                walk_args ~exempt ~unbox_args:false
+                walk_args ~exempt ~unbox_args:callee.fi_inline
             | Unknown name ->
                 if not exempt then
                   if List.mem name lambdas then

@@ -197,7 +197,8 @@ let a1_hot_roots () =
 (* The float model: a float result is charged only where it is boxed —
    returned from a function that is not inlined, handed to a ref cell,
    stored into a mixed record — not where it feeds more float arithmetic
-   or a [float array] store. *)
+   or a [float array] store. An inlined function's result is charged at
+   the caller that boxes it, its float parameters where it boxes them. *)
 let a1_float_model () =
   let report = scan_typed [ "lint_fixtures_typed/a1_float.ml" ] in
   check_bool "typed tier ran" true report.Driver.typed_ran;
@@ -209,8 +210,8 @@ let a1_float_model () =
   List.iter
     (fun (n, w) -> check_int n w (words ("A1_float." ^ n)))
     [
-      ("chain", 2); ("store", 0); ("inline_return", 0); ("let_bound", 0); ("boxed_use", 2);
-      ("record_store", 2);
+      ("chain", 2); ("store", 0); ("inline_return", 0); ("inline_feeds", 0); ("inline_boxed", 2);
+      ("inline_param", 2); ("let_bound", 0); ("boxed_use", 2); ("record_store", 2);
     ];
   check_bool "the boxed use names its variable" true
     (List.exists
