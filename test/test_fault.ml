@@ -834,6 +834,43 @@ let failover_partition_false_positive () =
         names;
       Fo.stop fo)
 
+(* A COMMIT after a directory takeover, while the writer's µproxy still
+   routes the file's attribute site to the deposed server, revived and
+   fenced by the lease it lost: the attribute write-back bounces off it
+   and goes again, after a table refresh, to the server that took the
+   site over. The commit's OK then means the new size reached a
+   directory server, where a second client, whose µproxy caches
+   nothing, reads it. *)
+let commit_across_dir_takeover () =
+  let module Fo = Slice_failover.Failover in
+  let module Reconfig = Slice_reconfig.Reconfig in
+  let ens =
+    Ensemble.create
+      { Ensemble.default_config with storage_nodes = 2; smallfile_servers = 0; dir_servers = 2; seed = 5 }
+  in
+  let eng = Ensemble.engine ens in
+  let rc = Reconfig.attach ens in
+  let fo = Fo.attach ens rc in
+  let wh, _ = Ensemble.add_client ens ~name:"writer" in
+  let writer = Client.create wh ~server:(Ensemble.virtual_addr ens) () in
+  let rh, _ = Ensemble.add_client ens ~name:"reader" in
+  let reader = Client.create rh ~server:(Ensemble.virtual_addr ens) () in
+  run_on eng (fun () ->
+      let fh, _ = ok_or_fail "create" (Client.create_file writer Ensemble.root "f") in
+      ignore (ok_or_fail "write" (Client.write_at writer fh ~off:0L ~data:(Nfs.Synthetic 65536) ()));
+      let owner = Table.lookup (Ensemble.dir_table ens) fh.Fh.attr_site in
+      let victim = if Ensemble.server_addr ens Dir 0 = owner then 0 else 1 in
+      now ens (Crash (Server (Dir, victim)));
+      Engine.sleep eng 1.0;
+      check_int "the site was taken over" 1 (Fo.takeovers fo);
+      Ensemble.recover ens Dir victim;
+      let t0 = Engine.now eng in
+      ok_or_fail "commit" (Client.commit writer fh);
+      check_bool "the write-back waited out no timeout" true (Engine.now eng -. t0 < 1.0);
+      let a = ok_or_fail "getattr at the new owner" (Client.getattr reader fh) in
+      check_int "the size reached the new owner" 65536 (Int64.to_int a.Nfs.size);
+      Fo.stop fo)
+
 let chaos_deterministic () =
   let w, schedule = chaos_row "untar, 2% loss + dir crash" in
   let r1 = Chaos.run w schedule in
@@ -869,6 +906,7 @@ let suite =
     ("coordinator redo waits for partition heal", `Quick, coordinator_redo_waits_for_partition_heal);
     ("coordinator takeover completes 2pc", `Quick, coordinator_takeover_completes_2pc);
     ("failover partition false positive", `Quick, failover_partition_false_positive);
+    ("commit across a directory takeover", `Quick, commit_across_dir_takeover);
     ("chaos: untar with node crash", `Slow, untar_with_node_crash);
     ("chaos: specsfs with node crash", `Slow, specsfs_with_node_crash);
     ("chaos: deterministic", `Slow, chaos_deterministic);
