@@ -355,9 +355,53 @@ let[@hot] dir_phys t logical =
      never divide by zero in the fast path. *)
   if n = 0 then t.tg.virtual_addr else t.dir.map.(logical mod n)
 
+(* ---- table snapshots ---- *)
+
+let refresh s =
+  match s.tbl with
+  | Some table ->
+      let map, version = Table.snapshot table in
+      s.map <- map;
+      s.version <- version;
+      s.nodes <- Table.node_set map
+  | None -> ()
+
+let snap tbl =
+  let s = { tbl; map = [||]; version = 0; nodes = [||] } in
+  refresh s;
+  s
+
+let epoch s = match s.tbl with Some table -> Table.epoch table | None -> 0
+let combined_epoch t = epoch t.dir + epoch t.sf + epoch t.st
+
+(* Versions only ever grow ([Table.update], [Table.bump_epoch]), so the
+   sum moves exactly when some table moved. *)
+let tables_version t = t.dir.version + t.sf.version + t.st.version
+
+(* A bounce that a refresh could not explain (the table versions did not
+   change) means a migration is mid-drain: the move has not committed
+   yet, so an immediate retry would bounce right back. Back off a little
+   and retry; after the budget is spent, drop the request and let the
+   client's own RPC retransmission drive the next attempt. *)
+let misdirect_retry_limit = 8
+let misdirect_retry_delay = 0.01
+
+(* ---- attribute write-back ---- *)
+
+(* Transmissions per write-back, each to the server that holds the
+   attribute site when it is sent. *)
+let writeback_attempts = 9
+
 (* Push one dirty cached attribute back to its directory server (the
-   paper's setattr write-back on commit / eviction / interval). *)
-let writeback_one t (c : cached_attr) =
+   paper's setattr write-back on commit / eviction / interval). An
+   attempt is one transmission; one that goes unanswered, or that a
+   server which no longer holds the site bounces, is sent again after a
+   table refresh, to whichever server holds the site by then (after a
+   short pause when the tables did not move: a drain or takeover is
+   under way). A server that does not know the file (ERR_STALE) is owed
+   nothing. When every attempt fails the attributes stay owed and the
+   caller hears {!Rpc.Timeout}. *)
+let rec writeback_one t (c : cached_attr) =
   if c.ca_dirty then begin
     c.ca_dirty <- false;
     t.n_writeback <- t.n_writeback + 1;
@@ -370,16 +414,68 @@ let writeback_one t (c : cached_attr) =
         set_atime = Some a.Nfs.atime;
       }
     in
-    try nfs_call t (Nfs.Setattr (c.ca_fh, s)) ~dst:(dir_phys t c.ca_fh.Fh.attr_site)
-    with Rpc.Timeout as e ->
-      (* the attributes were never pushed: they stay owed *)
-      c.ca_dirty <- true;
-      raise e
+    push_attrs t c (Nfs.Setattr (c.ca_fh, s)) 1
+  end
+
+and push_attrs t c call n =
+  let xid = Rpc.fresh_xid t.rpc in
+  match
+    Rpc.call t.rpc ~timeout:2.0 ~retries:0 ~dst:(dir_phys t c.ca_fh.Fh.attr_site) ~dport:2049
+      ~extra_size:(Codec.extra_size_of_call call) (Codec.encode_call ~xid call)
+  with
+  | exception Rpc.Timeout -> push_again t c call n ~bounced:false
+  | reply -> (
+      match Codec.reply_status reply with
+      | Nfs.ERR_MISDIRECTED -> push_again t c call n ~bounced:true
+      | _ | (exception Codec.Malformed _) -> ())
+
+and push_again t c call n ~bounced =
+  if n >= writeback_attempts then begin
+    c.ca_dirty <- true;
+    raise Rpc.Timeout
+  end
+  else begin
+    let v = tables_version t in
+    refresh_tables t;
+    if bounced && tables_version t = v then
+      Engine.sleep t.eng (misdirect_retry_delay *. float_of_int n);
+    push_attrs t c call (n + 1)
+  end
+
+and writeback_later t c = Engine.spawn t.eng (fun () -> writeback_one t c)
+
+(* A fencing-epoch advance means a manager was deposed by a takeover:
+   every metadata entry cached from the dead incarnation is suspect.
+   Names and block maps are dropped outright. Attribute entries lose
+   their lease so the next fast-path attempt revalidates at the new
+   owner — except dirty ones, whose pending I/O state (sizes, mtimes of
+   writes already acked to the client) must survive the takeover: they
+   keep their bytes and are written back to the successor immediately. *)
+and fence_invalidate t =
+  Slot_lru.clear t.name_cache;
+  Slot_lru.clear t.map_cache;
+  Slot_lru.iter t.attrs (fun s ->
+      let c = t.attr_val.(s) in
+      if c.ca_dirty then begin
+        Slot_lru.set_lease t.attrs s neg_infinity;
+        writeback_later t c
+      end
+      else Slot_lru.drop t.attrs s);
+  t.meta_epoch <- t.meta_epoch + 1;
+  t.n_meta_inval <- t.n_meta_inval + 1;
+  t.n_fence_inval <- t.n_fence_inval + 1
+
+and refresh_tables t =
+  refresh t.dir;
+  refresh t.sf;
+  refresh t.st;
+  let ep = combined_epoch t in
+  if ep > t.fence_seen then begin
+    t.fence_seen <- ep;
+    fence_invalidate t
   end
 
 (* ---- metadata cache columns ---- *)
-
-let writeback_later t c = Engine.spawn t.eng (fun () -> writeback_one t c)
 
 (* Cache [c] under file id [key]. A dirty entry the insert displaces
    still owes its directory server a write-back. Inlined, with
@@ -466,60 +562,6 @@ let add_map t fid gen sites =
   t.map_sites <- Slot_lru.fit t.map_cache t.map_sites [||];
   t.map_gen.(s) <- gen;
   t.map_sites.(s) <- sites
-
-(* ---- table snapshots ---- *)
-
-let refresh s =
-  match s.tbl with
-  | Some table ->
-      let map, version = Table.snapshot table in
-      s.map <- map;
-      s.version <- version;
-      s.nodes <- Table.node_set map
-  | None -> ()
-
-let snap tbl =
-  let s = { tbl; map = [||]; version = 0; nodes = [||] } in
-  refresh s;
-  s
-
-let epoch s = match s.tbl with Some table -> Table.epoch table | None -> 0
-let combined_epoch t = epoch t.dir + epoch t.sf + epoch t.st
-
-(* Versions only ever grow ([Table.update], [Table.bump_epoch]), so the
-   sum moves exactly when some table moved. *)
-let tables_version t = t.dir.version + t.sf.version + t.st.version
-
-(* A fencing-epoch advance means a manager was deposed by a takeover:
-   every metadata entry cached from the dead incarnation is suspect.
-   Names and block maps are dropped outright. Attribute entries lose
-   their lease so the next fast-path attempt revalidates at the new
-   owner — except dirty ones, whose pending I/O state (sizes, mtimes of
-   writes already acked to the client) must survive the takeover: they
-   keep their bytes and are written back to the successor immediately. *)
-let fence_invalidate t =
-  Slot_lru.clear t.name_cache;
-  Slot_lru.clear t.map_cache;
-  Slot_lru.iter t.attrs (fun s ->
-      let c = t.attr_val.(s) in
-      if c.ca_dirty then begin
-        Slot_lru.set_lease t.attrs s neg_infinity;
-        writeback_later t c
-      end
-      else Slot_lru.drop t.attrs s);
-  t.meta_epoch <- t.meta_epoch + 1;
-  t.n_meta_inval <- t.n_meta_inval + 1;
-  t.n_fence_inval <- t.n_fence_inval + 1
-
-let refresh_tables t =
-  refresh t.dir;
-  refresh t.sf;
-  refresh t.st;
-  let ep = combined_epoch t in
-  if ep > t.fence_seen then begin
-    t.fence_seen <- ep;
-    fence_invalidate t
-  end
 
 (* ---- pending-record expiry ---- *)
 
@@ -1225,13 +1267,6 @@ let retry_misdirected ?(retries = 0) t ~src ~sport (orig : bytes) =
   let pkt = Packet.make ~src ~dst:t.tg.virtual_addr ~sport ~dport:2049 orig in
   handle_request ~retries t pkt
 
-(* A bounce that a refresh could not explain (the table versions did not
-   change) means a migration is mid-drain: the move has not committed
-   yet, so an immediate retry would bounce right back. Back off a little
-   and retry; after the budget is spent, drop the request and let the
-   client's own RPC retransmission drive the next attempt. *)
-let misdirect_retry_limit = 8
-let misdirect_retry_delay = 0.01
 
 let pass_through ?outcome span pkt =
   Trace.finish ?outcome span;
