@@ -505,7 +505,14 @@ let a1_summarize cfg tables (fi : fun_info) : a1_summary =
                 if callee.fi_inline && is_float e.Typedtree.exp_type && (not exempt) && not unbox
                 then add_alloc loc 2 ("boxed result of inlined " ^ callee.fi_key);
                 edges := callee.fi_key :: !edges;
-                walk_args ~exempt ~unbox_args:callee.fi_inline
+                (* its float parameters are held unboxed (see [unboxed]) *)
+                List.iter
+                  (fun (_, a) ->
+                    match a with
+                    | Some (a : Typedtree.expression) ->
+                        walk ~exempt ~unbox:(callee.fi_inline && is_float a.Typedtree.exp_type) a
+                    | None -> ())
+                  args
             | Unknown name ->
                 if not exempt then
                   if List.mem name lambdas then
