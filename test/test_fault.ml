@@ -871,6 +871,34 @@ let commit_across_dir_takeover () =
       check_int "the size reached the new owner" 65536 (Int64.to_int a.Nfs.size);
       Fo.stop fo)
 
+(* A small-file server owns its files' attributes, so committing its
+   zones asks no directory server anything. With directory server 0
+   down, a client COMMIT of a small file whose attributes live on
+   directory server 1 returns at once: only the client's own write-back
+   visits a directory server, the live one. *)
+let smallfile_commit_skips_dead_dir () =
+  let params = { Slice.Params.default with name_policy = Slice.Params.Name_hashing } in
+  let ens =
+    Ensemble.create
+      { Ensemble.default_config with storage_nodes = 2; dir_servers = 2; proxy_params = params }
+  in
+  let eng = Ensemble.engine ens in
+  let host, _ = Ensemble.add_client ens ~name:"committer" in
+  let cl = Client.create host ~server:(Ensemble.virtual_addr ens) () in
+  let dir1 = Ensemble.server_addr ens Dir 1 in
+  run_on eng (fun () ->
+      let rec on_dir1 i =
+        let fh, _ = ok_or_fail "create" (Client.create_file cl Ensemble.root (Printf.sprintf "f%d" i)) in
+        if Table.lookup (Ensemble.dir_table ens) fh.Fh.attr_site = dir1 then fh else on_dir1 (i + 1)
+      in
+      let fh = on_dir1 0 in
+      ignore (ok_or_fail "write" (Client.write_at cl fh ~off:0L ~data:(Nfs.Synthetic 4096) ()));
+      now ens (Crash (Server (Dir, 0)));
+      let t0 = Engine.now eng in
+      let r = try Client.commit cl fh with Rpc.Timeout -> Error Nfs.ERR_IO in
+      check_bool "the commit waited on no directory server" true (Engine.now eng -. t0 < 0.5);
+      ok_or_fail "commit" r)
+
 let chaos_deterministic () =
   let w, schedule = chaos_row "untar, 2% loss + dir crash" in
   let r1 = Chaos.run w schedule in
@@ -907,6 +935,7 @@ let suite =
     ("coordinator takeover completes 2pc", `Quick, coordinator_takeover_completes_2pc);
     ("failover partition false positive", `Quick, failover_partition_false_positive);
     ("commit across a directory takeover", `Quick, commit_across_dir_takeover);
+    ("small-file commit skips a dead directory server", `Quick, smallfile_commit_skips_dead_dir);
     ("chaos: untar with node crash", `Slow, untar_with_node_crash);
     ("chaos: specsfs with node crash", `Slow, specsfs_with_node_crash);
     ("chaos: deterministic", `Slow, chaos_deterministic);

@@ -321,6 +321,55 @@ let zone_chunk_words () =
   let words = backend -. by_hand in
   check_bool (Printf.sprintf "zone chunk I/O adds %.2f words (pinned 35)" words) true (words <= 35.01)
 
+(* A small-file server owns its files' attributes, so its zone I/O
+   reaches the storage nodes and the coordinator only: under a SPECsfs
+   mix, no packet from a small-file server's host reaches a directory
+   server, a SETATTR least of all. *)
+let zone_io_skips_dir_servers () =
+  let module Ensemble = Slice.Ensemble in
+  let module Specsfs = Slice_workload.Specsfs in
+  let ens =
+    Ensemble.create
+      { Ensemble.default_config with storage_nodes = 2; dir_servers = 2; smallfile_cache = 1 lsl 20 }
+  in
+  let net = Ensemble.net ens in
+  let sf_hosts = List.init (Ensemble.servers ens Smallfile) (Ensemble.server_addr ens Smallfile) in
+  let to_dir = ref 0 and setattrs = ref 0 and to_storage = ref 0 in
+  for i = 0 to Ensemble.servers ens Storage - 1 do
+    Net.add_ingress_filter net (Ensemble.server_addr ens Storage i) (fun pkt ->
+        if List.mem pkt.Slice_net.Packet.src sf_hosts then incr to_storage;
+        Some pkt)
+  done;
+  for i = 0 to Ensemble.servers ens Dir - 1 do
+    Net.add_ingress_filter net (Ensemble.server_addr ens Dir i) (fun pkt ->
+        if List.mem pkt.Slice_net.Packet.src sf_hosts then begin
+          incr to_dir;
+          match Codec.decode_call pkt.Slice_net.Packet.payload with
+          | _, Nfs.Setattr _ -> incr setattrs
+          | _ | (exception Codec.Malformed _) -> ()
+        end;
+        Some pkt)
+  done;
+  let host, _ = Ensemble.add_client ens ~name:"c" in
+  let clients = [| Slice_workload.Client.create host ~server:(Ensemble.virtual_addr ens) () |] in
+  let r =
+    Specsfs.run (Ensemble.engine ens) ~clients ~root:Ensemble.root
+      {
+        Specsfs.default_config with
+        offered_iops = 150.0;
+        processes = 2;
+        duration = 2.0;
+        warmup = 0.5;
+        bytes_per_iops = 20_000.0;
+      }
+  in
+  check_int "no errors" 0 r.Specsfs.errors;
+  check_bool "small files were written" true
+    (Array.exists (fun sf -> Smallfile.writes sf > 0) (Ensemble.smallfiles ens));
+  check_bool "zone I/O reached the storage nodes" true (!to_storage > 0);
+  check_int "no SETATTR from a small-file server" 0 !setattrs;
+  check_int "no packet from a small-file server to a directory server" 0 !to_dir
+
 let suite =
   [
     ("physical size rounding", `Quick, physical_rounding);
@@ -339,4 +388,5 @@ let suite =
     ("zone chunks leave last first", `Quick, zone_chunks_last_first);
     ("read handler words pinned", `Quick, read_handler_words);
     ("zone chunk I/O words pinned", `Quick, zone_chunk_words);
+    ("zone I/O skips the directory servers", `Quick, zone_io_skips_dir_servers);
   ]
