@@ -20,9 +20,9 @@ module Metrics = Slice_util.Metrics
    server, token-bucket admission at tenant µproxies, and (optionally)
    power-of-two-choices mirrored reads. [system_tenant] is the tenant
    the infrastructure's own traffic accounts to — dataless small-file
-   managers reach the storage array through their own storage-only
-   µproxies, so their backend I/O arrives with the manager host as
-   source and must not be charged to whichever tenant is id 0. *)
+   managers reach the storage array through their own zone backends, so
+   their backend I/O arrives with the manager host as source and must
+   not be charged to whichever tenant is id 0. *)
 type qos_config = {
   tenants : Slice_qos.Tenant.spec array;
   wfq_depth : int;
@@ -135,7 +135,7 @@ let drain_traces () =
 let sites_owned_by ~servers ~sites i =
   List.filter (fun j -> j mod servers = i) (List.init sites (fun k -> k))
 
-let coord_endpoint t _fh =
+let coord_endpoint t () =
   match t.coord with Some c -> Some (Coordinator.addr c, Coordinator.port c) | None -> None
 
 (* Every node that may hold data of [fh], for a directory server's remove
@@ -185,25 +185,19 @@ let attach_dir t ~idx ~host ~also_owns =
   bind_system_host t.qos_ host;
   Dirserver.attach host ?trace:t.trace_ ?qos:(wfq_of ~dataless:true t.qos_ t.eng) config
 
-(* Small-file servers are dataless managers: their backends route through
-   a storage-only µproxy on the manager's own host. *)
+(* Small-file servers are dataless managers: their zone backends reach
+   the storage nodes through the live storage table, and the
+   coordinator, themselves. *)
 let attach_smallfile t ~idx ~host ~sites =
   let nsites = match t.sf_tbl with Some tbl -> Table.nsites tbl | None -> 1 in
-  bind_system_host t.qos_ host;
-  let storage_only = { t.cfg.proxy_params with Params.threshold = 0 } in
-  let _px : Proxy.t =
-    Proxy.install host ~params:storage_only ~seed:(t.cfg.seed + 100 + idx)
-      {
-        Proxy.virtual_addr = t.vaddr;
-        dir_table = t.dir_tbl;
-        smallfile_table = None;
-        storage = t.st_tbl;
-        coordinator = (fun () -> coord_endpoint t Fh.root);
-      }
+  let st =
+    match t.st_tbl with Some st -> st | None -> invalid_arg "Ensemble: no storage for small-file zones"
   in
+  bind_system_host t.qos_ host;
   let rpc = Rpc.create t.net_ host.Host.addr ~port:1900 in
   let backend =
-    Slice_smallfile.Zone.backend t.eng rpc ~vaddr:t.vaddr
+    Slice_smallfile.Zone.backend t.eng rpc ~nsites:(Table.nsites st) ~resolve:(Table.lookup st)
+      ~coordinator:(coord_endpoint t)
       ?cap_secret:(if t.cfg.secure_objects then Some cap_secret else None)
       ~sf_idx:idx ~stripe_unit:t.cfg.proxy_params.Params.stripe_unit ()
   in
@@ -285,8 +279,8 @@ let create cfg =
           ~also_owns:
             (List.filter (fun j -> j <> i)
                (sites_owned_by ~servers:cfg.dir_servers ~sites:l_dir i)));
-  (* small-file servers attach last: their dataless backends route through
-     their own storage-only µproxies *)
+  (* small-file servers attach last: their dataless backends need the
+     storage table and the coordinator *)
   t.smallfiles_ <-
     Array.init cfg.smallfile_servers (fun i ->
         attach_smallfile t ~idx:i ~host:sf_hosts.(i)
@@ -316,9 +310,6 @@ let site_backlog t site =
 let add_client ?tenant t ~name:client_name =
   t.next_client <- t.next_client + 1;
   let host = Host.create t.net_ ~name:client_name () in
-  (* Resolved at call time: a coordinator takeover swaps [t.coord] and
-     every existing µproxy follows without being reinstalled. *)
-  let coordinator () = coord_endpoint t root in
   let qos =
     match (t.qos_, tenant) with
     | None, _ -> None
@@ -358,7 +349,7 @@ let add_client ?tenant t ~name:client_name =
         dir_table = t.dir_tbl;
         smallfile_table = t.sf_tbl;
         storage = t.st_tbl;
-        coordinator;
+        coordinator = coord_endpoint t;
       }
   in
   t.client_proxies <- proxy :: t.client_proxies;
@@ -444,10 +435,10 @@ let coordinator t = t.coord
 
 let replace_coordinator t c =
   (* Failover: hand the coordinator role to a successor instance. All
-     consumers resolve the endpoint through [coord_endpoint] at call
-     time (µproxy targets are closures, Dirserver configs call
-     [coordinator fh] per operation), so the swap is atomic in sim
-     time — no endpoint re-registration, no missed messages. *)
+     consumers (µproxies, directory servers, zone backends) resolve the
+     endpoint through [coord_endpoint] at call time, so the swap is
+     atomic in sim time — no endpoint re-registration, no missed
+     messages. *)
   t.coord <- Some c
 let dirs t = t.dirs_
 let smallfiles t = t.smallfiles_

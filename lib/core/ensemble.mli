@@ -7,12 +7,12 @@
     - storage nodes are 733 MHz-class machines with 8-arm disk arrays;
     - the coordinator runs as an extension of storage node 0's module;
     - directory and small-file servers are PC-class {e dataless} managers:
-      small-file zones are striped over the network storage array through
-      a storage-only µproxy on the manager's own host, and directory
-      journals go to a dedicated local log disk (sequential-only traffic;
-      see DESIGN.md for the substitution note);
+      small-file zones are striped over the network storage array by
+      the manager's own zone backend ({!Slice_smallfile.Zone}), and
+      directory journals go to a dedicated local log disk
+      (sequential-only traffic; see DESIGN.md for the substitution note);
     - clients are PC-class hosts whose µproxy interposes on the path to
-      the virtual server address. *)
+      the virtual server address; they are the only hosts with one. *)
 
 type qos_config = {
   tenants : Slice_qos.Tenant.spec array;
@@ -29,7 +29,8 @@ type qos_config = {
           backlogs instead of chunk-parity alternation *)
   system_tenant : int;
       (** tenant charged for infrastructure traffic (dataless managers'
-          backend I/O, unlabelled clients); index into [tenants] *)
+          own calls, small-file zone I/O included, and unlabelled
+          clients); index into [tenants] *)
 }
 (** Per-tenant QoS: a shared tenant registry, a WFQ scheduler replacing
     FIFO dispatch at every server, token-bucket admission at tenant
@@ -162,11 +163,12 @@ val add_server : t -> klass -> int
 (** Elastic scaling: attach one more server of the class and return its
     index. It joins owning no logical sites: the reconfiguration control
     plane ({!Slice_reconfig}) migrates sites onto it and republishes the
-    routing table. *)
+    routing table. @raise Invalid_argument for a small-file server
+    without storage nodes. *)
 
 val client_proxies : t -> Proxy.t list
-(** µproxies installed by {!add_client}, in creation order (the
-    storage-only proxies of dataless small-file servers are excluded). *)
+(** The µproxies {!add_client} installed, in creation order: every
+    µproxy of the ensemble. *)
 
 val meta_cache_totals : t -> Proxy.meta_cache_stats
 (** Metadata fast-path counters summed over all client µproxies. *)

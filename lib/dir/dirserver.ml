@@ -23,7 +23,7 @@ type config = {
   resolve : int -> Packet.addr;
   peer_port : int;
   data_sites : Fh.t -> Packet.addr list;
-  coordinator : Fh.t -> (Packet.addr * int) option;
+  coordinator : unit -> (Packet.addr * int) option;
   mirror_new_files : bool;
   cap_secret : string option;
   also_owns : int list;
@@ -249,7 +249,7 @@ let remove_file_data ?(span = Trace.null) t (fh : Fh.t) =
   (* Fire-and-forget: the coordinator's intention log owns completion.
      An unreachable coordinator ends the fiber, not the run; no intent
      was logged then, so the data stays behind. *)
-  match (t.cfg.data_sites fh, t.cfg.coordinator fh) with
+  match (t.cfg.data_sites fh, t.cfg.coordinator ()) with
   | [], _ | _, None -> ()
   | sites, Some (addr, port) ->
       harden ~span t;

@@ -35,8 +35,9 @@ type config = {
   data_sites : Slice_nfs.Fh.t -> Slice_net.Packet.addr list;
       (** every node that may hold data of a file: its storage nodes,
           then its small-file server; a remove cleans each of them *)
-  coordinator : Slice_nfs.Fh.t -> (Slice_net.Packet.addr * int) option;
-      (** block-service coordinator for multi-site remove/truncate *)
+  coordinator : unit -> (Slice_net.Packet.addr * int) option;
+      (** block-service coordinator for multi-site remove/truncate,
+          resolved at call time *)
   mirror_new_files : bool;
       (** per-file mirrored-striping policy flag minted into new regular
           files' handles (Section 3.1's attribute-based mirroring) *)

@@ -4,13 +4,14 @@ module Rpc = Slice_net.Rpc
 module Nfs = Slice_nfs.Nfs
 module Fh = Slice_nfs.Fh
 module Codec = Slice_nfs.Codec
+module Routekey = Slice_nfs.Routekey
+module Ctrl = Slice_storage.Ctrl
 module Bcache = Slice_disk.Bcache
 
 let bs = Bcache.block_size
 
 (* Zone handles for a dataless small-file server's backing objects: one
-   per (server, cache-object) pair, striped across the storage array by
-   the manager host's own storage-only µproxy. *)
+   per (server, cache-object) pair, striped across the storage array. *)
 let zone_fh ?cap_secret ~sf_idx obj =
   let fh =
     {
@@ -44,32 +45,66 @@ let rec chunk_start ~stripe_unit blk remaining j =
     let n = chunk_blocks ~stripe_unit blk remaining in
     chunk_start ~stripe_unit (blk + n) (remaining - n) (j - 1)
 
-let backend eng rpc ~vaddr ?cap_secret ~sf_idx ~stripe_unit () =
-  (* The cache has two objects, the map array (1) and the data zone (2). *)
+(* Transmissions per chunk. A storage node bounces a chunk whose site it
+   is draining, or every chunk while a takeover has fenced it; the chunk
+   goes again after a pause that grows with each attempt, to whichever
+   node holds its site by then. *)
+let attempts = 9
+let bounce_delay = 0.01
+
+let backend eng rpc ~nsites ~resolve ~coordinator ?cap_secret ~sf_idx ~stripe_unit () =
+  (* The cache has two objects, the map array (1) and the data zone (2),
+     each striped from its own primary site. *)
   let map_fh = zone_fh ?cap_secret ~sf_idx 1L in
   let data_fh = zone_fh ?cap_secret ~sf_idx 2L in
-  let fh_of obj =
-    if Int64.equal obj 1L then map_fh
-    else if Int64.equal obj 2L then data_fh
-    else zone_fh ?cap_secret ~sf_idx obj
-  in
-  let call call =
+  let map_site = Routekey.file_site ~nsites map_fh in
+  let data_site = Routekey.file_site ~nsites data_fh in
+  (* The chunk at byte [off] goes to its stripe site's holder at the
+     moment it is sent, at the wire offset that names the site. *)
+  let rec send ~write ~obj off len n =
+    let map = Int64.equal obj 1L in
+    let fh = if map then map_fh else data_fh in
+    let primary = if map then map_site else data_site in
+    let site = (primary + Routekey.chunk_of_offset_int ~stripe_unit off) mod nsites in
+    let woff =
+      Int64.of_int
+        (Routekey.site_offset_int ~site (Routekey.local_offset_int ~nsites ~stripe_unit off))
+    in
+    let call =
+      if write then Nfs.Write (fh, woff, Nfs.Unstable, Nfs.Synthetic len) else Nfs.Read (fh, woff, len)
+    in
     let xid = Rpc.fresh_xid rpc in
-    let payload = Codec.encode_call ~xid call in
-    ignore (Rpc.call rpc ~timeout:2.0 ~dst:vaddr ~dport:2049 ~extra_size:(Codec.extra_size_of_call call) payload)
+    let reply =
+      Rpc.call rpc ~timeout:2.0 ~dst:(resolve site) ~dport:2049
+        ~extra_size:(Codec.extra_size_of_call call) (Codec.encode_call ~xid call)
+    in
+    match Codec.reply_status reply with
+    | Nfs.ERR_MISDIRECTED ->
+        if n >= attempts then raise Rpc.Timeout;
+        Engine.sleep eng (bounce_delay *. float_of_int n);
+        send ~write ~obj off len (n + 1)
+    | _ | (exception Codec.Malformed _) -> ()
   in
   (* One fiber per chunk, spawned last chunk first; each draws its xid
      when it starts. *)
   let chunked_io ~write ~obj ~block ~count =
-    let fh = fh_of obj in
     let n = chunk_count ~stripe_unit block count in
     Fiber.fan_out eng n (fun i ->
         let first = chunk_start ~stripe_unit block count (n - 1 - i) in
         let len = chunk_blocks ~stripe_unit first (block + count - first) * bs in
-        let off = Int64.of_int (first * bs) in
-        call
-          (if write then Nfs.Write (fh, off, Nfs.Unstable, Nfs.Synthetic len)
-           else Nfs.Read (fh, off, len)))
+        send ~write ~obj (first * bs) len 1)
+  in
+  (* A zone commit goes straight to the coordinator, which commits the
+     object on every node that holds its stripes. *)
+  let commit fh =
+    match coordinator () with
+    | None -> ()
+    | Some (dst, dport) ->
+        let sites = Array.of_list (List.sort_uniq Int.compare (List.init nsites resolve)) in
+        let xid = Rpc.fresh_xid rpc in
+        ignore
+          (Rpc.call rpc ~timeout:2.0 ~dst ~dport
+             (Ctrl.encode_msg ~xid (Ctrl.Commit_file { fh; sites })))
   in
   {
     Bcache.demand_read =
@@ -82,10 +117,5 @@ let backend eng rpc ~vaddr ?cap_secret ~sf_idx ~stripe_unit () =
         Engine.spawn eng (fun () ->
             chunked_io ~write:true ~obj ~block ~count;
             done_ ()));
-    sync =
-      (fun () ->
-        (* zone commit: the µproxy orchestrates commitment across the
-           storage sites via the coordinator *)
-        Fiber.fan_out eng 2 (fun i ->
-            call (Nfs.Commit ((if i = 0 then map_fh else data_fh), 0L, 0))));
+    sync = (fun () -> Fiber.fan_out eng 2 (fun i -> commit (if i = 0 then map_fh else data_fh)));
   }

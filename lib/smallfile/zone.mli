@@ -2,24 +2,30 @@
 
     A small-file server keeps no data of its own: its buffer cache's
     objects (the map descriptor array and the data zone) live as zone
-    files striped over the network storage array. This backend reaches
-    them with NFS calls through the manager host's own storage-only
-    µproxy, which stripes each request and, on commit, orchestrates
-    through the coordinator. *)
+    files striped over the network storage array. The server is the
+    authority for its files, so this backend is a plain storage client:
+    no µproxy stands in between and no directory server hears of the
+    zones. *)
 
 val backend :
   Slice_sim.Engine.t ->
   Slice_net.Rpc.t ->
-  vaddr:Slice_net.Packet.addr ->
+  nsites:int ->
+  resolve:(int -> Slice_net.Packet.addr) ->
+  coordinator:(unit -> (Slice_net.Packet.addr * int) option) ->
   ?cap_secret:string ->
   sf_idx:int ->
   stripe_unit:int ->
   unit ->
   Slice_disk.Bcache.backend
-(** [backend eng rpc ~vaddr ~sf_idx ~stripe_unit ()] sends the cache's
-    block I/O for small-file server [sf_idx] from [rpc] to the virtual
-    NFS server [vaddr]. A block run is split on [stripe_unit]
-    boundaries, so each request lands whole on one storage node; the
-    requests of one run go out last chunk first, each in its own fiber.
-    [sync] commits both zone objects. With [cap_secret], every zone
-    handle carries a capability sealed with it. *)
+(** [backend eng rpc ~nsites ~resolve ~coordinator ~sf_idx ~stripe_unit ()]
+    sends the cache's block I/O for small-file server [sf_idx] from [rpc]
+    to the storage array's [nsites] logical sites. A block run is split
+    on [stripe_unit] boundaries, so each request lands whole on one
+    storage node; the requests of one run go out last chunk first, each
+    in its own fiber. A chunk goes to [resolve site] as it is sent, at
+    the wire offset naming its site; one bounced with [ERR_MISDIRECTED]
+    goes again after a growing pause, up to nine times, then raises
+    {!Slice_net.Rpc.Timeout}. [sync] asks [coordinator ()] to commit
+    both zone objects. With [cap_secret], every zone handle carries a
+    capability sealed with it. *)

@@ -9,6 +9,8 @@ module Engine = Slice_sim.Engine
 module Net = Slice_net.Net
 module Fh = Slice_nfs.Fh
 module Nfs = Slice_nfs.Nfs
+module Codec = Slice_nfs.Codec
+module Routekey = Slice_nfs.Routekey
 module Json = Slice_util.Json
 module Obsd = Slice_storage.Obsd
 module Tenure = Slice_storage.Tenure
@@ -524,6 +526,69 @@ let test_scale_exhibit_deterministic () =
        (String.concat " -> " (List.map (Printf.sprintf "%.0f") rates)))
     true (rising rates)
 
+(* A small-file server's zone backend reads the storage table as it
+   sends each chunk. While a storage site it stripes over moves, the
+   donor bounces the zone writes aimed at the site; each goes again
+   after a pause and lands at the site's new holder, and the small files
+   written meanwhile read back byte for byte. *)
+let test_zone_io_across_storage_move () =
+  let ens = mk_ens ~seed:11 () in
+  let eng = Ensemble.engine ens in
+  let rc = Reconfig.attach ~bandwidth:2e6 ens in
+  let cl = mk_client ens "c0" in
+  let net = Ensemble.net ens in
+  let sf = Ensemble.server_addr ens Smallfile 0 in
+  (* zone writes by xid: wire offset and destination *)
+  let writes = Hashtbl.create 64 in
+  let landed = ref [] and bounced = ref [] in
+  Net.add_egress_filter net sf (fun pkt ->
+      (match Codec.decode_call pkt.Slice_net.Packet.payload with
+      | xid, Nfs.Write (_, woff, _, _) -> Hashtbl.replace writes xid (woff, pkt.Slice_net.Packet.dst)
+      | _ | (exception Codec.Malformed _) -> ());
+      Some pkt);
+  Net.add_ingress_filter net sf (fun pkt ->
+      let payload = pkt.Slice_net.Packet.payload in
+      (match Hashtbl.find_opt writes (Codec.xid_of payload) with
+      | Some w -> (
+          match Codec.reply_status payload with
+          | Nfs.ERR_MISDIRECTED -> bounced := w :: !bounced
+          | _ -> landed := w :: !landed)
+      | None -> ());
+      Some pkt);
+  let data i = String.init 3000 (fun k -> Char.chr (97 + ((i + k) mod 26))) in
+  let files = ref [] in
+  run_on eng (fun () ->
+      (* bulk data on every storage site, so each move drains a while *)
+      List.iter (fun i -> ignore (write_big cl ~name:(Printf.sprintf "g%d" i))) (List.init 8 Fun.id);
+      Slice_sim.Fiber.fan_out eng 2 (fun j ->
+          if j = 0 then Reconfig.execute rc (Reconfig.Add_server Ensemble.Storage)
+          else
+            for i = 0 to 59 do
+              let fh, _ =
+                ok_or_fail "create" (Client.create_file cl Fh.root (Printf.sprintf "s%02d" i))
+              in
+              ignore (ok_or_fail "write" (Client.write_at cl fh ~off:0L ~data:(Nfs.Data (data i)) ()));
+              ok_or_fail "commit" (Client.commit cl fh);
+              files := (fh, data i) :: !files
+            done);
+      check_bool "sites moved" true (Reconfig.sites_moved rc > 0);
+      check_bool "the donor bounced zone writes" true (!bounced <> []);
+      let st = Option.get (Ensemble.storage_table ens) in
+      List.iter
+        (fun (woff, donor) ->
+          let holder = Table.lookup st (Routekey.offset_site_int (Int64.to_int woff)) in
+          check_bool "the site moved away from the bouncing node" true (holder <> donor);
+          check_bool "the bounced chunk landed at the new holder" true
+            (List.mem (woff, holder) !landed))
+        !bounced;
+      List.iter
+        (fun (fh, d) ->
+          match Client.read_at cl fh ~off:0L ~count:3000 with
+          | Ok (Nfs.Data got, _) -> check_string "small file reads back" d got
+          | _ -> Alcotest.fail "small file read")
+        !files);
+  check_exclusive rc
+
 let suite =
   [
     Alcotest.test_case "server lifecycle over every class" `Quick test_server_lifecycle;
@@ -551,4 +616,6 @@ let suite =
       test_dir_move_drops_the_site_at_the_donor;
     Alcotest.test_case "scale exhibit is byte-deterministic" `Quick
       test_scale_exhibit_deterministic;
+    Alcotest.test_case "zone I/O across a storage-site move" `Quick
+      test_zone_io_across_storage_move;
   ]

@@ -228,8 +228,9 @@ let real_bytes_by_block () =
    start last chunk first, so requests that leave at the same simulated
    instant keep that order; a change to it would reorder engine events
    and move simulated results. *)
-(* A small-file manager host whose zone backend reaches one storage
-   node directly, with a 32 KB stripe unit. *)
+(* A small-file manager host whose zone backend stripes over one
+   storage site on one node, with a 32 KB stripe unit and no
+   coordinator. *)
 let zone_rig () =
   let eng = Engine.create () in
   let net = Net.create eng () in
@@ -238,7 +239,10 @@ let zone_rig () =
   let mgr = Host.create net ~name:"sf" () in
   let rpc = Rpc.create net mgr.Host.addr ~port:1900 in
   let backend =
-    Slice_smallfile.Zone.backend eng rpc ~vaddr:node.Host.addr ~sf_idx:0 ~stripe_unit:32768 ()
+    Slice_smallfile.Zone.backend eng rpc ~nsites:1
+      ~resolve:(fun _ -> node.Host.addr)
+      ~coordinator:(fun () -> None)
+      ~sf_idx:0 ~stripe_unit:32768 ()
   in
   (eng, net, node, mgr, rpc, backend)
 
