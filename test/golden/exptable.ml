@@ -8,8 +8,10 @@
    the label, then "<column>: <seconds>s" pairs. Rows are matched in
    order, by label with the words "process", "processes" and "procs"
    dropped (fig4 prints "4 procs:" where the table has "4 processes").
-   Exits 1, printing both tables, when columns, labels or any value
-   differ. *)
+   A row may instead hold "<offered>-> <delivered>( <latency>ms)" cells
+   (fig5), under a header with no column numbers; a cell is compared
+   with its spaces dropped. Exits 1, printing both tables, when
+   columns, labels or any value differ. *)
 
 let is_value tok =
   let n = String.length tok in
@@ -24,6 +26,12 @@ let is_column_key tok =
   let n = String.length tok in
   n >= 2 && tok.[n - 1] = ':' && is_number (String.sub tok 0 (n - 1))
 
+(* The first token of a fig5 cell: "<offered>->", or the whole cell. *)
+let is_cell_start tok =
+  match String.index_opt tok '-' with
+  | Some i -> i > 0 && is_number (String.sub tok 0 i) && i + 1 < String.length tok && tok.[i + 1] = '>'
+  | None -> false
+
 let tokens line = String.split_on_char ' ' line |> List.filter (fun t -> t <> "")
 
 let norm_label toks =
@@ -37,10 +45,18 @@ let norm_label toks =
 
 type table = { columns : string list; rows : (string * string list) list }
 
-(* Split a row's tokens at its first value (or column key). *)
+(* Split a row's tokens at its first value, column key or cell. *)
 let rec split_label acc = function
-  | t :: rest when not (is_value t || is_column_key t) -> split_label (t :: acc) rest
+  | t :: rest when not (is_value t || is_column_key t || is_cell_start t) -> split_label (t :: acc) rest
   | rest -> (List.rev acc, rest)
+
+(* A row's values: its cells, each "<offered>-><delivered>(<latency>ms)",
+   or else its "<seconds>s" values. *)
+let values = function
+  | t :: _ as rest when is_cell_start t ->
+      String.concat "" rest |> String.split_on_char ')'
+      |> List.filter_map (fun c -> if c = "" then None else Some (c ^ ")"))
+  | rest -> List.filter is_value rest
 
 let doc_table path command =
   let lines = In_channel.with_open_text path In_channel.input_all |> String.split_on_char '\n' in
@@ -71,7 +87,7 @@ let doc_table path command =
           (fun l ->
             match split_label [] (tokens l) with
             | _, [] -> None
-            | label, values -> Some (norm_label label, List.filter is_value values))
+            | label, rest -> Some (norm_label label, values rest))
           rows
       in
       { columns; rows }
@@ -81,8 +97,8 @@ let run_table ic =
   In_channel.input_all ic |> String.split_on_char '\n'
   |> List.iter (fun l ->
          let label, rest = split_label [] (tokens l) in
-         let keys = List.filter is_column_key rest and values = List.filter is_value rest in
-         if keys <> [] && values <> [] then begin
+         let keys = List.filter is_column_key rest and values = values rest in
+         if values <> [] && (keys <> [] || List.exists is_cell_start rest) then begin
            let keys = List.map (fun k -> String.sub k 0 (String.length k - 1)) keys in
            if !columns = [] then columns := keys;
            rows := (norm_label label, values) :: !rows
