@@ -185,9 +185,9 @@ let attach_dir t ~idx ~host ~also_owns =
   bind_system_host t.qos_ host;
   Dirserver.attach host ?trace:t.trace_ ?qos:(wfq_of ~dataless:true t.qos_ t.eng) config
 
-(* Small-file servers are dataless managers: their zone backends reach
-   the storage nodes through the live storage table, and the
-   coordinator, themselves. *)
+(* Small-file servers are dataless managers: each zone backend sends
+   its chunks to the nodes the live storage table names, and its
+   commits to the coordinator, itself. *)
 let attach_smallfile t ~idx ~host ~sites =
   let nsites = match t.sf_tbl with Some tbl -> Table.nsites tbl | None -> 1 in
   let st =
