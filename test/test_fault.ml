@@ -899,6 +899,44 @@ let smallfile_commit_skips_dead_dir () =
       check_bool "the commit waited on no directory server" true (Engine.now eng -. t0 < 0.5);
       ok_or_fail "commit" r)
 
+(* A coordinator deposed by a takeover (its lease has run out, its host
+   is up) answers every control message with a Nack. A client COMMIT
+   sent meanwhile asks it to commit the file's storage objects, and the
+   small-file server's zone sync that the COMMIT starts asks it to
+   commit both zones, once for each zone it commits. Neither takes the
+   Nack for done: each goes again, and once a successor holds the role
+   it lands there, so the COMMIT answers only after the successor logged
+   all five intents. *)
+let commit_across_coordinator_takeover () =
+  let ens =
+    Ensemble.create
+      { Ensemble.default_config with storage_nodes = 2; dir_servers = 1; seed = 5 }
+  in
+  let eng = Ensemble.engine ens in
+  let host, _ = Ensemble.add_client ens ~name:"committer" in
+  let cl = Client.create host ~server:(Ensemble.virtual_addr ens) () in
+  run_on eng (fun () ->
+      let fh, _ = ok_or_fail "create" (Client.create_file cl Ensemble.root "f") in
+      ignore (ok_or_fail "write" (Client.write_at cl fh ~off:0L ~data:(Nfs.Synthetic 4096) ()));
+      let old = Option.get (Ensemble.coordinator ens) in
+      Tenure.set_lease (Coordinator.tenure old) ~epoch:1 ~until:(Engine.now eng);
+      let successor = ref None and installed = ref infinity in
+      Engine.spawn eng (fun () ->
+          Engine.sleep eng 0.05;
+          let h = Obsd.host (Ensemble.storage ens).(1) in
+          let c = Coordinator.attach h ~map_sites:(Coordinator.map_sites old) () in
+          ignore (Coordinator.adopt_log c ~from:old);
+          Ensemble.replace_coordinator ens c;
+          successor := Some c;
+          installed := Engine.now eng);
+      ok_or_fail "commit" (Client.commit cl fh);
+      check_bool "the commit answered after the takeover" true (Engine.now eng >= !installed);
+      check_bool "the deposed coordinator refused" true
+        (Tenure.fence_bounces (Coordinator.tenure old) >= 3);
+      match !successor with
+      | None -> Alcotest.fail "no successor"
+      | Some c -> check_int "intents at the successor" 5 (Coordinator.intents_logged c))
+
 let chaos_deterministic () =
   let w, schedule = chaos_row "untar, 2% loss + dir crash" in
   let r1 = Chaos.run w schedule in
@@ -936,6 +974,7 @@ let suite =
     ("failover partition false positive", `Quick, failover_partition_false_positive);
     ("commit across a directory takeover", `Quick, commit_across_dir_takeover);
     ("small-file commit skips a dead directory server", `Quick, smallfile_commit_skips_dead_dir);
+    ("commit across a coordinator takeover", `Quick, commit_across_coordinator_takeover);
     ("chaos: untar with node crash", `Slow, untar_with_node_crash);
     ("chaos: specsfs with node crash", `Slow, specsfs_with_node_crash);
     ("chaos: deterministic", `Slow, chaos_deterministic);

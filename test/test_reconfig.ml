@@ -530,11 +530,13 @@ let test_scale_exhibit_deterministic () =
    sends each chunk. While a storage site it stripes over moves, the
    donor bounces the zone writes aimed at the site; each goes again
    after a pause and lands at the site's new holder, and the small files
-   written meanwhile read back byte for byte. *)
-let test_zone_io_across_storage_move () =
+   written meanwhile read back byte for byte. The move copies at
+   [bandwidth] bytes a second: the slower the copy, the longer the
+   drain a zone write waits out. *)
+let test_zone_io_across_storage_move ~bandwidth () =
   let ens = mk_ens ~seed:11 () in
   let eng = Ensemble.engine ens in
-  let rc = Reconfig.attach ~bandwidth:2e6 ens in
+  let rc = Reconfig.attach ~bandwidth ens in
   let cl = mk_client ens "c0" in
   let net = Ensemble.net ens in
   let sf = Ensemble.server_addr ens Smallfile 0 in
@@ -617,5 +619,7 @@ let suite =
     Alcotest.test_case "scale exhibit is byte-deterministic" `Quick
       test_scale_exhibit_deterministic;
     Alcotest.test_case "zone I/O across a storage-site move" `Quick
-      test_zone_io_across_storage_move;
+      (test_zone_io_across_storage_move ~bandwidth:2e6);
+    Alcotest.test_case "zone I/O across a slow storage-site move" `Quick
+      (test_zone_io_across_storage_move ~bandwidth:0.5e6);
   ]
