@@ -83,6 +83,7 @@ type t = {
   mutable storage_ : Obsd.t array;
   st_tbl : Table.t option; (* logical storage site -> physical node *)
   mutable coord : Coordinator.t option; (* mutable: failover replaces it *)
+  mutable coord_ep : (Packet.addr * int) option; (* its endpoint, built once *)
   mutable dirs_ : Dirserver.t array;
   mutable smallfiles_ : Smallfile.t array;
   dir_tbl : Table.t;
@@ -135,8 +136,17 @@ let drain_traces () =
 let sites_owned_by ~servers ~sites i =
   List.filter (fun j -> j mod servers = i) (List.init sites (fun k -> k))
 
-let coord_endpoint t () =
-  match t.coord with Some c -> Some (Coordinator.addr c, Coordinator.port c) | None -> None
+(* Every call to the coordinator resolves its endpoint at each
+   transmission, so the endpoint is kept beside the coordinator and
+   resolving allocates nothing. All consumers (µproxies, directory
+   servers, zone backends) resolve it here, so a failover's swap to a
+   successor is atomic in sim time, and a call in flight goes on to the
+   successor. *)
+let coord_endpoint t () = t.coord_ep
+
+let replace_coordinator t c =
+  t.coord <- Some c;
+  t.coord_ep <- Some (Coordinator.addr c, Coordinator.port c)
 
 (* Every node that may hold data of [fh], for a directory server's remove
    cleanup: the storage nodes of the placement rule, read through the
@@ -248,6 +258,7 @@ let create cfg =
       storage_ = [||];
       st_tbl = table storage_hosts l_st;
       coord = None;
+      coord_ep = None;
       dirs_ = [||];
       smallfiles_ = [||];
       dir_tbl =
@@ -268,11 +279,8 @@ let create cfg =
   if cfg.storage_nodes > 0 then
     (* the coordinator's block maps place chunks on logical sites; the
        µproxies bind them to nodes through the storage table *)
-    t.coord <-
-      Some
-        (Coordinator.attach storage_hosts.(0)
-           ~map_sites:(Array.init l_st (fun j -> j))
-           ?trace:trace_ ());
+    replace_coordinator t
+      (Coordinator.attach storage_hosts.(0) ~map_sites:(Array.init l_st (fun j -> j)) ?trace:trace_ ());
   t.dirs_ <-
     Array.init cfg.dir_servers (fun i ->
         attach_dir t ~idx:i ~host:dir_hosts.(i)
@@ -433,13 +441,6 @@ let add_server t k =
 let storage t = t.storage_
 let coordinator t = t.coord
 
-let replace_coordinator t c =
-  (* Failover: hand the coordinator role to a successor instance. All
-     consumers (µproxies, directory servers, zone backends) resolve the
-     endpoint through [coord_endpoint] at call time, so the swap is
-     atomic in sim time — no endpoint re-registration, no missed
-     messages. *)
-  t.coord <- Some c
 let dirs t = t.dirs_
 let smallfiles t = t.smallfiles_
 let dir_table t = t.dir_tbl

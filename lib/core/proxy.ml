@@ -20,8 +20,9 @@ type targets = {
   smallfile_table : Table.t option;
   storage : Table.t option;
   coordinator : unit -> (Packet.addr * int) option;
-      (* resolved at call time: a coordinator takeover rebinds the
-         endpoint without reinstalling every µproxy *)
+      (* whether there is one is read at install; who it is, at each
+         transmission, so a takeover rebinds the endpoint without
+         reinstalling every µproxy *)
 }
 
 type phase_cpu = {
@@ -128,12 +129,9 @@ type commit = {
   mutable cm_client : Packet.addr;
   mutable cm_port : int;
   mutable cm_fh : Fh.t;
-  mutable cm_call : Nfs.call; (* the COMMIT each data server gets *)
   mutable cm_span : Trace.span;
-  mutable cm_coord : Packet.addr; (* the coordinator, resolved once; -1 = none *)
-  mutable cm_coord_port : int;
   mutable cm_sites : Packet.addr array; (* the file's data nodes *)
-  mutable cm_sf : Packet.addr; (* its small-file server; -1 = none *)
+  mutable cm_sf : int; (* its small-file site; -1 = none *)
   mutable cm_failed : bool;
   mutable cm_next : commit; (* in-flight or free-list link *)
   cm_start : unit -> unit; (* when the interception's CPU booking ends *)
@@ -151,6 +149,10 @@ type t = {
   tg : targets;
   prng : Prng.t;
   rpc : Rpc.t;
+  coord : (int -> Packet.addr) option; (* the coordinator's holder, if there is one *)
+  mutable dir_holder : int -> Packet.addr; (* holders of the µproxy's own calls' sites *)
+  mutable sf_holder : int -> Packet.addr;
+  mutable first_send : bool; (* the next holder read is a call's first transmission *)
   (* the requests in flight: a slot table keyed by xid, whose records
      and arrival times live in the columns below it *)
   pending : Slot_lru.t;
@@ -268,23 +270,17 @@ let after_cpu t (c : cost) k =
 (* The port of the µproxy's own endpoint on the client. *)
 let rpc_port = 3001
 
-(* No caller reads the reply, so it is not decoded. *)
-let nfs_call t ?(span = Trace.null) (call : Nfs.call) ~dst =
+let ctrl_call t ~span msg =
+  match t.coord with None -> Ctrl.Nack | Some holder -> Ctrl.call t.rpc ~span ~holder msg
+
+(* An NFS call to whoever holds logical [site], by [holder]; no caller
+   reads the reply, so it is not decoded. *)
+let site_call t ~span ~holder ~site (call : Nfs.call) =
   let xid = Rpc.fresh_xid t.rpc in
-  let payload = Codec.encode_call ~xid call in
+  t.first_send <- true;
   ignore
-    (Rpc.call t.rpc ~span ~timeout:2.0 ~dst ~dport:2049
-       ~extra_size:(Codec.extra_size_of_call call) payload)
-
-let ctrl_call_to t ~span ~dst ~dport msg =
-  let xid = Rpc.fresh_xid t.rpc in
-  let reply = Rpc.call t.rpc ~span ~timeout:2.0 ~dst ~dport (Ctrl.encode_msg ~xid msg) in
-  Ctrl.decode_reply reply
-
-let ctrl_call t ?(span = Trace.null) msg =
-  match t.tg.coordinator () with
-  | None -> Ctrl.Nack
-  | Some (dst, dport) -> ctrl_call_to t ~span ~dst ~dport msg
+    (Rpc.call_role t.rpc ~span ~holder ~site ~dport:2049 ~refused:Codec.misdirected
+       ~extra_size:(Codec.extra_size_of_call call) (Codec.encode_call ~xid call))
 
 (* ---- pending records ---- *)
 
@@ -347,13 +343,14 @@ let hash_name t (cur : Codec.cursor) (payload : bytes) ~fh_off ~nsites =
   Routekey.name_site_at ~nsites ~scratch:(scratch_for t nlen) payload ~fh_off ~name_off:noff
     ~name_len:nlen
 
-let[@hot] dir_phys t logical =
-  let n = Array.length t.dir.map in
-  (* No directory sites (misconfiguration or a snapshot taken mid-reshape):
-     aim at the virtual address, where the packet is counted as a drop and
-     the client's retransmission gets another chance after a refresh —
-     never divide by zero in the fast path. *)
-  if n = 0 then t.tg.virtual_addr else t.dir.map.(logical mod n)
+(* The server of logical site [logical] in snapshot [s]. With no sites
+   (misconfiguration or a snapshot taken mid-reshape) aim at the virtual
+   address, where the packet is counted as a drop and the client's
+   retransmission gets another chance after a refresh — never divide by
+   zero in the fast path. *)
+let[@hot] phys t s logical =
+  let n = Array.length s.map in
+  if n = 0 then t.tg.virtual_addr else s.map.(logical mod n)
 
 (* ---- table snapshots ---- *)
 
@@ -378,28 +375,14 @@ let combined_epoch t = epoch t.dir + epoch t.sf + epoch t.st
    sum moves exactly when some table moved. *)
 let tables_version t = t.dir.version + t.sf.version + t.st.version
 
-(* A bounce that a refresh could not explain (the table versions did not
-   change) means a migration is mid-drain: the move has not committed
-   yet, so an immediate retry would bounce right back. Back off a little
-   and retry; after the budget is spent, drop the request and let the
-   client's own RPC retransmission drive the next attempt. *)
-let misdirect_retry_limit = 8
-let misdirect_retry_delay = 0.01
-
 (* ---- attribute write-back ---- *)
 
-(* Transmissions per write-back, each to the server that holds the
-   attribute site when it is sent. *)
-let writeback_attempts = 9
-
 (* Push one dirty cached attribute back to its directory server (the
-   paper's setattr write-back on commit / eviction / interval). An
-   attempt is one transmission; one that goes unanswered, or that a
-   server which no longer holds the site bounces, is sent again after a
-   table refresh, to whichever server holds the site by then (after a
-   short pause when the tables did not move: a drain or takeover is
-   under way). A server that does not know the file (ERR_STALE) is owed
-   nothing. When every attempt fails the attributes stay owed and the
+   paper's setattr write-back on commit / eviction / interval), to the
+   server that holds its attribute site ([dir_holder]): a re-send after
+   silence or a bounce refreshes the tables first and goes to the site's
+   holder by then. A server that does not know the file (ERR_STALE) is
+   owed nothing. When the call gives up the attributes stay owed and the
    caller hears {!Rpc.Timeout}. *)
 let rec writeback_one t (c : cached_attr) =
   if c.ca_dirty then begin
@@ -414,32 +397,12 @@ let rec writeback_one t (c : cached_attr) =
         set_atime = Some a.Nfs.atime;
       }
     in
-    push_attrs t c (Nfs.Setattr (c.ca_fh, s)) 1
-  end
-
-and push_attrs t c call n =
-  let xid = Rpc.fresh_xid t.rpc in
-  match
-    Rpc.call t.rpc ~timeout:2.0 ~retries:0 ~dst:(dir_phys t c.ca_fh.Fh.attr_site) ~dport:2049
-      ~extra_size:(Codec.extra_size_of_call call) (Codec.encode_call ~xid call)
-  with
-  | exception Rpc.Timeout -> push_again t c call n ~bounced:false
-  | reply -> (
-      match Codec.reply_status reply with
-      | Nfs.ERR_MISDIRECTED -> push_again t c call n ~bounced:true
-      | _ | (exception Codec.Malformed _) -> ())
-
-and push_again t c call n ~bounced =
-  if n >= writeback_attempts then begin
-    c.ca_dirty <- true;
-    raise Rpc.Timeout
-  end
-  else begin
-    let v = tables_version t in
-    refresh_tables t;
-    if bounced && tables_version t = v then
-      Engine.sleep t.eng (misdirect_retry_delay *. float_of_int n);
-    push_attrs t c call (n + 1)
+    try
+      site_call t ~span:Trace.null ~holder:t.dir_holder ~site:c.ca_fh.Fh.attr_site
+        (Nfs.Setattr (c.ca_fh, s))
+    with Rpc.Timeout ->
+      c.ca_dirty <- true;
+      raise Rpc.Timeout
   end
 
 and writeback_later t c = Engine.spawn t.eng (fun () -> writeback_one t c)
@@ -474,6 +437,14 @@ and refresh_tables t =
     t.fence_seen <- ep;
     fence_invalidate t
   end
+
+(* The holder of a site of [s]'s class for the µproxy's own calls. A
+   call's first transmission reads the snapshot as it stands; a re-send
+   refreshes the snapshots first, which also fences the caches after a
+   takeover. *)
+let site_holder t s site =
+  if t.first_send then t.first_send <- false else refresh_tables t;
+  phys t s site
 
 (* ---- metadata cache columns ---- *)
 
@@ -674,7 +645,7 @@ let to_storage t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) ~site ~local ~
 let to_dir t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) ~site ~retries =
   t.n_dir <- t.n_dir + 1;
   remember t cur pkt.Packet.payload ~span:c.c_span ~klass:KName ~rd_site:site ~mirrors:1 ~retries;
-  forward t c pkt ~dst:(dir_phys t site)
+  forward t c pkt ~dst:(phys t t.dir site)
 
 (* ---- commit orchestration ---- *)
 
@@ -682,10 +653,10 @@ let to_dir t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) ~site ~retries =
 let client_reply t ~dst ~dport ~xid resp =
   Packet.make ~src:t.tg.virtual_addr ~dst ~sport:2049 ~dport (Codec.encode_reply ~xid resp)
 
-(* The file's small-file server; -1 = none. *)
-let smallfile_dst t (fh : Fh.t) =
+(* The file's small-file site; -1 = none. *)
+let smallfile_site t (fh : Fh.t) =
   if t.p.Params.threshold <= 0 || Array.length t.sf.map = 0 then -1
-  else t.sf.map.(Routekey.file_site ~nsites:(Array.length t.sf.map) fh)
+  else Routekey.file_site ~nsites:(Array.length t.sf.map) fh
 
 let no_sites : Packet.addr array = [||]
 
@@ -695,10 +666,7 @@ let rec no_commit =
     cm_client = 0;
     cm_port = 0;
     cm_fh = Fh.root;
-    cm_call = Nfs.Null;
     cm_span = Trace.null;
-    cm_coord = -1;
-    cm_coord_port = 0;
     cm_sites = no_sites;
     cm_sf = -1;
     cm_failed = false;
@@ -730,45 +698,41 @@ let[@hot] take_commit t =
    span alive. *)
 let[@hot] release_commit t cm =
   cm.cm_fh <- Fh.root;
-  cm.cm_call <- Nfs.Null;
   cm.cm_span <- Trace.null;
   cm.cm_sites <- no_sites;
   cm.cm_next <- t.free_commits;
   t.free_commits <- cm
 
 (* The fan-out's jobs, one per target in this order: the coordinator, or
-   else each data node in turn, then the small-file server. A timeout
-   marks the whole commit failed. *)
-let[@inline] by_coordinator cm = cm.cm_coord >= 0 && Array.length cm.cm_sites > 0
-let[@inline] data_jobs cm = if by_coordinator cm then 1 else Array.length cm.cm_sites
+   else each data node in turn, then the small-file server, which is
+   called at its site's holder. A timeout marks the whole commit failed. *)
+let[@inline] by_coordinator t cm = Option.is_some t.coord && Array.length cm.cm_sites > 0
+let[@inline] data_jobs t cm = if by_coordinator t cm then 1 else Array.length cm.cm_sites
 
 let commit_job t cm k =
   let span = cm.cm_span in
   try
-    if k >= data_jobs cm then nfs_call t ~span cm.cm_call ~dst:cm.cm_sf
-    else if by_coordinator cm then
+    if k >= data_jobs t cm then
+      site_call t ~span ~holder:t.sf_holder ~site:cm.cm_sf (Nfs.Commit (cm.cm_fh, 0L, 0))
+    else if by_coordinator t cm then
+      ignore (ctrl_call t ~span (Ctrl.Commit_file { fh = cm.cm_fh; sites = cm.cm_sites }))
+    else
+      let xid = Rpc.fresh_xid t.rpc in
       ignore
-        (ctrl_call_to t ~span ~dst:cm.cm_coord ~dport:cm.cm_coord_port
-           (Ctrl.Commit_file { fh = cm.cm_fh; sites = cm.cm_sites }))
-    else nfs_call t ~span cm.cm_call ~dst:cm.cm_sites.(k)
+        (Rpc.call t.rpc ~span ~timeout:2.0 ~dst:cm.cm_sites.(k) ~dport:2049
+           (Codec.encode_call ~xid (Nfs.Commit (cm.cm_fh, 0L, 0))))
   with Rpc.Timeout -> cm.cm_failed <- true
 
 (* A commit fails as a whole when a server it needs stays silent through
    every retransmission: the client hears ERR_IO, and attributes not yet
-   pushed stay dirty for its next commit. The coordinator, resolved once
-   for the fan-out, is asked when there is one and the file has data
-   nodes. *)
+   pushed stay dirty for its next commit. The coordinator is asked when
+   there is one and the file has data nodes. *)
 let run_commit t cm =
   let fh = cm.cm_fh and span = cm.cm_span in
   cm.cm_failed <- false;
   cm.cm_sites <- Table.placement t.st.map ~nodes:t.st.nodes fh;
-  cm.cm_sf <- smallfile_dst t fh;
-  (match t.tg.coordinator () with
-  | Some (addr, port) ->
-      cm.cm_coord <- addr;
-      cm.cm_coord_port <- port
-  | None -> cm.cm_coord <- -1);
-  Fiber.fan_out t.eng (data_jobs cm + if cm.cm_sf >= 0 then 1 else 0) cm.cm_job;
+  cm.cm_sf <- smallfile_site t fh;
+  Fiber.fan_out t.eng (data_jobs t cm + if cm.cm_sf >= 0 then 1 else 0) cm.cm_job;
   let resp =
     if cm.cm_failed then Error Nfs.ERR_IO
     else
@@ -832,14 +796,13 @@ let acquire_commit t ~span (pkt : Packet.t) ~xid ~fh_off =
   cm.cm_client <- pkt.Packet.src;
   cm.cm_port <- pkt.Packet.sport;
   cm.cm_fh <- fh;
-  cm.cm_call <- Nfs.Commit (fh, 0L, 0);
   cm.cm_span <- span;
   cm
 
 (* ---- mirrored-write intention (amortized across the file's writes) ---- *)
 
 let open_intent_if_needed t (payload : bytes) fh_off =
-  if t.tg.coordinator () <> None then begin
+  if Option.is_some t.coord then begin
     let fid = Fh.peek_file_id_int payload fh_off in
     if not (Hashtbl.mem t.intents_open fid) then begin
       let fh = fh_at payload fh_off in
@@ -849,7 +812,8 @@ let open_intent_if_needed t (payload : bytes) fh_off =
       let participants = Table.placement t.st.map ~nodes:t.st.nodes fh in
       Engine.spawn t.eng (fun () ->
           ignore
-            (ctrl_call t (Ctrl.Intent { op_id; kind = Ctrl.K_mirror_write; fh; participants })))
+            (ctrl_call t ~span:Trace.null
+               (Ctrl.Intent { op_id; kind = Ctrl.K_mirror_write; fh; participants })))
     end
   end
 
@@ -857,7 +821,7 @@ let open_intent_if_needed t (payload : bytes) fh_off =
 
 let name_logical t (cur : Codec.cursor) (payload : bytes) =
   let nsites = Array.length t.dir.map in
-  if nsites = 0 then 0 (* no dir sites: degenerate logical id; dir_phys copes *)
+  if nsites = 0 then 0 (* no dir sites: degenerate logical id; phys copes *)
   else begin
     let fh_off = cur.Codec.c_fh_off in
     let parent_site = Fh.peek_attr_site payload fh_off mod nsites in
@@ -1479,13 +1443,15 @@ let handle_reply t (pkt : Packet.t) (pd : pending) =
       let orig = Bytes.sub pd.p_buf 0 pd.p_len in
       let csrc = pkt.Packet.dst and csport = pkt.Packet.dport in
       after_cpu t c (fun () ->
-          (* the retry re-enters routing and opens a fresh root *)
+          (* The retry re-enters routing and opens a fresh root: at
+             once if the tables moved, else after Rpc's pause, since a
+             migration is mid-drain, up to Rpc's budget of transmissions.
+             Then the client's own retransmission drives the next. *)
           Trace.finish ~outcome:"bounced" span;
           if moved then retry_misdirected t ~src:csrc ~sport:csport orig
-          else if retries < misdirect_retry_limit then
-            Engine.schedule t.eng
-              (misdirect_retry_delay *. float_of_int (retries + 1))
-              (fun () -> retry_misdirected ~retries:(retries + 1) t ~src:csrc ~sport:csport orig));
+          else if retries < Rpc.attempts - 1 then
+            Engine.schedule t.eng (Rpc.pause *. float_of_int (retries + 1)) (fun () ->
+                retry_misdirected ~retries:(retries + 1) t ~src:csrc ~sport:csport orig));
       None
     end
     else if pd.p_worst > 0 && st = 0 then begin
@@ -1570,6 +1536,10 @@ let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
       tg = targets;
       prng = Prng.create (seed + (host.Host.addr * 7919));
       rpc = Rpc.create net host.Host.addr ~port:rpc_port;
+      coord = Option.map (fun _ -> Ctrl.holder targets.coordinator) (targets.coordinator ());
+      dir_holder = Fun.id;
+      sf_holder = Fun.id;
+      first_send = false;
       pending = Slot_lru.create ~capacity:max_int;
       pool = [||];
       pool_born = [||];
@@ -1627,6 +1597,8 @@ let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
   in
   t.fence_seen <- combined_epoch t;
   t.sweep_fn <- (fun () -> sweep t);
+  t.dir_holder <- site_holder t t.dir;
+  t.sf_holder <- site_holder t t.sf;
   Net.add_egress_filter net host.Host.addr (egress_filter t);
   Net.add_ingress_filter net host.Host.addr (ingress_filter t);
   writeback_tick t;

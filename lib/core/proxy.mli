@@ -32,8 +32,13 @@
     - a server bouncing a request with [SLICE_MISDIRECTED] triggers a lazy
       refresh of the µproxy's private routing-table snapshots, one per
       server class. The request is retried at once when some table moved
-      since it was forwarded, and after a short back-off when none did
-      (the move has not committed yet).
+      since it was forwarded, and after {!Slice_net.Rpc.pause} times the
+      retries so far when none did (the move has not committed yet), up
+      to {!Slice_net.Rpc.attempts} tries; the client's retransmission
+      drives any later one. The µproxy's own calls to a site, the
+      attribute write-back and a commit's small-file part, are
+      {!Slice_net.Rpc.call_role}s whose re-sends refresh the snapshots
+      first.
 
     Every request forwarded to a storage node or a directory server
     leaves through one tail per class, and every reply the µproxy makes
@@ -63,8 +68,10 @@ type targets = {
       (** logical storage site -> physical node; [None] when the ensemble
           runs without a storage class *)
   coordinator : unit -> (Slice_net.Packet.addr * int) option;
-      (** block-service coordinator endpoint, resolved at call time so a
-          coordinator takeover rebinds it without reinstalling proxies *)
+      (** block-service coordinator endpoint. Whether there is one is
+          read at {!install}; its address is read at each transmission,
+          so a coordinator takeover rebinds it without reinstalling
+          proxies *)
 }
 
 type qos = {

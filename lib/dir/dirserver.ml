@@ -58,6 +58,7 @@ type t = {
   cfg : config;
   sites : site array; (* by logical site id *)
   rpc : Rpc.t;
+  coord : int -> Packet.addr; (* the coordinator's holder *)
   trace : Trace.t option;
   tenure : Tenure.t; (* logical sites hosted here, drains, load, fencing lease *)
   wal : Wal.t; (* one image per site, one group commit for all *)
@@ -251,14 +252,11 @@ let remove_file_data ?(span = Trace.null) t (fh : Fh.t) =
      was logged then, so the data stays behind. *)
   match (t.cfg.data_sites fh, t.cfg.coordinator ()) with
   | [], _ | _, None -> ()
-  | sites, Some (addr, port) ->
+  | sites, Some _ ->
       harden ~span t;
       Engine.spawn t.host.Host.eng (fun () ->
-          let xid = Rpc.fresh_xid t.rpc in
           let msg = Ctrl.Remove_file { fh; sites = Array.of_list sites } in
-          let payload = Ctrl.encode_msg ~xid msg in
-          try ignore (Rpc.call t.rpc ~timeout:2.0 ~dst:addr ~dport:port payload)
-          with Rpc.Timeout -> ())
+          try ignore (Ctrl.call t.rpc ~span:Trace.null ~holder:t.coord msg) with Rpc.Timeout -> ())
 
 (* ---- attribute access across sites ---- *)
 
@@ -627,6 +625,7 @@ let attach host ?trace ?qos cfg =
       trace;
       sites = Array.init (max cfg.nsites (cfg.logical_id + 1)) new_site;
       rpc = Rpc.create host.Host.net host.Host.addr ~port:2053;
+      coord = Ctrl.holder cfg.coordinator;
       tenure = Tenure.create (cfg.logical_id :: cfg.also_owns);
       wal =
         (match host.Host.disk with

@@ -5,10 +5,6 @@ module Trace = Slice_trace.Trace
 
 exception Timeout
 
-type ep = { mutable ep_calls : int; mutable ep_retransmits : int; mutable ep_timeouts : int }
-
-type endpoint_stats = { calls : int; retransmits : int; timeouts : int }
-
 (* One outstanding call, the record of a slot of the endpoint's call
    table. A record is built the first time its slot is used, so the
    records never outnumber the peak number of outstanding calls, and it
@@ -19,13 +15,14 @@ type slot = {
   id : int;
   mutable buf : bytes; (* pristine request bytes, grown and kept across reuse *)
   mutable len : int;
-  mutable dst : Packet.addr;
+  mutable holder : int -> Packet.addr;
+  mutable site : int;
+  mutable dst : Packet.addr; (* the holder the last transmission went to *)
   mutable dport : int;
   mutable extra_size : int;
-  mutable ep : ep;
   mutable retries : int;
   mutable attempt : int; (* 0 = the first send *)
-  fl : float array; (* [| cap; this attempt's timeout |], unboxed *)
+  fl : float array; (* [| cap; this attempt's timeout; the call's start |], unboxed *)
   mutable reply : bytes; (* [awaiting] until the reply lands, [expired] on timeout *)
   mutable timer : Engine.timer;
   mutable timer_seq : int;
@@ -42,7 +39,6 @@ type t = {
   calls : Slot_lru.t; (* xid of each outstanding call -> its slot *)
   mutable slots : slot array; (* the first [n_slots] are built *)
   mutable n_slots : int;
-  endpoints : (Packet.addr, ep) Hashtbl.t;
   mutable retransmits : int;
   mutable timeouts : int;
   mutable completed : int;
@@ -83,8 +79,6 @@ let create net addr ~port =
       calls = Slot_lru.create ~capacity:max_int;
       slots = [||];
       n_slots = 0;
-      (* lint: bounded — one row per (addr, port) peer in the ensemble *)
-      endpoints = Hashtbl.create 8;
       retransmits = 0;
       timeouts = 0;
       completed = 0;
@@ -92,14 +86,6 @@ let create net addr ~port =
   in
   Net.listen net addr ~port (on_packet t);
   t
-
-let ep_of t dst =
-  match Hashtbl.find t.endpoints dst with
-  | ep -> ep
-  | exception Not_found ->
-      let ep = { ep_calls = 0; ep_retransmits = 0; ep_timeouts = 0 } in
-      Hashtbl.replace t.endpoints dst ep;
-      ep
 
 (* XIDs come from the network's private counter so no two endpoints in a
    simulation ever collide (an interposed filter can key its soft state
@@ -116,10 +102,22 @@ let jitter_frac = 0.1
 let backoff = 2.0
 let max_timeout = 2.0
 
-(* Send one attempt, then arm its timer — unless an interposed filter
-   answered synchronously inside [Net.send], leaving nothing to time
-   (the slot may even hold the caller's next call by then). *)
+(* The one budget and the one pause of every call: a call that hears
+   nothing is sent [attempts] times, and a refused one goes again after
+   [pause] times the refusals so far while its holder stays put. *)
+let attempts = 9
+let pause = 0.01
+
+(* How long a role call may be refused: as long as its silent
+   transmissions would wait at most. *)
+let refused_for = float_of_int attempts *. max_timeout *. (1.0 +. jitter_frac)
+
+(* Send one attempt to the site's holder of the moment, then arm its
+   timer — unless an interposed filter answered synchronously inside
+   [Net.send], leaving nothing to time (the slot may even hold the
+   caller's next call by then). *)
 let transmit t s xid payload =
+  s.dst <- s.holder s.site;
   Net.send t.net
     (Packet.make ~src:t.addr ~dst:s.dst ~sport:t.port ~dport:s.dport ~extra_size:s.extra_size
        payload);
@@ -138,18 +136,14 @@ let expire t s =
     s.attempt <- s.attempt + 1;
     s.fl.(1) <- (if next > s.fl.(0) then s.fl.(0) else next);
     t.retransmits <- t.retransmits + 1;
-    s.ep.ep_retransmits <- s.ep.ep_retransmits + 1;
     transmit t s (Slot_lru.key t.calls s.id) (Bytes.sub s.buf 0 s.len)
   end
   else begin
     Slot_lru.drop t.calls s.id;
     t.timeouts <- t.timeouts + 1;
-    s.ep.ep_timeouts <- s.ep.ep_timeouts + 1;
     s.reply <- expired;
     Engine.unpark s.waiter
   end
-
-let no_ep = { ep_calls = 0; ep_retransmits = 0; ep_timeouts = 0 }
 
 (* Cold: the first call in slot [id]. The table hands out a slot that was
    used before ahead of any other, so [id] is [n_slots]. *)
@@ -159,13 +153,14 @@ let new_slot t id =
       id;
       buf = Bytes.empty;
       len = 0;
+      holder = Fun.id;
+      site = 0;
       dst = 0;
       dport = 0;
       extra_size = 0;
-      ep = no_ep;
       retries = 0;
       attempt = 0;
-      fl = [| 0.0; 0.0 |];
+      fl = [| 0.0; 0.0; 0.0 |];
       reply = awaiting;
       timer = Engine.no_timer;
       timer_seq = -1;
@@ -180,10 +175,12 @@ let new_slot t id =
 
 let rec round_pow2 p n = if p >= n then p else round_pow2 (p * 2) n
 
-let call t ?(timeout = 0.1) ?(retries = 8) ?(span = Trace.null) ~dst ~dport ?(extra_size = 0) payload =
+(* One exchange of a call. [since] is the start of the call's first
+   exchange ([neg_infinity]: this one), and [refusals] counts the
+   refused exchanges before this one. *)
+let rec exchange t ~timeout ~retries ~span ~holder ~site ~dport ~refused ~extra_size ~since ~refusals
+    payload =
   let xid = Int32.to_int (Bytes.get_int32_be payload 0) land 0xFFFFFFFF in
-  let ep = ep_of t dst in
-  ep.ep_calls <- ep.ep_calls + 1;
   let sp = Trace.child span ~hop:"rpc" ~site:(Net.node_name t.net t.addr) () in
   Trace.bind_xid sp xid;
   let id = Slot_lru.add t.calls xid ~lease:infinity in
@@ -192,19 +189,20 @@ let call t ?(timeout = 0.1) ?(retries = 8) ?(span = Trace.null) ~dst ~dport ?(ex
   if Bytes.length s.buf < len then s.buf <- Bytes.create (round_pow2 64 len);
   Bytes.blit payload 0 s.buf 0 len;
   s.len <- len;
-  s.dst <- dst;
+  s.holder <- holder;
+  s.site <- site;
   s.dport <- dport;
   s.extra_size <- extra_size;
-  s.ep <- ep;
   s.retries <- retries;
   s.attempt <- 0;
   s.fl.(0) <- (if timeout > max_timeout then timeout else max_timeout);
   s.fl.(1) <- timeout;
+  if since = neg_infinity then s.fl.(2) <- Engine.now t.eng else s.fl.(2) <- since;
   (* the first attempt sends the caller's bytes *)
   transmit t s xid payload;
   if s.reply == awaiting then Engine.park t.eng s.waiter;
   (* the slot is free again; it keeps nothing of the finished call but
-     its reusable buffer *)
+     its reusable buffer, which still holds this call's bytes *)
   let reply = s.reply in
   s.reply <- awaiting;
   Trace.unbind_xid sp xid;
@@ -212,19 +210,40 @@ let call t ?(timeout = 0.1) ?(retries = 8) ?(span = Trace.null) ~dst ~dport ?(ex
     Trace.finish ~outcome:"timeout" sp;
     raise Timeout
   end
-  else begin
+  else if not (refused reply) then begin
     Trace.finish sp;
     reply
   end
+  else begin
+    (* Cold: a server answers an xid it has seen from its request table,
+       so a refused call goes again under a fresh xid, to the site's
+       holder: at once if the holder moved, after a pause if not. *)
+    Trace.finish ~outcome:"refused" sp;
+    let since = s.fl.(2) and refusals = refusals + 1 in
+    if Engine.now t.eng -. since >= refused_for then begin
+      t.timeouts <- t.timeouts + 1;
+      raise Timeout
+    end;
+    let payload = Bytes.sub s.buf 0 s.len in
+    Bytes.set_int32_be payload 0 (Int32.of_int (fresh_xid t));
+    if holder site = s.dst then Engine.sleep t.eng (pause *. float_of_int refusals);
+    exchange t ~timeout ~retries ~span ~holder ~site ~dport ~refused ~extra_size ~since ~refusals
+      payload
+  end
+
+let never (_ : bytes) = false
+
+let call t ?(timeout = 0.1) ?(retries = attempts - 1) ?(span = Trace.null) ~dst ~dport
+    ?(extra_size = 0) payload =
+  exchange t ~timeout ~retries ~span ~holder:Fun.id ~site:dst ~dport ~refused:never ~extra_size
+    ~since:neg_infinity ~refusals:0 payload
+
+let call_role t ~span ~holder ~site ~dport ~refused ~extra_size payload =
+  exchange t ~timeout:max_timeout ~retries:(attempts - 1) ~span ~holder ~site ~dport ~refused
+    ~extra_size ~since:neg_infinity ~refusals:0 payload
 
 let retransmissions t = t.retransmits
 let timeouts t = t.timeouts
 let calls_completed t = t.completed
 let pending_calls t = Slot_lru.count t.calls
 let pool_size t = t.n_slots
-
-let endpoint_stats t dst =
-  match Hashtbl.find_opt t.endpoints dst with
-  | None -> { calls = 0; retransmits = 0; timeouts = 0 }
-  | Some ep ->
-      { calls = ep.ep_calls; retransmits = ep.ep_retransmits; timeouts = ep.ep_timeouts }

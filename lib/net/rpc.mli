@@ -33,7 +33,7 @@ val call :
 (** [call t ~dst ~dport payload] sends the payload (whose first word must
     be a fresh XID from {!fresh_xid}) and parks the calling fiber until a
     matching reply arrives, raising {!Timeout} after [retries]
-    retransmissions (default 8). The retransmit schedule starts at
+    retransmissions (default [attempts - 1]). The retransmit schedule starts at
     [timeout] seconds (default 0.1) and doubles on each retransmission up
     to 2 s (or [timeout], if that is larger), with up to 10 % additive jitter from a deterministic
     per-endpoint stream — exponential backoff stops the fixed-interval
@@ -48,6 +48,35 @@ val call :
     in place, so pass a freshly encoded buffer and do not reuse it.
     Retransmissions carry the bytes as they were at the call, from a
     copy the endpoint keeps. *)
+
+val attempts : int
+(** Transmissions of a call that hears nothing (9): the one re-send
+    budget. *)
+
+val pause : float
+(** The one re-send pause (10 ms). *)
+
+val call_role :
+  t ->
+  span:Slice_trace.Trace.span ->
+  holder:(int -> Packet.addr) ->
+  site:int ->
+  dport:int ->
+  refused:(bytes -> bool) ->
+  extra_size:int ->
+  bytes ->
+  bytes
+(** {!call} (2 s timeout) to whoever holds a role: a logical site, or the
+    coordinator. Every transmission goes to [holder site] read as it is
+    sent, so a retransmission follows a move or a takeover. A reply
+    [refused] picks (a bounce, a deposed coordinator's Nack) sends the
+    call again under a fresh xid, since a server answers an xid it has
+    seen from its request table: at once if the holder moved, after
+    {!pause} times the refusals so far if not. A call only refused
+    raises {!Timeout} once it has been refused as long as its silent
+    transmissions would have waited (19.8 s). The arguments are
+    labelled, not optional, so pass closures built once and the call
+    allocates no more than {!call}. *)
 
 val retransmissions : t -> int
 (** Total timeout-triggered resends across all calls. *)
@@ -66,9 +95,3 @@ val pool_size : t -> int
     has had outstanding at once. Each record belongs to a slot of the
     endpoint's call table and is built when the slot is first used; a
     finished call's record is reused by the next call in its slot. *)
-
-type endpoint_stats = { calls : int; retransmits : int; timeouts : int }
-
-val endpoint_stats : t -> Packet.addr -> endpoint_stats
-(** Per-destination counters: how a specific server behaved from this
-    endpoint's point of view (all zero for a destination never called). *)

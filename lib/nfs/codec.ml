@@ -466,6 +466,9 @@ let[@hot] reply_status buf =
   if u32_at buf 4 <> 1 then raise (Malformed "not a reply");
   status_of_int (u32_at buf reply_status_off)
 
+let misdirected buf =
+  match reply_status buf with Nfs.ERR_MISDIRECTED -> true | _ | (exception Malformed _) -> false
+
 let[@hot] reply_body buf ~tag =
   (match reply_status buf with Nfs.OK -> () | _ -> raise (Malformed "not an OK reply"));
   let present = u32_at buf reply_attr_present_off <> 0 in

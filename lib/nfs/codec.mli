@@ -158,6 +158,9 @@ val reply_status : bytes -> Nfs.status
 (** Checks the RPC reply header and reads the NFS status.
     @raise Malformed on a short buffer, a call, or an unknown status. *)
 
+val misdirected : bytes -> bool
+(** The reply is a well-formed [ERR_MISDIRECTED] bounce. *)
+
 val reply_body : bytes -> tag:int -> int
 (** For an OK reply: checks everything of it that {!decode_reply} would
     decode (the attribute block's bounds and ftype, the tag, and every

@@ -7,6 +7,7 @@ module Codec = Slice_nfs.Codec
 module Routekey = Slice_nfs.Routekey
 module Ctrl = Slice_storage.Ctrl
 module Bcache = Slice_disk.Bcache
+module Trace = Slice_trace.Trace
 
 let bs = Bcache.block_size
 
@@ -45,13 +46,6 @@ let rec chunk_start ~stripe_unit blk remaining j =
     let n = chunk_blocks ~stripe_unit blk remaining in
     chunk_start ~stripe_unit (blk + n) (remaining - n) (j - 1)
 
-(* Transmissions per chunk. A storage node bounces a chunk whose site it
-   is draining, or every chunk while a takeover has fenced it; the chunk
-   goes again after a pause that grows with each attempt, to whichever
-   node holds its site by then. *)
-let attempts = 9
-let bounce_delay = 0.01
-
 let backend eng rpc ~nsites ~resolve ~coordinator ?cap_secret ~sf_idx ~stripe_unit () =
   (* The cache has two objects, the map array (1) and the data zone (2),
      each striped from its own primary site. *)
@@ -59,9 +53,12 @@ let backend eng rpc ~nsites ~resolve ~coordinator ?cap_secret ~sf_idx ~stripe_un
   let data_fh = zone_fh ?cap_secret ~sf_idx 2L in
   let map_site = Routekey.file_site ~nsites map_fh in
   let data_site = Routekey.file_site ~nsites data_fh in
-  (* The chunk at byte [off] goes to its stripe site's holder at the
-     moment it is sent, at the wire offset that names the site. *)
-  let rec send ~write ~obj off len n =
+  let coord = Ctrl.holder coordinator in
+  (* The chunk at byte [off] goes to its stripe site's holder, at the
+     wire offset that names the site. A storage node bounces a chunk
+     whose site it is draining, or every chunk while a takeover has
+     fenced it, and the chunk goes again to the site's holder. *)
+  let send ~write ~obj off len =
     let map = Int64.equal obj 1L in
     let fh = if map then map_fh else data_fh in
     let primary = if map then map_site else data_site in
@@ -74,16 +71,9 @@ let backend eng rpc ~nsites ~resolve ~coordinator ?cap_secret ~sf_idx ~stripe_un
       if write then Nfs.Write (fh, woff, Nfs.Unstable, Nfs.Synthetic len) else Nfs.Read (fh, woff, len)
     in
     let xid = Rpc.fresh_xid rpc in
-    let reply =
-      Rpc.call rpc ~timeout:2.0 ~dst:(resolve site) ~dport:2049
-        ~extra_size:(Codec.extra_size_of_call call) (Codec.encode_call ~xid call)
-    in
-    match Codec.reply_status reply with
-    | Nfs.ERR_MISDIRECTED ->
-        if n >= attempts then raise Rpc.Timeout;
-        Engine.sleep eng (bounce_delay *. float_of_int n);
-        send ~write ~obj off len (n + 1)
-    | _ | (exception Codec.Malformed _) -> ()
+    ignore
+      (Rpc.call_role rpc ~span:Trace.null ~holder:resolve ~site ~dport:2049 ~refused:Codec.misdirected
+         ~extra_size:(Codec.extra_size_of_call call) (Codec.encode_call ~xid call))
   in
   (* One fiber per chunk, spawned last chunk first; each draws its xid
      when it starts. *)
@@ -92,19 +82,15 @@ let backend eng rpc ~nsites ~resolve ~coordinator ?cap_secret ~sf_idx ~stripe_un
     Fiber.fan_out eng n (fun i ->
         let first = chunk_start ~stripe_unit block count (n - 1 - i) in
         let len = chunk_blocks ~stripe_unit first (block + count - first) * bs in
-        send ~write ~obj (first * bs) len 1)
+        send ~write ~obj (first * bs) len)
   in
   (* A zone commit goes straight to the coordinator, which commits the
      object on every node that holds its stripes. *)
   let commit fh =
-    match coordinator () with
-    | None -> ()
-    | Some (dst, dport) ->
-        let sites = Array.of_list (List.sort_uniq Int.compare (List.init nsites resolve)) in
-        let xid = Rpc.fresh_xid rpc in
-        ignore
-          (Rpc.call rpc ~timeout:2.0 ~dst ~dport
-             (Ctrl.encode_msg ~xid (Ctrl.Commit_file { fh; sites })))
+    if Option.is_some (coordinator ()) then begin
+      let sites = Array.of_list (List.sort_uniq Int.compare (List.init nsites resolve)) in
+      ignore (Ctrl.call rpc ~span:Trace.null ~holder:coord (Ctrl.Commit_file { fh; sites }))
+    end
   in
   {
     Bcache.demand_read =

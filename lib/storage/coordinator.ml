@@ -154,8 +154,9 @@ let file_op ~span t kind fh sites =
   Ctrl.Ack
 
 (* Fenced: a deposed coordinator must refuse to log new intentions or
-   acknowledge anything — the requester backs off and finds the
-   successor through the routing table. *)
+   acknowledge anything. Its Nack is a refusal to the requester's
+   {!Ctrl.call}, which goes again to whoever holds the role: at once to
+   a successor, after a pause while none is installed. *)
 let handle t span (msg : Ctrl.msg) : Ctrl.reply =
   if wedged t then begin
     Tenure.note_fence t.tenure;
@@ -186,9 +187,7 @@ let handle t span (msg : Ctrl.msg) : Ctrl.reply =
             in
             Ctrl.Map { first_block; sites })
 
-(* The control port, and the port of the coordinator's own calls to
-   storage nodes. *)
-let ctrl_port = 2050
+(* The port of the coordinator's own calls to storage nodes. *)
 let rpc_port = 2052
 
 let attach host ?(probe_timeout = 0.5) ?(map_sites = [||]) ?trace () =
@@ -216,12 +215,12 @@ let attach host ?(probe_timeout = 0.5) ?(map_sites = [||]) ?trace () =
       tenure = Tenure.create [];
     }
   in
-  Nfs_endpoint.serve_msg host ~port:ctrl_port ~tenure:t.tenure ~cpu:cpu_cost ?trace
+  Nfs_endpoint.serve_msg host ~port:Ctrl.port ~tenure:t.tenure ~cpu:cpu_cost ?trace
     ~decode:Ctrl.decode_msg ~encode:Ctrl.encode_reply ~handler:(handle t) ();
   t
 
 let addr t = t.host.Host.addr
-let port _ = ctrl_port
+let port _ = Ctrl.port
 let host t = t.host
 let map_sites t = t.map_sites
 

@@ -122,3 +122,18 @@ let decode_reply buf =
         Map { first_block; sites = dec_sites d buf }
     | n -> raise (Codec.Malformed (Printf.sprintf "bad ctrl reply %d" n))
   with Slice_xdr.Xdr.Truncated -> raise (Codec.Malformed "truncated ctrl reply")
+
+(* ---- calls to the coordinator ---- *)
+
+let port = 2050
+
+let holder coordinator (_ : int) = match coordinator () with Some (addr, _) -> addr | None -> -1
+let deposed reply = match decode_reply reply with Nack -> true | _ | (exception Codec.Malformed _) -> false
+let no_map (_ : bytes) = false
+
+let call rpc ~span ~holder msg =
+  let xid = Slice_net.Rpc.fresh_xid rpc in
+  let refused = match msg with Get_map _ -> no_map | _ -> deposed in
+  decode_reply
+    (Slice_net.Rpc.call_role rpc ~span ~holder ~site:0 ~dport:port ~refused ~extra_size:0
+       (encode_msg ~xid msg))

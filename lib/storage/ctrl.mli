@@ -43,3 +43,18 @@ val encode_reply : xid:int -> reply -> bytes
 
 val decode_reply : bytes -> reply
 (** Like {!decode_msg}. *)
+
+(** {2 Calls to the coordinator} *)
+
+val port : int
+(** The control port every coordinator serves. *)
+
+val holder : (unit -> (Slice_net.Packet.addr * int) option) -> int -> Slice_net.Packet.addr
+(** [holder coordinator], built once, names the coordinator [coordinator ()]
+    resolves to at each transmission, whatever the site (-1: none). *)
+
+val call :
+  Slice_net.Rpc.t -> span:Slice_trace.Trace.span -> holder:(int -> Slice_net.Packet.addr) -> msg -> reply
+(** [msg] to the coordinator by {!Slice_net.Rpc.call_role}: a deposed
+    coordinator's Nack sends it again, to the successor once there is
+    one. A Nack to a [Get_map] is the answer: no map. *)

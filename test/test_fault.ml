@@ -485,13 +485,7 @@ let backoff_schedule () =
       check_bool "at most +10% jitter" true (elapsed <= 1.65 +. 1e-9);
       check_int "three retransmissions" 3 (Rpc.retransmissions rpc);
       check_int "one exhausted call" 1 (Rpc.timeouts rpc);
-      check_int "no pending entry leaked" 0 (Rpc.pending_calls rpc);
-      let s = Rpc.endpoint_stats rpc b in
-      check_bool "per-endpoint counters" true
-        (s.Rpc.calls = 1 && s.Rpc.retransmits = 3 && s.Rpc.timeouts = 1);
-      let z = Rpc.endpoint_stats rpc 999 in
-      check_bool "unknown endpoint all zero" true
-        (z.Rpc.calls = 0 && z.Rpc.retransmits = 0 && z.Rpc.timeouts = 0))
+      check_int "no pending entry leaked" 0 (Rpc.pending_calls rpc))
 
 let backoff_cap () =
   let eng, net = mk_net () in
