@@ -23,9 +23,9 @@ val backend :
     to the storage array's [nsites] logical sites. A block run is split
     on [stripe_unit] boundaries, so each request lands whole on one
     storage node; the requests of one run go out last chunk first, each
-    in its own fiber. A chunk goes to [resolve site] as it is sent, at
-    the wire offset naming its site; one bounced with [ERR_MISDIRECTED]
-    goes again after a growing pause, up to nine times, then raises
-    {!Slice_net.Rpc.Timeout}. [sync] asks [coordinator ()] to commit
-    both zone objects. With [cap_secret], every zone handle carries a
-    capability sealed with it. *)
+    in its own fiber. A chunk is a {!Slice_net.Rpc.call_role} to
+    [resolve site], at the wire offset naming its site: a bounce sends
+    it again to the site's holder. [sync] commits both zone objects by
+    {!Slice_storage.Ctrl.call} to the coordinator [coordinator ()]
+    names. With [cap_secret], every zone handle carries a capability
+    sealed with it. *)
