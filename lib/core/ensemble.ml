@@ -83,7 +83,7 @@ type t = {
   mutable storage_ : Obsd.t array;
   st_tbl : Table.t option; (* logical storage site -> physical node *)
   mutable coord : Coordinator.t option; (* mutable: failover replaces it *)
-  mutable coord_ep : (Packet.addr * int) option; (* its endpoint, built once *)
+  mutable coord_ep : Packet.addr option; (* its address, built once *)
   mutable dirs_ : Dirserver.t array;
   mutable smallfiles_ : Smallfile.t array;
   dir_tbl : Table.t;
@@ -136,8 +136,8 @@ let drain_traces () =
 let sites_owned_by ~servers ~sites i =
   List.filter (fun j -> j mod servers = i) (List.init sites (fun k -> k))
 
-(* Every call to the coordinator resolves its endpoint at each
-   transmission, so the endpoint is kept beside the coordinator and
+(* Every call to the coordinator resolves its address at each
+   transmission, so the address is kept beside the coordinator and
    resolving allocates nothing. All consumers (µproxies, directory
    servers, zone backends) resolve it here, so a failover's swap to a
    successor is atomic in sim time, and a call in flight goes on to the
@@ -146,7 +146,7 @@ let coord_endpoint t () = t.coord_ep
 
 let replace_coordinator t c =
   t.coord <- Some c;
-  t.coord_ep <- Some (Coordinator.addr c, Coordinator.port c)
+  t.coord_ep <- Some (Coordinator.addr c)
 
 (* Every node that may hold data of [fh], for a directory server's remove
    cleanup: the storage nodes of the placement rule, read through the

@@ -101,7 +101,8 @@ val coordinator : t -> Slice_storage.Coordinator.t option
 val replace_coordinator : t -> Slice_storage.Coordinator.t -> unit
 (** Failover: hand the coordinator role to a successor instance (attached
     on a surviving storage host). Every consumer — µproxies, directory
-    servers, the metrics gauges — resolves the endpoint at call time, so
+    servers, the metrics gauges — resolves its address at each
+    transmission, so
     the swap is atomic in sim time. The deposed instance is left in place
     for its fencing lease to wedge it. *)
 

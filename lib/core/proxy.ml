@@ -19,9 +19,9 @@ type targets = {
   dir_table : Table.t;
   smallfile_table : Table.t option;
   storage : Table.t option;
-  coordinator : unit -> (Packet.addr * int) option;
+  coordinator : unit -> Packet.addr option;
       (* whether there is one is read at install; who it is, at each
-         transmission, so a takeover rebinds the endpoint without
+         transmission, so a takeover rebinds the coordinator without
          reinstalling every µproxy *)
 }
 
@@ -150,9 +150,8 @@ type t = {
   prng : Prng.t;
   rpc : Rpc.t;
   coord : (int -> Packet.addr) option; (* the coordinator's holder, if there is one *)
-  mutable dir_holder : int -> Packet.addr; (* holders of the µproxy's own calls' sites *)
-  mutable sf_holder : int -> Packet.addr;
-  mutable first_send : bool; (* the next holder read is a call's first transmission *)
+  dir_holder : int -> Packet.addr; (* holders of the µproxy's own calls' sites *)
+  sf_holder : int -> Packet.addr;
   (* the requests in flight: a slot table keyed by xid, whose records
      and arrival times live in the columns below it *)
   pending : Slot_lru.t;
@@ -273,15 +272,6 @@ let rpc_port = 3001
 let ctrl_call t ~span msg =
   match t.coord with None -> Ctrl.Nack | Some holder -> Ctrl.call t.rpc ~span ~holder msg
 
-(* An NFS call to whoever holds logical [site], by [holder]; no caller
-   reads the reply, so it is not decoded. *)
-let site_call t ~span ~holder ~site (call : Nfs.call) =
-  let xid = Rpc.fresh_xid t.rpc in
-  t.first_send <- true;
-  ignore
-    (Rpc.call_role t.rpc ~span ~holder ~site ~dport:2049 ~refused:Codec.misdirected
-       ~extra_size:(Codec.extra_size_of_call call) (Codec.encode_call ~xid call))
-
 (* ---- pending records ---- *)
 
 (* Per-µproxy cache sizes: attribute cache and block-map placement cache
@@ -352,6 +342,18 @@ let[@hot] phys t s logical =
   let n = Array.length s.map in
   if n = 0 then t.tg.virtual_addr else s.map.(logical mod n)
 
+(* An NFS call to whoever holds logical [site] of snapshot [s]'s class:
+   the first transmission reads [s] as it stands, and [holder], the
+   class's holder in [t], refreshes the snapshots before each re-send,
+   which also fences the caches after a takeover. No caller reads the
+   reply, so it is not decoded. *)
+let site_call t ~span s ~holder ~site (call : Nfs.call) =
+  let xid = Rpc.fresh_xid t.rpc in
+  ignore
+    (Rpc.call_role t.rpc ~span ~holder ~site ~dst:(phys t s site) ~dport:2049
+       ~refused:Codec.misdirected ~extra_size:(Codec.extra_size_of_call call)
+       (Codec.encode_call ~xid call))
+
 (* ---- table snapshots ---- *)
 
 let refresh s =
@@ -379,9 +381,9 @@ let tables_version t = t.dir.version + t.sf.version + t.st.version
 
 (* Push one dirty cached attribute back to its directory server (the
    paper's setattr write-back on commit / eviction / interval), to the
-   server that holds its attribute site ([dir_holder]): a re-send after
-   silence or a bounce refreshes the tables first and goes to the site's
-   holder by then. A server that does not know the file (ERR_STALE) is
+   server that holds its attribute site: a re-send after silence or a
+   bounce refreshes the tables first and goes to the site's holder by
+   then. A server that does not know the file (ERR_STALE) is
    owed nothing. When the call gives up the attributes stay owed and the
    caller hears {!Rpc.Timeout}. *)
 let rec writeback_one t (c : cached_attr) =
@@ -398,7 +400,7 @@ let rec writeback_one t (c : cached_attr) =
       }
     in
     try
-      site_call t ~span:Trace.null ~holder:t.dir_holder ~site:c.ca_fh.Fh.attr_site
+      site_call t ~span:Trace.null t.dir ~holder:t.dir_holder ~site:c.ca_fh.Fh.attr_site
         (Nfs.Setattr (c.ca_fh, s))
     with Rpc.Timeout ->
       c.ca_dirty <- true;
@@ -437,14 +439,6 @@ and refresh_tables t =
     t.fence_seen <- ep;
     fence_invalidate t
   end
-
-(* The holder of a site of [s]'s class for the µproxy's own calls. A
-   call's first transmission reads the snapshot as it stands; a re-send
-   refreshes the snapshots first, which also fences the caches after a
-   takeover. *)
-let site_holder t s site =
-  if t.first_send then t.first_send <- false else refresh_tables t;
-  phys t s site
 
 (* ---- metadata cache columns ---- *)
 
@@ -713,7 +707,7 @@ let commit_job t cm k =
   let span = cm.cm_span in
   try
     if k >= data_jobs t cm then
-      site_call t ~span ~holder:t.sf_holder ~site:cm.cm_sf (Nfs.Commit (cm.cm_fh, 0L, 0))
+      site_call t ~span t.sf ~holder:t.sf_holder ~site:cm.cm_sf (Nfs.Commit (cm.cm_fh, 0L, 0))
     else if by_coordinator t cm then
       ignore (ctrl_call t ~span (Ctrl.Commit_file { fh = cm.cm_fh; sites = cm.cm_sites }))
     else
@@ -1525,7 +1519,7 @@ let rec writeback_tick t =
 
 let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
   let net = host.Host.net in
-  let t =
+  let rec t =
     {
       host;
       net;
@@ -1537,9 +1531,8 @@ let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
       prng = Prng.create (seed + (host.Host.addr * 7919));
       rpc = Rpc.create net host.Host.addr ~port:rpc_port;
       coord = Option.map (fun _ -> Ctrl.holder targets.coordinator) (targets.coordinator ());
-      dir_holder = Fun.id;
-      sf_holder = Fun.id;
-      first_send = false;
+      dir_holder = (fun site -> refresh_tables t; phys t t.dir site);
+      sf_holder = (fun site -> refresh_tables t; phys t t.sf site);
       pending = Slot_lru.create ~capacity:max_int;
       pool = [||];
       pool_born = [||];
@@ -1597,8 +1590,6 @@ let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
   in
   t.fence_seen <- combined_epoch t;
   t.sweep_fn <- (fun () -> sweep t);
-  t.dir_holder <- site_holder t t.dir;
-  t.sf_holder <- site_holder t t.sf;
   Net.add_egress_filter net host.Host.addr (egress_filter t);
   Net.add_ingress_filter net host.Host.addr (ingress_filter t);
   writeback_tick t;

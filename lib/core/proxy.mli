@@ -67,11 +67,11 @@ type targets = {
   storage : Table.t option;
       (** logical storage site -> physical node; [None] when the ensemble
           runs without a storage class *)
-  coordinator : unit -> (Slice_net.Packet.addr * int) option;
-      (** block-service coordinator endpoint. Whether there is one is
-          read at {!install}; its address is read at each transmission,
-          so a coordinator takeover rebinds it without reinstalling
-          proxies *)
+  coordinator : unit -> Slice_net.Packet.addr option;
+      (** the block-service coordinator's address (it serves
+          {!Slice_storage.Ctrl.port}). Whether there is one is read at
+          {!install}; its address is read at each transmission, so a
+          coordinator takeover rebinds it without reinstalling proxies *)
 }
 
 type qos = {

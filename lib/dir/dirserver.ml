@@ -23,7 +23,7 @@ type config = {
   resolve : int -> Packet.addr;
   peer_port : int;
   data_sites : Fh.t -> Packet.addr list;
-  coordinator : unit -> (Packet.addr * int) option;
+  coordinator : unit -> Packet.addr option;
   mirror_new_files : bool;
   cap_secret : string option;
   also_owns : int list;

@@ -35,9 +35,10 @@ type config = {
   data_sites : Slice_nfs.Fh.t -> Slice_net.Packet.addr list;
       (** every node that may hold data of a file: its storage nodes,
           then its small-file server; a remove cleans each of them *)
-  coordinator : unit -> (Slice_net.Packet.addr * int) option;
-      (** block-service coordinator for multi-site remove/truncate,
-          resolved at call time *)
+  coordinator : unit -> Slice_net.Packet.addr option;
+      (** the block-service coordinator's address (it serves
+          {!Slice_storage.Ctrl.port}) for multi-site remove/truncate,
+          resolved at each transmission *)
   mirror_new_files : bool;
       (** per-file mirrored-striping policy flag minted into new regular
           files' handles (Section 3.1's attribute-based mirroring) *)

@@ -173,7 +173,7 @@ let compute ?(scale = 1.0) ?(seed = 42) () =
       match
         Rpc.call rpc ~timeout:0.5 ~retries:2
           ~dst:(Coordinator.addr old_coord)
-          ~dport:(Coordinator.port old_coord)
+          ~dport:Ctrl.port
           (Ctrl.encode_msg ~xid (Ctrl.Complete { op_id = 0L }))
       with
       | reply -> Ctrl.decode_reply reply = Ctrl.Nack

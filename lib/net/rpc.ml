@@ -5,6 +5,10 @@ module Trace = Slice_trace.Trace
 
 exception Timeout
 
+type ep = { mutable ep_calls : int; mutable ep_retransmits : int; mutable ep_timeouts : int }
+
+type endpoint_stats = { calls : int; retransmits : int; timeouts : int }
+
 (* One outstanding call, the record of a slot of the endpoint's call
    table. A record is built the first time its slot is used, so the
    records never outnumber the peak number of outstanding calls, and it
@@ -39,6 +43,7 @@ type t = {
   calls : Slot_lru.t; (* xid of each outstanding call -> its slot *)
   mutable slots : slot array; (* the first [n_slots] are built *)
   mutable n_slots : int;
+  endpoints : (Packet.addr, ep) Hashtbl.t; (* by the destination of each transmission *)
   mutable retransmits : int;
   mutable timeouts : int;
   mutable completed : int;
@@ -79,6 +84,8 @@ let create net addr ~port =
       calls = Slot_lru.create ~capacity:max_int;
       slots = [||];
       n_slots = 0;
+      (* lint: bounded — one row per (addr, port) peer in the ensemble *)
+      endpoints = Hashtbl.create 8;
       retransmits = 0;
       timeouts = 0;
       completed = 0;
@@ -86,6 +93,14 @@ let create net addr ~port =
   in
   Net.listen net addr ~port (on_packet t);
   t
+
+let ep_of t dst =
+  match Hashtbl.find t.endpoints dst with
+  | ep -> ep
+  | exception Not_found ->
+      let ep = { ep_calls = 0; ep_retransmits = 0; ep_timeouts = 0 } in
+      Hashtbl.replace t.endpoints dst ep;
+      ep
 
 (* XIDs come from the network's private counter so no two endpoints in a
    simulation ever collide (an interposed filter can key its soft state
@@ -112,12 +127,14 @@ let pause = 0.01
    transmissions would wait at most. *)
 let refused_for = float_of_int attempts *. max_timeout *. (1.0 +. jitter_frac)
 
-(* Send one attempt to the site's holder of the moment, then arm its
-   timer — unless an interposed filter answered synchronously inside
-   [Net.send], leaving nothing to time (the slot may even hold the
-   caller's next call by then). *)
+(* Send one attempt to [s.dst], then arm its timer — unless an
+   interposed filter answered synchronously inside [Net.send], leaving
+   nothing to time (the slot may even hold the caller's next call by
+   then). *)
 let transmit t s xid payload =
-  s.dst <- s.holder s.site;
+  let ep = ep_of t s.dst in
+  if s.attempt = 0 then ep.ep_calls <- ep.ep_calls + 1
+  else ep.ep_retransmits <- ep.ep_retransmits + 1;
   Net.send t.net
     (Packet.make ~src:t.addr ~dst:s.dst ~sport:t.port ~dport:s.dport ~extra_size:s.extra_size
        payload);
@@ -127,20 +144,27 @@ let transmit t s xid payload =
     s.timer_seq <- Engine.timer_seq s.timer
   end
 
+let give_up t dst =
+  let ep = ep_of t dst in
+  ep.ep_timeouts <- ep.ep_timeouts + 1;
+  t.timeouts <- t.timeouts + 1
+
 (* The timer fires only while the call is outstanding: a reply cancels
-   it. A retransmission gets fresh bytes from the pristine copy, since an
-   interposed filter may have rewritten the previous attempt in place. *)
+   it. A retransmission goes to the site's holder of the moment, with
+   fresh bytes from the pristine copy, since an interposed filter may
+   have rewritten the previous attempt in place. *)
 let expire t s =
   if s.attempt < s.retries then begin
     let next = s.fl.(1) *. backoff in
     s.attempt <- s.attempt + 1;
     s.fl.(1) <- (if next > s.fl.(0) then s.fl.(0) else next);
     t.retransmits <- t.retransmits + 1;
+    s.dst <- s.holder s.site;
     transmit t s (Slot_lru.key t.calls s.id) (Bytes.sub s.buf 0 s.len)
   end
   else begin
     Slot_lru.drop t.calls s.id;
-    t.timeouts <- t.timeouts + 1;
+    give_up t s.dst;
     s.reply <- expired;
     Engine.unpark s.waiter
   end
@@ -175,11 +199,11 @@ let new_slot t id =
 
 let rec round_pow2 p n = if p >= n then p else round_pow2 (p * 2) n
 
-(* One exchange of a call. [since] is the start of the call's first
-   exchange ([neg_infinity]: this one), and [refusals] counts the
-   refused exchanges before this one. *)
-let rec exchange t ~timeout ~retries ~span ~holder ~site ~dport ~refused ~extra_size ~since ~refusals
-    payload =
+(* One exchange of a call, first sent to [dst]. [since] is the start of
+   the call's first exchange ([neg_infinity]: this one), and [refusals]
+   counts the refused exchanges before this one. *)
+let rec exchange t ~timeout ~retries ~span ~holder ~site ~dst ~dport ~refused ~extra_size ~since
+    ~refusals payload =
   let xid = Int32.to_int (Bytes.get_int32_be payload 0) land 0xFFFFFFFF in
   let sp = Trace.child span ~hop:"rpc" ~site:(Net.node_name t.net t.addr) () in
   Trace.bind_xid sp xid;
@@ -191,6 +215,7 @@ let rec exchange t ~timeout ~retries ~span ~holder ~site ~dport ~refused ~extra_
   s.len <- len;
   s.holder <- holder;
   s.site <- site;
+  s.dst <- dst;
   s.dport <- dport;
   s.extra_size <- extra_size;
   s.retries <- retries;
@@ -221,25 +246,26 @@ let rec exchange t ~timeout ~retries ~span ~holder ~site ~dport ~refused ~extra_
     Trace.finish ~outcome:"refused" sp;
     let since = s.fl.(2) and refusals = refusals + 1 in
     if Engine.now t.eng -. since >= refused_for then begin
-      t.timeouts <- t.timeouts + 1;
+      give_up t s.dst;
       raise Timeout
     end;
-    let payload = Bytes.sub s.buf 0 s.len in
+    let payload = Bytes.sub s.buf 0 s.len and next = holder site in
+    let stayed = next = s.dst in
     Bytes.set_int32_be payload 0 (Int32.of_int (fresh_xid t));
-    if holder site = s.dst then Engine.sleep t.eng (pause *. float_of_int refusals);
-    exchange t ~timeout ~retries ~span ~holder ~site ~dport ~refused ~extra_size ~since ~refusals
-      payload
+    if stayed then Engine.sleep t.eng (pause *. float_of_int refusals);
+    exchange t ~timeout ~retries ~span ~holder ~site ~dst:(if stayed then holder site else next)
+      ~dport ~refused ~extra_size ~since ~refusals payload
   end
 
 let never (_ : bytes) = false
 
 let call t ?(timeout = 0.1) ?(retries = attempts - 1) ?(span = Trace.null) ~dst ~dport
     ?(extra_size = 0) payload =
-  exchange t ~timeout ~retries ~span ~holder:Fun.id ~site:dst ~dport ~refused:never ~extra_size
-    ~since:neg_infinity ~refusals:0 payload
+  exchange t ~timeout ~retries ~span ~holder:Fun.id ~site:dst ~dst ~dport ~refused:never
+    ~extra_size ~since:neg_infinity ~refusals:0 payload
 
-let call_role t ~span ~holder ~site ~dport ~refused ~extra_size payload =
-  exchange t ~timeout:max_timeout ~retries:(attempts - 1) ~span ~holder ~site ~dport ~refused
+let call_role t ~span ~holder ~site ~dst ~dport ~refused ~extra_size payload =
+  exchange t ~timeout:max_timeout ~retries:(attempts - 1) ~span ~holder ~site ~dst ~dport ~refused
     ~extra_size ~since:neg_infinity ~refusals:0 payload
 
 let retransmissions t = t.retransmits
@@ -247,3 +273,9 @@ let timeouts t = t.timeouts
 let calls_completed t = t.completed
 let pending_calls t = Slot_lru.count t.calls
 let pool_size t = t.n_slots
+
+let endpoint_stats t dst =
+  match Hashtbl.find_opt t.endpoints dst with
+  | None -> { calls = 0; retransmits = 0; timeouts = 0 }
+  | Some ep ->
+      { calls = ep.ep_calls; retransmits = ep.ep_retransmits; timeouts = ep.ep_timeouts }

@@ -61,17 +61,19 @@ val call_role :
   span:Slice_trace.Trace.span ->
   holder:(int -> Packet.addr) ->
   site:int ->
+  dst:Packet.addr ->
   dport:int ->
   refused:(bytes -> bool) ->
   extra_size:int ->
   bytes ->
   bytes
 (** {!call} (2 s timeout) to whoever holds a role: a logical site, or the
-    coordinator. Every transmission goes to [holder site] read as it is
-    sent, so a retransmission follows a move or a takeover. A reply
-    [refused] picks (a bounce, a deposed coordinator's Nack) sends the
-    call again under a fresh xid, since a server answers an xid it has
-    seen from its request table: at once if the holder moved, after
+    coordinator. The first transmission goes to [dst], the caller's
+    reading of the holder; every later one goes to [holder site] read as
+    it is sent, so a retransmission follows a move or a takeover. A
+    reply [refused] picks (a bounce, a deposed coordinator's Nack) sends
+    the call again under a fresh xid, since a server answers an xid it
+    has seen from its request table: at once if the holder moved, after
     {!pause} times the refusals so far if not. A call only refused
     raises {!Timeout} once it has been refused as long as its silent
     transmissions would have waited (19.8 s). The arguments are
@@ -82,8 +84,9 @@ val retransmissions : t -> int
 (** Total timeout-triggered resends across all calls. *)
 
 val timeouts : t -> int
-(** Calls that exhausted their retransmission budget and raised
-    {!Timeout}. *)
+(** Calls that raised {!Timeout}: those that exhausted their
+    retransmission budget, and role calls that gave up after being
+    refused for 19.8 s. *)
 
 val calls_completed : t -> int
 
@@ -95,3 +98,12 @@ val pool_size : t -> int
     has had outstanding at once. Each record belongs to a slot of the
     endpoint's call table and is built when the slot is first used; a
     finished call's record is reused by the next call in its slot. *)
+
+type endpoint_stats = { calls : int; retransmits : int; timeouts : int }
+
+val endpoint_stats : t -> Packet.addr -> endpoint_stats
+(** Per-destination counters, keyed by where each transmission went:
+    first transmissions (a refused role call's re-send is one again),
+    retransmissions, and the calls whose last transmission went there
+    before they raised {!Timeout} (all zero for a destination never
+    sent to). *)

@@ -72,8 +72,9 @@ let backend eng rpc ~nsites ~resolve ~coordinator ?cap_secret ~sf_idx ~stripe_un
     in
     let xid = Rpc.fresh_xid rpc in
     ignore
-      (Rpc.call_role rpc ~span:Trace.null ~holder:resolve ~site ~dport:2049 ~refused:Codec.misdirected
-         ~extra_size:(Codec.extra_size_of_call call) (Codec.encode_call ~xid call))
+      (Rpc.call_role rpc ~span:Trace.null ~holder:resolve ~site ~dst:(resolve site) ~dport:2049
+         ~refused:Codec.misdirected ~extra_size:(Codec.extra_size_of_call call)
+         (Codec.encode_call ~xid call))
   in
   (* One fiber per chunk, spawned last chunk first; each draws its xid
      when it starts. *)

@@ -12,7 +12,7 @@ val backend :
   Slice_net.Rpc.t ->
   nsites:int ->
   resolve:(int -> Slice_net.Packet.addr) ->
-  coordinator:(unit -> (Slice_net.Packet.addr * int) option) ->
+  coordinator:(unit -> Slice_net.Packet.addr option) ->
   ?cap_secret:string ->
   sf_idx:int ->
   stripe_unit:int ->

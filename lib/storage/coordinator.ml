@@ -220,7 +220,6 @@ let attach host ?(probe_timeout = 0.5) ?(map_sites = [||]) ?trace () =
   t
 
 let addr t = t.host.Host.addr
-let port _ = Ctrl.port
 let host t = t.host
 let map_sites t = t.map_sites
 

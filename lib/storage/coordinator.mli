@@ -27,13 +27,12 @@ val attach :
   unit ->
   t
 (** [map_sites] are the storage-node addresses used when minting block-map
-    entries (default: empty — Get_map then returns Nack). The control
-    port is 2050 and the coordinator's own calls go out from port 2052.
+    entries (default: empty — Get_map then returns Nack). It serves
+    {!Ctrl.port} and its own calls go out from port 2052.
     Default probe timeout 0.5 s. With [trace], control messages whose
     xid is bound to a request span record a ["server"] hop here. *)
 
 val addr : t -> Slice_net.Packet.addr
-val port : t -> int
 val host : t -> Host.t
 val map_sites : t -> int array
 (** The storage-node placement array this coordinator mints maps from

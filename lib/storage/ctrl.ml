@@ -127,7 +127,7 @@ let decode_reply buf =
 
 let port = 2050
 
-let holder coordinator (_ : int) = match coordinator () with Some (addr, _) -> addr | None -> -1
+let holder coordinator (_ : int) = match coordinator () with Some addr -> addr | None -> -1
 let deposed reply = match decode_reply reply with Nack -> true | _ | (exception Codec.Malformed _) -> false
 let no_map (_ : bytes) = false
 
@@ -135,5 +135,5 @@ let call rpc ~span ~holder msg =
   let xid = Slice_net.Rpc.fresh_xid rpc in
   let refused = match msg with Get_map _ -> no_map | _ -> deposed in
   decode_reply
-    (Slice_net.Rpc.call_role rpc ~span ~holder ~site:0 ~dport:port ~refused ~extra_size:0
-       (encode_msg ~xid msg))
+    (Slice_net.Rpc.call_role rpc ~span ~holder ~site:0 ~dst:(holder 0) ~dport:port ~refused
+       ~extra_size:0 (encode_msg ~xid msg))

@@ -49,7 +49,7 @@ val decode_reply : bytes -> reply
 val port : int
 (** The control port every coordinator serves. *)
 
-val holder : (unit -> (Slice_net.Packet.addr * int) option) -> int -> Slice_net.Packet.addr
+val holder : (unit -> Slice_net.Packet.addr option) -> int -> Slice_net.Packet.addr
 (** [holder coordinator], built once, names the coordinator [coordinator ()]
     resolves to at each transmission, whatever the site (-1: none). *)
 

@@ -429,7 +429,7 @@ let crashed_coordinator_answers_nothing ~due msg =
       let xid = Rpc.fresh_xid rpc in
       match
         Rpc.call rpc ~timeout:0.2 ~retries:1 ~dst:(Coordinator.addr coord)
-          ~dport:(Coordinator.port coord)
+          ~dport:Ctrl.port
           (Ctrl.encode_msg ~xid (msg (Obsd.addr node)))
       with
       | (_ : bytes) -> Alcotest.fail "a crashed coordinator answered"
@@ -485,7 +485,13 @@ let backoff_schedule () =
       check_bool "at most +10% jitter" true (elapsed <= 1.65 +. 1e-9);
       check_int "three retransmissions" 3 (Rpc.retransmissions rpc);
       check_int "one exhausted call" 1 (Rpc.timeouts rpc);
-      check_int "no pending entry leaked" 0 (Rpc.pending_calls rpc))
+      check_int "no pending entry leaked" 0 (Rpc.pending_calls rpc);
+      let s = Rpc.endpoint_stats rpc b in
+      check_bool "per-endpoint counters" true
+        (s.Rpc.calls = 1 && s.Rpc.retransmits = 3 && s.Rpc.timeouts = 1);
+      let z = Rpc.endpoint_stats rpc 999 in
+      check_bool "unknown endpoint all zero" true
+        (z.Rpc.calls = 0 && z.Rpc.retransmits = 0 && z.Rpc.timeouts = 0))
 
 let backoff_cap () =
   let eng, net = mk_net () in
@@ -691,7 +697,7 @@ let coordinator_redo_waits_for_partition_heal () =
       (match
            (Ctrl.decode_reply
               (Rpc.call rpc ~timeout:2.0 ~dst:(Coordinator.addr coord)
-                 ~dport:(Coordinator.port coord)
+                 ~dport:Ctrl.port
                  (Ctrl.encode_msg ~xid
                     (Ctrl.Intent
                        { op_id = 99L; kind = Ctrl.K_remove; fh; participants = [| victim |] }))))
@@ -745,7 +751,7 @@ let coordinator_takeover_completes_2pc () =
       (match
            (Ctrl.decode_reply
               (Rpc.call rpc ~timeout:2.0 ~dst:(Coordinator.addr coord)
-                 ~dport:(Coordinator.port coord)
+                 ~dport:Ctrl.port
                  (Ctrl.encode_msg ~xid
                     (Ctrl.Intent
                        { op_id = 7L; kind = Ctrl.K_remove; fh; participants = [| participant |] }))))

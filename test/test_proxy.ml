@@ -631,7 +631,7 @@ let commit_orchestration_words () =
         dir_table = Table.create [| dhost.Host.addr |];
         smallfile_table = None;
         storage = Some (Table.create [| s0.Host.addr; s1.Host.addr |]);
-        coordinator = (fun () -> Some (coord.Host.addr, 2050));
+        coordinator = (fun () -> Some coord.Host.addr);
       }
   in
   let n = 512 and batch = 64 in

@@ -53,7 +53,7 @@ let ctrl_call rig msg =
   let xid = Rpc.fresh_xid rig.rpc in
   let reply =
     Rpc.call rig.rpc ~timeout:2.0 ~dst:(Coordinator.addr rig.coord)
-      ~dport:(Coordinator.port rig.coord) (Ctrl.encode_msg ~xid msg)
+      ~dport:Ctrl.port (Ctrl.encode_msg ~xid msg)
   in
   Ctrl.decode_reply reply
 
