@@ -102,8 +102,7 @@ val pool_size : t -> int
 type endpoint_stats = { calls : int; retransmits : int; timeouts : int }
 
 val endpoint_stats : t -> Packet.addr -> endpoint_stats
-(** Per-destination counters, keyed by where each transmission went:
-    first transmissions (a refused role call's re-send is one again),
-    retransmissions, and the calls whose last transmission went there
-    before they raised {!Timeout} (all zero for a destination never
-    sent to). *)
+(** Per-destination counters, kept where each transmission went (a
+    call's {!Timeout} where its last one went): how a specific server
+    behaved from this endpoint's point of view (all zero for a
+    destination never sent to). *)
