@@ -923,3 +923,37 @@ let resend_survives_a_timeout () =
         (Dirserver.peer_ops_served rig.dirs.(2)))
 
 let suite = suite @ [ ("the re-send survives a peer timeout", `Quick, resend_survives_a_timeout) ]
+
+(* An entry-count update whose site moves while the call is in flight
+   lands at the site's new holder. Dir 2, which holds [d]'s cell (site
+   2), is cut off when a create under [d] at site 1 sends the count
+   there; site 2 then moves to dir 0, and the cut heals. The update's
+   retransmission must reach dir 0, so [d] counts the entry its listing
+   shows. *)
+let count_follows_a_moved_site () =
+  let rig = mk_rig ~nsites:3 () in
+  let rec name_in d prefix site i =
+    let n = prefix ^ string_of_int i in
+    if site_of rig (Nfs.Create (d, n)) = site then n else name_in d prefix site (i + 1)
+  in
+  run_on rig.eng (fun () ->
+      let d, _ = ok_or_fail "mkdir" (mkdir rig Fh.root (name_in Fh.root "d" 2 0)) in
+      check_int "the directory's cell is at site 2" 2 d.Fh.attr_site;
+      let created = ref None in
+      Net.fault rig.net (Net.Partition [ rig.addrs.(2) ]);
+      Engine.spawn rig.eng (fun () -> created := Some (create rig d (name_in d "n" 1 0)));
+      Engine.sleep rig.eng 0.05;
+      Dirserver.settle_site rig.dirs.(2) 2;
+      adopt_site rig.dirs.(0) ~from:rig.dirs.(2) ~site:2;
+      rig.addrs.(2) <- rig.addrs.(0);
+      Slice_storage.Tenure.disown (Dirserver.tenure rig.dirs.(2)) 2;
+      Dirserver.drop_site rig.dirs.(2) 2;
+      Net.fault rig.net Net.Heal;
+      Engine.sleep rig.eng 1.0;
+      (match !created with
+      | Some (Ok _) -> ()
+      | Some (Error st) -> Alcotest.failf "create: %s" (Nfs.status_name st)
+      | None -> Alcotest.fail "the create did not answer");
+      check_int "the parent counts its listing" (List.length (listing rig d)) (dir_count rig d))
+
+let suite = suite @ [ ("an entry count follows a moved site", `Quick, count_follows_a_moved_site) ]

@@ -937,6 +937,109 @@ let commit_across_coordinator_takeover () =
       | None -> Alcotest.fail "no successor"
       | Some c -> check_int "intents at the successor" 5 (Coordinator.intents_logged c))
 
+(* A REMOVE of a renamed file: its entry is at dir 0 and its cell at
+   dir 1, whose lease has run out when the link-count update reaches it,
+   so dir 1 refuses the update. The lease is renewed 50 ms later. The
+   update goes again until dir 1 applies it, so the last link frees the
+   cell and the coordinator logs the remove of the file's data. *)
+let remove_across_a_wedged_peer () =
+  let ens =
+    Ensemble.create
+      {
+        Ensemble.default_config with
+        dir_servers = 2;
+        smallfile_servers = 0;
+        proxy_params = { Slice.Params.default with name_policy = Slice.Params.Name_hashing };
+      }
+  in
+  let eng = Ensemble.engine ens and net = Ensemble.net ens in
+  let rpc = Rpc.create net (Host.create net ~name:"cl" ()).Host.addr ~port:1000 in
+  let call i c =
+    let xid = Rpc.fresh_xid rpc in
+    snd
+      (Codec.decode_reply
+         (Rpc.call rpc ~dst:(Ensemble.server_addr ens Dir i) ~dport:2049 (Codec.encode_call ~xid c)))
+  in
+  let rec name_at prefix site i =
+    let n = prefix ^ string_of_int i in
+    if Slice_nfs.Routekey.name_site ~nsites:2 Fh.root n = site then n else name_at prefix site (i + 1)
+  in
+  let a = name_at "a" 1 0 and b = name_at "b" 0 0 in
+  run_on eng (fun () ->
+      let fh =
+        match call 1 (Nfs.Create (Fh.root, a)) with
+        | Ok (Nfs.RCreate (fh, _)) -> fh
+        | _ -> Alcotest.fail "create"
+      in
+      check_int "the cell is at site 1" 1 fh.Fh.attr_site;
+      (match call 1 (Nfs.Rename (Fh.root, a, Fh.root, b)) with
+      | Ok Nfs.RRename -> ()
+      | _ -> Alcotest.fail "rename");
+      let coord = Option.get (Ensemble.coordinator ens) in
+      let logged = Coordinator.intents_logged coord in
+      let tenure = Ensemble.tenure ens Dir 1 in
+      Tenure.set_lease tenure ~epoch:1 ~until:(Engine.now eng);
+      Engine.spawn eng (fun () ->
+          Engine.sleep eng 0.05;
+          Tenure.set_lease tenure ~epoch:1 ~until:infinity);
+      (match call 0 (Nfs.Remove (Fh.root, b)) with
+      | Ok Nfs.RRemove -> ()
+      | _ -> Alcotest.fail "remove");
+      check_bool "dir 1 refused the update first" true (Tenure.fence_bounces tenure > 0);
+      expect_err "the last link freed the cell" Nfs.ERR_STALE
+        (match call 1 (Nfs.Getattr fh) with
+        | Ok (Nfs.RGetattr a) -> Ok a
+        | Error st -> Error st
+        | _ -> Alcotest.fail "getattr");
+      Engine.sleep eng 0.1;
+      check_int "the coordinator logged the remove" (logged + 1) (Coordinator.intents_logged coord))
+
+(* Crashing a storage node crashes the coordinator its host runs. The
+   coordinator's call to a dead participant is in flight when its host
+   crashes; a successor takes the role on another node, and the host
+   comes back 2.5 s later. From the crash on, the deposed instance sends
+   nothing from its port, and its expired lease still fences it. *)
+let host_crash_silences_its_coordinator () =
+  let ens =
+    Ensemble.create { Ensemble.default_config with storage_nodes = 3; smallfile_servers = 0 }
+  in
+  let eng = Ensemble.engine ens and net = Ensemble.net ens in
+  let old = Option.get (Ensemble.coordinator ens) in
+  let rpc = Rpc.create net (Host.create net ~name:"cl" ()).Host.addr ~port:1000 in
+  let ctrl msg =
+    let xid = Rpc.fresh_xid rpc in
+    Ctrl.decode_reply
+      (Rpc.call rpc ~timeout:0.5 ~retries:2 ~dst:(Coordinator.addr old) ~dport:Ctrl.port
+         (Ctrl.encode_msg ~xid msg))
+  in
+  let crashed_at = ref infinity and sent = ref 0 in
+  Net.add_egress_filter net (Coordinator.addr old) (fun p ->
+      if p.Packet.sport = 2052 && Engine.now eng >= !crashed_at then incr sent;
+      Some p);
+  run_on eng (fun () ->
+      Ensemble.crash ens Storage 2;
+      let dead = Ensemble.server_addr ens Storage 2 in
+      Engine.spawn eng (fun () ->
+          try ignore (ctrl (Ctrl.Remove_file { fh = fh42; sites = [| dead |] }))
+          with Rpc.Timeout -> ());
+      Engine.sleep eng 0.5;
+      check_int "the remove is logged" 1 (Coordinator.intents_logged old);
+      Tenure.set_lease (Coordinator.tenure old) ~epoch:1 ~until:(Engine.now eng);
+      crashed_at := Engine.now eng;
+      Ensemble.crash ens Storage 0;
+      let c =
+        Coordinator.attach (Ensemble.server_host ens Storage 1)
+          ~map_sites:(Coordinator.map_sites old) ()
+      in
+      ignore (Coordinator.adopt_log c ~from:old);
+      Ensemble.replace_coordinator ens c;
+      Engine.sleep eng 2.5;
+      Ensemble.recover ens Storage 0;
+      Engine.sleep eng 20.0;
+      check_int "nothing sent from the deposed coordinator's port" 0 !sent;
+      check_bool "the deposed coordinator refuses" true (ctrl (Ctrl.Complete { op_id = 0L }) = Ctrl.Nack);
+      Ensemble.recover ens Storage 2)
+
 let chaos_deterministic () =
   let w, schedule = chaos_row "untar, 2% loss + dir crash" in
   let r1 = Chaos.run w schedule in
@@ -975,6 +1078,8 @@ let suite =
     ("commit across a directory takeover", `Quick, commit_across_dir_takeover);
     ("small-file commit skips a dead directory server", `Quick, smallfile_commit_skips_dead_dir);
     ("commit across a coordinator takeover", `Quick, commit_across_coordinator_takeover);
+    ("remove across a wedged peer", `Quick, remove_across_a_wedged_peer);
+    ("a host crash silences its coordinator", `Quick, host_crash_silences_its_coordinator);
     ("chaos: untar with node crash", `Slow, untar_with_node_crash);
     ("chaos: specsfs with node crash", `Slow, specsfs_with_node_crash);
     ("chaos: deterministic", `Slow, chaos_deterministic);

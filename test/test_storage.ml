@@ -437,6 +437,28 @@ let coord_block_maps () =
           check_int "one map entry" 1 (Coordinator.map_entries rig.coord)
       | _ -> Alcotest.fail "get_map")
 
+(* A coordinator attached without [map_sites] keeps no block maps: a
+   [Get_map] gets an empty map, which a µproxy reads as "use static
+   striping", not the Nack that sends a control message on to a
+   successor. *)
+let coord_without_maps () =
+  let eng = Engine.create () in
+  let net = Net.create eng () in
+  let coord = Coordinator.attach (Host.create net ~name:"c" ~disks:1 ()) () in
+  let rpc = Rpc.create net (Host.create net ~name:"client" ()).Host.addr ~port:1000 in
+  run_on eng (fun () ->
+      let xid = Rpc.fresh_xid rpc in
+      let msg = Ctrl.Get_map { fh = reg_fh 14; first_block = 0; count = 8 } in
+      match
+        Ctrl.decode_reply
+          (Rpc.call rpc ~timeout:2.0 ~dst:(Coordinator.addr coord) ~dport:Ctrl.port
+             (Ctrl.encode_msg ~xid msg))
+      with
+      | Ctrl.Map { first_block = 0; sites } ->
+          check_int "no entries" 0 (Array.length sites);
+          check_int "no map kept" 0 (Coordinator.map_entries coord)
+      | _ -> Alcotest.fail "get_map without maps")
+
 (* ---- duplicate-request cache ---- *)
 
 (* A Create whose reply is lost: the retransmission must get the original
@@ -801,5 +823,6 @@ let suite =
     ("coordinator crash recovery redoes", `Quick, coord_crash_recovery_redoes);
     ("coordinator completion survives crash", `Quick, coord_completion_survives_crash);
     ("coordinator block maps", `Quick, coord_block_maps);
+    ("coordinator without maps", `Quick, coord_without_maps);
     ("ctrl counts checked before allocation", `Quick, ctrl_counts_checked_before_alloc);
   ]
