@@ -82,8 +82,8 @@ type t = {
   vaddr : Packet.addr;
   mutable storage_ : Obsd.t array;
   st_tbl : Table.t option; (* logical storage site -> physical node *)
-  mutable coord : Coordinator.t option; (* mutable: failover replaces it *)
-  mutable coord_ep : Packet.addr option; (* its address, built once *)
+  mutable coords : Coordinator.t list; (* every instance attached, the role's holder first *)
+  mutable coord_ep : Packet.addr option; (* the holder's address, built once *)
   mutable dirs_ : Dirserver.t array;
   mutable smallfiles_ : Smallfile.t array;
   dir_tbl : Table.t;
@@ -145,7 +145,7 @@ let sites_owned_by ~servers ~sites i =
 let coord_endpoint t () = t.coord_ep
 
 let replace_coordinator t c =
-  t.coord <- Some c;
+  t.coords <- c :: t.coords;
   t.coord_ep <- Some (Coordinator.addr c)
 
 (* Every node that may hold data of [fh], for a directory server's remove
@@ -184,7 +184,6 @@ let attach_dir t ~idx ~host ~also_owns =
       nsites = l_dir;
       policy = t.cfg.proxy_params.Params.name_policy;
       resolve = (fun logical -> Table.lookup t.dir_tbl (logical mod l_dir));
-      peer_port = 2051;
       data_sites = data_sites_of t;
       coordinator = coord_endpoint t;
       mirror_new_files = t.cfg.mirror_new_files;
@@ -257,7 +256,7 @@ let create cfg =
       vaddr;
       storage_ = [||];
       st_tbl = table storage_hosts l_st;
-      coord = None;
+      coords = [];
       coord_ep = None;
       dirs_ = [||];
       smallfiles_ = [||];
@@ -399,23 +398,29 @@ let is_up t k i = Tenure.is_up (tenure t k i)
 
 let table t = function Dir -> Some t.dir_tbl | Smallfile -> t.sf_tbl | Storage -> t.st_tbl
 
+let on_coordinators t k i f =
+  List.iter (fun c -> if Coordinator.addr c = server_addr t k i then f c) t.coords
+
 (* Fail-stop a server at both layers: the service stops answering and the
    net drops everything addressed to (or sent by) the host, so in-flight
-   packets die exactly as on a powered-off machine. *)
+   packets die exactly as on a powered-off machine. The host takes down
+   the coordinators it runs, a deposed one included. *)
 let crash t k i =
   (match k with
   | Dir -> Dirserver.crash t.dirs_.(i)
   | Smallfile -> Smallfile.crash t.smallfiles_.(i)
   | Storage -> Obsd.crash t.storage_.(i));
+  on_coordinators t k i Coordinator.crash;
   Net.set_node_up t.net_ (server_addr t k i) false
 
 (* The node comes up before the service: a directory server's journal
    replay re-drives cross-site updates over the net. *)
 let recover t k i =
   Net.set_node_up t.net_ (server_addr t k i) true;
-  match k with
+  (match k with
   | Dir -> Dirserver.recover t.dirs_.(i)
-  | Smallfile | Storage -> Tenure.recover (tenure t k i)
+  | Smallfile | Storage -> Tenure.recover (tenure t k i));
+  on_coordinators t k i Coordinator.recover
 
 (* ---- elastic scaling ----
    New servers join owning no logical sites; the reconfiguration control
@@ -439,7 +444,7 @@ let add_server t k =
   i
 
 let storage t = t.storage_
-let coordinator t = t.coord
+let coordinator t = match t.coords with c :: _ -> Some c | [] -> None
 
 let dirs t = t.dirs_
 let smallfiles t = t.smallfiles_
@@ -513,17 +518,16 @@ let metrics t =
   g "storage.cache_hits" (fun () -> Array.fold_left (fun a s -> a + Obsd.cache_hits s) 0 t.storage_);
   g "storage.cache_misses"
     (fun () -> Array.fold_left (fun a s -> a + Obsd.cache_misses s) 0 t.storage_);
-  (match t.coord with
-  | Some _ ->
-      (* resolve through [t.coord] at dump time: a takeover swaps the
-         instance and the gauges must follow the successor *)
-      let gc name f = g name (fun () -> match t.coord with Some c -> f c | None -> 0) in
-      gc "coordinator.intents_logged" Coordinator.intents_logged;
-      gc "coordinator.completions" Coordinator.completions;
-      gc "coordinator.redos" Coordinator.redos;
-      gc "coordinator.pending_intents" Coordinator.pending_intents;
-      gc "coordinator.fence_bounces" (fun c -> Tenure.fence_bounces (Coordinator.tenure c))
-  | None -> ());
+  if t.coords <> [] then begin
+    (* resolve the holder at dump time: a takeover swaps the instance and
+       the gauges must follow the successor *)
+    let gc name f = g name (fun () -> match coordinator t with Some c -> f c | None -> 0) in
+    gc "coordinator.intents_logged" Coordinator.intents_logged;
+    gc "coordinator.completions" Coordinator.completions;
+    gc "coordinator.redos" Coordinator.redos;
+    gc "coordinator.pending_intents" Coordinator.pending_intents;
+    gc "coordinator.fence_bounces" (fun c -> Tenure.fence_bounces (Coordinator.tenure c))
+  end;
   g "dir.ops" (fun () -> dir_ops_served t);
   g "dir.peer_ops" (fun () -> Array.fold_left (fun a d -> a + Dirserver.peer_ops_served d) 0 t.dirs_);
   g "dir.cross_site_ops"

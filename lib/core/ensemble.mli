@@ -102,9 +102,8 @@ val replace_coordinator : t -> Slice_storage.Coordinator.t -> unit
 (** Failover: hand the coordinator role to a successor instance (attached
     on a surviving storage host). Every consumer — µproxies, directory
     servers, the metrics gauges — resolves its address at each
-    transmission, so
-    the swap is atomic in sim time. The deposed instance is left in place
-    for its fencing lease to wedge it. *)
+    transmission, so the swap is atomic in sim time. The deposed
+    instance stays on its host, wedged by its fencing lease. *)
 
 val dirs : t -> Slice_dir.Dirserver.t array
 val smallfiles : t -> Slice_smallfile.Smallfile.t array
@@ -152,13 +151,15 @@ val crash : t -> klass -> int -> unit
     goes; a directory server keeps its synced journal, a storage node
     and a small-file server a cold cache) and the net downs its host, so
     in-flight packets die. Takes no simulated time. {!Fault} puts
-    crashes and recoveries on a time schedule. Caution: the block
-    coordinator lives on storage node 0 — crashing it stalls commits
-    and map fetches for far longer than the other nodes. *)
+    crashes and recoveries on a time schedule. Every coordinator the
+    host runs, a deposed one included, crashes too: crashing storage
+    node 0 stalls commits and map fetches until a successor takes
+    over. *)
 
 val recover : t -> klass -> int -> unit
 (** Bring the host up, then the service: a directory server replays its
-    journal (see {!Slice_dir.Dirserver.recover}). *)
+    journal (see {!Slice_dir.Dirserver.recover}), and so do a storage
+    node's coordinators. *)
 
 val add_server : t -> klass -> int
 (** Elastic scaling: attach one more server of the class and return its

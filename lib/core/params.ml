@@ -7,11 +7,9 @@ type t = {
   name_policy : name_policy;
   mkdir_p : float;
   io_policy : io_policy;
-  attr_writeback_interval : float;
   meta_cache_ttl : float;
   name_cache_capacity : int;
   pending_sweep_interval : float;
-  pending_expiry : float;
   trace_enabled : bool;
   trace_sample : float;
 }
@@ -23,11 +21,9 @@ let default =
     name_policy = Mkdir_switching;
     mkdir_p = 0.25;
     io_policy = Static_striping;
-    attr_writeback_interval = 0.0;
     meta_cache_ttl = 2.0;
     name_cache_capacity = 4096;
     pending_sweep_interval = 1.0;
-    pending_expiry = 10.0;
     trace_enabled = false;
     trace_sample = 1.0;
   }

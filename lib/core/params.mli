@@ -1,7 +1,7 @@
 (** µproxy parameters: the routing policies and the knobs some exhibit,
     example or test varies. The per-packet CPU costs (calibrated from the
-    paper's Table 3) and the cache and pending-pool sizes nobody varies
-    are constants in {!Proxy}. *)
+    paper's Table 3), the cache and pending-pool sizes and a pending
+    record's expiry age, which nobody varies, are constants in {!Proxy}. *)
 
 type name_policy = Slice_nfs.Routekey.name_policy = Mkdir_switching | Name_hashing
 (** {!Slice_nfs.Routekey.name_policy}, re-exported. *)
@@ -19,9 +19,6 @@ type t = {
       (** mkdir-switching redirection probability p: a new directory is
           placed on a different site from its parent with probability p *)
   io_policy : io_policy;
-  attr_writeback_interval : float;
-      (** period of the background push of dirty cached attributes to the
-          directory servers (0 = rely on commit/evict-driven writeback) *)
   meta_cache_ttl : float;
       (** lease duration (seconds of simulated time) granted to each
           cached name/attr entry of the µproxy metadata fast path, which
@@ -37,10 +34,6 @@ type t = {
           the client gave up retransmitting (0 disables the sweep). The
           sweep self-arms only while pending records exist, so idle
           µproxies schedule nothing. *)
-  pending_expiry : float;
-      (** age at which an unanswered pending record is expired by the
-          sweep; must exceed the client's retransmit interval (a live
-          client refreshes its record with every retransmission) *)
   trace_enabled : bool;
       (** record per-request span trees (default false: the hot path
           stays allocation-free — every span operation is a no-op) *)

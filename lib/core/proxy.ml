@@ -279,6 +279,10 @@ let ctrl_call t ~span msg =
 let attr_cache_capacity = 4096
 let map_cache_capacity = 1024
 
+(* Age at which the sweep expires an unanswered pending record: above the
+   client's retransmit interval, as each retransmission refreshes it. *)
+let pending_expiry = 10.0
+
 let rec round_pow2_from p n = if p >= n then p else round_pow2_from (p * 2) n
 let round_pow2 n = round_pow2_from 16 n
 
@@ -350,7 +354,7 @@ let[@hot] phys t s logical =
 let site_call t ~span s ~holder ~site (call : Nfs.call) =
   let xid = Rpc.fresh_xid t.rpc in
   ignore
-    (Rpc.call_role t.rpc ~span ~holder ~site ~dst:(phys t s site) ~dport:2049
+    (Rpc.call_role t.rpc ~span ~timeout:2.0 ~holder ~site ~dst:(phys t s site) ~dport:2049
        ~refused:Codec.misdirected ~extra_size:(Codec.extra_size_of_call call)
        (Codec.encode_call ~xid call))
 
@@ -380,12 +384,12 @@ let tables_version t = t.dir.version + t.sf.version + t.st.version
 (* ---- attribute write-back ---- *)
 
 (* Push one dirty cached attribute back to its directory server (the
-   paper's setattr write-back on commit / eviction / interval), to the
-   server that holds its attribute site: a re-send after silence or a
-   bounce refreshes the tables first and goes to the site's holder by
-   then. A server that does not know the file (ERR_STALE) is
-   owed nothing. When the call gives up the attributes stay owed and the
-   caller hears {!Rpc.Timeout}. *)
+   paper's setattr write-back on commit or eviction), to the server that
+   holds its attribute site: a re-send after silence or a bounce
+   refreshes the tables first and goes to the site's holder by then. A
+   server that does not know the file (ERR_STALE) is owed nothing. When
+   the call gives up the attributes stay owed and the caller hears
+   {!Rpc.Timeout}. *)
 let rec writeback_one t (c : cached_attr) =
   if c.ca_dirty then begin
     c.ca_dirty <- false;
@@ -476,12 +480,6 @@ let cached_attr_of_pending t (pd : pending) =
     let s = Slot_lru.find t.attrs (Fh.peek_file_id_int pd.p_buf pd.p_fh_off) in
     if s >= 0 then t.attr_val.(s) else cached_attr t (fh_at pd.p_buf pd.p_fh_off)
 
-(* Walks visit the least recently used entry first. *)
-let writeback_dirty_attrs t =
-  Slot_lru.iter t.attrs (fun s ->
-      let c = t.attr_val.(s) in
-      if c.ca_dirty then writeback_later t c)
-
 (* Name-cache key: the parent's file id folded into an FNV-1a hash of the
    name span. Distinct names may share a key; a slot answers only for the
    parent and bytes it stores ([name_slot]). *)
@@ -550,9 +548,8 @@ let arm_sweep t =
 let sweep t =
   t.sweep_armed <- false;
   let now = Engine.now t.eng in
-  let expiry = t.p.Params.pending_expiry in
   Slot_lru.iter t.pending (fun s ->
-      if now -. t.pool_born.(s) >= expiry then begin
+      if now -. t.pool_born.(s) >= pending_expiry then begin
         let pd = t.pool.(s) in
         Trace.unbind_xid pd.p_span (Slot_lru.key t.pending s);
         Trace.finish ~outcome:"expired" pd.p_span;
@@ -955,8 +952,8 @@ let rec route_io t (c : cost) (pkt : Packet.t) (cur : Codec.cursor) ~retries =
                     (match
                        ctrl_call t ~span (Ctrl.Get_map { fh; first_block = 0; count = chunk + 64 })
                      with
-                    | Ctrl.Map { first_block = _; sites } -> add_map t fid fh.Fh.gen sites
-                    | Ctrl.Ack | Ctrl.Nack ->
+                    | Ctrl.Map { sites; _ } when Array.length sites > 0 -> add_map t fid fh.Fh.gen sites
+                    | _ ->
                         (* no dynamic map: fall back to static *)
                         add_map t fid fh.Fh.gen
                           (Array.init (chunk + 64) (fun b ->
@@ -1511,12 +1508,6 @@ let ingress_filter t (pkt : Packet.t) =
     end
   end
 
-let rec writeback_tick t =
-  if t.p.Params.attr_writeback_interval > 0.0 then
-    Engine.schedule t.eng t.p.Params.attr_writeback_interval (fun () ->
-        writeback_dirty_attrs t;
-        writeback_tick t)
-
 let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
   let net = host.Host.net in
   let rec t =
@@ -1592,10 +1583,7 @@ let install host ?(params = Params.default) ?(seed = 7) ?trace ?qos targets =
   t.sweep_fn <- (fun () -> sweep t);
   Net.add_egress_filter net host.Host.addr (egress_filter t);
   Net.add_ingress_filter net host.Host.addr (ingress_filter t);
-  writeback_tick t;
   t
-
-let params t = t.p
 
 let discard_soft_state t =
   Slot_lru.iter t.pending (release_slot t);

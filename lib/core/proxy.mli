@@ -17,7 +17,7 @@
       source rewritten back to the virtual address, and their post-op
       attribute blocks patched from the µproxy's attribute cache (which
       it keeps current with I/O traffic and writes back to the directory
-      servers via setattr on commit, eviction, or a periodic timer);
+      servers via setattr on commit or eviction);
     - NFS commit on a multi-site file is absorbed and orchestrated through
       the block-service coordinator (write commitment, intention
       completion), with the reply synthesized to the client;
@@ -101,8 +101,6 @@ val install :
     gate before routing, replies account ops/bytes/latency to the
     tenant, and mirrored reads go to the less-loaded replica. *)
 
-val params : t -> Params.t
-
 val discard_soft_state : t -> unit
 (** Failure injection: drop pending records and every metadata cache
     entry (attributes, dirty ones included, names and block maps) —
@@ -156,8 +154,8 @@ val map_fetches : t -> int
 val expired_pending : t -> int
 (** Pending records reaped by the background sweep because no reply (and
     no client retransmission, which refreshes the record) arrived within
-    [Params.pending_expiry] — the leak the sweep exists to stop. Zero in
-    a healthy run: entries normally leave via the reply path. *)
+    10 s — the leak the sweep exists to stop. Zero in a healthy run:
+    entries normally leave via the reply path. *)
 
 val pending_size : t -> int
 (** Live pending records (soft state keyed by XID, in a slot table that

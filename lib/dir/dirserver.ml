@@ -21,7 +21,6 @@ type config = {
   nsites : int;
   policy : Routekey.name_policy;
   resolve : int -> Packet.addr;
-  peer_port : int;
   data_sites : Fh.t -> Packet.addr list;
   coordinator : unit -> Packet.addr option;
   mirror_new_files : bool;
@@ -216,13 +215,14 @@ let entry_site t (dfh : Fh.t) name =
 
 (* ---- peer communication ---- *)
 
-let peer_call ?(span = Trace.null) t ~site msg =
+(* An encoded peer message, its xid drawn here, goes to the site's holder
+   by the one re-send rule, with [Rpc.call]'s first timeout, 0.1 s. *)
+let peer_call ?(span = Trace.null) t ~site payload =
   t.peer_calls <- t.peer_calls + 1;
-  let xid = Rpc.fresh_xid t.rpc in
-  let payload = Peer.encode_msg ~xid msg in
-  let dst = t.cfg.resolve site in
-  let reply = Rpc.call t.rpc ~span ~dst ~dport:t.cfg.peer_port payload in
-  Peer.decode_reply reply
+  Bytes.set_int32_be payload 0 (Int32.of_int (Rpc.fresh_xid t.rpc));
+  Peer.decode_reply
+    (Rpc.call_role t.rpc ~span ~timeout:0.1 ~holder:t.cfg.resolve ~site ~dst:(t.cfg.resolve site)
+       ~dport:Peer.port ~refused:Peer.misdirected ~extra_size:0 payload)
 
 let commit t s op_id =
   Hashtbl.remove s.prepares op_id;
@@ -232,15 +232,15 @@ let commit t s op_id =
    local half: log the prepared message and force it with whatever the
    request logged before it (the write-ahead point), apply it at the peer
    (which dedups and logs), then append the commit. Recovery re-sends
-   prepared-but-uncommitted messages. *)
+   prepared-but-uncommitted messages. The message is encoded once. *)
 let peer_update ?(span = Trace.null) t ~home ~site build =
   let op_id = fresh_op t in
-  let msg = build op_id in
-  let msg_bytes = Bytes.to_string (Peer.encode_msg ~xid:0 msg) in
+  let payload = Peer.encode_msg ~xid:0 (build op_id) in
+  let msg_bytes = Bytes.to_string payload in
   Hashtbl.replace home.prepares op_id (site, msg_bytes);
   log t home rt_prepare enc_prepare (op_id, site, msg_bytes);
   harden ~span t;
-  let reply = peer_call ~span t ~site msg in
+  let reply = peer_call ~span t ~site payload in
   commit t home op_id;
   reply
 
@@ -268,7 +268,7 @@ let child_attr ?(span = Trace.null) t (fh : Fh.t) =
     match local_cell (site t fh.Fh.attr_site) fh.Fh.file_id with
     | Some c -> Ok (attr_of_cell c)
     | None -> Error Nfs.ERR_STALE
-  else attr_reply (peer_call ~span t ~site:fh.Fh.attr_site (Peer.Getattr fh))
+  else attr_reply (peer_call ~span t ~site:fh.Fh.attr_site (Peer.encode_msg ~xid:0 (Peer.Getattr fh)))
 
 let bump_nlink ?(span = Trace.null) t ~home (fh : Fh.t) delta =
   if owns t fh.Fh.attr_site then
@@ -300,10 +300,6 @@ let misdirected = Error Nfs.ERR_MISDIRECTED
    SLICE_MISDIRECTED — so a zombie deposed by a takeover cannot serve
    state from its dead incarnation. *)
 let wedged t = Tenure.wedged t.tenure ~now:(now t)
-
-let fence_bounce t =
-  Tenure.note_fence t.tenure;
-  misdirected
 
 (* Run [ok] on site [i] if its gate admits the request, else bounce it.
    Reads pass a drained site; updates bounce, so no name-space update can
@@ -390,7 +386,10 @@ let handle t span (call : Nfs.call) : Nfs.response =
      everything — reads included, since a takeover peer may already be
      serving newer state for our sites. The µproxy treats the bounce
      like any soft-state miss: refresh tables, retry at the new owner. *)
-  if wedged t then fence_bounce t
+  if wedged t then begin
+    Tenure.note_fence t.tenure;
+    misdirected
+  end
   else
   match call with
   | Nfs.Null -> Ok Nfs.RNull
@@ -531,8 +530,8 @@ let mark_applied t s op_id =
   Hashtbl.replace s.applied op_id ();
   log t s rt_applied Enc.u64 op_id
 
-(* A peer asks only for sites it routed here; one not owned here, which
-   a stale table can name while a site moves, holds no cell or entry. *)
+(* A peer message passes [handle]'s gate, so no update lands behind a
+   migration's back; the caller re-sends a refused one to the holder. *)
 let handle_peer t span (msg : Peer.msg) : Peer.reply =
   t.peer_ops <- t.peer_ops + 1;
   let i =
@@ -545,7 +544,8 @@ let handle_peer t span (msg : Peer.msg) : Peer.reply =
     Tenure.note_fence t.tenure;
     Peer.Rerr Nfs.ERR_MISDIRECTED
   end
-  else if not (owns t i) then (match msg with Peer.Entry_count _ -> Peer.Ack | _ -> Peer.Rerr Nfs.ERR_STALE)
+  else if not ((match msg with Peer.Getattr _ -> Tenure.admit_read | _ -> Tenure.admit_write) t.tenure i)
+  then Peer.Rerr Nfs.ERR_MISDIRECTED
   else
     let s = site t i in
     match msg with
@@ -642,7 +642,7 @@ let attach host ?trace ?qos cfg =
   Nfs_endpoint.serve host ~port:2049
     ~cost:{ per_op = per_op_cost; per_byte = 0.0 }
     ~tenure:t.tenure ?trace ?qos ~handler:(fun span call -> answer t span (handle t span call)) ();
-  Nfs_endpoint.serve_msg host ~port:cfg.peer_port ~tenure:t.tenure ~cpu:per_peer_op_cost ?trace
+  Nfs_endpoint.serve_msg host ~port:Peer.port ~tenure:t.tenure ~cpu:per_peer_op_cost ?trace
     ~decode:Peer.decode_msg ~encode:Peer.encode_reply
     ~handler:(fun span msg -> answer t span (handle_peer t span msg)) ();
   Engine.spawn host.Host.eng (fun () -> install_root t);
@@ -740,12 +740,9 @@ let open_site t s =
       List.iter
         (fun (op_id, (peer, msg_bytes)) ->
           if Tenure.crashes t.tenure = life && not (wedged t) then
-            match Peer.decode_msg (Bytes.of_string msg_bytes) with
-            | msg -> (
-                match peer_call t ~site:peer msg with
-                | _ -> commit t s op_id
-                | exception Rpc.Timeout -> ())
-            | exception Codec.Malformed _ -> ())
+            match peer_call t ~site:peer (Bytes.of_string msg_bytes) with
+            | _ -> commit t s op_id
+            | exception Rpc.Timeout -> ())
         pending);
   String.length image
 

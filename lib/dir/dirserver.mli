@@ -30,8 +30,7 @@ type config = {
   logical_id : int;  (** this server's logical site id, 0-based *)
   nsites : int;  (** logical directory sites in the volume *)
   policy : Slice_nfs.Routekey.name_policy;
-  resolve : int -> Slice_net.Packet.addr;  (** logical site -> physical *)
-  peer_port : int;  (** peer protocol port (conventionally 2051) *)
+  resolve : int -> Slice_net.Packet.addr;  (** logical site -> physical, read per transmission *)
   data_sites : Slice_nfs.Fh.t -> Slice_net.Packet.addr list;
       (** every node that may hold data of a file: its storage nodes,
           then its small-file server; a remove cleans each of them *)
@@ -64,9 +63,9 @@ val attach :
   ?qos:Slice_qos.Wfq.t ->
   config ->
   t
-(** Serve NFS on port 2049 and the peer protocol on
-    [config.peer_port]. Each request costs ~166 µs of CPU (the paper's
-    6000 ops/s saturation) and each peer message 60 µs. The volume root
+(** Serve NFS on port 2049 and the peer protocol on {!Peer.port}. Each
+    request costs ~166 µs of CPU (the paper's 6000 ops/s saturation) and
+    each peer message 60 µs. The volume root
     (fileID 1) is owned by logical site 0, which installs it at attach
     time. *)
 

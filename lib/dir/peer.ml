@@ -14,6 +14,8 @@ type msg =
 
 type reply = Ack | Rattr of Nfs.fattr | Rerr of Nfs.status
 
+let port = 2051
+
 let enc_i e v = Enc.u32 e (v land 0xFFFFFFFF)
 
 let dec_i d =
@@ -125,3 +127,8 @@ let decode_reply buf =
     | 4 -> Rerr (Codec.status_of_int (Dec.u32 d))
     | n -> raise (Codec.Malformed (Printf.sprintf "bad peer reply %d" n))
   with Slice_xdr.Xdr.Truncated -> raise (Codec.Malformed "truncated peer reply")
+
+(* the xid, then tag 4 ([Rerr]) and the status *)
+let misdirected buf =
+  Bytes.length buf >= 12 && Int32.to_int (Bytes.get_int32_be buf 4) = 4
+  && Int32.to_int (Bytes.get_int32_be buf 8) = Codec.int_of_status Nfs.ERR_MISDIRECTED

@@ -36,6 +36,9 @@ type msg =
 
 type reply = Ack | Rattr of Slice_nfs.Nfs.fattr | Rerr of Slice_nfs.Nfs.status
 
+val port : int
+(** The peer port every directory server serves (2051). *)
+
 val encode_msg : xid:int -> msg -> bytes
 (** Written through {!Slice_xdr.Xdr.Enc.build}: the payload is the
     encode's only allocation. *)
@@ -49,6 +52,10 @@ val encode_reply : xid:int -> reply -> bytes
 
 val decode_reply : bytes -> reply
 (** Like {!decode_msg}. *)
+
+val misdirected : bytes -> bool
+(** The reply is a refusal, [Rerr ERR_MISDIRECTED]; read in place, it
+    allocates nothing. *)
 
 val enc_attr : Slice_xdr.Xdr.Enc.t -> Slice_nfs.Nfs.fattr -> unit
 (** Compact 68-byte attribute encoding (no rdev/fsid), shared by peer

@@ -5,9 +5,7 @@ module Trace = Slice_trace.Trace
 
 exception Timeout
 
-type ep = { mutable ep_calls : int; mutable ep_retransmits : int; mutable ep_timeouts : int }
-
-type endpoint_stats = { calls : int; retransmits : int; timeouts : int }
+type endpoint_stats = { mutable calls : int; mutable retransmits : int; mutable timeouts : int }
 
 (* One outstanding call, the record of a slot of the endpoint's call
    table. A record is built the first time its slot is used, so the
@@ -43,7 +41,7 @@ type t = {
   calls : Slot_lru.t; (* xid of each outstanding call -> its slot *)
   mutable slots : slot array; (* the first [n_slots] are built *)
   mutable n_slots : int;
-  endpoints : (Packet.addr, ep) Hashtbl.t; (* by the destination of each transmission *)
+  endpoints : (Packet.addr, endpoint_stats) Hashtbl.t; (* by the destination of each transmission *)
   mutable retransmits : int;
   mutable timeouts : int;
   mutable completed : int;
@@ -94,13 +92,14 @@ let create net addr ~port =
   Net.listen net addr ~port (on_packet t);
   t
 
+let no_stats () : endpoint_stats = { calls = 0; retransmits = 0; timeouts = 0 }
+
 let ep_of t dst =
-  match Hashtbl.find t.endpoints dst with
-  | ep -> ep
-  | exception Not_found ->
-      let ep = { ep_calls = 0; ep_retransmits = 0; ep_timeouts = 0 } in
-      Hashtbl.replace t.endpoints dst ep;
-      ep
+  try Hashtbl.find t.endpoints dst
+  with Not_found ->
+    let ep = no_stats () in
+    Hashtbl.replace t.endpoints dst ep;
+    ep
 
 (* XIDs come from the network's private counter so no two endpoints in a
    simulation ever collide (an interposed filter can key its soft state
@@ -133,8 +132,7 @@ let refused_for = float_of_int attempts *. max_timeout *. (1.0 +. jitter_frac)
    then). *)
 let transmit t s xid payload =
   let ep = ep_of t s.dst in
-  if s.attempt = 0 then ep.ep_calls <- ep.ep_calls + 1
-  else ep.ep_retransmits <- ep.ep_retransmits + 1;
+  if s.attempt = 0 then ep.calls <- ep.calls + 1 else ep.retransmits <- ep.retransmits + 1;
   Net.send t.net
     (Packet.make ~src:t.addr ~dst:s.dst ~sport:t.port ~dport:s.dport ~extra_size:s.extra_size
        payload);
@@ -146,7 +144,7 @@ let transmit t s xid payload =
 
 let give_up t dst =
   let ep = ep_of t dst in
-  ep.ep_timeouts <- ep.ep_timeouts + 1;
+  ep.timeouts <- ep.timeouts + 1;
   t.timeouts <- t.timeouts + 1
 
 (* The timer fires only while the call is outstanding: a reply cancels
@@ -264,9 +262,16 @@ let call t ?(timeout = 0.1) ?(retries = attempts - 1) ?(span = Trace.null) ~dst 
   exchange t ~timeout ~retries ~span ~holder:Fun.id ~site:dst ~dst ~dport ~refused:never
     ~extra_size ~since:neg_infinity ~refusals:0 payload
 
-let call_role t ~span ~holder ~site ~dst ~dport ~refused ~extra_size payload =
-  exchange t ~timeout:max_timeout ~retries:(attempts - 1) ~span ~holder ~site ~dst ~dport ~refused
-    ~extra_size ~since:neg_infinity ~refusals:0 payload
+let call_role t ~span ~timeout ~holder ~site ~dst ~dport ~refused ~extra_size payload =
+  exchange t ~timeout ~retries:(attempts - 1) ~span ~holder ~site ~dst ~dport ~refused ~extra_size
+    ~since:neg_infinity ~refusals:0 payload
+
+(* Each call ends as if out of retransmissions. They are listed first:
+   a caller resumes at once and may start another call. *)
+let crash t =
+  let live = ref [] in
+  Slot_lru.iter t.calls (fun id -> live := t.slots.(id) :: !live);
+  List.iter (fun s -> Engine.cancel s.timer s.timer_seq; s.retries <- s.attempt; expire t s) !live
 
 let retransmissions t = t.retransmits
 let timeouts t = t.timeouts
@@ -274,8 +279,4 @@ let calls_completed t = t.completed
 let pending_calls t = Slot_lru.count t.calls
 let pool_size t = t.n_slots
 
-let endpoint_stats t dst =
-  match Hashtbl.find_opt t.endpoints dst with
-  | None -> { calls = 0; retransmits = 0; timeouts = 0 }
-  | Some ep ->
-      { calls = ep.ep_calls; retransmits = ep.ep_retransmits; timeouts = ep.ep_timeouts }
+let endpoint_stats t dst = try Hashtbl.find t.endpoints dst with Not_found -> no_stats ()

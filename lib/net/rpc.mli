@@ -59,6 +59,7 @@ val pause : float
 val call_role :
   t ->
   span:Slice_trace.Trace.span ->
+  timeout:float ->
   holder:(int -> Packet.addr) ->
   site:int ->
   dst:Packet.addr ->
@@ -67,26 +68,30 @@ val call_role :
   extra_size:int ->
   bytes ->
   bytes
-(** {!call} (2 s timeout) to whoever holds a role: a logical site, or the
-    coordinator. The first transmission goes to [dst], the caller's
-    reading of the holder; every later one goes to [holder site] read as
-    it is sent, so a retransmission follows a move or a takeover. A
-    reply [refused] picks (a bounce, a deposed coordinator's Nack) sends
-    the call again under a fresh xid, since a server answers an xid it
-    has seen from its request table: at once if the holder moved, after
-    {!pause} times the refusals so far if not. A call only refused
-    raises {!Timeout} once it has been refused as long as its silent
-    transmissions would have waited (19.8 s). The arguments are
-    labelled, not optional, so pass closures built once and the call
-    allocates no more than {!call}. *)
+(** {!call}, with [timeout] as its first retransmit timeout, to whoever
+    holds a role: a logical site, or the coordinator. The first
+    transmission goes to [dst], the caller's reading of the holder;
+    every later one goes to [holder site] read as it is sent, so a
+    retransmission follows a move or a takeover. A reply [refused] picks
+    (a bounce, a deposed coordinator's Nack) sends the call again under
+    a fresh xid, since a server answers an xid it has seen from its
+    request table: at once if the holder moved, after {!pause} times the
+    refusals so far if not. A call only refused raises {!Timeout} after
+    19.8 s of refusals, as long as nine silent transmissions wait at
+    most. The arguments are labelled, not optional, so pass closures
+    built once and the call allocates no more than {!call}. *)
+
+val crash : t -> unit
+(** The host crashed: every outstanding call raises {!Timeout} now and
+    sends nothing more. *)
 
 val retransmissions : t -> int
 (** Total timeout-triggered resends across all calls. *)
 
 val timeouts : t -> int
 (** Calls that raised {!Timeout}: those that exhausted their
-    retransmission budget, and role calls that gave up after being
-    refused for 19.8 s. *)
+    retransmission budget, role calls that gave up after being refused
+    for 19.8 s, and calls a {!crash} ended. *)
 
 val calls_completed : t -> int
 
@@ -99,10 +104,10 @@ val pool_size : t -> int
     endpoint's call table and is built when the slot is first used; a
     finished call's record is reused by the next call in its slot. *)
 
-type endpoint_stats = { calls : int; retransmits : int; timeouts : int }
+type endpoint_stats = private { mutable calls : int; mutable retransmits : int; mutable timeouts : int }
 
 val endpoint_stats : t -> Packet.addr -> endpoint_stats
-(** Per-destination counters, kept where each transmission went (a
+(** Per-destination counters, live, kept where each transmission went (a
     call's {!Timeout} where its last one went): how a specific server
     behaved from this endpoint's point of view (all zero for a
     destination never sent to). *)

@@ -72,7 +72,7 @@ let backend eng rpc ~nsites ~resolve ~coordinator ?cap_secret ~sf_idx ~stripe_un
     in
     let xid = Rpc.fresh_xid rpc in
     ignore
-      (Rpc.call_role rpc ~span:Trace.null ~holder:resolve ~site ~dst:(resolve site) ~dport:2049
+      (Rpc.call_role rpc ~span:Trace.null ~timeout:2.0 ~holder:resolve ~site ~dst:(resolve site) ~dport:2049
          ~refused:Codec.misdirected ~extra_size:(Codec.extra_size_of_call call)
          (Codec.encode_call ~xid call))
   in

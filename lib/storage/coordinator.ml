@@ -179,7 +179,7 @@ let handle t span (msg : Ctrl.msg) : Ctrl.reply =
     | Ctrl.Commit_file { fh; sites } -> file_op ~span t Ctrl.K_commit fh sites
     | Ctrl.Get_map { fh; first_block; count } -> (
         match sites_for t fh (first_block + count - 1) with
-        | None -> Ctrl.Nack
+        | None -> Ctrl.Map { first_block; sites = [||] }
         | Some _ ->
             let sites =
               Array.init count (fun k ->
@@ -235,10 +235,12 @@ let map_entries t = Hashtbl.length t.maps
 
 let crash t =
   Tenure.crash t.tenure;
-  (* Volatile state is lost; only the synced log image survives. *)
+  (* Volatile state is lost, calls in flight too; only the synced log
+     image survives. *)
   Hashtbl.reset t.intents;
   Hashtbl.reset t.maps;
-  Wal.crash t.wal
+  Wal.crash t.wal;
+  Rpc.crash t.rpc
 
 let recover t =
   (* Scan the intentions log: rebuild the table, then drive incomplete

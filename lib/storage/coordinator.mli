@@ -27,7 +27,7 @@ val attach :
   unit ->
   t
 (** [map_sites] are the storage-node addresses used when minting block-map
-    entries (default: empty — Get_map then returns Nack). It serves
+    entries (default: empty — Get_map then answers an empty map). It serves
     {!Ctrl.port} and its own calls go out from port 2052.
     Default probe timeout 0.5 s. With [trace], control messages whose
     xid is bound to a request span record a ["server"] hop here. *)
@@ -53,7 +53,8 @@ val map_entries : t -> int
 val crash : t -> unit
 (** Fail-stop ({!Tenure.crash}) and discard all volatile state;
     {!Slice_wal.Wal.crash} keeps only the synced log image (unsynced log
-    records are torn away). Takes no simulated time. A message the
+    records are torn away), and its calls in flight end
+    ({!Slice_net.Rpc.crash}). Takes no simulated time. A message the
     crash overtakes, in its CPU wait or its journal round, is not
     answered, even though the coordinator's host stays up. *)
 

@@ -23,8 +23,8 @@ type msg =
 
 type reply =
   | Ack
-  | Nack
-  | Map of { first_block : int; sites : int array }
+  | Nack  (** a deposed coordinator's refusal *)
+  | Map of { first_block : int; sites : int array }  (** empty without block maps *)
 
 val encode_msg : xid:int -> msg -> bytes
 (** Written through {!Slice_xdr.Xdr.Enc.build}: the payload is the
@@ -55,6 +55,6 @@ val holder : (unit -> Slice_net.Packet.addr option) -> int -> Slice_net.Packet.a
 
 val call :
   Slice_net.Rpc.t -> span:Slice_trace.Trace.span -> holder:(int -> Slice_net.Packet.addr) -> msg -> reply
-(** [msg] to the coordinator by {!Slice_net.Rpc.call_role}: a deposed
-    coordinator's Nack sends it again, to the successor once there is
-    one. A Nack to a [Get_map] is the answer: no map. *)
+(** [msg] to the coordinator by {!Slice_net.Rpc.call_role} (2 s first
+    timeout): a Nack sends it again, to the successor once there is
+    one. *)

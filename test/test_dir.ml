@@ -34,7 +34,6 @@ let mk_rig ?(nsites = 2) ?(policy = Routekey.Name_hashing) () =
             nsites;
             policy;
             resolve = (fun l -> addrs.(l mod nsites));
-            peer_port = 2051;
             data_sites = (fun _ -> []);
             coordinator = (fun _ -> None);
             mirror_new_files = false;
@@ -490,7 +489,6 @@ let rebalance_logical_sites () =
         nsites = nlogical;
         policy = Routekey.Name_hashing;
         resolve = (fun l -> addrs.(binding.(l mod nlogical)));
-        peer_port = 2051;
         data_sites = (fun _ -> []);
         coordinator = (fun _ -> None);
         mirror_new_files = false;
@@ -698,7 +696,7 @@ let cross_site_nlink () =
 
 let peer_call rig ~site msg =
   let xid = Rpc.fresh_xid rig.rpc in
-  let reply = Rpc.call rig.rpc ~dst:rig.addrs.(site) ~dport:2051 (Peer.encode_msg ~xid msg) in
+  let reply = Rpc.call rig.rpc ~dst:rig.addrs.(site) ~dport:Peer.port (Peer.encode_msg ~xid msg) in
   Peer.decode_reply reply
 
 let root_entries rig =
@@ -842,7 +840,6 @@ let one_round_per_update () =
         nsites = 2;
         policy = Routekey.Name_hashing;
         resolve = (fun _ -> host.Host.addr);
-        peer_port = 2051;
         data_sites = (fun _ -> []);
         coordinator = (fun _ -> None);
         mirror_new_files = false;

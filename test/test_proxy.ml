@@ -201,7 +201,6 @@ let stale_table_lazy_refresh () =
             nsites = 2;
             policy = Slice_nfs.Routekey.Name_hashing;
             resolve = (fun l -> addrs.(l mod 2));
-            peer_port = 2051;
             data_sites = (fun _ -> []);
             coordinator = (fun _ -> None);
             mirror_new_files = false;
@@ -364,33 +363,6 @@ let suite =
       cap_properties;
     ]
 
-let periodic_attr_writeback () =
-  (* the µproxy's interval-driven setattr push bounds attribute drift
-     without waiting for commit or eviction *)
-  let ens =
-    Ensemble.create
-      {
-        Ensemble.default_config with
-        storage_nodes = 2;
-        proxy_params = { Params.default with attr_writeback_interval = 0.5 };
-      }
-  in
-  let eng = Ensemble.engine ens in
-  let host, proxy = Ensemble.add_client ens ~name:"c0" in
-  let cl = Client.create host ~server:(Ensemble.virtual_addr ens) () in
-  Engine.spawn eng (fun () ->
-      let fh, _ = ok_or_fail "create" (Client.create_file cl Ensemble.root "drifty") in
-      (* uncommitted write: only the µproxy knows the new size *)
-      ignore (ok_or_fail "write" (Client.write_at cl fh ~off:0L ~data:(Nfs.Synthetic 30000) ()));
-      (* wait out a timer tick plus slack: the push happens in background *)
-      Engine.sleep eng 1.5;
-      check_bool "interval writeback ran" true (Proxy.attr_writebacks proxy >= 1);
-      match ok_or_fail "getattr" (Client.getattr cl fh) with
-      | a -> check_bool "dir server saw the size" true (a.Nfs.size = 30000L));
-  (* the timer keeps one event pending forever; run bounded *)
-  Engine.run ~until:10.0 eng
-
-let suite = suite @ [ ("periodic attr writeback", `Quick, periodic_attr_writeback) ]
 
 (* ---- zero-allocation packet path (PR 9) ---- *)
 
@@ -673,7 +645,7 @@ let retransmit_supersedes_pending () =
    the backward-shift index deletes), and the pool keeps working after. *)
 let pending_expiry_reclaims_pool () =
   let eng, net, chost, dhost, vaddr, proxy =
-    mk_raw ~params_f:(fun p -> { p with Params.pending_sweep_interval = 0.05; pending_expiry = 0.2 }) ()
+    mk_raw ~params_f:(fun p -> { p with Params.pending_sweep_interval = 0.05 }) ()
   in
   let send_call i = Net.send net (call_pkt chost vaddr ~xid:(0x9000 + i) (fst (sfs_mix i))) in
   let send_reply i = Net.send net (reply_pkt dhost chost ~xid:(0x9000 + i) (snd (sfs_mix i))) in
@@ -694,8 +666,9 @@ let pending_expiry_reclaims_pool () =
       done;
       Engine.sleep eng 0.02;
       check_int "ten in flight" 10 (Proxy.pending_size proxy);
-      (* nobody replies: the sweep must reclaim all of them *)
-      Engine.sleep eng 2.0;
+      (* nobody replies: the sweep must reclaim all of them once they
+         are 10 s old, the µproxy's pending expiry *)
+      Engine.sleep eng 10.5;
       check_int "all abandoned records expired" 10 (Proxy.expired_pending proxy);
       check_int "pool empty" 0 (Proxy.pending_size proxy);
       (* the pool still cycles correctly after a full expiry pass *)
