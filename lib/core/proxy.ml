@@ -279,8 +279,7 @@ let ctrl_call t ~span msg =
 let attr_cache_capacity = 4096
 let map_cache_capacity = 1024
 
-(* Age at which the sweep expires an unanswered pending record: above the
-   client's retransmit interval, as each retransmission refreshes it. *)
+(* The sweep expires a pending record this old; a client retransmission refreshes it. *)
 let pending_expiry = 10.0
 
 let rec round_pow2_from p n = if p >= n then p else round_pow2_from (p * 2) n

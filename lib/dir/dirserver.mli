@@ -5,8 +5,10 @@
     for one directory may be distributed across servers: entries reference
     remote attribute cells through the site key minted into each file
     handle, and servers cooperate through the {!Peer} protocol for
-    cross-site link counts, entry counts, and attribute access. The same
-    code base serves both name-space distribution policies (the µproxy
+    cross-site link counts, entry counts, and attribute access: a peer
+    call goes to the site's holder of the moment and passes the site
+    gate NFS requests pass, and a refused one goes again. The same code
+    base serves both name-space distribution policies (the µproxy
     decides where requests land):
 
     - {e mkdir switching}: a directory's entries live with its attribute
@@ -65,9 +67,8 @@ val attach :
   t
 (** Serve NFS on port 2049 and the peer protocol on {!Peer.port}. Each
     request costs ~166 µs of CPU (the paper's 6000 ops/s saturation) and
-    each peer message 60 µs. The volume root
-    (fileID 1) is owned by logical site 0, which installs it at attach
-    time. *)
+    each peer message 60 µs. The volume root (fileID 1) is owned by
+    logical site 0, which installs it at attach time. *)
 
 (** {2 Introspection} *)
 
@@ -104,11 +105,12 @@ val drop_site : t -> int -> unit
 
 val tenure : t -> Slice_storage.Tenure.t
 (** The server's site tenure and life. A drained site keeps answering
-    reads while name-space updates bounce with [SLICE_MISDIRECTED];
-    {!crash} clears drains, so an aborted migration's donor serves the
-    site again after recovery. An expired lease bounces every NFS and
-    peer request, so a zombie deposed by a takeover cannot serve stale
-    state. The tenure is down between {!crash} and {!recover}. *)
+    reads while name-space updates, a peer's too, bounce with
+    [SLICE_MISDIRECTED]; {!crash} clears drains, so an aborted
+    migration's donor serves the site again after recovery. An expired
+    lease bounces every NFS and peer request, so a zombie deposed by a
+    takeover cannot serve stale state. The tenure is down between
+    {!crash} and {!recover}. *)
 
 val host : t -> Slice_storage.Host.t
 (** The host this server is attached to (failover detectors register

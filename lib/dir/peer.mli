@@ -54,8 +54,9 @@ val decode_reply : bytes -> reply
 (** Like {!decode_msg}. *)
 
 val misdirected : bytes -> bool
-(** The reply is a refusal, [Rerr ERR_MISDIRECTED]; read in place, it
-    allocates nothing. *)
+(** The reply is a refusal, [Rerr ERR_MISDIRECTED]: the receiver's site
+    gate did not admit the message, so it goes again to the site's
+    holder. Read in place, it allocates nothing. *)
 
 val enc_attr : Slice_xdr.Xdr.Enc.t -> Slice_nfs.Nfs.fattr -> unit
 (** Compact 68-byte attribute encoding (no rdev/fsid), shared by peer

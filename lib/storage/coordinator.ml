@@ -235,8 +235,7 @@ let map_entries t = Hashtbl.length t.maps
 
 let crash t =
   Tenure.crash t.tenure;
-  (* Volatile state is lost, calls in flight too; only the synced log
-     image survives. *)
+  (* Volatile state and calls in flight are lost; only the synced log image survives. *)
   Hashtbl.reset t.intents;
   Hashtbl.reset t.maps;
   Wal.crash t.wal;

@@ -986,12 +986,11 @@ let remove_across_a_wedged_peer () =
       | Ok Nfs.RRemove -> ()
       | _ -> Alcotest.fail "remove");
       check_bool "dir 1 refused the update first" true (Tenure.fence_bounces tenure > 0);
-      expect_err "the last link freed the cell" Nfs.ERR_STALE
-        (match call 1 (Nfs.Getattr fh) with
-        | Ok (Nfs.RGetattr a) -> Ok a
-        | Error st -> Error st
-        | _ -> Alcotest.fail "getattr");
       Engine.sleep eng 0.1;
+      (match call 1 (Nfs.Getattr fh) with
+      | Error st -> expect_err "the last link freed the cell" Nfs.ERR_STALE (Error st)
+      | Ok (Nfs.RGetattr a) -> Alcotest.failf "the cell still has %d link(s)" a.Nfs.nlink
+      | _ -> Alcotest.fail "getattr");
       check_int "the coordinator logged the remove" (logged + 1) (Coordinator.intents_logged coord))
 
 (* Crashing a storage node crashes the coordinator its host runs. The

@@ -363,7 +363,6 @@ let suite =
       cap_properties;
     ]
 
-
 (* ---- zero-allocation packet path (PR 9) ---- *)
 
 module Codec = Slice_nfs.Codec
