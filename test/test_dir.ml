@@ -954,3 +954,56 @@ let count_follows_a_moved_site () =
       check_int "the parent counts its listing" (List.length (listing rig d)) (dir_count rig d))
 
 let suite = suite @ [ ("an entry count follows a moved site", `Quick, count_follows_a_moved_site) ]
+
+(* One server owning two sites drains the one holding root's cell (site
+   0), while a create at its other site (site 1) counts its entry there.
+   No count may land on the draining site: the update waits, re-sent,
+   until the site has moved to dir 2, which counts it. *)
+let count_waits_for_a_draining_site () =
+  let eng = Engine.create () in
+  let net = Net.create eng () in
+  let hosts = Array.init 2 (fun i -> Host.create net ~name:(Printf.sprintf "dir%d" i) ~disks:1 ()) in
+  let addrs = [| hosts.(0).Host.addr; hosts.(0).Host.addr; hosts.(1).Host.addr |] in
+  let attach logical_id also_owns =
+    Dirserver.attach hosts.(if logical_id = 0 then 0 else 1)
+      {
+        Dirserver.logical_id;
+        nsites = 3;
+        policy = Routekey.Name_hashing;
+        resolve = (fun l -> addrs.(l));
+        data_sites = (fun _ -> []);
+        coordinator = (fun _ -> None);
+        mirror_new_files = false;
+        cap_secret = None;
+        also_owns;
+      }
+  in
+  let dirs = [| attach 0 [ 1 ]; attach 2 [] |] in
+  let client = Host.create net ~name:"client" () in
+  let rig =
+    { eng; net; dirs; addrs; rpc = Rpc.create net client.Host.addr ~port:1000; policy = Routekey.Name_hashing }
+  in
+  let name = name_at rig "n" 1 in
+  let tenure = Dirserver.tenure dirs.(0) in
+  run_on eng (fun () ->
+      Engine.sleep eng 0.1;
+      let created = ref None in
+      Slice_storage.Tenure.begin_drain tenure 0;
+      Engine.spawn eng (fun () -> created := Some (create rig Fh.root name));
+      Engine.sleep eng 0.05;
+      check_int "no count on the draining site" 0 (dir_count rig Fh.root);
+      check_bool "the create waits for the move" true (!created = None);
+      Dirserver.settle_site dirs.(0) 0;
+      adopt_site dirs.(1) ~from:dirs.(0) ~site:0;
+      addrs.(0) <- addrs.(2);
+      Slice_storage.Tenure.disown tenure 0;
+      Dirserver.drop_site dirs.(0) 0;
+      Engine.sleep eng 1.0;
+      (match !created with
+      | Some (Ok _) -> ()
+      | Some (Error st) -> Alcotest.failf "create: %s" (Nfs.status_name st)
+      | None -> Alcotest.fail "the create did not answer");
+      check_int "the moved site counts the entry" 1 (dir_count rig Fh.root))
+
+let suite =
+  suite @ [ ("an entry count waits for a draining site", `Quick, count_waits_for_a_draining_site) ]

@@ -384,6 +384,30 @@ let rpc_slot_reuse_cancels_timer () =
   check_bool "stale cancel left the recycled cell's event alone" true !probe_fired;
   check_int "nothing outstanding" 0 (Rpc.pending_calls rpc)
 
+(* An answered call takes its retransmit timer out of the event queue:
+   after 32 round trips, all inside the first timeout, the queue holds
+   only the one live event scheduled beside them. *)
+let rpc_answered_timers_leave_the_queue () =
+  let eng, net = mk_net () in
+  let c = Net.add_node net ~name:"client" in
+  let s = Net.add_node net ~name:"server" in
+  echo_server net s ~port:2049;
+  let rpc = Rpc.create net c ~port:900 in
+  let sentinel = ref false in
+  Engine.schedule eng 50.0 (fun () -> sentinel := true);
+  let queued, elapsed =
+    run_on eng (fun () ->
+        let t0 = Engine.now eng in
+        for i = 1 to 32 do
+          ignore (Rpc.call rpc ~dst:s ~dport:2049 (mk_call_payload rpc i))
+        done;
+        (Engine.pending eng, Engine.now eng -. t0))
+  in
+  check_bool "every call answered inside the first timeout" true (elapsed < 0.1);
+  check_int "no retransmissions" 0 (Rpc.retransmissions rpc);
+  check_int "only the live event queued" 1 queued;
+  check_bool "the live event still fires" true !sentinel
+
 (* Retransmissions carry the bytes of the call, even when an egress
    filter rewrote the first attempt in place before dropping it. *)
 let rpc_retransmit_sends_pristine_bytes () =
@@ -532,6 +556,7 @@ let suite =
     ("rpc times out", `Quick, rpc_times_out);
     ("rpc duplicate replies dropped", `Quick, rpc_duplicate_replies_dropped);
     ("rpc slot reuse cancels the timer", `Quick, rpc_slot_reuse_cancels_timer);
+    ("rpc answered timers leave the queue", `Quick, rpc_answered_timers_leave_the_queue);
     ("rpc retransmit sends pristine bytes", `Quick, rpc_retransmit_sends_pristine_bytes);
     ("rpc concurrent calls, reverse replies", `Quick, rpc_concurrent_calls_reverse_replies);
     ("rpc round trip words budget", `Quick, rpc_roundtrip_words);

@@ -215,6 +215,26 @@ let schedule_allocation_budget () =
   check_bool (Printf.sprintf "an event and its firing allocate %.2f words (budget 0)" per_event)
     true (per_event = 0.0)
 
+(* A timer armed and then cancelled, the fate of almost every RPC
+   retransmit timer, allocates nothing once the pool is warm. *)
+let timer_cancel_allocation_budget () =
+  let eng = Engine.create () in
+  let fn () = () in
+  let batch n =
+    for _ = 1 to n do
+      let tm = Engine.schedule_timer eng 0.5 fn in
+      Engine.cancel tm (Engine.timer_seq tm)
+    done;
+    Engine.run eng
+  in
+  let n = 1024 in
+  batch n;
+  let w0 = Gc.minor_words () in
+  batch n;
+  let per_timer = (Gc.minor_words () -. w0) /. float_of_int n in
+  check_bool (Printf.sprintf "a timer and its cancel allocate %.2f words (budget 0)" per_timer)
+    true (per_timer = 0.0)
+
 (* A spawn puts the fiber's body straight into an event cell: what is
    left is the runtime's fiber start. *)
 let spawn_allocation_budget () =
@@ -388,16 +408,20 @@ let queue_allocation_budget () =
 
    A random script schedules events (relative delays with many ties and
    some negative, absolute times some in the past, timers some cancelled)
-   and spawns fibers that sleep and schedule in turn. The reference runs
-   the same script over a plain list, always taking the event with the
-   least (clamped time, scheduling order): a stable sort by time. Every
+   and spawns fibers that sleep and schedule in turn. Later events and
+   fibers cancel timers made earlier, each twice: some still queued, some
+   cancelled already, some fired with their cell since recycled. The
+   reference runs the same script over a plain list, always taking the
+   event with the least (clamped time, scheduling order): a stable sort
+   by time, where a cancelled timer stays queued and does nothing. Every
    action logs its label and the clock it sees; [run ~until] must stop
-   at the same event and leave the same clock. *)
+   at the same event and leave the same clock, and so must the drain. *)
 
 type act =
   | After of float * act list  (* [schedule] *)
   | At of float * act list  (* [schedule_at], possibly in the past *)
   | Timer of float * bool * act list  (* [schedule_timer], cancelled if true *)
+  | Cancel of int  (* cancel the timer made [n mod count] (if any), twice *)
   | Spawn of step list
 
 and step = Nap of float | Nap_until of float | Act of act
@@ -406,6 +430,7 @@ let rec show_act = function
   | After (d, k) -> Printf.sprintf "After(%g,[%s])" d (show_acts k)
   | At (t, k) -> Printf.sprintf "At(%g,[%s])" t (show_acts k)
   | Timer (d, c, k) -> Printf.sprintf "Timer(%g,%b,[%s])" d c (show_acts k)
+  | Cancel n -> Printf.sprintf "Cancel %d" n
   | Spawn s -> Printf.sprintf "Spawn[%s]" (String.concat ";" (List.map show_step s))
 
 and show_acts k = String.concat ";" (List.map show_act k)
@@ -436,6 +461,7 @@ let gen_script =
         (3, map2 (fun d k -> After (d, k)) (halves (-2) 4) kids);
         (2, map2 (fun t k -> At (t, k)) (halves 0 8) kids);
         (2, map3 (fun d c k -> Timer (d, c, k)) (halves (-1) 4) bool kids);
+        (2, map (fun n -> Cancel n) (int_bound 7));
         (2, map (fun s -> Spawn s) (list_size (int_bound 4) step));
       ]
   in
@@ -450,6 +476,7 @@ let engine_trace (script, until) =
     incr next;
     !next
   in
+  let timers = ref [||] in
   let rec exec = function
     | After (d, k) ->
         let l = label () in
@@ -460,7 +487,16 @@ let engine_trace (script, until) =
     | Timer (d, c, k) ->
         let l = label () in
         let tm = Engine.schedule_timer eng d (fun () -> fire l k) in
-        if c then Engine.cancel tm (Engine.timer_seq tm)
+        let seq = Engine.timer_seq tm in
+        timers := Array.append !timers [| (tm, seq) |];
+        if c then Engine.cancel tm seq
+    | Cancel n ->
+        let count = Array.length !timers in
+        if count > 0 then begin
+          let tm, seq = !timers.(n mod count) in
+          Engine.cancel tm seq;
+          Engine.cancel tm seq
+        end
     | Spawn steps ->
         let l = label () in
         Engine.spawn eng (fun () ->
@@ -489,6 +525,7 @@ let reference_trace (script, until) =
     incr next;
     !next
   in
+  let timers = ref [||] in
   let enqueue time f =
     let time = if time < !clock then !clock else time in
     incr seq;
@@ -519,7 +556,16 @@ let reference_trace (script, until) =
         enqueue t (fun () -> fire l k)
     | Timer (d, c, k) ->
         let l = label () in
-        enqueue (!clock +. if d < 0.0 then 0.0 else d) (if c then ignore else fun () -> fire l k)
+        let live = ref (not c) in
+        timers := Array.append !timers [| live |];
+        enqueue (!clock +. if d < 0.0 then 0.0 else d) (fun () ->
+            if !live then begin
+              live := false;
+              fire l k
+            end)
+    | Cancel n ->
+        let count = Array.length !timers in
+        if count > 0 then !timers.(n mod count) := false
     | Spawn steps ->
         let l = label () in
         let note () = log := (l, !clock) :: !log in
@@ -573,6 +619,7 @@ let suite =
     ("tiny sleep still yields", `Quick, tiny_sleep_yields);
     ("sleep allocation budget", `Quick, sleep_allocation_budget);
     ("schedule allocation budget", `Quick, schedule_allocation_budget);
+    ("timer cancel allocation budget", `Quick, timer_cancel_allocation_budget);
     ("spawn allocation budget", `Quick, spawn_allocation_budget);
     ("join_all allocation budget", `Quick, join_all_allocation_budget);
     ("schedule past clamps", `Quick, schedule_past_clamps);
