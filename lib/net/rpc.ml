@@ -63,7 +63,7 @@ let[@hot] on_packet t (pkt : Packet.t) =
       let s = t.slots.(id) in
       Slot_lru.drop t.calls id;
       t.completed <- t.completed + 1;
-      Engine.cancel s.timer s.timer_seq;
+      Engine.cancel t.eng s.timer s.timer_seq;
       s.reply <- pkt.payload;
       Engine.unpark s.waiter
     end
@@ -271,7 +271,7 @@ let call_role t ~span ~timeout ~holder ~site ~dst ~dport ~refused ~extra_size pa
 let crash t =
   let live = ref [] in
   Slot_lru.iter t.calls (fun id -> live := t.slots.(id) :: !live);
-  List.iter (fun s -> Engine.cancel s.timer s.timer_seq; s.retries <- s.attempt; expire t s) !live
+  List.iter (fun s -> Engine.cancel t.eng s.timer s.timer_seq; s.retries <- s.attempt; expire t s) !live
 
 let retransmissions t = t.retransmits
 let timeouts t = t.timeouts

@@ -31,11 +31,19 @@
    placeholder continuation, and [fire] starts it under the handler.
 
    A timer is an event cell handed back to its scheduler together with
-   the cell's [seq]. [cancel] turns the thunk into a no-op only while the
-   [seq] still matches, so a handle kept past its firing (the cell since
-   recycled under a new seq) cannot touch someone else's event. A
-   cancelled timer still fires, as a no-op: the (time, seq) stream is the
-   same whether or not anything was cancelled. *)
+   the cell's [seq]. Each cell knows its heap slot ([pos], -1 once it is
+   back in the pool), so [cancel] takes a queued timer out of the heap at
+   once: the last slot fills the hole and sifts up or down, and the cell
+   goes back to the pool. It acts only while the [seq] still matches and
+   the cell is queued, so a handle kept past its firing or its cancel
+   (the cell since pooled, or recycled under a new seq) cannot touch
+   someone else's event. Almost every RPC retransmit timer ends this way,
+   so the heap holds live events only. The other events pop in the same
+   order, since the order is the (time, seq) total order whatever the
+   heap's shape. What a removed timer still does is move the clock: the
+   [horizon] keeps the latest time of one, and when no live event is
+   left [step] and an unbounded [run] move the clock there if it is
+   later, as firing the dead timers did (DESIGN.md §45). *)
 
 let nop () = ()
 
@@ -64,6 +72,7 @@ let spawn_k = placeholder_k ()
 
 type event = {
   mutable seq : int;
+  mutable pos : int; (* the cell's heap slot, -1 when not queued *)
   mutable fn : unit -> unit;
   mutable k : (unit, unit) Effect.Deep.continuation;
       (* a sleeping fiber, [no_k] or [spawn_k] *)
@@ -71,7 +80,7 @@ type event = {
 }
 
 (* Cyclic sentinel: terminates the freelist without an option. *)
-let rec nil = { seq = 0; fn = nop; k = no_k; next_free = nil }
+let rec nil = { seq = 0; pos = -1; fn = nop; k = no_k; next_free = nil }
 
 type waiter = { mutable w_k : (unit, unit) Effect.Deep.continuation (* [no_k] = not parked *) }
 
@@ -79,6 +88,7 @@ let waiter () = { w_k = no_k }
 
 type t = {
   clock : float array; (* one cell: the current time, stored unboxed *)
+  horizon : float array; (* one cell: the latest time of a removed timer *)
   mutable seq : int;
   mutable data : event array;
   mutable keys : float array; (* [keys.(i)] is the time of [data.(i)] *)
@@ -105,10 +115,12 @@ let[@hot] before t i j =
 
 (* Exchange two slots, cell and time together. *)
 let[@hot] swap t i j =
-  let ev = t.data.(i) and time = t.keys.(i) in
-  t.data.(i) <- t.data.(j);
+  let ev = t.data.(i) and time = t.keys.(i) and other = t.data.(j) in
+  t.data.(i) <- other;
+  other.pos <- i;
   t.keys.(i) <- t.keys.(j);
   t.data.(j) <- ev;
+  ev.pos <- j;
   t.keys.(j) <- time
 
 let[@hot] rec sift_up t i =
@@ -129,21 +141,30 @@ let[@hot] rec sift_down t i =
     sift_down t s
   end
 
-(* Callers guarantee [t.size > 0]. Stale array slots keep pool cells
-   reachable — intended: the cells are recycled, never collected. *)
+(* Empty slot [i]: the last slot moves into it and sifts whichever way
+   its time says. Stale array slots keep pool cells reachable — intended:
+   the cells are recycled, never collected. *)
+let[@hot] remove_at t i =
+  t.size <- t.size - 1;
+  let last = t.size in
+  if i < last then begin
+    let ev = t.data.(last) in
+    t.data.(i) <- ev;
+    ev.pos <- i;
+    t.keys.(i) <- t.keys.(last);
+    if i > 0 && before t i ((i - 1) / 2) then sift_up t i else sift_down t i
+  end
+
+(* Callers guarantee [t.size > 0]. *)
 let[@hot] pop_min t =
   let top = t.data.(0) in
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.data.(0) <- t.data.(t.size);
-    t.keys.(0) <- t.keys.(t.size);
-    sift_down t 0
-  end;
+  remove_at t 0;
   top
 
 (* Return a cell to the pool; clearing the thunk and the continuation
    drops the only references the engine holds to the caller's state. *)
 let[@hot] release t ev =
+  ev.pos <- -1;
   ev.fn <- nop;
   ev.k <- no_k;
   ev.next_free <- t.free;
@@ -151,7 +172,7 @@ let[@hot] release t ev =
 
 (* Allocates only on pool miss — steady state recycles. *)
 let acquire t =
-  if t.free == nil then { seq = 0; fn = nop; k = no_k; next_free = nil }
+  if t.free == nil then { seq = 0; pos = -1; fn = nop; k = no_k; next_free = nil }
   else begin
     let ev = t.free in
     t.free <- ev.next_free;
@@ -172,6 +193,7 @@ let grow t =
 (* The caller has made room. *)
 let[@hot] [@inline] push t time ev =
   t.data.(t.size) <- ev;
+  ev.pos <- t.size;
   t.keys.(t.size) <- time;
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
@@ -205,12 +227,25 @@ let[@inline] schedule_timer t delay fn =
 let[@inline] schedule t delay fn = ignore (schedule_timer t delay fn)
 
 let timer_seq (ev : timer) = ev.seq
-let[@hot] cancel (ev : timer) seq = if ev.seq = seq then ev.fn <- nop
+
+let[@hot] cancel t (ev : timer) seq =
+  if ev.seq = seq && ev.pos >= 0 then begin
+    let i = ev.pos in
+    let time = t.keys.(i) in
+    if time > t.horizon.(0) then t.horizon.(0) <- time;
+    remove_at t i;
+    release t ev
+  end
+
+(* No live event is left: the clock reaches the last removed timer's
+   time, where firing the dead timers would have left it. *)
+let settle t = if t.horizon.(0) > t.clock.(0) then t.clock.(0) <- t.horizon.(0)
 
 let create () =
   let rec t =
     {
       clock = [| 0.0 |];
+      horizon = [| 0.0 |];
       seq = 0;
       data = [||];
       keys = [||];
@@ -325,7 +360,10 @@ let[@inline] fire t ev =
    sift / release machinery it drives is rooted and zero, and the
    steady-state Gc probes keep the whole loop honest at runtime. *)
 let step t =
-  if t.size = 0 then false
+  if t.size = 0 then begin
+    settle t;
+    false
+  end
   else begin
     t.clock.(0) <- t.keys.(0);
     fire t (pop_min t);
@@ -343,7 +381,8 @@ let run ?until t =
     done
   done;
   match until with
+  | None -> settle t
   | Some limit when limit > t.clock.(0) -> t.clock.(0) <- limit
-  | _ -> ()
+  | Some _ -> ()
 
 let pending t = t.size

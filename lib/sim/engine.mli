@@ -25,8 +25,9 @@ val schedule_at : t -> float -> (unit -> unit) -> unit
 
 type timer
 (** A scheduled event that can be cancelled. The handle is a pooled
-    event cell: it is recycled once the event fires, so a handle is only
-    meaningful together with the {!timer_seq} read when it was made. *)
+    event cell: it is recycled once the event fires or is cancelled, so a
+    handle is only meaningful together with the {!timer_seq} read when it
+    was made. *)
 
 val schedule_timer : t -> float -> (unit -> unit) -> timer
 (** Like {!schedule}, returning the event's handle. Read its
@@ -38,12 +39,18 @@ val no_timer : timer
 val timer_seq : timer -> int
 (** The scheduling sequence number the cell carries now. *)
 
-val cancel : timer -> int -> unit
-(** [cancel tm seq] makes the event a no-op if the cell still carries
-    [seq], and does nothing otherwise (the event already fired and the
-    cell was reused). A cancelled event still fires at its time, doing
-    nothing, so cancelling never shifts the order of other events. It
-    drops the engine's reference to the thunk at once. *)
+val cancel : t -> timer -> int -> unit
+(** [cancel t tm seq] takes the event out of the queue and returns its
+    cell to the pool, if the cell still carries [seq] and is queued. It
+    does nothing otherwise: the event already fired or was cancelled, and
+    the cell may carry another event now. The other events keep their
+    order, and the engine drops its reference to the thunk at once.
+
+    The clock still passes the removed event's time: the engine keeps the
+    latest such time, its horizon, and once no live event is left
+    {!step} and {!run} without [until] move the clock to it if it is
+    later. So a run ends at the time it would have if the cancelled event
+    had stayed queued and fired, doing nothing. *)
 
 val spawn : t -> (unit -> unit) -> unit
 (** [spawn t f] starts a fiber at the current time. The fiber may use
@@ -99,10 +106,14 @@ val run : ?until:float -> t -> unit
 (** Process events until the queue is empty, or until simulated time would
     exceed [until] (remaining events stay queued). With [until], the clock
     always advances to [until] — even if the queue drained earlier — so
-    rates computed as work/elapsed see the full window. *)
+    rates computed as work/elapsed see the full window. Without [until],
+    the clock ends at the horizon of {!cancel} if that is later than the
+    last event. *)
 
 val step : t -> bool
-(** Process a single event; [false] if the queue was empty. *)
+(** Process a single event. When no live event is left it returns
+    [false], after moving the clock to the horizon of {!cancel} if that
+    is later. *)
 
 val pending : t -> int
-(** Number of queued events. *)
+(** Number of queued live events: a cancelled event is not counted. *)

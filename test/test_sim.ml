@@ -223,7 +223,7 @@ let timer_cancel_allocation_budget () =
   let batch n =
     for _ = 1 to n do
       let tm = Engine.schedule_timer eng 0.5 fn in
-      Engine.cancel tm (Engine.timer_seq tm)
+      Engine.cancel eng tm (Engine.timer_seq tm)
     done;
     Engine.run eng
   in
@@ -275,20 +275,23 @@ let join_all_allocation_budget () =
   check_bool (Printf.sprintf "a two-job join_all allocates %.1f words (budget 52)" !per_join)
     true (!per_join <= 52.0)
 
-(* A cancelled timer still fires, as a no-op: the event count and the
-   order of everything else are what they would have been. *)
-let cancelled_timer_fires_as_noop () =
+(* A cancelled timer leaves the queue: only the kept event is
+   dispatched. The clock still reaches the removed timer's time once the
+   drain ends, where firing it as a no-op would have left it. *)
+let cancelled_timer_leaves_the_queue () =
   let eng = Engine.create () in
   let log = ref [] in
   let tm = Engine.schedule_timer eng 1.0 (fun () -> log := "cancelled" :: !log) in
-  Engine.schedule eng 1.0 (fun () -> log := "kept" :: !log);
-  Engine.cancel tm (Engine.timer_seq tm);
+  Engine.schedule eng 0.5 (fun () -> log := "kept" :: !log);
+  Engine.cancel eng tm (Engine.timer_seq tm);
+  check_int "one event queued" 1 (Engine.pending eng);
   let steps = ref 0 in
   while Engine.step eng do
     incr steps
   done;
-  check_int "both events still dispatched" 2 !steps;
-  check_bool "only the kept thunk ran" true (!log = [ "kept" ])
+  check_int "one event dispatched" 1 !steps;
+  check_bool "only the kept thunk ran" true (!log = [ "kept" ]);
+  check_float "the clock at the removed timer's time" 1.0 (Engine.now eng)
 
 (* A handle kept past its firing names a recycled cell: cancelling it
    with the old seq must leave the cell's new event alone. *)
@@ -300,7 +303,7 @@ let cancel_recycled_cell_is_noop () =
   Engine.run eng;
   let tm2 = Engine.schedule_timer eng 1.0 (fun () -> fired := 2 :: !fired) in
   check_bool "the fired cell is recycled" true (tm2 == tm);
-  Engine.cancel tm seq;
+  Engine.cancel eng tm seq;
   Engine.run eng;
   check_bool "the new event still fires" true (!fired = [ 2; 1 ])
 
@@ -489,13 +492,13 @@ let engine_trace (script, until) =
         let tm = Engine.schedule_timer eng d (fun () -> fire l k) in
         let seq = Engine.timer_seq tm in
         timers := Array.append !timers [| (tm, seq) |];
-        if c then Engine.cancel tm seq
+        if c then Engine.cancel eng tm seq
     | Cancel n ->
         let count = Array.length !timers in
         if count > 0 then begin
           let tm, seq = !timers.(n mod count) in
-          Engine.cancel tm seq;
-          Engine.cancel tm seq
+          Engine.cancel eng tm seq;
+          Engine.cancel eng tm seq
         end
     | Spawn steps ->
         let l = label () in
@@ -610,7 +613,7 @@ let suite =
   [
     heap_order_matches_reference;
     ("event ordering", `Quick, event_ordering);
-    ("cancelled timer fires as a no-op", `Quick, cancelled_timer_fires_as_noop);
+    ("cancelled timer leaves the queue", `Quick, cancelled_timer_leaves_the_queue);
     ("cancel on a recycled cell is a no-op", `Quick, cancel_recycled_cell_is_noop);
     ("park/unpark", `Quick, park_unpark);
     ("park allocation budget", `Quick, park_allocation_budget);
