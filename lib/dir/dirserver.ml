@@ -270,8 +270,11 @@ let child_attr ?(span = Trace.null) t (fh : Fh.t) =
     | None -> Error Nfs.ERR_STALE
   else attr_reply (peer_call ~span t ~site:fh.Fh.attr_site (Peer.encode_msg ~xid:0 (Peer.Getattr fh)))
 
+(* The local halves below pass [handle]'s update gate: a site this
+   server owns but drains takes the peer path, whose re-send waits for
+   the move to land, so no change lands behind a migration's back. *)
 let bump_nlink ?(span = Trace.null) t ~home (fh : Fh.t) delta =
-  if owns t fh.Fh.attr_site then
+  if Tenure.admit_write t.tenure fh.Fh.attr_site then
     let s = site t fh.Fh.attr_site in
     match local_cell s fh.Fh.file_id with
     | None -> Error Nfs.ERR_STALE
@@ -281,7 +284,7 @@ let bump_nlink ?(span = Trace.null) t ~home (fh : Fh.t) delta =
       (peer_update ~span t ~home ~site:fh.Fh.attr_site (fun op_id -> Peer.Nlink { op_id; fh; delta }))
 
 let bump_parent ?(span = Trace.null) t ~home (dfh : Fh.t) delta =
-  if not (owns t dfh.Fh.attr_site) then
+  if not (Tenure.admit_write t.tenure dfh.Fh.attr_site) then
     ignore
       (peer_update ~span t ~home ~site:dfh.Fh.attr_site (fun op_id ->
            Peer.Entry_count { op_id; dir = dfh; delta; mtime = now t }))
@@ -352,7 +355,7 @@ let do_create ?(span = Trace.null) t es (dfh : Fh.t) name ~ftype ~symlink =
 (* Install [name] in [dfh] at its entry site [es], here or at a peer;
    [home] is the site of the request's local half. *)
 let add_entry_somewhere ?(span = Trace.null) t ~home (dfh : Fh.t) name es child =
-  if not (owns t es) then
+  if not (Tenure.admit_write t.tenure es) then
     ack_reply
       (peer_update ~span t ~home ~site:es (fun op_id -> Peer.Add_entry { op_id; dir = dfh; name; child }))
   else

@@ -119,8 +119,8 @@ let class_of ens k table =
         k;
         table;
         drop = (fun i site -> Dirserver.drop_site (srv i) site);
-        (* a record the site logged during the copy, a parent's count
-           bumped from another site, lands before the journal moves *)
+        (* a record the site logged during the copy, by a request
+           admitted before the drain, lands before the journal moves *)
         settle = (fun ~donor ~site -> Dirserver.settle_site (srv donor) site);
         copy_bytes = (fun ~donor ~site -> Int64.of_int (Dirserver.site_bytes (srv donor) site));
         copy_commit =
