@@ -341,8 +341,8 @@ let rpc_duplicate_replies_dropped () =
 let tag_of payload = Int32.to_int (Bytes.get_int32_be payload 4)
 
 (* A finished call's slot serves the next call at once, and the first
-   call's timer, cancelled by its reply but still queued, never touches
-   the second call. Then the same through a synchronous answer: a filter
+   call's timer, cancelled by its reply, never touches the second call.
+   Then the same through a synchronous answer: a filter
    that drops the first attempt, and on the retransmission schedules an
    event (taking the timer cell that just fired) before answering inline.
    The reply's cancel then holds a stale handle to that recycled cell and
